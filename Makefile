@@ -35,7 +35,7 @@ REPLICATION_BENCH = BenchmarkReplicationZipf
 # benchjson compare warns when they differ between baseline and candidate.
 PARALLEL_BENCH = BenchmarkPEngineScaling
 
-.PHONY: all build test race vet faults bench bench-tables bench-farm bench-parallel bench-replication bench-replication-baseline bench-compare bench-sweep bench-profile loadtest chaos trace-smoke telemetry-smoke figures clean
+.PHONY: all build test race vet faults fuzz bench-check bench bench-tables bench-farm bench-parallel bench-replication bench-replication-baseline bench-compare bench-sweep bench-profile loadtest chaos trace-smoke telemetry-smoke figures clean
 
 all: build test
 
@@ -50,6 +50,19 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Short native-fuzz pass over the farm's header codec (the bytes a proxy
+# reads off a socket); the committed seed corpus under testdata/fuzz also
+# runs as ordinary test cases in `make test`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzReplicaHeaders -fuzztime 10s ./internal/httpproxy/
+
+# bench/ is a module of its own (BENCHMARK.json's driver), so `go build
+# ./...` and `go test ./...` at the root never compile it. It imports
+# internal/cluster, internal/sim and internal/httpproxy directly: run this
+# after touching their exported surface.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Fault-injection gate: race-clean tests of the fault/recovery packages,
 # then the resilience experiment at smoke scale (hit rate & completion vs

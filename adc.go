@@ -37,7 +37,7 @@ import (
 	"github.com/adc-sim/adc/internal/cluster"
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
-	"github.com/adc-sim/adc/internal/proxy"
+	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/sim"
 )
 
@@ -444,9 +444,9 @@ func (c Config) toInternal() (cluster.Config, error) {
 			PendingTTL: c.Recovery.PendingTTL,
 		}
 	}
-	var replication proxy.Replication
+	var replication protocol.Replication
 	if c.Replication != nil {
-		replication = proxy.Replication{
+		replication = protocol.Replication{
 			Enabled:       true,
 			HotThreshold:  c.Replication.HotThreshold,
 			MaxReplicas:   c.Replication.MaxReplicas,

@@ -43,7 +43,7 @@ import (
 	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/obs"
 	"github.com/adc-sim/adc/internal/promtext"
-	"github.com/adc-sim/adc/internal/proxy"
+	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/stats"
 	"github.com/adc-sim/adc/internal/workload"
 )
@@ -296,7 +296,7 @@ func run(cfg config) (*report, error) {
 		MaxActive:  cfg.MaxActive,
 		MaxQueue:   cfg.MaxQueue,
 		NoCoalesce: cfg.NoCoalesce,
-		Replication: proxy.Replication{
+		Replication: protocol.Replication{
 			Enabled:      cfg.Replicate,
 			HotThreshold: cfg.RepThreshold,
 			MaxReplicas:  cfg.RepMax,

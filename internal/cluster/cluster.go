@@ -21,6 +21,7 @@ import (
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/obs"
+	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/proxy"
 	"github.com/adc-sim/adc/internal/sim"
 	"github.com/adc-sim/adc/internal/stats"
@@ -211,9 +212,9 @@ type Config struct {
 	// ADC proxy: hot entries become multi-homed, forwarding picks among
 	// the holders by power-of-two-choices on local load estimates, and
 	// cold copies drop back toward the stock single-location state (see
-	// proxy.Replication). Requires the ADC algorithm; the zero value
+	// protocol.Replication). Requires the ADC algorithm; the zero value
 	// keeps stock behavior byte-identical.
-	Replication proxy.Replication
+	Replication protocol.Replication
 
 	// ResponseBuckets, when positive, gives every client a response-time
 	// histogram with that many buckets of ResponseBucketTicks width

@@ -6,6 +6,8 @@ import (
 
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
+	"github.com/adc-sim/adc/internal/metrics"
+	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/sim"
 	"github.com/adc-sim/adc/internal/trace"
 )
@@ -305,6 +307,75 @@ func TestValidateFaults(t *testing.T) {
 			}
 			if !tc.ok && err == nil {
 				t.Error("expected a validation error, got nil")
+			}
+		})
+	}
+}
+
+// TestGoldenReplicationDeterminism is TestGoldenDeterminism's replication-on
+// twin: no benchmark workload runs the controller, so its behaviour is held
+// by constants instead. The values were recorded at the commit before the
+// protocol core was extracted (694dec4) with a hot threshold low enough that
+// the uniform golden trace exercises pushes, adopted-replica hits and
+// cold-replica drops; any reordered table call, missed track/untrack or extra
+// rng draw in the controller moves them.
+func TestGoldenReplicationDeterminism(t *testing.T) {
+	type golden struct {
+		delivered, hits, origin uint64
+		hops                    float64
+		pushes, repHits, drops  uint64 // summed over all proxies
+		proxy0                  metrics.ProxyStats
+	}
+	want := map[Runtime]golden{
+		RuntimeSequential: {
+			delivered: 23838, hits: 1240, origin: 2760, hops: 5.9595,
+			pushes: 178, repHits: 14, drops: 167,
+			proxy0: metrics.ProxyStats{
+				Requests: 1888, LocalHits: 275, ForwardLearned: 247,
+				ForwardRandom: 739, ForwardOrigin: 627, LoopsDetected: 279,
+				RepliesSeen: 1613, CacheInsertions: 387, CacheEvictions: 287,
+				ReplicaPushes: 43,
+			},
+		},
+		RuntimeVirtualTime: {
+			delivered: 23698, hits: 1227, origin: 2773, hops: 5.9245,
+			pushes: 199, repHits: 16, drops: 178,
+			proxy0: metrics.ProxyStats{
+				Requests: 1842, LocalHits: 250, ForwardLearned: 262,
+				ForwardRandom: 736, ForwardOrigin: 594, LoopsDetected: 272,
+				RepliesSeen: 1592, CacheInsertions: 368, CacheEvictions: 268,
+				ReplicaPushes: 32, ReplicaHits: 3,
+			},
+		},
+	}
+	for rt, g := range want {
+		t.Run(rt.String(), func(t *testing.T) {
+			cfg := goldenConfig(rt)
+			cfg.Replication = protocol.Replication{Enabled: true, HotThreshold: 2, MaxReplicas: 3, Window: 256}
+			res, err := Run(cfg, trace.NewSliceSource(goldenTrace()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := res.Summary
+			if res.Delivered != g.delivered || s.Hits != g.hits || res.OriginResolved != g.origin {
+				t.Errorf("delivered/hits/origin = %d/%d/%d, want %d/%d/%d",
+					res.Delivered, s.Hits, res.OriginResolved, g.delivered, g.hits, g.origin)
+			}
+			if diff := s.Hops - g.hops; diff < -1e-9 || diff > 1e-9 {
+				t.Errorf("hops = %v, want %v", s.Hops, g.hops)
+			}
+			var pushes, repHits, drops uint64
+			for _, p := range res.ProxyStats {
+				pushes += p.ReplicaPushes
+				repHits += p.ReplicaHits
+				drops += p.ReplicaDrops
+			}
+			if pushes != g.pushes || repHits != g.repHits || drops != g.drops {
+				t.Errorf("pushes/replica hits/drops = %d/%d/%d, want %d/%d/%d",
+					pushes, repHits, drops, g.pushes, g.repHits, g.drops)
+			}
+			if res.ProxyStats[0] != g.proxy0 {
+				t.Errorf("proxy 0 stats = %+v, want %+v", res.ProxyStats[0], g.proxy0)
 			}
 		})
 	}

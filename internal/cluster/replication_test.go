@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"github.com/adc-sim/adc/internal/core"
-	"github.com/adc-sim/adc/internal/proxy"
+	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/sim"
 	"github.com/adc-sim/adc/internal/workload"
 )
@@ -44,7 +44,7 @@ func replicationConfig(on bool) Config {
 		ResponseBucketTicks: 1000,
 	}
 	if on {
-		cfg.Replication = proxy.Replication{
+		cfg.Replication = protocol.Replication{
 			Enabled:      true,
 			HotThreshold: 16,
 			MaxReplicas:  3,
@@ -112,7 +112,7 @@ func replicationScenario(on bool) Config {
 		MetricsEvery:        50_000,
 	}
 	if on {
-		cfg.Replication = proxy.Replication{
+		cfg.Replication = protocol.Replication{
 			Enabled:      true,
 			HotThreshold: 2,
 			MaxReplicas:  7,

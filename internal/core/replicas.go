@@ -7,7 +7,7 @@ import "github.com/adc-sim/adc/internal/ids"
 // replica back toward stock ADC's single-location convergence.
 //
 // Everything here is invoked only when the replication controller
-// (internal/proxy) is enabled; with it off no entry ever grows a replica
+// (internal/protocol) is enabled; with it off no entry ever grows a replica
 // set and every code path below is dead, keeping the stock protocol
 // byte-identical.
 

@@ -6,7 +6,7 @@ import (
 
 	"github.com/adc-sim/adc/internal/cluster"
 	"github.com/adc-sim/adc/internal/core"
-	"github.com/adc-sim/adc/internal/proxy"
+	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/sim"
 	"github.com/adc-sim/adc/internal/trace"
 	"github.com/adc-sim/adc/internal/workload"
@@ -160,7 +160,7 @@ func replicationClusterConfig(p Profile, pt ReplicationPoint) cluster.Config {
 		MetricsEvery:        repMetricsEvery,
 	}
 	if pt.Replicated {
-		cfg.Replication = proxy.Replication{
+		cfg.Replication = protocol.Replication{
 			Enabled:      true,
 			HotThreshold: pt.HotThreshold,
 			MaxReplicas:  pt.MaxReplicas,

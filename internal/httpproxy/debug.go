@@ -101,26 +101,27 @@ func (p *Proxy) handleVars(w http.ResponseWriter, r *http.Request) {
 	// Stats() folds in the off-lock shed/coalescing counters.
 	stats := p.Stats()
 	p.mu.Lock()
+	tables := p.adc.Tables()
 	v := debugVars{
 		ID:          p.id.String(),
-		LocalTime:   p.localTime,
+		LocalTime:   p.adc.LocalTime(),
 		Stats:       stats,
-		TableLen:    p.tables.Len(),
-		CachingLen:  p.tables.Caching().Len(),
-		MultipleLen: p.tables.Multiple().Len(),
-		SingleLen:   p.tables.Single().Len(),
+		TableLen:    tables.Len(),
+		CachingLen:  tables.Caching().Len(),
+		MultipleLen: tables.Multiple().Len(),
+		SingleLen:   tables.Single().Len(),
 		StoreLen:    len(p.store),
 		PendingLen:  len(p.pending),
-		Peers:       len(p.peers),
+		Peers:       len(p.adc.Peers()),
 		QueueDepth:  p.gate.depth(),
 	}
-	if p.replica != nil {
+	if on, tracked, held := p.adc.Replicating(); on {
 		v.Replication = &replicationVars{
 			Pushes:  stats.ReplicaPushes,
 			Drops:   stats.ReplicaDrops,
 			Hits:    stats.ReplicaHits,
-			Tracked: len(p.replica.tracked),
-			Held:    len(p.replica.held),
+			Tracked: tracked,
+			Held:    held,
 		}
 	}
 	netFn := p.netVars
@@ -145,7 +146,7 @@ func (p *Proxy) handleTables(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	_ = p.tables.Dump(w, p.localTime)
+	_ = p.adc.Tables().Dump(w, p.adc.LocalTime())
 }
 
 // HashRequestID folds a wire request-ID string into a trace RequestID via

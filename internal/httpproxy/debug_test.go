@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/obs"
 )
 
@@ -154,15 +155,51 @@ func TestFarmTracing(t *testing.T) {
 			t.Errorf("first fetch: no %v event under its request key (saw %v)", k, kinds)
 		}
 	}
-	var sawHit bool
+	var hitEvent obs.Event
 	for _, e := range events {
 		if e.Kind == obs.KindHit && e.Req == HashRequestID(hitReq) {
-			sawHit = true
+			hitEvent = e
 		}
 	}
-	if !sawHit {
-		t.Error("proxy-hit fetch produced no hit event")
+	if hitEvent.Kind != obs.KindHit {
+		t.Fatal("proxy-hit fetch produced no hit event")
 	}
+	if got := obs.OutcomeString(hitEvent.Arg); got != "caching→caching" {
+		t.Errorf("hit event outcome = %q, want the table transition caching→caching as in simulator traces", got)
+	}
+
+	// One trace vocabulary with the simulator: a backward event's Loc is the
+	// location learned into the tables, not the resolver after this proxy's
+	// own claim. Proxy 0 has seen object 6 twice at proxy 1, proxy 1 once at
+	// itself: the reply leaves proxy 1 uncached with resolver 1, and proxy
+	// 0 learns "1", caches the object and claims it.
+	const claimObj = ids.ObjectID(6)
+	teachLocation(f.Proxies[0], claimObj, 1)
+	teachLocation(f.Proxies[0], claimObj, 1)
+	teachLocation(f.Proxies[1], claimObj, 1)
+	if _, err := f.Get(0, claimObj, "traced-claim"); err != nil {
+		t.Fatal(err)
+	}
+	var learnedAt0, deliveredFrom ids.NodeID = ids.None, ids.None
+	var outcomeAt0 string
+	for _, e := range tr.Events() {
+		if e.Req != HashRequestID("traced-claim") {
+			continue
+		}
+		switch {
+		case e.Kind == obs.KindBackward && e.Node == 0:
+			learnedAt0, outcomeAt0 = e.Loc, obs.OutcomeString(e.Arg)
+		case e.Kind == obs.KindDeliver:
+			deliveredFrom = e.Loc
+		}
+	}
+	if outcomeAt0 != "multiple→caching" || deliveredFrom != 0 {
+		t.Fatalf("setup: proxy 0 outcome %q, delivered resolver %v; want multiple→caching claimed by proxy 0", outcomeAt0, deliveredFrom)
+	}
+	if learnedAt0 != 1 {
+		t.Errorf("claimer's backward event Loc = %v, want the learned location Proxy[1]", learnedAt0)
+	}
+
 	// Wall-clock stamping: the farm runs in real time, so events must carry
 	// At (microseconds), not rely on Seq.
 	for i, e := range events {

@@ -13,7 +13,7 @@ import (
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/obs"
-	"github.com/adc-sim/adc/internal/proxy"
+	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/trace"
 	"github.com/adc-sim/adc/internal/transport"
 	"github.com/adc-sim/adc/internal/workload"
@@ -66,7 +66,7 @@ type FarmConfig struct {
 	NoCoalesce bool
 	// Replication configures hot-object replication on every proxy
 	// (zero value = stock ADC).
-	Replication proxy.Replication
+	Replication protocol.Replication
 	// FaultTolerance configures health probing, failover routing, circuit
 	// breakers and hedging on every proxy (zero value = all off).
 	FaultTolerance FaultTolerance

@@ -185,6 +185,15 @@ func TestHealthProbeDetectsKillAndRecover(t *testing.T) {
 	}
 }
 
+// teachLocation plants the belief "loc holds obj" in p's mapping tables
+// (white-box: what a backwarding reply would have taught it).
+func teachLocation(p *Proxy, obj ids.ObjectID, loc ids.NodeID) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	tables := p.adc.Tables()
+	tables.Recycle(tables.Update(obj, loc, 1))
+}
+
 // TestFailoverOriginWhenOwnerDown seeds an entry proxy with a learned
 // location, kills the owner, and checks the request falls back to the
 // origin while the stale table entry is invalidated — the real-network
@@ -195,10 +204,7 @@ func TestFailoverOriginWhenOwnerDown(t *testing.T) {
 	obj := ids.ObjectID(777)
 
 	// White-box: teach the entry proxy that the owner holds obj.
-	entry.mu.Lock()
-	entry.localTime++
-	entry.tables.Recycle(entry.tables.Update(obj, owner.ID(), entry.localTime))
-	entry.mu.Unlock()
+	teachLocation(entry, obj, owner.ID())
 
 	if err := owner.Kill(); err != nil {
 		t.Fatal(err)
@@ -346,10 +352,7 @@ func TestFlightLeaderPeerDiesMidFetch(t *testing.T) {
 	// Teach the entry proxy that the (about to die) peer owns the object,
 	// then kill it without waiting for detection: the first chains run
 	// against a dead-but-believed-up peer, exactly the mid-fetch window.
-	entry.mu.Lock()
-	entry.localTime++
-	entry.tables.Recycle(entry.tables.Update(obj, peer.ID(), entry.localTime))
-	entry.mu.Unlock()
+	teachLocation(entry, obj, peer.ID())
 	if err := peer.Kill(); err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,12 @@
 // HTTP's call stack plays the role of the backwarding path: a proxy that
 // cannot resolve a request forwards it upstream with an http.Client call,
 // and the response naturally retraces the chain of waiting handlers, each
-// of which updates its mapping tables exactly as Receive_Reply does
-// (Fig. 7). The ADC metadata travels in headers:
+// of which hands the reply to the same protocol core the simulator drives
+// (internal/protocol) for Receive_Reply (Fig. 7). This package is the HTTP
+// driver of that core: it owns what is genuinely HTTP — the payload store,
+// the pending set keyed by wire request ID, admission, coalescing, health,
+// breakers, retries, hedging, spans — and the header codec. The ADC metadata
+// travels in headers:
 //
 //	X-ADC-Request-ID   globally unique ID, for loop detection
 //	X-ADC-Forwards     number of proxy forwards so far (max-hops bound)
@@ -24,9 +28,9 @@ package httpproxy
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,7 +41,7 @@ import (
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/obs"
-	"github.com/adc-sim/adc/internal/proxy"
+	"github.com/adc-sim/adc/internal/protocol"
 )
 
 // Header names of the ADC-over-HTTP protocol.
@@ -150,7 +154,7 @@ func (o *Origin) handle(w http.ResponseWriter, r *http.Request) {
 }
 
 // Proxy is one ADC agent speaking HTTP. Handlers may run concurrently;
-// the mapping tables and payload store are guarded by mu, which is never
+// the protocol core and payload store are guarded by mu, which is never
 // held across an upstream fetch (holding it would deadlock on forwarding
 // loops, where the same proxy serves two requests of one chain).
 //
@@ -181,8 +185,9 @@ type Proxy struct {
 	// Telemetry. stages is always on (recording a latency is one mutex +
 	// one bucket increment; /metrics pays the snapshot cost, not the hot
 	// path). spans is nil with tracing off; spanSeq/traceSeq allocate span
-	// and trace IDs off-lock — sampling deliberately does NOT use p.rng,
-	// whose draw sequence is part of seeded-run determinism.
+	// and trace IDs off-lock — sampling deliberately does NOT draw from the
+	// protocol core's stream, whose sequence is part of seeded-run
+	// determinism.
 	tracing  Tracing
 	spans    *obs.SpanRing
 	spanSeq  atomic.Uint64
@@ -209,21 +214,20 @@ type Proxy struct {
 	blockMu   sync.Mutex
 	blockedTo map[ids.NodeID]struct{}
 
-	mu        sync.Mutex
-	ln        net.Listener // current listener; replaced by Restart
-	srv       *http.Server // current server; replaced by Restart
-	killed    bool         // Kill..Restart window (chaos harness)
-	tables    *core.Tables
-	store     map[ids.ObjectID][]byte
-	pending   map[string]int
-	rng       *rand.Rand
-	peers     []ids.NodeID
-	peerURL   map[ids.NodeID]string
-	localTime int64
-	stats     metrics.ProxyStats
-	tracer    *obs.Tracer
-	replica   *replicator        // nil = stock ADC (replication off)
-	netVars   func() NetworkVars // optional transport-network section of /debug/vars
+	// replicating mirrors Config.Replication.Enabled: only then do forwards
+	// carry X-Adc-Sender and arrivals parse it.
+	replicating bool
+
+	mu      sync.Mutex
+	ln      net.Listener    // current listener; replaced by Restart
+	srv     *http.Server    // current server; replaced by Restart
+	killed  bool            // Kill..Restart window (chaos harness)
+	adc     *protocol.Agent // the protocol core: tables, rng, clock, counters
+	store   map[ids.ObjectID][]byte
+	pending map[string]int
+	peerURL map[ids.NodeID]string
+	tracer  *obs.Tracer
+	netVars func() NetworkVars // optional transport-network section of /debug/vars
 }
 
 // FaultTolerance configures the farm's fault-tolerance layer: peer health
@@ -302,8 +306,8 @@ type Config struct {
 	// NoCoalesce disables miss coalescing (ablation and tests).
 	NoCoalesce bool
 	// Replication configures the hot-object replication controller
-	// (see internal/proxy; zero value = stock ADC).
-	Replication proxy.Replication
+	// (see internal/protocol; zero value = stock ADC).
+	Replication protocol.Replication
 	// FaultTolerance configures health probing, failover routing,
 	// circuit breakers and hedging (zero value = all off).
 	FaultTolerance FaultTolerance
@@ -316,13 +320,14 @@ type Config struct {
 // NewProxy starts a proxy on a loopback port. Peers are introduced later
 // via SetPeers (all proxies must exist before addresses are known).
 func NewProxy(cfg Config) (*Proxy, error) {
-	tables, err := core.NewTables(cfg.Tables)
+	agent, err := protocol.New(protocol.Config{
+		ID:          cfg.ID,
+		Tables:      cfg.Tables,
+		Seed:        cfg.Seed,
+		Replication: cfg.Replication,
+	})
 	if err != nil {
-		return nil, err
-	}
-	repCfg := cfg.Replication.Normalize()
-	if err := repCfg.Validate(); err != nil {
-		return nil, fmt.Errorf("httpproxy: proxy %v: %w", cfg.ID, err)
+		return nil, fmt.Errorf("httpproxy: %w", err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -347,17 +352,18 @@ func NewProxy(cfg Config) (*Proxy, error) {
 		tracing:  cfg.Tracing.withDefaults(),
 		stages:   metrics.NewStageSet(),
 		started:  time.Now(),
-		tables:   tables,
+		adc:      agent,
 		store:    make(map[ids.ObjectID][]byte),
 		pending:  make(map[string]int),
-		rng:      rand.New(rand.NewSource(cfg.Seed ^ (int64(cfg.ID)+1)*0x1F3B)),
 		peerURL:  make(map[ids.NodeID]string),
+
+		replicating: cfg.Replication.Enabled,
 	}
+	// The payload store is exactly the caching table's membership: bodies
+	// go in when the core reports it holds the object, and out here.
+	agent.OnEvict(func(obj ids.ObjectID) { delete(p.store, obj) })
 	if p.tracing.Enabled {
 		p.spans = obs.NewSpanRing(p.tracing.RingSize)
-	}
-	if repCfg.Enabled {
-		p.replica = newReplicator(repCfg)
 	}
 	if ft.Health.Enabled {
 		p.breakers = newBreakerGroup(ft.BreakerThreshold, ft.BreakerCooldown)
@@ -391,22 +397,15 @@ func (p *Proxy) ID() ids.NodeID { return p.id }
 
 // SetPeers installs the full peer address book (including this proxy).
 func (p *Proxy) SetPeers(urls map[ids.NodeID]string) {
+	peers := make([]ids.NodeID, 0, len(urls))
+	for id := range urls {
+		peers = append(peers, id)
+	}
+	slices.Sort(peers) // deterministic order for the random selection
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.peers = p.peers[:0]
-	for id := range urls {
-		p.peers = append(p.peers, id)
-	}
-	// Deterministic order for the random selection.
-	for i := 1; i < len(p.peers); i++ {
-		for j := i; j > 0 && p.peers[j] < p.peers[j-1]; j-- {
-			p.peers[j], p.peers[j-1] = p.peers[j-1], p.peers[j]
-		}
-	}
+	p.adc.SetPeers(peers)
 	p.peerURL = urls
-	if p.replica != nil {
-		p.replica.sizeLoad(p.peers)
-	}
 	if p.ft.Health.Enabled && p.health.Load() == nil {
 		p.health.Store(newHealthMonitor(p.ft.Health, p.id, urls, p.isBlocked))
 	}
@@ -416,7 +415,7 @@ func (p *Proxy) SetPeers(urls map[ids.NodeID]string) {
 // coalescing counts.
 func (p *Proxy) Stats() metrics.ProxyStats {
 	p.mu.Lock()
-	s := p.stats
+	s := p.adc.Stats
 	p.mu.Unlock()
 	s.Shed = p.shed.Load()
 	s.CoalescedMisses = p.coalesced.Load()
@@ -620,37 +619,29 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, 
 		defer p.gate.leave()
 	}
 
-	// Decide under the lock: local hit, or where to forward.
-	p.mu.Lock()
-	p.localTime++
-	p.stats.Requests++
-	if p.replica != nil && p.localTime%p.replica.cfg.Window == 0 {
-		p.rollWindowLocked()
+	// Receive_Request (Fig. 5) under the lock: a local hit answers at once.
+	sender := ids.None
+	if p.replicating {
+		sender = parseNodeID(r.Header.Get(HeaderSender))
 	}
-	if payload, ok := p.store[obj]; ok {
-		p.stats.LocalHits++
-		prevLoc := ids.None
-		if p.replica != nil {
-			p.noteHitLocked(obj)
-			prevLoc, _ = p.tables.ForwardLocation(obj)
-		}
-		p.tables.Recycle(p.tables.Update(obj, p.id, p.localTime))
-		var adv advertisement
-		if p.replica != nil {
-			adv = p.maybePushLocked(obj, prevLoc, parseNodeID(r.Header.Get(HeaderSender)))
-		}
+	p.mu.Lock()
+	hit, outcome, adv := p.adc.Arrive(obj, sender)
+	if hit {
+		payload := p.store[obj]
+		adv.Replicas = slices.Clone(adv.Replicas) // aliases table memory; headers are written off-lock
 		if p.tracer.Enabled(obs.KindHit) {
 			e := obs.Ev(obs.KindHit, p.id)
 			e.Req = HashRequestID(reqID)
 			e.Obj = obj
 			e.Loc = p.id
 			e.Hops = int32(forwards)
+			e.Arg = outcome
 			p.tracer.Emit(e)
 		}
 		p.mu.Unlock()
 		w.Header().Set(HeaderResolver, p.id.String())
 		w.Header().Set(HeaderCached, "1")
-		adv.set(w.Header())
+		encodeAdvert(w.Header(), adv)
 		_, _ = w.Write(payload)
 		return ""
 	}
@@ -698,83 +689,57 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, 
 		return "upstream status " + strconv.Itoa(res.status)
 	}
 
-	// Receive_Reply (Fig. 7): claim the resolver slot for origin data,
-	// learn the location, cache if the tables promote the object.
+	// Receive_Reply (Fig. 7): the core learns the location and decides the
+	// claim; the payload passing by is stored exactly when the caching
+	// table took the object.
+	upstream := decodeAdvert(res.hdr)
 	p.mu.Lock()
-	p.stats.RepliesSeen++
-	resolver := parseNodeID(res.hdr.Get(HeaderResolver))
-	if resolver == ids.None {
-		resolver = p.id
-	}
-	out := p.tables.Update(obj, resolver, p.localTime)
-	if out.To == core.KindCaching {
-		if out.From != core.KindCaching {
-			p.stats.CacheInsertions++
-		}
+	l := p.adc.Learn(obj, parseNodeID(res.hdr.Get(HeaderResolver)), res.hdr.Get(HeaderCached) == "1", sender, upstream)
+	if l.Holds {
 		p.store[obj] = res.body
 	}
-	if out.CacheEvicted != nil {
-		p.stats.CacheEvictions++
-		delete(p.store, out.CacheEvicted.Object)
-	}
-	outArg := obs.EncodeOutcome(int(out.From), int(out.To),
-		out.CacheEvicted != nil, out.MultipleEvicted != nil, out.Dropped != nil)
-	p.tables.Recycle(out) // last read of the outcome
-	if p.replica != nil {
-		p.learnReplicasLocked(obj, resolver, res.hdr, res.body)
-	}
-	cached := res.hdr.Get(HeaderCached) == "1"
-	if !cached {
-		if _, stillCached := p.store[obj]; stillCached {
-			resolver = p.id
-			cached = true
-		}
-	}
+	l.Advert.Replicas = slices.Clone(l.Advert.Replicas) // may alias table memory
 	if p.tracer.Enabled(obs.KindBackward) {
 		e := obs.Ev(obs.KindBackward, p.id)
 		e.Req = HashRequestID(reqID)
 		e.Obj = obj
-		e.Loc = resolver
+		e.Loc = l.Location
 		e.Hops = int32(forwards)
-		e.Arg = outArg
+		e.Arg = l.Outcome
 		p.tracer.Emit(e)
 	}
 	p.mu.Unlock()
 
-	w.Header().Set(HeaderResolver, resolver.String())
-	if cached {
+	w.Header().Set(HeaderResolver, l.Resolver.String())
+	if l.Cached {
 		w.Header().Set(HeaderCached, "1")
 	}
 	if res.hdr.Get(HeaderOrigin) == "1" {
 		w.Header().Set(HeaderOrigin, "1")
 	}
-	propagateReplication(w.Header(), res.hdr)
+	encodeAdvert(w.Header(), l.Advert)
 	_, _ = w.Write(res.body)
 	return ""
 }
 
 // resolveMiss is the forwarding half of a miss: it registers the pending
-// pass for loop detection, picks the upstream (Forward_Addr, Fig. 6),
-// performs the fetch outside the lock (the chain may revisit us), and
-// retires the pending pass. looped/atMax carry the entry decision so the
+// pass for loop detection, asks the core for the upstream (Forward_Addr,
+// Fig. 6), performs the fetch outside the lock (the chain may revisit us),
+// and retires the pending pass. looped/atMax carry the entry decision so the
 // stats and routing reason match what the caller observed.
 func (p *Proxy) resolveMiss(obj ids.ObjectID, reqID string, forwards int, looped, atMax bool, sc *spanCtx) flightResult {
+	// With health probing on, peers the monitor believes down are not
+	// routable; without it the nil predicate keeps the stock single draw.
+	var routable func(ids.NodeID) bool
+	if m := p.health.Load(); m != nil {
+		routable = m.routable
+	}
 	p.mu.Lock()
 	p.pending[reqID]++
-	var upstream string
-	upNode := ids.Origin
-	reason := obs.ReasonLoop
-	switch {
-	case looped, atMax:
-		if looped {
-			p.stats.LoopsDetected++
-		} else {
-			reason = obs.ReasonMaxHops
-		}
-		p.stats.ForwardOrigin++
-		upstream = p.origin
-	default:
-		upstream, upNode, reason = p.forwardAddrLocked(obj, forwards == 0)
+	upNode, reason := p.adc.Route(obj, looped, atMax, forwards == 0, routable)
+	upstream := p.origin
+	if upNode.IsProxy() {
+		upstream = p.peerURL[upNode]
 	}
 	if p.tracer.Enabled(obs.KindForward) {
 		e := obs.Ev(obs.KindForward, p.id)
@@ -799,68 +764,6 @@ func (p *Proxy) resolveMiss(obj ids.ObjectID, reqID string, forwards int, looped
 	}
 	p.mu.Unlock()
 	return res
-}
-
-// forwardAddrLocked is Forward_Addr (Fig. 6); p.mu must be held. Besides
-// the upstream URL it reports the destination node and the routing reason
-// for the trace. With health probing on, destinations the monitor believes
-// down are skipped: a learned location that died is lazily invalidated
-// (mirroring the virtual-time path's stale-location invalidation) and the
-// forward falls back — to the origin at the entry proxy (the one place
-// where giving up on peers cannot lengthen a chain), to a random routable
-// peer mid-chain.
-func (p *Proxy) forwardAddrLocked(obj ids.ObjectID, entry bool) (string, ids.NodeID, int64) {
-	if p.replica != nil {
-		return p.forwardAddrReplicatedLocked(obj, entry)
-	}
-	m := p.health.Load()
-	if loc, ok := p.tables.ForwardLocation(obj); ok {
-		if loc == p.id {
-			p.stats.ForwardOrigin++
-			return p.origin, ids.Origin, obs.ReasonSelfOrigin
-		}
-		if url, known := p.peerURL[loc]; known {
-			if m.routable(loc) {
-				p.stats.ForwardLearned++
-				return url, loc, obs.ReasonLearned
-			}
-			// The learned location is down: demote the stale entry so
-			// later requests relearn, then fail over.
-			if p.tables.Invalidate(obj) {
-				p.stats.StaleInvalidated++
-			}
-			if entry {
-				p.stats.ForwardOrigin++
-				return p.origin, ids.Origin, obs.ReasonFailover
-			}
-		}
-	}
-	if peer, ok := p.pickPeerLocked(m); ok {
-		p.stats.ForwardRandom++
-		return p.peerURL[peer], peer, obs.ReasonRandom
-	}
-	// Every peer is down; the origin is the only resolver left.
-	p.stats.ForwardOrigin++
-	return p.origin, ids.Origin, obs.ReasonFailover
-}
-
-// pickPeerLocked draws a random peer, skipping down ones. With health
-// probing off (nil monitor) it makes exactly the one rng draw the stock
-// path made, keeping seeded runs byte-identical.
-func (p *Proxy) pickPeerLocked(m *healthMonitor) (ids.NodeID, bool) {
-	if m == nil {
-		return p.peers[p.rng.Intn(len(p.peers))], true
-	}
-	cand := make([]ids.NodeID, 0, len(p.peers))
-	for _, peer := range p.peers {
-		if m.routable(peer) {
-			cand = append(cand, peer)
-		}
-	}
-	if len(cand) == 0 {
-		return ids.None, false
-	}
-	return cand[p.rng.Intn(len(cand))], true
 }
 
 // resolved reports whether a flight result is worth returning to the
@@ -981,7 +884,7 @@ func (p *Proxy) fetch(base string, dest ids.NodeID, obj ids.ObjectID, reqID stri
 	// is the link adctrace's cross-proxy tree reconstruction rides on.
 	spanID := sc.child()
 	sc.setHeaders(req.Header, spanID)
-	if p.replica != nil {
+	if p.replicating {
 		// Identify this proxy as the forwarding hop so a holder upstream
 		// knows which recent requester a replica push should target.
 		req.Header.Set(HeaderSender, p.id.String())
@@ -1014,22 +917,4 @@ func (p *Proxy) fetch(base string, dest ids.NodeID, obj ids.ObjectID, reqID stri
 	}
 	sc.recordID(spanID, spanStage, start, obj, dest.String(), spanErr)
 	return body, resp.Header, resp.StatusCode, nil
-}
-
-// parseNodeID reverses ids.NodeID.String for proxy IDs; anything else
-// (empty, "Origin") maps to None.
-func parseNodeID(s string) ids.NodeID {
-	rest, ok := strings.CutPrefix(s, "Proxy[")
-	if !ok {
-		return ids.None
-	}
-	rest, ok = strings.CutSuffix(rest, "]")
-	if !ok {
-		return ids.None
-	}
-	v, err := strconv.Atoi(rest)
-	if err != nil || v < 0 {
-		return ids.None
-	}
-	return ids.NodeID(v)
 }

@@ -12,7 +12,7 @@ import (
 
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
-	"github.com/adc-sim/adc/internal/proxy"
+	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/transport"
 )
 
@@ -27,7 +27,7 @@ func replicatedFarm(t *testing.T, proxies int, on bool) *Farm {
 		Seed:    1,
 	}
 	if on {
-		cfg.Replication = proxy.Replication{
+		cfg.Replication = protocol.Replication{
 			Enabled:      true,
 			HotThreshold: 2,
 			MaxReplicas:  3,
@@ -109,6 +109,48 @@ func TestFarmReplicationZipf(t *testing.T) {
 	}
 	t.Logf("replicated farm: hits=%d pushes=%d drops=%d replica hits=%d serving=%d",
 		hits, totalStats.ReplicaPushes, totalStats.ReplicaDrops, totalStats.ReplicaHits, serving)
+}
+
+// TestFarmReplyPathClaimerAdvertises pins the reply-path half of the
+// advertisement rule the simulator always had and the farm's hand-written
+// copy lacked: a mid-chain proxy that claims the cached slot while origin data
+// passes by speaks as the object's holder, so its reply carries the
+// authoritative (here still empty) replica set — and the entry proxy relays it
+// to the client.
+func TestFarmReplyPathClaimerAdvertises(t *testing.T) {
+	f := replicatedFarm(t, 2, true)
+	entry, mid := f.Proxies[0], f.Proxies[1]
+	const obj = ids.ObjectID(99)
+	// mid has seen obj twice and is responsible for it (a THIS entry in the
+	// multiple table): its miss goes to the origin and the reply's third
+	// sighting promotes obj into its cache. entry has learned mid.
+	teachLocation(mid, obj, mid.ID())
+	teachLocation(mid, obj, mid.ID())
+	teachLocation(entry, obj, mid.ID())
+
+	req, err := http.NewRequest(http.MethodGet, ObjectURL(entry.URL(), obj), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(HeaderRequestID, "claim-1")
+	resp, err := sharedClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close() //nolint:errcheck // read side
+	h := resp.Header
+	if h.Get(HeaderOrigin) != "1" || h.Get(HeaderCached) != "1" || parseNodeID(h.Get(HeaderResolver)) != mid.ID() {
+		t.Fatalf("setup: want origin data claimed by %v mid-chain, got headers %v", mid.ID(), h)
+	}
+	if mid.CacheLen() != 1 || entry.CacheLen() != 0 {
+		t.Fatalf("setup: store sizes mid=%d entry=%d, want 1/0", mid.CacheLen(), entry.CacheLen())
+	}
+	if h.Get(HeaderReplicate) != "1" {
+		t.Errorf("reply claimed mid-chain carries no %s: the claimer did not advertise (headers %v)", HeaderReplicate, h)
+	}
+	if got := h.Get(HeaderReplicas); got != "" {
+		t.Errorf("%s = %q, want the claimer's empty set", HeaderReplicas, got)
+	}
 }
 
 // TestFarmReplicationDebugVars checks that /debug/vars grows a replication

@@ -69,8 +69,8 @@ type spanCtx struct {
 // spanContext decides whether this request is traced and builds its
 // context. A request carrying X-Adc-Trace was sampled at its entry proxy
 // and joins unconditionally; an entry request (no header, forwards == 0)
-// rolls the sampler. Sampling uses a dedicated atomic counter, NOT p.rng:
-// the rng's draw sequence is part of seeded-run determinism.
+// rolls the sampler. Sampling uses a dedicated atomic counter, NOT the
+// protocol core's rng, whose draw sequence is part of seeded-run determinism.
 func (p *Proxy) spanContext(h http.Header, forwards int) *spanCtx {
 	if p.spans == nil {
 		return nil

@@ -7,11 +7,11 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
-	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/obs"
 	"github.com/adc-sim/adc/internal/promtext"
@@ -46,11 +46,9 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	stats := p.Stats()
 	p.mu.Lock()
-	localTime := p.localTime
+	localTime := p.adc.LocalTime()
 	storeLen := len(p.store)
-	peers := make([]ids.NodeID, len(p.peers))
-	copy(peers, p.peers)
-	replicated := p.replica != nil
+	peers := slices.Clone(p.adc.Peers())
 	p.mu.Unlock()
 
 	pw := promtext.NewWriter(w)
@@ -89,7 +87,7 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("adc_breaker_denied_total", "Fetches rejected by an open circuit breaker.", stats.BreakerDenied)
 	counter("adc_hedged_fetches_total", "Entry chains that started a parallel origin hedge.", stats.HedgedFetches)
 	counter("adc_hedge_wins_total", "Hedged chains whose hedge answer was used.", stats.HedgeWins)
-	if replicated {
+	if p.replicating {
 		counter("adc_replica_pushes_total", "Hot-object replicas pushed to recent requesters.", stats.ReplicaPushes)
 		counter("adc_replica_drops_total", "Cold replica copies shed.", stats.ReplicaDrops)
 		counter("adc_replica_hits_total", "Local hits served from a pushed replica.", stats.ReplicaHits)

@@ -1,11 +1,10 @@
-package proxy
+package protocol
 
 import (
 	"fmt"
 
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
-	"github.com/adc-sim/adc/internal/msg"
 )
 
 // Replication configures the hot-object replication controller — the
@@ -117,19 +116,21 @@ type replicator struct {
 	load []uint64
 }
 
-func newReplicator(cfg Replication, peers []ids.NodeID) *replicator {
-	max := ids.NodeID(0)
-	for _, p := range peers {
-		if p > max {
-			max = p
-		}
-	}
+func newReplicator(cfg Replication) *replicator {
 	return &replicator{
 		cfg:        cfg,
 		hot:        make(map[ids.ObjectID]int),
 		trackedSet: make(map[ids.ObjectID]struct{}),
 		held:       make(map[ids.ObjectID]struct{}),
-		load:       make([]uint64, int(max)+1),
+	}
+}
+
+// sizeLoad grows the per-peer load table to cover the given peer set.
+func (r *replicator) sizeLoad(peers []ids.NodeID) {
+	for _, p := range peers {
+		for int(p) >= len(r.load) {
+			r.load = append(r.load, 0)
+		}
 	}
 }
 
@@ -153,14 +154,16 @@ func (r *replicator) untrack(i int) {
 	r.tracked = append(r.tracked[:i], r.tracked[i+1:]...)
 }
 
+// addLoad and loadOf tolerate a nil controller so Forward_Addr charges and
+// reads load without branching on whether replication is on.
 func (r *replicator) addLoad(to ids.NodeID) {
-	if int(to) < len(r.load) {
+	if r != nil && int(to) < len(r.load) {
 		r.load[to]++
 	}
 }
 
 func (r *replicator) loadOf(n ids.NodeID) uint64 {
-	if int(n) < len(r.load) {
+	if r != nil && int(n) < len(r.load) {
 		return r.load[n]
 	}
 	return 0
@@ -168,93 +171,90 @@ func (r *replicator) loadOf(n ids.NodeID) uint64 {
 
 // noteHit records a local cache hit for the controller: bump the window hit
 // count and credit the replica counter when the copy was pushed here.
-func (p *ADC) noteHit(obj ids.ObjectID) {
-	r := p.replica
+func (a *Agent) noteHit(obj ids.ObjectID) {
+	r := a.replica
 	r.hot[obj]++
 	if _, held := r.held[obj]; held {
-		p.stats.ReplicaHits++
+		a.Stats.ReplicaHits++
 	}
 }
 
-// maybePush decides, on the local-hit backwarding path, whether to push a
-// replica of obj to the reply's first backwarding hop — the proxy that
-// forwarded the request here, i.e. a recent requester. The push rides the
-// reply itself: the object's data is passing through that proxy anyway, so
-// adoption costs no extra message. Independently of pushing, a holder with
-// a non-empty replica set advertises it so the path learns the location
-// set.
+// maybePush decides, when this proxy answers for obj as its holder — on the
+// local-hit path, or on the reply path when it claims the cached slot —
+// whether to push a replica to target, the next proxy on the backwarding path
+// (the one that forwarded the request here, i.e. a recent requester). The
+// push rides the reply itself: the object's data is passing through that
+// proxy anyway, so adoption costs no extra message. Independently of pushing,
+// it returns the holder's advertisement so the path learns the location set.
 //
 // prevLoc is the entry's Location before the hit-path Update rewrote it to
 // this proxy; when it named another holder (this copy was an adopted
 // replica and prevLoc the primary), it is folded into the replica set so
 // the candidate holder set survives the rewrite.
-func (p *ADC) maybePush(obj ids.ObjectID, prevLoc ids.NodeID, rep *msg.Reply) {
-	r := p.replica
-	if prevLoc.IsProxy() && prevLoc != p.id {
-		if p.tables.AddReplica(obj, prevLoc, r.cfg.MaxReplicas) {
+func (a *Agent) maybePush(obj ids.ObjectID, prevLoc, target ids.NodeID) Advert {
+	r := a.replica
+	if prevLoc.IsProxy() && prevLoc != a.id {
+		if a.tables.AddReplica(obj, prevLoc, r.cfg.MaxReplicas) {
 			r.track(obj)
 		}
 	}
-	if r.hot[obj] >= r.cfg.HotThreshold {
-		if n := len(rep.Path); n > 0 {
-			if target := rep.Path[n-1]; target.IsProxy() && target != p.id {
-				if p.tables.AddReplica(obj, target, r.cfg.MaxReplicas) {
-					p.stats.ReplicaPushes++
-					r.track(obj)
-				}
-			}
+	if r.hot[obj] >= r.cfg.HotThreshold && target.IsProxy() && target != a.id {
+		if a.tables.AddReplica(obj, target, r.cfg.MaxReplicas) {
+			a.Stats.ReplicaPushes++
+			r.track(obj)
 		}
 	}
 	// A holder's view of the set is authoritative: advertise it even when
 	// empty, so remote proxies replace stale beliefs (the drop half of
 	// reconvergence rides the same piggyback as the push half). The
 	// holder's measured average goes along as the adoption seed.
-	if _, replicas, ok := p.tables.ForwardSet(obj); ok {
-		rep.Replicas = append(rep.Replicas[:0], replicas...)
-		rep.Replicate = true
-		if avg, ok := p.tables.AvgOf(obj); ok {
-			rep.AvgHint = avg
-		}
+	var adv Advert
+	if _, replicas, ok := a.tables.ForwardSet(obj); ok {
+		adv.Replicate = true
+		adv.Replicas = replicas
+		adv.AvgHint, _ = a.tables.AvgOf(obj)
 		if len(replicas) > 0 {
 			r.track(obj)
 		}
 	}
+	return adv
 }
 
 // learnReplicas folds a reply's advertised location set into the local
 // entry, and — when this proxy is one of the designated replica targets —
-// adopts the passing object into the cache. Only replies flagged Replicate
-// carry an authoritative set (a holder spoke); those use replace semantics,
-// so sets converge as the controller grows and shrinks them, and an
-// advertised empty set clears stale beliefs. Replies from non-replicating
-// resolutions — a plain origin miss racing the same object — leave the
-// learned set alone: wiping it on every such race forces the holder to
-// re-push each window and the controller thrashes instead of converging.
-func (p *ADC) learnReplicas(rep *msg.Reply) {
-	if !rep.Replicate {
-		return
+// adopts the passing object into the cache, which it reports. Only replies
+// flagged Replicate carry an authoritative set (a holder spoke); those use
+// replace semantics, so sets converge as the controller grows and shrinks
+// them, and an advertised empty set clears stale beliefs. Replies from
+// non-replicating resolutions — a plain origin miss racing the same object —
+// leave the learned set alone: wiping it on every such race forces the holder
+// to re-push each window and the controller thrashes instead of converging.
+func (a *Agent) learnReplicas(obj ids.ObjectID, resolver ids.NodeID, adv Advert) bool {
+	if !adv.Replicate {
+		return false
 	}
-	r := p.replica
-	if core.ContainsNode(rep.Replicas, p.id) && !p.tables.IsCached(rep.Object) {
+	r := a.replica
+	if core.ContainsNode(adv.Replicas, a.id) && !a.tables.IsCached(obj) {
 		// This proxy was designated a replica holder and the object's
 		// data is passing by right now: force it into the cache. The
-		// primary stays rep.Resolver; the other designated holders
+		// primary stays the resolver; the other designated holders
 		// become our replica set.
-		out, adopted := p.tables.ForceCache(rep.Object, rep.Resolver, p.localTime, rep.AvgHint)
-		p.recordOutcome(out)
+		out, adopted := a.tables.ForceCache(obj, resolver, a.localTime, adv.AvgHint)
+		a.recordOutcome(out)
 		if adopted {
-			p.tables.SetReplicas(rep.Object, rep.Replicas, p.id, r.cfg.MaxReplicas)
-			r.held[rep.Object] = struct{}{}
-			r.track(rep.Object)
-			return
+			a.tables.SetReplicas(obj, adv.Replicas, a.id, r.cfg.MaxReplicas)
+			r.held[obj] = struct{}{}
+			r.track(obj)
+			return true
 		}
 	}
 	// Non-designated path proxy: learn the advertised set (primary =
-	// Resolver is already the entry's Location via the Update above).
-	p.tables.SetReplicas(rep.Object, rep.Replicas, p.id, r.cfg.MaxReplicas)
-	if p.tables.IsCached(rep.Object) && len(rep.Replicas) > 0 {
-		r.track(rep.Object)
+	// resolver is already the entry's Location via the Update before).
+	a.tables.SetReplicas(obj, adv.Replicas, a.id, r.cfg.MaxReplicas)
+	if a.tables.IsCached(obj) && len(adv.Replicas) > 0 {
+		r.track(obj)
 	}
+	return false
 }
 
 // rollWindow is the controller's decay step, run every cfg.Window received
@@ -269,17 +269,17 @@ func (p *ADC) learnReplicas(rep *msg.Reply) {
 // Holder views can diverge transiently — the worst case is every holder
 // dropping and the next miss re-resolving via the origin, which is exactly
 // a stock-ADC cold start.
-func (p *ADC) rollWindow() {
-	r := p.replica
+func (a *Agent) rollWindow() {
+	r := a.replica
 	for i := range r.load {
 		r.load[i] >>= 1
 	}
 	for i := 0; i < len(r.tracked); {
 		obj := r.tracked[i]
-		if !p.tables.IsCached(obj) {
+		if !a.tables.IsCached(obj) {
 			// The copy was evicted by normal table pressure; the
 			// controller just forgets it.
-			p.tables.ClearReplicas(obj)
+			a.tables.ClearReplicas(obj)
 			r.untrack(i)
 			continue
 		}
@@ -287,8 +287,8 @@ func (p *ADC) rollWindow() {
 			i++
 			continue
 		}
-		loc, replicas, _ := p.tables.ForwardSet(obj)
-		anchor := p.id
+		loc, replicas, _ := a.tables.ForwardSet(obj)
+		anchor := a.id
 		if loc.IsProxy() && loc < anchor {
 			anchor = loc
 		}
@@ -297,67 +297,26 @@ func (p *ADC) rollWindow() {
 				anchor = n
 			}
 		}
-		if anchor == p.id {
-			p.tables.ClearReplicas(obj)
+		if anchor == a.id {
+			a.tables.ClearReplicas(obj)
 			r.untrack(i)
 			continue
 		}
-		out, dropped := p.tables.DropCached(obj, anchor)
+		out, dropped := a.tables.DropCached(obj, anchor)
 		if dropped {
-			p.stats.ReplicaDrops++
-			p.recordOutcome(out)
+			a.Stats.ReplicaDrops++
+			a.recordOutcome(out)
 		}
 		r.untrack(i)
 	}
 	clear(r.hot)
 }
 
-// forwardAddrReplicated is Forward_Addr with location sets: the candidate
-// holders are the entry's Location plus its replica set, and among ≥2
-// candidates the proxy picks by power-of-two-choices on its local per-peer
-// load estimates (two uniform draws, lower load wins, ties break to the
-// lower proxy ID so fixed-seed runs stay deterministic).
-func (p *ADC) forwardAddrReplicated(obj ids.ObjectID) (to ids.NodeID, viaTable bool) {
-	loc, replicas, ok := p.tables.ForwardSet(obj)
-	if !ok {
-		p.stats.ForwardRandom++
-		to = p.peers[p.rng.Intn(len(p.peers))]
-		p.replica.addLoad(to)
-		return to, false
+// Replicating reports whether the replication controller is on, and the
+// live sizes of its tracked and held-replica sets.
+func (a *Agent) Replicating() (on bool, tracked, held int) {
+	if a.replica == nil {
+		return false, 0, 0
 	}
-	// Candidates: every known holder that is not this proxy.
-	var buf [9]ids.NodeID // MaxReplicas is small; 9 covers loc + 8 replicas
-	cand := buf[:0]
-	if loc.IsProxy() && loc != p.id {
-		cand = append(cand, loc)
-	}
-	for _, n := range replicas {
-		if n != p.id && n != loc && len(cand) < len(buf) {
-			cand = append(cand, n)
-		}
-	}
-	switch len(cand) {
-	case 0:
-		// No other holder known: stock behavior (a THIS entry whose
-		// object is not cached here goes to the origin).
-		p.stats.ForwardOrigin++
-		return ids.Origin, true
-	case 1:
-		p.stats.ForwardLearned++
-		p.replica.addLoad(cand[0])
-		return cand[0], true
-	}
-	i := p.rng.Intn(len(cand))
-	j := p.rng.Intn(len(cand) - 1)
-	if j >= i {
-		j++
-	}
-	a, b := cand[i], cand[j]
-	la, lb := p.replica.loadOf(a), p.replica.loadOf(b)
-	if lb < la || (lb == la && b < a) {
-		a = b
-	}
-	p.stats.ForwardLearned++
-	p.replica.addLoad(a)
-	return a, true
+	return true, len(a.replica.tracked), len(a.replica.held)
 }

@@ -1,23 +1,25 @@
-// Package proxy implements the ADC proxy agent: the event handlers of the
-// paper's §IV (Receive_Request, Fig. 5; Forward_Addr, Fig. 6;
-// Receive_Reply, Fig. 7) on top of the mapping tables of internal/core.
+// Package proxy is the simulator driver of the ADC protocol core
+// (internal/protocol): a sim.Node that turns request and reply messages into
+// the core's Arrive / Route / Learn events and carries out what they decide.
 //
-// Each proxy is an autonomous agent: it owns its tables, its pending-request
-// set, its random generator and its logical clock, and interacts with the
-// rest of the system exclusively through messages. "The algorithm for ADC
-// is implemented in every running proxy with an equal setting without any
-// further modifications or fine-tuning" (§IV).
+// Each proxy is an autonomous agent that interacts with the rest of the
+// system exclusively through messages. The protocol state — tables, random
+// generator, logical clock, counters, replication controller — lives in the
+// core; this adapter owns what is message-shaped: the pending-request set
+// keyed by request ID, its recovery sweep and expiry timers, and the
+// virtual-time trace stamps.
 package proxy
 
 import (
 	"fmt"
-	"math/rand"
+	"slices"
 
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/msg"
 	"github.com/adc-sim/adc/internal/obs"
+	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/sim"
 )
 
@@ -41,7 +43,7 @@ type Config struct {
 	Recovery sim.Recovery
 	// Replication enables the hot-object replication controller (the
 	// zero value keeps the paper-faithful single-location protocol).
-	Replication Replication
+	Replication protocol.Replication
 }
 
 // pendingPass is the loop-detection state for one in-flight request ID:
@@ -73,16 +75,10 @@ type sweepTimer struct{ to ids.NodeID }
 // Dest implements msg.Message.
 func (t *sweepTimer) Dest() ids.NodeID { return t.to }
 
-// ADC is one Adaptive Distributed Caching proxy agent.
+// ADC is one Adaptive Distributed Caching proxy agent on a simulator engine.
 type ADC struct {
-	id     ids.NodeID
-	peers  []ids.NodeID
-	tables *core.Tables
-	rng    *rand.Rand
-
-	// localTime is "the counter for the received requests [which]
-	// represents the local clock of the proxy" (§IV.1).
-	localTime int64
+	id   ids.NodeID
+	core *protocol.Agent
 
 	// pending counts, per in-flight request ID, how many times this
 	// proxy has forwarded it and not yet seen the reply pass back. A
@@ -94,18 +90,10 @@ type ADC struct {
 	// recovery state: the FIFO of expiry checks (head-indexed so pops
 	// are O(1) without reallocating) and the single armed sweep timer.
 	recovery   sim.Recovery
-	tablesCfg  core.Config
 	expiryQ    []expiryRec
 	expiryHead int
 	sweep      *sweepTimer
 	sweepArmed bool
-
-	stats metrics.ProxyStats
-
-	// replica is the hot-object replication controller (nil = off; every
-	// guard is a single branch on the hot path, keeping stock runs
-	// byte-identical).
-	replica *replicator
 
 	// tracer is the optional request tracer (nil = off; every guard is a
 	// single branch on the hot path).
@@ -119,9 +107,6 @@ var (
 
 // New builds an ADC proxy.
 func New(cfg Config) (*ADC, error) {
-	if !cfg.ID.IsProxy() {
-		return nil, fmt.Errorf("proxy: %v is not a proxy ID", cfg.ID)
-	}
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("proxy: peer set must not be empty")
 	}
@@ -129,65 +114,48 @@ func New(cfg Config) (*ADC, error) {
 	if err := cfg.Recovery.Validate(); err != nil {
 		return nil, fmt.Errorf("proxy %v: %w", cfg.ID, err)
 	}
-	cfg.Replication = cfg.Replication.Normalize()
-	if err := cfg.Replication.Validate(); err != nil {
-		return nil, fmt.Errorf("proxy %v: %w", cfg.ID, err)
-	}
-	tables, err := core.NewTables(cfg.Tables)
+	agent, err := protocol.New(protocol.Config{
+		ID:          cfg.ID,
+		Peers:       cfg.Peers,
+		Tables:      cfg.Tables,
+		Seed:        cfg.Seed,
+		Replication: cfg.Replication,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("proxy %v: %w", cfg.ID, err)
+		return nil, err
 	}
-	peers := make([]ids.NodeID, len(cfg.Peers))
-	copy(peers, cfg.Peers)
-	p := &ADC{
-		id:        cfg.ID,
-		peers:     peers,
-		tables:    tables,
-		rng:       rand.New(rand.NewSource(cfg.Seed ^ (int64(cfg.ID)+1)*0x9E3779B9)),
-		pending:   make(map[ids.RequestID]pendingPass),
-		recovery:  cfg.Recovery,
-		tablesCfg: cfg.Tables,
-		sweep:     &sweepTimer{to: cfg.ID},
-	}
-	if cfg.Replication.Enabled {
-		p.replica = newReplicator(cfg.Replication, peers)
-	}
-	return p, nil
+	return &ADC{
+		id:       cfg.ID,
+		core:     agent,
+		pending:  make(map[ids.RequestID]pendingPass),
+		recovery: cfg.Recovery,
+		sweep:    &sweepTimer{to: cfg.ID},
+	}, nil
 }
 
 // ID implements sim.Node.
 func (p *ADC) ID() ids.NodeID { return p.id }
 
 // AddPeer introduces a newly joined proxy to the random-forwarding peer
-// set (infrastructure growth, the paper's unused §V.1 parameter). The
-// proxy needs no other state: its mapping tables learn the newcomer's
-// objects through ordinary backwarding. Safe only between messages —
-// i.e. from the sequential engine's driving thread.
+// set (infrastructure growth, the paper's unused §V.1 parameter). Safe only
+// between messages — i.e. from the sequential engine's driving thread.
 func (p *ADC) AddPeer(id ids.NodeID) {
-	for _, q := range p.peers {
-		if q == id {
-			return
-		}
-	}
-	p.peers = append(p.peers, id)
-	if p.replica != nil {
-		for int(id) >= len(p.replica.load) {
-			p.replica.load = append(p.replica.load, 0)
-		}
+	if peers := p.core.Peers(); !slices.Contains(peers, id) {
+		p.core.SetPeers(append(slices.Clone(peers), id))
 	}
 }
 
 // Tables exposes the mapping tables for dumps, tests and metrics.
-func (p *ADC) Tables() *core.Tables { return p.tables }
+func (p *ADC) Tables() *core.Tables { return p.core.Tables() }
 
 // SetTracer installs the request tracer (before the run starts).
 func (p *ADC) SetTracer(t *obs.Tracer) { p.tracer = t }
 
 // Stats returns a snapshot of the proxy's counters.
-func (p *ADC) Stats() metrics.ProxyStats { return p.stats }
+func (p *ADC) Stats() metrics.ProxyStats { return p.core.Stats }
 
 // LocalTime returns the proxy's logical clock.
-func (p *ADC) LocalTime() int64 { return p.localTime }
+func (p *ADC) LocalTime() int64 { return p.core.LocalTime() }
 
 // PendingLen returns the number of in-flight forwarded requests (tests
 // assert it drains to zero — invariant 4 of DESIGN.md §10).
@@ -196,26 +164,14 @@ func (p *ADC) PendingLen() int { return len(p.pending) }
 // Restart implements sim.Restartable: a fail-stop restart always loses the
 // volatile request state (pending passes and the armed sweep timer died
 // with the process; live chains elsewhere will surface as unexpected
-// replies), and a cold restart additionally rebuilds the mapping tables
-// empty. Counters and the random stream survive: they belong to the
-// experiment, not the process.
+// replies) and whatever the protocol core counts as volatile; a cold restart
+// additionally rebuilds the mapping tables empty.
 func (p *ADC) Restart(loseTables bool) {
 	p.pending = make(map[ids.RequestID]pendingPass)
 	p.expiryQ = nil
 	p.expiryHead = 0
 	p.sweepArmed = false
-	if p.replica != nil {
-		// Controller state is volatile: hit counts, load estimates and
-		// replica tracking died with the process. Table state (replica
-		// sets included) follows the loseTables flag below.
-		p.replica = newReplicator(p.replica.cfg, p.peers)
-	}
-	if loseTables {
-		// The config was validated at construction, so this cannot fail.
-		if t, err := core.NewTables(p.tablesCfg); err == nil {
-			p.tables = t
-		}
-	}
+	p.core.Restart(loseTables)
 }
 
 // Handle implements sim.Node.
@@ -230,24 +186,29 @@ func (p *ADC) Handle(ctx sim.Context, m msg.Message) {
 	}
 }
 
-// receiveRequest is the paper's Receive_Request() (Fig. 5).
-func (p *ADC) receiveRequest(ctx sim.Context, req *msg.Request) {
-	p.localTime++
-	p.stats.Requests++
-	if p.replica != nil && p.localTime%p.replica.cfg.Window == 0 {
-		p.rollWindow()
+// backwardHop is the last proxy on a recorded forwarding path — the node a
+// reply travelling it visits next — or None when the path is empty and the
+// next hop is the client. It is the recent requester a replica push targets.
+func backwardHop(path []ids.NodeID) ids.NodeID {
+	if n := len(path); n > 0 {
+		return path[n-1]
 	}
+	return ids.None
+}
 
-	if p.tables.IsCached(req.Object) {
-		// Local hit: update the entry to point at ourselves and
-		// start backwarding immediately.
-		p.stats.LocalHits++
-		prevLoc := ids.None
-		if p.replica != nil {
-			p.noteHit(req.Object)
-			prevLoc, _ = p.tables.ForwardLocation(req.Object)
-		}
-		out := p.tables.Update(req.Object, p.id, p.localTime)
+// setAdvert copies a replica advertisement into the reply (the agent's set
+// aliases table memory; the reply keeps its own array).
+func setAdvert(rep *msg.Reply, adv protocol.Advert) {
+	rep.Replicate = adv.Replicate
+	rep.Replicas = append(rep.Replicas[:0], adv.Replicas...)
+	rep.AvgHint = adv.AvgHint
+}
+
+// receiveRequest drives the paper's Receive_Request() (Fig. 5).
+func (p *ADC) receiveRequest(ctx sim.Context, req *msg.Request) {
+	hit, outcome, adv := p.core.Arrive(req.Object, backwardHop(req.Path))
+	if hit {
+		// Local hit: start backwarding immediately.
 		if p.tracer.Enabled(obs.KindHit) {
 			e := obs.Ev(obs.KindHit, p.id)
 			e.At = sim.TraceNow(ctx)
@@ -255,17 +216,13 @@ func (p *ADC) receiveRequest(ctx sim.Context, req *msg.Request) {
 			e.Obj = req.Object
 			e.Loc = p.id
 			e.Hops = int32(req.Hops)
-			e.Arg = encodeOutcome(out)
+			e.Arg = outcome
 			p.tracer.Emit(e)
 		}
-		p.recordOutcome(out)
 		rep := sim.Resolve(ctx, req)
 		rep.Resolver = p.id
 		rep.Cached = true
-		if p.replica != nil {
-			// rep.Object, not req.Object: Resolve consumed the request.
-			p.maybePush(rep.Object, prevLoc, rep)
-		}
+		setAdvert(rep, adv)
 		next, _ := rep.NextBackward()
 		rep.To = next
 		ctx.Send(rep)
@@ -275,40 +232,19 @@ func (p *ADC) receiveRequest(ctx sim.Context, req *msg.Request) {
 	// Miss: loop detection looks at the state before this arrival, then
 	// Store_Backwarding registers the pass so the reply can retrace it.
 	pass := p.pending[req.ID]
-	looped := pass.count > 0
-	atMax := req.AtMaxHops()
+	to, reason := p.core.Route(req.Object, pass.count > 0, req.AtMaxHops(), !req.Sender.IsProxy(), nil)
 	req.Path = append(req.Path, p.id)
 	req.Sender = p.id
 
-	to := ids.Origin
-	learned := ids.None
-	reason := obs.ReasonMaxHops
-	if looped || atMax {
-		if looped {
-			p.stats.LoopsDetected++
-			reason = obs.ReasonLoop
-		}
-		p.stats.ForwardOrigin++
-	} else {
-		var viaTable bool
-		to, viaTable = p.forwardAddr(req.Object)
-		switch {
-		case viaTable && to == ids.Origin:
-			reason = obs.ReasonSelfOrigin
-		case viaTable:
-			reason = obs.ReasonLearned
-		default:
-			reason = obs.ReasonRandom
-		}
-		if viaTable && to != ids.Origin {
-			learned = to
-		}
-	}
-
 	pass.count++
 	if p.recovery.Enabled {
+		// Remember which learned location this pass trusted, so an
+		// unanswered forward can demote it.
 		pass.obj = req.Object
-		pass.learned = learned
+		pass.learned = ids.None
+		if reason == obs.ReasonLearned {
+			pass.learned = to
+		}
 		if clk, ok := ctx.(sim.Clock); ok {
 			pass.expireAt = clk.VNow() + p.recovery.PendingTTL
 			p.pushExpiry(ctx, req.ID, pass.expireAt)
@@ -330,33 +266,8 @@ func (p *ADC) receiveRequest(ctx sim.Context, req *msg.Request) {
 	ctx.Send(req)
 }
 
-// forwardAddr is the paper's Forward_Addr() (Fig. 6): use the learned
-// location when one exists, otherwise pick a random peer (including
-// ourselves). A learned location equal to our own ID is a THIS entry whose
-// object is not cached here, which means this proxy is responsible and the
-// unresolved query goes to the origin server (§III.3.2). viaTable reports
-// whether a mapping entry directed the forward, so the recovery layer
-// knows which pending passes trusted a learned location.
-func (p *ADC) forwardAddr(obj ids.ObjectID) (to ids.NodeID, viaTable bool) {
-	if p.replica != nil {
-		return p.forwardAddrReplicated(obj)
-	}
-	if loc, ok := p.tables.ForwardLocation(obj); ok {
-		if loc == p.id {
-			p.stats.ForwardOrigin++
-			return ids.Origin, true
-		}
-		p.stats.ForwardLearned++
-		return loc, true
-	}
-	p.stats.ForwardRandom++
-	return p.peers[p.rng.Intn(len(p.peers))], false
-}
-
-// receiveReply is the paper's Receive_Reply() (Fig. 7).
+// receiveReply drives the paper's Receive_Reply() (Fig. 7).
 func (p *ADC) receiveReply(ctx sim.Context, rep *msg.Reply) {
-	p.stats.RepliesSeen++
-
 	// Defensive: a reply whose pending pass is gone — expired by the
 	// recovery TTL, arriving at a restarted proxy, or a duplicate from a
 	// retransmitted chain — is counted and must never underflow or
@@ -365,35 +276,14 @@ func (p *ADC) receiveReply(ctx sim.Context, rep *msg.Reply) {
 	// (routing needs only the reply's own path).
 	pass, live := p.pending[rep.ID]
 	if !live {
-		p.stats.UnexpectedReplies++
+		p.core.Stats.UnexpectedReplies++
 	}
 
-	// Data straight from the origin server: the first proxy on the
-	// backwarding path claims the resolver slot.
-	if rep.Resolver == ids.None {
-		rep.Resolver = p.id
-	}
-
-	// Learn the agreed location; this may promote the entry through the
-	// tables and into the cache (the object's data is passing by right
-	// now, so caching is possible exactly here).
-	learned := rep.Resolver
-	out := p.tables.Update(rep.Object, rep.Resolver, p.localTime)
-	p.recordOutcome(out)
-	if p.replica != nil {
-		p.learnReplicas(rep)
-	}
-
-	// "This focus on only one caching location is necessary to allow
-	// the system to agree faster on one location" (§IV.2): the first
-	// cache-holding proxy on the path claims resolver + cached.
-	if !rep.Cached && p.tables.IsCached(rep.Object) {
-		rep.Resolver = p.id
-		rep.Cached = true
-		if p.replica != nil {
-			p.maybePush(rep.Object, ids.None, rep)
-		}
-	}
+	l := p.core.Learn(rep.Object, rep.Resolver, rep.Cached, backwardHop(rep.Path),
+		protocol.Advert{Replicate: rep.Replicate, Replicas: rep.Replicas, AvgHint: rep.AvgHint})
+	rep.Resolver = l.Resolver
+	rep.Cached = l.Cached
+	setAdvert(rep, l.Advert)
 
 	// Retire one stored backwarding pass.
 	if live {
@@ -408,17 +298,14 @@ func (p *ADC) receiveReply(ctx sim.Context, rep *msg.Reply) {
 	next, _ := rep.NextBackward()
 	rep.To = next
 	if p.tracer.Enabled(obs.KindBackward) {
-		// Loc is the location Update learned into the tables (the
-		// resolver as received, post origin-claim), which is what the
-		// convergence analysis models as this proxy's belief.
 		e := obs.Ev(obs.KindBackward, p.id)
 		e.At = sim.TraceNow(ctx)
 		e.Req = rep.ID
 		e.Obj = rep.Object
 		e.To = next
-		e.Loc = learned
+		e.Loc = l.Location
 		e.Hops = int32(rep.Hops)
-		e.Arg = encodeOutcome(out)
+		e.Arg = l.Outcome
 		p.tracer.Emit(e)
 	}
 	ctx.Send(rep)
@@ -478,7 +365,7 @@ func (p *ADC) expirePending(now int64) {
 			continue
 		}
 		delete(p.pending, rec.id)
-		p.stats.ExpiredPending += uint64(pass.count)
+		p.core.Stats.ExpiredPending += uint64(pass.count)
 		if p.tracer.Enabled(obs.KindExpire) {
 			e := obs.Ev(obs.KindExpire, p.id)
 			e.At = now
@@ -487,20 +374,13 @@ func (p *ADC) expirePending(now int64) {
 			e.Arg = int64(pass.count)
 			p.tracer.Emit(e)
 		}
-		if pass.learned != ids.None && pass.learned != p.id {
-			if loc, has := p.tables.ForwardLocation(pass.obj); has && loc == pass.learned {
-				if p.tables.Invalidate(pass.obj) {
-					p.stats.StaleInvalidated++
-					if p.tracer.Enabled(obs.KindInvalidate) {
-						e := obs.Ev(obs.KindInvalidate, p.id)
-						e.At = now
-						e.Req = rec.id
-						e.Obj = pass.obj
-						e.Loc = pass.learned
-						p.tracer.Emit(e)
-					}
-				}
-			}
+		if p.core.Distrust(pass.obj, pass.learned) && p.tracer.Enabled(obs.KindInvalidate) {
+			e := obs.Ev(obs.KindInvalidate, p.id)
+			e.At = now
+			e.Req = rec.id
+			e.Obj = pass.obj
+			e.Loc = pass.learned
+			p.tracer.Emit(e)
 		}
 	}
 }
@@ -514,22 +394,4 @@ func (p *ADC) popExpiry() {
 		p.expiryQ = p.expiryQ[:n]
 		p.expiryHead = 0
 	}
-}
-
-// encodeOutcome packs a table-update outcome into a trace-event Arg.
-func encodeOutcome(out core.Outcome) int64 {
-	return obs.EncodeOutcome(int(out.From), int(out.To),
-		out.CacheEvicted != nil, out.MultipleEvicted != nil, out.Dropped != nil)
-}
-
-func (p *ADC) recordOutcome(out core.Outcome) {
-	if out.To == core.KindCaching && out.From != core.KindCaching {
-		p.stats.CacheInsertions++
-	}
-	if out.CacheEvicted != nil {
-		p.stats.CacheEvictions++
-	}
-	// Last reader of the outcome: entries the tables forgot go back to
-	// the arena.
-	p.tables.Recycle(out)
 }
