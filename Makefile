@@ -4,7 +4,7 @@
 GO ?= go
 
 # Engine hot-path benchmarks tracked in BENCH_engine.json (see DESIGN.md
-# "Engine internals" and EXPERIMENTS.md "Profiling the engine").
+# "The virtual-time engine" and EXPERIMENTS.md "Profiling the engine").
 ENGINE_BENCH = BenchmarkVEngine|BenchmarkEngineADC|BenchmarkClusterRun
 
 # Mapping-table benchmarks tracked in BENCH_tables.json (DESIGN.md "Table
@@ -28,14 +28,7 @@ FARM_BENCH = BenchmarkFarmGet|BenchmarkFarmMissStorm
 # window) drop versus the baseline while p99-ticks and hit-rate hold.
 REPLICATION_BENCH = BenchmarkReplicationZipf
 
-# Parallel-engine scaling benchmark tracked in BENCH_parallel.json
-# (DESIGN.md "Parallel engine internals"): the 10k-proxy / 1M-client
-# workload on the sequential oracle and on the sharded engine at 1–8
-# shards. Interpret events/s against the file's num_cpu/gomaxprocs header;
-# benchjson compare warns when they differ between baseline and candidate.
-PARALLEL_BENCH = BenchmarkPEngineScaling
-
-.PHONY: all build test race vet faults fuzz bench-check bench bench-tables bench-farm bench-parallel bench-replication bench-replication-baseline bench-compare bench-sweep bench-profile loadtest chaos trace-smoke telemetry-smoke figures clean
+.PHONY: all build test race vet faults fuzz bench-check bench bench-tables bench-farm bench-replication bench-replication-baseline bench-compare bench-sweep bench-profile loadtest chaos trace-smoke telemetry-smoke figures clean
 
 all: build test
 
@@ -51,11 +44,16 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Short native-fuzz pass over the farm's header codec (the bytes a proxy
-# reads off a socket); the committed seed corpus under testdata/fuzz also
-# runs as ordinary test cases in `make test`.
+# Short native-fuzz pass over the parsers that read bytes from outside: the
+# farm's header codec (what a proxy reads off a socket) and the -faults /
+# -recovery spec grammar (what a flag hands the engine). The committed seed
+# corpora under testdata/fuzz also run as ordinary test cases in `make test`.
+# FUZZTIME is per target.
+FUZZTIME ?= 4s
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzReplicaHeaders -fuzztime 10s ./internal/httpproxy/
+	$(GO) test -run '^$$' -fuzz FuzzReplicaHeaders -fuzztime $(FUZZTIME) ./internal/httpproxy/
+	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz FuzzParseRecoverySpec -fuzztime $(FUZZTIME) .
 
 # bench/ is a module of its own (BENCHMARK.json's driver), so `go build
 # ./...` and `go test ./...` at the root never compile it. It imports
@@ -116,15 +114,6 @@ chaos:
 	$(GO) run ./cmd/adcload -rate $(RATE) -duration 20s -proxies $(PROXIES) \
 	  -chaos '$(CHAOS)' -quiet
 
-# Parallel-engine scaling benchmark: ~10 GB peak RSS and several minutes
-# per variant, so it runs each subbenchmark once. The committed
-# BENCH_parallel_baseline.json is embedded for bench-compare.
-bench-parallel:
-	{ $(GO) version; \
-	  $(GO) test -bench '$(PARALLEL_BENCH)' -benchtime 1x -timeout 60m -run '^$$' ./internal/sim/; } \
-	| $(GO) run ./cmd/benchjson -baseline BENCH_parallel_baseline.json > BENCH_parallel.json
-	@cat BENCH_parallel.json
-
 # Hot-object replication benchmark: the controller-on scenario, recorded
 # with the stock-ADC numbers (BENCH_replication_baseline.json) embedded.
 bench-replication:
@@ -142,13 +131,11 @@ bench-replication-baseline:
 	@cat BENCH_replication_baseline.json
 
 # Regression gate: compares the recorded table numbers against their
-# embedded baseline and fails on >10% ns/op regressions. The parallel
-# scaling file compares at a looser threshold: its subbenchmarks run once
-# (benchtime 1x), so single-run noise is larger.
+# embedded baseline and fails on >10% ns/op regressions (20% for the
+# noisier farm and replication files).
 bench-compare:
 	$(GO) run ./cmd/benchjson compare BENCH_tables.json
 	$(GO) run ./cmd/benchjson compare BENCH_engine.json
-	$(GO) run ./cmd/benchjson compare -threshold 20 BENCH_parallel.json
 	$(GO) run ./cmd/benchjson compare -threshold 20 BENCH_farm.json
 	$(GO) run ./cmd/benchjson compare -threshold 20 BENCH_replication.json
 

@@ -80,7 +80,7 @@ const (
 // Runtime selects the execution substrate.
 type Runtime string
 
-// Supported runtimes. All three produce identical metrics under the
+// Supported runtimes. All four produce identical metrics under the
 // default single-client closed loop (the paper's §V.1.2 equivalence).
 const (
 	// RuntimeSequential is the deterministic single-threaded engine.
@@ -92,13 +92,10 @@ const (
 	RuntimeTCP Runtime = "tcp"
 	// RuntimeVirtualTime is the discrete-event engine: every transfer
 	// is delayed by a latency model (Config.Latency), producing
-	// response-time metrics; required for open-loop injection.
+	// response-time metrics; required for open-loop injection, faults,
+	// recovery and tick-bucketed metrics. Config.Shards spreads it over
+	// several cores with byte-identical results.
 	RuntimeVirtualTime Runtime = "vtime"
-	// RuntimeParallel is the sharded multi-core virtual-time engine:
-	// byte-identical results to RuntimeVirtualTime at every shard count
-	// (Config.Shards). Lossless protocol only — no faults, recovery,
-	// tracing or tick-bucketed metrics.
-	RuntimeParallel Runtime = "parallel"
 )
 
 // Latency models the virtual-time cost of each message transfer, in
@@ -234,7 +231,7 @@ type Config struct {
 	// ResponseBuckets, when positive, tracks response times in a
 	// histogram with that many buckets of ResponseBucketTicks virtual
 	// ticks each (default 500), enabling Result.P99Response. Requires
-	// RuntimeVirtualTime or RuntimeParallel.
+	// RuntimeVirtualTime.
 	ResponseBuckets     int
 	ResponseBucketTicks int
 
@@ -248,8 +245,9 @@ type Config struct {
 	// RuntimeVirtualTime; 0 disables).
 	MetricsEvery int64
 
-	// Shards is the worker-shard count for RuntimeParallel; 0 means one
-	// shard per available CPU. Results are byte-identical at every value.
+	// Shards is the worker-shard count for RuntimeVirtualTime; 0 and 1
+	// are the sequential run. Results are byte-identical at every value,
+	// with every feature.
 	Shards int
 }
 
@@ -389,8 +387,6 @@ func (c Config) toInternal() (cluster.Config, error) {
 		rt = cluster.RuntimeTCP
 	case RuntimeVirtualTime:
 		rt = cluster.RuntimeVirtualTime
-	case RuntimeParallel:
-		rt = cluster.RuntimeParallel
 	default:
 		return cluster.Config{}, fmt.Errorf("adc: unknown runtime %q", c.Runtime)
 	}

@@ -105,21 +105,21 @@ func TestRunParallelRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{0, 1, 3} { // 0 = one shard per CPU
+	for _, shards := range []int{1, 3, 8} {
 		cfg := smallConfig()
-		cfg.Runtime = RuntimeParallel
+		cfg.Runtime = RuntimeVirtualTime
 		cfg.Shards = shards
 		res, err := Run(cfg, smallWorkload(t))
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if res.Hits != want.Hits || res.MeanResponse != want.MeanResponse {
-			t.Errorf("shards=%d diverged from vtime: hits %d vs %d, mean response %v vs %v",
+			t.Errorf("shards=%d diverged from the sequential run: hits %d vs %d, mean response %v vs %v",
 				shards, res.Hits, want.Hits, res.MeanResponse, want.MeanResponse)
 		}
 	}
 	bad := smallConfig()
-	bad.Shards = 2 // Shards without RuntimeParallel must be rejected
+	bad.Shards = 2 // Shards without RuntimeVirtualTime must be rejected
 	if _, err := Run(bad, smallWorkload(t)); err == nil {
 		t.Error("Shards on the sequential runtime must fail")
 	}

@@ -46,16 +46,16 @@ func run(args []string) error {
 		caching      = fs.Int("caching", 1000, "caching-table / LRU cache size (entries)")
 		maxHops      = fs.Int("maxhops", 0, "forwarding bound (0 = unbounded)")
 		seed         = fs.Int64("seed", 1, "random seed")
-		runtime      = fs.String("runtime", "sequential", "runtime: sequential, agents, tcp, vtime or parallel")
-		shards       = fs.Int("shards", 0, "worker shards for -runtime parallel (0 = one per CPU)")
+		runtime      = fs.String("runtime", "sequential", "runtime: sequential, agents, tcp or vtime")
+		shards       = fs.Int("shards", 0, "worker shards for -runtime vtime (0 or 1 = sequential; results are identical at every count)")
 		backend      = fs.String("backend", "", "ordered-table backend: btree (default), slice, skiplist or list")
 		entry        = fs.String("entry", "random", "entry policy: random, round-robin or fixed")
 		requests     = fs.Int("requests", 400_000, "synthetic workload length")
 		population   = fs.Int("population", 1000, "hot object population of the request phases")
 		replayPath   = fs.String("replay", "", "replay a binary workload trace instead of generating")
-		traceOn      = fs.Bool("trace", false, "record a request-path trace (requires -runtime sequential or vtime)")
+		traceOn      = fs.Bool("trace", false, "record a request-path trace (-runtime sequential or vtime)")
 		traceOut     = fs.String("trace-out", "trace.jsonl", "request-path trace output file (JSON Lines; with -trace)")
-		metricsEvery = fs.Int64("metrics-every", 0, "collect windowed time-series metrics every this many virtual ticks (requires -runtime vtime)")
+		metricsEvery = fs.Int64("metrics-every", 0, "collect windowed time-series metrics every this many virtual ticks (-runtime vtime)")
 		metricsOut   = fs.String("metrics-out", "", "write the time series as CSV here (default: stdout)")
 		verbose      = fs.Bool("v", false, "verbose: per-proxy statistics and debug logging")
 		quiet        = fs.Bool("quiet", false, "suppress the run summary and notices (machine outputs only)")
@@ -64,10 +64,10 @@ func run(args []string) error {
 		dump         = fs.Int("dump", -1, "after an ADC run, dump the top rows of this proxy's tables (paper Figs. 1–3)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile   = fs.String("memprofile", "", "write a heap profile to this file")
-		faultSpec    = fs.String("faults", "", "fault plan, e.g. 'loss=0.01,jitter=2000,crash=0@2000000-4000000!' (requires -runtime vtime)")
+		faultSpec    = fs.String("faults", "", "fault plan, e.g. 'loss=0.01,jitter=2000,crash=0@2000000-4000000!' (-runtime vtime)")
 	)
 	var recoverySpec optionalString
-	fs.Var(&recoverySpec, "recovery", "enable the recovery protocol; optionally 'timeout=400000,retries=8,backoff=2,ttl=1000000' (requires -runtime vtime)")
+	fs.Var(&recoverySpec, "recovery", "enable the recovery protocol; optionally 'timeout=400000,retries=8,backoff=2,ttl=1000000' (-runtime vtime)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -142,9 +142,6 @@ func run(args []string) error {
 		cfg.Tracer = tracer
 	}
 	if *faultSpec != "" {
-		if *runtime != "vtime" {
-			return fmt.Errorf("-faults requires -runtime vtime")
-		}
 		plan, err := adc.ParseFaultSpec(*faultSpec)
 		if err != nil {
 			return err
@@ -152,9 +149,6 @@ func run(args []string) error {
 		cfg.Faults = plan
 	}
 	if recoverySpec.set {
-		if *runtime != "vtime" {
-			return fmt.Errorf("-recovery requires -runtime vtime")
-		}
 		rec, err := adc.ParseRecoverySpec(recoverySpec.value)
 		if err != nil {
 			return err

@@ -51,7 +51,7 @@ func run(args []string) error {
 		backend    = fs.String("backend", "", "ordered-table backend: btree (default), slice, skiplist or list")
 		csvPath    = fs.String("csv", "", "also write CSV to this file")
 		parallel   = fs.Int("parallel", runtime.NumCPU(), "concurrent simulations (1 = sequential; use 1 for -metric time)")
-		shards     = fs.Int("shards", 0, "run each simulation on the parallel engine with this many shards (0 = sequential; hits/hops only)")
+		shards     = fs.Int("shards", 0, "run each simulation on the virtual-time engine with this many shards (0 = default runtime; results are identical; not for -metric time)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file")
 		verbose    = fs.Bool("v", false, "verbose stderr logging")

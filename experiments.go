@@ -27,10 +27,9 @@ type Profile struct {
 	// Experiments that sweep backends themselves (TimingSweep,
 	// BackendComparison) ignore it.
 	Backend TableBackend
-	// Shards, when positive, runs each simulation on the sharded
-	// parallel engine (RuntimeParallel) with that many worker shards.
-	// Results are byte-identical to the default sequential execution;
-	// experiments whose features need a specific runtime ignore it.
+	// Shards, when positive, runs each simulation on the virtual-time
+	// engine spread over that many worker shards. Results are
+	// byte-identical to the default sequential execution.
 	Shards int
 	// Parallel bounds how many independent simulations an experiment
 	// runs concurrently (default GOMAXPROCS; 1 forces sequential

@@ -71,7 +71,7 @@ func parseCrashClause(s string) (Crash, error) {
 		return cr, fmt.Errorf("want PROXY@AT[-RESTART][!]")
 	}
 	var err error
-	if cr.Proxy, err = strconv.Atoi(node); err != nil {
+	if cr.Proxy, err = parseProxy(node); err != nil {
 		return cr, err
 	}
 	at, restart, hasRestart := strings.Cut(times, "-")
@@ -86,6 +86,13 @@ func parseCrashClause(s string) (Crash, error) {
 	return cr, nil
 }
 
+// parseProxy reads a proxy index. Node IDs are 32 bits wide; an index
+// beyond that must fail here instead of wrapping onto another proxy.
+func parseProxy(s string) (int, error) {
+	n, err := strconv.ParseInt(s, 10, 32)
+	return int(n), err
+}
+
 // parseLinkClause reads FROM>TO:RATE.
 func parseLinkClause(s string) (LinkLoss, error) {
 	var ll LinkLoss
@@ -98,10 +105,10 @@ func parseLinkClause(s string) (LinkLoss, error) {
 		return ll, fmt.Errorf("want FROM>TO:RATE")
 	}
 	var err error
-	if ll.FromProxy, err = strconv.Atoi(from); err != nil {
+	if ll.FromProxy, err = parseProxy(from); err != nil {
 		return ll, err
 	}
-	if ll.ToProxy, err = strconv.Atoi(to); err != nil {
+	if ll.ToProxy, err = parseProxy(to); err != nil {
 		return ll, err
 	}
 	ll.Rate, err = strconv.ParseFloat(rate, 64)

@@ -17,9 +17,9 @@ import (
 // random forwarding and backwarding.
 //
 // Churn is applied between client requests (the only quiescent points of
-// a closed-loop run), so it is available on the deterministic
-// single-threaded runtimes — sequential and virtual-time — with a single
-// closed-loop client.
+// a closed-loop run), so it is available on the deterministic engines —
+// sequential and virtual-time, the latter serialized at any shard count —
+// with a single closed-loop client.
 
 // validateChurn checks the churn-specific configuration constraints.
 func (c Config) validateChurn() error {
@@ -78,17 +78,11 @@ func (s *churnSource) Next() (ids.ObjectID, bool) {
 	return s.inner.Next()
 }
 
-// registrar is the engine-side hook addProxy needs; both the sequential
-// Engine and the virtual-time VEngine provide it.
-type registrar interface {
-	Register(n sim.Node) error
-}
-
 // addProxy grows the cluster by one ADC agent: register it with the live
 // engine, introduce it to every existing proxy's peer set and to the
 // client's entry set. The newcomer knows all peers from birth; everything
 // else it learns from traffic.
-func (c *Cluster) addProxy(eng registrar) error {
+func (c *Cluster) addProxy(register func(sim.Node) error) error {
 	id := ids.NodeID(len(c.adcProxies))
 	peerIDs := make([]ids.NodeID, 0, len(c.adcProxies)+1)
 	for _, p := range c.adcProxies {
@@ -106,7 +100,7 @@ func (c *Cluster) addProxy(eng registrar) error {
 	if err != nil {
 		return fmt.Errorf("cluster: join proxy %v: %w", id, err)
 	}
-	if err := eng.Register(p); err != nil {
+	if err := register(p); err != nil {
 		return fmt.Errorf("cluster: join proxy %v: %w", id, err)
 	}
 	if c.cfg.Tracer != nil {

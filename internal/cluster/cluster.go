@@ -1,14 +1,13 @@
 // Package cluster wires complete proxy systems — N proxy agents, an origin
 // server and closed-loop client drivers — and runs a workload against them
-// on one of the interchangeable runtimes (sequential engine, goroutine
-// agents, TCP transport). It is the programmatic equivalent of the paper's
-// experimental testbed (§V.1) and the layer the public API and the
-// benchmark harness sit on.
+// on one of the interchangeable runtimes (FIFO engine, virtual-time engine,
+// goroutine agents, TCP transport). It is the programmatic equivalent of
+// the paper's experimental testbed (§V.1) and the layer the public API and
+// the benchmark harness sit on.
 package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -97,18 +96,13 @@ const (
 	// RuntimeTCP runs every node behind its own loopback TCP listener
 	// with binary-framed messages (internal/transport).
 	RuntimeTCP
-	// RuntimeVirtualTime is the discrete-event engine: deterministic
-	// like RuntimeSequential, but every transfer is delayed by a
-	// latency model, yielding response-time metrics and supporting
-	// open-loop (fixed request rate) injection.
+	// RuntimeVirtualTime is the discrete-event engine (sim.VEngine):
+	// deterministic like RuntimeSequential, but every transfer is delayed
+	// by a latency model, yielding response-time metrics and supporting
+	// open-loop (fixed request rate) injection, fault injection, recovery,
+	// tracing and windowed time series. Config.Shards spreads the run over
+	// that many cores with byte-identical results.
 	RuntimeVirtualTime
-	// RuntimeParallel is the sharded multi-core virtual-time engine
-	// (sim.PEngine): the same discrete-event semantics as
-	// RuntimeVirtualTime with byte-identical results at any shard count,
-	// executed across Config.Shards cores for large topologies. It
-	// supports the lossless protocol only — fault injection, tracing and
-	// windowed time-series remain virtual-time-runtime features.
-	RuntimeParallel
 )
 
 // String implements fmt.Stringer.
@@ -122,8 +116,6 @@ func (r Runtime) String() string {
 		return "tcp"
 	case RuntimeVirtualTime:
 		return "vtime"
-	case RuntimeParallel:
-		return "parallel"
 	default:
 		return fmt.Sprintf("Runtime(%d)", int(r))
 	}
@@ -168,19 +160,19 @@ type Config struct {
 	Runtime Runtime
 
 	// Latency is the virtual-time latency model; the zero value selects
-	// sim.DefaultLatencyModel(). Used by RuntimeVirtualTime and
-	// RuntimeParallel.
+	// sim.DefaultLatencyModel(). Used by RuntimeVirtualTime.
 	Latency sim.LatencyModel
 
-	// Shards is the number of engine shards for RuntimeParallel
-	// (0 = GOMAXPROCS). Results are byte-identical at every shard count;
-	// the setting only chooses how many cores the run spreads over.
-	// Setting it on any other runtime is a configuration error.
+	// Shards is the number of engine shards for RuntimeVirtualTime; 0 and
+	// 1 are the sequential run. Results are byte-identical at every shard
+	// count and every feature works at every shard count; the setting
+	// only chooses how many cores the run spreads over. Setting it on any
+	// other runtime is a configuration error.
 	Shards int
 
 	// OpenLoopInterval switches clients to open-loop injection with
 	// this mean inter-arrival time in virtual ticks (0 = closed loop).
-	// Requires RuntimeVirtualTime or RuntimeParallel.
+	// Requires RuntimeVirtualTime.
 	OpenLoopInterval int64
 
 	// Poisson draws exponential inter-arrival times in open-loop mode.
@@ -188,7 +180,8 @@ type Config struct {
 
 	// JoinProxyAt grows the cluster by one fresh ADC proxy when the
 	// request stream crosses each index (strictly increasing). Requires
-	// ADC, the sequential runtime and a single client (see churn.go).
+	// ADC, RuntimeSequential or RuntimeVirtualTime, and a single
+	// closed-loop client (see churn.go).
 	JoinProxyAt []uint64
 
 	// Faults injects deterministic failures — seeded message loss, delay
@@ -219,8 +212,7 @@ type Config struct {
 	// ResponseBuckets, when positive, gives every client a response-time
 	// histogram with that many buckets of ResponseBucketTicks width
 	// (default 500 ticks), enabling Result.Summary.P99Response. Requires
-	// a virtual-time runtime (RuntimeVirtualTime or RuntimeParallel),
-	// where response times exist.
+	// RuntimeVirtualTime, where response times exist.
 	ResponseBuckets     int
 	ResponseBucketTicks int
 
@@ -263,14 +255,14 @@ func (c Config) Validate() error {
 	if c.OpenLoopInterval < 0 {
 		return fmt.Errorf("cluster: OpenLoopInterval must be non-negative, got %d", c.OpenLoopInterval)
 	}
-	if c.OpenLoopInterval > 0 && c.Runtime != RuntimeVirtualTime && c.Runtime != RuntimeParallel {
-		return fmt.Errorf("cluster: open-loop injection requires a virtual-time runtime")
+	if c.OpenLoopInterval > 0 && c.Runtime != RuntimeVirtualTime {
+		return fmt.Errorf("cluster: open-loop injection requires the virtual-time runtime")
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("cluster: Shards must be non-negative, got %d", c.Shards)
 	}
-	if c.Shards > 0 && c.Runtime != RuntimeParallel {
-		return fmt.Errorf("cluster: Shards requires the parallel runtime")
+	if c.Shards > 0 && c.Runtime != RuntimeVirtualTime {
+		return fmt.Errorf("cluster: Shards requires the virtual-time runtime")
 	}
 	if c.Tracer != nil && c.Runtime != RuntimeSequential && c.Runtime != RuntimeVirtualTime {
 		return fmt.Errorf("cluster: tracing requires the sequential or virtual-time runtime")
@@ -290,8 +282,8 @@ func (c Config) Validate() error {
 	if c.ResponseBuckets < 0 || c.ResponseBucketTicks < 0 {
 		return fmt.Errorf("cluster: response histogram sizes must be non-negative")
 	}
-	if c.ResponseBuckets > 0 && c.Runtime != RuntimeVirtualTime && c.Runtime != RuntimeParallel {
-		return fmt.Errorf("cluster: response histograms require a virtual-time runtime")
+	if c.ResponseBuckets > 0 && c.Runtime != RuntimeVirtualTime {
+		return fmt.Errorf("cluster: response histograms require the virtual-time runtime")
 	}
 	if c.Latency.QueueService && c.Runtime != RuntimeVirtualTime {
 		return fmt.Errorf("cluster: queued service requires the virtual-time runtime")
@@ -684,7 +676,7 @@ func (c *Cluster) Run() (*Result, error) {
 			}
 		}
 		if c.churn != nil {
-			c.churn.onJoin = func() error { return c.addProxy(eng) }
+			c.churn.onJoin = func() error { return c.addProxy(eng.Register) }
 		}
 		if err := eng.Run(); err != nil {
 			return nil, err
@@ -698,59 +690,41 @@ func (c *Cluster) Run() (*Result, error) {
 		if latency == (sim.LatencyModel{}) {
 			latency = sim.DefaultLatencyModel()
 		}
-		eng := sim.NewVEngine(latency)
+		span := c.cfg.NumProxies
+		if c.cfg.Algorithm == Hierarchical || c.cfg.Algorithm == Coordinator {
+			span++ // the root/dispatcher occupies NodeID(NumProxies)
+		}
+		part, err := ids.NewShardMap(max(c.cfg.Shards, 1), span)
+		if err != nil {
+			return nil, err
+		}
+		eng := sim.NewShardedVEngine(latency, part)
 		for _, n := range c.nodes {
 			if err := eng.Register(n); err != nil {
 				return nil, err
 			}
 		}
 		if c.churn != nil {
-			c.churn.onJoin = func() error { return c.addProxy(eng) }
+			// A join rewrites every proxy's peer set from inside the
+			// client's handler, so no other handler may run beside it.
+			eng.Serialize()
+			c.churn.onJoin = func() error { return c.addProxy(eng.Register) }
 		}
-		if plan := c.cfg.faultPlan(); plan != nil {
-			if err := eng.SetFaultPlan(plan); err != nil {
-				return nil, err
-			}
+		if err := eng.SetFaultPlan(c.cfg.faultPlan()); err != nil {
+			return nil, err
 		}
 		eng.SetTracer(c.cfg.Tracer)
 		eng.SetTimeSeries(c.ts)
 		if err := eng.Run(); err != nil {
 			return nil, err
 		}
+		if c.churn != nil && c.churn.err != nil {
+			return nil, c.churn.err
+		}
 		c.ts.Finish(eng.VNow())
 		delivered = eng.Delivered()
 		dropped = eng.Dropped()
 		faultStats = eng.FaultStats()
-	case RuntimeParallel:
-		latency := c.cfg.Latency
-		if latency == (sim.LatencyModel{}) {
-			latency = sim.DefaultLatencyModel()
-		}
-		shards := c.cfg.Shards
-		if shards == 0 {
-			shards = runtime.GOMAXPROCS(0)
-		}
-		span := c.cfg.NumProxies
-		if c.cfg.Algorithm == Hierarchical || c.cfg.Algorithm == Coordinator {
-			span++ // the root/dispatcher occupies NodeID(NumProxies)
-		}
-		part, err := ids.NewShardMap(shards, span)
-		if err != nil {
-			return nil, err
-		}
-		eng := sim.NewPEngine(latency, part)
-		for _, n := range c.nodes {
-			if err := eng.Register(n); err != nil {
-				return nil, err
-			}
-		}
-		// Validation already rejected faults, tracing and time-series on
-		// this runtime: the parallel engine covers the lossless protocol
-		// only, so there is nothing to wire beyond the nodes.
-		if err := eng.Run(); err != nil {
-			return nil, err
-		}
-		delivered = eng.Delivered()
 	case RuntimeAgents, RuntimeTCP:
 		d, err := c.runConcurrent()
 		if err != nil {

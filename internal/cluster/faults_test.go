@@ -147,17 +147,8 @@ func TestGoldenDeterminism(t *testing.T) {
 func TestFaultPlanDeterminism(t *testing.T) {
 	run := func(faultSeed int64, recovery bool) *Result {
 		cfg := goldenConfig(RuntimeVirtualTime)
-		cfg.Faults = &sim.FaultPlan{
-			Seed:   faultSeed,
-			Loss:   0.02,
-			Jitter: 1500,
-			LinkLoss: []sim.LinkLoss{
-				{From: ids.NodeID(1), To: ids.NodeID(2), Rate: 0.1},
-			},
-			Crashes: []sim.Crash{
-				{Node: ids.NodeID(3), At: 400_000, RestartAt: 1_200_000, LoseTables: true},
-			},
-		}
+		cfg.Faults = goldenFaultPlan()
+		cfg.Faults.Seed = faultSeed
 		if recovery {
 			cfg.Recovery = sim.DefaultRecovery()
 		}

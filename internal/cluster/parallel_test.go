@@ -43,11 +43,11 @@ func requireSameRunResult(t *testing.T, label string, want, got *Result) {
 	}
 }
 
-// TestParallelGoldenDeterminism is the tentpole gate: the sharded engine
-// must reproduce the sequential virtual-time golden run byte for byte at
+// TestParallelGoldenDeterminism is the sharding gate: the virtual-time
+// engine must reproduce its sequential golden run byte for byte at
 // shards ∈ {1, 2, 4, 8}. The headline numbers are additionally pinned
 // against the same hardcoded constants TestGoldenDeterminism guards, so a
-// simultaneous drift of both engines cannot slip through the comparison.
+// drift at every shard count at once cannot slip through the comparison.
 func TestParallelGoldenDeterminism(t *testing.T) {
 	oracle, err := Run(goldenConfig(RuntimeVirtualTime), trace.NewSliceSource(goldenTrace()))
 	if err != nil {
@@ -63,7 +63,7 @@ func TestParallelGoldenDeterminism(t *testing.T) {
 			oracle.Summary.MeanResponse, oracle.Summary.MaxResponse)
 	}
 	for _, shards := range parallelShardCounts {
-		cfg := goldenConfig(RuntimeParallel)
+		cfg := goldenConfig(RuntimeVirtualTime)
 		cfg.Shards = shards
 		res, err := Run(cfg, trace.NewSliceSource(goldenTrace()))
 		if err != nil {
@@ -75,22 +75,22 @@ func TestParallelGoldenDeterminism(t *testing.T) {
 
 // TestParallelOpenLoopDeterminism repeats the gate under open-loop
 // injection — many requests in flight, wide timestamp cohorts, the regime
-// the parallel engine exists for.
+// sharding exists for.
 func TestParallelOpenLoopDeterminism(t *testing.T) {
-	build := func(rt Runtime, shards int) Config {
-		cfg := goldenConfig(rt)
+	build := func(shards int) Config {
+		cfg := goldenConfig(RuntimeVirtualTime)
 		cfg.Shards = shards
 		cfg.Clients = 6
 		cfg.OpenLoopInterval = 900
 		cfg.Poisson = true
 		return cfg
 	}
-	oracle, err := Run(build(RuntimeVirtualTime, 0), trace.NewSliceSource(goldenTrace()))
+	oracle, err := Run(build(0), trace.NewSliceSource(goldenTrace()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range parallelShardCounts {
-		res, err := Run(build(RuntimeParallel, shards), trace.NewSliceSource(goldenTrace()))
+		res, err := Run(build(shards), trace.NewSliceSource(goldenTrace()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,26 +98,26 @@ func TestParallelOpenLoopDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelAllAlgorithms runs every caching scheme on the parallel
-// runtime against the virtual-time oracle: the engine contract is
+// TestParallelAllAlgorithms runs every caching scheme sharded against
+// its sequential run: the engine contract is
 // scheme-agnostic, so CARP, consistent hashing, the hierarchy and the
 // coordinator (whose extra node sits outside the proxy ID block) must all
 // agree, not just ADC.
 func TestParallelAllAlgorithms(t *testing.T) {
 	for _, alg := range []Algorithm{CARP, CHash, Hierarchical, Coordinator} {
 		t.Run(alg.String(), func(t *testing.T) {
-			build := func(rt Runtime, shards int) Config {
-				cfg := goldenConfig(rt)
+			build := func(shards int) Config {
+				cfg := goldenConfig(RuntimeVirtualTime)
 				cfg.Algorithm = alg
 				cfg.Shards = shards
 				return cfg
 			}
-			oracle, err := Run(build(RuntimeVirtualTime, 0), trace.NewSliceSource(goldenTrace()))
+			oracle, err := Run(build(0), trace.NewSliceSource(goldenTrace()))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, shards := range []int{1, 3, 4} {
-				res, err := Run(build(RuntimeParallel, shards), trace.NewSliceSource(goldenTrace()))
+				res, err := Run(build(shards), trace.NewSliceSource(goldenTrace()))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,9 +127,11 @@ func TestParallelAllAlgorithms(t *testing.T) {
 	}
 }
 
-// TestParallelValidation pins the runtime's feature gates: the parallel
-// engine covers the lossless protocol only, and Shards is meaningless on
-// any other runtime.
+// TestParallelValidation pins what validation says about a sharded run:
+// every feature the virtual-time engine has is accepted at Shards > 1 (the
+// cases below were rejections while a second engine existed; what they
+// produce is pinned by TestEngineGoldens), and Shards means nothing on a
+// runtime without a virtual clock.
 func TestParallelValidation(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -137,21 +139,25 @@ func TestParallelValidation(t *testing.T) {
 		ok     bool
 	}{
 		{"plain parallel", func(c *Config) {}, true},
-		{"explicit shards", func(c *Config) { c.Shards = 4 }, true},
+		{"explicit shards", func(c *Config) { c.Shards = 8 }, true},
 		{"open loop allowed", func(c *Config) { c.OpenLoopInterval = 1000 }, true},
-		{"recovery allowed", func(c *Config) { c.Recovery = sim.DefaultRecovery() }, false},
+		{"recovery allowed", func(c *Config) { c.Recovery = sim.DefaultRecovery() }, true},
 		{"negative shards", func(c *Config) { c.Shards = -1 }, false},
-		{"shards on vtime", func(c *Config) { c.Runtime = RuntimeVirtualTime; c.Shards = 2 }, false},
-		{"shards on sequential", func(c *Config) { c.Runtime = RuntimeSequential; c.Shards = 2 }, false},
-		{"faults", func(c *Config) { c.Faults = &sim.FaultPlan{Loss: 0.1} }, false},
-		{"proxy crash", func(c *Config) { c.CrashProxyAt = []ProxyCrash{{Proxy: 1, At: 100}} }, false},
-		{"tracer", func(c *Config) { c.Tracer = obs.New(obs.KindInject) }, false},
-		{"metrics every", func(c *Config) { c.MetricsEvery = 10_000 }, false},
-		{"churn", func(c *Config) { c.JoinProxyAt = []uint64{100}; c.Clients = 1 }, false},
+		{"shards on vtime", func(c *Config) { c.Shards = 2 }, true},
+		{"shards on sequential", func(c *Config) { c.Runtime = RuntimeSequential }, false},
+		{"shards on agents", func(c *Config) { c.Runtime = RuntimeAgents }, false},
+		{"shards on tcp", func(c *Config) { c.Runtime = RuntimeTCP }, false},
+		{"faults", func(c *Config) { c.Faults = &sim.FaultPlan{Loss: 0.1} }, true},
+		{"proxy crash", func(c *Config) { c.CrashProxyAt = []ProxyCrash{{Proxy: 1, At: 100}} }, true},
+		{"tracer", func(c *Config) { c.Tracer = obs.New(obs.KindInject) }, true},
+		{"metrics every", func(c *Config) { c.MetricsEvery = 10_000 }, true},
+		{"queued service", func(c *Config) { c.Latency = sim.LatencyModel{Service: 10, QueueService: true} }, true},
+		{"churn", func(c *Config) { c.JoinProxyAt = []uint64{100}; c.Clients = 1 }, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := goldenConfig(RuntimeParallel)
+			cfg := goldenConfig(RuntimeVirtualTime)
+			cfg.Shards = 4
 			tc.mutate(&cfg)
 			err := cfg.Validate()
 			if tc.ok && err != nil {

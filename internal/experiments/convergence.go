@@ -91,7 +91,7 @@ func (p Profile) convergenceOne(paperSize, paperReqs int) (ConvergencePoint, uin
 	// stays on the nil-check fast path.
 	tracer := obs.New(obs.KindHit, obs.KindBackward, obs.KindInvalidate)
 	ccfg := p.ClusterConfig(cluster.ADC, tables, 0)
-	forceVirtualTime(&ccfg)
+	ccfg.Runtime = cluster.RuntimeVirtualTime
 	ccfg.Tracer = tracer
 
 	res, err := cluster.Run(ccfg, tr.Cursor())

@@ -53,13 +53,12 @@ type Profile struct {
 	// Backend selects the ordered-table backend for non-timing
 	// experiments (timing experiments force the paper-faithful ones).
 	Backend core.Backend
-	// Shards, when positive, runs each simulation on the sharded
-	// parallel engine with that many worker shards instead of the
-	// sequential runtime. Results are byte-identical either way; the
-	// knob exists so large sweeps can exploit multiple cores inside a
-	// single simulation rather than only across simulations.
-	// Experiments that require a specific runtime (fault injection,
-	// tracing, tick-bucketed metrics) ignore it.
+	// Shards, when positive, runs each simulation on the virtual-time
+	// engine with that many worker shards instead of the sequential
+	// runtime. Results are byte-identical either way; the knob exists so
+	// large sweeps can exploit multiple cores inside a single simulation
+	// rather than only across simulations. It reaches every experiment,
+	// including the ones that need faults, recovery or tracing.
 	Shards int
 	// Parallelism bounds how many independent simulations an experiment
 	// runs concurrently. 0 means GOMAXPROCS; 1 forces the sequential
@@ -175,8 +174,7 @@ func (p Profile) traceFor(cfg workload.Config) (*workload.Trace, error) {
 }
 
 // ClusterConfig assembles the cluster configuration for one run. With
-// Shards > 0 the run uses the parallel engine; callers that force another
-// runtime must also clear Shards (see forceVirtualTime).
+// Shards > 0 the run uses the virtual-time engine on that many shards.
 func (p Profile) ClusterConfig(algo cluster.Algorithm, tables core.Config, sampleEvery uint64) cluster.Config {
 	cfg := cluster.Config{
 		Algorithm:   algo,
@@ -188,18 +186,10 @@ func (p Profile) ClusterConfig(algo cluster.Algorithm, tables core.Config, sampl
 		SampleEvery: sampleEvery,
 	}
 	if p.Shards > 0 {
-		cfg.Runtime = cluster.RuntimeParallel
+		cfg.Runtime = cluster.RuntimeVirtualTime
 		cfg.Shards = p.Shards
 	}
 	return cfg
-}
-
-// forceVirtualTime pins a run to the sequential virtual-time engine,
-// undoing any profile-level parallel-engine selection — for experiments
-// whose features (faults, tracing, recovery) only that runtime supports.
-func forceVirtualTime(cfg *cluster.Config) {
-	cfg.Runtime = cluster.RuntimeVirtualTime
-	cfg.Shards = 0
 }
 
 // run executes one simulation with a cursor over the profile's shared

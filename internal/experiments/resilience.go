@@ -75,7 +75,7 @@ func LossSweep(p Profile, rates []float64, rec sim.Recovery) (*LossSweepResult, 
 		rate := rates[i/2]
 		withRecovery := i%2 == 1
 		cfg := p.ClusterConfig(cluster.ADC, p.Tables(), 0)
-		forceVirtualTime(&cfg)
+		cfg.Runtime = cluster.RuntimeVirtualTime
 		cfg.OpenLoopInterval = openLoopInterval
 		if rate > 0 {
 			cfg.Faults = &sim.FaultPlan{Seed: p.Seed, Loss: rate}
@@ -154,7 +154,7 @@ func CrashRecovery(p Profile, rec sim.Recovery) (*CrashRecoveryResult, error) {
 	restartAt := duration * 7 / 10
 
 	cfg := p.ClusterConfig(cluster.ADC, p.Tables(), 0)
-	forceVirtualTime(&cfg)
+	cfg.Runtime = cluster.RuntimeVirtualTime
 	cfg.OpenLoopInterval = openLoopInterval
 	cfg.SampleEvery = sampleEveryFor(total)
 	cfg.Recovery = rec

@@ -51,7 +51,7 @@ func ResponseTime(p Profile, opts ResponseOptions) (*ResponseResult, error) {
 	results := make([]*cluster.Result, len(algos))
 	err = p.forEach("response", len(algos), func(_ context.Context, i int) (uint64, error) {
 		cfg := p.ClusterConfig(algos[i], p.Tables(), 0)
-		forceVirtualTime(&cfg)
+		cfg.Runtime = cluster.RuntimeVirtualTime
 		cfg.Latency = opts.Latency
 		cfg.OpenLoopInterval = opts.OpenLoopInterval
 		cfg.Poisson = opts.Poisson

@@ -2,9 +2,10 @@ package ids
 
 import "fmt"
 
-// ShardMap partitions the NodeID space across the shards of a parallel
-// engine (internal/sim.PEngine). The partition is pure arithmetic — no maps
-// — so ShardOf stays cheap enough to call on every cross-shard Send.
+// ShardMap partitions the NodeID space across the shards of the
+// virtual-time engine (internal/sim.VEngine). The partition is pure
+// arithmetic — no maps — so ShardOf stays cheap enough to call on every
+// Send.
 //
 // The grouping heuristic is "proxies with their clients": the proxy ID
 // range [0, ProxySpan) splits into contiguous blocks, one block per shard,

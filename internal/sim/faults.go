@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/adc-sim/adc/internal/ids"
@@ -71,14 +72,16 @@ type Crash struct {
 
 // Validate reports the first malformed field.
 func (p *FaultPlan) Validate() error {
-	if p.Loss < 0 || p.Loss > 1 {
+	// The range checks are written so that NaN, which compares false with
+	// everything, fails them.
+	if !(p.Loss >= 0 && p.Loss <= 1) {
 		return fmt.Errorf("sim: fault plan loss rate %v outside [0, 1]", p.Loss)
 	}
 	if p.Jitter < 0 {
 		return fmt.Errorf("sim: fault plan jitter %d must be non-negative", p.Jitter)
 	}
 	for _, l := range p.LinkLoss {
-		if l.Rate < 0 || l.Rate > 1 {
+		if !(l.Rate >= 0 && l.Rate <= 1) {
 			return fmt.Errorf("sim: link loss rate %v outside [0, 1]", l.Rate)
 		}
 	}
@@ -182,8 +185,8 @@ func (r Recovery) Validate() error {
 	if r.MaxRetries < 0 {
 		return fmt.Errorf("sim: recovery retries %d must be non-negative", r.MaxRetries)
 	}
-	if r.Backoff < 1 {
-		return fmt.Errorf("sim: recovery backoff %v must be at least 1", r.Backoff)
+	if !(r.Backoff >= 1) || math.IsInf(r.Backoff, 0) { // also rejects NaN
+		return fmt.Errorf("sim: recovery backoff %v must be finite and at least 1", r.Backoff)
 	}
 	if r.PendingTTL <= 0 {
 		return fmt.Errorf("sim: recovery pending TTL %d must be positive", r.PendingTTL)
@@ -192,9 +195,10 @@ func (r Recovery) Validate() error {
 }
 
 // faultCtl is the engine-internal control event that applies a scheduled
-// crash or restart. It travels through the ordinary event queue so fault
-// transitions are totally ordered against message deliveries, but it is
-// intercepted by the run loop and never reaches a node's Handle.
+// crash or restart. It travels through the event queue of the shard that
+// owns the node, so fault transitions are totally ordered against that
+// node's deliveries, but it is intercepted at delivery and never reaches a
+// node's Handle.
 type faultCtl struct {
 	node       ids.NodeID
 	restart    bool
@@ -207,12 +211,13 @@ func (c *faultCtl) Dest() ids.NodeID { return c.node }
 // linkKey indexes per-link loss rates.
 type linkKey struct{ from, to ids.NodeID }
 
-// faultState is the engine's live view of an installed FaultPlan.
+// faultState is the engine's live view of an installed FaultPlan's loss and
+// jitter: the one random stream and what it dropped. Fail-stop state is
+// keyed by node and lives on the shards.
 type faultState struct {
 	plan  *FaultPlan
 	rng   *rand.Rand
 	link  map[linkKey]float64
-	down  map[ids.NodeID]bool
 	stats FaultStats
 }
 
@@ -220,7 +225,6 @@ func newFaultState(p *FaultPlan) *faultState {
 	f := &faultState{
 		plan: p,
 		rng:  rand.New(rand.NewSource(p.Seed ^ 0x5FAA17C0DE)),
-		down: make(map[ids.NodeID]bool),
 	}
 	if len(p.LinkLoss) > 0 {
 		f.link = make(map[linkKey]float64, len(p.LinkLoss))

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"github.com/adc-sim/adc/internal/ids"
@@ -147,8 +148,10 @@ func TestFaultPlanValidate(t *testing.T) {
 		{"loss in range", FaultPlan{Loss: 0.5}, true},
 		{"loss negative", FaultPlan{Loss: -0.1}, false},
 		{"loss above one", FaultPlan{Loss: 1.1}, false},
+		{"loss NaN", FaultPlan{Loss: math.NaN()}, false},
 		{"jitter negative", FaultPlan{Jitter: -1}, false},
 		{"link rate bad", FaultPlan{LinkLoss: []LinkLoss{{Rate: 2}}}, false},
+		{"link rate NaN", FaultPlan{LinkLoss: []LinkLoss{{From: 0, To: 1, Rate: math.NaN()}}}, false},
 		{"crash at zero", FaultPlan{Crashes: []Crash{{Node: 0, At: 0}}}, false},
 		{"restart before crash", FaultPlan{Crashes: []Crash{{Node: 0, At: 10, RestartAt: 5}}}, false},
 		{"crash ok", FaultPlan{Crashes: []Crash{{Node: 0, At: 10, RestartAt: 20}}}, true},
@@ -189,6 +192,8 @@ func TestRecoveryNormalizeAndValidate(t *testing.T) {
 		{Enabled: true, Timeout: -1, MaxRetries: 1, Backoff: 2, PendingTTL: 1},
 		{Enabled: true, Timeout: 1, MaxRetries: -1, Backoff: 2, PendingTTL: 1},
 		{Enabled: true, Timeout: 1, MaxRetries: 1, Backoff: 0.5, PendingTTL: 1},
+		{Enabled: true, Timeout: 1, MaxRetries: 1, Backoff: math.NaN(), PendingTTL: 1},
+		{Enabled: true, Timeout: 1, MaxRetries: 1, Backoff: math.Inf(1), PendingTTL: 1},
 		{Enabled: true, Timeout: 1, MaxRetries: 1, Backoff: 2, PendingTTL: -1},
 	} {
 		if err := bad.Validate(); err == nil {

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// TestEventQueueTieBreakProperty is the invariant the parallel engine's
-// cross-shard merge relies on: among equal-timestamp events, the heap pops
+// TestEventQueueTieBreakProperty is the invariant the engine's cross-shard
+// merge relies on: among equal-timestamp events, the heap pops
 // in ascending sequence-number order — i.e. deterministic insertion order,
 // regardless of heap shape. The test drives randomized workloads with heavy
 // timestamp collisions and interleaved pushes/pops against a stable-sort

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -18,16 +19,9 @@ import (
 // over 5 proxies), and more shards than this machine may have cores.
 var pengineShardCounts = []int{1, 2, 3, 4, 8}
 
-// engineRunner abstracts VEngine/PEngine for the comparison rigs.
-type engineRunner interface {
-	registrar
-	Run() error
-	Delivered() uint64
-}
-
 // rigResult captures everything observable from a run: per-client metric
 // summaries and series, per-proxy protocol stats, and the engine's delivery
-// count. Byte-identical engines must agree on all of it.
+// count. Every shard count must agree on all of it.
 type rigResult struct {
 	summaries []metrics.Summary
 	series    [][]metrics.Point
@@ -48,7 +42,7 @@ type pengineRig struct {
 }
 
 // run wires the rig onto eng, runs it, and snapshots the observable state.
-func (r pengineRig) run(t *testing.T, eng engineRunner) rigResult {
+func (r pengineRig) run(t *testing.T, eng *sim.VEngine) rigResult {
 	t.Helper()
 	proxies := make([]*proxy.ADC, r.proxies)
 	proxyIDs := make([]ids.NodeID, r.proxies)
@@ -123,20 +117,37 @@ func (r pengineRig) run(t *testing.T, eng engineRunner) rigResult {
 	return res
 }
 
-// compare runs the rig on the sequential oracle and on the parallel engine
-// at every shard count, requiring identical observable results.
-func (r pengineRig) compare(t *testing.T) {
+// digest folds everything observable into one value, so a run can be pinned
+// to a constant recorded from another build.
+func (r rigResult) digest() uint64 {
+	h := fnv.New64a()
+	for i := range r.summaries {
+		r.summaries[i].Elapsed = 0 // wall clock
+	}
+	fmt.Fprintf(h, "%+v|%+v|%+v|%d", r.summaries, r.series, r.proxies, r.delivered)
+	return h.Sum64()
+}
+
+// compare runs the rig on the one-shard engine and at every other shard
+// count, requiring identical observable results, and pins the one-shard run
+// to the delivery count and digest the sequential VEngine produced at
+// cbc3d04, the last commit that had one.
+func (r pengineRig) compare(t *testing.T, wantDelivered, wantDigest uint64) {
 	t.Helper()
 	want := r.run(t, sim.NewVEngine(r.latency))
-	for _, shards := range pengineShardCounts {
+	if want.delivered != wantDelivered || want.digest() != wantDigest {
+		t.Errorf("one-shard run drifted from the recorded VEngine run: delivered %d digest %#x, want %d %#x",
+			want.delivered, want.digest(), wantDelivered, wantDigest)
+	}
+	for _, shards := range pengineShardCounts[1:] {
 		part, err := ids.NewShardMap(shards, r.proxies)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := r.run(t, sim.NewPEngine(r.latency, part))
+		got := r.run(t, sim.NewShardedVEngine(r.latency, part))
 		label := fmt.Sprintf("shards=%d", shards)
 		if want.delivered != got.delivered {
-			t.Errorf("%s: delivered %d, sequential delivered %d", label, got.delivered, want.delivered)
+			t.Errorf("%s: delivered %d, one shard delivered %d", label, got.delivered, want.delivered)
 		}
 		if !reflect.DeepEqual(want.summaries, got.summaries) {
 			t.Errorf("%s: client summaries diverge\n got %+v\nwant %+v", label, got.summaries, want.summaries)
@@ -151,16 +162,16 @@ func (r pengineRig) compare(t *testing.T) {
 }
 
 // TestPEngineMatchesVEngineClosedLoop pins the tentpole guarantee at the
-// engine level: the sharded engine's observable output is identical to the
-// sequential oracle at every shard count, including shard counts that do
-// not divide the proxy span.
+// engine level: the engine's observable output is identical at every shard
+// count, including shard counts that do not divide the proxy span, and
+// identical to what the sequential VEngine recorded.
 func TestPEngineMatchesVEngineClosedLoop(t *testing.T) {
 	pengineRig{
 		latency:  sim.DefaultLatencyModel(),
 		proxies:  5,
 		clients:  6,
 		requests: 400,
-	}.compare(t)
+	}.compare(t, 14250, 0x4039f359af0256c8)
 }
 
 // TestPEngineMatchesVEngineOpenLoop drives wide cohorts: open-loop clients
@@ -170,8 +181,10 @@ func TestPEngineMatchesVEngineClosedLoop(t *testing.T) {
 func TestPEngineMatchesVEngineOpenLoop(t *testing.T) {
 	for _, poisson := range []bool{false, true} {
 		name := "fixed"
+		delivered, digest := uint64(15844), uint64(0x521a6e213dccc98b)
 		if poisson {
 			name = "poisson"
+			delivered, digest = 15990, 0x7445876c2c19aed9
 		}
 		t.Run(name, func(t *testing.T) {
 			pengineRig{
@@ -181,7 +194,7 @@ func TestPEngineMatchesVEngineOpenLoop(t *testing.T) {
 				requests: 200,
 				openLoop: true,
 				poisson:  poisson,
-			}.compare(t)
+			}.compare(t, delivered, digest)
 		})
 	}
 }
@@ -197,13 +210,13 @@ func TestPEngineMatchesVEngineDegenerateLatency(t *testing.T) {
 		clients:  8,
 		requests: 300,
 		openLoop: true,
-	}.compare(t)
+	}.compare(t, 18176, 0xf29cf7eee4242a10)
 }
 
 // TestPEngineParallelMergePath forces the parallel rank+push merge (the
 // production path for million-event cohorts) onto a small workload by
 // dropping the serial-merge threshold to one emission, and requires the
-// results to stay identical to the sequential oracle.
+// results to stay identical to the one-shard run.
 func TestPEngineParallelMergePath(t *testing.T) {
 	defer sim.SetParallelMergeMin(1)()
 	pengineRig{
@@ -212,7 +225,7 @@ func TestPEngineParallelMergePath(t *testing.T) {
 		clients:  8,
 		requests: 200,
 		openLoop: true,
-	}.compare(t)
+	}.compare(t, 15844, 0x521a6e213dccc98b)
 }
 
 // TestPEngineUnregisteredNode checks the error path survives sharding.
@@ -221,7 +234,7 @@ func TestPEngineUnregisteredNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.NewPEngine(sim.DefaultLatencyModel(), part)
+	eng := sim.NewShardedVEngine(sim.DefaultLatencyModel(), part)
 	buildADCArrayT(t, eng, 2)
 	// A client that addresses a proxy outside the rig.
 	bogus, err := sim.NewClient(sim.ClientConfig{
@@ -240,13 +253,13 @@ func TestPEngineUnregisteredNode(t *testing.T) {
 	}
 }
 
-// TestPEngineDuplicateRegister mirrors the sequential engines' contract.
+// TestPEngineDuplicateRegister mirrors the FIFO engine's contract.
 func TestPEngineDuplicateRegister(t *testing.T) {
 	part, err := ids.NewShardMap(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.NewPEngine(sim.DefaultLatencyModel(), part)
+	eng := sim.NewShardedVEngine(sim.DefaultLatencyModel(), part)
 	if err := eng.Register(sim.NewOrigin()); err != nil {
 		t.Fatal(err)
 	}

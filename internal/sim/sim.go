@@ -1,7 +1,12 @@
 // Package sim provides the deterministic message-passing substrate the
 // proxy system runs on: a Node interface implemented by proxies, clients
-// and the origin server, and a single-threaded engine that delivers
-// messages in FIFO order.
+// and the origin server, and two engines to run them on. Engine delivers
+// messages in FIFO order and has no clock. VEngine is the one virtual-time
+// engine: (timestamp, sequence) delivery order under a latency model, with
+// open-loop timers, fault plans, queued service, tracing and time series,
+// on one shard or spread over many with byte-identical results (DESIGN.md
+// §7). At zero latency VEngine reproduces Engine's delivery order exactly,
+// which makes each an oracle for the other.
 //
 // The paper ran its agents on the Carolina multi-agent platform across
 // eight hosts, and reports that "a simulation running on a powerful ...

@@ -76,49 +76,71 @@ type Scheduler interface {
 	After(delay int64, m msg.Message)
 }
 
-// VEngine is the virtual-time discrete-event engine: messages are
-// delivered in timestamp order, each transfer delayed by the latency
-// model. Like Engine it is single-threaded and fully deterministic (ties
-// break by enqueue sequence).
+// VEngine is the virtual-time discrete-event engine: messages are delivered
+// in (timestamp, enqueue sequence) order, each transfer delayed by the
+// latency model. It is fully deterministic, and its results — every byte,
+// with every feature on — do not depend on how many shards it runs on.
+// DESIGN.md §7 has the full argument; in short:
 //
-// The event queue is an inlined 4-ary min-heap over a flat []event slice:
-// no container/heap indirection and no interface boxing on push/pop, and
-// the wider fan-out halves tree depth versus a binary heap, trading a few
-// extra comparisons (cheap, cache-resident) for fewer swaps and levels.
-// Dispatch and message management share the dense-table/freelist design of
-// Engine.
+// Every node is owned by one shard (ids.ShardMap), each with a private
+// 4-ary event heap and message freelist. The engine repeatedly finds the
+// minimum pending timestamp t and delivers the cohort of events queued at t.
+// A cohort on one shard — every cohort of a one-shard engine, nearly every
+// cohort of a closed-loop run — executes inline on the coordinator with the
+// engine direct: a Send takes the next sequence number and goes straight
+// into the destination heap, a classic sequential event loop. A cohort
+// spread over several shards fans out to their workers, which is safe
+// because handlers only touch their own node's state (the Node contract
+// all in-repo agents follow). Its Sends are buffered per shard as (parent
+// sequence, emission index) pairs and merged afterwards in that order,
+// which is exactly the order a one-shard run makes them in. So whatever
+// depends on Send order happens in one function, admit, on the
+// coordinator: the drop filter is consulted, the fault plan's single random
+// stream draws loss → link loss → jitter, and survivors take consecutive
+// sequence numbers. Identical (at, seq) pairs on every event mean identical
+// delivery order. Lossless merges of parallelMergeMin emissions or more are
+// ranked and pushed by the workers, with the same sequence values.
+//
+// What a delivery reads or writes is keyed by destination and lives on the
+// destination's shard: the fail-stop down set, the crash counters, the
+// QueueService busy horizon. What cannot be partitioned is an observer
+// shared by all nodes: with a tracer or time-series recorder installed (or
+// after Serialize) a multi-shard cohort is executed on the coordinator, one
+// event at a time in ascending sequence order across the shard heads — a
+// mode derived from what is installed, never configured.
 type VEngine struct {
-	nodes   ids.Table[Node]
 	latency LatencyModel
-	pq      eventQueue
-	fl      msg.Freelist
-	now     int64
-	seq     uint64
-	// current is the node whose Handle is executing, so Send can price
-	// the link correctly (the sender is implicit in sim.Context).
-	current ids.NodeID
+	part    ids.ShardMap
+	nodes   ids.Table[Node] // written only while one handler runs at a time
+	shards  []*shard
+	active  []*shard // Run's cohort scratch, sized once
 
-	// drop, when set, discards matching messages at Send time — fault
-	// injection for probing the paper's §III.1 assumption that "we
-	// don't expect the loss of messages". Timer events (After) are
-	// never dropped; only network transfers are. Dropped messages are
-	// never recycled: the sender may still reference them (see
-	// Recycler).
+	// now is the current cohort's timestamp and seq the global enqueue
+	// counter. Only the coordinator writes them: now between cohorts, seq
+	// at each Send while direct and at the merge otherwise.
+	now int64
+	seq uint64
+
+	// direct is true while at most one handler runs at a time, in global
+	// delivery order (Start, inline and ordered cohorts): an emission is
+	// admitted the moment it is made. It is false only while a cohort is
+	// fanned out, when emissions are buffered for the merge.
+	direct bool
+
+	// drop, when set, discards matching Sends — fault injection for
+	// probing the paper's §III.1 assumption that "we don't expect the loss
+	// of messages". Timer events (After) are never dropped; only network
+	// transfers are. Dropped messages are never recycled: the sender may
+	// still reference them (see Recycler).
 	drop func(m msg.Message) bool
 
-	// faults, when set, is the installed FaultPlan's live state: seeded
-	// loss/jitter applied at Send, fail-stop crash tracking applied at
-	// delivery. nil keeps every code path byte-identical to a plan-free
-	// engine.
+	// faults, when set, is the installed FaultPlan's loss/jitter stream.
+	// nil keeps every code path byte-identical to a plan-free engine.
 	faults *faultState
 
-	// busy is the per-node service-completion horizon of the
-	// QueueService model (nil when the model is off, which keeps the
-	// delivery loop branch-free on the latency-only configuration).
-	busy map[ids.NodeID]int64
-
-	delivered uint64
-	dropped   uint64
+	// dropped counts Sends that died at admission (filter, loss); crash
+	// drops are counted per shard.
+	dropped uint64
 
 	// tracer records drop events (the engine is the only layer that sees
 	// a message die); ts feeds the drop counter of the time-series
@@ -126,13 +148,60 @@ type VEngine struct {
 	// nothing on the delivery path.
 	tracer *obs.Tracer
 	ts     *metrics.TimeSeries
+
+	serial bool // set by Serialize
+}
+
+// parallelMergeMin is the cohort emission count below which the serial
+// S-way merge on the coordinator beats the two extra barrier rounds of the
+// parallel rank+push path. It is a variable only so tests can force the
+// parallel path on small workloads; both paths assign identical sequence
+// numbers, so the setting never affects results.
+var parallelMergeMin = 2048
+
+// NewVEngine returns an empty one-shard engine: the sequential run.
+func NewVEngine(latency LatencyModel) *VEngine {
+	part, _ := ids.NewShardMap(1, 1) // cannot fail
+	return NewShardedVEngine(latency, part)
+}
+
+// NewShardedVEngine returns an empty engine whose nodes are spread over the
+// partition's shards. Results are identical at every shard count.
+func NewShardedVEngine(latency LatencyModel, part ids.ShardMap) *VEngine {
+	e := &VEngine{latency: latency, part: part, direct: true}
+	e.shards = make([]*shard, part.Shards())
+	e.active = make([]*shard, 0, len(e.shards))
+	for i := range e.shards {
+		s := &shard{
+			eng:     e,
+			idx:     i,
+			current: ids.None,
+			cmd:     make(chan pcmd, 1),
+			done:    make(chan struct{}, 1),
+		}
+		if latency.QueueService {
+			s.busy = make(map[ids.NodeID]int64)
+		}
+		e.shards[i] = s
+	}
+	return e
+}
+
+// Register adds a node. The owning shard is derived from the partition.
+// Registering during a run is only safe from a handler that runs alone
+// (see Serialize).
+func (e *VEngine) Register(n Node) error {
+	if !e.nodes.Put(n.ID(), n) {
+		return fmt.Errorf("sim: duplicate node %v", n.ID())
+	}
+	return nil
 }
 
 // SetDropFilter installs a deterministic loss model: any Send for which fn
-// returns true is silently discarded. The closed-loop protocol has no
-// retransmission (the paper assumes lossless transport), so dropping a
-// message strands its request chain — which is exactly what the fault-
-// injection tests demonstrate.
+// returns true is silently discarded. fn is consulted once per Send, in
+// Send order. The closed-loop protocol has no retransmission (the paper
+// assumes lossless transport), so dropping a message strands its request
+// chain — which is exactly what the fault-injection tests demonstrate.
 func (e *VEngine) SetDropFilter(fn func(m msg.Message) bool) { e.drop = fn }
 
 // SetTracer installs the request tracer (before Run). The engine itself
@@ -143,9 +212,135 @@ func (e *VEngine) SetTracer(t *obs.Tracer) { e.tracer = t }
 // counts into (before Run).
 func (e *VEngine) SetTimeSeries(ts *metrics.TimeSeries) { e.ts = ts }
 
+// Serialize makes the engine execute every cohort one handler at a time in
+// global delivery order — what an installed tracer or time-series recorder
+// already implies. It is for runs whose handlers reach beyond their own
+// node: the cluster's churn hook registers a proxy and rewrites every peer
+// set from inside the client's handler.
+func (e *VEngine) Serialize() { e.serial = true }
+
+// SetFaultPlan installs a deterministic failure model (loss, jitter,
+// fail-stop crashes). Must be called before Run; a nil plan is a no-op.
+func (e *VEngine) SetFaultPlan(p *FaultPlan) error {
+	if p == nil {
+		return nil
+	}
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	e.faults = newFaultState(p)
+	for _, s := range e.shards {
+		s.down = make(map[ids.NodeID]bool)
+	}
+	return nil
+}
+
+// FaultStats returns the installed plan's counters (zero without a plan).
+// Call it only after Run has returned.
+func (e *VEngine) FaultStats() FaultStats {
+	if e.faults == nil {
+		return FaultStats{}
+	}
+	st := e.faults.stats
+	for _, s := range e.shards {
+		st.CrashDrops += s.crash.CrashDrops
+		st.Crashes += s.crash.Crashes
+		st.Restarts += s.crash.Restarts
+	}
+	return st
+}
+
+// Dropped returns the number of discarded messages — drop-filter hits,
+// fault-plan losses, and deliveries addressed to crashed nodes. In a run
+// without retransmission every dropped transfer is an undelivered in-flight
+// message whose request chain is stranded. Call it only after Run has
+// returned.
+func (e *VEngine) Dropped() uint64 {
+	n := e.dropped
+	for _, s := range e.shards {
+		n += s.crash.CrashDrops
+	}
+	return n
+}
+
+// Delivered returns the number of delivered messages, summed across
+// shards. Call it only after Run has returned.
+func (e *VEngine) Delivered() uint64 {
+	var n uint64
+	for _, s := range e.shards {
+		n += s.delivered
+	}
+	return n
+}
+
+// The engine is itself a context — shard 0 with no current node — so code
+// outside any handler (pre-run injection, tests) can send, set timers and
+// use the freelist.
+var (
+	_ Context   = (*VEngine)(nil)
+	_ Clock     = (*VEngine)(nil)
+	_ Scheduler = (*VEngine)(nil)
+	_ Recycler  = (*VEngine)(nil)
+)
+
+func (e *VEngine) VNow() int64                      { return e.now }
+func (e *VEngine) Send(m msg.Message)               { e.shards[0].Send(m) }
+func (e *VEngine) After(delay int64, m msg.Message) { e.shards[0].After(delay, m) }
+func (e *VEngine) AcquireRequest() *msg.Request     { return e.shards[0].AcquireRequest() }
+func (e *VEngine) AcquireReply() *msg.Reply         { return e.shards[0].AcquireReply() }
+func (e *VEngine) ReleaseRequest(r *msg.Request)    { e.shards[0].ReleaseRequest(r) }
+func (e *VEngine) ReleaseReply(r *msg.Reply)        { e.shards[0].ReleaseReply(r) }
+
+// shardIdx maps a node to its owning shard.
+func (e *VEngine) shardIdx(id ids.NodeID) int {
+	if len(e.shards) == 1 {
+		return 0
+	}
+	return e.part.ShardOf(id)
+}
+
+// admit is the one place an emission enters a heap, and it runs on the
+// coordinator in Send order: immediately while direct, at the merge
+// otherwise. A network transfer is screened first (see screen); whatever
+// survives takes the next sequence number.
+func (e *VEngine) admit(from ids.NodeID, at int64, m msg.Message, net bool, dest int) {
+	if net && (e.drop != nil || e.faults != nil) {
+		var ok bool
+		if at, ok = e.screen(from, at, m); !ok {
+			return
+		}
+	}
+	e.seq++
+	e.shards[dest].pq.push(event{at: at, seq: e.seq, m: m, net: net})
+}
+
+// screen passes one Send through the drop filter and then the fault plan,
+// returning its (possibly jittered) delivery time and whether it survives.
+// Because admit calls it in Send order, the filter's view and the plan's
+// draws are a pure function of the Send sequence at every shard count.
+func (e *VEngine) screen(from ids.NodeID, at int64, m msg.Message) (int64, bool) {
+	if e.drop != nil && e.drop(m) {
+		e.dropped++
+		e.traceDrop(from, m, obs.DropFilter)
+		return 0, false
+	}
+	if e.faults != nil {
+		var ok bool
+		if at, ok = e.faults.transfer(from, m.Dest(), at); !ok {
+			// Lost on the wire. Like drop-filter hits, lost messages are
+			// never recycled: the sender may still hold them.
+			e.dropped++
+			e.traceDrop(from, m, obs.DropLoss)
+			return 0, false
+		}
+	}
+	return at, true
+}
+
 // traceDrop records the death of an in-flight protocol message. Timer
 // messages (retry timers, sweep ticks) are not protocol steps and are
-// skipped.
+// skipped. With neither observer installed it does nothing, which is what
+// makes it callable from a fanned-out cohort.
 func (e *VEngine) traceDrop(sender ids.NodeID, m msg.Message, cause int64) {
 	if e.ts != nil {
 		e.ts.Drop(e.now)
@@ -168,289 +363,165 @@ func (e *VEngine) traceDrop(sender ids.NodeID, m msg.Message, cause int64) {
 	e.tracer.Emit(ev)
 }
 
-// Dropped returns the number of discarded messages — drop-filter hits,
-// fault-plan losses, and deliveries addressed to crashed nodes. In a run
-// without retransmission every dropped transfer is an undelivered in-flight
-// message whose request chain is stranded.
-func (e *VEngine) Dropped() uint64 { return e.dropped }
-
-// SetFaultPlan installs a deterministic failure model (loss, jitter,
-// fail-stop crashes). Must be called before Run; a nil plan is a no-op.
-func (e *VEngine) SetFaultPlan(p *FaultPlan) error {
-	if p == nil {
-		e.faults = nil
-		return nil
-	}
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	e.faults = newFaultState(p)
-	return nil
-}
-
-// FaultStats returns the installed plan's counters (zero without a plan).
-func (e *VEngine) FaultStats() FaultStats {
-	if e.faults == nil {
-		return FaultStats{}
-	}
-	return e.faults.stats
-}
-
-// NewVEngine returns an empty virtual-time engine.
-func NewVEngine(latency LatencyModel) *VEngine {
-	e := &VEngine{
-		latency: latency,
-		current: ids.None,
-	}
-	if latency.QueueService {
-		e.busy = make(map[ids.NodeID]int64)
-	}
-	return e
-}
-
-// Register adds a node before Run.
-func (e *VEngine) Register(n Node) error {
-	if !e.nodes.Put(n.ID(), n) {
-		return fmt.Errorf("sim: duplicate node %v", n.ID())
-	}
-	return nil
-}
-
-var (
-	_ Context   = (*VEngine)(nil)
-	_ Clock     = (*VEngine)(nil)
-	_ Scheduler = (*VEngine)(nil)
-	_ Recycler  = (*VEngine)(nil)
-)
-
-// VNow implements Clock.
-func (e *VEngine) VNow() int64 { return e.now }
-
-// Send implements Context: the message arrives after the modelled link
-// latency; the hop is counted exactly as in the other engines.
-func (e *VEngine) Send(m msg.Message) {
-	CountHop(m)
-	if e.drop != nil && e.drop(m) {
-		e.dropped++
-		e.traceDrop(e.current, m, obs.DropFilter)
-		return
-	}
-	delay := e.latency.cost(e.current, m.Dest())
-	if e.busy != nil {
-		// Queued service: the transfer pays only the link here; the
-		// Service component is charged at delivery, serialized per
-		// receiver.
-		delay -= e.latency.Service
-	}
-	if e.faults != nil {
-		var ok bool
-		if delay, ok = e.faults.transfer(e.current, m.Dest(), delay); !ok {
-			// Lost on the wire. Like drop-filter hits, lost messages
-			// are never recycled: the sender may still hold them.
-			e.dropped++
-			e.traceDrop(e.current, m, obs.DropLoss)
-			return
-		}
-	}
-	e.seq++
-	e.pq.push(event{at: e.now + delay, seq: e.seq, m: m, net: true})
-}
-
-// After implements Scheduler.
-func (e *VEngine) After(delay int64, m msg.Message) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.schedule(delay, m)
-}
-
-func (e *VEngine) schedule(delay int64, m msg.Message) {
-	e.seq++
-	e.pq.push(event{at: e.now + delay, seq: e.seq, m: m})
-}
-
-// AcquireRequest implements Recycler.
-func (e *VEngine) AcquireRequest() *msg.Request { return e.fl.GetRequest() }
-
-// AcquireReply implements Recycler.
-func (e *VEngine) AcquireReply() *msg.Reply { return e.fl.GetReply() }
-
-// ReleaseRequest implements Recycler.
-func (e *VEngine) ReleaseRequest(r *msg.Request) { e.fl.PutRequest(r) }
-
-// ReleaseReply implements Recycler.
-func (e *VEngine) ReleaseReply(r *msg.Reply) { e.fl.PutReply(r) }
-
-// Delivered returns the number of messages delivered so far.
-func (e *VEngine) Delivered() uint64 { return e.delivered }
-
-// Run starts the Starter nodes in ascending NodeID order and processes
-// events until the queue drains, advancing virtual time monotonically.
+// Run starts the Starter nodes in ascending NodeID order and then processes
+// timestamp cohorts until every shard's queue drains, advancing virtual
+// time monotonically.
 func (e *VEngine) Run() error {
 	if e.faults != nil {
 		// Crash/restart transitions enter the queue before any starter
 		// event, so at equal timestamps a fault applies before the
 		// messages scheduled later — a deterministic tie-break.
 		for _, c := range e.faults.plan.Crashes {
-			e.schedule(c.At, &faultCtl{node: c.Node})
+			dest := e.shardIdx(c.Node)
+			e.admit(ids.None, c.At, &faultCtl{node: c.Node}, false, dest)
 			if c.RestartAt > 0 {
-				e.schedule(c.RestartAt, &faultCtl{node: c.Node, restart: true, loseTables: c.LoseTables})
+				e.admit(ids.None, c.RestartAt, &faultCtl{node: c.Node, restart: true, loseTables: c.LoseTables}, false, dest)
 			}
 		}
 	}
 	e.nodes.Ascending(func(id ids.NodeID, n Node) {
-		if s, ok := n.(Starter); ok {
-			e.current = id
-			s.Start(e)
+		if st, ok := n.(Starter); ok {
+			s := e.shards[e.shardIdx(id)]
+			s.current = id
+			st.Start(s)
+			s.current = ids.None
 		}
 	})
-	e.current = ids.None
-	for len(e.pq.ev) > 0 {
-		ev := e.pq.pop()
-		e.now = ev.at
-		if e.faults != nil {
-			if ctl, ok := ev.m.(*faultCtl); ok {
-				e.applyFaultCtl(ctl)
-				continue
-			}
-			if e.faults.down[ev.m.Dest()] {
-				// Fail-stop: a crashed node receives nothing. The
-				// message dies at delivery (it left the sender long
-				// ago) and is never recycled.
-				e.dropped++
-				e.faults.stats.CrashDrops++
-				e.traceDrop(ids.None, ev.m, obs.DropCrash)
-				continue
-			}
+
+	ordered := e.tracer != nil || e.ts != nil || e.serial
+	fanOut := len(e.shards) > 1 && !ordered
+	if fanOut {
+		for _, s := range e.shards {
+			go s.loop()
 		}
-		if e.busy != nil && ev.net && !ev.served {
-			// Queued service: the message starts service when the
-			// receiver frees up, completes Service later, and is
-			// handled at completion. Re-queuing keeps the original
-			// sequence number, so per-node FIFO order is preserved.
-			start := ev.at
-			if b := e.busy[ev.m.Dest()]; b > start {
-				start = b
+		defer func() {
+			for _, s := range e.shards {
+				close(s.cmd)
 			}
-			done := start + e.latency.Service
-			e.busy[ev.m.Dest()] = done
-			if done > ev.at {
-				ev.at = done
-				ev.served = true
-				e.pq.push(ev)
-				continue
-			}
-		}
-		n, ok := e.nodes.Get(ev.m.Dest())
-		if !ok {
-			return fmt.Errorf("sim: message for unregistered node %v", ev.m.Dest())
-		}
-		e.delivered++
-		e.current = n.ID()
-		n.Handle(e, ev.m)
-		e.current = ids.None
+		}()
 	}
-	return nil
+
+	active := e.active[:0]
+	for {
+		// Cohort pick: the shards whose head carries the minimum pending
+		// timestamp.
+		var t int64
+		active = active[:0]
+		for _, s := range e.shards {
+			if len(s.pq.ev) == 0 {
+				continue
+			}
+			switch h := s.pq.ev[0].at; {
+			case len(active) == 0 || h < t:
+				t, active = h, append(active[:0], s)
+			case h == t:
+				active = append(active, s)
+			}
+		}
+		if len(active) == 0 {
+			return nil
+		}
+		e.now = t
+		// The cohort is what is queued at t now; zero-delay emissions take
+		// sequence numbers above limit and form the follow-up cohort.
+		limit := e.seq
+
+		if len(active) == 1 || ordered {
+			// On this goroutine, one event at a time in ascending sequence
+			// order across the active heads: with one active shard, the
+			// whole of a sequential run.
+			for {
+				var next *shard
+				for _, s := range active {
+					if s.ready(t, limit) && (next == nil || s.pq.ev[0].seq < next.pq.ev[0].seq) {
+						next = s
+					}
+				}
+				if next == nil {
+					break
+				}
+				if !next.step() {
+					return next.err
+				}
+			}
+			continue
+		}
+		e.direct = false
+		for _, s := range active {
+			s.cmd <- pcmd{phase: phaseExec, t: t, base: limit}
+		}
+		for _, s := range active {
+			<-s.done
+		}
+		e.direct = true
+		for _, s := range active {
+			if s.err != nil {
+				return s.err
+			}
+		}
+		e.merge(active)
+	}
 }
 
-// applyFaultCtl executes one crash or restart transition.
-func (e *VEngine) applyFaultCtl(ctl *faultCtl) {
-	if !ctl.restart {
-		if !e.faults.down[ctl.node] {
-			e.faults.down[ctl.node] = true
-			e.faults.stats.Crashes++
-		}
+// merge admits a fanned-out cohort's buffered emissions into the shard
+// heaps in the order a one-shard run would have made them.
+func (e *VEngine) merge(active []*shard) {
+	total := 0
+	for _, s := range active {
+		total += len(s.emits)
+	}
+	if total == 0 {
 		return
 	}
-	if !e.faults.down[ctl.node] {
-		return // restart without a preceding crash: ignore
+	if e.drop != nil || e.faults != nil || total < parallelMergeMin {
+		e.mergeSerial(active)
+		return
 	}
-	delete(e.faults.down, ctl.node)
-	e.faults.stats.Restarts++
-	if n, ok := e.nodes.Get(ctl.node); ok {
-		if r, isR := n.(Restartable); isR {
-			r.Restart(ctl.loseTables)
-		}
+	base := e.seq + 1
+	for _, s := range e.shards {
+		s.cmd <- pcmd{phase: phaseRank, base: base}
 	}
-}
-
-type event struct {
-	at  int64
-	seq uint64
-	m   msg.Message
-	// net marks a network transfer (Send), the only events the
-	// QueueService model serializes; served marks a transfer that has
-	// already been assigned its service-completion slot.
-	net    bool
-	served bool
-}
-
-// before is the total order events are delivered in: timestamp, then
-// enqueue sequence. (at, seq) pairs are unique, so the heap's internal
-// shape never influences the delivery sequence — a 4-ary heap delivers
-// byte-identical results to the binary container/heap it replaced.
-func (a event) before(b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+	for _, s := range e.shards {
+		<-s.done
 	}
-	return a.seq < b.seq
-}
-
-// eventQueue is a flat 4-ary min-heap over (at, seq). Children of slot i
-// sit at 4i+1..4i+4, its parent at (i-1)/4. Push and pop operate directly
-// on the typed slice — no any-boxing, no interface dispatch.
-type eventQueue struct {
-	ev []event
-}
-
-// Len returns the number of queued events (test support).
-func (q *eventQueue) Len() int { return len(q.ev) }
-
-func (q *eventQueue) push(e event) {
-	q.ev = append(q.ev, e)
-	// Sift up.
-	ev := q.ev
-	i := len(ev) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !ev[i].before(ev[p]) {
-			break
-		}
-		ev[i], ev[p] = ev[p], ev[i]
-		i = p
+	for _, s := range e.shards {
+		s.cmd <- pcmd{phase: phasePush}
+	}
+	for _, s := range e.shards {
+		<-s.done
+	}
+	e.seq += uint64(total)
+	for _, s := range active {
+		// Keep the capacity; stale message pointers in the spare slots
+		// alias freelist entries and are overwritten next cohort.
+		s.emits = s.emits[:0]
 	}
 }
 
-func (q *eventQueue) pop() event {
-	ev := q.ev
-	root := ev[0]
-	n := len(ev) - 1
-	ev[0] = ev[n]
-	ev[n] = event{} // release the message reference
-	q.ev = ev[:n]
-	// Sift down.
-	ev = q.ev
-	i := 0
+// mergeSerial drains the cohort's emission buffers in (pseq, emission
+// index) order through admit. pseq values are globally unique (each parent
+// event executes on exactly one shard), so picking the smallest head is a
+// total, deterministic order.
+func (e *VEngine) mergeSerial(active []*shard) {
 	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		best := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if ev[j].before(ev[best]) {
-				best = j
+		var best *shard
+		for _, s := range active {
+			if s.mergeHead < len(s.emits) {
+				if best == nil || s.emits[s.mergeHead].pseq < best.emits[best.mergeHead].pseq {
+					best = s
+				}
 			}
 		}
-		if !ev[best].before(ev[i]) {
+		if best == nil {
 			break
 		}
-		ev[i], ev[best] = ev[best], ev[i]
-		i = best
+		em := &best.emits[best.mergeHead]
+		best.mergeHead++
+		e.admit(em.from, em.at, em.m, em.net, int(em.dest))
+		em.m = nil
 	}
-	return root
+	for _, s := range active {
+		s.mergeHead = 0
+		s.emits = s.emits[:0]
+	}
 }
