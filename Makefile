@@ -48,12 +48,10 @@ vet:
 # farm's header codec (what a proxy reads off a socket) and the -faults /
 # -recovery spec grammar (what a flag hands the engine). The committed seed
 # corpora under testdata/fuzz also run as ordinary test cases in `make test`.
-# FUZZTIME is per target.
-FUZZTIME ?= 4s
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzReplicaHeaders -fuzztime $(FUZZTIME) ./internal/httpproxy/
-	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz FuzzParseRecoverySpec -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz FuzzReplicaHeaders -fuzztime 10s ./internal/httpproxy/
+	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzParseRecoverySpec -fuzztime 10s .
 
 # bench/ is a module of its own (BENCHMARK.json's driver), so `go build
 # ./...` and `go test ./...` at the root never compile it. It imports

@@ -705,8 +705,9 @@ func (c *Cluster) Run() (*Result, error) {
 			}
 		}
 		if c.churn != nil {
-			// A join rewrites every proxy's peer set from inside the
-			// client's handler, so no other handler may run beside it.
+			// A join registers a node and rewrites every proxy's peer set
+			// from inside the client's handler, so no other handler (a
+			// recovery sweep timer at the same tick) may run beside it.
 			eng.Serialize()
 			c.churn.onJoin = func() error { return c.addProxy(eng.Register) }
 		}

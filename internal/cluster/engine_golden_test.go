@@ -75,7 +75,10 @@ func lockstep(c *Config) {
 // faultState.transfer fails every cell with a fault plan. Dropping the
 // "ordered" arm of VEngine.Run, so a traced multi-shard cohort fans out per
 // shard, fails the lockstep trace digest at every shards > 1 (and trips the
-// race detector).
+// race detector). Removing cluster.Run's eng.Serialize() call fans out the
+// cohorts of the coarse-grid churn cell, joins included, and fails it under
+// -race at any shards > 1: a join registers a node while another shard's
+// handler looks one up.
 func TestEngineGoldens(t *testing.T) {
 	type golden struct {
 		delivered, dropped, requests, hits uint64
@@ -133,6 +136,16 @@ func TestEngineGoldens(t *testing.T) {
 			c.Clients = 1
 			c.JoinProxyAt = []uint64{1500}
 		}, golden{delivered: 24226, requests: 4000, hits: 1316, result: 0x4d0e8a7a78ac2fe9}},
+		// Untraced churn on a coarse time grid: every link costs 1000 ticks
+		// and the proxies' pending sweeps fire every 20 000, so sweep timers
+		// share timestamps with the client's replies, joins included.
+		{"churn-join+recovery/coarse-grid", func(c *Config) {
+			c.Clients = 1
+			c.JoinProxyAt = []uint64{500, 1000}
+			c.Latency = sim.LatencyModel{ClientProxy: 1000, ProxyProxy: 1000, ProxyOrigin: 1000}
+			c.Recovery = sim.DefaultRecovery()
+			c.Recovery.PendingTTL = 20_000
+		}, golden{delivered: 35948, requests: 4000, hits: 1433, result: 0xcb18150e27eabbf6}},
 		{"churn-join+trace+recovery", func(c *Config) {
 			c.Clients = 1
 			c.JoinProxyAt = []uint64{1500}

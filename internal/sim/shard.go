@@ -98,15 +98,11 @@ func (s *shard) loop() {
 	}
 }
 
-// ready reports whether the shard's next event belongs to the cohort.
-func (s *shard) ready(t int64, limit uint64) bool {
-	return len(s.pq.ev) > 0 && s.pq.ev[0].at == t && s.pq.ev[0].seq <= limit
-}
-
-// exec delivers the shard's part of the cohort in ascending sequence
-// order, stopping early if a step fails (s.err).
+// exec delivers the shard's part of the cohort — its events at t with
+// sequence numbers up to limit — in ascending sequence order, stopping
+// early if a step fails (s.err).
 func (s *shard) exec(t int64, limit uint64) {
-	for s.ready(t, limit) && s.step() {
+	for len(s.pq.ev) > 0 && s.pq.ev[0].at == t && s.pq.ev[0].seq <= limit && s.step() {
 	}
 }
 

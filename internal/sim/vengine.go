@@ -426,23 +426,25 @@ func (e *VEngine) Run() error {
 		// sequence numbers above limit and form the follow-up cohort.
 		limit := e.seq
 
-		if len(active) == 1 || ordered {
-			// On this goroutine, one event at a time in ascending sequence
-			// order across the active heads: with one active shard, the
-			// whole of a sequential run.
-			for {
-				var next *shard
-				for _, s := range active {
-					if s.ready(t, limit) && (next == nil || s.pq.ev[0].seq < next.pq.ev[0].seq) {
-						next = s
-					}
+		if len(active) == 1 {
+			// Inline on this goroutine: the whole of a sequential run.
+			s := active[0]
+			if s.exec(t, limit); s.err != nil {
+				return s.err
+			}
+			continue
+		}
+		if ordered {
+			// On this goroutine, one event per pick: the smallest sequence
+			// number among the active heads is the next in global order.
+			next := active[0]
+			for _, s := range active[1:] {
+				if s.pq.ev[0].seq < next.pq.ev[0].seq {
+					next = s
 				}
-				if next == nil {
-					break
-				}
-				if !next.step() {
-					return next.err
-				}
+			}
+			if !next.step() {
+				return next.err
 			}
 			continue
 		}
