@@ -28,7 +28,7 @@ FARM_BENCH = BenchmarkFarmGet|BenchmarkFarmMissStorm
 # window) drop versus the baseline while p99-ticks and hit-rate hold.
 REPLICATION_BENCH = BenchmarkReplicationZipf
 
-.PHONY: all build test race vet faults fuzz bench-check bench bench-tables bench-farm bench-replication bench-replication-baseline bench-compare bench-sweep bench-profile loadtest chaos trace-smoke telemetry-smoke figures clean
+.PHONY: all build test race vet fmt-check faults fuzz bench-check bench bench-tables bench-farm bench-replication bench-replication-baseline bench-compare bench-sweep bench-profile loadtest chaos trace-smoke telemetry-smoke figures clean
 
 all: build test
 
@@ -44,14 +44,21 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Short native-fuzz pass over the parsers that read bytes from outside: the
+# Fails, listing the files, if any Go file is not gofmt-clean.
+fmt-check:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
+
+# Short native-fuzz pass over the parsers that read bytes from outside — the
 # farm's header codec (what a proxy reads off a socket) and the -faults /
-# -recovery spec grammar (what a flag hands the engine). The committed seed
-# corpora under testdata/fuzz also run as ordinary test cases in `make test`.
+# -recovery spec grammar (what a flag hands the engine) — and over the
+# engine's event queue, whose pop order every golden constant rests on. The
+# committed seed corpora under testdata/fuzz also run as ordinary test cases
+# in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplicaHeaders -fuzztime 10s ./internal/httpproxy/
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzParseRecoverySpec -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzEventQueueOrder -fuzztime 10s ./internal/sim/
 
 # bench/ is a module of its own (BENCHMARK.json's driver), so `go build
 # ./...` and `go test ./...` at the root never compile it. It imports

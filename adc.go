@@ -462,17 +462,17 @@ func (c Config) toInternal() (cluster.Config, error) {
 			CacheAdmitAll: c.CacheLRU,
 			AgingOff:      c.AgingOff,
 		},
-		MaxHops:          c.MaxHops,
-		Seed:             c.Seed,
-		EntryPolicy:      entry,
-		Clients:          c.Clients,
-		Window:           c.Window,
-		SampleEvery:      uint64(c.SampleEvery),
-		Runtime:          rt,
-		Latency:          latency,
-		OpenLoopInterval: c.OpenLoopInterval,
-		Poisson:          c.Poisson,
-		JoinProxyAt:      c.JoinProxyAt,
+		MaxHops:             c.MaxHops,
+		Seed:                c.Seed,
+		EntryPolicy:         entry,
+		Clients:             c.Clients,
+		Window:              c.Window,
+		SampleEvery:         uint64(c.SampleEvery),
+		Runtime:             rt,
+		Latency:             latency,
+		OpenLoopInterval:    c.OpenLoopInterval,
+		Poisson:             c.Poisson,
+		JoinProxyAt:         c.JoinProxyAt,
 		Faults:              faults,
 		Recovery:            recovery,
 		Replication:         replication,

@@ -8,13 +8,13 @@ import (
 func TestTablePutGet(t *testing.T) {
 	var tb Table[string]
 	entries := map[NodeID]string{
-		0:         "p0",
-		4:         "p4",
-		Origin:    "origin",
-		Client(0): "c0",
-		Client(3): "c3",
-		-5:        "weird", // between origin and clients: sparse fallback
-		denseLimit + 7: "huge", // beyond the dense range: sparse fallback
+		0:              "p0",
+		4:              "p4",
+		Origin:         "origin",
+		Client(0):      "c0",
+		Client(3):      "c3",
+		-5:             "weird", // between origin and clients: sparse fallback
+		denseLimit + 7: "huge",  // beyond the dense range: sparse fallback
 	}
 	for id, v := range entries {
 		if !tb.Put(id, v) {

@@ -265,7 +265,7 @@ func (c *Collector) Summary() Summary {
 		p99 = c.respHist.Quantile(0.99)
 	}
 	return Summary{
-		P99Response: p99,
+		P99Response:  p99,
 		Requests:     c.requests,
 		Hits:         c.hits,
 		HitRate:      c.CumHitRate(),

@@ -60,7 +60,7 @@ func buildADCArray(b *testing.B, eng registrar, nProxies int) []ids.NodeID {
 
 // BenchmarkVEngineADC is the headline engine benchmark: a 5-proxy ADC
 // array driven by one closed-loop client on the virtual-time engine. It
-// exercises the full hot path — event heap, node dispatch, message and
+// exercises the full hot path — event queue, node dispatch, message and
 // path churn — and is the number BENCH_engine.json tracks across commits.
 func BenchmarkVEngineADC(b *testing.B) {
 	const requests = 20_000
@@ -125,40 +125,60 @@ func BenchmarkVEngineEcho(b *testing.B) {
 	}
 }
 
-// BenchmarkVEngineOpenLoop stresses the discrete-event heap with many
+// BenchmarkVEngineOpenLoop stresses the discrete-event queue with
 // concurrently outstanding requests (timer events interleaved with
-// transfers), the regime where heap operation cost dominates.
-func BenchmarkVEngineOpenLoop(b *testing.B) {
-	const requests = 20_000
+// transfers). One client at a 1000-tick interval keeps ≈ 90 requests in
+// flight: a shallow queue.
+func BenchmarkVEngineOpenLoop(b *testing.B) { benchOpenLoop(b, 1, 20_000, 1000) }
+
+// BenchmarkVEngineOpenLoopDeep is the deep-queue case, shaped like the
+// sim_shift_open workload of BENCHMARK.json: 64 Poisson clients at a
+// 2000-tick interval each against ≈ 90,000-tick responses keep ≈ 2,800
+// requests in flight. It is the floor sim.self_ns_per_event is read against.
+func BenchmarkVEngineOpenLoopDeep(b *testing.B) { benchOpenLoop(b, 64, 100_000, 2000) }
+
+// benchOpenLoop runs the 5-proxy ADC array under the given number of
+// Poisson open-loop clients, the request stream dealt round-robin.
+func benchOpenLoop(b *testing.B, clients, requests int, interval int64) {
 	objs := benchObjects(requests, 1000)
+	parts := make([][]ids.ObjectID, clients)
+	for i, obj := range objs {
+		parts[i%clients] = append(parts[i%clients], obj)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var delivered uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		eng := sim.NewVEngine(sim.DefaultLatencyModel())
 		proxyIDs := buildADCArray(b, eng, 5)
-		cl, err := sim.NewOpenLoopClient(sim.OpenLoopConfig{
-			Source:        trace.NewSliceSource(objs),
-			Proxies:       proxyIDs,
-			Seed:          1,
-			IntervalTicks: 1000,
-			Poisson:       true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := eng.Register(cl); err != nil {
-			b.Fatal(err)
+		for c, part := range parts {
+			cl, err := sim.NewOpenLoopClient(sim.OpenLoopConfig{
+				Index:         c,
+				Source:        trace.NewSliceSource(part),
+				Proxies:       proxyIDs,
+				Seed:          int64(1 + c),
+				IntervalTicks: interval,
+				Poisson:       true,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := eng.Register(cl); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.StartTimer()
 		if err := eng.Run(); err != nil {
 			b.Fatal(err)
 		}
+		delivered = eng.Delivered()
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(delivered), "ns/event")
 }
 
 // BenchmarkEngineADC is the sequential (FIFO) engine on the same workload,
-// isolating dispatch and message costs without the event heap.
+// isolating dispatch and message costs without the event queue.
 func BenchmarkEngineADC(b *testing.B) {
 	const requests = 20_000
 	objs := benchObjects(requests, 1000)

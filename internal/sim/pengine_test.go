@@ -9,6 +9,7 @@ import (
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
+	"github.com/adc-sim/adc/internal/msg"
 	"github.com/adc-sim/adc/internal/proxy"
 	"github.com/adc-sim/adc/internal/sim"
 	"github.com/adc-sim/adc/internal/trace"
@@ -39,6 +40,11 @@ type pengineRig struct {
 	// (many requests in flight); poisson randomizes the arrival gaps.
 	openLoop bool
 	poisson  bool
+	// faults, when set, is installed on the engine before the run.
+	faults *sim.FaultPlan
+	// wrap, when set, decorates every proxy and the origin before it is
+	// registered.
+	wrap func(sim.Node) sim.Node
 }
 
 // run wires the rig onto eng, runs it, and snapshots the observable state.
@@ -60,11 +66,14 @@ func (r pengineRig) run(t *testing.T, eng *sim.VEngine) rigResult {
 			t.Fatal(err)
 		}
 		proxies[i] = p
-		if err := eng.Register(p); err != nil {
+		if err := eng.Register(r.wrapped(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := eng.Register(sim.NewOrigin()); err != nil {
+	if err := eng.Register(r.wrapped(sim.NewOrigin())); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SetFaultPlan(r.faults); err != nil {
 		t.Fatal(err)
 	}
 	collectors := make([]*metrics.Collector, r.clients)
@@ -115,6 +124,13 @@ func (r pengineRig) run(t *testing.T, eng *sim.VEngine) rigResult {
 		res.proxies = append(res.proxies, p.Stats())
 	}
 	return res
+}
+
+func (r pengineRig) wrapped(n sim.Node) sim.Node {
+	if r.wrap == nil {
+		return n
+	}
+	return r.wrap(n)
 }
 
 // digest folds everything observable into one value, so a run can be pinned
@@ -226,6 +242,66 @@ func TestPEngineParallelMergePath(t *testing.T) {
 		requests: 200,
 		openLoop: true,
 	}.compare(t, 15844, 0x521a6e213dccc98b)
+}
+
+// heapWatch is a node decorator that samples the engine's heap before every
+// delivery to the node it wraps.
+type heapWatch struct {
+	sim.Node
+	eng                     *sim.VEngine
+	maxEvents, maxTransfers *int
+}
+
+func (w heapWatch) Handle(ctx sim.Context, m msg.Message) {
+	events, transfers := w.eng.HeapLoad()
+	*w.maxEvents = max(*w.maxEvents, events)
+	*w.maxTransfers = max(*w.maxTransfers, transfers)
+	w.Node.Handle(ctx, m)
+}
+
+// TestLanesCarryEveryTransfer is the event queue's claim seen from the
+// engine. On a lossless run under the default latency model with thousands
+// of requests in flight, every transfer rides a FIFO lane: sampled before
+// each proxy and origin delivery, the heap never holds a transfer and never
+// more events than there are armed client timers. With jitter the lanes'
+// order guard must refuse some transfers — they fall through to the heap —
+// and nothing may reorder: the run still matches, at every shard count, the
+// one-shard digest recorded from the heap-only engine at b5667d5.
+func TestLanesCarryEveryTransfer(t *testing.T) {
+	const clients = 64
+	rig := pengineRig{
+		latency:  sim.DefaultLatencyModel(),
+		proxies:  5,
+		clients:  clients,
+		requests: 60,
+		openLoop: true,
+		poisson:  true,
+	}
+	watch := func(eng *sim.VEngine) (maxEvents, maxTransfers *int) {
+		maxEvents, maxTransfers = new(int), new(int)
+		rig.wrap = func(n sim.Node) sim.Node {
+			return heapWatch{Node: n, eng: eng, maxEvents: maxEvents, maxTransfers: maxTransfers}
+		}
+		return maxEvents, maxTransfers
+	}
+
+	eng := sim.NewVEngine(rig.latency)
+	maxEvents, maxTransfers := watch(eng)
+	rig.run(t, eng)
+	if *maxTransfers != 0 || *maxEvents > clients || *maxEvents == 0 {
+		t.Errorf("lossless run: heap held up to %d events, %d of them transfers; want only the ≤ %d client timers",
+			*maxEvents, *maxTransfers, clients)
+	}
+
+	rig.faults = &sim.FaultPlan{Seed: 9, Jitter: 20_000}
+	eng = sim.NewVEngine(rig.latency)
+	_, maxTransfers = watch(eng)
+	rig.run(t, eng)
+	if *maxTransfers == 0 {
+		t.Error("jittered run: no transfer ever reached the heap, so the lanes' order guard was not exercised")
+	}
+	rig.wrap = nil
+	rig.compare(t, 38538, 0xf314fee256f25e44)
 }
 
 // TestPEngineUnregisteredNode checks the error path survives sharding.

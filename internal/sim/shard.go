@@ -8,7 +8,7 @@ import (
 	"github.com/adc-sim/adc/internal/obs"
 )
 
-// shard is one slice of a VEngine's node space with its own heap and
+// shard is one slice of a VEngine's node space with its own event queue and
 // freelist. It is the context handlers run against — the full node-facing
 // surface (Context, Clock, Scheduler, Recycler).
 type shard struct {
@@ -76,7 +76,7 @@ type pemit struct {
 	at   int64      // absolute delivery time, before jitter
 	from ids.NodeID // the emitting node
 	dest int32      // destination shard
-	net  bool       // a Send, not a timer
+	lane int8       // the Send's link lane; laneHeap for a timer
 	m    msg.Message
 }
 
@@ -102,7 +102,10 @@ func (s *shard) loop() {
 // sequence numbers up to limit — in ascending sequence order, stopping
 // early if a step fails (s.err).
 func (s *shard) exec(t int64, limit uint64) {
-	for len(s.pq.ev) > 0 && s.pq.ev[0].at == t && s.pq.ev[0].seq <= limit && s.step() {
+	for s.pq.Len() > 0 {
+		if h := s.pq.peek(); h.at != t || h.seq > limit || !s.step() {
+			return
+		}
 	}
 }
 
@@ -138,7 +141,7 @@ func (s *shard) step() bool {
 		if done > ev.at {
 			ev.at = done
 			ev.served = true
-			s.pq.push(ev)
+			s.pq.push(ev, laneHeap)
 			return true
 		}
 	}
@@ -204,13 +207,14 @@ func (s *shard) rank(base uint64) {
 }
 
 // pushMerged pushes every cohort emission destined to this shard into its
-// heap. Insertion order does not matter for determinism: (at, seq) pairs
-// are unique, so the pop sequence is independent of heap shape.
+// queue. Insertion order does not matter for determinism: (at, seq) pairs
+// are unique and a lane refuses what would break its order, so the pop
+// sequence is independent of what landed where.
 func (s *shard) pushMerged() {
 	for _, o := range s.eng.shards {
 		for i := range o.emits {
 			if em := &o.emits[i]; em.dest == int32(s.idx) {
-				s.pq.push(event{at: em.at, seq: em.seq, m: em.m, net: em.net})
+				s.pq.push(event{at: em.at, seq: em.seq, m: em.m, net: em.lane != laneHeap}, int(em.lane))
 			}
 		}
 	}
@@ -224,14 +228,14 @@ func (s *shard) VNow() int64 { return s.eng.now }
 func (s *shard) Send(m msg.Message) {
 	CountHop(m)
 	e, to := s.eng, m.Dest()
-	delay := e.latency.cost(s.current, to)
+	delay, lane := e.latency.cost(s.current, to)
 	if s.busy != nil {
 		// Queued service: the transfer pays only the link here; the
 		// Service component is charged at delivery, serialized per
 		// receiver.
 		delay -= e.latency.Service
 	}
-	s.emit(e.now+delay, m, to, true)
+	s.emit(e.now+delay, m, to, lane)
 }
 
 // After implements Scheduler.
@@ -239,16 +243,16 @@ func (s *shard) After(delay int64, m msg.Message) {
 	if delay < 0 {
 		delay = 0
 	}
-	s.emit(s.eng.now+delay, m, m.Dest(), false)
+	s.emit(s.eng.now+delay, m, m.Dest(), laneHeap)
 }
 
 // emit admits an emission at once while the engine is direct and buffers
 // it for the cohort merge otherwise.
-func (s *shard) emit(at int64, m msg.Message, to ids.NodeID, net bool) {
+func (s *shard) emit(at int64, m msg.Message, to ids.NodeID, lane int) {
 	e := s.eng
 	dest := e.shardIdx(to)
 	if e.direct {
-		e.admit(s.current, at, m, net, dest)
+		e.admit(s.current, at, m, lane, dest)
 		return
 	}
 	s.emits = append(s.emits, pemit{
@@ -256,7 +260,7 @@ func (s *shard) emit(at int64, m msg.Message, to ids.NodeID, net bool) {
 		at:   at,
 		from: s.current,
 		dest: int32(dest),
-		net:  net,
+		lane: int8(lane),
 		m:    m,
 	})
 }

@@ -49,15 +49,16 @@ func DefaultLatencyModel() LatencyModel {
 	}
 }
 
-// cost returns the virtual delay for a transfer from a to b.
-func (l LatencyModel) cost(a, b ids.NodeID) int64 {
+// cost returns the virtual delay for a transfer from a to b and the link
+// class that priced it, which is the event-queue lane the transfer rides.
+func (l LatencyModel) cost(a, b ids.NodeID) (delay int64, lane int) {
 	switch {
 	case a == ids.Origin || b == ids.Origin:
-		return l.ProxyOrigin + l.Service
+		return l.ProxyOrigin + l.Service, laneOrigin
 	case a.IsClient() || b.IsClient():
-		return l.ClientProxy + l.Service
+		return l.ClientProxy + l.Service, laneClient
 	default:
-		return l.ProxyProxy + l.Service
+		return l.ProxyProxy + l.Service, laneProxy
 	}
 }
 
@@ -83,12 +84,13 @@ type Scheduler interface {
 // DESIGN.md §7 has the full argument; in short:
 //
 // Every node is owned by one shard (ids.ShardMap), each with a private
-// 4-ary event heap and message freelist. The engine repeatedly finds the
+// event queue (one FIFO lane per link class plus a 4-ary heap for timers,
+// see eventQueue) and message freelist. The engine repeatedly finds the
 // minimum pending timestamp t and delivers the cohort of events queued at t.
 // A cohort on one shard — every cohort of a one-shard engine, nearly every
 // cohort of a closed-loop run — executes inline on the coordinator with the
 // engine direct: a Send takes the next sequence number and goes straight
-// into the destination heap, a classic sequential event loop. A cohort
+// into the destination queue, a classic sequential event loop. A cohort
 // spread over several shards fans out to their workers, which is safe
 // because handlers only touch their own node's state (the Node contract
 // all in-repo agents follow). Its Sends are buffered per shard as (parent
@@ -299,11 +301,12 @@ func (e *VEngine) shardIdx(id ids.NodeID) int {
 	return e.part.ShardOf(id)
 }
 
-// admit is the one place an emission enters a heap, and it runs on the
+// admit is the one place an emission enters a queue, and it runs on the
 // coordinator in Send order: immediately while direct, at the merge
-// otherwise. A network transfer is screened first (see screen); whatever
-// survives takes the next sequence number.
-func (e *VEngine) admit(from ids.NodeID, at int64, m msg.Message, net bool, dest int) {
+// otherwise. A network transfer — an emission on a link lane — is screened
+// first (see screen); whatever survives takes the next sequence number.
+func (e *VEngine) admit(from ids.NodeID, at int64, m msg.Message, lane, dest int) {
+	net := lane != laneHeap
 	if net && (e.drop != nil || e.faults != nil) {
 		var ok bool
 		if at, ok = e.screen(from, at, m); !ok {
@@ -311,7 +314,7 @@ func (e *VEngine) admit(from ids.NodeID, at int64, m msg.Message, net bool, dest
 		}
 	}
 	e.seq++
-	e.shards[dest].pq.push(event{at: at, seq: e.seq, m: m, net: net})
+	e.shards[dest].pq.push(event{at: at, seq: e.seq, m: m, net: net}, lane)
 }
 
 // screen passes one Send through the drop filter and then the fault plan,
@@ -373,9 +376,9 @@ func (e *VEngine) Run() error {
 		// messages scheduled later — a deterministic tie-break.
 		for _, c := range e.faults.plan.Crashes {
 			dest := e.shardIdx(c.Node)
-			e.admit(ids.None, c.At, &faultCtl{node: c.Node}, false, dest)
+			e.admit(ids.None, c.At, &faultCtl{node: c.Node}, laneHeap, dest)
 			if c.RestartAt > 0 {
-				e.admit(ids.None, c.RestartAt, &faultCtl{node: c.Node, restart: true, loseTables: c.LoseTables}, false, dest)
+				e.admit(ids.None, c.RestartAt, &faultCtl{node: c.Node, restart: true, loseTables: c.LoseTables}, laneHeap, dest)
 			}
 		}
 	}
@@ -408,10 +411,10 @@ func (e *VEngine) Run() error {
 		var t int64
 		active = active[:0]
 		for _, s := range e.shards {
-			if len(s.pq.ev) == 0 {
+			if s.pq.Len() == 0 {
 				continue
 			}
-			switch h := s.pq.ev[0].at; {
+			switch h := s.pq.peek().at; {
 			case len(active) == 0 || h < t:
 				t, active = h, append(active[:0], s)
 			case h == t:
@@ -439,7 +442,7 @@ func (e *VEngine) Run() error {
 			// number among the active heads is the next in global order.
 			next := active[0]
 			for _, s := range active[1:] {
-				if s.pq.ev[0].seq < next.pq.ev[0].seq {
+				if s.pq.peek().seq < next.pq.peek().seq {
 					next = s
 				}
 			}
@@ -466,7 +469,7 @@ func (e *VEngine) Run() error {
 }
 
 // merge admits a fanned-out cohort's buffered emissions into the shard
-// heaps in the order a one-shard run would have made them.
+// queues in the order a one-shard run would have made them.
 func (e *VEngine) merge(active []*shard) {
 	total := 0
 	for _, s := range active {
@@ -519,7 +522,7 @@ func (e *VEngine) mergeSerial(active []*shard) {
 		}
 		em := &best.emits[best.mergeHead]
 		best.mergeHead++
-		e.admit(em.from, em.at, em.m, em.net, int(em.dest))
+		e.admit(em.from, em.at, em.m, int(em.lane), int(em.dest))
 		em.m = nil
 	}
 	for _, s := range active {

@@ -45,7 +45,7 @@ func TestVEngineLatencyModelCost(t *testing.T) {
 		{ids.Origin, 3, 51},
 	}
 	for _, tc := range cases {
-		if got := l.cost(tc.a, tc.b); got != tc.want {
+		if got, _ := l.cost(tc.a, tc.b); got != tc.want {
 			t.Errorf("cost(%v,%v) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
 	}
