@@ -14,7 +14,7 @@
 //     hit-rate, hop and timing measurements. Algorithms: ADC, the CARP
 //     hashing baseline the paper compares against, and a consistent-hashing
 //     extension baseline. Runtimes: a deterministic sequential engine, one
-//     goroutine per agent, or real TCP sockets on loopback.
+//     goroutine per agent, or a discrete-event virtual-time engine.
 //
 //   - NewWorkload generates the paper's three-phase synthetic request
 //     stream (fill, request-I, request-II = replay of request-I) with
@@ -80,16 +80,13 @@ const (
 // Runtime selects the execution substrate.
 type Runtime string
 
-// Supported runtimes. All four produce identical metrics under the
+// Supported runtimes. All three produce identical metrics under the
 // default single-client closed loop (the paper's §V.1.2 equivalence).
 const (
 	// RuntimeSequential is the deterministic single-threaded engine.
 	RuntimeSequential Runtime = "sequential"
 	// RuntimeAgents runs one goroutine per node with channel mailboxes.
 	RuntimeAgents Runtime = "agents"
-	// RuntimeTCP gives every node a loopback TCP listener and moves
-	// each hop through real sockets as binary frames.
-	RuntimeTCP Runtime = "tcp"
 	// RuntimeVirtualTime is the discrete-event engine: every transfer
 	// is delayed by a latency model (Config.Latency), producing
 	// response-time metrics; required for open-loop injection, faults,
@@ -127,9 +124,6 @@ const (
 	// BackendSlice is a sorted slice with binary search (the paper's
 	// own structure).
 	BackendSlice TableBackend = "slice"
-	// BackendSkipList is the O(log n) replacement the paper proposes
-	// as future work (§V.3.3).
-	BackendSkipList TableBackend = "skiplist"
 	// BackendList is the fully paper-faithful O(n) linked list, for
 	// the Fig. 15 timing reproduction only.
 	BackendList TableBackend = "list"
@@ -175,7 +169,7 @@ type Config struct {
 	// requests; 0 disables series collection.
 	SampleEvery int
 
-	// Runtime selects sequential (default), agents or tcp.
+	// Runtime selects sequential (default), agents or vtime.
 	Runtime Runtime
 
 	// Backend selects the ordered-table implementation. Default btree.
@@ -350,12 +344,6 @@ func (c Config) withDefaults() Config {
 	if c.Window == 0 {
 		c.Window = 5000
 	}
-	if c.Runtime == "" {
-		c.Runtime = RuntimeSequential
-	}
-	if c.Backend == "" {
-		c.Backend = BackendBTree
-	}
 	return c
 }
 
@@ -377,18 +365,9 @@ func (c Config) toInternal() (cluster.Config, error) {
 	default:
 		return cluster.Config{}, fmt.Errorf("adc: unknown entry policy %q", c.Entry)
 	}
-	var rt cluster.Runtime
-	switch c.Runtime {
-	case RuntimeSequential:
-		rt = cluster.RuntimeSequential
-	case RuntimeAgents:
-		rt = cluster.RuntimeAgents
-	case RuntimeTCP:
-		rt = cluster.RuntimeTCP
-	case RuntimeVirtualTime:
-		rt = cluster.RuntimeVirtualTime
-	default:
-		return cluster.Config{}, fmt.Errorf("adc: unknown runtime %q", c.Runtime)
+	rt, ok := cluster.ParseRuntime(string(c.Runtime))
+	if !ok {
+		return cluster.Config{}, fmt.Errorf("adc: unknown runtime %q (want sequential, agents or vtime)", c.Runtime)
 	}
 	var latency sim.LatencyModel
 	if c.LatencyModel != nil {
@@ -402,7 +381,7 @@ func (c Config) toInternal() (cluster.Config, error) {
 	}
 	backend, ok := core.ParseBackend(string(c.Backend))
 	if !ok {
-		return cluster.Config{}, fmt.Errorf("adc: unknown backend %q", c.Backend)
+		return cluster.Config{}, fmt.Errorf("adc: unknown backend %q (want btree, slice or list)", c.Backend)
 	}
 	var faults *sim.FaultPlan
 	if c.Faults != nil {

@@ -2,6 +2,7 @@ package adc
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -60,7 +61,7 @@ func TestRunAllPublicAlgorithms(t *testing.T) {
 
 func TestRunAllRuntimesAgree(t *testing.T) {
 	var base *Result
-	for _, rt := range []Runtime{RuntimeSequential, RuntimeAgents, RuntimeTCP} {
+	for _, rt := range []Runtime{RuntimeSequential, RuntimeAgents} {
 		cfg := smallConfig()
 		cfg.Runtime = rt
 		res, err := Run(cfg, smallWorkload(t))
@@ -296,6 +297,16 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(smallConfig(), nil); err == nil {
 		t.Error("nil source must fail")
 	}
+	// The retired TCP runtime and skip-list backend fail like any unknown
+	// name, and the error lists what is accepted.
+	for want, cfg := range map[string]Config{
+		`unknown runtime "tcp" (want sequential, agents or vtime)`: {Runtime: "tcp"},
+		`unknown backend "skiplist" (want btree, slice or list)`:   {Backend: "skiplist"},
+	} {
+		if _, err := Run(cfg, smallWorkload(t)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Run(%+v) = %v, want an error containing %q", cfg, err, want)
+		}
+	}
 }
 
 func TestSeriesSampling(t *testing.T) {
@@ -457,7 +468,7 @@ func TestBackendComparisonSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 4 {
+	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
 	for _, pt := range pts[1:] {

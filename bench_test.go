@@ -168,17 +168,17 @@ func BenchmarkBackends(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var list, skip float64
+		var list, btree float64
 		for _, pt := range pts {
 			switch pt.Backend {
 			case "list+scan":
 				list = pt.Elapsed.Seconds()
-			case "skiplist":
-				skip = pt.Elapsed.Seconds()
+			case "btree":
+				btree = pt.Elapsed.Seconds()
 			}
 		}
-		if skip > 0 {
-			b.ReportMetric(list/skip, "list-vs-skip-x")
+		if btree > 0 {
+			b.ReportMetric(list/btree, "list-vs-btree-x")
 		}
 	}
 }

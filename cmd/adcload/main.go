@@ -146,11 +146,6 @@ type report struct {
 	// events, per-kill detect/recover times, and windowed availability.
 	Chaos *chaosReport `json:"chaos,omitempty"`
 
-	// Network is present when the farm has an attached TCP transport
-	// network (agent-runtime integrations); the standard in-process farm
-	// speaks plain HTTP and reports nothing here.
-	Network *httpproxy.NetworkVars `json:"network,omitempty"`
-
 	// Trace is present when -trace-sample (or -trace-dump) enabled span
 	// tracing: the cross-proxy tree census over the run's sampled requests.
 	Trace *traceReport `json:"trace,omitempty"`
@@ -469,7 +464,6 @@ func run(cfg config) (*report, error) {
 	if plan != nil {
 		rep.Chaos = buildChaosReport(cfg.Chaos, f, applied, start, avail)
 	}
-	rep.Network = f.NetworkVars()
 
 	// Telemetry epilogue, while the farm is still up: scrape the span rings
 	// and lint every proxy's /metrics over the same HTTP surface an external

@@ -6,7 +6,7 @@
 //	adcsim                              # ADC, paper-scale tables, 400k requests
 //	adcsim -algo carp -requests 1000000
 //	adcsim -proxies 8 -single 5000 -multiple 5000 -caching 2000
-//	adcsim -runtime tcp                 # every hop over loopback TCP
+//	adcsim -runtime agents              # one goroutine per node, channel mailboxes
 //	adcsim -replay trace.bin            # replay a saved workload trace
 //	adcsim -trace -trace-out t.jsonl    # record a request-path trace
 //	adcsim -config experiment.json      # run a JSON-described experiment
@@ -46,9 +46,9 @@ func run(args []string) error {
 		caching      = fs.Int("caching", 1000, "caching-table / LRU cache size (entries)")
 		maxHops      = fs.Int("maxhops", 0, "forwarding bound (0 = unbounded)")
 		seed         = fs.Int64("seed", 1, "random seed")
-		runtime      = fs.String("runtime", "sequential", "runtime: sequential, agents, tcp or vtime")
+		runtime      = fs.String("runtime", "sequential", "runtime: sequential, agents or vtime")
 		shards       = fs.Int("shards", 0, "worker shards for -runtime vtime (0 or 1 = sequential; results are identical at every count)")
-		backend      = fs.String("backend", "", "ordered-table backend: btree (default), slice, skiplist or list")
+		backend      = fs.String("backend", "", "ordered-table backend: btree (default), slice or list")
 		entry        = fs.String("entry", "random", "entry policy: random, round-robin or fixed")
 		requests     = fs.Int("requests", 400_000, "synthetic workload length")
 		population   = fs.Int("population", 1000, "hot object population of the request phases")
@@ -303,7 +303,7 @@ func runWithDump(o dumpOptions) error {
 	}
 	backend, ok := core.ParseBackend(o.backend)
 	if !ok {
-		return fmt.Errorf("unknown backend %q", o.backend)
+		return fmt.Errorf("unknown backend %q (want btree, slice or list)", o.backend)
 	}
 	gen, err := workload.New(workload.Config{
 		TotalRequests:  o.requests,

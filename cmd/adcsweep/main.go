@@ -48,7 +48,7 @@ func run(args []string) error {
 		metric     = fs.String("metric", "hits", "metric: hits, hops, time, resilience, convergence or loadspread")
 		losses     = fs.String("losses", "", "resilience loss rates, comma-separated (default 0,0.005,0.01,0.02,0.05)")
 		recovery   = fs.String("recovery", "", "resilience recovery parameters, e.g. 'timeout=400000,retries=8' (empty = defaults)")
-		backend    = fs.String("backend", "", "ordered-table backend: btree (default), slice, skiplist or list")
+		backend    = fs.String("backend", "", "ordered-table backend: btree (default), slice or list")
 		csvPath    = fs.String("csv", "", "also write CSV to this file")
 		parallel   = fs.Int("parallel", runtime.NumCPU(), "concurrent simulations (1 = sequential; use 1 for -metric time)")
 		shards     = fs.Int("shards", 0, "run each simulation on the virtual-time engine with this many shards (0 = default runtime; results are identical; not for -metric time)")

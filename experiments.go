@@ -78,7 +78,7 @@ func (p Profile) toInternal() (experiments.Profile, error) {
 	}
 	backend, ok := core.ParseBackend(string(p.Backend))
 	if !ok {
-		return ip, fmt.Errorf("adc: unknown backend %q", p.Backend)
+		return ip, fmt.Errorf("adc: unknown backend %q (want btree, slice or list)", p.Backend)
 	}
 	ip.Backend = backend
 	ip.Shards = p.Shards
@@ -395,7 +395,7 @@ func ResponseTime(p Profile, openLoopInterval int64) (*ResponseResult, error) {
 // BackendPoint is one run of the data-structure study (§V.3.3's proposed
 // speed-up, quantified).
 type BackendPoint struct {
-	// Backend is "list" (paper-faithful), "slice" or "skiplist".
+	// Backend is "list" (paper-faithful), "slice" or "btree".
 	Backend string
 	// Elapsed is the wall-clock runtime of the identical simulation.
 	Elapsed time.Duration

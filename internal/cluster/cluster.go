@@ -1,7 +1,7 @@
 // Package cluster wires complete proxy systems — N proxy agents, an origin
 // server and closed-loop client drivers — and runs a workload against them
 // on one of the interchangeable runtimes (FIFO engine, virtual-time engine,
-// goroutine agents, TCP transport). It is the programmatic equivalent of
+// goroutine agents). It is the programmatic equivalent of
 // the paper's experimental testbed (§V.1) and the layer the public API and
 // the benchmark harness sit on.
 package cluster
@@ -25,7 +25,6 @@ import (
 	"github.com/adc-sim/adc/internal/sim"
 	"github.com/adc-sim/adc/internal/stats"
 	"github.com/adc-sim/adc/internal/trace"
-	"github.com/adc-sim/adc/internal/transport"
 	"github.com/adc-sim/adc/internal/workload"
 )
 
@@ -93,9 +92,6 @@ const (
 	RuntimeSequential Runtime = iota
 	// RuntimeAgents runs one goroutine per node (internal/agent).
 	RuntimeAgents
-	// RuntimeTCP runs every node behind its own loopback TCP listener
-	// with binary-framed messages (internal/transport).
-	RuntimeTCP
 	// RuntimeVirtualTime is the discrete-event engine (sim.VEngine):
 	// deterministic like RuntimeSequential, but every transfer is delayed
 	// by a latency model, yielding response-time metrics and supporting
@@ -112,12 +108,26 @@ func (r Runtime) String() string {
 		return "sequential"
 	case RuntimeAgents:
 		return "agents"
-	case RuntimeTCP:
-		return "tcp"
 	case RuntimeVirtualTime:
 		return "vtime"
 	default:
 		return fmt.Sprintf("Runtime(%d)", int(r))
+	}
+}
+
+// ParseRuntime converts a runtime name ("sequential", "agents", "vtime") to
+// its Runtime; the empty string selects the default and "virtual" is an
+// alias for "vtime".
+func ParseRuntime(name string) (Runtime, bool) {
+	switch name {
+	case "", "sequential":
+		return RuntimeSequential, true
+	case "agents":
+		return RuntimeAgents, true
+	case "vtime", "virtual":
+		return RuntimeVirtualTime, true
+	default:
+		return 0, false
 	}
 }
 
@@ -304,8 +314,8 @@ type Result struct {
 	ProxyStats []metrics.ProxyStats
 	// OriginResolved counts requests the origin server answered.
 	OriginResolved uint64
-	// Delivered counts engine message deliveries (zero on the concurrent
-	// runtimes, which do not track a global delivery counter). Progress
+	// Delivered counts engine message deliveries (zero on the agents
+	// runtime, which does not track a global delivery counter). Progress
 	// displays use it to report events/sec.
 	Delivered uint64
 	// Dropped counts messages the engine discarded — fault-plan losses
@@ -726,7 +736,7 @@ func (c *Cluster) Run() (*Result, error) {
 		delivered = eng.Delivered()
 		dropped = eng.Dropped()
 		faultStats = eng.FaultStats()
-	case RuntimeAgents, RuntimeTCP:
+	case RuntimeAgents:
 		d, err := c.runConcurrent()
 		if err != nil {
 			return nil, err
@@ -755,34 +765,13 @@ func (c *Cluster) Run() (*Result, error) {
 	return res, nil
 }
 
-// concurrentRuntime is the shared shape of the goroutine and TCP runtimes:
-// register nodes, then run until the completion signal.
-type concurrentRuntime interface {
-	Register(n sim.Node) error
-	Run(done <-chan struct{})
-}
-
-// tcpRuntime adapts transport.Network's error-returning Run.
-type tcpRuntime struct{ nw *transport.Network }
-
-func (r tcpRuntime) Register(n sim.Node) error { return r.nw.Register(n) }
-func (r tcpRuntime) Run(done <-chan struct{}) {
-	// Run only errors on double-start, which this adapter precludes.
-	_ = r.nw.Run(done)
-}
-
-// runConcurrent executes on a concurrent runtime, terminating when every
+// runConcurrent executes on the goroutine runtime, terminating when every
 // client has consumed its trace. It returns the runtime's dropped-message
-// count: the goroutine runtime counts sends to unregistered destinations,
-// which previously died inside the runtime and never reached Result — a
-// silent wiring failure in pooled sweeps.
+// count: sends to unregistered destinations, which previously died inside
+// the runtime and never reached Result — a silent wiring failure in pooled
+// sweeps.
 func (c *Cluster) runConcurrent() (uint64, error) {
-	var rt concurrentRuntime
-	if c.cfg.Runtime == RuntimeTCP {
-		rt = tcpRuntime{nw: transport.NewNetwork()}
-	} else {
-		rt = agent.New(0)
-	}
+	rt := agent.New(0)
 
 	// Completion signalling: all clients done → close(done).
 	done := make(chan struct{})
@@ -807,10 +796,7 @@ func (c *Cluster) runConcurrent() (uint64, error) {
 		})
 	}
 	rt.Run(done)
-	if ar, ok := rt.(*agent.Runtime); ok {
-		return ar.Dropped(), nil
-	}
-	return 0, nil
+	return rt.Dropped(), nil
 }
 
 func (c *Cluster) collect(elapsed time.Duration) *Result {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/adc-sim/adc/internal/core"
@@ -73,6 +74,43 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 	if _, err := ParseAlgorithm("nope"); err == nil {
 		t.Error("unknown algorithm must fail")
+	}
+}
+
+// TestParseRuntimeAndBackend covers the two name tables every entry point
+// (adc.Config, config files, CLI flags) goes through: each accepted spelling
+// parses to a value whose String parses back to it, and the retired names
+// ("tcp", "skiplist") and near-misses are rejected.
+func TestParseRuntimeAndBackend(t *testing.T) {
+	tables := []struct {
+		kind     string
+		parse    func(string) (fmt.Stringer, bool)
+		accepted map[string]fmt.Stringer
+	}{
+		{"runtime", func(s string) (fmt.Stringer, bool) { return ParseRuntime(s) }, map[string]fmt.Stringer{
+			"": RuntimeSequential, "sequential": RuntimeSequential, "agents": RuntimeAgents,
+			"vtime": RuntimeVirtualTime, "virtual": RuntimeVirtualTime,
+		}},
+		{"backend", func(s string) (fmt.Stringer, bool) { return core.ParseBackend(s) }, map[string]fmt.Stringer{
+			"": core.BackendBTree, "btree": core.BackendBTree, "slice": core.BackendSlice, "list": core.BackendList,
+		}},
+	}
+	for _, tb := range tables {
+		for name, want := range tb.accepted {
+			got, ok := tb.parse(name)
+			if !ok || got != want {
+				t.Errorf("%s %q parsed to (%v, %v), want %v", tb.kind, name, got, ok, want)
+				continue
+			}
+			if back, ok := tb.parse(got.String()); !ok || back != got {
+				t.Errorf("%s %q: String %q does not parse back", tb.kind, name, got)
+			}
+		}
+		for _, name := range []string{"tcp", "skiplist", "Agents", " vtime", "BTREE", "list "} {
+			if got, ok := tb.parse(name); ok {
+				t.Errorf("%s %q must be rejected, parsed to %v", tb.kind, name, got)
+			}
+		}
 	}
 }
 
@@ -158,29 +196,6 @@ func TestSequentialAndAgentRuntimesAgree(t *testing.T) {
 					seq.OriginResolved, agt.OriginResolved)
 			}
 		})
-	}
-}
-
-func TestTCPRuntimeAgrees(t *testing.T) {
-	// The paper's distributed-vs-single-host equivalence (§V.1.2), with
-	// real sockets: TCP metrics must match the sequential engine.
-	seqCfg := testConfig(ADC)
-	tcpCfg := testConfig(ADC)
-	tcpCfg.Runtime = RuntimeTCP
-
-	seq, err := Run(seqCfg, testWorkload(t, 2000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcp, err := Run(tcpCfg, testWorkload(t, 2000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Summary.Hits != tcp.Summary.Hits || seq.Summary.Hops != tcp.Summary.Hops {
-		t.Errorf("TCP diverged from sequential: %+v vs %+v", tcp.Summary, seq.Summary)
-	}
-	if seq.OriginResolved != tcp.OriginResolved {
-		t.Errorf("origin counts differ: %d vs %d", seq.OriginResolved, tcp.OriginResolved)
 	}
 }
 

@@ -59,7 +59,7 @@ func TestRunDeterminism(t *testing.T) {
 
 // TestBackendDeterminism asserts that the ordered-table backend is
 // unobservable in simulation results: the default btree (with the unified
-// directory), the paper's sorted slice and the skip list must produce
+// directory), the paper's sorted slice and its linked list must produce
 // byte-identical summaries, time series and per-proxy statistics. This is
 // the guard that lets the backend change default without perturbing any
 // paper-reproduction number.
@@ -89,7 +89,7 @@ func TestBackendDeterminism(t *testing.T) {
 	}
 
 	ref := run(core.BackendSlice)
-	for _, backend := range []core.Backend{core.BackendBTree, core.BackendSkipList} {
+	for _, backend := range []core.Backend{core.BackendBTree, core.BackendList} {
 		t.Run(backend.String(), func(t *testing.T) {
 			got := run(backend)
 			sr, sg := ref.Summary, got.Summary

@@ -146,7 +146,6 @@ func TestParallelValidation(t *testing.T) {
 		{"shards on vtime", func(c *Config) { c.Shards = 2 }, true},
 		{"shards on sequential", func(c *Config) { c.Runtime = RuntimeSequential }, false},
 		{"shards on agents", func(c *Config) { c.Runtime = RuntimeAgents }, false},
-		{"shards on tcp", func(c *Config) { c.Runtime = RuntimeTCP }, false},
 		{"faults", func(c *Config) { c.Faults = &sim.FaultPlan{Loss: 0.1} }, true},
 		{"proxy crash", func(c *Config) { c.CrashProxyAt = []ProxyCrash{{Proxy: 1, At: 100}} }, true},
 		{"tracer", func(c *Config) { c.Tracer = obs.New(obs.KindInject) }, true},

@@ -32,9 +32,9 @@ type File struct {
 	Seed int64 `json:"seed"`
 	// Entry: "random", "round-robin" or "fixed".
 	Entry string `json:"entry,omitempty"`
-	// Runtime: "sequential", "agents", "tcp" or "vtime".
+	// Runtime: "sequential" (default), "agents" or "vtime".
 	Runtime string `json:"runtime,omitempty"`
-	// Backend: "btree" (default), "slice", "skiplist" or "list".
+	// Backend: "btree" (default), "slice" or "list".
 	Backend string `json:"backend,omitempty"`
 
 	// Workload describes the synthetic request stream; ignored when a
@@ -157,23 +157,14 @@ func (f File) Build() (cluster.Config, workload.Config, error) {
 		return cluster.Config{}, workload.Config{}, fmt.Errorf("config: unknown entry policy %q", f.Entry)
 	}
 
-	var rt cluster.Runtime
-	switch f.Runtime {
-	case "", "sequential":
-		rt = cluster.RuntimeSequential
-	case "agents":
-		rt = cluster.RuntimeAgents
-	case "tcp":
-		rt = cluster.RuntimeTCP
-	case "vtime", "virtual":
-		rt = cluster.RuntimeVirtualTime
-	default:
-		return cluster.Config{}, workload.Config{}, fmt.Errorf("config: unknown runtime %q", f.Runtime)
+	rt, ok := cluster.ParseRuntime(f.Runtime)
+	if !ok {
+		return cluster.Config{}, workload.Config{}, fmt.Errorf("config: unknown runtime %q (want sequential, agents or vtime)", f.Runtime)
 	}
 
 	backend, ok := core.ParseBackend(f.Backend)
 	if !ok {
-		return cluster.Config{}, workload.Config{}, fmt.Errorf("config: unknown backend %q", f.Backend)
+		return cluster.Config{}, workload.Config{}, fmt.Errorf("config: unknown backend %q (want btree, slice or list)", f.Backend)
 	}
 
 	ccfg := cluster.Config{

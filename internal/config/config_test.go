@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/adc-sim/adc/internal/cluster"
+	"github.com/adc-sim/adc/internal/core"
 )
 
 func TestDefaultBuilds(t *testing.T) {
@@ -28,7 +29,7 @@ func TestParseOverrides(t *testing.T) {
 		"cachingTable": 500,
 		"runtime": "agents",
 		"entry": "fixed",
-		"backend": "skiplist",
+		"backend": "slice",
 		"workload": {"requests": 1000, "population": 50}
 	}`))
 	if err != nil {
@@ -43,6 +44,9 @@ func TestParseOverrides(t *testing.T) {
 	}
 	if ccfg.Runtime != cluster.RuntimeAgents {
 		t.Errorf("runtime = %v", ccfg.Runtime)
+	}
+	if ccfg.Tables.Backend != core.BackendSlice {
+		t.Errorf("backend = %v", ccfg.Tables.Backend)
 	}
 	if wcfg.TotalRequests != 1000 || wcfg.PopulationSize != 50 {
 		t.Errorf("workload = %+v", wcfg)
@@ -62,6 +66,16 @@ func TestParseRejectsBadValues(t *testing.T) {
 	for _, in := range cases {
 		if _, err := Parse([]byte(in)); err == nil {
 			t.Errorf("Parse(%s) must fail", in)
+		}
+	}
+	// The retired TCP runtime and skip-list backend fail like any unknown
+	// name, and the error lists what is accepted.
+	for in, want := range map[string]string{
+		`{"runtime": "tcp"}`:      `unknown runtime "tcp" (want sequential, agents or vtime)`,
+		`{"backend": "skiplist"}`: `unknown backend "skiplist" (want btree, slice or list)`,
+	} {
+		if _, err := Parse([]byte(in)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Parse(%s) = %v, want an error containing %q", in, err, want)
 		}
 	}
 }

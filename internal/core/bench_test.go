@@ -10,7 +10,7 @@ import (
 
 // Micro-benchmarks for the ordered-table backends: the paper's Fig. 15
 // bottleneck (list), its own implementation (slice + binary search), and
-// the proposed replacement (skip list). Run with
+// the default block B-tree. Run with
 // `go test -bench=Ordered ./internal/core`.
 
 func benchmarkOrderedUpdate(b *testing.B, backend Backend, size int) {
@@ -37,7 +37,7 @@ func mkBenchEntry(obj ids.ObjectID, key int64) *Entry {
 }
 
 func BenchmarkOrderedUpdate(b *testing.B) {
-	for _, backend := range []Backend{BackendSlice, BackendSkipList, BackendList} {
+	for _, backend := range []Backend{BackendBTree, BackendSlice, BackendList} {
 		for _, size := range []int{1_000, 10_000} {
 			// The list backend at 10k is painfully slow by design;
 			// keep it to show the gap, it is the whole point.
@@ -49,7 +49,7 @@ func BenchmarkOrderedUpdate(b *testing.B) {
 }
 
 // benchBackends are the backends the reference-size benchmarks cover.
-var benchBackends = []Backend{BackendBTree, BackendSlice, BackendSkipList}
+var benchBackends = []Backend{BackendBTree, BackendSlice}
 
 // Paper reference table shape (§V.2): 20k/20k/10k per proxy.
 const (

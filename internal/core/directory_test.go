@@ -212,9 +212,9 @@ func TestParseBackend(t *testing.T) {
 		{"", BackendBTree, true},
 		{"btree", BackendBTree, true},
 		{"slice", BackendSlice, true},
-		{"skiplist", BackendSkipList, true},
 		{"list", BackendList, true},
 		{"rope", 0, false},
+		{"skiplist", 0, false}, // retired with the skip-list backend
 		{"BTREE", 0, false},
 	}
 	for _, tc := range cases {
@@ -224,7 +224,7 @@ func TestParseBackend(t *testing.T) {
 				tc.in, got, ok, tc.want, tc.ok)
 		}
 	}
-	for _, b := range []Backend{BackendBTree, BackendSlice, BackendSkipList, BackendList} {
+	for _, b := range []Backend{BackendBTree, BackendSlice, BackendList} {
 		back, ok := ParseBackend(b.String())
 		if !ok || back != b {
 			t.Errorf("round-trip failed for %v", b)
@@ -236,13 +236,13 @@ func TestParseBackend(t *testing.T) {
 // unsigned, so the max value serves as the sentinel).
 const noObj = ^ids.ObjectID(0)
 
-// TestOrderedOpEquivalence drives all four backends through an identical
+// TestOrderedOpEquivalence drives all three backends through an identical
 // randomized Insert/Remove/RemoveEntry/RemoveWorst sequence and demands
 // identical observable behaviour at every step. Entries are duplicated per
 // table (an entry lives in at most one container), so equality is by
 // object.
 func TestOrderedOpEquivalence(t *testing.T) {
-	backends := []Backend{BackendBTree, BackendSlice, BackendSkipList, BackendList}
+	backends := []Backend{BackendBTree, BackendSlice, BackendList}
 	tables := make([]Ordered, len(backends))
 	held := make([]map[ids.ObjectID]*Entry, len(backends))
 	for i, b := range backends {

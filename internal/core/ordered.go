@@ -68,16 +68,13 @@ const (
 	// block-local memmoves, so reference-size tables (20k entries, §V.2)
 	// never shift their whole backing array. It is the "more adapted
 	// data structure [that] should provide speed-ups" the paper calls
-	// for in §V.3.3, with the cache locality the skip list lacks.
+	// for in §V.3.3.
 	BackendBTree Backend = iota
 	// BackendSlice is a sorted slice with binary search — the paper's
 	// own structure ("insertion and deletion at the ordered
 	// multiple-table is mostly operated by binary search algorithms",
 	// §V.3.3). O(log n) search, O(n) insert/delete due to shifting.
 	BackendSlice
-	// BackendSkipList is a deterministic skip list. O(log n) for every
-	// operation, pointer-chasing constants.
-	BackendSkipList
 	// BackendList is the fully paper-faithful sorted linked list with
 	// element-wise search, used by the Fig. 15 timing reproduction.
 	// O(n) everything; do not use outside that experiment.
@@ -91,8 +88,6 @@ func (b Backend) String() string {
 		return "btree"
 	case BackendSlice:
 		return "slice"
-	case BackendSkipList:
-		return "skiplist"
 	case BackendList:
 		return "list"
 	default:
@@ -100,16 +95,14 @@ func (b Backend) String() string {
 	}
 }
 
-// ParseBackend converts a backend name ("btree", "slice", "skiplist",
-// "list") to its Backend; the empty string selects the default.
+// ParseBackend converts a backend name ("btree", "slice", "list") to its
+// Backend; the empty string selects the default.
 func ParseBackend(name string) (Backend, bool) {
 	switch name {
 	case "", "btree":
 		return BackendBTree, true
 	case "slice":
 		return BackendSlice, true
-	case "skiplist":
-		return BackendSkipList, true
 	case "list":
 		return BackendList, true
 	default:
@@ -124,8 +117,6 @@ func NewOrdered(capacity int, backend Backend) Ordered {
 	switch backend {
 	case BackendSlice:
 		return newSliceTable(capacity)
-	case BackendSkipList:
-		return newSkipTable(capacity)
 	case BackendList:
 		return newListTable(capacity)
 	default:

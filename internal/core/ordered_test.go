@@ -8,11 +8,11 @@ import (
 	"github.com/adc-sim/adc/internal/ids"
 )
 
-// Every Ordered test runs against both backends: the paper's sorted slice
-// and the skip-list replacement it proposes as future work.
+// Every Ordered test runs against every backend: the default btree and the
+// paper's own sorted slice and linked list.
 func forEachBackend(t *testing.T, capacity int, fn func(t *testing.T, tbl Ordered)) {
 	t.Helper()
-	for _, b := range []Backend{BackendBTree, BackendSlice, BackendSkipList, BackendList} {
+	for _, b := range []Backend{BackendBTree, BackendSlice, BackendList} {
 		t.Run(b.String(), func(t *testing.T) {
 			fn(t, NewOrdered(capacity, b))
 		})
@@ -173,13 +173,13 @@ func TestOrderedGet(t *testing.T) {
 	})
 }
 
-// TestBackendsAgree drives both backends with an identical random workload
-// and demands identical externally visible behaviour — the skip list is a
-// drop-in replacement.
+// TestBackendsAgree drives every backend with an identical random workload
+// and demands identical externally visible behaviour, with the paper's
+// sorted slice as the reference.
 func TestBackendsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ref := NewOrdered(16, BackendSlice)
-	others := []Ordered{NewOrdered(16, BackendBTree), NewOrdered(16, BackendSkipList), NewOrdered(16, BackendList)}
+	others := []Ordered{NewOrdered(16, BackendBTree), NewOrdered(16, BackendList)}
 	for i := 0; i < 5000; i++ {
 		obj := ids.ObjectID(rng.Intn(64))
 		switch rng.Intn(3) {
@@ -245,9 +245,9 @@ func TestBackendsAgree(t *testing.T) {
 }
 
 // TestOrderedPropertySortedAndBounded is invariant 1+2 of DESIGN.md §10 as a
-// quick.Check property over both backends.
+// quick.Check property over every backend.
 func TestOrderedPropertySortedAndBounded(t *testing.T) {
-	for _, backend := range []Backend{BackendBTree, BackendSlice, BackendSkipList, BackendList} {
+	for _, backend := range []Backend{BackendBTree, BackendSlice, BackendList} {
 		backend := backend
 		t.Run(backend.String(), func(t *testing.T) {
 			prop := func(keys []int16, capSeed uint8) bool {

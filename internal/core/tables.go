@@ -49,7 +49,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: caching-table size must be positive, got %d", c.CachingSize)
 	}
 	switch c.Backend {
-	case BackendBTree, BackendSlice, BackendSkipList, BackendList:
+	case BackendBTree, BackendSlice, BackendList:
 	default:
 		return fmt.Errorf("core: unknown ordered-table backend %d", int(c.Backend))
 	}

@@ -295,9 +295,9 @@ func TestObjectInAtMostOneTable(t *testing.T) {
 }
 
 // TestTablesBoundedUnderChurn is invariant 1 under a long random workload,
-// for both backends.
+// for every backend.
 func TestTablesBoundedUnderChurn(t *testing.T) {
-	for _, backend := range []Backend{BackendBTree, BackendSlice, BackendSkipList} {
+	for _, backend := range []Backend{BackendBTree, BackendSlice, BackendList} {
 		t.Run(backend.String(), func(t *testing.T) {
 			tbl, err := NewTables(Config{
 				SingleSize: 8, MultipleSize: 5, CachingSize: 3,
@@ -336,7 +336,7 @@ func TestBackendEquivalenceEndToEnd(t *testing.T) {
 		}
 		return e.Object
 	}
-	for _, backend := range []Backend{BackendBTree, BackendSkipList, BackendList} {
+	for _, backend := range []Backend{BackendBTree, BackendList} {
 		t.Run(backend.String(), func(t *testing.T) {
 			a, b := mk(BackendSlice), mk(backend)
 			rng := rand.New(rand.NewSource(1234))

@@ -275,8 +275,8 @@ func TestBackendComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 4 {
-		t.Fatalf("points = %d, want 4", len(pts))
+	if len(pts) != 3 {
+		t.Fatalf("points = %d, want 3", len(pts))
 	}
 	// All backends must be behaviourally identical.
 	for _, pt := range pts[1:] {
@@ -286,17 +286,17 @@ func TestBackendComparison(t *testing.T) {
 		}
 	}
 	// The paper-faithful list backend must be the slowest.
-	var list, skip BackendPoint
+	var list, btree BackendPoint
 	for _, pt := range pts {
 		switch pt.Backend {
 		case core.BackendList:
 			list = pt
-		case core.BackendSkipList:
-			skip = pt
+		case core.BackendBTree:
+			btree = pt
 		}
 	}
-	if list.Elapsed <= skip.Elapsed {
-		t.Logf("note: list backend (%v) not slower than skip list (%v) at this tiny scale",
-			list.Elapsed, skip.Elapsed)
+	if list.Elapsed <= btree.Elapsed {
+		t.Logf("note: list backend (%v) not slower than btree (%v) at this tiny scale",
+			list.Elapsed, btree.Elapsed)
 	}
 }

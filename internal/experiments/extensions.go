@@ -149,10 +149,9 @@ func BackendComparison(p Profile, requests int) ([]BackendPoint, error) {
 		scan    bool
 	}
 	variants := []variant{
-		{core.BackendList, true},      // the paper's implementation
-		{core.BackendSlice, false},    // binary search + unified directory
-		{core.BackendSkipList, false}, // the proposed replacement
-		{core.BackendBTree, false},    // the default block B-tree
+		{core.BackendList, true},   // the paper's implementation
+		{core.BackendSlice, false}, // binary search + unified directory
+		{core.BackendBTree, false}, // the default block B-tree
 	}
 	wcfg := p.WorkloadConfig()
 	if requests > 0 {

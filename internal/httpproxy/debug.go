@@ -8,7 +8,6 @@ import (
 
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
-	"github.com/adc-sim/adc/internal/transport"
 )
 
 // Live introspection endpoints, registered on every proxy's mux:
@@ -46,11 +45,6 @@ type debugVars struct {
 	// Breakers lists currently open or half-open per-peer circuits
 	// (present only while at least one circuit is tripped).
 	Breakers []BreakerVar `json:"breakers,omitempty"`
-
-	// Network is present when a TCP transport network is attached
-	// (Farm.AttachNetwork): dropped batches and per-destination
-	// send-queue depths.
-	Network *NetworkVars `json:"network,omitempty"`
 }
 
 // replicationVars is the replication section of /debug/vars.
@@ -60,28 +54,6 @@ type replicationVars struct {
 	Hits    uint64 `json:"hits"`
 	Tracked int    `json:"tracked"`
 	Held    int    `json:"held"`
-}
-
-// NetworkVars is the transport-network section of /debug/vars.
-type NetworkVars struct {
-	// Dropped counts outgoing batches the transport abandoned because
-	// their destination stayed unreachable through the redial window.
-	Dropped uint64 `json:"dropped"`
-	// Queues is the instantaneous per-destination send-queue depth,
-	// sorted by (from, to).
-	Queues []transport.QueueDepth `json:"queues"`
-	// Links carries per-destination redial and drop counters, sorted by
-	// (from, to) — the reconnect history Queues alone cannot show.
-	Links []transport.LinkStats `json:"links,omitempty"`
-}
-
-// SetNetworkVars installs (or, with nil, removes) the provider for the
-// network section of /debug/vars. The provider is called outside the
-// proxy's lock; it must be safe for concurrent use.
-func (p *Proxy) SetNetworkVars(fn func() NetworkVars) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.netVars = fn
 }
 
 // registerDebug wires the introspection handlers into a proxy's mux.
@@ -124,18 +96,12 @@ func (p *Proxy) handleVars(w http.ResponseWriter, r *http.Request) {
 			Held:    held,
 		}
 	}
-	netFn := p.netVars
 	p.mu.Unlock()
 	// Outside p.mu: monitor and breakers carry their own locks.
 	if m := p.health.Load(); m != nil {
 		v.Health = m.vars()
 	}
 	v.Breakers = p.breakers.snapshot()
-	if netFn != nil {
-		// Outside p.mu: the provider reads the transport's own locks.
-		nv := netFn()
-		v.Network = &nv
-	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -15,7 +15,6 @@ import (
 	"github.com/adc-sim/adc/internal/obs"
 	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/trace"
-	"github.com/adc-sim/adc/internal/transport"
 	"github.com/adc-sim/adc/internal/workload"
 )
 
@@ -29,7 +28,6 @@ type Farm struct {
 	// every Get (it used to be a fresh unpooled client per request).
 	client *http.Client
 	tracer *obs.Tracer
-	nw     *transport.Network
 }
 
 // SetTracer installs a request tracer on the whole farm: every proxy, the
@@ -114,34 +112,6 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 		p.SetPeers(book)
 	}
 	return f, nil
-}
-
-// AttachNetwork surfaces a TCP transport network's health counters —
-// dropped batches and per-destination send-queue depths — in every
-// proxy's /debug/vars, next to the farm's own shed/queue_depth fields.
-// Pass nil to detach.
-func (f *Farm) AttachNetwork(nw *transport.Network) {
-	var fn func() NetworkVars
-	if nw != nil {
-		fn = func() NetworkVars {
-			st := nw.Stats()
-			return NetworkVars{Dropped: st.Dropped, Queues: nw.QueueDepths(), Links: st.Links}
-		}
-	}
-	f.nw = nw
-	for _, p := range f.Proxies {
-		p.SetNetworkVars(fn)
-	}
-}
-
-// NetworkVars snapshots the attached transport network's health counters,
-// or nil when no network is attached.
-func (f *Farm) NetworkVars() *NetworkVars {
-	if f.nw == nil {
-		return nil
-	}
-	st := f.nw.Stats()
-	return &NetworkVars{Dropped: st.Dropped, Queues: f.nw.QueueDepths(), Links: st.Links}
 }
 
 // Partition cuts all traffic (fetches and probes) between proxies a and b

@@ -227,7 +227,6 @@ type Proxy struct {
 	pending map[string]int
 	peerURL map[ids.NodeID]string
 	tracer  *obs.Tracer
-	netVars func() NetworkVars // optional transport-network section of /debug/vars
 }
 
 // FaultTolerance configures the farm's fault-tolerance layer: peer health

@@ -13,7 +13,6 @@ import (
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/protocol"
-	"github.com/adc-sim/adc/internal/transport"
 )
 
 // replicatedFarm builds a farm with the hot-object replication controller
@@ -195,47 +194,6 @@ func TestFarmReplicationDebugVars(t *testing.T) {
 	}
 	if v.Replication != nil {
 		t.Error("stock farm /debug/vars has a replication section")
-	}
-}
-
-// TestFarmDebugVarsNetwork checks the attached-transport section of
-// /debug/vars: present (with the dropped counter and sorted queue depths)
-// once a Network is attached, absent before and after.
-func TestFarmDebugVarsNetwork(t *testing.T) {
-	f := testFarm(t, 1)
-	url := f.Proxies[0].URL() + "/debug/vars"
-
-	var v debugVars
-	_, body := getBody(t, url)
-	if err := json.Unmarshal([]byte(body), &v); err != nil {
-		t.Fatal(err)
-	}
-	if v.Network != nil {
-		t.Fatal("network section present before AttachNetwork")
-	}
-
-	nw := transport.NewNetwork()
-	f.AttachNetwork(nw)
-	v = debugVars{}
-	_, body = getBody(t, url)
-	if err := json.Unmarshal([]byte(body), &v); err != nil {
-		t.Fatal(err)
-	}
-	if v.Network == nil {
-		t.Fatal("network section missing after AttachNetwork")
-	}
-	if v.Network.Dropped != 0 || len(v.Network.Queues) != 0 {
-		t.Errorf("idle network reports dropped=%d queues=%v", v.Network.Dropped, v.Network.Queues)
-	}
-
-	f.AttachNetwork(nil)
-	v = debugVars{}
-	_, body = getBody(t, url)
-	if err := json.Unmarshal([]byte(body), &v); err != nil {
-		t.Fatal(err)
-	}
-	if v.Network != nil {
-		t.Error("network section still present after detach")
 	}
 }
 

@@ -27,7 +27,7 @@ type Point struct {
 }
 
 // Collector accumulates per-request outcomes. It is not safe for concurrent
-// use; in concurrent runtimes only the single client driver observes
+// use; on the agents runtime only the single client driver observes
 // completions, so no locking is needed.
 type Collector struct {
 	window     *stats.MovingAverage

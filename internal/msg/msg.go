@@ -4,8 +4,7 @@
 // recorded path.
 //
 // Messages are plain data; the engines in internal/sim and internal/agent
-// move them between nodes, and internal/wire serializes them for TCP
-// transports. Both engines pass messages by pointer within a process, so
+// move them between nodes. Both pass messages by pointer within a process, so
 // handlers must treat a received message as owned (mutate-and-forward is the
 // norm, mirroring how a real proxy rewrites a packet before relaying it).
 package msg

@@ -24,7 +24,7 @@ func TestCoreIsTransportFree(t *testing.T) {
 	}
 	deps := strings.Fields(string(out))
 	const mod = "github.com/adc-sim/adc/internal/"
-	for _, banned := range []string{mod + "sim", mod + "msg", mod + "transport", "net/http"} {
+	for _, banned := range []string{mod + "sim", mod + "msg", mod + "agent", "net/http"} {
 		if slices.Contains(deps, banned) {
 			t.Errorf("internal/protocol depends on %s", banned)
 		}

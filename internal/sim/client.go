@@ -97,7 +97,7 @@ type Client struct {
 	curTimeout int64
 
 	// onDone, when set, fires once after the last reply is recorded;
-	// concurrent runtimes use it to know when to shut down.
+	// the agents runtime uses it to know when to shut down.
 	onDone func()
 
 	// tracer and ts are the optional observability hooks; both nil in the

@@ -5,9 +5,8 @@ import "github.com/adc-sim/adc/internal/msg"
 // Recycler is implemented by contexts that own a message freelist — the
 // single-threaded engines. Nodes never use it directly; they go through
 // NewRequest, Resolve and Finish below, which degrade gracefully to plain
-// allocation on contexts without freelists (the concurrent agent runtime
-// and the TCP transport, where messages cross goroutines and engine-owned
-// recycling would race).
+// allocation on contexts without freelists (the concurrent agent runtime,
+// where messages cross goroutines and engine-owned recycling would race).
 //
 // Ownership rules (see internal/msg): a handler owns the message it
 // received. Handing a message to Recycle-side methods ends that ownership.

@@ -12,9 +12,10 @@
 // eight hosts, and reports that "a simulation running on a powerful ...
 // machine returns the same results as a run spread over a distributed set
 // of machines" (§V.1.2). This package is the single-machine side of that
-// equivalence; internal/agent is the concurrent runtime and
-// internal/transport adds real TCP, and the integration tests assert all
-// three produce identical metrics under closed-loop injection.
+// equivalence; internal/agent is the concurrent runtime, held to identical
+// metrics under closed-loop injection, and internal/httpproxy runs the same
+// protocol core over real sockets, held to identical per-proxy statistics
+// and table dumps (TestSimAndFarmRunTheSameProtocol).
 package sim
 
 import (
@@ -49,9 +50,8 @@ type Starter interface {
 	Start(ctx Context)
 }
 
-// CountHop increments the hop counter embedded in m. Engines and
-// transports call it on every send so hop accounting is identical across
-// runtimes.
+// CountHop increments the hop counter embedded in m. Every runtime calls
+// it on every send so hop accounting is identical across them.
 func CountHop(m msg.Message) {
 	switch t := m.(type) {
 	case *msg.Request:
