@@ -8,11 +8,12 @@ GO ?= go
 ENGINE_BENCH = BenchmarkVEngine|BenchmarkEngineADC|BenchmarkClusterRun
 
 # Mapping-table benchmarks tracked in BENCH_tables.json (DESIGN.md "Table
-# internals"): Update/Lookup mixes at the paper's reference sizes, plus the
-# end-to-end engine benchmark the table overhaul moves. BenchmarkVEngineADC
+# internals"): Update/Lookup mixes at the paper's reference sizes, the
+# directory alone beside a builtin map (the floor core.lookup_ns_per_op is
+# read against), plus the end-to-end engine benchmark the table overhaul moves. BenchmarkVEngineADC
 # rides along as the disabled-tracer overhead guard (DESIGN.md §12): CI
 # re-runs it and asserts ≤3% drift against the recorded number.
-TABLES_BENCH = BenchmarkTablesUpdate|BenchmarkTablesLookup|BenchmarkVEngineADC$$
+TABLES_BENCH = BenchmarkTablesUpdate|BenchmarkTablesLookup|BenchmarkDirectory|BenchmarkVEngineADC$$
 
 # HTTP-farm real-network benchmarks tracked in BENCH_farm.json (DESIGN.md
 # "Real-network path"): end-to-end farm throughput serial and fanned-in,
@@ -51,14 +52,16 @@ fmt-check:
 # Short native-fuzz pass over the parsers that read bytes from outside — the
 # farm's header codec (what a proxy reads off a socket) and the -faults /
 # -recovery spec grammar (what a flag hands the engine) — and over the
-# engine's event queue, whose pop order every golden constant rests on. The
-# committed seed corpora under testdata/fuzz also run as ordinary test cases
-# in `make test`.
+# engine's event queue, whose pop order every golden constant rests on, and
+# the mapping tables' open-addressed directory, which every proxy message
+# probes. The committed seed corpora under testdata/fuzz also run as ordinary
+# test cases in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplicaHeaders -fuzztime 10s ./internal/httpproxy/
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzParseRecoverySpec -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzEventQueueOrder -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzDirectory -fuzztime 10s ./internal/core/
 
 # bench/ is a module of its own (BENCHMARK.json's driver), so `go build
 # ./...` and `go test ./...` at the root never compile it. It imports

@@ -78,9 +78,18 @@ func TestGoldenDeterminism(t *testing.T) {
 	const eps = 1e-9
 	for rt, g := range want {
 		t.Run(rt.String(), func(t *testing.T) {
-			res, err := Run(goldenConfig(rt), trace.NewSliceSource(goldenTrace()))
+			c, err := New(goldenConfig(rt), trace.NewSliceSource(goldenTrace()))
 			if err != nil {
 				t.Fatal(err)
+			}
+			res, err := c.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range c.ADCProxies() {
+				if err := p.Tables().CheckInvariants(); err != nil {
+					t.Errorf("proxy %d tables: %v", i, err)
+				}
 			}
 			s := res.Summary
 			if res.Delivered != g.delivered {

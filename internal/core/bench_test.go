@@ -46,6 +46,92 @@ func BenchmarkOrderedUpdate(b *testing.B) {
 			})
 		}
 	}
+	// The reference multiple-table size (§V.2), default backend only.
+	b.Run(fmt.Sprintf("%s/%d", BackendBTree, benchMultiple), func(b *testing.B) {
+		benchmarkOrderedUpdate(b, BackendBTree, benchMultiple)
+	})
+}
+
+// benchSink keeps the compiler from discarding a benchmarked lookup.
+var benchSink *Entry
+
+// BenchmarkDirectory measures the unified directory alone at the reference
+// population (20k+20k+10k entries), next to a builtin map of the same
+// content: the floor the layer metric core.lookup_ns_per_op is read against.
+// Keys are what the sim workloads draw — dense fill IDs plus one-timers
+// counting up from 2^40 — visited in shuffled order; churn forgets one
+// object and indexes a new one per iteration, as a first sighting on a full
+// single-table does.
+func BenchmarkDirectory(b *testing.B) {
+	const population = benchSingle + benchMultiple + benchCaching
+	rng := rand.New(rand.NewSource(1))
+	entries := make([]Entry, population)
+	for i := range entries {
+		entries[i].Object = ids.ObjectID(i/2 + i%2<<40)
+	}
+	rng.Shuffle(population, func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+	absent := func(i int) ids.ObjectID { return ids.ObjectID(1<<41 + i) }
+
+	fill := func() (*directory, map[ids.ObjectID]*Entry) {
+		d := newDirectory(population+1, rng.Uint64())
+		m := make(map[ids.ObjectID]*Entry, population)
+		for i := range entries {
+			d.set(entries[i].Object, &entries[i])
+			m[entries[i].Object] = &entries[i]
+		}
+		return d, m
+	}
+	// churned is the key each entry is currently indexed under.
+	churned := func() []ids.ObjectID {
+		objs := make([]ids.ObjectID, population)
+		for i := range objs {
+			objs[i] = entries[i].Object
+		}
+		return objs
+	}
+	d, m := fill()
+	b.Run("flat/get-hit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink = d.get(entries[i%population].Object)
+		}
+	})
+	b.Run("map/get-hit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink = m[entries[i%population].Object]
+		}
+	})
+	b.Run("flat/get-miss", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink = d.get(absent(i))
+		}
+	})
+	b.Run("map/get-miss", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink = m[absent(i)]
+		}
+	})
+	b.Run("flat/churn", func(b *testing.B) {
+		d, _ := fill()
+		objs := churned()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % population
+			d.del(objs[k])
+			objs[k] = absent(i)
+			d.set(objs[k], &entries[k])
+		}
+	})
+	b.Run("map/churn", func(b *testing.B) {
+		_, m := fill()
+		objs := churned()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % population
+			delete(m, objs[k])
+			objs[k] = absent(i)
+			m[objs[k]] = &entries[k]
+		}
+	})
 }
 
 // benchBackends are the backends the reference-size benchmarks cover.

@@ -36,6 +36,11 @@ import (
 
 // Entry is one row of a mapping table, mirroring the columns of the paper's
 // sample tables (Figs. 1–3): OBJ-ID, PROXY, LAST, AVG, HITS.
+//
+// Avg and Last (through Key) decide where an ordered table stores the
+// entry, and the default backend keeps a copy of the key beside its
+// pointer: never assign either while the entry sits in an ordered table.
+// 88 bytes; the unexported fields are the owning Tables' bookkeeping.
 type Entry struct {
 	// Object is the mapped object ID (the paper's URL column).
 	Object ids.ObjectID
@@ -69,6 +74,12 @@ type Entry struct {
 	// noAge freezes the aging term in Key for the aging-off ablation
 	// (Config.AgingOff); entries of one proxy all share the setting.
 	noAge bool
+
+	// kind is the table of the owning Tables that currently holds the
+	// entry (KindNone while it is in none). It shares noAge's padding, so
+	// the unified directory needs no kind of its own and moving an entry
+	// between tables is this one field write.
+	kind Kind
 
 	// prev/next are intrusive list links used by whichever list-shaped
 	// table currently holds the entry (the LRU single-table, the
@@ -141,7 +152,7 @@ func (e *Entry) String() string {
 }
 
 // Kind identifies which mapping table an entry lives in.
-type Kind int
+type Kind uint8
 
 // Table kinds, ordered by lookup priority in Update_Entry (Fig. 8).
 const (

@@ -188,6 +188,11 @@ func TestTablesMatchExecutableModel(t *testing.T) {
 				tbl.Update(obj, loc, now)
 				ref.update(obj, loc, now)
 				compareState(t, step, tbl, ref)
+				if step%64 == 0 {
+					if err := tbl.CheckInvariants(); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+				}
 			}
 		}
 	}

@@ -16,8 +16,8 @@ import (
 // the paper's Update_Entry does.
 //
 // Backends keep no object index of their own: on the hot path the owning
-// Tables resolves membership through its unified directory (one map probe
-// for all three tables) and removes via RemoveEntry. The by-object methods
+// Tables resolves membership through its unified directory (one probe for
+// all three tables) and removes via RemoveEntry. The by-object methods
 // (Contains, Get, Remove) search the backend's own structure — O(log n) is
 // not possible without a key, so they are linear walks — and exist for the
 // paper-faithful ablation path and for direct unit-testing of backends.
@@ -35,7 +35,9 @@ type Ordered interface {
 	// RemoveEntry takes a known-present entry out of the table without a
 	// by-object search: the backend locates it by its (Key, Object)
 	// position. The entry must currently be stored and its key unchanged
-	// since insertion.
+	// since Insert — the default backend keeps the key Insert saw beside
+	// the pointer and panics if (e.Key(), e.Object) no longer leads to
+	// e's own cell. Remove first, then CalcAverage, then Insert.
 	RemoveEntry(e *Entry)
 	// Insert places e at its ordered position (the paper's
 	// InsertOrdered). If the table is full, the worst entry — the one

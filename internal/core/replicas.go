@@ -173,7 +173,7 @@ func (t *Tables) ForceCache(obj ids.ObjectID, loc ids.NodeID, now, avgHint int64
 		}
 	}
 	out = Outcome{From: kind, To: KindCaching}
-	t.dirSet(obj, KindCaching, e)
+	e.kind = KindCaching
 	evicted := t.caching.Insert(e)
 	if evicted == nil {
 		return out, true
@@ -187,28 +187,22 @@ func (t *Tables) ForceCache(obj ids.ObjectID, loc ids.NodeID, now, avgHint int64
 		switch kind {
 		case KindMultiple:
 			t.multiple.Insert(e)
-			t.dirSet(obj, KindMultiple, e)
 		case KindSingle:
 			t.single.InsertTop(e)
-			t.dirSet(obj, KindSingle, e)
 		default:
 			out.To = KindSingle
 			out.Dropped = t.single.InsertTop(e)
-			t.dirSet(obj, KindSingle, e)
-			if out.Dropped != nil {
-				t.dirDel(out.Dropped.Object)
-			}
+			t.forget(out.Dropped)
 		}
+		e.kind = out.To
 		return out, false
 	}
 	// A resident was demoted to make room; it keeps its forwarding
 	// knowledge on the single-table top, as in the LRU ablation.
 	out.CacheEvicted = evicted
+	evicted.kind = KindSingle
 	out.Dropped = t.single.InsertTop(evicted)
-	t.dirSet(evicted.Object, KindSingle, evicted)
-	if out.Dropped != nil {
-		t.dirDel(out.Dropped.Object)
-	}
+	t.forget(out.Dropped)
 	return out, true
 }
 
@@ -228,10 +222,8 @@ func (t *Tables) DropCached(obj ids.ObjectID, fallback ids.NodeID) (out Outcome,
 	}
 	e.Replicas = nil
 	out = Outcome{From: KindCaching, To: KindSingle, CacheEvicted: e}
+	e.kind = KindSingle
 	out.Dropped = t.single.InsertTop(e)
-	t.dirSet(obj, KindSingle, e)
-	if out.Dropped != nil {
-		t.dirDel(out.Dropped.Object)
-	}
+	t.forget(out.Dropped)
 	return out, true
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/adc-sim/adc/internal/ids"
@@ -319,5 +320,87 @@ func TestRecycledEntryHasNoReplicas(t *testing.T) {
 	e, _ := tbl.Lookup(3)
 	if e.Replicas != nil {
 		t.Fatalf("recycled entry carries stale replicas %v", e.Replicas)
+	}
+}
+
+// churnOp is one random table operation, drawn once so that several Tables
+// can be fed the identical stream.
+type churnOp struct {
+	kind int // 0 ForceCache, 1 DropCached, 2 Invalidate, else Update
+	obj  ids.ObjectID
+	loc  ids.NodeID
+	hint int64
+}
+
+func randomChurnOp(rng *rand.Rand, universe int) churnOp {
+	return churnOp{
+		kind: rng.Intn(10),
+		obj:  ids.ObjectID(rng.Intn(universe)),
+		loc:  ids.NodeID(rng.Intn(5)),
+		hint: int64(rng.Intn(3) * 7),
+	}
+}
+
+// churnResult is an operation's outcome flattened to comparable values
+// (objects, not entry pointers).
+type churnResult struct {
+	from, to                               Kind
+	ok                                     bool
+	cacheEvicted, multipleEvicted, dropped ids.ObjectID
+}
+
+func objOf(e *Entry) ids.ObjectID {
+	if e == nil {
+		return noObj
+	}
+	return e.Object
+}
+
+func (op churnOp) apply(tbl *Tables, now int64) churnResult {
+	var out Outcome
+	ok := true
+	switch op.kind {
+	case 0:
+		out, ok = tbl.ForceCache(op.obj, op.loc, now, op.hint)
+	case 1:
+		out, ok = tbl.DropCached(op.obj, op.loc)
+	case 2:
+		ok = tbl.Invalidate(op.obj)
+	default:
+		out = tbl.Update(op.obj, op.loc, now)
+	}
+	res := churnResult{out.From, out.To, ok, objOf(out.CacheEvicted), objOf(out.MultipleEvicted), objOf(out.Dropped)}
+	tbl.Recycle(out)
+	return res
+}
+
+// TestReplicaChurnKeepsInvariants mixes the replication and recovery entry
+// points (ForceCache, DropCached, Invalidate) into an Update stream and
+// checks every invariant after every operation, with and without the
+// directory.
+func TestReplicaChurnKeepsInvariants(t *testing.T) {
+	cases := map[string]Config{
+		"btree":       {Backend: BackendBTree},
+		"slice":       {Backend: BackendSlice},
+		"list":        {Backend: BackendList},
+		"single-scan": {SingleScan: true},
+		"admit-all":   {CacheAdmitAll: true},
+	}
+	for name, cfg := range cases {
+		t.Run(name, func(t *testing.T) {
+			cfg.SingleSize, cfg.MultipleSize, cfg.CachingSize = 8, 5, 3
+			tbl, err := NewTables(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(5))
+			for now := int64(1); now <= 20000; now++ {
+				op := randomChurnOp(rng, 40)
+				op.apply(tbl, now)
+				if err := tbl.CheckInvariants(); err != nil {
+					t.Fatalf("step %d (%+v): %v", now, op, err)
+				}
+			}
+		})
 	}
 }

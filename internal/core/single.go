@@ -9,8 +9,8 @@ import "github.com/adc-sim/adc/internal/ids"
 //
 // Entries link through their intrusive prev/next fields, so insertion and
 // drop-out allocate nothing. The table keeps no object index: hot-path
-// membership is resolved by the owning Tables' unified directory (one map
-// probe shared with the ordered tables) followed by an O(1) RemoveEntry.
+// membership is resolved by the owning Tables' unified directory (one probe
+// shared with the ordered tables) followed by an O(1) RemoveEntry.
 // The by-object methods here search element-wise, exactly the behaviour
 // the paper's own implementation "requires … within the list" (§V.3.3);
 // they serve the Fig. 15 ablation path and direct unit tests.
@@ -19,20 +19,15 @@ type SingleTable struct {
 	// head/tail sentinels; head.next is the top (most recent).
 	head, tail Entry
 	size       int
-	// scan records that the paper-faithful linear-search mode was
-	// requested. Search is element-wise either way now that the index
-	// map lives in Tables; the flag is kept so dumps and tests can
-	// report the configured mode.
-	scan bool
 }
 
 // NewSingleTable returns an empty single-table with the given capacity.
-// scan selects the paper-faithful linear-search mode, which also disables
-// the owning Tables' directory so every probe is element-wise (Fig. 15).
-// Capacity must be positive; the constructor in Tables validates
-// configuration.
-func NewSingleTable(capacity int, scan bool) *SingleTable {
-	t := &SingleTable{capacity: capacity, scan: scan}
+// The second argument once selected the paper-faithful linear-search mode;
+// by-object search here is element-wise either way (Config.SingleScan is
+// what turns the owning Tables' directory off), so it is ignored. Capacity
+// must be positive; the constructor in Tables validates configuration.
+func NewSingleTable(capacity int, _ bool) *SingleTable {
+	t := &SingleTable{capacity: capacity}
 	t.head.next = &t.tail
 	t.tail.prev = &t.head
 	return t

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand/v2"
 
 	"github.com/adc-sim/adc/internal/ids"
 )
@@ -56,33 +57,32 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// slot is one directory cell: which table holds the object and its entry.
-type slot struct {
-	kind  Kind
-	entry *Entry
-}
-
 // Tables is one proxy's complete mapping-table state: the single-, multiple-
 // and caching tables plus the Update_Entry logic that moves entries between
 // them (paper Fig. 8). The caching table doubles as the cache itself — its
 // entries "represent actually stored objects" (§III.3.3); since the testbed
 // does not move payloads (§V.1), membership is storage.
 //
-// A unified directory (one map over all three tables) resolves every
-// membership question — Lookup, IsCached, ForwardLocation and the find
-// phase of Update — with exactly one map probe; the tables themselves keep
-// no per-table index and are touched only by position (RemoveEntry,
-// Insert). The directory is disabled in the paper-faithful timing modes
-// (SingleScan, BackendList) so the Fig. 15 ablation measures element-wise
-// search exactly as the paper did.
+// A unified directory (one flat hash table over all three tables) resolves
+// every membership question — Lookup, IsCached, ForwardLocation and the
+// find phase of Update — with exactly one probe; which table holds the
+// entry is the entry's own kind field, so moving an entry between tables
+// never touches the directory. The tables themselves keep no per-table
+// index and are touched only by position (RemoveEntry, Insert). The
+// directory is disabled in the paper-faithful timing modes (SingleScan,
+// BackendList) so the Fig. 15 ablation measures element-wise search exactly
+// as the paper did. CheckInvariants states what must hold between the
+// tables, the directory and the arena.
 type Tables struct {
 	single   *SingleTable
 	multiple Ordered
 	caching  Ordered
 
-	// dir maps every known object to its table and entry; nil in the
-	// paper-faithful probe modes.
-	dir map[ids.ObjectID]slot
+	// dir maps every known object to its entry: fixed capacity, sized by
+	// NewTables for the three table capacities, with a hash seed of its
+	// own that no result depends on. nil in the paper-faithful probe
+	// modes.
+	dir *directory
 	// arena slab-allocates entries and recycles the ones the system
 	// forgets (Outcome.Dropped, via Recycle).
 	arena entryArena
@@ -93,6 +93,12 @@ type Tables struct {
 
 // NewTables builds the three tables for one proxy.
 func NewTables(cfg Config) (*Tables, error) {
+	return newTables(cfg, rand.Uint64())
+}
+
+// newTables is NewTables with the directory's hash seed given, which only
+// tests need: they replay fuzz inputs and aim keys at one cell.
+func newTables(cfg Config, dirSeed uint64) (*Tables, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -108,7 +114,9 @@ func NewTables(cfg Config) (*Tables, error) {
 		agingOff: cfg.AgingOff,
 	}
 	if !cfg.SingleScan && cfg.Backend != BackendList {
-		t.dir = make(map[ids.ObjectID]slot, cfg.SingleSize+cfg.MultipleSize+cfg.CachingSize)
+		// +1: a first sighting is indexed before the entry it pushes off
+		// the single-table bottom is forgotten (Fig. 8 Part 4).
+		t.dir = newDirectory(cfg.SingleSize+cfg.MultipleSize+cfg.CachingSize+1, dirSeed)
 	}
 	return t, nil
 }
@@ -127,8 +135,10 @@ func (t *Tables) Caching() Ordered { return t.caching }
 // caching table, multiple-table and single-table" (§IV.3).
 func (t *Tables) locate(obj ids.ObjectID) (*Entry, Kind) {
 	if t.dir != nil {
-		s := t.dir[obj]
-		return s.entry, s.kind
+		if e := t.dir.get(obj); e != nil {
+			return e, e.kind
+		}
+		return nil, KindNone
 	}
 	if e := t.caching.Get(obj); e != nil {
 		return e, KindCaching
@@ -142,17 +152,15 @@ func (t *Tables) locate(obj ids.ObjectID) (*Entry, Kind) {
 	return nil, KindNone
 }
 
-// dirSet records obj's table and entry; no-op in probe mode.
-func (t *Tables) dirSet(obj ids.ObjectID, kind Kind, e *Entry) {
-	if t.dir != nil {
-		t.dir[obj] = slot{kind: kind, entry: e}
+// forget takes e — an entry that just left the last table that would hold
+// it, or nil — out of the directory; in probe mode there is none.
+func (t *Tables) forget(e *Entry) {
+	if e == nil {
+		return
 	}
-}
-
-// dirDel forgets obj; no-op in probe mode.
-func (t *Tables) dirDel(obj ids.ObjectID) {
+	e.kind = KindNone
 	if t.dir != nil {
-		delete(t.dir, obj)
+		t.dir.del(e.Object)
 	}
 }
 
@@ -160,7 +168,8 @@ func (t *Tables) dirDel(obj ids.ObjectID) {
 // table entry.
 func (t *Tables) IsCached(obj ids.ObjectID) bool {
 	if t.dir != nil {
-		return t.dir[obj].kind == KindCaching
+		e := t.dir.get(obj)
+		return e != nil && e.kind == KindCaching
 	}
 	return t.caching.Contains(obj)
 }
@@ -236,13 +245,13 @@ func (t *Tables) Update(obj ids.ObjectID, loc ids.NodeID, now int64) Outcome {
 		e.Location = loc
 		if t.admits(t.caching, e) {
 			out := Outcome{From: KindMultiple, To: KindCaching}
-			t.dirSet(obj, KindCaching, e)
+			e.kind = KindCaching
 			if evicted := t.caching.Insert(e); evicted != nil {
 				// The demoted worst returns to the
 				// multiple-table, which has room because e
 				// just left it.
 				t.multiple.Insert(evicted)
-				t.dirSet(evicted.Object, KindMultiple, evicted)
+				evicted.kind = KindMultiple
 				out.CacheEvicted = evicted
 			}
 			return out
@@ -257,13 +266,13 @@ func (t *Tables) Update(obj ids.ObjectID, loc ids.NodeID, now int64) Outcome {
 		e.Location = loc
 		if t.admits(t.multiple, e) {
 			out := Outcome{From: KindSingle, To: KindMultiple}
-			t.dirSet(obj, KindMultiple, e)
+			e.kind = KindMultiple
 			if evicted := t.multiple.Insert(e); evicted != nil {
 				// The multiple-table's worst goes on top of
 				// the single-table (Fig. 8 Part 3); the
 				// single-table has room because e just left.
 				t.single.InsertTop(evicted)
-				t.dirSet(evicted.Object, KindSingle, evicted)
+				evicted.kind = KindSingle
 				out.MultipleEvicted = evicted
 			}
 			return out
@@ -274,11 +283,9 @@ func (t *Tables) Update(obj ids.ObjectID, loc ids.NodeID, now int64) Outcome {
 
 	// Part 4: unknown object — new entry on top of the single-table.
 	e = t.alloc(obj, loc, now)
+	e.kind = KindSingle
 	dropped := t.single.InsertTop(e)
-	t.dirSet(obj, KindSingle, e)
-	if dropped != nil {
-		t.dirDel(dropped.Object)
-	}
+	t.forget(dropped)
 	return Outcome{From: KindNone, To: KindSingle, Dropped: dropped}
 }
 
@@ -304,29 +311,32 @@ func (t *Tables) updateLRU(obj ids.ObjectID, loc ids.NodeID, now int64) Outcome 
 		e.Location = loc
 	}
 	out := Outcome{From: from, To: KindCaching}
-	t.dirSet(obj, KindCaching, e)
+	e.kind = KindCaching
 	if evicted := t.caching.Insert(e); evicted != nil {
 		if evicted == e {
 			// Zero-capacity cache bounced the entry itself; the
 			// system forgets it (unreachable after Validate).
-			t.dirDel(obj)
+			t.forget(e)
 			return out
 		}
 		out.CacheEvicted = evicted
+		evicted.kind = KindSingle
 		out.Dropped = t.single.InsertTop(evicted)
-		t.dirSet(evicted.Object, KindSingle, evicted)
-		if out.Dropped != nil {
-			t.dirDel(out.Dropped.Object)
-		}
+		t.forget(out.Dropped)
 	}
 	return out
 }
 
 // alloc hands out a fresh entry from the arena, configured for this
-// proxy's aging mode.
+// proxy's aging mode and indexed in the directory — the directory's only
+// insert: from here until forget, the entry's cell never changes. The
+// caller puts the entry in a table and sets its kind.
 func (t *Tables) alloc(obj ids.ObjectID, loc ids.NodeID, now int64) *Entry {
 	e := t.arena.get(obj, loc, now)
 	e.noAge = t.agingOff
+	if t.dir != nil {
+		t.dir.set(obj, e)
+	}
 	return e
 }
 
@@ -374,7 +384,7 @@ func (t *Tables) Invalidate(obj ids.ObjectID) bool {
 	default:
 		return false
 	}
-	t.dirDel(obj)
+	t.forget(e)
 	t.arena.put(e)
 	return true
 }
@@ -393,4 +403,83 @@ func (t *Tables) ForwardLocation(obj ids.ObjectID) (ids.NodeID, bool) {
 // Len returns the total number of entries across the three tables.
 func (t *Tables) Len() int {
 	return t.single.Len() + t.multiple.Len() + t.caching.Len()
+}
+
+// CheckInvariants verifies what must hold between operations (DESIGN.md
+// §10, items 1–3) and reports the first violation: every table within its
+// capacity; the ordered tables ascending by (Key, Object), and every key a
+// btree block stores inline still equal to its entry's; every object in
+// exactly one table, with the entry's kind naming it; the directory holding
+// exactly the entries the tables hold, each reachable from its home cell;
+// and no entry on the arena's free list still in a table. It walks all
+// state — tests and debugging, not the request path.
+func (t *Tables) CheckInvariants() error {
+	seen := make(map[ids.ObjectID]*Entry, t.Len())
+	for _, tb := range []struct {
+		kind             Kind
+		length, capacity int
+		sorted           bool // the admit-all cache orders by recency, not by key
+		each             func(func(*Entry) bool)
+	}{
+		{KindCaching, t.caching.Len(), t.caching.Cap(), !t.admitAll, t.caching.Each},
+		{KindMultiple, t.multiple.Len(), t.multiple.Cap(), true, t.multiple.Each},
+		{KindSingle, t.single.Len(), t.single.Cap(), false, t.single.Each},
+	} {
+		if err := t.checkTable(seen, tb.kind, tb.length, tb.capacity, tb.sorted, tb.each); err != nil {
+			return err
+		}
+	}
+	for _, o := range []Ordered{t.caching, t.multiple} {
+		if bt, ok := o.(*btreeTable); ok {
+			if err := bt.check(); err != nil {
+				return err
+			}
+		}
+	}
+	if t.dir != nil {
+		if err := t.dir.check(); err != nil {
+			return err
+		}
+		// Every table entry was found in the directory, so equal counts
+		// leave no cell that points anywhere else.
+		if t.dir.n != len(seen) {
+			return fmt.Errorf("directory holds %d objects, the tables %d", t.dir.n, len(seen))
+		}
+	}
+	for _, f := range t.arena.free {
+		if seen[f.Object] == f || f.kind != KindNone || f.prev != nil || f.next != nil {
+			return fmt.Errorf("arena free list holds a live entry (object %v, %v table)", f.Object, f.kind)
+		}
+	}
+	return nil
+}
+
+// checkTable is CheckInvariants for one table, given as its kind, length,
+// capacity and iterator; seen collects the entries of the tables so far.
+func (t *Tables) checkTable(seen map[ids.ObjectID]*Entry, kind Kind, length, capacity int, sorted bool, each func(func(*Entry) bool)) error {
+	if length > capacity {
+		return fmt.Errorf("%v table holds %d entries, capacity %d", kind, length, capacity)
+	}
+	var err error
+	var prev *Entry
+	n := 0
+	each(func(e *Entry) bool {
+		switch {
+		case seen[e.Object] != nil:
+			err = fmt.Errorf("object %v is in the %v and the %v table", e.Object, seen[e.Object].kind, kind)
+		case e.kind != kind:
+			err = fmt.Errorf("object %v is in the %v table, its entry says %v", e.Object, kind, e.kind)
+		case sorted && prev != nil && !less(prev, e):
+			err = fmt.Errorf("%v table out of order at object %v", kind, e.Object)
+		case t.dir != nil && t.dir.get(e.Object) != e:
+			err = fmt.Errorf("directory does not map object %v to its %v-table entry", e.Object, kind)
+		}
+		seen[e.Object], prev = e, e
+		n++
+		return err == nil
+	})
+	if err == nil && n != length {
+		err = fmt.Errorf("%v table counts %d entries, holds %d", kind, length, n)
+	}
+	return err
 }

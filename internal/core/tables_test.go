@@ -313,6 +313,9 @@ func TestTablesBoundedUnderChurn(t *testing.T) {
 					t.Fatalf("step %d: capacity exceeded (%d/%d/%d)",
 						i, tbl.Single().Len(), tbl.Multiple().Len(), tbl.Caching().Len())
 				}
+				if err := tbl.CheckInvariants(); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
 			}
 		})
 	}

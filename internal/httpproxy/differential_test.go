@@ -135,6 +135,11 @@ func TestSimAndFarmRunTheSameProtocol(t *testing.T) {
 						return true
 					})
 				}
+				for side, tbl := range map[string]*core.Tables{"sim": sp.Tables(), "farm": fp.adc.Tables()} {
+					if err := tbl.CheckInvariants(); err != nil {
+						t.Errorf("proxy %d %s tables: %v", i, side, err)
+					}
+				}
 				fp.mu.Unlock()
 
 				// The payload store is the caching table: as many bodies
