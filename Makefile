@@ -3,33 +3,7 @@
 
 GO ?= go
 
-# Engine hot-path benchmarks tracked in BENCH_engine.json (see DESIGN.md
-# "The virtual-time engine" and EXPERIMENTS.md "Profiling the engine").
-ENGINE_BENCH = BenchmarkVEngine|BenchmarkEngineADC|BenchmarkClusterRun
-
-# Mapping-table benchmarks tracked in BENCH_tables.json (DESIGN.md "Table
-# internals"): Update/Lookup mixes at the paper's reference sizes, the
-# directory alone beside a builtin map (the floor core.lookup_ns_per_op is
-# read against), plus the end-to-end engine benchmark the table overhaul moves. BenchmarkVEngineADC
-# rides along as the disabled-tracer overhead guard (DESIGN.md §12): CI
-# re-runs it and asserts ≤3% drift against the recorded number.
-TABLES_BENCH = BenchmarkTablesUpdate|BenchmarkTablesLookup|BenchmarkDirectory|BenchmarkVEngineADC$$
-
-# HTTP-farm real-network benchmarks tracked in BENCH_farm.json (DESIGN.md
-# "Real-network path"): end-to-end farm throughput serial and fanned-in,
-# plus the miss-storm pair whose origin-fetches/op gap measures miss
-# coalescing. Interpret req/s against num_cpu/gomaxprocs in the file.
-FARM_BENCH = BenchmarkFarmGet|BenchmarkFarmMissStorm
-
-# Hot-object replication benchmark tracked in BENCH_replication.json
-# (DESIGN.md "Hot-object replication"): the shifting-Zipf scenario with the
-# controller on, with the stock-ADC run on the identical stream embedded as
-# the baseline. The custom metrics carry the claim: mw-share (mean windowed
-# max/mean load share) and mw-peak-req (mean hottest-proxy receptions per
-# window) drop versus the baseline while p99-ticks and hit-rate hold.
-REPLICATION_BENCH = BenchmarkReplicationZipf
-
-.PHONY: all build test race vet fmt-check faults fuzz bench-check bench bench-tables bench-farm bench-replication bench-replication-baseline bench-compare bench-sweep bench-profile loadtest chaos trace-smoke telemetry-smoke figures clean
+.PHONY: all build test race vet fmt-check faults fuzz bench-check benchmark benchmark-aa benchmark-exact bench-sweep bench-profile loadtest chaos trace-smoke telemetry-smoke figures clean
 
 all: build test
 
@@ -70,39 +44,41 @@ fuzz:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# The repository's benchmark (BENCHMARK.json, bench/README.md): the driver's
+# own command and nothing else. `benchmark` runs every workload untraced then
+# traced (~2 min on two cores) and prints the machine shape first; numbers
+# from different shapes are not comparable. `benchmark-aa` runs the same code
+# ten times per workload: the run-to-run spread to read any difference against.
+benchmark:
+	bash bench/run.sh -seed 1
+
+benchmark-aa:
+	bash bench/run.sh -aa 10
+
+# Blocking gate on what repeats bit for bit per seed: both simulator
+# workloads, untraced, seed 1, must report correct=true and exactly the
+# hit_rate, hops, latency_us, latency_p99_us and ok_share committed in
+# benchmark-exact.txt. Host-time metrics are not looked at. A change that
+# moves a simulated result on purpose edits that file and says so.
+benchmark-exact:
+	@need() { printf '%s\n' "$$line" | grep -qF -e "$$1" \
+	    || { echo "benchmark-exact: $$w: no $$1 in: $$line"; exit 1; }; }; \
+	ran=; while read -r w want; do \
+	  case "$$w" in ''|'#'*) continue;; esac; \
+	  if [ "$$w" != "$$ran" ]; then \
+	    ran="$$w"; \
+	    line="$$(bash bench/run.sh -workload "$$w" -seed 1 -seconds 1 -trace 0 | tail -n 1)"; \
+	    need '"correct":true'; \
+	  fi; \
+	  need "$$want"; \
+	done < benchmark-exact.txt && echo "benchmark-exact: ok"
+
 # Fault-injection gate: race-clean tests of the fault/recovery packages,
 # then the resilience experiment at smoke scale (hit rate & completion vs
 # message loss, with and without the recovery protocol).
 faults:
 	$(GO) test -race ./internal/sim ./internal/proxy ./internal/cluster
 	$(GO) run ./cmd/adcsweep -metric resilience -scale 0.01 -losses 0,0.01,0.05
-
-# Engine hot-path benchmarks: runs the sim and cluster benchmarks and
-# records name, ns/op and allocs/op plus the git SHA in BENCH_engine.json.
-# BENCH_baseline.json (the pre-optimization numbers) is embedded under
-# "baseline" so the file carries both before and after measurements.
-bench: bench-tables
-	{ $(GO) version; \
-	  $(GO) test -bench '$(ENGINE_BENCH)' -run '^$$' ./internal/sim/ ./internal/cluster/; } \
-	| $(GO) run ./cmd/benchjson -baseline BENCH_baseline.json > BENCH_engine.json
-	@cat BENCH_engine.json
-
-# Mapping-table benchmarks: reference-size (20k/20k/10k) Update and Lookup
-# mixes per backend, recorded with the pre-overhaul numbers embedded as the
-# baseline (BENCH_tables_baseline.json).
-bench-tables:
-	{ $(GO) version; \
-	  $(GO) test -bench '$(TABLES_BENCH)' -run '^$$' ./internal/core/ ./internal/sim/; } \
-	| $(GO) run ./cmd/benchjson -baseline BENCH_tables_baseline.json > BENCH_tables.json
-	@cat BENCH_tables.json
-
-# HTTP-farm benchmarks: real loopback sockets end to end, recorded with
-# the pre-optimization numbers (BENCH_farm_baseline.json) embedded.
-bench-farm:
-	{ $(GO) version; \
-	  $(GO) test -bench '$(FARM_BENCH)' -run '^$$' ./internal/httpproxy/; } \
-	| $(GO) run ./cmd/benchjson -baseline BENCH_farm_baseline.json > BENCH_farm.json
-	@cat BENCH_farm.json
 
 # Open-loop load test against an in-process farm: offered vs achieved rate,
 # coordinated-omission-corrected latency quantiles, per-proxy hit/shed
@@ -122,31 +98,6 @@ chaos:
 	$(GO) run ./cmd/adcload -rate $(RATE) -duration 20s -proxies $(PROXIES) \
 	  -chaos '$(CHAOS)' -quiet
 
-# Hot-object replication benchmark: the controller-on scenario, recorded
-# with the stock-ADC numbers (BENCH_replication_baseline.json) embedded.
-bench-replication:
-	{ $(GO) version; \
-	  $(GO) test -bench '$(REPLICATION_BENCH)' -benchtime 5x -run '^$$' ./internal/cluster/; } \
-	| $(GO) run ./cmd/benchjson -baseline BENCH_replication_baseline.json > BENCH_replication.json
-	@cat BENCH_replication.json
-
-# Re-records the stock-ADC baseline for bench-replication (same scenario,
-# controller off via ADC_REPLICATION=off).
-bench-replication-baseline:
-	{ $(GO) version; \
-	  ADC_REPLICATION=off $(GO) test -bench '$(REPLICATION_BENCH)' -benchtime 5x -run '^$$' ./internal/cluster/; } \
-	| $(GO) run ./cmd/benchjson > BENCH_replication_baseline.json
-	@cat BENCH_replication_baseline.json
-
-# Regression gate: compares the recorded table numbers against their
-# embedded baseline and fails on >10% ns/op regressions (20% for the
-# noisier farm and replication files).
-bench-compare:
-	$(GO) run ./cmd/benchjson compare BENCH_tables.json
-	$(GO) run ./cmd/benchjson compare BENCH_engine.json
-	$(GO) run ./cmd/benchjson compare -threshold 20 BENCH_farm.json
-	$(GO) run ./cmd/benchjson compare -threshold 20 BENCH_replication.json
-
 # Sweep benchmarks compare the sequential and parallel runners; the rest
 # regenerate every headline number in EXPERIMENTS.md.
 bench-sweep:
@@ -156,7 +107,7 @@ bench-sweep:
 #   go tool pprof -top cpu.out
 #   go tool pprof -top -sample_index=alloc_objects mem.out
 bench-profile:
-	$(GO) test -bench '$(ENGINE_BENCH)' -run '^$$' \
+	$(GO) test -bench 'BenchmarkVEngineEcho|BenchmarkVEngineOpenLoop' -run '^$$' \
 		-cpuprofile cpu.out -memprofile mem.out ./internal/sim/
 	@echo "wrote cpu.out and mem.out"
 

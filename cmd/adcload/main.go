@@ -21,7 +21,6 @@
 //	adcload -rate 50000 -max-active 256 -max-queue 512        # force shedding
 //	adcload -trace-dump run.spans.json -lint-metrics          # telemetry smoke
 //	adcload -json > run.json                                  # machine-readable
-//	adcload -bench | benchjson > BENCH_load.json              # bench-line form
 package main
 
 import (
@@ -98,9 +97,8 @@ type config struct {
 	TraceDump   string // write every proxy's span dump as JSON here after the run
 	LintMetrics bool   // scrape and lint every proxy's /metrics after the run
 
-	JSONOut  bool
-	BenchOut bool
-	Quiet    bool
+	JSONOut bool
+	Quiet   bool
 }
 
 // proxyReport is the per-proxy slice of the report.
@@ -643,17 +641,6 @@ func us(v float64) time.Duration {
 	return time.Duration(v) * time.Microsecond
 }
 
-// printBench emits the run as one `go test -bench`-shaped line so the
-// existing benchjson tooling can record and compare load runs.
-func printBench(w io.Writer, rep *report) {
-	nsPerOp := float64(rep.Duration.Nanoseconds())
-	if rep.Completed > 0 {
-		nsPerOp /= float64(rep.Completed)
-	}
-	fmt.Fprintf(w, "BenchmarkAdcloadOpenLoop %d %.1f ns/op %.1f req/s %.1f p50-us %.1f p99-us %.4f hit-rate\n",
-		rep.Completed, nsPerOp, rep.AchievedRate, rep.P50us, rep.P99us, rep.HitRate())
-}
-
 func main() {
 	var cfg config
 	flag.IntVar(&cfg.Proxies, "proxies", 8, "number of proxies in the farm")
@@ -689,7 +676,6 @@ func main() {
 	flag.StringVar(&cfg.TraceDump, "trace-dump", "", "write scraped span dumps as JSON to this file for adctrace farm (implies -trace-sample 1)")
 	flag.BoolVar(&cfg.LintMetrics, "lint-metrics", false, "scrape and lint every proxy's /metrics after the run")
 	flag.BoolVar(&cfg.JSONOut, "json", false, "emit the report as JSON on stdout")
-	flag.BoolVar(&cfg.BenchOut, "bench", false, "emit a go-bench-style line for benchjson")
 	flag.BoolVar(&cfg.Quiet, "quiet", false, "suppress the latency histogram")
 	flag.Parse()
 
@@ -698,17 +684,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	switch {
-	case cfg.JSONOut:
+	if cfg.JSONOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	case cfg.BenchOut:
-		printBench(os.Stdout, rep)
-	default:
+	} else {
 		printText(os.Stdout, rep)
 		if !cfg.Quiet {
 			fmt.Println("\nlatency histogram (µs buckets):")

@@ -2,7 +2,6 @@ package httpproxy
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -206,9 +205,9 @@ func (f *Farm) Get(proxyIdx int, obj ids.ObjectID, reqID string) (hit bool, err 
 		return false, fmt.Errorf("httpproxy: get %v: %w", obj, err)
 	}
 	defer resp.Body.Close() //nolint:errcheck // read side
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp)
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("httpproxy: get %v: %w", obj, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return false, fmt.Errorf("httpproxy: get %v: status %d (%s)", obj, resp.StatusCode, body)

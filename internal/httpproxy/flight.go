@@ -1,6 +1,7 @@
 package httpproxy
 
 import (
+	"errors"
 	"net/http"
 	"sync"
 
@@ -34,6 +35,10 @@ type flightResult struct {
 	err    error
 }
 
+// errLeaderPanicked is what a flight's waiters receive when the leader's
+// fetch panicked instead of returning.
+var errLeaderPanicked = errors.New("httpproxy: flight leader panicked")
+
 // flight is one in-progress upstream fetch.
 type flight struct {
 	done chan struct{}
@@ -59,18 +64,23 @@ func (g *flightGroup) do(obj ids.ObjectID, fn func() flightResult) (res flightRe
 		<-f.done
 		return f.res, true
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight{done: make(chan struct{}), res: flightResult{err: errLeaderPanicked}}
 	g.m[obj] = f
 	g.mu.Unlock()
 
-	f.res = fn()
-
 	// Retire the flight before waking waiters so a request arriving
 	// after completion starts a fresh fetch instead of reading a stale
-	// result.
-	g.mu.Lock()
-	delete(g.m, obj)
-	g.mu.Unlock()
-	close(f.done)
+	// result. Deferred, because net/http recovers a handler panic: a
+	// leader that panicked in fn would otherwise leave its flight in g.m
+	// and every later request for obj would block on it holding a gate
+	// slot. The waiters get errLeaderPanicked, the panic keeps unwinding
+	// the leader.
+	defer func() {
+		g.mu.Lock()
+		delete(g.m, obj)
+		g.mu.Unlock()
+		close(f.done)
+	}()
+	f.res = fn()
 	return f.res, false
 }

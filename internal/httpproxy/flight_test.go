@@ -1,6 +1,7 @@
 package httpproxy
 
 import (
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -291,5 +292,64 @@ func TestFlightGroupShares(t *testing.T) {
 	})
 	if !ran || shared || string(res.body) != "fresh" {
 		t.Errorf("post-completion do() must run fresh: ran=%v shared=%v body=%q", ran, shared, res.body)
+	}
+}
+
+// TestFlightGroupLeaderPanics: net/http recovers a handler panic, so a
+// leader whose fn panics must still retire its flight. The waiters return
+// an error result instead of blocking forever, the panic reaches the
+// leader's caller, and the next do() for the object runs its own fn.
+func TestFlightGroupLeaderPanics(t *testing.T) {
+	const waiters = 4
+	var g flightGroup
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		g.do(1, func() flightResult {
+			close(entered)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-entered
+
+	results := make(chan flightResult, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			res, shared := g.do(1, func() flightResult { return flightResult{status: http.StatusOK} })
+			if !shared {
+				t.Error("waiter ran its own fn while the leader's flight was open")
+			}
+			results <- res
+		}()
+	}
+	// Same beat as TestFlightGroupShares: let the joiners pile onto the
+	// flight before the leader blows up.
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+
+	if r := <-recovered; r != "boom" {
+		t.Errorf("leader's caller recovered %v, want the original panic", r)
+	}
+	for i := 0; i < waiters; i++ {
+		select {
+		case res := <-results:
+			if !errors.Is(res.err, errLeaderPanicked) {
+				t.Errorf("waiter got %+v, want errLeaderPanicked", res)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("waiter still blocked on a flight whose leader panicked")
+		}
+	}
+
+	ran := false
+	res, shared := g.do(1, func() flightResult {
+		ran = true
+		return flightResult{status: http.StatusOK}
+	})
+	if !ran || shared || res.status != http.StatusOK {
+		t.Errorf("do() after a panicked flight must run fresh: ran=%v shared=%v res=%+v", ran, shared, res)
 	}
 }

@@ -904,7 +904,7 @@ func (p *Proxy) fetch(base string, dest ids.NodeID, obj ids.ObjectID, reqID stri
 		return nil, nil, 0, fmt.Errorf("httpproxy: upstream fetch: %w", err)
 	}
 	defer resp.Body.Close() //nolint:errcheck // read side
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp)
 	if err != nil {
 		sc.recordID(spanID, spanStage, start, obj, dest.String(), err.Error())
 		return nil, nil, 0, fmt.Errorf("httpproxy: read upstream body: %w", err)
@@ -916,4 +916,28 @@ func (p *Proxy) fetch(base string, dest ids.NodeID, obj ids.ObjectID, reqID stri
 	}
 	sc.recordID(spanID, spanStage, start, obj, dest.String(), spanErr)
 	return body, resp.Header, resp.StatusCode, nil
+}
+
+// maxBodyBytes caps every response body this package reads into memory —
+// an upstream object, a farm client's reply, a scraped span dump — so a
+// misbehaving peer or origin cannot make a proxy allocate without bound.
+// Object payloads are tens of bytes; the largest legitimate body is the
+// JSON dump of a default span ring, a few MB.
+const maxBodyBytes = 16 << 20
+
+// readBody reads the whole body of resp through a limit. A body over
+// maxBodyBytes — declared or streamed — is an error, and so is one shorter
+// than its declared length (net/http reports that itself).
+func readBody(resp *http.Response) ([]byte, error) {
+	if resp.ContentLength > maxBodyBytes {
+		return nil, fmt.Errorf("body of %d bytes exceeds the %d-byte limit", resp.ContentLength, maxBodyBytes)
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(body) > maxBodyBytes {
+		return nil, fmt.Errorf("body exceeds the %d-byte limit", maxBodyBytes)
+	}
+	return body, nil
 }

@@ -3,6 +3,7 @@ package httpproxy
 import (
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"sync"
 	"testing"
@@ -224,5 +225,66 @@ func TestFarmConfigValidation(t *testing.T) {
 	}
 	if _, err := NewFarm(FarmConfig{Proxies: 1}); err == nil {
 		t.Error("invalid tables must fail")
+	}
+}
+
+// TestUpstreamBodyIsBounded drives a proxy against an origin that lies
+// about its body: one reply declares more bytes than it sends, one declares
+// more than maxBodyBytes, one streams past maxBodyBytes with no declared
+// length. Each is a fetch error — 502 to the client, nothing stored, the
+// pending pass retired — and the proxy keeps serving honest replies.
+func TestUpstreamBodyIsBounded(t *testing.T) {
+	const (
+		short = ids.ObjectID(iota + 1)
+		declaredHuge
+		streamedHuge
+		honest
+	)
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		obj, err := parseObjectPath(r.URL.Path)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set(HeaderOrigin, "1")
+		switch obj {
+		case short:
+			w.Header().Set("Content-Length", "100")
+			_, _ = w.Write([]byte("ten bytes."))
+		case declaredHuge:
+			w.Header().Set("Content-Length", strconv.Itoa(maxBodyBytes+1))
+			_, _ = w.Write([]byte("ten bytes."))
+		case streamedHuge:
+			w.(http.Flusher).Flush() // headers go out chunked, with no length
+			chunk := make([]byte, 64<<10)
+			for sent := 0; sent <= maxBodyBytes; sent += len(chunk) {
+				if _, err := w.Write(chunk); err != nil {
+					return // the proxy hung up at the limit
+				}
+			}
+		default:
+			_, _ = w.Write(Payload(obj))
+		}
+	}))
+	defer origin.Close()
+	p := stormProxy(t, origin.URL, Config{ID: 0})
+
+	for _, obj := range []ids.ObjectID{short, declaredHuge, streamedHuge} {
+		if code := stormGet(t, p, obj, "lie-"+strconv.Itoa(int(obj))); code != http.StatusBadGateway {
+			t.Errorf("object %v: status %d, want 502", obj, code)
+		}
+	}
+	if code := stormGet(t, p, honest, "honest"); code != http.StatusOK {
+		t.Errorf("honest object after the lies: status %d, want 200", code)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, obj := range []ids.ObjectID{short, declaredHuge, streamedHuge} {
+		if _, ok := p.store[obj]; ok {
+			t.Errorf("object %v: a failed fetch left a stored payload", obj)
+		}
+	}
+	if len(p.pending) != 0 {
+		t.Errorf("pending passes not retired: %v", p.pending)
 	}
 }

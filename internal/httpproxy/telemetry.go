@@ -3,7 +3,6 @@ package httpproxy
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -163,7 +162,7 @@ func ScrapeTraceDump(client *http.Client, base string) (obs.SpanDump, error) {
 	}
 	// The after-stamp must land before the (potentially slow) JSON parse of
 	// a large ring, or parse time would masquerade as clock skew.
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp)
 	after := time.Now().UnixMicro()
 	if err != nil {
 		return obs.SpanDump{}, fmt.Errorf("httpproxy: scrape %s: %w", base, err)

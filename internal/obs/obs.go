@@ -15,7 +15,7 @@
 // Cost discipline: a nil *Tracer is the disabled state. Every emit site
 // guards with a nil check plus Enabled(kind), so a disabled tracer adds one
 // predictable branch and zero allocations to the hot path, keeping the
-// golden determinism tests and BenchmarkVEngineADC byte-identical.
+// golden determinism tests byte-identical.
 package obs
 
 import (

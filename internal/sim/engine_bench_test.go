@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/adc-sim/adc/internal/core"
@@ -12,7 +13,7 @@ import (
 
 // benchObjects builds a deterministic request stream over a hot population,
 // shared by every engine benchmark so ns/op values are comparable across
-// engines and across commits (BENCH_engine.json).
+// commits.
 func benchObjects(n, population int) []ids.ObjectID {
 	objs := make([]ids.ObjectID, n)
 	state := uint64(0x9E3779B97F4A7C15)
@@ -23,12 +24,8 @@ func benchObjects(n, population int) []ids.ObjectID {
 	return objs
 }
 
-// adcRig wires the standard 5-proxy ADC array plus origin onto an engine.
-type registrar interface {
-	Register(n sim.Node) error
-}
-
-func buildADCArray(b *testing.B, eng registrar, nProxies int) []ids.NodeID {
+// buildADCArray wires the standard ADC proxy array plus origin onto an engine.
+func buildADCArray(b testing.TB, eng *sim.VEngine, nProxies int) []ids.NodeID {
 	b.Helper()
 	proxyIDs := make([]ids.NodeID, nProxies)
 	for i := range proxyIDs {
@@ -56,41 +53,6 @@ func buildADCArray(b *testing.B, eng registrar, nProxies int) []ids.NodeID {
 		b.Fatal(err)
 	}
 	return proxyIDs
-}
-
-// BenchmarkVEngineADC is the headline engine benchmark: a 5-proxy ADC
-// array driven by one closed-loop client on the virtual-time engine. It
-// exercises the full hot path — event queue, node dispatch, message and
-// path churn — and is the number BENCH_engine.json tracks across commits.
-func BenchmarkVEngineADC(b *testing.B) {
-	const requests = 20_000
-	objs := benchObjects(requests, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var delivered uint64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		eng := sim.NewVEngine(sim.DefaultLatencyModel())
-		proxyIDs := buildADCArray(b, eng, 5)
-		cl, err := sim.NewClient(sim.ClientConfig{
-			Source:  trace.NewSliceSource(objs),
-			Proxies: proxyIDs,
-			Seed:    1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := eng.Register(cl); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := eng.Run(); err != nil {
-			b.Fatal(err)
-		}
-		delivered = eng.Delivered()
-	}
-	b.ReportMetric(float64(delivered)/float64(b.Elapsed().Seconds())*float64(b.N), "events/s")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(delivered), "ns/event")
 }
 
 // BenchmarkVEngineEcho isolates the engine itself: a single echo node and
@@ -129,17 +91,31 @@ func BenchmarkVEngineEcho(b *testing.B) {
 // concurrently outstanding requests (timer events interleaved with
 // transfers). One client at a 1000-tick interval keeps ≈ 90 requests in
 // flight: a shallow queue.
-func BenchmarkVEngineOpenLoop(b *testing.B) { benchOpenLoop(b, 1, 20_000, 1000) }
+func BenchmarkVEngineOpenLoop(b *testing.B) { benchOpenLoop(b, 1, 1, 20_000, 1000) }
 
 // BenchmarkVEngineOpenLoopDeep is the deep-queue case, shaped like the
 // sim_shift_open workload of BENCHMARK.json: 64 Poisson clients at a
 // 2000-tick interval each against ≈ 90,000-tick responses keep ≈ 2,800
-// requests in flight. It is the floor sim.self_ns_per_event is read against.
-func BenchmarkVEngineOpenLoopDeep(b *testing.B) { benchOpenLoop(b, 64, 100_000, 2000) }
+// requests in flight. shards=1 is the floor sim.self_ns_per_event is read
+// against. shards=2 is the same run split over two shards: Poisson arrivals
+// almost never share a tick, so nearly every cohort is one event and pays
+// the fan-out and merge for nothing — sharding is for same-tick cohorts.
+func BenchmarkVEngineOpenLoopDeep(b *testing.B) {
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			benchOpenLoop(b, shards, 64, 100_000, 2000)
+		})
+	}
+}
 
 // benchOpenLoop runs the 5-proxy ADC array under the given number of
 // Poisson open-loop clients, the request stream dealt round-robin.
-func benchOpenLoop(b *testing.B, clients, requests int, interval int64) {
+func benchOpenLoop(b *testing.B, shards, clients, requests int, interval int64) {
+	const nProxies = 5
+	shardMap, err := ids.NewShardMap(shards, nProxies)
+	if err != nil {
+		b.Fatal(err)
+	}
 	objs := benchObjects(requests, 1000)
 	parts := make([][]ids.ObjectID, clients)
 	for i, obj := range objs {
@@ -150,8 +126,8 @@ func benchOpenLoop(b *testing.B, clients, requests int, interval int64) {
 	var delivered uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng := sim.NewVEngine(sim.DefaultLatencyModel())
-		proxyIDs := buildADCArray(b, eng, 5)
+		eng := sim.NewShardedVEngine(sim.DefaultLatencyModel(), shardMap)
+		proxyIDs := buildADCArray(b, eng, nProxies)
 		for c, part := range parts {
 			cl, err := sim.NewOpenLoopClient(sim.OpenLoopConfig{
 				Index:         c,
@@ -175,33 +151,4 @@ func benchOpenLoop(b *testing.B, clients, requests int, interval int64) {
 		delivered = eng.Delivered()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(delivered), "ns/event")
-}
-
-// BenchmarkEngineADC is the sequential (FIFO) engine on the same workload,
-// isolating dispatch and message costs without the event queue.
-func BenchmarkEngineADC(b *testing.B) {
-	const requests = 20_000
-	objs := benchObjects(requests, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		eng := sim.NewEngine()
-		proxyIDs := buildADCArray(b, eng, 5)
-		cl, err := sim.NewClient(sim.ClientConfig{
-			Source:  trace.NewSliceSource(objs),
-			Proxies: proxyIDs,
-			Seed:    1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := eng.Register(cl); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := eng.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -63,7 +63,7 @@ func (s *poolSource) Next() (ids.ObjectID, bool) {
 
 // buildScalingRig wires the 10k-proxy / 1M-client topology onto eng.
 // collFor maps a client index to its (possibly shared) metrics collector.
-func buildScalingRig(b *testing.B, eng registrar, collFor func(i int) *metrics.Collector) {
+func buildScalingRig(b *testing.B, eng *sim.VEngine, collFor func(i int) *metrics.Collector) {
 	b.Helper()
 	proxyIDs := make([]ids.NodeID, scaleProxies)
 	for i := range proxyIDs {
@@ -119,7 +119,7 @@ func newScaleCollector() *metrics.Collector {
 	)
 }
 
-// BenchmarkPEngineScaling is the engine's scaling benchmark: the 10k-proxy
+// BenchmarkShardedScaling is the engine's scaling benchmark: the 10k-proxy
 // / 1M-client workload at 1, 2, 4 and 8 shards (≈ 5 GB RSS and minutes per
 // variant; run one at a time with -benchtime 1x). EXPERIMENTS.md "Parallel
 // engine scaling" records events/s per shard count with the machine shape
@@ -129,7 +129,7 @@ func newScaleCollector() *metrics.Collector {
 // Every variant also cross-checks its delivery count against the first
 // variant run: a shard-count-dependent event count would mean the engines
 // diverged, and a throughput number for a wrong simulation is worthless.
-func BenchmarkPEngineScaling(b *testing.B) {
+func BenchmarkShardedScaling(b *testing.B) {
 	var wantDelivered uint64
 
 	// One collector per shard, shared by that shard's clients: handlers of

@@ -15,10 +15,10 @@ import (
 	"github.com/adc-sim/adc/internal/trace"
 )
 
-// pengineShardCounts are the partition widths every determinism test runs
+// shardCounts are the partition widths every determinism test runs
 // at: the degenerate single shard, even splits, an uneven split (3 shards
 // over 5 proxies), and more shards than this machine may have cores.
-var pengineShardCounts = []int{1, 2, 3, 4, 8}
+var shardCounts = []int{1, 2, 3, 4, 8}
 
 // rigResult captures everything observable from a run: per-client metric
 // summaries and series, per-proxy protocol stats, and the engine's delivery
@@ -30,8 +30,8 @@ type rigResult struct {
 	delivered uint64
 }
 
-// pengineRig parameterizes one engine-comparison workload.
-type pengineRig struct {
+// shardRig parameterizes one engine-comparison workload.
+type shardRig struct {
 	latency  sim.LatencyModel
 	proxies  int
 	clients  int
@@ -48,7 +48,7 @@ type pengineRig struct {
 }
 
 // run wires the rig onto eng, runs it, and snapshots the observable state.
-func (r pengineRig) run(t *testing.T, eng *sim.VEngine) rigResult {
+func (r shardRig) run(t *testing.T, eng *sim.VEngine) rigResult {
 	t.Helper()
 	proxies := make([]*proxy.ADC, r.proxies)
 	proxyIDs := make([]ids.NodeID, r.proxies)
@@ -126,7 +126,7 @@ func (r pengineRig) run(t *testing.T, eng *sim.VEngine) rigResult {
 	return res
 }
 
-func (r pengineRig) wrapped(n sim.Node) sim.Node {
+func (r shardRig) wrapped(n sim.Node) sim.Node {
 	if r.wrap == nil {
 		return n
 	}
@@ -148,14 +148,14 @@ func (r rigResult) digest() uint64 {
 // count, requiring identical observable results, and pins the one-shard run
 // to the delivery count and digest the sequential VEngine produced at
 // cbc3d04, the last commit that had one.
-func (r pengineRig) compare(t *testing.T, wantDelivered, wantDigest uint64) {
+func (r shardRig) compare(t *testing.T, wantDelivered, wantDigest uint64) {
 	t.Helper()
 	want := r.run(t, sim.NewVEngine(r.latency))
 	if want.delivered != wantDelivered || want.digest() != wantDigest {
 		t.Errorf("one-shard run drifted from the recorded VEngine run: delivered %d digest %#x, want %d %#x",
 			want.delivered, want.digest(), wantDelivered, wantDigest)
 	}
-	for _, shards := range pengineShardCounts[1:] {
+	for _, shards := range shardCounts[1:] {
 		part, err := ids.NewShardMap(shards, r.proxies)
 		if err != nil {
 			t.Fatal(err)
@@ -177,12 +177,12 @@ func (r pengineRig) compare(t *testing.T, wantDelivered, wantDigest uint64) {
 	}
 }
 
-// TestPEngineMatchesVEngineClosedLoop pins the tentpole guarantee at the
+// TestShardedMatchesOneShardClosedLoop pins the tentpole guarantee at the
 // engine level: the engine's observable output is identical at every shard
 // count, including shard counts that do not divide the proxy span, and
 // identical to what the sequential VEngine recorded.
-func TestPEngineMatchesVEngineClosedLoop(t *testing.T) {
-	pengineRig{
+func TestShardedMatchesOneShardClosedLoop(t *testing.T) {
+	shardRig{
 		latency:  sim.DefaultLatencyModel(),
 		proxies:  5,
 		clients:  6,
@@ -190,11 +190,11 @@ func TestPEngineMatchesVEngineClosedLoop(t *testing.T) {
 	}.compare(t, 14250, 0x4039f359af0256c8)
 }
 
-// TestPEngineMatchesVEngineOpenLoop drives wide cohorts: open-loop clients
+// TestShardedMatchesOneShardOpenLoop drives wide cohorts: open-loop clients
 // with identical fixed intervals inject at the same virtual instants, so
 // cohorts span shards and the cross-shard merge does real work. The poisson
 // variant staggers arrivals so cohort membership shifts every window.
-func TestPEngineMatchesVEngineOpenLoop(t *testing.T) {
+func TestShardedMatchesOneShardOpenLoop(t *testing.T) {
 	for _, poisson := range []bool{false, true} {
 		name := "fixed"
 		delivered, digest := uint64(15844), uint64(0x521a6e213dccc98b)
@@ -203,7 +203,7 @@ func TestPEngineMatchesVEngineOpenLoop(t *testing.T) {
 			delivered, digest = 15990, 0x7445876c2c19aed9
 		}
 		t.Run(name, func(t *testing.T) {
-			pengineRig{
+			shardRig{
 				latency:  sim.DefaultLatencyModel(),
 				proxies:  5,
 				clients:  8,
@@ -215,12 +215,12 @@ func TestPEngineMatchesVEngineOpenLoop(t *testing.T) {
 	}
 }
 
-// TestPEngineMatchesVEngineDegenerateLatency collapses the latency model to
+// TestShardedMatchesOneShardDegenerateLatency collapses the latency model to
 // a single tick so nearly every event in the run shares a timestamp —
 // maximal cohort width, maximal merge pressure, and the regime where a
 // sequence-numbering bug would surface immediately.
-func TestPEngineMatchesVEngineDegenerateLatency(t *testing.T) {
-	pengineRig{
+func TestShardedMatchesOneShardDegenerateLatency(t *testing.T) {
+	shardRig{
 		latency:  sim.LatencyModel{ClientProxy: 1, ProxyProxy: 1, ProxyOrigin: 1, Service: 0},
 		proxies:  5,
 		clients:  8,
@@ -229,13 +229,13 @@ func TestPEngineMatchesVEngineDegenerateLatency(t *testing.T) {
 	}.compare(t, 18176, 0xf29cf7eee4242a10)
 }
 
-// TestPEngineParallelMergePath forces the parallel rank+push merge (the
+// TestShardedParallelMergePath forces the parallel rank+push merge (the
 // production path for million-event cohorts) onto a small workload by
 // dropping the serial-merge threshold to one emission, and requires the
 // results to stay identical to the one-shard run.
-func TestPEngineParallelMergePath(t *testing.T) {
+func TestShardedParallelMergePath(t *testing.T) {
 	defer sim.SetParallelMergeMin(1)()
-	pengineRig{
+	shardRig{
 		latency:  sim.DefaultLatencyModel(),
 		proxies:  5,
 		clients:  8,
@@ -269,7 +269,7 @@ func (w heapWatch) Handle(ctx sim.Context, m msg.Message) {
 // one-shard digest recorded from the heap-only engine at b5667d5.
 func TestLanesCarryEveryTransfer(t *testing.T) {
 	const clients = 64
-	rig := pengineRig{
+	rig := shardRig{
 		latency:  sim.DefaultLatencyModel(),
 		proxies:  5,
 		clients:  clients,
@@ -304,14 +304,14 @@ func TestLanesCarryEveryTransfer(t *testing.T) {
 	rig.compare(t, 38538, 0xf314fee256f25e44)
 }
 
-// TestPEngineUnregisteredNode checks the error path survives sharding.
-func TestPEngineUnregisteredNode(t *testing.T) {
+// TestShardedUnregisteredNode checks the error path survives sharding.
+func TestShardedUnregisteredNode(t *testing.T) {
 	part, err := ids.NewShardMap(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := sim.NewShardedVEngine(sim.DefaultLatencyModel(), part)
-	buildADCArrayT(t, eng, 2)
+	buildADCArray(t, eng, 2)
 	// A client that addresses a proxy outside the rig.
 	bogus, err := sim.NewClient(sim.ClientConfig{
 		Source:  trace.NewSliceSource(benchObjects(1, 10)),
@@ -329,8 +329,8 @@ func TestPEngineUnregisteredNode(t *testing.T) {
 	}
 }
 
-// TestPEngineDuplicateRegister mirrors the FIFO engine's contract.
-func TestPEngineDuplicateRegister(t *testing.T) {
+// TestShardedDuplicateRegister mirrors the FIFO engine's contract.
+func TestShardedDuplicateRegister(t *testing.T) {
 	part, err := ids.NewShardMap(2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -342,32 +342,4 @@ func TestPEngineDuplicateRegister(t *testing.T) {
 	if err := eng.Register(sim.NewOrigin()); err == nil {
 		t.Fatal("expected duplicate-node error, got nil")
 	}
-}
-
-// buildADCArrayT is buildADCArray for tests (the shared helper takes a
-// *testing.B).
-func buildADCArrayT(t *testing.T, eng registrar, nProxies int) []ids.NodeID {
-	t.Helper()
-	proxyIDs := make([]ids.NodeID, nProxies)
-	for i := range proxyIDs {
-		proxyIDs[i] = ids.NodeID(i)
-	}
-	for _, id := range proxyIDs {
-		p, err := proxy.New(proxy.Config{
-			ID:     id,
-			Peers:  proxyIDs,
-			Tables: core.Config{SingleSize: 2000, MultipleSize: 2000, CachingSize: 1000},
-			Seed:   1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Register(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.Register(sim.NewOrigin()); err != nil {
-		t.Fatal(err)
-	}
-	return proxyIDs
 }
