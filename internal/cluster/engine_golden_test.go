@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"github.com/adc-sim/adc/internal/ids"
@@ -63,6 +64,60 @@ func lockstep(c *Config) {
 	c.OpenLoopInterval = 900
 }
 
+// queued charges every proxy visit a 150-tick service time behind a FIFO.
+func queued(c *Config) {
+	c.Latency = sim.DefaultLatencyModel()
+	c.Latency.Service = 150
+	c.Latency.QueueService = true
+	c.ResponseBuckets = 4000
+}
+
+func buckets(c *Config)  { c.MetricsEvery = 50_000 }
+func traced(c *Config)   { c.Tracer = obs.New() }
+func recovery(c *Config) { c.Recovery = sim.DefaultRecovery() }
+
+// lossy is goldenFaultPlan without its crash — loss, link loss and jitter —
+// which is what the baseline cells were recorded with: crashes were then
+// rejected for every algorithm but ADC.
+func lossy(c *Config) {
+	c.Faults = goldenFaultPlan()
+	c.Faults.Crashes = nil
+}
+
+// algorithm returns a mutation that selects alg and then applies more.
+func algorithm(alg Algorithm, more ...func(*Config)) func(*Config) {
+	return func(c *Config) {
+		c.Algorithm = alg
+		for _, m := range more {
+			m(c)
+		}
+	}
+}
+
+// faultDigest is resultDigest without the three observables a baseline
+// fault cell pins on their own: Delivered, LeakedPending and the per-proxy
+// ExpiredPending. They are what a pending-pass set and its recovery sweep
+// move — stranded passes, expiries and sweep-timer deliveries — while
+// everything else about the run stays put.
+func faultDigest(res *Result) uint64 {
+	r := *res
+	r.Delivered, r.LeakedPending = 0, 0
+	r.ProxyStats = slices.Clone(res.ProxyStats)
+	for i := range r.ProxyStats {
+		r.ProxyStats[i].ExpiredPending = 0
+	}
+	return resultDigest(&r)
+}
+
+// expiredPending sums ExpiredPending over every proxy.
+func expiredPending(res *Result) uint64 {
+	var n uint64
+	for _, s := range res.ProxyStats {
+		n += s.ExpiredPending
+	}
+	return n
+}
+
 // TestEngineGoldens pins the one virtual-time engine, at every shard count,
 // to what the sequential VEngine produced at cbc3d04 — the last commit that
 // had a second engine — for the features that used to be rejected on more
@@ -79,6 +134,12 @@ func lockstep(c *Config) {
 // cohorts of the coarse-grid churn cell, joins included, and fails it under
 // -race at any shards > 1: a join registers a node while another shard's
 // handler looks one up.
+//
+// The cells named after a baseline (carp, chash, hier, coord) were recorded
+// the same way from the commit before the baselines' own sim.Node types
+// were deleted, so they pin what the baselines did then. Their fault cells
+// compare faultDigest and pin LeakedPending and the summed ExpiredPending
+// beside it.
 func TestEngineGoldens(t *testing.T) {
 	type golden struct {
 		delivered, dropped, requests, hits uint64
@@ -88,6 +149,8 @@ func TestEngineGoldens(t *testing.T) {
 		result                             uint64
 		events                             int
 		trace                              uint64
+		leaked                             int
+		expired                            uint64
 	}
 	cells := []struct {
 		name   string
@@ -153,6 +216,58 @@ func TestEngineGoldens(t *testing.T) {
 			c.Faults = &sim.FaultPlan{Seed: 7, Loss: 0.02}
 			c.Recovery = sim.DefaultRecovery()
 		}, golden{delivered: 37763, dropped: 491, requests: 4000, hits: 1384, faults: sim.FaultStats{LossDrops: 491}, result: 0xfc676df9f0d61190, events: 31292, trace: 0x63b5e3ce04520ef6}},
+
+		{"carp", algorithm(CARP),
+			golden{delivered: 14613, requests: 4000, hits: 2310, result: 0x7884f0100485dcd9}},
+		{"carp/lockstep", algorithm(CARP, lockstep),
+			golden{delivered: 19362, requests: 4000, hits: 1915, result: 0x3ea57abddf670aa5}},
+		{"carp/lockstep/queued-service", algorithm(CARP, lockstep, queued),
+			golden{delivered: 19412, requests: 4000, hits: 1890, p99: 122666.66666666667, result: 0xe3210aa1d995641f}},
+		{"carp/buckets", algorithm(CARP, buckets),
+			golden{delivered: 14613, requests: 4000, hits: 2310, buckets: 1638, result: 0x6dd0dc55508d474a}},
+		{"carp/trace", algorithm(CARP, traced),
+			golden{delivered: 14613, requests: 4000, hits: 2310, result: 0x7884f0100485dcd9, events: 18613, trace: 0x9f9a4271cbe3d433}},
+		{"carp/lockstep/faults", algorithm(CARP, lockstep, lossy),
+			golden{delivered: 18679, dropped: 318, requests: 3682, hits: 1731, faults: sim.FaultStats{LossDrops: 306, LinkDrops: 12}, result: 0x4a562aaca4cb1143, leaked: 0, expired: 0}},
+		{"carp/faults+recovery", algorithm(CARP, lossy, recovery),
+			golden{delivered: 19289, dropped: 321, requests: 4000, hits: 2338, faults: sim.FaultStats{LossDrops: 301, LinkDrops: 20}, result: 0xf5eea45c69b8b3f5, leaked: 0, expired: 0}},
+
+		{"chash", algorithm(CHash),
+			golden{delivered: 14581, requests: 4000, hits: 2309, result: 0x2be1c22b5c54fa4f}},
+		{"chash/lockstep", algorithm(CHash, lockstep),
+			golden{delivered: 19440, requests: 4000, hits: 1886, result: 0x5ed7b9fe4739ab29}},
+		{"chash/lockstep/queued-service", algorithm(CHash, lockstep, queued),
+			golden{delivered: 19474, requests: 4000, hits: 1869, p99: 123205.88235294117, result: 0xa730dbe8a4a0eb6b}},
+		{"chash/buckets", algorithm(CHash, buckets),
+			golden{delivered: 14581, requests: 4000, hits: 2309, buckets: 1659, result: 0x95b20cdbf62df60d}},
+		{"chash/trace", algorithm(CHash, traced),
+			golden{delivered: 14581, requests: 4000, hits: 2309, result: 0x2be1c22b5c54fa4f, events: 18581, trace: 0xec7f2e8b9358ddfb}},
+		{"chash/lockstep/faults", algorithm(CHash, lockstep, lossy),
+			golden{delivered: 18691, dropped: 306, requests: 3694, hits: 1756, faults: sim.FaultStats{LossDrops: 290, LinkDrops: 16}, result: 0xd7a09014406f2695, leaked: 0, expired: 0}},
+		{"chash/faults+recovery", algorithm(CHash, lossy, recovery),
+			golden{delivered: 19263, dropped: 321, requests: 4000, hits: 2352, faults: sim.FaultStats{LossDrops: 298, LinkDrops: 23}, result: 0x26cf6866290d65c7, leaked: 0, expired: 0}},
+
+		{"hier", algorithm(Hierarchical),
+			golden{delivered: 21498, requests: 4000, hits: 790, result: 0x4459c1ce9ee5260d}},
+		{"hier/lockstep", algorithm(Hierarchical, lockstep),
+			golden{delivered: 25602, requests: 4000, hits: 819, result: 0x8618ae03b6e7710a}},
+		{"hier/lockstep/queued-service", algorithm(Hierarchical, lockstep, queued),
+			golden{delivered: 25798, requests: 4000, hits: 753, p99: 525166.6666666666, result: 0xd7c76db2a0dce94b}},
+		{"hier/lockstep/faults", algorithm(Hierarchical, lockstep, lossy),
+			golden{delivered: 24394, dropped: 414, requests: 3586, hits: 706, faults: sim.FaultStats{LossDrops: 414}, result: 0x9f4a326b9017421e, leaked: 0, expired: 0}},
+		{"hier/faults+recovery", algorithm(Hierarchical, lossy, recovery),
+			golden{delivered: 26556, dropped: 451, requests: 4000, hits: 932, faults: sim.FaultStats{LossDrops: 451}, result: 0x34efdea331fea2d6, leaked: 0, expired: 0}},
+
+		{"coord", algorithm(Coordinator),
+			golden{delivered: 23046, requests: 4000, hits: 477, result: 0x4cc08b6d4883aed5}},
+		{"coord/lockstep", algorithm(Coordinator, lockstep),
+			golden{delivered: 27146, requests: 4000, hits: 430, result: 0x42e146591ae05a8b}},
+		{"coord/lockstep/queued-service", algorithm(Coordinator, lockstep, queued),
+			golden{delivered: 27106, requests: 4000, hits: 450, p99: 622968.253968254, result: 0xafeef809c9234ece}},
+		{"coord/lockstep/faults", algorithm(Coordinator, lockstep, lossy),
+			golden{delivered: 25688, dropped: 443, requests: 3557, hits: 366, faults: sim.FaultStats{LossDrops: 443}, result: 0xba6d67930569565c, leaked: 0, expired: 0}},
+		{"coord/faults+recovery", algorithm(Coordinator, lossy, recovery),
+			golden{delivered: 28825, dropped: 505, requests: 4000, hits: 472, faults: sim.FaultStats{LossDrops: 505}, result: 0x472704328506798f, leaked: 0, expired: 0}},
 	}
 	for _, cell := range cells {
 		for _, shards := range engineGoldenShards {
@@ -170,6 +285,10 @@ func TestEngineGoldens(t *testing.T) {
 					faults: res.Faults, buckets: len(res.Buckets),
 					p99: res.Summary.P99Response, result: resultDigest(res),
 				}
+				if cfg.Algorithm != ADC && cfg.Faults != nil {
+					got.result = faultDigest(res)
+					got.leaked, got.expired = res.LeakedPending, expiredPending(res)
+				}
 				if cfg.Tracer != nil {
 					got.events, got.trace = cfg.Tracer.Len(), traceDigest(cfg.Tracer)
 				}
@@ -178,6 +297,25 @@ func TestEngineGoldens(t *testing.T) {
 				}
 			})
 		}
+	}
+	// The baselines' lossless closed loop on the FIFO engine.
+	for alg, want := range map[Algorithm]uint64{
+		CARP:         0x7f2d134c5a5420aa,
+		CHash:        0x7d6ff5aca518092,
+		Hierarchical: 0x4bdc1ce3cda06ace,
+		Coordinator:  0x13b522d5ea79ba8d,
+	} {
+		t.Run("fifo/"+alg.String(), func(t *testing.T) {
+			cfg := goldenConfig(RuntimeSequential)
+			cfg.Algorithm = alg
+			res, err := Run(cfg, trace.NewSliceSource(goldenTrace()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resultDigest(res); got != want {
+				t.Errorf("drifted from the recorded FIFO run: digest %#x, want %#x", got, want)
+			}
+		})
 	}
 }
 
