@@ -187,6 +187,32 @@ func TestAssignedProxyMissGoesDirectToOrigin(t *testing.T) {
 	}
 }
 
+// TestConcurrentMissesInsertOnce: two misses for one object in flight at the
+// assigned proxy both fetch from the origin, and the second reply finds the
+// object cached — a refresh, not a second insertion.
+func TestConcurrentMissesInsertOnce(t *testing.T) {
+	eng, proxies, h := carpRig(t, 3, 8)
+	s := &sink{id: ids.Client(0)}
+	if err := eng.Register(s); err != nil {
+		t.Fatal(err)
+	}
+	const obj = 42
+	owner := h.Assign(obj)
+	for i := uint64(1); i <= 2; i++ {
+		eng.Send(&msg.Request{To: owner, ID: ids.NewRequestID(0, i), Object: obj, Client: s.id, Sender: s.id})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := proxies[owner].Stats()
+	if len(s.replies) != 2 || st.ForwardOrigin != 2 || st.RepliesSeen != 2 {
+		t.Fatalf("replies=%d origin fetches=%d replies seen=%d, want 2/2/2", len(s.replies), st.ForwardOrigin, st.RepliesSeen)
+	}
+	if st.CacheInsertions != 1 {
+		t.Errorf("CacheInsertions = %d, want 1", st.CacheInsertions)
+	}
+}
+
 func TestLRUEvictionUnderChurn(t *testing.T) {
 	eng, proxies, _ := carpRig(t, 2, 4)
 	s := &sink{id: ids.Client(0)}

@@ -159,12 +159,15 @@ func (p *Proxy) traceForward(ctx sim.Context, req *msg.Request, reason int64) {
 func (p *Proxy) receiveReply(ctx sim.Context, rep *msg.Reply) {
 	p.stats.RepliesSeen++
 	// Store the received data with LRU replacement, then forward
-	// directly to the client.
+	// directly to the client. A reply for an object already cached (two
+	// misses for it were in flight) only refreshes its recency.
+	if !p.cache.Contains(rep.Object) {
+		p.stats.CacheInsertions++
+	}
 	evicted := p.cache.Put(rep.Object, struct{}{})
 	if evicted {
 		p.stats.CacheEvictions++
 	}
-	p.stats.CacheInsertions++
 	rep.Resolver = p.id
 	rep.Cached = true
 	rep.Path = rep.Path[:0]

@@ -218,34 +218,34 @@ func TestEngineGoldens(t *testing.T) {
 		}, golden{delivered: 37763, dropped: 491, requests: 4000, hits: 1384, faults: sim.FaultStats{LossDrops: 491}, result: 0xfc676df9f0d61190, events: 31292, trace: 0x63b5e3ce04520ef6}},
 
 		{"carp", algorithm(CARP),
-			golden{delivered: 14613, requests: 4000, hits: 2310, result: 0x7884f0100485dcd9}},
+			golden{delivered: 14613, requests: 4000, hits: 2310, result: 0x86ef06a6a14f9a4c}},
 		{"carp/lockstep", algorithm(CARP, lockstep),
-			golden{delivered: 19362, requests: 4000, hits: 1915, result: 0x3ea57abddf670aa5}},
+			golden{delivered: 19362, requests: 4000, hits: 1915, result: 0x79c66f70ba6a05ab}},
 		{"carp/lockstep/queued-service", algorithm(CARP, lockstep, queued),
-			golden{delivered: 19412, requests: 4000, hits: 1890, p99: 122666.66666666667, result: 0xe3210aa1d995641f}},
+			golden{delivered: 19412, requests: 4000, hits: 1890, p99: 122666.66666666667, result: 0x6a88a24393fdebae}},
 		{"carp/buckets", algorithm(CARP, buckets),
-			golden{delivered: 14613, requests: 4000, hits: 2310, buckets: 1638, result: 0x6dd0dc55508d474a}},
+			golden{delivered: 14613, requests: 4000, hits: 2310, buckets: 1638, result: 0x8cb58bb2a3389155}},
 		{"carp/trace", algorithm(CARP, traced),
-			golden{delivered: 14613, requests: 4000, hits: 2310, result: 0x7884f0100485dcd9, events: 18613, trace: 0x9f9a4271cbe3d433}},
+			golden{delivered: 14613, requests: 4000, hits: 2310, result: 0x86ef06a6a14f9a4c, events: 18613, trace: 0x9f9a4271cbe3d433}},
 		{"carp/lockstep/faults", algorithm(CARP, lockstep, lossy),
-			golden{delivered: 18679, dropped: 318, requests: 3682, hits: 1731, faults: sim.FaultStats{LossDrops: 306, LinkDrops: 12}, result: 0x4a562aaca4cb1143, leaked: 0, expired: 0}},
+			golden{delivered: 18679, dropped: 318, requests: 3682, hits: 1731, faults: sim.FaultStats{LossDrops: 306, LinkDrops: 12}, result: 0x532b4e07264abdf, leaked: 0, expired: 0}},
 		{"carp/faults+recovery", algorithm(CARP, lossy, recovery),
-			golden{delivered: 19289, dropped: 321, requests: 4000, hits: 2338, faults: sim.FaultStats{LossDrops: 301, LinkDrops: 20}, result: 0xf5eea45c69b8b3f5, leaked: 0, expired: 0}},
+			golden{delivered: 19289, dropped: 321, requests: 4000, hits: 2338, faults: sim.FaultStats{LossDrops: 301, LinkDrops: 20}, result: 0x41119b5bc761bcf1, leaked: 0, expired: 0}},
 
 		{"chash", algorithm(CHash),
-			golden{delivered: 14581, requests: 4000, hits: 2309, result: 0x2be1c22b5c54fa4f}},
+			golden{delivered: 14581, requests: 4000, hits: 2309, result: 0x55ef974caf709f6}},
 		{"chash/lockstep", algorithm(CHash, lockstep),
-			golden{delivered: 19440, requests: 4000, hits: 1886, result: 0x5ed7b9fe4739ab29}},
+			golden{delivered: 19440, requests: 4000, hits: 1886, result: 0x866a4733eabbedee}},
 		{"chash/lockstep/queued-service", algorithm(CHash, lockstep, queued),
-			golden{delivered: 19474, requests: 4000, hits: 1869, p99: 123205.88235294117, result: 0xa730dbe8a4a0eb6b}},
+			golden{delivered: 19474, requests: 4000, hits: 1869, p99: 123205.88235294117, result: 0x5a426014c0b8cc5b}},
 		{"chash/buckets", algorithm(CHash, buckets),
-			golden{delivered: 14581, requests: 4000, hits: 2309, buckets: 1659, result: 0x95b20cdbf62df60d}},
+			golden{delivered: 14581, requests: 4000, hits: 2309, buckets: 1659, result: 0x1eb52a9720707f36}},
 		{"chash/trace", algorithm(CHash, traced),
-			golden{delivered: 14581, requests: 4000, hits: 2309, result: 0x2be1c22b5c54fa4f, events: 18581, trace: 0xec7f2e8b9358ddfb}},
+			golden{delivered: 14581, requests: 4000, hits: 2309, result: 0x55ef974caf709f6, events: 18581, trace: 0xec7f2e8b9358ddfb}},
 		{"chash/lockstep/faults", algorithm(CHash, lockstep, lossy),
-			golden{delivered: 18691, dropped: 306, requests: 3694, hits: 1756, faults: sim.FaultStats{LossDrops: 290, LinkDrops: 16}, result: 0xd7a09014406f2695, leaked: 0, expired: 0}},
+			golden{delivered: 18691, dropped: 306, requests: 3694, hits: 1756, faults: sim.FaultStats{LossDrops: 290, LinkDrops: 16}, result: 0x2be34b1ac7a49b88, leaked: 0, expired: 0}},
 		{"chash/faults+recovery", algorithm(CHash, lossy, recovery),
-			golden{delivered: 19263, dropped: 321, requests: 4000, hits: 2352, faults: sim.FaultStats{LossDrops: 298, LinkDrops: 23}, result: 0x26cf6866290d65c7, leaked: 0, expired: 0}},
+			golden{delivered: 19263, dropped: 321, requests: 4000, hits: 2352, faults: sim.FaultStats{LossDrops: 298, LinkDrops: 23}, result: 0x8b9a77b81433026f, leaked: 0, expired: 0}},
 
 		{"hier", algorithm(Hierarchical),
 			golden{delivered: 21498, requests: 4000, hits: 790, result: 0x4459c1ce9ee5260d}},
@@ -261,11 +261,11 @@ func TestEngineGoldens(t *testing.T) {
 		{"coord", algorithm(Coordinator),
 			golden{delivered: 23046, requests: 4000, hits: 477, result: 0x4cc08b6d4883aed5}},
 		{"coord/lockstep", algorithm(Coordinator, lockstep),
-			golden{delivered: 27146, requests: 4000, hits: 430, result: 0x42e146591ae05a8b}},
+			golden{delivered: 27146, requests: 4000, hits: 430, result: 0x5781435a93492227}},
 		{"coord/lockstep/queued-service", algorithm(Coordinator, lockstep, queued),
-			golden{delivered: 27106, requests: 4000, hits: 450, p99: 622968.253968254, result: 0xafeef809c9234ece}},
+			golden{delivered: 27106, requests: 4000, hits: 450, p99: 622968.253968254, result: 0x10dcd1be3db2c5d6}},
 		{"coord/lockstep/faults", algorithm(Coordinator, lockstep, lossy),
-			golden{delivered: 25688, dropped: 443, requests: 3557, hits: 366, faults: sim.FaultStats{LossDrops: 443}, result: 0xba6d67930569565c, leaked: 0, expired: 0}},
+			golden{delivered: 25688, dropped: 443, requests: 3557, hits: 366, faults: sim.FaultStats{LossDrops: 443}, result: 0x3a804c208d225c9e, leaked: 0, expired: 0}},
 		{"coord/faults+recovery", algorithm(Coordinator, lossy, recovery),
 			golden{delivered: 28825, dropped: 505, requests: 4000, hits: 472, faults: sim.FaultStats{LossDrops: 505}, result: 0x472704328506798f, leaked: 0, expired: 0}},
 	}
@@ -300,8 +300,8 @@ func TestEngineGoldens(t *testing.T) {
 	}
 	// The baselines' lossless closed loop on the FIFO engine.
 	for alg, want := range map[Algorithm]uint64{
-		CARP:         0x7f2d134c5a5420aa,
-		CHash:        0x7d6ff5aca518092,
+		CARP:         0xacba44336be2d539,
+		CHash:        0xcb291f0f7565ace2,
 		Hierarchical: 0x4bdc1ce3cda06ace,
 		Coordinator:  0x13b522d5ea79ba8d,
 	} {

@@ -128,7 +128,10 @@ func (w *Worker) Handle(ctx sim.Context, m msg.Message) {
 		ctx.Send(t)
 	case *msg.Reply:
 		w.stats.RepliesSeen++
-		w.stats.CacheInsertions++
+		// A reply for an object already cached only refreshes it.
+		if !w.cache.Contains(t.Object) {
+			w.stats.CacheInsertions++
+		}
 		if w.cache.Put(t.Object, struct{}{}) {
 			w.stats.CacheEvictions++
 		}

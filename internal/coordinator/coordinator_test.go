@@ -116,6 +116,29 @@ func TestEverythingPassesTheCoordinator(t *testing.T) {
 	}
 }
 
+// TestConcurrentMissesInsertOnce: two misses for one object in flight at one
+// worker both fetch from the origin; the second reply is a refresh.
+func TestConcurrentMissesInsertOnce(t *testing.T) {
+	eng, _, ws := rig(t, 2, 8)
+	s := &sink{id: ids.Client(0)}
+	if err := eng.Register(s); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 2; i++ {
+		eng.Send(&msg.Request{To: ws[0].ID(), ID: ids.NewRequestID(0, i), Object: 7, Client: s.id, Sender: s.id})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := ws[0].Stats()
+	if len(s.replies) != 2 || st.ForwardOrigin != 2 || st.RepliesSeen != 2 {
+		t.Fatalf("replies=%d origin fetches=%d replies seen=%d, want 2/2/2", len(s.replies), st.ForwardOrigin, st.RepliesSeen)
+	}
+	if st.CacheInsertions != 1 {
+		t.Errorf("CacheInsertions = %d, want 1", st.CacheInsertions)
+	}
+}
+
 func TestContentBlindDuplication(t *testing.T) {
 	// The coordinator's weakness: the same object lands on every
 	// worker, wasting capacity (what ADC's agreement avoids).
