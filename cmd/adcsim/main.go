@@ -26,6 +26,7 @@ import (
 	"github.com/adc-sim/adc/internal/config"
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/profiling"
+	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/workload"
 )
 
@@ -337,9 +338,10 @@ func runWithDump(o dumpOptions) error {
 		res.Summary.HitRate, res.Summary.Hops, res.Summary.Requests)
 
 	p := cl.ADCProxies()[o.proxyIdx]
-	now := p.LocalTime()
+	a := p.Policy().(*protocol.Agent) // an ADC cluster: every policy is an agent
+	now := a.LocalTime()
 	fmt.Printf("mapping tables of %v at local time %d (top 10 rows each):\n\n", p.ID(), now)
-	tb := p.Tables()
+	tb := a.Tables()
 	if err := core.DumpTable(os.Stdout, "Caching Table", head(tb.Caching().Entries(), 10), now); err != nil {
 		return err
 	}

@@ -1,6 +1,9 @@
 package adc_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -19,6 +22,10 @@ var (
 	// EXPERIMENTS.md sections that record one PR's runs say so in their
 	// heading; they are history and may name what existed then.
 	datedHeading = regexp.MustCompile(`\((?:PR|issue) \d+`)
+	// A back-ticked reference into internal/, and its grammar: a package
+	// directory, then either a file in it or a name it declares.
+	internalRef  = regexp.MustCompile("`(internal/[^`]*)`")
+	internalPath = regexp.MustCompile(`^(internal(?:/[a-z0-9_]+)+)(/[A-Za-z0-9_]+\.go|\.[A-Z][A-Za-z0-9_]*)?$`)
 )
 
 // livingText returns the part of a file that describes the repository as it
@@ -50,6 +57,82 @@ func livingText(t *testing.T, path string) string {
 func TestDocsNameRealThings(t *testing.T) {
 	t.Run("make targets", docsNameDeclaredMakeTargets)
 	t.Run("retired recordings", docsDoNotNameRetiredRecordings)
+	t.Run("internal packages", docsNameRealPackages)
+}
+
+// docsNameRealPackages resolves every back-ticked `internal/<pkg>`,
+// `internal/<pkg>/<file>.go` and `internal/<pkg>.<Ident>` in the documents
+// that describe the code: the directory or file must exist, and an
+// identifier must be declared at the top level of the package's non-test
+// files.
+func docsNameRealPackages(t *testing.T) {
+	for _, path := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		found := 0
+		for _, m := range internalRef.FindAllStringSubmatch(livingText(t, path), -1) {
+			found++
+			ref := internalPath.FindStringSubmatch(m[1])
+			if ref == nil {
+				t.Errorf("%s names `%s`, which is not internal/<pkg>, internal/<pkg>/<file>.go or internal/<pkg>.<Ident>", path, m[1])
+				continue
+			}
+			dir, suffix := ref[1], ref[2]
+			target := dir
+			if strings.HasPrefix(suffix, "/") {
+				target += suffix
+			}
+			if _, err := os.Stat(target); err != nil {
+				t.Errorf("%s names `%s`, which does not exist", path, m[1])
+				continue
+			}
+			if ident, ok := strings.CutPrefix(suffix, "."); ok && !declaredNames(t, dir)[ident] {
+				t.Errorf("%s names `%s`, but %s declares no %s", path, m[1], dir, ident)
+			}
+		}
+		if found == 0 {
+			t.Errorf("%s: no internal/ reference found; the extraction pattern no longer fits the file", path)
+		}
+	}
+}
+
+// declaredNames returns the top-level names (types, functions, variables,
+// constants; not methods) declared in dir's non-test Go files.
+func declaredNames(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						names[s.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
 }
 
 func docsNameDeclaredMakeTargets(t *testing.T) {

@@ -1,10 +1,13 @@
-package carp
+package carp_test
 
 import (
 	"testing"
 
+	"github.com/adc-sim/adc/internal/carp"
 	"github.com/adc-sim/adc/internal/ids"
+	"github.com/adc-sim/adc/internal/lru"
 	"github.com/adc-sim/adc/internal/msg"
+	"github.com/adc-sim/adc/internal/proxy"
 	"github.com/adc-sim/adc/internal/sim"
 )
 
@@ -17,8 +20,8 @@ func members(n int) []ids.NodeID {
 }
 
 func TestHasherDeterministic(t *testing.T) {
-	h1 := NewHasher(members(5))
-	h2 := NewHasher(members(5))
+	h1 := carp.NewHasher(members(5))
+	h2 := carp.NewHasher(members(5))
 	for obj := ids.ObjectID(0); obj < 1000; obj++ {
 		if h1.Assign(obj) != h2.Assign(obj) {
 			t.Fatalf("hashers disagree on %v", obj)
@@ -27,7 +30,7 @@ func TestHasherDeterministic(t *testing.T) {
 }
 
 func TestHasherBalance(t *testing.T) {
-	h := NewHasher(members(5))
+	h := carp.NewHasher(members(5))
 	counts := make(map[ids.NodeID]int)
 	const n = 50000
 	for obj := ids.ObjectID(0); obj < n; obj++ {
@@ -43,8 +46,8 @@ func TestHasherBalance(t *testing.T) {
 func TestHasherMinimalDisruption(t *testing.T) {
 	// CARP's selling point: adding a member remaps only ≈1/(n+1) of the
 	// objects and never moves an object between two surviving members.
-	before := NewHasher(members(5))
-	after := NewHasher(members(6))
+	before := carp.NewHasher(members(5))
+	after := carp.NewHasher(members(6))
 	const n = 20000
 	moved := 0
 	for obj := ids.ObjectID(0); obj < n; obj++ {
@@ -62,14 +65,16 @@ func TestHasherMinimalDisruption(t *testing.T) {
 	}
 }
 
-// carpRig builds an array of CARP proxies plus origin on an engine.
-func carpRig(t *testing.T, n, cacheSize int) (*sim.Engine, []*Proxy, *Hasher) {
+// carpRig builds an array of CARP proxies — LRU policies over one Hasher —
+// plus origin on an engine.
+func carpRig(t *testing.T, n, cacheSize int) (*sim.Engine, []*proxy.ADC, *carp.Hasher) {
 	t.Helper()
-	h := NewHasher(members(n))
+	h := carp.NewHasher(members(n))
 	eng := sim.NewEngine()
-	proxies := make([]*Proxy, n)
+	proxies := make([]*proxy.ADC, n)
 	for i := range proxies {
-		p, err := New(Config{ID: ids.NodeID(i), Hasher: h, CacheSize: cacheSize})
+		id := ids.NodeID(i)
+		p, err := proxy.New(proxy.Config{ID: id, Policy: lru.NewPolicy(id, cacheSize, h, ids.Origin)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,17 +117,10 @@ func send(t *testing.T, eng *sim.Engine, s *sink, to ids.NodeID, obj ids.ObjectI
 	return s.replies[len(s.replies)-1]
 }
 
-func TestConfigValidation(t *testing.T) {
-	h := NewHasher(members(2))
-	if _, err := New(Config{ID: ids.Origin, Hasher: h, CacheSize: 4}); err == nil {
-		t.Error("non-proxy ID must fail")
-	}
-	if _, err := New(Config{ID: 0, CacheSize: 4}); err == nil {
-		t.Error("nil hasher must fail")
-	}
-	if _, err := New(Config{ID: 0, Hasher: h}); err == nil {
-		t.Error("zero cache size must fail")
-	}
+// held is how many objects a proxy's cache holds.
+func held(p *proxy.ADC) int {
+	n, _ := p.Policy().Occupancy()
+	return n
 }
 
 func TestMissFetchesFromOriginAndCaches(t *testing.T) {
@@ -144,12 +142,20 @@ func TestMissFetchesFromOriginAndCaches(t *testing.T) {
 	if rep.Hops != 5 {
 		t.Errorf("miss hops = %d, want 5", rep.Hops)
 	}
-	if !proxies[assigned].cache.Contains(obj) {
+	if held(proxies[assigned]) != 1 {
 		t.Error("assigned proxy must cache the fetched object")
 	}
 	for i, p := range proxies {
-		if ids.NodeID(i) != assigned && p.cache.Contains(obj) {
+		if ids.NodeID(i) != assigned && held(p) != 0 {
 			t.Errorf("proxy %d cached an object it is not assigned", i)
+		}
+	}
+
+	// The entry proxy handed the request over and is not on the reply
+	// path, so it waits for nothing.
+	for i, p := range proxies {
+		if p.PendingLen() != 0 {
+			t.Errorf("proxy %d kept %d pending passes", i, p.PendingLen())
 		}
 	}
 
@@ -223,8 +229,8 @@ func TestLRUEvictionUnderChurn(t *testing.T) {
 		send(t, eng, s, ids.NodeID(i%2), ids.ObjectID(i), i)
 	}
 	for i, p := range proxies {
-		if p.CacheLen() > 4 {
-			t.Errorf("proxy %d cache grew to %d > 4", i, p.CacheLen())
+		if n := held(p); n > 4 {
+			t.Errorf("proxy %d cache grew to %d > 4", i, n)
 		}
 		if p.Stats().CacheEvictions == 0 {
 			t.Errorf("proxy %d never evicted under churn", i)

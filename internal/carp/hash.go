@@ -1,9 +1,10 @@
-// Package carp implements the hashing-based distributed caching baseline
+// Package carp is the hash of the hashing-based distributed caching baseline
 // the paper compares against (§V.1.1): the Cache Array Routing Protocol
 // (ref [29], Cohen et al., internet draft v1.1). A globally known hash
 // function assigns every object to exactly one proxy; unresolved requests
 // are forwarded there, and that proxy caches the object with plain LRU and
-// replies to the client directly, bypassing the first-hit proxy.
+// replies to the client directly, bypassing the first-hit proxy — the
+// placement policy internal/lru builds on an Assigner.
 package carp
 
 import (
@@ -11,6 +12,16 @@ import (
 
 	"github.com/adc-sim/adc/internal/ids"
 )
+
+// Assigner is the globally known object→proxy mapping. Hasher (CARP's
+// highest-random-weight hash) is the paper's baseline; internal/chash's
+// consistent-hashing ring is the extension comparator. Every proxy in an
+// array must hold an equivalent Assigner.
+type Assigner interface {
+	Assign(obj ids.ObjectID) ids.NodeID
+}
+
+var _ Assigner = (*Hasher)(nil)
 
 // Hasher deterministically maps objects onto a fixed proxy membership
 // using CARP's highest-random-weight (rendezvous) construction: each

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/adc-sim/adc/internal/ids"
+	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/proxy"
 	"github.com/adc-sim/adc/internal/sim"
 	"github.com/adc-sim/adc/internal/workload"
@@ -83,20 +84,18 @@ func (s *churnSource) Next() (ids.ObjectID, bool) {
 // client's entry set. The newcomer knows all peers from birth; everything
 // else it learns from traffic.
 func (c *Cluster) addProxy(register func(sim.Node) error) error {
-	id := ids.NodeID(len(c.adcProxies))
-	peerIDs := make([]ids.NodeID, 0, len(c.adcProxies)+1)
-	for _, p := range c.adcProxies {
+	id := ids.NodeID(len(c.proxies))
+	peerIDs := make([]ids.NodeID, 0, len(c.proxies)+1)
+	for _, p := range c.proxies {
 		peerIDs = append(peerIDs, p.ID())
 	}
 	peerIDs = append(peerIDs, id)
 
-	p, err := proxy.New(proxy.Config{
-		ID:          id,
-		Peers:       peerIDs,
-		Tables:      c.cfg.Tables,
-		Seed:        c.cfg.Seed,
-		Replication: c.cfg.Replication,
-	})
+	a, err := c.cfg.agent(id, peerIDs)
+	if err != nil {
+		return fmt.Errorf("cluster: join proxy %v: %w", id, err)
+	}
+	p, err := proxy.New(proxy.Config{ID: id, Policy: a})
 	if err != nil {
 		return fmt.Errorf("cluster: join proxy %v: %w", id, err)
 	}
@@ -106,10 +105,11 @@ func (c *Cluster) addProxy(register func(sim.Node) error) error {
 	if c.cfg.Tracer != nil {
 		p.SetTracer(c.cfg.Tracer)
 	}
-	for _, q := range c.adcProxies {
-		q.AddPeer(id)
+	// Churn is ADC-only (validateChurn), so every policy is an agent.
+	for _, q := range c.proxies {
+		q.Policy().(*protocol.Agent).SetPeers(peerIDs)
 	}
-	c.adcProxies = append(c.adcProxies, p)
+	c.proxies = append(c.proxies, p)
 	c.nodes = append(c.nodes, p)
 	for _, cl := range c.clients {
 		if scl, ok := cl.(*sim.Client); ok {

@@ -14,10 +14,9 @@ import (
 	"github.com/adc-sim/adc/internal/agent"
 	"github.com/adc-sim/adc/internal/carp"
 	"github.com/adc-sim/adc/internal/chash"
-	"github.com/adc-sim/adc/internal/coordinator"
 	"github.com/adc-sim/adc/internal/core"
-	"github.com/adc-sim/adc/internal/hierarchy"
 	"github.com/adc-sim/adc/internal/ids"
+	"github.com/adc-sim/adc/internal/lru"
 	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/obs"
 	"github.com/adc-sim/adc/internal/protocol"
@@ -134,7 +133,7 @@ func ParseRuntime(name string) (Runtime, bool) {
 // Config describes one simulation run. The zero value is not runnable; use
 // the With* helpers in the public package or fill the fields directly.
 type Config struct {
-	// Algorithm selects ADC, CARP or CHash.
+	// Algorithm selects the caching scheme.
 	Algorithm Algorithm
 
 	// NumProxies is the array size (the paper runs 5, §V.2).
@@ -201,8 +200,8 @@ type Config struct {
 	Faults *sim.FaultPlan
 
 	// CrashProxyAt / RestartProxyAt are the churn-style convenience
-	// spelling of fail-stop failures (see churn.go); they merge into the
-	// engine's fault plan. Requires ADC and RuntimeVirtualTime.
+	// spelling of fail-stop failures (see faults.go); they merge into the
+	// engine's fault plan. Requires RuntimeVirtualTime.
 	CrashProxyAt   []ProxyCrash
 	RestartProxyAt []ProxyRestart
 
@@ -330,7 +329,7 @@ type Result struct {
 	Injected   uint64
 	Completion float64
 	// LeakedPending is the total of unretired loop-detection pending
-	// entries across ADC proxies at run end — the leaked state a lost
+	// entries across all proxies at run end — the leaked state a lost
 	// reply leaves behind. Recovery's TTL drains it to zero.
 	LeakedPending int
 	// MaxMeanShare and GiniShare are load-imbalance statistics over the
@@ -388,11 +387,9 @@ type Cluster struct {
 	clients []Driver
 	origin  *sim.Origin
 
-	adcProxies   []*proxy.ADC
-	carpProxies  []*carp.Proxy
-	hierProxies  []*hierarchy.Proxy
-	coordNode    *coordinator.Coordinator
-	coordWorkers []*coordinator.Worker
+	// proxies are the proxy nodes, node i with ID i: the N array members,
+	// then the hierarchy's root or the coordinator's dispatcher.
+	proxies []*proxy.ADC
 
 	// churn intercepts the request stream to apply proxy joins.
 	churn *churnSource
@@ -424,93 +421,24 @@ func New(cfg Config, src workload.Source) (*Cluster, error) {
 	for i := range proxyIDs {
 		proxyIDs[i] = ids.NodeID(i)
 	}
+	policies, err := cfg.policies(proxyIDs)
+	if err != nil {
+		return nil, err
+	}
+	for i, pol := range policies {
+		p, err := proxy.New(proxy.Config{ID: ids.NodeID(i), Policy: pol, Recovery: cfg.Recovery})
+		if err != nil {
+			return nil, err
+		}
+		c.proxies = append(c.proxies, p)
+		c.nodes = append(c.nodes, p)
+	}
 	// entryIDs is what clients address; most schemes accept requests on
 	// any proxy, the coordinator scheme funnels everything through the
 	// dispatcher.
 	entryIDs := proxyIDs
-
-	switch cfg.Algorithm {
-	case ADC:
-		for _, id := range proxyIDs {
-			p, err := proxy.New(proxy.Config{
-				ID:          id,
-				Peers:       proxyIDs,
-				Tables:      cfg.Tables,
-				Seed:        cfg.Seed,
-				Recovery:    cfg.Recovery,
-				Replication: cfg.Replication,
-			})
-			if err != nil {
-				return nil, err
-			}
-			c.adcProxies = append(c.adcProxies, p)
-			c.nodes = append(c.nodes, p)
-		}
-	case CARP, CHash:
-		var assigner carp.Assigner
-		if cfg.Algorithm == CARP {
-			assigner = carp.NewHasher(proxyIDs)
-		} else {
-			ring, err := chash.NewRing(proxyIDs, 0)
-			if err != nil {
-				return nil, err
-			}
-			assigner = ring
-		}
-		for _, id := range proxyIDs {
-			p, err := carp.New(carp.Config{
-				ID:        id,
-				Hasher:    assigner,
-				CacheSize: cfg.Tables.CachingSize,
-			})
-			if err != nil {
-				return nil, err
-			}
-			c.carpProxies = append(c.carpProxies, p)
-			c.nodes = append(c.nodes, p)
-		}
-	case Hierarchical:
-		rootID := ids.NodeID(cfg.NumProxies)
-		for _, id := range proxyIDs {
-			p, err := hierarchy.New(hierarchy.Config{
-				ID:        id,
-				Role:      hierarchy.Leaf,
-				Parent:    rootID,
-				CacheSize: cfg.Tables.CachingSize,
-			})
-			if err != nil {
-				return nil, err
-			}
-			c.hierProxies = append(c.hierProxies, p)
-			c.nodes = append(c.nodes, p)
-		}
-		root, err := hierarchy.New(hierarchy.Config{
-			ID:        rootID,
-			Role:      hierarchy.Root,
-			CacheSize: cfg.Tables.CachingSize,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.hierProxies = append(c.hierProxies, root)
-		c.nodes = append(c.nodes, root)
-	case Coordinator:
-		coordID := ids.NodeID(cfg.NumProxies)
-		for _, id := range proxyIDs {
-			w, err := coordinator.NewWorker(id, cfg.Tables.CachingSize)
-			if err != nil {
-				return nil, err
-			}
-			c.coordWorkers = append(c.coordWorkers, w)
-			c.nodes = append(c.nodes, w)
-		}
-		co, err := coordinator.NewCoordinator(coordID, proxyIDs)
-		if err != nil {
-			return nil, err
-		}
-		c.coordNode = co
-		c.nodes = append(c.nodes, co)
-		entryIDs = []ids.NodeID{coordID}
+	if cfg.Algorithm == Coordinator {
+		entryIDs = []ids.NodeID{ids.NodeID(cfg.NumProxies)}
 	}
 
 	c.origin = sim.NewOrigin()
@@ -585,14 +513,64 @@ func New(cfg Config, src workload.Source) (*Cluster, error) {
 	return c, nil
 }
 
+// policies builds one placement policy per proxy node, node i's at index i:
+// the array members, then the hierarchy's shared root or the coordinator's
+// dispatcher at NodeID(len(members)).
+func (cfg Config) policies(members []ids.NodeID) ([]protocol.Policy, error) {
+	size := cfg.Tables.CachingSize
+	extra := ids.NodeID(len(members))
+	var out []protocol.Policy
+	switch cfg.Algorithm {
+	case ADC:
+		for _, id := range members {
+			a, err := cfg.agent(id, members)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, a)
+		}
+	case CARP, CHash:
+		var assign carp.Assigner = carp.NewHasher(members)
+		if cfg.Algorithm == CHash {
+			ring, err := chash.NewRing(members, 0)
+			if err != nil {
+				return nil, err
+			}
+			assign = ring
+		}
+		for _, id := range members {
+			out = append(out, lru.NewPolicy(id, size, assign, ids.Origin))
+		}
+	case Hierarchical:
+		for _, id := range members {
+			out = append(out, lru.NewPolicy(id, size, nil, extra))
+		}
+		out = append(out, lru.NewPolicy(extra, size, nil, ids.Origin))
+	case Coordinator:
+		for _, id := range members {
+			out = append(out, lru.NewPolicy(id, size, nil, ids.Origin))
+		}
+		out = append(out, protocol.NewRoundRobin(members))
+	}
+	return out, nil
+}
+
+// agent builds ADC proxy id's protocol agent over the given peer set.
+func (cfg Config) agent(id ids.NodeID, peers []ids.NodeID) (*protocol.Agent, error) {
+	return protocol.New(protocol.Config{
+		ID:          id,
+		Peers:       peers,
+		Tables:      cfg.Tables,
+		Seed:        cfg.Seed,
+		Replication: cfg.Replication,
+	})
+}
+
 // wireObservability hands the tracer and time-series recorder to every node
 // that emits into them. A nil tracer with a live recorder is valid: only
 // the windowed counters are collected then.
 func (c *Cluster) wireObservability(tr *obs.Tracer) {
-	for _, p := range c.adcProxies {
-		p.SetTracer(tr)
-	}
-	for _, p := range c.carpProxies {
+	for _, p := range c.proxies {
 		p.SetTracer(tr)
 	}
 	c.origin.SetTracer(tr)
@@ -608,19 +586,14 @@ func (c *Cluster) wireObservability(tr *obs.Tracer) {
 	}
 }
 
-// snapshotOccupancy fills a sealing bucket with per-proxy table sizes: the
-// total mapping-table entries and the cached subset. It runs on the engine
-// thread via TimeSeries.SetOnRoll.
+// snapshotOccupancy fills a sealing bucket with per-proxy occupancy — the
+// entries each policy holds and the cached subset — and request counts. It
+// runs on the engine thread via TimeSeries.SetOnRoll.
 func (c *Cluster) snapshotOccupancy(b *metrics.Bucket) {
-	for _, p := range c.adcProxies {
-		tb := p.Tables()
-		b.Occupancy = append(b.Occupancy, tb.Len())
-		b.Cached = append(b.Cached, tb.Caching().Len())
-		b.ProxyRequests = append(b.ProxyRequests, p.Stats().Requests)
-	}
-	for _, p := range c.carpProxies {
-		b.Occupancy = append(b.Occupancy, p.CacheLen())
-		b.Cached = append(b.Cached, p.CacheLen())
+	for _, p := range c.proxies {
+		held, cached := p.Policy().Occupancy()
+		b.Occupancy = append(b.Occupancy, held)
+		b.Cached = append(b.Cached, cached)
 		b.ProxyRequests = append(b.ProxyRequests, p.Stats().Requests)
 	}
 }
@@ -646,21 +619,10 @@ func splitSource(src workload.Source, n int) ([]workload.Source, error) {
 	return out, nil
 }
 
-// ADCProxies exposes the ADC agents (nil for hashing runs).
-func (c *Cluster) ADCProxies() []*proxy.ADC { return c.adcProxies }
-
-// CARPProxies exposes the hashing agents (nil for ADC runs).
-func (c *Cluster) CARPProxies() []*carp.Proxy { return c.carpProxies }
-
-// HierarchyProxies exposes the tree nodes (leaves then root; nil unless
-// the algorithm is Hierarchical).
-func (c *Cluster) HierarchyProxies() []*hierarchy.Proxy { return c.hierProxies }
-
-// CoordinatorNodes exposes the dispatcher and its workers (nil unless the
-// algorithm is Coordinator).
-func (c *Cluster) CoordinatorNodes() (*coordinator.Coordinator, []*coordinator.Worker) {
-	return c.coordNode, c.coordWorkers
-}
+// ADCProxies exposes every proxy node, in Result.ProxyStats order: the array
+// members (joined proxies after them), then the hierarchy's root or the
+// coordinator's dispatcher.
+func (c *Cluster) ADCProxies() []*proxy.ADC { return c.proxies }
 
 // Origin exposes the origin server node.
 func (c *Cluster) Origin() *sim.Origin { return c.origin }
@@ -700,11 +662,7 @@ func (c *Cluster) Run() (*Result, error) {
 		if latency == (sim.LatencyModel{}) {
 			latency = sim.DefaultLatencyModel()
 		}
-		span := c.cfg.NumProxies
-		if c.cfg.Algorithm == Hierarchical || c.cfg.Algorithm == Coordinator {
-			span++ // the root/dispatcher occupies NodeID(NumProxies)
-		}
-		part, err := ids.NewShardMap(max(c.cfg.Shards, 1), span)
+		part, err := ids.NewShardMap(max(c.cfg.Shards, 1), len(c.proxies))
 		if err != nil {
 			return nil, err
 		}
@@ -851,21 +809,9 @@ func (c *Cluster) collect(elapsed time.Duration) *Result {
 		res.Completion = float64(merged.Requests) / float64(res.Injected)
 	}
 
-	for _, p := range c.adcProxies {
+	for _, p := range c.proxies {
 		res.ProxyStats = append(res.ProxyStats, p.Stats())
 		res.LeakedPending += p.PendingLen()
-	}
-	for _, p := range c.carpProxies {
-		res.ProxyStats = append(res.ProxyStats, p.Stats())
-	}
-	for _, p := range c.hierProxies {
-		res.ProxyStats = append(res.ProxyStats, p.Stats())
-	}
-	for _, w := range c.coordWorkers {
-		res.ProxyStats = append(res.ProxyStats, w.Stats())
-	}
-	if c.coordNode != nil {
-		res.ProxyStats = append(res.ProxyStats, c.coordNode.Stats())
 	}
 	if len(res.ProxyStats) > 0 {
 		shares := make([]float64, len(res.ProxyStats))
@@ -932,8 +878,8 @@ func MeanWindowLoad(buckets []metrics.Bucket, skipWindows int) (share, peak floa
 // peakWindowLoad derives the windowed load-imbalance statistics from the
 // per-proxy cumulative request snapshots in the time-series buckets: the
 // worst single-window max/mean ratio and the hottest proxy's reception
-// count in its worst window. Buckets missing snapshots (MetricsEvery off,
-// or non-ADC/CARP topologies) yield zeros. Proxies that join mid-run only
+// count in its worst window. Without buckets (MetricsEvery off) both are
+// zero. Proxies that join mid-run only
 // lengthen the snapshot vector, so indexes stay aligned across buckets.
 func peakWindowLoad(buckets []metrics.Bucket) (share float64, peak uint64) {
 	var prev []uint64

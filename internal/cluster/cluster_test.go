@@ -247,7 +247,7 @@ func TestADCAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.ADCProxies()) != 4 || len(c.CARPProxies()) != 0 {
+	if len(c.ADCProxies()) != 4 {
 		t.Error("ADC cluster proxies wrong")
 	}
 	if c.Origin() == nil || len(c.Clients()) != 1 {

@@ -228,9 +228,9 @@ func TestEngineGoldens(t *testing.T) {
 		{"carp/trace", algorithm(CARP, traced),
 			golden{delivered: 14613, requests: 4000, hits: 2310, result: 0x86ef06a6a14f9a4c, events: 18613, trace: 0x9f9a4271cbe3d433}},
 		{"carp/lockstep/faults", algorithm(CARP, lockstep, lossy),
-			golden{delivered: 18679, dropped: 318, requests: 3682, hits: 1731, faults: sim.FaultStats{LossDrops: 306, LinkDrops: 12}, result: 0x532b4e07264abdf, leaked: 0, expired: 0}},
+			golden{delivered: 18679, dropped: 318, requests: 3682, hits: 1731, faults: sim.FaultStats{LossDrops: 306, LinkDrops: 12}, result: 0x532b4e07264abdf, leaked: 77, expired: 0}},
 		{"carp/faults+recovery", algorithm(CARP, lossy, recovery),
-			golden{delivered: 19289, dropped: 321, requests: 4000, hits: 2338, faults: sim.FaultStats{LossDrops: 301, LinkDrops: 20}, result: 0x41119b5bc761bcf1, leaked: 0, expired: 0}},
+			golden{delivered: 21062, dropped: 321, requests: 4000, hits: 2338, faults: sim.FaultStats{LossDrops: 301, LinkDrops: 20}, result: 0x41119b5bc761bcf1, leaked: 0, expired: 73}},
 
 		{"chash", algorithm(CHash),
 			golden{delivered: 14581, requests: 4000, hits: 2309, result: 0x55ef974caf709f6}},
@@ -243,9 +243,9 @@ func TestEngineGoldens(t *testing.T) {
 		{"chash/trace", algorithm(CHash, traced),
 			golden{delivered: 14581, requests: 4000, hits: 2309, result: 0x55ef974caf709f6, events: 18581, trace: 0xec7f2e8b9358ddfb}},
 		{"chash/lockstep/faults", algorithm(CHash, lockstep, lossy),
-			golden{delivered: 18691, dropped: 306, requests: 3694, hits: 1756, faults: sim.FaultStats{LossDrops: 290, LinkDrops: 16}, result: 0x2be34b1ac7a49b88, leaked: 0, expired: 0}},
+			golden{delivered: 18691, dropped: 306, requests: 3694, hits: 1756, faults: sim.FaultStats{LossDrops: 290, LinkDrops: 16}, result: 0x2be34b1ac7a49b88, leaked: 89, expired: 0}},
 		{"chash/faults+recovery", algorithm(CHash, lossy, recovery),
-			golden{delivered: 19263, dropped: 321, requests: 4000, hits: 2352, faults: sim.FaultStats{LossDrops: 298, LinkDrops: 23}, result: 0x8b9a77b81433026f, leaked: 0, expired: 0}},
+			golden{delivered: 21006, dropped: 321, requests: 4000, hits: 2352, faults: sim.FaultStats{LossDrops: 298, LinkDrops: 23}, result: 0x8b9a77b81433026f, leaked: 0, expired: 59}},
 
 		{"hier", algorithm(Hierarchical),
 			golden{delivered: 21498, requests: 4000, hits: 790, result: 0x4459c1ce9ee5260d}},
@@ -254,9 +254,9 @@ func TestEngineGoldens(t *testing.T) {
 		{"hier/lockstep/queued-service", algorithm(Hierarchical, lockstep, queued),
 			golden{delivered: 25798, requests: 4000, hits: 753, p99: 525166.6666666666, result: 0xd7c76db2a0dce94b}},
 		{"hier/lockstep/faults", algorithm(Hierarchical, lockstep, lossy),
-			golden{delivered: 24394, dropped: 414, requests: 3586, hits: 706, faults: sim.FaultStats{LossDrops: 414}, result: 0x9f4a326b9017421e, leaked: 0, expired: 0}},
+			golden{delivered: 24394, dropped: 414, requests: 3586, hits: 706, faults: sim.FaultStats{LossDrops: 414}, result: 0x9f4a326b9017421e, leaked: 390, expired: 0}},
 		{"hier/faults+recovery", algorithm(Hierarchical, lossy, recovery),
-			golden{delivered: 26556, dropped: 451, requests: 4000, hits: 932, faults: sim.FaultStats{LossDrops: 451}, result: 0x34efdea331fea2d6, leaked: 0, expired: 0}},
+			golden{delivered: 33713, dropped: 451, requests: 4000, hits: 932, faults: sim.FaultStats{LossDrops: 451}, result: 0x34efdea331fea2d6, leaked: 0, expired: 419}},
 
 		{"coord", algorithm(Coordinator),
 			golden{delivered: 23046, requests: 4000, hits: 477, result: 0x4cc08b6d4883aed5}},
@@ -265,9 +265,9 @@ func TestEngineGoldens(t *testing.T) {
 		{"coord/lockstep/queued-service", algorithm(Coordinator, lockstep, queued),
 			golden{delivered: 27106, requests: 4000, hits: 450, p99: 622968.253968254, result: 0x10dcd1be3db2c5d6}},
 		{"coord/lockstep/faults", algorithm(Coordinator, lockstep, lossy),
-			golden{delivered: 25688, dropped: 443, requests: 3557, hits: 366, faults: sim.FaultStats{LossDrops: 443}, result: 0x3a804c208d225c9e, leaked: 0, expired: 0}},
+			golden{delivered: 25688, dropped: 443, requests: 3557, hits: 366, faults: sim.FaultStats{LossDrops: 443}, result: 0x3a804c208d225c9e, leaked: 416, expired: 0}},
 		{"coord/faults+recovery", algorithm(Coordinator, lossy, recovery),
-			golden{delivered: 28825, dropped: 505, requests: 4000, hits: 472, faults: sim.FaultStats{LossDrops: 505}, result: 0x472704328506798f, leaked: 0, expired: 0}},
+			golden{delivered: 37082, dropped: 505, requests: 4000, hits: 472, faults: sim.FaultStats{LossDrops: 505}, result: 0x472704328506798f, leaked: 0, expired: 458}},
 	}
 	for _, cell := range cells {
 		for _, shards := range engineGoldenShards {

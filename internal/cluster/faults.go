@@ -60,12 +60,6 @@ func (c Config) validateFaults() error {
 				return fmt.Errorf("cluster: crash node %v outside proxy range [0, %d)", cr.Node, c.NumProxies)
 			}
 		}
-		if len(c.Faults.Crashes) > 0 && c.Algorithm != ADC {
-			return fmt.Errorf("cluster: proxy crashes require the ADC algorithm (only ADC proxies implement restart)")
-		}
-	}
-	if len(c.CrashProxyAt) > 0 && c.Algorithm != ADC {
-		return fmt.Errorf("cluster: proxy crashes require the ADC algorithm (only ADC proxies implement restart)")
 	}
 	for _, cr := range c.CrashProxyAt {
 		if cr.Proxy < 0 || cr.Proxy >= c.NumProxies {

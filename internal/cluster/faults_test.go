@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/adc-sim/adc/internal/carp"
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
@@ -87,7 +88,7 @@ func TestGoldenDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, p := range c.ADCProxies() {
-				if err := p.Tables().CheckInvariants(); err != nil {
+				if err := p.Policy().(*protocol.Agent).Tables().CheckInvariants(); err != nil {
 					t.Errorf("proxy %d tables: %v", i, err)
 				}
 			}
@@ -254,6 +255,59 @@ func TestRecoveryClosedLoop(t *testing.T) {
 	}
 }
 
+// TestCARPCrashRestart: with the crash gate lifted a CARP proxy restarts the
+// way an ADC one does. Twelve objects are requested twice, one request per
+// virtual second, and proxy 0 crashes and restarts between the two rounds.
+// Restarted warm it still serves the objects it owns; restarted cold its
+// cache is empty, so exactly those objects miss to the origin again.
+func TestCARPCrashRestart(t *testing.T) {
+	const second = 1_000_000
+	var objs []ids.ObjectID
+	for range 2 {
+		for obj := ids.ObjectID(1); obj <= 12; obj++ {
+			objs = append(objs, obj)
+		}
+	}
+	owner := carp.NewHasher([]ids.NodeID{0, 1, 2})
+	var owned uint64
+	for _, obj := range objs[:12] {
+		if owner.Assign(obj) == 0 {
+			owned++
+		}
+	}
+	if owned == 0 {
+		t.Fatal("proxy 0 owns none of the objects; the test exercises nothing")
+	}
+	for _, cold := range []bool{false, true} {
+		res, err := Run(Config{
+			Algorithm:        CARP,
+			NumProxies:       3,
+			Tables:           core.Config{CachingSize: 100},
+			Seed:             1,
+			Runtime:          RuntimeVirtualTime,
+			OpenLoopInterval: second,
+			CrashProxyAt:     []ProxyCrash{{Proxy: 0, At: 11*second + second/2, LoseTables: cold}},
+			RestartProxyAt:   []ProxyRestart{{Proxy: 0, At: 11*second + 3*second/4}},
+		}, trace.NewSliceSource(objs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Faults.Crashes != 1 || res.Faults.Restarts != 1 || res.Dropped != 0 {
+			t.Fatalf("cold=%v: crashes/restarts/dropped = %d/%d/%d, want 1/1/0 (the crash must fall between the rounds)",
+				cold, res.Faults.Crashes, res.Faults.Restarts, res.Dropped)
+		}
+		// Round one misses everywhere; round two hits all twelve, less
+		// proxy 0's objects after a cold restart.
+		want := 12 - owned
+		if !cold {
+			want = 12
+		}
+		if res.Summary.Requests != 24 || res.Summary.Hits != want {
+			t.Errorf("cold=%v: requests/hits = %d/%d, want 24/%d", cold, res.Summary.Requests, res.Summary.Hits, want)
+		}
+	}
+}
+
 // TestValidateFaults covers the configuration constraints.
 func TestValidateFaults(t *testing.T) {
 	base := goldenConfig(RuntimeVirtualTime)
@@ -284,7 +338,7 @@ func TestValidateFaults(t *testing.T) {
 			c.Algorithm = CARP
 			c.Tables = core.Config{CachingSize: 100}
 			c.CrashProxyAt = []ProxyCrash{{Proxy: 0, At: 100}}
-		}, false},
+		}, true},
 		{"restart without crash", func(c *Config) {
 			c.RestartProxyAt = []ProxyRestart{{Proxy: 0, At: 100}}
 		}, false},

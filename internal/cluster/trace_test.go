@@ -182,6 +182,65 @@ func TestMetricsBuckets(t *testing.T) {
 	}
 }
 
+// TestEveryAlgorithmTracedAndWindowed: every scheme runs on the same proxy
+// node, so every one is traced and windowed the same way. Each request a
+// proxy receives is one hit or one forward event, the traced requests
+// rebuild into trees with no orphan, and every bucket carries one
+// occupancy snapshot per proxy node — the hierarchy's root and the
+// coordinator's dispatcher included.
+func TestEveryAlgorithmTracedAndWindowed(t *testing.T) {
+	for _, alg := range []Algorithm{ADC, CARP, CHash, Hierarchical, Coordinator} {
+		t.Run(alg.String(), func(t *testing.T) {
+			cfg := goldenConfig(RuntimeVirtualTime)
+			cfg.Algorithm = alg
+			cfg.Tracer = obs.New()
+			cfg.MetricsEvery = 50_000
+			res, err := Run(cfg, trace.NewSliceSource(goldenTrace()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes := cfg.NumProxies
+			if alg == Hierarchical || alg == Coordinator {
+				nodes++
+			}
+			if len(res.ProxyStats) != nodes {
+				t.Fatalf("%d proxy stats, want %d", len(res.ProxyStats), nodes)
+			}
+
+			var received, arrivals uint64
+			for _, s := range res.ProxyStats {
+				received += s.Requests
+			}
+			events := cfg.Tracer.Events()
+			for _, e := range events {
+				if e.Kind == obs.KindHit || e.Kind == obs.KindForward {
+					arrivals++
+				}
+			}
+			if arrivals != received {
+				t.Errorf("hit + forward events = %d, proxies received %d requests", arrivals, received)
+			}
+			for _, tr := range obs.BuildTrees(events) {
+				if tr.Orphan {
+					t.Fatalf("orphan tree %v", tr.Attempts[0].ID)
+				}
+			}
+
+			if len(res.Buckets) == 0 {
+				t.Fatal("no buckets recorded")
+			}
+			for i, b := range res.Buckets {
+				if len(b.Occupancy) != nodes || len(b.Cached) != nodes {
+					t.Fatalf("bucket %d: %d/%d occupancy snapshots, want %d", i, len(b.Occupancy), len(b.Cached), nodes)
+				}
+			}
+			if res.PeakWindowShare <= 0 {
+				t.Errorf("PeakWindowShare = %v, want > 0", res.PeakWindowShare)
+			}
+		})
+	}
+}
+
 // TestTraceConfigValidation: tracing and metrics are engine features — the
 // concurrency runtimes must refuse them loudly rather than silently record
 // nothing.

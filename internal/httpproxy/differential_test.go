@@ -108,11 +108,12 @@ func TestSimAndFarmRunTheSameProtocol(t *testing.T) {
 			var total metrics.ProxyStats
 			for i, sp := range cl.ADCProxies() {
 				fp := f.Proxies[i]
+				sa := sp.Policy().(*protocol.Agent)
 				if got, want := fp.Stats(), sp.Stats(); got != want {
 					t.Errorf("proxy %d stats differ:\nfarm %+v\nsim  %+v", i, got, want)
 				}
 				var want bytes.Buffer
-				if err := sp.Tables().Dump(&want, sp.LocalTime()); err != nil {
+				if err := sa.Tables().Dump(&want, sa.LocalTime()); err != nil {
 					t.Fatal(err)
 				}
 				status, dump := getBody(t, fp.URL()+"/debug/tables")
@@ -126,7 +127,7 @@ func TestSimAndFarmRunTheSameProtocol(t *testing.T) {
 				// by entry.
 				fp.mu.Lock()
 				for _, each := range []func(func(*core.Entry) bool){
-					sp.Tables().Caching().Each, sp.Tables().Multiple().Each, sp.Tables().Single().Each,
+					sa.Tables().Caching().Each, sa.Tables().Multiple().Each, sa.Tables().Single().Each,
 				} {
 					each(func(e *core.Entry) bool {
 						if _, got, _ := fp.adc.Tables().ForwardSet(e.Object); !slices.Equal(got, e.Replicas) {
@@ -135,7 +136,7 @@ func TestSimAndFarmRunTheSameProtocol(t *testing.T) {
 						return true
 					})
 				}
-				for side, tbl := range map[string]*core.Tables{"sim": sp.Tables(), "farm": fp.adc.Tables()} {
+				for side, tbl := range map[string]*core.Tables{"sim": sa.Tables(), "farm": fp.adc.Tables()} {
 					if err := tbl.CheckInvariants(); err != nil {
 						t.Errorf("proxy %d %s tables: %v", i, side, err)
 					}

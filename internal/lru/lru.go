@@ -1,4 +1,5 @@
-// Package lru implements a bounded least-recently-used cache.
+// Package lru implements a bounded least-recently-used cache, and on top of
+// it the baselines' placement policy (policy.go).
 //
 // The CARP baseline stores received objects "replacing existing information
 // based on the LRU algorithm" (§V.1.1), and the paper's single-table is "the

@@ -112,12 +112,15 @@ const (
 	ReasonRandom
 	// ReasonSelfOrigin: the learned location is this proxy itself but the
 	// object is not cached here, so the query goes to the origin (§III.3.2).
+	// The LRU baselines use it for their fixed upstream: the origin, or a
+	// hierarchy leaf's root.
 	ReasonSelfOrigin
 	// ReasonLoop: loop detected (the request ID was already pending).
 	ReasonLoop
 	// ReasonMaxHops: the forwarding bound was reached.
 	ReasonMaxHops
-	// ReasonHashed: the hashing baseline's assigned-proxy forward.
+	// ReasonHashed: the hashing baseline's assigned-proxy forward, a
+	// hand-over — the forwarder leaves the reply path (protocol.Policy).
 	ReasonHashed
 	// ReasonFailover: the learned location (or every peer) is marked down
 	// by the health subsystem, so the forward goes to the origin instead

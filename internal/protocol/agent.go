@@ -9,7 +9,9 @@
 // random stream, logical clock, counters, forwarding/learning/replication
 // policy — and nothing that is transport. Two drivers feed it events and
 // carry out the actions it returns: internal/proxy adapts it to simulator
-// messages, internal/httpproxy to HTTP requests and headers. What stays per
+// messages, internal/httpproxy to HTTP requests and headers. In the
+// simulator it is one Policy among several: the baselines' placement
+// policies implement the same events (policy.go). What stays per
 // driver is what depends on how requests are identified and carried: the
 // pending-pass set for loop detection (request IDs are 64-bit in the
 // simulator and opaque strings on the wire, and their retirement is tied to

@@ -1,20 +1,19 @@
-// Package proxy is the simulator driver of the ADC protocol core
-// (internal/protocol): a sim.Node that turns request and reply messages into
-// the core's Arrive / Route / Learn events and carries out what they decide.
+// Package proxy is the simulator's proxy node: one sim.Node that turns
+// request and reply messages into a placement policy's events
+// (protocol.Policy — ADC's agent, or a baseline's) and carries out what they
+// decide.
 //
 // Each proxy is an autonomous agent that interacts with the rest of the
-// system exclusively through messages. The protocol state — tables, random
-// generator, logical clock, counters, replication controller — lives in the
-// core; this adapter owns what is message-shaped: the pending-request set
-// keyed by request ID, its recovery sweep and expiry timers, and the
-// virtual-time trace stamps.
+// system exclusively through messages. The placement state — tables or
+// cache, random generator, logical clock, counters — lives in the policy;
+// this node owns what is message-shaped: the pending-request set keyed by
+// request ID, its recovery sweep and expiry timers, the virtual-time trace
+// stamps and the reply routing.
 package proxy
 
 import (
 	"fmt"
-	"slices"
 
-	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/msg"
@@ -23,27 +22,17 @@ import (
 	"github.com/adc-sim/adc/internal/sim"
 )
 
-// Config assembles one ADC proxy.
+// Config assembles one proxy node.
 type Config struct {
 	// ID is the proxy's node ID (0-based).
 	ID ids.NodeID
-	// Peers lists every proxy in the system including this one; random
-	// forwarding selects "over the set of known proxies including
-	// itself" (Fig. 6).
-	Peers []ids.NodeID
-	// Tables sizes the three mapping tables.
-	Tables core.Config
-	// Seed derives the proxy's private random stream. Two proxies in
-	// one cluster receive different streams (the cluster XORs the ID in).
-	Seed int64
+	// Policy makes the proxy's placement decisions; the node owns it.
+	Policy protocol.Policy
 	// Recovery enables pending-entry TTL expiry and stale-location
 	// invalidation (virtual-time engine only; the zero value keeps the
 	// paper-faithful protocol, where pending entries only retire via
 	// backwarding replies).
 	Recovery sim.Recovery
-	// Replication enables the hot-object replication controller (the
-	// zero value keeps the paper-faithful single-location protocol).
-	Replication protocol.Replication
 }
 
 // pendingPass is the loop-detection state for one in-flight request ID:
@@ -75,10 +64,12 @@ type sweepTimer struct{ to ids.NodeID }
 // Dest implements msg.Message.
 func (t *sweepTimer) Dest() ids.NodeID { return t.to }
 
-// ADC is one Adaptive Distributed Caching proxy agent on a simulator engine.
+// ADC is one proxy node on a simulator engine — the only one: ADC and every
+// baseline differ in the Policy it drives, not in the node.
 type ADC struct {
-	id   ids.NodeID
-	core *protocol.Agent
+	id     ids.NodeID
+	policy protocol.Policy
+	stats  *metrics.ProxyStats // the policy's counters
 
 	// pending counts, per in-flight request ID, how many times this
 	// proxy has forwarded it and not yet seen the reply pass back. A
@@ -105,28 +96,22 @@ var (
 	_ sim.Restartable = (*ADC)(nil)
 )
 
-// New builds an ADC proxy.
+// New builds a proxy node around its policy.
 func New(cfg Config) (*ADC, error) {
-	if len(cfg.Peers) == 0 {
-		return nil, fmt.Errorf("proxy: peer set must not be empty")
+	if !cfg.ID.IsProxy() {
+		return nil, fmt.Errorf("proxy: %v is not a proxy ID", cfg.ID)
+	}
+	if cfg.Policy == nil {
+		return nil, fmt.Errorf("proxy %v: no placement policy", cfg.ID)
 	}
 	cfg.Recovery = cfg.Recovery.Normalize()
 	if err := cfg.Recovery.Validate(); err != nil {
 		return nil, fmt.Errorf("proxy %v: %w", cfg.ID, err)
 	}
-	agent, err := protocol.New(protocol.Config{
-		ID:          cfg.ID,
-		Peers:       cfg.Peers,
-		Tables:      cfg.Tables,
-		Seed:        cfg.Seed,
-		Replication: cfg.Replication,
-	})
-	if err != nil {
-		return nil, err
-	}
 	return &ADC{
 		id:       cfg.ID,
-		core:     agent,
+		policy:   cfg.Policy,
+		stats:    cfg.Policy.Counters(),
 		pending:  make(map[ids.RequestID]pendingPass),
 		recovery: cfg.Recovery,
 		sweep:    &sweepTimer{to: cfg.ID},
@@ -136,26 +121,14 @@ func New(cfg Config) (*ADC, error) {
 // ID implements sim.Node.
 func (p *ADC) ID() ids.NodeID { return p.id }
 
-// AddPeer introduces a newly joined proxy to the random-forwarding peer
-// set (infrastructure growth, the paper's unused §V.1 parameter). Safe only
-// between messages — i.e. from the sequential engine's driving thread.
-func (p *ADC) AddPeer(id ids.NodeID) {
-	if peers := p.core.Peers(); !slices.Contains(peers, id) {
-		p.core.SetPeers(append(slices.Clone(peers), id))
-	}
-}
-
-// Tables exposes the mapping tables for dumps, tests and metrics.
-func (p *ADC) Tables() *core.Tables { return p.core.Tables() }
+// Policy returns the placement policy the node drives.
+func (p *ADC) Policy() protocol.Policy { return p.policy }
 
 // SetTracer installs the request tracer (before the run starts).
 func (p *ADC) SetTracer(t *obs.Tracer) { p.tracer = t }
 
 // Stats returns a snapshot of the proxy's counters.
-func (p *ADC) Stats() metrics.ProxyStats { return p.core.Stats }
-
-// LocalTime returns the proxy's logical clock.
-func (p *ADC) LocalTime() int64 { return p.core.LocalTime() }
+func (p *ADC) Stats() metrics.ProxyStats { return *p.stats }
 
 // PendingLen returns the number of in-flight forwarded requests (tests
 // assert it drains to zero — invariant 4 of DESIGN.md §10).
@@ -164,14 +137,14 @@ func (p *ADC) PendingLen() int { return len(p.pending) }
 // Restart implements sim.Restartable: a fail-stop restart always loses the
 // volatile request state (pending passes and the armed sweep timer died
 // with the process; live chains elsewhere will surface as unexpected
-// replies) and whatever the protocol core counts as volatile; a cold restart
-// additionally rebuilds the mapping tables empty.
+// replies) and whatever the policy counts as volatile; a cold restart
+// additionally loses its tables or cache.
 func (p *ADC) Restart(loseTables bool) {
 	p.pending = make(map[ids.RequestID]pendingPass)
 	p.expiryQ = nil
 	p.expiryHead = 0
 	p.sweepArmed = false
-	p.core.Restart(loseTables)
+	p.policy.Restart(loseTables)
 }
 
 // Handle implements sim.Node.
@@ -206,7 +179,7 @@ func setAdvert(rep *msg.Reply, adv protocol.Advert) {
 
 // receiveRequest drives the paper's Receive_Request() (Fig. 5).
 func (p *ADC) receiveRequest(ctx sim.Context, req *msg.Request) {
-	hit, outcome, adv := p.core.Arrive(req.Object, backwardHop(req.Path))
+	hit, outcome, adv := p.policy.Arrive(req.Object, backwardHop(req.Path))
 	if hit {
 		// Local hit: start backwarding immediately.
 		if p.tracer.Enabled(obs.KindHit) {
@@ -230,29 +203,32 @@ func (p *ADC) receiveRequest(ctx sim.Context, req *msg.Request) {
 	}
 
 	// Miss: loop detection looks at the state before this arrival, then
-	// Store_Backwarding registers the pass so the reply can retrace it.
+	// Store_Backwarding registers the pass so the reply can retrace it —
+	// unless the policy handed the request over for good, in which case
+	// the reply bypasses this proxy and there is nothing to wait for.
 	pass := p.pending[req.ID]
-	to, reason := p.core.Route(req.Object, pass.count > 0, req.AtMaxHops(), !req.Sender.IsProxy(), nil)
-	req.Path = append(req.Path, p.id)
+	to, reason := p.policy.Route(req.Object, pass.count > 0, req.AtMaxHops(), !req.Sender.IsProxy(), nil)
 	req.Sender = p.id
-
-	pass.count++
-	if p.recovery.Enabled {
-		// Remember which learned location this pass trusted, so an
-		// unanswered forward can demote it.
-		pass.obj = req.Object
-		pass.learned = ids.None
-		if reason == obs.ReasonLearned {
-			pass.learned = to
-		}
-		if clk, ok := ctx.(sim.Clock); ok {
-			pass.expireAt = clk.VNow() + p.recovery.PendingTTL
-			p.pushExpiry(ctx, req.ID, pass.expireAt)
-		}
-	}
-	p.pending[req.ID] = pass
-
 	req.To = to
+	if reason != obs.ReasonHashed {
+		req.Path = append(req.Path, p.id)
+		pass.count++
+		if p.recovery.Enabled {
+			// Remember which learned location this pass trusted, so an
+			// unanswered forward can demote it.
+			pass.obj = req.Object
+			pass.learned = ids.None
+			if reason == obs.ReasonLearned {
+				pass.learned = to
+			}
+			if clk, ok := ctx.(sim.Clock); ok {
+				pass.expireAt = clk.VNow() + p.recovery.PendingTTL
+				p.pushExpiry(ctx, req.ID, pass.expireAt)
+			}
+		}
+		p.pending[req.ID] = pass
+	}
+
 	if p.tracer.Enabled(obs.KindForward) {
 		e := obs.Ev(obs.KindForward, p.id)
 		e.At = sim.TraceNow(ctx)
@@ -276,10 +252,10 @@ func (p *ADC) receiveReply(ctx sim.Context, rep *msg.Reply) {
 	// (routing needs only the reply's own path).
 	pass, live := p.pending[rep.ID]
 	if !live {
-		p.core.Stats.UnexpectedReplies++
+		p.stats.UnexpectedReplies++
 	}
 
-	l := p.core.Learn(rep.Object, rep.Resolver, rep.Cached, backwardHop(rep.Path),
+	l := p.policy.Learn(rep.Object, rep.Resolver, rep.Cached, backwardHop(rep.Path),
 		protocol.Advert{Replicate: rep.Replicate, Replicas: rep.Replicas, AvgHint: rep.AvgHint})
 	rep.Resolver = l.Resolver
 	rep.Cached = l.Cached
@@ -365,7 +341,7 @@ func (p *ADC) expirePending(now int64) {
 			continue
 		}
 		delete(p.pending, rec.id)
-		p.core.Stats.ExpiredPending += uint64(pass.count)
+		p.stats.ExpiredPending += uint64(pass.count)
 		if p.tracer.Enabled(obs.KindExpire) {
 			e := obs.Ev(obs.KindExpire, p.id)
 			e.At = now
@@ -374,7 +350,7 @@ func (p *ADC) expirePending(now int64) {
 			e.Arg = int64(pass.count)
 			p.tracer.Emit(e)
 		}
-		if p.core.Distrust(pass.obj, pass.learned) && p.tracer.Enabled(obs.KindInvalidate) {
+		if p.policy.Distrust(pass.obj, pass.learned) && p.tracer.Enabled(obs.KindInvalidate) {
 			e := obs.Ev(obs.KindInvalidate, p.id)
 			e.At = now
 			e.Req = rec.id

@@ -6,6 +6,7 @@ import (
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/msg"
+	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/sim"
 	"github.com/adc-sim/adc/internal/trace"
 )
@@ -24,10 +25,7 @@ func rig(t *testing.T, n int) (*sim.Engine, []*ADC) {
 	eng := sim.NewEngine()
 	proxies := make([]*ADC, n)
 	for i := range proxies {
-		p, err := New(Config{ID: ids.NodeID(i), Peers: peerIDs, Tables: testTables(), Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := newAgentNode(t, protocol.Config{ID: ids.NodeID(i), Peers: peerIDs, Tables: testTables(), Seed: 42})
 		proxies[i] = p
 		if err := eng.Register(p); err != nil {
 			t.Fatal(err)
@@ -71,15 +69,37 @@ func send(t *testing.T, eng *sim.Engine, s *sink, to ids.NodeID, obj ids.ObjectI
 	return s.replies[len(s.replies)-1]
 }
 
+// newAgentNode builds an ADC proxy node: cfg's protocol agent driven by a
+// node without recovery.
+func newAgentNode(t *testing.T, cfg protocol.Config) *ADC {
+	t.Helper()
+	a, err := protocol.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(Config{ID: cfg.ID, Policy: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// agent returns an ADC node's protocol agent.
+func agent(p *ADC) *protocol.Agent { return p.policy.(*protocol.Agent) }
+
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{ID: ids.Origin, Peers: []ids.NodeID{0}, Tables: testTables()}); err == nil {
+	a, err := protocol.New(protocol.Config{ID: 0, Peers: []ids.NodeID{0}, Tables: testTables()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{ID: ids.Origin, Policy: a}); err == nil {
 		t.Error("non-proxy ID must fail")
 	}
-	if _, err := New(Config{ID: 0, Tables: testTables()}); err == nil {
-		t.Error("empty peer set must fail")
+	if _, err := New(Config{ID: 0}); err == nil {
+		t.Error("a node without a policy must fail")
 	}
-	if _, err := New(Config{ID: 0, Peers: []ids.NodeID{0}}); err == nil {
-		t.Error("invalid table config must fail")
+	if _, err := New(Config{ID: 0, Policy: a, Recovery: sim.Recovery{Enabled: true, Timeout: -1}}); err == nil {
+		t.Error("invalid recovery must fail")
 	}
 }
 
@@ -177,7 +197,7 @@ func TestFirstRequestGoesThroughOriginAndCreatesEntries(t *testing.T) {
 	// at the same resolver (backwarding agreement, invariant 6) —
 	// except the resolver itself, whose entry says THIS.
 	for _, p := range proxies {
-		e, kind := p.Tables().Lookup(99)
+		e, kind := agent(p).Tables().Lookup(99)
 		if kind == core.KindNone {
 			continue // not on the path
 		}
@@ -206,7 +226,7 @@ func TestBackwardingAgreement(t *testing.T) {
 	// The object must be cached somewhere by now.
 	cachedAt := []ids.NodeID{}
 	for _, p := range proxies {
-		if p.Tables().IsCached(obj) {
+		if agent(p).Tables().IsCached(obj) {
 			cachedAt = append(cachedAt, p.ID())
 		}
 	}
@@ -220,7 +240,7 @@ func TestBackwardingAgreement(t *testing.T) {
 		isCacher[id] = true
 	}
 	for _, p := range proxies {
-		e, kind := p.Tables().Lookup(obj)
+		e, kind := agent(p).Tables().Lookup(obj)
 		if kind == core.KindNone {
 			t.Errorf("proxy %v forgot the hot object", p.ID())
 			continue
@@ -261,10 +281,7 @@ func TestMaxHopsBoundsPath(t *testing.T) {
 	peerIDs := []ids.NodeID{0, 1, 2, 3, 4, 5, 6, 7}
 	eng := sim.NewEngine()
 	for _, id := range peerIDs {
-		p, err := New(Config{ID: id, Peers: peerIDs, Tables: testTables(), Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := newAgentNode(t, protocol.Config{ID: id, Peers: peerIDs, Tables: testTables(), Seed: 1})
 		if err := eng.Register(p); err != nil {
 			t.Fatal(err)
 		}
@@ -354,11 +371,8 @@ func TestThisEntryForwardsToOrigin(t *testing.T) {
 	// Build a proxy whose table says THIS for an uncached object; a
 	// request must go straight to the origin (§III.3.2).
 	peerIDs := []ids.NodeID{0}
-	p, err := New(Config{ID: 0, Peers: peerIDs, Tables: testTables(), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Tables().Update(123, 0, 1) // creates single-table entry with loc=THIS
+	p := newAgentNode(t, protocol.Config{ID: 0, Peers: peerIDs, Tables: testTables(), Seed: 1})
+	agent(p).Tables().Update(123, 0, 1) // creates single-table entry with loc=THIS
 
 	eng := sim.NewEngine()
 	if err := eng.Register(p); err != nil {
@@ -400,7 +414,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		}
 		var localTimes uint64
 		for _, p := range proxies {
-			localTimes += uint64(p.LocalTime())
+			localTimes += uint64(agent(p).LocalTime())
 		}
 		return hits, localTimes
 	}
@@ -421,7 +435,7 @@ func TestLocalClockCountsRequestsOnly(t *testing.T) {
 	var reqs, clocks int64
 	for _, p := range proxies {
 		reqs += int64(p.Stats().Requests)
-		clocks += p.LocalTime()
+		clocks += agent(p).LocalTime()
 	}
 	if clocks != reqs {
 		t.Errorf("local clocks %d != requests received %d (replies must not tick the clock)",
@@ -468,10 +482,7 @@ func TestWorksWithClientDriver(t *testing.T) {
 	peerIDs := []ids.NodeID{0, 1, 2}
 	eng := sim.NewEngine()
 	for _, id := range peerIDs {
-		p, err := New(Config{ID: id, Peers: peerIDs, Tables: testTables(), Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := newAgentNode(t, protocol.Config{ID: id, Peers: peerIDs, Tables: testTables(), Seed: 7})
 		if err := eng.Register(p); err != nil {
 			t.Fatal(err)
 		}

@@ -22,10 +22,7 @@ func replicatedRig(t *testing.T, n int, rep protocol.Replication) (*sim.Engine, 
 	eng := sim.NewEngine()
 	proxies := make([]*ADC, n)
 	for i := range proxies {
-		p, err := New(Config{ID: ids.NodeID(i), Peers: peerIDs, Tables: testTables(), Seed: 42, Replication: rep})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := newAgentNode(t, protocol.Config{ID: ids.NodeID(i), Peers: peerIDs, Tables: testTables(), Seed: 42, Replication: rep})
 		proxies[i] = p
 		if err := eng.Register(p); err != nil {
 			t.Fatal(err)
@@ -35,13 +32,6 @@ func replicatedRig(t *testing.T, n int, rep protocol.Replication) (*sim.Engine, 
 		t.Fatal(err)
 	}
 	return eng, proxies
-}
-
-func TestNewRejectsInvalidReplication(t *testing.T) {
-	if _, err := New(Config{ID: 0, Peers: []ids.NodeID{0}, Tables: testTables(),
-		Replication: protocol.Replication{Enabled: true, HotThreshold: -3}}); err == nil {
-		t.Error("New must reject an invalid replication config")
-	}
 }
 
 func TestReplicationPushesAndServesReplicaHits(t *testing.T) {
@@ -56,7 +46,7 @@ func TestReplicationPushesAndServesReplicaHits(t *testing.T) {
 	}
 	holder, entry := proxies[0], proxies[1]
 	const obj = ids.ObjectID(7)
-	if _, adopted := holder.Tables().ForceCache(obj, 0, 1, 0); !adopted {
+	if _, adopted := agent(holder).Tables().ForceCache(obj, 0, 1, 0); !adopted {
 		t.Fatal("setup: ForceCache failed")
 	}
 	// Two direct client hits run the object hot at the holder (≥
@@ -66,7 +56,7 @@ func TestReplicationPushesAndServesReplicaHits(t *testing.T) {
 	if holder.Stats().ReplicaPushes != 0 {
 		t.Fatal("holder pushed a replica to a client")
 	}
-	entry.Tables().Update(obj, 0, 1)
+	agent(entry).Tables().Update(obj, 0, 1)
 
 	rep := send(t, eng, s, 1, obj, 3)
 	if !rep.Cached || rep.Resolver != 0 {
@@ -75,7 +65,7 @@ func TestReplicationPushesAndServesReplicaHits(t *testing.T) {
 	if holder.Stats().ReplicaPushes != 1 {
 		t.Fatalf("holder ReplicaPushes = %d, want 1", holder.Stats().ReplicaPushes)
 	}
-	if !entry.Tables().IsCached(obj) {
+	if !agent(entry).Tables().IsCached(obj) {
 		t.Fatal("entry proxy did not adopt the pushed replica")
 	}
 
@@ -116,7 +106,7 @@ func TestReplicationDeterministicAcrossRuns(t *testing.T) {
 				ids.NodeID(st.Requests), ids.NodeID(st.LocalHits),
 				ids.NodeID(st.ReplicaPushes), ids.NodeID(st.ReplicaDrops),
 				ids.NodeID(st.ReplicaHits), ids.NodeID(st.ForwardLearned),
-				ids.NodeID(p.Tables().Len()))
+				ids.NodeID(agent(p).Tables().Len()))
 		}
 		return out
 	}

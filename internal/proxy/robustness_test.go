@@ -7,6 +7,7 @@ import (
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/msg"
+	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/sim"
 )
 
@@ -27,7 +28,7 @@ func (c *collectCtx) Send(m msg.Message) {
 // exactly one message per received request.
 func TestProxySurvivesArbitraryMessageStorm(t *testing.T) {
 	peers := []ids.NodeID{0, 1, 2}
-	p, err := New(Config{
+	p := newAgentNode(t, protocol.Config{
 		ID:    0,
 		Peers: peers,
 		Tables: core.Config{
@@ -35,9 +36,6 @@ func TestProxySurvivesArbitraryMessageStorm(t *testing.T) {
 		},
 		Seed: 1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(31))
 	ctx := &collectCtx{}
 	for i := 0; i < 20000; i++ {
@@ -75,7 +73,7 @@ func TestProxySurvivesArbitraryMessageStorm(t *testing.T) {
 				t.Fatalf("reply %d produced %d sends, want 1", i, len(ctx.sent)-before)
 			}
 		}
-		tb := p.Tables()
+		tb := agent(p).Tables()
 		if tb.Single().Len() > 16 || tb.Multiple().Len() > 8 || tb.Caching().Len() > 4 {
 			t.Fatalf("step %d: table bounds violated (%d/%d/%d)",
 				i, tb.Single().Len(), tb.Multiple().Len(), tb.Caching().Len())
@@ -93,13 +91,10 @@ func TestProxySurvivesArbitraryMessageStorm(t *testing.T) {
 // TestProxyIgnoresForeignMessageTypes: unknown message kinds must be
 // dropped silently, not crash the agent.
 func TestProxyIgnoresForeignMessageTypes(t *testing.T) {
-	p, err := New(Config{
+	p := newAgentNode(t, protocol.Config{
 		ID: 0, Peers: []ids.NodeID{0},
 		Tables: core.Config{SingleSize: 4, MultipleSize: 4, CachingSize: 4},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := &collectCtx{}
 	p.Handle(ctx, bogusMessage{})
 	if len(ctx.sent) != 0 {

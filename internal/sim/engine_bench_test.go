@@ -6,7 +6,7 @@ import (
 
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
-	"github.com/adc-sim/adc/internal/proxy"
+	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/sim"
 	"github.com/adc-sim/adc/internal/trace"
 )
@@ -32,7 +32,7 @@ func buildADCArray(b testing.TB, eng *sim.VEngine, nProxies int) []ids.NodeID {
 		proxyIDs[i] = ids.NodeID(i)
 	}
 	for _, id := range proxyIDs {
-		p, err := proxy.New(proxy.Config{
+		p := newADCProxy(b, protocol.Config{
 			ID:    id,
 			Peers: proxyIDs,
 			Tables: core.Config{
@@ -42,9 +42,6 @@ func buildADCArray(b testing.TB, eng *sim.VEngine, nProxies int) []ids.NodeID {
 			},
 			Seed: 1,
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
 		if err := eng.Register(p); err != nil {
 			b.Fatal(err)
 		}

@@ -7,7 +7,7 @@ import (
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
-	"github.com/adc-sim/adc/internal/proxy"
+	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/sim"
 )
 
@@ -70,15 +70,12 @@ func buildScalingRig(b *testing.B, eng *sim.VEngine, collFor func(i int) *metric
 		proxyIDs[i] = ids.NodeID(i)
 	}
 	for _, id := range proxyIDs {
-		p, err := proxy.New(proxy.Config{
+		p := newADCProxy(b, protocol.Config{
 			ID:     id,
 			Peers:  proxyIDs,
 			Tables: core.Config{SingleSize: 200, MultipleSize: 200, CachingSize: 100},
 			Seed:   7,
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
 		if err := eng.Register(p); err != nil {
 			b.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/msg"
+	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/proxy"
 	"github.com/adc-sim/adc/internal/sim"
 	"github.com/adc-sim/adc/internal/trace"
@@ -56,15 +57,12 @@ func (r shardRig) run(t *testing.T, eng *sim.VEngine) rigResult {
 		proxyIDs[i] = ids.NodeID(i)
 	}
 	for i := range proxies {
-		p, err := proxy.New(proxy.Config{
+		p := newADCProxy(t, protocol.Config{
 			ID:     ids.NodeID(i),
 			Peers:  proxyIDs,
 			Tables: core.Config{SingleSize: 400, MultipleSize: 400, CachingSize: 200},
 			Seed:   1,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		proxies[i] = p
 		if err := eng.Register(r.wrapped(p)); err != nil {
 			t.Fatal(err)
@@ -342,4 +340,19 @@ func TestShardedDuplicateRegister(t *testing.T) {
 	if err := eng.Register(sim.NewOrigin()); err == nil {
 		t.Fatal("expected duplicate-node error, got nil")
 	}
+}
+
+// newADCProxy builds an ADC proxy node: cfg's protocol agent behind the
+// simulator's proxy node.
+func newADCProxy(tb testing.TB, cfg protocol.Config) *proxy.ADC {
+	tb.Helper()
+	a, err := protocol.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, err := proxy.New(proxy.Config{ID: cfg.ID, Policy: a})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
 }
