@@ -530,8 +530,10 @@ func (cfg Config) policies(members []ids.NodeID) ([]protocol.Policy, error) {
 			out = append(out, a)
 		}
 	case CARP, CHash:
-		var assign carp.Assigner = carp.NewHasher(members)
-		if cfg.Algorithm == CHash {
+		var assign carp.Assigner
+		if cfg.Algorithm == CARP {
+			assign = carp.NewHasher(members)
+		} else {
 			ring, err := chash.NewRing(members, 0)
 			if err != nil {
 				return nil, err

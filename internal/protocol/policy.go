@@ -12,9 +12,9 @@ import (
 // and who keeps the copy — behind the events Agent defines: Arrive on every
 // request, Route on a miss, Learn on every passing reply, Distrust when an
 // unanswered forward expires, Restart on a fail-stop restart (loseTables
-// selects a cold one). *Agent is ADC's policy, internal/lru's Policy the
-// LRU one of the hashing and hierarchy baselines and their coordinator's
-// workers, and RoundRobin the coordinator's dispatcher.
+// selects a cold one). *Agent is ADC's policy; internal/lru's Policy is
+// that of the hashing and hierarchy baselines and of the coordinator's
+// workers; RoundRobin is the coordinator's dispatcher.
 //
 // What a driver does with a decision is read from what the events return,
 // never from the policy's type. One value of Route's reason changes the

@@ -69,7 +69,6 @@ func (t *sweepTimer) Dest() ids.NodeID { return t.to }
 type ADC struct {
 	id     ids.NodeID
 	policy protocol.Policy
-	stats  *metrics.ProxyStats // the policy's counters
 
 	// pending counts, per in-flight request ID, how many times this
 	// proxy has forwarded it and not yet seen the reply pass back. A
@@ -111,7 +110,6 @@ func New(cfg Config) (*ADC, error) {
 	return &ADC{
 		id:       cfg.ID,
 		policy:   cfg.Policy,
-		stats:    cfg.Policy.Counters(),
 		pending:  make(map[ids.RequestID]pendingPass),
 		recovery: cfg.Recovery,
 		sweep:    &sweepTimer{to: cfg.ID},
@@ -128,7 +126,7 @@ func (p *ADC) Policy() protocol.Policy { return p.policy }
 func (p *ADC) SetTracer(t *obs.Tracer) { p.tracer = t }
 
 // Stats returns a snapshot of the proxy's counters.
-func (p *ADC) Stats() metrics.ProxyStats { return *p.stats }
+func (p *ADC) Stats() metrics.ProxyStats { return *p.policy.Counters() }
 
 // PendingLen returns the number of in-flight forwarded requests (tests
 // assert it drains to zero — invariant 4 of DESIGN.md §10).
@@ -252,7 +250,7 @@ func (p *ADC) receiveReply(ctx sim.Context, rep *msg.Reply) {
 	// (routing needs only the reply's own path).
 	pass, live := p.pending[rep.ID]
 	if !live {
-		p.stats.UnexpectedReplies++
+		p.policy.Counters().UnexpectedReplies++
 	}
 
 	l := p.policy.Learn(rep.Object, rep.Resolver, rep.Cached, backwardHop(rep.Path),
@@ -341,7 +339,7 @@ func (p *ADC) expirePending(now int64) {
 			continue
 		}
 		delete(p.pending, rec.id)
-		p.stats.ExpiredPending += uint64(pass.count)
+		p.policy.Counters().ExpiredPending += uint64(pass.count)
 		if p.tracer.Enabled(obs.KindExpire) {
 			e := obs.Ev(obs.KindExpire, p.id)
 			e.At = now
