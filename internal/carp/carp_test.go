@@ -74,7 +74,11 @@ func carpRig(t *testing.T, n, cacheSize int) (*sim.Engine, []*proxy.ADC, *carp.H
 	proxies := make([]*proxy.ADC, n)
 	for i := range proxies {
 		id := ids.NodeID(i)
-		p, err := proxy.New(proxy.Config{ID: id, Policy: lru.NewPolicy(id, cacheSize, h, ids.Origin)})
+		pol, err := lru.NewPolicy(id, cacheSize, h, ids.Origin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := proxy.New(proxy.Config{ID: id, Policy: pol})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,6 +91,21 @@ func carpRig(t *testing.T, n, cacheSize int) (*sim.Engine, []*proxy.ADC, *carp.H
 		t.Fatal(err)
 	}
 	return eng, proxies, h
+}
+
+// TestConfigValidation: a CARP proxy is a proxy node over an LRU policy that
+// hashes with the array's Hasher; each part must be present and sound.
+func TestConfigValidation(t *testing.T) {
+	h := carp.NewHasher(members(2))
+	if _, err := lru.NewPolicy(ids.Origin, 4, h, ids.Origin); err == nil {
+		t.Error("non-proxy ID must fail")
+	}
+	if _, err := proxy.New(proxy.Config{ID: 0}); err == nil {
+		t.Error("a CARP proxy without its hashing policy must fail")
+	}
+	if _, err := lru.NewPolicy(0, 0, h, ids.Origin); err == nil {
+		t.Error("zero cache size must fail")
+	}
 }
 
 type sink struct {

@@ -520,6 +520,14 @@ func (cfg Config) policies(members []ids.NodeID) ([]protocol.Policy, error) {
 	size := cfg.Tables.CachingSize
 	extra := ids.NodeID(len(members))
 	var out []protocol.Policy
+	addLRU := func(id ids.NodeID, assign carp.Assigner, next ids.NodeID) error {
+		p, err := lru.NewPolicy(id, size, assign, next)
+		if err != nil {
+			return err
+		}
+		out = append(out, p)
+		return nil
+	}
 	switch cfg.Algorithm {
 	case ADC:
 		for _, id := range members {
@@ -541,18 +549,30 @@ func (cfg Config) policies(members []ids.NodeID) ([]protocol.Policy, error) {
 			assign = ring
 		}
 		for _, id := range members {
-			out = append(out, lru.NewPolicy(id, size, assign, ids.Origin))
+			if err := addLRU(id, assign, ids.Origin); err != nil {
+				return nil, err
+			}
 		}
 	case Hierarchical:
 		for _, id := range members {
-			out = append(out, lru.NewPolicy(id, size, nil, extra))
+			if err := addLRU(id, nil, extra); err != nil {
+				return nil, err
+			}
 		}
-		out = append(out, lru.NewPolicy(extra, size, nil, ids.Origin))
+		if err := addLRU(extra, nil, ids.Origin); err != nil {
+			return nil, err
+		}
 	case Coordinator:
 		for _, id := range members {
-			out = append(out, lru.NewPolicy(id, size, nil, ids.Origin))
+			if err := addLRU(id, nil, ids.Origin); err != nil {
+				return nil, err
+			}
 		}
-		out = append(out, protocol.NewRoundRobin(members))
+		rr, err := protocol.NewRoundRobin(members)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rr)
 	}
 	return out, nil
 }

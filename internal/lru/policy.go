@@ -1,6 +1,8 @@
 package lru
 
 import (
+	"fmt"
+
 	"github.com/adc-sim/adc/internal/carp"
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
@@ -27,11 +29,19 @@ type Policy struct {
 
 var _ protocol.Policy = (*Policy)(nil)
 
-// NewPolicy builds proxy id's policy over a cache of size objects (size must
-// be positive). A miss goes to assign's choice when assign is non-nil and
-// names another proxy, and to next otherwise.
-func NewPolicy(id ids.NodeID, size int, assign carp.Assigner, next ids.NodeID) *Policy {
-	return &Policy{id: id, assign: assign, next: next, cache: New[ids.ObjectID, struct{}](size)}
+// NewPolicy builds proxy id's policy over a cache of size objects. A miss
+// goes to assign's choice when assign is non-nil and names another proxy,
+// and to next otherwise; next must be the origin or another proxy.
+func NewPolicy(id ids.NodeID, size int, assign carp.Assigner, next ids.NodeID) (*Policy, error) {
+	switch {
+	case !id.IsProxy():
+		return nil, fmt.Errorf("lru: %v is not a proxy ID", id)
+	case size <= 0:
+		return nil, fmt.Errorf("lru: proxy %v: cache size %d must be positive", id, size)
+	case next != ids.Origin && (!next.IsProxy() || next == id):
+		return nil, fmt.Errorf("lru: proxy %v: next hop %v is neither the origin nor another proxy", id, next)
+	}
+	return &Policy{id: id, assign: assign, next: next, cache: New[ids.ObjectID, struct{}](size)}, nil
 }
 
 // Arrive implements protocol.Policy: a hit refreshes the object's recency.

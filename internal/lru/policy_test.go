@@ -33,15 +33,25 @@ func rig(t *testing.T, policies ...protocol.Policy) (*sim.Engine, []*proxy.ADC) 
 	return eng, nodes
 }
 
+// newPolicy builds proxy id's LRU policy with a fixed next hop.
+func newPolicy(t *testing.T, id ids.NodeID, size int, next ids.NodeID) *lru.Policy {
+	t.Helper()
+	p, err := lru.NewPolicy(id, size, nil, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // treeRig is the two-level caching hierarchy: leaves 0..n-1 under root n.
 func treeRig(t *testing.T, leaves, size int) (*sim.Engine, []*proxy.ADC, *proxy.ADC) {
 	t.Helper()
 	root := ids.NodeID(leaves)
 	var policies []protocol.Policy
 	for i := 0; i < leaves; i++ {
-		policies = append(policies, lru.NewPolicy(ids.NodeID(i), size, nil, root))
+		policies = append(policies, newPolicy(t, ids.NodeID(i), size, root))
 	}
-	policies = append(policies, lru.NewPolicy(root, size, nil, ids.Origin))
+	policies = append(policies, newPolicy(t, root, size, ids.Origin))
 	eng, nodes := rig(t, policies...)
 	return eng, nodes[:leaves], nodes[leaves]
 }
@@ -52,10 +62,14 @@ func coordRig(t *testing.T, workers, size int) (*sim.Engine, *proxy.ADC, []*prox
 	var policies []protocol.Policy
 	var ws []ids.NodeID
 	for i := 0; i < workers; i++ {
-		policies = append(policies, lru.NewPolicy(ids.NodeID(i), size, nil, ids.Origin))
+		policies = append(policies, newPolicy(t, ids.NodeID(i), size, ids.Origin))
 		ws = append(ws, ids.NodeID(i))
 	}
-	policies = append(policies, protocol.NewRoundRobin(ws))
+	rr, err := protocol.NewRoundRobin(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies = append(policies, rr)
 	eng, nodes := rig(t, policies...)
 	return eng, nodes[workers], nodes[:workers]
 }
@@ -99,10 +113,50 @@ func held(p *proxy.ADC) int {
 	return n
 }
 
+// TestConfigValidation: a hierarchy node needs a proxy ID, a cache and an
+// upstream that is the root (another proxy) or the origin.
+func TestConfigValidation(t *testing.T) {
+	if _, err := lru.NewPolicy(ids.Origin, 4, nil, ids.Origin); err == nil {
+		t.Error("non-proxy ID must fail")
+	}
+	for _, next := range []ids.NodeID{ids.Client(0), ids.None, 0} {
+		if _, err := lru.NewPolicy(0, 4, nil, next); err == nil {
+			t.Errorf("next hop %v must fail", next)
+		}
+	}
+	if _, err := lru.NewPolicy(0, 0, nil, 1); err == nil {
+		t.Error("zero cache must fail")
+	}
+}
+
+// TestCoordinatorValidation: the dispatcher needs a proxy ID and a
+// non-empty set of proxy workers, and every worker a proxy ID and a cache.
+func TestCoordinatorValidation(t *testing.T) {
+	rr, err := protocol.NewRoundRobin([]ids.NodeID{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := proxy.New(proxy.Config{ID: ids.Origin, Policy: rr}); err == nil {
+		t.Error("non-proxy coordinator ID must fail")
+	}
+	if _, err := protocol.NewRoundRobin(nil); err == nil {
+		t.Error("empty worker set must fail")
+	}
+	if _, err := protocol.NewRoundRobin([]ids.NodeID{0, ids.Origin}); err == nil {
+		t.Error("non-proxy worker in the dispatcher's set must fail")
+	}
+	if _, err := lru.NewPolicy(ids.Origin, 4, nil, ids.Origin); err == nil {
+		t.Error("non-proxy worker ID must fail")
+	}
+	if _, err := lru.NewPolicy(0, 0, nil, ids.Origin); err == nil {
+		t.Error("zero cache must fail")
+	}
+}
+
 // TestConcurrentMissesInsertOnce: two misses for one object both learn its
 // reply; the second finds it cached, which is a refresh, not an insertion.
 func TestConcurrentMissesInsertOnce(t *testing.T) {
-	p := lru.NewPolicy(0, 4, nil, ids.Origin)
+	p := newPolicy(t, 0, 4, ids.Origin)
 	for range 2 {
 		if hit, _, _ := p.Arrive(7, ids.None); hit {
 			t.Fatal("cold cache hit")

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"fmt"
 	"slices"
 
 	"github.com/adc-sim/adc/internal/ids"
@@ -63,9 +64,17 @@ type RoundRobin struct {
 	stats   metrics.ProxyStats
 }
 
-// NewRoundRobin builds the dispatcher over a non-empty worker set.
-func NewRoundRobin(workers []ids.NodeID) *RoundRobin {
-	return &RoundRobin{workers: slices.Clone(workers)}
+// NewRoundRobin builds the dispatcher over a non-empty set of proxy workers.
+func NewRoundRobin(workers []ids.NodeID) (*RoundRobin, error) {
+	if len(workers) == 0 {
+		return nil, fmt.Errorf("protocol: round-robin dispatcher needs at least one worker")
+	}
+	for _, w := range workers {
+		if !w.IsProxy() {
+			return nil, fmt.Errorf("protocol: round-robin worker %v is not a proxy ID", w)
+		}
+	}
+	return &RoundRobin{workers: slices.Clone(workers)}, nil
 }
 
 // Arrive implements Policy: the dispatcher never hits.

@@ -10,7 +10,10 @@ import (
 // TestRoundRobinAssignment: the dispatcher cycles through its workers in
 // order whatever the object, never hits, and relays replies untouched.
 func TestRoundRobinAssignment(t *testing.T) {
-	r := NewRoundRobin([]ids.NodeID{0, 1, 2})
+	r, err := NewRoundRobin([]ids.NodeID{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 9; i++ {
 		if hit, _, _ := r.Arrive(ids.ObjectID(i%2), ids.None); hit {
 			t.Fatal("the dispatcher hit")

@@ -34,6 +34,15 @@ func replicatedRig(t *testing.T, n int, rep protocol.Replication) (*sim.Engine, 
 	return eng, proxies
 }
 
+// TestNewRejectsInvalidReplication: a replicating ADC node's config is
+// checked when its agent is built, so no node runs an invalid one.
+func TestNewRejectsInvalidReplication(t *testing.T) {
+	if _, err := protocol.New(protocol.Config{ID: 0, Peers: []ids.NodeID{0}, Tables: testTables(),
+		Replication: protocol.Replication{Enabled: true, HotThreshold: -3}}); err == nil {
+		t.Error("building an ADC node must reject an invalid replication config")
+	}
+}
+
 func TestReplicationPushesAndServesReplicaHits(t *testing.T) {
 	// Converged hotspot setup: proxy 0 holds the hot object, proxy 1 has
 	// learned that location and forwards every request there. The push
