@@ -24,16 +24,18 @@ fmt-check:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 # Short native-fuzz pass over the parsers that read bytes from outside — the
-# farm's header codec (what a proxy reads off a socket) and the -faults /
-# -recovery spec grammar (what a flag hands the engine) — and over the
-# engine's event queue, whose pop order every golden constant rests on, and
-# the mapping tables' open-addressed directory, which every proxy message
+# farm's header codec (what a proxy reads off a socket), the -faults /
+# -recovery spec grammar (what a flag hands either driver) and the /metrics
+# exposition parser (what adctop and adcload -lint-metrics scrape) — and over
+# the engine's event queue, whose pop order every golden constant rests on,
+# and the mapping tables' open-addressed directory, which every proxy message
 # probes. The committed seed corpora under testdata/fuzz also run as ordinary
 # test cases in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplicaHeaders -fuzztime 10s ./internal/httpproxy/
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzParseRecoverySpec -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzPromtextParse -fuzztime 10s ./internal/promtext/
 	$(GO) test -run '^$$' -fuzz FuzzEventQueueOrder -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzDirectory -fuzztime 10s ./internal/core/
 
@@ -92,11 +94,12 @@ loadtest:
 
 # Chaos run: kill one proxy mid-load and restart it, reporting windowed
 # availability, time-to-detect and time-to-recover (DESIGN.md §16,
-# EXPERIMENTS.md "Chaos runs"). Override the schedule with CHAOS=...
+# EXPERIMENTS.md "Chaos runs"). Override the schedule (adcsim's -faults
+# grammar; the farm plays kill, restart and partition) with CHAOS=...
 CHAOS ?= kill=p3@5s,restart=p3@15s
 chaos:
 	$(GO) run ./cmd/adcload -rate $(RATE) -duration 20s -proxies $(PROXIES) \
-	  -chaos '$(CHAOS)' -quiet
+	  -faults '$(CHAOS)' -quiet
 
 # Sweep benchmarks compare the sequential and parallel runners; the rest
 # regenerate every headline number in EXPERIMENTS.md.
@@ -127,7 +130,7 @@ trace-smoke:
 # sampled requests forming complete (or explicitly truncated) trees.
 telemetry-smoke:
 	$(GO) run ./cmd/adcload -proxies 8 -rate 1500 -duration 8s -warm 2000 \
-	  -chaos 'kill=p2@2s,restart=p2@5s' -probe-interval 50ms -quiet \
+	  -faults 'kill=p2@2s,restart=p2@5s' -probe-interval 50ms -quiet \
 	  -trace-sample 1 -trace-dump telemetry-smoke.spans.json -lint-metrics
 	$(GO) run ./cmd/adctrace farm -min-complete 0.99 telemetry-smoke.spans.json
 

@@ -36,7 +36,6 @@ import (
 
 	"github.com/adc-sim/adc/internal/cluster"
 	"github.com/adc-sim/adc/internal/core"
-	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/sim"
 )
@@ -245,43 +244,35 @@ type Config struct {
 	Shards int
 }
 
-// FaultPlan is a deterministic failure schedule. All randomness derives
-// from the plan's own seed, so identical plans produce identical drops,
-// delays and crashes on every run.
-type FaultPlan struct {
-	// Seed drives the plan's private random stream (default: the run's
-	// Seed).
-	Seed int64
-	// Loss is the i.i.d. probability in [0, 1] that any network transfer
-	// is discarded.
-	Loss float64
-	// Jitter adds a uniform random delay in [0, Jitter] virtual ticks to
-	// every surviving transfer.
-	Jitter int64
-	// LinkLoss adds extra loss on specific directed proxy→proxy links.
-	LinkLoss []LinkLoss
-	// Crashes schedules fail-stop proxy failures (ADC only).
-	Crashes []Crash
-}
+// FaultPlan is a deterministic failure schedule: the engine's own type. All
+// randomness derives from the plan's Seed (0 = the run's Seed), so identical
+// plans produce identical drops, delays and crashes on every run. Proxies
+// are 0-based node indices; times are virtual ticks.
+type FaultPlan = sim.FaultPlan
 
 // LinkLoss is a per-directed-link loss rate between two proxies.
-type LinkLoss struct {
-	// FromProxy and ToProxy are 0-based proxy indices.
-	FromProxy, ToProxy int
-	// Rate is the loss probability in [0, 1] on this link.
-	Rate float64
-}
+type LinkLoss = sim.LinkLoss
 
-// Crash schedules one fail-stop proxy failure: the proxy drops all traffic
-// from At until RestartAt (0 = stays down). LoseTables selects a cold
-// restart with empty mapping tables; volatile request state is always lost.
-type Crash struct {
-	// Proxy is the 0-based index of the crashing proxy.
-	Proxy int
-	// At and RestartAt are virtual times in ticks.
-	At, RestartAt int64
-	// LoseTables rebuilds the mapping tables empty on restart.
-	LoseTables bool
+// Crash schedules one fail-stop proxy failure from At until RestartAt
+// (0 = stays down); LoseTables selects a cold restart.
+type Crash = sim.Crash
+
+// ParseFaultSpec parses a -faults spec string of comma-separated clauses:
+// loss=R, jitter=T, seed=N, link=F>T:R, kill=P@T, restart=P@T[!] (! = cold)
+// and partition=A:B@T[+D], e.g. "loss=0.01,kill=p0@2s,restart=p0@4s!".
+// Proxies read p3 or 3; times read as ticks or Go durations (5s ==
+// 5000000). Run refuses partitions: only the HTTP farm plays them.
+func ParseFaultSpec(spec string) (*FaultPlan, error) { return sim.ParseFaultSpec(spec) }
+
+// ParseRecoverySpec parses a -recovery spec string, e.g.
+// "timeout=400ms,retries=8,backoff=2,ttl=1s"; an empty spec selects the
+// reference defaults.
+func ParseRecoverySpec(spec string) (*Recovery, error) {
+	r, err := sim.ParseRecoverySpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	return &Recovery{Timeout: r.Timeout, MaxRetries: r.MaxRetries, Backoff: r.Backoff, PendingTTL: r.PendingTTL}, nil
 }
 
 // Recovery parameterizes the opt-in recovery protocol. All durations are
@@ -383,32 +374,6 @@ func (c Config) toInternal() (cluster.Config, error) {
 	if !ok {
 		return cluster.Config{}, fmt.Errorf("adc: unknown backend %q (want btree, slice or list)", c.Backend)
 	}
-	var faults *sim.FaultPlan
-	if c.Faults != nil {
-		faults = &sim.FaultPlan{
-			Seed:   c.Faults.Seed,
-			Loss:   c.Faults.Loss,
-			Jitter: c.Faults.Jitter,
-		}
-		if faults.Seed == 0 {
-			faults.Seed = c.Seed
-		}
-		for _, l := range c.Faults.LinkLoss {
-			faults.LinkLoss = append(faults.LinkLoss, sim.LinkLoss{
-				From: ids.NodeID(l.FromProxy),
-				To:   ids.NodeID(l.ToProxy),
-				Rate: l.Rate,
-			})
-		}
-		for _, cr := range c.Faults.Crashes {
-			faults.Crashes = append(faults.Crashes, sim.Crash{
-				Node:       ids.NodeID(cr.Proxy),
-				At:         cr.At,
-				RestartAt:  cr.RestartAt,
-				LoseTables: cr.LoseTables,
-			})
-		}
-	}
 	var recovery sim.Recovery
 	if c.Recovery != nil {
 		recovery = sim.Recovery{
@@ -452,7 +417,7 @@ func (c Config) toInternal() (cluster.Config, error) {
 		OpenLoopInterval:    c.OpenLoopInterval,
 		Poisson:             c.Poisson,
 		JoinProxyAt:         c.JoinProxyAt,
-		Faults:              faults,
+		Faults:              c.Faults,
 		Recovery:            recovery,
 		Replication:         replication,
 		Tracer:              c.Tracer,

@@ -1,9 +1,10 @@
 // Chaos-mode support for adcload: windowed availability accounting while a
-// fault schedule (-chaos) kills, restarts and partitions farm proxies
+// fault schedule (-faults) kills, restarts and partitions farm proxies
 // mid-run, and the derived report — availability per window, time-to-detect
-// and time-to-recover per killed proxy. The schedule itself is parsed and
-// played by internal/httpproxy (chaos.go there); this file is the client
-// side of the experiment.
+// and time-to-recover per killed proxy. The schedule is parsed by
+// internal/sim (faultspec.go, the grammar adcsim's -faults reads) and played
+// by internal/httpproxy (chaos.go); this file is the client side of the
+// experiment.
 package main
 
 import (
@@ -146,23 +147,23 @@ func buildChaosReport(spec string, f *httpproxy.Farm, applied []httpproxy.Applie
 
 	transitions := f.HealthTransitions()
 	for _, ap := range applied {
-		ev := chaosEventReport{Action: ap.Event.Action.String(), AtSec: ap.At.Seconds()}
-		switch ap.Event.Action {
-		case httpproxy.ChaosKill, httpproxy.ChaosRestart:
-			ev.Proxy = ap.Event.Proxy
+		ev := chaosEventReport{Action: ap.Action, AtSec: ap.At.Seconds()}
+		switch ap.Action {
+		case "kill", "restart":
+			ev.Proxy = ap.A
 		default:
-			ev.A, ev.B = ap.Event.A, ap.Event.B
+			ev.A, ev.B = ap.A, ap.B
 		}
 		if ap.Err != nil {
 			ev.Err = ap.Err.Error()
 		}
 		cr.Events = append(cr.Events, ev)
 
-		if ap.Event.Action != httpproxy.ChaosKill {
+		if ap.Action != "kill" {
 			continue
 		}
 		kr := chaosKillReport{
-			Proxy:            ap.Event.Proxy,
+			Proxy:            ap.A,
 			KilledAtSec:      ap.At.Seconds(),
 			TimeToDetectSec:  -1,
 			TimeToRecoverSec: -1,
@@ -170,13 +171,13 @@ func buildChaosReport(spec string, f *httpproxy.Farm, applied []httpproxy.Applie
 		killWall := start.Add(ap.At)
 		var restartWall time.Time
 		for _, other := range applied {
-			if other.Event.Action == httpproxy.ChaosRestart && other.Event.Proxy == ap.Event.Proxy && other.At > ap.At {
+			if other.Action == "restart" && other.A == ap.A && other.At > ap.At {
 				restartWall = start.Add(other.At)
 				kr.RestartAtSec = other.At.Seconds()
 				break
 			}
 		}
-		peer := ids.NodeID(ap.Event.Proxy)
+		peer := ids.NodeID(ap.A)
 		for _, tr := range transitions {
 			if tr.Peer != peer {
 				continue

@@ -18,7 +18,7 @@ func TestChaosKillRestartRecovers(t *testing.T) {
 	cfg.Proxies = 4
 	cfg.Duration = 3 * time.Second
 	cfg.Rate = 400
-	cfg.Chaos = "kill=p1@500ms,restart=p1@1500ms"
+	cfg.Faults = "kill=p1@500ms,restart=p1@1500ms"
 	cfg.ProbeInterval = 25 * time.Millisecond
 	cfg.FailThreshold = 2
 	cfg.AvailWindow = 250 * time.Millisecond

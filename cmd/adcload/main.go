@@ -43,6 +43,7 @@ import (
 	"github.com/adc-sim/adc/internal/obs"
 	"github.com/adc-sim/adc/internal/promtext"
 	"github.com/adc-sim/adc/internal/protocol"
+	"github.com/adc-sim/adc/internal/sim"
 	"github.com/adc-sim/adc/internal/stats"
 	"github.com/adc-sim/adc/internal/workload"
 )
@@ -82,7 +83,7 @@ type config struct {
 	RepMax       int  // max replicas beyond the primary holder
 	RepWindow    int  // controller decay window (requests per proxy)
 
-	Chaos         string        // fault schedule spec ("" = none); implies Health
+	Faults        string        // fault schedule spec ("" = none); implies Health
 	Health        bool          // peer health probing + failover routing on
 	ProbeInterval time.Duration // health probe spacing (0 = default)
 	FailThreshold int           // consecutive failures marking a peer down (0 = default)
@@ -140,7 +141,7 @@ type report struct {
 	Farm    metrics.ProxyStats `json:"farm_totals"`
 	Proxies []proxyReport      `json:"proxies"`
 
-	// Chaos is present when -chaos drove a fault schedule: the applied
+	// Chaos is present when -faults drove a fault schedule: the applied
 	// events, per-kill detect/recover times, and windowed availability.
 	Chaos *chaosReport `json:"chaos,omitempty"`
 
@@ -160,7 +161,7 @@ type report struct {
 // reconstructed into per-request trees.
 type traceReport struct {
 	Proxies int `json:"proxies"`
-	// Skipped counts proxies whose scrape failed (e.g. killed by -chaos and
+	// Skipped counts proxies whose scrape failed (e.g. killed by -faults and
 	// never restarted); their spans are missing, which can orphan trees.
 	Skipped          int     `json:"skipped,omitempty"`
 	Spans            int     `json:"spans"`
@@ -239,13 +240,13 @@ func run(cfg config) (*report, error) {
 
 	// A chaos schedule implies the fault-tolerance layer: testing kill and
 	// restart without health probing would only measure hard errors.
-	var plan *httpproxy.ChaosPlan
-	if cfg.Chaos != "" {
-		plan, err = httpproxy.ParseChaosSpec(cfg.Chaos)
+	var plan *sim.FaultPlan
+	if cfg.Faults != "" {
+		plan, err = sim.ParseFaultSpec(cfg.Faults)
 		if err != nil {
 			return nil, err
 		}
-		if err := plan.Validate(cfg.Proxies); err != nil {
+		if err := httpproxy.CheckChaos(plan, cfg.Proxies); err != nil {
 			return nil, err
 		}
 		cfg.Health = true
@@ -460,7 +461,7 @@ func run(cfg config) (*report, error) {
 		})
 	}
 	if plan != nil {
-		rep.Chaos = buildChaosReport(cfg.Chaos, f, applied, start, avail)
+		rep.Chaos = buildChaosReport(cfg.Faults, f, applied, start, avail)
 	}
 
 	// Telemetry epilogue, while the farm is still up: scrape the span rings
@@ -488,7 +489,7 @@ func run(cfg config) (*report, error) {
 
 // scrapeTrace collects every proxy's span dump over HTTP, optionally writes
 // the raw dumps (the adctrace farm input format), and builds the tree
-// census. Unreachable proxies are skipped, not fatal: after a -chaos run a
+// census. Unreachable proxies are skipped, not fatal: after a -faults run a
 // victim may legitimately be down, and the census accounts for the hole.
 func scrapeTrace(client *http.Client, f *httpproxy.Farm, dumpPath string) (*traceReport, error) {
 	tr := &traceReport{Proxies: len(f.Proxies)}
@@ -663,7 +664,7 @@ func main() {
 	flag.IntVar(&cfg.RepThreshold, "rep-threshold", 0, "replication: window hits before pushing (0 = default)")
 	flag.IntVar(&cfg.RepMax, "rep-max", 0, "replication: max replicas beyond the primary (0 = default)")
 	flag.IntVar(&cfg.RepWindow, "rep-window", 0, "replication: decay window in requests (0 = default)")
-	flag.StringVar(&cfg.Chaos, "chaos", "", `fault schedule, e.g. "kill=p3@5s,restart=p3@15s,partition=p1:p2@8s+4s" (implies -health)`)
+	flag.StringVar(&cfg.Faults, "faults", "", `fault schedule in adcsim's -faults grammar; the farm plays kill, restart and partition, e.g. "kill=p3@5s,restart=p3@15s,partition=p1:p2@8s+4s" (implies -health)`)
 	flag.BoolVar(&cfg.Health, "health", false, "enable peer health probing, failover routing and circuit breakers")
 	flag.DurationVar(&cfg.ProbeInterval, "probe-interval", 0, "health probe interval (0 = default 250ms; with -health)")
 	flag.IntVar(&cfg.FailThreshold, "fail-threshold", 0, "consecutive failures marking a peer down (0 = default 3; with -health)")
@@ -700,7 +701,7 @@ func main() {
 	}
 	// Under a chaos schedule errors are the experiment, not a failure —
 	// the availability report carries the verdict instead.
-	if rep.Errors > 0 && cfg.Chaos == "" {
+	if rep.Errors > 0 && cfg.Faults == "" {
 		os.Exit(1)
 	}
 }

@@ -65,10 +65,10 @@ func run(args []string) error {
 		dump         = fs.Int("dump", -1, "after an ADC run, dump the top rows of this proxy's tables (paper Figs. 1–3)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile   = fs.String("memprofile", "", "write a heap profile to this file")
-		faultSpec    = fs.String("faults", "", "fault plan, e.g. 'loss=0.01,jitter=2000,crash=0@2000000-4000000!' (-runtime vtime)")
+		faultSpec    = fs.String("faults", "", "fault plan, e.g. 'loss=0.01,jitter=2ms,link=1>2:0.05,kill=p0@2s,restart=p0@4s!' (times in ticks or durations, 1 tick = 1µs; ! = cold restart; -runtime vtime; partition= is adcload's)")
 	)
 	var recoverySpec optionalString
-	fs.Var(&recoverySpec, "recovery", "enable the recovery protocol; optionally 'timeout=400000,retries=8,backoff=2,ttl=1000000' (-runtime vtime)")
+	fs.Var(&recoverySpec, "recovery", "enable the recovery protocol; optionally 'timeout=400ms,retries=8,backoff=2,ttl=1s' (-runtime vtime)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

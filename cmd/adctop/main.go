@@ -2,7 +2,7 @@
 // farm. It polls every proxy's /metrics endpoint (the internal/promtext
 // exposition the proxies serve) and renders farm-wide rates, per-stage
 // latency quantiles and per-proxy health in place — the thing to keep open
-// while an adcload -chaos run kills proxies underneath it:
+// while an adcload -faults run kills proxies underneath it:
 //
 //	adctop http://127.0.0.1:40001 http://127.0.0.1:40002 ...
 //	adctop -interval 2s ...

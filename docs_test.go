@@ -17,8 +17,10 @@ var (
 	// a line of a code block or a workflow `run:` step. Prose ("and make
 	// every probe …") is not matched.
 	makeInvocation = regexp.MustCompile("(?m)(?:`|^\\s*(?:run: |\\$ )?)make ([a-z][a-z0-9-]*)")
-	// The 1-core recordings and their recorder, deleted in issue 24.
-	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]`)
+	// The 1-core recordings and their recorder, deleted in issue 24, and the
+	// farm's own fault-schedule spellings, folded into the -faults grammar
+	// in issue 28.
+	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)`)
 	// EXPERIMENTS.md sections that record one PR's runs say so in their
 	// heading; they are history and may name what existed then.
 	datedHeading = regexp.MustCompile(`\((?:PR|issue) \d+`)
@@ -26,6 +28,11 @@ var (
 	// directory, then either a file in it or a name it declares.
 	internalRef  = regexp.MustCompile("`(internal/[^`]*)`")
 	internalPath = regexp.MustCompile(`^(internal(?:/[a-z0-9_]+)+)(/[A-Za-z0-9_]+\.go|\.[A-Z][A-Za-z0-9_]*)?$`)
+	// A back-ticked span on one line, the test, benchmark and fuzz names in
+	// it, and their declarations in _test.go files.
+	codeSpan     = regexp.MustCompile("`[^`\n]+`")
+	testName     = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*`)
+	testFuncDecl = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)\(`)
 )
 
 // livingText returns the part of a file that describes the repository as it
@@ -58,6 +65,53 @@ func TestDocsNameRealThings(t *testing.T) {
 	t.Run("make targets", docsNameDeclaredMakeTargets)
 	t.Run("retired recordings", docsDoNotNameRetiredRecordings)
 	t.Run("internal packages", docsNameRealPackages)
+	t.Run("test names", docsNameDeclaredTests)
+}
+
+// docsNameDeclaredTests resolves every back-ticked Test…, Benchmark… and
+// Fuzz… name in the documents that say what to run: some _test.go file must
+// declare it, or, where the name is a `go test -run` pattern, a function it
+// is a prefix of.
+func docsNameDeclaredTests(t *testing.T) {
+	declared := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFuncDecl.FindAllStringSubmatch(string(src), -1) {
+			declared[m[1]] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolves := func(name string) bool {
+		if declared[name] {
+			return true
+		}
+		for d := range declared {
+			if strings.HasPrefix(d, name) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, path := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		found := 0
+		for _, span := range codeSpan.FindAllString(livingText(t, path), -1) {
+			for _, name := range testName.FindAllString(span, -1) {
+				found++
+				if !resolves(name) {
+					t.Errorf("%s names %s in %s, which no _test.go file declares", path, name, span)
+				}
+			}
+		}
+		if found == 0 {
+			t.Errorf("%s: no test name found; the extraction pattern no longer fits the file", path)
+		}
+	}
 }
 
 // docsNameRealPackages resolves every back-ticked `internal/<pkg>`,
@@ -168,8 +222,9 @@ func docsNameDeclaredMakeTargets(t *testing.T) {
 	}
 }
 
-// docsDoNotNameRetiredRecordings walks every text file of the checkout.
-// Exempt: CHANGES.md, ROADMAP.md and ISSUE.md (the record and the plan of
+// docsDoNotNameRetiredRecordings walks every text file of the checkout for
+// retiredName: the retired recordings and the retired fault-schedule
+// spellings. Exempt: CHANGES.md, ROADMAP.md and ISSUE.md (the record and the plan of
 // what was removed), EXPERIMENTS.md's dated sections, bench/ (frozen by
 // BENCHMARK.json's `paths`; its README already calls the files superseded)
 // and this file.
@@ -193,7 +248,7 @@ func docsDoNotNameRetiredRecordings(t *testing.T) {
 		}
 		for _, line := range strings.Split(livingText(t, path), "\n") {
 			if retiredName.MatchString(line) {
-				t.Errorf("%s names a retired recording or its recorder: %s", path, strings.TrimSpace(line))
+				t.Errorf("%s names a retired recording, its recorder or a retired fault-schedule spelling: %s", path, strings.TrimSpace(line))
 			}
 		}
 		return nil

@@ -194,16 +194,11 @@ type Config struct {
 	JoinProxyAt []uint64
 
 	// Faults injects deterministic failures — seeded message loss, delay
-	// jitter, scheduled fail-stop crashes — into the run. Requires
-	// RuntimeVirtualTime; nil keeps the paper's lossless transport and
-	// leaves every code path byte-identical to a fault-free build.
+	// jitter, scheduled fail-stop crashes — into the run (sim.ParseFaultSpec
+	// reads one from a spec string; a zero Seed takes the run's Seed).
+	// Requires RuntimeVirtualTime; nil keeps the paper's lossless transport
+	// and leaves every code path byte-identical to a fault-free build.
 	Faults *sim.FaultPlan
-
-	// CrashProxyAt / RestartProxyAt are the churn-style convenience
-	// spelling of fail-stop failures (see faults.go); they merge into the
-	// engine's fault plan. Requires RuntimeVirtualTime.
-	CrashProxyAt   []ProxyCrash
-	RestartProxyAt []ProxyRestart
 
 	// Recovery enables the timeout/retransmission/pending-TTL recovery
 	// protocol — an extension beyond the paper. Requires
@@ -732,7 +727,7 @@ func (c *Cluster) Run() (*Result, error) {
 			// Under fault injection an unfinished trace is a measured
 			// outcome (stranded chains show up in Completion), not an
 			// execution error.
-			if !c.cfg.faultsActive() {
+			if c.cfg.Faults == nil {
 				return nil, fmt.Errorf("cluster: client %v did not finish its trace", cl.ID())
 			}
 			break

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/adc-sim/adc/internal/carp"
@@ -286,8 +287,9 @@ func TestCARPCrashRestart(t *testing.T) {
 			Seed:             1,
 			Runtime:          RuntimeVirtualTime,
 			OpenLoopInterval: second,
-			CrashProxyAt:     []ProxyCrash{{Proxy: 0, At: 11*second + second/2, LoseTables: cold}},
-			RestartProxyAt:   []ProxyRestart{{Proxy: 0, At: 11*second + 3*second/4}},
+			Faults: &sim.FaultPlan{Crashes: []sim.Crash{
+				{Node: 0, At: 11*second + second/2, RestartAt: 11*second + 3*second/4, LoseTables: cold},
+			}},
 		}, trace.NewSliceSource(objs))
 		if err != nil {
 			t.Fatal(err)
@@ -332,24 +334,31 @@ func TestValidateFaults(t *testing.T) {
 			c.Faults = &sim.FaultPlan{Loss: 1.5}
 		}, false},
 		{"crash out of range", func(c *Config) {
-			c.CrashProxyAt = []ProxyCrash{{Proxy: 9, At: 100}}
+			c.Faults = crashes(sim.Crash{Node: 9, At: 100})
 		}, false},
 		{"crash on carp", func(c *Config) {
 			c.Algorithm = CARP
 			c.Tables = core.Config{CachingSize: 100}
-			c.CrashProxyAt = []ProxyCrash{{Proxy: 0, At: 100}}
+			c.Faults = crashes(sim.Crash{Node: 0, At: 100})
 		}, true},
 		{"restart without crash", func(c *Config) {
-			c.RestartProxyAt = []ProxyRestart{{Proxy: 0, At: 100}}
+			c.Faults = crashes(sim.Crash{Node: 0, RestartAt: 100})
 		}, false},
 		{"restart before crash", func(c *Config) {
-			c.CrashProxyAt = []ProxyCrash{{Proxy: 0, At: 200}}
-			c.RestartProxyAt = []ProxyRestart{{Proxy: 0, At: 100}}
+			c.Faults = crashes(sim.Crash{Node: 0, At: 200, RestartAt: 100})
 		}, false},
 		{"crash restart pair", func(c *Config) {
-			c.CrashProxyAt = []ProxyCrash{{Proxy: 0, At: 100}}
-			c.RestartProxyAt = []ProxyRestart{{Proxy: 0, At: 300}}
+			c.Faults = crashes(sim.Crash{Node: 0, At: 100, RestartAt: 300})
 		}, true},
+		{"link out of range", func(c *Config) {
+			c.Faults = &sim.FaultPlan{LinkLoss: []sim.LinkLoss{{From: 1, To: 9, Rate: 0.5}}}
+		}, false},
+		{"link in range", func(c *Config) {
+			c.Faults = &sim.FaultPlan{LinkLoss: []sim.LinkLoss{{From: 1, To: 4, Rate: 0.5}}}
+		}, true},
+		{"partition", func(c *Config) {
+			c.Faults = &sim.FaultPlan{Partitions: []sim.Partition{{A: 1, B: 2, At: 100}}}
+		}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -365,6 +374,23 @@ func TestValidateFaults(t *testing.T) {
 		})
 	}
 }
+
+// TestValidateFaultsNamesTheFarm: a partition is refused with an error that
+// names the clause and the driver that plays it.
+func TestValidateFaultsNamesTheFarm(t *testing.T) {
+	plan, err := sim.ParseFaultSpec("partition=p1:p2@8s+4s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := goldenConfig(RuntimeVirtualTime)
+	cfg.Faults = plan
+	err = cfg.Validate()
+	if err == nil || !strings.Contains(err.Error(), "partition=1:2@8000000") || !strings.Contains(err.Error(), "farm") {
+		t.Errorf("Validate = %v, want a refusal naming partition=1:2@8000000 and the farm", err)
+	}
+}
+
+func crashes(c ...sim.Crash) *sim.FaultPlan { return &sim.FaultPlan{Crashes: c} }
 
 // TestGoldenReplicationDeterminism is TestGoldenDeterminism's replication-on
 // twin: no benchmark workload runs the controller, so its behaviour is held

@@ -147,7 +147,7 @@ func TestParallelValidation(t *testing.T) {
 		{"shards on sequential", func(c *Config) { c.Runtime = RuntimeSequential }, false},
 		{"shards on agents", func(c *Config) { c.Runtime = RuntimeAgents }, false},
 		{"faults", func(c *Config) { c.Faults = &sim.FaultPlan{Loss: 0.1} }, true},
-		{"proxy crash", func(c *Config) { c.CrashProxyAt = []ProxyCrash{{Proxy: 1, At: 100}} }, true},
+		{"proxy crash", func(c *Config) { c.Faults = crashes(sim.Crash{Node: 1, At: 100}) }, true},
 		{"tracer", func(c *Config) { c.Tracer = obs.New(obs.KindInject) }, true},
 		{"metrics every", func(c *Config) { c.MetricsEvery = 10_000 }, true},
 		{"queued service", func(c *Config) { c.Latency = sim.LatencyModel{Service: 10, QueueService: true} }, true},

@@ -11,7 +11,6 @@ import (
 
 	"github.com/adc-sim/adc/internal/cluster"
 	"github.com/adc-sim/adc/internal/core"
-	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/sim"
 	"github.com/adc-sim/adc/internal/workload"
 )
@@ -41,41 +40,15 @@ type File struct {
 	// trace file drives the run.
 	Workload WorkloadSection `json:"workload"`
 
-	// Faults injects deterministic failures (requires the vtime runtime);
-	// absent means the paper's lossless transport.
-	Faults *FaultsSection `json:"faults,omitempty"`
+	// Faults injects deterministic failures (requires the vtime runtime),
+	// written in adcsim's -faults grammar (sim.ParseFaultSpec), e.g.
+	// "loss=0.01,link=1>2:0.05,kill=p0@2s,restart=p0@4s"; absent means the
+	// paper's lossless transport.
+	Faults string `json:"faults,omitempty"`
 	// Recovery enables the timeout/retransmission protocol (requires the
-	// vtime runtime); absent means the paper-faithful protocol.
-	Recovery *RecoverySection `json:"recovery,omitempty"`
-}
-
-// FaultsSection mirrors sim.FaultPlan in JSON form.
-type FaultsSection struct {
-	// Seed drives the fault stream (0 = the run seed).
-	Seed int64 `json:"seed,omitempty"`
-	// Loss is the i.i.d. message loss probability in [0, 1].
-	Loss float64 `json:"loss,omitempty"`
-	// Jitter adds uniform random delay in [0, jitter] ticks per transfer.
-	Jitter int64 `json:"jitter,omitempty"`
-	// Crashes schedules fail-stop proxy failures.
-	Crashes []CrashSection `json:"crashes,omitempty"`
-}
-
-// CrashSection mirrors sim.Crash in JSON form.
-type CrashSection struct {
-	Proxy      int   `json:"proxy"`
-	At         int64 `json:"at"`
-	RestartAt  int64 `json:"restartAt,omitempty"`
-	LoseTables bool  `json:"loseTables,omitempty"`
-}
-
-// RecoverySection mirrors sim.Recovery in JSON form; zero fields take the
-// sim.DefaultRecovery values.
-type RecoverySection struct {
-	Timeout    int64   `json:"timeout,omitempty"`
-	MaxRetries int     `json:"maxRetries,omitempty"`
-	Backoff    float64 `json:"backoff,omitempty"`
-	PendingTTL int64   `json:"pendingTTL,omitempty"`
+	// vtime runtime), written in adcsim's -recovery grammar; "" selects the
+	// defaults and absent means the paper-faithful protocol.
+	Recovery *string `json:"recovery,omitempty"`
 }
 
 // WorkloadSection mirrors workload.Config in JSON form.
@@ -181,33 +154,15 @@ func (f File) Build() (cluster.Config, workload.Config, error) {
 		EntryPolicy: entry,
 		Runtime:     rt,
 	}
-	if f.Faults != nil {
-		plan := &sim.FaultPlan{
-			Seed:   f.Faults.Seed,
-			Loss:   f.Faults.Loss,
-			Jitter: f.Faults.Jitter,
+	if f.Faults != "" {
+		if ccfg.Faults, err = sim.ParseFaultSpec(f.Faults); err != nil {
+			return cluster.Config{}, workload.Config{}, err
 		}
-		if plan.Seed == 0 {
-			plan.Seed = f.Seed
-		}
-		for _, cr := range f.Faults.Crashes {
-			plan.Crashes = append(plan.Crashes, sim.Crash{
-				Node:       ids.NodeID(cr.Proxy),
-				At:         cr.At,
-				RestartAt:  cr.RestartAt,
-				LoseTables: cr.LoseTables,
-			})
-		}
-		ccfg.Faults = plan
 	}
 	if f.Recovery != nil {
-		ccfg.Recovery = sim.Recovery{
-			Enabled:    true,
-			Timeout:    f.Recovery.Timeout,
-			MaxRetries: f.Recovery.MaxRetries,
-			Backoff:    f.Recovery.Backoff,
-			PendingTTL: f.Recovery.PendingTTL,
-		}.Normalize()
+		if ccfg.Recovery, err = sim.ParseRecoverySpec(*f.Recovery); err != nil {
+			return cluster.Config{}, workload.Config{}, err
+		}
 	}
 	if err := ccfg.Validate(); err != nil {
 		return cluster.Config{}, workload.Config{}, err

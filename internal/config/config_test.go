@@ -2,11 +2,13 @@ package config
 
 import (
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/adc-sim/adc/internal/cluster"
 	"github.com/adc-sim/adc/internal/core"
+	"github.com/adc-sim/adc/internal/sim"
 )
 
 func TestDefaultBuilds(t *testing.T) {
@@ -114,5 +116,62 @@ func TestWorkloadSeedDefaultsToRunSeed(t *testing.T) {
 	}
 	if wcfg.Seed != 42 {
 		t.Errorf("workload seed = %d, want inherited 42", wcfg.Seed)
+	}
+}
+
+// TestFaultsAndRecoverySpecs: the JSON faults and recovery fields are spec
+// strings read by the same parsers as adcsim's -faults and -recovery,
+// link clauses included.
+func TestFaultsAndRecoverySpecs(t *testing.T) {
+	f, err := Parse([]byte(`{
+		"runtime": "vtime",
+		"faults": "loss=0.01,link=p1>p2:0.5,kill=p0@2s,restart=p0@4s!",
+		"recovery": "timeout=400ms,retries=3"
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccfg, _, err := f.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &sim.FaultPlan{
+		Loss:     0.01,
+		LinkLoss: []sim.LinkLoss{{From: 1, To: 2, Rate: 0.5}},
+		Crashes:  []sim.Crash{{Node: 0, At: 2_000_000, RestartAt: 4_000_000, LoseTables: true}},
+	}
+	if !reflect.DeepEqual(ccfg.Faults, want) {
+		t.Errorf("faults = %+v, want %+v", ccfg.Faults, want)
+	}
+	if r := ccfg.Recovery; r != (sim.Recovery{Enabled: true, Timeout: 400_000, MaxRetries: 3}) {
+		t.Errorf("recovery = %+v", r)
+	}
+
+	// An empty recovery string turns the protocol on with its defaults; an
+	// absent one leaves it off.
+	f, err = Parse([]byte(`{"runtime": "vtime", "recovery": ""}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ccfg, _, _ := f.Build(); !ccfg.Recovery.Enabled || ccfg.Faults != nil {
+		t.Errorf(`"recovery": "" built faults %+v, recovery %+v`, ccfg.Faults, ccfg.Recovery)
+	}
+	if ccfg, _, _ := Default().Build(); ccfg.Recovery.Enabled || ccfg.Faults != nil {
+		t.Errorf("default built faults %+v, recovery %+v", ccfg.Faults, ccfg.Recovery)
+	}
+
+	for in, want := range map[string]string{
+		`{"runtime": "vtime", "faults": "crash=0@2000000"}`:   `unknown key "crash"`,
+		`{"runtime": "vtime", "faults": "link=1>9:0.5"}`:      `outside proxy range`,
+		`{"runtime": "vtime", "faults": "partition=1:2@1s"}`:  `farm`,
+		`{"runtime": "vtime", "faults": "restart=1@5s"}`:      `no earlier kill`,
+		`{"faults": "loss=0.1"}`:                              `virtual-time runtime`,
+		`{"runtime": "vtime", "recovery": "retries=-1"}`:      `retries`,
+		`{"runtime": "vtime", "recovery": "timeout=forever"}`: `bad time`,
+		`{"runtime": "vtime", "faults": {"loss": 0.1}}`:       `parse`,
+	} {
+		if _, err := Parse([]byte(in)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Parse(%s) = %v, want an error containing %q", in, err, want)
+		}
 	}
 }

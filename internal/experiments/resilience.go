@@ -158,8 +158,7 @@ func CrashRecovery(p Profile, rec sim.Recovery) (*CrashRecoveryResult, error) {
 	cfg.OpenLoopInterval = openLoopInterval
 	cfg.SampleEvery = sampleEveryFor(total)
 	cfg.Recovery = rec
-	cfg.CrashProxyAt = []cluster.ProxyCrash{{Proxy: 0, At: crashAt, LoseTables: true}}
-	cfg.RestartProxyAt = []cluster.ProxyRestart{{Proxy: 0, At: restartAt}}
+	cfg.Faults = &sim.FaultPlan{Seed: cfg.Seed, Crashes: []sim.Crash{{Node: 0, At: crashAt, RestartAt: restartAt, LoseTables: true}}}
 
 	res, err := cluster.Run(cfg, tr.Cursor())
 	if err != nil {

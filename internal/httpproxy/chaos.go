@@ -2,268 +2,121 @@ package httpproxy
 
 import (
 	"fmt"
+	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
+
+	"github.com/adc-sim/adc/internal/ids"
+	"github.com/adc-sim/adc/internal/sim"
 )
 
-// Deterministic chaos harness for the HTTP farm — the real-network mirror
-// of the virtual-time fault plan (faultspec.go at the repo root, DESIGN.md
-// §9). A chaos spec is a comma-separated schedule of crash, restart and
-// partition events against the in-process farm:
+// Deterministic chaos harness for the HTTP farm. It plays the simulator's
+// own schedule type, sim.FaultPlan, parsed by sim.ParseFaultSpec (one
+// grammar, DESIGN.md §9), in wall-clock time at one tick per microsecond
+// from the start of the load run:
 //
-//	kill=p3@5s,restart=p3@15s,partition=p1:p2@8s+4s
+//	kill=P@T             close proxy P's listener (process crash)
+//	restart=P@T          rebind P on its original port; tables survive
+//	partition=A:B@T[+D]  cut A<->B (fetches and probes), healed after D
 //
-// Clauses:
-//
-//	kill=P@AT           close proxy P's listener at AT (process crash)
-//	restart=P@AT        rebind P on its original port at AT
-//	partition=A:B@AT+D  cut A<->B (fetches and probes) at AT for D;
-//	                    omit +D to leave the partition open
-//
-// Proxy references accept "p3" or "3". Durations are Go durations ("5s",
-// "250ms") measured from the start of the load run. Unlike the simulator's
-// plan (virtual ticks, replayed exactly), this schedule runs in wall-clock
-// time: determinism here means the same events fire in the same order at
-// the same nominal offsets, not that two runs are byte-identical.
+// Loss, jitter, per-link loss and cold restarts are the simulator's alone;
+// CheckChaos refuses them. Unlike the simulator's replay, determinism here
+// means the same events fire in the same order at the same nominal offsets,
+// not that two runs are byte-identical.
 
-// ChaosAction is one schedule event's kind.
-type ChaosAction uint8
-
-const (
-	// ChaosKill closes the target proxy's listener.
-	ChaosKill ChaosAction = iota
-	// ChaosRestart rebinds the target proxy on its original port.
-	ChaosRestart
-	// ChaosPartition cuts both directions between two proxies.
-	ChaosPartition
-	// ChaosHeal reverses a partition (generated from the +D span).
-	ChaosHeal
-)
-
-func (a ChaosAction) String() string {
-	switch a {
-	case ChaosKill:
-		return "kill"
-	case ChaosRestart:
-		return "restart"
-	case ChaosPartition:
-		return "partition"
-	case ChaosHeal:
-		return "heal"
+// CheckChaos reports the first clause of plan that a farm of the given size
+// cannot play.
+func CheckChaos(plan *sim.FaultPlan, proxies int) error {
+	if err := plan.Validate(); err != nil {
+		return err
 	}
-	return "unknown"
-}
-
-// ChaosEvent is one scheduled fault, At measured from run start.
-type ChaosEvent struct {
-	At     time.Duration
-	Action ChaosAction
-	Proxy  int // Kill/Restart target
-	A, B   int // Partition/Heal pair
-}
-
-// ChaosPlan is a parsed schedule, events sorted by At.
-type ChaosPlan struct {
-	Events []ChaosEvent
-}
-
-// KillSpans returns, per killed proxy, its kill and restart offsets
-// (restart < 0 when the proxy never comes back) — the harness's input for
-// time-to-detect/time-to-recover accounting.
-func (p *ChaosPlan) KillSpans() map[int][2]time.Duration {
-	spans := make(map[int][2]time.Duration)
-	for _, ev := range p.Events {
-		switch ev.Action {
-		case ChaosKill:
-			spans[ev.Proxy] = [2]time.Duration{ev.At, -1}
-		case ChaosRestart:
-			if s, ok := spans[ev.Proxy]; ok {
-				s[1] = ev.At
-				spans[ev.Proxy] = s
-			}
+	refuse := func(format string, args ...any) error {
+		return fmt.Errorf("httpproxy: the farm cannot play "+format+"; the simulator plays it (adcsim -runtime vtime -faults)", args...)
+	}
+	switch {
+	case plan.Loss != 0:
+		return refuse("loss=%v", plan.Loss)
+	case plan.Jitter != 0:
+		return refuse("jitter=%d", plan.Jitter)
+	case len(plan.LinkLoss) > 0:
+		l := plan.LinkLoss[0]
+		return refuse("link=%d>%d:%v", l.From, l.To, l.Rate)
+	}
+	in := func(n ids.NodeID) bool { return n >= 0 && int(n) < proxies }
+	for _, c := range plan.Crashes {
+		if c.LoseTables {
+			return refuse("restart=%d@%d! (a cold restart)", c.Node, c.RestartAt)
+		}
+		if !in(c.Node) {
+			return fmt.Errorf("httpproxy: kill=%d@%d targets proxy %d, farm has %d", c.Node, c.At, c.Node, proxies)
 		}
 	}
-	return spans
-}
-
-// ParseChaosSpec parses the comma-separated chaos schedule. An empty spec
-// returns an error: a schedule with no events would silently test nothing.
-func ParseChaosSpec(spec string) (*ChaosPlan, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, fmt.Errorf("httpproxy: empty chaos spec")
-	}
-	plan := &ChaosPlan{}
-	for _, clause := range strings.Split(spec, ",") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(clause, "=")
-		if !ok {
-			return nil, fmt.Errorf("httpproxy: chaos clause %q is not key=value", clause)
-		}
-		var err error
-		switch key {
-		case "kill", "restart":
-			var proxy int
-			var at time.Duration
-			proxy, at, err = parseProxyAt(val)
-			if err == nil {
-				act := ChaosKill
-				if key == "restart" {
-					act = ChaosRestart
-				}
-				plan.Events = append(plan.Events, ChaosEvent{At: at, Action: act, Proxy: proxy})
-			}
-		case "partition":
-			var evs []ChaosEvent
-			evs, err = parsePartitionClause(val)
-			plan.Events = append(plan.Events, evs...)
-		default:
-			return nil, fmt.Errorf("httpproxy: unknown chaos key %q (want kill, restart or partition)", key)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("httpproxy: chaos clause %q: %w", clause, err)
-		}
-	}
-	sort.SliceStable(plan.Events, func(i, j int) bool { return plan.Events[i].At < plan.Events[j].At })
-	return plan, nil
-}
-
-// parseProxyAt reads P@AT for kill/restart clauses.
-func parseProxyAt(s string) (int, time.Duration, error) {
-	node, at, ok := strings.Cut(s, "@")
-	if !ok {
-		return 0, 0, fmt.Errorf("want PROXY@AT")
-	}
-	proxy, err := parseProxyRef(node)
-	if err != nil {
-		return 0, 0, err
-	}
-	d, err := time.ParseDuration(at)
-	if err != nil {
-		return 0, 0, err
-	}
-	if d < 0 {
-		return 0, 0, fmt.Errorf("negative offset %v", d)
-	}
-	return proxy, d, nil
-}
-
-// parsePartitionClause reads A:B@AT[+D]; a span expands into a partition
-// event and its healing counterpart.
-func parsePartitionClause(s string) ([]ChaosEvent, error) {
-	pair, at, ok := strings.Cut(s, "@")
-	if !ok {
-		return nil, fmt.Errorf("want A:B@AT[+D]")
-	}
-	an, bn, ok := strings.Cut(pair, ":")
-	if !ok {
-		return nil, fmt.Errorf("want A:B@AT[+D]")
-	}
-	a, err := parseProxyRef(an)
-	if err != nil {
-		return nil, err
-	}
-	b, err := parseProxyRef(bn)
-	if err != nil {
-		return nil, err
-	}
-	if a == b {
-		return nil, fmt.Errorf("partition needs two distinct proxies, got %d twice", a)
-	}
-	atStr, spanStr, hasSpan := strings.Cut(at, "+")
-	start, err := time.ParseDuration(atStr)
-	if err != nil {
-		return nil, err
-	}
-	if start < 0 {
-		return nil, fmt.Errorf("negative offset %v", start)
-	}
-	evs := []ChaosEvent{{At: start, Action: ChaosPartition, A: a, B: b}}
-	if hasSpan {
-		span, err := time.ParseDuration(spanStr)
-		if err != nil {
-			return nil, err
-		}
-		if span <= 0 {
-			return nil, fmt.Errorf("partition span must be positive, got %v", span)
-		}
-		evs = append(evs, ChaosEvent{At: start + span, Action: ChaosHeal, A: a, B: b})
-	}
-	return evs, nil
-}
-
-// parseProxyRef accepts "p3" or "3".
-func parseProxyRef(s string) (int, error) {
-	s = strings.TrimSpace(s)
-	s = strings.TrimPrefix(s, "p")
-	v, err := strconv.Atoi(s)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("bad proxy ref %q (want pN or N)", s)
-	}
-	return v, nil
-}
-
-// Validate checks every event's proxy indices against the farm size.
-func (p *ChaosPlan) Validate(proxies int) error {
-	for _, ev := range p.Events {
-		switch ev.Action {
-		case ChaosKill, ChaosRestart:
-			if ev.Proxy >= proxies {
-				return fmt.Errorf("httpproxy: chaos %s targets proxy %d, farm has %d", ev.Action, ev.Proxy, proxies)
-			}
-		default:
-			if ev.A >= proxies || ev.B >= proxies {
-				return fmt.Errorf("httpproxy: chaos %s targets %d:%d, farm has %d", ev.Action, ev.A, ev.B, proxies)
-			}
+	for _, p := range plan.Partitions {
+		if !in(p.A) || !in(p.B) {
+			return fmt.Errorf("httpproxy: partition=%d:%d@%d targets proxy outside farm of %d", p.A, p.B, p.At, proxies)
 		}
 	}
 	return nil
 }
 
-// AppliedChaos is one executed event with its actual wall-clock offset.
+// AppliedChaos is one schedule event as the farm played it.
 type AppliedChaos struct {
-	Event ChaosEvent
-	// At is when the event actually fired, measured from start; timer
-	// scheduling can land it slightly after Event.At.
+	// Action is kill, restart, partition or heal.
+	Action string
+	// A is the kill/restart target (B == A), or A and B the partitioned pair.
+	A, B int
+	// At is when the event fired, measured from start; timer scheduling can
+	// land it slightly after its nominal time.
 	At time.Duration
 	// Err is the event's failure, if any (e.g. a restart that could not
 	// rebind its port).
 	Err error
 }
 
-// PlayChaos executes the plan against the farm: it sleeps to each event's
-// offset (measured from start) and applies it, until the plan ends or stop
-// closes. It blocks — run it in its own goroutine alongside the load — and
-// returns the applied events in order.
-func (f *Farm) PlayChaos(plan *ChaosPlan, start time.Time, stop <-chan struct{}) []AppliedChaos {
-	applied := make([]AppliedChaos, 0, len(plan.Events))
-	for _, ev := range plan.Events {
+// PlayChaos plays a plan that CheckChaos accepted against the farm: it sleeps
+// to each event's offset from start and applies it, until the plan ends or
+// stop closes. It blocks — run it in its own goroutine alongside the load —
+// and returns the applied events in order.
+func (f *Farm) PlayChaos(plan *sim.FaultPlan, start time.Time, stop <-chan struct{}) []AppliedChaos {
+	var events []AppliedChaos // At is the nominal offset until played
+	add := func(action string, ticks int64, a, b ids.NodeID) {
+		if ticks > 0 {
+			// A tick past a Duration's range is centuries away, not negative.
+			at := time.Duration(min(ticks, math.MaxInt64/int64(time.Microsecond))) * time.Microsecond
+			events = append(events, AppliedChaos{Action: action, A: int(a), B: int(b), At: at})
+		}
+	}
+	for _, c := range plan.Crashes {
+		add("kill", c.At, c.Node, c.Node)
+		add("restart", c.RestartAt, c.Node, c.Node)
+	}
+	for _, p := range plan.Partitions {
+		add("partition", p.At, p.A, p.B)
+		add("heal", p.HealAt, p.A, p.B)
+	}
+	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
+	for i := range events {
+		ev := &events[i]
 		if d := time.Until(start.Add(ev.At)); d > 0 {
 			t := time.NewTimer(d)
 			select {
 			case <-t.C:
 			case <-stop:
 				t.Stop()
-				return applied
+				return events[:i]
 			}
 		}
-		var err error
 		switch ev.Action {
-		case ChaosKill:
-			err = f.Proxies[ev.Proxy].Kill()
-		case ChaosRestart:
-			err = f.Proxies[ev.Proxy].Restart()
-		case ChaosPartition:
+		case "kill":
+			ev.Err = f.Proxies[ev.A].Kill()
+		case "restart":
+			ev.Err = f.Proxies[ev.A].Restart()
+		case "partition":
 			f.Partition(ev.A, ev.B)
-		case ChaosHeal:
+		case "heal":
 			f.Heal(ev.A, ev.B)
 		}
-		applied = append(applied, AppliedChaos{Event: ev, At: time.Since(start), Err: err})
+		ev.At = time.Since(start)
 	}
-	return applied
+	return events
 }

@@ -283,61 +283,6 @@ func TestBreakerGroup(t *testing.T) {
 	off.report(dest, false) // must not panic
 }
 
-// TestParseChaosSpec covers the schedule grammar, event ordering, and
-// validation against the farm size.
-func TestParseChaosSpec(t *testing.T) {
-	plan, err := ParseChaosSpec("kill=p3@5s, restart=p3@15s, partition=p1:p2@8s+4s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []ChaosEvent{
-		{At: 5 * time.Second, Action: ChaosKill, Proxy: 3},
-		{At: 8 * time.Second, Action: ChaosPartition, A: 1, B: 2},
-		{At: 12 * time.Second, Action: ChaosHeal, A: 1, B: 2},
-		{At: 15 * time.Second, Action: ChaosRestart, Proxy: 3},
-	}
-	if len(plan.Events) != len(want) {
-		t.Fatalf("parsed %d events, want %d: %+v", len(plan.Events), len(want), plan.Events)
-	}
-	for i, ev := range plan.Events {
-		if ev != want[i] {
-			t.Errorf("event %d = %+v, want %+v", i, ev, want[i])
-		}
-	}
-
-	if spans := plan.KillSpans(); spans[3] != [2]time.Duration{5 * time.Second, 15 * time.Second} {
-		t.Errorf("KillSpans = %v, want proxy 3 killed@5s restarted@15s", spans)
-	}
-
-	if err := plan.Validate(8); err != nil {
-		t.Errorf("Validate(8) = %v, want nil", err)
-	}
-	if err := plan.Validate(3); err == nil {
-		t.Error("Validate(3) must reject a plan targeting proxy 3")
-	}
-
-	// Bare indices work too.
-	if p, err := ParseChaosSpec("kill=2@100ms"); err != nil || p.Events[0].Proxy != 2 {
-		t.Errorf(`ParseChaosSpec("kill=2@100ms") = %+v, %v`, p, err)
-	}
-
-	for _, bad := range []string{
-		"",                      // empty schedule tests nothing
-		"explode=p1@5s",         // unknown key
-		"kill=p1",               // missing @AT
-		"kill=px@5s",            // bad proxy ref
-		"kill=p1@-5s",           // negative offset
-		"partition=p1@5s",       // missing :B
-		"partition=p1:p1@5s",    // same proxy twice
-		"partition=p1:p2@5s+0s", // non-positive span
-		"kill",                  // not key=value
-	} {
-		if _, err := ParseChaosSpec(bad); err == nil {
-			t.Errorf("ParseChaosSpec(%q) succeeded, want error", bad)
-		}
-	}
-}
-
 // TestFlightLeaderPeerDiesMidFetch is the satellite hang test: concurrent
 // entry requests coalesce behind one leader whose upstream peer is dead.
 // The leader's chain must fail over (retries, then origin) and every

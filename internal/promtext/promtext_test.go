@@ -159,19 +159,22 @@ h_sum 1
 	}
 }
 
+// malformed are documents the strict parser must refuse; FuzzPromtextParse
+// starts from them too.
+var malformed = []string{
+	`m{l="x} 1`,            // unterminated label value
+	`m{l="x"`,              // unterminated label block
+	`m{l="a\q"} 1`,         // unknown escape
+	`m{="x"} 1`,            // empty label name
+	`m`,                    // no value
+	`m 1e`,                 // bad value
+	"# TYPE m frequencies", // unknown type
+	`{l="x"} 1`,            // no metric name
+}
+
 // TestParseRejectsMalformed checks the strict half of the parser.
 func TestParseRejectsMalformed(t *testing.T) {
-	bad := []string{
-		`m{l="x} 1`,            // unterminated label value
-		`m{l="x"`,              // unterminated label block
-		`m{l="a\q"} 1`,         // unknown escape
-		`m{="x"} 1`,            // empty label name
-		`m`,                    // no value
-		`m 1e`,                 // bad value
-		"# TYPE m frequencies", // unknown type
-		`{l="x"} 1`,            // no metric name
-	}
-	for _, doc := range bad {
+	for _, doc := range malformed {
 		if _, err := Parse(strings.NewReader(doc)); err == nil {
 			t.Errorf("parse accepted %q", doc)
 		}

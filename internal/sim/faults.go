@@ -43,6 +43,17 @@ type FaultPlan struct {
 
 	// Crashes schedules fail-stop node failures at virtual times.
 	Crashes []Crash
+
+	// Partitions cut two proxies off from each other for a span. Only the
+	// HTTP farm plays them; the cluster layer refuses a plan that has any.
+	Partitions []Partition
+}
+
+// Partition cuts all traffic between proxies A and B, both ways, from At
+// until HealAt (0 = never healed).
+type Partition struct {
+	A, B       ids.NodeID
+	At, HealAt int64
 }
 
 // LinkLoss is a per-directed-link loss rate.
@@ -91,6 +102,17 @@ func (p *FaultPlan) Validate() error {
 		}
 		if c.RestartAt != 0 && c.RestartAt <= c.At {
 			return fmt.Errorf("sim: restart time %d must follow crash time %d", c.RestartAt, c.At)
+		}
+	}
+	for _, cut := range p.Partitions {
+		if cut.A == cut.B {
+			return fmt.Errorf("sim: partition needs two distinct proxies, got %d twice", cut.A)
+		}
+		if cut.At <= 0 {
+			return fmt.Errorf("sim: partition time %d must be positive", cut.At)
+		}
+		if cut.HealAt != 0 && cut.HealAt <= cut.At {
+			return fmt.Errorf("sim: heal time %d must follow partition time %d", cut.HealAt, cut.At)
 		}
 	}
 	return nil

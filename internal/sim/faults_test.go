@@ -155,6 +155,10 @@ func TestFaultPlanValidate(t *testing.T) {
 		{"crash at zero", FaultPlan{Crashes: []Crash{{Node: 0, At: 0}}}, false},
 		{"restart before crash", FaultPlan{Crashes: []Crash{{Node: 0, At: 10, RestartAt: 5}}}, false},
 		{"crash ok", FaultPlan{Crashes: []Crash{{Node: 0, At: 10, RestartAt: 20}}}, true},
+		{"partition one proxy", FaultPlan{Partitions: []Partition{{A: 1, B: 1, At: 10}}}, false},
+		{"partition at zero", FaultPlan{Partitions: []Partition{{A: 1, B: 2}}}, false},
+		{"heal before partition", FaultPlan{Partitions: []Partition{{A: 1, B: 2, At: 10, HealAt: 10}}}, false},
+		{"partition ok", FaultPlan{Partitions: []Partition{{A: 1, B: 2, At: 10, HealAt: 20}}}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
