@@ -17,9 +17,8 @@ var (
 	// a line of a code block or a workflow `run:` step. Prose ("and make
 	// every probe …") is not matched.
 	makeInvocation = regexp.MustCompile("(?m)(?:`|^\\s*(?:run: |\\$ )?)make ([a-z][a-z0-9-]*)")
-	// The 1-core recordings and their recorder, deleted in issue 24, and the
-	// farm's own fault-schedule spellings, folded into the -faults grammar
-	// in issue 28.
+	// The deleted 1-core recordings and their recorder, and the farm's own
+	// fault-schedule spellings, since folded into the -faults grammar.
 	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)`)
 	// EXPERIMENTS.md sections that record one PR's runs say so in their
 	// heading; they are history and may name what existed then.
@@ -224,8 +223,8 @@ func docsNameDeclaredMakeTargets(t *testing.T) {
 
 // docsDoNotNameRetiredRecordings walks every text file of the checkout for
 // retiredName: the retired recordings and the retired fault-schedule
-// spellings. Exempt: CHANGES.md, ROADMAP.md and ISSUE.md (the record and the plan of
-// what was removed), EXPERIMENTS.md's dated sections, bench/ (frozen by
+// spellings. Exempt: CHANGES.md, ROADMAP.md and the task plan (the record and the
+// plan of what was removed), EXPERIMENTS.md's dated sections, bench/ (frozen by
 // BENCHMARK.json's `paths`; its README already calls the files superseded)
 // and this file.
 func docsDoNotNameRetiredRecordings(t *testing.T) {
