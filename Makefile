@@ -25,12 +25,14 @@ fmt-check:
 
 # Short native-fuzz pass over the parsers that read bytes from outside — the
 # farm's header codec (what a proxy reads off a socket), the -faults /
-# -recovery spec grammar (what a flag hands either driver) and the /metrics
-# exposition parser (what adctop and adcload -lint-metrics scrape) — and over
-# the engine's event queue, whose pop order every golden constant rests on,
-# and the mapping tables' open-addressed directory, which every proxy message
-# probes. The committed seed corpora under testdata/fuzz also run as ordinary
-# test cases in `make test`.
+# -recovery spec grammar (what a flag hands either driver), the /metrics
+# exposition parser (what adctop and adcload -lint-metrics scrape) and the
+# binary and text trace readers (what adcsim -replay loads) — and over the
+# engine's event queue, whose pop order every golden constant rests on, and
+# the two open-addressed tables every proxy message probes: the mapping
+# tables' directory and the request-ID table of pending passes. The committed
+# seed corpora under testdata/fuzz also run as ordinary test cases in
+# `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplicaHeaders -fuzztime 10s ./internal/httpproxy/
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 10s .
@@ -38,6 +40,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPromtextParse -fuzztime 10s ./internal/promtext/
 	$(GO) test -run '^$$' -fuzz FuzzEventQueueOrder -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzDirectory -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzReqTable -fuzztime 10s ./internal/ids/
+	$(GO) test -run '^$$' -fuzz FuzzTraceReaders -fuzztime 10s ./internal/trace/
 
 # bench/ is a module of its own (BENCHMARK.json's driver), so `go build
 # ./...` and `go test ./...` at the root never compile it. It imports

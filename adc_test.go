@@ -2,6 +2,7 @@ package adc
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -400,6 +401,27 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	}
 	if r1.Hits != r2.Hits {
 		t.Errorf("trace replay diverged: %d vs %d hits", r1.Hits, r2.Hits)
+	}
+}
+
+// TestLoadTraceFileForgedCount: the request count in a binary trace's
+// header is read from the file. A count no int holds is an error, not a
+// makeslice panic, and a count far beyond the body is a truncated trace,
+// not an allocation of that many entries.
+func TestLoadTraceFileForgedCount(t *testing.T) {
+	for _, tc := range []struct {
+		name, header, body, want string
+	}{
+		{"count above MaxInt", "\xff\xff\xff\xff\xff\xff\xff\xff", "", "more than an int holds"},
+		{"count of 2^40", "\x00\x00\x00\x00\x00\x01\x00\x00", "\x03\x01", "truncated: 2 of 1099511627776"},
+	} {
+		path := t.TempDir() + "/forged.bin"
+		if err := os.WriteFile(path, []byte("ADCTRC\x00\x01"+tc.header+tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadTraceFile(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: LoadTraceFile err = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package adc_test
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -32,6 +33,12 @@ var (
 	codeSpan     = regexp.MustCompile("`[^`\n]+`")
 	testName     = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*`)
 	testFuncDecl = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)\(`)
+	// A benchmark workload name and a per-layer metric name, matched against
+	// whole words of a back-ticked span. A metric's name after the layer
+	// always has an underscore, which keeps file names such as trace.jsonl
+	// out.
+	workloadName = regexp.MustCompile(`^(?:sim|farm)_[a-z0-9_]+$`)
+	metricName   = regexp.MustCompile(`^[a-z]+\.[a-z0-9]+_[a-z0-9_]+$`)
 )
 
 // livingText returns the part of a file that describes the repository as it
@@ -65,6 +72,59 @@ func TestDocsNameRealThings(t *testing.T) {
 	t.Run("retired recordings", docsDoNotNameRetiredRecordings)
 	t.Run("internal packages", docsNameRealPackages)
 	t.Run("test names", docsNameDeclaredTests)
+	t.Run("benchmark names", docsNameDeclaredBenchmarkNames)
+}
+
+// docsNameDeclaredBenchmarkNames resolves every back-ticked workload name
+// (`sim_…`, `farm_…`) and per-layer metric name (`<layer>.<name>`) in the
+// documents that say what to run: BENCHMARK.json must declare it.
+func docsNameDeclaredBenchmarkNames(t *testing.T) {
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct {
+		Workloads []struct{ Name string } `json:"workloads"`
+		PerLayer  []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, w := range bench.Workloads {
+		declared[w.Name] = true
+	}
+	for _, m := range bench.PerLayer {
+		declared[m.Name] = true
+	}
+	for word, want := range map[string]bool{
+		"sim_shift_open": true, "sim.self_ns_per_event": true,
+		"trace.jsonl": false, "farm_test.go": false, "metrics.ProxyStats": false,
+	} {
+		if got := workloadName.MatchString(word) || metricName.MatchString(word); got != want {
+			t.Errorf("%s: matched %v, want %v", word, got, want)
+		}
+	}
+	isWordRune := func(r rune) bool {
+		return r == '_' || r == '.' || r == '-' || r == '/' || '0' <= r && r <= '9' || 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z'
+	}
+	found := 0
+	for _, path := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		for _, span := range codeSpan.FindAllString(livingText(t, path), -1) {
+			for _, word := range strings.FieldsFunc(span, func(r rune) bool { return !isWordRune(r) }) {
+				if !workloadName.MatchString(word) && !metricName.MatchString(word) {
+					continue
+				}
+				found++
+				if !declared[word] {
+					t.Errorf("%s names %s in %s, which BENCHMARK.json does not declare", path, word, span)
+				}
+			}
+		}
+	}
+	if found == 0 {
+		t.Error("no workload or metric name found; the extraction pattern no longer fits the documents")
+	}
 }
 
 // docsNameDeclaredTests resolves every back-ticked Test…, Benchmark… and

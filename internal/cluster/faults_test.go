@@ -256,6 +256,48 @@ func TestRecoveryClosedLoop(t *testing.T) {
 	}
 }
 
+// TestOpenLoopDrainsEverywhere: with 64 Poisson open-loop clients many
+// requests are in flight at once. Lossless, and with recovery under 1 %
+// loss, every proxy's pending set and every client's in-flight count must
+// be empty at the end of the run.
+func TestOpenLoopDrainsEverywhere(t *testing.T) {
+	for _, recovery := range []bool{false, true} {
+		cfg := goldenConfig(RuntimeVirtualTime)
+		cfg.Clients = 64
+		cfg.OpenLoopInterval = 2000
+		cfg.Poisson = true
+		if recovery {
+			cfg.Faults = &sim.FaultPlan{Seed: 42, Loss: 0.01}
+			cfg.Recovery = sim.DefaultRecovery()
+		}
+		cl, err := New(cfg, trace.NewSliceSource(goldenTrace()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cl.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recovery && res.Summary.Retries == 0 {
+			t.Error("recovery=true: no retransmission; the run exercises no loss")
+		}
+		if res.Injected != 4000 || res.Summary.Requests+res.Summary.Abandoned != 4000 {
+			t.Errorf("recovery=%v: injected %d, completed %d + abandoned %d, want 4000 each way",
+				recovery, res.Injected, res.Summary.Requests, res.Summary.Abandoned)
+		}
+		for i, p := range cl.ADCProxies() {
+			if n := p.PendingLen(); n != 0 {
+				t.Errorf("recovery=%v: proxy %d holds %d pending passes at run end", recovery, i, n)
+			}
+		}
+		for i, d := range cl.Clients() {
+			if n := d.(*sim.OpenLoopClient).Outstanding(); n != 0 {
+				t.Errorf("recovery=%v: client %d has %d requests in flight at run end", recovery, i, n)
+			}
+		}
+	}
+}
+
 // TestCARPCrashRestart: with the crash gate lifted a CARP proxy restarts the
 // way an ADC one does. Twelve objects are requested twice, one request per
 // virtual second, and proxy 0 crashes and restarts between the two rounds.

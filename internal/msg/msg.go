@@ -51,6 +51,11 @@ type Request struct {
 	// Zero or negative means unbounded (the paper's default: the
 	// parameter "can be used but [was] not applied", §V.1).
 	MaxHops int
+
+	// SentAt is the virtual time the client sent the logical request's
+	// first attempt; a retransmission carries its first attempt's value,
+	// so a response time measured from it is the one the user perceives.
+	SentAt int64
 }
 
 // Dest implements Message.
@@ -120,6 +125,9 @@ type Reply struct {
 	// PathLen preserves the forwarding path length at resolve time for
 	// metrics; Path itself shrinks during backwarding.
 	PathLen int
+
+	// SentAt is the answered request's SentAt, handed back to the client.
+	SentAt int64
 }
 
 // Dest implements Message.
@@ -150,6 +158,7 @@ func (r *Reply) InitFrom(req *Request) {
 		Path:     req.Path,
 		Hops:     req.Hops,
 		PathLen:  len(req.Path),
+		SentAt:   req.SentAt,
 	}
 }
 

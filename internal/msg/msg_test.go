@@ -28,9 +28,10 @@ func TestReplyToCopiesIdentity(t *testing.T) {
 		Client: ids.Client(1),
 		Path:   []ids.NodeID{3, 4},
 		Hops:   5,
+		SentAt: 77,
 	}
 	rep := ReplyTo(req)
-	if rep.ID != req.ID || rep.Object != req.Object || rep.Client != req.Client {
+	if rep.ID != req.ID || rep.Object != req.Object || rep.Client != req.Client || rep.SentAt != req.SentAt {
 		t.Errorf("identity not copied: %+v", rep)
 	}
 	if rep.Resolver != ids.None {

@@ -40,10 +40,10 @@ type Config struct {
 // recovery enabled — when the entry expires and which learned location the
 // latest pass trusted (so an unanswered forward can demote it).
 type pendingPass struct {
-	count    int
 	expireAt int64
 	obj      ids.ObjectID
 	learned  ids.NodeID
+	count    int32
 }
 
 // expiryRec is one scheduled pending-entry expiry check. Records enter the
@@ -74,8 +74,8 @@ type ADC struct {
 	// proxy has forwarded it and not yet seen the reply pass back. A
 	// request arriving while pending is a loop (§III.1). Counts (not
 	// booleans) handle self-forwarding, where the same proxy legally
-	// appears twice on the path.
-	pending map[ids.RequestID]pendingPass
+	// appears twice on the path. Every stored pass has count ≥ 1.
+	pending ids.ReqTable[pendingPass]
 
 	// recovery state: the FIFO of expiry checks (head-indexed so pops
 	// are O(1) without reallocating) and the single armed sweep timer.
@@ -110,7 +110,6 @@ func New(cfg Config) (*ADC, error) {
 	return &ADC{
 		id:       cfg.ID,
 		policy:   cfg.Policy,
-		pending:  make(map[ids.RequestID]pendingPass),
 		recovery: cfg.Recovery,
 		sweep:    &sweepTimer{to: cfg.ID},
 	}, nil
@@ -130,7 +129,7 @@ func (p *ADC) Stats() metrics.ProxyStats { return *p.policy.Counters() }
 
 // PendingLen returns the number of in-flight forwarded requests (tests
 // assert it drains to zero — invariant 4 of DESIGN.md §10).
-func (p *ADC) PendingLen() int { return len(p.pending) }
+func (p *ADC) PendingLen() int { return p.pending.Len() }
 
 // Restart implements sim.Restartable: a fail-stop restart always loses the
 // volatile request state (pending passes and the armed sweep timer died
@@ -138,7 +137,7 @@ func (p *ADC) PendingLen() int { return len(p.pending) }
 // replies) and whatever the policy counts as volatile; a cold restart
 // additionally loses its tables or cache.
 func (p *ADC) Restart(loseTables bool) {
-	p.pending = make(map[ids.RequestID]pendingPass)
+	p.pending = ids.ReqTable[pendingPass]{}
 	p.expiryQ = nil
 	p.expiryHead = 0
 	p.sweepArmed = false
@@ -204,12 +203,17 @@ func (p *ADC) receiveRequest(ctx sim.Context, req *msg.Request) {
 	// Store_Backwarding registers the pass so the reply can retrace it —
 	// unless the policy handed the request over for good, in which case
 	// the reply bypasses this proxy and there is nothing to wait for.
-	pass := p.pending[req.ID]
-	to, reason := p.policy.Route(req.Object, pass.count > 0, req.AtMaxHops(), !req.Sender.IsProxy(), nil)
+	looped := p.pending.Find(req.ID) != nil
+	to, reason := p.policy.Route(req.Object, looped, req.AtMaxHops(), !req.Sender.IsProxy(), nil)
 	req.Sender = p.id
 	req.To = to
 	if reason != obs.ReasonHashed {
 		req.Path = append(req.Path, p.id)
+	}
+	// No client mints request ID 0 (the pending table reserves it for
+	// empty cells), so a request forged with it is relayed without a pass.
+	if reason != obs.ReasonHashed && req.ID != 0 {
+		pass := p.pending.Upsert(req.ID)
 		pass.count++
 		if p.recovery.Enabled {
 			// Remember which learned location this pass trusted, so an
@@ -224,7 +228,6 @@ func (p *ADC) receiveRequest(ctx sim.Context, req *msg.Request) {
 				p.pushExpiry(ctx, req.ID, pass.expireAt)
 			}
 		}
-		p.pending[req.ID] = pass
 	}
 
 	if p.tracer.Enabled(obs.KindForward) {
@@ -248,8 +251,8 @@ func (p *ADC) receiveReply(ctx sim.Context, rep *msg.Reply) {
 	// resurrect loop-detection state. It still carries real data, so the
 	// table update and the backwarding forward below proceed normally
 	// (routing needs only the reply's own path).
-	pass, live := p.pending[rep.ID]
-	if !live {
+	pass := p.pending.Find(rep.ID)
+	if pass == nil {
 		p.policy.Counters().UnexpectedReplies++
 	}
 
@@ -259,13 +262,13 @@ func (p *ADC) receiveReply(ctx sim.Context, rep *msg.Reply) {
 	rep.Cached = l.Cached
 	setAdvert(rep, l.Advert)
 
-	// Retire one stored backwarding pass.
-	if live {
+	// Retire one stored backwarding pass (Learn leaves pending alone, so
+	// the pointer is still the pass's cell).
+	if pass != nil {
 		if pass.count > 1 {
 			pass.count--
-			p.pending[rep.ID] = pass
 		} else {
-			delete(p.pending, rep.ID)
+			p.pending.Delete(rep.ID)
 		}
 	}
 
@@ -334,11 +337,12 @@ func (p *ADC) expirePending(now int64) {
 	for p.expiryHead < len(p.expiryQ) && p.expiryQ[p.expiryHead].at <= now {
 		rec := p.expiryQ[p.expiryHead]
 		p.popExpiry()
-		pass, ok := p.pending[rec.id]
-		if !ok || pass.expireAt > now {
+		live := p.pending.Find(rec.id)
+		if live == nil || live.expireAt > now {
 			continue
 		}
-		delete(p.pending, rec.id)
+		pass := *live
+		p.pending.Delete(rec.id)
 		p.policy.Counters().ExpiredPending += uint64(pass.count)
 		if p.tracer.Enabled(obs.KindExpire) {
 			e := obs.Ev(obs.KindExpire, p.id)

@@ -330,6 +330,7 @@ func (c *Client) send(ctx Context) {
 	req.Client = c.id
 	req.Sender = c.id
 	req.MaxHops = c.maxHops
+	req.SentAt = c.sentAt
 	if c.tracer != nil {
 		// First attempt of a logical request injects; retransmissions
 		// link back to the attempt they supersede so the trace tooling

@@ -46,27 +46,31 @@ type OpenLoopClient struct {
 	interval int64
 	poisson  bool
 
-	counter     uint64
-	rr          int
-	injected    int
-	timer       *tick
-	outstanding map[ids.RequestID]openReq
-	exhausted   bool
-	done        bool
-	onDone      func()
+	counter  uint64
+	rr       int
+	injected int
+	timer    *tick
+	// inFlight counts injected requests neither answered nor abandoned.
+	// Response times come from the reply's SentAt, so the lossless path
+	// keeps no per-request state; attempts holds the recovery protocol's
+	// retransmission state per live attempt, and only when it is enabled.
+	inFlight  int
+	attempts  ids.ReqTable[openReq]
+	exhausted bool
+	done      bool
+	onDone    func()
 
 	// tracer and ts are the optional observability hooks (nil = off).
 	tracer *obs.Tracer
 	ts     *metrics.TimeSeries
 }
 
-// openReq is the book-keeping for one in-flight open-loop request.
+// openReq is the recovery protocol's state for one live attempt: the
+// logical request's first-attempt send time (which a retransmission carries
+// on as its SentAt), its object, how often it was retransmitted and the
+// attempt's backoff-scaled timeout.
 type openReq struct {
-	// sentAt is the first attempt's virtual send time; retransmissions
-	// keep it so response time stays user-perceived.
-	sentAt int64
-	// obj, retries and timeout track the recovery protocol's
-	// retransmission state (unused when recovery is disabled).
+	sentAt  int64
 	obj     ids.ObjectID
 	retries int
 	timeout int64
@@ -118,19 +122,18 @@ func NewOpenLoopClient(cfg OpenLoopConfig) (*OpenLoopClient, error) {
 		return nil, err
 	}
 	return &OpenLoopClient{
-		id:          ids.Client(cfg.Index),
-		src:         cfg.Source,
-		proxies:     cfg.Proxies,
-		policy:      cfg.Policy,
-		seed:        cfg.Seed,
-		collector:   cfg.Collector,
-		maxHops:     cfg.MaxHops,
-		recovery:    cfg.Recovery,
-		interval:    cfg.IntervalTicks,
-		poisson:     cfg.Poisson,
-		timer:       &tick{to: ids.Client(cfg.Index)},
-		outstanding: make(map[ids.RequestID]openReq),
-		onDone:      cfg.OnDone,
+		id:        ids.Client(cfg.Index),
+		src:       cfg.Source,
+		proxies:   cfg.Proxies,
+		policy:    cfg.Policy,
+		seed:      cfg.Seed,
+		collector: cfg.Collector,
+		maxHops:   cfg.MaxHops,
+		recovery:  cfg.Recovery,
+		interval:  cfg.IntervalTicks,
+		poisson:   cfg.Poisson,
+		timer:     &tick{to: ids.Client(cfg.Index)},
+		onDone:    cfg.OnDone,
 	}, nil
 }
 
@@ -154,7 +157,7 @@ func (c *OpenLoopClient) SetTracer(t *obs.Tracer) { c.tracer = t }
 func (c *OpenLoopClient) SetTimeSeries(ts *metrics.TimeSeries) { c.ts = ts }
 
 // Outstanding returns the number of in-flight requests (test support).
-func (c *OpenLoopClient) Outstanding() int { return len(c.outstanding) }
+func (c *OpenLoopClient) Outstanding() int { return c.inFlight }
 
 // Injected returns the number of logical requests injected so far;
 // retransmissions of a timed-out request count once.
@@ -191,12 +194,15 @@ func (c *OpenLoopClient) inject(ctx Context) {
 		c.maybeFinish()
 		return
 	}
-	clk := ctx.(Clock) // Start already proved the engine supports it
+	now := ctx.(Clock).VNow() // Start already proved the engine supports it
 	c.counter++
 	id := ids.NewRequestID(c.id.ClientIndex(), c.counter)
-	c.outstanding[id] = openReq{sentAt: clk.VNow(), obj: obj, timeout: c.recovery.Timeout}
+	if c.recovery.Enabled {
+		*c.attempts.Upsert(id) = openReq{sentAt: now, obj: obj, timeout: c.recovery.Timeout}
+	}
+	c.inFlight++
 	c.injected++
-	c.ts.Inject(clk.VNow())
+	c.ts.Inject(now)
 	req := NewRequest(ctx)
 	req.To = c.pickEntry()
 	req.ID = id
@@ -204,9 +210,10 @@ func (c *OpenLoopClient) inject(ctx Context) {
 	req.Client = c.id
 	req.Sender = c.id
 	req.MaxHops = c.maxHops
+	req.SentAt = now
 	if c.tracer.Enabled(obs.KindInject) {
 		e := obs.Ev(obs.KindInject, c.id)
-		e.At = clk.VNow()
+		e.At = now
 		e.Req = id
 		e.Obj = obj
 		e.To = req.To
@@ -221,7 +228,7 @@ func (c *OpenLoopClient) inject(ctx Context) {
 
 func (c *OpenLoopClient) complete(ctx Context, rep *msg.Reply) {
 	if c.recovery.Enabled {
-		if _, ok := c.outstanding[rep.ID]; !ok {
+		if c.attempts.Find(rep.ID) == nil {
 			// Duplicate from a retransmitted chain, or a reply racing
 			// its own timeout: the request was already completed or
 			// superseded, so only recycle.
@@ -236,13 +243,12 @@ func (c *OpenLoopClient) complete(ctx Context, rep *msg.Reply) {
 			Finish(ctx, rep)
 			return
 		}
+		c.attempts.Delete(rep.ID)
 	}
+	c.inFlight--
 	c.collector.Record(!rep.FromOrigin, rep.Hops, rep.PathLen)
-	if r, ok := c.outstanding[rep.ID]; ok {
-		if clk, isClock := ctx.(Clock); isClock {
-			c.collector.RecordResponse(clk.VNow() - r.sentAt)
-		}
-		delete(c.outstanding, rep.ID)
+	if clk, isClock := ctx.(Clock); isClock {
+		c.collector.RecordResponse(clk.VNow() - rep.SentAt)
 	}
 	if c.tracer.Enabled(obs.KindDeliver) {
 		e := obs.Ev(obs.KindDeliver, c.id)
@@ -271,10 +277,12 @@ func (c *OpenLoopClient) handleTimeout(ctx Context, t *retryTimer) {
 	if !c.recovery.Enabled {
 		return
 	}
-	r, ok := c.outstanding[t.id]
-	if !ok {
+	live := c.attempts.Find(t.id)
+	if live == nil {
 		return // answered or superseded
 	}
+	r := *live
+	c.attempts.Delete(t.id)
 	c.collector.RecordTimeout()
 	if c.tracer.Enabled(obs.KindTimeout) {
 		e := obs.Ev(obs.KindTimeout, c.id)
@@ -284,8 +292,8 @@ func (c *OpenLoopClient) handleTimeout(ctx Context, t *retryTimer) {
 		c.tracer.Emit(e)
 	}
 	c.ts.Timeout(traceNow(ctx))
-	delete(c.outstanding, t.id)
 	if r.retries >= c.recovery.MaxRetries {
+		c.inFlight--
 		c.collector.RecordAbandoned()
 		if c.tracer.Enabled(obs.KindAbandon) {
 			e := obs.Ev(obs.KindAbandon, c.id)
@@ -305,7 +313,7 @@ func (c *OpenLoopClient) handleTimeout(ctx Context, t *retryTimer) {
 	id := ids.NewRequestID(c.id.ClientIndex(), c.counter)
 	r.retries++
 	r.timeout = int64(float64(r.timeout) * c.recovery.Backoff)
-	c.outstanding[id] = r
+	*c.attempts.Upsert(id) = r
 	req := NewRequest(ctx)
 	req.To = c.pickEntry()
 	req.ID = id
@@ -313,6 +321,7 @@ func (c *OpenLoopClient) handleTimeout(ctx Context, t *retryTimer) {
 	req.Client = c.id
 	req.Sender = c.id
 	req.MaxHops = c.maxHops
+	req.SentAt = r.sentAt
 	if c.tracer.Enabled(obs.KindRetry) {
 		e := obs.Ev(obs.KindRetry, c.id)
 		e.At = traceNow(ctx)
@@ -328,7 +337,7 @@ func (c *OpenLoopClient) handleTimeout(ctx Context, t *retryTimer) {
 }
 
 func (c *OpenLoopClient) maybeFinish() {
-	if !c.done && c.exhausted && len(c.outstanding) == 0 {
+	if !c.done && c.exhausted && c.inFlight == 0 {
 		c.done = true
 		if c.onDone != nil {
 			c.onDone()

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -26,6 +27,12 @@ var magic = [8]byte{'A', 'D', 'C', 'T', 'R', 'C', 0, 1}
 
 // ErrBadMagic marks a stream that is not a binary ADC trace.
 var ErrBadMagic = errors.New("trace: bad magic (not an ADC trace file)")
+
+// MaxPrealloc caps the capacity a reader reserves up front from a trace's
+// declared request count. The count comes from a file header, so a forged
+// one must not turn into a huge allocation before the body backs it up;
+// longer traces grow by append.
+const MaxPrealloc = 1 << 20
 
 // Write encodes the full contents of src to w in the binary format.
 func Write(w io.Writer, src workload.Source) error {
@@ -81,7 +88,11 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if _, err := io.ReadFull(br, cnt[:]); err != nil {
 		return nil, fmt.Errorf("trace: read count: %w", err)
 	}
-	return &Reader{br: br, total: int(binary.LittleEndian.Uint64(cnt[:]))}, nil
+	total := binary.LittleEndian.Uint64(cnt[:])
+	if total > math.MaxInt {
+		return nil, fmt.Errorf("trace: header declares %d requests, more than an int holds", total)
+	}
+	return &Reader{br: br, total: int(total)}, nil
 }
 
 // Total implements workload.Source.
@@ -180,7 +191,7 @@ func (s *SliceSource) Reset() { s.pos = 0 }
 
 // Drain reads every remaining request from src into a slice.
 func Drain(src workload.Source) []ids.ObjectID {
-	out := make([]ids.ObjectID, 0, src.Total())
+	out := make([]ids.ObjectID, 0, min(src.Total(), MaxPrealloc))
 	for {
 		obj, ok := src.Next()
 		if !ok {

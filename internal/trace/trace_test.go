@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -94,6 +97,30 @@ func TestTruncatedBody(t *testing.T) {
 	}
 }
 
+// forged returns a binary trace header declaring count requests, followed
+// by body.
+func forged(count uint64, body ...byte) []byte {
+	b := binary.LittleEndian.AppendUint64(append([]byte{}, magic[:]...), count)
+	return append(b, body...)
+}
+
+// TestForgedCount: the request count is read from the file. One no int
+// holds is refused by NewReader; one far beyond the body reserves at most
+// MaxPrealloc entries and drains to a truncation error.
+func TestForgedCount(t *testing.T) {
+	if _, err := NewReader(bytes.NewReader(forged(math.MaxUint64))); err == nil {
+		t.Fatal("a count above MaxInt must fail")
+	}
+	r, err := NewReader(bytes.NewReader(forged(1<<40, 3, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := Drain(r)
+	if !slices.Equal(got, []ids.ObjectID{3, 1}) || cap(got) > MaxPrealloc || r.Err() == nil {
+		t.Errorf("drained %v (cap %d, err %v), want [3 1], cap ≤ %d and a truncation error", got, cap(got), r.Err(), MaxPrealloc)
+	}
+}
+
 func TestTextRoundTrip(t *testing.T) {
 	objs := []ids.ObjectID{10, 20, 30}
 	var buf bytes.Buffer
@@ -139,5 +166,40 @@ func TestSliceSourceReset(t *testing.T) {
 	s.Reset()
 	if got := Drain(s); len(got) != 2 {
 		t.Errorf("post-reset drain = %v", got)
+	}
+}
+
+// FuzzTraceReaders feeds the same bytes to the binary reader (NewReader +
+// Drain) and to ReadText. Neither may panic, and whatever either accepts as
+// a valid stream must survive Write then NewReader unchanged.
+func FuzzTraceReaders(f *testing.F) {
+	f.Add(forged(3, 1, 2, 3))
+	f.Add([]byte("# ADC trace\n1\n2\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if r, err := NewReader(bytes.NewReader(data)); err == nil {
+			objs := Drain(r)
+			if r.Err() == nil && len(objs) == r.Total() {
+				roundTrip(t, objs)
+			}
+		}
+		if src, err := ReadText(bytes.NewReader(data)); err == nil {
+			roundTrip(t, Drain(src))
+		}
+	})
+}
+
+// roundTrip writes objs as a binary trace and demands it reads back equal.
+func roundTrip(t *testing.T, objs []ids.ObjectID) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Write(&buf, NewSliceSource(objs)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Drain(r); r.Err() != nil || !slices.Equal(got, objs) {
+		t.Fatalf("Write then NewReader gave %v (err %v), want %v", got, r.Err(), objs)
 	}
 }

@@ -258,7 +258,7 @@ func LoadTraceFile(path string) (Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	objs := make([]uint64, 0, src.Total())
+	objs := make([]uint64, 0, min(src.Total(), trace.MaxPrealloc))
 	for {
 		obj, ok := src.Next()
 		if !ok {
