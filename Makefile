@@ -26,8 +26,9 @@ fmt-check:
 # Short native-fuzz pass over the parsers that read bytes from outside — the
 # farm's header codec (what a proxy reads off a socket), the -faults /
 # -recovery spec grammar (what a flag hands either driver), the /metrics
-# exposition parser (what adctop and adcload -lint-metrics scrape) and the
-# binary and text trace readers (what adcsim -replay loads) — and over the
+# exposition parser (what adctop and adcload -lint-metrics scrape), the
+# binary and text trace readers (what adcsim -replay loads) and the JSON
+# experiment file (what adcsim -config reads) — and over the
 # engine's event queue, whose pop order every golden constant rests on, and
 # the two open-addressed tables every proxy message probes: the mapping
 # tables' directory and the request-ID table of pending passes. The committed
@@ -42,6 +43,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDirectory -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzReqTable -fuzztime 10s ./internal/ids/
 	$(GO) test -run '^$$' -fuzz FuzzTraceReaders -fuzztime 10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzConfigParse -fuzztime 10s ./internal/config/
 
 # bench/ is a module of its own (BENCHMARK.json's driver), so `go build
 # ./...` and `go test ./...` at the root never compile it. It imports

@@ -18,9 +18,11 @@ var (
 	// a line of a code block or a workflow `run:` step. Prose ("and make
 	// every probe …") is not matched.
 	makeInvocation = regexp.MustCompile("(?m)(?:`|^\\s*(?:run: |\\$ )?)make ([a-z][a-z0-9-]*)")
-	// The deleted 1-core recordings and their recorder, and the farm's own
-	// fault-schedule spellings, since folded into the -faults grammar.
-	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)`)
+	// The deleted 1-core recordings and their recorder, the farm's own
+	// fault-schedule spellings, since folded into the -faults grammar, and
+	// the open-loop client type, since folded into sim.Client (the word
+	// boundary keeps test names such as TestOpenLoopClientValidation legal).
+	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)|\b(?:New)?OpenLoop(?:Client|Config)\b`)
 	// EXPERIMENTS.md sections that record one PR's runs say so in their
 	// heading; they are history and may name what existed then.
 	datedHeading = regexp.MustCompile(`\((?:PR|issue) \d+`)
@@ -39,6 +41,14 @@ var (
 	// out.
 	workloadName = regexp.MustCompile(`^(?:sim|farm)_[a-z0-9_]+$`)
 	metricName   = regexp.MustCompile(`^[a-z]+\.[a-z0-9]+_[a-z0-9_]+$`)
+	// A command line in a back-ticked span: a binary's name, bare or as
+	// cmd/<name>, at the start; its -flags after a space or a slash
+	// (`adcload -max-active/-max-queue`) once quoted arguments are cut out;
+	// and a flag declared with a literal name in the binary's source.
+	commandLine = regexp.MustCompile("^`(?:cmd/)?([a-z]+)(?:\\s[^`]*)?`$")
+	quotedArg   = regexp.MustCompile(`'[^']*'|"[^"]*"`)
+	flagToken   = regexp.MustCompile(`(?:^|[\s/])--?([A-Za-z][A-Za-z0-9-]*)`)
+	flagDecl    = regexp.MustCompile(`\b(?:fs|flag)\.(?:(?:Int|Int64|Uint|Uint64|Float64|String|Bool|Duration)(?:Var)?|Var)\((?:[^,()"]+,\s*)?"([A-Za-z0-9][\w-]*)"`)
 )
 
 // livingText returns the part of a file that describes the repository as it
@@ -73,6 +83,65 @@ func TestDocsNameRealThings(t *testing.T) {
 	t.Run("internal packages", docsNameRealPackages)
 	t.Run("test names", docsNameDeclaredTests)
 	t.Run("benchmark names", docsNameDeclaredBenchmarkNames)
+	t.Run("cli flags", docsNameDeclaredFlags)
+}
+
+// docsNameDeclaredFlags resolves every -flag of every back-ticked command
+// line (`adcsim -runtime vtime …`, `cmd/adcload -rate …`) in the documents
+// that say what to run: cmd/<name>/*.go must declare it.
+func docsNameDeclaredFlags(t *testing.T) {
+	for span, want := range map[string][]string{
+		"`adcsim -runtime vtime -recovery '' -faults 'kill=p1@2s'`": {"runtime", "recovery", "faults"},
+		"`adcload -max-active/-max-queue`":                          {"max-active", "max-queue"},
+	} {
+		var got []string
+		for _, m := range flagToken.FindAllStringSubmatch(quotedArg.ReplaceAllString(span, ""), -1) {
+			got = append(got, m[1])
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s: flags %v, want %v", span, got, want)
+		}
+	}
+	declared := map[string]map[string]bool{}
+	entries, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		files, err := filepath.Glob(filepath.Join("cmd", e.Name(), "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		flags := map[string]bool{}
+		for _, file := range files {
+			src, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range flagDecl.FindAllStringSubmatch(string(src), -1) {
+				flags[m[1]] = true
+			}
+		}
+		declared[e.Name()] = flags
+	}
+	found := 0
+	for _, path := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		for _, span := range codeSpan.FindAllString(livingText(t, path), -1) {
+			m := commandLine.FindStringSubmatch(span)
+			if m == nil || declared[m[1]] == nil {
+				continue
+			}
+			found++
+			for _, f := range flagToken.FindAllStringSubmatch(quotedArg.ReplaceAllString(span, ""), -1) {
+				if !declared[m[1]][f[1]] {
+					t.Errorf("%s names -%s in %s, which cmd/%s does not declare", path, f[1], span, m[1])
+				}
+			}
+		}
+	}
+	if found == 0 {
+		t.Error("no command line found; the extraction pattern no longer fits the documents")
+	}
 }
 
 // docsNameDeclaredBenchmarkNames resolves every back-ticked workload name
@@ -282,8 +351,8 @@ func docsNameDeclaredMakeTargets(t *testing.T) {
 }
 
 // docsDoNotNameRetiredRecordings walks every text file of the checkout for
-// retiredName: the retired recordings and the retired fault-schedule
-// spellings. Exempt: CHANGES.md, ROADMAP.md and the task plan (the record and the
+// retiredName: the retired recordings, fault-schedule spellings and client
+// type. Exempt: CHANGES.md, ROADMAP.md and the task plan (the record and the
 // plan of what was removed), EXPERIMENTS.md's dated sections, bench/ (frozen by
 // BENCHMARK.json's `paths`; its README already calls the files superseded)
 // and this file.
@@ -307,7 +376,7 @@ func docsDoNotNameRetiredRecordings(t *testing.T) {
 		}
 		for _, line := range strings.Split(livingText(t, path), "\n") {
 			if retiredName.MatchString(line) {
-				t.Errorf("%s names a retired recording, its recorder or a retired fault-schedule spelling: %s", path, strings.TrimSpace(line))
+				t.Errorf("%s names a retired recording, its recorder, a retired fault-schedule spelling or the retired open-loop client type: %s", path, strings.TrimSpace(line))
 			}
 		}
 		return nil

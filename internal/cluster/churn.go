@@ -112,9 +112,7 @@ func (c *Cluster) addProxy(register func(sim.Node) error) error {
 	c.proxies = append(c.proxies, p)
 	c.nodes = append(c.nodes, p)
 	for _, cl := range c.clients {
-		if scl, ok := cl.(*sim.Client); ok {
-			scl.AddProxy(id)
-		}
+		cl.AddProxy(id)
 	}
 	return nil
 }

@@ -1,9 +1,9 @@
 // Package cluster wires complete proxy systems — N proxy agents, an origin
-// server and closed-loop client drivers — and runs a workload against them
-// on one of the interchangeable runtimes (FIFO engine, virtual-time engine,
-// goroutine agents). It is the programmatic equivalent of
-// the paper's experimental testbed (§V.1) and the layer the public API and
-// the benchmark harness sit on.
+// server and closed- or open-loop client drivers — and runs a workload
+// against them on one of the interchangeable runtimes (FIFO engine,
+// virtual-time engine, goroutine agents). It is the programmatic equivalent
+// of the paper's experimental testbed (§V.1) and the layer the public API
+// and the benchmark harness sit on.
 package cluster
 
 import (
@@ -154,8 +154,9 @@ type Config struct {
 	// EntryPolicy selects how clients pick their first proxy.
 	EntryPolicy sim.EntryPolicy
 
-	// Clients is the number of closed-loop drivers (default 1; the
-	// trace is split round-robin between them).
+	// Clients is the number of request drivers (default 1; the trace is
+	// split round-robin between them), closed loop unless
+	// OpenLoopInterval is set.
 	Clients int
 
 	// Window is the moving-average window (default 5000, §V.2.1).
@@ -360,26 +361,11 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Driver is the client-side interface the cluster works against; both the
-// closed-loop sim.Client and the open-loop sim.OpenLoopClient satisfy it.
-type Driver interface {
-	sim.Node
-	Collector() *metrics.Collector
-	Done() bool
-	SetOnDone(fn func())
-	Injected() uint64
-}
-
-var (
-	_ Driver = (*sim.Client)(nil)
-	_ Driver = (*sim.OpenLoopClient)(nil)
-)
-
 // Cluster is a fully wired proxy system ready to run once.
 type Cluster struct {
 	cfg     Config
 	nodes   []sim.Node
-	clients []Driver
+	clients []*sim.Client
 	origin  *sim.Origin
 
 	// proxies are the proxy nodes, node i with ID i: the N array members,
@@ -461,36 +447,18 @@ func New(cfg Config, src workload.Source) (*Cluster, error) {
 			}
 			copts = append(copts, metrics.WithResponseHistogram(cfg.ResponseBuckets, width))
 		}
-		collector := metrics.NewCollector(copts...)
-		var (
-			cl  Driver
-			err error
-		)
-		if cfg.OpenLoopInterval > 0 {
-			cl, err = sim.NewOpenLoopClient(sim.OpenLoopConfig{
-				Index:         i,
-				Source:        s,
-				Proxies:       entryIDs,
-				Policy:        cfg.EntryPolicy,
-				Seed:          cfg.Seed + int64(i)*104729,
-				Collector:     collector,
-				MaxHops:       cfg.MaxHops,
-				IntervalTicks: cfg.OpenLoopInterval,
-				Poisson:       cfg.Poisson,
-				Recovery:      cfg.Recovery,
-			})
-		} else {
-			cl, err = sim.NewClient(sim.ClientConfig{
-				Index:     i,
-				Source:    s,
-				Proxies:   entryIDs,
-				Policy:    cfg.EntryPolicy,
-				Seed:      cfg.Seed + int64(i)*104729,
-				Collector: collector,
-				MaxHops:   cfg.MaxHops,
-				Recovery:  cfg.Recovery,
-			})
-		}
+		cl, err := sim.NewClient(sim.ClientConfig{
+			Index:         i,
+			Source:        s,
+			Proxies:       entryIDs,
+			Policy:        cfg.EntryPolicy,
+			Seed:          cfg.Seed + int64(i)*104729,
+			Collector:     metrics.NewCollector(copts...),
+			MaxHops:       cfg.MaxHops,
+			Recovery:      cfg.Recovery,
+			IntervalTicks: cfg.OpenLoopInterval,
+			Poisson:       cfg.Poisson,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -592,14 +560,8 @@ func (c *Cluster) wireObservability(tr *obs.Tracer) {
 	}
 	c.origin.SetTracer(tr)
 	for _, cl := range c.clients {
-		switch t := cl.(type) {
-		case *sim.Client:
-			t.SetTracer(tr)
-			t.SetTimeSeries(c.ts)
-		case *sim.OpenLoopClient:
-			t.SetTracer(tr)
-			t.SetTimeSeries(c.ts)
-		}
+		cl.SetTracer(tr)
+		cl.SetTimeSeries(c.ts)
 	}
 }
 
@@ -645,7 +607,7 @@ func (c *Cluster) ADCProxies() []*proxy.ADC { return c.proxies }
 func (c *Cluster) Origin() *sim.Origin { return c.origin }
 
 // Clients exposes the client drivers.
-func (c *Cluster) Clients() []Driver { return c.clients }
+func (c *Cluster) Clients() []*sim.Client { return c.clients }
 
 // Run executes the workload to completion and returns the merged result.
 // A cluster is single-shot: build a fresh one per run.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/adc-sim/adc/internal/core"
@@ -321,6 +322,41 @@ func TestOpenLoopCluster(t *testing.T) {
 	bad.OpenLoopInterval = 100
 	if err := bad.Validate(); err == nil {
 		t.Error("open loop on sequential runtime must fail validation")
+	}
+}
+
+// TestClosedAndOpenLoopAgreeWithoutOverlap: the two injection modes differ
+// only in when a request goes out. An open loop whose interval is far above
+// the longest round trip never has two requests in flight, so with a
+// deterministic entry policy it must see exactly what the closed loop sees.
+func TestClosedAndOpenLoopAgreeWithoutOverlap(t *testing.T) {
+	for _, alg := range []Algorithm{ADC, CARP, CHash, Hierarchical, Coordinator} {
+		t.Run(alg.String(), func(t *testing.T) {
+			run := func(interval int64) *Result {
+				cfg := testConfig(alg)
+				cfg.Runtime = RuntimeVirtualTime
+				cfg.EntryPolicy = sim.EntryRoundRobin
+				cfg.ResponseBuckets = 4000
+				cfg.OpenLoopInterval = interval
+				res, err := Run(cfg, testWorkload(t, 20_000))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			closed, open := run(0), run(1_000_000)
+			c, o := closed.Summary, open.Summary
+			if c.Requests != 20_000 || o.Requests != 20_000 {
+				t.Fatalf("completed %d closed, %d open; want 20000 each", c.Requests, o.Requests)
+			}
+			if c.Hits != o.Hits || c.Hops != o.Hops || c.MeanResponse != o.MeanResponse || c.P99Response != o.P99Response {
+				t.Errorf("closed loop hits %d, hops %v, mean %v, p99 %v; open loop %d, %v, %v, %v",
+					c.Hits, c.Hops, c.MeanResponse, c.P99Response, o.Hits, o.Hops, o.MeanResponse, o.P99Response)
+			}
+			if !reflect.DeepEqual(closed.ProxyStats, open.ProxyStats) {
+				t.Errorf("per-proxy stats differ:\nclosed %+v\nopen   %+v", closed.ProxyStats, open.ProxyStats)
+			}
+		})
 	}
 }
 

@@ -291,7 +291,7 @@ func TestOpenLoopDrainsEverywhere(t *testing.T) {
 			}
 		}
 		for i, d := range cl.Clients() {
-			if n := d.(*sim.OpenLoopClient).Outstanding(); n != 0 {
+			if n := d.Outstanding(); n != 0 {
 				t.Errorf("recovery=%v: client %d has %d requests in flight at run end", recovery, i, n)
 			}
 		}

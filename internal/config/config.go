@@ -51,10 +51,12 @@ type File struct {
 	Recovery *string `json:"recovery,omitempty"`
 }
 
-// WorkloadSection mirrors workload.Config in JSON form.
+// WorkloadSection mirrors workload.Config in JSON form. Population has no
+// omitempty: its default is 1000, so a 0 (size the population from the
+// fill phase) must be written out to survive a save and reload.
 type WorkloadSection struct {
 	Requests     int     `json:"requests"`
-	Population   int     `json:"population,omitempty"`
+	Population   int     `json:"population"`
 	Alpha        float64 `json:"alpha,omitempty"`
 	OneTimerProb float64 `json:"oneTimerProb,omitempty"`
 	FillFraction float64 `json:"fillFraction,omitempty"`

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -117,6 +118,31 @@ func TestWorkloadSeedDefaultsToRunSeed(t *testing.T) {
 	if wcfg.Seed != 42 {
 		t.Errorf("workload seed = %d, want inherited 42", wcfg.Seed)
 	}
+}
+
+// FuzzConfigParse: Parse never panics, and whatever it accepts survives a
+// save and reload — json.Marshal, then Parse again — unchanged. The seed
+// corpus under testdata/fuzz holds the default file, a virtual-time file
+// with faults and recovery, malformed JSON, and a workload population of 0,
+// which differs from the default 1000 and so must be written out on save.
+func FuzzConfigParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, err := Parse(data)
+		if err != nil {
+			return
+		}
+		out, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatalf("marshal accepted config: %v", err)
+		}
+		again, err := Parse(out)
+		if err != nil {
+			t.Fatalf("reparse of %s: %v", out, err)
+		}
+		if !reflect.DeepEqual(cfg, again) {
+			t.Fatalf("round trip changed the config:\nfirst  %+v\nsecond %+v\nvia %s", cfg, again, out)
+		}
+	})
 }
 
 // TestFaultsAndRecoverySpecs: the JSON faults and recovery fields are spec

@@ -55,6 +55,7 @@ func TestOneScheduleBothDrivers(t *testing.T) {
 			t.Errorf("farm %s: proxy %d, err %v; want proxy 1, no error", ap.Action, ap.A, ap.Err)
 		}
 	}
+	checkFarmInvariants(t, f)
 }
 
 // TestCheckChaos: the farm plays kills, warm restarts and partitions, and

@@ -2,10 +2,13 @@ package httpproxy
 
 import (
 	"encoding/json"
+	"fmt"
 	"hash/fnv"
+	"io"
 	"net/http"
 	"net/http/pprof"
 
+	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
 )
@@ -13,7 +16,8 @@ import (
 // Live introspection endpoints, registered on every proxy's mux:
 //
 //	/debug/vars     counters and table occupancy as a JSON document
-//	/debug/tables   the three mapping tables in the paper's dump layout
+//	/debug/tables   the three mapping tables in the paper's dump layout;
+//	                ?check=1 runs CheckInvariants instead ("ok" or 500)
 //	/debug/pprof/   the standard Go profiler surface
 //
 // All of them read under p.mu, so they observe a consistent snapshot even
@@ -108,11 +112,45 @@ func (p *Proxy) handleVars(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(v)
 }
 
+// handleTables dumps the mapping tables, or with ?check=1 runs
+// CheckInvariants and answers "ok" or 500 with the violation.
 func (p *Proxy) handleTables(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	if r.URL.Query().Get("check") == "1" {
+		if err := p.CheckInvariants(); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		_, _ = io.WriteString(w, "ok\n")
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	_ = p.adc.Tables().Dump(w, p.adc.LocalTime())
+}
+
+// CheckInvariants checks, in one snapshot under p.mu, the mapping tables'
+// own invariants (core.Tables.CheckInvariants) and that the payload store
+// holds exactly the caching table's objects.
+func (p *Proxy) CheckInvariants() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	tables := p.adc.Tables()
+	if err := tables.CheckInvariants(); err != nil {
+		return fmt.Errorf("httpproxy: %v: %w", p.id, err)
+	}
+	caching := tables.Caching()
+	if caching.Len() != len(p.store) {
+		return fmt.Errorf("httpproxy: %v stores %d payloads for %d caching-table entries", p.id, len(p.store), caching.Len())
+	}
+	var err error
+	caching.Each(func(e *core.Entry) bool {
+		if _, ok := p.store[e.Object]; !ok {
+			err = fmt.Errorf("httpproxy: %v caches %v but stores no payload for it", p.id, e.Object)
+		}
+		return err == nil
+	})
+	return err
 }
 
 // HashRequestID folds a wire request-ID string into a trace RequestID via

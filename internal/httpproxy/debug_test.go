@@ -83,6 +83,45 @@ func TestDebugTables(t *testing.T) {
 	}
 }
 
+// checkFarmInvariants fails t unless every proxy of f passes CheckInvariants.
+func checkFarmInvariants(t *testing.T, f *Farm) {
+	t.Helper()
+	for _, p := range f.Proxies {
+		if err := p.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestDebugTablesCheck: /debug/tables?check=1 answers ok while the payload
+// store is the caching table, and 500 naming the object once a cached
+// object's payload goes missing.
+func TestDebugTablesCheck(t *testing.T) {
+	f := testFarm(t, 2)
+	p := f.Proxies[0]
+	for i := 0; i < 50 && p.CacheLen() == 0; i++ {
+		if _, err := f.Get(0, 5, fmt.Sprintf("dc-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.CacheLen() == 0 {
+		t.Fatal("setup: nothing cached after 50 fetches")
+	}
+	if status, body := getBody(t, p.URL()+"/debug/tables?check=1"); status != http.StatusOK || body != "ok\n" {
+		t.Fatalf("consistent proxy: status %d, body %q; want 200 ok", status, body)
+	}
+	p.mu.Lock()
+	for obj := range p.store {
+		delete(p.store, obj)
+		break
+	}
+	p.mu.Unlock()
+	status, body := getBody(t, p.URL()+"/debug/tables?check=1")
+	if status != http.StatusInternalServerError || !strings.Contains(body, "payload") {
+		t.Errorf("dropped payload: status %d, body %q; want 500 naming the payload", status, body)
+	}
+}
+
 func TestDebugPprof(t *testing.T) {
 	f := testFarm(t, 1)
 	status, body := getBody(t, f.Proxies[0].URL()+"/debug/pprof/")

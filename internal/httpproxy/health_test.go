@@ -183,6 +183,7 @@ func TestHealthProbeDetectsKillAndRecover(t *testing.T) {
 	if code := stormGet(t, f.Proxies[0], ids.ObjectID(42), "after-recover"); code != http.StatusOK {
 		t.Errorf("post-recovery request: status %d", code)
 	}
+	checkFarmInvariants(t, f)
 }
 
 // teachLocation plants the belief "loc holds obj" in p's mapping tables
@@ -223,6 +224,7 @@ func TestFailoverOriginWhenOwnerDown(t *testing.T) {
 	if s.ForwardOrigin == 0 {
 		t.Errorf("ForwardOrigin = 0, want the entry to fall back to the origin")
 	}
+	checkFarmInvariants(t, f)
 }
 
 // TestBreakerGroup covers the circuit state machine: trip after the
@@ -319,6 +321,7 @@ func TestFlightLeaderPeerDiesMidFetch(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("waiters hung: flight never completed after the peer died")
 	}
+	checkFarmInvariants(t, f)
 }
 
 // TestGateDrainsAfterRecovery kills a peer under a tight admission gate,
@@ -389,6 +392,7 @@ func TestGateDrainsAfterRecovery(t *testing.T) {
 
 	// The queue itself is empty again.
 	waitFor(t, 5*time.Second, "gate queue to drain", func() bool { return entry.QueueDepth() == 0 })
+	checkFarmInvariants(t, f)
 }
 
 // TestDebugVarsHealthSection checks /debug/vars gains health and breaker

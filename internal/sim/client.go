@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/adc-sim/adc/internal/ids"
@@ -53,48 +54,66 @@ type retryTimer struct {
 // Dest implements msg.Message.
 func (t *retryTimer) Dest() ids.NodeID { return t.to }
 
-// Client is the closed-loop request driver: it keeps exactly one request
-// outstanding, records each completion, and injects the next request when
-// the reply arrives. Closed-loop injection is what makes concurrent and
-// distributed runs deliver bit-identical metrics to the sequential engine
-// (DESIGN.md §3).
+// tick is the open-loop client's private arrival timer. Each client owns a
+// single tick it schedules repeatedly — at most one is ever in flight, so
+// reusing the pointer is safe and avoids boxing an allocation into the
+// msg.Message interface on every injection.
+type tick struct{ to ids.NodeID }
+
+// Dest implements msg.Message.
+func (t *tick) Dest() ids.NodeID { return t.to }
+
+// Client is the request driver. Its two modes differ only in when it
+// injects:
 //
-// With Recovery enabled (virtual-time engine only) the client additionally
-// arms a timeout per attempt and retransmits timed-out requests under a
-// fresh request ID with exponential backoff, abandoning the request after
-// MaxRetries so the closed loop keeps moving even when a chain is
-// permanently stranded.
+//   - Closed loop (IntervalTicks == 0): one request outstanding; the first
+//     is injected at Start, the next each time one is answered or
+//     abandoned. Closed-loop injection is what makes concurrent and
+//     distributed runs deliver bit-identical metrics to the sequential
+//     engine (DESIGN.md §3).
+//   - Open loop (IntervalTicks > 0): requests arrive on the client's own
+//     timer at a fixed or Poisson rate regardless of outstanding replies —
+//     the way Web Polygraph drives a proxy farm ("TheBench.peak_req_rate =
+//     100/sec", paper Fig. 10) — so many are in flight at once. The timer
+//     is the Scheduler interface: this mode needs the virtual-time engine.
+//
+// Everything else is one path: inject → send → complete or handleTimeout →
+// retire. Response time is measured from the reply's SentAt, so the
+// lossless protocol counts requests in flight and keeps no per-request
+// state. With Recovery enabled (virtual-time engine only) every attempt
+// arms a timeout; a timed-out request is retransmitted under a fresh
+// request ID with exponential backoff and abandoned after MaxRetries, so
+// the closed loop keeps moving even when a chain is permanently stranded.
 type Client struct {
 	id      ids.NodeID
 	src     workload.Source
 	proxies []ids.NodeID
 	policy  EntryPolicy
-	// rng is created on first draw (a rand.Rand is ~5 KB; deterministic
-	// entry policies never draw).
+	// rng is created on first draw (see rand).
 	rng       *rand.Rand
 	seed      int64
 	collector *metrics.Collector
 	maxHops   int
 	recovery  Recovery
 
+	// interval is the open loop's mean inter-arrival time in virtual ticks
+	// (0 = closed loop), poisson selects exponential instead of fixed
+	// spacing, and timer is the open loop's one reusable tick.
+	interval int64
+	poisson  bool
+	timer    *tick
+
 	counter uint64
 	rr      int
-	done    bool
-	// sentAt is the virtual send time of the outstanding request, used
-	// to measure response time on virtual-time engines. Retransmissions
-	// keep the first attempt's sentAt: response time is user-perceived.
-	sentAt int64
-
-	// injected counts logical requests (retransmissions count once).
-	injected uint64
-	// curID is the outstanding attempt's request ID (0 = none); replies
-	// and timers for any other ID are stale. curObj and retries describe
-	// the logical request the attempt belongs to, curTimeout the
-	// attempt's backoff-scaled timeout.
-	curID      ids.RequestID
-	curObj     ids.ObjectID
-	retries    int
-	curTimeout int64
+	// injected counts logical requests (retransmissions count once),
+	// inFlight those neither answered nor abandoned. attempts holds the
+	// recovery protocol's state per live attempt, and only when it is
+	// enabled; in closed-loop mode it never holds more than one entry.
+	injected  uint64
+	inFlight  int
+	attempts  ids.ReqTable[attempt]
+	exhausted bool
+	done      bool
 
 	// onDone, when set, fires once after the last reply is recorded;
 	// the agents runtime uses it to know when to shut down.
@@ -104,6 +123,17 @@ type Client struct {
 	// default configuration, where every guard is a single branch.
 	tracer *obs.Tracer
 	ts     *metrics.TimeSeries
+}
+
+// attempt is the recovery protocol's state for one live attempt: the
+// logical request's first-attempt send time (which a retransmission carries
+// on as its SentAt, so response time stays user-perceived), its object, how
+// often it was retransmitted and the attempt's backoff-scaled timeout.
+type attempt struct {
+	sentAt  int64
+	obj     ids.ObjectID
+	retries int
+	timeout int64
 }
 
 var (
@@ -121,7 +151,7 @@ type ClientConfig struct {
 	Proxies []ids.NodeID
 	// Policy selects the entry proxy per request (default EntryRandom).
 	Policy EntryPolicy
-	// Seed drives the EntryRandom choice.
+	// Seed drives the EntryRandom choice and Poisson arrivals.
 	Seed int64
 	// Collector receives one Record per completed request.
 	Collector *metrics.Collector
@@ -132,6 +162,11 @@ type ClientConfig struct {
 	// Recovery enables timeouts and retransmission (virtual-time engine
 	// only; the zero value keeps the paper-faithful lossless protocol).
 	Recovery Recovery
+	// IntervalTicks is the open loop's mean inter-arrival time in virtual
+	// ticks; 0 selects the closed loop.
+	IntervalTicks int64
+	// Poisson draws exponential inter-arrival times instead of fixed.
+	Poisson bool
 }
 
 // NewClient builds a client driver.
@@ -142,6 +177,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if len(cfg.Proxies) == 0 {
 		return nil, fmt.Errorf("sim: client %d needs at least one proxy", cfg.Index)
 	}
+	if cfg.IntervalTicks < 0 {
+		return nil, fmt.Errorf("sim: client %d: open-loop interval must be non-negative, got %d", cfg.Index, cfg.IntervalTicks)
+	}
 	if cfg.Collector == nil {
 		cfg.Collector = metrics.NewCollector(metrics.WithSampleEvery(0))
 	}
@@ -149,7 +187,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if err := cfg.Recovery.Validate(); err != nil {
 		return nil, err
 	}
-	return &Client{
+	c := &Client{
 		id:        ids.Client(cfg.Index),
 		src:       cfg.Source,
 		proxies:   cfg.Proxies,
@@ -158,8 +196,14 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		collector: cfg.Collector,
 		maxHops:   cfg.MaxHops,
 		recovery:  cfg.Recovery,
+		interval:  cfg.IntervalTicks,
+		poisson:   cfg.Poisson,
 		onDone:    cfg.OnDone,
-	}, nil
+	}
+	if c.interval > 0 {
+		c.timer = &tick{to: c.id}
+	}
+	return c, nil
 }
 
 // ID implements Node.
@@ -190,49 +234,133 @@ func (c *Client) SetTracer(t *obs.Tracer) { c.tracer = t }
 // starts; virtual-time engine only).
 func (c *Client) SetTimeSeries(ts *metrics.TimeSeries) { c.ts = ts }
 
-// Done reports whether the trace is exhausted and the last reply recorded.
+// Done reports whether the trace is exhausted and every request answered
+// or abandoned.
 func (c *Client) Done() bool { return c.done }
+
+// Outstanding returns the number of requests in flight: injected, neither
+// answered nor abandoned.
+func (c *Client) Outstanding() int { return c.inFlight }
 
 // Injected returns the number of logical requests injected so far;
 // retransmissions of a timed-out request count once.
 func (c *Client) Injected() uint64 { return c.injected }
 
-// Start implements Starter: it injects the first request.
+// Start implements Starter: the closed loop injects its first request, the
+// open loop arms its arrival timer, which needs a virtual-time engine (the
+// cluster layer only pairs the open loop with one).
 func (c *Client) Start(ctx Context) {
-	c.sendNext(ctx)
+	if c.interval == 0 {
+		c.inject(ctx)
+		return
+	}
+	sched, ok := ctx.(Scheduler)
+	if !ok {
+		panic("sim: an open-loop Client requires a virtual-time engine (Scheduler)")
+	}
+	sched.After(0, c.timer)
 }
 
-// Handle implements Node: replies complete the outstanding request, retry
-// timers (recovery mode only) retransmit or abandon it.
+// Handle implements Node: replies complete, ticks inject, retry timers
+// (recovery mode only) retransmit or abandon.
 func (c *Client) Handle(ctx Context, m msg.Message) {
 	switch t := m.(type) {
 	case *msg.Reply:
-		c.handleReply(ctx, t)
+		c.complete(ctx, t)
+	case *tick:
+		c.inject(ctx)
 	case *retryTimer:
 		c.handleTimeout(ctx, t)
 	}
 }
 
-func (c *Client) handleReply(ctx Context, rep *msg.Reply) {
-	if c.recovery.Enabled && rep.ID != c.curID {
-		// A duplicate from a retransmitted chain (the original and the
-		// retry both completed), or a reply racing its own abandonment:
-		// already recorded once, so only recycle it.
-		if c.tracer.Enabled(obs.KindStaleReply) {
-			e := obs.Ev(obs.KindStaleReply, c.id)
-			e.At = traceNow(ctx)
-			e.Req = rep.ID
-			e.Obj = rep.Object
-			c.tracer.Emit(e)
-		}
-		c.collector.RecordStaleReply()
-		Finish(ctx, rep)
+// inject starts the next logical request, or marks the trace exhausted. The
+// open loop then schedules its next arrival.
+func (c *Client) inject(ctx Context) {
+	obj, ok := c.src.Next()
+	if !ok {
+		c.exhausted = true
+		c.maybeFinish()
 		return
 	}
-	c.curID = 0 // answered: any further reply or timer for it is stale
+	now := traceNow(ctx) // the send time; 0 on engines without a clock
+	c.injected++
+	c.inFlight++
+	if c.ts != nil {
+		c.ts.Inject(now)
+	}
+	c.send(ctx, attempt{sentAt: now, obj: obj, timeout: c.recovery.Timeout}, 0)
+	if c.interval > 0 {
+		ctx.(Scheduler).After(c.nextGap(), c.timer)
+	}
+}
+
+// send issues one attempt — the first, or a retransmission superseding
+// attempt prev — and, with recovery on, records it and arms its timeout.
+func (c *Client) send(ctx Context, a attempt, prev ids.RequestID) {
+	c.counter++
+	id := ids.NewRequestID(c.id.ClientIndex(), c.counter)
+	if c.recovery.Enabled {
+		*c.attempts.Upsert(id) = a
+	}
+	req := NewRequest(ctx)
+	req.To = c.pickEntry()
+	req.ID = id
+	req.Object = a.obj
+	req.Client = c.id
+	req.Sender = c.id
+	req.MaxHops = c.maxHops
+	req.SentAt = a.sentAt
+	if c.tracer != nil {
+		// First attempt of a logical request injects; retransmissions
+		// link back to the attempt they supersede so the trace tooling
+		// can keep the whole chain in one request tree.
+		kind := obs.KindInject
+		if a.retries > 0 {
+			kind = obs.KindRetry
+		}
+		if c.tracer.Enabled(kind) {
+			e := obs.Ev(kind, c.id)
+			e.At = traceNow(ctx)
+			e.Req = id
+			e.Obj = a.obj
+			e.To = req.To
+			e.Prev = prev
+			e.Arg = int64(a.retries)
+			c.tracer.Emit(e)
+		}
+	}
+	ctx.Send(req)
+	if c.recovery.Enabled {
+		if sched, ok := ctx.(Scheduler); ok {
+			sched.After(a.timeout, &retryTimer{to: c.id, id: id})
+		}
+	}
+}
+
+// complete records an answered request. With recovery on, a reply whose
+// attempt is no longer live — a duplicate from a retransmitted chain, or a
+// reply racing its own timeout — was already accounted for and only
+// recycles.
+func (c *Client) complete(ctx Context, rep *msg.Reply) {
+	if c.recovery.Enabled {
+		if c.attempts.Find(rep.ID) == nil {
+			if c.tracer.Enabled(obs.KindStaleReply) {
+				e := obs.Ev(obs.KindStaleReply, c.id)
+				e.At = traceNow(ctx)
+				e.Req = rep.ID
+				e.Obj = rep.Object
+				c.tracer.Emit(e)
+			}
+			c.collector.RecordStaleReply()
+			Finish(ctx, rep)
+			return
+		}
+		c.attempts.Delete(rep.ID)
+	}
 	c.collector.Record(!rep.FromOrigin, rep.Hops, rep.PathLen)
 	if clk, ok := ctx.(Clock); ok {
-		c.collector.RecordResponse(clk.VNow() - c.sentAt)
+		c.collector.RecordResponse(clk.VNow() - rep.SentAt)
 	}
 	if c.tracer.Enabled(obs.KindDeliver) {
 		e := obs.Ev(obs.KindDeliver, c.id)
@@ -250,112 +378,107 @@ func (c *Client) handleReply(ctx Context, rep *msg.Reply) {
 		c.ts.Complete(traceNow(ctx), !rep.FromOrigin, int32(rep.Hops))
 	}
 	Finish(ctx, rep) // terminal delivery: the reply recycles
-	c.sendNext(ctx)
+	c.retire(ctx)
 }
 
-// handleTimeout fires when an attempt's timer expires: stale timers are
-// ignored, live ones retransmit under a fresh request ID (so in-flight
-// loop-detection state from the dead attempt can never confuse the new
-// chain) or abandon the request once the retry budget is spent.
+// handleTimeout fires when an attempt's timer expires: stale timers (the
+// reply won, or a retransmission superseded the attempt) are ignored, live
+// ones retransmit under a fresh request ID — so in-flight loop-detection
+// state from the dead attempt can never confuse the new chain — or abandon
+// the request once the retry budget is spent.
 func (c *Client) handleTimeout(ctx Context, t *retryTimer) {
-	if !c.recovery.Enabled || t.id != c.curID || c.curID == 0 {
+	if !c.recovery.Enabled {
 		return
 	}
+	live := c.attempts.Find(t.id)
+	if live == nil {
+		return
+	}
+	a := *live
+	c.attempts.Delete(t.id)
 	c.collector.RecordTimeout()
 	if c.tracer.Enabled(obs.KindTimeout) {
 		e := obs.Ev(obs.KindTimeout, c.id)
 		e.At = traceNow(ctx)
-		e.Req = c.curID
-		e.Obj = c.curObj
+		e.Req = t.id
+		e.Obj = a.obj
 		c.tracer.Emit(e)
 	}
 	c.ts.Timeout(traceNow(ctx))
-	if c.retries >= c.recovery.MaxRetries {
-		// Permanently stranded: give up so the closed loop keeps moving.
+	if a.retries >= c.recovery.MaxRetries {
+		// Permanently stranded: give up.
 		c.collector.RecordAbandoned()
 		if c.tracer.Enabled(obs.KindAbandon) {
 			e := obs.Ev(obs.KindAbandon, c.id)
 			e.At = traceNow(ctx)
-			e.Req = c.curID
-			e.Obj = c.curObj
-			e.Arg = int64(c.retries)
+			e.Req = t.id
+			e.Obj = a.obj
+			e.Arg = int64(a.retries)
 			c.tracer.Emit(e)
 		}
 		c.ts.Abandon(traceNow(ctx))
-		c.curID = 0
-		c.sendNext(ctx)
+		c.retire(ctx)
 		return
 	}
-	c.retries++
 	c.collector.RecordRetry()
 	c.ts.Retry(traceNow(ctx))
-	c.curTimeout = int64(float64(c.curTimeout) * c.recovery.Backoff)
-	c.send(ctx)
+	a.retries++
+	a.timeout = int64(float64(a.timeout) * c.recovery.Backoff)
+	c.send(ctx, a, t.id)
 }
 
-func (c *Client) sendNext(ctx Context) {
-	obj, ok := c.src.Next()
-	if !ok {
-		if !c.done {
-			c.done = true
-			if c.onDone != nil {
-				c.onDone()
-			}
-		}
+// retire takes an answered or abandoned request out of flight; the closed
+// loop injects its successor.
+func (c *Client) retire(ctx Context) {
+	c.inFlight--
+	if c.interval == 0 {
+		c.inject(ctx)
 		return
 	}
-	c.injected++
-	c.curObj = obj
-	c.retries = 0
-	c.curTimeout = c.recovery.Timeout
-	if clk, ok := ctx.(Clock); ok {
-		c.sentAt = clk.VNow()
-	}
-	if c.ts != nil {
-		c.ts.Inject(c.sentAt)
-	}
-	c.send(ctx)
+	c.maybeFinish()
 }
 
-// send issues one attempt (first or retransmission) for the current
-// logical request and arms its timeout.
-func (c *Client) send(ctx Context) {
-	prev := c.curID
-	c.counter++
-	c.curID = ids.NewRequestID(c.id.ClientIndex(), c.counter)
-	req := NewRequest(ctx)
-	req.To = c.pickEntry()
-	req.ID = c.curID
-	req.Object = c.curObj
-	req.Client = c.id
-	req.Sender = c.id
-	req.MaxHops = c.maxHops
-	req.SentAt = c.sentAt
-	if c.tracer != nil {
-		// First attempt of a logical request injects; retransmissions
-		// link back to the attempt they supersede so the trace tooling
-		// can keep the whole chain in one request tree.
-		kind := obs.KindInject
-		if c.retries > 0 {
-			kind = obs.KindRetry
-		}
-		if c.tracer.Enabled(kind) {
-			e := obs.Ev(kind, c.id)
-			e.At = traceNow(ctx)
-			e.Req = c.curID
-			e.Obj = c.curObj
-			e.To = req.To
-			e.Prev = prev
-			e.Arg = int64(c.retries)
-			c.tracer.Emit(e)
+func (c *Client) maybeFinish() {
+	if !c.done && c.exhausted && c.inFlight == 0 {
+		c.done = true
+		if c.onDone != nil {
+			c.onDone()
 		}
 	}
-	ctx.Send(req)
-	if c.recovery.Enabled {
-		if sched, ok := ctx.(Scheduler); ok {
-			sched.After(c.curTimeout, &retryTimer{to: c.id, id: c.curID})
+}
+
+// rand returns the client's private random stream, created on first use: a
+// rand.Rand is ~5 KB, and a million-client run with fixed arrivals and a
+// deterministic entry policy never draws at all. The seed's salt depends on
+// the mode — 0x5DEECE66D closed loop, 0x0BADCAFE open loop — so each mode
+// draws the entry-proxy sequence it has always drawn, and every recorded
+// run and golden constant holds.
+func (c *Client) rand() *rand.Rand {
+	if c.rng == nil {
+		salt := int64(0x5DEECE66D)
+		if c.interval > 0 {
+			salt = 0x0BADCAFE
 		}
+		c.rng = rand.New(rand.NewSource(c.seed ^ salt))
 	}
+	return c.rng
+}
+
+// nextGap draws the open loop's next inter-arrival time.
+func (c *Client) nextGap() int64 {
+	if !c.poisson {
+		return c.interval
+	}
+	rng := c.rand()
+	u := rng.Float64()
+	for u == 0 {
+		u = rng.Float64()
+	}
+	gap := int64(-math.Log(u) * float64(c.interval))
+	if gap < 1 {
+		gap = 1
+	}
+	return gap
 }
 
 func (c *Client) pickEntry() ids.NodeID {
@@ -367,9 +490,6 @@ func (c *Client) pickEntry() ids.NodeID {
 	case EntryFixed:
 		return c.proxies[0]
 	default:
-		if c.rng == nil {
-			c.rng = rand.New(rand.NewSource(c.seed ^ 0x5DEECE66D))
-		}
-		return c.proxies[c.rng.Intn(len(c.proxies))]
+		return c.proxies[c.rand().Intn(len(c.proxies))]
 	}
 }

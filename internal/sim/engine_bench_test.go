@@ -126,7 +126,7 @@ func benchOpenLoop(b *testing.B, shards, clients, requests int, interval int64) 
 		eng := sim.NewShardedVEngine(sim.DefaultLatencyModel(), shardMap)
 		proxyIDs := buildADCArray(b, eng, nProxies)
 		for c, part := range parts {
-			cl, err := sim.NewOpenLoopClient(sim.OpenLoopConfig{
+			cl, err := sim.NewClient(sim.ClientConfig{
 				Index:         c,
 				Source:        trace.NewSliceSource(part),
 				Proxies:       proxyIDs,

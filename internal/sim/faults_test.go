@@ -65,7 +65,7 @@ func TestLossStrandsOpenLoopPartially(t *testing.T) {
 		t.Fatal(err)
 	}
 	objs := make([]ids.ObjectID, 20)
-	cl, err := NewOpenLoopClient(OpenLoopConfig{
+	cl, err := NewClient(ClientConfig{
 		Source:        trace.NewSliceSource(objs),
 		Proxies:       []ids.NodeID{0},
 		IntervalTicks: 10,

@@ -12,13 +12,13 @@ import (
 // ledgerClient checks an open-loop client's in-flight count after every
 // message it handles: injected − completed − abandoned.
 type ledgerClient struct {
-	*OpenLoopClient
+	*Client
 	t      *testing.T
 	checks int
 }
 
 func (l *ledgerClient) Handle(ctx Context, m msg.Message) {
-	l.OpenLoopClient.Handle(ctx, m)
+	l.Client.Handle(ctx, m)
 	col := l.Collector()
 	if want := int(l.Injected() - col.Requests() - col.Abandoned()); l.Outstanding() != want {
 		l.t.Fatalf("after %T #%d: Outstanding = %d, injected %d − completed %d − abandoned %d = %d",
@@ -41,7 +41,7 @@ func TestOpenLoopOutstandingLedger(t *testing.T) {
 			t.Fatal(err)
 		}
 		col := metrics.NewCollector(metrics.WithSampleEvery(0))
-		cl, err := NewOpenLoopClient(OpenLoopConfig{
+		cl, err := NewClient(ClientConfig{
 			Source:        trace.NewSliceSource(make([]ids.ObjectID, 300)),
 			Proxies:       []ids.NodeID{0},
 			Collector:     col,
@@ -51,7 +51,7 @@ func TestOpenLoopOutstandingLedger(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l := &ledgerClient{OpenLoopClient: cl, t: t}
+		l := &ledgerClient{Client: cl, t: t}
 		if err := eng.Register(l); err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestOpenLoopRetransmissionMeasuredFromFirstSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := metrics.NewCollector(metrics.WithSampleEvery(0))
-	cl, err := NewOpenLoopClient(OpenLoopConfig{
+	cl, err := NewClient(ClientConfig{
 		Source:        trace.NewSliceSource([]ids.ObjectID{7, 8}),
 		Proxies:       []ids.NodeID{0},
 		Collector:     col,

@@ -85,7 +85,7 @@ func buildScalingRig(b *testing.B, eng *sim.VEngine, collFor func(i int) *metric
 	}
 	for i := 0; i < scaleClients; i++ {
 		home := i % scaleProxies
-		cl, err := sim.NewOpenLoopClient(sim.OpenLoopConfig{
+		cl, err := sim.NewClient(sim.ClientConfig{
 			Index: i,
 			Source: &poolSource{
 				base:  uint64(home) * scaleObjectSpacing,

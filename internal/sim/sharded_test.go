@@ -83,7 +83,7 @@ func (r shardRig) run(t *testing.T, eng *sim.VEngine) rigResult {
 			err error
 		)
 		if r.openLoop {
-			cl, err = sim.NewOpenLoopClient(sim.OpenLoopConfig{
+			cl, err = sim.NewClient(sim.ClientConfig{
 				Index:         i,
 				Source:        trace.NewSliceSource(objs),
 				Proxies:       proxyIDs,

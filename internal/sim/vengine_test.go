@@ -163,14 +163,14 @@ func TestClosedLoopClientRecordsResponseTime(t *testing.T) {
 
 func TestOpenLoopClientValidation(t *testing.T) {
 	src := trace.NewSliceSource([]ids.ObjectID{1})
-	if _, err := NewOpenLoopClient(OpenLoopConfig{Proxies: []ids.NodeID{0}, IntervalTicks: 1}); err == nil {
+	if _, err := NewClient(ClientConfig{Proxies: []ids.NodeID{0}, IntervalTicks: 1}); err == nil {
 		t.Error("missing source must fail")
 	}
-	if _, err := NewOpenLoopClient(OpenLoopConfig{Source: src, IntervalTicks: 1}); err == nil {
+	if _, err := NewClient(ClientConfig{Source: src, IntervalTicks: 1}); err == nil {
 		t.Error("missing proxies must fail")
 	}
-	if _, err := NewOpenLoopClient(OpenLoopConfig{Source: src, Proxies: []ids.NodeID{0}}); err == nil {
-		t.Error("zero interval must fail")
+	if _, err := NewClient(ClientConfig{Source: src, Proxies: []ids.NodeID{0}, IntervalTicks: -1}); err == nil {
+		t.Error("negative interval must fail")
 	}
 }
 
@@ -190,7 +190,7 @@ func TestOpenLoopClientInjectsAtRate(t *testing.T) {
 	}
 	col := metrics.NewCollector(metrics.WithSampleEvery(0))
 	done := false
-	cl, err := NewOpenLoopClient(OpenLoopConfig{
+	cl, err := NewClient(ClientConfig{
 		Source:        trace.NewSliceSource(objs),
 		Proxies:       []ids.NodeID{0},
 		Collector:     col,
@@ -236,7 +236,7 @@ func TestOpenLoopClientPoissonDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		objs := make([]ids.ObjectID, 30)
-		cl, err := NewOpenLoopClient(OpenLoopConfig{
+		cl, err := NewClient(ClientConfig{
 			Source:        trace.NewSliceSource(objs),
 			Proxies:       []ids.NodeID{0},
 			IntervalTicks: 50,
@@ -273,7 +273,7 @@ func TestOpenLoopClientPoissonDeterministic(t *testing.T) {
 }
 
 func TestOpenLoopClientPanicsWithoutScheduler(t *testing.T) {
-	cl, err := NewOpenLoopClient(OpenLoopConfig{
+	cl, err := NewClient(ClientConfig{
 		Source:        trace.NewSliceSource([]ids.ObjectID{1}),
 		Proxies:       []ids.NodeID{0},
 		IntervalTicks: 10,
