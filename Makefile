@@ -24,9 +24,9 @@ fmt-check:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 # Short native-fuzz pass over the parsers that read bytes from outside — the
-# farm's header codec (what a proxy reads off a socket), the -faults /
-# -recovery spec grammar (what a flag hands either driver), the /metrics
-# exposition parser (what adctop and adcload -lint-metrics scrape), the
+# farm's replication and trace-context headers (what a proxy reads off a
+# socket), the -faults / -recovery spec grammar (what a flag hands either
+# driver), the /metrics exposition parser (what adctop and adcload -lint-metrics scrape), the
 # binary and text trace readers (what adcsim -replay loads) and the JSON
 # experiment file (what adcsim -config reads) — and over the
 # engine's event queue, whose pop order every golden constant rests on, and
@@ -36,6 +36,7 @@ fmt-check:
 # `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplicaHeaders -fuzztime 10s ./internal/httpproxy/
+	$(GO) test -run '^$$' -fuzz FuzzSpanHeaders -fuzztime 10s ./internal/httpproxy/
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzParseRecoverySpec -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzPromtextParse -fuzztime 10s ./internal/promtext/

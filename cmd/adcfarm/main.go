@@ -50,7 +50,7 @@ func run(args []string) error {
 		traceOut = fs.String("trace-out", "farm-trace.jsonl", "trace output file (JSON Lines; with -trace)")
 		traceN   = fs.Int("trace-sample", 0, "span-trace 1-in-N entry requests across proxies (0 = off, 1 = all; see adctrace farm)")
 
-		health        = fs.Bool("health", false, "enable peer health probing, failover routing and circuit breakers")
+		health        = fs.Bool("health", false, "enable peer health probing, failover routing, retries and hedging")
 		probeInterval = fs.Duration("probe-interval", 0, "health probe interval (0 = default 250ms; with -health)")
 		failThreshold = fs.Int("fail-threshold", 0, "consecutive failures marking a peer down (0 = default 3; with -health)")
 		retries       = fs.Int("retries", 0, "entry-chain failover retries (0 = default 2, negative = none; with -health)")

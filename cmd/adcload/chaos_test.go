@@ -74,8 +74,8 @@ func TestChaosKillRestartRecovers(t *testing.T) {
 		t.Error("chaos run shows no errors and no failover activity; the kill had no effect")
 	}
 
-	// Goroutine-leak check, as in TestRunSmoke: monitors, breakers, the
-	// chaos player and the restarted server must all wind down.
+	// Goroutine-leak check, as in TestRunSmoke: monitors, the chaos
+	// player and the restarted server must all wind down.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()

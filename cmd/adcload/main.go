@@ -665,7 +665,7 @@ func main() {
 	flag.IntVar(&cfg.RepMax, "rep-max", 0, "replication: max replicas beyond the primary (0 = default)")
 	flag.IntVar(&cfg.RepWindow, "rep-window", 0, "replication: decay window in requests (0 = default)")
 	flag.StringVar(&cfg.Faults, "faults", "", `fault schedule in adcsim's -faults grammar; the farm plays kill, restart and partition, e.g. "kill=p3@5s,restart=p3@15s,partition=p1:p2@8s+4s" (implies -health)`)
-	flag.BoolVar(&cfg.Health, "health", false, "enable peer health probing, failover routing and circuit breakers")
+	flag.BoolVar(&cfg.Health, "health", false, "enable peer health probing, failover routing, retries and hedging")
 	flag.DurationVar(&cfg.ProbeInterval, "probe-interval", 0, "health probe interval (0 = default 250ms; with -health)")
 	flag.IntVar(&cfg.FailThreshold, "fail-threshold", 0, "consecutive failures marking a peer down (0 = default 3; with -health)")
 	flag.IntVar(&cfg.Retries, "retries", 0, "entry-chain failover retries (0 = default 2, <0 = none; with -health)")

@@ -48,7 +48,6 @@ type snapshot struct {
 	queue     float64
 	spans     float64
 	peersDown int
-	breakers  int
 	// stages holds the cumulative latency buckets per stage name.
 	stages map[string][]promtext.Bucket
 }
@@ -87,9 +86,6 @@ func scrape(client *http.Client, target string) *snapshot {
 				s.peersDown++
 			}
 		}
-	}
-	if f := d.Families["adc_breaker_state"]; f != nil {
-		s.breakers = len(f.Samples) // only tripped circuits emit series
 	}
 	s.stages = make(map[string][]promtext.Bucket, metrics.NumStages)
 	for st := metrics.Stage(0); st < metrics.NumStages; st++ {
@@ -249,11 +245,11 @@ func render(w io.Writer, cur, prev []*snapshot, interval time.Duration) {
 	}
 	fmt.Fprintln(tw)
 
-	fmt.Fprintf(tw, "proxy\t%s\tshare\tlhit%%\tshed\tqueue\tdown\tbrk\tspans\tuptime\n", unit)
+	fmt.Fprintf(tw, "proxy\t%s\tshare\tlhit%%\tshed\tqueue\tdown\tspans\tuptime\n", unit)
 	for _, r := range rows {
 		s := r.s
 		if s.err != nil {
-			fmt.Fprintf(tw, "%s\tDOWN\t-\t-\t-\t-\t-\t-\t-\t%v\n", s.target, scrapeErr(s.err))
+			fmt.Fprintf(tw, "%s\tDOWN\t-\t-\t-\t-\t-\t-\t%v\n", s.target, scrapeErr(s.err))
 			continue
 		}
 		share, lhit := 0.0, 0.0
@@ -263,9 +259,9 @@ func render(w io.Writer, cur, prev []*snapshot, interval time.Duration) {
 		if r.requests > 0 {
 			lhit = 100 * r.hits / r.requests
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%.0f%%\t%.1f\t%s\t%.0f\t%d\t%d\t%.0f\t%v\n",
+		fmt.Fprintf(tw, "%s\t%s\t%.0f%%\t%.1f\t%s\t%.0f\t%d\t%.0f\t%v\n",
 			s.proxy, fmtRate(r.requests, window), share, lhit,
-			fmtRate(r.shed, window), s.queue, s.peersDown, s.breakers, s.spans,
+			fmtRate(r.shed, window), s.queue, s.peersDown, s.spans,
 			time.Duration(s.uptime*float64(time.Second)).Round(time.Second))
 	}
 	tw.Flush() //nolint:errcheck // terminal write

@@ -19,10 +19,12 @@ var (
 	// every probe …") is not matched.
 	makeInvocation = regexp.MustCompile("(?m)(?:`|^\\s*(?:run: |\\$ )?)make ([a-z][a-z0-9-]*)")
 	// The deleted 1-core recordings and their recorder, the farm's own
-	// fault-schedule spellings, since folded into the -faults grammar, and
-	// the open-loop client type, since folded into sim.Client (the word
-	// boundary keeps test names such as TestOpenLoopClientValidation legal).
-	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)|\b(?:New)?OpenLoop(?:Client|Config)\b`)
+	// fault-schedule spellings, since folded into the -faults grammar, the
+	// open-loop client type, since folded into sim.Client (the word
+	// boundary keeps test names such as TestOpenLoopClientValidation legal),
+	// and the farm's circuit breaker and the knobs that went with it, since
+	// folded into the health monitor.
+	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)|\b(?:New)?OpenLoop(?:Client|Config)\b|breakerGroup|Breaker(?:Var|Threshold|Cooldown)|RecoveryThreshold|RetryBackoff|adc_breaker_state`)
 	// EXPERIMENTS.md sections that record one PR's runs say so in their
 	// heading; they are history and may name what existed then.
 	datedHeading = regexp.MustCompile(`\((?:PR|issue) \d+`)
@@ -351,11 +353,11 @@ func docsNameDeclaredMakeTargets(t *testing.T) {
 }
 
 // docsDoNotNameRetiredRecordings walks every text file of the checkout for
-// retiredName: the retired recordings, fault-schedule spellings and client
-// type. Exempt: CHANGES.md, ROADMAP.md and the task plan (the record and the
-// plan of what was removed), EXPERIMENTS.md's dated sections, bench/ (frozen by
-// BENCHMARK.json's `paths`; its README already calls the files superseded)
-// and this file.
+// retiredName: the retired recordings, fault-schedule spellings, client
+// type and circuit-breaker names. Exempt: CHANGES.md, ROADMAP.md and the
+// task plan (the record and the plan of what was removed), EXPERIMENTS.md's
+// dated sections, bench/ (frozen by BENCHMARK.json's `paths`; its README
+// already calls the files superseded) and this file.
 func docsDoNotNameRetiredRecordings(t *testing.T) {
 	exemptFile := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true, "docs_test.go": true}
 	skipDir := map[string]bool{".git": true, ".bench_build": true, "bench": true}
@@ -376,7 +378,7 @@ func docsDoNotNameRetiredRecordings(t *testing.T) {
 		}
 		for _, line := range strings.Split(livingText(t, path), "\n") {
 			if retiredName.MatchString(line) {
-				t.Errorf("%s names a retired recording, its recorder, a retired fault-schedule spelling or the retired open-loop client type: %s", path, strings.TrimSpace(line))
+				t.Errorf("%s names a retired recording, its recorder, a retired fault-schedule spelling, the retired open-loop client type or the retired circuit breaker: %s", path, strings.TrimSpace(line))
 			}
 		}
 		return nil

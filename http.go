@@ -41,8 +41,8 @@ type HTTPFarmConfig struct {
 	NoCoalesce bool
 	// Health enables the fault-tolerance layer on every proxy: periodic
 	// peer /healthz probes driving an up/suspect/down/recovering state
-	// machine, failover routing around down peers, per-peer circuit
-	// breakers, and entry-only retries with an origin fallback.
+	// machine, failover routing around down peers, and entry-only retries
+	// with an origin fallback.
 	Health bool
 	// ProbeInterval spaces health probes (0 = default 250ms).
 	ProbeInterval time.Duration

@@ -45,10 +45,6 @@ type debugVars struct {
 	// Health is present when the fault-tolerance layer is enabled: probe
 	// counters, detection/recovery totals and every peer's current state.
 	Health *HealthVars `json:"health,omitempty"`
-
-	// Breakers lists currently open or half-open per-peer circuits
-	// (present only while at least one circuit is tripped).
-	Breakers []BreakerVar `json:"breakers,omitempty"`
 }
 
 // replicationVars is the replication section of /debug/vars.
@@ -101,11 +97,10 @@ func (p *Proxy) handleVars(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	p.mu.Unlock()
-	// Outside p.mu: monitor and breakers carry their own locks.
+	// Outside p.mu: the monitor carries its own lock.
 	if m := p.health.Load(); m != nil {
 		v.Health = m.vars()
 	}
-	v.Breakers = p.breakers.snapshot()
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -64,8 +64,8 @@ type FarmConfig struct {
 	// Replication configures hot-object replication on every proxy
 	// (zero value = stock ADC).
 	Replication protocol.Replication
-	// FaultTolerance configures health probing, failover routing, circuit
-	// breakers and hedging on every proxy (zero value = all off).
+	// FaultTolerance configures health probing, failover routing, retries
+	// and hedging on every proxy (zero value = all off).
 	FaultTolerance FaultTolerance
 	// Tracing configures cross-proxy span tracing on every proxy
 	// (zero value = off).

@@ -22,12 +22,14 @@ import (
 //
 // One failure makes a peer suspect (still routable — a single timeout is
 // weak evidence); FailureThreshold consecutive failures mark it down, and
-// routing skips it from then on. A down peer answering probes again climbs
-// through recovering and is routable only after RecoveryThreshold
-// consecutive successes, so a flapping listener cannot oscillate the
-// routing tables at probe rate. Transitions are timestamped and kept in a
-// bounded log, which is how the chaos harness measures time-to-detect and
-// time-to-recover.
+// routing skips it from then on — and so does fetch, which refuses a peer
+// held down without opening a connection. A down peer answering probes
+// again climbs through recovering and is routable only after
+// recoveryThreshold consecutive successes, so a flapping listener cannot
+// oscillate the routing tables at probe rate; probes, not live requests,
+// are what test a recovering peer. Transitions are timestamped and kept in
+// a bounded log, which is how the chaos harness measures time-to-detect
+// and time-to-recover.
 
 // PeerState is one monitor's belief about one peer.
 type PeerState uint8
@@ -42,7 +44,7 @@ const (
 	// PeerDown: FailureThreshold consecutive failures; not routable.
 	PeerDown
 	// PeerRecovering: a down peer answered again, waiting for
-	// RecoveryThreshold consecutive successes; not yet routable.
+	// recoveryThreshold consecutive successes; not yet routable.
 	PeerRecovering
 )
 
@@ -74,17 +76,18 @@ type HealthConfig struct {
 	// a peer down (default 3). Detection latency is bounded by
 	// ProbeInterval × FailureThreshold plus one probe round-trip.
 	FailureThreshold int
-	// RecoveryThreshold is how many consecutive successes a down peer
-	// needs before it is routable again (default 2).
-	RecoveryThreshold int
 }
 
 // Health defaults; HealthConfig fields override.
 const (
-	defaultProbeInterval     = 250 * time.Millisecond
-	defaultFailureThreshold  = 3
-	defaultRecoveryThreshold = 2
+	defaultProbeInterval    = 250 * time.Millisecond
+	defaultFailureThreshold = 3
 )
+
+// recoveryThreshold is how many consecutive successes a down peer needs
+// before it is routable again. It must stay above 1: observe moves a down
+// peer's first success to recovering unconditionally.
+const recoveryThreshold = 2
 
 // withDefaults fills zero fields.
 func (c HealthConfig) withDefaults() HealthConfig {
@@ -93,9 +96,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	}
 	if c.FailureThreshold <= 0 {
 		c.FailureThreshold = defaultFailureThreshold
-	}
-	if c.RecoveryThreshold <= 0 {
-		c.RecoveryThreshold = defaultRecoveryThreshold
 	}
 	return c
 }
@@ -278,10 +278,6 @@ func (m *healthMonitor) observe(peer ids.NodeID, ok bool) {
 			return
 		}
 		ph.oks = 1
-		if ph.oks >= m.cfg.RecoveryThreshold {
-			m.recoverLocked(ph, peer)
-			return
-		}
 		m.transitionLocked(ph, peer, PeerRecovering)
 	case PeerRecovering:
 		if !ok {
@@ -290,7 +286,7 @@ func (m *healthMonitor) observe(peer ids.NodeID, ok bool) {
 			return
 		}
 		ph.oks++
-		if ph.oks >= m.cfg.RecoveryThreshold {
+		if ph.oks >= recoveryThreshold {
 			m.recoverLocked(ph, peer)
 		}
 	}

@@ -3,6 +3,8 @@ package httpproxy
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -10,10 +12,11 @@ import (
 
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
+	"github.com/adc-sim/adc/internal/obs"
 )
 
 // ftFarm builds a small farm with the fault-tolerance layer on, tuned for
-// fast tests: 20ms probes, 2 failures to down, 1 success back up.
+// fast tests: 20ms probes, 2 failures to down.
 func ftFarm(t *testing.T, proxies int) *Farm {
 	t.Helper()
 	f, err := NewFarm(FarmConfig{
@@ -22,12 +25,10 @@ func ftFarm(t *testing.T, proxies int) *Farm {
 		Seed:    1,
 		FaultTolerance: FaultTolerance{
 			Health: HealthConfig{
-				Enabled:           true,
-				ProbeInterval:     20 * time.Millisecond,
-				FailureThreshold:  2,
-				RecoveryThreshold: 1,
+				Enabled:          true,
+				ProbeInterval:    20 * time.Millisecond,
+				FailureThreshold: 2,
 			},
-			RetryBackoff: 5 * time.Millisecond,
 		},
 	})
 	if err != nil {
@@ -54,10 +55,9 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // including the flap back to down from recovering.
 func TestHealthStateMachine(t *testing.T) {
 	cfg := HealthConfig{
-		Enabled:           true,
-		ProbeInterval:     time.Hour, // no probe ticks; observations are manual
-		FailureThreshold:  3,
-		RecoveryThreshold: 2,
+		Enabled:          true,
+		ProbeInterval:    time.Hour, // no probe ticks; observations are manual
+		FailureThreshold: 3,
 	}
 	peer := ids.NodeID(1)
 	m := newHealthMonitor(cfg, 0, map[ids.NodeID]string{0: "http://self", peer: "http://peer"}, nil)
@@ -227,62 +227,96 @@ func TestFailoverOriginWhenOwnerDown(t *testing.T) {
 	checkFarmInvariants(t, f)
 }
 
-// TestBreakerGroup covers the circuit state machine: trip after the
-// threshold, fail fast while open, a single half-open trial after the
-// cooldown, and both trial outcomes.
-func TestBreakerGroup(t *testing.T) {
-	const cooldown = 50 * time.Millisecond
-	g := newBreakerGroup(2, cooldown)
-	dest := ids.NodeID(1)
-
-	if !g.allow(dest) {
-		t.Fatal("unknown destination must be allowed")
+// TestFetchRefusesDownPeer: once the entry's monitor holds a peer down, a
+// fetch to it — one that raced past Route's routable check — fails without
+// reaching the peer, counts in BreakerDenied and records a breaker_denied
+// span. The peer itself is alive, so any connection would have succeeded.
+func TestFetchRefusesDownPeer(t *testing.T) {
+	f := tracedFarm(t, 2, FaultTolerance{Health: HealthConfig{
+		Enabled:          true,
+		ProbeInterval:    time.Hour, // no probe ticks: the belief changes only as told
+		FailureThreshold: 3,
+	}})
+	entry, peer := f.Proxies[0], f.Proxies[1]
+	for i := 0; i < 3; i++ {
+		entry.health.Load().reportFailure(peer.ID())
 	}
-	g.report(dest, false)
-	if !g.allow(dest) {
-		t.Fatal("one failure must not trip a threshold-2 breaker")
-	}
-	g.report(dest, false)
-	if g.allow(dest) {
-		t.Fatal("breaker must open at the threshold")
-	}
-	if vars := g.snapshot(); len(vars) != 1 || vars[0].State != "open" {
-		t.Fatalf("snapshot = %+v, want one open circuit", vars)
+	if got := entry.HealthState(peer.ID()); got != PeerDown {
+		t.Fatalf("peer state = %v, want down", got)
 	}
 
-	time.Sleep(cooldown + 10*time.Millisecond)
-	if !g.allow(dest) {
-		t.Fatal("cooldown elapsed: the trial request must pass")
+	sc := entry.spanContext(http.Header{}, 0)
+	if _, _, _, err := entry.fetch(peer.URL(), peer.ID(), ids.ObjectID(9), "refused-1", 1, sc); err == nil {
+		t.Fatal("fetch to a peer held down succeeded")
 	}
-	if g.allow(dest) {
-		t.Fatal("only one half-open trial at a time")
+	if got := peer.Stats().Requests; got != 0 {
+		t.Errorf("the down peer received %d requests, want none", got)
 	}
-	g.report(dest, false) // trial failed: reopen
-	if g.allow(dest) {
-		t.Fatal("failed trial must reopen the circuit")
+	if got := entry.Stats().BreakerDenied; got != 1 {
+		t.Errorf("BreakerDenied = %d, want 1", got)
+	}
+	var refused []obs.Span
+	for _, s := range entry.TraceDump().Spans {
+		if s.Stage == obs.SpanBreakerDenied {
+			refused = append(refused, s)
+		}
+	}
+	if len(refused) != 1 || refused[0].Err != "peer down" || refused[0].Detail != peer.ID().String() {
+		t.Errorf("refusal spans = %+v, want one %s span to %v with error \"peer down\"", refused, obs.SpanBreakerDenied, peer.ID())
+	}
+}
+
+// TestHedgedOriginFetchWins: the entry has learned a location whose peer
+// stalls object requests but answers /healthz, so the monitor keeps it
+// routable and only the hedge can answer. After HedgeDelay the origin hedge
+// wins; once the stalled fetch is released, no goroutine is left behind.
+func TestHedgedOriginFetchWins(t *testing.T) {
+	before := runtime.NumGoroutine()
+	release := make(chan struct{})
+	stall := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != healthzPath {
+			<-release
+		}
+	}))
+	origin, err := NewOrigin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProxy(Config{
+		ID:        0,
+		Tables:    core.Config{SingleSize: 64, MultipleSize: 64, CachingSize: 64},
+		OriginURL: origin.URL(),
+		Seed:      1,
+		FaultTolerance: FaultTolerance{
+			Health:     HealthConfig{Enabled: true, ProbeInterval: 20 * time.Millisecond},
+			HedgeDelay: 20 * time.Millisecond,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := ids.NodeID(1)
+	p.SetPeers(map[ids.NodeID]string{p.ID(): p.URL(), peer: stall.URL})
+	obj := ids.ObjectID(31)
+	teachLocation(p, obj, peer)
+
+	if code := stormGet(t, p, obj, "hedge-1"); code != http.StatusOK {
+		t.Errorf("status %d, want 200 from the hedge", code)
+	}
+	if got := origin.Resolved(); got != 1 {
+		t.Errorf("origin answered %d requests, want the hedge's 1", got)
+	}
+	if s := p.Stats(); s.HedgedFetches != 1 || s.HedgeWins != 1 {
+		t.Errorf("HedgedFetches = %d, HedgeWins = %d; want 1 and 1", s.HedgedFetches, s.HedgeWins)
 	}
 
-	time.Sleep(cooldown + 10*time.Millisecond)
-	if !g.allow(dest) {
-		t.Fatal("second trial must pass after another cooldown")
-	}
-	g.report(dest, true) // trial succeeded: close
-	if !g.allow(dest) {
-		t.Fatal("successful trial must close the circuit")
-	}
-	if vars := g.snapshot(); len(vars) != 0 {
-		t.Fatalf("snapshot = %+v, want no tripped circuits", vars)
-	}
-
-	// threshold < 0 disables the group entirely.
-	var off *breakerGroup = newBreakerGroup(-1, 0)
-	if off != nil {
-		t.Fatal("negative threshold must disable breakers")
-	}
-	if !off.allow(dest) {
-		t.Fatal("nil group must allow everything")
-	}
-	off.report(dest, false) // must not panic
+	close(release)
+	stall.Close()
+	_ = p.Close()
+	_ = origin.Close()
+	waitFor(t, 10*time.Second, "every goroutine of the hedged request to exit", func() bool {
+		return runtime.NumGoroutine() <= before
+	})
 }
 
 // TestFlightLeaderPeerDiesMidFetch is the satellite hang test: concurrent
@@ -337,12 +371,10 @@ func TestGateDrainsAfterRecovery(t *testing.T) {
 		MaxQueue:  8,
 		FaultTolerance: FaultTolerance{
 			Health: HealthConfig{
-				Enabled:           true,
-				ProbeInterval:     20 * time.Millisecond,
-				FailureThreshold:  2,
-				RecoveryThreshold: 1,
+				Enabled:          true,
+				ProbeInterval:    20 * time.Millisecond,
+				FailureThreshold: 2,
 			},
-			RetryBackoff: 5 * time.Millisecond,
 		},
 	})
 	if err != nil {
@@ -395,8 +427,8 @@ func TestGateDrainsAfterRecovery(t *testing.T) {
 	checkFarmInvariants(t, f)
 }
 
-// TestDebugVarsHealthSection checks /debug/vars gains health and breaker
-// sections with the layer on, and omits them with the layer off.
+// TestDebugVarsHealthSection checks /debug/vars gains a health section
+// with the layer on, naming the killed peer down.
 func TestDebugVarsHealthSection(t *testing.T) {
 	f := ftFarm(t, 2)
 	if err := f.Proxies[1].Kill(); err != nil {

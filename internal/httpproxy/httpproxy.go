@@ -15,7 +15,7 @@
 // (internal/protocol) for Receive_Reply (Fig. 7). This package is the HTTP
 // driver of that core: it owns what is genuinely HTTP — the payload store,
 // the pending set keyed by wire request ID, admission, coalescing, health,
-// breakers, retries, hedging, spans — and the header codec. The ADC metadata
+// retries, hedging, spans — and the header codec. The ADC metadata
 // travels in headers:
 //
 //	X-ADC-Request-ID   globally unique ID, for loop detection
@@ -178,9 +178,8 @@ type Proxy struct {
 	// Fault tolerance (all nil/zero when FaultTolerance is disabled, so
 	// the hot path pays only nil checks). health is an atomic pointer:
 	// it is installed by SetPeers after handlers may already be running.
-	ft       FaultTolerance
-	health   atomic.Pointer[healthMonitor]
-	breakers *breakerGroup
+	ft     FaultTolerance
+	health atomic.Pointer[healthMonitor]
 
 	// Telemetry. stages is always on (recording a latency is one mutex +
 	// one bucket increment; /metrics pays the snapshot cost, not the hot
@@ -230,27 +229,18 @@ type Proxy struct {
 }
 
 // FaultTolerance configures the farm's fault-tolerance layer: peer health
-// probing with failover routing, per-peer circuit breakers on the upstream
-// fetch path, bounded-backoff retries for entry requests, and hedged
-// origin fetches. The zero value disables the whole layer — routing,
-// fetching and benchmarks behave exactly as without it.
+// probing with failover routing (and fetches to a peer the monitor holds
+// down refused without a connection), bounded-backoff retries for entry
+// requests, and hedged origin fetches. The zero value disables the whole
+// layer — routing, fetching and benchmarks behave exactly as without it.
 type FaultTolerance struct {
 	// Health configures peer probing; Health.Enabled gates the layer.
 	Health HealthConfig
-	// BreakerThreshold is the consecutive-connection-failure count that
-	// opens a peer's circuit (0 = default 5, negative = breakers off).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit rejects fetches before
-	// a half-open trial (0 = default 1s).
-	BreakerCooldown time.Duration
 	// MaxRetries bounds per-entry-request failover retries after a
 	// failed chain (0 = default 2, negative = no retries). Mid-chain
 	// hops never retry: exactly one proxy — the entry — owns failover,
 	// so a dead peer cannot multiply upstream attempts hop by hop.
 	MaxRetries int
-	// RetryBackoff is the initial retry delay, doubling per attempt
-	// (0 = default 25ms).
-	RetryBackoff time.Duration
 	// HedgeDelay, when positive, starts a parallel direct-origin fetch
 	// for an entry chain still unresolved after this long, and the first
 	// success wins. Set it near the observed forwarding p99: hedges then
@@ -259,14 +249,15 @@ type FaultTolerance struct {
 	HedgeDelay time.Duration
 }
 
-// Failover-retry defaults; FaultTolerance fields override.
+// defaultEntryRetries is MaxRetries' default; retryBackoff is the first
+// entry retry's delay, doubling per attempt.
 const (
 	defaultEntryRetries = 2
-	defaultRetryBackoff = 25 * time.Millisecond
+	retryBackoff        = 25 * time.Millisecond
 )
 
 // withDefaults normalizes the policy. With Health.Enabled false the whole
-// struct collapses to the zero value: no monitor, no breakers, no retries.
+// struct collapses to the zero value: no monitor, no retries.
 func (ft FaultTolerance) withDefaults() FaultTolerance {
 	if !ft.Health.Enabled {
 		return FaultTolerance{}
@@ -277,9 +268,6 @@ func (ft FaultTolerance) withDefaults() FaultTolerance {
 		ft.MaxRetries = 0
 	case ft.MaxRetries == 0:
 		ft.MaxRetries = defaultEntryRetries
-	}
-	if ft.RetryBackoff <= 0 {
-		ft.RetryBackoff = defaultRetryBackoff
 	}
 	return ft
 }
@@ -308,7 +296,7 @@ type Config struct {
 	// (see internal/protocol; zero value = stock ADC).
 	Replication protocol.Replication
 	// FaultTolerance configures health probing, failover routing,
-	// circuit breakers and hedging (zero value = all off).
+	// retries and hedging (zero value = all off).
 	FaultTolerance FaultTolerance
 	// Tracing configures cross-proxy span tracing (zero value = off).
 	Tracing Tracing
@@ -363,9 +351,6 @@ func NewProxy(cfg Config) (*Proxy, error) {
 	agent.OnEvict(func(obj ids.ObjectID) { delete(p.store, obj) })
 	if p.tracing.Enabled {
 		p.spans = obs.NewSpanRing(p.tracing.RingSize)
-	}
-	if ft.Health.Enabled {
-		p.breakers = newBreakerGroup(ft.BreakerThreshold, ft.BreakerCooldown)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc(objPathPrefix, p.handle)
@@ -782,7 +767,7 @@ func (p *Proxy) resolveEntry(obj ids.ObjectID, reqID string, sc *spanCtx) flight
 	if resolved(res) || !p.ft.Health.Enabled {
 		return res
 	}
-	backoff := p.ft.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; attempt < p.ft.MaxRetries; attempt++ {
 		p.retried.Add(1)
 		time.Sleep(backoff)
@@ -850,8 +835,9 @@ func (p *Proxy) resolveMissHedged(obj ids.ObjectID, reqID string, sc *spanCtx) f
 
 // fetch issues the upstream GET carrying the ADC headers. dest names the
 // destination node so the fault-tolerance layer can attribute the outcome:
-// a partition blocks the connection up front, an open breaker fails fast,
-// and the connection result feeds dest's health machine and circuit. Only
+// a partition blocks the connection up front, a peer the health monitor
+// holds down (a fetch that raced past Route's check) is refused without a
+// connection, and the connection result feeds dest's health machine. Only
 // transport errors count against a peer — a live proxy answering 5xx is a
 // content problem, not a dead process.
 func (p *Proxy) fetch(base string, dest ids.NodeID, obj ids.ObjectID, reqID string, forwards int, sc *spanCtx) ([]byte, http.Header, int, error) {
@@ -860,17 +846,16 @@ func (p *Proxy) fetch(base string, dest ids.NodeID, obj ids.ObjectID, reqID stri
 	if !dest.IsProxy() {
 		stage, spanStage = metrics.StageOrigin, obs.SpanOrigin
 	}
+	m := p.health.Load()
 	if dest.IsProxy() && p.isBlocked(dest) {
-		if m := p.health.Load(); m != nil {
-			m.reportFailure(dest)
-		}
+		m.reportFailure(dest)
 		sc.record(spanStage, start, obj, dest.String(), "partitioned")
 		return nil, nil, 0, fmt.Errorf("httpproxy: %v unreachable from %v (partitioned)", dest, p.id)
 	}
-	if dest.IsProxy() && !p.breakers.allow(dest) {
+	if dest.IsProxy() && !m.routable(dest) {
 		p.denied.Add(1)
-		sc.record(obs.SpanBreakerDenied, start, obj, dest.String(), errBreakerOpen.Error())
-		return nil, nil, 0, fmt.Errorf("httpproxy: fetch %v: %w", dest, errBreakerOpen)
+		sc.record(obs.SpanBreakerDenied, start, obj, dest.String(), "peer down")
+		return nil, nil, 0, fmt.Errorf("httpproxy: fetch %v: peer down", dest)
 	}
 	req, err := http.NewRequest(http.MethodGet, ObjectURL(base, obj), nil)
 	if err != nil {
@@ -890,13 +875,10 @@ func (p *Proxy) fetch(base string, dest ids.NodeID, obj ids.ObjectID, reqID stri
 	}
 	resp, err := p.client.Do(req)
 	if dest.IsProxy() {
-		p.breakers.report(dest, err == nil)
-		if m := p.health.Load(); m != nil {
-			if err != nil {
-				m.reportFailure(dest)
-			} else {
-				m.reportSuccess(dest)
-			}
+		if err != nil {
+			m.reportFailure(dest)
+		} else {
+			m.reportSuccess(dest)
 		}
 	}
 	if err != nil {

@@ -83,7 +83,7 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("adc_stale_invalidated_total", "Mapping entries demoted because their location was down.", stats.StaleInvalidated)
 	counter("adc_retried_fetches_total", "Entry-chain retries after a failed upstream chain.", stats.RetriedFetches)
 	counter("adc_failover_origin_total", "Entry chains that fell back to a direct origin fetch.", stats.FailoverOrigin)
-	counter("adc_breaker_denied_total", "Fetches rejected by an open circuit breaker.", stats.BreakerDenied)
+	counter("adc_breaker_denied_total", "Fetches refused without a connection because the peer is held down.", stats.BreakerDenied)
 	counter("adc_hedged_fetches_total", "Entry chains that started a parallel origin hedge.", stats.HedgedFetches)
 	counter("adc_hedge_wins_total", "Hedged chains whose hedge answer was used.", stats.HedgeWins)
 	if p.replicating {
@@ -103,18 +103,6 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			pw.Sample(peerStateGauge(m.state(peer)), promtext.L("peer", peer.String()))
-		}
-	}
-	if p.breakers != nil {
-		// Declared whenever breakers exist; series appear only while a
-		// circuit is tripped (closed breakers are the silent default).
-		pw.Gauge("adc_breaker_state", "Tripped circuit breakers: 1 half-open, 2 open.")
-		for _, b := range p.breakers.snapshot() {
-			v := 2.0
-			if b.State == "half-open" {
-				v = 1.0
-			}
-			pw.Sample(v, promtext.L("peer", b.Peer))
 		}
 	}
 	if p.spans != nil {

@@ -42,12 +42,10 @@ func tracedFarm(t *testing.T, proxies int, ft FaultTolerance) *Farm {
 func TestMetricsParsesAndLints(t *testing.T) {
 	f := tracedFarm(t, 3, FaultTolerance{
 		Health: HealthConfig{
-			Enabled:           true,
-			ProbeInterval:     20 * time.Millisecond,
-			FailureThreshold:  2,
-			RecoveryThreshold: 1,
+			Enabled:          true,
+			ProbeInterval:    20 * time.Millisecond,
+			FailureThreshold: 2,
 		},
-		RetryBackoff: 5 * time.Millisecond,
 	})
 	for i := 0; i < 120; i++ {
 		if _, err := f.Get(i%len(f.Proxies), ids.ObjectID(i%17+1), "m-"+strconv.Itoa(i)); err != nil {
@@ -146,7 +144,7 @@ func TestProberToleratesBothHealthzForms(t *testing.T) {
 	}))
 	defer jsonSrv.Close()
 
-	cfg := HealthConfig{Enabled: true, ProbeInterval: time.Hour, FailureThreshold: 3, RecoveryThreshold: 2}.withDefaults()
+	cfg := HealthConfig{Enabled: true, ProbeInterval: time.Hour, FailureThreshold: 3}.withDefaults()
 	m := newHealthMonitor(cfg, ids.NodeID(0), map[ids.NodeID]string{
 		ids.NodeID(0): "http://unused",
 		ids.NodeID(1): bare.URL,
@@ -247,12 +245,10 @@ func TestTraceSampling(t *testing.T) {
 func TestChaosTraceNoOrphans(t *testing.T) {
 	f := tracedFarm(t, 4, FaultTolerance{
 		Health: HealthConfig{
-			Enabled:           true,
-			ProbeInterval:     20 * time.Millisecond,
-			FailureThreshold:  2,
-			RecoveryThreshold: 1,
+			Enabled:          true,
+			ProbeInterval:    20 * time.Millisecond,
+			FailureThreshold: 2,
 		},
-		RetryBackoff: 5 * time.Millisecond,
 	})
 
 	stop := make(chan struct{})

@@ -79,8 +79,8 @@ type ProxyStats struct {
 	// origin fetch after exhausting retries.
 	FailoverOrigin uint64
 
-	// BreakerDenied counts upstream fetches rejected immediately by an
-	// open per-peer circuit breaker.
+	// BreakerDenied counts upstream fetches refused without a connection
+	// because the health monitor held the destination peer down.
 	BreakerDenied uint64
 
 	// HedgedFetches counts entry chains that started a parallel

@@ -5,10 +5,11 @@ import "sync"
 // Span is one timed operation inside a traced request on the HTTP farm.
 // Spans form cross-proxy trees: the entry proxy mints a Trace ID and a root
 // span, and every hop — forwards, retries, hedges, origin fetches, gate and
-// flight waits, breaker denials — opens a child span linked by Parent. The
-// span ID travels between proxies in the X-Adc-Span request header, so a
-// receiving proxy's server span parents onto the sender's forward span and
-// cmd/adctrace can stitch the per-proxy rings back into one tree.
+// flight waits, fetches refused to a down peer — opens a child span linked
+// by Parent. The span ID travels between proxies in the X-Adc-Span request
+// header, so a receiving proxy's server span parents onto the sender's
+// forward span and cmd/adctrace can stitch the per-proxy rings back into
+// one tree.
 //
 // Unlike Event (virtual-time, single process), Span timestamps are each
 // recording proxy's own wall clock in unix microseconds; MergeDumps aligns
@@ -52,8 +53,9 @@ const (
 	SpanForward = "forward"
 	// SpanOrigin is one fetch to the origin server.
 	SpanOrigin = "origin"
-	// SpanBreakerDenied is a fetch refused locally by an open circuit
-	// breaker (zero-duration; recorded so denial shows up in the tree).
+	// SpanBreakerDenied is a fetch refused locally because the health
+	// monitor holds the peer down (zero-duration; recorded so the refusal
+	// shows up in the tree).
 	SpanBreakerDenied = "breaker_denied"
 )
 
