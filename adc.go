@@ -36,6 +36,7 @@ import (
 
 	"github.com/adc-sim/adc/internal/cluster"
 	"github.com/adc-sim/adc/internal/core"
+	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/sim"
 )
@@ -96,19 +97,10 @@ const (
 
 // Latency models the virtual-time cost of each message transfer, in
 // abstract ticks (the defaults read as microseconds: 5 ms client↔proxy,
-// 10 ms proxy↔proxy, 50 ms proxy↔origin, 0.1 ms service).
-type Latency struct {
-	ClientProxy int64
-	ProxyProxy  int64
-	ProxyOrigin int64
-	Service     int64
-	// QueueService serializes the Service component per receiving node
-	// (one message in service at a time), so overloaded proxies and the
-	// origin build real backlogs instead of paying a flat per-message
-	// cost. Requires RuntimeVirtualTime; uncontended messages cost the
-	// same either way.
-	QueueService bool
-}
+// 10 ms proxy↔proxy, 50 ms proxy↔origin, 0.1 ms service). QueueService
+// serializes the Service component per receiving node, so overloaded
+// proxies and the origin build real backlogs.
+type Latency = sim.LatencyModel
 
 // TableBackend selects the ordered-table data structure.
 type TableBackend string
@@ -275,6 +267,21 @@ func ParseRecoverySpec(spec string) (*Recovery, error) {
 	return &Recovery{Timeout: r.Timeout, MaxRetries: r.MaxRetries, Backoff: r.Backoff, PendingTTL: r.PendingTTL}, nil
 }
 
+// toSim converts the public pointer form to the engine's value form; nil is
+// the disabled zero value.
+func (r *Recovery) toSim() sim.Recovery {
+	if r == nil {
+		return sim.Recovery{}
+	}
+	return sim.Recovery{
+		Enabled:    true,
+		Timeout:    r.Timeout,
+		MaxRetries: r.MaxRetries,
+		Backoff:    r.Backoff,
+		PendingTTL: r.PendingTTL,
+	}
+}
+
 // Recovery parameterizes the opt-in recovery protocol. All durations are
 // virtual ticks; zero fields take the reference defaults (400 ms timeout,
 // 8 retries, backoff 2, 1 s pending TTL under the default latency model).
@@ -326,9 +333,6 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Entry == "" {
-		c.Entry = EntryRandom
-	}
 	if c.Clients == 0 {
 		c.Clients = 1
 	}
@@ -345,44 +349,21 @@ func (c Config) toInternal() (cluster.Config, error) {
 	if err != nil {
 		return cluster.Config{}, err
 	}
-	var entry sim.EntryPolicy
-	switch c.Entry {
-	case EntryRandom:
-		entry = sim.EntryRandom
-	case EntryRoundRobin:
-		entry = sim.EntryRoundRobin
-	case EntryFixed:
-		entry = sim.EntryFixed
-	default:
-		return cluster.Config{}, fmt.Errorf("adc: unknown entry policy %q", c.Entry)
+	entry, err := sim.ParseEntryPolicy(string(c.Entry))
+	if err != nil {
+		return cluster.Config{}, err
 	}
-	rt, ok := cluster.ParseRuntime(string(c.Runtime))
-	if !ok {
-		return cluster.Config{}, fmt.Errorf("adc: unknown runtime %q (want sequential, agents or vtime)", c.Runtime)
+	rt, err := cluster.ParseRuntime(string(c.Runtime))
+	if err != nil {
+		return cluster.Config{}, err
+	}
+	backend, err := core.ParseBackend(string(c.Backend))
+	if err != nil {
+		return cluster.Config{}, err
 	}
 	var latency sim.LatencyModel
 	if c.LatencyModel != nil {
-		latency = sim.LatencyModel{
-			ClientProxy:  c.LatencyModel.ClientProxy,
-			ProxyProxy:   c.LatencyModel.ProxyProxy,
-			ProxyOrigin:  c.LatencyModel.ProxyOrigin,
-			Service:      c.LatencyModel.Service,
-			QueueService: c.LatencyModel.QueueService,
-		}
-	}
-	backend, ok := core.ParseBackend(string(c.Backend))
-	if !ok {
-		return cluster.Config{}, fmt.Errorf("adc: unknown backend %q (want btree, slice or list)", c.Backend)
-	}
-	var recovery sim.Recovery
-	if c.Recovery != nil {
-		recovery = sim.Recovery{
-			Enabled:    true,
-			Timeout:    c.Recovery.Timeout,
-			MaxRetries: c.Recovery.MaxRetries,
-			Backoff:    c.Recovery.Backoff,
-			PendingTTL: c.Recovery.PendingTTL,
-		}
+		latency = *c.LatencyModel
 	}
 	var replication protocol.Replication
 	if c.Replication != nil {
@@ -418,7 +399,7 @@ func (c Config) toInternal() (cluster.Config, error) {
 		Poisson:             c.Poisson,
 		JoinProxyAt:         c.JoinProxyAt,
 		Faults:              c.Faults,
-		Recovery:            recovery,
+		Recovery:            c.Recovery.toSim(),
 		Replication:         replication,
 		Tracer:              c.Tracer,
 		MetricsEvery:        c.MetricsEvery,
@@ -430,13 +411,7 @@ func (c Config) toInternal() (cluster.Config, error) {
 
 // Point is one time-series sample: windowed and cumulative hit rate and
 // hops, keyed by completed requests.
-type Point struct {
-	Requests   uint64
-	HitRate    float64
-	CumHitRate float64
-	Hops       float64
-	CumHops    float64
-}
+type Point = metrics.Point
 
 // ProxyStats are one proxy's event counters after a run.
 // ExpiredPending/StaleInvalidated/UnexpectedReplies belong to the recovery
@@ -446,30 +421,7 @@ type Point struct {
 // the hot-object replication extension and stay zero with replication off;
 // RetriedFetches through HedgeWins belong to the HTTP farm's
 // fault-tolerance layer and stay zero with health probing off.
-type ProxyStats struct {
-	Requests          uint64
-	LocalHits         uint64
-	ForwardLearned    uint64
-	ForwardRandom     uint64
-	ForwardOrigin     uint64
-	LoopsDetected     uint64
-	RepliesSeen       uint64
-	CacheInsertions   uint64
-	CacheEvictions    uint64
-	ExpiredPending    uint64
-	StaleInvalidated  uint64
-	UnexpectedReplies uint64
-	Shed              uint64
-	CoalescedMisses   uint64
-	ReplicaPushes     uint64
-	ReplicaDrops      uint64
-	ReplicaHits       uint64
-	RetriedFetches    uint64
-	FailoverOrigin    uint64
-	BreakerDenied     uint64
-	HedgedFetches     uint64
-	HedgeWins         uint64
-}
+type ProxyStats = metrics.ProxyStats
 
 // Result is the outcome of one simulation.
 type Result struct {
@@ -551,11 +503,7 @@ func Run(cfg Config, src Source) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return convertResult(res), nil
-}
-
-func convertResult(res *cluster.Result) *Result {
-	out := &Result{
+	return &Result{
 		Requests:       res.Summary.Requests,
 		Hits:           res.Summary.Hits,
 		HitRate:        res.Summary.HitRate,
@@ -578,19 +526,8 @@ func convertResult(res *cluster.Result) *Result {
 		StaleReplies:   res.Summary.StaleReplies,
 		Crashes:        res.Faults.Crashes,
 		Restarts:       res.Faults.Restarts,
-	}
-	for _, p := range res.Series {
-		out.Series = append(out.Series, Point{
-			Requests:   p.Requests,
-			HitRate:    p.HitRate,
-			CumHitRate: p.CumHitRate,
-			Hops:       p.Hops,
-			CumHops:    p.CumHops,
-		})
-	}
-	for _, s := range res.ProxyStats {
-		out.ProxyStats = append(out.ProxyStats, ProxyStats(s))
-	}
-	out.Buckets = convertBuckets(res.Buckets)
-	return out
+		Series:         res.Series,
+		ProxyStats:     res.ProxyStats,
+		Buckets:        convertBuckets(res.Buckets),
+	}, nil
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"text/tabwriter"
 
 	"github.com/adc-sim/adc"
@@ -27,6 +28,7 @@ import (
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/profiling"
 	"github.com/adc-sim/adc/internal/protocol"
+	"github.com/adc-sim/adc/internal/sim"
 	"github.com/adc-sim/adc/internal/workload"
 )
 
@@ -92,12 +94,15 @@ func run(args []string) error {
 		return stopProfiles()
 	}
 	if *dump >= 0 {
+		if err := refuseWithDump(fs); err != nil {
+			return err
+		}
 		if err := runWithDump(dumpOptions{
 			algo: *algo, proxies: *proxies,
 			single: *single, multiple: *multiple, caching: *caching,
 			maxHops: *maxHops, seed: *seed,
 			requests: *requests, population: *population,
-			proxyIdx: *dump, backend: *backend,
+			proxyIdx: *dump, backend: *backend, entry: *entry,
 		}); err != nil {
 			return err
 		}
@@ -289,7 +294,22 @@ type dumpOptions struct {
 	seed                      int64
 	requests, population      int
 	proxyIdx                  int
-	backend                   string
+	backend, entry            string
+}
+
+// dumpRefuses names the flags a -dump run cannot honour: it runs the
+// sequential engine over a generated workload, untraced and lossless.
+var dumpRefuses = []string{"faults", "metrics-every", "recovery", "replay", "runtime", "shards", "trace"}
+
+// refuseWithDump fails, naming the flag, if any of dumpRefuses was set.
+func refuseWithDump(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(dumpRefuses, f.Name) {
+			err = fmt.Errorf("-dump does not support -%s", f.Name)
+		}
+	})
+	return err
 }
 
 // runWithDump runs via the internal cluster layer so the proxy's mapping
@@ -302,9 +322,13 @@ func runWithDump(o dumpOptions) error {
 	if o.proxyIdx >= o.proxies {
 		return fmt.Errorf("-dump proxy %d out of range (0..%d)", o.proxyIdx, o.proxies-1)
 	}
-	backend, ok := core.ParseBackend(o.backend)
-	if !ok {
-		return fmt.Errorf("unknown backend %q (want btree, slice or list)", o.backend)
+	backend, err := core.ParseBackend(o.backend)
+	if err != nil {
+		return err
+	}
+	entry, err := sim.ParseEntryPolicy(o.entry)
+	if err != nil {
+		return err
 	}
 	gen, err := workload.New(workload.Config{
 		TotalRequests:  o.requests,
@@ -323,8 +347,9 @@ func runWithDump(o dumpOptions) error {
 			CachingSize:  o.caching,
 			Backend:      backend,
 		},
-		MaxHops: o.maxHops,
-		Seed:    o.seed,
+		MaxHops:     o.maxHops,
+		Seed:        o.seed,
+		EntryPolicy: entry,
 	}
 	cl, err := cluster.New(ccfg, gen)
 	if err != nil {
@@ -387,11 +412,7 @@ func runConfigFile(path string, verbose bool) error {
 	fmt.Printf("hops/request   %.3f\n", res.Summary.Hops)
 	fmt.Printf("elapsed        %v\n", res.Elapsed.Round(1e6))
 	if verbose {
-		stats := make([]adc.ProxyStats, len(res.ProxyStats))
-		for i, s := range res.ProxyStats {
-			stats[i] = adc.ProxyStats(s)
-		}
-		return printProxyStats(stats)
+		return printProxyStats(res.ProxyStats)
 	}
 	return nil
 }

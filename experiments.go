@@ -1,12 +1,10 @@
 package adc
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/experiments"
-	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/sim"
 )
 
@@ -45,18 +43,10 @@ type Profile struct {
 }
 
 // Progress is the state of a running fan-out after one more completed
-// simulation.
-type Progress struct {
-	// Done counts completed simulations; Total is the fan-out size.
-	Done, Total int
-	// Workers is the resolved worker-pool width (the Parallel knob after
-	// defaulting to GOMAXPROCS and clamping to the fan-out size).
-	Workers int
-	// Events is the cumulative number of engine message deliveries across
-	// completed simulations; divide by elapsed wall clock for the
-	// engine's events/sec throughput.
-	Events uint64
-}
+// simulation: Done of Total simulations, the resolved worker-pool width
+// (Workers) and the cumulative engine deliveries (Events; divide by
+// elapsed wall clock for events/sec).
+type Progress = experiments.ProgressInfo
 
 func (p Profile) toInternal() (experiments.Profile, error) {
 	ip := experiments.DefaultProfile()
@@ -69,31 +59,28 @@ func (p Profile) toInternal() (experiments.Profile, error) {
 	if p.Seed != 0 {
 		ip.Seed = p.Seed
 	}
-	switch p.Entry {
-	case "", EntryRandom:
-	case EntryRoundRobin:
-		ip.EntryPolicy = sim.EntryRoundRobin
-	case EntryFixed:
-		ip.EntryPolicy = sim.EntryFixed
+	var err error
+	if ip.EntryPolicy, err = sim.ParseEntryPolicy(string(p.Entry)); err != nil {
+		return ip, err
 	}
-	backend, ok := core.ParseBackend(string(p.Backend))
-	if !ok {
-		return ip, fmt.Errorf("adc: unknown backend %q (want btree, slice or list)", p.Backend)
+	if ip.Backend, err = core.ParseBackend(string(p.Backend)); err != nil {
+		return ip, err
 	}
-	ip.Backend = backend
 	ip.Shards = p.Shards
 	ip.Parallelism = p.Parallel
-	if cb := p.Progress; cb != nil {
-		ip.Progress = func(info experiments.ProgressInfo) {
-			cb(Progress{
-				Done:    info.Done,
-				Total:   info.Total,
-				Workers: info.Workers,
-				Events:  info.Events,
-			})
-		}
-	}
+	ip.Progress = p.Progress
 	return ip, ip.Validate()
+}
+
+// runProfile converts p and hands it to one experiment runner; every
+// experiment entry point goes through it.
+func runProfile[T any](p Profile, run func(experiments.Profile) (T, error)) (T, error) {
+	ip, err := p.toInternal()
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return run(ip)
 }
 
 // Comparison is the data behind the paper's Figs. 11 and 12: windowed hit
@@ -115,37 +102,23 @@ type Comparison struct {
 // Compare reproduces Figs. 11–12: one ADC run and one hashing run over the
 // same workload. Set includeCHash to add the consistent-hashing baseline.
 func Compare(p Profile, includeCHash bool) (*Comparison, error) {
-	ip, err := p.toInternal()
+	cmp, err := runProfile(p, func(ip experiments.Profile) (*experiments.Comparison, error) {
+		return experiments.Compare(ip, experiments.CompareOptions{IncludeCHash: includeCHash})
+	})
 	if err != nil {
 		return nil, err
 	}
-	cmp, err := experiments.Compare(ip, experiments.CompareOptions{IncludeCHash: includeCHash})
-	if err != nil {
-		return nil, err
-	}
-	out := &Comparison{
+	return &Comparison{
+		ADC:            cmp.ADC,
+		Hashing:        cmp.Hashing,
+		CHash:          cmp.CHash,
 		ADCHitRate:     cmp.ADCSummary.HitRate,
 		HashingHitRate: cmp.HashingSummary.HitRate,
 		ADCHops:        cmp.ADCSummary.Hops,
 		HashingHops:    cmp.HashingSummary.Hops,
 		FillEnd:        cmp.FillEnd,
 		Phase2End:      cmp.Phase2End,
-	}
-	out.ADC = convertPoints(cmp.ADC)
-	out.Hashing = convertPoints(cmp.Hashing)
-	out.CHash = convertPoints(cmp.CHash)
-	return out, nil
-}
-
-func convertPoints(pts []metrics.Point) []Point {
-	if len(pts) == 0 {
-		return nil
-	}
-	out := make([]Point, len(pts))
-	for i, p := range pts {
-		out[i] = Point(p)
-	}
-	return out
+	}, nil
 }
 
 // SweepPoint is one run of the table-size parameter study (Figs. 13–15).
@@ -179,11 +152,9 @@ func TimingSweep(p Profile) ([]SweepPoint, error) {
 }
 
 func sweep(p Profile, opts experiments.SweepOptions) ([]SweepPoint, error) {
-	ip, err := p.toInternal()
-	if err != nil {
-		return nil, err
-	}
-	pts, err := experiments.Sweep(ip, opts)
+	pts, err := runProfile(p, func(ip experiments.Profile) ([]experiments.SweepPoint, error) {
+		return experiments.Sweep(ip, opts)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -201,124 +172,55 @@ func sweep(p Profile, opts experiments.SweepOptions) ([]SweepPoint, error) {
 }
 
 // MaxHopsPoint is one run of the forwarding-bound study (an extension: the
-// paper exposes the parameter but never sweeps it).
-type MaxHopsPoint struct {
-	MaxHops int
-	HitRate float64
-	Hops    float64
-}
+// paper exposes the parameter but never sweeps it): the bound, and the
+// post-fill hit rate and hops under it.
+type MaxHopsPoint = experiments.MaxHopsPoint
 
 // MaxHopsSweep measures hit rate and cost against the forwarding bound;
 // bound 0 is the paper's unbounded setting.
 func MaxHopsSweep(p Profile, bounds []int) ([]MaxHopsPoint, error) {
-	ip, err := p.toInternal()
-	if err != nil {
-		return nil, err
-	}
-	pts, err := experiments.MaxHopsSweep(ip, bounds)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]MaxHopsPoint, len(pts))
-	for i, pt := range pts {
-		out[i] = MaxHopsPoint(pt)
-	}
-	return out, nil
+	return runProfile(p, func(ip experiments.Profile) ([]MaxHopsPoint, error) {
+		return experiments.MaxHopsSweep(ip, bounds)
+	})
 }
 
 // Ablation compares full ADC against one disabled mechanism; hit rates are
 // post-fill.
-type Ablation struct {
-	Name        string
-	Full        float64
-	Ablated     float64
-	FullHops    float64
-	AblatedHops float64
-}
+type Ablation = experiments.AblationResult
 
 // SelectiveCachingAblation quantifies §III.4's claim that selective
 // caching beats a cache-everything LRU table.
 func SelectiveCachingAblation(p Profile) (*Ablation, error) {
-	ip, err := p.toInternal()
-	if err != nil {
-		return nil, err
-	}
-	r, err := experiments.SelectiveCachingAblation(ip)
-	if err != nil {
-		return nil, err
-	}
-	a := Ablation(*r)
-	return &a, nil
+	return runProfile(p, experiments.SelectiveCachingAblation)
 }
 
 // AgingAblation quantifies the effect of the Fig. 4 aging rule.
 func AgingAblation(p Profile) (*Ablation, error) {
-	ip, err := p.toInternal()
-	if err != nil {
-		return nil, err
-	}
-	r, err := experiments.AgingAblation(ip)
-	if err != nil {
-		return nil, err
-	}
-	a := Ablation(*r)
-	return &a, nil
+	return runProfile(p, experiments.AgingAblation)
 }
 
 // PreLearnedResult is the §V.2.1 future-work experiment: the identical
-// trace replayed twice through one uninterrupted cluster.
-type PreLearnedResult struct {
-	// FirstPass and SecondPass are each replay's hit rate; the second
-	// runs against fully learned ("pre-learned") mapping tables.
-	FirstPass  float64
-	SecondPass float64
-	FirstHops  float64
-	SecondHops float64
-}
+// trace replayed twice through one uninterrupted cluster. FirstPass and
+// SecondPass are each replay's hit rate; the second runs against fully
+// learned ("pre-learned") mapping tables.
+type PreLearnedResult = experiments.PreLearnedResult
 
 // PreLearned quantifies how much of ADC's Fig. 11 lag is pure learning:
 // the second pass of the same trace starts warm and must not lag.
 func PreLearned(p Profile) (*PreLearnedResult, error) {
-	ip, err := p.toInternal()
-	if err != nil {
-		return nil, err
-	}
-	r, err := experiments.PreLearned(ip)
-	if err != nil {
-		return nil, err
-	}
-	return &PreLearnedResult{
-		FirstPass:  r.FirstPass,
-		SecondPass: r.SecondPass,
-		FirstHops:  r.FirstHops,
-		SecondHops: r.SecondHops,
-	}, nil
+	return runProfile(p, experiments.PreLearned)
 }
 
 // ProxyCountPoint is one run of the array-size study: total system cache
 // capacity held constant while the proxy count varies.
-type ProxyCountPoint struct {
-	Proxies int
-	HitRate float64
-	Hops    float64
-}
+type ProxyCountPoint = experiments.ProxyCountPoint
 
 // ProxyCountSweep measures the cost of distribution: more, smaller
 // proxies mean longer searches for the same total capacity.
 func ProxyCountSweep(p Profile, counts []int) ([]ProxyCountPoint, error) {
-	ip, err := p.toInternal()
-	if err != nil {
-		return nil, err
-	}
-	pts, err := experiments.ProxyCountSweep(ip, counts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ProxyCountPoint, len(pts))
-	for i, pt := range pts {
-		out[i] = ProxyCountPoint(pt)
-	}
-	return out, nil
+	return runProfile(p, func(ip experiments.Profile) ([]ProxyCountPoint, error) {
+		return experiments.ProxyCountSweep(ip, counts)
+	})
 }
 
 // BaselinePoint is one scheme's result in the all-baselines comparison.
@@ -337,11 +239,7 @@ type BaselinePoint struct {
 // ADC, the CARP hashing baseline, consistent hashing, the hierarchical
 // tree, and the central coordinator of the authors' earlier work.
 func Baselines(p Profile) ([]BaselinePoint, error) {
-	ip, err := p.toInternal()
-	if err != nil {
-		return nil, err
-	}
-	pts, err := experiments.Baselines(ip)
+	pts, err := runProfile(p, experiments.Baselines)
 	if err != nil {
 		return nil, err
 	}
@@ -359,37 +257,20 @@ func Baselines(p Profile) ([]BaselinePoint, error) {
 
 // ResponseResult compares mean virtual-time response between ADC and the
 // hashing baseline under the default WAN latency model (§V.2.2's
-// qualitative claim, quantified).
-type ResponseResult struct {
-	// ADCMean and HashingMean are mean response times in virtual ticks
-	// (microseconds under the default model).
-	ADCMean     float64
-	HashingMean float64
-	ADCHit      float64
-	HashingHit  float64
-}
+// qualitative claim, quantified). Means are in virtual ticks
+// (microseconds under the default model).
+type ResponseResult = experiments.ResponseResult
 
 // ResponseTime runs both algorithms on the virtual-time engine.
 // openLoopInterval > 0 switches to open-loop injection at that mean
 // inter-arrival time (Poisson gaps).
 func ResponseTime(p Profile, openLoopInterval int64) (*ResponseResult, error) {
-	ip, err := p.toInternal()
-	if err != nil {
-		return nil, err
-	}
-	r, err := experiments.ResponseTime(ip, experiments.ResponseOptions{
-		OpenLoopInterval: openLoopInterval,
-		Poisson:          openLoopInterval > 0,
+	return runProfile(p, func(ip experiments.Profile) (*ResponseResult, error) {
+		return experiments.ResponseTime(ip, experiments.ResponseOptions{
+			OpenLoopInterval: openLoopInterval,
+			Poisson:          openLoopInterval > 0,
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &ResponseResult{
-		ADCMean:     r.ADCMean,
-		HashingMean: r.HashingMean,
-		ADCHit:      r.ADCHit,
-		HashingHit:  r.HashingHit,
-	}, nil
 }
 
 // BackendPoint is one run of the data-structure study (§V.3.3's proposed
@@ -405,111 +286,42 @@ type BackendPoint struct {
 
 // LossPoint is one (loss rate, recovery arm) measurement of the resilience
 // study — an extension beyond the paper, whose protocol assumes lossless
-// transport (§III.1).
-type LossPoint struct {
-	// Loss is the i.i.d. message loss probability.
-	Loss float64
-	// Recovery reports whether the timeout/retransmission protocol ran.
-	Recovery bool
-	// HitRate and MeanResponse cover completed requests only.
-	HitRate      float64
-	MeanResponse float64
-	// Completion is completed/injected logical requests (1 when nothing
-	// strands).
-	Completion float64
-	// Dropped counts discarded transfers; Timeouts, Retries and Abandoned
-	// are recovery counters (zero in the no-recovery arm).
-	Dropped   uint64
-	Timeouts  uint64
-	Retries   uint64
-	Abandoned uint64
-	// LeakedPending is unretired loop-detection state left at run end.
-	LeakedPending int
-}
+// transport (§III.1). HitRate and MeanResponse cover completed requests
+// only; Completion is completed/injected logical requests.
+type LossPoint = experiments.LossPoint
 
 // LossSweep measures ADC under i.i.d. message loss, with and without the
 // recovery protocol, open-loop on the virtual-time engine. rates nil
 // selects 0/0.5/1/2/5%; rec nil selects the reference recovery parameters.
 func LossSweep(p Profile, rates []float64, rec *Recovery) ([]LossPoint, error) {
-	ip, err := p.toInternal()
+	r, err := runProfile(p, func(ip experiments.Profile) (*experiments.LossSweepResult, error) {
+		return experiments.LossSweep(ip, rates, rec.toSim())
+	})
 	if err != nil {
 		return nil, err
 	}
-	r, err := experiments.LossSweep(ip, rates, toSimRecovery(rec))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]LossPoint, len(r.Points))
-	for i, pt := range r.Points {
-		out[i] = LossPoint(pt)
-	}
-	return out, nil
+	return r.Points, nil
 }
 
 // CrashRecoveryResult is the fail-stop convergence study: proxy 0 crashes
 // ~40% through the trace and restarts cold (tables lost) ~70% through,
 // with the recovery protocol on.
-type CrashRecoveryResult struct {
-	// CrashAt and RestartAt are the scheduled virtual times in ticks.
-	CrashAt, RestartAt int64
-	// Series is the windowed hit-rate time series across the run.
-	Series []Point
-	// BeforeHit, DownHit and AfterHit average the windowed hit rate over
-	// the pre-crash, down and post-restart phases.
-	BeforeHit, DownHit, AfterHit float64
-	// Completion, Dropped and LeakedPending as in LossPoint.
-	Completion    float64
-	Dropped       uint64
-	LeakedPending int
-}
+type CrashRecoveryResult = experiments.CrashRecoveryResult
 
 // CrashRecovery runs the fail-stop convergence study. rec nil selects the
 // reference recovery parameters.
 func CrashRecovery(p Profile, rec *Recovery) (*CrashRecoveryResult, error) {
-	ip, err := p.toInternal()
-	if err != nil {
-		return nil, err
-	}
-	r, err := experiments.CrashRecovery(ip, toSimRecovery(rec))
-	if err != nil {
-		return nil, err
-	}
-	return &CrashRecoveryResult{
-		CrashAt:       r.CrashAt,
-		RestartAt:     r.RestartAt,
-		Series:        convertPoints(r.Series),
-		BeforeHit:     r.BeforeHit,
-		DownHit:       r.DownHit,
-		AfterHit:      r.AfterHit,
-		Completion:    r.Completion,
-		Dropped:       r.Dropped,
-		LeakedPending: r.LeakedPending,
-	}, nil
-}
-
-// toSimRecovery converts the public pointer form (nil = defaults for
-// experiment use) to the internal value form.
-func toSimRecovery(r *Recovery) sim.Recovery {
-	if r == nil {
-		return sim.DefaultRecovery()
-	}
-	return sim.Recovery{
-		Enabled:    true,
-		Timeout:    r.Timeout,
-		MaxRetries: r.MaxRetries,
-		Backoff:    r.Backoff,
-		PendingTTL: r.PendingTTL,
-	}.Normalize()
+	return runProfile(p, func(ip experiments.Profile) (*CrashRecoveryResult, error) {
+		return experiments.CrashRecovery(ip, rec.toSim())
+	})
 }
 
 // BackendComparison times one identical simulation on each ordered-table
 // backend.
 func BackendComparison(p Profile) ([]BackendPoint, error) {
-	ip, err := p.toInternal()
-	if err != nil {
-		return nil, err
-	}
-	pts, err := experiments.BackendComparison(ip, 1_000_000)
+	pts, err := runProfile(p, func(ip experiments.Profile) ([]experiments.BackendPoint, error) {
+		return experiments.BackendComparison(ip, 1_000_000)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -527,38 +339,15 @@ func BackendComparison(p Profile) ([]BackendPoint, error) {
 // ConvergencePoint is one measurement of ADC's self-organization speed:
 // how long after an object first appears do the proxies holding a belief
 // about its location reach lasting agreement, at one caching-table size.
-type ConvergencePoint struct {
-	// Size is the scaled caching-table capacity of this run.
-	Size int
-	// Objects counts distinct objects observed; Converged of them ended
-	// the run in lasting location agreement.
-	Objects   int
-	Converged int
-	// MeanTime and MaxTime are virtual ticks from first appearance to the
-	// start of the final uninterrupted agreement, over converged objects.
-	MeanTime float64
-	MaxTime  int64
-	// HitRate is the whole-run hit rate, for context.
-	HitRate float64
-}
+type ConvergencePoint = experiments.ConvergencePoint
 
 // ConvergenceSweep measures location-convergence time against caching-table
 // size on the virtual-time runtime, deriving the times from a kind-masked
 // request-path trace. sizes nil selects the paper's 5k–30k grid.
 func ConvergenceSweep(p Profile, sizes []int) ([]ConvergencePoint, error) {
-	ip, err := p.toInternal()
-	if err != nil {
-		return nil, err
-	}
-	pts, err := experiments.ConvergenceSweep(ip, experiments.ConvergenceOptions{Sizes: sizes})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ConvergencePoint, len(pts))
-	for i, pt := range pts {
-		out[i] = ConvergencePoint(pt)
-	}
-	return out, nil
+	return runProfile(p, func(ip experiments.Profile) ([]ConvergencePoint, error) {
+		return experiments.ConvergenceSweep(ip, experiments.ConvergenceOptions{Sizes: sizes})
+	})
 }
 
 // ReplicationPoint is one cell of the hot-object replication sweep: one
@@ -599,16 +388,7 @@ type ReplicationPoint struct {
 // selects the reference grid (thresholds 2/4/8 × max replicas 2/4/7) and
 // stream (30k requests, popularity shift every 3k, 100 hot objects,
 // Zipf alpha 2.0).
-type ReplicationOptions struct {
-	Thresholds  []int
-	MaxReplicas []int
-	Requests    int
-	Period      int
-	Population  int
-	Alpha       float64
-	// WorkloadSeed seeds the stream (0 = profile seed).
-	WorkloadSeed int64
-}
+type ReplicationOptions = experiments.ReplicationOptions
 
 // ReplicationSweep measures what hot-object replication buys across its
 // two knobs, against stock ADC and both hashing baselines on the identical
@@ -616,18 +396,8 @@ type ReplicationOptions struct {
 // points are the baselines (stock ADC, CARP, consistent hashing); the rest
 // is the threshold × max-replicas grid in row-major order.
 func ReplicationSweep(p Profile, opts ReplicationOptions) ([]ReplicationPoint, error) {
-	ip, err := p.toInternal()
-	if err != nil {
-		return nil, err
-	}
-	pts, err := experiments.ReplicationSweep(ip, experiments.ReplicationOptions{
-		Thresholds:   opts.Thresholds,
-		MaxReplicas:  opts.MaxReplicas,
-		Requests:     opts.Requests,
-		Period:       opts.Period,
-		Population:   opts.Population,
-		Alpha:        opts.Alpha,
-		WorkloadSeed: opts.WorkloadSeed,
+	pts, err := runProfile(p, func(ip experiments.Profile) ([]experiments.ReplicationPoint, error) {
+		return experiments.ReplicationSweep(ip, opts)
 	})
 	if err != nil {
 		return nil, err

@@ -1,0 +1,166 @@
+package adc
+
+import (
+	"fmt"
+	"reflect"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+
+	"github.com/adc-sim/adc/internal/cluster"
+	"github.com/adc-sim/adc/internal/core"
+	"github.com/adc-sim/adc/internal/experiments"
+	"github.com/adc-sim/adc/internal/metrics"
+	"github.com/adc-sim/adc/internal/sim"
+	"github.com/adc-sim/adc/internal/workload"
+)
+
+// TestFacadeKeepsEveryField pins the public types the facade aliases from
+// the internal packages. Each must be the internal type itself, and its
+// fields must include every field, with its type, that the facade's own
+// definition had before it became an alias. Fields the internal type adds
+// are listed; anything else new, and any removal, fails.
+func TestFacadeKeepsEveryField(t *testing.T) {
+	types := map[string]reflect.Type{
+		"int": reflect.TypeFor[int](), "int64": reflect.TypeFor[int64](),
+		"uint64": reflect.TypeFor[uint64](), "float64": reflect.TypeFor[float64](),
+		"bool": reflect.TypeFor[bool](), "string": reflect.TypeFor[string](),
+		"[]int": reflect.TypeFor[[]int](), "[]Point": reflect.TypeFor[[]Point](),
+	}
+	for _, tc := range []struct {
+		name             string
+		public, internal reflect.Type
+		// fields is the facade's own struct body before the alias, one
+		// "Names... type" group per semicolon.
+		fields string
+		added  []string
+	}{
+		{"ProxyStats", reflect.TypeFor[ProxyStats](), reflect.TypeFor[metrics.ProxyStats](),
+			"Requests LocalHits ForwardLearned ForwardRandom ForwardOrigin LoopsDetected RepliesSeen " +
+				"CacheInsertions CacheEvictions ExpiredPending StaleInvalidated UnexpectedReplies Shed " +
+				"CoalescedMisses ReplicaPushes ReplicaDrops ReplicaHits RetriedFetches FailoverOrigin " +
+				"BreakerDenied HedgedFetches HedgeWins uint64", nil},
+		{"Point", reflect.TypeFor[Point](), reflect.TypeFor[metrics.Point](),
+			"Requests uint64; HitRate CumHitRate Hops CumHops float64", nil},
+		{"Latency", reflect.TypeFor[Latency](), reflect.TypeFor[sim.LatencyModel](),
+			"ClientProxy ProxyProxy ProxyOrigin Service int64; QueueService bool", nil},
+		{"TraceStats", reflect.TypeFor[TraceStats](), reflect.TypeFor[workload.TraceStats](),
+			"Requests Distinct OneTimers int; RecurringShare Top1Share Top10Share float64; MaxObjectRequests int", nil},
+		{"Progress", reflect.TypeFor[Progress](), reflect.TypeFor[experiments.ProgressInfo](),
+			"Done Total Workers int; Events uint64", nil},
+		{"MaxHopsPoint", reflect.TypeFor[MaxHopsPoint](), reflect.TypeFor[experiments.MaxHopsPoint](),
+			"MaxHops int; HitRate Hops float64", nil},
+		{"ProxyCountPoint", reflect.TypeFor[ProxyCountPoint](), reflect.TypeFor[experiments.ProxyCountPoint](),
+			"Proxies int; HitRate Hops float64", nil},
+		{"LossPoint", reflect.TypeFor[LossPoint](), reflect.TypeFor[experiments.LossPoint](),
+			"Loss float64; Recovery bool; HitRate MeanResponse Completion float64; " +
+				"Dropped Timeouts Retries Abandoned uint64; LeakedPending int", nil},
+		{"ConvergencePoint", reflect.TypeFor[ConvergencePoint](), reflect.TypeFor[experiments.ConvergencePoint](),
+			"Size Objects Converged int; MeanTime float64; MaxTime int64; HitRate float64", nil},
+		{"PreLearnedResult", reflect.TypeFor[PreLearnedResult](), reflect.TypeFor[experiments.PreLearnedResult](),
+			"FirstPass SecondPass FirstHops SecondHops float64", []string{"Series", "PassBoundary"}},
+		{"ResponseResult", reflect.TypeFor[ResponseResult](), reflect.TypeFor[experiments.ResponseResult](),
+			"ADCMean HashingMean ADCHit HashingHit float64", []string{"OpenLoop"}},
+		{"CrashRecoveryResult", reflect.TypeFor[CrashRecoveryResult](), reflect.TypeFor[experiments.CrashRecoveryResult](),
+			"CrashAt RestartAt int64; Series []Point; BeforeHit DownHit AfterHit Completion float64; " +
+				"Dropped uint64; LeakedPending int", []string{"Crashes", "Restarts"}},
+		{"ReplicationOptions", reflect.TypeFor[ReplicationOptions](), reflect.TypeFor[experiments.ReplicationOptions](),
+			"Thresholds MaxReplicas []int; Requests Period Population int; Alpha float64; WorkloadSeed int64", nil},
+		{"Ablation", reflect.TypeFor[Ablation](), reflect.TypeFor[experiments.AblationResult](),
+			"Name string; Full Ablated FullHops AblatedHops float64", nil},
+	} {
+		if tc.public != tc.internal {
+			t.Errorf("%s is %v, not an alias of %v", tc.name, tc.public, tc.internal)
+		}
+		want := map[string]reflect.Type{}
+		for _, group := range strings.Split(tc.fields, ";") {
+			words := strings.Fields(group)
+			typ, ok := types[words[len(words)-1]]
+			if !ok {
+				t.Fatalf("%s: unknown type in %q", tc.name, group)
+			}
+			for _, f := range words[:len(words)-1] {
+				want[f] = typ
+			}
+		}
+		for name, typ := range want {
+			f, ok := tc.public.FieldByName(name)
+			if !ok {
+				t.Errorf("%s lost field %s", tc.name, name)
+			} else if f.Type != typ {
+				t.Errorf("%s.%s is %v, was %v", tc.name, name, f.Type, typ)
+			}
+		}
+		for i := range tc.public.NumField() {
+			if f := tc.public.Field(i); want[f.Name] == nil && !slices.Contains(tc.added, f.Name) {
+				t.Errorf("%s gained unlisted field %s", tc.name, f.Name)
+			}
+		}
+	}
+}
+
+// TestPublicNamesMatchTheParsers: every public Algorithm, Runtime,
+// EntryPolicy and TableBackend constant is accepted by its one internal
+// parser and prints back as itself, and every canonical name a parser lists
+// when it rejects a name has a public constant.
+func TestPublicNamesMatchTheParsers(t *testing.T) {
+	wantList := regexp.MustCompile(`\(want (.+)\)$`)
+	for _, tc := range []struct {
+		kind   string
+		parse  func(string) (fmt.Stringer, error)
+		public []string
+	}{
+		{"algorithm", func(s string) (fmt.Stringer, error) { return cluster.ParseAlgorithm(s) },
+			[]string{string(ADC), string(CARP), string(CHash), string(Hierarchical), string(Coordinator)}},
+		{"runtime", func(s string) (fmt.Stringer, error) { return cluster.ParseRuntime(s) },
+			[]string{string(RuntimeSequential), string(RuntimeAgents), string(RuntimeVirtualTime)}},
+		{"entry policy", func(s string) (fmt.Stringer, error) { return sim.ParseEntryPolicy(s) },
+			[]string{string(EntryRandom), string(EntryRoundRobin), string(EntryFixed)}},
+		{"backend", func(s string) (fmt.Stringer, error) { return core.ParseBackend(s) },
+			[]string{string(BackendBTree), string(BackendSlice), string(BackendList)}},
+	} {
+		for _, name := range tc.public {
+			got, err := tc.parse(name)
+			if err != nil {
+				t.Errorf("%s %q: %v", tc.kind, name, err)
+			} else if got.String() != name {
+				t.Errorf("%s %q parses to %v", tc.kind, name, got)
+			}
+		}
+		_, err := tc.parse("no-such-name")
+		if err == nil {
+			t.Fatalf("%s: an unknown name parsed", tc.kind)
+		}
+		m := wantList.FindStringSubmatch(err.Error())
+		if m == nil {
+			t.Fatalf("%s: %q does not list the accepted names", tc.kind, err)
+		}
+		listed := strings.Split(strings.Replace(m[1], " or ", ", ", 1), ", ")
+		for _, name := range listed {
+			if !slices.Contains(tc.public, name) {
+				t.Errorf("%s %q is accepted but has no public constant", tc.kind, name)
+			}
+		}
+		if len(listed) != len(tc.public) {
+			t.Errorf("%s: parser lists %v, public constants are %v", tc.kind, listed, tc.public)
+		}
+	}
+}
+
+// TestProfileRejectsUnknownNames: a Profile names its entry policy and
+// backend in the same words as a Config, and an unknown one fails the same
+// way before any simulation runs.
+func TestProfileRejectsUnknownNames(t *testing.T) {
+	for want, p := range map[string]Profile{
+		`unknown entry policy "sideways" (want random, round-robin or fixed)`: {Scale: 0.01, Entry: "sideways"},
+		`unknown backend "rope" (want btree, slice or list)`:                  {Scale: 0.01, Backend: "rope"},
+	} {
+		if _, err := PreLearned(p); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("PreLearned(%+v) = %v, want an error containing %q", p, err, want)
+		}
+		if _, err := Run(Config{Entry: p.Entry, Backend: p.Backend}, smallWorkload(t)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Run with %+v = %v, want an error containing %q", p, err, want)
+		}
+	}
+}

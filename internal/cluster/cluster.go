@@ -117,16 +117,16 @@ func (r Runtime) String() string {
 // ParseRuntime converts a runtime name ("sequential", "agents", "vtime") to
 // its Runtime; the empty string selects the default and "virtual" is an
 // alias for "vtime".
-func ParseRuntime(name string) (Runtime, bool) {
+func ParseRuntime(name string) (Runtime, error) {
 	switch name {
 	case "", "sequential":
-		return RuntimeSequential, true
+		return RuntimeSequential, nil
 	case "agents":
-		return RuntimeAgents, true
+		return RuntimeAgents, nil
 	case "vtime", "virtual":
-		return RuntimeVirtualTime, true
+		return RuntimeVirtualTime, nil
 	default:
-		return 0, false
+		return 0, fmt.Errorf("cluster: unknown runtime %q (want sequential, agents or vtime)", name)
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/adc-sim/adc/internal/core"
@@ -85,31 +86,33 @@ func TestParseAlgorithm(t *testing.T) {
 func TestParseRuntimeAndBackend(t *testing.T) {
 	tables := []struct {
 		kind     string
-		parse    func(string) (fmt.Stringer, bool)
+		parse    func(string) (fmt.Stringer, error)
 		accepted map[string]fmt.Stringer
 	}{
-		{"runtime", func(s string) (fmt.Stringer, bool) { return ParseRuntime(s) }, map[string]fmt.Stringer{
+		{"runtime", func(s string) (fmt.Stringer, error) { return ParseRuntime(s) }, map[string]fmt.Stringer{
 			"": RuntimeSequential, "sequential": RuntimeSequential, "agents": RuntimeAgents,
 			"vtime": RuntimeVirtualTime, "virtual": RuntimeVirtualTime,
 		}},
-		{"backend", func(s string) (fmt.Stringer, bool) { return core.ParseBackend(s) }, map[string]fmt.Stringer{
+		{"backend", func(s string) (fmt.Stringer, error) { return core.ParseBackend(s) }, map[string]fmt.Stringer{
 			"": core.BackendBTree, "btree": core.BackendBTree, "slice": core.BackendSlice, "list": core.BackendList,
 		}},
 	}
 	for _, tb := range tables {
 		for name, want := range tb.accepted {
-			got, ok := tb.parse(name)
-			if !ok || got != want {
-				t.Errorf("%s %q parsed to (%v, %v), want %v", tb.kind, name, got, ok, want)
+			got, err := tb.parse(name)
+			if err != nil || got != want {
+				t.Errorf("%s %q parsed to (%v, %v), want %v", tb.kind, name, got, err, want)
 				continue
 			}
-			if back, ok := tb.parse(got.String()); !ok || back != got {
+			if back, err := tb.parse(got.String()); err != nil || back != got {
 				t.Errorf("%s %q: String %q does not parse back", tb.kind, name, got)
 			}
 		}
 		for _, name := range []string{"tcp", "skiplist", "Agents", " vtime", "BTREE", "list "} {
-			if got, ok := tb.parse(name); ok {
+			if got, err := tb.parse(name); err == nil {
 				t.Errorf("%s %q must be rejected, parsed to %v", tb.kind, name, got)
+			} else if !strings.Contains(err.Error(), "(want ") {
+				t.Errorf("%s %q: error %q does not list the accepted names", tb.kind, name, err)
 			}
 		}
 	}

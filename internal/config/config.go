@@ -120,26 +120,17 @@ func (f File) Build() (cluster.Config, workload.Config, error) {
 		return cluster.Config{}, workload.Config{}, err
 	}
 
-	var entry sim.EntryPolicy
-	switch f.Entry {
-	case "", "random":
-		entry = sim.EntryRandom
-	case "round-robin":
-		entry = sim.EntryRoundRobin
-	case "fixed":
-		entry = sim.EntryFixed
-	default:
-		return cluster.Config{}, workload.Config{}, fmt.Errorf("config: unknown entry policy %q", f.Entry)
+	entry, err := sim.ParseEntryPolicy(f.Entry)
+	if err != nil {
+		return cluster.Config{}, workload.Config{}, err
 	}
-
-	rt, ok := cluster.ParseRuntime(f.Runtime)
-	if !ok {
-		return cluster.Config{}, workload.Config{}, fmt.Errorf("config: unknown runtime %q (want sequential, agents or vtime)", f.Runtime)
+	rt, err := cluster.ParseRuntime(f.Runtime)
+	if err != nil {
+		return cluster.Config{}, workload.Config{}, err
 	}
-
-	backend, ok := core.ParseBackend(f.Backend)
-	if !ok {
-		return cluster.Config{}, workload.Config{}, fmt.Errorf("config: unknown backend %q (want btree, slice or list)", f.Backend)
+	backend, err := core.ParseBackend(f.Backend)
+	if err != nil {
+		return cluster.Config{}, workload.Config{}, err
 	}
 
 	ccfg := cluster.Config{

@@ -200,15 +200,15 @@ func TestParseBackend(t *testing.T) {
 		{"BTREE", 0, false},
 	}
 	for _, tc := range cases {
-		got, ok := ParseBackend(tc.in)
-		if got != tc.want || ok != tc.ok {
-			t.Errorf("ParseBackend(%q) = (%v, %v), want (%v, %v)",
-				tc.in, got, ok, tc.want, tc.ok)
+		got, err := ParseBackend(tc.in)
+		if got != tc.want || (err == nil) != tc.ok {
+			t.Errorf("ParseBackend(%q) = (%v, %v), want (%v, ok=%v)",
+				tc.in, got, err, tc.want, tc.ok)
 		}
 	}
 	for _, b := range []Backend{BackendBTree, BackendSlice, BackendList} {
-		back, ok := ParseBackend(b.String())
-		if !ok || back != b {
+		back, err := ParseBackend(b.String())
+		if err != nil || back != b {
 			t.Errorf("round-trip failed for %v", b)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
 	"github.com/adc-sim/adc/internal/ids"
@@ -99,16 +100,16 @@ func (b Backend) String() string {
 
 // ParseBackend converts a backend name ("btree", "slice", "list") to its
 // Backend; the empty string selects the default.
-func ParseBackend(name string) (Backend, bool) {
+func ParseBackend(name string) (Backend, error) {
 	switch name {
 	case "", "btree":
-		return BackendBTree, true
+		return BackendBTree, nil
 	case "slice":
-		return BackendSlice, true
+		return BackendSlice, nil
 	case "list":
-		return BackendList, true
+		return BackendList, nil
 	default:
-		return 0, false
+		return 0, fmt.Errorf("core: unknown backend %q (want btree, slice or list)", name)
 	}
 }
 

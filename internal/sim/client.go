@@ -41,6 +41,21 @@ func (p EntryPolicy) String() string {
 	}
 }
 
+// ParseEntryPolicy converts an entry-policy name ("random", "round-robin",
+// "fixed") to its EntryPolicy; the empty string selects the default.
+func ParseEntryPolicy(name string) (EntryPolicy, error) {
+	switch name {
+	case "", "random":
+		return EntryRandom, nil
+	case "round-robin":
+		return EntryRoundRobin, nil
+	case "fixed":
+		return EntryFixed, nil
+	default:
+		return 0, fmt.Errorf("sim: unknown entry policy %q (want random, round-robin or fixed)", name)
+	}
+}
+
 // retryTimer is a client's per-attempt timeout message: it carries the
 // request ID of the attempt it guards, so a timer that fires after the
 // reply arrived (or after a newer retransmission superseded the attempt)

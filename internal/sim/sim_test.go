@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/adc-sim/adc/internal/ids"
@@ -287,5 +288,17 @@ func TestEntryPolicyString(t *testing.T) {
 	if EntryRandom.String() != "random" || EntryRoundRobin.String() != "round-robin" ||
 		EntryFixed.String() != "fixed" {
 		t.Error("entry policy names wrong")
+	}
+	for _, p := range []EntryPolicy{EntryRandom, EntryRoundRobin, EntryFixed} {
+		if back, err := ParseEntryPolicy(p.String()); err != nil || back != p {
+			t.Errorf("ParseEntryPolicy(%q) = (%v, %v), want %v", p, back, err, p)
+		}
+	}
+	if p, err := ParseEntryPolicy(""); err != nil || p != EntryRandom {
+		t.Errorf(`ParseEntryPolicy("") = (%v, %v), want the random default`, p, err)
+	}
+	want := `unknown entry policy "sideways" (want random, round-robin or fixed)`
+	if _, err := ParseEntryPolicy("sideways"); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ParseEntryPolicy(sideways) = %v, want an error containing %q", err, want)
 	}
 }

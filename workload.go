@@ -104,29 +104,12 @@ func (w *Workload) Population() int { return w.gen.Population() }
 // TraceStats summarises a request stream: length, distinct objects,
 // one-timers, the recurring-request share (the warm-cache hit ceiling) and
 // popularity concentration.
-type TraceStats struct {
-	Requests          int
-	Distinct          int
-	OneTimers         int
-	RecurringShare    float64
-	Top1Share         float64
-	Top10Share        float64
-	MaxObjectRequests int
-}
+type TraceStats = workload.TraceStats
 
 // AnalyzeWorkload drains src and computes its statistics; generators can
 // be Reset afterwards for reuse.
 func AnalyzeWorkload(src Source) TraceStats {
-	st := workload.Analyze(sourceAdapter{src})
-	return TraceStats{
-		Requests:          st.Requests,
-		Distinct:          st.Distinct,
-		OneTimers:         st.OneTimers,
-		RecurringShare:    st.RecurringShare,
-		Top1Share:         st.Top1Share,
-		Top10Share:        st.Top10Share,
-		MaxObjectRequests: st.MaxObjectRequests,
-	}
+	return workload.Analyze(sourceAdapter{src})
 }
 
 // ShiftWorkloadConfig describes a non-stationary workload whose hot set is
