@@ -121,8 +121,9 @@ bench-profile:
 		-cpuprofile cpu.out -memprofile mem.out ./internal/sim/
 	@echo "wrote cpu.out and mem.out"
 
-# Observability smoke: a small traced run on the virtual-time engine, the
-# JSONL validated against the event schema, then summarized. CI uploads
+# Observability smoke: a small lossless traced run on the virtual-time
+# engine, the JSONL validated against the event schema and rebuilt into
+# request trees (any orphaned tree fails), then summarized. CI uploads
 # trace-smoke.jsonl as a workflow artifact.
 trace-smoke:
 	$(GO) run ./cmd/adcsim -runtime vtime -requests 20000 -quiet \

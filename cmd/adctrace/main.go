@@ -1,16 +1,17 @@
 // Command adctrace inspects request-path traces recorded by adcsim -trace
 // or adcfarm -trace (JSON Lines, one event per line).
 //
-//	adctrace summary trace.jsonl             # event counts, trees, convergence
-//	adctrace request 0:17 trace.jsonl        # one request's full hop tree
+//	adctrace summary trace.jsonl             # event counts, tree census, convergence
+//	adctrace request 0:17 trace.jsonl        # one request's tree, every attempt and hop
 //	adctrace converge trace.jsonl            # per-object convergence times
 //	adctrace converge www.xy42 trace.jsonl   # one object's convergence
-//	adctrace validate trace.jsonl            # structural well-formedness
-//	adctrace chrome trace.jsonl > t.json     # Chrome trace_event export
+//	adctrace validate trace.jsonl            # event schema, then no orphaned tree
+//	adctrace chrome trace.jsonl > t.json     # one process per request, one row per node
 //
-// The farm subcommand instead reads cross-proxy span dumps (the HTTP
-// farm's distributed traces), merges them with clock-skew alignment and
-// reports the request-tree census:
+// Event traces rebuild as spans (obs.EventSpans), so their trees, census,
+// listing and Chrome export are those of the farm subcommand, which reads
+// cross-proxy span dumps (the HTTP farm's distributed traces), merges them
+// with clock-skew alignment and reports the request-tree census:
 //
 //	adctrace farm run.spans.json             # file from adcload -trace-dump
 //	adctrace farm http://host:7001 ...       # scrape live /debug/trace rings
@@ -96,13 +97,20 @@ func run(args []string) error {
 		if err := obs.Validate(events); err != nil {
 			return err
 		}
-		fmt.Printf("%s: %d events, well-formed\n", file, len(events))
+		trees := obs.BuildSpanTrees(obs.EventSpans(events))
+		for _, t := range trees {
+			if t.State() == obs.TreeOrphaned {
+				return fmt.Errorf("request %v: orphaned tree (its first attempt or a retry's predecessor is not in the trace)",
+					ids.RequestID(t.Trace))
+			}
+		}
+		fmt.Printf("%s: %d events, well-formed, %d request trees, none orphaned\n", file, len(events), len(trees))
 		return nil
 	case "chrome":
 		if len(rest) != 0 {
 			return usage()
 		}
-		return obs.WriteChrome(os.Stdout, events)
+		return obs.WriteChromeSpans(os.Stdout, obs.EventSpans(events))
 	default:
 		return usage()
 	}
@@ -141,24 +149,9 @@ func summary(events []obs.Event) error {
 		return err
 	}
 
-	trees := obs.BuildTrees(events)
-	var delivered, abandoned, orphans, retransmitted int
-	for _, t := range trees {
-		switch {
-		case t.Orphan:
-			orphans++
-		case t.Delivered():
-			delivered++
-		default:
-			abandoned++
-		}
-		if len(t.Attempts) > 1 {
-			retransmitted++
-		}
-	}
-	fmt.Printf("\nrequests       %d trees (%d delivered, %d undelivered, %d orphaned)\n",
-		len(trees), delivered, abandoned, orphans)
-	fmt.Printf("retransmitted  %d trees with >1 attempt\n", retransmitted)
+	c := obs.CensusSpanTrees(obs.BuildSpanTrees(obs.EventSpans(events)))
+	fmt.Printf("\nrequests       %d trees: %d complete, %d truncated (retried or undelivered), %d orphaned\n",
+		c.Trees, c.Complete, c.Truncated, c.Orphaned)
 
 	sum := obs.SummarizeConvergence(obs.ConvergenceTimes(events))
 	if sum.Objects > 0 {
@@ -168,15 +161,24 @@ func summary(events []obs.Event) error {
 	return nil
 }
 
-// request prints one request's full hop tree, all attempts included.
+// request prints the tree of the request id is an attempt of.
 func request(events []obs.Event, id ids.RequestID) error {
-	trees := obs.BuildTrees(events)
-	t := obs.TreeFor(trees, id)
-	if t == nil {
-		return fmt.Errorf("request %v not in trace", id)
+	spans := obs.EventSpans(events)
+	for _, s := range spans {
+		// The attempt span, or a step of an attempt whose inject is missing.
+		if s.ID != uint64(id) && s.Parent != uint64(id) {
+			continue
+		}
+		var tree []obs.Span
+		for _, o := range spans {
+			if o.Trace == s.Trace {
+				tree = append(tree, o)
+			}
+		}
+		obs.FormatSpanTree(os.Stdout, obs.BuildSpanTrees(tree)[0])
+		return nil
 	}
-	obs.FormatTree(os.Stdout, t)
-	return nil
+	return fmt.Errorf("request %v not in trace", id)
 }
 
 // converge prints per-object convergence times, or one object's.

@@ -24,7 +24,7 @@ var (
 	// boundary keeps test names such as TestOpenLoopClientValidation legal),
 	// and the farm's circuit breaker and the knobs that went with it, since
 	// folded into the health monitor.
-	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)|\b(?:New)?OpenLoop(?:Client|Config)\b|breakerGroup|Breaker(?:Var|Threshold|Cooldown)|RecoveryThreshold|RetryBackoff|adc_breaker_state`)
+	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)|\b(?:New)?OpenLoop(?:Client|Config)\b|breakerGroup|Breaker(?:Var|Threshold|Cooldown)|RecoveryThreshold|RetryBackoff|adc_breaker_state|\b(?:BuildTrees|TreeFor|FormatTree|WriteChrome)\b`)
 	// EXPERIMENTS.md sections that record one PR's runs say so in their
 	// heading; they are history and may name what existed then.
 	datedHeading = regexp.MustCompile(`\((?:PR|issue) \d+`)
@@ -354,8 +354,9 @@ func docsNameDeclaredMakeTargets(t *testing.T) {
 
 // docsDoNotNameRetiredRecordings walks every text file of the checkout for
 // retiredName: the retired recordings, fault-schedule spellings, client
-// type and circuit-breaker names. Exempt: CHANGES.md, ROADMAP.md and the
-// task plan (the record and the plan of what was removed), EXPERIMENTS.md's
+// type, circuit-breaker names and event-trace tree API. Exempt: CHANGES.md,
+// ROADMAP.md and the task plan (the record and the plan of what was
+// removed), EXPERIMENTS.md's
 // dated sections, bench/ (frozen by BENCHMARK.json's `paths`; its README
 // already calls the files superseded) and this file.
 func docsDoNotNameRetiredRecordings(t *testing.T) {
@@ -378,7 +379,7 @@ func docsDoNotNameRetiredRecordings(t *testing.T) {
 		}
 		for _, line := range strings.Split(livingText(t, path), "\n") {
 			if retiredName.MatchString(line) {
-				t.Errorf("%s names a retired recording, its recorder, a retired fault-schedule spelling, the retired open-loop client type or the retired circuit breaker: %s", path, strings.TrimSpace(line))
+				t.Errorf("%s names a retired recording, its recorder, a retired fault-schedule spelling, the retired open-loop client type, the retired circuit breaker or the retired event-trace tree API: %s", path, strings.TrimSpace(line))
 			}
 		}
 		return nil

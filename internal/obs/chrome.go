@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 
 	"github.com/adc-sim/adc/internal/ids"
@@ -16,7 +17,6 @@ type chromeEvent struct {
 	Dur  int64          `json:"dur,omitempty"`
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -40,93 +40,55 @@ func chromeTid(n ids.NodeID) int {
 	}
 }
 
-// WriteChrome exports a trace in Chrome trace_event format: one instant
-// event per protocol step on its node's row, plus one duration span per
-// request attempt on the issuing client's row (inject/retry through
-// delivery or timeout). Timestamps reuse Event.Time, so virtual-time ticks
-// render as microseconds.
-func WriteChrome(w io.Writer, events []Event) error {
+// WriteChromeSpans exports spans in Chrome trace_event format: one duration
+// event per span, one process per trace and one row per node within it, so
+// a request — across proxies, or through a simulated request's attempts and
+// hops — renders as one aligned flame chart. Processes are numbered in
+// order of first appearance: trace IDs carry their proxy or client in the
+// top bits, which any truncation to a pid would drop.
+func WriteChromeSpans(w io.Writer, spans []Span) error {
 	f := chromeFile{DisplayTimeUnit: "ms"}
-
-	named := map[int]string{}
-	for _, e := range events {
-		// Per-step instant event.
-		args := map[string]any{
-			"req": e.Req.String(),
-			"obj": e.Obj.String(),
+	var base int64
+	for i, s := range spans {
+		if i == 0 || s.Start < base {
+			base = s.Start
 		}
-		switch e.Kind {
-		case KindForward:
-			args["to"] = e.To.String()
-			args["reason"] = ForwardReasonString(e.Arg)
-			args["hops"] = e.Hops
-		case KindBackward:
-			args["to"] = e.To.String()
-			args["learned"] = e.Loc.String()
-			args["outcome"] = OutcomeString(e.Arg)
-		case KindHit:
-			args["loc"] = e.Loc.String()
-		case KindDeliver:
-			args["resolver"] = e.Loc.String()
-			args["fromOrigin"] = e.Arg&1 != 0
-			args["hops"] = e.Hops
-		case KindDrop:
-			args["to"] = e.To.String()
-			args["cause"] = DropCauseString(e.Arg)
-		case KindRetry:
-			args["prev"] = e.Prev.String()
-			args["attempt"] = e.Arg
-		}
-		tid := chromeTid(e.Node)
-		if _, ok := named[tid]; !ok {
-			named[tid] = e.Node.String()
-		}
-		f.TraceEvents = append(f.TraceEvents, chromeEvent{
-			Name: e.Kind.String(), Ph: "i", Ts: e.Time(),
-			Pid: 1, Tid: tid, S: "t", Args: args,
-		})
 	}
-
-	// Per-attempt spans from the reconstructed trees.
-	for _, t := range BuildTrees(events) {
-		for _, a := range t.Attempts {
-			if len(a.Events) == 0 {
-				continue
-			}
-			start := a.Events[0].Time()
-			end := a.Events[len(a.Events)-1].Time()
-			status := "in-flight"
-			switch {
-			case a.Delivered:
-				status = "delivered"
-			case a.Abandoned:
-				status = "abandoned"
-			case a.TimedOut:
-				status = "timed-out"
-			}
+	pids := map[uint64]int{}
+	named := map[[2]int]bool{} // (pid, tid) rows already labelled
+	for _, s := range spans {
+		pid, ok := pids[s.Trace]
+		if !ok {
+			pid = len(pids) + 1
+			pids[s.Trace] = pid
 			f.TraceEvents = append(f.TraceEvents, chromeEvent{
-				Name: a.ID.String(), Ph: "X", Ts: start, Dur: max64(end-start, 1),
-				Pid: 1, Tid: chromeTid(t.Client),
-				Args: map[string]any{"obj": t.Obj.String(), "status": status},
+				Name: "process_name", Ph: "M", Pid: pid,
+				Args: map[string]any{"name": fmt.Sprintf("trace %016x", s.Trace)},
 			})
 		}
-	}
-
-	// Thread-name metadata so chrome://tracing labels rows by node.
-	for tid, name := range named {
+		node := ids.NodeID(s.Node)
+		tid := chromeTid(node)
+		if !named[[2]int{pid, tid}] {
+			named[[2]int{pid, tid}] = true
+			f.TraceEvents = append(f.TraceEvents, chromeEvent{
+				Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
+				Args: map[string]any{"name": node.String()},
+			})
+		}
+		args := map[string]any{"trace": fmt.Sprintf("%016x", s.Trace), "span": s.ID}
+		if s.Obj != 0 {
+			args["obj"] = s.Obj
+		}
+		if s.Detail != "" {
+			args["detail"] = s.Detail
+		}
+		if s.Err != "" {
+			args["err"] = s.Err
+		}
 		f.TraceEvents = append(f.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 1, Tid: tid,
-			Args: map[string]any{"name": name},
+			Name: s.Stage, Ph: "X", Ts: s.Start - base, Dur: max(s.End-s.Start, 1),
+			Pid: pid, Tid: tid, Args: args,
 		})
 	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(f)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return json.NewEncoder(w).Encode(f)
 }

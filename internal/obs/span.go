@@ -13,7 +13,9 @@ import "sync"
 //
 // Unlike Event (virtual-time, single process), Span timestamps are each
 // recording proxy's own wall clock in unix microseconds; MergeDumps aligns
-// them across proxies before tree building.
+// them across proxies before tree building. EventSpans recasts an event
+// trace as spans timed by Event.Time, so both trace models share one tree
+// builder, census, printer and Chrome exporter.
 type Span struct {
 	// Trace groups every span of one logical request.
 	Trace uint64 `json:"trace"`
@@ -22,7 +24,8 @@ type Span struct {
 	ID uint64 `json:"id"`
 	// Parent is the enclosing span's ID; 0 marks the trace root.
 	Parent uint64 `json:"parent,omitempty"`
-	// Node is the recording proxy's index (-1 for non-proxy recorders).
+	// Node is the recording node, a raw ids.NodeID: a proxy's index on the
+	// farm; a client, proxy or the origin in an event trace (EventSpans).
 	Node int32 `json:"node"`
 	// Stage names what the span timed (the Span* constants).
 	Stage string `json:"stage"`

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/adc-sim/adc/internal/ids"
 )
 
 // TestSpanRingWraparound fills a ring past capacity and checks the snapshot
@@ -151,35 +153,78 @@ func TestBuildSpanTreesDoubleRoot(t *testing.T) {
 	}
 }
 
-// TestWriteChromeSpans sanity-checks the export is valid JSON with one
-// duration event per span plus per-trace process metadata.
-func TestWriteChromeSpans(t *testing.T) {
+// TestBuildSpanTreesDuplicateSpans: a dump merged twice (adctrace farm URL
+// URL, a re-scraped ring) rebuilds the same trees as the dump once — each
+// span ID is linked and counted at its first occurrence only.
+func TestBuildSpanTreesDuplicateSpans(t *testing.T) {
 	spans := []Span{
-		{Trace: 1, ID: 1, Node: 0, Stage: SpanServer, Start: 1000, End: 1100},
-		{Trace: 1, ID: 2, Parent: 1, Node: 1, Stage: SpanForward, Start: 1010, End: 1090},
-		{Trace: 2, ID: 3, Node: 0, Stage: SpanServer, Start: 2000, End: 2050, Err: "boom"},
+		{Trace: 1, ID: 1, Node: 0, Stage: SpanServer, Start: 0, End: 100},
+		{Trace: 1, ID: 2, Parent: 1, Node: 0, Stage: SpanOrigin, Start: 10, End: 90},
+	}
+	once := CensusSpanTrees(BuildSpanTrees(spans))
+	if want := (SpanCensus{Trees: 1, Complete: 1, Spans: 2}); once != want {
+		t.Fatalf("census = %+v, want %+v", once, want)
+	}
+	trees := BuildSpanTrees(append(append([]Span{}, spans...), spans...))
+	if twice := CensusSpanTrees(trees); twice != once {
+		t.Errorf("census of the dump merged twice = %+v, want %+v", twice, once)
+	}
+	if root := trees[0].Root; len(root.Children) != 1 {
+		t.Errorf("root linked %d children, want 1", len(root.Children))
+	}
+}
+
+// TestWriteChromeSpans checks the export is valid JSON with one duration
+// event per span, one process per trace and one named row per node. The
+// two traces share their low bits, as trace n minted at two entry proxies
+// does, and must still be two processes.
+func TestWriteChromeSpans(t *testing.T) {
+	const traceA, traceB = 1<<48 | 5, 2<<48 | 5
+	spans := []Span{
+		{Trace: traceA, ID: 1, Node: 0, Stage: SpanServer, Start: 1000, End: 1100},
+		{Trace: traceA, ID: 2, Parent: 1, Node: 1, Stage: SpanForward, Start: 1010, End: 1090},
+		{Trace: traceB, ID: 3, Node: int32(ids.Client(2)), Stage: SpanAttempt, Start: 2000, End: 2050, Err: "boom"},
 	}
 	var buf bytes.Buffer
 	if err := WriteChromeSpans(&buf, spans); err != nil {
 		t.Fatal(err)
 	}
 	var f struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Pid  int            `json:"pid"`
+			Tid  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatalf("export is not valid JSON: %v", err)
 	}
-	var durs, metas int
+	var durs int
+	pidOf := map[string]int{} // process name → pid
+	rows := map[string]bool{} // thread names
 	for _, e := range f.TraceEvents {
-		switch e["ph"] {
-		case "X":
+		switch {
+		case e.Ph == "X":
 			durs++
-		case "M":
-			metas++
+		case e.Name == "process_name":
+			pidOf[e.Args["name"].(string)] = e.Pid
+		case e.Name == "thread_name":
+			rows[e.Args["name"].(string)] = true
 		}
 	}
-	if durs != 3 || metas != 2 {
-		t.Errorf("durs=%d metas=%d, want 3 and 2:\n%s", durs, metas, buf.String())
+	if durs != 3 {
+		t.Errorf("%d duration events, want 3:\n%s", durs, buf.String())
+	}
+	a, b := pidOf[fmt.Sprintf("trace %016x", traceA)], pidOf[fmt.Sprintf("trace %016x", traceB)]
+	if len(pidOf) != 2 || a == b {
+		t.Errorf("processes %v: want traces %x and %x in two processes", pidOf, traceA, traceB)
+	}
+	for _, name := range []string{"Proxy[0]", "Proxy[1]", "Client[2]"} {
+		if !rows[name] {
+			t.Errorf("no row named %s; rows %v", name, rows)
+		}
 	}
 }
 

@@ -1,10 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+
+	"github.com/adc-sim/adc/internal/ids"
 )
 
 // MergeDumps aligns and merges per-proxy span dumps into one span list.
@@ -123,15 +124,18 @@ func BuildSpanTrees(spans []Span) []*SpanTree {
 	for _, trace := range order {
 		nodes := byTrace[trace]
 		sort.SliceStable(nodes, func(i, j int) bool { return nodes[i].Start < nodes[j].Start })
-		t := &SpanTree{Trace: trace, Spans: len(nodes)}
+		// Duplicate IDs (a re-scraped ring, a dump merged twice) keep the
+		// first occurrence; only it is linked and counted.
 		byID := make(map[uint64]*SpanNode, len(nodes))
+		uniq := nodes[:0]
 		for _, n := range nodes {
-			// Duplicate IDs (a re-scraped ring) keep the first occurrence.
 			if _, dup := byID[n.ID]; !dup {
 				byID[n.ID] = n
+				uniq = append(uniq, n)
 			}
 		}
-		for _, n := range nodes {
+		t := &SpanTree{Trace: trace, Spans: len(uniq)}
+		for _, n := range uniq {
 			if n.Err != "" {
 				t.Errs++
 			}
@@ -205,7 +209,7 @@ func formatSpanNode(w io.Writer, n *SpanNode, base int64, depth int) {
 	for i := 0; i < depth; i++ {
 		io.WriteString(w, "  ")
 	}
-	fmt.Fprintf(w, "+%-8d %-14s Proxy[%d]  %dus", n.Start-base, n.Stage, n.Node, max64(n.End-n.Start, 0))
+	fmt.Fprintf(w, "+%-8d %-14s %-10v  %dus", n.Start-base, n.Stage, ids.NodeID(n.Node), max(n.End-n.Start, 0))
 	if n.Detail != "" {
 		fmt.Fprintf(w, "  %s", n.Detail)
 	}
@@ -216,44 +220,4 @@ func formatSpanNode(w io.Writer, n *SpanNode, base int64, depth int) {
 	for _, c := range n.Children {
 		formatSpanNode(w, c, base, depth+1)
 	}
-}
-
-// WriteChromeSpans exports merged spans in Chrome trace_event format: one
-// duration event per span, grouped so each trace is a process and each
-// proxy a row within it — a cross-proxy request renders as one aligned
-// flame chart per request.
-func WriteChromeSpans(w io.Writer, spans []Span) error {
-	f := chromeFile{DisplayTimeUnit: "ms"}
-	var base int64
-	for i, s := range spans {
-		if i == 0 || s.Start < base {
-			base = s.Start
-		}
-	}
-	named := map[int]bool{}
-	for _, s := range spans {
-		pid := int(s.Trace % (1 << 31))
-		args := map[string]any{"trace": fmt.Sprintf("%016x", s.Trace), "span": s.ID}
-		if s.Obj != 0 {
-			args["obj"] = s.Obj
-		}
-		if s.Detail != "" {
-			args["detail"] = s.Detail
-		}
-		if s.Err != "" {
-			args["err"] = s.Err
-		}
-		f.TraceEvents = append(f.TraceEvents, chromeEvent{
-			Name: s.Stage, Ph: "X", Ts: s.Start - base, Dur: max64(s.End-s.Start, 1),
-			Pid: pid, Tid: 100 + int(s.Node), Args: args,
-		})
-		if !named[pid] {
-			named[pid] = true
-			f.TraceEvents = append(f.TraceEvents, chromeEvent{
-				Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
-				Args: map[string]any{"name": fmt.Sprintf("trace %016x", s.Trace)},
-			})
-		}
-	}
-	return json.NewEncoder(w).Encode(f)
 }

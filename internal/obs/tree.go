@@ -2,212 +2,126 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"github.com/adc-sim/adc/internal/ids"
 )
 
-// Attempt is one transmission of a logical request: the events carrying one
-// RequestID, from inject/retry to delivery, timeout, or silence.
-type Attempt struct {
-	ID     ids.RequestID
-	Events []Event
+// SpanAttempt is one transmission of an event-traced request: an inject or
+// retry through its delivery, timeout or abandonment (EventSpans).
+const SpanAttempt = "attempt"
 
-	Delivered bool
-	TimedOut  bool
-	Abandoned bool
-}
+// stepBit marks step span IDs (event Seq numbers), keeping them disjoint
+// from attempt span IDs (request IDs).
+const stepBit = 1 << 63
 
-// Tree is one logical request: the first attempt plus every retransmission
-// chained to it through Retry.Prev links (the recovery protocol issues each
-// retry under a fresh RequestID, so without the links a lossy trace would
-// fall apart into orphan fragments).
-type Tree struct {
-	Obj    ids.ObjectID
-	Client ids.NodeID
-	// Attempts in issue order; Attempts[0] is the original transmission.
-	Attempts []*Attempt
-	// Orphan marks a tree whose first attempt was never seen being
-	// injected — either the trace started mid-flight or a Retry referenced
-	// an unknown predecessor.
-	Orphan bool
-}
-
-// Delivered reports whether any attempt of the tree completed.
-func (t *Tree) Delivered() bool {
-	for _, a := range t.Attempts {
-		if a.Delivered {
-			return true
+// EventSpans rebuilds an event trace as spans, so simulator and farm-event
+// traces reconstruct, print and export through BuildSpanTrees,
+// FormatSpanTree and WriteChromeSpans like the farm's own spans.
+//
+// Each inject or retry becomes one SpanAttempt span: Trace is the first
+// attempt's request ID, ID the attempt's request ID, Parent the attempt a
+// retry supersedes (0 for an inject) and Node the client. Err is empty only
+// if the attempt was delivered; otherwise it is "abandoned", "timed out" or
+// "undelivered". Every event carrying a request ID, the inject or retry
+// included, becomes a zero-duration child span of its attempt, staged by
+// kind. Events without a request ID are dropped.
+//
+// Under BuildSpanTrees a delivered request is complete, a retried or
+// undelivered one truncated, and one whose first attempt or a retry's
+// predecessor never surfaced orphaned.
+func EventSpans(events []Event) []Span {
+	sorted := make([]Event, 0, len(events))
+	for _, e := range events {
+		if e.Req != 0 {
+			sorted = append(sorted, e)
 		}
 	}
-	return false
-}
-
-// BuildTrees reconstructs logical request trees from a trace. Events are
-// processed in Seq order; events without a request ID (invalidations,
-// crash-time drops with no decoded message) are ignored.
-func BuildTrees(events []Event) []*Tree {
-	sorted := make([]Event, len(events))
-	copy(sorted, events)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Seq < sorted[j].Seq })
 
-	attempts := make(map[ids.RequestID]*Attempt)
-	owner := make(map[ids.RequestID]*Tree)
-	var trees []*Tree
-
-	place := func(e Event, orphanOK bool) *Attempt {
-		a := attempts[e.Req]
-		if a == nil {
-			a = &Attempt{ID: e.Req}
-			attempts[e.Req] = a
-			t := &Tree{Obj: e.Obj, Client: clientNode(e.Req), Attempts: []*Attempt{a}, Orphan: orphanOK}
-			owner[e.Req] = t
-			trees = append(trees, t)
+	// Attempts first, in Seq order, so a retry finds its predecessor's trace.
+	attempt := make(map[ids.RequestID]int) // request ID → index in spans
+	var spans []Span
+	for _, e := range sorted {
+		if e.Kind != KindInject && e.Kind != KindRetry {
+			continue
 		}
-		return a
+		if _, dup := attempt[e.Req]; dup {
+			continue
+		}
+		a := Span{
+			Trace: uint64(e.Req), ID: uint64(e.Req), Node: int32(e.Node), Stage: SpanAttempt,
+			Obj: uint64(e.Obj), Start: e.Time(), End: e.Time(), Err: "undelivered",
+		}
+		if e.Kind == KindRetry {
+			// An unknown predecessor still names the trace, so a chain that
+			// lost its head stays one (orphaned) tree.
+			a.Trace, a.Parent = uint64(e.Prev), uint64(e.Prev)
+			if i, ok := attempt[e.Prev]; ok {
+				a.Trace = spans[i].Trace
+			}
+		}
+		attempt[e.Req] = len(spans)
+		spans = append(spans, a)
 	}
 
 	for _, e := range sorted {
-		if e.Req == 0 {
-			continue
+		s := Span{
+			Trace: uint64(e.Req), ID: e.Seq | stepBit, Parent: uint64(e.Req), Node: int32(e.Node),
+			Stage: e.Kind.String(), Obj: uint64(e.Obj), Start: e.Time(), End: e.Time(),
+			Detail: eventDetail(e),
 		}
-		var a *Attempt
-		switch e.Kind {
-		case KindInject:
-			a = attempts[e.Req]
-			if a == nil {
-				a = &Attempt{ID: e.Req}
-				attempts[e.Req] = a
-				t := &Tree{Obj: e.Obj, Client: e.Node, Attempts: []*Attempt{a}}
-				owner[e.Req] = t
-				trees = append(trees, t)
-			}
-		case KindRetry:
-			a = attempts[e.Req]
-			if a == nil {
-				a = &Attempt{ID: e.Req}
-				attempts[e.Req] = a
-				if t := owner[e.Prev]; t != nil {
-					// The link that keeps a dropped-then-retransmitted
-					// request a single tree rather than two orphans.
-					t.Attempts = append(t.Attempts, a)
-					owner[e.Req] = t
-				} else {
-					t := &Tree{Obj: e.Obj, Client: e.Node, Attempts: []*Attempt{a}, Orphan: true}
-					owner[e.Req] = t
-					trees = append(trees, t)
-				}
-			}
-		default:
-			a = place(e, true)
-		}
-		if t := owner[e.Req]; t != nil {
-			if t.Obj == 0 {
-				t.Obj = e.Obj
-			}
-			if t.Client == ids.None && e.Req != 0 {
-				t.Client = clientNode(e.Req)
+		if i, ok := attempt[e.Req]; ok {
+			a := &spans[i]
+			s.Trace = a.Trace
+			a.End = max(a.End, s.End)
+			switch {
+			case e.Kind == KindDeliver:
+				a.Err = ""
+			case e.Kind == KindAbandon && a.Err != "":
+				a.Err = "abandoned"
+			case e.Kind == KindTimeout && a.Err == "undelivered":
+				a.Err = "timed out"
 			}
 		}
-		a.Events = append(a.Events, e)
-		switch e.Kind {
-		case KindDeliver:
-			a.Delivered = true
-		case KindTimeout:
-			a.TimedOut = true
-		case KindAbandon:
-			a.Abandoned = true
-		}
+		spans = append(spans, s)
 	}
-	return trees
+	return spans
 }
 
-// TreeFor returns the tree containing the given attempt ID, or nil.
-func TreeFor(trees []*Tree, id ids.RequestID) *Tree {
-	for _, t := range trees {
-		for _, a := range t.Attempts {
-			if a.ID == id {
-				return t
-			}
-		}
-	}
-	return nil
-}
-
-// FormatTree renders a request tree as an indented hop listing.
-func FormatTree(w io.Writer, t *Tree) {
-	status := "in-flight"
-	switch {
-	case t.Delivered():
-		status = "delivered"
-	case len(t.Attempts) > 0 && t.Attempts[len(t.Attempts)-1].Abandoned:
-		status = "abandoned"
-	}
-	orphan := ""
-	if t.Orphan {
-		orphan = " [orphan]"
-	}
-	fmt.Fprintf(w, "request %v  object %v  client %v  %s%s\n",
-		t.Attempts[0].ID, t.Obj, t.Client, status, orphan)
-	for i, a := range t.Attempts {
-		fmt.Fprintf(w, "  attempt %d  %v%s\n", i+1, a.ID, attemptStatus(a))
-		for _, e := range a.Events {
-			fmt.Fprintf(w, "    %s\n", FormatEvent(e))
-		}
-	}
-}
-
-func attemptStatus(a *Attempt) string {
-	switch {
-	case a.Delivered:
-		return "  [delivered]"
-	case a.Abandoned:
-		return "  [abandoned]"
-	case a.TimedOut:
-		return "  [timed out]"
-	default:
-		return ""
-	}
-}
-
-// FormatEvent renders one event as a single human-readable line.
-func FormatEvent(e Event) string {
-	s := fmt.Sprintf("t=%-10d %-11s %v", e.Time(), e.Kind, e.Node)
+// eventDetail renders what an event adds beyond its kind, node and time.
+func eventDetail(e Event) string {
 	switch e.Kind {
 	case KindInject:
-		s += fmt.Sprintf(" → %v  %v", e.To, e.Obj)
+		return fmt.Sprintf("→ %v  %v", e.To, e.Obj)
 	case KindRetry:
-		s += fmt.Sprintf(" → %v  %v  retry #%d of %v", e.To, e.Obj, e.Arg, e.Prev)
+		return fmt.Sprintf("→ %v  %v  retry #%d of %v", e.To, e.Obj, e.Arg, e.Prev)
 	case KindForward:
-		s += fmt.Sprintf(" → %v  (%s, hops=%d)", e.To, ForwardReasonString(e.Arg), e.Hops)
+		return fmt.Sprintf("→ %v  (%s, hops=%d)", e.To, ForwardReasonString(e.Arg), e.Hops)
 	case KindHit:
-		s += fmt.Sprintf("  cached at %v", e.Loc)
+		return fmt.Sprintf("cached at %v", e.Loc)
 	case KindOriginResolve:
-		s += "  resolved at origin"
+		return "resolved at origin"
 	case KindBackward:
-		s += fmt.Sprintf(" → %v  learned %v  %s", e.To, e.Loc, OutcomeString(e.Arg))
+		return fmt.Sprintf("→ %v  learned %v  %s", e.To, e.Loc, OutcomeString(e.Arg))
 	case KindDeliver:
 		origin := ""
 		if e.Arg&1 != 0 {
 			origin = ", from origin"
 		}
-		s += fmt.Sprintf("  resolver %v (hops=%d%s)", e.Loc, e.Hops, origin)
+		return fmt.Sprintf("resolver %v (hops=%d%s)", e.Loc, e.Hops, origin)
 	case KindDrop:
-		s += fmt.Sprintf(" → %v  dropped (%s)", e.To, DropCauseString(e.Arg))
+		return fmt.Sprintf("→ %v  dropped (%s)", e.To, DropCauseString(e.Arg))
 	case KindTimeout:
-		s += "  timed out"
+		return "timed out"
 	case KindAbandon:
-		s += fmt.Sprintf("  abandoned after %d retries", e.Arg)
+		return fmt.Sprintf("abandoned after %d retries", e.Arg)
 	case KindExpire:
-		s += fmt.Sprintf("  pending entry expired (passes=%d)", e.Arg)
+		return fmt.Sprintf("pending entry expired (passes=%d)", e.Arg)
 	case KindInvalidate:
-		s += fmt.Sprintf("  invalidated %v", e.Obj)
+		return fmt.Sprintf("invalidated %v", e.Obj)
 	case KindStaleReply:
-		s += "  stale reply discarded"
+		return "stale reply discarded"
 	}
-	return s
+	return ""
 }
-
-// clientNode recovers the client NodeID embedded in a RequestID.
-func clientNode(r ids.RequestID) ids.NodeID { return ids.Client(r.ClientIndex()) }

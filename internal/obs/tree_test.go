@@ -36,37 +36,33 @@ func TestBuildTreesSingleDeliveredRequest(t *testing.T) {
 	deliver.Req, deliver.Obj, deliver.Loc = req, obj, 1
 	emit(tr, inject, fwd(0, 1, req, obj, ReasonLearned, 1), hit, back, deliver)
 
-	trees := BuildTrees(tr.Events())
+	trees := BuildSpanTrees(EventSpans(tr.Events()))
 	if len(trees) != 1 {
 		t.Fatalf("%d trees, want 1", len(trees))
 	}
 	tree := trees[0]
-	if tree.Orphan {
-		t.Error("tree marked orphan despite inject")
+	if tree.State() != TreeComplete {
+		t.Errorf("tree is %v, want complete", tree.State())
 	}
-	if !tree.Delivered() {
-		t.Error("tree not delivered")
+	root := tree.Root
+	if root == nil || root.Stage != SpanAttempt || root.ID != uint64(req) || tree.Trace != uint64(req) {
+		t.Fatalf("root = %+v, want the attempt span of %v", root, req)
 	}
-	if tree.Obj != obj || tree.Client != client {
-		t.Errorf("tree identity = obj %v client %v, want %v/%v", tree.Obj, tree.Client, obj, client)
+	if root.Obj != uint64(obj) || ids.NodeID(root.Node) != client {
+		t.Errorf("attempt identity = obj %v node %v, want %v/%v", root.Obj, ids.NodeID(root.Node), obj, client)
 	}
-	if len(tree.Attempts) != 1 {
-		t.Fatalf("%d attempts, want 1", len(tree.Attempts))
+	if got := len(root.Children); got != 5 {
+		t.Fatalf("attempt holds %d steps, want 5", got)
 	}
-	if got := len(tree.Attempts[0].Events); got != 5 {
-		t.Errorf("attempt holds %d events, want 5", got)
-	}
-	if TreeFor(trees, req) != tree {
-		t.Error("TreeFor(req) did not find the tree")
-	}
-	if TreeFor(trees, ids.NewRequestID(0, 99)) != nil {
-		t.Error("TreeFor found a tree for an unknown id")
+	if c := root.Children[1]; c.Stage != "forward" || ids.NodeID(c.Node) != 0 || c.Detail != "→ Proxy[1]  (learned, hops=1)" {
+		t.Errorf("forward step = %+v", c.Span)
 	}
 }
 
 // TestBuildTreesRetransmissionIsOneTree is the recovery-protocol contract:
-// a dropped-then-retransmitted request must reconstruct as ONE tree with two
-// attempts linked by Retry.Prev — never as two orphan fragments.
+// a dropped-then-retransmitted request must reconstruct as ONE tree, the
+// retry's attempt parented on the attempt its Prev names — never as two
+// orphan fragments.
 func TestBuildTreesRetransmissionIsOneTree(t *testing.T) {
 	client := ids.Client(0)
 	first := ids.NewRequestID(0, 1)
@@ -89,41 +85,38 @@ func TestBuildTreesRetransmissionIsOneTree(t *testing.T) {
 	emit(tr, inject, fwd(0, 1, first, obj, ReasonRandom, 1), drop, timeout,
 		retry, fwd(0, 1, second, obj, ReasonRandom, 1), origin, deliver)
 
-	trees := BuildTrees(tr.Events())
+	trees := BuildSpanTrees(EventSpans(tr.Events()))
 	if len(trees) != 1 {
 		t.Fatalf("%d trees, want 1 (retransmission split into orphans?)", len(trees))
 	}
 	tree := trees[0]
-	if tree.Orphan {
-		t.Error("linked retransmission marked orphan")
+	// A retried request is truncated: structurally whole, one attempt failed.
+	if tree.State() != TreeTruncated {
+		t.Errorf("tree is %v, want truncated", tree.State())
 	}
-	if len(tree.Attempts) != 2 {
-		t.Fatalf("%d attempts, want 2", len(tree.Attempts))
+	a1 := tree.Root
+	if a1 == nil || a1.ID != uint64(first) || a1.Err != "timed out" {
+		t.Fatalf("attempt 1 = %+v, want %v timed out", a1, first)
 	}
-	a1, a2 := tree.Attempts[0], tree.Attempts[1]
-	if a1.ID != first || a2.ID != second {
-		t.Errorf("attempt order %v,%v, want %v,%v", a1.ID, a2.ID, first, second)
+	var a2 *SpanNode
+	for _, c := range a1.Children {
+		if c.Stage == SpanAttempt {
+			a2 = c
+		}
 	}
-	if !a1.TimedOut || a1.Delivered {
-		t.Errorf("attempt 1 state %+v, want timed out and undelivered", a1)
+	if a2 == nil || a2.ID != uint64(second) || a2.Err != "" {
+		t.Fatalf("attempt 2 = %+v, want %v delivered under attempt 1", a2, second)
 	}
-	if !a2.Delivered {
-		t.Errorf("attempt 2 state %+v, want delivered", a2)
-	}
-	if !tree.Delivered() {
-		t.Error("tree not delivered despite successful retry")
-	}
-	// Both attempt IDs resolve to the same tree.
-	if TreeFor(trees, first) != tree || TreeFor(trees, second) != tree {
-		t.Error("attempt IDs resolve to different trees")
+	if got := len(a2.Children); got != 4 {
+		t.Errorf("attempt 2 holds %d steps, want 4 (retry, forward, origin, deliver)", got)
 	}
 
 	var sb strings.Builder
-	FormatTree(&sb, tree)
+	FormatSpanTree(&sb, tree)
 	out := sb.String()
-	for _, want := range []string{"attempt 1", "attempt 2", "[timed out]", "[delivered]", "retry #1"} {
+	for _, want := range []string{"truncated", "attempt", "ERR timed out", "retry #1", "Client[0]", "Origin", "dropped (loss)"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("FormatTree output missing %q:\n%s", want, out)
+			t.Errorf("FormatSpanTree output missing %q:\n%s", want, out)
 		}
 	}
 }
@@ -142,21 +135,19 @@ func TestBuildTreesOrphans(t *testing.T) {
 	midReq := ids.NewRequestID(2, 9)
 	emit(tr, retry, fwd(0, 1, midReq, obj, ReasonRandom, 1))
 
-	trees := BuildTrees(tr.Events())
+	trees := BuildSpanTrees(EventSpans(tr.Events()))
 	if len(trees) != 2 {
 		t.Fatalf("%d trees, want 2", len(trees))
 	}
 	for i, tree := range trees {
-		if !tree.Orphan {
-			t.Errorf("tree %d not marked orphan", i)
+		if tree.State() != TreeOrphaned {
+			t.Errorf("tree %d is %v, want orphaned", i, tree.State())
 		}
 	}
-	// Orphans still recover the client from the RequestID.
-	if got := TreeFor(trees, retryReq).Client; got != ids.Client(1) {
-		t.Errorf("orphan retry client = %v, want %v", got, ids.Client(1))
-	}
-	if got := TreeFor(trees, midReq).Client; got != ids.Client(2) {
-		t.Errorf("mid-flight orphan client = %v, want %v", got, ids.Client(2))
+	// Each fragment is named after the attempt it is missing.
+	if trees[0].Trace != uint64(ghostPrev) || trees[1].Trace != uint64(midReq) {
+		t.Errorf("orphan traces = %v, %v, want %v, %v",
+			ids.RequestID(trees[0].Trace), ids.RequestID(trees[1].Trace), ghostPrev, midReq)
 	}
 }
 
@@ -164,7 +155,7 @@ func TestBuildTreesIgnoresRequestlessEvents(t *testing.T) {
 	inv := Ev(KindInvalidate, 2)
 	inv.Obj = 5
 	inv.Seq = 1
-	if got := BuildTrees([]Event{inv}); len(got) != 0 {
+	if got := BuildSpanTrees(EventSpans([]Event{inv})); len(got) != 0 {
 		t.Fatalf("request-less event produced %d trees", len(got))
 	}
 }

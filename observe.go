@@ -11,8 +11,9 @@ import (
 // origin resolve, backward, deliver, drop, timeout, retry — during a run.
 // Construct one with NewTracer, pass it in Config.Tracer (or install it on
 // an HTTPFarm with SetTracer), run, then export with WriteTrace or
-// WriteChromeTrace. A nil Tracer disables tracing at zero cost: the hot
-// paths check a nil pointer and skip all event assembly.
+// WriteChromeTrace (one process per request, one row per node). A nil
+// Tracer disables tracing at zero cost: the hot paths check a nil pointer
+// and skip all event assembly.
 type Tracer = obs.Tracer
 
 // NewTracer returns a tracer recording every event kind.
@@ -25,10 +26,12 @@ func WriteTrace(w io.Writer, t *Tracer) error {
 }
 
 // WriteChromeTrace writes t's recorded events in Chrome trace_event JSON,
-// loadable in chrome://tracing or Perfetto: one timeline row per node,
-// instant events per hop, and one span per request attempt.
+// loadable in chrome://tracing or Perfetto: one process per request and one
+// row per node within it, holding a span per attempt (inject or retry to
+// its delivery or timeout) and a zero-duration span per hop. Events without
+// a request ID are left out.
 func WriteChromeTrace(w io.Writer, t *Tracer) error {
-	return obs.WriteChrome(w, t.Events())
+	return obs.WriteChromeSpans(w, obs.EventSpans(t.Events()))
 }
 
 // TimeBucket is one fixed-width virtual-time window of run metrics,
