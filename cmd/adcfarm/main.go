@@ -12,10 +12,10 @@
 // Every proxy also serves live introspection: /debug/vars (JSON counters
 // and table occupancy), /debug/tables (mapping-table dump), /metrics
 // (Prometheus text exposition — point adctop at the proxy URLs for a live
-// dashboard) and /debug/pprof/ (Go profiler). With -trace, a request-path
-// trace is recorded and written as JSON Lines on shutdown for adctrace;
-// with -trace-sample N, cross-proxy spans are recorded into per-proxy
-// /debug/trace rings for adctrace farm.
+// dashboard) and /debug/pprof/ (Go profiler). With -trace-sample N,
+// 1-in-N requests are recorded as cross-proxy spans into per-proxy
+// /debug/trace rings, carrying each hop's table outcome and route reason;
+// adctrace farm <proxy-url...> scrapes them into request trees.
 package main
 
 import (
@@ -24,6 +24,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"syscall"
 
 	"github.com/adc-sim/adc"
@@ -46,8 +47,6 @@ func run(args []string) error {
 		seed     = fs.Int64("seed", 1, "random seed")
 		warm     = fs.Int("warm", 0, "warm up with this many synthetic requests before serving")
 		parallel = fs.Int("parallel", runtime.NumCPU(), "concurrent warm-up clients (1 = deterministic single client)")
-		traceOn  = fs.Bool("trace", false, "record a request-path trace, written on shutdown")
-		traceOut = fs.String("trace-out", "farm-trace.jsonl", "trace output file (JSON Lines; with -trace)")
 		traceN   = fs.Int("trace-sample", 0, "span-trace 1-in-N entry requests across proxies (0 = off, 1 = all; see adctrace farm)")
 
 		health        = fs.Bool("health", false, "enable peer health probing, failover routing, retries and hedging")
@@ -78,12 +77,6 @@ func run(args []string) error {
 	}
 	defer farm.Close() //nolint:errcheck // teardown on exit
 
-	var tracer *adc.Tracer
-	if *traceOn {
-		tracer = adc.NewTracer()
-		farm.SetTracer(tracer)
-	}
-
 	if *warm > 0 {
 		gen, err := adc.NewWorkload(adc.WorkloadConfig{
 			Requests:   *warm,
@@ -102,42 +95,28 @@ func run(args []string) error {
 	}
 
 	fmt.Printf("origin: %s\n", farm.OriginURL())
-	for i := 0; i < *proxies; i++ {
+	urls := make([]string, *proxies)
+	for i := range urls {
 		url, err := farm.ProxyURL(i)
 		if err != nil {
 			return err
 		}
+		urls[i] = url
 		fmt.Printf("proxy %d: %s  (introspection: %s/debug/vars, %s/debug/tables, %s/metrics, %s/debug/pprof/)\n",
 			i, url, url, url, url, url)
 	}
 	fmt.Println("\nfetch objects with:")
 	url, _ := farm.ProxyURL(0)
 	fmt.Printf("  curl -H 'X-Adc-Request-Id: r1' %s/obj/42\n", url)
-	fmt.Printf("\nwatch the farm live with:\n  go run ./cmd/adctop")
-	for i := 0; i < *proxies; i++ {
-		u, _ := farm.ProxyURL(i)
-		fmt.Printf(" %s", u)
+	fmt.Printf("\nwatch the farm live with:\n  go run ./cmd/adctop %s\n", strings.Join(urls, " "))
+	if *traceN > 0 {
+		fmt.Printf("\nrebuild the traced requests' trees with:\n  go run ./cmd/adctrace farm %s\n", strings.Join(urls, " "))
 	}
-	fmt.Println()
 	fmt.Println("\nserving; Ctrl-C to stop")
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	fmt.Println("\nshutting down")
-	if tracer != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		if err := adc.WriteTrace(f, tracer); err != nil {
-			f.Close() //nolint:errcheck,gosec // write error takes precedence
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d trace events to %s\n", tracer.Len(), *traceOut)
-	}
 	return nil
 }

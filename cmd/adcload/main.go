@@ -269,14 +269,6 @@ func run(cfg config) (*report, error) {
 	if cfg.TraceDump != "" && cfg.TraceSample <= 0 {
 		cfg.TraceSample = 1
 	}
-	var tracing httpproxy.Tracing
-	if cfg.TraceSample > 0 {
-		tracing = httpproxy.Tracing{
-			Enabled:     true,
-			SampleEvery: cfg.TraceSample,
-			RingSize:    cfg.TraceRing,
-		}
-	}
 
 	f, err := httpproxy.NewFarm(httpproxy.FarmConfig{
 		Proxies: cfg.Proxies,
@@ -297,7 +289,7 @@ func run(cfg config) (*report, error) {
 			Window:       int64(cfg.RepWindow),
 		},
 		FaultTolerance: ft,
-		Tracing:        tracing,
+		Tracing:        httpproxy.Tracing{SampleEvery: cfg.TraceSample, RingSize: cfg.TraceRing},
 	})
 	if err != nil {
 		return nil, err

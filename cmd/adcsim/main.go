@@ -3,7 +3,7 @@
 //
 // Examples:
 //
-//	adcsim                              # ADC, paper-scale tables, 400k requests
+//	adcsim                              # ADC, the paper's setup at 1/10 scale (399k requests)
 //	adcsim -algo carp -requests 1000000
 //	adcsim -proxies 8 -single 5000 -multiple 5000 -caching 2000
 //	adcsim -runtime agents              # one goroutine per node, channel mailboxes
@@ -11,6 +11,12 @@
 //	adcsim -trace -trace-out t.jsonl    # record a request-path trace
 //	adcsim -config experiment.json      # run a JSON-described experiment
 //	adcsim -write-config exp.json       # write the default experiment file
+//
+// The flag defaults are that default experiment, so a flagless run and
+// -config of the written file are the same run. With -config, the file
+// describes the experiment and a flag that would too is refused; the run's
+// other flags (-trace, -metrics-every, -shards, -replay, -v, -quiet, the
+// profiles) apply to either.
 package main
 
 import (
@@ -26,9 +32,11 @@ import (
 	"github.com/adc-sim/adc/internal/cluster"
 	"github.com/adc-sim/adc/internal/config"
 	"github.com/adc-sim/adc/internal/core"
+	"github.com/adc-sim/adc/internal/ids"
+	"github.com/adc-sim/adc/internal/metrics"
+	"github.com/adc-sim/adc/internal/obs"
 	"github.com/adc-sim/adc/internal/profiling"
 	"github.com/adc-sim/adc/internal/protocol"
-	"github.com/adc-sim/adc/internal/sim"
 	"github.com/adc-sim/adc/internal/workload"
 )
 
@@ -40,21 +48,22 @@ func main() {
 }
 
 func run(args []string) error {
+	def := config.Default()
 	fs := flag.NewFlagSet("adcsim", flag.ContinueOnError)
 	var (
-		algo         = fs.String("algo", "adc", "algorithm: adc, carp or chash")
-		proxies      = fs.Int("proxies", 5, "number of proxy agents")
-		single       = fs.Int("single", 2000, "single-table size (entries)")
-		multiple     = fs.Int("multiple", 2000, "multiple-table size (entries)")
-		caching      = fs.Int("caching", 1000, "caching-table / LRU cache size (entries)")
-		maxHops      = fs.Int("maxhops", 0, "forwarding bound (0 = unbounded)")
-		seed         = fs.Int64("seed", 1, "random seed")
+		algo         = fs.String("algo", def.Algorithm, "algorithm: adc, carp or chash")
+		proxies      = fs.Int("proxies", def.Proxies, "number of proxy agents")
+		single       = fs.Int("single", def.SingleTable, "single-table size (entries)")
+		multiple     = fs.Int("multiple", def.MultipleTable, "multiple-table size (entries)")
+		caching      = fs.Int("caching", def.CachingTable, "caching-table / LRU cache size (entries)")
+		maxHops      = fs.Int("maxhops", def.MaxHops, "forwarding bound (0 = unbounded)")
+		seed         = fs.Int64("seed", def.Seed, "random seed")
 		runtime      = fs.String("runtime", "sequential", "runtime: sequential, agents or vtime")
 		shards       = fs.Int("shards", 0, "worker shards for -runtime vtime (0 or 1 = sequential; results are identical at every count)")
 		backend      = fs.String("backend", "", "ordered-table backend: btree (default), slice or list")
 		entry        = fs.String("entry", "random", "entry policy: random, round-robin or fixed")
-		requests     = fs.Int("requests", 400_000, "synthetic workload length")
-		population   = fs.Int("population", 1000, "hot object population of the request phases")
+		requests     = fs.Int("requests", def.Workload.Requests, "synthetic workload length")
+		population   = fs.Int("population", def.Workload.Population, "hot object population of the request phases")
 		replayPath   = fs.String("replay", "", "replay a binary workload trace instead of generating")
 		traceOn      = fs.Bool("trace", false, "record a request-path trace (-runtime sequential or vtime)")
 		traceOut     = fs.String("trace-out", "trace.jsonl", "request-path trace output file (JSON Lines; with -trace)")
@@ -62,7 +71,7 @@ func run(args []string) error {
 		metricsOut   = fs.String("metrics-out", "", "write the time series as CSV here (default: stdout)")
 		verbose      = fs.Bool("v", false, "verbose: per-proxy statistics and debug logging")
 		quiet        = fs.Bool("quiet", false, "suppress the run summary and notices (machine outputs only)")
-		configPath   = fs.String("config", "", "run a JSON experiment file instead of flags")
+		configPath   = fs.String("config", "", "run a JSON experiment file instead of the experiment flags")
 		writeCfg     = fs.String("write-config", "", "write the default experiment file and exit")
 		dump         = fs.Int("dump", -1, "after an ADC run, dump the top rows of this proxy's tables (paper Figs. 1–3)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -77,96 +86,94 @@ func run(args []string) error {
 	log := clilog.FromFlags(*verbose, *quiet)
 
 	if *writeCfg != "" {
-		if err := config.Default().Save(*writeCfg); err != nil {
+		if err := def.Save(*writeCfg); err != nil {
 			return err
 		}
 		fmt.Printf("wrote default experiment to %s\n", *writeCfg)
 		return nil
 	}
-	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		return err
-	}
-	if *configPath != "" {
-		if err := runConfigFile(*configPath, *verbose); err != nil {
-			return err
-		}
-		return stopProfiles()
-	}
-	if *dump >= 0 {
-		if err := refuseWithDump(fs); err != nil {
-			return err
-		}
-		if err := runWithDump(dumpOptions{
-			algo: *algo, proxies: *proxies,
-			single: *single, multiple: *multiple, caching: *caching,
-			maxHops: *maxHops, seed: *seed,
-			requests: *requests, population: *population,
-			proxyIdx: *dump, backend: *backend, entry: *entry,
-		}); err != nil {
-			return err
-		}
-		return stopProfiles()
-	}
 
-	var src adc.Source
-	if *replayPath != "" {
-		loaded, err := adc.LoadTraceFile(*replayPath)
-		if err != nil {
-			return err
-		}
-		src = loaded
-	} else {
-		gen, err := adc.NewWorkload(adc.WorkloadConfig{
-			Requests:   *requests,
-			Population: *population,
-			Seed:       *seed,
-		})
-		if err != nil {
-			return err
-		}
-		src = gen
-	}
-
-	cfg := adc.Config{
-		Algorithm:     adc.Algorithm(*algo),
+	file := config.File{
+		Algorithm:     *algo,
 		Proxies:       *proxies,
 		SingleTable:   *single,
 		MultipleTable: *multiple,
 		CachingTable:  *caching,
 		MaxHops:       *maxHops,
 		Seed:          *seed,
-		Entry:         adc.EntryPolicy(*entry),
-		Runtime:       adc.Runtime(*runtime),
-		Backend:       adc.TableBackend(*backend),
-		MetricsEvery:  *metricsEvery,
-		Shards:        *shards,
-	}
-	var tracer *adc.Tracer
-	if *traceOn {
-		tracer = adc.NewTracer()
-		cfg.Tracer = tracer
-	}
-	if *faultSpec != "" {
-		plan, err := adc.ParseFaultSpec(*faultSpec)
-		if err != nil {
-			return err
-		}
-		cfg.Faults = plan
+		Entry:         *entry,
+		Runtime:       *runtime,
+		Backend:       *backend,
+		Workload:      config.WorkloadSection{Requests: *requests, Population: *population},
+		Faults:        *faultSpec,
 	}
 	if recoverySpec.set {
-		rec, err := adc.ParseRecoverySpec(recoverySpec.value)
+		file.Recovery = &recoverySpec.value
+	}
+	if *configPath != "" {
+		if err := refuse(fs, "config", fileFlags); err != nil {
+			return err
+		}
+		loaded, err := config.Load(*configPath)
 		if err != nil {
 			return err
 		}
-		cfg.Recovery = rec
+		file = loaded
 	}
-	res, err := adc.Run(cfg, src)
+	if *dump >= 0 {
+		if err := refuse(fs, "dump", dumpRefuses); err != nil {
+			return err
+		}
+	}
+	ccfg, wcfg, err := file.Build()
+	if err != nil {
+		return err
+	}
+	if *dump >= 0 && ccfg.Algorithm != cluster.ADC {
+		return fmt.Errorf("-dump requires the adc algorithm")
+	}
+	if *dump >= ccfg.NumProxies {
+		return fmt.Errorf("-dump proxy %d out of range (0..%d)", *dump, ccfg.NumProxies-1)
+	}
+	ccfg.Shards = *shards
+	ccfg.MetricsEvery = *metricsEvery
+	var tracer *obs.Tracer
+	if *traceOn {
+		tracer = obs.New()
+		ccfg.Tracer = tracer
+	}
+
+	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	var src workload.Source
+	if *replayPath != "" {
+		loaded, err := adc.LoadTraceFile(*replayPath)
+		if err != nil {
+			return err
+		}
+		src = replaySource{loaded}
+	} else {
+		gen, err := workload.New(wcfg)
+		if err != nil {
+			return err
+		}
+		src = gen
+	}
+	cl, err := cluster.New(ccfg, src)
+	if err != nil {
+		return err
+	}
+	res, err := cl.Run()
 	if err != nil {
 		return err
 	}
 	if err := stopProfiles(); err != nil {
 		return err
+	}
+	if *dump >= 0 {
+		return dumpTables(cl, res, *dump)
 	}
 	if tracer != nil {
 		if err := writeTraceFile(*traceOut, tracer); err != nil {
@@ -182,48 +189,62 @@ func run(args []string) error {
 	if *quiet {
 		return nil
 	}
+	if *configPath != "" {
+		fmt.Printf("experiment     %s\n", *configPath)
+	}
+	return report(ccfg, res, *verbose)
+}
 
-	fmt.Printf("algorithm      %s (%d proxies, runtime %s)\n", *algo, *proxies, *runtime)
-	fmt.Printf("tables         single=%d multiple=%d caching=%d\n", *single, *multiple, *caching)
-	fmt.Printf("requests       %d\n", res.Requests)
-	fmt.Printf("hit rate       %.4f (%d hits, %d from origin)\n", res.HitRate, res.Hits, res.OriginResolved)
-	fmt.Printf("hops/request   %.3f\n", res.Hops)
-	fmt.Printf("path length    %.3f proxies\n", res.PathLen)
+// report prints a run's summary, whether flags or a file described it.
+func report(ccfg cluster.Config, res *cluster.Result, verbose bool) error {
+	s := res.Summary
+	fmt.Printf("algorithm      %s (%d proxies, runtime %s)\n", ccfg.Algorithm, ccfg.NumProxies, ccfg.Runtime)
+	fmt.Printf("tables         single=%d multiple=%d caching=%d\n", ccfg.Tables.SingleSize, ccfg.Tables.MultipleSize, ccfg.Tables.CachingSize)
+	fmt.Printf("requests       %d\n", s.Requests)
+	fmt.Printf("hit rate       %.4f (%d hits, %d from origin)\n", s.HitRate, s.Hits, res.OriginResolved)
+	fmt.Printf("hops/request   %.3f\n", s.Hops)
+	fmt.Printf("path length    %.3f proxies\n", s.PathLen)
 	fmt.Printf("elapsed        %v (%.0f req/s)\n",
-		res.Elapsed.Round(1e6), float64(res.Requests)/res.Elapsed.Seconds())
-	if cfg.Faults != nil || cfg.Recovery != nil {
-		fmt.Printf("completion     %.4f (%d of %d injected)\n", res.Completion, res.Requests, res.Injected)
-		fmt.Printf("faults         dropped=%d crashes=%d restarts=%d\n", res.Dropped, res.Crashes, res.Restarts)
+		res.Elapsed.Round(1e6), float64(s.Requests)/res.Elapsed.Seconds())
+	if ccfg.Faults != nil || ccfg.Recovery.Enabled {
+		fmt.Printf("completion     %.4f (%d of %d injected)\n", res.Completion, s.Requests, res.Injected)
+		fmt.Printf("faults         dropped=%d crashes=%d restarts=%d\n", res.Dropped, res.Faults.Crashes, res.Faults.Restarts)
 		fmt.Printf("recovery       timeouts=%d retries=%d abandoned=%d stale-replies=%d leaked-pending=%d\n",
-			res.Timeouts, res.Retries, res.Abandoned, res.StaleReplies, res.LeakedPending)
+			s.Timeouts, s.Retries, s.Abandoned, s.StaleReplies, res.LeakedPending)
 	} else {
 		// Without fault injection these must both be zero; a nonzero value
 		// means protocol state leaked and should never hide behind -v.
 		var unexpected uint64
-		for _, s := range res.ProxyStats {
-			unexpected += s.UnexpectedReplies
+		for _, ps := range res.ProxyStats {
+			unexpected += ps.UnexpectedReplies
 		}
 		if res.LeakedPending > 0 || unexpected > 0 {
 			fmt.Printf("WARNING        leaked-pending=%d unexpected-replies=%d (protocol state leaked; -v for per-proxy detail)\n",
 				res.LeakedPending, unexpected)
 		}
 	}
-
-	if *verbose {
-		if err := printProxyStats(res.ProxyStats); err != nil {
-			return err
-		}
+	if verbose {
+		return printProxyStats(res.ProxyStats)
 	}
 	return nil
 }
 
+// replaySource adapts a trace the facade's loader read — which refuses a
+// file holding fewer requests than its header declares — to the cluster.
+type replaySource struct{ adc.Source }
+
+func (r replaySource) Next() (ids.ObjectID, bool) {
+	obj, ok := r.Source.Next()
+	return ids.ObjectID(obj), ok
+}
+
 // writeTraceFile exports a recorded trace as JSON Lines.
-func writeTraceFile(path string, t *adc.Tracer) error {
+func writeTraceFile(path string, t *obs.Tracer) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := adc.WriteTrace(f, t); err != nil {
+	if err := obs.WriteJSONL(f, t.Events()); err != nil {
 		f.Close() //nolint:errcheck,gosec // write error takes precedence
 		return err
 	}
@@ -233,7 +254,7 @@ func writeTraceFile(path string, t *adc.Tracer) error {
 // writeBuckets emits the time-series buckets as CSV — to a file when path
 // is set, else to stdout (the report channel; combine with -quiet to pipe
 // it cleanly).
-func writeBuckets(path string, buckets []adc.TimeBucket, log *clilog.Logger) error {
+func writeBuckets(path string, buckets []metrics.Bucket, log *clilog.Logger) error {
 	var w io.Writer = os.Stdout
 	if path != "" {
 		f, err := os.Create(path)
@@ -247,7 +268,7 @@ func writeBuckets(path string, buckets []adc.TimeBucket, log *clilog.Logger) err
 	for _, b := range buckets {
 		fmt.Fprintf(w, "%d,%d,%d,%d,%d,%.6f,%.4f,%.1f,%d,%d,%d,%d\n",
 			b.Start, b.End, b.Injected, b.Completed, b.Hits,
-			b.HitRate, b.MeanHops, b.MeanGap,
+			b.HitRate(), b.MeanHops(), b.MeanGap(),
 			b.Timeouts, b.Retries, b.Abandoned, b.Drops)
 	}
 	if f, ok := w.(*os.File); ok && f != os.Stdout {
@@ -274,7 +295,7 @@ func (o *optionalString) Set(s string) error {
 	return nil
 }
 
-func printProxyStats(stats []adc.ProxyStats) error {
+func printProxyStats(stats []metrics.ProxyStats) error {
 	fmt.Println()
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "proxy\trequests\tlocal hits\tfwd learned\tfwd random\tfwd origin\tloops\tcache ins\tcache evict")
@@ -286,83 +307,33 @@ func printProxyStats(stats []adc.ProxyStats) error {
 	return w.Flush()
 }
 
-type dumpOptions struct {
-	algo                      string
-	proxies                   int
-	single, multiple, caching int
-	maxHops                   int
-	seed                      int64
-	requests, population      int
-	proxyIdx                  int
-	backend, entry            string
-}
+// fileFlags names the flags a -config file replaces: the experiment the
+// file describes.
+var fileFlags = []string{"algo", "backend", "caching", "entry", "faults", "maxhops", "multiple", "population", "proxies", "recovery", "requests", "runtime", "seed", "single"}
 
 // dumpRefuses names the flags a -dump run cannot honour: it runs the
-// sequential engine over a generated workload, untraced and lossless.
-var dumpRefuses = []string{"faults", "metrics-every", "recovery", "replay", "runtime", "shards", "trace"}
+// sequential engine over a generated workload, untraced and lossless, as
+// the flags (not a file) describe it.
+var dumpRefuses = []string{"config", "faults", "metrics-every", "recovery", "replay", "runtime", "shards", "trace"}
 
-// refuseWithDump fails, naming the flag, if any of dumpRefuses was set.
-func refuseWithDump(fs *flag.FlagSet) error {
+// refuse fails, naming the flag, if any of names was set alongside -mode.
+func refuse(fs *flag.FlagSet, mode string, names []string) error {
 	var err error
 	fs.Visit(func(f *flag.Flag) {
-		if err == nil && slices.Contains(dumpRefuses, f.Name) {
-			err = fmt.Errorf("-dump does not support -%s", f.Name)
+		if err == nil && slices.Contains(names, f.Name) {
+			err = fmt.Errorf("-%s does not support -%s", mode, f.Name)
 		}
 	})
 	return err
 }
 
-// runWithDump runs via the internal cluster layer so the proxy's mapping
-// tables can be rendered afterwards, in the layout of the paper's sample
-// figures (Figs. 1–3).
-func runWithDump(o dumpOptions) error {
-	if o.algo != "adc" {
-		return fmt.Errorf("-dump requires the adc algorithm")
-	}
-	if o.proxyIdx >= o.proxies {
-		return fmt.Errorf("-dump proxy %d out of range (0..%d)", o.proxyIdx, o.proxies-1)
-	}
-	backend, err := core.ParseBackend(o.backend)
-	if err != nil {
-		return err
-	}
-	entry, err := sim.ParseEntryPolicy(o.entry)
-	if err != nil {
-		return err
-	}
-	gen, err := workload.New(workload.Config{
-		TotalRequests:  o.requests,
-		PopulationSize: o.population,
-		Seed:           o.seed,
-	})
-	if err != nil {
-		return err
-	}
-	ccfg := cluster.Config{
-		Algorithm:  cluster.ADC,
-		NumProxies: o.proxies,
-		Tables: core.Config{
-			SingleSize:   o.single,
-			MultipleSize: o.multiple,
-			CachingSize:  o.caching,
-			Backend:      backend,
-		},
-		MaxHops:     o.maxHops,
-		Seed:        o.seed,
-		EntryPolicy: entry,
-	}
-	cl, err := cluster.New(ccfg, gen)
-	if err != nil {
-		return err
-	}
-	res, err := cl.Run()
-	if err != nil {
-		return err
-	}
+// dumpTables renders a finished ADC run's proxy tables in the layout of
+// the paper's sample figures (Figs. 1–3).
+func dumpTables(cl *cluster.Cluster, res *cluster.Result, proxyIdx int) error {
 	fmt.Printf("hit rate %.4f, hops %.3f over %d requests\n\n",
 		res.Summary.HitRate, res.Summary.Hops, res.Summary.Requests)
 
-	p := cl.ADCProxies()[o.proxyIdx]
+	p := cl.ADCProxies()[proxyIdx]
 	a := p.Policy().(*protocol.Agent) // an ADC cluster: every policy is an agent
 	now := a.LocalTime()
 	fmt.Printf("mapping tables of %v at local time %d (top 10 rows each):\n\n", p.ID(), now)
@@ -383,36 +354,4 @@ func head(entries []*core.Entry, n int) []*core.Entry {
 		return entries[:n]
 	}
 	return entries
-}
-
-// runConfigFile executes a JSON-described experiment via the internal
-// cluster layer (the config schema maps 1:1 onto it).
-func runConfigFile(path string, verbose bool) error {
-	file, err := config.Load(path)
-	if err != nil {
-		return err
-	}
-	ccfg, wcfg, err := file.Build()
-	if err != nil {
-		return err
-	}
-	gen, err := workload.New(wcfg)
-	if err != nil {
-		return err
-	}
-	res, err := cluster.Run(ccfg, gen)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("experiment     %s\n", path)
-	fmt.Printf("algorithm      %s (%d proxies, runtime %s)\n",
-		ccfg.Algorithm, ccfg.NumProxies, ccfg.Runtime)
-	fmt.Printf("requests       %d\n", res.Summary.Requests)
-	fmt.Printf("hit rate       %.4f\n", res.Summary.HitRate)
-	fmt.Printf("hops/request   %.3f\n", res.Summary.Hops)
-	fmt.Printf("elapsed        %v\n", res.Elapsed.Round(1e6))
-	if verbose {
-		return printProxyStats(res.ProxyStats)
-	}
-	return nil
 }

@@ -3,8 +3,12 @@ package main
 import (
 	"io"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/adc-sim/adc/internal/config"
 )
 
 // runCaptured calls run with args and returns what it printed on stdout.
@@ -29,20 +33,25 @@ func runCaptured(t *testing.T, args ...string) (string, error) {
 
 var dumpArgs = []string{"-dump", "1", "-requests", "3000", "-population", "100", "-proxies", "3"}
 
-// TestDumpRefusesFlagsItCannotHonour: -dump runs the sequential engine over
-// a generated workload, so a flag that asks for anything else is an error
+// checkRefuses runs base plus each of flags in turn and wants an error
 // naming that flag, not a silently different run.
-func TestDumpRefusesFlagsItCannotHonour(t *testing.T) {
-	for _, flag := range []string{
-		"-runtime=vtime", "-shards=2", "-replay=trace.bin", "-trace",
-		"-metrics-every=1000", "-faults=loss=0.01", "-recovery=",
-	} {
+func checkRefuses(t *testing.T, base []string, flags ...string) {
+	t.Helper()
+	for _, flag := range flags {
 		name := strings.TrimPrefix(strings.SplitN(flag, "=", 2)[0], "-")
-		_, err := runCaptured(t, append(append([]string{}, dumpArgs...), flag)...)
+		_, err := runCaptured(t, append(append([]string{}, base...), flag)...)
 		if err == nil || !strings.Contains(err.Error(), "-"+name) {
-			t.Errorf("-dump with %s: err = %v, want one naming -%s", flag, err, name)
+			t.Errorf("%v with %s: err = %v, want one naming -%s", base, flag, err, name)
 		}
 	}
+}
+
+// TestDumpRefusesFlagsItCannotHonour: -dump runs the sequential engine over
+// a generated workload, so a flag that asks for anything else is refused.
+func TestDumpRefusesFlagsItCannotHonour(t *testing.T) {
+	checkRefuses(t, dumpArgs,
+		"-runtime=vtime", "-shards=2", "-replay=trace.bin", "-trace",
+		"-metrics-every=1000", "-faults=loss=0.01", "-recovery=", "-config=exp.json")
 }
 
 // TestDumpAppliesEntry: -entry reaches the -dump run. Pinning every request
@@ -62,5 +71,86 @@ func TestDumpAppliesEntry(t *testing.T) {
 	_, err = runCaptured(t, append(append([]string{}, dumpArgs...), "-entry", "sideways")...)
 	if err == nil || !strings.Contains(err.Error(), `unknown entry policy "sideways"`) {
 		t.Errorf("-dump -entry sideways: err = %v", err)
+	}
+}
+
+// reportValues maps each summary line's label to its first value.
+func reportValues(out string) map[string]string {
+	values := map[string]string{}
+	for _, line := range strings.Split(out, "\n") {
+		if label, rest, ok := strings.Cut(line, "  "); ok {
+			if f := strings.Fields(rest); len(f) > 0 {
+				values[label] = f[0]
+			}
+		}
+	}
+	return values
+}
+
+// TestFlaglessRunIsTheDefaultExperiment: the flag defaults are
+// config.Default(), so a flagless run and -config of the file -write-config
+// writes report the same run.
+func TestFlaglessRunIsTheDefaultExperiment(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "default.json")
+	if _, err := runCaptured(t, "-write-config", path); err != nil {
+		t.Fatal(err)
+	}
+	flagless, err := runCaptured(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := runCaptured(t, "-config", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := reportValues(flagless), reportValues(fromFile)
+	if a["requests"] != strconv.Itoa(config.Default().Workload.Requests) {
+		t.Errorf("flagless run made %s requests, want config.Default()'s %d", a["requests"], config.Default().Workload.Requests)
+	}
+	for _, label := range []string{"requests", "hit rate", "hops/request"} {
+		if a[label] == "" || a[label] != b[label] {
+			t.Errorf("%s: flagless %q, -config %q", label, a[label], b[label])
+		}
+	}
+}
+
+// faultyExperiment is a small lossy experiment file with recovery on.
+func faultyExperiment(t *testing.T) string {
+	f := config.Default()
+	f.Runtime = "vtime"
+	f.Workload.Requests = 3000
+	f.Faults = "loss=0.01"
+	f.Recovery = new(string)
+	path := filepath.Join(t.TempDir(), "faulty.json")
+	if err := f.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestConfigRefusesFlagsTheFileDescribes: with -config the file describes
+// the experiment, so a flag that would describe it too is refused.
+func TestConfigRefusesFlagsTheFileDescribes(t *testing.T) {
+	checkRefuses(t, []string{"-config", faultyExperiment(t)},
+		"-proxies=9", "-algo=carp", "-faults=loss=0.5", "-recovery=", "-requests=10",
+		"-runtime=sequential", "-seed=2", "-single=10", "-entry=fixed", "-backend=slice")
+}
+
+// TestConfigRunTakesRunFlagsAndReportsFaults: the run flags apply to a
+// -config run as to a flag run, and a file with faults and recovery prints
+// the completion, fault and recovery lines a flag run prints.
+func TestConfigRunTakesRunFlagsAndReportsFaults(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "t.jsonl")
+	out, err := runCaptured(t, "-config", faultyExperiment(t), "-trace", "-trace-out", tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"completion ", "faults ", "dropped=", "leaked-pending="} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report lacks %q:\n%s", want, out)
+		}
+	}
+	if st, err := os.Stat(tracePath); err != nil || st.Size() == 0 {
+		t.Errorf("-trace with -config wrote no trace: %v", err)
 	}
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"net/http"
+	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,15 +16,18 @@ import (
 )
 
 // TestScrapeAndRenderAgainstFarm drives a real farm and checks adctop's
-// scrape → render path end to end: the snapshot must carry the proxy's own
-// counters and the rendered frame must show every proxy and a server-stage
-// latency row.
+// scrape → render path end to end: every metric family scrape reads must
+// be on the page, the snapshot must carry the proxy's own counters and the
+// rendered frame must show every proxy and a server-stage latency row.
 func TestScrapeAndRenderAgainstFarm(t *testing.T) {
 	f, err := httpproxy.NewFarm(httpproxy.FarmConfig{
 		Proxies: 2,
 		Tables:  core.Config{SingleSize: 128, MultipleSize: 128, CachingSize: 32},
 		Seed:    11,
-		Tracing: httpproxy.Tracing{Enabled: true},
+		// Traced and health-probed (without probe ticks), so the page holds
+		// every family scrape reads.
+		Tracing:        httpproxy.Tracing{SampleEvery: 1},
+		FaultTolerance: httpproxy.FaultTolerance{Health: httpproxy.HealthConfig{Enabled: true, ProbeInterval: time.Hour}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,6 +41,32 @@ func TestScrapeAndRenderAgainstFarm(t *testing.T) {
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	targets := []string{f.Proxies[0].URL(), f.Proxies[1].URL()}
+
+	// scrape discards whether a family was found, so a rename on the
+	// exposition side would render as 0 rather than fail. The names come
+	// from scrape's source, so a family it starts reading is checked too.
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := regexp.MustCompile(`"(adc_[a-z_]+)"`).FindAllStringSubmatch(string(src), -1)
+	if len(names) < 10 {
+		t.Fatalf("found %d metric names in main.go; the extraction pattern no longer fits scrape", len(names))
+	}
+	resp, err := client.Get(targets[0] + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := promtext.Parse(resp.Body)
+	_ = resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range names {
+		if fam := page.Families[m[1]]; fam == nil || len(fam.Samples) == 0 {
+			t.Errorf("scrape reads %s, which the proxy's /metrics does not expose", m[1])
+		}
+	}
 	snaps := scrapeAll(client, targets)
 	for i, s := range snaps {
 		if s.err != nil {

@@ -1,5 +1,5 @@
 // Command adctrace inspects request-path traces recorded by adcsim -trace
-// or adcfarm -trace (JSON Lines, one event per line).
+// (JSON Lines, one event per line).
 //
 //	adctrace summary trace.jsonl             # event counts, tree census, convergence
 //	adctrace request 0:17 trace.jsonl        # one request's tree, every attempt and hop
@@ -10,11 +10,13 @@
 //
 // Event traces rebuild as spans (obs.EventSpans), so their trees, census,
 // listing and Chrome export are those of the farm subcommand, which reads
-// cross-proxy span dumps (the HTTP farm's distributed traces), merges them
-// with clock-skew alignment and reports the request-tree census:
+// cross-proxy span dumps (the HTTP farm's distributed traces, whose server
+// and forward spans carry each hop's table outcome and route reason),
+// merges them with clock-skew alignment and reports the request-tree
+// census:
 //
 //	adctrace farm run.spans.json             # file from adcload -trace-dump
-//	adctrace farm http://host:7001 ...       # scrape live /debug/trace rings
+//	adctrace farm http://host:7001 ...       # scrape the /debug/trace rings of adcfarm -trace-sample 1
 //	adctrace farm -min-complete 0.99 ...     # CI gate: fail on orphaned trees
 //	adctrace farm -chrome t.json ...         # flame chart per request
 //
@@ -42,8 +44,8 @@ func main() {
 }
 
 func usage() error {
-	return fmt.Errorf("usage: adctrace <summary|request|converge|validate|chrome> [arguments] <trace.jsonl>\n" +
-		"       adctrace farm [flags] <dumps.json | proxy-url...>")
+	return fmt.Errorf("usage: adctrace <summary|request|converge|validate|chrome> [arguments] <trace.jsonl from adcsim -trace>\n" +
+		"       adctrace farm [flags] <dumps.json from adcload -trace-dump | proxy-url... of adcfarm -trace-sample N>")
 }
 
 func run(args []string) error {

@@ -103,7 +103,6 @@ func NewHTTPFarm(cfg HTTPFarmConfig) (*HTTPFarm, error) {
 			HedgeDelay: cfg.HedgeDelay,
 		},
 		Tracing: httpproxy.Tracing{
-			Enabled:     cfg.TraceSample > 0,
 			SampleEvery: cfg.TraceSample,
 			RingSize:    cfg.TraceRing,
 		},
@@ -153,12 +152,6 @@ func (f *HTTPFarm) Run(src Source, seed int64) (requests, hits uint64, err error
 func (f *HTTPFarm) RunParallel(src Source, seed int64, workers int) (requests, hits uint64, err error) {
 	return f.farm.RunWorkloadN(sourceAdapter{src}, seed, workers)
 }
-
-// SetTracer installs a request tracer across the farm: every proxy, the
-// origin, and the farm's client side (Get/Run inject and deliver events).
-// Events are wall-clock timestamped. Call it before driving traffic; nil
-// uninstalls.
-func (f *HTTPFarm) SetTracer(t *Tracer) { f.farm.SetTracer(t) }
 
 // DebugURL returns the live-introspection base of the i-th proxy; append
 // /debug/vars (JSON counters and table occupancy), /debug/tables (mapping

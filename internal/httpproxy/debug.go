@@ -3,13 +3,11 @@ package httpproxy
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/pprof"
 
 	"github.com/adc-sim/adc/internal/core"
-	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
 )
 
@@ -146,18 +144,4 @@ func (p *Proxy) CheckInvariants() error {
 		return err == nil
 	})
 	return err
-}
-
-// HashRequestID folds a wire request-ID string into a trace RequestID via
-// FNV-1a. The HTTP protocol uses opaque string IDs, the trace model 64-bit
-// ones; the hash keeps every hop of one request under one key. Zero (the
-// "untraced" sentinel) is remapped so real requests never vanish.
-func HashRequestID(s string) ids.RequestID {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	v := h.Sum64()
-	if v == 0 {
-		v = 1
-	}
-	return ids.RequestID(v)
 }

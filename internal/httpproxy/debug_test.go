@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/obs"
@@ -137,81 +138,55 @@ func TestDebugPprof(t *testing.T) {
 	}
 }
 
-func TestHashRequestID(t *testing.T) {
-	a, b := HashRequestID("r1"), HashRequestID("r2")
-	if a == b {
-		t.Error("distinct strings hashed to the same RequestID")
+// TestTraceCarriesProtocolDecisions: a traced farm's spans say what the
+// protocol decided at each hop, in the simulator's EventSpans wording — the
+// server span the Arrive outcome of a hit or the Learn outcome of a reply,
+// the forward span the destination and Route's reason.
+func TestTraceCarriesProtocolDecisions(t *testing.T) {
+	f := tracedFarm(t, 3, FaultTolerance{})
+	// waitSpan returns the first span in the farm matching want, waiting
+	// for it: a handler records its server span just after the client has
+	// read the reply.
+	waitSpan := func(what string, want func(obs.Span) bool) obs.Span {
+		t.Helper()
+		var got obs.Span
+		waitFor(t, 5*time.Second, what, func() bool {
+			for _, d := range f.TraceDumps() {
+				for _, s := range d.Spans {
+					if want(s) {
+						got = s
+						return true
+					}
+				}
+			}
+			return false
+		})
+		return got
 	}
-	if a != HashRequestID("r1") {
-		t.Error("hash not stable")
-	}
-	if HashRequestID("") == 0 {
-		t.Error("zero sentinel leaked through")
-	}
-}
 
-// TestFarmTracing drives a traced farm and checks that every hop of an
-// HTTP request lands in the trace under one hashed request key.
-func TestFarmTracing(t *testing.T) {
-	f := testFarm(t, 3)
-	tr := obs.New()
-	f.SetTracer(tr)
-
-	const reqID = "traced-1"
-	if _, err := f.Get(0, 5, reqID); err != nil {
-		t.Fatal(err)
-	}
-	// Re-fetch the same object until selective caching promotes it and a
-	// fetch resolves as a local hit, so the trace gains a hit event.
-	var hitReq string
-	for i := 0; i < 50 && hitReq == ""; i++ {
-		id := fmt.Sprintf("traced-again-%d", i)
-		hit, err := f.Get(0, 5, id)
-		if err != nil {
+	// Re-fetch one object until selective caching promotes it and a fetch
+	// resolves as a proxy hit.
+	hit := false
+	for i := 0; i < 50 && !hit; i++ {
+		var err error
+		if hit, err = f.Get(0, 5, fmt.Sprintf("traced-%d", i)); err != nil {
 			t.Fatal(err)
 		}
-		if hit {
-			hitReq = id
-		}
 	}
-	if hitReq == "" {
+	if !hit {
 		t.Fatal("object never became a proxy hit after 50 fetches")
 	}
-
-	events := tr.Events()
-	if len(events) == 0 {
-		t.Fatal("tracer recorded nothing")
-	}
-	key := HashRequestID(reqID)
-	kinds := map[obs.Kind]int{}
-	for _, e := range events {
-		if e.Req == key {
-			kinds[e.Kind]++
-		}
-	}
-	for _, k := range []obs.Kind{obs.KindInject, obs.KindForward, obs.KindOriginResolve, obs.KindBackward, obs.KindDeliver} {
-		if kinds[k] == 0 {
-			t.Errorf("first fetch: no %v event under its request key (saw %v)", k, kinds)
-		}
-	}
-	var hitEvent obs.Event
-	for _, e := range events {
-		if e.Kind == obs.KindHit && e.Req == HashRequestID(hitReq) {
-			hitEvent = e
-		}
-	}
-	if hitEvent.Kind != obs.KindHit {
-		t.Fatal("proxy-hit fetch produced no hit event")
-	}
-	if got := obs.OutcomeString(hitEvent.Arg); got != "caching→caching" {
-		t.Errorf("hit event outcome = %q, want the table transition caching→caching as in simulator traces", got)
+	hitSpan := waitSpan("the hit's server span", func(s obs.Span) bool {
+		return s.Stage == obs.SpanServer && s.Obj == 5 && strings.HasPrefix(s.Detail, "hit ")
+	})
+	if hitSpan.Detail != "hit caching→caching" {
+		t.Errorf("hit server span detail = %q, want the table transition caching→caching", hitSpan.Detail)
 	}
 
-	// One trace vocabulary with the simulator: a backward event's Loc is the
-	// location learned into the tables, not the resolver after this proxy's
-	// own claim. Proxy 0 has seen object 6 twice at proxy 1, proxy 1 once at
-	// itself: the reply leaves proxy 1 uncached with resolver 1, and proxy
-	// 0 learns "1", caches the object and claims it.
+	// Proxy 0 has seen object 6 twice at proxy 1, proxy 1 once at itself:
+	// proxy 0 forwards to the learned location, the reply leaves proxy 1
+	// uncached with resolver 1, and proxy 0 learns "1", caches the object
+	// and claims it.
 	const claimObj = ids.ObjectID(6)
 	teachLocation(f.Proxies[0], claimObj, 1)
 	teachLocation(f.Proxies[0], claimObj, 1)
@@ -219,32 +194,16 @@ func TestFarmTracing(t *testing.T) {
 	if _, err := f.Get(0, claimObj, "traced-claim"); err != nil {
 		t.Fatal(err)
 	}
-	var learnedAt0, deliveredFrom ids.NodeID = ids.None, ids.None
-	var outcomeAt0 string
-	for _, e := range tr.Events() {
-		if e.Req != HashRequestID("traced-claim") {
-			continue
-		}
-		switch {
-		case e.Kind == obs.KindBackward && e.Node == 0:
-			learnedAt0, outcomeAt0 = e.Loc, obs.OutcomeString(e.Arg)
-		case e.Kind == obs.KindDeliver:
-			deliveredFrom = e.Loc
-		}
+	claim := waitSpan("the claimer's server span", func(s obs.Span) bool {
+		return s.Stage == obs.SpanServer && s.Node == 0 && s.Obj == uint64(claimObj)
+	})
+	if claim.Detail != "learned Proxy[1] multiple→caching" {
+		t.Errorf("claimer's server span detail = %q, want the learned location and its transition", claim.Detail)
 	}
-	if outcomeAt0 != "multiple→caching" || deliveredFrom != 0 {
-		t.Fatalf("setup: proxy 0 outcome %q, delivered resolver %v; want multiple→caching claimed by proxy 0", outcomeAt0, deliveredFrom)
-	}
-	if learnedAt0 != 1 {
-		t.Errorf("claimer's backward event Loc = %v, want the learned location Proxy[1]", learnedAt0)
-	}
-
-	// Wall-clock stamping: the farm runs in real time, so events must carry
-	// At (microseconds), not rely on Seq.
-	for i, e := range events {
-		if e.At == 0 && i > 0 {
-			t.Errorf("event %d (%v) has no wall-clock stamp", i, e.Kind)
-			break
-		}
+	fwd := waitSpan("the claimer's forward span", func(s obs.Span) bool {
+		return s.Stage == obs.SpanForward && s.Node == 0 && s.Obj == uint64(claimObj)
+	})
+	if fwd.Detail != "Proxy[1] learned" || fwd.Parent != claim.ID {
+		t.Errorf("claimer's forward span = %+v, want detail \"Proxy[1] learned\" under its server span", fwd)
 	}
 }

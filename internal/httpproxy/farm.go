@@ -26,23 +26,6 @@ type Farm struct {
 	// client is the farm's client side: one pooled client shared by
 	// every Get (it used to be a fresh unpooled client per request).
 	client *http.Client
-	tracer *obs.Tracer
-}
-
-// SetTracer installs a request tracer on the whole farm: every proxy, the
-// origin, and the farm's own client side (inject/deliver events). Call it
-// before driving traffic.
-func (f *Farm) SetTracer(t *obs.Tracer) {
-	if t != nil {
-		// HTTP runs in real time; wall-clock µs are the only meaningful
-		// timestamps here (the simulator uses virtual ticks instead).
-		t.UseWallClock()
-	}
-	f.tracer = t
-	f.Origin.SetTracer(t)
-	for _, p := range f.Proxies {
-		p.SetTracer(t)
-	}
 }
 
 // FarmConfig assembles a farm.
@@ -188,13 +171,6 @@ func (f *Farm) Close() error {
 // proxy cache served the request.
 func (f *Farm) Get(proxyIdx int, obj ids.ObjectID, reqID string) (hit bool, err error) {
 	p := f.Proxies[proxyIdx]
-	if f.tracer.Enabled(obs.KindInject) {
-		e := obs.Ev(obs.KindInject, ids.Client(0))
-		e.Req = HashRequestID(reqID)
-		e.Obj = obj
-		e.To = p.ID()
-		f.tracer.Emit(e)
-	}
 	req, err := http.NewRequest(http.MethodGet, ObjectURL(p.URL(), obj), nil)
 	if err != nil {
 		return false, err
@@ -215,18 +191,7 @@ func (f *Farm) Get(proxyIdx int, obj ids.ObjectID, reqID string) (hit bool, err 
 	if want := Payload(obj); string(body) != string(want) {
 		return false, fmt.Errorf("httpproxy: payload corruption for %v: got %q want %q", obj, body, want)
 	}
-	fromOrigin := resp.Header.Get(HeaderOrigin) == "1"
-	if f.tracer.Enabled(obs.KindDeliver) {
-		e := obs.Ev(obs.KindDeliver, ids.Client(0))
-		e.Req = HashRequestID(reqID)
-		e.Obj = obj
-		e.Loc = parseNodeID(resp.Header.Get(HeaderResolver))
-		if fromOrigin {
-			e.Arg = 1
-		}
-		f.tracer.Emit(e)
-	}
-	return !fromOrigin, nil
+	return resp.Header.Get(HeaderOrigin) != "1", nil
 }
 
 // RunWorkload drives the farm with a request stream from a single client,

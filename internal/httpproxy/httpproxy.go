@@ -89,7 +89,6 @@ type Origin struct {
 
 	mu       sync.Mutex
 	resolved uint64
-	tracer   *obs.Tracer
 }
 
 // Payload returns the canonical payload of an object.
@@ -121,13 +120,6 @@ func (o *Origin) Resolved() uint64 {
 	return o.resolved
 }
 
-// SetTracer installs the request tracer.
-func (o *Origin) SetTracer(t *obs.Tracer) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.tracer = t
-}
-
 // Close shuts the origin down.
 func (o *Origin) Close() error { return o.srv.Close() }
 
@@ -139,14 +131,7 @@ func (o *Origin) handle(w http.ResponseWriter, r *http.Request) {
 	}
 	o.mu.Lock()
 	o.resolved++
-	tr := o.tracer
 	o.mu.Unlock()
-	if tr.Enabled(obs.KindOriginResolve) {
-		e := obs.Ev(obs.KindOriginResolve, ids.Origin)
-		e.Req = HashRequestID(r.Header.Get(HeaderRequestID))
-		e.Obj = obj
-		tr.Emit(e)
-	}
 	w.Header().Set(HeaderOrigin, "1")
 	if _, err := w.Write(Payload(obj)); err != nil {
 		return // client went away; nothing to do
@@ -225,7 +210,6 @@ type Proxy struct {
 	store   map[ids.ObjectID][]byte
 	pending map[string]int
 	peerURL map[ids.NodeID]string
-	tracer  *obs.Tracer
 }
 
 // FaultTolerance configures the farm's fault-tolerance layer: peer health
@@ -336,7 +320,7 @@ func NewProxy(cfg Config) (*Proxy, error) {
 		gate:     newGate(cfg.MaxActive, cfg.MaxQueue),
 		coalesce: !cfg.NoCoalesce,
 		ft:       ft,
-		tracing:  cfg.Tracing.withDefaults(),
+		tracing:  cfg.Tracing,
 		stages:   metrics.NewStageSet(),
 		started:  time.Now(),
 		adc:      agent,
@@ -349,7 +333,7 @@ func NewProxy(cfg Config) (*Proxy, error) {
 	// The payload store is exactly the caching table's membership: bodies
 	// go in when the core reports it holds the object, and out here.
 	agent.OnEvict(func(obj ids.ObjectID) { delete(p.store, obj) })
-	if p.tracing.Enabled {
+	if p.tracing.SampleEvery > 0 {
 		p.spans = obs.NewSpanRing(p.tracing.RingSize)
 	}
 	mux := http.NewServeMux()
@@ -365,13 +349,6 @@ func NewProxy(cfg Config) (*Proxy, error) {
 // Handler exposes the proxy's full mux (object path plus debug endpoints)
 // for in-process serving, e.g. under httptest.
 func (p *Proxy) Handler() http.Handler { return p.mux }
-
-// SetTracer installs the request tracer.
-func (p *Proxy) SetTracer(t *obs.Tracer) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.tracer = t
-}
 
 // URL returns the proxy's base URL, stable across Kill/Restart.
 func (p *Proxy) URL() string { return p.url }
@@ -575,15 +552,17 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 
 	sc := p.spanContext(r.Header, forwards)
 	start := nowUs()
-	errMsg := p.serve(w, r, obj, reqID, forwards, sc)
+	decision, errMsg := p.serve(w, r, obj, reqID, forwards, sc)
 	p.stages.Observe(metrics.StageServer, nowUs()-start)
-	sc.finishServer(start, obj, errMsg)
+	sc.finishServer(start, obj, decision, errMsg)
 }
 
 // serve runs one request through admission, the hit path, and the miss
-// path. The returned string is the server span's error annotation: "" for
-// a served reply, a short description otherwise.
-func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, reqID string, forwards int, sc *spanCtx) string {
+// path. It returns the server span's two annotations: the protocol
+// decision — the Arrive or Learn table outcome in the simulator's
+// EventSpans wording, formatted only for a traced request — and the error,
+// "" for a served reply and a short description otherwise.
+func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, reqID string, forwards int, sc *spanCtx) (decision, errMsg string) {
 	// Admission control at the edge: entry requests beyond the bounded
 	// queue are shed with 429. Forwarded hops bypass the gate — they
 	// already hold a slot at their entry proxy, and gating them
@@ -597,7 +576,7 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, 
 			p.shed.Add(1)
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, "proxy overloaded", http.StatusTooManyRequests)
-			return "shed"
+			return "", "shed"
 		}
 		sc.record(obs.SpanGateWait, gateStart, obj, "", "")
 		defer p.gate.leave()
@@ -613,21 +592,15 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, 
 	if hit {
 		payload := p.store[obj]
 		adv.Replicas = slices.Clone(adv.Replicas) // aliases table memory; headers are written off-lock
-		if p.tracer.Enabled(obs.KindHit) {
-			e := obs.Ev(obs.KindHit, p.id)
-			e.Req = HashRequestID(reqID)
-			e.Obj = obj
-			e.Loc = p.id
-			e.Hops = int32(forwards)
-			e.Arg = outcome
-			p.tracer.Emit(e)
-		}
 		p.mu.Unlock()
 		w.Header().Set(HeaderResolver, p.id.String())
 		w.Header().Set(HeaderCached, "1")
 		encodeAdvert(w.Header(), adv)
 		_, _ = w.Write(payload)
-		return ""
+		if sc != nil {
+			decision = "hit " + obs.OutcomeString(outcome)
+		}
+		return decision, ""
 	}
 	looped := p.pending[reqID] > 0
 	atMax := p.maxHops > 0 && forwards >= p.maxHops
@@ -667,10 +640,10 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, 
 	if res.err != nil || res.status != http.StatusOK {
 		if res.err != nil {
 			http.Error(w, res.err.Error(), http.StatusBadGateway)
-			return "upstream: " + res.err.Error()
+			return "", "upstream: " + res.err.Error()
 		}
 		http.Error(w, "upstream status", res.status)
-		return "upstream status " + strconv.Itoa(res.status)
+		return "", "upstream status " + strconv.Itoa(res.status)
 	}
 
 	// Receive_Reply (Fig. 7): the core learns the location and decides the
@@ -683,15 +656,6 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, 
 		p.store[obj] = res.body
 	}
 	l.Advert.Replicas = slices.Clone(l.Advert.Replicas) // may alias table memory
-	if p.tracer.Enabled(obs.KindBackward) {
-		e := obs.Ev(obs.KindBackward, p.id)
-		e.Req = HashRequestID(reqID)
-		e.Obj = obj
-		e.Loc = l.Location
-		e.Hops = int32(forwards)
-		e.Arg = l.Outcome
-		p.tracer.Emit(e)
-	}
 	p.mu.Unlock()
 
 	w.Header().Set(HeaderResolver, l.Resolver.String())
@@ -703,7 +667,10 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, 
 	}
 	encodeAdvert(w.Header(), l.Advert)
 	_, _ = w.Write(res.body)
-	return ""
+	if sc != nil {
+		decision = "learned " + l.Location.String() + " " + obs.OutcomeString(l.Outcome)
+	}
+	return decision, ""
 }
 
 // resolveMiss is the forwarding half of a miss: it registers the pending
@@ -725,19 +692,10 @@ func (p *Proxy) resolveMiss(obj ids.ObjectID, reqID string, forwards int, looped
 	if upNode.IsProxy() {
 		upstream = p.peerURL[upNode]
 	}
-	if p.tracer.Enabled(obs.KindForward) {
-		e := obs.Ev(obs.KindForward, p.id)
-		e.Req = HashRequestID(reqID)
-		e.Obj = obj
-		e.To = upNode
-		e.Hops = int32(forwards)
-		e.Arg = reason
-		p.tracer.Emit(e)
-	}
 	p.mu.Unlock()
 
 	var res flightResult
-	res.body, res.hdr, res.status, res.err = p.fetch(upstream, upNode, obj, reqID, forwards+1, sc)
+	res.body, res.hdr, res.status, res.err = p.fetch(upstream, upNode, obs.ForwardReasonString(reason), obj, reqID, forwards+1, sc)
 
 	p.mu.Lock()
 	// Retire the stored backwarding pass.
@@ -782,7 +740,7 @@ func (p *Proxy) resolveEntry(obj ids.ObjectID, reqID string, sc *spanCtx) flight
 	// client whole in the meantime.
 	p.failover.Add(1)
 	var alt flightResult
-	alt.body, alt.hdr, alt.status, alt.err = p.fetch(p.origin, ids.Origin, obj, reqID, 1, sc.tagged("failover"))
+	alt.body, alt.hdr, alt.status, alt.err = p.fetch(p.origin, ids.Origin, "", obj, reqID, 1, sc.tagged("failover"))
 	if resolved(alt) {
 		return alt
 	}
@@ -811,7 +769,7 @@ func (p *Proxy) resolveMissHedged(obj ids.ObjectID, reqID string, sc *spanCtx) f
 	hedge := make(chan flightResult, 1)
 	go func() {
 		var res flightResult
-		res.body, res.hdr, res.status, res.err = p.fetch(p.origin, ids.Origin, obj, reqID, 1, sc.tagged("hedge"))
+		res.body, res.hdr, res.status, res.err = p.fetch(p.origin, ids.Origin, "", obj, reqID, 1, sc.tagged("hedge"))
 		hedge <- res
 	}()
 	select {
@@ -839,22 +797,24 @@ func (p *Proxy) resolveMissHedged(obj ids.ObjectID, reqID string, sc *spanCtx) f
 // holds down (a fetch that raced past Route's check) is refused without a
 // connection, and the connection result feeds dest's health machine. Only
 // transport errors count against a peer — a live proxy answering 5xx is a
-// content problem, not a dead process.
-func (p *Proxy) fetch(base string, dest ids.NodeID, obj ids.ObjectID, reqID string, forwards int, sc *spanCtx) ([]byte, http.Header, int, error) {
+// content problem, not a dead process. why is Route's reason for dest, ""
+// for a fetch Route did not choose; the fetch's span carries it.
+func (p *Proxy) fetch(base string, dest ids.NodeID, why string, obj ids.ObjectID, reqID string, forwards int, sc *spanCtx) ([]byte, http.Header, int, error) {
 	start := nowUs()
 	stage, spanStage := metrics.StageForward, obs.SpanForward
 	if !dest.IsProxy() {
 		stage, spanStage = metrics.StageOrigin, obs.SpanOrigin
 	}
+	detail := sc.hop(dest, why)
 	m := p.health.Load()
 	if dest.IsProxy() && p.isBlocked(dest) {
 		m.reportFailure(dest)
-		sc.record(spanStage, start, obj, dest.String(), "partitioned")
+		sc.record(spanStage, start, obj, detail, "partitioned")
 		return nil, nil, 0, fmt.Errorf("httpproxy: %v unreachable from %v (partitioned)", dest, p.id)
 	}
 	if dest.IsProxy() && !m.routable(dest) {
 		p.denied.Add(1)
-		sc.record(obs.SpanBreakerDenied, start, obj, dest.String(), "peer down")
+		sc.record(obs.SpanBreakerDenied, start, obj, detail, "peer down")
 		return nil, nil, 0, fmt.Errorf("httpproxy: fetch %v: peer down", dest)
 	}
 	req, err := http.NewRequest(http.MethodGet, ObjectURL(base, obj), nil)
@@ -882,13 +842,13 @@ func (p *Proxy) fetch(base string, dest ids.NodeID, obj ids.ObjectID, reqID stri
 		}
 	}
 	if err != nil {
-		sc.recordID(spanID, spanStage, start, obj, dest.String(), err.Error())
+		sc.recordID(spanID, spanStage, start, obj, detail, err.Error())
 		return nil, nil, 0, fmt.Errorf("httpproxy: upstream fetch: %w", err)
 	}
 	defer resp.Body.Close() //nolint:errcheck // read side
 	body, err := readBody(resp)
 	if err != nil {
-		sc.recordID(spanID, spanStage, start, obj, dest.String(), err.Error())
+		sc.recordID(spanID, spanStage, start, obj, detail, err.Error())
 		return nil, nil, 0, fmt.Errorf("httpproxy: read upstream body: %w", err)
 	}
 	p.stages.Observe(stage, nowUs()-start)
@@ -896,7 +856,7 @@ func (p *Proxy) fetch(base string, dest ids.NodeID, obj ids.ObjectID, reqID stri
 	if resp.StatusCode != http.StatusOK {
 		spanErr = "status " + strconv.Itoa(resp.StatusCode)
 	}
-	sc.recordID(spanID, spanStage, start, obj, dest.String(), spanErr)
+	sc.recordID(spanID, spanStage, start, obj, detail, spanErr)
 	return body, resp.Header, resp.StatusCode, nil
 }
 

@@ -12,27 +12,15 @@ import (
 // Tracing configures cross-proxy span tracing. The zero value disables it:
 // no ring, no IDs, no headers — the serving path pays one nil check.
 type Tracing struct {
-	// Enabled turns the layer on.
-	Enabled bool
-	// SampleEvery samples one entry request in N (values < 2 trace every
-	// entry request). Forwarded hops never sample on their own: a hop is
-	// traced exactly when the entry proxy's decision, carried in the
-	// X-Adc-Trace header, says so — sampling is per request, not per hop.
+	// SampleEvery, when positive, turns tracing on and samples one entry
+	// request in N (1 traces every entry request). Forwarded hops never
+	// sample on their own: a hop is traced exactly when the entry proxy's
+	// decision, carried in the X-Adc-Trace header, says so — sampling is
+	// per request, not per hop.
 	SampleEvery int
 	// RingSize bounds the per-proxy span buffer behind /debug/trace
 	// (0 = obs.DefaultSpanRingSize).
 	RingSize int
-}
-
-// withDefaults normalizes the policy; disabled collapses to the zero value.
-func (t Tracing) withDefaults() Tracing {
-	if !t.Enabled {
-		return Tracing{}
-	}
-	if t.SampleEvery < 1 {
-		t.SampleEvery = 1
-	}
-	return t
 }
 
 // nowUs is the span clock: this process's wall clock in unix microseconds.
@@ -113,6 +101,18 @@ func (sc *spanCtx) tagged(tag string) *spanCtx {
 	return &c
 }
 
+// hop renders a fetch span's detail: the destination, then Route's reason
+// when there is one. "" when untraced, so an untraced fetch formats nothing.
+func (sc *spanCtx) hop(dest ids.NodeID, why string) string {
+	if sc == nil {
+		return ""
+	}
+	if why == "" {
+		return dest.String()
+	}
+	return dest.String() + " " + why
+}
+
 // setHeaders stamps an outgoing upstream request with the trace context so
 // the receiving proxy's server span parents onto spanID.
 func (sc *spanCtx) setHeaders(h http.Header, spanID uint64) {
@@ -149,14 +149,14 @@ func (sc *spanCtx) recordID(id uint64, stage string, startUs int64, obj ids.Obje
 
 // finishServer closes the request's own server span, parented on the
 // sender's forward span (or nothing, at the entry proxy).
-func (sc *spanCtx) finishServer(startUs int64, obj ids.ObjectID, errMsg string) {
+func (sc *spanCtx) finishServer(startUs int64, obj ids.ObjectID, decision, errMsg string) {
 	if sc == nil {
 		return
 	}
 	sc.p.spans.Add(obs.Span{
 		Trace: sc.trace, ID: sc.self, Parent: sc.root, Node: int32(sc.p.id),
 		Stage: obs.SpanServer, Obj: uint64(obj), Start: startUs, End: nowUs(),
-		Err: errMsg,
+		Detail: decision, Err: errMsg,
 	})
 }
 

@@ -19,7 +19,7 @@ func FuzzSpanHeaders(f *testing.F) {
 	f.Add("10000000000000000", "-1", 1, uint64(1)<<63)
 	f.Add("0x1f", "DEADBEEF", 3, ^uint64(0))
 	f.Fuzz(func(t *testing.T, trace, span string, forwards int, spanID uint64) {
-		p := &Proxy{id: 2, tracing: Tracing{Enabled: true, SampleEvery: 1}, spans: obs.NewSpanRing(4)}
+		p := &Proxy{id: 2, tracing: Tracing{SampleEvery: 1}, spans: obs.NewSpanRing(4)}
 		h := http.Header{}
 		if trace != "" {
 			h.Set(HeaderTrace, trace)

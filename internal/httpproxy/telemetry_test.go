@@ -27,7 +27,7 @@ func tracedFarm(t *testing.T, proxies int, ft FaultTolerance) *Farm {
 		Seed:           7,
 		MaxHops:        8,
 		FaultTolerance: ft,
-		Tracing:        Tracing{Enabled: true},
+		Tracing:        Tracing{SampleEvery: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestTraceSampling(t *testing.T) {
 		Proxies: 2,
 		Tables:  core.Config{SingleSize: 64, MultipleSize: 64, CachingSize: 16},
 		Seed:    3,
-		Tracing: Tracing{Enabled: true, SampleEvery: 5},
+		Tracing: Tracing{SampleEvery: 5},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,10 @@
-// Package obs is the observability layer: a request-path tracer shared by
-// the simulator engines and the HTTP runtime. It records one Event per
+// Package obs is the observability layer: the simulator's request-path
+// tracer and the HTTP farm's span ring. The tracer records one Event per
 // protocol step — injection, forwarding, loop detection, cache hits,
 // backwarding, promotion/demotion, drops, retransmissions — keyed by
-// RequestID, and reconstructs complete request trees from them (including
-// the recovery protocol's retransmission chains, which run under fresh
+// RequestID; EventSpans rebuilds them as spans, so one builder
+// reconstructs complete request trees from either runtime (including the
+// recovery protocol's retransmission chains, which run under fresh
 // request IDs linked by Prev).
 //
 // The paper's central claims are path properties — convergence to one
@@ -21,7 +22,6 @@ package obs
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/adc-sim/adc/internal/ids"
 )
@@ -247,9 +247,8 @@ func OutcomeString(arg int64) string {
 
 // Event is one traced protocol step. Seq is the tracer-assigned emission
 // order — the authoritative ordering on the single-threaded engines, where
-// it equals delivery order. At is virtual time in ticks when the runtime
-// has a clock (the virtual-time engine; wall-clock microseconds on the HTTP
-// runtime), 0 otherwise.
+// it equals delivery order. At is virtual time in ticks on the
+// virtual-time engine, 0 otherwise.
 type Event struct {
 	Seq  uint64
 	At   int64
@@ -285,18 +284,15 @@ func Ev(k Kind, node ids.NodeID) Event {
 
 // Tracer accumulates events. A nil *Tracer is the disabled tracer: Enabled
 // returns false, so guarded call sites skip event construction entirely.
-// Emission is mutex-protected, making one tracer safe to share across the
-// HTTP runtime's concurrent handlers; on the single-threaded engines the
-// uncontended lock is a few nanoseconds per event.
+// Emission is mutex-protected, making one tracer safe to share across
+// goroutines; on the single-threaded engines the uncontended lock is a few
+// nanoseconds per event. The HTTP farm does not emit events: its request
+// paths are spans (SpanRing), built into trees by the same BuildSpanTrees.
 type Tracer struct {
 	mu   sync.Mutex
 	mask uint64
 	seq  uint64
 	ev   []Event
-	// wall, when set, stamps events without an At with microseconds since
-	// the tracer's creation (the HTTP runtime's clock).
-	wall  func() int64
-	start time.Time
 }
 
 // New returns a tracer recording the given kinds, or every kind when none
@@ -311,15 +307,6 @@ func New(kinds ...Kind) *Tracer {
 		}
 	}
 	return t
-}
-
-// UseWallClock makes Emit stamp events that carry no At with wall-clock
-// microseconds since this call — the HTTP runtime's notion of time.
-func (t *Tracer) UseWallClock() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.start = time.Now()
-	t.wall = func() int64 { return time.Since(t.start).Microseconds() }
 }
 
 // Enabled reports whether kind k is recorded. Safe on a nil tracer, where
@@ -337,9 +324,6 @@ func (t *Tracer) Emit(e Event) {
 	t.mu.Lock()
 	t.seq++
 	e.Seq = t.seq
-	if e.At == 0 && t.wall != nil {
-		e.At = t.wall()
-	}
 	t.ev = append(t.ev, e)
 	t.mu.Unlock()
 }

@@ -83,20 +83,6 @@ func TestEventTime(t *testing.T) {
 	}
 }
 
-func TestUseWallClockStampsAt(t *testing.T) {
-	tr := New()
-	tr.UseWallClock()
-	tr.Emit(Ev(KindInject, ids.Client(0)))
-	tr.Emit(Event{Kind: KindDeliver, Node: ids.Client(0), At: 99, To: ids.None, Loc: ids.None})
-	ev := tr.Events()
-	if ev[0].At < 0 {
-		t.Errorf("wall-clocked At = %d, want >= 0", ev[0].At)
-	}
-	if ev[1].At != 99 {
-		t.Errorf("explicit At overwritten: got %d, want 99", ev[1].At)
-	}
-}
-
 func TestKindStringRoundTrip(t *testing.T) {
 	for k := Kind(0); k < numKinds; k++ {
 		s := k.String()

@@ -8,12 +8,13 @@ import (
 )
 
 // Tracer records per-hop request-path events — inject, forward, cache hit,
-// origin resolve, backward, deliver, drop, timeout, retry — during a run.
-// Construct one with NewTracer, pass it in Config.Tracer (or install it on
-// an HTTPFarm with SetTracer), run, then export with WriteTrace or
-// WriteChromeTrace (one process per request, one row per node). A nil
-// Tracer disables tracing at zero cost: the hot paths check a nil pointer
-// and skip all event assembly.
+// origin resolve, backward, deliver, drop, timeout, retry — during a
+// simulation. Construct one with NewTracer, pass it in Config.Tracer, run,
+// then export with WriteTrace or WriteChromeTrace (one process per
+// request, one row per node). A nil Tracer disables tracing at zero cost:
+// the hot paths check a nil pointer and skip all event assembly. An
+// HTTPFarm records spans instead, at each proxy's /debug/trace
+// (HTTPFarmConfig.TraceSample).
 type Tracer = obs.Tracer
 
 // NewTracer returns a tracer recording every event kind.
