@@ -24,6 +24,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -39,39 +40,36 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("adcfarm", flag.ContinueOnError)
-	var (
-		proxies  = fs.Int("proxies", 5, "number of proxy servers")
-		single   = fs.Int("single", 2000, "single-table size")
-		multiple = fs.Int("multiple", 2000, "multiple-table size")
-		caching  = fs.Int("caching", 1000, "caching-table size (payload store)")
-		seed     = fs.Int64("seed", 1, "random seed")
-		warm     = fs.Int("warm", 0, "warm up with this many synthetic requests before serving")
-		parallel = fs.Int("parallel", runtime.NumCPU(), "concurrent warm-up clients (1 = deterministic single client)")
-		traceN   = fs.Int("trace-sample", 0, "span-trace 1-in-N entry requests across proxies (0 = off, 1 = all; see adctrace farm)")
-
-		health        = fs.Bool("health", false, "enable peer health probing, failover routing, retries and hedging")
-		probeInterval = fs.Duration("probe-interval", 0, "health probe interval (0 = default 250ms; with -health)")
-		failThreshold = fs.Int("fail-threshold", 0, "consecutive failures marking a peer down (0 = default 3; with -health)")
-		retries       = fs.Int("retries", 0, "entry-chain failover retries (0 = default 2, negative = none; with -health)")
-		hedge         = fs.Duration("hedge", 0, "hedged origin fetch after this delay (0 = off; with -health)")
-	)
+	var cfg adc.HTTPFarmConfig
+	fs.IntVar(&cfg.Proxies, "proxies", 5, "number of proxy servers")
+	fs.IntVar(&cfg.SingleTable, "single", 2000, "single-table size")
+	fs.IntVar(&cfg.MultipleTable, "multiple", 2000, "multiple-table size")
+	fs.IntVar(&cfg.CachingTable, "caching", 1000, "caching-table size (payload store)")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "random seed")
+	warm := fs.Int("warm", 0, "warm up with this many synthetic requests before serving")
+	parallel := fs.Int("parallel", runtime.NumCPU(), "concurrent warm-up clients (1 = deterministic single client)")
+	fs.IntVar(&cfg.TraceSample, "trace-sample", 0, "span-trace 1-in-N entry requests across proxies (0 = off, 1 = all; see adctrace farm)")
+	fs.BoolVar(&cfg.Health, "health", false, "enable peer health probing, failover routing, retries and hedging")
+	fs.DurationVar(&cfg.ProbeInterval, "probe-interval", 0, "health probe interval (0 = default 250ms; with -health)")
+	fs.IntVar(&cfg.FailureThreshold, "fail-threshold", 0, "consecutive failures marking a peer down (0 = default 3; with -health)")
+	fs.IntVar(&cfg.MaxRetries, "retries", 0, "entry-chain failover retries (0 = default 2, negative = none; with -health)")
+	fs.DurationVar(&cfg.HedgeDelay, "hedge", 0, "hedged origin fetch after this delay (0 = off; with -health)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	farm, err := adc.NewHTTPFarm(adc.HTTPFarmConfig{
-		Proxies:          *proxies,
-		SingleTable:      *single,
-		MultipleTable:    *multiple,
-		CachingTable:     *caching,
-		Seed:             *seed,
-		Health:           *health,
-		ProbeInterval:    *probeInterval,
-		FailureThreshold: *failThreshold,
-		MaxRetries:       *retries,
-		HedgeDelay:       *hedge,
-		TraceSample:      *traceN,
+	// Without -health the farm leaves fault tolerance off, so a flag
+	// tuning it alone would silently do nothing.
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if !cfg.Health && err == nil && slices.Contains([]string{"probe-interval", "fail-threshold", "retries", "hedge"}, f.Name) {
+			err = fmt.Errorf("-%s needs -health", f.Name)
+		}
 	})
+	if err != nil {
+		return err
+	}
+
+	farm, err := adc.NewHTTPFarm(cfg)
 	if err != nil {
 		return err
 	}
@@ -80,13 +78,13 @@ func run(args []string) error {
 	if *warm > 0 {
 		gen, err := adc.NewWorkload(adc.WorkloadConfig{
 			Requests:   *warm,
-			Population: *caching,
-			Seed:       *seed,
+			Population: cfg.CachingTable,
+			Seed:       cfg.Seed,
 		})
 		if err != nil {
 			return err
 		}
-		requests, hits, err := farm.RunParallel(gen, *seed, *parallel)
+		requests, hits, err := farm.RunParallel(gen, cfg.Seed, *parallel)
 		if err != nil {
 			return err
 		}
@@ -95,7 +93,7 @@ func run(args []string) error {
 	}
 
 	fmt.Printf("origin: %s\n", farm.OriginURL())
-	urls := make([]string, *proxies)
+	urls := make([]string, cfg.Proxies)
 	for i := range urls {
 		url, err := farm.ProxyURL(i)
 		if err != nil {
@@ -109,7 +107,7 @@ func run(args []string) error {
 	url, _ := farm.ProxyURL(0)
 	fmt.Printf("  curl -H 'X-Adc-Request-Id: r1' %s/obj/42\n", url)
 	fmt.Printf("\nwatch the farm live with:\n  go run ./cmd/adctop %s\n", strings.Join(urls, " "))
-	if *traceN > 0 {
+	if cfg.TraceSample > 0 {
 		fmt.Printf("\nrebuild the traced requests' trees with:\n  go run ./cmd/adctrace farm %s\n", strings.Join(urls, " "))
 	}
 	fmt.Println("\nserving; Ctrl-C to stop")

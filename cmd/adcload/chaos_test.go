@@ -19,8 +19,8 @@ func TestChaosKillRestartRecovers(t *testing.T) {
 	cfg.Duration = 3 * time.Second
 	cfg.Rate = 400
 	cfg.Faults = "kill=p1@500ms,restart=p1@1500ms"
-	cfg.ProbeInterval = 25 * time.Millisecond
-	cfg.FailThreshold = 2
+	cfg.FaultTolerance.Health.ProbeInterval = 25 * time.Millisecond
+	cfg.FaultTolerance.Health.FailureThreshold = 2
 	cfg.AvailWindow = 250 * time.Millisecond
 
 	rep, err := run(cfg)

@@ -78,40 +78,27 @@ type config struct {
 	MaxQueue   int
 	NoCoalesce bool
 
-	Replicate    bool // hot-object replication controller on
-	RepThreshold int  // window hit count that triggers pushes
-	RepMax       int  // max replicas beyond the primary holder
-	RepWindow    int  // controller decay window (requests per proxy)
+	Replication protocol.Replication // -replicate and the -rep-* flags
 
-	Faults        string        // fault schedule spec ("" = none); implies Health
-	Health        bool          // peer health probing + failover routing on
-	ProbeInterval time.Duration // health probe spacing (0 = default)
-	FailThreshold int           // consecutive failures marking a peer down (0 = default)
-	Retries       int           // entry-chain failover retries (0 = default, <0 = none)
-	Hedge         time.Duration // hedged origin fetch delay (0 = off)
-	AvailWindow   time.Duration // availability window (chaos/health runs)
+	Faults         string                   // fault schedule spec ("" = none); implies health
+	FaultTolerance httpproxy.FaultTolerance // -health and the flags tuning it
+	AvailWindow    time.Duration            // availability window (chaos/health runs)
 
 	RetryAfterMax time.Duration // cap on honored Retry-After backoff (0 = don't back off)
 
-	TraceSample int    // span tracing: trace 1-in-N entry requests (0 = off)
-	TraceRing   int    // per-proxy span ring capacity (0 = default)
-	TraceDump   string // write every proxy's span dump as JSON here after the run
-	LintMetrics bool   // scrape and lint every proxy's /metrics after the run
+	Tracing     httpproxy.Tracing // -trace-sample and -trace-ring
+	TraceDump   string            // write every proxy's span dump as JSON here after the run
+	LintMetrics bool              // scrape and lint every proxy's /metrics after the run
 
 	JSONOut bool
 	Quiet   bool
 }
 
-// proxyReport is the per-proxy slice of the report.
+// proxyReport is the per-proxy slice of the report: one proxy's counters
+// under farm_totals' key names.
 type proxyReport struct {
-	ID           int    `json:"id"`
-	Requests     uint64 `json:"requests"`
-	LocalHits    uint64 `json:"local_hits"`
-	Shed         uint64 `json:"shed"`
-	Coalesced    uint64 `json:"coalesced_misses"`
-	ReplicaHits  uint64 `json:"replica_hits,omitempty"`
-	ReplicaPush  uint64 `json:"replica_pushes,omitempty"`
-	ReplicaDrops uint64 `json:"replica_drops,omitempty"`
+	ID int `json:"id"`
+	metrics.ProxyStats
 }
 
 // report is the outcome of one run, also the -json schema.
@@ -249,25 +236,13 @@ func run(cfg config) (*report, error) {
 		if err := httpproxy.CheckChaos(plan, cfg.Proxies); err != nil {
 			return nil, err
 		}
-		cfg.Health = true
-	}
-	var ft httpproxy.FaultTolerance
-	if cfg.Health {
-		ft = httpproxy.FaultTolerance{
-			Health: httpproxy.HealthConfig{
-				Enabled:          true,
-				ProbeInterval:    cfg.ProbeInterval,
-				FailureThreshold: cfg.FailThreshold,
-			},
-			MaxRetries: cfg.Retries,
-			HedgeDelay: cfg.Hedge,
-		}
+		cfg.FaultTolerance.Health.Enabled = true
 	}
 
 	// Writing a span dump only makes sense with tracing on; asking for the
 	// dump without choosing a sample rate means "trace everything".
-	if cfg.TraceDump != "" && cfg.TraceSample <= 0 {
-		cfg.TraceSample = 1
+	if cfg.TraceDump != "" && cfg.Tracing.SampleEvery <= 0 {
+		cfg.Tracing.SampleEvery = 1
 	}
 
 	f, err := httpproxy.NewFarm(httpproxy.FarmConfig{
@@ -277,19 +252,14 @@ func run(cfg config) (*report, error) {
 			MultipleSize: cfg.Multiple,
 			CachingSize:  cfg.Caching,
 		},
-		MaxHops:    cfg.MaxHops,
-		Seed:       cfg.Seed,
-		MaxActive:  cfg.MaxActive,
-		MaxQueue:   cfg.MaxQueue,
-		NoCoalesce: cfg.NoCoalesce,
-		Replication: protocol.Replication{
-			Enabled:      cfg.Replicate,
-			HotThreshold: cfg.RepThreshold,
-			MaxReplicas:  cfg.RepMax,
-			Window:       int64(cfg.RepWindow),
-		},
-		FaultTolerance: ft,
-		Tracing:        httpproxy.Tracing{SampleEvery: cfg.TraceSample, RingSize: cfg.TraceRing},
+		MaxHops:        cfg.MaxHops,
+		Seed:           cfg.Seed,
+		MaxActive:      cfg.MaxActive,
+		MaxQueue:       cfg.MaxQueue,
+		NoCoalesce:     cfg.NoCoalesce,
+		Replication:    cfg.Replication,
+		FaultTolerance: cfg.FaultTolerance,
+		Tracing:        cfg.Tracing,
 	})
 	if err != nil {
 		return nil, err
@@ -344,7 +314,7 @@ func run(cfg config) (*report, error) {
 	// Availability accounting only exists for chaos/health runs — a plain
 	// throughput run should not pay even the window arithmetic.
 	var avail *availCounters
-	if cfg.Health {
+	if cfg.FaultTolerance.Health.Enabled {
 		window := cfg.AvailWindow
 		if window <= 0 {
 			window = 500 * time.Millisecond
@@ -440,17 +410,7 @@ func run(cfg config) (*report, error) {
 		hist:         merged,
 	}
 	for _, p := range f.Proxies {
-		s := p.Stats()
-		rep.Proxies = append(rep.Proxies, proxyReport{
-			ID:           int(p.ID()),
-			Requests:     s.Requests,
-			LocalHits:    s.LocalHits,
-			Shed:         s.Shed,
-			Coalesced:    s.CoalescedMisses,
-			ReplicaHits:  s.ReplicaHits,
-			ReplicaPush:  s.ReplicaPushes,
-			ReplicaDrops: s.ReplicaDrops,
-		})
+		rep.Proxies = append(rep.Proxies, proxyReport{int(p.ID()), p.Stats()})
 	}
 	if plan != nil {
 		rep.Chaos = buildChaosReport(cfg.Faults, f, applied, start, avail)
@@ -459,7 +419,7 @@ func run(cfg config) (*report, error) {
 	// Telemetry epilogue, while the farm is still up: scrape the span rings
 	// and lint every proxy's /metrics over the same HTTP surface an external
 	// scraper would use.
-	if cfg.TraceSample > 0 {
+	if cfg.Tracing.SampleEvery > 0 {
 		// A handler's server span lands a hair after the client reads the
 		// body; let the last handlers (and hedge losers) finish writing.
 		time.Sleep(100 * time.Millisecond)
@@ -611,19 +571,17 @@ func printText(w io.Writer, rep *report) {
 		fmt.Fprintf(w, "metrics   %10d proxies scraped, exposition lint clean\n", rep.MetricsLinted)
 	}
 	replicated := rep.Farm.ReplicaPushes > 0 || rep.Farm.ReplicaHits > 0
+	cols := "requests / local hits / shed / coalesced"
 	if replicated {
-		fmt.Fprintln(w, "per proxy (requests / local hits / shed / coalesced / rep hits / pushes / drops):")
-	} else {
-		fmt.Fprintln(w, "per proxy (requests / local hits / shed / coalesced):")
+		cols += " / rep hits / pushes / drops"
 	}
+	fmt.Fprintf(w, "per proxy (%s):\n", cols)
 	for _, p := range rep.Proxies {
+		fmt.Fprintf(w, "  proxy %2d  %8d / %8d / %6d / %6d", p.ID, p.Requests, p.LocalHits, p.Shed, p.CoalescedMisses)
 		if replicated {
-			fmt.Fprintf(w, "  proxy %2d  %8d / %8d / %6d / %6d / %6d / %6d / %6d\n",
-				p.ID, p.Requests, p.LocalHits, p.Shed, p.Coalesced, p.ReplicaHits, p.ReplicaPush, p.ReplicaDrops)
-			continue
+			fmt.Fprintf(w, " / %6d / %6d / %6d", p.ReplicaHits, p.ReplicaPushes, p.ReplicaDrops)
 		}
-		fmt.Fprintf(w, "  proxy %2d  %8d / %8d / %6d / %6d\n",
-			p.ID, p.Requests, p.LocalHits, p.Shed, p.Coalesced)
+		fmt.Fprintln(w)
 	}
 	if rep.Chaos != nil {
 		printChaos(w, rep.Chaos)
@@ -634,44 +592,66 @@ func us(v float64) time.Duration {
 	return time.Duration(v) * time.Microsecond
 }
 
-func main() {
+// parseFlags registers every flag on fs, parses args, and refuses a flag
+// that modifies a feature left off.
+func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	var cfg config
-	flag.IntVar(&cfg.Proxies, "proxies", 8, "number of proxies in the farm")
-	flag.IntVar(&cfg.Single, "single", 4096, "single-location table size per proxy")
-	flag.IntVar(&cfg.Multiple, "multiple", 4096, "multiple-location table size per proxy")
-	flag.IntVar(&cfg.Caching, "caching", 2048, "caching table size per proxy")
-	flag.IntVar(&cfg.MaxHops, "max-hops", 0, "forwarding hop bound (0 = unbounded)")
-	flag.Int64Var(&cfg.Seed, "seed", 1, "workload and peer-selection seed")
-	flag.Float64Var(&cfg.Rate, "rate", 2000, "offered arrival rate, req/s")
-	flag.DurationVar(&cfg.Duration, "duration", 5*time.Second, "measurement window")
-	flag.IntVar(&cfg.Conns, "conns", 64, "concurrent client connections")
-	flag.StringVar(&cfg.Profile, "profile", "paper", "request profile: paper, zipf or uniform")
-	flag.IntVar(&cfg.Population, "population", 2048, "hot object population")
-	flag.Float64Var(&cfg.Alpha, "alpha", 0.8, "Zipf exponent (zipf and paper profiles)")
-	flag.IntVar(&cfg.Warm, "warm", 4096, "closed-loop warm-up requests before measuring")
-	flag.IntVar(&cfg.MaxActive, "max-active", 0, "per-proxy active-request bound (0 = default, <0 = unlimited)")
-	flag.IntVar(&cfg.MaxQueue, "max-queue", 0, "per-proxy admission queue bound (0 = default, <0 = none)")
-	flag.BoolVar(&cfg.NoCoalesce, "nocoalesce", false, "disable miss coalescing (ablation)")
-	flag.BoolVar(&cfg.Replicate, "replicate", false, "enable hot-object replication with load-aware routing")
-	flag.IntVar(&cfg.RepThreshold, "rep-threshold", 0, "replication: window hits before pushing (0 = default)")
-	flag.IntVar(&cfg.RepMax, "rep-max", 0, "replication: max replicas beyond the primary (0 = default)")
-	flag.IntVar(&cfg.RepWindow, "rep-window", 0, "replication: decay window in requests (0 = default)")
-	flag.StringVar(&cfg.Faults, "faults", "", `fault schedule in adcsim's -faults grammar; the farm plays kill, restart and partition, e.g. "kill=p3@5s,restart=p3@15s,partition=p1:p2@8s+4s" (implies -health)`)
-	flag.BoolVar(&cfg.Health, "health", false, "enable peer health probing, failover routing, retries and hedging")
-	flag.DurationVar(&cfg.ProbeInterval, "probe-interval", 0, "health probe interval (0 = default 250ms; with -health)")
-	flag.IntVar(&cfg.FailThreshold, "fail-threshold", 0, "consecutive failures marking a peer down (0 = default 3; with -health)")
-	flag.IntVar(&cfg.Retries, "retries", 0, "entry-chain failover retries (0 = default 2, <0 = none; with -health)")
-	flag.DurationVar(&cfg.Hedge, "hedge", 0, "hedged origin fetch after this delay (0 = off; with -health)")
-	flag.DurationVar(&cfg.AvailWindow, "avail-window", 0, "availability window for chaos/health runs (0 = default 500ms)")
-	flag.DurationVar(&cfg.RetryAfterMax, "retry-after-max", 0, "honor 429 Retry-After up to this backoff (0 = record the shed immediately)")
-	flag.IntVar(&cfg.TraceSample, "trace-sample", 0, "trace 1-in-N entry requests with cross-proxy spans (0 = off, 1 = all)")
-	flag.IntVar(&cfg.TraceRing, "trace-ring", 0, "per-proxy span ring capacity (0 = default; with -trace-sample)")
-	flag.StringVar(&cfg.TraceDump, "trace-dump", "", "write scraped span dumps as JSON to this file for adctrace farm (implies -trace-sample 1)")
-	flag.BoolVar(&cfg.LintMetrics, "lint-metrics", false, "scrape and lint every proxy's /metrics after the run")
-	flag.BoolVar(&cfg.JSONOut, "json", false, "emit the report as JSON on stdout")
-	flag.BoolVar(&cfg.Quiet, "quiet", false, "suppress the latency histogram")
-	flag.Parse()
+	fs.IntVar(&cfg.Proxies, "proxies", 8, "number of proxies in the farm")
+	fs.IntVar(&cfg.Single, "single", 4096, "single-location table size per proxy")
+	fs.IntVar(&cfg.Multiple, "multiple", 4096, "multiple-location table size per proxy")
+	fs.IntVar(&cfg.Caching, "caching", 2048, "caching table size per proxy")
+	fs.IntVar(&cfg.MaxHops, "max-hops", 0, "forwarding hop bound (0 = unbounded)")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "workload and peer-selection seed")
+	fs.Float64Var(&cfg.Rate, "rate", 2000, "offered arrival rate, req/s")
+	fs.DurationVar(&cfg.Duration, "duration", 5*time.Second, "measurement window")
+	fs.IntVar(&cfg.Conns, "conns", 64, "concurrent client connections")
+	fs.StringVar(&cfg.Profile, "profile", "paper", "request profile: paper, zipf or uniform")
+	fs.IntVar(&cfg.Population, "population", 2048, "hot object population")
+	fs.Float64Var(&cfg.Alpha, "alpha", 0.8, "Zipf exponent (zipf and paper profiles)")
+	fs.IntVar(&cfg.Warm, "warm", 4096, "closed-loop warm-up requests before measuring")
+	fs.IntVar(&cfg.MaxActive, "max-active", 0, "per-proxy active-request bound (0 = default, <0 = unlimited)")
+	fs.IntVar(&cfg.MaxQueue, "max-queue", 0, "per-proxy admission queue bound (0 = default, <0 = none)")
+	fs.BoolVar(&cfg.NoCoalesce, "nocoalesce", false, "disable miss coalescing (ablation)")
+	fs.BoolVar(&cfg.Replication.Enabled, "replicate", false, "enable hot-object replication with load-aware routing")
+	fs.IntVar(&cfg.Replication.HotThreshold, "rep-threshold", 0, "replication: window hits before pushing (0 = default; with -replicate)")
+	fs.IntVar(&cfg.Replication.MaxReplicas, "rep-max", 0, "replication: max replicas beyond the primary (0 = default; with -replicate)")
+	fs.Int64Var(&cfg.Replication.Window, "rep-window", 0, "replication: decay window in requests (0 = default; with -replicate)")
+	fs.StringVar(&cfg.Faults, "faults", "", `fault schedule in adcsim's -faults grammar; the farm plays kill, restart and partition, e.g. "kill=p3@5s,restart=p3@15s,partition=p1:p2@8s+4s" (implies -health)`)
+	ft := &cfg.FaultTolerance
+	fs.BoolVar(&ft.Health.Enabled, "health", false, "enable peer health probing, failover routing, retries and hedging")
+	fs.DurationVar(&ft.Health.ProbeInterval, "probe-interval", 0, "health probe interval (0 = default 250ms; with -health)")
+	fs.IntVar(&ft.Health.FailureThreshold, "fail-threshold", 0, "consecutive failures marking a peer down (0 = default 3; with -health)")
+	fs.IntVar(&ft.MaxRetries, "retries", 0, "entry-chain failover retries (0 = default 2, <0 = none; with -health)")
+	fs.DurationVar(&ft.HedgeDelay, "hedge", 0, "hedged origin fetch after this delay (0 = off; with -health)")
+	fs.DurationVar(&cfg.AvailWindow, "avail-window", 0, "availability window for chaos/health runs (0 = default 500ms)")
+	fs.DurationVar(&cfg.RetryAfterMax, "retry-after-max", 0, "honor 429 Retry-After up to this backoff (0 = record the shed immediately)")
+	fs.IntVar(&cfg.Tracing.SampleEvery, "trace-sample", 0, "trace 1-in-N entry requests with cross-proxy spans (0 = off, 1 = all)")
+	fs.IntVar(&cfg.Tracing.RingSize, "trace-ring", 0, "per-proxy span ring capacity (0 = default; with -trace-sample or -trace-dump)")
+	fs.StringVar(&cfg.TraceDump, "trace-dump", "", "write scraped span dumps as JSON to this file for adctrace farm (implies -trace-sample 1)")
+	fs.BoolVar(&cfg.LintMetrics, "lint-metrics", false, "scrape and lint every proxy's /metrics after the run")
+	fs.BoolVar(&cfg.JSONOut, "json", false, "emit the report as JSON on stdout")
+	fs.BoolVar(&cfg.Quiet, "quiet", false, "suppress the latency histogram")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	on := map[string]bool{"health": ft.Health.Enabled || cfg.Faults != "", "replicate": cfg.Replication.Enabled, "trace-sample": cfg.Tracing.SampleEvery > 0 || cfg.TraceDump != ""}
+	needs := map[string]string{"probe-interval": "health", "fail-threshold": "health", "retries": "health", "hedge": "health",
+		"rep-threshold": "replicate", "rep-max": "replicate", "rep-window": "replicate", "trace-ring": "trace-sample"}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if feature := needs[f.Name]; feature != "" && !on[feature] && err == nil {
+			err = fmt.Errorf("adcload: -%s needs -%s", f.Name, feature)
+		}
+	})
+	return cfg, err
+}
 
+func main() {
+	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	rep, err := run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"runtime"
 	"strings"
 	"testing"
@@ -101,6 +102,44 @@ func TestObjectStreamProfiles(t *testing.T) {
 	cfg.Profile = "nope"
 	if _, err := objectStream(cfg, 10); err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Errorf("unknown profile must fail naming the profile, got %v", err)
+	}
+}
+
+// TestFlagsRefuseModifiersOfFeaturesLeftOff: a flag that tunes health,
+// replication or the span ring does nothing while that feature is off, so
+// it is refused by name rather than silently dropped.
+func TestFlagsRefuseModifiersOfFeaturesLeftOff(t *testing.T) {
+	parse := func(args ...string) error {
+		_, err := parseFlags(flag.NewFlagSet("adcload", flag.ContinueOnError), args)
+		return err
+	}
+	for _, args := range [][]string{
+		{"-probe-interval", "50ms"},
+		{"-fail-threshold", "2"},
+		{"-retries", "5"},
+		{"-hedge", "5ms"},
+		{"-health=false", "-retries", "5"},
+		{"-rep-threshold", "3"},
+		{"-rep-max", "2"},
+		{"-rep-window", "64"},
+		{"-trace-ring", "10"},
+		{"-trace-sample", "0", "-trace-ring", "10"},
+	} {
+		name := strings.TrimPrefix(args[len(args)-2], "-")
+		if err := parse(args...); err == nil || !strings.Contains(err.Error(), "-"+name) {
+			t.Errorf("adcload %v: err = %v, want one naming -%s", args, err, name)
+		}
+	}
+	for _, args := range [][]string{
+		{"-health", "-probe-interval", "50ms", "-fail-threshold", "2", "-retries", "5", "-hedge", "5ms"},
+		{"-faults", "kill=p1@1s", "-probe-interval", "50ms"},
+		{"-replicate", "-rep-threshold", "3", "-rep-max", "2", "-rep-window", "64"},
+		{"-trace-sample", "4", "-trace-ring", "10"},
+		{"-trace-dump", "spans.json", "-trace-ring", "10"},
+	} {
+		if err := parse(args...); err != nil {
+			t.Errorf("adcload %v: %v", args, err)
+		}
 	}
 }
 

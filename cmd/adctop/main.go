@@ -18,6 +18,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,10 +42,7 @@ type snapshot struct {
 
 	proxy     string // adc_proxy_info{proxy="..."}
 	uptime    float64
-	requests  float64
-	localHits float64
-	shed      float64
-	coalesced float64
+	stats     metrics.ProxyStats
 	queue     float64
 	spans     float64
 	peersDown int
@@ -70,10 +68,7 @@ func scrape(client *http.Client, target string) *snapshot {
 		s.err = err
 		return s
 	}
-	s.requests, _ = d.Value("adc_requests_total")
-	s.localHits, _ = d.Value("adc_local_hits_total")
-	s.shed, _ = d.Value("adc_shed_total")
-	s.coalesced, _ = d.Value("adc_coalesced_misses_total")
+	s.stats = metrics.ReadProm(d)
 	s.queue, _ = d.Value("adc_queue_depth")
 	s.spans, _ = d.Value("adc_trace_spans")
 	s.uptime, _ = d.Value("adc_uptime_seconds")
@@ -113,9 +108,9 @@ func scrapeAll(client *http.Client, targets []string) []*snapshot {
 
 // counterDelta is cur-prev guarded against a counter reset (proxy restart):
 // a negative delta reports the post-restart absolute value instead.
-func counterDelta(cur, prev float64) float64 {
-	if d := cur - prev; d >= 0 {
-		return d
+func counterDelta(cur, prev uint64) uint64 {
+	if cur >= prev {
+		return cur - prev
 	}
 	return cur
 }
@@ -161,11 +156,11 @@ func fmtSeconds(sec float64) string {
 	return time.Duration(sec * float64(time.Second)).Round(10 * time.Microsecond).String()
 }
 
-func fmtRate(v float64, window time.Duration) string {
+func fmtRate(v uint64, window time.Duration) string {
 	if window <= 0 {
-		return fmt.Sprintf("%.0f", v) // -once: lifetime totals, not rates
+		return fmt.Sprint(v) // -once: lifetime totals, not rates
 	}
-	return fmt.Sprintf("%.0f", v/window.Seconds())
+	return fmt.Sprintf("%.0f", float64(v)/window.Seconds())
 }
 
 // render writes one dashboard frame. prev supplies the deltas over the
@@ -180,56 +175,49 @@ func render(w io.Writer, cur, prev []*snapshot, interval time.Duration) {
 	}
 
 	type row struct {
-		s                               *snapshot
-		requests, hits, shed, coalesced float64
+		s *snapshot
+		d metrics.ProxyStats // the window's requests, hits, sheds and coalesced misses
 	}
 	var (
 		rows      []row
 		up        int
 		stageSums = map[string][]promtext.Bucket{}
-		totReq    float64
-		totHits   float64
-		totShed   float64
-		totCoal   float64
+		tot       metrics.ProxyStats
 	)
 	for _, s := range cur {
 		r := row{s: s}
 		if s.err == nil {
 			up++
-			if p := prevFor[s.target]; p != nil {
-				r.requests = counterDelta(s.requests, p.requests)
-				r.hits = counterDelta(s.localHits, p.localHits)
-				r.shed = counterDelta(s.shed, p.shed)
-				r.coalesced = counterDelta(s.coalesced, p.coalesced)
-				for name, b := range s.stages {
-					stageSums[name] = sumBuckets(stageSums[name], deltaBuckets(b, p.stages[name]))
-				}
-			} else {
-				r.requests, r.hits, r.shed, r.coalesced = s.requests, s.localHits, s.shed, s.coalesced
-				for name, b := range s.stages {
-					stageSums[name] = sumBuckets(stageSums[name], b)
-				}
+			p := prevFor[s.target]
+			if p == nil {
+				p = &snapshot{} // lifetime values: deltas against zero
 			}
-			totReq += r.requests
-			totHits += r.hits
-			totShed += r.shed
-			totCoal += r.coalesced
+			r.d = metrics.ProxyStats{
+				Requests:        counterDelta(s.stats.Requests, p.stats.Requests),
+				LocalHits:       counterDelta(s.stats.LocalHits, p.stats.LocalHits),
+				Shed:            counterDelta(s.stats.Shed, p.stats.Shed),
+				CoalescedMisses: counterDelta(s.stats.CoalescedMisses, p.stats.CoalescedMisses),
+			}
+			for name, b := range s.stages {
+				stageSums[name] = sumBuckets(stageSums[name], deltaBuckets(b, p.stages[name]))
+			}
+			tot.Add(r.d)
 		}
 		rows = append(rows, r)
 	}
 
 	window := interval // 0 under -once: totals instead of rates
 	hitPct := 0.0
-	if totReq > 0 {
-		hitPct = 100 * totHits / totReq
+	if tot.Requests > 0 {
+		hitPct = 100 * float64(tot.LocalHits) / float64(tot.Requests)
 	}
 	unit := "req/s"
 	if window == 0 {
 		unit = "req (lifetime)"
 	}
 	fmt.Fprintf(w, "adc farm  %d/%d up  %s %s  local-hit %.1f%%  shed %s  coalesced %s  %s\n\n",
-		up, len(cur), fmtRate(totReq, window), unit, hitPct,
-		fmtRate(totShed, window), fmtRate(totCoal, window),
+		up, len(cur), fmtRate(tot.Requests, window), unit, hitPct,
+		fmtRate(tot.Shed, window), fmtRate(tot.CoalescedMisses, window),
 		time.Now().Format("15:04:05"))
 
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -253,15 +241,15 @@ func render(w io.Writer, cur, prev []*snapshot, interval time.Duration) {
 			continue
 		}
 		share, lhit := 0.0, 0.0
-		if totReq > 0 {
-			share = 100 * r.requests / totReq
+		if tot.Requests > 0 {
+			share = 100 * float64(r.d.Requests) / float64(tot.Requests)
 		}
-		if r.requests > 0 {
-			lhit = 100 * r.hits / r.requests
+		if r.d.Requests > 0 {
+			lhit = 100 * float64(r.d.LocalHits) / float64(r.d.Requests)
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%.0f%%\t%.1f\t%s\t%.0f\t%d\t%.0f\t%v\n",
-			s.proxy, fmtRate(r.requests, window), share, lhit,
-			fmtRate(r.shed, window), s.queue, s.peersDown, s.spans,
+			s.proxy, fmtRate(r.d.Requests, window), share, lhit,
+			fmtRate(r.d.Shed, window), s.queue, s.peersDown, s.spans,
 			time.Duration(s.uptime*float64(time.Second)).Round(time.Second))
 	}
 	tw.Flush() //nolint:errcheck // terminal write
@@ -280,17 +268,25 @@ func scrapeErr(err error) string {
 }
 
 func main() {
-	interval := flag.Duration("interval", time.Second, "polling interval")
-	once := flag.Bool("once", false, "print one snapshot and exit (no screen control)")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: adctop [-interval d] [-once] <proxy-url>...")
-		flag.PrintDefaults()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "adctop:", err)
+		os.Exit(1)
 	}
-	flag.Parse()
-	targets := flag.Args()
-	if len(targets) == 0 {
-		flag.Usage()
-		os.Exit(2)
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("adctop", flag.ContinueOnError)
+	interval := fs.Duration("interval", time.Second, "polling interval (positive unless -once)")
+	once := fs.Bool("once", false, "print one snapshot and exit (no screen control)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	targets := fs.Args()
+	switch {
+	case len(targets) == 0:
+		return errors.New("usage: adctop [-interval d] [-once] <proxy-url>...")
+	case *interval <= 0 && !*once:
+		return fmt.Errorf("-interval must be positive, got %v", *interval)
 	}
 	client := &http.Client{Timeout: 5 * time.Second}
 
@@ -301,10 +297,10 @@ func main() {
 		_, _ = os.Stdout.Write(buf.Bytes())
 		for _, s := range snaps {
 			if s.err == nil {
-				return
+				return nil
 			}
 		}
-		os.Exit(1) // nothing answered
+		return errors.New("no proxy answered")
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -316,7 +312,7 @@ func main() {
 		select {
 		case <-sig:
 			fmt.Println()
-			return
+			return nil
 		case <-ticker.C:
 			cur := scrapeAll(client, targets)
 			var buf bytes.Buffer

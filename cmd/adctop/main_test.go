@@ -2,8 +2,6 @@ package main
 
 import (
 	"net/http"
-	"os"
-	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -43,16 +41,9 @@ func TestScrapeAndRenderAgainstFarm(t *testing.T) {
 	targets := []string{f.Proxies[0].URL(), f.Proxies[1].URL()}
 
 	// scrape discards whether a family was found, so a rename on the
-	// exposition side would render as 0 rather than fail. The names come
-	// from scrape's source, so a family it starts reading is checked too.
-	src, err := os.ReadFile("main.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := regexp.MustCompile(`"(adc_[a-z_]+)"`).FindAllStringSubmatch(string(src), -1)
-	if len(names) < 10 {
-		t.Fatalf("found %d metric names in main.go; the extraction pattern no longer fits scrape", len(names))
-	}
+	// exposition side would render as 0 rather than fail. The counters come
+	// through metrics.ReadProm, checked below; these are the families scrape
+	// reads by name.
 	resp, err := client.Get(targets[0] + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -62,9 +53,9 @@ func TestScrapeAndRenderAgainstFarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range names {
-		if fam := page.Families[m[1]]; fam == nil || len(fam.Samples) == 0 {
-			t.Errorf("scrape reads %s, which the proxy's /metrics does not expose", m[1])
+	for _, name := range []string{"adc_proxy_info", "adc_uptime_seconds", "adc_queue_depth", "adc_trace_spans", "adc_peer_state", "adc_stage_latency_seconds"} {
+		if fam := page.Families[name]; fam == nil || len(fam.Samples) == 0 {
+			t.Errorf("scrape reads %s, which the proxy's /metrics does not expose", name)
 		}
 	}
 	snaps := scrapeAll(client, targets)
@@ -75,8 +66,11 @@ func TestScrapeAndRenderAgainstFarm(t *testing.T) {
 		if want := f.Proxies[i].ID().String(); s.proxy != want {
 			t.Errorf("snapshot %d identifies as %q, want %q", i, s.proxy, want)
 		}
-		if s.requests == 0 || len(s.stages) == 0 {
-			t.Errorf("snapshot %d is empty: requests=%v stages=%d", i, s.requests, len(s.stages))
+		if want := f.Proxies[i].Stats(); s.stats != want {
+			t.Errorf("snapshot %d stats = %+v\nwant the proxy's Stats() %+v", i, s.stats, want)
+		}
+		if s.stats.Requests == 0 || len(s.stages) == 0 {
+			t.Errorf("snapshot %d is empty: requests=%v stages=%d", i, s.stats.Requests, len(s.stages))
 		}
 	}
 
@@ -109,6 +103,22 @@ func TestScrapeAndRenderAgainstFarm(t *testing.T) {
 	render(&b, snaps, nil, 0)
 	if out := b.String(); !strings.Contains(out, "DOWN") || !strings.Contains(out, "2/3 up") {
 		t.Errorf("dead proxy not rendered as DOWN:\n%s", out)
+	}
+}
+
+// TestRunRefusesNonPositiveInterval: a live dashboard needs a positive
+// polling interval (time.NewTicker panics on anything else); -once polls
+// once and ignores it.
+func TestRunRefusesNonPositiveInterval(t *testing.T) {
+	for _, iv := range []string{"0", "-1s"} {
+		err := run([]string{"-interval", iv, "http://127.0.0.1:1"})
+		if err == nil || !strings.Contains(err.Error(), "-interval") {
+			t.Errorf("adctop -interval %s: err = %v, want one naming -interval", iv, err)
+		}
+	}
+	err := run([]string{"-once", "-interval", "0", "http://127.0.0.1:1"})
+	if err == nil || strings.Contains(err.Error(), "-interval") {
+		t.Errorf("adctop -once -interval 0 against a dead target: err = %v, want the scrape failure", err)
 	}
 }
 

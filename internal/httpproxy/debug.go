@@ -36,8 +36,8 @@ type debugVars struct {
 	QueueDepth  int64              `json:"queue_depth"`
 
 	// Replication is present when the hot-object replication controller
-	// is enabled: the push/drop/hit counters (duplicated from Stats for
-	// quick grepping) plus the controller's live tracked-set size.
+	// is enabled: its live tracked and held set sizes (the replica
+	// counters are in Stats).
 	Replication *replicationVars `json:"replication,omitempty"`
 
 	// Health is present when the fault-tolerance layer is enabled: probe
@@ -47,11 +47,8 @@ type debugVars struct {
 
 // replicationVars is the replication section of /debug/vars.
 type replicationVars struct {
-	Pushes  uint64 `json:"pushes"`
-	Drops   uint64 `json:"drops"`
-	Hits    uint64 `json:"hits"`
-	Tracked int    `json:"tracked"`
-	Held    int    `json:"held"`
+	Tracked int `json:"tracked"`
+	Held    int `json:"held"`
 }
 
 // registerDebug wires the introspection handlers into a proxy's mux.
@@ -86,13 +83,7 @@ func (p *Proxy) handleVars(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:  p.gate.depth(),
 	}
 	if on, tracked, held := p.adc.Replicating(); on {
-		v.Replication = &replicationVars{
-			Pushes:  stats.ReplicaPushes,
-			Drops:   stats.ReplicaDrops,
-			Hits:    stats.ReplicaHits,
-			Tracked: tracked,
-			Held:    held,
-		}
+		v.Replication = &replicationVars{Tracked: tracked, Held: held}
 	}
 	p.mu.Unlock()
 	// Outside p.mu: the monitor carries its own lock.

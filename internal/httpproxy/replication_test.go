@@ -153,8 +153,8 @@ func TestFarmReplyPathClaimerAdvertises(t *testing.T) {
 }
 
 // TestFarmReplicationDebugVars checks that /debug/vars grows a replication
-// section with live counters when the controller is on, and stays without
-// one when it is off.
+// section with the live set sizes when the controller is on, and stays
+// without one when it is off; the replica counters are in its stats.
 func TestFarmReplicationDebugVars(t *testing.T) {
 	f := replicatedFarm(t, 3, true)
 	driveHotStream(t, f, 600, 2)
@@ -172,13 +172,7 @@ func TestFarmReplicationDebugVars(t *testing.T) {
 		if v.Replication == nil {
 			t.Fatalf("proxy %v: replication on but /debug/vars has no replication section", p.ID())
 		}
-		if v.Replication.Pushes != v.Stats.ReplicaPushes ||
-			v.Replication.Hits != v.Stats.ReplicaHits ||
-			v.Replication.Drops != v.Stats.ReplicaDrops {
-			t.Errorf("proxy %v: replication section %+v disagrees with stats %+v",
-				p.ID(), v.Replication, v.Stats)
-		}
-		if v.Replication.Pushes > 0 {
+		if v.Stats.ReplicaPushes > 0 {
 			sawPushes = true
 		}
 	}

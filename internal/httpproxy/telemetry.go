@@ -51,10 +51,6 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.mu.Unlock()
 
 	pw := promtext.NewWriter(w)
-	counter := func(name, help string, v uint64) {
-		pw.Counter(name, help)
-		pw.Sample(float64(v))
-	}
 	gauge := func(name, help string, v float64) {
 		pw.Gauge(name, help)
 		pw.Sample(v)
@@ -68,29 +64,7 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	)
 	gauge("adc_uptime_seconds", "Seconds since this proxy started.", time.Since(p.started).Seconds())
 
-	counter("adc_requests_total", "Requests received (entry and forwarded hops).", stats.Requests)
-	counter("adc_local_hits_total", "Requests answered from the local cache.", stats.LocalHits)
-	counter("adc_replies_total", "Backwarding replies processed (Receive_Reply).", stats.RepliesSeen)
-	pw.Counter("adc_forwards_total", "Upstream forwards by routing decision.")
-	pw.Sample(float64(stats.ForwardLearned), promtext.L("route", "learned"))
-	pw.Sample(float64(stats.ForwardRandom), promtext.L("route", "random"))
-	pw.Sample(float64(stats.ForwardOrigin), promtext.L("route", "origin"))
-	counter("adc_loops_detected_total", "Requests that arrived while already pending here.", stats.LoopsDetected)
-	counter("adc_cache_insertions_total", "Promotions into the caching table.", stats.CacheInsertions)
-	counter("adc_cache_evictions_total", "Demotions out of the caching table.", stats.CacheEvictions)
-	counter("adc_shed_total", "Entry requests rejected 429 by admission control.", stats.Shed)
-	counter("adc_coalesced_misses_total", "Entry misses that shared an in-flight upstream fetch.", stats.CoalescedMisses)
-	counter("adc_stale_invalidated_total", "Mapping entries demoted because their location was down.", stats.StaleInvalidated)
-	counter("adc_retried_fetches_total", "Entry-chain retries after a failed upstream chain.", stats.RetriedFetches)
-	counter("adc_failover_origin_total", "Entry chains that fell back to a direct origin fetch.", stats.FailoverOrigin)
-	counter("adc_breaker_denied_total", "Fetches refused without a connection because the peer is held down.", stats.BreakerDenied)
-	counter("adc_hedged_fetches_total", "Entry chains that started a parallel origin hedge.", stats.HedgedFetches)
-	counter("adc_hedge_wins_total", "Hedged chains whose hedge answer was used.", stats.HedgeWins)
-	if p.replicating {
-		counter("adc_replica_pushes_total", "Hot-object replicas pushed to recent requesters.", stats.ReplicaPushes)
-		counter("adc_replica_drops_total", "Cold replica copies shed.", stats.ReplicaDrops)
-		counter("adc_replica_hits_total", "Local hits served from a pushed replica.", stats.ReplicaHits)
-	}
+	stats.WriteProm(pw)
 
 	gauge("adc_cache_objects", "Payloads currently stored.", float64(storeLen))
 	gauge("adc_queue_depth", "Entry requests waiting at the admission gate.", float64(p.gate.depth()))
@@ -107,7 +81,8 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if p.spans != nil {
 		gauge("adc_trace_spans", "Spans buffered in the /debug/trace ring.", float64(p.spans.Len()))
-		counter("adc_trace_spans_dropped_total", "Spans evicted from the bounded trace ring.", p.spans.Dropped())
+		pw.Counter("adc_trace_spans_dropped_total", "Spans evicted from the bounded trace ring.")
+		pw.Sample(float64(p.spans.Dropped()))
 	}
 
 	pw.HistogramFamily("adc_stage_latency_seconds",

@@ -13,8 +13,10 @@ import (
 
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
+	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/obs"
 	"github.com/adc-sim/adc/internal/promtext"
+	"github.com/adc-sim/adc/internal/protocol"
 )
 
 // tracedFarm builds a farm with tracing on (every request) and optional
@@ -93,6 +95,57 @@ func TestMetricsParsesAndLints(t *testing.T) {
 		if v, ok := d.Value("adc_trace_spans"); !ok || v == 0 {
 			t.Errorf("%v adc_trace_spans = %v, %v; want > 0 with tracing on", p.ID(), v, ok)
 		}
+	}
+}
+
+// TestMetricsRoundTripsProxyStats holds /metrics and /debug/vars to one
+// definition of the counters: on a farm with replication, health and
+// tracing on, reading every proxy's parsed page back through
+// metrics.ReadProm gives exactly the proxy's Stats(), which is exactly
+// the stats /debug/vars serves.
+func TestMetricsRoundTripsProxyStats(t *testing.T) {
+	f, err := NewFarm(FarmConfig{
+		Proxies:        3,
+		Tables:         core.Config{SingleSize: 256, MultipleSize: 128, CachingSize: 32},
+		Seed:           1,
+		Replication:    protocol.Replication{Enabled: true, HotThreshold: 2, MaxReplicas: 3, Window: 256},
+		FaultTolerance: FaultTolerance{Health: HealthConfig{Enabled: true, ProbeInterval: time.Hour}},
+		Tracing:        Tracing{SampleEvery: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = f.Close() })
+	driveHotStream(t, f, 600, 5)
+	// A handler may still be finishing after its client read the body.
+	time.Sleep(50 * time.Millisecond)
+
+	var total metrics.ProxyStats
+	for _, p := range f.Proxies {
+		resp, err := http.Get(p.URL() + metricsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		page, err := promtext.Parse(strings.NewReader(readAll(t, resp)))
+		if err != nil {
+			t.Fatalf("%v metrics parse: %v", p.ID(), err)
+		}
+		_, body := getBody(t, p.URL()+"/debug/vars")
+		var v debugVars
+		if err := json.Unmarshal([]byte(body), &v); err != nil {
+			t.Fatalf("%v /debug/vars is not JSON: %v", p.ID(), err)
+		}
+		stats := p.Stats()
+		if got := metrics.ReadProm(page); got != stats {
+			t.Errorf("%v: ReadProm(/metrics) = %+v\nwant Stats() = %+v", p.ID(), got, stats)
+		}
+		if v.Stats != stats {
+			t.Errorf("%v: /debug/vars stats = %+v\nwant Stats() = %+v", p.ID(), v.Stats, stats)
+		}
+		total.Add(stats)
+	}
+	if total.Requests == 0 || total.ReplicaPushes == 0 || total.ReplicaHits == 0 {
+		t.Errorf("farm totals %+v: want requests, replica pushes and replica hits", total)
 	}
 }
 

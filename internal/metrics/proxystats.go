@@ -1,5 +1,7 @@
 package metrics
 
+import "github.com/adc-sim/adc/internal/promtext"
+
 // ProxyStats counts the per-proxy events the cluster report aggregates:
 // how many requests each agent saw, how often its own cache answered, and
 // how its forwarding decisions were made. These feed the load-balance checks
@@ -91,30 +93,79 @@ type ProxyStats struct {
 	HedgeWins uint64
 }
 
+// counter is one ProxyStats field and the /metrics sample that exposes it.
+// Rows sharing a family name are adjacent and differ by label.
+type counter struct {
+	name, help string
+	label      promtext.Label // set only on the adc_forwards_total rows
+	field      func(*ProxyStats) *uint64
+}
+
+const forwardsHelp = "Upstream forwards by routing decision."
+
+// counters holds one row per ProxyStats field, in struct order: the only
+// list of the counters, walked by Add, WriteProm and ReadProm.
+var counters = [...]counter{
+	{"adc_requests_total", "Requests received (entry and forwarded hops).", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.Requests }},
+	{"adc_local_hits_total", "Requests answered from the local cache.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.LocalHits }},
+	{"adc_forwards_total", forwardsHelp, promtext.L("route", "learned"), func(s *ProxyStats) *uint64 { return &s.ForwardLearned }},
+	{"adc_forwards_total", forwardsHelp, promtext.L("route", "random"), func(s *ProxyStats) *uint64 { return &s.ForwardRandom }},
+	{"adc_forwards_total", forwardsHelp, promtext.L("route", "origin"), func(s *ProxyStats) *uint64 { return &s.ForwardOrigin }},
+	{"adc_loops_detected_total", "Requests that arrived while already pending here.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.LoopsDetected }},
+	{"adc_replies_total", "Backwarding replies processed (Receive_Reply).", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.RepliesSeen }},
+	{"adc_cache_insertions_total", "Promotions into the caching table.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.CacheInsertions }},
+	{"adc_cache_evictions_total", "Demotions out of the caching table.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.CacheEvictions }},
+	{"adc_expired_pending_total", "Pending passes retired by the recovery TTL (simulator recovery only).", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.ExpiredPending }},
+	{"adc_stale_invalidated_total", "Mapping entries demoted because their location was down.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.StaleInvalidated }},
+	{"adc_unexpected_replies_total", "Replies with no live pending entry (simulator recovery only).", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.UnexpectedReplies }},
+	{"adc_shed_total", "Entry requests rejected 429 by admission control.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.Shed }},
+	{"adc_coalesced_misses_total", "Entry misses that shared an in-flight upstream fetch.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.CoalescedMisses }},
+	{"adc_replica_pushes_total", "Hot-object replicas pushed to recent requesters.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.ReplicaPushes }},
+	{"adc_replica_drops_total", "Cold replica copies shed.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.ReplicaDrops }},
+	{"adc_replica_hits_total", "Local hits served from a pushed replica.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.ReplicaHits }},
+	{"adc_retried_fetches_total", "Entry-chain retries after a failed upstream chain.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.RetriedFetches }},
+	{"adc_failover_origin_total", "Entry chains that fell back to a direct origin fetch.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.FailoverOrigin }},
+	{"adc_breaker_denied_total", "Fetches refused without a connection because the peer is held down.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.BreakerDenied }},
+	{"adc_hedged_fetches_total", "Entry chains that started a parallel origin hedge.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.HedgedFetches }},
+	{"adc_hedge_wins_total", "Hedged chains whose hedge answer was used.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.HedgeWins }},
+}
+
+// labels is the row's sample labels: none, or its one route label.
+func (c *counter) labels() []promtext.Label {
+	if c.label.Name == "" {
+		return nil
+	}
+	return []promtext.Label{c.label}
+}
+
 // Add accumulates other into s, for cluster-wide totals.
 func (s *ProxyStats) Add(other ProxyStats) {
-	s.Requests += other.Requests
-	s.LocalHits += other.LocalHits
-	s.ForwardLearned += other.ForwardLearned
-	s.ForwardRandom += other.ForwardRandom
-	s.ForwardOrigin += other.ForwardOrigin
-	s.LoopsDetected += other.LoopsDetected
-	s.RepliesSeen += other.RepliesSeen
-	s.CacheInsertions += other.CacheInsertions
-	s.CacheEvictions += other.CacheEvictions
-	s.ExpiredPending += other.ExpiredPending
-	s.StaleInvalidated += other.StaleInvalidated
-	s.UnexpectedReplies += other.UnexpectedReplies
-	s.Shed += other.Shed
-	s.CoalescedMisses += other.CoalescedMisses
-	s.ReplicaPushes += other.ReplicaPushes
-	s.ReplicaDrops += other.ReplicaDrops
-	s.ReplicaHits += other.ReplicaHits
-	s.RetriedFetches += other.RetriedFetches
-	s.FailoverOrigin += other.FailoverOrigin
-	s.BreakerDenied += other.BreakerDenied
-	s.HedgedFetches += other.HedgedFetches
-	s.HedgeWins += other.HedgeWins
+	for i := range counters {
+		*counters[i].field(s) += *counters[i].field(&other)
+	}
+}
+
+// WriteProm writes every counter to a /metrics page, declaring each
+// family before its first row.
+func (s *ProxyStats) WriteProm(pw *promtext.Writer) {
+	for i := range counters {
+		c := &counters[i]
+		if i == 0 || counters[i-1].name != c.name {
+			pw.Counter(c.name, c.help)
+		}
+		pw.Sample(float64(*c.field(s)), c.labels()...)
+	}
+}
+
+// ReadProm is WriteProm's inverse: the counters a parsed /metrics page
+// holds, with a missing sample read as 0.
+func ReadProm(d *promtext.Document) ProxyStats {
+	var s ProxyStats
+	for i := range counters {
+		v, _ := d.Value(counters[i].name, counters[i].labels()...)
+		*counters[i].field(&s) = uint64(v)
+	}
+	return s
 }
 
 // LocalHitRate returns LocalHits/Requests for this proxy.
