@@ -13,8 +13,8 @@
 //     server and a closed-loop client replaying a workload — and returns
 //     hit-rate, hop and timing measurements. Algorithms: ADC, the CARP
 //     hashing baseline the paper compares against, and a consistent-hashing
-//     extension baseline. Runtimes: a deterministic sequential engine, one
-//     goroutine per agent, or a discrete-event virtual-time engine.
+//     extension baseline. Runtimes: a deterministic sequential engine or a
+//     discrete-event virtual-time engine.
 //
 //   - NewWorkload generates the paper's three-phase synthetic request
 //     stream (fill, request-I, request-II = replay of request-I) with
@@ -80,13 +80,11 @@ const (
 // Runtime selects the execution substrate.
 type Runtime string
 
-// Supported runtimes. All three produce identical metrics under the
-// default single-client closed loop (the paper's §V.1.2 equivalence).
+// Supported runtimes. Both produce identical hits and hops under the
+// default single-client closed loop.
 const (
 	// RuntimeSequential is the deterministic single-threaded engine.
 	RuntimeSequential Runtime = "sequential"
-	// RuntimeAgents runs one goroutine per node with channel mailboxes.
-	RuntimeAgents Runtime = "agents"
 	// RuntimeVirtualTime is the discrete-event engine: every transfer
 	// is delayed by a latency model (Config.Latency), producing
 	// response-time metrics; required for open-loop injection, faults,
@@ -149,7 +147,7 @@ type Config struct {
 	Entry EntryPolicy
 
 	// Clients is the number of closed-loop drivers. Default 1, which
-	// is also what makes all runtimes deterministic and equivalent.
+	// is also what makes both runtimes equivalent.
 	Clients int
 
 	// Window is the hit-rate moving-average window. Default 5000
@@ -160,7 +158,7 @@ type Config struct {
 	// requests; 0 disables series collection.
 	SampleEvery int
 
-	// Runtime selects sequential (default), agents or vtime.
+	// Runtime selects sequential (default) or vtime.
 	Runtime Runtime
 
 	// Backend selects the ordered-table implementation. Default btree.
@@ -220,9 +218,8 @@ type Config struct {
 	ResponseBuckets     int
 	ResponseBucketTicks int
 
-	// Tracer records per-hop request-path events during the run
-	// (requires the sequential or virtual-time runtime). nil disables
-	// tracing at zero cost. See NewTracer.
+	// Tracer records per-hop request-path events during the run. nil
+	// disables tracing at zero cost. See NewTracer.
 	Tracer *Tracer
 
 	// MetricsEvery collects windowed time-series metrics into

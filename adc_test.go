@@ -62,7 +62,7 @@ func TestRunAllPublicAlgorithms(t *testing.T) {
 
 func TestRunAllRuntimesAgree(t *testing.T) {
 	var base *Result
-	for _, rt := range []Runtime{RuntimeSequential, RuntimeAgents} {
+	for _, rt := range []Runtime{RuntimeSequential, RuntimeVirtualTime} {
 		cfg := smallConfig()
 		cfg.Runtime = rt
 		res, err := Run(cfg, smallWorkload(t))
@@ -196,11 +196,11 @@ func TestJoinProxyPublicAPI(t *testing.T) {
 	if res.ProxyStats[4].Requests == 0 {
 		t.Error("joined proxy never saw traffic")
 	}
-	// Churn is rejected off the sequential runtime.
+	// Churn is ADC-only: hashing would need a global remap.
 	bad := cfg
-	bad.Runtime = RuntimeAgents
+	bad.Algorithm = CARP
 	if _, err := Run(bad, smallWorkload(t)); err == nil {
-		t.Error("churn on agents runtime must fail")
+		t.Error("churn on CARP must fail")
 	}
 }
 
@@ -298,11 +298,12 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(smallConfig(), nil); err == nil {
 		t.Error("nil source must fail")
 	}
-	// The retired TCP runtime and skip-list backend fail like any unknown
-	// name, and the error lists what is accepted.
+	// The retired TCP and agents runtimes and the skip-list backend fail
+	// like any unknown name, and the error lists what is accepted.
 	for want, cfg := range map[string]Config{
-		`unknown runtime "tcp" (want sequential, agents or vtime)`: {Runtime: "tcp"},
-		`unknown backend "skiplist" (want btree, slice or list)`:   {Backend: "skiplist"},
+		`unknown runtime "tcp" (want sequential or vtime)`:       {Runtime: "tcp"},
+		`unknown runtime "agents" (want sequential or vtime)`:    {Runtime: "agents"},
+		`unknown backend "skiplist" (want btree, slice or list)`: {Backend: "skiplist"},
 	} {
 		if _, err := Run(cfg, smallWorkload(t)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Run(%+v) = %v, want an error containing %q", cfg, err, want)

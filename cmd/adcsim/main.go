@@ -6,7 +6,7 @@
 //	adcsim                              # ADC, the paper's setup at 1/10 scale (399k requests)
 //	adcsim -algo carp -requests 1000000
 //	adcsim -proxies 8 -single 5000 -multiple 5000 -caching 2000
-//	adcsim -runtime agents              # one goroutine per node, channel mailboxes
+//	adcsim -runtime vtime -shards 2     # virtual time, spread over two shards
 //	adcsim -replay trace.bin            # replay a saved workload trace
 //	adcsim -trace -trace-out t.jsonl    # record a request-path trace
 //	adcsim -config experiment.json      # run a JSON-described experiment
@@ -58,14 +58,14 @@ func run(args []string) error {
 		caching      = fs.Int("caching", def.CachingTable, "caching-table / LRU cache size (entries)")
 		maxHops      = fs.Int("maxhops", def.MaxHops, "forwarding bound (0 = unbounded)")
 		seed         = fs.Int64("seed", def.Seed, "random seed")
-		runtime      = fs.String("runtime", "sequential", "runtime: sequential, agents or vtime")
+		runtime      = fs.String("runtime", "sequential", "runtime: sequential or vtime")
 		shards       = fs.Int("shards", 0, "worker shards for -runtime vtime (0 or 1 = sequential; results are identical at every count)")
 		backend      = fs.String("backend", "", "ordered-table backend: btree (default), slice or list")
 		entry        = fs.String("entry", "random", "entry policy: random, round-robin or fixed")
 		requests     = fs.Int("requests", def.Workload.Requests, "synthetic workload length")
 		population   = fs.Int("population", def.Workload.Population, "hot object population of the request phases")
 		replayPath   = fs.String("replay", "", "replay a binary workload trace instead of generating")
-		traceOn      = fs.Bool("trace", false, "record a request-path trace (-runtime sequential or vtime)")
+		traceOn      = fs.Bool("trace", false, "record a request-path trace")
 		traceOut     = fs.String("trace-out", "trace.jsonl", "request-path trace output file (JSON Lines; with -trace)")
 		metricsEvery = fs.Int64("metrics-every", 0, "collect windowed time-series metrics every this many virtual ticks (-runtime vtime)")
 		metricsOut   = fs.String("metrics-out", "", "write the time series as CSV here (default: stdout)")

@@ -23,9 +23,10 @@ var (
 	// open-loop client type, since folded into sim.Client (the word
 	// boundary keeps test names such as TestOpenLoopClientValidation legal),
 	// the farm's circuit breaker and the knobs that went with it, since
-	// folded into the health monitor, and the farm's event tracer, since
-	// folded into its span ring.
-	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)|\b(?:New)?OpenLoop(?:Client|Config)\b|breakerGroup|Breaker(?:Var|Threshold|Cooldown)|RecoveryThreshold|RetryBackoff|adc_breaker_state|\b(?:BuildTrees|TreeFor|FormatTree|WriteChrome)\b|\bHashRequestID\b|\bUseWallClock\b|HTTPFarm\)?\.SetTracer`)
+	// folded into the health monitor, the farm's event tracer, since
+	// folded into its span ring, and the goroutine-agents runtime with its
+	// example and the allocating message helpers only it needed.
+	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)|\b(?:New)?OpenLoop(?:Client|Config)\b|breakerGroup|Breaker(?:Var|Threshold|Cooldown)|RecoveryThreshold|RetryBackoff|adc_breaker_state|\b(?:BuildTrees|TreeFor|FormatTree|WriteChrome)\b|\bHashRequestID\b|\bUseWallClock\b|HTTPFarm\)?\.SetTracer|RuntimeAgents|runConcurrent|examples/distributed|\bRecycler\b|\bReplyTo\(|\bSetOnDone\b`)
 	// EXPERIMENTS.md sections that record one PR's runs say so in their
 	// heading; they are history and may name what existed then.
 	datedHeading = regexp.MustCompile(`\((?:PR|issue) \d+`)
@@ -355,7 +356,8 @@ func docsNameDeclaredMakeTargets(t *testing.T) {
 
 // docsDoNotNameRetiredRecordings walks every text file of the checkout for
 // retiredName: the retired recordings, fault-schedule spellings, client
-// type, circuit-breaker names, event-trace tree API and farm event tracer. Exempt: CHANGES.md,
+// type, circuit-breaker names, event-trace tree API, farm event tracer and
+// goroutine-agents runtime. Exempt: CHANGES.md,
 // ROADMAP.md and the task plan (the record and the plan of what was
 // removed), EXPERIMENTS.md's
 // dated sections, bench/ (frozen by BENCHMARK.json's `paths`; its README
@@ -380,7 +382,7 @@ func docsDoNotNameRetiredRecordings(t *testing.T) {
 		}
 		for _, line := range strings.Split(livingText(t, path), "\n") {
 			if retiredName.MatchString(line) {
-				t.Errorf("%s names a retired recording, its recorder, a retired fault-schedule spelling, the retired open-loop client type, the retired circuit breaker, the retired event-trace tree API or the retired farm event tracer: %s", path, strings.TrimSpace(line))
+				t.Errorf("%s names something retired (see retiredName): %s", path, strings.TrimSpace(line))
 			}
 		}
 		return nil

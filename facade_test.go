@@ -114,7 +114,7 @@ func TestPublicNamesMatchTheParsers(t *testing.T) {
 		{"algorithm", func(s string) (fmt.Stringer, error) { return cluster.ParseAlgorithm(s) },
 			[]string{string(ADC), string(CARP), string(CHash), string(Hierarchical), string(Coordinator)}},
 		{"runtime", func(s string) (fmt.Stringer, error) { return cluster.ParseRuntime(s) },
-			[]string{string(RuntimeSequential), string(RuntimeAgents), string(RuntimeVirtualTime)}},
+			[]string{string(RuntimeSequential), string(RuntimeVirtualTime)}},
 		{"entry policy", func(s string) (fmt.Stringer, error) { return sim.ParseEntryPolicy(s) },
 			[]string{string(EntryRandom), string(EntryRoundRobin), string(EntryFixed)}},
 		{"backend", func(s string) (fmt.Stringer, error) { return core.ParseBackend(s) },

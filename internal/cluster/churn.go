@@ -18,9 +18,9 @@ import (
 // random forwarding and backwarding.
 //
 // Churn is applied between client requests (the only quiescent points of
-// a closed-loop run), so it is available on the deterministic engines —
-// sequential and virtual-time, the latter serialized at any shard count —
-// with a single closed-loop client.
+// a closed-loop run), so it is available on both engines — sequential and
+// virtual-time, the latter serialized at any shard count — with a single
+// closed-loop client.
 
 // validateChurn checks the churn-specific configuration constraints.
 func (c Config) validateChurn() error {
@@ -29,9 +29,6 @@ func (c Config) validateChurn() error {
 	}
 	if c.Algorithm != ADC {
 		return fmt.Errorf("cluster: proxy churn requires the ADC algorithm (hashing needs a global remap)")
-	}
-	if c.Runtime != RuntimeSequential && c.Runtime != RuntimeVirtualTime {
-		return fmt.Errorf("cluster: proxy churn requires the sequential or virtual-time runtime")
 	}
 	if c.Clients > 1 {
 		return fmt.Errorf("cluster: proxy churn requires a single client")

@@ -1,17 +1,15 @@
 // Package cluster wires complete proxy systems — N proxy agents, an origin
 // server and closed- or open-loop client drivers — and runs a workload
-// against them on one of the interchangeable runtimes (FIFO engine,
-// virtual-time engine, goroutine agents). It is the programmatic equivalent
+// against them on one of two deterministic runtimes (FIFO engine,
+// virtual-time engine). It is the programmatic equivalent
 // of the paper's experimental testbed (§V.1) and the layer the public API
 // and the benchmark harness sit on.
 package cluster
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"github.com/adc-sim/adc/internal/agent"
 	"github.com/adc-sim/adc/internal/carp"
 	"github.com/adc-sim/adc/internal/chash"
 	"github.com/adc-sim/adc/internal/core"
@@ -89,8 +87,6 @@ type Runtime int
 const (
 	// RuntimeSequential is the deterministic single-threaded engine.
 	RuntimeSequential Runtime = iota
-	// RuntimeAgents runs one goroutine per node (internal/agent).
-	RuntimeAgents
 	// RuntimeVirtualTime is the discrete-event engine (sim.VEngine):
 	// deterministic like RuntimeSequential, but every transfer is delayed
 	// by a latency model, yielding response-time metrics and supporting
@@ -105,8 +101,6 @@ func (r Runtime) String() string {
 	switch r {
 	case RuntimeSequential:
 		return "sequential"
-	case RuntimeAgents:
-		return "agents"
 	case RuntimeVirtualTime:
 		return "vtime"
 	default:
@@ -114,19 +108,17 @@ func (r Runtime) String() string {
 	}
 }
 
-// ParseRuntime converts a runtime name ("sequential", "agents", "vtime") to
+// ParseRuntime converts a runtime name ("sequential", "vtime") to
 // its Runtime; the empty string selects the default and "virtual" is an
 // alias for "vtime".
 func ParseRuntime(name string) (Runtime, error) {
 	switch name {
 	case "", "sequential":
 		return RuntimeSequential, nil
-	case "agents":
-		return RuntimeAgents, nil
 	case "vtime", "virtual":
 		return RuntimeVirtualTime, nil
 	default:
-		return 0, fmt.Errorf("cluster: unknown runtime %q (want sequential, agents or vtime)", name)
+		return 0, fmt.Errorf("cluster: unknown runtime %q (want sequential or vtime)", name)
 	}
 }
 
@@ -166,7 +158,7 @@ type Config struct {
 	// (0 disables series collection; summaries are always available).
 	SampleEvery uint64
 
-	// Runtime selects sequential, concurrent or virtual-time execution.
+	// Runtime selects sequential or virtual-time execution.
 	Runtime Runtime
 
 	// Latency is the virtual-time latency model; the zero value selects
@@ -222,9 +214,8 @@ type Config struct {
 	ResponseBucketTicks int
 
 	// Tracer, when non-nil, records per-hop request-path events across
-	// clients, proxies, the origin, and the engine's drop paths. Requires
-	// a deterministic engine (RuntimeSequential or RuntimeVirtualTime);
-	// nil keeps every hot path on its single-branch disabled guard.
+	// clients, proxies, the origin, and the engine's drop paths; nil
+	// keeps every hot path on its single-branch disabled guard.
 	Tracer *obs.Tracer
 
 	// MetricsEvery, when positive, records windowed time-series buckets
@@ -269,9 +260,6 @@ func (c Config) Validate() error {
 	if c.Shards > 0 && c.Runtime != RuntimeVirtualTime {
 		return fmt.Errorf("cluster: Shards requires the virtual-time runtime")
 	}
-	if c.Tracer != nil && c.Runtime != RuntimeSequential && c.Runtime != RuntimeVirtualTime {
-		return fmt.Errorf("cluster: tracing requires the sequential or virtual-time runtime")
-	}
 	if c.MetricsEvery < 0 {
 		return fmt.Errorf("cluster: MetricsEvery must be non-negative, got %d", c.MetricsEvery)
 	}
@@ -309,9 +297,8 @@ type Result struct {
 	ProxyStats []metrics.ProxyStats
 	// OriginResolved counts requests the origin server answered.
 	OriginResolved uint64
-	// Delivered counts engine message deliveries (zero on the agents
-	// runtime, which does not track a global delivery counter). Progress
-	// displays use it to report events/sec.
+	// Delivered counts engine message deliveries. Progress displays use
+	// it to report events/sec.
 	Delivered uint64
 	// Dropped counts messages the engine discarded — fault-plan losses
 	// and deliveries addressed to crashed proxies. Every drop in a run
@@ -673,12 +660,6 @@ func (c *Cluster) Run() (*Result, error) {
 		delivered = eng.Delivered()
 		dropped = eng.Dropped()
 		faultStats = eng.FaultStats()
-	case RuntimeAgents:
-		d, err := c.runConcurrent()
-		if err != nil {
-			return nil, err
-		}
-		dropped = d
 	default:
 		return nil, fmt.Errorf("cluster: unknown runtime %d", int(c.cfg.Runtime))
 	}
@@ -700,40 +681,6 @@ func (c *Cluster) Run() (*Result, error) {
 	res.Dropped = dropped
 	res.Faults = faultStats
 	return res, nil
-}
-
-// runConcurrent executes on the goroutine runtime, terminating when every
-// client has consumed its trace. It returns the runtime's dropped-message
-// count: sends to unregistered destinations, which previously died inside
-// the runtime and never reached Result — a silent wiring failure in pooled
-// sweeps.
-func (c *Cluster) runConcurrent() (uint64, error) {
-	rt := agent.New(0)
-
-	// Completion signalling: all clients done → close(done).
-	done := make(chan struct{})
-	var once sync.Once
-	remaining := int64(len(c.clients))
-	var mu sync.Mutex
-
-	for _, n := range c.nodes {
-		if err := rt.Register(n); err != nil {
-			return 0, err
-		}
-	}
-	for _, cl := range c.clients {
-		cl.SetOnDone(func() {
-			mu.Lock()
-			remaining--
-			last := remaining == 0
-			mu.Unlock()
-			if last {
-				once.Do(func() { close(done) })
-			}
-		})
-	}
-	rt.Run(done)
-	return rt.Dropped(), nil
 }
 
 func (c *Cluster) collect(elapsed time.Duration) *Result {

@@ -82,7 +82,7 @@ func TestParseAlgorithm(t *testing.T) {
 // TestParseRuntimeAndBackend covers the two name tables every entry point
 // (adc.Config, config files, CLI flags) goes through: each accepted spelling
 // parses to a value whose String parses back to it, and the retired names
-// ("tcp", "skiplist") and near-misses are rejected.
+// ("tcp", "agents", "skiplist") and near-misses are rejected.
 func TestParseRuntimeAndBackend(t *testing.T) {
 	tables := []struct {
 		kind     string
@@ -90,7 +90,7 @@ func TestParseRuntimeAndBackend(t *testing.T) {
 		accepted map[string]fmt.Stringer
 	}{
 		{"runtime", func(s string) (fmt.Stringer, error) { return ParseRuntime(s) }, map[string]fmt.Stringer{
-			"": RuntimeSequential, "sequential": RuntimeSequential, "agents": RuntimeAgents,
+			"": RuntimeSequential, "sequential": RuntimeSequential,
 			"vtime": RuntimeVirtualTime, "virtual": RuntimeVirtualTime,
 		}},
 		{"backend", func(s string) (fmt.Stringer, error) { return core.ParseBackend(s) }, map[string]fmt.Stringer{
@@ -108,7 +108,7 @@ func TestParseRuntimeAndBackend(t *testing.T) {
 				t.Errorf("%s %q: String %q does not parse back", tb.kind, name, got)
 			}
 		}
-		for _, name := range []string{"tcp", "skiplist", "Agents", " vtime", "BTREE", "list "} {
+		for _, name := range []string{"tcp", "agents", "skiplist", " vtime", "BTREE", "list "} {
 			if got, err := tb.parse(name); err == nil {
 				t.Errorf("%s %q must be rejected, parsed to %v", tb.kind, name, got)
 			} else if !strings.Contains(err.Error(), "(want ") {
@@ -169,40 +169,6 @@ func TestRunDeterministicAcrossRepeats(t *testing.T) {
 	}
 }
 
-func TestSequentialAndAgentRuntimesAgree(t *testing.T) {
-	// DESIGN.md §10.5 / paper §V.1.2: the concurrent runtime must give
-	// bit-identical metrics to the sequential engine under closed-loop
-	// injection.
-	for _, algo := range []Algorithm{ADC, CARP} {
-		algo := algo
-		t.Run(algo.String(), func(t *testing.T) {
-			seqCfg := testConfig(algo)
-			seqCfg.Runtime = RuntimeSequential
-			agtCfg := testConfig(algo)
-			agtCfg.Runtime = RuntimeAgents
-
-			seq, err := Run(seqCfg, testWorkload(t, 5000))
-			if err != nil {
-				t.Fatal(err)
-			}
-			agt, err := Run(agtCfg, testWorkload(t, 5000))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq.Summary.Hits != agt.Summary.Hits {
-				t.Errorf("hits differ: %d vs %d", seq.Summary.Hits, agt.Summary.Hits)
-			}
-			if seq.Summary.Hops != agt.Summary.Hops {
-				t.Errorf("hops differ: %v vs %v", seq.Summary.Hops, agt.Summary.Hops)
-			}
-			if seq.OriginResolved != agt.OriginResolved {
-				t.Errorf("origin counts differ: %d vs %d",
-					seq.OriginResolved, agt.OriginResolved)
-			}
-		})
-	}
-}
-
 func TestMultipleClients(t *testing.T) {
 	cfg := testConfig(ADC)
 	cfg.Clients = 3
@@ -212,19 +178,6 @@ func TestMultipleClients(t *testing.T) {
 	}
 	if res.Summary.Requests != 3000 {
 		t.Errorf("requests = %d, want 3000 across 3 clients", res.Summary.Requests)
-	}
-}
-
-func TestMultipleClientsAgentsRuntime(t *testing.T) {
-	cfg := testConfig(ADC)
-	cfg.Clients = 3
-	cfg.Runtime = RuntimeAgents
-	res, err := Run(cfg, testWorkload(t, 3000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Summary.Requests != 3000 {
-		t.Errorf("requests = %d, want 3000", res.Summary.Requests)
 	}
 }
 
@@ -443,11 +396,6 @@ func TestChurnValidation(t *testing.T) {
 	carpCfg.Algorithm = CARP
 	if err := carpCfg.Validate(); err == nil {
 		t.Error("churn with CARP must fail")
-	}
-	agents := base
-	agents.Runtime = RuntimeAgents
-	if err := agents.Validate(); err == nil {
-		t.Error("churn on the agents runtime must fail")
 	}
 	multi := base
 	multi.Clients = 2

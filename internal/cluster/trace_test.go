@@ -245,16 +245,10 @@ func TestEveryAlgorithmTracedAndWindowed(t *testing.T) {
 	}
 }
 
-// TestTraceConfigValidation: tracing and metrics are engine features — the
-// concurrency runtimes must refuse them loudly rather than silently record
-// nothing.
+// TestTraceConfigValidation: windowed metrics need a clock — the sequential
+// runtime must refuse them loudly rather than silently record nothing.
 func TestTraceConfigValidation(t *testing.T) {
-	cfg := goldenConfig(RuntimeAgents)
-	cfg.Tracer = obs.New()
-	if _, err := Run(cfg, trace.NewSliceSource(goldenTrace())); err == nil {
-		t.Error("tracer on the agents runtime accepted")
-	}
-	cfg = goldenConfig(RuntimeSequential)
+	cfg := goldenConfig(RuntimeSequential)
 	cfg.MetricsEvery = 1000
 	if _, err := Run(cfg, trace.NewSliceSource(goldenTrace())); err == nil {
 		t.Error("metrics on the clockless sequential runtime accepted")

@@ -31,7 +31,7 @@ type File struct {
 	Seed int64 `json:"seed"`
 	// Entry: "random", "round-robin" or "fixed".
 	Entry string `json:"entry,omitempty"`
-	// Runtime: "sequential" (default), "agents" or "vtime".
+	// Runtime: "sequential" (default) or "vtime".
 	Runtime string `json:"runtime,omitempty"`
 	// Backend: "btree" (default), "slice" or "list".
 	Backend string `json:"backend,omitempty"`

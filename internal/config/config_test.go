@@ -30,7 +30,7 @@ func TestParseOverrides(t *testing.T) {
 		"algorithm": "carp",
 		"proxies": 8,
 		"cachingTable": 500,
-		"runtime": "agents",
+		"runtime": "vtime",
 		"entry": "fixed",
 		"backend": "slice",
 		"workload": {"requests": 1000, "population": 50}
@@ -45,7 +45,7 @@ func TestParseOverrides(t *testing.T) {
 	if ccfg.Algorithm != cluster.CARP || ccfg.NumProxies != 8 {
 		t.Errorf("overrides lost: %+v", ccfg)
 	}
-	if ccfg.Runtime != cluster.RuntimeAgents {
+	if ccfg.Runtime != cluster.RuntimeVirtualTime {
 		t.Errorf("runtime = %v", ccfg.Runtime)
 	}
 	if ccfg.Tables.Backend != core.BackendSlice {
@@ -71,10 +71,11 @@ func TestParseRejectsBadValues(t *testing.T) {
 			t.Errorf("Parse(%s) must fail", in)
 		}
 	}
-	// The retired TCP runtime and skip-list backend fail like any unknown
-	// name, and the error lists what is accepted.
+	// The retired TCP and agents runtimes and the skip-list backend fail
+	// like any unknown name, and the error lists what is accepted.
 	for in, want := range map[string]string{
-		`{"runtime": "tcp"}`:      `unknown runtime "tcp" (want sequential, agents or vtime)`,
+		`{"runtime": "tcp"}`:      `unknown runtime "tcp" (want sequential or vtime)`,
+		`{"runtime": "agents"}`:   `unknown runtime "agents" (want sequential or vtime)`,
 		`{"backend": "skiplist"}`: `unknown backend "skiplist" (want btree, slice or list)`,
 	} {
 		if _, err := Parse([]byte(in)); err == nil || !strings.Contains(err.Error(), want) {

@@ -84,8 +84,7 @@ type ProgressInfo struct {
 	Workers int
 	// Events is the cumulative number of engine message deliveries across
 	// all completed simulations; divided by elapsed wall-clock it yields
-	// the engine's events/sec throughput. Zero for runs on the concurrent
-	// runtimes, which do not track a global delivery counter.
+	// the engine's events/sec throughput.
 	Events uint64
 }
 

@@ -27,8 +27,7 @@ type Point struct {
 }
 
 // Collector accumulates per-request outcomes. It is not safe for concurrent
-// use; on the agents runtime only the single client driver observes
-// completions, so no locking is needed.
+// use; only its client driver records into it, so no locking is needed.
 type Collector struct {
 	window     *stats.MovingAverage
 	hopsWindow *stats.MovingAverage

@@ -79,21 +79,3 @@ func TestFreelistPathTransfer(t *testing.T) {
 		t.Errorf("path pool holds %d arrays, want 1", n)
 	}
 }
-
-func TestInitFromMatchesReplyTo(t *testing.T) {
-	req := &Request{
-		To: 2, ID: ids.NewRequestID(1, 9), Object: 42,
-		Client: ids.Client(1), Sender: 2,
-		Path: []ids.NodeID{0, 2}, Hops: 3, MaxHops: 8,
-	}
-	want := ReplyTo(req)
-	var got Reply
-	got.Cached = true // stale state must be overwritten
-	got.InitFrom(req)
-	if got.ID != want.ID || got.Object != want.Object || got.Client != want.Client ||
-		got.Resolver != want.Resolver || got.Cached != want.Cached ||
-		got.FromOrigin != want.FromOrigin || got.Hops != want.Hops ||
-		got.PathLen != want.PathLen || len(got.Path) != len(want.Path) {
-		t.Errorf("InitFrom = %+v, ReplyTo = %+v", got, *want)
-	}
-}

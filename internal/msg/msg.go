@@ -3,10 +3,10 @@
 // during backwarding (§III.1–2 of the paper) — plus helpers to manage the
 // recorded path.
 //
-// Messages are plain data; the engines in internal/sim and internal/agent
-// move them between nodes. Both pass messages by pointer within a process, so
-// handlers must treat a received message as owned (mutate-and-forward is the
-// norm, mirroring how a real proxy rewrites a packet before relaying it).
+// Messages are plain data; the engines in internal/sim move them between
+// nodes. They pass messages by pointer within a process, so handlers must
+// treat a received message as owned (mutate-and-forward is the norm,
+// mirroring how a real proxy rewrites a packet before relaying it).
 package msg
 
 import "github.com/adc-sim/adc/internal/ids"
@@ -160,16 +160,6 @@ func (r *Reply) InitFrom(req *Request) {
 		PathLen:  len(req.Path),
 		SentAt:   req.SentAt,
 	}
-}
-
-// ReplyTo builds the reply for req, initialized to retrace the request's
-// recorded path. The caller sets Resolver/Cached/FromOrigin as appropriate
-// before sending. Engine-resident nodes should prefer sim.Resolve, which
-// additionally recycles req through the engine freelist.
-func ReplyTo(req *Request) *Reply {
-	rep := &Reply{}
-	rep.InitFrom(req)
-	return rep
 }
 
 // Compile-time interface checks.

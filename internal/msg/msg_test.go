@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/adc-sim/adc/internal/ids"
@@ -21,24 +22,26 @@ func TestAtMaxHops(t *testing.T) {
 	}
 }
 
-func TestReplyToCopiesIdentity(t *testing.T) {
+func TestInitFromCopiesIdentity(t *testing.T) {
 	req := &Request{
-		ID:     ids.NewRequestID(1, 2),
-		Object: 9,
-		Client: ids.Client(1),
-		Path:   []ids.NodeID{3, 4},
-		Hops:   5,
-		SentAt: 77,
+		To: 2, ID: ids.NewRequestID(1, 2), Object: 9,
+		Client: ids.Client(1), Sender: 2,
+		Path: []ids.NodeID{3, 4}, Hops: 5, MaxHops: 8, SentAt: 77,
 	}
-	rep := ReplyTo(req)
-	if rep.ID != req.ID || rep.Object != req.Object || rep.Client != req.Client || rep.SentAt != req.SentAt {
-		t.Errorf("identity not copied: %+v", rep)
+	// A recycled reply carries its last use's state; InitFrom must
+	// overwrite every field of it.
+	rep := &Reply{
+		To: 6, Resolver: 3, Cached: true, FromOrigin: true,
+		Replicas: []ids.NodeID{1}, Replicate: true, AvgHint: 40,
 	}
-	if rep.Resolver != ids.None {
-		t.Errorf("resolver must start as None (the paper's NULL), got %v", rep.Resolver)
+	rep.InitFrom(req)
+	want := Reply{
+		ID: req.ID, Object: 9, Client: ids.Client(1),
+		Resolver: ids.None, // the paper's NULL
+		Path:     req.Path, Hops: 5, PathLen: 2, SentAt: 77,
 	}
-	if rep.Hops != 5 || rep.PathLen != 2 {
-		t.Errorf("hops/pathlen = %d/%d", rep.Hops, rep.PathLen)
+	if !reflect.DeepEqual(*rep, want) {
+		t.Errorf("InitFrom = %+v, want %+v", *rep, want)
 	}
 }
 

@@ -14,12 +14,15 @@ import (
 // collectCtx records everything a proxy sends, without delivering it.
 type collectCtx struct {
 	sent []msg.Message
+	fl   msg.Freelist
 }
 
 func (c *collectCtx) Send(m msg.Message) {
 	sim.CountHop(m)
 	c.sent = append(c.sent, m)
 }
+
+func (c *collectCtx) Freelist() *msg.Freelist { return &c.fl }
 
 // TestProxySurvivesArbitraryMessageStorm feeds a proxy a fuzz stream of
 // structurally odd (but type-correct) messages: replies it never forwarded,

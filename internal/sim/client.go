@@ -83,9 +83,8 @@ func (t *tick) Dest() ids.NodeID { return t.to }
 //
 //   - Closed loop (IntervalTicks == 0): one request outstanding; the first
 //     is injected at Start, the next each time one is answered or
-//     abandoned. Closed-loop injection is what makes concurrent and
-//     distributed runs deliver bit-identical metrics to the sequential
-//     engine (DESIGN.md §3).
+//     abandoned. Closed-loop injection keeps the message order of one
+//     request chain independent of the substrate (DESIGN.md §3).
 //   - Open loop (IntervalTicks > 0): requests arrive on the client's own
 //     timer at a fixed or Poisson rate regardless of outstanding replies —
 //     the way Web Polygraph drives a proxy farm ("TheBench.peak_req_rate =
@@ -128,11 +127,6 @@ type Client struct {
 	inFlight  int
 	attempts  ids.ReqTable[attempt]
 	exhausted bool
-	done      bool
-
-	// onDone, when set, fires once after the last reply is recorded;
-	// the agents runtime uses it to know when to shut down.
-	onDone func()
 
 	// tracer and ts are the optional observability hooks; both nil in the
 	// default configuration, where every guard is a single branch.
@@ -172,8 +166,6 @@ type ClientConfig struct {
 	Collector *metrics.Collector
 	// MaxHops is copied onto every request (0 = unbounded).
 	MaxHops int
-	// OnDone fires after the final reply (optional).
-	OnDone func()
 	// Recovery enables timeouts and retransmission (virtual-time engine
 	// only; the zero value keeps the paper-faithful lossless protocol).
 	Recovery Recovery
@@ -213,7 +205,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		recovery:  cfg.Recovery,
 		interval:  cfg.IntervalTicks,
 		poisson:   cfg.Poisson,
-		onDone:    cfg.OnDone,
 	}
 	if c.interval > 0 {
 		c.timer = &tick{to: c.id}
@@ -223,10 +214,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 
 // ID implements Node.
 func (c *Client) ID() ids.NodeID { return c.id }
-
-// SetOnDone installs the completion callback; it must be called before the
-// run starts. Concurrent runtimes use it to learn when traffic has drained.
-func (c *Client) SetOnDone(fn func()) { c.onDone = fn }
 
 // AddProxy adds a newly joined proxy to the entry-point set (infrastructure
 // growth). Safe only between requests on the sequential engine.
@@ -251,7 +238,7 @@ func (c *Client) SetTimeSeries(ts *metrics.TimeSeries) { c.ts = ts }
 
 // Done reports whether the trace is exhausted and every request answered
 // or abandoned.
-func (c *Client) Done() bool { return c.done }
+func (c *Client) Done() bool { return c.exhausted && c.inFlight == 0 }
 
 // Outstanding returns the number of requests in flight: injected, neither
 // answered nor abandoned.
@@ -295,7 +282,6 @@ func (c *Client) inject(ctx Context) {
 	obj, ok := c.src.Next()
 	if !ok {
 		c.exhausted = true
-		c.maybeFinish()
 		return
 	}
 	now := traceNow(ctx) // the send time; 0 on engines without a clock
@@ -318,7 +304,7 @@ func (c *Client) send(ctx Context, a attempt, prev ids.RequestID) {
 	if c.recovery.Enabled {
 		*c.attempts.Upsert(id) = a
 	}
-	req := NewRequest(ctx)
+	req := ctx.Freelist().GetRequest()
 	req.To = c.pickEntry()
 	req.ID = id
 	req.Object = a.obj
@@ -368,7 +354,7 @@ func (c *Client) complete(ctx Context, rep *msg.Reply) {
 				c.tracer.Emit(e)
 			}
 			c.collector.RecordStaleReply()
-			Finish(ctx, rep)
+			ctx.Freelist().PutReply(rep)
 			return
 		}
 		c.attempts.Delete(rep.ID)
@@ -392,7 +378,7 @@ func (c *Client) complete(ctx Context, rep *msg.Reply) {
 	if c.ts != nil {
 		c.ts.Complete(traceNow(ctx), !rep.FromOrigin, int32(rep.Hops))
 	}
-	Finish(ctx, rep) // terminal delivery: the reply recycles
+	ctx.Freelist().PutReply(rep) // terminal delivery: the reply recycles
 	c.retire(ctx)
 }
 
@@ -448,17 +434,6 @@ func (c *Client) retire(ctx Context) {
 	c.inFlight--
 	if c.interval == 0 {
 		c.inject(ctx)
-		return
-	}
-	c.maybeFinish()
-}
-
-func (c *Client) maybeFinish() {
-	if !c.done && c.exhausted && c.inFlight == 0 {
-		c.done = true
-		if c.onDone != nil {
-			c.onDone()
-		}
 	}
 }
 

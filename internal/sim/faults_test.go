@@ -106,12 +106,13 @@ func TestDroppedSendIsNotRecycled(t *testing.T) {
 	// that the fault filter discarded the message, so the engine must NOT
 	// recycle a dropped message — the caller may still reference it. If
 	// the engine fed dropped messages to its freelist, the next
-	// AcquireRequest would hand the same struct to a different owner and
+	// GetRequest would hand the same struct to a different owner and
 	// the caller's retained pointer would be silently rewritten.
 	eng := NewVEngine(LatencyModel{ClientProxy: 1})
 	eng.SetDropFilter(func(msg.Message) bool { return true })
 
-	req := eng.AcquireRequest()
+	fl := eng.Freelist()
+	req := fl.GetRequest()
 	req.To = 0
 	req.ID = ids.NewRequestID(0, 1)
 	req.Object = 77
@@ -120,7 +121,7 @@ func TestDroppedSendIsNotRecycled(t *testing.T) {
 
 	// The freelist must not contain the dropped message: a fresh acquire
 	// returns a different struct.
-	next := eng.AcquireRequest()
+	next := fl.GetRequest()
 	if next == req {
 		t.Fatal("engine recycled a dropped message the caller still references")
 	}
@@ -132,8 +133,8 @@ func TestDroppedSendIsNotRecycled(t *testing.T) {
 
 	// Contrast: explicit release does recycle — pointer identity proves
 	// the freelist path works when ownership is genuinely handed over.
-	eng.ReleaseRequest(next)
-	if got := eng.AcquireRequest(); got != next {
+	fl.PutRequest(next)
+	if got := fl.GetRequest(); got != next {
 		t.Error("released request was not recycled")
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // shard is one slice of a VEngine's node space with its own event queue and
 // freelist. It is the context handlers run against — the full node-facing
-// surface (Context, Clock, Scheduler, Recycler).
+// surface (Context, Clock, Scheduler).
 type shard struct {
 	eng *VEngine
 	idx int
@@ -51,7 +51,6 @@ var (
 	_ Context   = (*shard)(nil)
 	_ Clock     = (*shard)(nil)
 	_ Scheduler = (*shard)(nil)
-	_ Recycler  = (*shard)(nil)
 )
 
 // pcmd is one coordinator→worker phase command.
@@ -265,8 +264,5 @@ func (s *shard) emit(at int64, m msg.Message, to ids.NodeID, lane int) {
 	})
 }
 
-// Recycler: every shard recycles through its own freelist.
-func (s *shard) AcquireRequest() *msg.Request  { return s.fl.GetRequest() }
-func (s *shard) AcquireReply() *msg.Reply      { return s.fl.GetReply() }
-func (s *shard) ReleaseRequest(r *msg.Request) { s.fl.PutRequest(r) }
-func (s *shard) ReleaseReply(r *msg.Reply)     { s.fl.PutReply(r) }
+// Freelist implements Context: every shard recycles through its own.
+func (s *shard) Freelist() *msg.Freelist { return &s.fl }

@@ -12,10 +12,9 @@
 // eight hosts, and reports that "a simulation running on a powerful ...
 // machine returns the same results as a run spread over a distributed set
 // of machines" (§V.1.2). This package is the single-machine side of that
-// equivalence; internal/agent is the concurrent runtime, held to identical
-// metrics under closed-loop injection, and internal/httpproxy runs the same
-// protocol core over real sockets, held to identical per-proxy statistics
-// and table dumps (TestSimAndFarmRunTheSameProtocol).
+// equivalence; internal/httpproxy runs the same protocol core over real
+// sockets, held to identical per-proxy statistics and table dumps
+// (TestSimAndFarmRunTheSameProtocol).
 package sim
 
 import (
@@ -29,9 +28,36 @@ import (
 // in the paper's sense — "the message transfer between client-proxy,
 // proxy-proxy and proxy-server" (§V.2.2) — and increments the message's
 // hop counter.
+//
+// Every engine is single-threaded per context, so each context owns a
+// message freelist and the steady-state loop does not allocate. Ownership
+// follows internal/msg: a handler owns the message it received, and
+// putting it back on the freelist ends that ownership. The engines do NOT
+// recycle messages dropped by the fault filter at Send time: the sender may
+// still hold the pointer it just passed in (Send returning normally gives
+// it no signal that the message died), so a dropped message is left to the
+// garbage collector instead.
 type Context interface {
 	// Send enqueues m for delivery to m.Dest().
 	Send(m msg.Message)
+	// Freelist is the context's message freelist: traffic sources take
+	// new requests from it and terminal receivers put replies back.
+	Freelist() *msg.Freelist
+}
+
+// Resolve consumes req and returns the reply answering it, initialized to
+// retrace the recorded forwarding path (the backwarding start of §III.2).
+// Ownership of req transfers here: its Path moves to the reply and the
+// struct returns to the freelist, so the caller must not touch req
+// afterwards. The caller sets Resolver/Cached/FromOrigin on the reply
+// before sending.
+func Resolve(ctx Context, req *msg.Request) *msg.Reply {
+	fl := ctx.Freelist()
+	rep := fl.GetReply()
+	rep.InitFrom(req)
+	req.Path = nil // backing array now owned by the reply
+	fl.PutRequest(req)
+	return rep
 }
 
 // Node is a participant in the simulated system.
@@ -74,10 +100,7 @@ type Engine struct {
 	delivered uint64
 }
 
-var (
-	_ Context  = (*Engine)(nil)
-	_ Recycler = (*Engine)(nil)
-)
+var _ Context = (*Engine)(nil)
 
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
@@ -99,17 +122,8 @@ func (e *Engine) Send(m msg.Message) {
 	e.queue.push(m)
 }
 
-// AcquireRequest implements Recycler.
-func (e *Engine) AcquireRequest() *msg.Request { return e.fl.GetRequest() }
-
-// AcquireReply implements Recycler.
-func (e *Engine) AcquireReply() *msg.Reply { return e.fl.GetReply() }
-
-// ReleaseRequest implements Recycler.
-func (e *Engine) ReleaseRequest(r *msg.Request) { e.fl.PutRequest(r) }
-
-// ReleaseReply implements Recycler.
-func (e *Engine) ReleaseReply(r *msg.Reply) { e.fl.PutReply(r) }
+// Freelist implements Context.
+func (e *Engine) Freelist() *msg.Freelist { return &e.fl }
 
 // Delivered returns the total number of messages delivered so far.
 func (e *Engine) Delivered() uint64 { return e.delivered }

@@ -25,9 +25,9 @@ func (n *echoNode) Handle(ctx Context, m msg.Message) {
 		return
 	}
 	n.seen = append(n.seen, req.Object)
-	rep := msg.ReplyTo(req)
+	rep := Resolve(ctx, req)
 	rep.Resolver = n.id
-	rep.To = req.Client
+	rep.To = rep.Client
 	ctx.Send(rep)
 }
 
@@ -196,16 +196,17 @@ func TestClientClosedLoop(t *testing.T) {
 	}
 }
 
-func TestClientOnDoneFiresOnce(t *testing.T) {
+func TestClientDoneAfterLastReply(t *testing.T) {
 	src := trace.NewSliceSource([]ids.ObjectID{1, 2})
-	calls := 0
 	cl, err := NewClient(ClientConfig{
 		Source:  src,
 		Proxies: []ids.NodeID{0},
-		OnDone:  func() { calls++ },
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cl.Done() {
+		t.Error("Done() before the run")
 	}
 	e := NewEngine()
 	node := &echoNode{id: 0}
@@ -217,8 +218,8 @@ func TestClientOnDoneFiresOnce(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if calls != 1 {
-		t.Errorf("OnDone fired %d times, want 1", calls)
+	if !cl.Done() || cl.Outstanding() != 0 {
+		t.Errorf("after the run: Done() = %v with %d outstanding, want true with 0", cl.Done(), cl.Outstanding())
 	}
 }
 

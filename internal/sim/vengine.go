@@ -133,7 +133,7 @@ type VEngine struct {
 	// probing the paper's §III.1 assumption that "we don't expect the loss
 	// of messages". Timer events (After) are never dropped; only network
 	// transfers are. Dropped messages are never recycled: the sender may
-	// still reference them (see Recycler).
+	// still reference them (see Context).
 	drop func(m msg.Message) bool
 
 	// faults, when set, is the installed FaultPlan's loss/jitter stream.
@@ -282,16 +282,12 @@ var (
 	_ Context   = (*VEngine)(nil)
 	_ Clock     = (*VEngine)(nil)
 	_ Scheduler = (*VEngine)(nil)
-	_ Recycler  = (*VEngine)(nil)
 )
 
 func (e *VEngine) VNow() int64                      { return e.now }
 func (e *VEngine) Send(m msg.Message)               { e.shards[0].Send(m) }
 func (e *VEngine) After(delay int64, m msg.Message) { e.shards[0].After(delay, m) }
-func (e *VEngine) AcquireRequest() *msg.Request     { return e.shards[0].AcquireRequest() }
-func (e *VEngine) AcquireReply() *msg.Reply         { return e.shards[0].AcquireReply() }
-func (e *VEngine) ReleaseRequest(r *msg.Request)    { e.shards[0].ReleaseRequest(r) }
-func (e *VEngine) ReleaseReply(r *msg.Reply)        { e.shards[0].ReleaseReply(r) }
+func (e *VEngine) Freelist() *msg.Freelist          { return e.shards[0].Freelist() }
 
 // shardIdx maps a node to its owning shard.
 func (e *VEngine) shardIdx(id ids.NodeID) int {

@@ -25,9 +25,9 @@ func (p *delayProbe) Handle(ctx Context, m msg.Message) {
 	}
 	p.arrived = append(p.arrived, clk.VNow())
 	if p.reply {
-		rep := msg.ReplyTo(req)
+		rep := Resolve(ctx, req)
 		rep.Resolver = p.id
-		rep.To = req.Client
+		rep.To = rep.Client
 		ctx.Send(rep)
 	}
 }
@@ -189,13 +189,11 @@ func TestOpenLoopClientInjectsAtRate(t *testing.T) {
 		objs[i] = ids.ObjectID(i)
 	}
 	col := metrics.NewCollector(metrics.WithSampleEvery(0))
-	done := false
 	cl, err := NewClient(ClientConfig{
 		Source:        trace.NewSliceSource(objs),
 		Proxies:       []ids.NodeID{0},
 		Collector:     col,
 		IntervalTicks: 100,
-		OnDone:        func() { done = true },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +204,7 @@ func TestOpenLoopClientInjectsAtRate(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !done || !cl.Done() {
+	if !cl.Done() {
 		t.Fatal("open-loop client did not finish")
 	}
 	if col.Requests() != 50 {
