@@ -142,8 +142,11 @@ telemetry-smoke:
 	  -trace-sample 1 -trace-dump telemetry-smoke.spans.json -lint-metrics
 	$(GO) run ./cmd/adctrace farm -min-complete 0.99 telemetry-smoke.spans.json
 
+# Every figure and extension study at 1/10 scale, seed 1: ASCII charts on
+# stdout, the committed figures/*.csv rewritten (Fig. 15's values are wall
+# clock; the rest repeat byte for byte).
 figures:
-	$(GO) run ./cmd/adcfigures
+	$(GO) run ./cmd/adcsweep -metric figures -out figures
 
 clean:
 	$(GO) clean ./...

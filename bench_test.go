@@ -1,7 +1,8 @@
 // Benchmarks regenerating each figure of the paper's evaluation (§V) plus
 // the ablation studies DESIGN.md §5 calls out. Each benchmark iteration
 // runs the complete experiment at 1/50 of paper scale so `go test -bench=.`
-// finishes quickly; pass -scale via cmd/adcfigures for full-scale numbers.
+// finishes quickly; run cmd/adcsweep -metric figures -scale 1 for
+// full-scale numbers.
 // The reported metrics (hit rates, hop counts) are attached to the
 // benchmark output via b.ReportMetric, so a bench run doubles as a
 // regeneration of every headline number in EXPERIMENTS.md.

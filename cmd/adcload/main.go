@@ -600,7 +600,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	fs.IntVar(&cfg.Single, "single", 4096, "single-location table size per proxy")
 	fs.IntVar(&cfg.Multiple, "multiple", 4096, "multiple-location table size per proxy")
 	fs.IntVar(&cfg.Caching, "caching", 2048, "caching table size per proxy")
-	fs.IntVar(&cfg.MaxHops, "max-hops", 0, "forwarding hop bound (0 = unbounded)")
+	fs.IntVar(&cfg.MaxHops, "maxhops", 0, "forwarding hop bound (0 = unbounded)")
 	fs.Int64Var(&cfg.Seed, "seed", 1, "workload and peer-selection seed")
 	fs.Float64Var(&cfg.Rate, "rate", 2000, "offered arrival rate, req/s")
 	fs.DurationVar(&cfg.Duration, "duration", 5*time.Second, "measurement window")

@@ -141,6 +141,10 @@ func TestFlagsRefuseModifiersOfFeaturesLeftOff(t *testing.T) {
 			t.Errorf("adcload %v: %v", args, err)
 		}
 	}
+	// The forwarding bound has adcsim's spelling and the config key's.
+	if cfg, err := parseFlags(flag.NewFlagSet("adcload", flag.ContinueOnError), []string{"-maxhops", "3"}); err != nil || cfg.MaxHops != 3 {
+		t.Errorf("adcload -maxhops 3: MaxHops = %d, err = %v", cfg.MaxHops, err)
+	}
 }
 
 // truncateStacks keeps leak dumps readable in CI logs.

@@ -24,9 +24,10 @@ var (
 	// boundary keeps test names such as TestOpenLoopClientValidation legal),
 	// the farm's circuit breaker and the knobs that went with it, since
 	// folded into the health monitor, the farm's event tracer, since
-	// folded into its span ring, and the goroutine-agents runtime with its
-	// example and the allocating message helpers only it needed.
-	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)|\b(?:New)?OpenLoop(?:Client|Config)\b|breakerGroup|Breaker(?:Var|Threshold|Cooldown)|RecoveryThreshold|RetryBackoff|adc_breaker_state|\b(?:BuildTrees|TreeFor|FormatTree|WriteChrome)\b|\bHashRequestID\b|\bUseWallClock\b|HTTPFarm\)?\.SetTracer|RuntimeAgents|runConcurrent|examples/distributed|\bRecycler\b|\bReplyTo\(|\bSetOnDone\b`)
+	// folded into its span ring, the goroutine-agents runtime with its
+	// example and the allocating message helpers only it needed, and the
+	// figure command and table-sweep example, since folded into adcsweep.
+	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)|\b(?:New)?OpenLoop(?:Client|Config)\b|breakerGroup|Breaker(?:Var|Threshold|Cooldown)|RecoveryThreshold|RetryBackoff|adc_breaker_state|\b(?:BuildTrees|TreeFor|FormatTree|WriteChrome)\b|\bHashRequestID\b|\bUseWallClock\b|HTTPFarm\)?\.SetTracer|RuntimeAgents|runConcurrent|examples/distributed|\bRecycler\b|\bReplyTo\(|\bSetOnDone\b|adcfigures|examples/tablesweep`)
 	// EXPERIMENTS.md sections that record one PR's runs say so in their
 	// heading; they are history and may name what existed then.
 	datedHeading = regexp.MustCompile(`\((?:PR|issue) \d+`)
@@ -356,8 +357,8 @@ func docsNameDeclaredMakeTargets(t *testing.T) {
 
 // docsDoNotNameRetiredRecordings walks every text file of the checkout for
 // retiredName: the retired recordings, fault-schedule spellings, client
-// type, circuit-breaker names, event-trace tree API, farm event tracer and
-// goroutine-agents runtime. Exempt: CHANGES.md,
+// type, circuit-breaker names, event-trace tree API, farm event tracer,
+// goroutine-agents runtime and figure command. Exempt: CHANGES.md,
 // ROADMAP.md and the task plan (the record and the plan of what was
 // removed), EXPERIMENTS.md's
 // dated sections, bench/ (frozen by BENCHMARK.json's `paths`; its README

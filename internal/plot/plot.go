@@ -1,6 +1,7 @@
 // Package plot renders experiment results as CSV (for external tooling)
-// and as ASCII line charts (so `cmd/adcfigures` can show every figure's
-// shape directly in a terminal, next to the paper's description).
+// and as ASCII line charts (so `cmd/adcsweep` can show every figure's
+// shape directly in a terminal, next to the paper's description). WriteCSV
+// is the one CSV layout of Figs. 11–15: x, then one column per series.
 package plot
 
 import (
