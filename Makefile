@@ -27,7 +27,8 @@ fmt-check:
 # farm's replication and trace-context headers (what a proxy reads off a
 # socket), the -faults / -recovery spec grammar (what a flag hands either
 # driver), the /metrics exposition parser (what adctop and adcload -lint-metrics scrape), the
-# binary and text trace readers (what adcsim -replay loads) and the JSON
+# binary trace reader (what adcsim -replay loads), the text one (which no
+# command reads) and the JSON
 # experiment file (what adcsim -config reads) — and over the
 # engine's event queue, whose pop order every golden constant rests on, and
 # the two open-addressed tables every proxy message probes: the mapping
@@ -123,13 +124,23 @@ bench-profile:
 
 # Observability smoke: a small lossless traced run on the virtual-time
 # engine, the JSONL validated against the event schema and rebuilt into
-# request trees (any orphaned tree fails), then summarized. CI uploads
-# trace-smoke.jsonl as a workflow artifact.
+# request trees (any orphaned tree fails), then summarized. The same
+# 20 000-request workload is then written with -write-trace and replayed:
+# the replay's requests, hit-rate and hops lines must equal the generated
+# run's. CI uploads trace-smoke.jsonl as a workflow artifact.
 trace-smoke:
 	$(GO) run ./cmd/adcsim -runtime vtime -requests 20000 -quiet \
 		-trace -trace-out trace-smoke.jsonl
 	$(GO) run ./cmd/adctrace validate trace-smoke.jsonl
 	$(GO) run ./cmd/adctrace summary trace-smoke.jsonl
+	$(GO) run ./cmd/adcsim -requests 20000 -write-trace trace-smoke.bin
+	$(GO) run ./cmd/adcsim -requests 20000 > trace-smoke.generated.txt
+	$(GO) run ./cmd/adcsim -replay trace-smoke.bin > trace-smoke.replayed.txt
+	@for label in requests 'hit rate' hops/request; do \
+	  gen="$$(grep "^$$label " trace-smoke.generated.txt)"; rep="$$(grep "^$$label " trace-smoke.replayed.txt)"; \
+	  test -n "$$gen" && test "$$gen" = "$$rep" \
+	    || { echo "trace-smoke: replayed '$$rep', generated '$$gen'"; exit 1; }; \
+	done; echo "trace-smoke: replay matches the generated run"
 
 # Farm-telemetry smoke (DESIGN.md §17): a traced chaos run — every request
 # spanned across proxies, every proxy's /metrics scraped and linted against
@@ -150,4 +161,4 @@ figures:
 
 clean:
 	$(GO) clean ./...
-	rm -rf figures/*.csv cpu.out mem.out sim.test trace-smoke.jsonl telemetry-smoke.spans.json
+	rm -rf figures/*.csv cpu.out mem.out sim.test trace-smoke.jsonl trace-smoke.bin trace-smoke.*.txt telemetry-smoke.spans.json

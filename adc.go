@@ -164,10 +164,6 @@ type Config struct {
 	// Backend selects the ordered-table implementation. Default btree.
 	Backend TableBackend
 
-	// SingleScan switches the single-table to the paper's O(n)
-	// element-wise scan (timing studies only).
-	SingleScan bool
-
 	// CacheLRU replaces selective caching with cache-all-passing LRU
 	// (the §III.4 comparison baseline; ablation studies only).
 	CacheLRU bool
@@ -380,7 +376,6 @@ func (c Config) toInternal() (cluster.Config, error) {
 			MultipleSize:  c.MultipleTable,
 			CachingSize:   c.CachingTable,
 			Backend:       backend,
-			SingleScan:    c.SingleScan,
 			CacheAdmitAll: c.CacheLRU,
 			AgingOff:      c.AgingOff,
 		},

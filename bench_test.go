@@ -172,7 +172,7 @@ func BenchmarkBackends(b *testing.B) {
 		var list, btree float64
 		for _, pt := range pts {
 			switch pt.Backend {
-			case "list+scan":
+			case "list":
 				list = pt.Elapsed.Seconds()
 			case "btree":
 				btree = pt.Elapsed.Seconds()

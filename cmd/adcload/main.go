@@ -1,6 +1,6 @@
 // Command adcload is an open-loop load generator for the HTTP proxy farm.
 //
-// Closed-loop drivers (like Farm.RunWorkloadN) issue the next request only
+// Closed-loop drivers (like Farm.RunWorkload) issue the next request only
 // after the previous one completes, so a slow server quietly throttles the
 // offered load and the measured latencies look better than they are — the
 // coordinated-omission trap. adcload instead schedules request i at
@@ -14,6 +14,12 @@
 // real-network path (HTTP parse, connection pool, ADC forwarding between
 // proxies, origin fetches) without cross-machine noise.
 //
+// With -serve it measures nothing: it builds and warms the same farm, prints
+// the proxy URLs, and serves until interrupted, so curl, adctop and
+// adctrace farm can be pointed at it. Every proxy serves /debug/vars,
+// /debug/tables, /metrics, /debug/pprof/ and, with -trace-sample N, the
+// /debug/trace span ring.
+//
 // Typical runs:
 //
 //	adcload -proxies 8 -rate 5000 -duration 10s               # paper-shaped stream
@@ -21,6 +27,7 @@
 //	adcload -rate 50000 -max-active 256 -max-queue 512        # force shedding
 //	adcload -trace-dump run.spans.json -lint-metrics          # telemetry smoke
 //	adcload -json > run.json                                  # machine-readable
+//	adcload -serve -proxies 5 -trace-sample 1                 # serve until Ctrl-C
 package main
 
 import (
@@ -31,11 +38,15 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"os/signal"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
+	"github.com/adc-sim/adc/internal/clilog"
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/httpproxy"
 	"github.com/adc-sim/adc/internal/ids"
@@ -245,22 +256,7 @@ func run(cfg config) (*report, error) {
 		cfg.Tracing.SampleEvery = 1
 	}
 
-	f, err := httpproxy.NewFarm(httpproxy.FarmConfig{
-		Proxies: cfg.Proxies,
-		Tables: core.Config{
-			SingleSize:   cfg.Single,
-			MultipleSize: cfg.Multiple,
-			CachingSize:  cfg.Caching,
-		},
-		MaxHops:        cfg.MaxHops,
-		Seed:           cfg.Seed,
-		MaxActive:      cfg.MaxActive,
-		MaxQueue:       cfg.MaxQueue,
-		NoCoalesce:     cfg.NoCoalesce,
-		Replication:    cfg.Replication,
-		FaultTolerance: cfg.FaultTolerance,
-		Tracing:        cfg.Tracing,
-	})
+	f, err := newFarm(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -268,38 +264,10 @@ func run(cfg config) (*report, error) {
 
 	client := httpproxy.NewClient()
 	urlFor := func(i int64) string { return f.Proxies[int(i)%cfg.Proxies].URL() }
-
-	// Warm closed-loop: converge the mapping tables before the clock
-	// matters, like the paper's fill phase before the request phases.
-	// Sheds during warm-up are ignored — a tight gate (-max-active) must
-	// not abort the run before measurement starts.
-	if cfg.Warm > 0 {
-		var widx atomic.Int64
-		var werr atomic.Value
-		var wwg sync.WaitGroup
-		wwg.Add(cfg.Conns)
-		for w := 0; w < cfg.Conns; w++ {
-			go func(w int) {
-				defer wwg.Done()
-				prefix := "w" + strconv.Itoa(w) + "-"
-				for {
-					i := widx.Add(1) - 1
-					if i >= int64(cfg.Warm) || werr.Load() != nil {
-						return
-					}
-					if _, _, _, err := issue(client, urlFor(i), objs[i], prefix+strconv.FormatInt(i, 10), cfg.RetryAfterMax); err != nil {
-						werr.Store(err)
-						return
-					}
-				}
-			}(w)
-		}
-		wwg.Wait()
-		if err := werr.Load(); err != nil {
-			return nil, fmt.Errorf("adcload: warm-up: %w", err.(error))
-		}
-		objs = objs[cfg.Warm:]
+	if _, err := warm(client, f, cfg, objs[:cfg.Warm]); err != nil {
+		return nil, err
 	}
+	objs = objs[cfg.Warm:]
 	interval := time.Duration(float64(time.Second) / cfg.Rate)
 
 	var (
@@ -437,6 +405,104 @@ func run(cfg config) (*report, error) {
 		rep.MetricsLinted = len(f.Proxies)
 	}
 	return rep, nil
+}
+
+// newFarm builds the farm the flags describe.
+func newFarm(cfg config) (*httpproxy.Farm, error) {
+	return httpproxy.NewFarm(httpproxy.FarmConfig{
+		Proxies: cfg.Proxies,
+		Tables: core.Config{
+			SingleSize:   cfg.Single,
+			MultipleSize: cfg.Multiple,
+			CachingSize:  cfg.Caching,
+		},
+		MaxHops:        cfg.MaxHops,
+		Seed:           cfg.Seed,
+		MaxActive:      cfg.MaxActive,
+		MaxQueue:       cfg.MaxQueue,
+		NoCoalesce:     cfg.NoCoalesce,
+		Replication:    cfg.Replication,
+		FaultTolerance: cfg.FaultTolerance,
+		Tracing:        cfg.Tracing,
+	})
+}
+
+// warm issues objs closed-loop over cfg.Conns workers, converging the
+// mapping tables before the clock matters, like the paper's fill phase
+// before the request phases, and returns how many were cache hits. Sheds
+// are ignored: a tight gate (-max-active) must not abort the run before
+// measurement starts.
+func warm(client *http.Client, f *httpproxy.Farm, cfg config, objs []ids.ObjectID) (hits uint64, err error) {
+	var (
+		widx  atomic.Int64
+		whits atomic.Uint64
+		werr  atomic.Value
+		wwg   sync.WaitGroup
+	)
+	wwg.Add(cfg.Conns)
+	for w := 0; w < cfg.Conns; w++ {
+		go func(w int) {
+			defer wwg.Done()
+			prefix := "w" + strconv.Itoa(w) + "-"
+			for {
+				i := widx.Add(1) - 1
+				if i >= int64(len(objs)) || werr.Load() != nil {
+					return
+				}
+				hit, _, _, err := issue(client, f.Proxies[int(i)%cfg.Proxies].URL(), objs[i], prefix+strconv.FormatInt(i, 10), cfg.RetryAfterMax)
+				if err != nil {
+					werr.Store(err)
+					return
+				}
+				if hit {
+					whits.Add(1)
+				}
+			}
+		}(w)
+	}
+	wwg.Wait()
+	if err := werr.Load(); err != nil {
+		return 0, fmt.Errorf("adcload: warm-up: %w", err.(error))
+	}
+	return whits.Load(), nil
+}
+
+// serve builds and warms the farm, prints where to reach it, and serves
+// until stop delivers — the paper's future-work "real proxy system" (§VI)
+// as a daemon any HTTP client can fetch objects through.
+func serve(cfg config, w io.Writer, stop <-chan os.Signal) error {
+	f, err := newFarm(cfg)
+	if err != nil {
+		return err
+	}
+	defer f.Close() //nolint:errcheck // best-effort teardown
+	if cfg.Warm > 0 {
+		objs, err := objectStream(cfg, cfg.Warm)
+		if err != nil {
+			return err
+		}
+		hits, err := warm(httpproxy.NewClient(), f, cfg, objs)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "warmed with %d requests (hit rate %.3f, %d clients)\n",
+			cfg.Warm, float64(hits)/float64(cfg.Warm), cfg.Conns)
+	}
+	fmt.Fprintf(w, "origin: %s\n", f.Origin.URL())
+	urls := make([]string, len(f.Proxies))
+	for i, p := range f.Proxies {
+		urls[i] = p.URL()
+		fmt.Fprintf(w, "proxy %d: %s  (introspection: %[2]s/debug/vars, %[2]s/debug/tables, %[2]s/metrics, %[2]s/debug/pprof/)\n", i, urls[i])
+	}
+	fmt.Fprintf(w, "\nfetch objects with:\n  curl -H '%s: r1' %s\n", httpproxy.HeaderRequestID, httpproxy.ObjectURL(urls[0], 42))
+	fmt.Fprintf(w, "\nwatch the farm live with:\n  go run ./cmd/adctop %s\n", strings.Join(urls, " "))
+	if cfg.Tracing.SampleEvery > 0 {
+		fmt.Fprintf(w, "\nrebuild the traced requests' trees with:\n  go run ./cmd/adctrace farm %s\n", strings.Join(urls, " "))
+	}
+	fmt.Fprintln(w, "\nserving; Ctrl-C to stop")
+	<-stop
+	fmt.Fprintln(w, "\nshutting down")
+	return nil
 }
 
 // scrapeTrace collects every proxy's span dump over HTTP, optionally writes
@@ -593,9 +659,9 @@ func us(v float64) time.Duration {
 }
 
 // parseFlags registers every flag on fs, parses args, and refuses a flag
-// that modifies a feature left off.
-func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
-	var cfg config
+// that modifies a feature left off or that -serve does not read.
+func parseFlags(fs *flag.FlagSet, args []string) (cfg config, serve bool, err error) {
+	fs.BoolVar(&serve, "serve", false, "build and warm the farm, print its URLs, and serve until interrupted instead of measuring")
 	fs.IntVar(&cfg.Proxies, "proxies", 8, "number of proxies in the farm")
 	fs.IntVar(&cfg.Single, "single", 4096, "single-location table size per proxy")
 	fs.IntVar(&cfg.Multiple, "multiple", 4096, "multiple-location table size per proxy")
@@ -632,25 +698,42 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	fs.BoolVar(&cfg.JSONOut, "json", false, "emit the report as JSON on stdout")
 	fs.BoolVar(&cfg.Quiet, "quiet", false, "suppress the latency histogram")
 	if err := fs.Parse(args); err != nil {
-		return cfg, err
+		return cfg, false, err
 	}
-	on := map[string]bool{"health": ft.Health.Enabled || cfg.Faults != "", "replicate": cfg.Replication.Enabled, "trace-sample": cfg.Tracing.SampleEvery > 0 || cfg.TraceDump != ""}
-	needs := map[string]string{"probe-interval": "health", "fail-threshold": "health", "retries": "health", "hedge": "health",
-		"rep-threshold": "replicate", "rep-max": "replicate", "rep-window": "replicate", "trace-ring": "trace-sample"}
-	var err error
-	fs.Visit(func(f *flag.Flag) {
-		if feature := needs[f.Name]; feature != "" && !on[feature] && err == nil {
-			err = fmt.Errorf("adcload: -%s needs -%s", f.Name, feature)
+	for _, c := range []struct {
+		off   bool
+		why   string
+		names []string
+	}{
+		// A measured run's window, chaos schedule and epilogue.
+		{serve, "is not read with -serve", []string{"rate", "duration", "faults", "avail-window", "trace-dump", "lint-metrics", "json", "quiet"}},
+		{!ft.Health.Enabled && cfg.Faults == "", "needs -health", []string{"probe-interval", "fail-threshold", "retries", "hedge"}},
+		{!cfg.Replication.Enabled, "needs -replicate", []string{"rep-threshold", "rep-max", "rep-window"}},
+		{cfg.Tracing.SampleEvery <= 0 && cfg.TraceDump == "", "needs -trace-sample", []string{"trace-ring"}},
+	} {
+		if c.off {
+			if err := clilog.Refuse(fs, c.why, c.names...); err != nil {
+				return cfg, serve, fmt.Errorf("adcload: %w", err)
+			}
 		}
-	})
-	return cfg, err
+	}
+	return cfg, serve, nil
 }
 
 func main() {
-	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
+	cfg, serving, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	if serving {
+		stop := make(chan os.Signal, 1)
+		signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+		if err := serve(cfg, os.Stdout, stop); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return
 	}
 	rep, err := run(cfg)
 	if err != nil {

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bufio"
 	"flag"
+	"io"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/adc-sim/adc/internal/httpproxy"
 )
 
 // smokeConfig is a short, low-rate run sized for CI: enough traffic to
@@ -106,11 +111,12 @@ func TestObjectStreamProfiles(t *testing.T) {
 }
 
 // TestFlagsRefuseModifiersOfFeaturesLeftOff: a flag that tunes health,
-// replication or the span ring does nothing while that feature is off, so
-// it is refused by name rather than silently dropped.
+// replication or the span ring does nothing while that feature is off, and
+// -serve reads no measurement flag, so such a flag is refused by name
+// rather than silently dropped.
 func TestFlagsRefuseModifiersOfFeaturesLeftOff(t *testing.T) {
 	parse := func(args ...string) error {
-		_, err := parseFlags(flag.NewFlagSet("adcload", flag.ContinueOnError), args)
+		_, _, err := parseFlags(flag.NewFlagSet("adcload", flag.ContinueOnError), args)
 		return err
 	}
 	for _, args := range [][]string{
@@ -124,6 +130,11 @@ func TestFlagsRefuseModifiersOfFeaturesLeftOff(t *testing.T) {
 		{"-rep-window", "64"},
 		{"-trace-ring", "10"},
 		{"-trace-sample", "0", "-trace-ring", "10"},
+		{"-serve", "-rate", "100"},
+		{"-serve", "-duration", "1s"},
+		{"-serve", "-faults", "kill=p1@1s"},
+		{"-serve", "-trace-dump", "spans.json"},
+		{"-serve", "-json", "-avail-window", "1s"},
 	} {
 		name := strings.TrimPrefix(args[len(args)-2], "-")
 		if err := parse(args...); err == nil || !strings.Contains(err.Error(), "-"+name) {
@@ -136,14 +147,56 @@ func TestFlagsRefuseModifiersOfFeaturesLeftOff(t *testing.T) {
 		{"-replicate", "-rep-threshold", "3", "-rep-max", "2", "-rep-window", "64"},
 		{"-trace-sample", "4", "-trace-ring", "10"},
 		{"-trace-dump", "spans.json", "-trace-ring", "10"},
+		{"-serve", "-proxies", "5", "-warm", "2000", "-trace-sample", "1", "-health", "-retries", "5", "-replicate", "-rep-max", "2"},
 	} {
 		if err := parse(args...); err != nil {
 			t.Errorf("adcload %v: %v", args, err)
 		}
 	}
 	// The forwarding bound has adcsim's spelling and the config key's.
-	if cfg, err := parseFlags(flag.NewFlagSet("adcload", flag.ContinueOnError), []string{"-maxhops", "3"}); err != nil || cfg.MaxHops != 3 {
+	if cfg, _, err := parseFlags(flag.NewFlagSet("adcload", flag.ContinueOnError), []string{"-maxhops", "3"}); err != nil || cfg.MaxHops != 3 {
 		t.Errorf("adcload -maxhops 3: MaxHops = %d, err = %v", cfg.MaxHops, err)
+	}
+}
+
+// TestServeAnswersUntilStopped: -serve warms the farm, prints its proxy
+// URLs, answers an object GET and /metrics through them, and returns once
+// stopped.
+func TestServeAnswersUntilStopped(t *testing.T) {
+	cfg := smokeConfig()
+	r, w := io.Pipe()
+	stop := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- serve(cfg, w, stop)
+		w.Close() //nolint:errcheck // a pipe writer's Close never fails
+	}()
+	var url string
+	lines := bufio.NewScanner(r)
+	for lines.Scan() && !strings.HasPrefix(lines.Text(), "serving") {
+		if rest, ok := strings.CutPrefix(lines.Text(), "proxy 0: "); ok {
+			url = strings.Fields(rest)[0]
+		}
+	}
+	go io.Copy(io.Discard, r) //nolint:errcheck // drains the rest until serve closes w
+	if url == "" {
+		t.Fatal("serve printed no proxy 0 URL")
+	}
+	client := httpproxy.NewClient()
+	if _, shed, _, err := issue(client, url, 42, "t1", 0); err != nil || shed {
+		t.Errorf("GET object 42: shed %v, err %v", shed, err)
+	}
+	if err := lintProxyMetrics(client, url); err != nil {
+		t.Errorf("/metrics: %v", err)
+	}
+	stop <- os.Interrupt
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve did not return after stop")
 	}
 }
 

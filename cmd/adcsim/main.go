@@ -1,5 +1,7 @@
 // Command adcsim runs one distributed-caching simulation and prints a
-// summary report: algorithm, hit rate, hops, per-proxy statistics.
+// summary report: algorithm, hit rate, hops, per-proxy statistics. With
+// -write-trace it writes the request stream the run would simulate as a
+// binary trace instead, so -replay repeats the run exactly (§V.1.6).
 //
 // Examples:
 //
@@ -7,7 +9,10 @@
 //	adcsim -algo carp -requests 1000000
 //	adcsim -proxies 8 -single 5000 -multiple 5000 -caching 2000
 //	adcsim -runtime vtime -shards 2     # virtual time, spread over two shards
-//	adcsim -replay trace.bin            # replay a saved workload trace
+//	adcsim -write-trace trace.bin       # write the default run's stream, print its statistics
+//	adcsim -replay trace.bin            # replay it: the same run as a flagless adcsim
+//	adcsim -from-squid access.log       # simulate the requests of a Squid log
+//	adcsim -from-squid access.log -write-trace real.bin  # convert the log to a trace
 //	adcsim -trace -trace-out t.jsonl    # record a request-path trace
 //	adcsim -config experiment.json      # run a JSON-described experiment
 //	adcsim -write-config exp.json       # write the default experiment file
@@ -16,7 +21,9 @@
 // -config of the written file are the same run. With -config, the file
 // describes the experiment and a flag that would too is refused; the run's
 // other flags (-trace, -metrics-every, -shards, -replay, -v, -quiet, the
-// profiles) apply to either.
+// profiles) apply to either. Each mode (-config, -write-trace, -dump) and
+// each recorded source (-replay, -from-squid) refuses by name a flag it
+// does not read.
 package main
 
 import (
@@ -37,6 +44,7 @@ import (
 	"github.com/adc-sim/adc/internal/obs"
 	"github.com/adc-sim/adc/internal/profiling"
 	"github.com/adc-sim/adc/internal/protocol"
+	"github.com/adc-sim/adc/internal/trace"
 	"github.com/adc-sim/adc/internal/workload"
 )
 
@@ -63,8 +71,12 @@ func run(args []string) error {
 		backend      = fs.String("backend", "", "ordered-table backend: btree (default), slice or list")
 		entry        = fs.String("entry", "random", "entry policy: random, round-robin or fixed")
 		requests     = fs.Int("requests", def.Workload.Requests, "synthetic workload length")
-		population   = fs.Int("population", def.Workload.Population, "hot object population of the request phases")
+		population   = fs.Int("population", def.Workload.Population, "hot object population of the request phases (0 = 20% of the fill phase's objects)")
+		alpha        = fs.Float64("alpha", def.Workload.Alpha, "Zipf popularity exponent of the request phases (0 = 0.8)")
+		oneTimers    = fs.Float64("onetimers", def.Workload.OneTimerProb, "request-phase one-timer probability (0 = 0.3, negative = none)")
 		replayPath   = fs.String("replay", "", "replay a binary workload trace instead of generating")
+		squidPath    = fs.String("from-squid", "", "take the requests of a Squid access.log instead of generating")
+		writePath    = fs.String("write-trace", "", "write the request stream as a binary trace, print its statistics and exit")
 		traceOn      = fs.Bool("trace", false, "record a request-path trace")
 		traceOut     = fs.String("trace-out", "trace.jsonl", "request-path trace output file (JSON Lines; with -trace)")
 		metricsEvery = fs.Int64("metrics-every", 0, "collect windowed time-series metrics every this many virtual ticks (-runtime vtime)")
@@ -104,14 +116,17 @@ func run(args []string) error {
 		Entry:         *entry,
 		Runtime:       *runtime,
 		Backend:       *backend,
-		Workload:      config.WorkloadSection{Requests: *requests, Population: *population},
+		Workload:      config.WorkloadSection{Requests: *requests, Population: *population, Alpha: *alpha, OneTimerProb: *oneTimers},
 		Faults:        *faultSpec,
 	}
 	if recoverySpec.set {
 		file.Recovery = &recoverySpec.value
 	}
+	if err := refuseUnread(fs, *writePath != "", *replayPath != "", *squidPath != "", *dump >= 0); err != nil {
+		return err
+	}
 	if *configPath != "" {
-		if err := refuse(fs, "config", fileFlags); err != nil {
+		if err := clilog.Refuse(fs, "is not read with -config", fileFlags...); err != nil {
 			return err
 		}
 		loaded, err := config.Load(*configPath)
@@ -120,14 +135,16 @@ func run(args []string) error {
 		}
 		file = loaded
 	}
-	if *dump >= 0 {
-		if err := refuse(fs, "dump", dumpRefuses); err != nil {
-			return err
-		}
-	}
 	ccfg, wcfg, err := file.Build()
 	if err != nil {
 		return err
+	}
+	if *writePath != "" {
+		src, err := source(*replayPath, *squidPath, wcfg, log)
+		if err != nil {
+			return err
+		}
+		return writeTrace(*writePath, src)
 	}
 	if *dump >= 0 && ccfg.Algorithm != cluster.ADC {
 		return fmt.Errorf("-dump requires the adc algorithm")
@@ -147,19 +164,9 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	var src workload.Source
-	if *replayPath != "" {
-		loaded, err := adc.LoadTraceFile(*replayPath)
-		if err != nil {
-			return err
-		}
-		src = replaySource{loaded}
-	} else {
-		gen, err := workload.New(wcfg)
-		if err != nil {
-			return err
-		}
-		src = gen
+	src, err := source(*replayPath, *squidPath, wcfg, log)
+	if err != nil {
+		return err
 	}
 	cl, err := cluster.New(ccfg, src)
 	if err != nil {
@@ -226,6 +233,75 @@ func report(ccfg cluster.Config, res *cluster.Result, verbose bool) error {
 	if verbose {
 		return printProxyStats(res.ProxyStats)
 	}
+	return nil
+}
+
+// source opens the run's request stream: a binary trace, a Squid log, or
+// the generator wcfg describes.
+func source(replayPath, squidPath string, wcfg workload.Config, log *clilog.Logger) (workload.Source, error) {
+	switch {
+	case replayPath != "":
+		loaded, err := adc.LoadTraceFile(replayPath)
+		if err != nil {
+			return nil, err
+		}
+		return replaySource{loaded}, nil
+	case squidPath != "":
+		f, err := os.Open(squidPath)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close() //nolint:errcheck // read-only file
+		src, st, err := trace.ParseSquidLog(f)
+		if err != nil {
+			return nil, err
+		}
+		log.Infof("parsed %d requests (%d distinct URLs, %d malformed lines skipped) from %s",
+			st.Requests, st.Distinct, st.Malformed, squidPath)
+		return src, nil
+	}
+	gen, err := workload.New(wcfg)
+	if err != nil {
+		return nil, err
+	}
+	return gen, nil
+}
+
+// writeTrace writes src to path as a binary trace, then reads the file back
+// and prints its statistics: the phases and hot population of a generated
+// stream, and for any stream its length, distinct and one-timer objects,
+// recurring share (the warm-cache ceiling) and popularity concentration.
+func writeTrace(path string, src workload.Source) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := trace.Write(f, src); err != nil {
+		f.Close() //nolint:errcheck,gosec // write error takes precedence
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	written, err := adc.LoadTraceFile(path)
+	if err != nil {
+		return err
+	}
+	st := workload.Analyze(replaySource{written})
+	fmt.Printf("wrote %d requests to %s\n", st.Requests, path)
+	if gen, ok := src.(*workload.Generator); ok {
+		fillEnd, phase2End := gen.Boundaries()
+		fmt.Printf("phases            fill [0,%d)  request-I [%d,%d)  request-II [%d,%d)\n",
+			fillEnd, fillEnd, phase2End, phase2End, st.Requests)
+		fmt.Printf("hot population    %d\n", gen.Population())
+	}
+	fmt.Printf("distinct objects  %d\n", st.Distinct)
+	fmt.Printf("one-timer objects %d (%.1f%% of objects)\n",
+		st.OneTimers, 100*float64(st.OneTimers)/float64(st.Distinct))
+	fmt.Printf("recurring traffic %.1f%% of requests (warm-cache ceiling)\n", 100*st.RecurringShare)
+	fmt.Printf("hottest object    %d requests\n", st.MaxObjectRequests)
+	fmt.Printf("top 1%% objects    %.1f%% of requests\n", 100*st.Top1Share)
+	fmt.Printf("top 10%% objects   %.1f%% of requests\n", 100*st.Top10Share)
 	return nil
 }
 
@@ -309,22 +385,54 @@ func printProxyStats(stats []metrics.ProxyStats) error {
 
 // fileFlags names the flags a -config file replaces: the experiment the
 // file describes.
-var fileFlags = []string{"algo", "backend", "caching", "entry", "faults", "maxhops", "multiple", "population", "proxies", "recovery", "requests", "runtime", "seed", "single"}
+var fileFlags = []string{"algo", "alpha", "backend", "caching", "entry", "faults", "maxhops", "multiple", "onetimers", "population", "proxies", "recovery", "requests", "runtime", "seed", "single"}
+
+// syntheticFlags describe the generated workload, which a recorded source
+// (-replay, -from-squid) replaces.
+var syntheticFlags = []string{"alpha", "onetimers", "population", "requests"}
+
+// writeReads names the flags -write-trace reads: the workload's, and the
+// file that may describe it instead. Writing a Squid log's requests reads
+// neither.
+var writeReads = []string{"write-trace", "from-squid", "config", "seed", "alpha", "onetimers", "population", "requests"}
 
 // dumpRefuses names the flags a -dump run cannot honour: it runs the
 // sequential engine over a generated workload, untraced and lossless, as
 // the flags (not a file) describe it.
-var dumpRefuses = []string{"config", "faults", "metrics-every", "recovery", "replay", "runtime", "shards", "trace"}
+var dumpRefuses = []string{"config", "faults", "from-squid", "metrics-every", "recovery", "replay", "runtime", "shards", "trace"}
 
-// refuse fails, naming the flag, if any of names was set alongside -mode.
-func refuse(fs *flag.FlagSet, mode string, names []string) error {
-	var err error
-	fs.Visit(func(f *flag.Flag) {
-		if err == nil && slices.Contains(names, f.Name) {
-			err = fmt.Errorf("-%s does not support -%s", mode, f.Name)
+// refuseUnread fails, naming the flag, if a flag was set that the selected
+// mode (-write-trace, -dump) or recorded source (-replay, -from-squid) does
+// not read. -config's refusals follow: the modes may refuse -config itself.
+func refuseUnread(fs *flag.FlagSet, write, replay, squid, dump bool) error {
+	reads := writeReads
+	if squid {
+		reads = writeReads[:2]
+	}
+	var unwritten []string
+	fs.VisitAll(func(f *flag.Flag) {
+		if !slices.Contains(reads, f.Name) {
+			unwritten = append(unwritten, f.Name)
 		}
 	})
-	return err
+	for _, c := range []struct {
+		on    bool
+		mode  string
+		names []string
+	}{
+		{write, "-write-trace", unwritten},
+		{dump, "-dump", dumpRefuses},
+		{replay, "-replay", append([]string{"from-squid"}, syntheticFlags...)},
+		{squid, "-from-squid", syntheticFlags},
+	} {
+		if !c.on {
+			continue
+		}
+		if err := clilog.Refuse(fs, "is not read with "+c.mode, c.names...); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // dumpTables renders a finished ADC run's proxy tables in the layout of

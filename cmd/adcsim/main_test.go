@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/adc-sim/adc/internal/config"
+	"github.com/adc-sim/adc/internal/trace"
 )
 
 // runCaptured calls run with args and returns what it printed on stdout.
@@ -40,7 +42,7 @@ func checkRefuses(t *testing.T, base []string, flags ...string) {
 	for _, flag := range flags {
 		name := strings.TrimPrefix(strings.SplitN(flag, "=", 2)[0], "-")
 		_, err := runCaptured(t, append(append([]string{}, base...), flag)...)
-		if err == nil || !strings.Contains(err.Error(), "-"+name) {
+		if err == nil || !strings.HasPrefix(err.Error(), "-"+name+" ") {
 			t.Errorf("%v with %s: err = %v, want one naming -%s", base, flag, err, name)
 		}
 	}
@@ -153,4 +155,71 @@ func TestConfigRunTakesRunFlagsAndReportsFaults(t *testing.T) {
 	if st, err := os.Stat(tracePath); err != nil || st.Size() == 0 {
 		t.Errorf("-trace with -config wrote no trace: %v", err)
 	}
+}
+
+// TestWriteTraceReplaysAsTheGeneratedRun: -write-trace writes the stream the
+// same flags simulate, so -replay of the file is the generated run.
+func TestWriteTraceReplaysAsTheGeneratedRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.bin")
+	workload := []string{"-requests", "3000", "-population", "100", "-alpha", "0.9", "-onetimers", "0.1", "-seed", "2"}
+	if _, err := runCaptured(t, append([]string{"-write-trace", path}, workload...)...); err != nil {
+		t.Fatal(err)
+	}
+	generated, err := runCaptured(t, workload...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := runCaptured(t, "-replay", path, "-seed", "2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := reportValues(generated), reportValues(replayed)
+	for _, label := range []string{"requests", "hit rate", "hops/request"} {
+		if a[label] == "" || a[label] != b[label] {
+			t.Errorf("%s: generated %q, replayed %q", label, a[label], b[label])
+		}
+	}
+}
+
+// TestFromSquidWritesTheParsedLog: -from-squid with -write-trace writes the
+// bytes trace.Write makes of trace.ParseSquidLog's stream.
+func TestFromSquidWritesTheParsedLog(t *testing.T) {
+	const log = `1066036250.464 17 10.0.0.1 TCP_MISS/200 512 GET http://example.com/a - DIRECT/1.2.3.4 text/html
+1066036250.470 3 10.0.0.2 TCP_HIT/200 512 GET http://example.com/b - NONE/- text/html
+not a squid line
+1066036251.001 5 10.0.0.1 TCP_MEM_HIT/200 512 GET http://example.com/a - NONE/- text/html
+`
+	dir := t.TempDir()
+	logPath, out := filepath.Join(dir, "access.log"), filepath.Join(dir, "real.bin")
+	if err := os.WriteFile(logPath, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runCaptured(t, "-from-squid", logPath, "-write-trace", out); err != nil {
+		t.Fatal(err)
+	}
+	src, _, err := trace.ParseSquidLog(strings.NewReader(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := trace.Write(&want, src); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("-from-squid wrote %x (err %v), want %x", got, err, want.Bytes())
+	}
+}
+
+// TestTraceModesRefuseFlagsTheyDoNotRead: -write-trace reads only the
+// workload's flags (none of them for a Squid log), and a recorded source
+// replaces the generated workload, so any other flag is refused by name.
+func TestTraceModesRefuseFlagsTheyDoNotRead(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "t.bin")
+	checkRefuses(t, []string{"-write-trace", out},
+		"-proxies=3", "-algo=carp", "-runtime=vtime", "-trace", "-dump=0", "-replay=t.bin", "-v", "-quiet", "-faults=loss=0.1")
+	checkRefuses(t, []string{"-write-trace", out, "-from-squid", "access.log"},
+		"-seed=2", "-config=exp.json", "-requests=10", "-alpha=0.9")
+	checkRefuses(t, []string{"-replay", "t.bin"},
+		"-requests=10", "-population=5", "-alpha=0.9", "-onetimers=0.1", "-from-squid=access.log")
+	checkRefuses(t, []string{"-from-squid", "access.log"}, "-requests=10", "-onetimers=0.1")
 }

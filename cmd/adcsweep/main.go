@@ -29,7 +29,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -139,7 +138,7 @@ func run(args []string) error {
 	if len(selected) == 0 {
 		return fmt.Errorf("unknown metric %q (want %s)", *metric, metricNames())
 	}
-	if err := refuse(fs, "metric "+*metric, ignored(selected)); err != nil {
+	if err := clilog.Refuse(fs, "is not read by -metric "+*metric, ignored(selected)...); err != nil {
 		return err
 	}
 	if *shards < 0 {
@@ -192,17 +191,6 @@ func ignored(selected []study) []string {
 		names = append(names, "out")
 	}
 	return names
-}
-
-// refuse fails, naming the flag, if any of names was set alongside -mode.
-func refuse(fs *flag.FlagSet, mode string, names []string) error {
-	var err error
-	fs.Visit(func(f *flag.Flag) {
-		if err == nil && slices.Contains(names, f.Name) {
-			err = fmt.Errorf("-%s does not support -%s", mode, f.Name)
-		}
-	})
-	return err
 }
 
 // progressLine returns a Profile.Progress callback that rewrites one

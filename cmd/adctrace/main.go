@@ -16,7 +16,7 @@
 // census:
 //
 //	adctrace farm run.spans.json             # file from adcload -trace-dump
-//	adctrace farm http://host:7001 ...       # scrape the /debug/trace rings of adcfarm -trace-sample 1
+//	adctrace farm http://host:7001 ...       # scrape the /debug/trace rings of adcload -serve -trace-sample 1
 //	adctrace farm -min-complete 0.99 ...     # CI gate: fail on orphaned trees
 //	adctrace farm -chrome t.json ...         # flame chart per request
 //
@@ -45,7 +45,7 @@ func main() {
 
 func usage() error {
 	return fmt.Errorf("usage: adctrace <summary|request|converge|validate|chrome> [arguments] <trace.jsonl from adcsim -trace>\n" +
-		"       adctrace farm [flags] <dumps.json from adcload -trace-dump | proxy-url... of adcfarm -trace-sample N>")
+		"       adctrace farm [flags] <dumps.json from adcload -trace-dump | proxy-url... of adcload -serve -trace-sample N>")
 }
 
 func run(args []string) error {

@@ -327,11 +327,7 @@ func BackendComparison(p Profile) ([]BackendPoint, error) {
 	}
 	out := make([]BackendPoint, len(pts))
 	for i, pt := range pts {
-		name := pt.Backend.String()
-		if pt.SingleScan {
-			name += "+scan"
-		}
-		out[i] = BackendPoint{Backend: name, Elapsed: pt.Elapsed, HitRate: pt.HitRate}
+		out[i] = BackendPoint{Backend: pt.Backend.String(), Elapsed: pt.Elapsed, HitRate: pt.HitRate}
 	}
 	return out, nil
 }

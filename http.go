@@ -145,14 +145,6 @@ func (f *HTTPFarm) Run(src Source, seed int64) (requests, hits uint64, err error
 	return col.Requests(), col.Hits(), nil
 }
 
-// RunParallel drives the farm with workers concurrent clients, splitting
-// the stream round-robin between them — the fast way to warm a farm.
-// workers < 2 behaves exactly like Run; with more, the aggregate counts
-// are returned but the exact hit count depends on request interleaving.
-func (f *HTTPFarm) RunParallel(src Source, seed int64, workers int) (requests, hits uint64, err error) {
-	return f.farm.RunWorkloadN(sourceAdapter{src}, seed, workers)
-}
-
 // DebugURL returns the live-introspection base of the i-th proxy; append
 // /debug/vars (JSON counters and table occupancy), /debug/tables (mapping
 // table dump) or /debug/pprof/ (Go profiler).

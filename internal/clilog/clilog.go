@@ -1,4 +1,5 @@
-// Package clilog is the shared leveled logger of the command-line tools.
+// Package clilog is the shared leveled logger of the command-line tools,
+// and their one way of turning down a flag a run would not read.
 //
 // The tools' reports — tables, CSV, JSONL — belong on stdout; everything
 // about the run itself (progress, notices, debug detail) belongs on
@@ -11,9 +12,11 @@
 package clilog
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -99,4 +102,17 @@ func (l *Logger) closeProgressLocked() {
 		fmt.Fprintln(l.w)
 		l.inProgress = false
 	}
+}
+
+// Refuse fails, naming the flag, if any of names was set on fs: a flag the
+// run would not read must stop it rather than be silently dropped. The
+// error reads "-NAME " + why, e.g. "-retries needs -health".
+func Refuse(fs *flag.FlagSet, why string, names ...string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(names, f.Name) {
+			err = fmt.Errorf("-%s %s", f.Name, why)
+		}
+	})
+	return err
 }

@@ -283,31 +283,22 @@ func BenchmarkTablesLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkSingleTable measures the single-table's own by-object path in
-// both modes. Since the index map moved into the Tables directory, both
-// modes search element-wise here; the hot path goes through Tables and is
-// covered by BenchmarkTablesUpdate.
+// BenchmarkSingleTable measures the single-table's own by-object path,
+// which searches element-wise; the hot path goes through the Tables
+// directory and is covered by BenchmarkTablesUpdate.
 func BenchmarkSingleTable(b *testing.B) {
-	for _, scan := range []bool{false, true} {
-		name := "indexed"
-		if scan {
-			name = "scan"
+	tbl := NewSingleTable(2000)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		tbl.InsertTop(NewEntry(ids.ObjectID(i), 0, int64(i)))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		obj := ids.ObjectID(rng.Intn(4000))
+		if e := tbl.Remove(obj); e != nil {
+			tbl.InsertTop(e)
+		} else {
+			tbl.InsertTop(NewEntry(obj, 0, int64(i)))
 		}
-		b.Run(name, func(b *testing.B) {
-			tbl := NewSingleTable(2000, scan)
-			rng := rand.New(rand.NewSource(3))
-			for i := 0; i < 2000; i++ {
-				tbl.InsertTop(NewEntry(ids.ObjectID(i), 0, int64(i)))
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				obj := ids.ObjectID(rng.Intn(4000))
-				if e := tbl.Remove(obj); e != nil {
-					tbl.InsertTop(e)
-				} else {
-					tbl.InsertTop(NewEntry(obj, 0, int64(i)))
-				}
-			}
-		})
 	}
 }

@@ -41,15 +41,17 @@ func TestDirectoryConsistency(t *testing.T) {
 	}
 }
 
-// TestDirectoryDisabledInProbeModes: the paper-faithful timing modes must
-// keep element-wise probing, so the directory stays off.
+// TestDirectoryDisabledInProbeModes: the paper-faithful timing mode, the
+// list backend, must keep element-wise probing, so the directory stays off.
 func TestDirectoryDisabledInProbeModes(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
-		{"single-scan", Config{SingleSize: 4, MultipleSize: 4, CachingSize: 4, SingleScan: true}},
 		{"list-backend", Config{SingleSize: 4, MultipleSize: 4, CachingSize: 4, Backend: BackendList}},
+		// single-scan: the paper-faithful scan of every table (BackendList,
+		// which replaced Config.SingleScan) under admit-all caching.
+		{"single-scan", Config{SingleSize: 4, MultipleSize: 4, CachingSize: 4, Backend: BackendList, CacheAdmitAll: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,7 +168,7 @@ func TestEachMatchesEntries(t *testing.T) {
 
 // TestSingleTableEach mirrors TestEachMatchesEntries for the single-table.
 func TestSingleTableEach(t *testing.T) {
-	tbl := NewSingleTable(8, false)
+	tbl := NewSingleTable(8)
 	for i := int64(1); i <= 5; i++ {
 		tbl.InsertTop(NewEntry(ids.ObjectID(i), 0, i))
 	}

@@ -380,11 +380,13 @@ func (op churnOp) apply(tbl *Tables, now int64) churnResult {
 // directory.
 func TestReplicaChurnKeepsInvariants(t *testing.T) {
 	cases := map[string]Config{
-		"btree":       {Backend: BackendBTree},
-		"slice":       {Backend: BackendSlice},
-		"list":        {Backend: BackendList},
-		"single-scan": {SingleScan: true},
-		"admit-all":   {CacheAdmitAll: true},
+		"btree":     {Backend: BackendBTree},
+		"slice":     {Backend: BackendSlice},
+		"list":      {Backend: BackendList},
+		"admit-all": {CacheAdmitAll: true},
+		// single-scan: the paper-faithful element-wise probe path
+		// (BackendList, which replaced Config.SingleScan) under admit-all.
+		"single-scan": {Backend: BackendList, CacheAdmitAll: true},
 	}
 	for name, cfg := range cases {
 		t.Run(name, func(t *testing.T) {

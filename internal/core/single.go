@@ -22,11 +22,9 @@ type SingleTable struct {
 }
 
 // NewSingleTable returns an empty single-table with the given capacity.
-// The second argument once selected the paper-faithful linear-search mode;
-// by-object search here is element-wise either way (Config.SingleScan is
-// what turns the owning Tables' directory off), so it is ignored. Capacity
-// must be positive; the constructor in Tables validates configuration.
-func NewSingleTable(capacity int, _ bool) *SingleTable {
+// Capacity must be positive; the constructor in Tables validates
+// configuration.
+func NewSingleTable(capacity int) *SingleTable {
 	t := &SingleTable{capacity: capacity}
 	t.head.next = &t.tail
 	t.tail.prev = &t.head

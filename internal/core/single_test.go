@@ -7,23 +7,15 @@ import (
 	"github.com/adc-sim/adc/internal/ids"
 )
 
-// Both single-table modes (indexed and paper-faithful scan) must behave
-// identically; every test runs against both.
-func forEachSingleMode(t *testing.T, capacity int, fn func(t *testing.T, tbl *SingleTable)) {
+// withSingleTable runs fn on an empty single-table of the given capacity,
+// as the subtest "indexed" these tests are reported under.
+func withSingleTable(t *testing.T, capacity int, fn func(t *testing.T, tbl *SingleTable)) {
 	t.Helper()
-	for _, scan := range []bool{false, true} {
-		name := "indexed"
-		if scan {
-			name = "scan"
-		}
-		t.Run(name, func(t *testing.T) {
-			fn(t, NewSingleTable(capacity, scan))
-		})
-	}
+	t.Run("indexed", func(t *testing.T) { fn(t, NewSingleTable(capacity)) })
 }
 
 func TestSingleTableInsertAndLookup(t *testing.T) {
-	forEachSingleMode(t, 4, func(t *testing.T, tbl *SingleTable) {
+	withSingleTable(t, 4, func(t *testing.T, tbl *SingleTable) {
 		for i := 1; i <= 3; i++ {
 			if dropped := tbl.InsertTop(NewEntry(ids.ObjectID(i), 0, int64(i))); dropped != nil {
 				t.Fatalf("unexpected drop %v before capacity reached", dropped.Object)
@@ -47,7 +39,7 @@ func TestSingleTableInsertAndLookup(t *testing.T) {
 func TestSingleTableLRUEviction(t *testing.T) {
 	// §III.3.1: "Each unknown object will receive a new entry on the top
 	// of the table, displacing the oldest entry at the bottom".
-	forEachSingleMode(t, 3, func(t *testing.T, tbl *SingleTable) {
+	withSingleTable(t, 3, func(t *testing.T, tbl *SingleTable) {
 		for i := 1; i <= 3; i++ {
 			tbl.InsertTop(NewEntry(ids.ObjectID(i), 0, int64(i)))
 		}
@@ -73,7 +65,7 @@ func TestSingleTableLRUEviction(t *testing.T) {
 }
 
 func TestSingleTableRemove(t *testing.T) {
-	forEachSingleMode(t, 3, func(t *testing.T, tbl *SingleTable) {
+	withSingleTable(t, 3, func(t *testing.T, tbl *SingleTable) {
 		tbl.InsertTop(NewEntry(1, 0, 1))
 		tbl.InsertTop(NewEntry(2, 0, 2))
 		e := tbl.Remove(1)
@@ -95,7 +87,7 @@ func TestSingleTableRemove(t *testing.T) {
 func TestSingleTableGetDoesNotPromote(t *testing.T) {
 	// Forward_Addr lookups must not refresh LRU order; only
 	// re-insertion via Update_Entry moves an entry to the top.
-	forEachSingleMode(t, 2, func(t *testing.T, tbl *SingleTable) {
+	withSingleTable(t, 2, func(t *testing.T, tbl *SingleTable) {
 		tbl.InsertTop(NewEntry(1, 0, 1))
 		tbl.InsertTop(NewEntry(2, 0, 2))
 		tbl.Get(1) // touch the bottom entry
@@ -107,7 +99,7 @@ func TestSingleTableGetDoesNotPromote(t *testing.T) {
 }
 
 func TestSingleTableCapacityOne(t *testing.T) {
-	forEachSingleMode(t, 1, func(t *testing.T, tbl *SingleTable) {
+	withSingleTable(t, 1, func(t *testing.T, tbl *SingleTable) {
 		tbl.InsertTop(NewEntry(1, 0, 1))
 		dropped := tbl.InsertTop(NewEntry(2, 0, 2))
 		if dropped == nil || dropped.Object != 1 {
@@ -119,61 +111,11 @@ func TestSingleTableCapacityOne(t *testing.T) {
 	})
 }
 
-// TestSingleTableModesAgree drives both modes with the same random
-// operation sequence and requires identical observable state throughout.
-func TestSingleTableModesAgree(t *testing.T) {
-	type op struct {
-		Insert bool
-		Obj    uint8
-	}
-	prop := func(ops []op) bool {
-		indexed := NewSingleTable(8, false)
-		scan := NewSingleTable(8, true)
-		for i, o := range ops {
-			obj := ids.ObjectID(o.Obj % 16)
-			if o.Insert {
-				// Avoid duplicate inserts: InsertTop requires
-				// the object to be absent.
-				if indexed.Contains(obj) {
-					continue
-				}
-				d1 := indexed.InsertTop(NewEntry(obj, 0, int64(i)))
-				d2 := scan.InsertTop(NewEntry(obj, 0, int64(i)))
-				if (d1 == nil) != (d2 == nil) {
-					return false
-				}
-				if d1 != nil && d1.Object != d2.Object {
-					return false
-				}
-			} else {
-				r1 := indexed.Remove(obj)
-				r2 := scan.Remove(obj)
-				if (r1 == nil) != (r2 == nil) {
-					return false
-				}
-			}
-			if indexed.Len() != scan.Len() {
-				return false
-			}
-		}
-		e1, e2 := indexed.Entries(), scan.Entries()
-		for i := range e1 {
-			if e1[i].Object != e2[i].Object {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestSingleTableNeverExceedsCapacity is invariant 1 of DESIGN.md §10.
 func TestSingleTableNeverExceedsCapacity(t *testing.T) {
 	prop := func(objs []uint8, capSeed uint8) bool {
 		capacity := int(capSeed%7) + 1
-		tbl := NewSingleTable(capacity, false)
+		tbl := NewSingleTable(capacity)
 		for i, o := range objs {
 			obj := ids.ObjectID(o)
 			if tbl.Contains(obj) {

@@ -19,11 +19,6 @@ type Config struct {
 	// Backend selects the ordered-table implementation (default: btree,
 	// the bounded block B-tree).
 	Backend Backend
-	// SingleScan selects the paper-faithful O(n) linear-search
-	// single-table used for the Fig. 15 timing ablation. It also
-	// disables the unified directory, so every table probe is
-	// element-wise exactly as in the paper's own implementation.
-	SingleScan bool
 	// CacheAdmitAll replaces selective caching with the behaviour the
 	// paper ascribes to hierarchical and hashing systems: "every proxy
 	// stores all passing objects regardless of its future significance
@@ -69,9 +64,9 @@ func (c Config) Validate() error {
 // entry is the entry's own kind field, so moving an entry between tables
 // never touches the directory. The tables themselves keep no per-table
 // index and are touched only by position (RemoveEntry, Insert). The
-// directory is disabled in the paper-faithful timing modes (SingleScan,
-// BackendList) so the Fig. 15 ablation measures element-wise search exactly
-// as the paper did. CheckInvariants states what must hold between the
+// directory is disabled on the paper-faithful BackendList, so the Fig. 15
+// ablation measures element-wise search in every table exactly as the
+// paper did. CheckInvariants states what must hold between the
 // tables, the directory and the arena.
 type Tables struct {
 	single   *SingleTable
@@ -80,8 +75,7 @@ type Tables struct {
 
 	// dir maps every known object to its entry: fixed capacity, sized by
 	// NewTables for the three table capacities, with a hash seed of its
-	// own that no result depends on. nil in the paper-faithful probe
-	// modes.
+	// own that no result depends on. nil on BackendList.
 	dir *directory
 	// arena slab-allocates entries and recycles the ones the system
 	// forgets (Outcome.Dropped, via Recycle).
@@ -107,13 +101,13 @@ func newTables(cfg Config, dirSeed uint64) (*Tables, error) {
 		caching = newLRUOrdered(cfg.CachingSize)
 	}
 	t := &Tables{
-		single:   NewSingleTable(cfg.SingleSize, cfg.SingleScan),
+		single:   NewSingleTable(cfg.SingleSize),
 		multiple: NewOrdered(cfg.MultipleSize, cfg.Backend),
 		caching:  caching,
 		admitAll: cfg.CacheAdmitAll,
 		agingOff: cfg.AgingOff,
 	}
-	if !cfg.SingleScan && cfg.Backend != BackendList {
+	if cfg.Backend != BackendList {
 		// +1: a first sighting is indexed before the entry it pushes off
 		// the single-table bottom is forgotten (Fig. 8 Part 4).
 		t.dir = newDirectory(cfg.SingleSize+cfg.MultipleSize+cfg.CachingSize+1, dirSeed)

@@ -129,8 +129,6 @@ func (p Profile) ablate(name string, disable func(*core.Config)) (*AblationResul
 type BackendPoint struct {
 	// Backend names the ordered-table implementation.
 	Backend core.Backend
-	// SingleScan reports whether the O(n) single-table was used.
-	SingleScan bool
 	// Elapsed is the wall-clock runtime.
 	Elapsed time.Duration
 	// HitRate confirms the backends are behaviourally identical.
@@ -144,14 +142,10 @@ func BackendComparison(p Profile, requests int) ([]BackendPoint, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	type variant struct {
-		backend core.Backend
-		scan    bool
-	}
-	variants := []variant{
-		{core.BackendList, true},   // the paper's implementation
-		{core.BackendSlice, false}, // binary search + unified directory
-		{core.BackendBTree, false}, // the default block B-tree
+	variants := []core.Backend{
+		core.BackendList,  // the paper's implementation
+		core.BackendSlice, // binary search + unified directory
+		core.BackendBTree, // the default block B-tree
 	}
 	wcfg := p.WorkloadConfig()
 	if requests > 0 {
@@ -163,19 +157,16 @@ func BackendComparison(p Profile, requests int) ([]BackendPoint, error) {
 	}
 	out := make([]BackendPoint, len(variants))
 	err = p.forEach("backends", len(variants), func(_ context.Context, i int) (uint64, error) {
-		v := variants[i]
 		tables := p.Tables()
-		tables.Backend = v.backend
-		tables.SingleScan = v.scan
+		tables.Backend = variants[i]
 		res, err := cluster.Run(p.ClusterConfig(cluster.ADC, tables, 0), tr.Cursor())
 		if err != nil {
-			return 0, fmt.Errorf("experiments: backend %v: %w", v.backend, err)
+			return 0, fmt.Errorf("experiments: backend %v: %w", variants[i], err)
 		}
 		out[i] = BackendPoint{
-			Backend:    v.backend,
-			SingleScan: v.scan,
-			Elapsed:    res.Elapsed,
-			HitRate:    res.Summary.HitRate,
+			Backend: variants[i],
+			Elapsed: res.Elapsed,
+			HitRate: res.Summary.HitRate,
 		}
 		return res.Delivered, nil
 	})

@@ -210,7 +210,6 @@ func (p Profile) sweepOne(tbl TableName, paperSize int, opts SweepOptions) (Swee
 		return SweepPoint{}, 0, fmt.Errorf("experiments: unknown table %q", tbl)
 	}
 	if opts.PaperFaithfulTiming {
-		tables.SingleScan = true
 		tables.Backend = core.BackendList
 	}
 

@@ -6,14 +6,12 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/obs"
 	"github.com/adc-sim/adc/internal/protocol"
-	"github.com/adc-sim/adc/internal/trace"
 	"github.com/adc-sim/adc/internal/workload"
 )
 
@@ -213,78 +211,4 @@ func (f *Farm) RunWorkload(src workload.Source, seed int64) (*metrics.Collector,
 		// Hops are not modelled at the HTTP layer; record 0.
 		col.Record(hit, 0, 0)
 	}
-}
-
-// RunWorkloadN drives the farm with workers concurrent closed-loop
-// clients, splitting the request stream round-robin between them — the
-// fast path for warming a farm on a multi-core host. Each worker derives
-// its own RNG and request-ID namespace from seed. The aggregate request
-// and hit counts are returned; unlike the single-client RunWorkload the
-// per-request interleaving (and so the exact hit count) depends on
-// scheduling, which is fine for warm-up. workers < 2 delegates to the
-// deterministic RunWorkload.
-func (f *Farm) RunWorkloadN(src workload.Source, seed int64, workers int) (requests, hits uint64, err error) {
-	if workers < 2 {
-		col, err := f.RunWorkload(src, seed)
-		if err != nil {
-			return 0, 0, err
-		}
-		return col.Requests(), col.Hits(), nil
-	}
-	all := trace.Drain(src)
-	if workers > len(all) && len(all) > 0 {
-		workers = len(all)
-	}
-	parts := make([][]ids.ObjectID, workers)
-	for i := range parts {
-		parts[i] = make([]ids.ObjectID, 0, (len(all)+workers-1)/workers)
-	}
-	for i, obj := range all {
-		parts[i%workers] = append(parts[i%workers], obj)
-	}
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int, objs []ids.ObjectID) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(w)*104729))
-			prefix := "c" + strconv.Itoa(w) + "-"
-			var reqs, hit uint64
-			for n, obj := range objs {
-				mu.Lock()
-				stop := firstErr != nil
-				mu.Unlock()
-				if stop {
-					break
-				}
-				ok, err := f.Get(rng.Intn(len(f.Proxies)), obj, prefix+strconv.Itoa(n+1))
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				reqs++
-				if ok {
-					hit++
-				}
-			}
-			mu.Lock()
-			requests += reqs
-			hits += hit
-			mu.Unlock()
-		}(w, parts[w])
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return 0, 0, firstErr
-	}
-	return requests, hits, nil
 }

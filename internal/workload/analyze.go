@@ -8,8 +8,8 @@ import (
 
 // TraceStats summarises a request stream — the numbers one needs to judge
 // whether a workload is cacheable at all (recurrence share) and how
-// concentrated its popularity is (top-k shares). cmd/adcgen -stats prints
-// them; EXPERIMENTS.md's tuning notes cite them.
+// concentrated its popularity is (top-k shares). adcsim -write-trace prints
+// them for the stream it writes; EXPERIMENTS.md's tuning notes cite them.
 type TraceStats struct {
 	// Requests is the stream length.
 	Requests int
