@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check faults fuzz bench-check benchmark benchmark-aa benchmark-exact bench-sweep bench-profile loadtest chaos trace-smoke telemetry-smoke figures clean
+.PHONY: all build test race vet fmt-check faults fuzz bench-check benchmark benchmark-aa benchmark-pairs benchmark-exact bench-sweep bench-profile loadtest chaos trace-smoke telemetry-smoke figures clean
 
 all: build test
 
@@ -64,6 +64,84 @@ benchmark:
 
 benchmark-aa:
 	bash bench/run.sh -aa 10
+
+# Paired timing of this checkout against a base revision, the rule a
+# performance claim is judged by: PAIRS alternating untraced runs of the base
+# revision's bench/ and of this checkout's, on one WORKLOAD at SEED, the base
+# running first in odd pairs and second in even ones. The base tree is
+# extracted with git archive into .bench_build/base-<rev>/ (reused across
+# calls); each side's JSON lines stay in .bench_build/pairs/. Prints, per
+# end-to-end metric, each side's median and quartiles, the pairs the change
+# won (ties count for neither; BENCHMARK.json says which way is better), and
+# whether the medians differ by more than the base's quartile spread.
+#   make benchmark-pairs BASE=HEAD~1 WORKLOAD=farm_churn PAIRS=10 SEED=2
+BASE     ?= HEAD
+WORKLOAD ?= farm_churn
+PAIRS    ?= 10
+SEED     ?= 1
+benchmark-pairs:
+	@set -eu; rev="$$(git rev-parse --short '$(BASE)')"; base=".bench_build/base-$$rev"; \
+	if [ ! -f "$$base/bench/run.sh" ]; then \
+	  rm -rf "$$base"; mkdir -p "$$base"; git archive "$$rev" | tar -x -C "$$base"; \
+	fi; \
+	out=".bench_build/pairs/$$rev-$(WORKLOAD)-seed$(SEED)"; mkdir -p "$$out"; \
+	: > "$$out/base.jsonl"; : > "$$out/change.jsonl"; \
+	run() { bash "$$1/bench/run.sh" -workload '$(WORKLOAD)' -seed '$(SEED)' -trace 0 | tail -n 1 >> "$$out/$$2.jsonl"; }; \
+	i=1; while [ "$$i" -le '$(PAIRS)' ]; do \
+	  if [ $$((i % 2)) -eq 1 ]; then run "$$base" base; run . change; else run . change; run "$$base" base; fi; \
+	  echo "benchmark-pairs: $(WORKLOAD) seed $(SEED): pair $$i of $(PAIRS) done" >&2; i=$$((i + 1)); \
+	done; \
+	echo "$(WORKLOAD) seed $(SEED): base $$rev against this checkout, $(PAIRS) pairs"; \
+	awk "$$PAIRS_AWK" BENCHMARK.json "$$out/base.jsonl" "$$out/change.jsonl"
+
+# benchmark-pairs' summary: BENCHMARK.json first (which way each metric is
+# better), then the base's JSON lines, then the change's.
+define PAIRS_AWK
+FILENAME ~ /BENCHMARK[.]json$$/ {
+	if (match($$0, /"name": *"[^"]*"/)) name = field()
+	if (match($$0, /"better": *"[a-z]*"/)) better[name] = field()
+	next
+}
+{
+	side = (FILENAME ~ /base[.]jsonl$$/) ? "base" : "change"
+	runs[side]++
+	if ($$0 !~ /"correct":true/) bad++
+	line = $$0
+	while (match(line, /"[a-z0-9_.]+":[{]"value":[-+0-9.eE]+/)) {
+		s = substr(line, RSTART, RLENGTH); line = substr(line, RSTART + RLENGTH)
+		m = s; sub(/^"/, "", m); sub(/".*/, "", m)
+		v = s; sub(/.*"value":/, "", v)
+		val[side, m, runs[side]] = v + 0
+		if (!(m in seen)) { seen[m] = 1; order[++metrics] = m }
+	}
+}
+END {
+	printf "%-15s %-7s %29s %29s %6s %s\n", "metric", "better", "base median [q1 q3]", "change median [q1 q3]", "wins", "|diff|>base IQR"
+	for (k = 1; k <= metrics; k++) {
+		m = order[k]; wins = 0; pairs = 0
+		for (i = 1; i <= runs["base"] && i <= runs["change"]; i++) {
+			if (!(("base", m, i) in val) || !(("change", m, i) in val)) continue
+			b = val["base", m, i]; c = val["change", m, i]; pairs++
+			if ((better[m] == "higher" && c > b) || (better[m] == "lower" && c < b)) wins++
+		}
+		quartiles("base", m); bq1 = q1; bmed = med; bq3 = q3
+		quartiles("change", m)
+		d = med - bmed; if (d < 0) d = -d
+		apart = (d > bq3 - bq1) ? "yes" : "no"
+		printf "%-15s %-7s %11.5g [%7.5g %7.5g] %11.5g [%7.5g %7.5g] %2d/%-3d %s\n", m, better[m], bmed, bq1, bq3, med, q1, q3, wins, pairs, apart
+	}
+	if (bad) { print bad " run(s) did not report correct=true"; exit 1 }
+}
+function field(   s) { s = substr($$0, RSTART, RLENGTH); sub(/^"[a-z]*": *"/, "", s); sub(/"$$/, "", s); return s }
+function quartiles(side, m,   a, n, i, j, t) {
+	n = 0
+	for (i = 1; i <= runs[side]; i++) if ((side, m, i) in val) a[++n] = val[side, m, i]
+	for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+	q1 = at(a, n, 0.25); med = at(a, n, 0.5); q3 = at(a, n, 0.75)
+}
+function at(a, n, p,   h, lo) { if (n == 0) return 0; h = (n - 1) * p + 1; lo = int(h); return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo]) }
+endef
+export PAIRS_AWK
 
 # Blocking gate on what repeats bit for bit per seed: both simulator
 # workloads, untraced, seed 1, must report correct=true and exactly the

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"time"
 
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
@@ -148,8 +149,19 @@ func (f *Farm) TotalStats() metrics.ProxyStats {
 	return total
 }
 
-// Close shuts down every server in the farm.
+// Close shuts down every server in the farm without cutting a request it
+// has admitted. Every proxy first stops admitting entry requests, and the
+// admitted ones are answered while all the proxies and the origin still
+// serve their hops; then the servers shut down gracefully, the origin
+// last.
 func (f *Farm) Close() error {
+	deadline := time.Now().Add(shutdownTimeout)
+	for _, p := range f.Proxies {
+		p.draining.Store(true)
+	}
+	for _, p := range f.Proxies {
+		p.awaitEntries(deadline)
+	}
 	var firstErr error
 	for _, p := range f.Proxies {
 		if err := p.Close(); err != nil && firstErr == nil {

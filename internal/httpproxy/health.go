@@ -2,6 +2,7 @@ package httpproxy
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -393,9 +394,17 @@ func (m *healthMonitor) probe(id ids.NodeID, url string) bool {
 	if err != nil {
 		return false
 	}
+	// Read the small JSON body to its end so the connection goes back to
+	// the pool: closed unread, it would cost the peer a new connection
+	// every probe.
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, healthzDrainBytes))
 	_ = resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
 }
+
+// healthzDrainBytes bounds how much of a /healthz body a probe reads; the
+// JSON body is about 150 bytes.
+const healthzDrainBytes = 4 << 10
 
 // PeerHealthVar is one peer's row in /debug/vars' health section.
 type PeerHealthVar struct {

@@ -465,3 +465,28 @@ func TestDebugVarsHealthSection(t *testing.T) {
 		t.Errorf("health peers = %+v, want proxy 1 down", v.Health.Peers)
 	}
 }
+
+// TestHealthProbeReusesConnection: a probe reads the /healthz body to its
+// end, so its connection is pooled and a peer sees one connection however
+// many probes arrive.
+func TestHealthProbeReusesConnection(t *testing.T) {
+	const probes = 5
+	peer, accepts := countingServer(t, func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(healthzBody{Status: "ok", Proxy: "Proxy[1]"})
+	})
+	cfg := HealthConfig{Enabled: true, ProbeInterval: time.Hour, FailureThreshold: 3}.withDefaults()
+	m := newHealthMonitor(cfg, ids.NodeID(0), map[ids.NodeID]string{
+		ids.NodeID(0): "http://unused",
+		ids.NodeID(1): peer.URL,
+	}, func(ids.NodeID) bool { return false })
+	defer m.close()
+	for i := 0; i < probes; i++ {
+		if !m.probe(ids.NodeID(1), peer.URL) {
+			t.Fatalf("probe %d failed", i)
+		}
+	}
+	if n := accepts.Load(); n != 1 {
+		t.Errorf("%d probes opened %d connections, want 1", probes, n)
+	}
+}

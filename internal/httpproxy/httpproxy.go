@@ -26,6 +26,7 @@
 package httpproxy
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -120,8 +121,25 @@ func (o *Origin) Resolved() uint64 {
 	return o.resolved
 }
 
-// Close shuts the origin down.
-func (o *Origin) Close() error { return o.srv.Close() }
+// Close shuts the origin down gracefully (see shutdown).
+func (o *Origin) Close() error { return shutdown(o.srv) }
+
+// shutdownTimeout bounds a graceful shutdown. A request still running
+// after it is cut.
+const shutdownTimeout = 5 * time.Second
+
+// shutdown stops srv accepting connections, closes its idle ones and
+// waits for the requests in flight to be answered, for at most
+// shutdownTimeout; then it cuts whatever is left.
+func shutdown(srv *http.Server) error {
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		srv.Close() //nolint:errcheck // the shutdown error is the one reported
+		return fmt.Errorf("httpproxy: graceful shutdown: %w", err)
+	}
+	return nil
+}
 
 func (o *Origin) handle(w http.ResponseWriter, r *http.Request) {
 	obj, err := parseObjectPath(r.URL.Path)
@@ -191,6 +209,11 @@ type Proxy struct {
 	denied    atomic.Uint64
 	hedged    atomic.Uint64
 	hedgeWins atomic.Uint64
+
+	// entries counts entry requests being served; once draining is set,
+	// new ones are refused (Farm.Close).
+	entries  atomic.Int64
+	draining atomic.Bool
 
 	// Partition state for the chaos harness. nblocked short-circuits the
 	// per-fetch check to one atomic load while no partition is active.
@@ -400,7 +423,8 @@ func (p *Proxy) CacheLen() int {
 }
 
 // Close shuts the proxy down, stopping the health monitor first so its
-// probe goroutines do not outlive the farm.
+// probe goroutines do not outlive the farm. Requests in flight are
+// answered before the server goes (see shutdown); Kill is the crash.
 func (p *Proxy) Close() error {
 	if m := p.health.Load(); m != nil {
 		m.close()
@@ -412,7 +436,17 @@ func (p *Proxy) Close() error {
 	if killed {
 		return nil // Kill already closed the listener and server
 	}
-	return srv.Close()
+	return shutdown(srv)
+}
+
+// awaitEntries waits, until deadline, for the entry requests being served
+// to be answered. With draining set no new ones are admitted, while
+// forwards are still served: an admitted request may need this proxy as
+// a hop.
+func (p *Proxy) awaitEntries(deadline time.Time) {
+	for p.entries.Load() > 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // Kill simulates a process crash for the chaos harness: the listener and
@@ -568,6 +602,15 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, 
 	// already hold a slot at their entry proxy, and gating them
 	// mid-chain could deadlock a chain revisiting a saturated proxy.
 	if forwards == 0 {
+		// Counted before the draining check, so awaitEntries cannot miss a
+		// request that passed it.
+		p.entries.Add(1)
+		defer p.entries.Add(-1)
+		if p.draining.Load() {
+			w.Header().Set("Connection", "close")
+			http.Error(w, "proxy shutting down", http.StatusServiceUnavailable)
+			return "", "draining"
+		}
 		gateStart := nowUs()
 		admitted := p.gate.enter()
 		p.stages.Observe(metrics.StageGateWait, nowUs()-gateStart)

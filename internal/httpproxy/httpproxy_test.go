@@ -1,12 +1,17 @@
 package httpproxy
 
 import (
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
@@ -286,5 +291,104 @@ func TestUpstreamBodyIsBounded(t *testing.T) {
 	}
 	if len(p.pending) != 0 {
 		t.Errorf("pending passes not retired: %v", p.pending)
+	}
+}
+
+// TestFarmCloseDrainsInFlight closes a farm under closed-loop traffic.
+// Each proxy admits one entry request at a time, so when Close begins
+// some admitted requests are at the slow origin and others still wait at
+// their entry proxy's gate, their chains not yet started. Every request
+// still gets a verified 200, unless it arrived after Close began and was
+// refused: with a 503, or at the dial once the listeners have closed.
+func TestFarmCloseDrainsInFlight(t *testing.T) {
+	const proxies, clients = 3, 9
+	var mu sync.Mutex
+	inside := map[string]bool{} // request IDs at the origin right now
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		obj, err := parseObjectPath(r.URL.Path)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		id := r.Header.Get(HeaderRequestID)
+		mu.Lock()
+		inside[id] = true
+		mu.Unlock()
+		time.Sleep(20 * time.Millisecond)
+		mu.Lock()
+		delete(inside, id)
+		mu.Unlock()
+		w.Header().Set(HeaderOrigin, "1")
+		_, _ = w.Write(Payload(obj))
+	}))
+	defer origin.Close()
+	f := &Farm{client: sharedClient}
+	book := make(map[ids.NodeID]string, proxies)
+	for i := 0; i < proxies; i++ {
+		p, err := NewProxy(Config{
+			ID:        ids.NodeID(i),
+			Tables:    core.Config{SingleSize: 256, MultipleSize: 128, CachingSize: 64},
+			OriginURL: origin.URL,
+			Seed:      1,
+			MaxActive: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Proxies = append(f.Proxies, p)
+		book[p.ID()] = p.URL()
+	}
+	for _, p := range f.Proxies {
+		p.SetPeers(book)
+	}
+
+	var stop atomic.Bool
+	results := map[string]error{}
+	var wg sync.WaitGroup
+	wg.Add(clients)
+	for c := 0; c < clients; c++ {
+		go func(c int) {
+			defer wg.Done()
+			for n := 0; !stop.Load(); n++ {
+				id := fmt.Sprintf("d%d-%d", c, n)
+				_, err := f.Get(c%proxies, ids.ObjectID(c*1_000_000+n), id) // every object new: a chain to the origin
+				mu.Lock()
+				results[id] = err
+				mu.Unlock()
+			}
+		}(c)
+	}
+	waitFor(t, 5*time.Second, "requests at the origin and at a gate", func() bool {
+		mu.Lock()
+		atOrigin := len(inside)
+		mu.Unlock()
+		queued := int64(0)
+		for _, p := range f.Proxies {
+			queued += p.QueueDepth()
+		}
+		return atOrigin >= 2 && queued > 0
+	})
+	mu.Lock()
+	atOrigin := make([]string, 0, len(inside))
+	for id := range inside {
+		atOrigin = append(atOrigin, id)
+	}
+	mu.Unlock()
+	stop.Store(true)
+	if err := f.Close(); err != nil {
+		t.Errorf("farm close: %v", err)
+	}
+	wg.Wait()
+	for _, id := range atOrigin {
+		if err := results[id]; err != nil {
+			t.Errorf("request %s was at the origin at Close and failed: %v", id, err)
+		}
+	}
+	for id, err := range results {
+		var op *net.OpError
+		refused := err != nil && (strings.Contains(err.Error(), "status 503") || errors.As(err, &op) && op.Op == "dial")
+		if err != nil && !refused {
+			t.Errorf("request %s: %v", id, err)
+		}
 	}
 }
