@@ -24,8 +24,8 @@ fmt-check:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 # Short native-fuzz pass over the parsers that read bytes from outside — the
-# farm's replication and trace-context headers (what a proxy reads off a
-# socket), the -faults / -recovery spec grammar (what a flag hands either
+# farm's server loop and its replication and trace-context headers (what a
+# proxy reads off a socket), the -faults / -recovery spec grammar (what a flag hands either
 # driver), the /metrics exposition parser (what adctop and adcload -lint-metrics scrape), the
 # binary trace reader (what adcsim -replay loads), the text one (which no
 # command reads) and the JSON
@@ -38,6 +38,7 @@ fmt-check:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplicaHeaders -fuzztime 10s ./internal/httpproxy/
 	$(GO) test -run '^$$' -fuzz FuzzSpanHeaders -fuzztime 10s ./internal/httpproxy/
+	$(GO) test -run '^$$' -fuzz FuzzServeConn -fuzztime 10s ./internal/httpproxy/
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzParseRecoverySpec -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzPromtextParse -fuzztime 10s ./internal/promtext/

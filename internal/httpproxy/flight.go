@@ -70,11 +70,11 @@ func (g *flightGroup) do(obj ids.ObjectID, fn func() flightResult) (res flightRe
 
 	// Retire the flight before waking waiters so a request arriving
 	// after completion starts a fresh fetch instead of reading a stale
-	// result. Deferred, because net/http recovers a handler panic: a
-	// leader that panicked in fn would otherwise leave its flight in g.m
-	// and every later request for obj would block on it holding a gate
-	// slot. The waiters get errLeaderPanicked, the panic keeps unwinding
-	// the leader.
+	// result. Deferred, because the proxy's server (server.go) recovers
+	// a handler panic: a leader that panicked in fn would otherwise leave
+	// its flight in g.m and every later request for obj would block on it
+	// holding a gate slot. The waiters get errLeaderPanicked, the panic
+	// keeps unwinding the leader.
 	defer func() {
 		g.mu.Lock()
 		delete(g.m, obj)

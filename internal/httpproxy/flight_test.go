@@ -295,10 +295,11 @@ func TestFlightGroupShares(t *testing.T) {
 	}
 }
 
-// TestFlightGroupLeaderPanics: net/http recovers a handler panic, so a
-// leader whose fn panics must still retire its flight. The waiters return
-// an error result instead of blocking forever, the panic reaches the
-// leader's caller, and the next do() for the object runs its own fn.
+// TestFlightGroupLeaderPanics: the proxy's server recovers a handler
+// panic (TestServerRecoversHandlerPanic), so a leader whose fn panics must
+// still retire its flight. The waiters return an error result instead of
+// blocking forever, the panic reaches the leader's caller, and the next
+// do() for the object runs its own fn.
 func TestFlightGroupLeaderPanics(t *testing.T) {
 	const waiters = 4
 	var g flightGroup

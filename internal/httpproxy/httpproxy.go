@@ -85,8 +85,7 @@ func parseObjectPath(path string) (ids.ObjectID, error) {
 // are deterministic functions of the object ID so tests can verify
 // end-to-end integrity through the proxy chain.
 type Origin struct {
-	ln  net.Listener
-	srv *http.Server
+	srv *server
 
 	mu       sync.Mutex
 	resolved uint64
@@ -103,16 +102,16 @@ func NewOrigin() (*Origin, error) {
 	if err != nil {
 		return nil, fmt.Errorf("httpproxy: origin listen: %w", err)
 	}
-	o := &Origin{ln: ln}
+	o := &Origin{}
 	mux := http.NewServeMux()
 	mux.HandleFunc(objPathPrefix, o.handle)
-	o.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	go o.srv.Serve(ln) //nolint:errcheck // returns ErrServerClosed on shutdown
+	o.srv = newServer(ln, mux)
+	go o.srv.serve()
 	return o, nil
 }
 
 // URL returns the origin's base URL.
-func (o *Origin) URL() string { return "http://" + o.ln.Addr().String() }
+func (o *Origin) URL() string { return "http://" + o.srv.ln.Addr().String() }
 
 // Resolved returns how many requests the origin answered.
 func (o *Origin) Resolved() uint64 {
@@ -131,7 +130,7 @@ const shutdownTimeout = 5 * time.Second
 // shutdown stops srv accepting connections, closes its idle ones and
 // waits for the requests in flight to be answered, for at most
 // shutdownTimeout; then it cuts whatever is left.
-func shutdown(srv *http.Server) error {
+func shutdown(srv *server) error {
 	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
@@ -226,8 +225,7 @@ type Proxy struct {
 	replicating bool
 
 	mu      sync.Mutex
-	ln      net.Listener    // current listener; replaced by Restart
-	srv     *http.Server    // current server; replaced by Restart
+	srv     *server         // current server and listener; replaced by Restart
 	killed  bool            // Kill..Restart window (chaos harness)
 	adc     *protocol.Agent // the protocol core: tables, rng, clock, counters
 	store   map[ids.ObjectID][]byte
@@ -336,7 +334,6 @@ func NewProxy(cfg Config) (*Proxy, error) {
 		id:       cfg.ID,
 		addr:     ln.Addr().String(),
 		url:      "http://" + ln.Addr().String(),
-		ln:       ln,
 		client:   client,
 		origin:   cfg.OriginURL,
 		maxHops:  cfg.MaxHops,
@@ -364,8 +361,8 @@ func NewProxy(cfg Config) (*Proxy, error) {
 	mux.HandleFunc(healthzPath, p.handleHealthz)
 	registerDebug(mux, p)
 	p.mux = mux
-	p.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	go p.srv.Serve(ln) //nolint:errcheck // returns ErrServerClosed on shutdown
+	p.srv = newServer(ln, mux)
+	go p.srv.serve()
 	return p, nil
 }
 
@@ -492,13 +489,12 @@ func (p *Proxy) Restart() error {
 	if err != nil {
 		return fmt.Errorf("httpproxy: restart %v on %s: %w", p.id, p.addr, err)
 	}
-	srv := &http.Server{Handler: p.mux, ReadHeaderTimeout: 5 * time.Second}
+	srv := newServer(ln, p.mux)
 	p.mu.Lock()
-	p.ln = ln
 	p.srv = srv
 	p.killed = false
 	p.mu.Unlock()
-	go srv.Serve(ln) //nolint:errcheck // returns ErrServerClosed on shutdown
+	go srv.serve()
 	if m := p.health.Load(); m != nil {
 		m.resume()
 	}
