@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check faults fuzz bench-check benchmark benchmark-aa benchmark-pairs benchmark-exact bench-sweep bench-profile loadtest chaos trace-smoke telemetry-smoke figures clean
+.PHONY: all build test race vet fmt-check faults fuzz bench-check benchmark benchmark-aa benchmark-pairs pairs-summary pairs-check benchmark-exact bench-sweep bench-profile loadtest chaos trace-smoke telemetry-smoke figures clean
 
 all: build test
 
@@ -24,21 +24,25 @@ fmt-check:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 # Short native-fuzz pass over the parsers that read bytes from outside — the
-# farm's server loop and its replication and trace-context headers (what a
-# proxy reads off a socket), the -faults / -recovery spec grammar (what a flag hands either
-# driver), the /metrics exposition parser (what adctop and adcload -lint-metrics scrape), the
+# farm's HTTP head codec against net/http as the oracle (requests and
+# replies), its server loop and its transport (what a proxy reads off a
+# socket), the replication and trace-context headers, the -faults /
+# -recovery spec grammar (what a flag hands either driver), the /metrics
+# exposition parser (what adctop and adcload -lint-metrics scrape), the
 # binary trace reader (what adcsim -replay loads), the text one (which no
-# command reads) and the JSON
-# experiment file (what adcsim -config reads) — and over the
-# engine's event queue, whose pop order every golden constant rests on, and
-# the two open-addressed tables every proxy message probes: the mapping
-# tables' directory and the request-ID table of pending passes. The committed
-# seed corpora under testdata/fuzz also run as ordinary test cases in
-# `make test`.
+# command reads) and the JSON experiment file (what adcsim -config reads) —
+# and over the engine's event queue, whose pop order every golden constant
+# rests on, and the two open-addressed tables every proxy message probes:
+# the mapping tables' directory and the request-ID table of pending passes.
+# The committed seed corpora under testdata/fuzz also run as ordinary test
+# cases in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplicaHeaders -fuzztime 10s ./internal/httpproxy/
 	$(GO) test -run '^$$' -fuzz FuzzSpanHeaders -fuzztime 10s ./internal/httpproxy/
 	$(GO) test -run '^$$' -fuzz FuzzServeConn -fuzztime 10s ./internal/httpproxy/
+	$(GO) test -run '^$$' -fuzz FuzzRequestHead -fuzztime 10s ./internal/httpproxy/
+	$(GO) test -run '^$$' -fuzz FuzzResponseHead -fuzztime 10s ./internal/httpproxy/
+	$(GO) test -run '^$$' -fuzz FuzzTransportConn -fuzztime 10s ./internal/httpproxy/
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzParseRecoverySpec -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzPromtextParse -fuzztime 10s ./internal/promtext/
@@ -71,10 +75,8 @@ benchmark-aa:
 # revision's bench/ and of this checkout's, on one WORKLOAD at SEED, the base
 # running first in odd pairs and second in even ones. The base tree is
 # extracted with git archive into .bench_build/base-<rev>/ (reused across
-# calls); each side's JSON lines stay in .bench_build/pairs/. Prints, per
-# end-to-end metric, each side's median and quartiles, the pairs the change
-# won (ties count for neither; BENCHMARK.json says which way is better), and
-# whether the medians differ by more than the base's quartile spread.
+# calls); each side's JSON lines stay in .bench_build/pairs/. Prints
+# pairs-summary's table over them.
 #   make benchmark-pairs BASE=HEAD~1 WORKLOAD=farm_churn PAIRS=10 SEED=2
 BASE     ?= HEAD
 WORKLOAD ?= farm_churn
@@ -95,16 +97,35 @@ benchmark-pairs:
 	echo "$(WORKLOAD) seed $(SEED): base $$rev against this checkout, $(PAIRS) pairs"; \
 	awk "$$PAIRS_AWK" BENCHMARK.json "$$out/base.jsonl" "$$out/change.jsonl"
 
-# benchmark-pairs' summary: BENCHMARK.json first (which way each metric is
+# The summary benchmark-pairs prints, on its own over any two files of the
+# driver's JSON lines, line i of each being pair i. Per metric: each side's
+# median and quartiles and the pairs the change won (ties count for neither;
+# BENCHMARK.json says which way is better), as context; then the paired
+# verdict: the median of the per-pair change/base ratios, its 95 % bootstrap
+# interval (2000 resamples of the pairs, a fixed-seed Park-Miller generator,
+# so every awk gives the same interval; the 50th lowest and 50th highest
+# resampled median) and the two-sided sign-test p of ratios above 1 against
+# ratios below (ties dropped). A pair whose base value is 0 has no ratio.
+#   make pairs-summary BASE_JSONL=a.jsonl CHANGE_JSONL=b.jsonl
+pairs-summary:
+	@awk "$$PAIRS_AWK" BENCHMARK.json '$(BASE_JSONL)' '$(CHANGE_JSONL)'
+
+# pairs-summary over testdata/pairs/, whose ratios, intervals and p values
+# are worked out by hand in its README; CI runs it.
+pairs-check:
+	@$(MAKE) -s pairs-summary BASE_JSONL=testdata/pairs/base.jsonl CHANGE_JSONL=testdata/pairs/change.jsonl \
+	  | diff -u testdata/pairs/want.txt - && echo "pairs-check: ok"
+
+# pairs-summary's program: BENCHMARK.json first (which way each metric is
 # better), then the base's JSON lines, then the change's.
 define PAIRS_AWK
-FILENAME ~ /BENCHMARK[.]json$$/ {
+FILENAME == ARGV[1] {
 	if (match($$0, /"name": *"[^"]*"/)) name = field()
 	if (match($$0, /"better": *"[a-z]*"/)) better[name] = field()
 	next
 }
 {
-	side = (FILENAME ~ /base[.]jsonl$$/) ? "base" : "change"
+	side = (FILENAME == ARGV[2]) ? "base" : "change"
 	runs[side]++
 	if ($$0 !~ /"correct":true/) bad++
 	line = $$0
@@ -117,30 +138,73 @@ FILENAME ~ /BENCHMARK[.]json$$/ {
 	}
 }
 END {
-	printf "%-15s %-7s %29s %29s %6s %s\n", "metric", "better", "base median [q1 q3]", "change median [q1 q3]", "wins", "|diff|>base IQR"
+	printf "%-15s %-7s %29s %29s %6s %-15s %7s %17s %8s\n", "metric", "better", "base median [q1 q3]", "change median [q1 q3]", "wins", "|diff|>base IQR", "ratio", "95% CI", "sign p"
 	for (k = 1; k <= metrics; k++) {
-		m = order[k]; wins = 0; pairs = 0
+		m = order[k]; wins = 0; pairs = 0; n = 0; above = 0; below = 0
 		for (i = 1; i <= runs["base"] && i <= runs["change"]; i++) {
 			if (!(("base", m, i) in val) || !(("change", m, i) in val)) continue
 			b = val["base", m, i]; c = val["change", m, i]; pairs++
 			if ((better[m] == "higher" && c > b) || (better[m] == "lower" && c < b)) wins++
+			if (b == 0) continue
+			ratio[++n] = c / b
+			if (c / b > 1) above++
+			if (c / b < 1) below++
 		}
 		quartiles("base", m); bq1 = q1; bmed = med; bq3 = q3
 		quartiles("change", m)
 		d = med - bmed; if (d < 0) d = -d
 		apart = (d > bq3 - bq1) ? "yes" : "no"
-		printf "%-15s %-7s %11.5g [%7.5g %7.5g] %11.5g [%7.5g %7.5g] %2d/%-3d %s\n", m, better[m], bmed, bq1, bq3, med, q1, q3, wins, pairs, apart
+		printf "%-15s %-7s %11.5g [%7.5g %7.5g] %11.5g [%7.5g %7.5g] %2d/%-3d %-15s", m, better[m], bmed, bq1, bq3, med, q1, q3, wins, pairs, apart
+		if (n == 0) { printf " %7s %17s %8s\n", "-", "-", "-"; continue }
+		bootstrap(n)
+		printf " %7.4f [%7.4f %7.4f] %8.3g\n", rmed, lo, hi, signp(above, above + below)
 	}
 	if (bad) { print bad " run(s) did not report correct=true"; exit 1 }
 }
 function field(   s) { s = substr($$0, RSTART, RLENGTH); sub(/^"[a-z]*": *"/, "", s); sub(/"$$/, "", s); return s }
-function quartiles(side, m,   a, n, i, j, t) {
+function quartiles(side, m,   a, n, i) {
 	n = 0
 	for (i = 1; i <= runs[side]; i++) if ((side, m, i) in val) a[++n] = val[side, m, i]
-	for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+	isort(a, n)
 	q1 = at(a, n, 0.25); med = at(a, n, 0.5); q3 = at(a, n, 0.75)
 }
 function at(a, n, p,   h, lo) { if (n == 0) return 0; h = (n - 1) * p + 1; lo = int(h); return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo]) }
+function median(a, n) { return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2 }
+# bootstrap sets rmed to the median of ratio[1..n], and lo and hi to its
+# 95 % interval: the 50th lowest and 50th highest of 2000 medians of n
+# ratios drawn with replacement. The generator restarts for every metric.
+function bootstrap(n,   r, i, j, x, meds, B) {
+	for (i = 1; i <= n; i++) r[i] = ratio[i]
+	isort(r, n); rmed = median(r, n)
+	B = 2000; x = 20261017
+	for (j = 1; j <= B; j++) {
+		for (i = 1; i <= n; i++) { x = (16807 * x) % 2147483647; r[i] = ratio[int(x / 2147483647 * n) + 1] }
+		isort(r, n); meds[j] = median(r, n)
+	}
+	hsort(meds, B)
+	lo = meds[B / 40]; hi = meds[B + 1 - B / 40]
+}
+# signp is the two-sided sign-test p of k successes in n fair trials.
+function signp(k, n,   i, c, s, t) {
+	if (n == 0) return 1
+	t = (k < n - k) ? k : n - k
+	c = 1; s = 0
+	for (i = 0; i <= t; i++) { s += c; c = c * (n - i) / (i + 1) }
+	s = 2 * s / 2 ^ n
+	return s > 1 ? 1 : s
+}
+function isort(a, n,   i, j, t) { for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t } }
+function hsort(a, n,   i, t) {
+	for (i = int(n / 2); i >= 1; i--) sift(a, i, n)
+	for (i = n; i > 1; i--) { t = a[1]; a[1] = a[i]; a[i] = t; sift(a, 1, i - 1) }
+}
+function sift(a, i, n,   c, t) {
+	while ((c = 2 * i) <= n) {
+		if (c < n && a[c + 1] > a[c]) c++
+		if (a[i] >= a[c]) return
+		t = a[i]; a[i] = a[c]; a[c] = t; i = c
+	}
+}
 endef
 export PAIRS_AWK
 

@@ -19,11 +19,14 @@ import (
 // goroutine and receives the reply from a reader goroutine over channels,
 // with a cancel context and a header timer besides. Transport below does
 // the same exchange on the calling goroutine. It takes an idle keep-alive
-// connection (or dials one), writes the request with net/http's own
-// Request.Write into the connection's buffer and flushes once, and parses
-// the reply with http.ReadResponse. The body streams straight off the
-// connection, and once it has been read to EOF the connection goes back
-// to its host's idle list. It writes and parses no HTTP itself.
+// connection (or dials one), writes the request head with the farm's own
+// codec (codec.go) into the connection's buffer and flushes once, and
+// parses the reply's head with the same codec. The body streams straight
+// off the connection, and once it has been read to EOF the connection
+// goes back to its host's idle list. A request is vetted before any byte
+// of it is written, as Request.Write and http.Transport vet one: a valid
+// method, Host, request-URI and header fields, and no body, which no farm
+// hop sends.
 //
 // Without a reader goroutine nothing notices a peer closing an idle
 // connection, so the first write or read on a reused connection may fail
@@ -31,6 +34,13 @@ import (
 // once, on a fresh dial; a failure on a fresh connection is returned as
 // it is, so a dead peer's health record sees the same failure it would
 // have without the pool.
+//
+// Nor does anything watch an idle connection for bytes its peer sends
+// unasked. A connection is pooled only if its reply's body ended where
+// the bytes read off it end, and its last read came back short of the
+// buffer it was given (so nothing more was waiting then); bytes that
+// arrive later would be read as the next request's reply. No server the
+// farm talks to sends them.
 //
 // One Transport serves the whole process (sharedClient): proxy forwards,
 // origin fetches, health probes, Farm.Get and cmd/adcload. Idle pools are
@@ -49,6 +59,10 @@ const (
 	keepAlivePeriod   = 30 * time.Second
 	maxIdlePerHost    = 512
 	maxIdleConnsTotal = 2048
+	// maxReplyHead caps a reply's head, as http.Transport's
+	// MaxResponseHeaderBytes does (net/http's default is 10 MB; farm
+	// reply heads are a few hundred bytes).
+	maxReplyHead = 1 << 20
 )
 
 // Transport is a synchronous HTTP/1.1 keep-alive http.RoundTripper for
@@ -57,11 +71,17 @@ const (
 // concurrent use.
 type Transport struct {
 	dialer net.Dialer
+	// dial opens a connection; NewTransport sets it to dialer.DialContext.
+	// FuzzTransportConn replaces it with a net.Pipe.
+	dial func(ctx context.Context, network, addr string) (net.Conn, error)
 	// Idle-pool caps; NewTransport sets them to the package limits.
 	maxIdlePerHost, maxIdleTotal int
 
-	mu    sync.Mutex
-	idle  map[string][]*persistConn // per host:port; the newest is last
+	mu sync.Mutex
+	// Idle connections per host:port, the newest last. A host whose list
+	// empties keeps its entry, so that pooling the next connection does
+	// not allocate a list again.
+	idle  map[string][]*persistConn
 	nidle int
 }
 
@@ -70,12 +90,14 @@ type Transport struct {
 // cmd/adcload. Sharing one pools connections to a hot resolver
 // process-wide.
 func NewTransport() *Transport {
-	return &Transport{
+	t := &Transport{
 		dialer:         net.Dialer{Timeout: dialTimeout, KeepAlive: keepAlivePeriod},
 		maxIdlePerHost: maxIdlePerHost,
 		maxIdleTotal:   maxIdleConnsTotal,
 		idle:           make(map[string][]*persistConn),
 	}
+	t.dial = t.dialer.DialContext
+	return t
 }
 
 // NewClient wraps NewTransport in an http.Client. There is deliberately no
@@ -95,10 +117,41 @@ var sharedClient = NewClient()
 // trip at a time.
 type persistConn struct {
 	nc     net.Conn
+	rd     connReader // br's source
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	addr   string
 	idleAt time.Time
+	head   []byte   // the last reply head's bytes
+	keys   []string // writeHeader's scratch
+}
+
+func newPersistConn(nc net.Conn, addr string) *persistConn {
+	c := &persistConn{nc: nc, rd: connReader{Conn: nc}, bw: bufio.NewWriter(nc), addr: addr}
+	c.br = bufio.NewReader(&c.rd)
+	return c
+}
+
+// connReader is a connection's read side. full records whether its last
+// read filled the buffer it was given, so that the peer may have sent
+// more than was read.
+type connReader struct {
+	net.Conn
+	full bool
+}
+
+func (r *connReader) Read(p []byte) (int, error) {
+	n, err := r.Conn.Read(p)
+	r.full = n == len(p)
+	return n, err
+}
+
+// reply is what one round trip allocates for its answer: the response,
+// its body, and the backing of the header's values.
+type reply struct {
+	resp http.Response
+	body body
+	vals [8]string
 }
 
 // RoundTrip implements http.RoundTripper.
@@ -115,33 +168,36 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		closeBody(req)
 		return nil, errors.New("httpproxy: request URL has no host")
 	}
+	host, uri, err := checkRequest(req)
+	if err != nil {
+		closeBody(req)
+		return nil, err
+	}
 	addr := req.URL.Host
 	if req.URL.Port() == "" {
 		addr = net.JoinHostPort(req.URL.Hostname(), "80")
 	}
 	ctx := req.Context()
 	if c := t.takeIdle(addr); c != nil {
-		resp, replied, err := t.exchange(ctx, c, req)
+		resp, replied, err := t.exchange(ctx, c, req, host, uri)
 		if err == nil || replied || !replayable(req) || ctx.Err() != nil || isTimeout(err) {
 			return resp, err
 		}
 		// The peer closed the idle connection before this request reached
 		// it: nothing was received, so sending again is safe.
 	}
-	nc, err := t.dialer.DialContext(ctx, "tcp", addr)
+	nc, err := t.dial(ctx, "tcp", addr)
 	if err != nil {
-		closeBody(req)
 		return nil, err
 	}
-	c := &persistConn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc), addr: addr}
-	resp, _, err := t.exchange(ctx, c, req)
+	resp, _, err := t.exchange(ctx, newPersistConn(nc, addr), req, host, uri)
 	return resp, err
 }
 
 // exchange sends req on c and reads the reply's header. replied reports
 // whether any reply byte arrived; until one has, a failure may be the
 // peer's close of an idle connection. On error c is closed.
-func (t *Transport) exchange(ctx context.Context, c *persistConn, req *http.Request) (*http.Response, bool, error) {
+func (t *Transport) exchange(ctx context.Context, c *persistConn, req *http.Request, host, uri string) (*http.Response, bool, error) {
 	// One deadline bounds the write and the wait for the header: the
 	// header timeout, or the context's deadline if that comes first.
 	ctxDeadline, hasDeadline := ctx.Deadline()
@@ -151,7 +207,6 @@ func (t *Transport) exchange(ctx context.Context, c *persistConn, req *http.Requ
 	}
 	if err := c.nc.SetDeadline(deadline); err != nil {
 		c.nc.Close() //nolint:errcheck // the deadline error is the one returned
-		closeBody(req)
 		return nil, false, err
 	}
 	// A cancellable context interrupts blocked I/O by moving the deadline
@@ -169,9 +224,7 @@ func (t *Transport) exchange(ctx context.Context, c *persistConn, req *http.Requ
 		c.nc.Close() //nolint:errcheck // the error being returned is the one that matters
 		return nil, replied, ctxErr(ctx, err)
 	}
-	if err := req.Write(c.bw); err != nil {
-		return fail(err)
-	}
+	writeRequest(c.bw, req, host, uri, &c.keys)
 	if err := c.bw.Flush(); err != nil {
 		return fail(err)
 	}
@@ -182,10 +235,27 @@ func (t *Transport) exchange(ctx context.Context, c *persistConn, req *http.Requ
 		return fail(err)
 	}
 	replied = true
-	resp, err := http.ReadResponse(c.br, req)
+	head, err := readHead(c.br, c.head, maxReplyHead)
+	c.head = keepHead(head)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
 	if err != nil {
 		return fail(err)
 	}
+	text := string(head)
+	r := &reply{}
+	resp := &r.resp
+	resp.Header = make(http.Header, len(r.vals))
+	vals := r.vals[:]
+	if n := headLines(text); n > len(vals) {
+		vals = make([]string, n)
+	}
+	r.body.br = c.br
+	if err := parseResponse(text, req.Method, resp, vals, &r.body.bodyReader); err != nil {
+		return fail(err)
+	}
+	resp.Request = req
 	// The body may take as long as it takes, within the context's
 	// deadline. A cancellation that fired before this set is caught by
 	// the ctx.Err check after it.
@@ -199,8 +269,10 @@ func (t *Transport) exchange(ctx context.Context, c *persistConn, req *http.Requ
 	if err := ctx.Err(); err != nil {
 		return fail(err)
 	}
-	b := &body{t: t, c: c, rc: resp.Body, ctx: ctx, stop: stop, keep: !resp.Close && !req.Close}
-	if resp.Body == http.NoBody {
+	b := &r.body
+	b.t, b.c, b.ctx, b.stop, b.keep = t, c, ctx, stop, !resp.Close && !req.Close
+	if b.n == 0 {
+		resp.Body = http.NoBody
 		b.release(b.keep, io.EOF)
 	} else {
 		resp.Body = b
@@ -212,9 +284,9 @@ func (t *Transport) exchange(ctx context.Context, c *persistConn, req *http.Requ
 // the connection back to the pool; closed early, or on a read error, it
 // closes the connection, since the rest of the reply is still on it.
 type body struct {
+	bodyReader
 	t    *Transport
 	c    *persistConn // nil once released
-	rc   io.ReadCloser
 	ctx  context.Context
 	stop func() bool // unregisters the cancellation hook; nil if none
 	keep bool        // pool the connection at EOF
@@ -227,7 +299,7 @@ func (b *body) Read(p []byte) (int, error) {
 	if b.c == nil {
 		return 0, b.err
 	}
-	n, err := b.rc.Read(p)
+	n, err := b.bodyReader.Read(p)
 	switch {
 	case err == io.EOF:
 		b.release(b.keep, err)
@@ -274,7 +346,7 @@ func (t *Transport) takeIdle(addr string) *persistConn {
 	c := list[len(list)-1]
 	if time.Since(c.idleAt) < idleConnTimeout {
 		list[len(list)-1] = nil
-		t.setList(addr, list[:len(list)-1])
+		t.idle[addr] = list[:len(list)-1]
 		t.nidle--
 		t.mu.Unlock()
 		return c
@@ -291,8 +363,8 @@ func (t *Transport) takeIdle(addr string) *persistConn {
 // putIdle pools c, or closes it when its host's list is full. At the
 // total cap the oldest idle connection of any host makes room.
 func (t *Transport) putIdle(c *persistConn) {
-	if c.br.Buffered() > 0 {
-		c.nc.Close() //nolint:errcheck // bytes nobody asked for: not reusable
+	if c.br.Buffered() > 0 || c.rd.full {
+		c.nc.Close() //nolint:errcheck // bytes nobody asked for, or maybe some waiting: not reusable
 		return
 	}
 	c.idleAt = time.Now()
@@ -321,7 +393,7 @@ func (t *Transport) putIdle(c *persistConn) {
 func (t *Transport) popOldestLocked() *persistConn {
 	var oldest string
 	for addr, list := range t.idle {
-		if oldest == "" || list[0].idleAt.Before(t.idle[oldest][0].idleAt) {
+		if len(list) > 0 && (oldest == "" || list[0].idleAt.Before(t.idle[oldest][0].idleAt)) {
 			oldest = addr
 		}
 	}
@@ -331,18 +403,9 @@ func (t *Transport) popOldestLocked() *persistConn {
 	list := t.idle[oldest]
 	c := list[0]
 	list[0] = nil
-	t.setList(oldest, list[1:])
+	t.idle[oldest] = list[1:]
 	t.nidle--
 	return c
-}
-
-// setList stores a host's idle list, dropping the host once it is empty.
-func (t *Transport) setList(addr string, list []*persistConn) {
-	if len(list) == 0 {
-		delete(t.idle, addr)
-		return
-	}
-	t.idle[addr] = list
 }
 
 // CloseIdleConnections closes every pooled connection; connections in use
@@ -360,11 +423,10 @@ func (t *Transport) CloseIdleConnections() {
 	}
 }
 
-// replayable reports whether req may be sent a second time: a GET or
-// HEAD without a body.
+// replayable reports whether req may be sent a second time: a GET or a
+// HEAD (checkRequest has refused any request with a body).
 func replayable(req *http.Request) bool {
-	bodyless := req.Body == nil || req.Body == http.NoBody
-	return bodyless && (req.Method == "" || req.Method == http.MethodGet || req.Method == http.MethodHead)
+	return req.Method == "" || req.Method == http.MethodGet || req.Method == http.MethodHead
 }
 
 func closeBody(req *http.Request) {

@@ -1,6 +1,8 @@
 package httpproxy
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -338,4 +340,139 @@ func TestTransportIdleCapsUnderConcurrency(t *testing.T) {
 			t.Errorf("%s: %d idle connections, over the per-host cap of %d", u, h, perHost)
 		}
 	}
+}
+
+// sinkConn is the client's end of a net.Pipe whose writes go to a buffer
+// instead: FuzzTransportConn's fake server only writes, so a request
+// never blocks on it, and the buffer keeps what the transport sent.
+// SetDeadline fails only once this end is closed, as a socket's does; a
+// pipe's also fails once the other end is.
+type sinkConn struct {
+	net.Conn
+	sent   *bytes.Buffer
+	closed atomic.Bool
+}
+
+func (c *sinkConn) Write(p []byte) (int, error) { return c.sent.Write(p) }
+
+func (c *sinkConn) Close() error {
+	c.closed.Store(true)
+	return c.Conn.Close()
+}
+
+func (c *sinkConn) SetDeadline(t time.Time) error {
+	if err := c.Conn.SetDeadline(t); err != nil && c.closed.Load() {
+		return err
+	}
+	return nil
+}
+
+// FuzzTransportConn feeds arbitrary reply bytes to Transport.RoundTrip
+// over a net.Pipe, then sends a second request, which a fresh connection
+// answers with a known reply. The fake server writes the bytes and then
+// hangs up, or (hangUp false) stalls until the test ends. It checks that:
+//   - each round trip, body included, returns by its context's deadline;
+//   - the connection is pooled only after a cleanly framed body: then
+//     http.ReadResponse reads the bytes as exactly one keep-alive reply
+//     with the same body;
+//   - the second request gets the known reply, never bytes left over from
+//     the first: an error is allowed only when a stalled connection was
+//     pooled and the second request timed out on it;
+//   - every request written parses with http.ReadRequest.
+func FuzzTransportConn(f *testing.F) {
+	const (
+		wait   = 100 * time.Millisecond
+		slack  = 2 * time.Second // a loaded machine's scheduling, not a hang
+		second = "HTTP/1.1 200 OK\r\nContent-Length: 6\r\n\r\nsecond"
+		target = "http://farm.test/obj/1"
+	)
+	f.Fuzz(func(t *testing.T, hangUp bool, in []byte) {
+		tr := NewTransport()
+		var servers sync.WaitGroup
+		stall := make(chan struct{})
+		var sent []*bytes.Buffer
+		tr.dial = func(context.Context, string, string) (net.Conn, error) {
+			reply := []byte(second)
+			if len(sent) == 0 {
+				reply = in
+			}
+			cli, srv := net.Pipe()
+			buf := new(bytes.Buffer)
+			sent = append(sent, buf)
+			servers.Add(1)
+			go func(hangUp bool) {
+				defer servers.Done()
+				if _, err := srv.Write(reply); err == nil && !hangUp {
+					<-stall
+				}
+				srv.Close() //nolint:errcheck // the pipe's other end sees EOF
+			}(hangUp || len(sent) > 1)
+			return &sinkConn{Conn: cli, sent: buf}, nil
+		}
+		defer func() {
+			close(stall)
+			tr.CloseIdleConnections()
+			servers.Wait()
+			for i, buf := range sent {
+				br := bufio.NewReader(buf)
+				for buf.Len() > 0 || br.Buffered() > 0 {
+					req, err := http.ReadRequest(br)
+					if err != nil {
+						t.Fatalf("connection %d: a request written does not parse: %v", i, err)
+					}
+					if req.Method != http.MethodGet || req.Host != "farm.test" || req.URL.Path != "/obj/1" || req.Header.Get(HeaderRequestID) != "r1" {
+						t.Fatalf("connection %d: wrote %s %s to %s, id %q", i, req.Method, req.URL, req.Host, req.Header.Get(HeaderRequestID))
+					}
+				}
+			}
+		}()
+		roundTrip := func() (*http.Response, []byte, error) {
+			ctx, cancel := context.WithTimeout(context.Background(), wait)
+			defer cancel()
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set(HeaderRequestID, "r1")
+			start := time.Now()
+			resp, err := tr.RoundTrip(req)
+			var body []byte
+			if err == nil {
+				body, err = io.ReadAll(resp.Body)
+				resp.Body.Close() //nolint:errcheck // read side
+			}
+			if d := time.Since(start); d > wait+slack {
+				t.Fatalf("a round trip with a %v deadline returned after %v", wait, d)
+			}
+			return resp, body, err
+		}
+
+		_, body, err := roundTrip()
+		if pooled, _ := tr.idleCount(""); pooled > 0 {
+			if err != nil {
+				t.Fatalf("connection pooled after a failed reply: %v", err)
+			}
+			wr := bufio.NewReader(bytes.NewReader(in))
+			want, werr := http.ReadResponse(wr, nil)
+			if werr != nil {
+				t.Fatalf("connection pooled after a reply net/http refuses: %v", werr)
+			}
+			wbody, werr := io.ReadAll(want.Body)
+			switch rest, _ := io.ReadAll(wr); {
+			case werr != nil || !bytes.Equal(wbody, body):
+				t.Fatalf("connection pooled after body %q; net/http reads %q, %v", body, wbody, werr)
+			case want.Close:
+				t.Fatal("connection pooled after a reply that closes it")
+			case len(rest) > 0:
+				t.Fatalf("connection pooled with %d bytes after its reply", len(rest))
+			}
+		}
+		resp, body, err := roundTrip()
+		switch {
+		case err == nil && (resp.StatusCode != http.StatusOK || string(body) != "second"):
+			t.Fatalf("the second request got %d %q, not its own reply", resp.StatusCode, body)
+		case err != nil && (hangUp || len(sent) > 1):
+			t.Fatalf("the second request failed: %v", err)
+		}
+	})
 }

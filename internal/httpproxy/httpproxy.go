@@ -1,7 +1,8 @@
 // Package httpproxy is a real HTTP proxy system built on the ADC
 // algorithm — the paper's first future-work item ("the creation of a real
 // proxy system based on the freely available Squid server", §VI), realised
-// with net/http instead of Squid.
+// on net/http's types with the package's own HTTP/1.1 server, transport
+// and head codec instead of Squid.
 //
 // Each proxy is an HTTP server; clients GET /obj/<id> from any proxy.
 // Unlike the simulator (which, like the paper's testbed, "will not cache
@@ -31,6 +32,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -85,15 +87,39 @@ func parseObjectPath(path string) (ids.ObjectID, error) {
 // are deterministic functions of the object ID so tests can verify
 // end-to-end integrity through the proxy chain.
 type Origin struct {
-	srv *server
-
-	mu       sync.Mutex
-	resolved uint64
+	srv      *server
+	resolved atomic.Uint64
 }
 
-// Payload returns the canonical payload of an object.
+// Payload returns the canonical payload of an object: "object <id in
+// decimal> body: <id·0x9E3779B97F4A7C15 in hex>". It runs on every origin
+// fetch and on every reply a client verifies, so it is built with strconv
+// rather than fmt.
 func Payload(obj ids.ObjectID) []byte {
-	return []byte(fmt.Sprintf("object %d body: %x", uint64(obj), uint64(obj)*0x9E3779B97F4A7C15))
+	const prefix, middle = "object ", " body: "
+	b := make([]byte, 0, len(prefix)+20+len(middle)+16)
+	b = strconv.AppendUint(append(b, prefix...), uint64(obj), 10)
+	return strconv.AppendUint(append(b, middle...), uint64(obj)*0x9E3779B97F4A7C15, 16)
+}
+
+// Reply header values the farm sets on every object reply, shared rather
+// than allocated per reply. A header map holding one is only ever
+// written to the wire.
+var (
+	textPlain = []string{"text/plain; charset=utf-8"}
+	headerOne = []string{"1"}
+)
+
+// objectsFirst dispatches /obj/ straight to objects, ahead of mux's
+// pattern matching; everything else goes through mux.
+func objectsFirst(objects http.HandlerFunc, mux *http.ServeMux) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, objPathPrefix) {
+			objects(w, r)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	})
 }
 
 // NewOrigin starts an origin server on a loopback port.
@@ -103,9 +129,7 @@ func NewOrigin() (*Origin, error) {
 		return nil, fmt.Errorf("httpproxy: origin listen: %w", err)
 	}
 	o := &Origin{}
-	mux := http.NewServeMux()
-	mux.HandleFunc(objPathPrefix, o.handle)
-	o.srv = newServer(ln, mux)
+	o.srv = newServer(ln, objectsFirst(o.handle, http.NewServeMux()))
 	go o.srv.serve()
 	return o, nil
 }
@@ -114,11 +138,7 @@ func NewOrigin() (*Origin, error) {
 func (o *Origin) URL() string { return "http://" + o.srv.ln.Addr().String() }
 
 // Resolved returns how many requests the origin answered.
-func (o *Origin) Resolved() uint64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.resolved
-}
+func (o *Origin) Resolved() uint64 { return o.resolved.Load() }
 
 // Close shuts the origin down gracefully (see shutdown).
 func (o *Origin) Close() error { return shutdown(o.srv) }
@@ -146,10 +166,10 @@ func (o *Origin) handle(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	o.mu.Lock()
-	o.resolved++
-	o.mu.Unlock()
-	w.Header().Set(HeaderOrigin, "1")
+	o.resolved.Add(1)
+	h := w.Header()
+	h["Content-Type"] = textPlain
+	h[HeaderOrigin] = headerOne
 	if _, err := w.Write(Payload(obj)); err != nil {
 		return // client went away; nothing to do
 	}
@@ -166,10 +186,11 @@ func (o *Origin) handle(w http.ResponseWriter, r *http.Request) {
 // concurrency is bounded with load shedding (gate.go).
 type Proxy struct {
 	id      ids.NodeID
-	addr    string // listen address, stable across Kill/Restart
+	self    []string // X-Adc-Resolver's value for a local hit: id.String()
+	addr    string   // listen address, stable across Kill/Restart
 	url     string
-	mux     *http.ServeMux
-	client  *http.Client
+	handler http.Handler      // objects first, then the mux
+	rt      http.RoundTripper // every upstream fetch: Config.Client's transport
 	origin  string
 	maxHops int
 
@@ -231,6 +252,7 @@ type Proxy struct {
 	store   map[ids.ObjectID][]byte
 	pending map[string]int
 	peerURL map[ids.NodeID]string
+	names   map[ids.NodeID][]string // each peer's X-Adc-Resolver value
 }
 
 // FaultTolerance configures the farm's fault-tolerance layer: peer health
@@ -305,7 +327,9 @@ type Config struct {
 	FaultTolerance FaultTolerance
 	// Tracing configures cross-proxy span tracing (zero value = off).
 	Tracing Tracing
-	// Client overrides the shared pooled HTTP client (tests).
+	// Client overrides the shared pooled HTTP client (tests). Upstream
+	// fetches go straight to its Transport (http.DefaultTransport when
+	// nil); they neither follow redirects nor use its Timeout or Jar.
 	Client *http.Client
 }
 
@@ -329,12 +353,17 @@ func NewProxy(cfg Config) (*Proxy, error) {
 	if client == nil {
 		client = sharedClient
 	}
+	rt := client.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
 	ft := cfg.FaultTolerance.withDefaults()
 	p := &Proxy{
 		id:       cfg.ID,
+		self:     []string{cfg.ID.String()},
 		addr:     ln.Addr().String(),
 		url:      "http://" + ln.Addr().String(),
-		client:   client,
+		rt:       rt,
 		origin:   cfg.OriginURL,
 		maxHops:  cfg.MaxHops,
 		gate:     newGate(cfg.MaxActive, cfg.MaxQueue),
@@ -357,18 +386,17 @@ func NewProxy(cfg Config) (*Proxy, error) {
 		p.spans = obs.NewSpanRing(p.tracing.RingSize)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc(objPathPrefix, p.handle)
 	mux.HandleFunc(healthzPath, p.handleHealthz)
 	registerDebug(mux, p)
-	p.mux = mux
-	p.srv = newServer(ln, mux)
+	p.handler = objectsFirst(p.handle, mux)
+	p.srv = newServer(ln, p.handler)
 	go p.srv.serve()
 	return p, nil
 }
 
 // Handler exposes the proxy's full mux (object path plus debug endpoints)
 // for in-process serving, e.g. under httptest.
-func (p *Proxy) Handler() http.Handler { return p.mux }
+func (p *Proxy) Handler() http.Handler { return p.handler }
 
 // URL returns the proxy's base URL, stable across Kill/Restart.
 func (p *Proxy) URL() string { return p.url }
@@ -387,6 +415,10 @@ func (p *Proxy) SetPeers(urls map[ids.NodeID]string) {
 	defer p.mu.Unlock()
 	p.adc.SetPeers(peers)
 	p.peerURL = urls
+	p.names = make(map[ids.NodeID][]string, len(peers))
+	for _, id := range peers {
+		p.names[id] = []string{id.String()}
+	}
 	if p.ft.Health.Enabled && p.health.Load() == nil {
 		p.health.Store(newHealthMonitor(p.ft.Health, p.id, urls, p.isBlocked))
 	}
@@ -489,7 +521,7 @@ func (p *Proxy) Restart() error {
 	if err != nil {
 		return fmt.Errorf("httpproxy: restart %v on %s: %w", p.id, p.addr, err)
 	}
-	srv := newServer(ln, p.mux)
+	srv := newServer(ln, p.handler)
 	p.mu.Lock()
 	p.srv = srv
 	p.killed = false
@@ -578,7 +610,10 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing "+HeaderRequestID, http.StatusBadRequest)
 		return
 	}
-	forwards, _ := strconv.Atoi(r.Header.Get(HeaderForwards))
+	forwards := 0 // an entry request carries no X-Adc-Forwards
+	if v := r.Header.Get(HeaderForwards); v != "" {
+		forwards, _ = strconv.Atoi(v)
+	}
 
 	sc := p.spanContext(r.Header, forwards)
 	start := nowUs()
@@ -632,9 +667,11 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, 
 		payload := p.store[obj]
 		adv.Replicas = slices.Clone(adv.Replicas) // aliases table memory; headers are written off-lock
 		p.mu.Unlock()
-		w.Header().Set(HeaderResolver, p.id.String())
-		w.Header().Set(HeaderCached, "1")
-		encodeAdvert(w.Header(), adv)
+		h := w.Header()
+		h["Content-Type"] = textPlain
+		h[HeaderResolver] = p.self
+		h[HeaderCached] = headerOne
+		encodeAdvert(h, adv)
 		_, _ = w.Write(payload)
 		if sc != nil {
 			decision = "hit " + obs.OutcomeString(outcome)
@@ -695,16 +732,22 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, 
 		p.store[obj] = res.body
 	}
 	l.Advert.Replicas = slices.Clone(l.Advert.Replicas) // may alias table memory
+	resolver := p.names[l.Resolver]
 	p.mu.Unlock()
+	if resolver == nil {
+		resolver = []string{l.Resolver.String()}
+	}
 
-	w.Header().Set(HeaderResolver, l.Resolver.String())
+	h := w.Header()
+	h["Content-Type"] = textPlain
+	h[HeaderResolver] = resolver
 	if l.Cached {
-		w.Header().Set(HeaderCached, "1")
+		h[HeaderCached] = headerOne
 	}
 	if res.hdr.Get(HeaderOrigin) == "1" {
-		w.Header().Set(HeaderOrigin, "1")
+		h[HeaderOrigin] = headerOne
 	}
-	encodeAdvert(w.Header(), l.Advert)
+	encodeAdvert(h, l.Advert)
 	_, _ = w.Write(res.body)
 	if sc != nil {
 		decision = "learned " + l.Location.String() + " " + obs.OutcomeString(l.Outcome)
@@ -856,23 +899,34 @@ func (p *Proxy) fetch(base string, dest ids.NodeID, why string, obj ids.ObjectID
 		sc.record(obs.SpanBreakerDenied, start, obj, detail, "peer down")
 		return nil, nil, 0, fmt.Errorf("httpproxy: fetch %v: peer down", dest)
 	}
-	req, err := http.NewRequest(http.MethodGet, ObjectURL(base, obj), nil)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("httpproxy: build upstream request: %w", err)
+	host, ok := strings.CutPrefix(base, "http://")
+	if !ok || host == "" || strings.ContainsAny(host, "/?#") {
+		return nil, nil, 0, fmt.Errorf("httpproxy: upstream %q is not an http://host:port URL", base)
 	}
-	req.Header.Set(HeaderRequestID, reqID)
-	req.Header.Set(HeaderForwards, strconv.Itoa(forwards))
+	// The request is built by hand and handed to the RoundTripper: no URL
+	// to parse, no redirect loop and no header copies for one, and each
+	// header value's slice is cut from one array.
+	up := &upstreamRequest{}
+	up.url = url.URL{Scheme: "http", Host: host, Path: objPath(obj)}
+	h := make(http.Header, 5)
+	up.vals[0], up.vals[1] = reqID, strconv.Itoa(forwards)
+	h[HeaderRequestID], h[HeaderForwards] = up.vals[0:1:1], up.vals[1:2:2]
+	up.req = http.Request{
+		Method: http.MethodGet, URL: &up.url, Host: host, Header: h,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+	}
 	// The span is allocated before the request so its ID can travel in
 	// X-Adc-Span: the receiving proxy's server span parents onto it, which
 	// is the link adctrace's cross-proxy tree reconstruction rides on.
 	spanID := sc.child()
-	sc.setHeaders(req.Header, spanID)
+	sc.setHeaders(h, spanID)
 	if p.replicating {
 		// Identify this proxy as the forwarding hop so a holder upstream
 		// knows which recent requester a replica push should target.
-		req.Header.Set(HeaderSender, p.id.String())
+		up.vals[2] = p.self[0]
+		h[HeaderSender] = up.vals[2:3:3]
 	}
-	resp, err := p.client.Do(req)
+	resp, err := p.rt.RoundTrip(&up.req)
 	if dest.IsProxy() {
 		if err != nil {
 			m.reportFailure(dest)
@@ -899,6 +953,20 @@ func (p *Proxy) fetch(base string, dest ids.NodeID, why string, obj ids.ObjectID
 	return body, resp.Header, resp.StatusCode, nil
 }
 
+// upstreamRequest is one upstream fetch's request, its URL and the
+// backing of its header's values, in one allocation.
+type upstreamRequest struct {
+	req  http.Request
+	url  url.URL
+	vals [3]string
+}
+
+// objPath is ObjectURL's path: /obj/<id>.
+func objPath(obj ids.ObjectID) string {
+	var b [len(objPathPrefix) + 20]byte
+	return string(strconv.AppendUint(append(b[:0], objPathPrefix...), uint64(obj), 10))
+}
+
 // maxBodyBytes caps every response body this package reads into memory —
 // an upstream object, a farm client's reply, a scraped span dump — so a
 // misbehaving peer or origin cannot make a proxy allocate without bound.
@@ -908,10 +976,25 @@ const maxBodyBytes = 16 << 20
 
 // readBody reads the whole body of resp through a limit. A body over
 // maxBodyBytes — declared or streamed — is an error, and so is one shorter
-// than its declared length (net/http reports that itself).
+// or longer than its declared length. A declared length is read into a
+// buffer one byte longer, so that one io.ReadFull both reaches the body's
+// end, which hands the connection back, and catches a longer body.
 func readBody(resp *http.Response) ([]byte, error) {
 	if resp.ContentLength > maxBodyBytes {
 		return nil, fmt.Errorf("body of %d bytes exceeds the %d-byte limit", resp.ContentLength, maxBodyBytes)
+	}
+	if n := resp.ContentLength; n > 0 {
+		body := make([]byte, n+1)
+		switch got, err := io.ReadFull(resp.Body, body); {
+		case got == int(n) && (err == io.EOF || err == io.ErrUnexpectedEOF):
+			return body[:n:n], nil
+		case err == nil:
+			return nil, fmt.Errorf("body longer than its declared %d bytes", n)
+		case err == io.EOF || err == io.ErrUnexpectedEOF:
+			return nil, fmt.Errorf("body of %d bytes, not the declared %d: %w", got, n, io.ErrUnexpectedEOF)
+		default:
+			return nil, err
+		}
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
 	if err != nil {

@@ -3,6 +3,8 @@ package httpproxy
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -389,6 +391,22 @@ func TestFarmCloseDrainsInFlight(t *testing.T) {
 		refused := err != nil && (strings.Contains(err.Error(), "status 503") || errors.As(err, &op) && op.Op == "dial")
 		if err != nil && !refused {
 			t.Errorf("request %s: %v", id, err)
+		}
+	}
+}
+
+// TestPayloadFormat: Payload's strconv build writes the bytes its fmt
+// format wrote, which clients compare every reply against.
+func TestPayloadFormat(t *testing.T) {
+	objs := []uint64{0, 1, 1 << 63, math.MaxUint64}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		objs = append(objs, rng.Uint64()>>uint(rng.Intn(64)))
+	}
+	for _, obj := range objs {
+		want := fmt.Sprintf("object %d body: %x", obj, obj*0x9E3779B97F4A7C15)
+		if got := Payload(ids.ObjectID(obj)); string(got) != want {
+			t.Fatalf("Payload(%d) = %q, want %q", obj, got, want)
 		}
 	}
 }

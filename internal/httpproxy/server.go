@@ -7,9 +7,9 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -23,28 +23,35 @@ import (
 // handler returns it aborts that read by moving the read deadline into
 // the past and waiting for the goroutine. No handler in this package
 // watches r.Context() for a disconnect, so server below does without it.
-// Each accepted connection gets one goroutine that reads a request with
-// net/http's own http.ReadRequest, runs the handler, writes the reply
-// with http.Header.Write and flushes once, then waits for the next
-// request. It keeps what the farm relied on http.Server for:
+// Each accepted connection gets one goroutine that reads a request head
+// with the farm's own codec (codec.go) into state the connection reuses,
+// runs the handler, writes the reply's head with the same codec and
+// flushes once, then waits for the next request. Because the request, its
+// URL, header map and body are the connection's, reset for each request,
+// a handler must not keep the *http.Request (or its Header or Body) after
+// it returns; the strings in it stay valid, since each head is one
+// string of its own. It keeps what the farm relied on http.Server for:
 //
 //   - a header deadline from the request's first byte (and one from
 //     accept for that byte, on a new connection; an idle keep-alive
 //     connection waits without one), a header size cap answered with
-//     431, and 400 for HTTP/1.1 without Host;
+//     431, 400 for a head the codec refuses or HTTP/1.1 without Host, and
+//     505 for a version other than HTTP/1.x;
 //   - keep-alive unless the request is HTTP/1.0 or either side says
 //     Connection: close; a request body the handler left unread is
 //     drained up to maxDrainBytes, and a longer one closes the connection;
 //   - Content-Length on a reply that fits replyBufferSize whole, chunked
 //     past it; no body for HEAD, 204 or 304; Content-Type sniffed when
-//     unset; Date;
+//     unset; Date; header fields written in key order, a field with an
+//     invalid name dropped and CR or LF in a value turned into a space, as
+//     http.Header.Write does;
 //   - a handler panic is logged (unless it is http.ErrAbortHandler) and
 //     closes that connection only;
 //   - Shutdown and Close with http.Server's meaning.
 //
 // It does not support what nothing here uses: HTTP/2, Expect:
-// 100-continue, HTTP/1.0 keep-alive, a handler's own Content-Length, and
-// the Flusher and Hijacker interfaces.
+// 100-continue, HTTP/1.0 keep-alive, a handler's own Content-Length,
+// trailers, and the Flusher and Hijacker interfaces.
 
 const (
 	// serverHeaderTimeout bounds the read of one request header.
@@ -58,8 +65,8 @@ const (
 	// request body left unread by the handler that is read to keep the
 	// connection.
 	maxDrainBytes = 256 << 10
-	// headerReadSlack is read beyond the header cap before a request is
-	// refused: what one bufio fill may take past the header's end.
+	// headerReadSlack is how far a request head may run past the header
+	// cap before it is refused, as under net/http.
 	headerReadSlack = 4096
 	// rstAvoidanceDelay is how long a connection refused with request
 	// bytes still unread stays half-closed, so that the client reads the
@@ -193,12 +200,12 @@ const (
 	connClosed              // claimed by Shutdown or Close
 )
 
-// serverConn is one accepted connection and the reply state it reuses.
+// serverConn is one accepted connection and the request and reply state
+// it reuses.
 type serverConn struct {
 	s          *server
 	nc         net.Conn
 	state      atomic.Int32
-	lr         limitReader
 	br         *bufio.Reader
 	bw         *bufio.Writer
 	remoteAddr string
@@ -206,13 +213,22 @@ type serverConn struct {
 	scratch    [20]byte // for formatting numbers
 	dateSec    int64    // the second date was formatted for
 	date       string
+
+	// The request being served, reset for each one.
+	head []byte // its head's bytes
+	req  http.Request
+	url  url.URL
+	hdr  http.Header
+	vals []string // backs hdr's values
+	body reqBody
+	keys []string // writeHeader's scratch
 }
 
 func (s *server) newConn(nc net.Conn) *serverConn {
-	c := &serverConn{s: s, nc: nc, remoteAddr: nc.RemoteAddr().String()}
-	c.lr = limitReader{r: nc, remain: math.MaxInt64}
-	c.br = bufio.NewReader(&c.lr)
+	c := &serverConn{s: s, nc: nc, remoteAddr: nc.RemoteAddr().String(), hdr: make(http.Header)}
+	c.br = bufio.NewReader(nc)
 	c.bw = bufio.NewWriter(nc)
+	c.body.br = c.br
 	c.res = response{c: c, header: make(http.Header), buf: make([]byte, 0, replyBufferSize)}
 	return c
 }
@@ -256,12 +272,9 @@ func (c *serverConn) serveRequest() bool {
 	if c.nc.SetReadDeadline(time.Now().Add(c.s.headerTimeout)) != nil {
 		return false
 	}
-	c.lr.remain = int64(c.s.maxHeaderBytes) + headerReadSlack
-	req, err := http.ReadRequest(c.br)
-	tooLarge := c.lr.remain <= 0
-	c.lr.remain = math.MaxInt64
+	req, err := c.readRequest()
 	switch {
-	case err != nil && tooLarge:
+	case err == errBigHead:
 		c.refuse(http.StatusRequestHeaderFieldsTooLarge, "")
 		c.closeWriteAndWait()
 		return false
@@ -281,7 +294,6 @@ func (c *serverConn) serveRequest() bool {
 	if c.nc.SetReadDeadline(time.Time{}) != nil {
 		return false
 	}
-	req.RemoteAddr = c.remoteAddr
 	w := &c.res
 	w.reset(req)
 	c.s.handler.ServeHTTP(w, req)
@@ -290,6 +302,52 @@ func (c *serverConn) serveRequest() bool {
 		c.closeWriteAndWait()
 	}
 	return keep
+}
+
+// readRequest reads and parses the next request head into the
+// connection's reused request. A read error is returned as it is; a head
+// the codec refuses is errBadHead or errBadFraming.
+func (c *serverConn) readRequest() (*http.Request, error) {
+	head, err := readHead(c.br, c.head, c.s.maxHeaderBytes+headerReadSlack)
+	c.head = keepHead(head)
+	if err != nil {
+		return nil, err
+	}
+	text := string(head)
+	if n := headLines(text); n > len(c.vals) {
+		c.vals = make([]string, n)
+	}
+	clear(c.hdr)
+	c.req = http.Request{Header: c.hdr, RemoteAddr: c.remoteAddr}
+	if err := parseRequest(text, &c.req, &c.url, c.vals, &c.body.bodyReader); err != nil {
+		return nil, err
+	}
+	c.body.closed = false
+	c.req.Body = http.NoBody
+	if c.req.ContentLength != 0 {
+		c.req.Body = &c.body
+	}
+	return &c.req, nil
+}
+
+// reqBody is a request's body as its handler sees it: after Close a read
+// fails, as net/http's does. The server drains what the handler left
+// through the bodyReader underneath, Close or not.
+type reqBody struct {
+	bodyReader
+	closed bool
+}
+
+func (b *reqBody) Read(p []byte) (int, error) {
+	if b.closed {
+		return 0, http.ErrBodyReadAfterClose
+	}
+	return b.bodyReader.Read(p)
+}
+
+func (b *reqBody) Close() error {
+	b.closed = true
+	return nil
 }
 
 // refuse answers a request that is not served and closes the connection,
@@ -334,25 +392,6 @@ func isNetReadError(err error) bool {
 	}
 	var oe *net.OpError
 	return errors.As(err, &oe) && oe.Op == "read"
-}
-
-// limitReader caps what a request header may read off the connection:
-// past remain bytes it reports EOF, and remain <= 0 tells the caller why.
-type limitReader struct {
-	r      io.Reader
-	remain int64
-}
-
-func (l *limitReader) Read(p []byte) (int, error) {
-	if l.remain <= 0 {
-		return 0, io.EOF
-	}
-	if int64(len(p)) > l.remain {
-		p = p[:l.remain]
-	}
-	n, err := l.r.Read(p)
-	l.remain -= int64(n)
-	return n, err
 }
 
 // response is a connection's http.ResponseWriter, reset for each
@@ -480,7 +519,7 @@ func (w *response) commit(final bool) {
 	_ = bw.WriteByte(' ')
 	_, _ = bw.WriteString(http.StatusText(w.status))
 	_, _ = bw.WriteString("\r\n")
-	_ = h.Write(bw) // bufio's error is sticky: finish reports it
+	writeHeader(bw, h, &c.keys) // bufio's error is sticky: finish reports it
 	if sized {
 		_, _ = bw.WriteString("Content-Length: ")
 		_, _ = bw.Write(strconv.AppendInt(c.scratch[:0], int64(len(w.buf)), 10))
@@ -496,7 +535,9 @@ func (w *response) commit(final bool) {
 		_, _ = bw.WriteString("Connection: close\r\n")
 	}
 	if _, ok := h["Date"]; !ok {
-		_, _ = bw.WriteString("Date: " + c.dateValue() + "\r\n")
+		_, _ = bw.WriteString("Date: ")
+		_, _ = bw.WriteString(c.dateValue())
+		_, _ = bw.WriteString("\r\n")
 	}
 	_, _ = bw.WriteString("\r\n")
 	if w.sendBody {
@@ -509,9 +550,9 @@ func (w *response) commit(final bool) {
 // be parsed, and reports whether it reached the end. A body longer than
 // maxDrainBytes is left, and the connection closes after a half-close.
 func (w *response) drain() bool {
-	_, err := io.CopyN(io.Discard, w.req.Body, maxDrainBytes+1)
+	_, err := io.CopyN(io.Discard, &w.c.body.bodyReader, maxDrainBytes+1)
 	switch {
-	case err == io.EOF, errors.Is(err, http.ErrBodyReadAfterClose):
+	case err == io.EOF:
 		return true
 	case err == nil:
 		w.linger = true
