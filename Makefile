@@ -29,8 +29,8 @@ fmt-check:
 # socket), the replication and trace-context headers, the -faults /
 # -recovery spec grammar (what a flag hands either driver), the /metrics
 # exposition parser (what adctop and adcload -lint-metrics scrape), the
-# binary trace reader (what adcsim -replay loads), the text one (which no
-# command reads) and the JSON experiment file (what adcsim -config reads) —
+# trace reader (what adcsim -replay loads) and the JSON experiment file
+# (what adcsim -config reads) —
 # and over the engine's event queue, whose pop order every golden constant
 # rests on, and the two open-addressed tables every proxy message probes:
 # the mapping tables' directory and the request-ID table of pending passes.

@@ -619,9 +619,9 @@ func printText(w io.Writer, rep *report) {
 	if rep.ShedRetries > 0 {
 		fmt.Fprintf(w, "backoffs  %10d  (honored Retry-After)\n", rep.ShedRetries)
 	}
-	if ft := rep.Farm; ft.RetriedFetches+ft.FailoverOrigin+ft.BreakerDenied+ft.HedgedFetches > 0 {
-		fmt.Fprintf(w, "faults    retried %d  failover-origin %d  breaker-denied %d  hedged %d (won %d)  stale-invalidated %d\n",
-			ft.RetriedFetches, ft.FailoverOrigin, ft.BreakerDenied, ft.HedgedFetches, ft.HedgeWins, ft.StaleInvalidated)
+	if ft := rep.Farm; ft.RetriedFetches+ft.FailoverOrigin+ft.PeerDownRefusals+ft.HedgedFetches > 0 {
+		fmt.Fprintf(w, "faults    retried %d  failover-origin %d  peer-down-refusals %d  hedged %d (won %d)  stale-invalidated %d\n",
+			ft.RetriedFetches, ft.FailoverOrigin, ft.PeerDownRefusals, ft.HedgedFetches, ft.HedgeWins, ft.StaleInvalidated)
 	}
 	fmt.Fprintf(w, "latency   p50 %v  p90 %v  p99 %v  p99.9 %v\n",
 		us(rep.P50us), us(rep.P90us), us(rep.P99us), us(rep.P999us))

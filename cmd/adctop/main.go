@@ -30,24 +30,25 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"github.com/adc-sim/adc/internal/httpproxy"
 	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/promtext"
 )
 
-// snapshot is one proxy's parsed /metrics scrape.
+// snapshot is one proxy's parsed /metrics scrape. Every field is read
+// back through the definition that wrote it: the counter, gauge and stage
+// tables of internal/metrics, and httpproxy's family names and PeerState.
 type snapshot struct {
 	target string
 	at     time.Time
 	err    error // scrape or parse failure; other fields are zero
 
-	proxy     string // adc_proxy_info{proxy="..."}
-	uptime    float64
+	proxy     string
 	stats     metrics.ProxyStats
-	queue     float64
-	spans     float64
+	gauges    metrics.Gauges
 	peersDown int
-	// stages holds the cumulative latency buckets per stage name.
-	stages map[string][]promtext.Bucket
+	// stages holds each stage's cumulative latency buckets.
+	stages [metrics.NumStages][]promtext.Bucket
 }
 
 // scrape fetches and parses one proxy's exposition.
@@ -68,24 +69,17 @@ func scrape(client *http.Client, target string) *snapshot {
 		s.err = err
 		return s
 	}
-	s.stats = metrics.ReadProm(d)
-	s.queue, _ = d.Value("adc_queue_depth")
-	s.spans, _ = d.Value("adc_trace_spans")
-	s.uptime, _ = d.Value("adc_uptime_seconds")
-	if f := d.Families["adc_proxy_info"]; f != nil && len(f.Samples) > 0 {
+	if f := d.Families[httpproxy.ProxyInfoFamily]; f != nil && len(f.Samples) > 0 {
 		s.proxy = f.Samples[0].Label("proxy")
 	}
-	if f := d.Families["adc_peer_state"]; f != nil {
+	s.stats = metrics.ReadProm(d)
+	s.gauges = metrics.ReadGauges(d)
+	s.stages = metrics.ReadStages(d)
+	if f := d.Families[httpproxy.PeerStateFamily]; f != nil {
 		for _, smp := range f.Samples {
-			if smp.Value == 2 { // down (1 = suspect, 3 = recovering)
+			if httpproxy.PeerState(smp.Value) == httpproxy.PeerDown {
 				s.peersDown++
 			}
-		}
-	}
-	s.stages = make(map[string][]promtext.Bucket, metrics.NumStages)
-	for st := metrics.Stage(0); st < metrics.NumStages; st++ {
-		if b := d.Buckets("adc_stage_latency_seconds", promtext.L("stage", st.String())); len(b) > 0 {
-			s.stages[st.String()] = b
 		}
 	}
 	return s
@@ -181,7 +175,7 @@ func render(w io.Writer, cur, prev []*snapshot, interval time.Duration) {
 	var (
 		rows      []row
 		up        int
-		stageSums = map[string][]promtext.Bucket{}
+		stageSums [metrics.NumStages][]promtext.Bucket
 		tot       metrics.ProxyStats
 	)
 	for _, s := range cur {
@@ -198,8 +192,10 @@ func render(w io.Writer, cur, prev []*snapshot, interval time.Duration) {
 				Shed:            counterDelta(s.stats.Shed, p.stats.Shed),
 				CoalescedMisses: counterDelta(s.stats.CoalescedMisses, p.stats.CoalescedMisses),
 			}
-			for name, b := range s.stages {
-				stageSums[name] = sumBuckets(stageSums[name], deltaBuckets(b, p.stages[name]))
+			for st, b := range s.stages {
+				if len(b) > 0 {
+					stageSums[st] = sumBuckets(stageSums[st], deltaBuckets(b, p.stages[st]))
+				}
 			}
 			tot.Add(r.d)
 		}
@@ -222,12 +218,11 @@ func render(w io.Writer, cur, prev []*snapshot, interval time.Duration) {
 
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "stage\tcount\tp50\tp99")
-	for st := metrics.Stage(0); st < metrics.NumStages; st++ {
-		b := stageSums[st.String()]
+	for st, b := range stageSums {
 		if len(b) == 0 || b[len(b)-1].Cum == 0 {
 			continue
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\n", st, b[len(b)-1].Cum,
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\n", metrics.Stage(st), b[len(b)-1].Cum,
 			fmtSeconds(promtext.HistQuantile(b, 0.50)),
 			fmtSeconds(promtext.HistQuantile(b, 0.99)))
 	}
@@ -249,8 +244,8 @@ func render(w io.Writer, cur, prev []*snapshot, interval time.Duration) {
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%.0f%%\t%.1f\t%s\t%.0f\t%d\t%.0f\t%v\n",
 			s.proxy, fmtRate(r.d.Requests, window), share, lhit,
-			fmtRate(r.d.Shed, window), s.queue, s.peersDown, s.spans,
-			time.Duration(s.uptime*float64(time.Second)).Round(time.Second))
+			fmtRate(r.d.Shed, window), s.gauges.QueueDepth, s.peersDown, s.gauges.TraceSpans,
+			time.Duration(s.gauges.UptimeSeconds*float64(time.Second)).Round(time.Second))
 	}
 	tw.Flush() //nolint:errcheck // terminal write
 }

@@ -147,10 +147,10 @@ func TestValidateRejectsOrphanedTree(t *testing.T) {
 // -min-complete fails a dump holding an orphaned tree.
 func TestFarmCensusGate(t *testing.T) {
 	complete := []obs.Span{
-		{Trace: 1<<48 | 1, ID: 1<<48 | 1, Node: 0, Stage: obs.SpanServer, Start: 0, End: 100},
-		{Trace: 1<<48 | 1, ID: 1<<48 | 2, Parent: 1<<48 | 1, Node: 0, Stage: obs.SpanOrigin, Start: 10, End: 90},
+		{Trace: 1<<48 | 1, ID: 1<<48 | 1, Node: 0, Stage: "server", Start: 0, End: 100},
+		{Trace: 1<<48 | 1, ID: 1<<48 | 2, Parent: 1<<48 | 1, Node: 0, Stage: "origin", Start: 10, End: 90},
 	}
-	orphan := obs.Span{Trace: 2<<48 | 1, ID: 2<<48 | 2, Parent: 2<<48 | 9, Node: 1, Stage: obs.SpanForward, Start: 200, End: 300}
+	orphan := obs.Span{Trace: 2<<48 | 1, ID: 2<<48 | 2, Parent: 2<<48 | 9, Node: 1, Stage: "forward", Start: 200, End: 300}
 	dumpFile := func(spans ...obs.Span) string {
 		b, err := json.Marshal([]obs.SpanDump{{Proxy: "Proxy[0]", Spans: spans}})
 		if err != nil {

@@ -40,7 +40,7 @@ func TestFacadeKeepsEveryField(t *testing.T) {
 			"Requests LocalHits ForwardLearned ForwardRandom ForwardOrigin LoopsDetected RepliesSeen " +
 				"CacheInsertions CacheEvictions ExpiredPending StaleInvalidated UnexpectedReplies Shed " +
 				"CoalescedMisses ReplicaPushes ReplicaDrops ReplicaHits RetriedFetches FailoverOrigin " +
-				"BreakerDenied HedgedFetches HedgeWins uint64", nil},
+				"PeerDownRefusals HedgedFetches HedgeWins uint64", nil},
 		{"Point", reflect.TypeFor[Point](), reflect.TypeFor[metrics.Point](),
 			"Requests uint64; HitRate CumHitRate Hops CumHops float64", nil},
 		{"Latency", reflect.TypeFor[Latency](), reflect.TypeFor[sim.LatencyModel](),

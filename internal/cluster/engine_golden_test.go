@@ -19,12 +19,14 @@ var engineGoldenShards = []int{1, 2, 3, 4, 8}
 
 // resultDigest folds every deterministic field of a Result into one value
 // (Elapsed is wall clock and is left out). %v prints a float64 with the
-// shortest digits that round-trip, so the digest is exact.
+// shortest digits that round-trip, so the digest is exact. The per-proxy
+// counters print without their field names, so renaming a counter leaves
+// every digest where it was.
 func resultDigest(res *Result) uint64 {
 	h := fnv.New64a()
 	s := res.Summary
 	s.Elapsed = 0
-	fmt.Fprintf(h, "%+v|%+v|%+v|%d|%d|%+v|%d|%v|%d|%d|%+v",
+	fmt.Fprintf(h, "%+v|%+v|%v|%d|%d|%+v|%d|%v|%d|%d|%+v",
 		s, res.Series, res.ProxyStats, res.Delivered, res.Dropped, res.Faults,
 		res.Injected, res.Completion, res.LeakedPending, res.OriginResolved, res.Buckets)
 	return h.Sum64()
@@ -158,47 +160,47 @@ func TestEngineGoldens(t *testing.T) {
 		want   golden
 	}{
 		{"faults", func(c *Config) { c.Faults = goldenFaultPlan() },
-			golden{delivered: 64, dropped: 3, requests: 6, hits: 0, faults: sim.FaultStats{LossDrops: 1, LinkDrops: 0, CrashDrops: 2, Crashes: 1, Restarts: 1}, result: 0x104c4f23d1511bc7}},
+			golden{delivered: 64, dropped: 3, requests: 6, hits: 0, faults: sim.FaultStats{LossDrops: 1, LinkDrops: 0, CrashDrops: 2, Crashes: 1, Restarts: 1}, result: 0xf7d5dcdcea4dff2}},
 		{"faults+recovery", func(c *Config) {
 			c.Faults = goldenFaultPlan()
 			c.Recovery = sim.DefaultRecovery()
-		}, golden{delivered: 37881, dropped: 555, requests: 4000, hits: 1313, faults: sim.FaultStats{LossDrops: 511, LinkDrops: 40, CrashDrops: 4, Crashes: 1, Restarts: 1}, result: 0x3d28bea8740f45da}},
+		}, golden{delivered: 37881, dropped: 555, requests: 4000, hits: 1313, faults: sim.FaultStats{LossDrops: 511, LinkDrops: 40, CrashDrops: 4, Crashes: 1, Restarts: 1}, result: 0x9766bfea4d42f56d}},
 		{"lockstep/faults", func(c *Config) {
 			lockstep(c)
 			c.Faults = goldenFaultPlan()
-		}, golden{delivered: 25575, dropped: 1200, requests: 2800, hits: 515, faults: sim.FaultStats{LossDrops: 457, LinkDrops: 43, CrashDrops: 700, Crashes: 1, Restarts: 1}, result: 0xf41f8d695bad8a07}},
+		}, golden{delivered: 25575, dropped: 1200, requests: 2800, hits: 515, faults: sim.FaultStats{LossDrops: 457, LinkDrops: 43, CrashDrops: 700, Crashes: 1, Restarts: 1}, result: 0x891fdf8ced88d67a}},
 		{"lockstep/faults+recovery", func(c *Config) {
 			lockstep(c)
 			c.Faults = goldenFaultPlan()
 			c.Recovery = sim.DefaultRecovery()
-		}, golden{delivered: 47659, dropped: 1766, requests: 4000, hits: 855, faults: sim.FaultStats{LossDrops: 619, LinkDrops: 58, CrashDrops: 1089, Crashes: 1, Restarts: 1}, result: 0x4ae664b3d08b9eb3}},
+		}, golden{delivered: 47659, dropped: 1766, requests: 4000, hits: 855, faults: sim.FaultStats{LossDrops: 619, LinkDrops: 58, CrashDrops: 1089, Crashes: 1, Restarts: 1}, result: 0x20e38835f5730fb4}},
 		{"lockstep/queued-service", func(c *Config) {
 			lockstep(c)
 			c.Latency = sim.DefaultLatencyModel()
 			c.Latency.Service = 150
 			c.Latency.QueueService = true
 			c.ResponseBuckets = 4000
-		}, golden{delivered: 31308, requests: 4000, hits: 665, p99: 313000, result: 0xf4822acebd1c982b}},
+		}, golden{delivered: 31308, requests: 4000, hits: 665, p99: 313000, result: 0x228cdf300bb08d1e}},
 		{"buckets", func(c *Config) { c.MetricsEvery = 50_000 },
-			golden{delivered: 23482, requests: 4000, hits: 1290, buckets: 2802, result: 0x1dc3befe9834dd54}},
+			golden{delivered: 23482, requests: 4000, hits: 1290, buckets: 2802, result: 0xc78dfdd364b46585}},
 		{"lockstep/buckets+faults+recovery", func(c *Config) {
 			lockstep(c)
 			c.MetricsEvery = 50_000
 			c.Faults = goldenFaultPlan()
 			c.Recovery = sim.DefaultRecovery()
-		}, golden{delivered: 47659, dropped: 1766, requests: 4000, hits: 855, faults: sim.FaultStats{LossDrops: 619, LinkDrops: 58, CrashDrops: 1089, Crashes: 1, Restarts: 1}, buckets: 259, result: 0x18af5dd29580b3a}},
+		}, golden{delivered: 47659, dropped: 1766, requests: 4000, hits: 855, faults: sim.FaultStats{LossDrops: 619, LinkDrops: 58, CrashDrops: 1089, Crashes: 1, Restarts: 1}, buckets: 259, result: 0x94bcfe28c9a9d601}},
 		{"trace", func(c *Config) { c.Tracer = obs.New() },
-			golden{delivered: 23482, requests: 4000, hits: 1290, result: 0xf73018a145c2d18c, events: 27482, trace: 0x6dc68083d2a0c5fc}},
+			golden{delivered: 23482, requests: 4000, hits: 1290, result: 0xc9f1f2bf4ca93359, events: 27482, trace: 0x6dc68083d2a0c5fc}},
 		{"lockstep/trace+faults+recovery", func(c *Config) {
 			lockstep(c)
 			c.Tracer = obs.New()
 			c.Faults = goldenFaultPlan()
 			c.Recovery = sim.DefaultRecovery()
-		}, golden{delivered: 47659, dropped: 1766, requests: 4000, hits: 855, faults: sim.FaultStats{LossDrops: 619, LinkDrops: 58, CrashDrops: 1089, Crashes: 1, Restarts: 1}, result: 0x4ae664b3d08b9eb3, events: 39168, trace: 0x3e13b87b73854075}},
+		}, golden{delivered: 47659, dropped: 1766, requests: 4000, hits: 855, faults: sim.FaultStats{LossDrops: 619, LinkDrops: 58, CrashDrops: 1089, Crashes: 1, Restarts: 1}, result: 0x20e38835f5730fb4, events: 39168, trace: 0x3e13b87b73854075}},
 		{"churn-join", func(c *Config) {
 			c.Clients = 1
 			c.JoinProxyAt = []uint64{1500}
-		}, golden{delivered: 24226, requests: 4000, hits: 1316, result: 0x4d0e8a7a78ac2fe9}},
+		}, golden{delivered: 24226, requests: 4000, hits: 1316, result: 0x6d7a7927c5e90127}},
 		// Untraced churn on a coarse time grid: every link costs 1000 ticks
 		// and the proxies' pending sweeps fire every 20 000, so sweep timers
 		// share timestamps with the client's replies, joins included.
@@ -208,66 +210,66 @@ func TestEngineGoldens(t *testing.T) {
 			c.Latency = sim.LatencyModel{ClientProxy: 1000, ProxyProxy: 1000, ProxyOrigin: 1000}
 			c.Recovery = sim.DefaultRecovery()
 			c.Recovery.PendingTTL = 20_000
-		}, golden{delivered: 35948, requests: 4000, hits: 1433, result: 0xcb18150e27eabbf6}},
+		}, golden{delivered: 35948, requests: 4000, hits: 1433, result: 0x5a8ba7a7a6f38e0f}},
 		{"churn-join+trace+recovery", func(c *Config) {
 			c.Clients = 1
 			c.JoinProxyAt = []uint64{1500}
 			c.Tracer = obs.New()
 			c.Faults = &sim.FaultPlan{Seed: 7, Loss: 0.02}
 			c.Recovery = sim.DefaultRecovery()
-		}, golden{delivered: 37763, dropped: 491, requests: 4000, hits: 1384, faults: sim.FaultStats{LossDrops: 491}, result: 0xfc676df9f0d61190, events: 31292, trace: 0x63b5e3ce04520ef6}},
+		}, golden{delivered: 37763, dropped: 491, requests: 4000, hits: 1384, faults: sim.FaultStats{LossDrops: 491}, result: 0xba6b0394533bd6a4, events: 31292, trace: 0x63b5e3ce04520ef6}},
 
 		{"carp", algorithm(CARP),
-			golden{delivered: 14613, requests: 4000, hits: 2310, result: 0x86ef06a6a14f9a4c}},
+			golden{delivered: 14613, requests: 4000, hits: 2310, result: 0xc8018f31cc772527}},
 		{"carp/lockstep", algorithm(CARP, lockstep),
-			golden{delivered: 19362, requests: 4000, hits: 1915, result: 0x79c66f70ba6a05ab}},
+			golden{delivered: 19362, requests: 4000, hits: 1915, result: 0x8a7a68e56c0b6b52}},
 		{"carp/lockstep/queued-service", algorithm(CARP, lockstep, queued),
-			golden{delivered: 19412, requests: 4000, hits: 1890, p99: 122666.66666666667, result: 0x6a88a24393fdebae}},
+			golden{delivered: 19412, requests: 4000, hits: 1890, p99: 122666.66666666667, result: 0x140d0d2b87904fcb}},
 		{"carp/buckets", algorithm(CARP, buckets),
-			golden{delivered: 14613, requests: 4000, hits: 2310, buckets: 1638, result: 0x8cb58bb2a3389155}},
+			golden{delivered: 14613, requests: 4000, hits: 2310, buckets: 1638, result: 0x32397f1c1b09e780}},
 		{"carp/trace", algorithm(CARP, traced),
-			golden{delivered: 14613, requests: 4000, hits: 2310, result: 0x86ef06a6a14f9a4c, events: 18613, trace: 0x9f9a4271cbe3d433}},
+			golden{delivered: 14613, requests: 4000, hits: 2310, result: 0xc8018f31cc772527, events: 18613, trace: 0x9f9a4271cbe3d433}},
 		{"carp/lockstep/faults", algorithm(CARP, lockstep, lossy),
-			golden{delivered: 18679, dropped: 318, requests: 3682, hits: 1731, faults: sim.FaultStats{LossDrops: 306, LinkDrops: 12}, result: 0x532b4e07264abdf, leaked: 77, expired: 0}},
+			golden{delivered: 18679, dropped: 318, requests: 3682, hits: 1731, faults: sim.FaultStats{LossDrops: 306, LinkDrops: 12}, result: 0x9d21e931515425fa, leaked: 77, expired: 0}},
 		{"carp/faults+recovery", algorithm(CARP, lossy, recovery),
-			golden{delivered: 21062, dropped: 321, requests: 4000, hits: 2338, faults: sim.FaultStats{LossDrops: 301, LinkDrops: 20}, result: 0x41119b5bc761bcf1, leaked: 0, expired: 73}},
+			golden{delivered: 21062, dropped: 321, requests: 4000, hits: 2338, faults: sim.FaultStats{LossDrops: 301, LinkDrops: 20}, result: 0x1acd6843aa7d01c6, leaked: 0, expired: 73}},
 
 		{"chash", algorithm(CHash),
-			golden{delivered: 14581, requests: 4000, hits: 2309, result: 0x55ef974caf709f6}},
+			golden{delivered: 14581, requests: 4000, hits: 2309, result: 0x40d45b0dafe43813}},
 		{"chash/lockstep", algorithm(CHash, lockstep),
-			golden{delivered: 19440, requests: 4000, hits: 1886, result: 0x866a4733eabbedee}},
+			golden{delivered: 19440, requests: 4000, hits: 1886, result: 0xe01b549738215703}},
 		{"chash/lockstep/queued-service", algorithm(CHash, lockstep, queued),
-			golden{delivered: 19474, requests: 4000, hits: 1869, p99: 123205.88235294117, result: 0x5a426014c0b8cc5b}},
+			golden{delivered: 19474, requests: 4000, hits: 1869, p99: 123205.88235294117, result: 0xd2f1b5bb90fcabba}},
 		{"chash/buckets", algorithm(CHash, buckets),
-			golden{delivered: 14581, requests: 4000, hits: 2309, buckets: 1659, result: 0x1eb52a9720707f36}},
+			golden{delivered: 14581, requests: 4000, hits: 2309, buckets: 1659, result: 0x22e9de81fd500ae9}},
 		{"chash/trace", algorithm(CHash, traced),
-			golden{delivered: 14581, requests: 4000, hits: 2309, result: 0x55ef974caf709f6, events: 18581, trace: 0xec7f2e8b9358ddfb}},
+			golden{delivered: 14581, requests: 4000, hits: 2309, result: 0x40d45b0dafe43813, events: 18581, trace: 0xec7f2e8b9358ddfb}},
 		{"chash/lockstep/faults", algorithm(CHash, lockstep, lossy),
-			golden{delivered: 18691, dropped: 306, requests: 3694, hits: 1756, faults: sim.FaultStats{LossDrops: 290, LinkDrops: 16}, result: 0x2be34b1ac7a49b88, leaked: 89, expired: 0}},
+			golden{delivered: 18691, dropped: 306, requests: 3694, hits: 1756, faults: sim.FaultStats{LossDrops: 290, LinkDrops: 16}, result: 0xc39872a7de2481, leaked: 89, expired: 0}},
 		{"chash/faults+recovery", algorithm(CHash, lossy, recovery),
-			golden{delivered: 21006, dropped: 321, requests: 4000, hits: 2352, faults: sim.FaultStats{LossDrops: 298, LinkDrops: 23}, result: 0x8b9a77b81433026f, leaked: 0, expired: 59}},
+			golden{delivered: 21006, dropped: 321, requests: 4000, hits: 2352, faults: sim.FaultStats{LossDrops: 298, LinkDrops: 23}, result: 0x45729cc42266cfc2, leaked: 0, expired: 59}},
 
 		{"hier", algorithm(Hierarchical),
-			golden{delivered: 21498, requests: 4000, hits: 790, result: 0x4459c1ce9ee5260d}},
+			golden{delivered: 21498, requests: 4000, hits: 790, result: 0xe04ac21ad07e9e59}},
 		{"hier/lockstep", algorithm(Hierarchical, lockstep),
-			golden{delivered: 25602, requests: 4000, hits: 819, result: 0x8618ae03b6e7710a}},
+			golden{delivered: 25602, requests: 4000, hits: 819, result: 0x10727f674c1e9c36}},
 		{"hier/lockstep/queued-service", algorithm(Hierarchical, lockstep, queued),
-			golden{delivered: 25798, requests: 4000, hits: 753, p99: 525166.6666666666, result: 0xd7c76db2a0dce94b}},
+			golden{delivered: 25798, requests: 4000, hits: 753, p99: 525166.6666666666, result: 0x31e2e0db1233c3c3}},
 		{"hier/lockstep/faults", algorithm(Hierarchical, lockstep, lossy),
-			golden{delivered: 24394, dropped: 414, requests: 3586, hits: 706, faults: sim.FaultStats{LossDrops: 414}, result: 0x9f4a326b9017421e, leaked: 390, expired: 0}},
+			golden{delivered: 24394, dropped: 414, requests: 3586, hits: 706, faults: sim.FaultStats{LossDrops: 414}, result: 0x5a271953ca45b0ec, leaked: 390, expired: 0}},
 		{"hier/faults+recovery", algorithm(Hierarchical, lossy, recovery),
-			golden{delivered: 33713, dropped: 451, requests: 4000, hits: 932, faults: sim.FaultStats{LossDrops: 451}, result: 0x34efdea331fea2d6, leaked: 0, expired: 419}},
+			golden{delivered: 33713, dropped: 451, requests: 4000, hits: 932, faults: sim.FaultStats{LossDrops: 451}, result: 0xa7292e7b41502268, leaked: 0, expired: 419}},
 
 		{"coord", algorithm(Coordinator),
-			golden{delivered: 23046, requests: 4000, hits: 477, result: 0x4cc08b6d4883aed5}},
+			golden{delivered: 23046, requests: 4000, hits: 477, result: 0x490743e32055c8a3}},
 		{"coord/lockstep", algorithm(Coordinator, lockstep),
-			golden{delivered: 27146, requests: 4000, hits: 430, result: 0x5781435a93492227}},
+			golden{delivered: 27146, requests: 4000, hits: 430, result: 0xddcebd11308204e7}},
 		{"coord/lockstep/queued-service", algorithm(Coordinator, lockstep, queued),
-			golden{delivered: 27106, requests: 4000, hits: 450, p99: 622968.253968254, result: 0x10dcd1be3db2c5d6}},
+			golden{delivered: 27106, requests: 4000, hits: 450, p99: 622968.253968254, result: 0x5236dd25d0eed3bc}},
 		{"coord/lockstep/faults", algorithm(Coordinator, lockstep, lossy),
-			golden{delivered: 25688, dropped: 443, requests: 3557, hits: 366, faults: sim.FaultStats{LossDrops: 443}, result: 0x3a804c208d225c9e, leaked: 416, expired: 0}},
+			golden{delivered: 25688, dropped: 443, requests: 3557, hits: 366, faults: sim.FaultStats{LossDrops: 443}, result: 0x3ac79d16ad19d9ea, leaked: 416, expired: 0}},
 		{"coord/faults+recovery", algorithm(Coordinator, lossy, recovery),
-			golden{delivered: 37082, dropped: 505, requests: 4000, hits: 472, faults: sim.FaultStats{LossDrops: 505}, result: 0x472704328506798f, leaked: 0, expired: 458}},
+			golden{delivered: 37082, dropped: 505, requests: 4000, hits: 472, faults: sim.FaultStats{LossDrops: 505}, result: 0x7e280edc045e7d17, leaked: 0, expired: 458}},
 	}
 	for _, cell := range cells {
 		for _, shards := range engineGoldenShards {
@@ -300,10 +302,10 @@ func TestEngineGoldens(t *testing.T) {
 	}
 	// The baselines' lossless closed loop on the FIFO engine.
 	for alg, want := range map[Algorithm]uint64{
-		CARP:         0xacba44336be2d539,
-		CHash:        0xcb291f0f7565ace2,
-		Hierarchical: 0x4bdc1ce3cda06ace,
-		Coordinator:  0x13b522d5ea79ba8d,
+		CARP:         0xda6c041cda492568,
+		CHash:        0xcefda5d84b302093,
+		Hierarchical: 0x1f7f377814c6b982,
+		Coordinator:  0x28bbdb155f32d83d,
 	} {
 		t.Run("fifo/"+alg.String(), func(t *testing.T) {
 			cfg := goldenConfig(RuntimeSequential)

@@ -89,7 +89,7 @@ func TestGoldenDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, p := range c.ADCProxies() {
-				if err := p.Policy().(*protocol.Agent).Tables().CheckInvariants(); err != nil {
+				if err := p.Policy().(*protocol.Agent).CheckInvariants(); err != nil {
 					t.Errorf("proxy %d tables: %v", i, err)
 				}
 			}

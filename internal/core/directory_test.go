@@ -638,6 +638,13 @@ func TestCheckInvariantsCatches(t *testing.T) {
 			tbl.arena.free = append(tbl.arena.free, known)
 		},
 		"table above capacity": func(tbl *Tables, _, _ *Entry) { tbl.single.capacity = 1 },
+		// Every entry's location is Proxy[1].
+		"replica set out of order":     func(_ *Tables, cached, _ *Entry) { cached.Replicas = []ids.NodeID{3, 2} },
+		"replica set repeats a holder": func(_ *Tables, _, known *Entry) { known.Replicas = []ids.NodeID{2, 2} },
+		"replica holder not a proxy":   func(_ *Tables, _, known *Entry) { known.Replicas = []ids.NodeID{ids.Origin} },
+		"free-list entry keeps a replica set": func(tbl *Tables, _, _ *Entry) {
+			tbl.arena.free = append(tbl.arena.free, &Entry{Replicas: []ids.NodeID{2}})
+		},
 	}
 	for name, breakIt := range breaks {
 		t.Run(name, func(t *testing.T) {

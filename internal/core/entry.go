@@ -65,10 +65,11 @@ type Entry struct {
 	// Replicas is the bounded set of additional proxies known to hold the
 	// object, beyond Location — the hot-object replication extension
 	// (nil in stock ADC, where backwarding converges every object to one
-	// location). The set is kept sorted ascending and never contains
-	// Location, so routing and advertisement stay deterministic. Replicas
-	// does not participate in Key, so it may be mutated while the entry
-	// sits in an ordered table.
+	// location). The set is kept sorted ascending without repeats, so
+	// routing and advertisement stay deterministic. SetReplicas and
+	// AddReplica never add Location, but a later change of Location can
+	// leave it in the set. Replicas does not participate in Key, so it may
+	// be mutated while the entry sits in an ordered table.
 	Replicas []ids.NodeID
 
 	// noAge freezes the aging term in Key for the aging-off ablation

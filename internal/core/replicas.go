@@ -24,6 +24,17 @@ func ContainsNode(set []ids.NodeID, n ids.NodeID) bool {
 	return false
 }
 
+// replicasValid reports whether e's replica set is what Entry.Replicas
+// promises: proxies only, ascending without repeats.
+func replicasValid(e *Entry) bool {
+	for i, n := range e.Replicas {
+		if !n.IsProxy() || (i > 0 && e.Replicas[i-1] >= n) {
+			return false
+		}
+	}
+	return true
+}
+
 // InsertNode adds n to the sorted set if absent, returning the (possibly
 // extended) set. The sets are tiny (bounded by the controller's MaxReplicas),
 // so linear insertion is both simplest and fastest.

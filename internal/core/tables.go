@@ -403,10 +403,12 @@ func (t *Tables) Len() int {
 // §10, items 1–3) and reports the first violation: every table within its
 // capacity; the ordered tables ascending by (Key, Object), and every key a
 // btree block stores inline still equal to its entry's; every object in
-// exactly one table, with the entry's kind naming it; the directory holding
+// exactly one table, with the entry's kind naming it; every replica set
+// proxies only, ascending and without repeats; the directory holding
 // exactly the entries the tables hold, each reachable from its home cell;
-// and no entry on the arena's free list still in a table. It walks all
-// state — tests and debugging, not the request path.
+// and no entry on the arena's free list still in a table or still
+// carrying a replica set. It walks all state — tests and debugging, not
+// the request path.
 func (t *Tables) CheckInvariants() error {
 	seen := make(map[ids.ObjectID]*Entry, t.Len())
 	for _, tb := range []struct {
@@ -441,8 +443,8 @@ func (t *Tables) CheckInvariants() error {
 		}
 	}
 	for _, f := range t.arena.free {
-		if seen[f.Object] == f || f.kind != KindNone || f.prev != nil || f.next != nil {
-			return fmt.Errorf("arena free list holds a live entry (object %v, %v table)", f.Object, f.kind)
+		if seen[f.Object] == f || f.kind != KindNone || f.prev != nil || f.next != nil || f.Replicas != nil {
+			return fmt.Errorf("arena free list holds a live entry (object %v, %v table, replicas %v)", f.Object, f.kind, f.Replicas)
 		}
 	}
 	return nil
@@ -467,6 +469,8 @@ func (t *Tables) checkTable(seen map[ids.ObjectID]*Entry, kind Kind, length, cap
 			err = fmt.Errorf("%v table out of order at object %v", kind, e.Object)
 		case t.dir != nil && t.dir.get(e.Object) != e:
 			err = fmt.Errorf("directory does not map object %v to its %v-table entry", e.Object, kind)
+		case !replicasValid(e):
+			err = fmt.Errorf("object %v has replica set %v: want proxies, ascending, without repeats", e.Object, e.Replicas)
 		}
 		seen[e.Object], prev = e, e
 		n++

@@ -21,19 +21,12 @@ import (
 // All of them read under p.mu, so they observe a consistent snapshot even
 // while the farm is serving traffic.
 
-// debugVars is the /debug/vars document.
+// debugVars is the /debug/vars document. Its scalar fields are the
+// gauges /metrics exposes, under metrics.Gauges' JSON keys.
 type debugVars struct {
-	ID          string             `json:"id"`
-	LocalTime   int64              `json:"local_time"`
-	Stats       metrics.ProxyStats `json:"stats"`
-	TableLen    int                `json:"table_len"`
-	CachingLen  int                `json:"caching_len"`
-	MultipleLen int                `json:"multiple_len"`
-	SingleLen   int                `json:"single_len"`
-	StoreLen    int                `json:"store_len"`
-	PendingLen  int                `json:"pending_len"`
-	Peers       int                `json:"peers"`
-	QueueDepth  int64              `json:"queue_depth"`
+	ID string `json:"id"`
+	metrics.Gauges
+	Stats metrics.ProxyStats `json:"stats"`
 
 	// Replication is present when the hot-object replication controller
 	// is enabled: its live tracked and held set sizes (the replica
@@ -66,22 +59,8 @@ func registerDebug(mux *http.ServeMux, p *Proxy) {
 
 func (p *Proxy) handleVars(w http.ResponseWriter, r *http.Request) {
 	// Stats() folds in the off-lock shed/coalescing counters.
-	stats := p.Stats()
+	v := debugVars{ID: p.id.String(), Stats: p.Stats(), Gauges: p.gauges()}
 	p.mu.Lock()
-	tables := p.adc.Tables()
-	v := debugVars{
-		ID:          p.id.String(),
-		LocalTime:   p.adc.LocalTime(),
-		Stats:       stats,
-		TableLen:    tables.Len(),
-		CachingLen:  tables.Caching().Len(),
-		MultipleLen: tables.Multiple().Len(),
-		SingleLen:   tables.Single().Len(),
-		StoreLen:    len(p.store),
-		PendingLen:  len(p.pending),
-		Peers:       len(p.adc.Peers()),
-		QueueDepth:  p.gate.depth(),
-	}
 	if on, tracked, held := p.adc.Replicating(); on {
 		v.Replication = &replicationVars{Tracked: tracked, Held: held}
 	}
@@ -113,17 +92,16 @@ func (p *Proxy) handleTables(w http.ResponseWriter, r *http.Request) {
 	_ = p.adc.Tables().Dump(w, p.adc.LocalTime())
 }
 
-// CheckInvariants checks, in one snapshot under p.mu, the mapping tables'
-// own invariants (core.Tables.CheckInvariants) and that the payload store
-// holds exactly the caching table's objects.
+// CheckInvariants checks, in one snapshot under p.mu, the mapping tables
+// and replica sets (protocol.Agent.CheckInvariants) and that the payload
+// store holds exactly the caching table's objects.
 func (p *Proxy) CheckInvariants() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tables := p.adc.Tables()
-	if err := tables.CheckInvariants(); err != nil {
+	if err := p.adc.CheckInvariants(); err != nil {
 		return fmt.Errorf("httpproxy: %v: %w", p.id, err)
 	}
-	caching := tables.Caching()
+	caching := p.adc.Tables().Caching()
 	if caching.Len() != len(p.store) {
 		return fmt.Errorf("httpproxy: %v stores %d payloads for %d caching-table entries", p.id, len(p.store), caching.Len())
 	}

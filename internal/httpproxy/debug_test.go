@@ -9,8 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
+	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/obs"
+	"github.com/adc-sim/adc/internal/protocol"
 )
 
 func getBody(t *testing.T, url string) (int, string) {
@@ -61,7 +64,7 @@ func TestDebugVars(t *testing.T) {
 		t.Error("table_len = 0 after 10 fetches")
 	}
 	if v.TableLen != v.CachingLen+v.MultipleLen+v.SingleLen {
-		t.Errorf("table_len %d != caching %d + multiple %d + single %d",
+		t.Errorf("table_len %v != caching %v + multiple %v + single %v",
 			v.TableLen, v.CachingLen, v.MultipleLen, v.SingleLen)
 	}
 }
@@ -123,6 +126,52 @@ func TestDebugTablesCheck(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsCatchesReplicaSets corrupts one replica set at a time
+// and expects the live check, and /debug/tables?check=1 with it, to name
+// the violation: a holder that is no known proxy, more holders than
+// MaxReplicas, and a set out of order or repeating a holder.
+func TestCheckInvariantsCatchesReplicaSets(t *testing.T) {
+	f, err := NewFarm(FarmConfig{
+		Proxies:     4,
+		Tables:      core.Config{SingleSize: 64, MultipleSize: 64, CachingSize: 16},
+		Seed:        1,
+		Replication: protocol.Replication{Enabled: true, MaxReplicas: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = f.Close() })
+	p, obj := f.Proxies[0], ids.ObjectID(5)
+	teachLocation(p, obj, f.Proxies[1].ID())
+	setReplicas := func(set []ids.NodeID) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		e, _ := p.adc.Tables().Lookup(obj)
+		e.Replicas = set
+	}
+	for _, tc := range []struct {
+		name string
+		set  []ids.NodeID
+	}{
+		{"holder is no known proxy", []ids.NodeID{7}},
+		{"more holders than MaxReplicas", []ids.NodeID{2, 3}},
+		{"holders out of order", []ids.NodeID{3, 2}},
+		{"holder repeated", []ids.NodeID{2, 2}},
+	} {
+		setReplicas([]ids.NodeID{2})
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatalf("before %s: %v", tc.name, err)
+		}
+		setReplicas(tc.set)
+		if err := p.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants passed replica set %v", tc.name, tc.set)
+		}
+		if status, body := getBody(t, p.URL()+"/debug/tables?check=1"); status != http.StatusInternalServerError {
+			t.Errorf("%s: /debug/tables?check=1 = %d %q, want 500", tc.name, status, body)
+		}
+	}
+}
+
 func TestDebugPprof(t *testing.T) {
 	f := testFarm(t, 1)
 	status, body := getBody(t, f.Proxies[0].URL()+"/debug/pprof/")
@@ -177,7 +226,7 @@ func TestTraceCarriesProtocolDecisions(t *testing.T) {
 		t.Fatal("object never became a proxy hit after 50 fetches")
 	}
 	hitSpan := waitSpan("the hit's server span", func(s obs.Span) bool {
-		return s.Stage == obs.SpanServer && s.Obj == 5 && strings.HasPrefix(s.Detail, "hit ")
+		return s.Stage == metrics.StageServer.String() && s.Obj == 5 && strings.HasPrefix(s.Detail, "hit ")
 	})
 	if hitSpan.Detail != "hit caching→caching" {
 		t.Errorf("hit server span detail = %q, want the table transition caching→caching", hitSpan.Detail)
@@ -195,13 +244,13 @@ func TestTraceCarriesProtocolDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	claim := waitSpan("the claimer's server span", func(s obs.Span) bool {
-		return s.Stage == obs.SpanServer && s.Node == 0 && s.Obj == uint64(claimObj)
+		return s.Stage == metrics.StageServer.String() && s.Node == 0 && s.Obj == uint64(claimObj)
 	})
 	if claim.Detail != "learned Proxy[1] multiple→caching" {
 		t.Errorf("claimer's server span detail = %q, want the learned location and its transition", claim.Detail)
 	}
 	fwd := waitSpan("the claimer's forward span", func(s obs.Span) bool {
-		return s.Stage == obs.SpanForward && s.Node == 0 && s.Obj == uint64(claimObj)
+		return s.Stage == metrics.StageForward.String() && s.Node == 0 && s.Obj == uint64(claimObj)
 	})
 	if fwd.Detail != "Proxy[1] learned" || fwd.Parent != claim.ID {
 		t.Errorf("claimer's forward span = %+v, want detail \"Proxy[1] learned\" under its server span", fwd)

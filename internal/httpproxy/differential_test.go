@@ -136,8 +136,8 @@ func TestSimAndFarmRunTheSameProtocol(t *testing.T) {
 						return true
 					})
 				}
-				for side, tbl := range map[string]*core.Tables{"sim": sa.Tables(), "farm": fp.adc.Tables()} {
-					if err := tbl.CheckInvariants(); err != nil {
+				for side, agent := range map[string]*protocol.Agent{"sim": sa, "farm": fp.adc} {
+					if err := agent.CheckInvariants(); err != nil {
 						t.Errorf("proxy %d %s tables: %v", i, side, err)
 					}
 				}

@@ -229,7 +229,7 @@ func TestFailoverOriginWhenOwnerDown(t *testing.T) {
 
 // TestFetchRefusesDownPeer: once the entry's monitor holds a peer down, a
 // fetch to it — one that raced past Route's routable check — fails without
-// reaching the peer, counts in BreakerDenied and records a breaker_denied
+// reaching the peer, counts in PeerDownRefusals and records a peer_down_refusal
 // span. The peer itself is alive, so any connection would have succeeded.
 func TestFetchRefusesDownPeer(t *testing.T) {
 	f := tracedFarm(t, 2, FaultTolerance{Health: HealthConfig{
@@ -252,17 +252,17 @@ func TestFetchRefusesDownPeer(t *testing.T) {
 	if got := peer.Stats().Requests; got != 0 {
 		t.Errorf("the down peer received %d requests, want none", got)
 	}
-	if got := entry.Stats().BreakerDenied; got != 1 {
-		t.Errorf("BreakerDenied = %d, want 1", got)
+	if got := entry.Stats().PeerDownRefusals; got != 1 {
+		t.Errorf("PeerDownRefusals = %d, want 1", got)
 	}
 	var refused []obs.Span
 	for _, s := range entry.TraceDump().Spans {
-		if s.Stage == obs.SpanBreakerDenied {
+		if s.Stage == obs.SpanPeerDownRefusal {
 			refused = append(refused, s)
 		}
 	}
 	if len(refused) != 1 || refused[0].Err != "peer down" || refused[0].Detail != peer.ID().String() {
-		t.Errorf("refusal spans = %+v, want one %s span to %v with error \"peer down\"", refused, obs.SpanBreakerDenied, peer.ID())
+		t.Errorf("refusal spans = %+v, want one %s span to %v with error \"peer down\"", refused, obs.SpanPeerDownRefusal, peer.ID())
 	}
 }
 
@@ -423,7 +423,7 @@ func TestGateDrainsAfterRecovery(t *testing.T) {
 	}
 
 	// The queue itself is empty again.
-	waitFor(t, 5*time.Second, "gate queue to drain", func() bool { return entry.QueueDepth() == 0 })
+	waitFor(t, 5*time.Second, "gate queue to drain", func() bool { return entry.gate.depth() == 0 })
 	checkFarmInvariants(t, f)
 }
 

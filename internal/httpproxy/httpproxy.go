@@ -226,7 +226,7 @@ type Proxy struct {
 	coalesced atomic.Uint64
 	retried   atomic.Uint64
 	failover  atomic.Uint64
-	denied    atomic.Uint64
+	refused   atomic.Uint64
 	hedged    atomic.Uint64
 	hedgeWins atomic.Uint64
 
@@ -328,7 +328,7 @@ type Config struct {
 	// Tracing configures cross-proxy span tracing (zero value = off).
 	Tracing Tracing
 	// Client overrides the shared pooled HTTP client (tests). Upstream
-	// fetches go straight to its Transport (http.DefaultTransport when
+	// fetches go straight to its Transport (the shared Transport when
 	// nil); they neither follow redirects nor use its Timeout or Jar.
 	Client *http.Client
 }
@@ -349,13 +349,9 @@ func NewProxy(cfg Config) (*Proxy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("httpproxy: proxy %v listen: %w", cfg.ID, err)
 	}
-	client := cfg.Client
-	if client == nil {
-		client = sharedClient
-	}
-	rt := client.Transport
-	if rt == nil {
-		rt = http.DefaultTransport
+	rt := sharedClient.Transport
+	if cfg.Client != nil && cfg.Client.Transport != nil {
+		rt = cfg.Client.Transport
 	}
 	ft := cfg.FaultTolerance.withDefaults()
 	p := &Proxy{
@@ -370,7 +366,7 @@ func NewProxy(cfg Config) (*Proxy, error) {
 		coalesce: !cfg.NoCoalesce,
 		ft:       ft,
 		tracing:  cfg.Tracing,
-		stages:   metrics.NewStageSet(),
+		stages:   new(metrics.StageSet),
 		started:  time.Now(),
 		adc:      agent,
 		store:    make(map[ids.ObjectID][]byte),
@@ -434,15 +430,11 @@ func (p *Proxy) Stats() metrics.ProxyStats {
 	s.CoalescedMisses = p.coalesced.Load()
 	s.RetriedFetches = p.retried.Load()
 	s.FailoverOrigin = p.failover.Load()
-	s.BreakerDenied = p.denied.Load()
+	s.PeerDownRefusals = p.refused.Load()
 	s.HedgedFetches = p.hedged.Load()
 	s.HedgeWins = p.hedgeWins.Load()
 	return s
 }
-
-// QueueDepth reports how many entry requests are waiting for an admission
-// slot right now.
-func (p *Proxy) QueueDepth() int64 { return p.gate.depth() }
 
 // CacheLen returns the number of stored payloads.
 func (p *Proxy) CacheLen() int {
@@ -612,14 +604,21 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 	}
 	forwards := 0 // an entry request carries no X-Adc-Forwards
 	if v := r.Header.Get(HeaderForwards); v != "" {
-		forwards, _ = strconv.Atoi(v)
+		// A non-negative decimal only: a value read as 0 would pass a
+		// mid-chain hop off as an entry request, which may then join a
+		// flight (see flight.go).
+		n, err := strconv.ParseUint(v, 10, 31)
+		if err != nil {
+			http.Error(w, "invalid "+HeaderForwards, http.StatusBadRequest)
+			return
+		}
+		forwards = int(n)
 	}
 
 	sc := p.spanContext(r.Header, forwards)
 	start := nowUs()
 	decision, errMsg := p.serve(w, r, obj, reqID, forwards, sc)
-	p.stages.Observe(metrics.StageServer, nowUs()-start)
-	sc.finishServer(start, obj, decision, errMsg)
+	p.observe(sc, 0, metrics.StageServer, start, obj, decision, errMsg)
 }
 
 // serve runs one request through admission, the hit path, and the miss
@@ -643,16 +642,14 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, 
 			return "", "draining"
 		}
 		gateStart := nowUs()
-		admitted := p.gate.enter()
-		p.stages.Observe(metrics.StageGateWait, nowUs()-gateStart)
-		if !admitted {
-			sc.record(obs.SpanGateWait, gateStart, obj, "", "shed")
+		if !p.gate.enter() {
+			p.observe(sc, 0, metrics.StageGateWait, gateStart, obj, "", "shed")
 			p.shed.Add(1)
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, "proxy overloaded", http.StatusTooManyRequests)
 			return "", "shed"
 		}
-		sc.record(obs.SpanGateWait, gateStart, obj, "", "")
+		p.observe(sc, 0, metrics.StageGateWait, gateStart, obj, "", "")
 		defer p.gate.leave()
 	}
 
@@ -704,8 +701,7 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, 
 		})
 		if shared {
 			p.coalesced.Add(1)
-			p.stages.Observe(metrics.StageFlightWait, nowUs()-flightStart)
-			sc.record(obs.SpanFlightWait, flightStart, obj, "", "")
+			p.observe(sc, 0, metrics.StageFlightWait, flightStart, obj, "", "")
 		}
 	case entryChain:
 		res = p.resolveEntry(obj, reqID, sc)
@@ -883,20 +879,20 @@ func (p *Proxy) resolveMissHedged(obj ids.ObjectID, reqID string, sc *spanCtx) f
 // for a fetch Route did not choose; the fetch's span carries it.
 func (p *Proxy) fetch(base string, dest ids.NodeID, why string, obj ids.ObjectID, reqID string, forwards int, sc *spanCtx) ([]byte, http.Header, int, error) {
 	start := nowUs()
-	stage, spanStage := metrics.StageForward, obs.SpanForward
+	stage := metrics.StageForward
 	if !dest.IsProxy() {
-		stage, spanStage = metrics.StageOrigin, obs.SpanOrigin
+		stage = metrics.StageOrigin
 	}
 	detail := sc.hop(dest, why)
 	m := p.health.Load()
 	if dest.IsProxy() && p.isBlocked(dest) {
 		m.reportFailure(dest)
-		sc.record(spanStage, start, obj, detail, "partitioned")
+		sc.record(0, stage.String(), start, nowUs(), obj, detail, "partitioned")
 		return nil, nil, 0, fmt.Errorf("httpproxy: %v unreachable from %v (partitioned)", dest, p.id)
 	}
 	if dest.IsProxy() && !m.routable(dest) {
-		p.denied.Add(1)
-		sc.record(obs.SpanBreakerDenied, start, obj, detail, "peer down")
+		p.refused.Add(1)
+		sc.record(0, obs.SpanPeerDownRefusal, start, nowUs(), obj, detail, "peer down")
 		return nil, nil, 0, fmt.Errorf("httpproxy: fetch %v: peer down", dest)
 	}
 	host, ok := strings.CutPrefix(base, "http://")
@@ -935,21 +931,20 @@ func (p *Proxy) fetch(base string, dest ids.NodeID, why string, obj ids.ObjectID
 		}
 	}
 	if err != nil {
-		sc.recordID(spanID, spanStage, start, obj, detail, err.Error())
+		sc.record(spanID, stage.String(), start, nowUs(), obj, detail, err.Error())
 		return nil, nil, 0, fmt.Errorf("httpproxy: upstream fetch: %w", err)
 	}
 	defer resp.Body.Close() //nolint:errcheck // read side
 	body, err := readBody(resp)
 	if err != nil {
-		sc.recordID(spanID, spanStage, start, obj, detail, err.Error())
+		sc.record(spanID, stage.String(), start, nowUs(), obj, detail, err.Error())
 		return nil, nil, 0, fmt.Errorf("httpproxy: read upstream body: %w", err)
 	}
-	p.stages.Observe(stage, nowUs()-start)
 	spanErr := ""
 	if resp.StatusCode != http.StatusOK {
 		spanErr = "status " + strconv.Itoa(resp.StatusCode)
 	}
-	sc.recordID(spanID, spanStage, start, obj, detail, spanErr)
+	p.observe(sc, spanID, stage, start, obj, detail, spanErr)
 	return body, resp.Header, resp.StatusCode, nil
 }
 

@@ -160,6 +160,33 @@ func TestBadPathsRejected(t *testing.T) {
 	}
 }
 
+// TestBadForwardsRejected: X-Adc-Forwards must be a non-negative decimal.
+// Read as 0, "abc" would serve a hop as an entry request, and a negative
+// count would skip the gate and send a forwarded request upstream as an
+// entry one, free to join a flight there.
+func TestBadForwardsRejected(t *testing.T) {
+	f := testFarm(t, 1)
+	for _, v := range []string{"-1", "abc", "-1000"} {
+		req, err := http.NewRequest(http.MethodGet, f.Proxies[0].URL()+"/obj/1", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(HeaderRequestID, "bad-fwd")
+		req.Header.Set(HeaderForwards, v)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close() //nolint:errcheck // test
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %s status = %d, want 400", HeaderForwards, v, resp.StatusCode)
+		}
+	}
+	if got := f.Proxies[0].Stats().Requests; got != 0 {
+		t.Errorf("the proxy served %d of the refused requests", got)
+	}
+}
+
 func TestConcurrentClients(t *testing.T) {
 	f := testFarm(t, 4)
 	const clients = 8
@@ -366,7 +393,7 @@ func TestFarmCloseDrainsInFlight(t *testing.T) {
 		mu.Unlock()
 		queued := int64(0)
 		for _, p := range f.Proxies {
-			queued += p.QueueDepth()
+			queued += p.gate.depth()
 		}
 		return atOrigin >= 2 && queued > 0
 	})

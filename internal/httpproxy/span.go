@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/adc-sim/adc/internal/ids"
+	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/obs"
 )
 
@@ -123,16 +124,19 @@ func (sc *spanCtx) setHeaders(h http.Header, spanID uint64) {
 	h.Set(HeaderSpan, strconv.FormatUint(spanID, 16))
 }
 
-// record appends a finished child span (parent = this proxy's server span)
-// under a fresh ID.
-func (sc *spanCtx) record(stage string, startUs int64, obj ids.ObjectID, detail, errMsg string) {
-	sc.recordID(sc.child(), stage, startUs, obj, detail, errMsg)
-}
-
-// recordID appends a finished child span under a pre-allocated ID.
-func (sc *spanCtx) recordID(id uint64, stage string, startUs int64, obj ids.ObjectID, detail, errMsg string) {
-	if sc == nil || id == 0 {
+// record appends one finished span of this request. The server stage's
+// span is the request's own (ID self, parented on the sender's forward
+// span); any other is its child, under id or, when id is 0, a fresh ID.
+func (sc *spanCtx) record(id uint64, stage string, startUs, endUs int64, obj ids.ObjectID, detail, errMsg string) {
+	if sc == nil {
 		return
+	}
+	parent := sc.self
+	switch {
+	case stage == metrics.StageServer.String():
+		id, parent = sc.self, sc.root
+	case id == 0:
+		id = sc.child()
 	}
 	if sc.tag != "" {
 		if detail != "" {
@@ -141,23 +145,19 @@ func (sc *spanCtx) recordID(id uint64, stage string, startUs int64, obj ids.Obje
 		detail += sc.tag
 	}
 	sc.p.spans.Add(obs.Span{
-		Trace: sc.trace, ID: id, Parent: sc.self, Node: int32(sc.p.id),
-		Stage: stage, Obj: uint64(obj), Start: startUs, End: nowUs(),
+		Trace: sc.trace, ID: id, Parent: parent, Node: int32(sc.p.id),
+		Stage: stage, Obj: uint64(obj), Start: startUs, End: endUs,
 		Detail: detail, Err: errMsg,
 	})
 }
 
-// finishServer closes the request's own server span, parented on the
-// sender's forward span (or nothing, at the entry proxy).
-func (sc *spanCtx) finishServer(startUs int64, obj ids.ObjectID, decision, errMsg string) {
-	if sc == nil {
-		return
-	}
-	sc.p.spans.Add(obs.Span{
-		Trace: sc.trace, ID: sc.self, Parent: sc.root, Node: int32(sc.p.id),
-		Stage: obs.SpanServer, Obj: uint64(obj), Start: startUs, End: nowUs(),
-		Detail: decision, Err: errMsg,
-	})
+// observe closes one stage of a request at one clock reading: the
+// interval from startUs feeds the stage's latency histogram and, for a
+// traced request, becomes the stage's span (see record for id).
+func (p *Proxy) observe(sc *spanCtx, id uint64, st metrics.Stage, startUs int64, obj ids.ObjectID, detail, errMsg string) {
+	end := nowUs()
+	p.stages.Observe(st, end-startUs)
+	sc.record(id, st.String(), startUs, end, obj, detail, errMsg)
 }
 
 // TraceDump snapshots this proxy's span ring for /debug/trace. With

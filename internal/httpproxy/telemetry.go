@@ -23,84 +23,79 @@ import (
 //	/debug/trace   this proxy's span ring as an obs.SpanDump JSON document
 //	/healthz       liveness probe, JSON with identity and build info
 //
-// /metrics snapshots the same counters as /debug/vars plus the per-stage
-// latency histograms; cmd/adctop renders it live, the telemetry-smoke CI
-// job lints it on every proxy.
+// /metrics snapshots the same counters and gauges as /debug/vars, both
+// defined once in internal/metrics, plus the per-stage latency histograms;
+// cmd/adctop renders it live, the telemetry-smoke CI job lints it on every
+// proxy.
 
 const (
 	metricsPath = "/metrics"
 	tracePath   = "/debug/trace"
 )
 
-// stageBoundsUs are the finite bucket upper bounds (microseconds) /metrics
-// exposes for the stage latency histograms. All are multiples of the
-// underlying 50 µs bucket width, so stats.Histogram.CountBelow is exact at
-// every bound; observations past 200 ms land only in +Inf.
-var stageBoundsUs = []int{100, 250, 500, 1000, 2500, 5000, 10_000, 25_000, 50_000, 100_000, 200_000}
-
-// peerStateGauge maps PeerState to the adc_peer_state gauge encoding.
-func peerStateGauge(s PeerState) float64 { return float64(s) }
+// Families /metrics carries beside the counter, gauge and stage tables of
+// internal/metrics. ProxyInfoFamily's one sample names the proxy in its
+// "proxy" label; PeerStateFamily has one sample per peer, labelled "peer",
+// whose value is the PeerState this proxy's health monitor holds for it.
+const (
+	ProxyInfoFamily = "adc_proxy_info"
+	PeerStateFamily = "adc_peer_state"
+)
 
 func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	stats := p.Stats()
+	gauges := p.gauges()
 	p.mu.Lock()
-	localTime := p.adc.LocalTime()
-	storeLen := len(p.store)
 	peers := slices.Clone(p.adc.Peers())
 	p.mu.Unlock()
 
 	pw := promtext.NewWriter(w)
-	gauge := func(name, help string, v float64) {
-		pw.Gauge(name, help)
-		pw.Sample(v)
-	}
-
-	pw.Gauge("adc_proxy_info", "Proxy identity and build info; value is always 1.")
+	pw.Gauge(ProxyInfoFamily, "Proxy identity and build info; value is always 1.")
 	pw.Sample(1,
 		promtext.L("proxy", p.id.String()),
 		promtext.L("go", runtime.Version()),
 		promtext.L("revision", buildRevision()),
 	)
-	gauge("adc_uptime_seconds", "Seconds since this proxy started.", time.Since(p.started).Seconds())
-
 	stats.WriteProm(pw)
-
-	gauge("adc_cache_objects", "Payloads currently stored.", float64(storeLen))
-	gauge("adc_queue_depth", "Entry requests waiting at the admission gate.", float64(p.gate.depth()))
-	gauge("adc_local_time", "The proxy's logical clock (requests processed under lock).", float64(localTime))
-
+	gauges.WriteProm(pw)
 	if m := p.health.Load(); m != nil {
-		pw.Gauge("adc_peer_state", "Peer health: 0 up, 1 suspect, 2 down, 3 recovering.")
+		pw.Gauge(PeerStateFamily, "Peer health: 0 up, 1 suspect, 2 down, 3 recovering.")
 		for _, peer := range peers {
 			if peer == p.id {
 				continue
 			}
-			pw.Sample(peerStateGauge(m.state(peer)), promtext.L("peer", peer.String()))
+			pw.Sample(float64(m.state(peer)), promtext.L("peer", peer.String()))
 		}
 	}
 	if p.spans != nil {
-		gauge("adc_trace_spans", "Spans buffered in the /debug/trace ring.", float64(p.spans.Len()))
 		pw.Counter("adc_trace_spans_dropped_total", "Spans evicted from the bounded trace ring.")
 		pw.Sample(float64(p.spans.Dropped()))
 	}
-
-	pw.HistogramFamily("adc_stage_latency_seconds",
-		"Serving latency by stage: server, gate_wait, flight_wait, forward, origin.")
-	snap := p.stages.Snapshot()
-	bounds := make([]float64, len(stageBoundsUs))
-	for i, us := range stageBoundsUs {
-		bounds[i] = float64(us) / 1e6
-	}
-	for st := metrics.Stage(0); st < metrics.NumStages; st++ {
-		h := snap[st]
-		cum := make([]uint64, len(stageBoundsUs))
-		for i, us := range stageBoundsUs {
-			cum[i] = h.CountBelow(us)
-		}
-		pw.Histogram(bounds, cum, h.Total(), float64(h.Sum())/1e6, promtext.L("stage", st.String()))
-	}
+	p.stages.WriteProm(pw)
 	_ = pw.Flush()
+}
+
+// gauges snapshots the proxy's levels for /metrics and /debug/vars; the
+// table state is read in one snapshot under p.mu.
+func (p *Proxy) gauges() metrics.Gauges {
+	p.mu.Lock()
+	tables := p.adc.Tables()
+	g := metrics.Gauges{
+		LocalTime:   float64(p.adc.LocalTime()),
+		TableLen:    float64(tables.Len()),
+		CachingLen:  float64(tables.Caching().Len()),
+		MultipleLen: float64(tables.Multiple().Len()),
+		SingleLen:   float64(tables.Single().Len()),
+		StoreLen:    float64(len(p.store)),
+		PendingLen:  float64(len(p.pending)),
+		Peers:       float64(len(p.adc.Peers())),
+	}
+	p.mu.Unlock()
+	g.UptimeSeconds = time.Since(p.started).Seconds()
+	g.QueueDepth = float64(p.gate.depth())
+	g.TraceSpans = float64(p.spans.Len())
+	return g
 }
 
 // handleTrace serves the span ring as JSON (obs.SpanDump).
@@ -184,6 +179,3 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Revision: buildRevision(),
 	})
 }
-
-// Uptime reports how long this proxy has been running.
-func (p *Proxy) Uptime() time.Duration { return time.Since(p.started) }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -99,10 +100,11 @@ func TestMetricsParsesAndLints(t *testing.T) {
 }
 
 // TestMetricsRoundTripsProxyStats holds /metrics and /debug/vars to one
-// definition of the counters: on a farm with replication, health and
-// tracing on, reading every proxy's parsed page back through
-// metrics.ReadProm gives exactly the proxy's Stats(), which is exactly
-// the stats /debug/vars serves.
+// definition of the counters, gauges and peer states: on a farm with
+// replication, health and tracing on, reading every proxy's parsed page
+// back through metrics.ReadProm gives exactly the proxy's Stats(), which is
+// exactly the stats /debug/vars serves; metrics.ReadGauges gives the
+// /debug/vars scalar fields, and the peer states its health peers.
 func TestMetricsRoundTripsProxyStats(t *testing.T) {
 	f, err := NewFarm(FarmConfig{
 		Proxies:        3,
@@ -122,6 +124,12 @@ func TestMetricsRoundTripsProxyStats(t *testing.T) {
 
 	var total metrics.ProxyStats
 	for _, p := range f.Proxies {
+		varsAt := time.Now()
+		_, body := getBody(t, p.URL()+"/debug/vars")
+		var v debugVars
+		if err := json.Unmarshal([]byte(body), &v); err != nil {
+			t.Fatalf("%v /debug/vars is not JSON: %v", p.ID(), err)
+		}
 		resp, err := http.Get(p.URL() + metricsPath)
 		if err != nil {
 			t.Fatal(err)
@@ -130,11 +138,7 @@ func TestMetricsRoundTripsProxyStats(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v metrics parse: %v", p.ID(), err)
 		}
-		_, body := getBody(t, p.URL()+"/debug/vars")
-		var v debugVars
-		if err := json.Unmarshal([]byte(body), &v); err != nil {
-			t.Fatalf("%v /debug/vars is not JSON: %v", p.ID(), err)
-		}
+		between := time.Since(varsAt).Seconds()
 		stats := p.Stats()
 		if got := metrics.ReadProm(page); got != stats {
 			t.Errorf("%v: ReadProm(/metrics) = %+v\nwant Stats() = %+v", p.ID(), got, stats)
@@ -142,10 +146,125 @@ func TestMetricsRoundTripsProxyStats(t *testing.T) {
 		if v.Stats != stats {
 			t.Errorf("%v: /debug/vars stats = %+v\nwant Stats() = %+v", p.ID(), v.Stats, stats)
 		}
+		// Uptime is the one clock among the gauges, and /metrics was read
+		// second.
+		g := metrics.ReadGauges(page)
+		if d := g.UptimeSeconds - v.UptimeSeconds; d < 0 || d > between {
+			t.Errorf("%v: /metrics uptime %vs, /debug/vars %vs, read %vs apart", p.ID(), g.UptimeSeconds, v.UptimeSeconds, between)
+		}
+		g.UptimeSeconds = v.UptimeSeconds
+		if g != v.Gauges {
+			t.Errorf("%v: ReadGauges(/metrics) = %+v\nwant the /debug/vars gauges %+v", p.ID(), g, v.Gauges)
+		}
+		if v.TableLen == 0 || v.StoreLen != v.CachingLen || v.TraceSpans == 0 {
+			t.Errorf("%v: /debug/vars gauges %+v: want tables, a store the caching table's size and spans", p.ID(), v.Gauges)
+		}
+		// One encoding of peer state: PeerState's number on /metrics, its
+		// name on /debug/vars.
+		var states []PeerHealthVar
+		for _, smp := range page.Families[PeerStateFamily].Samples {
+			states = append(states, PeerHealthVar{Peer: smp.Label("peer"), State: PeerState(smp.Value).String()})
+		}
+		if v.Health == nil || len(states) != len(f.Proxies)-1 || !slices.Equal(states, v.Health.Peers) {
+			t.Errorf("%v: /metrics peer states %+v, /debug/vars %+v", p.ID(), states, v.Health)
+		}
 		total.Add(stats)
 	}
 	if total.Requests == 0 || total.ReplicaPushes == 0 || total.ReplicaHits == 0 {
 		t.Errorf("farm totals %+v: want requests, replica pushes and replica hits", total)
+	}
+}
+
+// stageCounts is how many intervals each of p's stage histograms holds, as
+// its /metrics page (served in-process: p may be killed) reports them.
+func stageCounts(t *testing.T, p *Proxy) [metrics.NumStages]uint64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	p.handleMetrics(rec, nil)
+	page, err := promtext.Parse(rec.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [metrics.NumStages]uint64
+	for st, b := range metrics.ReadStages(page) {
+		out[st] = b[len(b)-1].Cum
+	}
+	return out
+}
+
+// TestStagePopulations pins what each stage histogram counts, after one
+// forwarded miss, one hit, one failed fetch and one shed, all entering at
+// Proxy[0]: every server span (the hop at Proxy[1] included) and every
+// gate wait, sheds included; only fetches that came back, so the failed
+// forward is not among them; and flight waits only when shared, which no
+// request here is.
+func TestStagePopulations(t *testing.T) {
+	f, err := NewFarm(FarmConfig{
+		Proxies:   2,
+		Tables:    core.Config{SingleSize: 16, MultipleSize: 16, CachingSize: 8},
+		Seed:      1,
+		MaxActive: 1,
+		MaxQueue:  -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = f.Close() })
+	entry, peer := f.Proxies[0], f.Proxies[1]
+
+	// Forwarded miss: the entry's learned location is the peer, which
+	// believes it holds the object itself and so fetches it from the origin.
+	teachLocation(entry, 1, peer.ID())
+	teachLocation(peer, 1, peer.ID())
+	if code := stormGet(t, entry, 1, "pop-miss"); code != http.StatusOK {
+		t.Fatalf("forwarded miss: status %d", code)
+	}
+	// Hit: a copy planted in the entry's cache.
+	entry.mu.Lock()
+	entry.adc.Tables().ForceCache(2, entry.ID(), entry.adc.LocalTime(), 0)
+	entry.store[2] = Payload(2)
+	entry.mu.Unlock()
+	if code := stormGet(t, entry, 2, "pop-hit"); code != http.StatusOK {
+		t.Fatalf("hit: status %d", code)
+	}
+	if got := entry.Stats().LocalHits; got != 1 {
+		t.Fatalf("LocalHits = %d, want the planted hit", got)
+	}
+	// Failed fetch: the learned location is a killed peer, and with health
+	// probing off nothing retries.
+	teachLocation(entry, 3, peer.ID())
+	if err := peer.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	if code := stormGet(t, entry, 3, "pop-fail"); code != http.StatusBadGateway {
+		t.Fatalf("failed fetch: status %d, want 502", code)
+	}
+	// Shed: the entry's one active slot is taken.
+	if !entry.gate.enter() {
+		t.Fatal("the gate refused its only slot")
+	}
+	code := stormGet(t, entry, 4, "pop-shed")
+	entry.gate.leave()
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("shed: status %d, want 429", code)
+	}
+
+	// A server span closes just after its reply is written.
+	waitFor(t, 5*time.Second, "every server span", func() bool {
+		return stageCounts(t, entry)[metrics.StageServer] == 4 && stageCounts(t, peer)[metrics.StageServer] == 1
+	})
+	for _, tc := range []struct {
+		p    *Proxy
+		want [metrics.NumStages]uint64
+	}{
+		{entry, [metrics.NumStages]uint64{
+			metrics.StageServer: 4, metrics.StageGateWait: 4, metrics.StageForward: 1}},
+		{peer, [metrics.NumStages]uint64{
+			metrics.StageServer: 1, metrics.StageOrigin: 1}},
+	} {
+		if got := stageCounts(t, tc.p); got != tc.want {
+			t.Errorf("%v stage counts %v, want %v (server, gate_wait, flight_wait, forward, origin)", tc.p.ID(), got, tc.want)
+		}
 	}
 }
 

@@ -81,9 +81,10 @@ type ProxyStats struct {
 	// origin fetch after exhausting retries.
 	FailoverOrigin uint64
 
-	// BreakerDenied counts upstream fetches refused without a connection
-	// because the health monitor held the destination peer down.
-	BreakerDenied uint64
+	// PeerDownRefusals counts upstream fetches refused without a
+	// connection because the health monitor held the destination peer
+	// down.
+	PeerDownRefusals uint64
 
 	// HedgedFetches counts entry chains that started a parallel
 	// direct-origin hedge after HedgeDelay.
@@ -93,13 +94,18 @@ type ProxyStats struct {
 	HedgeWins uint64
 }
 
-// counter is one ProxyStats field and the /metrics sample that exposes it.
-// Rows sharing a family name are adjacent and differ by label.
-type counter struct {
+// row is one field of a signal struct S (ProxyStats, Gauges) and the
+// /metrics sample that exposes it. Rows sharing a family name are adjacent
+// and differ by label.
+type row[S any, V uint64 | float64] struct {
 	name, help string
 	label      promtext.Label // set only on the adc_forwards_total rows
-	field      func(*ProxyStats) *uint64
+	field      func(*S) *V
 }
+
+// counter is one ProxyStats field and the /metrics counter sample that
+// exposes it.
+type counter = row[ProxyStats, uint64]
 
 const forwardsHelp = "Upstream forwards by routing decision."
 
@@ -125,17 +131,40 @@ var counters = [...]counter{
 	{"adc_replica_hits_total", "Local hits served from a pushed replica.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.ReplicaHits }},
 	{"adc_retried_fetches_total", "Entry-chain retries after a failed upstream chain.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.RetriedFetches }},
 	{"adc_failover_origin_total", "Entry chains that fell back to a direct origin fetch.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.FailoverOrigin }},
-	{"adc_breaker_denied_total", "Fetches refused without a connection because the peer is held down.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.BreakerDenied }},
+	{"adc_peer_down_refusals_total", "Fetches refused without a connection because the peer is held down.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.PeerDownRefusals }},
 	{"adc_hedged_fetches_total", "Entry chains that started a parallel origin hedge.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.HedgedFetches }},
 	{"adc_hedge_wins_total", "Hedged chains whose hedge answer was used.", promtext.Label{}, func(s *ProxyStats) *uint64 { return &s.HedgeWins }},
 }
 
-// labels is the row's sample labels: none, or its one route label.
-func (c *counter) labels() []promtext.Label {
-	if c.label.Name == "" {
+// labels is the row's sample labels: none, or its one label.
+func (r *row[S, V]) labels() []promtext.Label {
+	if r.label.Name == "" {
 		return nil
 	}
-	return []promtext.Label{c.label}
+	return []promtext.Label{r.label}
+}
+
+// writeRows writes s's value for every row, declaring each family through
+// declare (pw.Counter or pw.Gauge) before its first row.
+func writeRows[S any, V uint64 | float64](pw *promtext.Writer, declare func(name, help string), rows []row[S, V], s *S) {
+	for i := range rows {
+		r := &rows[i]
+		if i == 0 || rows[i-1].name != r.name {
+			declare(r.name, r.help)
+		}
+		pw.Sample(float64(*r.field(s)), r.labels()...)
+	}
+}
+
+// readRows is writeRows' inverse: the rows' values a parsed /metrics page
+// holds, with a missing sample read as 0.
+func readRows[S any, V uint64 | float64](d *promtext.Document, rows []row[S, V]) S {
+	var s S
+	for i := range rows {
+		v, _ := d.Value(rows[i].name, rows[i].labels()...)
+		*rows[i].field(&s) = V(v)
+	}
+	return s
 }
 
 // Add accumulates other into s, for cluster-wide totals.
@@ -145,28 +174,12 @@ func (s *ProxyStats) Add(other ProxyStats) {
 	}
 }
 
-// WriteProm writes every counter to a /metrics page, declaring each
-// family before its first row.
-func (s *ProxyStats) WriteProm(pw *promtext.Writer) {
-	for i := range counters {
-		c := &counters[i]
-		if i == 0 || counters[i-1].name != c.name {
-			pw.Counter(c.name, c.help)
-		}
-		pw.Sample(float64(*c.field(s)), c.labels()...)
-	}
-}
+// WriteProm writes every counter to a /metrics page.
+func (s *ProxyStats) WriteProm(pw *promtext.Writer) { writeRows(pw, pw.Counter, counters[:], s) }
 
 // ReadProm is WriteProm's inverse: the counters a parsed /metrics page
 // holds, with a missing sample read as 0.
-func ReadProm(d *promtext.Document) ProxyStats {
-	var s ProxyStats
-	for i := range counters {
-		v, _ := d.Value(counters[i].name, counters[i].labels()...)
-		*counters[i].field(&s) = uint64(v)
-	}
-	return s
-}
+func ReadProm(d *promtext.Document) ProxyStats { return readRows(d, counters[:]) }
 
 // LocalHitRate returns LocalHits/Requests for this proxy.
 func (s *ProxyStats) LocalHitRate() float64 {

@@ -3,12 +3,13 @@ package metrics
 import (
 	"sync"
 
-	"github.com/adc-sim/adc/internal/stats"
+	"github.com/adc-sim/adc/internal/promtext"
 )
 
-// Stage names one phase of serving a request on the HTTP farm. The
-// per-stage latency histograms behind every proxy's /metrics endpoint key
-// on it, and cmd/adctop's p50/p99 columns are one Stage each.
+// Stage names one phase of serving a request on the HTTP farm. It is the
+// only list of the stages: the per-stage latency histograms behind every
+// proxy's /metrics endpoint key on it, a farm span's stage is its String,
+// and cmd/adctop's p50/p99 columns are one Stage each.
 type Stage uint8
 
 const (
@@ -30,7 +31,8 @@ const (
 	NumStages
 )
 
-// stageNames are the stable label values in /metrics output.
+// stageNames are the stable label values in /metrics output and the stage
+// names of farm spans.
 var stageNames = [NumStages]string{
 	StageServer:     "server",
 	StageGateWait:   "gate_wait",
@@ -39,7 +41,7 @@ var stageNames = [NumStages]string{
 	StageOrigin:     "origin",
 }
 
-// String returns the stage's /metrics label value.
+// String returns the stage's /metrics label value and span stage.
 func (s Stage) String() string {
 	if int(s) < len(stageNames) {
 		return stageNames[s]
@@ -47,53 +49,70 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// Stage latency histogram shape: 50 µs buckets over 0–200 ms plus
-// overflow, matching cmd/adcload's client-side histogram so server- and
-// client-observed quantiles are directly comparable.
-const (
-	StageHistWidthUs = 50
-	StageHistBuckets = 4000
-)
+// stageFamily is the /metrics histogram family of the stage latencies, one
+// series per stage label.
+const stageFamily = "adc_stage_latency_seconds"
 
-// StageSet records per-stage latency histograms for one proxy. Observe is
-// mutex-guarded and cheap (one lock, one bucket increment); handlers call
-// it outside the proxy's table lock so metrics recording never serializes
-// the fetch path.
+// stageBoundsUs are the upper bounds (microseconds, exclusive) of the stage
+// histograms' finite buckets; an interval of 200 ms or more lands only in
+// +Inf.
+var stageBoundsUs = [...]int64{100, 250, 500, 1000, 2500, 5000, 10_000, 25_000, 50_000, 100_000, 200_000}
+
+// StageSet records per-stage latency histograms for one proxy; the zero
+// value is ready. Observe is mutex-guarded and cheap (one lock, one bucket
+// increment); handlers call it outside the proxy's table lock so metrics
+// recording never serializes the fetch path.
 type StageSet struct {
-	mu    sync.Mutex
-	hists [NumStages]*stats.Histogram
+	mu sync.Mutex
+	// counts[st][i] is stage st's intervals in bucket i, the last +Inf;
+	// sumUs is the sum of its positive intervals.
+	counts [NumStages][len(stageBoundsUs) + 1]uint64
+	sumUs  [NumStages]uint64
 }
 
-// NewStageSet builds a set with one histogram per stage.
-func NewStageSet() *StageSet {
-	s := &StageSet{}
-	for i := range s.hists {
-		s.hists[i] = stats.NewHistogram(StageHistBuckets, StageHistWidthUs)
-	}
-	return s
-}
-
-// Observe records one latency (in microseconds) for a stage. Safe on a
-// nil set, which records nothing.
+// Observe records one latency (in microseconds) for a stage.
 func (s *StageSet) Observe(stage Stage, us int64) {
-	if s == nil || stage >= NumStages {
-		return
+	i := 0
+	for i < len(stageBoundsUs) && us >= stageBoundsUs[i] {
+		i++
 	}
 	s.mu.Lock()
-	s.hists[stage].Add(int(us))
+	s.counts[stage][i]++
+	if us > 0 {
+		s.sumUs[stage] += uint64(us)
+	}
 	s.mu.Unlock()
 }
 
-// Snapshot returns an independent copy of every stage's histogram,
-// index-aligned with the Stage constants.
-func (s *StageSet) Snapshot() [NumStages]*stats.Histogram {
-	var out [NumStages]*stats.Histogram
+// WriteProm writes every stage's histogram to a /metrics page, in seconds.
+func (s *StageSet) WriteProm(pw *promtext.Writer) {
+	pw.HistogramFamily(stageFamily, "Serving latency by stage: server, gate_wait, flight_wait, forward, origin.")
+	bounds := make([]float64, len(stageBoundsUs))
+	for i, us := range stageBoundsUs {
+		bounds[i] = float64(us) / 1e6
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, h := range s.hists {
-		c := stats.NewHistogram(StageHistBuckets, StageHistWidthUs)
-		c.Merge(h)
-		out[i] = c
+	counts, sumUs := s.counts, s.sumUs
+	s.mu.Unlock()
+	for st := range counts {
+		cum := make([]uint64, len(stageBoundsUs))
+		var total uint64
+		for i, n := range counts[st] {
+			total += n
+			if i < len(cum) {
+				cum[i] = total
+			}
+		}
+		pw.Histogram(bounds, cum, total, float64(sumUs[st])/1e6, promtext.L("stage", Stage(st).String()))
+	}
+}
+
+// ReadStages is StageSet.WriteProm's inverse: each stage's cumulative
+// buckets on a parsed /metrics page, nil for a stage the page lacks.
+func ReadStages(d *promtext.Document) [NumStages][]promtext.Bucket {
+	var out [NumStages][]promtext.Bucket
+	for st := range out {
+		out[st] = d.Buckets(stageFamily, promtext.L("stage", Stage(st).String()))
 	}
 	return out
 }

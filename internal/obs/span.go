@@ -27,7 +27,9 @@ type Span struct {
 	// Node is the recording node, a raw ids.NodeID: a proxy's index on the
 	// farm; a client, proxy or the origin in an event trace (EventSpans).
 	Node int32 `json:"node"`
-	// Stage names what the span timed (the Span* constants).
+	// Stage names what the span timed: a metrics.Stage name or
+	// SpanPeerDownRefusal on the farm; SpanAttempt or an event kind name
+	// in EventSpans.
 	Stage string `json:"stage"`
 	// Obj is the requested object's ID.
 	Obj uint64 `json:"obj,omitempty"`
@@ -41,26 +43,11 @@ type Span struct {
 	Err string `json:"err,omitempty"`
 }
 
-// Span stages. The spellings match the stage label values on the /metrics
-// latency histograms, so a dashboard quantile and a trace span with the
-// same name measure the same interval.
-const (
-	// SpanServer is one proxy's whole handling of an incoming request.
-	SpanServer = "server"
-	// SpanGateWait is time queued at the admission gate.
-	SpanGateWait = "gate_wait"
-	// SpanFlightWait is a coalesced miss waiting on another request's
-	// in-flight fetch.
-	SpanFlightWait = "flight_wait"
-	// SpanForward is one upstream fetch to a peer proxy.
-	SpanForward = "forward"
-	// SpanOrigin is one fetch to the origin server.
-	SpanOrigin = "origin"
-	// SpanBreakerDenied is a fetch refused locally because the health
-	// monitor holds the peer down (zero-duration; recorded so the refusal
-	// shows up in the tree).
-	SpanBreakerDenied = "breaker_denied"
-)
+// SpanPeerDownRefusal is the stage of a farm fetch refused locally because
+// the health monitor holds the peer down (zero-duration; recorded so the
+// refusal shows up in the tree). The farm's other span stages are
+// metrics.Stage names.
+const SpanPeerDownRefusal = "peer_down_refusal"
 
 // SpanRing buffers the most recent spans of one proxy, dropping the oldest
 // when full. Every proxy exposes its ring at /debug/trace; a bounded buffer

@@ -57,13 +57,13 @@ func TestMergeDumpsSkewAlignment(t *testing.T) {
 	dumps := []SpanDump{
 		{
 			Node: 0, NowUs: scrapeAt, ScrapedUs: scrapeAt,
-			Spans: []Span{{Trace: 1, ID: 1, Node: 0, Stage: SpanServer, Start: 100, End: 400}},
+			Spans: []Span{{Trace: 1, ID: 1, Node: 0, Stage: "server", Start: 100, End: 400}},
 		},
 		{
 			// Span physically started at 200 but this proxy's stamps are
 			// +skew; its NowUs exposes the same offset.
 			Node: 1, NowUs: scrapeAt + skew, ScrapedUs: scrapeAt,
-			Spans: []Span{{Trace: 1, ID: 2, Parent: 1, Node: 1, Stage: SpanForward, Start: 200 + skew, End: 300 + skew}},
+			Spans: []Span{{Trace: 1, ID: 2, Parent: 1, Node: 1, Stage: "forward", Start: 200 + skew, End: 300 + skew}},
 		},
 	}
 	merged := MergeDumps(dumps)
@@ -88,16 +88,16 @@ func TestMergeDumpsSkewAlignment(t *testing.T) {
 func TestBuildSpanTrees(t *testing.T) {
 	spans := []Span{
 		// Trace 1: complete two-proxy tree.
-		{Trace: 1, ID: 1, Node: 0, Stage: SpanServer, Start: 0, End: 100},
-		{Trace: 1, ID: 2, Parent: 1, Node: 0, Stage: SpanForward, Start: 10, End: 90, Detail: "Proxy[1]"},
-		{Trace: 1, ID: 3, Parent: 2, Node: 1, Stage: SpanServer, Start: 20, End: 80},
-		{Trace: 1, ID: 4, Parent: 3, Node: 1, Stage: SpanOrigin, Start: 30, End: 70},
+		{Trace: 1, ID: 1, Node: 0, Stage: "server", Start: 0, End: 100},
+		{Trace: 1, ID: 2, Parent: 1, Node: 0, Stage: "forward", Start: 10, End: 90, Detail: "Proxy[1]"},
+		{Trace: 1, ID: 3, Parent: 2, Node: 1, Stage: "server", Start: 20, End: 80},
+		{Trace: 1, ID: 4, Parent: 3, Node: 1, Stage: "origin", Start: 30, End: 70},
 		// Trace 2: truncated — the forward into a killed peer errored.
-		{Trace: 2, ID: 5, Node: 0, Stage: SpanServer, Start: 200, End: 300},
-		{Trace: 2, ID: 6, Parent: 5, Node: 0, Stage: SpanForward, Start: 210, End: 290, Err: "connection refused"},
+		{Trace: 2, ID: 5, Node: 0, Stage: "server", Start: 200, End: 300},
+		{Trace: 2, ID: 6, Parent: 5, Node: 0, Stage: "forward", Start: 210, End: 290, Err: "connection refused"},
 		// Trace 3: orphaned — parent 99 never surfaced.
-		{Trace: 3, ID: 7, Node: 2, Stage: SpanServer, Start: 400, End: 500},
-		{Trace: 3, ID: 8, Parent: 99, Node: 3, Stage: SpanOrigin, Start: 410, End: 490},
+		{Trace: 3, ID: 7, Node: 2, Stage: "server", Start: 400, End: 500},
+		{Trace: 3, ID: 8, Parent: 99, Node: 3, Stage: "origin", Start: 410, End: 490},
 	}
 	trees := BuildSpanTrees(spans)
 	if len(trees) != 3 {
@@ -129,7 +129,7 @@ func TestBuildSpanTrees(t *testing.T) {
 	var buf bytes.Buffer
 	FormatSpanTree(&buf, trees[0])
 	out := buf.String()
-	if !strings.Contains(out, "complete") || !strings.Contains(out, SpanOrigin) {
+	if !strings.Contains(out, "complete") || !strings.Contains(out, "origin") {
 		t.Errorf("FormatSpanTree output:\n%s", out)
 	}
 }
@@ -138,8 +138,8 @@ func TestBuildSpanTrees(t *testing.T) {
 // earliest as root and flag the other as an orphan.
 func TestBuildSpanTreesDoubleRoot(t *testing.T) {
 	trees := BuildSpanTrees([]Span{
-		{Trace: 9, ID: 2, Node: 1, Stage: SpanServer, Start: 50, End: 60},
-		{Trace: 9, ID: 1, Node: 0, Stage: SpanServer, Start: 0, End: 100},
+		{Trace: 9, ID: 2, Node: 1, Stage: "server", Start: 50, End: 60},
+		{Trace: 9, ID: 1, Node: 0, Stage: "server", Start: 0, End: 100},
 	})
 	if len(trees) != 1 {
 		t.Fatalf("trees = %d", len(trees))
@@ -158,8 +158,8 @@ func TestBuildSpanTreesDoubleRoot(t *testing.T) {
 // span ID is linked and counted at its first occurrence only.
 func TestBuildSpanTreesDuplicateSpans(t *testing.T) {
 	spans := []Span{
-		{Trace: 1, ID: 1, Node: 0, Stage: SpanServer, Start: 0, End: 100},
-		{Trace: 1, ID: 2, Parent: 1, Node: 0, Stage: SpanOrigin, Start: 10, End: 90},
+		{Trace: 1, ID: 1, Node: 0, Stage: "server", Start: 0, End: 100},
+		{Trace: 1, ID: 2, Parent: 1, Node: 0, Stage: "origin", Start: 10, End: 90},
 	}
 	once := CensusSpanTrees(BuildSpanTrees(spans))
 	if want := (SpanCensus{Trees: 1, Complete: 1, Spans: 2}); once != want {
@@ -181,8 +181,8 @@ func TestBuildSpanTreesDuplicateSpans(t *testing.T) {
 func TestWriteChromeSpans(t *testing.T) {
 	const traceA, traceB = 1<<48 | 5, 2<<48 | 5
 	spans := []Span{
-		{Trace: traceA, ID: 1, Node: 0, Stage: SpanServer, Start: 1000, End: 1100},
-		{Trace: traceA, ID: 2, Parent: 1, Node: 1, Stage: SpanForward, Start: 1010, End: 1090},
+		{Trace: traceA, ID: 1, Node: 0, Stage: "server", Start: 1000, End: 1100},
+		{Trace: traceA, ID: 2, Parent: 1, Node: 1, Stage: "forward", Start: 1010, End: 1090},
 		{Trace: traceB, ID: 3, Node: int32(ids.Client(2)), Stage: SpanAttempt, Start: 2000, End: 2050, Err: "boom"},
 	}
 	var buf bytes.Buffer
@@ -233,7 +233,7 @@ func TestWriteChromeSpans(t *testing.T) {
 func TestSpanDumpRoundTrip(t *testing.T) {
 	d := SpanDump{
 		Proxy: "Proxy[3]", Node: 3, NowUs: 123456, Dropped: 7,
-		Spans: []Span{{Trace: 1, ID: 2, Parent: 3, Node: 3, Stage: SpanServer, Obj: 42, Start: 10, End: 20, Detail: "d", Err: "e"}},
+		Spans: []Span{{Trace: 1, ID: 2, Parent: 3, Node: 3, Stage: "server", Obj: 42, Start: 10, End: 20, Detail: "d", Err: "e"}},
 	}
 	b, err := json.Marshal(d)
 	if err != nil {

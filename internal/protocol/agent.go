@@ -143,6 +143,36 @@ func New(cfg Config) (*Agent, error) {
 // Tables exposes the mapping tables for dumps, tests and metrics.
 func (a *Agent) Tables() *core.Tables { return a.tables }
 
+// CheckInvariants checks the mapping tables (core.Tables.CheckInvariants)
+// and every replica set against this agent: at most MaxReplicas holders
+// (none with replication off), each a known peer. It walks all state —
+// tests and debugging, not the request path.
+func (a *Agent) CheckInvariants() error {
+	if err := a.tables.CheckInvariants(); err != nil {
+		return err
+	}
+	limit := 0
+	if a.replica != nil {
+		limit = a.replica.cfg.MaxReplicas
+	}
+	var err error
+	check := func(e *core.Entry) bool {
+		for _, n := range e.Replicas {
+			if len(e.Replicas) > limit || !slices.Contains(a.peers, n) {
+				err = fmt.Errorf("object %v has replica set %v: want at most %d holders, each one of %v", e.Object, e.Replicas, limit, a.peers)
+				return false
+			}
+		}
+		return true
+	}
+	for _, each := range []func(func(*core.Entry) bool){a.tables.Caching().Each, a.tables.Multiple().Each, a.tables.Single().Each} {
+		if each(check); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // LocalTime returns the proxy's logical clock.
 func (a *Agent) LocalTime() int64 { return a.localTime }
 

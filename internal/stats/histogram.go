@@ -12,7 +12,6 @@ type Histogram struct {
 	width   int
 	buckets []uint64
 	total   uint64
-	sum     uint64
 }
 
 // NewHistogram returns a histogram with n buckets of the given width, plus
@@ -24,13 +23,11 @@ func NewHistogram(n, width int) *Histogram {
 	return &Histogram{width: width, buckets: make([]uint64, n+1)}
 }
 
-// Add counts one observation. Negative values land in bucket 0 and
-// contribute nothing to the sum.
+// Add counts one observation. Negative values land in bucket 0.
 func (h *Histogram) Add(v int) {
 	idx := 0
 	if v > 0 {
 		idx = v / h.width
-		h.sum += uint64(v)
 	}
 	if idx >= len(h.buckets) {
 		idx = len(h.buckets) - 1
@@ -50,36 +47,10 @@ func (h *Histogram) Merge(other *Histogram) {
 		h.buckets[i] += c
 	}
 	h.total += other.total
-	h.sum += other.sum
 }
 
 // Total returns the number of observations.
 func (h *Histogram) Total() uint64 { return h.total }
-
-// Sum returns the sum of all positive observed values — the Prometheus
-// histogram _sum companion to Total's _count.
-func (h *Histogram) Sum() uint64 { return h.sum }
-
-// CountBelow returns how many observations are known to be < edge: the
-// cumulative count of buckets whose upper bound is ≤ edge. For edges
-// aligned to the bucket width this is exact; otherwise it rounds down to
-// the last whole bucket. The overflow bucket counts only toward +Inf, so
-// the Prometheus-format renderer pairs CountBelow for finite `le` bounds
-// with Total for the mandatory +Inf bucket.
-func (h *Histogram) CountBelow(edge int) uint64 {
-	if edge <= 0 {
-		return 0
-	}
-	whole := edge / h.width // buckets [0, whole) have upper bound ≤ edge
-	if whole > len(h.buckets)-1 {
-		whole = len(h.buckets) - 1
-	}
-	var cum uint64
-	for i := 0; i < whole; i++ {
-		cum += h.buckets[i]
-	}
-	return cum
-}
 
 // Count returns the number of observations in bucket i.
 func (h *Histogram) Count(i int) uint64 { return h.buckets[i] }

@@ -308,44 +308,3 @@ func TestHistogramMergeLayoutMismatch(t *testing.T) {
 		}()
 	}
 }
-
-// TestHistogramSumAndCountBelow covers the Prometheus-exposition helpers:
-// Sum tracks positive observations, CountBelow is exact at bucket-aligned
-// edges and excludes the overflow bucket.
-func TestHistogramSumAndCountBelow(t *testing.T) {
-	h := NewHistogram(4, 10) // buckets [0,10) [10,20) [20,30) [30,40) + overflow
-	for _, v := range []int{-5, 0, 5, 15, 25, 35, 1000} {
-		h.Add(v)
-	}
-	if got, want := h.Sum(), uint64(5+15+25+35+1000); got != want {
-		t.Errorf("Sum = %d, want %d", got, want)
-	}
-	if got := h.CountBelow(0); got != 0 {
-		t.Errorf("CountBelow(0) = %d, want 0", got)
-	}
-	if got := h.CountBelow(10); got != 3 { // -5, 0, 5
-		t.Errorf("CountBelow(10) = %d, want 3", got)
-	}
-	if got := h.CountBelow(20); got != 4 {
-		t.Errorf("CountBelow(20) = %d, want 4", got)
-	}
-	// Edge beyond the last regular bucket: all but the overflow.
-	if got := h.CountBelow(40); got != 6 {
-		t.Errorf("CountBelow(40) = %d, want 6", got)
-	}
-	if got := h.CountBelow(1 << 30); got != 6 {
-		t.Errorf("CountBelow(huge) = %d, want 6 (overflow excluded)", got)
-	}
-	// Unaligned edge rounds down to whole buckets.
-	if got := h.CountBelow(19); got != 3 {
-		t.Errorf("CountBelow(19) = %d, want 3", got)
-	}
-
-	// Merge folds sums too.
-	h2 := NewHistogram(4, 10)
-	h2.Add(7)
-	h2.Merge(h)
-	if got, want := h2.Sum(), uint64(7+5+15+25+35+1000); got != want {
-		t.Errorf("merged Sum = %d, want %d", got, want)
-	}
-}

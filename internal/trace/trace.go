@@ -3,9 +3,7 @@
 // from ad-hoc server logs to a synthetic benchmark ("a lack of description
 // that could allow a third person to repeat our test cases", §V.1.6).
 //
-// The binary format is a fixed header followed by unsigned-varint object
-// IDs. A text format (one decimal object ID per line, '#' comments) is
-// provided for interoperability with external tools.
+// The format is a fixed header followed by unsigned-varint object IDs.
 package trace
 
 import (
@@ -15,8 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
-	"strings"
 
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/workload"
@@ -114,50 +110,6 @@ func (r *Reader) Next() (ids.ObjectID, bool) {
 
 // Err returns the first decoding error encountered by Next, if any.
 func (r *Reader) Err() error { return r.err }
-
-// WriteText encodes src as one decimal object ID per line.
-func WriteText(w io.Writer, src workload.Source) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# ADC trace, %d requests\n", src.Total())
-	for {
-		obj, ok := src.Next()
-		if !ok {
-			break
-		}
-		if _, err := bw.WriteString(strconv.FormatUint(uint64(obj), 10)); err != nil {
-			return fmt.Errorf("trace: write text: %w", err)
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return fmt.Errorf("trace: write text: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadText parses a text trace fully into memory and returns it as a
-// Source. Blank lines and '#' comments are skipped.
-func ReadText(r io.Reader) (workload.Source, error) {
-	var objs []ids.ObjectID
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		s := strings.TrimSpace(sc.Text())
-		if s == "" || strings.HasPrefix(s, "#") {
-			continue
-		}
-		v, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		objs = append(objs, ids.ObjectID(v))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: scan: %w", err)
-	}
-	return NewSliceSource(objs), nil
-}
 
 // SliceSource replays an in-memory request list. It is also the unit-test
 // workhorse for driving clusters with hand-crafted request sequences.

@@ -121,40 +121,6 @@ func TestForgedCount(t *testing.T) {
 	}
 }
 
-func TestTextRoundTrip(t *testing.T) {
-	objs := []ids.ObjectID{10, 20, 30}
-	var buf bytes.Buffer
-	if err := WriteText(&buf, NewSliceSource(objs)); err != nil {
-		t.Fatal(err)
-	}
-	src, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := Drain(src)
-	if len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 30 {
-		t.Errorf("text round trip = %v", got)
-	}
-}
-
-func TestReadTextSkipsCommentsAndBlanks(t *testing.T) {
-	in := "# header\n\n1\n  2 \n# mid\n3\n"
-	src, err := ReadText(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := Drain(src)
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Errorf("parsed %v", got)
-	}
-}
-
-func TestReadTextRejectsGarbage(t *testing.T) {
-	if _, err := ReadText(strings.NewReader("1\nxyz\n")); err == nil {
-		t.Error("garbage line must fail")
-	}
-}
-
 func TestSliceSourceReset(t *testing.T) {
 	s := NewSliceSource([]ids.ObjectID{1, 2})
 	if got := Drain(s); len(got) != 2 {
@@ -169,21 +135,17 @@ func TestSliceSourceReset(t *testing.T) {
 	}
 }
 
-// FuzzTraceReaders feeds the same bytes to the binary reader (NewReader +
-// Drain) and to ReadText. Neither may panic, and whatever either accepts as
-// a valid stream must survive Write then NewReader unchanged.
+// FuzzTraceReaders feeds bytes to the trace reader (NewReader + Drain). It
+// may not panic, and whatever it accepts as a valid stream must survive
+// Write then NewReader unchanged.
 func FuzzTraceReaders(f *testing.F) {
 	f.Add(forged(3, 1, 2, 3))
-	f.Add([]byte("# ADC trace\n1\n2\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if r, err := NewReader(bytes.NewReader(data)); err == nil {
 			objs := Drain(r)
 			if r.Err() == nil && len(objs) == r.Total() {
 				roundTrip(t, objs)
 			}
-		}
-		if src, err := ReadText(bytes.NewReader(data)); err == nil {
-			roundTrip(t, Drain(src))
 		}
 	})
 }
