@@ -137,9 +137,12 @@ func TestSliceSourceReset(t *testing.T) {
 
 // FuzzTraceReaders feeds bytes to the trace reader (NewReader + Drain). It
 // may not panic, and whatever it accepts as a valid stream must survive
-// Write then NewReader unchanged.
+// Write then NewReader unchanged. Some seeds (the second one and the text-*
+// corpus files) are in the retired one-ID-per-line text format, which the
+// binary reader must survive too.
 func FuzzTraceReaders(f *testing.F) {
 	f.Add(forged(3, 1, 2, 3))
+	f.Add([]byte("# ADC trace\n1\n2\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if r, err := NewReader(bytes.NewReader(data)); err == nil {
 			objs := Drain(r)
