@@ -257,13 +257,18 @@ chaos:
 bench-sweep:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# CPU + heap profiles of the engine benchmarks, for pprof inspection:
+# CPU + heap profiles of the engine benchmarks (cpu.out, mem.out) and of the
+# mapping tables' update and lookup benchmarks at the reference 20k/20k/10k
+# shape (core-cpu.out, core-mem.out), one pair per layer, for pprof:
 #   go tool pprof -top cpu.out
 #   go tool pprof -top -sample_index=alloc_objects mem.out
+#   go tool pprof -top core-cpu.out
 bench-profile:
 	$(GO) test -bench 'BenchmarkVEngineEcho|BenchmarkVEngineOpenLoop' -run '^$$' \
 		-cpuprofile cpu.out -memprofile mem.out ./internal/sim/
-	@echo "wrote cpu.out and mem.out"
+	$(GO) test -bench 'BenchmarkTablesUpdate|BenchmarkTablesLookup' -run '^$$' \
+		-cpuprofile core-cpu.out -memprofile core-mem.out ./internal/core/
+	@echo "wrote cpu.out, mem.out, core-cpu.out and core-mem.out"
 
 # Observability smoke: a small lossless traced run on the virtual-time
 # engine, the JSONL validated against the event schema and rebuilt into
@@ -304,4 +309,4 @@ figures:
 
 clean:
 	$(GO) clean ./...
-	rm -rf figures/*.csv cpu.out mem.out sim.test trace-smoke.jsonl trace-smoke.bin trace-smoke.*.txt telemetry-smoke.spans.json
+	rm -rf figures/*.csv cpu.out mem.out core-cpu.out core-mem.out sim.test core.test trace-smoke.jsonl trace-smoke.bin trace-smoke.*.txt telemetry-smoke.spans.json

@@ -565,25 +565,39 @@ func (c *Cluster) snapshotOccupancy(b *metrics.Bucket) {
 }
 
 // splitSource partitions src round-robin into n streams. n == 1 passes the
-// source through untouched (streaming); larger n drains it into memory.
+// source through untouched (streaming); larger n drains it into memory once
+// and hands stream k a strided view of it: requests k, k+n, k+2n, ….
 func splitSource(src workload.Source, n int) ([]workload.Source, error) {
 	if n == 1 {
 		return []workload.Source{src}, nil
 	}
 	all := trace.Drain(src)
-	parts := make([][]ids.ObjectID, n)
-	for i := range parts {
-		parts[i] = make([]ids.ObjectID, 0, (len(all)+n-1)/n)
-	}
-	for i, obj := range all {
-		parts[i%n] = append(parts[i%n], obj)
-	}
 	out := make([]workload.Source, n)
-	for i, p := range parts {
-		out[i] = trace.NewSliceSource(p)
+	for k := range out {
+		out[k] = &stridedSource{objs: all, pos: k, step: n, total: (len(all) - k + n - 1) / n}
 	}
 	return out, nil
 }
+
+// stridedSource replays every step-th request of a shared slice, starting
+// at pos; total is how many that makes.
+type stridedSource struct {
+	objs             []ids.ObjectID
+	pos, step, total int
+}
+
+// Next implements workload.Source.
+func (s *stridedSource) Next() (ids.ObjectID, bool) {
+	if s.pos >= len(s.objs) {
+		return 0, false
+	}
+	obj := s.objs[s.pos]
+	s.pos += s.step
+	return obj, true
+}
+
+// Total implements workload.Source.
+func (s *stridedSource) Total() int { return s.total }
 
 // ADCProxies exposes every proxy node, in Result.ProxyStats order: the array
 // members (joined proxies after them), then the hierarchy's root or the

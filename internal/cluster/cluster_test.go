@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -437,5 +438,37 @@ func TestEntryPolicyPropagates(t *testing.T) {
 	}
 	if res.ProxyStats[0].Requests < 3 {
 		t.Errorf("proxy 0 saw %d requests, want >= 3", res.ProxyStats[0].Requests)
+	}
+}
+
+// TestSplitSourceRoundRobin: each of the n views yields exactly client k's
+// round-robin share of the stream (requests k, k+n, …) and declares that
+// count as its Total, including streams whose length n does not divide.
+func TestSplitSourceRoundRobin(t *testing.T) {
+	for _, n := range []int{2, 3, 64} {
+		for _, length := range []int{0, 1, n - 1, n, 5*n + 1, 1000} {
+			objs := make([]ids.ObjectID, length)
+			for i := range objs {
+				objs[i] = ids.ObjectID(1000 + i)
+			}
+			parts, err := splitSource(trace.NewSliceSource(objs), n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(parts) != n {
+				t.Fatalf("n=%d: %d sources", n, len(parts))
+			}
+			for k, p := range parts {
+				var want []ids.ObjectID
+				for i := k; i < length; i += n {
+					want = append(want, objs[i])
+				}
+				total := p.Total()
+				got := trace.Drain(p)
+				if !slices.Equal(got, want) || total != len(want) {
+					t.Errorf("n=%d length=%d client %d: Total %d, got %v, want %v", n, length, k, total, got, want)
+				}
+			}
+		}
 	}
 }

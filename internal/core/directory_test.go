@@ -638,12 +638,24 @@ func TestCheckInvariantsCatches(t *testing.T) {
 			tbl.arena.free = append(tbl.arena.free, known)
 		},
 		"table above capacity": func(tbl *Tables, _, _ *Entry) { tbl.single.capacity = 1 },
-		// Every entry's location is Proxy[1].
-		"replica set out of order":     func(_ *Tables, cached, _ *Entry) { cached.Replicas = []ids.NodeID{3, 2} },
-		"replica set repeats a holder": func(_ *Tables, _, known *Entry) { known.Replicas = []ids.NodeID{2, 2} },
-		"replica holder not a proxy":   func(_ *Tables, _, known *Entry) { known.Replicas = []ids.NodeID{ids.Origin} },
+		// Every entry's location is Proxy[1]. SetReplicas keeps unsorted
+		// input but drops repeats and non-proxies, so those two are
+		// written into the set it leaves.
+		"replica set out of order": func(tbl *Tables, cached, _ *Entry) {
+			tbl.SetReplicas(cached.Object, []ids.NodeID{3, 2}, ids.None, 4)
+		},
+		"replica set repeats a holder": func(tbl *Tables, _, known *Entry) {
+			tbl.SetReplicas(known.Object, []ids.NodeID{2, 3}, ids.None, 4)
+			known.Replicas()[1] = 2
+		},
+		"replica holder not a proxy": func(tbl *Tables, _, known *Entry) {
+			tbl.SetReplicas(known.Object, []ids.NodeID{2}, ids.None, 4)
+			known.Replicas()[0] = ids.Origin
+		},
 		"free-list entry keeps a replica set": func(tbl *Tables, _, _ *Entry) {
-			tbl.arena.free = append(tbl.arena.free, &Entry{Replicas: []ids.NodeID{2}})
+			e := &Entry{}
+			e.setReplicas([]ids.NodeID{2})
+			tbl.arena.free = append(tbl.arena.free, e)
 		},
 	}
 	for name, breakIt := range breaks {

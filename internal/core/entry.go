@@ -40,7 +40,9 @@ import (
 // Avg and Last (through Key) decide where an ordered table stores the
 // entry, and the default backend keeps a copy of the key beside its
 // pointer: never assign either while the entry sits in an ordered table.
-// 88 bytes; the unexported fields are the owning Tables' bookkeeping.
+// 64 bytes, one cache line: Location, noAge and kind share one word, and
+// the replica set, which only the replication extension fills, sits behind
+// one pointer. The unexported fields are the owning Tables' bookkeeping.
 type Entry struct {
 	// Object is the mapped object ID (the paper's URL column).
 	Object ids.ObjectID
@@ -50,6 +52,16 @@ type Entry struct {
 	// is responsible for the object and forwards unresolved requests for
 	// it to the origin server (§III.3.2).
 	Location ids.NodeID
+
+	// noAge freezes the aging term in Key for the aging-off ablation
+	// (Config.AgingOff); entries of one proxy all share the setting.
+	noAge bool
+
+	// kind is the table of the owning Tables that currently holds the
+	// entry (KindNone while it is in none). It shares Location's word,
+	// so the unified directory needs no kind of its own and moving an
+	// entry between tables is this one field write.
+	kind Kind
 
 	// Last is the proxy-local logical time of the most recent request
 	// for this object (the LAST column).
@@ -62,25 +74,9 @@ type Entry struct {
 	// Hits counts how many times the object has been requested here.
 	Hits int64
 
-	// Replicas is the bounded set of additional proxies known to hold the
-	// object, beyond Location — the hot-object replication extension
-	// (nil in stock ADC, where backwarding converges every object to one
-	// location). The set is kept sorted ascending without repeats, so
-	// routing and advertisement stay deterministic. SetReplicas and
-	// AddReplica never add Location, but a later change of Location can
-	// leave it in the set. Replicas does not participate in Key, so it may
-	// be mutated while the entry sits in an ordered table.
-	Replicas []ids.NodeID
-
-	// noAge freezes the aging term in Key for the aging-off ablation
-	// (Config.AgingOff); entries of one proxy all share the setting.
-	noAge bool
-
-	// kind is the table of the owning Tables that currently holds the
-	// entry (KindNone while it is in none). It shares noAge's padding, so
-	// the unified directory needs no kind of its own and moving an entry
-	// between tables is this one field write.
-	kind Kind
+	// replicas holds the replica set (see Replicas); nil while the set
+	// is empty, which in stock ADC is always.
+	replicas *[]ids.NodeID
 
 	// prev/next are intrusive list links used by whichever list-shaped
 	// table currently holds the entry (the LRU single-table, the
@@ -89,6 +85,35 @@ type Entry struct {
 	// links suffices and no per-table node allocation is ever needed.
 	// Unlinking always nils them.
 	prev, next *Entry
+}
+
+// Replicas returns the bounded set of additional proxies known to hold the
+// object, beyond Location — the hot-object replication extension (nil in
+// stock ADC, where backwarding converges every object to one location). The
+// set is kept sorted ascending without repeats, so routing and
+// advertisement stay deterministic. SetReplicas and AddReplica never add
+// Location, but a later change of Location can leave it in the set. The
+// set does not participate in Key, so Tables may change it while the entry
+// sits in an ordered table. The slice is the entry's own: callers must not
+// mutate it.
+func (e *Entry) Replicas() []ids.NodeID {
+	if e.replicas == nil {
+		return nil
+	}
+	return *e.replicas
+}
+
+// setReplicas makes set the entry's replica set. The first non-empty set
+// allocates the pointer's target; later ones reuse it.
+func (e *Entry) setReplicas(set []ids.NodeID) {
+	if len(set) == 0 {
+		e.replicas = nil
+		return
+	}
+	if e.replicas == nil {
+		e.replicas = new([]ids.NodeID)
+	}
+	*e.replicas = set
 }
 
 // NewEntry creates a first-sighting entry, initialized exactly as the

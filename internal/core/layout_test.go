@@ -1,0 +1,63 @@
+package core
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"github.com/adc-sim/adc/internal/ids"
+)
+
+// TestEntryLayout holds an entry to one cache line: 64 bytes, and an arena
+// slab whose first entry starts on a 64-byte boundary, so every entry
+// carved from it fills exactly one line.
+func TestEntryLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Entry{}); size != 64 {
+		t.Fatalf("unsafe.Sizeof(Entry{}) = %d, want 64", size)
+	}
+	var a entryArena
+	for slab := 0; slab < 3; slab++ {
+		first := a.get(ids.ObjectID(slab), 0, 1)
+		if addr := uintptr(unsafe.Pointer(first)); addr%64 != 0 {
+			t.Fatalf("slab %d starts at %#x, not on a 64-byte boundary", slab, addr)
+		}
+		a.slab = nil // the next get opens a fresh slab
+	}
+}
+
+// TestTablesBytesPerSlot bounds the live heap of one reference-size Tables
+// (20k/20k/10k, §V.2) filled by seeded churn: entries, arena slabs, the
+// ordered tables' blocks and the directory, per table slot. It reads
+// HeapAlloc after a full collection, so it must not run beside parallel
+// tests.
+func TestTablesBytesPerSlot(t *testing.T) {
+	const (
+		single, multiple, caching = 20_000, 20_000, 10_000
+		slots                     = single + multiple + caching
+		objects, updates          = 60_000, 400_000
+		maxBytesPerSlot           = 140
+	)
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	tbl := newTestTables(t, single, multiple, caching)
+	rng := rand.New(rand.NewSource(1))
+	for now := int64(1); now <= updates; now++ {
+		tbl.Recycle(tbl.Update(ids.ObjectID(rng.Intn(objects)), ids.NodeID(rng.Intn(5)), now))
+	}
+	after := heap()
+	if tbl.Len() != slots {
+		t.Fatalf("churn left %d entries, want all %d slots full", tbl.Len(), slots)
+	}
+	perSlot := float64(int64(after)-int64(before)) / slots
+	t.Logf("%.1f live bytes per slot (%d slots)", perSlot, slots)
+	if perSlot > maxBytesPerSlot {
+		t.Errorf("%.1f live bytes per table slot, want ≤ %d", perSlot, maxBytesPerSlot)
+	}
+	runtime.KeepAlive(tbl)
+}

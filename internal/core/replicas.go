@@ -27,8 +27,9 @@ func ContainsNode(set []ids.NodeID, n ids.NodeID) bool {
 // replicasValid reports whether e's replica set is what Entry.Replicas
 // promises: proxies only, ascending without repeats.
 func replicasValid(e *Entry) bool {
-	for i, n := range e.Replicas {
-		if !n.IsProxy() || (i > 0 && e.Replicas[i-1] >= n) {
+	set := e.Replicas()
+	for i, n := range set {
+		if !n.IsProxy() || (i > 0 && set[i-1] >= n) {
 			return false
 		}
 	}
@@ -61,7 +62,7 @@ func (t *Tables) ForwardSet(obj ids.ObjectID) (loc ids.NodeID, replicas []ids.No
 	if kind == KindNone {
 		return ids.None, nil, false
 	}
-	return e.Location, e.Replicas, true
+	return e.Location, e.Replicas(), true
 }
 
 // AvgOf returns obj's current moving-average inter-request gap, or false
@@ -86,7 +87,7 @@ func (t *Tables) SetReplicas(obj ids.ObjectID, nodes []ids.NodeID, exclude ids.N
 	if kind == KindNone {
 		return false
 	}
-	keep := e.Replicas[:0]
+	keep := e.Replicas()[:0]
 	for _, n := range nodes {
 		if n == exclude || n == e.Location || !n.IsProxy() {
 			continue
@@ -99,12 +100,9 @@ func (t *Tables) SetReplicas(obj ids.ObjectID, nodes []ids.NodeID, exclude ids.N
 			break
 		}
 	}
-	if len(keep) == 0 {
-		keep = nil
-	}
-	// In-place filtering is safe even when nodes aliases e.Replicas: each
+	// In-place filtering is safe even when nodes aliases e.Replicas(): each
 	// write lands at an index ≤ the one being read.
-	e.Replicas = keep
+	e.setReplicas(keep)
 	return true
 }
 
@@ -115,10 +113,11 @@ func (t *Tables) AddReplica(obj ids.ObjectID, node ids.NodeID, max int) bool {
 	if kind == KindNone || node == e.Location || !node.IsProxy() {
 		return false
 	}
-	if len(e.Replicas) >= max || ContainsNode(e.Replicas, node) {
+	set := e.Replicas()
+	if len(set) >= max || ContainsNode(set, node) {
 		return false
 	}
-	e.Replicas = InsertNode(e.Replicas, node)
+	e.setReplicas(InsertNode(set, node))
 	return true
 }
 
@@ -126,7 +125,7 @@ func (t *Tables) AddReplica(obj ids.ObjectID, node ids.NodeID, max int) bool {
 // reconvergence: stop advertising, let stale remote beliefs wash out).
 func (t *Tables) ClearReplicas(obj ids.ObjectID) {
 	if e, kind := t.locate(obj); kind != KindNone {
-		e.Replicas = nil
+		e.replicas = nil
 	}
 }
 
@@ -231,7 +230,7 @@ func (t *Tables) DropCached(obj ids.ObjectID, fallback ids.NodeID) (out Outcome,
 	if fallback.IsProxy() {
 		e.Location = fallback
 	}
-	e.Replicas = nil
+	e.replicas = nil
 	out = Outcome{From: KindCaching, To: KindSingle, CacheEvicted: e}
 	e.kind = KindSingle
 	out.Dropped = t.single.InsertTop(e)

@@ -282,8 +282,8 @@ func TestDropCachedDemotesToSingleTop(t *testing.T) {
 	if e.Location != 0 {
 		t.Fatalf("location = %v, want fallback 0", e.Location)
 	}
-	if e.Replicas != nil {
-		t.Fatalf("replicas = %v, want nil", e.Replicas)
+	if e.Replicas() != nil {
+		t.Fatalf("replicas = %v, want nil", e.Replicas())
 	}
 
 	if _, dropped := tbl.DropCached(1, 0); dropped {
@@ -318,8 +318,8 @@ func TestRecycledEntryHasNoReplicas(t *testing.T) {
 	out2 := tbl.Update(3, 2, 102)
 	tbl.Recycle(out2)
 	e, _ := tbl.Lookup(3)
-	if e.Replicas != nil {
-		t.Fatalf("recycled entry carries stale replicas %v", e.Replicas)
+	if e.Replicas() != nil {
+		t.Fatalf("recycled entry carries stale replicas %v", e.Replicas())
 	}
 }
 

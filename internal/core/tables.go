@@ -443,8 +443,8 @@ func (t *Tables) CheckInvariants() error {
 		}
 	}
 	for _, f := range t.arena.free {
-		if seen[f.Object] == f || f.kind != KindNone || f.prev != nil || f.next != nil || f.Replicas != nil {
-			return fmt.Errorf("arena free list holds a live entry (object %v, %v table, replicas %v)", f.Object, f.kind, f.Replicas)
+		if seen[f.Object] == f || f.kind != KindNone || f.prev != nil || f.next != nil || f.replicas != nil {
+			return fmt.Errorf("arena free list holds a live entry (object %v, %v table, replicas %v)", f.Object, f.kind, f.Replicas())
 		}
 	}
 	return nil
@@ -470,7 +470,7 @@ func (t *Tables) checkTable(seen map[ids.ObjectID]*Entry, kind Kind, length, cap
 		case t.dir != nil && t.dir.get(e.Object) != e:
 			err = fmt.Errorf("directory does not map object %v to its %v-table entry", e.Object, kind)
 		case !replicasValid(e):
-			err = fmt.Errorf("object %v has replica set %v: want proxies, ascending, without repeats", e.Object, e.Replicas)
+			err = fmt.Errorf("object %v has replica set %v: want proxies, ascending, without repeats", e.Object, e.Replicas())
 		}
 		seen[e.Object], prev = e, e
 		n++

@@ -143,11 +143,18 @@ func TestCheckInvariantsCatchesReplicaSets(t *testing.T) {
 	t.Cleanup(func() { _ = f.Close() })
 	p, obj := f.Proxies[0], ids.ObjectID(5)
 	teachLocation(p, obj, f.Proxies[1].ID())
+	// SetReplicas drops repeats, so plant distinct holders of the set's
+	// length and write the set over them.
 	setReplicas := func(set []ids.NodeID) {
 		p.mu.Lock()
 		defer p.mu.Unlock()
+		distinct := make([]ids.NodeID, len(set))
+		for i := range distinct {
+			distinct[i] = ids.NodeID(10 + i)
+		}
+		p.adc.Tables().SetReplicas(obj, distinct, ids.None, len(set))
 		e, _ := p.adc.Tables().Lookup(obj)
-		e.Replicas = set
+		copy(e.Replicas(), set)
 	}
 	for _, tc := range []struct {
 		name string

@@ -130,8 +130,8 @@ func TestSimAndFarmRunTheSameProtocol(t *testing.T) {
 					sa.Tables().Caching().Each, sa.Tables().Multiple().Each, sa.Tables().Single().Each,
 				} {
 					each(func(e *core.Entry) bool {
-						if _, got, _ := fp.adc.Tables().ForwardSet(e.Object); !slices.Equal(got, e.Replicas) {
-							t.Errorf("proxy %d %v: farm replica set %v, sim %v", i, e.Object, got, e.Replicas)
+						if _, got, _ := fp.adc.Tables().ForwardSet(e.Object); !slices.Equal(got, e.Replicas()) {
+							t.Errorf("proxy %d %v: farm replica set %v, sim %v", i, e.Object, got, e.Replicas())
 						}
 						return true
 					})

@@ -157,9 +157,10 @@ func (a *Agent) CheckInvariants() error {
 	}
 	var err error
 	check := func(e *core.Entry) bool {
-		for _, n := range e.Replicas {
-			if len(e.Replicas) > limit || !slices.Contains(a.peers, n) {
-				err = fmt.Errorf("object %v has replica set %v: want at most %d holders, each one of %v", e.Object, e.Replicas, limit, a.peers)
+		set := e.Replicas()
+		for _, n := range set {
+			if len(set) > limit || !slices.Contains(a.peers, n) {
+				err = fmt.Errorf("object %v has replica set %v: want at most %d holders, each one of %v", e.Object, set, limit, a.peers)
 				return false
 			}
 		}
