@@ -32,8 +32,9 @@ fmt-check:
 # trace reader (what adcsim -replay loads) and the JSON experiment file
 # (what adcsim -config reads) —
 # and over the engine's event queue, whose pop order every golden constant
-# rests on, and the two open-addressed tables every proxy message probes:
-# the mapping tables' directory and the request-ID table of pending passes.
+# rests on, the two open-addressed tables every proxy message probes (the
+# mapping tables' directory and the request-ID table of pending passes), and
+# the Zipf sampler's guide-table draw, held to a binary search over its CDF.
 # The committed seed corpora under testdata/fuzz also run as ordinary test
 # cases in `make test`.
 fuzz:
@@ -51,6 +52,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReqTable -fuzztime 10s ./internal/ids/
 	$(GO) test -run '^$$' -fuzz FuzzTraceReaders -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzConfigParse -fuzztime 10s ./internal/config/
+	$(GO) test -run '^$$' -fuzz FuzzZipfRank -fuzztime 10s ./internal/workload/
 
 # bench/ is a module of its own (BENCHMARK.json's driver), so `go build
 # ./...` and `go test ./...` at the root never compile it. It imports
@@ -257,18 +259,23 @@ chaos:
 bench-sweep:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# CPU + heap profiles of the engine benchmarks (cpu.out, mem.out) and of the
+# CPU + heap profiles of the engine benchmarks (cpu.out, mem.out), of the
 # mapping tables' update and lookup benchmarks at the reference 20k/20k/10k
-# shape (core-cpu.out, core-mem.out), one pair per layer, for pprof:
+# shape (core-cpu.out, core-mem.out) and of the request stream's generator
+# and Zipf draw (workload-cpu.out, workload-mem.out), one pair per layer,
+# for pprof:
 #   go tool pprof -top cpu.out
 #   go tool pprof -top -sample_index=alloc_objects mem.out
 #   go tool pprof -top core-cpu.out
+#   go tool pprof -top workload-cpu.out
 bench-profile:
 	$(GO) test -bench 'BenchmarkVEngineEcho|BenchmarkVEngineOpenLoop' -run '^$$' \
 		-cpuprofile cpu.out -memprofile mem.out ./internal/sim/
 	$(GO) test -bench 'BenchmarkTablesUpdate|BenchmarkTablesLookup' -run '^$$' \
 		-cpuprofile core-cpu.out -memprofile core-mem.out ./internal/core/
-	@echo "wrote cpu.out, mem.out, core-cpu.out and core-mem.out"
+	$(GO) test -bench 'BenchmarkGeneratorNext|BenchmarkZipfRank' -run '^$$' \
+		-cpuprofile workload-cpu.out -memprofile workload-mem.out ./internal/workload/
+	@echo "wrote cpu.out, mem.out, core-cpu.out, core-mem.out, workload-cpu.out and workload-mem.out"
 
 # Observability smoke: a small lossless traced run on the virtual-time
 # engine, the JSONL validated against the event schema and rebuilt into
@@ -309,4 +316,4 @@ figures:
 
 clean:
 	$(GO) clean ./...
-	rm -rf figures/*.csv cpu.out mem.out core-cpu.out core-mem.out sim.test core.test trace-smoke.jsonl trace-smoke.bin trace-smoke.*.txt telemetry-smoke.spans.json
+	rm -rf figures/*.csv cpu.out mem.out core-cpu.out core-mem.out workload-cpu.out workload-mem.out sim.test core.test workload.test trace-smoke.jsonl trace-smoke.bin trace-smoke.*.txt telemetry-smoke.spans.json

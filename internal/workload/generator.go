@@ -121,28 +121,29 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate reports the first configuration error after defaulting.
+// Validate reports the first configuration error after defaulting. Each
+// range test on a float field is written so that NaN fails it.
 func (c Config) Validate() error {
 	c = c.withDefaults()
 	if c.TotalRequests <= 0 {
 		return fmt.Errorf("workload: TotalRequests must be positive, got %d", c.TotalRequests)
 	}
-	if c.FillFraction <= 0 || c.FillFraction >= 1 {
+	if !(c.FillFraction > 0 && c.FillFraction < 1) {
 		return fmt.Errorf("workload: FillFraction must be in (0,1), got %v", c.FillFraction)
 	}
-	if c.PopulationFraction <= 0 || c.PopulationFraction > 1 {
+	if !(c.PopulationFraction > 0 && c.PopulationFraction <= 1) {
 		return fmt.Errorf("workload: PopulationFraction must be in (0,1], got %v", c.PopulationFraction)
 	}
 	if c.PopulationSize < 0 {
 		return fmt.Errorf("workload: PopulationSize must be non-negative, got %d", c.PopulationSize)
 	}
-	if c.Alpha <= 0 {
-		return fmt.Errorf("workload: Alpha must be positive, got %v", c.Alpha)
+	if err := validAlpha(c.Alpha); err != nil {
+		return err
 	}
-	if c.FillRepeatProb >= 1 {
+	if !(c.FillRepeatProb < 1) {
 		return fmt.Errorf("workload: FillRepeatProb must be below 1, got %v", c.FillRepeatProb)
 	}
-	if c.OneTimerProb >= 1 {
+	if !(c.OneTimerProb < 1) {
 		return fmt.Errorf("workload: OneTimerProb must be below 1, got %v", c.OneTimerProb)
 	}
 	return nil

@@ -44,7 +44,8 @@ func (c ShiftConfig) withDefaults() ShiftConfig {
 	return c
 }
 
-// Validate reports the first configuration error.
+// Validate reports the first configuration error. Like Config.Validate's,
+// its float tests are written so that NaN fails them.
 func (c ShiftConfig) Validate() error {
 	c = c.withDefaults()
 	if c.TotalRequests <= 0 {
@@ -56,7 +57,10 @@ func (c ShiftConfig) Validate() error {
 	if c.Population <= 0 {
 		return fmt.Errorf("workload: Population must be positive, got %d", c.Population)
 	}
-	if c.OneTimerProb >= 1 {
+	if err := validAlpha(c.Alpha); err != nil {
+		return err
+	}
+	if !(c.OneTimerProb < 1) {
 		return fmt.Errorf("workload: OneTimerProb must be below 1, got %v", c.OneTimerProb)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"github.com/adc-sim/adc/internal/ids"
@@ -16,6 +17,9 @@ func TestShiftConfigValidate(t *testing.T) {
 		{TotalRequests: 100, Population: 5},
 		{TotalRequests: 100, Period: 10},
 		{TotalRequests: 100, Period: 10, Population: 5, OneTimerProb: 1},
+		{TotalRequests: 100, Period: 10, Population: 5, OneTimerProb: math.NaN()},
+		{TotalRequests: 100, Period: 10, Population: 5, Alpha: -1},
+		{TotalRequests: 100, Period: 10, Population: 5, Alpha: math.NaN()},
 	}
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {
