@@ -261,13 +261,15 @@ bench-sweep:
 
 # CPU + heap profiles of the engine benchmarks (cpu.out, mem.out), of the
 # mapping tables' update and lookup benchmarks at the reference 20k/20k/10k
-# shape (core-cpu.out, core-mem.out) and of the request stream's generator
-# and Zipf draw (workload-cpu.out, workload-mem.out), one pair per layer,
-# for pprof:
+# shape (core-cpu.out, core-mem.out), of the request stream's generator
+# and Zipf draw (workload-cpu.out, workload-mem.out) and of the farm hop,
+# a local hit and a forwarded miss over loopback (httpproxy-cpu.out,
+# httpproxy-mem.out), one pair per layer, for pprof:
 #   go tool pprof -top cpu.out
 #   go tool pprof -top -sample_index=alloc_objects mem.out
 #   go tool pprof -top core-cpu.out
 #   go tool pprof -top workload-cpu.out
+#   go tool pprof -top -sample_index=alloc_space httpproxy-mem.out
 bench-profile:
 	$(GO) test -bench 'BenchmarkVEngineEcho|BenchmarkVEngineOpenLoop' -run '^$$' \
 		-cpuprofile cpu.out -memprofile mem.out ./internal/sim/
@@ -275,7 +277,9 @@ bench-profile:
 		-cpuprofile core-cpu.out -memprofile core-mem.out ./internal/core/
 	$(GO) test -bench 'BenchmarkGeneratorNext|BenchmarkZipfRank' -run '^$$' \
 		-cpuprofile workload-cpu.out -memprofile workload-mem.out ./internal/workload/
-	@echo "wrote cpu.out, mem.out, core-cpu.out, core-mem.out, workload-cpu.out and workload-mem.out"
+	$(GO) test -bench 'BenchmarkHandleHit|BenchmarkForwardedMiss' -run '^$$' \
+		-cpuprofile httpproxy-cpu.out -memprofile httpproxy-mem.out ./internal/httpproxy/
+	@echo "wrote cpu.out, mem.out, core-cpu.out, core-mem.out, workload-cpu.out, workload-mem.out, httpproxy-cpu.out and httpproxy-mem.out"
 
 # Observability smoke: a small lossless traced run on the virtual-time
 # engine, the JSONL validated against the event schema and rebuilt into
@@ -316,4 +320,4 @@ figures:
 
 clean:
 	$(GO) clean ./...
-	rm -rf figures/*.csv cpu.out mem.out core-cpu.out core-mem.out workload-cpu.out workload-mem.out sim.test core.test workload.test trace-smoke.jsonl trace-smoke.bin trace-smoke.*.txt telemetry-smoke.spans.json
+	rm -rf figures/*.csv cpu.out mem.out core-cpu.out core-mem.out workload-cpu.out workload-mem.out httpproxy-cpu.out httpproxy-mem.out sim.test core.test workload.test httpproxy.test trace-smoke.jsonl trace-smoke.bin trace-smoke.*.txt telemetry-smoke.spans.json

@@ -146,14 +146,6 @@ func (r *connReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// reply is what one round trip allocates for its answer: the response,
-// its body, and the backing of the header's values.
-type reply struct {
-	resp http.Response
-	body body
-	vals [8]string
-}
-
 // RoundTrip implements http.RoundTripper.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if req.URL == nil {
@@ -244,15 +236,15 @@ func (t *Transport) exchange(ctx context.Context, c *persistConn, req *http.Requ
 		return fail(err)
 	}
 	text := string(head)
-	r := &reply{}
-	resp := &r.resp
-	resp.Header = make(http.Header, len(r.vals))
-	vals := r.vals[:]
+	b := bodyPool.Get().(*body)
+	resp := &b.resp
+	vals := b.vals[:]
 	if n := headLines(text); n > len(vals) {
 		vals = make([]string, n)
 	}
-	r.body.br = c.br
-	if err := parseResponse(text, req.Method, resp, vals, &r.body.bodyReader); err != nil {
+	b.br = c.br
+	// On a failure from here on, b is left to the collector.
+	if err := parseResponse(text, req.Method, resp, vals, &b.bodyReader); err != nil {
 		return fail(err)
 	}
 	resp.Request = req
@@ -269,7 +261,6 @@ func (t *Transport) exchange(ctx context.Context, c *persistConn, req *http.Requ
 	if err := ctx.Err(); err != nil {
 		return fail(err)
 	}
-	b := &r.body
 	b.t, b.c, b.ctx, b.stop, b.keep = t, c, ctx, stop, !resp.Close && !req.Close
 	if b.n == 0 {
 		resp.Body = http.NoBody
@@ -280,9 +271,17 @@ func (t *Transport) exchange(ctx context.Context, c *persistConn, req *http.Requ
 	return resp, true, nil
 }
 
-// body is a reply body read straight off its connection. At EOF it hands
-// the connection back to the pool; closed early, or on a read error, it
-// closes the connection, since the rest of the reply is still on it.
+// body is one round trip's reply: the body, read straight off its
+// connection, in one allocation with the response and the backing of its
+// header's values. At EOF it hands the connection back to the pool;
+// closed early, or on a read error, it closes the connection, since the
+// rest of the reply is still on it.
+//
+// Bodies come from bodyPool, and only the proxy's own upstream fetch
+// hands one back (recycle): the response RoundTrip returns to any other
+// caller is never reused. A body is not kept on its persistConn, whose
+// EOF pools the connection for another round trip before the fetch has
+// read the reply's head.
 type body struct {
 	bodyReader
 	t    *Transport
@@ -291,7 +290,19 @@ type body struct {
 	stop func() bool // unregisters the cancellation hook; nil if none
 	keep bool        // pool the connection at EOF
 	err  error       // what Read returns once c is released
+	resp http.Response
+	vals [8]string
 }
+
+var bodyPool = sync.Pool{New: func() any {
+	b := &body{}
+	b.resp.Header = make(http.Header, len(b.vals))
+	return b
+}}
+
+// maxPooledFields bounds the header map a pooled body keeps: a reply with
+// more fields than any farm hop sends is left to the collector.
+const maxPooledFields = 32
 
 var errBodyClosed = errors.New("httpproxy: read on closed response body")
 
@@ -331,6 +342,21 @@ func (b *body) release(keep bool, err error) {
 	} else {
 		c.nc.Close() //nolint:errcheck // nothing is left to read from it
 	}
+}
+
+// recycle clears b, keeping its header map's buckets, and hands it back
+// to bodyPool once it has released its connection (read to EOF, failed or
+// closed). Only Proxy.fetch calls it, after it has read the body, closed
+// it and decoded the head: the response, its header and its body are
+// then dead.
+func (b *body) recycle() {
+	h := b.resp.Header
+	if b.c != nil || len(h) > maxPooledFields {
+		return
+	}
+	clear(h)
+	*b = body{resp: http.Response{Header: h}}
+	bodyPool.Put(b)
 }
 
 // takeIdle pops host addr's most recently used idle connection. The

@@ -2,7 +2,6 @@ package httpproxy
 
 import (
 	"errors"
-	"net/http"
 	"sync"
 
 	"github.com/adc-sim/adc/internal/ids"
@@ -25,12 +24,15 @@ import (
 // leader's fetch can only block on non-coalesced work, which terminates
 // via loop detection or the origin.
 
-// flightResult is the part of an upstream response every waiter shares.
-// The body is written verbatim to each waiter and stored at most once;
-// payloads are immutable, so sharing the slice is safe.
+// flightResult is the part of an upstream response every waiter shares:
+// the body, the status and the head fetch decoded, which refer to none of
+// the hop state fetch recycles. The body is written verbatim to each
+// waiter and stored at most once; payloads are immutable, so sharing the
+// slice is safe, and so is sharing the head's replica set, which is only
+// read.
 type flightResult struct {
 	body   []byte
-	hdr    http.Header
+	head   replyHead
 	status int
 	err    error
 }

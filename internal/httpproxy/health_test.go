@@ -246,7 +246,7 @@ func TestFetchRefusesDownPeer(t *testing.T) {
 	}
 
 	sc := entry.spanContext(http.Header{}, 0)
-	if _, _, _, err := entry.fetch(peer.URL(), peer.ID(), "", ids.ObjectID(9), "refused-1", 1, sc); err == nil {
+	if res := entry.fetch(peer.URL(), peer.ID(), "", ids.ObjectID(9), "refused-1", 1, sc); res.err == nil {
 		t.Fatal("fetch to a peer held down succeeded")
 	}
 	if got := peer.Stats().Requests; got != 0 {

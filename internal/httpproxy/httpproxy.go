@@ -245,14 +245,33 @@ type Proxy struct {
 	// carry X-Adc-Sender and arrivals parse it.
 	replicating bool
 
+	// book is the installed peer address book, replaced whole by SetPeers
+	// and read without mu: a reply's head is decoded against it off-lock.
+	book atomic.Pointer[peerBook]
+
 	mu      sync.Mutex
 	srv     *server         // current server and listener; replaced by Restart
 	killed  bool            // Kill..Restart window (chaos harness)
 	adc     *protocol.Agent // the protocol core: tables, rng, clock, counters
 	store   map[ids.ObjectID][]byte
 	pending map[string]int
-	peerURL map[ids.NodeID]string
-	names   map[ids.NodeID][]string // each peer's X-Adc-Resolver value
+}
+
+// peerBook is one installed address book. It is never modified once
+// stored in Proxy.book.
+type peerBook struct {
+	self  ids.NodeID
+	urls  map[ids.NodeID]string   // each peer's base URL, this proxy's included
+	names map[ids.NodeID][]string // each peer's X-Adc-Resolver value
+}
+
+// known returns n if it is this proxy or a peer in the book, and ids.None
+// otherwise.
+func (b *peerBook) known(n ids.NodeID) ids.NodeID {
+	if _, ok := b.urls[n]; ok || n == b.self {
+		return n
+	}
+	return ids.None
 }
 
 // FaultTolerance configures the farm's fault-tolerance layer: peer health
@@ -371,10 +390,10 @@ func NewProxy(cfg Config) (*Proxy, error) {
 		adc:      agent,
 		store:    make(map[ids.ObjectID][]byte),
 		pending:  make(map[string]int),
-		peerURL:  make(map[ids.NodeID]string),
 
 		replicating: cfg.Replication.Enabled,
 	}
+	p.book.Store(&peerBook{self: cfg.ID})
 	// The payload store is exactly the caching table's membership: bodies
 	// go in when the core reports it holds the object, and out here.
 	agent.OnEvict(func(obj ids.ObjectID) { delete(p.store, obj) })
@@ -401,20 +420,22 @@ func (p *Proxy) URL() string { return p.url }
 func (p *Proxy) ID() ids.NodeID { return p.id }
 
 // SetPeers installs the full peer address book (including this proxy).
+// The book is the set of proxies a reply may name: a resolver or replica
+// holder outside it reads as absent (see decodeHead).
 func (p *Proxy) SetPeers(urls map[ids.NodeID]string) {
 	peers := make([]ids.NodeID, 0, len(urls))
 	for id := range urls {
 		peers = append(peers, id)
 	}
 	slices.Sort(peers) // deterministic order for the random selection
+	book := &peerBook{self: p.id, urls: urls, names: make(map[ids.NodeID][]string, len(peers))}
+	for _, id := range peers {
+		book.names[id] = []string{id.String()}
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.adc.SetPeers(peers)
-	p.peerURL = urls
-	p.names = make(map[ids.NodeID][]string, len(peers))
-	for _, id := range peers {
-		p.names[id] = []string{id.String()}
-	}
+	p.book.Store(book)
 	if p.ft.Health.Enabled && p.health.Load() == nil {
 		p.health.Store(newHealthMonitor(p.ft.Health, p.id, urls, p.isBlocked))
 	}
@@ -656,7 +677,7 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, 
 	// Receive_Request (Fig. 5) under the lock: a local hit answers at once.
 	sender := ids.None
 	if p.replicating {
-		sender = parseNodeID(r.Header.Get(HeaderSender))
+		sender = p.book.Load().known(parseNodeID(r.Header.Get(HeaderSender)))
 	}
 	p.mu.Lock()
 	hit, outcome, adv := p.adc.Arrive(obj, sender)
@@ -721,15 +742,14 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, 
 	// Receive_Reply (Fig. 7): the core learns the location and decides the
 	// claim; the payload passing by is stored exactly when the caching
 	// table took the object.
-	upstream := decodeAdvert(res.hdr)
 	p.mu.Lock()
-	l := p.adc.Learn(obj, parseNodeID(res.hdr.Get(HeaderResolver)), res.hdr.Get(HeaderCached) == "1", sender, upstream)
+	l := p.adc.Learn(obj, res.head.resolver, res.head.cached, sender, res.head.advert)
 	if l.Holds {
 		p.store[obj] = res.body
 	}
 	l.Advert.Replicas = slices.Clone(l.Advert.Replicas) // may alias table memory
-	resolver := p.names[l.Resolver]
 	p.mu.Unlock()
+	resolver := p.book.Load().names[l.Resolver]
 	if resolver == nil {
 		resolver = []string{l.Resolver.String()}
 	}
@@ -740,7 +760,7 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request, obj ids.ObjectID, 
 	if l.Cached {
 		h[HeaderCached] = headerOne
 	}
-	if res.hdr.Get(HeaderOrigin) == "1" {
+	if res.head.fromOrigin {
 		h[HeaderOrigin] = headerOne
 	}
 	encodeAdvert(h, l.Advert)
@@ -768,12 +788,11 @@ func (p *Proxy) resolveMiss(obj ids.ObjectID, reqID string, forwards int, looped
 	upNode, reason := p.adc.Route(obj, looped, atMax, forwards == 0, routable)
 	upstream := p.origin
 	if upNode.IsProxy() {
-		upstream = p.peerURL[upNode]
+		upstream = p.book.Load().urls[upNode] // the book Route's peers came from
 	}
 	p.mu.Unlock()
 
-	var res flightResult
-	res.body, res.hdr, res.status, res.err = p.fetch(upstream, upNode, obs.ForwardReasonString(reason), obj, reqID, forwards+1, sc)
+	res := p.fetch(upstream, upNode, obs.ForwardReasonString(reason), obj, reqID, forwards+1, sc)
 
 	p.mu.Lock()
 	// Retire the stored backwarding pass.
@@ -817,9 +836,7 @@ func (p *Proxy) resolveEntry(obj ids.ObjectID, reqID string, sc *spanCtx) flight
 	// fed the health monitor, so routing is healing; this keeps the
 	// client whole in the meantime.
 	p.failover.Add(1)
-	var alt flightResult
-	alt.body, alt.hdr, alt.status, alt.err = p.fetch(p.origin, ids.Origin, "", obj, reqID, 1, sc.tagged("failover"))
-	if resolved(alt) {
+	if alt := p.fetch(p.origin, ids.Origin, "", obj, reqID, 1, sc.tagged("failover")); resolved(alt) {
 		return alt
 	}
 	return res // origin failed too; report the original chain error
@@ -845,11 +862,7 @@ func (p *Proxy) resolveMissHedged(obj ids.ObjectID, reqID string, sc *spanCtx) f
 	}
 	p.hedged.Add(1)
 	hedge := make(chan flightResult, 1)
-	go func() {
-		var res flightResult
-		res.body, res.hdr, res.status, res.err = p.fetch(p.origin, ids.Origin, "", obj, reqID, 1, sc.tagged("hedge"))
-		hedge <- res
-	}()
+	go func() { hedge <- p.fetch(p.origin, ids.Origin, "", obj, reqID, 1, sc.tagged("hedge")) }()
 	select {
 	case res := <-primary:
 		if resolved(res) {
@@ -869,15 +882,23 @@ func (p *Proxy) resolveMissHedged(obj ids.ObjectID, reqID string, sc *spanCtx) f
 	}
 }
 
-// fetch issues the upstream GET carrying the ADC headers. dest names the
-// destination node so the fault-tolerance layer can attribute the outcome:
-// a partition blocks the connection up front, a peer the health monitor
-// holds down (a fetch that raced past Route's check) is refused without a
-// connection, and the connection result feeds dest's health machine. Only
-// transport errors count against a peer — a live proxy answering 5xx is a
-// content problem, not a dead process. why is Route's reason for dest, ""
-// for a fetch Route did not choose; the fetch's span carries it.
-func (p *Proxy) fetch(base string, dest ids.NodeID, why string, obj ids.ObjectID, reqID string, forwards int, sc *spanCtx) ([]byte, http.Header, int, error) {
+// fetch issues the upstream GET carrying the ADC headers and returns the
+// reply's body, status and decoded head. dest names the destination node
+// so the fault-tolerance layer can attribute the outcome: a partition
+// blocks the connection up front, a peer the health monitor holds down (a
+// fetch that raced past Route's check) is refused without a connection,
+// and the connection result feeds dest's health machine. Only transport
+// errors count against a peer — a live proxy answering 5xx is a content
+// problem, not a dead process. why is Route's reason for dest, "" for a
+// fetch Route did not choose; the fetch's span carries it.
+//
+// A hop's state is reused, and fetch alone owns it. The request comes
+// from upstreamPool and goes back once the reply's body is closed, which
+// is when http.RoundTripper lets a caller reuse a request. A reply the
+// package's own Transport made goes back to its pool (body.recycle) once
+// its body is read and closed and its head decoded. Nothing fetch returns
+// refers to either.
+func (p *Proxy) fetch(base string, dest ids.NodeID, why string, obj ids.ObjectID, reqID string, forwards int, sc *spanCtx) flightResult {
 	start := nowUs()
 	stage := metrics.StageForward
 	if !dest.IsProxy() {
@@ -888,23 +909,23 @@ func (p *Proxy) fetch(base string, dest ids.NodeID, why string, obj ids.ObjectID
 	if dest.IsProxy() && p.isBlocked(dest) {
 		m.reportFailure(dest)
 		sc.record(0, stage.String(), start, nowUs(), obj, detail, "partitioned")
-		return nil, nil, 0, fmt.Errorf("httpproxy: %v unreachable from %v (partitioned)", dest, p.id)
+		return flightResult{err: fmt.Errorf("httpproxy: %v unreachable from %v (partitioned)", dest, p.id)}
 	}
 	if dest.IsProxy() && !m.routable(dest) {
 		p.refused.Add(1)
 		sc.record(0, obs.SpanPeerDownRefusal, start, nowUs(), obj, detail, "peer down")
-		return nil, nil, 0, fmt.Errorf("httpproxy: fetch %v: peer down", dest)
+		return flightResult{err: fmt.Errorf("httpproxy: fetch %v: peer down", dest)}
 	}
 	host, ok := strings.CutPrefix(base, "http://")
 	if !ok || host == "" || strings.ContainsAny(host, "/?#") {
-		return nil, nil, 0, fmt.Errorf("httpproxy: upstream %q is not an http://host:port URL", base)
+		return flightResult{err: fmt.Errorf("httpproxy: upstream %q is not an http://host:port URL", base)}
 	}
 	// The request is built by hand and handed to the RoundTripper: no URL
 	// to parse, no redirect loop and no header copies for one, and each
 	// header value's slice is cut from one array.
-	up := &upstreamRequest{}
+	up := upstreamPool.Get().(*upstreamRequest)
+	h := up.req.Header
 	up.url = url.URL{Scheme: "http", Host: host, Path: objPath(obj)}
-	h := make(http.Header, 5)
 	up.vals[0], up.vals[1] = reqID, strconv.Itoa(forwards)
 	h[HeaderRequestID], h[HeaderForwards] = up.vals[0:1:1], up.vals[1:2:2]
 	up.req = http.Request{
@@ -931,29 +952,82 @@ func (p *Proxy) fetch(base string, dest ids.NodeID, why string, obj ids.ObjectID
 		}
 	}
 	if err != nil {
+		// up is not pooled: with no response body to close, nothing says
+		// when an arbitrary RoundTripper is done with the request.
 		sc.record(spanID, stage.String(), start, nowUs(), obj, detail, err.Error())
-		return nil, nil, 0, fmt.Errorf("httpproxy: upstream fetch: %w", err)
+		return flightResult{err: fmt.Errorf("httpproxy: upstream fetch: %w", err)}
 	}
-	defer resp.Body.Close() //nolint:errcheck // read side
-	body, err := readBody(resp)
+	res := flightResult{status: resp.StatusCode}
+	res.body, err = readBody(resp)
+	resp.Body.Close() //nolint:errcheck // read side
+	if err == nil {
+		res.head = p.decodeHead(resp.Header)
+	}
+	if b, ok := resp.Body.(*body); ok {
+		b.recycle()
+	}
+	up.free()
 	if err != nil {
 		sc.record(spanID, stage.String(), start, nowUs(), obj, detail, err.Error())
-		return nil, nil, 0, fmt.Errorf("httpproxy: read upstream body: %w", err)
+		return flightResult{err: fmt.Errorf("httpproxy: read upstream body: %w", err)}
 	}
 	spanErr := ""
-	if resp.StatusCode != http.StatusOK {
-		spanErr = "status " + strconv.Itoa(resp.StatusCode)
+	if res.status != http.StatusOK {
+		spanErr = "status " + strconv.Itoa(res.status)
 	}
 	p.observe(sc, spanID, stage, start, obj, detail, spanErr)
-	return body, resp.Header, resp.StatusCode, nil
+	return res
 }
 
 // upstreamRequest is one upstream fetch's request, its URL and the
-// backing of its header's values, in one allocation.
+// backing of its header's values, in one allocation that upstreamPool
+// keeps with the request's header map.
 type upstreamRequest struct {
 	req  http.Request
 	url  url.URL
 	vals [3]string
+}
+
+var upstreamPool = sync.Pool{New: func() any {
+	return &upstreamRequest{req: http.Request{Header: make(http.Header, 5)}}
+}}
+
+// free clears up, keeping its header map's buckets, and pools it again.
+func (up *upstreamRequest) free() {
+	h := up.req.Header
+	clear(h)
+	*up = upstreamRequest{req: http.Request{Header: h}}
+	upstreamPool.Put(up)
+}
+
+// replyHead is what serve needs of an upstream reply's head, decoded once
+// per hop by fetch: the agreed location (ids.None for origin data), the
+// cached and from-origin flags and the replica advertisement.
+type replyHead struct {
+	resolver   ids.NodeID
+	cached     bool
+	fromOrigin bool
+	advert     protocol.Advert
+}
+
+// decodeHead decodes a reply's head against the installed book. A
+// resolver or replica holder that is neither this proxy nor in the book
+// reads as absent: learned, it would route the object to a proxy with no
+// URL, and put a holder into the replica set that the protocol core's
+// invariants refuse. A reply naming an unknown resolver is thus origin
+// data, which the first proxy on the path claims.
+func (p *Proxy) decodeHead(h http.Header) replyHead {
+	book := p.book.Load()
+	head := replyHead{
+		resolver:   book.known(parseNodeID(h.Get(HeaderResolver))),
+		cached:     h.Get(HeaderCached) == "1",
+		fromOrigin: h.Get(HeaderOrigin) == "1",
+		advert:     decodeAdvert(h),
+	}
+	head.advert.Replicas = slices.DeleteFunc(head.advert.Replicas, func(n ids.NodeID) bool {
+		return book.known(n) == ids.None
+	})
+	return head
 }
 
 // objPath is ObjectURL's path: /obj/<id>.
