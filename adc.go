@@ -88,8 +88,7 @@ const (
 	// RuntimeVirtualTime is the discrete-event engine: every transfer
 	// is delayed by a latency model (Config.Latency), producing
 	// response-time metrics; required for open-loop injection, faults,
-	// recovery and tick-bucketed metrics. Config.Shards spreads it over
-	// several cores with byte-identical results.
+	// recovery and tick-bucketed metrics.
 	RuntimeVirtualTime Runtime = "vtime"
 )
 
@@ -222,11 +221,6 @@ type Config struct {
 	// Result.Buckets every this many virtual ticks (requires
 	// RuntimeVirtualTime; 0 disables).
 	MetricsEvery int64
-
-	// Shards is the worker-shard count for RuntimeVirtualTime; 0 and 1
-	// are the sequential run. Results are byte-identical at every value,
-	// with every feature.
-	Shards int
 }
 
 // FaultPlan is a deterministic failure schedule: the engine's own type. All
@@ -397,7 +391,6 @@ func (c Config) toInternal() (cluster.Config, error) {
 		MetricsEvery:        c.MetricsEvery,
 		ResponseBuckets:     c.ResponseBuckets,
 		ResponseBucketTicks: c.ResponseBucketTicks,
-		Shards:              c.Shards,
 	}, nil
 }
 

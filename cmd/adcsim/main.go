@@ -8,7 +8,7 @@
 //	adcsim                              # ADC, the paper's setup at 1/10 scale (399k requests)
 //	adcsim -algo carp -requests 1000000
 //	adcsim -proxies 8 -single 5000 -multiple 5000 -caching 2000
-//	adcsim -runtime vtime -shards 2     # virtual time, spread over two shards
+//	adcsim -runtime vtime               # virtual time: response times too
 //	adcsim -write-trace trace.bin       # write the default run's stream, print its statistics
 //	adcsim -replay trace.bin            # replay it: the same run as a flagless adcsim
 //	adcsim -from-squid access.log       # simulate the requests of a Squid log
@@ -20,7 +20,7 @@
 // The flag defaults are that default experiment, so a flagless run and
 // -config of the written file are the same run. With -config, the file
 // describes the experiment and a flag that would too is refused; the run's
-// other flags (-trace, -metrics-every, -shards, -replay, -v, -quiet, the
+// other flags (-trace, -metrics-every, -replay, -v, -quiet, the
 // profiles) apply to either. Each mode (-config, -write-trace, -dump) and
 // each recorded source (-replay, -from-squid) refuses by name a flag it
 // does not read.
@@ -67,7 +67,6 @@ func run(args []string) error {
 		maxHops      = fs.Int("maxhops", def.MaxHops, "forwarding bound (0 = unbounded)")
 		seed         = fs.Int64("seed", def.Seed, "random seed")
 		runtime      = fs.String("runtime", "sequential", "runtime: sequential or vtime")
-		shards       = fs.Int("shards", 0, "worker shards for -runtime vtime (0 or 1 = sequential; results are identical at every count)")
 		backend      = fs.String("backend", "", "ordered-table backend: btree (default), slice or list")
 		entry        = fs.String("entry", "random", "entry policy: random, round-robin or fixed")
 		requests     = fs.Int("requests", def.Workload.Requests, "synthetic workload length")
@@ -152,7 +151,6 @@ func run(args []string) error {
 	if *dump >= ccfg.NumProxies {
 		return fmt.Errorf("-dump proxy %d out of range (0..%d)", *dump, ccfg.NumProxies-1)
 	}
-	ccfg.Shards = *shards
 	ccfg.MetricsEvery = *metricsEvery
 	var tracer *obs.Tracer
 	if *traceOn {
@@ -399,7 +397,7 @@ var writeReads = []string{"write-trace", "from-squid", "config", "seed", "alpha"
 // dumpRefuses names the flags a -dump run cannot honour: it runs the
 // sequential engine over a generated workload, untraced and lossless, as
 // the flags (not a file) describe it.
-var dumpRefuses = []string{"config", "faults", "from-squid", "metrics-every", "recovery", "replay", "runtime", "shards", "trace"}
+var dumpRefuses = []string{"config", "faults", "from-squid", "metrics-every", "recovery", "replay", "runtime", "trace"}
 
 // refuseUnread fails, naming the flag, if a flag was set that the selected
 // mode (-write-trace, -dump) or recorded source (-replay, -from-squid) does

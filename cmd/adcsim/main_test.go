@@ -52,7 +52,7 @@ func checkRefuses(t *testing.T, base []string, flags ...string) {
 // a generated workload, so a flag that asks for anything else is refused.
 func TestDumpRefusesFlagsItCannotHonour(t *testing.T) {
 	checkRefuses(t, dumpArgs,
-		"-runtime=vtime", "-shards=2", "-replay=trace.bin", "-trace",
+		"-runtime=vtime", "-replay=trace.bin", "-trace",
 		"-metrics-every=1000", "-faults=loss=0.01", "-recovery=", "-config=exp.json")
 }
 

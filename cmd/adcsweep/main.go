@@ -69,9 +69,9 @@ var studies = []study{
 	{name: "hops", title: "Figure 14: hops by table size", figure: true,
 		csv: []string{"figure14_hops_by_size.csv"}, ignores: lossFlags, run: hopsBySize.run},
 	// Fig. 15 times the sequential engine on the paper's O(n) list tables;
-	// another backend or a sharded run would time a different machine.
+	// another backend would time a different machine.
 	{name: "time", title: "Figure 15: processing time by table size (paper-faithful O(n) tables)", figure: true,
-		csv: []string{"figure15_time_by_size.csv"}, ignores: append([]string{"backend", "shards"}, lossFlags...), run: timeBySize.run},
+		csv: []string{"figure15_time_by_size.csv"}, ignores: append([]string{"backend"}, lossFlags...), run: timeBySize.run},
 	{name: "maxhops", title: "Extension: max-hops bound", figure: true,
 		csv: []string{"ext_maxhops.csv"}, ignores: lossFlags, run: (*app).maxHops},
 	{name: "ablations", title: "Extension: selective-caching and aging ablations", figure: true,
@@ -90,10 +90,8 @@ var studies = []study{
 		csv: []string{"resilience.csv"}, run: (*app).resilience},
 	{name: "convergence", title: "Convergence: location-convergence time vs caching-table size",
 		csv: []string{"convergence.csv"}, ignores: lossFlags, run: (*app).convergence},
-	// The load-spread scenario fixes its own runtime, so -shards never
-	// reaches it.
 	{name: "loadspread", title: "Load spread: imbalance with and without hot-object replication",
-		csv: []string{"loadspread.csv"}, ignores: append([]string{"shards"}, lossFlags...), run: (*app).loadSpread},
+		csv: []string{"loadspread.csv"}, ignores: lossFlags, run: (*app).loadSpread},
 }
 
 // app is what every study reads: the profile the flags build, -out, the
@@ -120,7 +118,6 @@ func run(args []string) error {
 		backend    = fs.String("backend", "", "ordered-table backend: btree (default), slice or list")
 		out        = fs.String("out", "", "write each study's CSVs into this directory, under fixed names")
 		parallel   = fs.Int("parallel", runtime.NumCPU(), "concurrent simulations (1 = sequential; use 1 for -metric time)")
-		shards     = fs.Int("shards", 0, "run each simulation on the virtual-time engine with this many shards (0 = default runtime; results are identical)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file")
 		verbose    = fs.Bool("v", false, "verbose stderr logging")
@@ -141,9 +138,6 @@ func run(args []string) error {
 	if err := clilog.Refuse(fs, "is not read by -metric "+*metric, ignored(selected)...); err != nil {
 		return err
 	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be non-negative, got %d", *shards)
-	}
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		return err
@@ -152,8 +146,7 @@ func run(args []string) error {
 	a := &app{
 		profile: adc.Profile{
 			Scale: *scale, Seed: *seed, Proxies: *proxies, Parallel: *parallel,
-			Backend: adc.TableBackend(*backend), Shards: *shards,
-			Progress: progressLine(log),
+			Backend: adc.TableBackend(*backend), Progress: progressLine(log),
 		},
 		out: *out, losses: *losses, recovery: *recovery, log: log,
 	}

@@ -136,12 +136,9 @@ func TestRefusesFlagsTheStudyDoesNotRead(t *testing.T) {
 		{"-metric", "hits", "-losses", "0.5"},
 		{"-metric", "hops", "-recovery", "timeout=1"},
 		{"-metric", "time", "-backend", "slice"},
-		{"-metric", "time", "-shards", "2"},
 		{"-metric", "backends", "-backend", "list"},
-		{"-metric", "loadspread", "-shards", "2"},
 		{"-metric", "ablations", "-out", t.TempDir()},
 		{"-metric", "figures", "-backend", "slice"},
-		{"-metric", "figures", "-shards", "2"},
 		{"-metric", "figures", "-losses", "0.5"},
 	} {
 		flag := args[len(args)-2]

@@ -25,10 +25,6 @@ type Profile struct {
 	// Experiments that sweep backends themselves (TimingSweep,
 	// BackendComparison) ignore it.
 	Backend TableBackend
-	// Shards, when positive, runs each simulation on the virtual-time
-	// engine spread over that many worker shards. Results are
-	// byte-identical to the default sequential execution.
-	Shards int
 	// Parallel bounds how many independent simulations an experiment
 	// runs concurrently (default GOMAXPROCS; 1 forces sequential
 	// execution). Results are bit-identical at any width — runs are
@@ -66,7 +62,6 @@ func (p Profile) toInternal() (experiments.Profile, error) {
 	if ip.Backend, err = core.ParseBackend(string(p.Backend)); err != nil {
 		return ip, err
 	}
-	ip.Shards = p.Shards
 	ip.Parallelism = p.Parallel
 	ip.Progress = p.Progress
 	return ip, ip.Validate()

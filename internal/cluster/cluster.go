@@ -91,8 +91,7 @@ const (
 	// deterministic like RuntimeSequential, but every transfer is delayed
 	// by a latency model, yielding response-time metrics and supporting
 	// open-loop (fixed request rate) injection, fault injection, recovery,
-	// tracing and windowed time series. Config.Shards spreads the run over
-	// that many cores with byte-identical results.
+	// tracing and windowed time series.
 	RuntimeVirtualTime
 )
 
@@ -164,13 +163,6 @@ type Config struct {
 	// Latency is the virtual-time latency model; the zero value selects
 	// sim.DefaultLatencyModel(). Used by RuntimeVirtualTime.
 	Latency sim.LatencyModel
-
-	// Shards is the number of engine shards for RuntimeVirtualTime; 0 and
-	// 1 are the sequential run. Results are byte-identical at every shard
-	// count and every feature works at every shard count; the setting
-	// only chooses how many cores the run spreads over. Setting it on any
-	// other runtime is a configuration error.
-	Shards int
 
 	// OpenLoopInterval switches clients to open-loop injection with
 	// this mean inter-arrival time in virtual ticks (0 = closed loop).
@@ -253,12 +245,6 @@ func (c Config) Validate() error {
 	}
 	if c.OpenLoopInterval > 0 && c.Runtime != RuntimeVirtualTime {
 		return fmt.Errorf("cluster: open-loop injection requires the virtual-time runtime")
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("cluster: Shards must be non-negative, got %d", c.Shards)
-	}
-	if c.Shards > 0 && c.Runtime != RuntimeVirtualTime {
-		return fmt.Errorf("cluster: Shards requires the virtual-time runtime")
 	}
 	if c.MetricsEvery < 0 {
 		return fmt.Errorf("cluster: MetricsEvery must be non-negative, got %d", c.MetricsEvery)
@@ -642,21 +628,13 @@ func (c *Cluster) Run() (*Result, error) {
 		if latency == (sim.LatencyModel{}) {
 			latency = sim.DefaultLatencyModel()
 		}
-		part, err := ids.NewShardMap(max(c.cfg.Shards, 1), len(c.proxies))
-		if err != nil {
-			return nil, err
-		}
-		eng := sim.NewShardedVEngine(latency, part)
+		eng := sim.NewVEngine(latency)
 		for _, n := range c.nodes {
 			if err := eng.Register(n); err != nil {
 				return nil, err
 			}
 		}
 		if c.churn != nil {
-			// A join registers a node and rewrites every proxy's peer set
-			// from inside the client's handler, so no other handler (a
-			// recovery sweep timer at the same tick) may run beside it.
-			eng.Serialize()
 			c.churn.onJoin = func() error { return c.addProxy(eng.Register) }
 		}
 		if err := eng.SetFaultPlan(c.cfg.faultPlan()); err != nil {

@@ -12,11 +12,6 @@ import (
 	"github.com/adc-sim/adc/internal/trace"
 )
 
-// engineGoldenShards are the widths every engine golden holds at: the
-// sequential run, even splits, an uneven split (3 shards over 5 proxies)
-// and more shards than proxies.
-var engineGoldenShards = []int{1, 2, 3, 4, 8}
-
 // resultDigest folds every deterministic field of a Result into one value
 // (Elapsed is wall clock and is left out). %v prints a float64 with the
 // shortest digits that round-trip, so the digest is exact. The per-proxy
@@ -59,8 +54,8 @@ func goldenFaultPlan() *sim.FaultPlan {
 }
 
 // lockstep switches the golden run to six open-loop clients on one fixed
-// interval: they all inject at the same ticks, so cohorts span every shard
-// and the merge, not the inline path, does the work.
+// interval: they all inject at the same ticks, so many events share a
+// timestamp and only the sequence number orders them.
 func lockstep(c *Config) {
 	c.Clients = 6
 	c.OpenLoopInterval = 900
@@ -120,22 +115,13 @@ func expiredPending(res *Result) uint64 {
 	return n
 }
 
-// TestEngineGoldens pins the one virtual-time engine, at every shard count,
-// to what the sequential VEngine produced at cbc3d04 — the last commit that
-// had a second engine — for the features that used to be rejected on more
-// than one shard and were only repeatability-tested on one: faults with and
-// without recovery, queued service, time-series buckets, the tracer's event
-// stream and a mid-run proxy join. The constants were printed by this same
-// table run against that commit; none may be edited to make a change pass.
-//
-// Two mutations show what they hold. Drawing jitter before loss in
-// faultState.transfer fails every cell with a fault plan. Dropping the
-// "ordered" arm of VEngine.Run, so a traced multi-shard cohort fans out per
-// shard, fails the lockstep trace digest at every shards > 1 (and trips the
-// race detector). Removing cluster.Run's eng.Serialize() call fans out the
-// cohorts of the coarse-grid churn cell, joins included, and fails it under
-// -race at any shards > 1: a join registers a node while another shard's
-// handler looks one up.
+// TestEngineGoldens pins the virtual-time engine to what the sequential
+// VEngine produced at cbc3d04 — the last commit that had a second engine —
+// for faults with and without recovery, queued service, time-series
+// buckets, the tracer's event stream and a mid-run proxy join. The
+// constants were printed by this same table run against that commit; none
+// may be edited to make a change pass. Drawing jitter before loss in
+// faultState.transfer, for one, fails every cell with a fault plan.
 //
 // The cells named after a baseline (carp, chash, hier, coord) were recorded
 // the same way from the commit before the baselines' own sim.Node types
@@ -272,33 +258,30 @@ func TestEngineGoldens(t *testing.T) {
 			golden{delivered: 37082, dropped: 505, requests: 4000, hits: 472, faults: sim.FaultStats{LossDrops: 505}, result: 0x7e280edc045e7d17, leaked: 0, expired: 458}},
 	}
 	for _, cell := range cells {
-		for _, shards := range engineGoldenShards {
-			t.Run(fmt.Sprintf("%s/shards=%d", cell.name, shards), func(t *testing.T) {
-				cfg := goldenConfig(RuntimeVirtualTime)
-				cfg.Shards = shards
-				cell.mutate(&cfg)
-				res, err := Run(cfg, trace.NewSliceSource(goldenTrace()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := golden{
-					delivered: res.Delivered, dropped: res.Dropped,
-					requests: res.Summary.Requests, hits: res.Summary.Hits,
-					faults: res.Faults, buckets: len(res.Buckets),
-					p99: res.Summary.P99Response, result: resultDigest(res),
-				}
-				if cfg.Algorithm != ADC && cfg.Faults != nil {
-					got.result = faultDigest(res)
-					got.leaked, got.expired = res.LeakedPending, expiredPending(res)
-				}
-				if cfg.Tracer != nil {
-					got.events, got.trace = cfg.Tracer.Len(), traceDigest(cfg.Tracer)
-				}
-				if got != cell.want {
-					t.Errorf("drifted from the recorded VEngine run:\n got %+v\nwant %+v", got, cell.want)
-				}
-			})
-		}
+		t.Run(cell.name, func(t *testing.T) {
+			cfg := goldenConfig(RuntimeVirtualTime)
+			cell.mutate(&cfg)
+			res, err := Run(cfg, trace.NewSliceSource(goldenTrace()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := golden{
+				delivered: res.Delivered, dropped: res.Dropped,
+				requests: res.Summary.Requests, hits: res.Summary.Hits,
+				faults: res.Faults, buckets: len(res.Buckets),
+				p99: res.Summary.P99Response, result: resultDigest(res),
+			}
+			if cfg.Algorithm != ADC && cfg.Faults != nil {
+				got.result = faultDigest(res)
+				got.leaked, got.expired = res.LeakedPending, expiredPending(res)
+			}
+			if cfg.Tracer != nil {
+				got.events, got.trace = cfg.Tracer.Len(), traceDigest(cfg.Tracer)
+			}
+			if got != cell.want {
+				t.Errorf("drifted from the recorded VEngine run:\n got %+v\nwant %+v", got, cell.want)
+			}
+		})
 	}
 	// The baselines' lossless closed loop on the FIFO engine.
 	for alg, want := range map[Algorithm]uint64{
@@ -326,8 +309,8 @@ func TestEngineGoldens(t *testing.T) {
 // events share timestamp 0, so the virtual-time engine's (at, seq) order
 // degenerates to enqueue order — exactly a FIFO queue. The two engines
 // share no queue code, so agreement on every observable of the golden
-// trace, for all five algorithms and sharded or not, checks the heap, the
-// cohort limit and the merge against a ten-line loop.
+// trace, for all five algorithms, checks the event queue against a
+// ten-line loop.
 func TestZeroLatencyMatchesFIFO(t *testing.T) {
 	for _, alg := range []Algorithm{ADC, CARP, CHash, Hierarchical, Coordinator} {
 		t.Run(alg.String(), func(t *testing.T) {
@@ -337,32 +320,22 @@ func TestZeroLatencyMatchesFIFO(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, shards := range []int{1, 3} {
-				eng := sim.NewVEngine(sim.LatencyModel{})
-				if shards > 1 {
-					span := fifoCfg.NumProxies + 1 // room for the root/dispatcher
-					part, err := ids.NewShardMap(shards, span)
-					if err != nil {
-						t.Fatal(err)
-					}
-					eng = sim.NewShardedVEngine(sim.LatencyModel{}, part)
-				}
-				c, err := New(fifoCfg, trace.NewSliceSource(goldenTrace()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, n := range c.nodes {
-					if err := eng.Register(n); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := eng.Run(); err != nil {
-					t.Fatal(err)
-				}
-				got := c.collect(0)
-				got.Delivered = eng.Delivered()
-				requireSameRunResult(t, fmt.Sprintf("shards=%d", shards), fifo, got)
+			eng := sim.NewVEngine(sim.LatencyModel{})
+			c, err := New(fifoCfg, trace.NewSliceSource(goldenTrace()))
+			if err != nil {
+				t.Fatal(err)
 			}
+			for _, n := range c.nodes {
+				if err := eng.Register(n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			got := c.collect(0)
+			got.Delivered = eng.Delivered()
+			requireSameRunResult(t, "vtime", fifo, got)
 		})
 	}
 }

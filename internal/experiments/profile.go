@@ -53,13 +53,6 @@ type Profile struct {
 	// Backend selects the ordered-table backend for non-timing
 	// experiments (timing experiments force the paper-faithful ones).
 	Backend core.Backend
-	// Shards, when positive, runs each simulation on the virtual-time
-	// engine with that many worker shards instead of the sequential
-	// runtime. Results are byte-identical either way; the knob exists so
-	// large sweeps can exploit multiple cores inside a single simulation
-	// rather than only across simulations. It reaches every experiment,
-	// including the ones that need faults, recovery or tracing.
-	Shards int
 	// Parallelism bounds how many independent simulations an experiment
 	// runs concurrently. 0 means GOMAXPROCS; 1 forces the sequential
 	// path. Whatever the width, results are bit-identical: every run is
@@ -172,10 +165,9 @@ func (p Profile) traceFor(cfg workload.Config) (*workload.Trace, error) {
 	return traceCache.Get(cfg)
 }
 
-// ClusterConfig assembles the cluster configuration for one run. With
-// Shards > 0 the run uses the virtual-time engine on that many shards.
+// ClusterConfig assembles the cluster configuration for one run.
 func (p Profile) ClusterConfig(algo cluster.Algorithm, tables core.Config, sampleEvery uint64) cluster.Config {
-	cfg := cluster.Config{
+	return cluster.Config{
 		Algorithm:   algo,
 		NumProxies:  p.Proxies,
 		Tables:      tables,
@@ -184,11 +176,6 @@ func (p Profile) ClusterConfig(algo cluster.Algorithm, tables core.Config, sampl
 		Window:      p.Window,
 		SampleEvery: sampleEvery,
 	}
-	if p.Shards > 0 {
-		cfg.Runtime = cluster.RuntimeVirtualTime
-		cfg.Shards = p.Shards
-	}
-	return cfg
 }
 
 // run executes one simulation with a cursor over the profile's shared

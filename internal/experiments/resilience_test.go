@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"reflect"
 	"testing"
 
 	"github.com/adc-sim/adc/internal/sim"
@@ -47,43 +46,6 @@ func TestLossSweepParallelMatchesSequential(t *testing.T) {
 			if got.Points[i] != want.Points[i] {
 				t.Errorf("workers=%d point %d: got %+v, want %+v", workers, i, got.Points[i], want.Points[i])
 			}
-		}
-	}
-}
-
-// TestShardsReachEveryExperiment: Profile.Shards used to be cleared for the
-// experiments that need faults, recovery, tracing or open-loop response
-// times; it now reaches them, and every point must come out identical to
-// the sequential run.
-func TestShardsReachEveryExperiment(t *testing.T) {
-	seq := tinyProfile()
-	seq.Parallelism = 1
-	sharded := seq
-	sharded.Shards = 3
-
-	run := func(p Profile) []any {
-		loss, err := LossSweep(p, []float64{0, 0.02}, sim.Recovery{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		crash, err := CrashRecovery(p, sim.Recovery{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		conv, err := ConvergenceSweep(p, ConvergenceOptions{Sizes: []int{5_000}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := ResponseTime(p, ResponseOptions{OpenLoopInterval: 20_000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []any{loss.Points, *crash, conv, *resp}
-	}
-	want, got := run(seq), run(sharded)
-	for i, name := range []string{"loss sweep", "crash recovery", "convergence", "response time"} {
-		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Errorf("%s differs at Shards=3:\n got %+v\nwant %+v", name, got[i], want[i])
 		}
 	}
 }

@@ -95,7 +95,7 @@ func WithResponseHistogram(buckets, width int) Option {
 
 // NewCollector returns a ready Collector. Options apply before the default
 // windows are allocated, so a WithWindow override pays for exactly one pair
-// of rings — with a million per-client collectors in a sharded run, eagerly
+// of rings — with a million per-client collectors in one run, eagerly
 // allocating the 5000-slot defaults first would burn ~80 KB of garbage per
 // client before the option even ran.
 func NewCollector(opts ...Option) *Collector {

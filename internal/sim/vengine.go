@@ -79,55 +79,41 @@ type Scheduler interface {
 
 // VEngine is the virtual-time discrete-event engine: messages are delivered
 // in (timestamp, enqueue sequence) order, each transfer delayed by the
-// latency model. It is fully deterministic, and its results — every byte,
-// with every feature on — do not depend on how many shards it runs on.
-// DESIGN.md §7 has the full argument; in short:
+// latency model. It is fully deterministic. DESIGN.md §7 has the full
+// argument; in short:
 //
-// Every node is owned by one shard (ids.ShardMap), each with a private
-// event queue (one FIFO lane per link class plus a 4-ary heap for timers,
-// see eventQueue) and message freelist. The engine repeatedly finds the
-// minimum pending timestamp t and delivers the cohort of events queued at t.
-// A cohort on one shard — every cohort of a one-shard engine, nearly every
-// cohort of a closed-loop run — executes inline on the coordinator with the
-// engine direct: a Send takes the next sequence number and goes straight
-// into the destination queue, a classic sequential event loop. A cohort
-// spread over several shards fans out to their workers, which is safe
-// because handlers only touch their own node's state (the Node contract
-// all in-repo agents follow). Its Sends are buffered per shard as (parent
-// sequence, emission index) pairs and merged afterwards in that order,
-// which is exactly the order a one-shard run makes them in. So whatever
-// depends on Send order happens in one function, admit, on the
-// coordinator: the drop filter is consulted, the fault plan's single random
-// stream draws loss → link loss → jitter, and survivors take consecutive
-// sequence numbers. Identical (at, seq) pairs on every event mean identical
-// delivery order. Lossless merges of parallelMergeMin emissions or more are
-// ranked and pushed by the workers, with the same sequence values.
+// The engine owns one event queue (one FIFO lane per link class plus a
+// 4-ary heap for timers, see eventQueue), one message freelist, and the
+// sequence counter. Run pops the smallest (at, seq) event, advances virtual
+// time to it and hands it to its node, a classic sequential event loop. A
+// Send takes the next sequence number and goes straight into the queue, so
+// whatever depends on Send order happens in one function, admit: the drop
+// filter is consulted, the fault plan's single random stream draws loss →
+// link loss → jitter, and survivors are queued. What a delivery reads or
+// writes is keyed by destination: the fail-stop down set, the crash
+// counters, the QueueService busy horizon.
 //
-// What a delivery reads or writes is keyed by destination and lives on the
-// destination's shard: the fail-stop down set, the crash counters, the
-// QueueService busy horizon. What cannot be partitioned is an observer
-// shared by all nodes: with a tracer or time-series recorder installed (or
-// after Serialize) a multi-shard cohort is executed on the coordinator, one
-// event at a time in ascending sequence order across the shard heads — a
-// mode derived from what is installed, never configured.
+// The engine is itself the Context (and Clock and Scheduler) every handler
+// runs against; outside any handler (pre-run injection, tests) it sends as
+// no node.
 type VEngine struct {
 	latency LatencyModel
-	part    ids.ShardMap
-	nodes   ids.Table[Node] // written only while one handler runs at a time
-	shards  []*shard
-	active  []*shard // Run's cohort scratch, sized once
+	nodes   ids.Table[Node]
+	pq      eventQueue
+	fl      msg.Freelist
 
-	// now is the current cohort's timestamp and seq the global enqueue
-	// counter. Only the coordinator writes them: now between cohorts, seq
-	// at each Send while direct and at the merge otherwise.
+	// now is the current virtual time and seq the enqueue counter.
 	now int64
 	seq uint64
 
-	// direct is true while at most one handler runs at a time, in global
-	// delivery order (Start, inline and ordered cohorts): an emission is
-	// admitted the moment it is made. It is false only while a cohort is
-	// fanned out, when emissions are buffered for the merge.
-	direct bool
+	// current is the node whose Handle is executing, so Send can price the
+	// link correctly (the sender is implicit in sim.Context).
+	current ids.NodeID
+
+	// busy is the per-node service-completion horizon of the QueueService
+	// model (nil when the model is off, which keeps the delivery path on
+	// one nil check for the latency-only configuration).
+	busy map[ids.NodeID]int64
 
 	// drop, when set, discards matching Sends — fault injection for
 	// probing the paper's §III.1 assumption that "we don't expect the loss
@@ -136,13 +122,15 @@ type VEngine struct {
 	// still reference them (see Context).
 	drop func(m msg.Message) bool
 
-	// faults, when set, is the installed FaultPlan's loss/jitter stream.
-	// nil keeps every code path byte-identical to a plan-free engine.
+	// faults, when set, is the installed FaultPlan's loss/jitter stream
+	// and fail-stop state. nil keeps every code path byte-identical to a
+	// plan-free engine.
 	faults *faultState
 
-	// dropped counts Sends that died at admission (filter, loss); crash
-	// drops are counted per shard.
-	dropped uint64
+	// dropped counts discarded messages: filter hits, losses and crash
+	// drops. delivered counts handled ones.
+	dropped   uint64
+	delivered uint64
 
 	// tracer records drop events (the engine is the only layer that sees
 	// a message die); ts feeds the drop counter of the time-series
@@ -150,48 +138,19 @@ type VEngine struct {
 	// nothing on the delivery path.
 	tracer *obs.Tracer
 	ts     *metrics.TimeSeries
-
-	serial bool // set by Serialize
 }
 
-// parallelMergeMin is the cohort emission count below which the serial
-// S-way merge on the coordinator beats the two extra barrier rounds of the
-// parallel rank+push path. It is a variable only so tests can force the
-// parallel path on small workloads; both paths assign identical sequence
-// numbers, so the setting never affects results.
-var parallelMergeMin = 2048
-
-// NewVEngine returns an empty one-shard engine: the sequential run.
+// NewVEngine returns an empty engine.
 func NewVEngine(latency LatencyModel) *VEngine {
-	part, _ := ids.NewShardMap(1, 1) // cannot fail
-	return NewShardedVEngine(latency, part)
-}
-
-// NewShardedVEngine returns an empty engine whose nodes are spread over the
-// partition's shards. Results are identical at every shard count.
-func NewShardedVEngine(latency LatencyModel, part ids.ShardMap) *VEngine {
-	e := &VEngine{latency: latency, part: part, direct: true}
-	e.shards = make([]*shard, part.Shards())
-	e.active = make([]*shard, 0, len(e.shards))
-	for i := range e.shards {
-		s := &shard{
-			eng:     e,
-			idx:     i,
-			current: ids.None,
-			cmd:     make(chan pcmd, 1),
-			done:    make(chan struct{}, 1),
-		}
-		if latency.QueueService {
-			s.busy = make(map[ids.NodeID]int64)
-		}
-		e.shards[i] = s
+	e := &VEngine{latency: latency, current: ids.None}
+	if latency.QueueService {
+		e.busy = make(map[ids.NodeID]int64)
 	}
 	return e
 }
 
-// Register adds a node. The owning shard is derived from the partition.
-// Registering during a run is only safe from a handler that runs alone
-// (see Serialize).
+// Register adds a node. A handler may register nodes during a run: the
+// cluster's churn hook adds a proxy from inside the client's handler.
 func (e *VEngine) Register(n Node) error {
 	if !e.nodes.Put(n.ID(), n) {
 		return fmt.Errorf("sim: duplicate node %v", n.ID())
@@ -214,13 +173,6 @@ func (e *VEngine) SetTracer(t *obs.Tracer) { e.tracer = t }
 // counts into (before Run).
 func (e *VEngine) SetTimeSeries(ts *metrics.TimeSeries) { e.ts = ts }
 
-// Serialize makes the engine execute every cohort one handler at a time in
-// global delivery order — what an installed tracer or time-series recorder
-// already implies. It is for runs whose handlers reach beyond their own
-// node: the cluster's churn hook registers a proxy and rewrites every peer
-// set from inside the client's handler.
-func (e *VEngine) Serialize() { e.serial = true }
-
 // SetFaultPlan installs a deterministic failure model (loss, jitter,
 // fail-stop crashes). Must be called before Run; a nil plan is a no-op.
 func (e *VEngine) SetFaultPlan(p *FaultPlan) error {
@@ -231,105 +183,93 @@ func (e *VEngine) SetFaultPlan(p *FaultPlan) error {
 		return err
 	}
 	e.faults = newFaultState(p)
-	for _, s := range e.shards {
-		s.down = make(map[ids.NodeID]bool)
-	}
 	return nil
 }
 
 // FaultStats returns the installed plan's counters (zero without a plan).
-// Call it only after Run has returned.
 func (e *VEngine) FaultStats() FaultStats {
 	if e.faults == nil {
 		return FaultStats{}
 	}
-	st := e.faults.stats
-	for _, s := range e.shards {
-		st.CrashDrops += s.crash.CrashDrops
-		st.Crashes += s.crash.Crashes
-		st.Restarts += s.crash.Restarts
-	}
-	return st
+	return e.faults.stats
 }
 
 // Dropped returns the number of discarded messages — drop-filter hits,
 // fault-plan losses, and deliveries addressed to crashed nodes. In a run
 // without retransmission every dropped transfer is an undelivered in-flight
-// message whose request chain is stranded. Call it only after Run has
-// returned.
-func (e *VEngine) Dropped() uint64 {
-	n := e.dropped
-	for _, s := range e.shards {
-		n += s.crash.CrashDrops
-	}
-	return n
-}
+// message whose request chain is stranded.
+func (e *VEngine) Dropped() uint64 { return e.dropped }
 
-// Delivered returns the number of delivered messages, summed across
-// shards. Call it only after Run has returned.
-func (e *VEngine) Delivered() uint64 {
-	var n uint64
-	for _, s := range e.shards {
-		n += s.delivered
-	}
-	return n
-}
+// Delivered returns the number of delivered messages.
+func (e *VEngine) Delivered() uint64 { return e.delivered }
 
-// The engine is itself a context — shard 0 with no current node — so code
-// outside any handler (pre-run injection, tests) can send, set timers and
-// use the freelist.
 var (
 	_ Context   = (*VEngine)(nil)
 	_ Clock     = (*VEngine)(nil)
 	_ Scheduler = (*VEngine)(nil)
 )
 
-func (e *VEngine) VNow() int64                      { return e.now }
-func (e *VEngine) Send(m msg.Message)               { e.shards[0].Send(m) }
-func (e *VEngine) After(delay int64, m msg.Message) { e.shards[0].After(delay, m) }
-func (e *VEngine) Freelist() *msg.Freelist          { return e.shards[0].Freelist() }
+// VNow implements Clock.
+func (e *VEngine) VNow() int64 { return e.now }
 
-// shardIdx maps a node to its owning shard.
-func (e *VEngine) shardIdx(id ids.NodeID) int {
-	if len(e.shards) == 1 {
-		return 0
+// Send implements Context: the message arrives after the modelled link
+// latency; the hop is counted exactly as in the other engines.
+func (e *VEngine) Send(m msg.Message) {
+	CountHop(m)
+	delay, lane := e.latency.cost(e.current, m.Dest())
+	if e.busy != nil {
+		// Queued service: the transfer pays only the link here; the
+		// Service component is charged at delivery, serialized per
+		// receiver.
+		delay -= e.latency.Service
 	}
-	return e.part.ShardOf(id)
+	e.admit(e.now+delay, m, lane)
 }
 
-// admit is the one place an emission enters a queue, and it runs on the
-// coordinator in Send order: immediately while direct, at the merge
-// otherwise. A network transfer — an emission on a link lane — is screened
-// first (see screen); whatever survives takes the next sequence number.
-func (e *VEngine) admit(from ids.NodeID, at int64, m msg.Message, lane, dest int) {
+// After implements Scheduler.
+func (e *VEngine) After(delay int64, m msg.Message) {
+	if delay < 0 {
+		delay = 0
+	}
+	e.admit(e.now+delay, m, laneHeap)
+}
+
+// Freelist implements Context.
+func (e *VEngine) Freelist() *msg.Freelist { return &e.fl }
+
+// admit is the one place an emission of the current node enters the queue,
+// in Send order. A network transfer — an emission on a link lane — is
+// screened first (see screen); whatever survives takes the next sequence
+// number.
+func (e *VEngine) admit(at int64, m msg.Message, lane int) {
 	net := lane != laneHeap
 	if net && (e.drop != nil || e.faults != nil) {
 		var ok bool
-		if at, ok = e.screen(from, at, m); !ok {
+		if at, ok = e.screen(at, m); !ok {
 			return
 		}
 	}
 	e.seq++
-	e.shards[dest].pq.push(event{at: at, seq: e.seq, m: m, net: net}, lane)
+	e.pq.push(event{at: at, seq: e.seq, m: m, net: net}, lane)
 }
 
 // screen passes one Send through the drop filter and then the fault plan,
 // returning its (possibly jittered) delivery time and whether it survives.
 // Because admit calls it in Send order, the filter's view and the plan's
-// draws are a pure function of the Send sequence at every shard count.
-func (e *VEngine) screen(from ids.NodeID, at int64, m msg.Message) (int64, bool) {
+// draws are a pure function of the Send sequence.
+func (e *VEngine) screen(at int64, m msg.Message) (int64, bool) {
 	if e.drop != nil && e.drop(m) {
 		e.dropped++
-		e.traceDrop(from, m, obs.DropFilter)
+		e.traceDrop(e.current, m, obs.DropFilter)
 		return 0, false
 	}
 	if e.faults != nil {
 		var ok bool
-		if at, ok = e.faults.transfer(from, m.Dest(), at); !ok {
+		if at, ok = e.faults.transfer(e.current, m.Dest(), at); !ok {
 			// Lost on the wire. Like drop-filter hits, lost messages are
 			// never recycled: the sender may still hold them.
 			e.dropped++
-			e.traceDrop(from, m, obs.DropLoss)
+			e.traceDrop(e.current, m, obs.DropLoss)
 			return 0, false
 		}
 	}
@@ -338,8 +278,7 @@ func (e *VEngine) screen(from ids.NodeID, at int64, m msg.Message) (int64, bool)
 
 // traceDrop records the death of an in-flight protocol message. Timer
 // messages (retry timers, sweep ticks) are not protocol steps and are
-// skipped. With neither observer installed it does nothing, which is what
-// makes it callable from a fanned-out cohort.
+// skipped.
 func (e *VEngine) traceDrop(sender ids.NodeID, m msg.Message, cause int64) {
 	if e.ts != nil {
 		e.ts.Drop(e.now)
@@ -362,167 +301,104 @@ func (e *VEngine) traceDrop(sender ids.NodeID, m msg.Message, cause int64) {
 	e.tracer.Emit(ev)
 }
 
-// Run starts the Starter nodes in ascending NodeID order and then processes
-// timestamp cohorts until every shard's queue drains, advancing virtual
-// time monotonically.
+// Run starts the Starter nodes in ascending NodeID order and then delivers
+// events in (at, seq) order until the queue drains, advancing virtual time
+// monotonically.
 func (e *VEngine) Run() error {
 	if e.faults != nil {
 		// Crash/restart transitions enter the queue before any starter
 		// event, so at equal timestamps a fault applies before the
 		// messages scheduled later — a deterministic tie-break.
 		for _, c := range e.faults.plan.Crashes {
-			dest := e.shardIdx(c.Node)
-			e.admit(ids.None, c.At, &faultCtl{node: c.Node}, laneHeap, dest)
+			e.admit(c.At, &faultCtl{node: c.Node}, laneHeap)
 			if c.RestartAt > 0 {
-				e.admit(ids.None, c.RestartAt, &faultCtl{node: c.Node, restart: true, loseTables: c.LoseTables}, laneHeap, dest)
+				e.admit(c.RestartAt, &faultCtl{node: c.Node, restart: true, loseTables: c.LoseTables}, laneHeap)
 			}
 		}
 	}
 	e.nodes.Ascending(func(id ids.NodeID, n Node) {
 		if st, ok := n.(Starter); ok {
-			s := e.shards[e.shardIdx(id)]
-			s.current = id
-			st.Start(s)
-			s.current = ids.None
+			e.current = id
+			st.Start(e)
+			e.current = ids.None
 		}
 	})
-
-	ordered := e.tracer != nil || e.ts != nil || e.serial
-	fanOut := len(e.shards) > 1 && !ordered
-	if fanOut {
-		for _, s := range e.shards {
-			go s.loop()
+	for e.pq.Len() > 0 {
+		ev := e.pq.pop()
+		e.now = ev.at
+		if err := e.deliver(ev); err != nil {
+			return err
 		}
-		defer func() {
-			for _, s := range e.shards {
-				close(s.cmd)
-			}
-		}()
 	}
+	return nil
+}
 
-	active := e.active[:0]
-	for {
-		// Cohort pick: the shards whose head carries the minimum pending
-		// timestamp.
-		var t int64
-		active = active[:0]
-		for _, s := range e.shards {
-			if s.pq.Len() == 0 {
-				continue
-			}
-			switch h := s.pq.peek().at; {
-			case len(active) == 0 || h < t:
-				t, active = h, append(active[:0], s)
-			case h == t:
-				active = append(active, s)
-			}
-		}
-		if len(active) == 0 {
+// deliver executes one popped event: a fault transition, a crash drop, a
+// re-queue for queued service, or the destination's Handle.
+func (e *VEngine) deliver(ev event) error {
+	if f := e.faults; f != nil {
+		if ctl, ok := ev.m.(*faultCtl); ok {
+			e.applyFaultCtl(ctl)
 			return nil
 		}
-		e.now = t
-		// The cohort is what is queued at t now; zero-delay emissions take
-		// sequence numbers above limit and form the follow-up cohort.
-		limit := e.seq
-
-		if len(active) == 1 {
-			// Inline on this goroutine: the whole of a sequential run.
-			s := active[0]
-			if s.exec(t, limit); s.err != nil {
-				return s.err
-			}
-			continue
+		if f.down[ev.m.Dest()] {
+			// Fail-stop: a crashed node receives nothing. The message
+			// dies at delivery (it left the sender long ago) and is
+			// never recycled.
+			f.stats.CrashDrops++
+			e.dropped++
+			e.traceDrop(ids.None, ev.m, obs.DropCrash)
+			return nil
 		}
-		if ordered {
-			// On this goroutine, one event per pick: the smallest sequence
-			// number among the active heads is the next in global order.
-			next := active[0]
-			for _, s := range active[1:] {
-				if s.pq.peek().seq < next.pq.peek().seq {
-					next = s
-				}
-			}
-			if !next.step() {
-				return next.err
-			}
-			continue
-		}
-		e.direct = false
-		for _, s := range active {
-			s.cmd <- pcmd{phase: phaseExec, t: t, base: limit}
-		}
-		for _, s := range active {
-			<-s.done
-		}
-		e.direct = true
-		for _, s := range active {
-			if s.err != nil {
-				return s.err
-			}
-		}
-		e.merge(active)
 	}
+	if e.busy != nil && ev.net && !ev.served {
+		// Queued service: the message starts service when the receiver
+		// frees up, completes Service later, and is handled at
+		// completion. Re-queuing keeps the original sequence number, so
+		// per-node FIFO order is preserved.
+		start := ev.at
+		if b := e.busy[ev.m.Dest()]; b > start {
+			start = b
+		}
+		done := start + e.latency.Service
+		e.busy[ev.m.Dest()] = done
+		if done > ev.at {
+			ev.at = done
+			ev.served = true
+			e.pq.push(ev, laneHeap)
+			return nil
+		}
+	}
+	dest := ev.m.Dest()
+	n, ok := e.nodes.Get(dest)
+	if !ok {
+		return fmt.Errorf("sim: message for unregistered node %v", dest)
+	}
+	e.delivered++
+	e.current = dest // nodes are registered under their own ID
+	n.Handle(e, ev.m)
+	e.current = ids.None
+	return nil
 }
 
-// merge admits a fanned-out cohort's buffered emissions into the shard
-// queues in the order a one-shard run would have made them.
-func (e *VEngine) merge(active []*shard) {
-	total := 0
-	for _, s := range active {
-		total += len(s.emits)
-	}
-	if total == 0 {
+// applyFaultCtl executes one crash or restart transition.
+func (e *VEngine) applyFaultCtl(ctl *faultCtl) {
+	f := e.faults
+	if !ctl.restart {
+		if !f.down[ctl.node] {
+			f.down[ctl.node] = true
+			f.stats.Crashes++
+		}
 		return
 	}
-	if e.drop != nil || e.faults != nil || total < parallelMergeMin {
-		e.mergeSerial(active)
-		return
+	if !f.down[ctl.node] {
+		return // restart without a preceding crash: ignore
 	}
-	base := e.seq + 1
-	for _, s := range e.shards {
-		s.cmd <- pcmd{phase: phaseRank, base: base}
-	}
-	for _, s := range e.shards {
-		<-s.done
-	}
-	for _, s := range e.shards {
-		s.cmd <- pcmd{phase: phasePush}
-	}
-	for _, s := range e.shards {
-		<-s.done
-	}
-	e.seq += uint64(total)
-	for _, s := range active {
-		// Keep the capacity; stale message pointers in the spare slots
-		// alias freelist entries and are overwritten next cohort.
-		s.emits = s.emits[:0]
-	}
-}
-
-// mergeSerial drains the cohort's emission buffers in (pseq, emission
-// index) order through admit. pseq values are globally unique (each parent
-// event executes on exactly one shard), so picking the smallest head is a
-// total, deterministic order.
-func (e *VEngine) mergeSerial(active []*shard) {
-	for {
-		var best *shard
-		for _, s := range active {
-			if s.mergeHead < len(s.emits) {
-				if best == nil || s.emits[s.mergeHead].pseq < best.emits[best.mergeHead].pseq {
-					best = s
-				}
-			}
+	delete(f.down, ctl.node)
+	f.stats.Restarts++
+	if n, ok := e.nodes.Get(ctl.node); ok {
+		if r, isR := n.(Restartable); isR {
+			r.Restart(ctl.loseTables)
 		}
-		if best == nil {
-			break
-		}
-		em := &best.emits[best.mergeHead]
-		best.mergeHead++
-		e.admit(em.from, em.at, em.m, int(em.lane), int(em.dest))
-		em.m = nil
-	}
-	for _, s := range active {
-		s.mergeHead = 0
-		s.emits = s.emits[:0]
 	}
 }
