@@ -19,7 +19,7 @@ import (
 //
 // Churn is applied between client requests (the only quiescent points of
 // a closed-loop run), so it is available on both engines — sequential and
-// virtual-time — with a single closed-loop client.
+// virtual-time, at any shard count — with a single closed-loop client.
 
 // validateChurn checks the churn-specific configuration constraints.
 func (c Config) validateChurn() error {

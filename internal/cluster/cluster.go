@@ -164,6 +164,14 @@ type Config struct {
 	// sim.DefaultLatencyModel(). Used by RuntimeVirtualTime.
 	Latency sim.LatencyModel
 
+	// Shards is the number of event-queue partitions for
+	// RuntimeVirtualTime; 0 and 1 are one queue. The engine delivers one
+	// event at a time whatever the count, so results are byte-identical
+	// at every value; the engine goldens sweep it to pin that the
+	// partition changes nothing. Setting it on any other runtime is a
+	// configuration error.
+	Shards int
+
 	// OpenLoopInterval switches clients to open-loop injection with
 	// this mean inter-arrival time in virtual ticks (0 = closed loop).
 	// Requires RuntimeVirtualTime.
@@ -245,6 +253,12 @@ func (c Config) Validate() error {
 	}
 	if c.OpenLoopInterval > 0 && c.Runtime != RuntimeVirtualTime {
 		return fmt.Errorf("cluster: open-loop injection requires the virtual-time runtime")
+	}
+	if c.Shards < 0 {
+		return fmt.Errorf("cluster: Shards must be non-negative, got %d", c.Shards)
+	}
+	if c.Shards > 0 && c.Runtime != RuntimeVirtualTime {
+		return fmt.Errorf("cluster: Shards requires the virtual-time runtime")
 	}
 	if c.MetricsEvery < 0 {
 		return fmt.Errorf("cluster: MetricsEvery must be non-negative, got %d", c.MetricsEvery)
@@ -628,7 +642,11 @@ func (c *Cluster) Run() (*Result, error) {
 		if latency == (sim.LatencyModel{}) {
 			latency = sim.DefaultLatencyModel()
 		}
-		eng := sim.NewVEngine(latency)
+		part, err := ids.NewShardMap(max(c.cfg.Shards, 1), len(c.proxies))
+		if err != nil {
+			return nil, err
+		}
+		eng := sim.NewShardedVEngine(latency, part)
 		for _, n := range c.nodes {
 			if err := eng.Register(n); err != nil {
 				return nil, err

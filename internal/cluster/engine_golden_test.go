@@ -12,6 +12,11 @@ import (
 	"github.com/adc-sim/adc/internal/trace"
 )
 
+// engineGoldenShards are the widths every engine golden holds at: the
+// sequential run, even splits, an uneven split (3 shards over 5 proxies)
+// and more shards than proxies.
+var engineGoldenShards = []int{1, 2, 3, 4, 8}
+
 // resultDigest folds every deterministic field of a Result into one value
 // (Elapsed is wall clock and is left out). %v prints a float64 with the
 // shortest digits that round-trip, so the digest is exact. The per-proxy
@@ -54,8 +59,8 @@ func goldenFaultPlan() *sim.FaultPlan {
 }
 
 // lockstep switches the golden run to six open-loop clients on one fixed
-// interval: they all inject at the same ticks, so many events share a
-// timestamp and only the sequence number orders them.
+// interval: they all inject at the same ticks, so events sharing a
+// timestamp sit on every shard and only their sequence numbers order them.
 func lockstep(c *Config) {
 	c.Clients = 6
 	c.OpenLoopInterval = 900
@@ -115,13 +120,19 @@ func expiredPending(res *Result) uint64 {
 	return n
 }
 
-// TestEngineGoldens pins the virtual-time engine to what the sequential
-// VEngine produced at cbc3d04 — the last commit that had a second engine —
-// for faults with and without recovery, queued service, time-series
-// buckets, the tracer's event stream and a mid-run proxy join. The
-// constants were printed by this same table run against that commit; none
-// may be edited to make a change pass. Drawing jitter before loss in
-// faultState.transfer, for one, fails every cell with a fault plan.
+// TestEngineGoldens pins the one virtual-time engine, at every shard count,
+// to what the sequential VEngine produced at cbc3d04 — the last commit that
+// had a second engine — for the features that used to be rejected on more
+// than one shard and were only repeatability-tested on one: faults with and
+// without recovery, queued service, time-series buckets, the tracer's event
+// stream and a mid-run proxy join. The constants were printed by this same
+// table run against that commit; none may be edited to make a change pass.
+//
+// Two mutations show what they hold. Drawing jitter before loss in
+// faultState.transfer fails every cell with a fault plan. Picking the next
+// shard in VEngine.Run by timestamp alone, so same-tick events on
+// different shards leave in shard order rather than sequence order, fails
+// most cells at every shards > 1 and none at shards = 1.
 //
 // The cells named after a baseline (carp, chash, hier, coord) were recorded
 // the same way from the commit before the baselines' own sim.Node types
@@ -258,30 +269,33 @@ func TestEngineGoldens(t *testing.T) {
 			golden{delivered: 37082, dropped: 505, requests: 4000, hits: 472, faults: sim.FaultStats{LossDrops: 505}, result: 0x7e280edc045e7d17, leaked: 0, expired: 458}},
 	}
 	for _, cell := range cells {
-		t.Run(cell.name, func(t *testing.T) {
-			cfg := goldenConfig(RuntimeVirtualTime)
-			cell.mutate(&cfg)
-			res, err := Run(cfg, trace.NewSliceSource(goldenTrace()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := golden{
-				delivered: res.Delivered, dropped: res.Dropped,
-				requests: res.Summary.Requests, hits: res.Summary.Hits,
-				faults: res.Faults, buckets: len(res.Buckets),
-				p99: res.Summary.P99Response, result: resultDigest(res),
-			}
-			if cfg.Algorithm != ADC && cfg.Faults != nil {
-				got.result = faultDigest(res)
-				got.leaked, got.expired = res.LeakedPending, expiredPending(res)
-			}
-			if cfg.Tracer != nil {
-				got.events, got.trace = cfg.Tracer.Len(), traceDigest(cfg.Tracer)
-			}
-			if got != cell.want {
-				t.Errorf("drifted from the recorded VEngine run:\n got %+v\nwant %+v", got, cell.want)
-			}
-		})
+		for _, shards := range engineGoldenShards {
+			t.Run(fmt.Sprintf("%s/shards=%d", cell.name, shards), func(t *testing.T) {
+				cfg := goldenConfig(RuntimeVirtualTime)
+				cfg.Shards = shards
+				cell.mutate(&cfg)
+				res, err := Run(cfg, trace.NewSliceSource(goldenTrace()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := golden{
+					delivered: res.Delivered, dropped: res.Dropped,
+					requests: res.Summary.Requests, hits: res.Summary.Hits,
+					faults: res.Faults, buckets: len(res.Buckets),
+					p99: res.Summary.P99Response, result: resultDigest(res),
+				}
+				if cfg.Algorithm != ADC && cfg.Faults != nil {
+					got.result = faultDigest(res)
+					got.leaked, got.expired = res.LeakedPending, expiredPending(res)
+				}
+				if cfg.Tracer != nil {
+					got.events, got.trace = cfg.Tracer.Len(), traceDigest(cfg.Tracer)
+				}
+				if got != cell.want {
+					t.Errorf("drifted from the recorded VEngine run:\n got %+v\nwant %+v", got, cell.want)
+				}
+			})
+		}
 	}
 	// The baselines' lossless closed loop on the FIFO engine.
 	for alg, want := range map[Algorithm]uint64{
@@ -309,8 +323,8 @@ func TestEngineGoldens(t *testing.T) {
 // events share timestamp 0, so the virtual-time engine's (at, seq) order
 // degenerates to enqueue order — exactly a FIFO queue. The two engines
 // share no queue code, so agreement on every observable of the golden
-// trace, for all five algorithms, checks the event queue against a
-// ten-line loop.
+// trace, for all five algorithms and sharded or not, checks the heap, the
+// cohort limit and the merge against a ten-line loop.
 func TestZeroLatencyMatchesFIFO(t *testing.T) {
 	for _, alg := range []Algorithm{ADC, CARP, CHash, Hierarchical, Coordinator} {
 		t.Run(alg.String(), func(t *testing.T) {
@@ -320,22 +334,32 @@ func TestZeroLatencyMatchesFIFO(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := sim.NewVEngine(sim.LatencyModel{})
-			c, err := New(fifoCfg, trace.NewSliceSource(goldenTrace()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, n := range c.nodes {
-				if err := eng.Register(n); err != nil {
+			for _, shards := range []int{1, 3} {
+				eng := sim.NewVEngine(sim.LatencyModel{})
+				if shards > 1 {
+					span := fifoCfg.NumProxies + 1 // room for the root/dispatcher
+					part, err := ids.NewShardMap(shards, span)
+					if err != nil {
+						t.Fatal(err)
+					}
+					eng = sim.NewShardedVEngine(sim.LatencyModel{}, part)
+				}
+				c, err := New(fifoCfg, trace.NewSliceSource(goldenTrace()))
+				if err != nil {
 					t.Fatal(err)
 				}
+				for _, n := range c.nodes {
+					if err := eng.Register(n); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := eng.Run(); err != nil {
+					t.Fatal(err)
+				}
+				got := c.collect(0)
+				got.Delivered = eng.Delivered()
+				requireSameRunResult(t, fmt.Sprintf("shards=%d", shards), fifo, got)
 			}
-			if err := eng.Run(); err != nil {
-				t.Fatal(err)
-			}
-			got := c.collect(0)
-			got.Delivered = eng.Delivered()
-			requireSameRunResult(t, "vtime", fifo, got)
 		})
 	}
 }

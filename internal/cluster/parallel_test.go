@@ -74,8 +74,8 @@ func TestParallelGoldenDeterminism(t *testing.T) {
 }
 
 // TestParallelOpenLoopDeterminism repeats the gate under open-loop
-// injection — many requests in flight, wide timestamp cohorts, the regime
-// sharding exists for.
+// injection — many requests in flight and many events per timestamp,
+// spread over the shards.
 func TestParallelOpenLoopDeterminism(t *testing.T) {
 	build := func(shards int) Config {
 		cfg := goldenConfig(RuntimeVirtualTime)

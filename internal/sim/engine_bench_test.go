@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/adc-sim/adc/internal/core"
@@ -87,19 +88,30 @@ func BenchmarkVEngineEcho(b *testing.B) {
 // concurrently outstanding requests (timer events interleaved with
 // transfers). One client at a 1000-tick interval keeps ≈ 90 requests in
 // flight: a shallow queue.
-func BenchmarkVEngineOpenLoop(b *testing.B) { benchOpenLoop(b, 1, 20_000, 1000) }
+func BenchmarkVEngineOpenLoop(b *testing.B) { benchOpenLoop(b, 1, 1, 20_000, 1000) }
 
 // BenchmarkVEngineOpenLoopDeep is the deep-queue case, shaped like the
 // sim_shift_open workload of BENCHMARK.json: 64 Poisson clients at a
 // 2000-tick interval each against ≈ 90,000-tick responses keep ≈ 2,800
-// requests in flight. It is the floor sim.self_ns_per_event is read
-// against.
-func BenchmarkVEngineOpenLoopDeep(b *testing.B) { benchOpenLoop(b, 64, 100_000, 2000) }
+// requests in flight. shards=1 is the floor sim.self_ns_per_event is read
+// against. shards=2 is the same run on a two-way partitioned queue, which
+// pays a cross-shard pick on every event for the same delivery order.
+func BenchmarkVEngineOpenLoopDeep(b *testing.B) {
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			benchOpenLoop(b, shards, 64, 100_000, 2000)
+		})
+	}
+}
 
 // benchOpenLoop runs the 5-proxy ADC array under the given number of
 // Poisson open-loop clients, the request stream dealt round-robin.
-func benchOpenLoop(b *testing.B, clients, requests int, interval int64) {
+func benchOpenLoop(b *testing.B, shards, clients, requests int, interval int64) {
 	const nProxies = 5
+	shardMap, err := ids.NewShardMap(shards, nProxies)
+	if err != nil {
+		b.Fatal(err)
+	}
 	objs := benchObjects(requests, 1000)
 	parts := make([][]ids.ObjectID, clients)
 	for i, obj := range objs {
@@ -110,7 +122,7 @@ func benchOpenLoop(b *testing.B, clients, requests int, interval int64) {
 	var delivered uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng := sim.NewVEngine(sim.DefaultLatencyModel())
+		eng := sim.NewShardedVEngine(sim.DefaultLatencyModel(), shardMap)
 		proxyIDs := buildADCArray(b, eng, nProxies)
 		for c, part := range parts {
 			cl, err := sim.NewClient(sim.ClientConfig{

@@ -217,8 +217,9 @@ func (r Recovery) Validate() error {
 }
 
 // faultCtl is the engine-internal control event that applies a scheduled
-// crash or restart. It travels through the event queue, so fault
-// transitions are totally ordered against the node's deliveries, but it is intercepted at delivery and never reaches a
+// crash or restart. It travels through the event queue of the shard that
+// owns the node, so fault transitions are totally ordered against that
+// node's deliveries, but it is intercepted at delivery and never reaches a
 // node's Handle.
 type faultCtl struct {
 	node       ids.NodeID
@@ -232,14 +233,13 @@ func (c *faultCtl) Dest() ids.NodeID { return c.node }
 // linkKey indexes per-link loss rates.
 type linkKey struct{ from, to ids.NodeID }
 
-// faultState is the engine's live view of an installed FaultPlan: the one
-// random stream for loss and jitter, the fail-stop set of crashed nodes,
-// and what they dropped.
+// faultState is the engine's live view of an installed FaultPlan's loss and
+// jitter: the one random stream and what it dropped. Fail-stop state is
+// keyed by node and lives on the shards.
 type faultState struct {
 	plan  *FaultPlan
 	rng   *rand.Rand
 	link  map[linkKey]float64
-	down  map[ids.NodeID]bool
 	stats FaultStats
 }
 
@@ -247,7 +247,6 @@ func newFaultState(p *FaultPlan) *faultState {
 	f := &faultState{
 		plan: p,
 		rng:  rand.New(rand.NewSource(p.Seed ^ 0x5FAA17C0DE)),
-		down: make(map[ids.NodeID]bool),
 	}
 	if len(p.LinkLoss) > 0 {
 		f.link = make(map[linkKey]float64, len(p.LinkLoss))

@@ -52,8 +52,9 @@ type lane struct {
 // 4-ary min-heap (children of slot i at 4i+1..4i+4, parent at (i-1)/4). The
 // minimum of the queue is the smallest of the four heads. A lane accepts
 // an event only behind its tail, so an event that arrives out of order —
-// jittered, say — lands in the heap instead and every source stays sorted: the pop
-// sequence is the (at, seq) order whatever was pushed where.
+// jittered, or re-queued for queued service — lands in the heap instead
+// and every source stays sorted: the pop sequence is the (at, seq) order
+// whatever was pushed where.
 type eventQueue struct {
 	src [numLanes]lane
 	n   int

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// TestEventQueueTieBreakProperty is the invariant the engine's delivery
-// order relies on: among equal-timestamp events, the heap pops
+// TestEventQueueTieBreakProperty is the invariant the engine's cross-shard
+// pick relies on: among equal-timestamp events, the heap pops
 // in ascending sequence-number order — i.e. deterministic insertion order,
 // regardless of heap shape. The test drives randomized workloads with heavy
 // timestamp collisions and interleaved pushes/pops against a stable-sort
@@ -97,8 +97,8 @@ func TestEventQueueDrainOrder(t *testing.T) {
 // Three bytes make one operation. b0 % 5 picks a lane push (0–2), a heap
 // push (3) or a pop (4); b1 % 16 is the timestamp, so any lane sees
 // decreasing and equal timestamps as well as ascending ones; b2 leads the
-// sequence number, so sequence order is arbitrary too while the push index
-// below it keeps (at, seq) unique.
+// sequence number, so sequence order is arbitrary too (as a queued-service
+// re-queue makes it) while the push index below it keeps (at, seq) unique.
 func checkQueueOps(t *testing.T, data []byte) {
 	t.Helper()
 	var q eventQueue

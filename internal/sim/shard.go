@@ -13,22 +13,13 @@ import (
 // surface (Context, Clock, Scheduler).
 type shard struct {
 	eng *VEngine
-	idx int
 
 	pq eventQueue
 	fl msg.Freelist
 
 	// current is the node whose Handle is executing, so Send can price the
-	// link correctly (the sender is implicit in sim.Context); curSeq is
-	// the sequence number of the event being handled.
+	// link correctly (the sender is implicit in sim.Context).
 	current ids.NodeID
-	curSeq  uint64
-
-	// emits buffers a fanned-out cohort's emissions in (pseq, emission
-	// index) order; mergeHead is the coordinator's cursor into it during
-	// the serial merge.
-	emits     []pemit
-	mergeHead int
 
 	// busy is the per-node service-completion horizon of the QueueService
 	// model (nil when the model is off, which keeps the delivery path on
@@ -41,10 +32,6 @@ type shard struct {
 	crash FaultStats
 
 	delivered uint64
-	err       error
-
-	cmd  chan pcmd
-	done chan struct{}
 }
 
 var (
@@ -53,69 +40,14 @@ var (
 	_ Scheduler = (*shard)(nil)
 )
 
-// pcmd is one coordinator→worker phase command.
-type pcmd struct {
-	phase pphase
-	t     int64  // phaseExec: the cohort timestamp
-	base  uint64 // phaseExec: the cohort's sequence limit; phaseRank: first sequence number of its emissions
-}
-
-type pphase int8
-
-const (
-	phaseExec pphase = iota
-	phaseRank
-	phasePush
-)
-
-// pemit is one buffered emission awaiting the cohort merge.
-type pemit struct {
-	pseq uint64     // sequence number of the emitting (parent) event
-	seq  uint64     // assigned global sequence number (rank phase)
-	at   int64      // absolute delivery time, before jitter
-	from ids.NodeID // the emitting node
-	dest int32      // destination shard
-	lane int8       // the Send's link lane; laneHeap for a timer
-	m    msg.Message
-}
-
-// loop is the worker goroutine: it executes phase commands until the
-// coordinator closes the channel. All shard state is handed back and forth
-// through the cmd/done rendezvous, which provides the happens-before edges
-// that keep the engine race-clean.
-func (s *shard) loop() {
-	for cmd := range s.cmd {
-		switch cmd.phase {
-		case phaseExec:
-			s.exec(cmd.t, cmd.base)
-		case phaseRank:
-			s.rank(cmd.base)
-		case phasePush:
-			s.pushMerged()
-		}
-		s.done <- struct{}{}
-	}
-}
-
-// exec delivers the shard's part of the cohort — its events at t with
-// sequence numbers up to limit — in ascending sequence order, stopping
-// early if a step fails (s.err).
-func (s *shard) exec(t int64, limit uint64) {
-	for s.pq.Len() > 0 {
-		if h := s.pq.peek(); h.at != t || h.seq > limit || !s.step() {
-			return
-		}
-	}
-}
-
-// step pops and executes the shard's next event; false means the run must
-// stop (s.err).
-func (s *shard) step() bool {
+// step pops and executes the shard's next event at virtual time ev.at.
+func (s *shard) step() error {
 	ev := s.pq.pop()
+	s.eng.now = ev.at
 	if s.down != nil {
 		if ctl, ok := ev.m.(*faultCtl); ok {
 			s.applyFaultCtl(ctl)
-			return true
+			return nil
 		}
 		if s.down[ev.m.Dest()] {
 			// Fail-stop: a crashed node receives nothing. The message
@@ -123,7 +55,7 @@ func (s *shard) step() bool {
 			// never recycled.
 			s.crash.CrashDrops++
 			s.eng.traceDrop(ids.None, ev.m, obs.DropCrash)
-			return true
+			return nil
 		}
 	}
 	if s.busy != nil && ev.net && !ev.served {
@@ -141,21 +73,19 @@ func (s *shard) step() bool {
 			ev.at = done
 			ev.served = true
 			s.pq.push(ev, laneHeap)
-			return true
+			return nil
 		}
 	}
 	dest := ev.m.Dest()
 	n, ok := s.eng.nodes.Get(dest)
 	if !ok {
-		s.err = fmt.Errorf("sim: message for unregistered node %v", dest)
-		return false
+		return fmt.Errorf("sim: message for unregistered node %v", dest)
 	}
 	s.delivered++
-	s.curSeq = ev.seq
 	s.current = dest // nodes are registered under their own ID
 	n.Handle(s, ev.m)
 	s.current = ids.None
-	return true
+	return nil
 }
 
 // applyFaultCtl executes one crash or restart transition.
@@ -179,46 +109,6 @@ func (s *shard) applyFaultCtl(ctl *faultCtl) {
 	}
 }
 
-// rank assigns each of this shard's buffered emissions its global sequence
-// number: base plus its rank in the cross-shard (pseq, emission index)
-// merge order. The rank is the emission's own index plus, per foreign
-// shard, the count of foreign emissions with smaller pseq — a two-pointer
-// sweep over each sorted buffer. The values are identical to what
-// mergeSerial would assign.
-func (s *shard) rank(base uint64) {
-	mine := s.emits
-	for i := range mine {
-		mine[i].seq = base + uint64(i)
-	}
-	for _, o := range s.eng.shards {
-		if o == s || len(o.emits) == 0 {
-			continue
-		}
-		other := o.emits
-		j := 0
-		for i := range mine {
-			for j < len(other) && other[j].pseq < mine[i].pseq {
-				j++
-			}
-			mine[i].seq += uint64(j)
-		}
-	}
-}
-
-// pushMerged pushes every cohort emission destined to this shard into its
-// queue. Insertion order does not matter for determinism: (at, seq) pairs
-// are unique and a lane refuses what would break its order, so the pop
-// sequence is independent of what landed where.
-func (s *shard) pushMerged() {
-	for _, o := range s.eng.shards {
-		for i := range o.emits {
-			if em := &o.emits[i]; em.dest == int32(s.idx) {
-				s.pq.push(event{at: em.at, seq: em.seq, m: em.m, net: em.lane != laneHeap}, int(em.lane))
-			}
-		}
-	}
-}
-
 // VNow implements Clock.
 func (s *shard) VNow() int64 { return s.eng.now }
 
@@ -234,7 +124,7 @@ func (s *shard) Send(m msg.Message) {
 		// receiver.
 		delay -= e.latency.Service
 	}
-	s.emit(e.now+delay, m, to, lane)
+	e.admit(s.current, e.now+delay, m, lane, e.shardIdx(to))
 }
 
 // After implements Scheduler.
@@ -242,26 +132,8 @@ func (s *shard) After(delay int64, m msg.Message) {
 	if delay < 0 {
 		delay = 0
 	}
-	s.emit(s.eng.now+delay, m, m.Dest(), laneHeap)
-}
-
-// emit admits an emission at once while the engine is direct and buffers
-// it for the cohort merge otherwise.
-func (s *shard) emit(at int64, m msg.Message, to ids.NodeID, lane int) {
 	e := s.eng
-	dest := e.shardIdx(to)
-	if e.direct {
-		e.admit(s.current, at, m, lane, dest)
-		return
-	}
-	s.emits = append(s.emits, pemit{
-		pseq: s.curSeq,
-		at:   at,
-		from: s.current,
-		dest: int32(dest),
-		lane: int8(lane),
-		m:    m,
-	})
+	e.admit(s.current, e.now+delay, m, laneHeap, e.shardIdx(m.Dest()))
 }
 
 // Freelist implements Context: every shard recycles through its own.

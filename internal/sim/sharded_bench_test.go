@@ -118,10 +118,10 @@ func newScaleCollector() *metrics.Collector {
 
 // BenchmarkShardedScaling is the engine's scaling benchmark: the 10k-proxy
 // / 1M-client workload at 1, 2, 4 and 8 shards (≈ 5 GB RSS and minutes per
-// variant; run one at a time with -benchtime 1x). EXPERIMENTS.md "Parallel
-// engine scaling" records events/s per shard count with the machine shape
-// of each row; a ratio between shard counts only means something on a
-// machine with at least that many cores.
+// variant; run one at a time with -benchtime 1x). The engine delivers one
+// event at a time at every shard count, so a shards > 1 variant measures
+// what the queue partition costs. EXPERIMENTS.md "Parallel-engine scaling"
+// records events/s per shard count with the machine shape of each row.
 //
 // Every variant also cross-checks its delivery count against the first
 // variant run: a shard-count-dependent event count would mean the engines
@@ -129,9 +129,9 @@ func newScaleCollector() *metrics.Collector {
 func BenchmarkShardedScaling(b *testing.B) {
 	var wantDelivered uint64
 
-	// One collector per shard, shared by that shard's clients: handlers of
-	// one shard never run concurrently, so the sharing is race-free, and it
-	// keeps per-client state small enough for a million clients.
+	// One collector per shard, shared by that shard's clients: no two
+	// handlers run concurrently, so the sharing is race-free, and it keeps
+	// per-client state small enough for a million clients.
 	shardColl := func(part ids.ShardMap) func(int) *metrics.Collector {
 		cs := make([]*metrics.Collector, part.Shards())
 		for i := range cs {

@@ -3,8 +3,9 @@
 // and the origin server, and two engines to run them on. Engine delivers
 // messages in FIFO order and has no clock. VEngine is the one virtual-time
 // engine: (timestamp, sequence) delivery order under a latency model, with
-// open-loop timers, fault plans, queued service, tracing and time series
-// (DESIGN.md §7). At zero latency VEngine reproduces Engine's delivery order exactly,
+// open-loop timers, fault plans, queued service, tracing and time series,
+// on one event queue or partitioned over several with byte-identical
+// results (DESIGN.md §7). At zero latency VEngine reproduces Engine's delivery order exactly,
 // which makes each an oracle for the other.
 //
 // The paper ran its agents on the Carolina multi-agent platform across

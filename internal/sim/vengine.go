@@ -79,41 +79,35 @@ type Scheduler interface {
 
 // VEngine is the virtual-time discrete-event engine: messages are delivered
 // in (timestamp, enqueue sequence) order, each transfer delayed by the
-// latency model. It is fully deterministic. DESIGN.md §7 has the full
-// argument; in short:
+// latency model. It is fully deterministic, and its results — every byte,
+// with every feature on — do not depend on how many shards it runs on.
+// DESIGN.md §7 has the full argument; in short:
 //
-// The engine owns one event queue (one FIFO lane per link class plus a
-// 4-ary heap for timers, see eventQueue), one message freelist, and the
-// sequence counter. Run pops the smallest (at, seq) event, advances virtual
-// time to it and hands it to its node, a classic sequential event loop. A
-// Send takes the next sequence number and goes straight into the queue, so
-// whatever depends on Send order happens in one function, admit: the drop
-// filter is consulted, the fault plan's single random stream draws loss →
-// link loss → jitter, and survivors are queued. What a delivery reads or
-// writes is keyed by destination: the fail-stop down set, the crash
-// counters, the QueueService busy horizon.
+// Every node is owned by one shard (ids.ShardMap), each with a private
+// event queue (one FIFO lane per link class plus a 4-ary heap for timers,
+// see eventQueue) and message freelist. Run executes one event at a time,
+// on the calling goroutine: the smallest (at, seq) head across the shards,
+// a classic sequential event loop over a partitioned queue. A Send takes
+// the next sequence number and goes straight into the destination's queue,
+// so whatever depends on Send order happens in one function, admit: the
+// drop filter is consulted, the fault plan's single random stream draws
+// loss → link loss → jitter, and survivors take consecutive sequence
+// numbers. Identical (at, seq) pairs on every event mean identical delivery
+// order, whatever the partition.
 //
-// The engine is itself the Context (and Clock and Scheduler) every handler
-// runs against; outside any handler (pre-run injection, tests) it sends as
-// no node.
+// What a delivery reads or writes is keyed by destination and lives on the
+// destination's shard: the fail-stop down set, the crash counters, the
+// QueueService busy horizon.
 type VEngine struct {
 	latency LatencyModel
+	part    ids.ShardMap
 	nodes   ids.Table[Node]
-	pq      eventQueue
-	fl      msg.Freelist
+	shards  []*shard
 
-	// now is the current virtual time and seq the enqueue counter.
+	// now is the timestamp of the event being delivered and seq the
+	// global enqueue counter.
 	now int64
 	seq uint64
-
-	// current is the node whose Handle is executing, so Send can price the
-	// link correctly (the sender is implicit in sim.Context).
-	current ids.NodeID
-
-	// busy is the per-node service-completion horizon of the QueueService
-	// model (nil when the model is off, which keeps the delivery path on
-	// one nil check for the latency-only configuration).
-	busy map[ids.NodeID]int64
 
 	// drop, when set, discards matching Sends — fault injection for
 	// probing the paper's §III.1 assumption that "we don't expect the loss
@@ -122,15 +116,13 @@ type VEngine struct {
 	// still reference them (see Context).
 	drop func(m msg.Message) bool
 
-	// faults, when set, is the installed FaultPlan's loss/jitter stream
-	// and fail-stop state. nil keeps every code path byte-identical to a
-	// plan-free engine.
+	// faults, when set, is the installed FaultPlan's loss/jitter stream.
+	// nil keeps every code path byte-identical to a plan-free engine.
 	faults *faultState
 
-	// dropped counts discarded messages: filter hits, losses and crash
-	// drops. delivered counts handled ones.
-	dropped   uint64
-	delivered uint64
+	// dropped counts Sends that died at admission (filter, loss); crash
+	// drops are counted per shard.
+	dropped uint64
 
 	// tracer records drop events (the engine is the only layer that sees
 	// a message die); ts feeds the drop counter of the time-series
@@ -140,17 +132,30 @@ type VEngine struct {
 	ts     *metrics.TimeSeries
 }
 
-// NewVEngine returns an empty engine.
+// NewVEngine returns an empty one-shard engine: the sequential run.
 func NewVEngine(latency LatencyModel) *VEngine {
-	e := &VEngine{latency: latency, current: ids.None}
-	if latency.QueueService {
-		e.busy = make(map[ids.NodeID]int64)
+	part, _ := ids.NewShardMap(1, 1) // cannot fail
+	return NewShardedVEngine(latency, part)
+}
+
+// NewShardedVEngine returns an empty engine whose nodes are spread over the
+// partition's shards. Results are identical at every shard count.
+func NewShardedVEngine(latency LatencyModel, part ids.ShardMap) *VEngine {
+	e := &VEngine{latency: latency, part: part}
+	e.shards = make([]*shard, part.Shards())
+	for i := range e.shards {
+		s := &shard{eng: e, current: ids.None}
+		if latency.QueueService {
+			s.busy = make(map[ids.NodeID]int64)
+		}
+		e.shards[i] = s
 	}
 	return e
 }
 
-// Register adds a node. A handler may register nodes during a run: the
-// cluster's churn hook adds a proxy from inside the client's handler.
+// Register adds a node. The owning shard is derived from the partition. A
+// handler may register nodes during a run: the cluster's churn hook adds a
+// proxy from inside the client's handler.
 func (e *VEngine) Register(n Node) error {
 	if !e.nodes.Put(n.ID(), n) {
 		return fmt.Errorf("sim: duplicate node %v", n.ID())
@@ -183,6 +188,9 @@ func (e *VEngine) SetFaultPlan(p *FaultPlan) error {
 		return err
 	}
 	e.faults = newFaultState(p)
+	for _, s := range e.shards {
+		s.down = make(map[ids.NodeID]bool)
+	}
 	return nil
 }
 
@@ -191,85 +199,91 @@ func (e *VEngine) FaultStats() FaultStats {
 	if e.faults == nil {
 		return FaultStats{}
 	}
-	return e.faults.stats
+	st := e.faults.stats
+	for _, s := range e.shards {
+		st.CrashDrops += s.crash.CrashDrops
+		st.Crashes += s.crash.Crashes
+		st.Restarts += s.crash.Restarts
+	}
+	return st
 }
 
 // Dropped returns the number of discarded messages — drop-filter hits,
 // fault-plan losses, and deliveries addressed to crashed nodes. In a run
 // without retransmission every dropped transfer is an undelivered in-flight
 // message whose request chain is stranded.
-func (e *VEngine) Dropped() uint64 { return e.dropped }
+func (e *VEngine) Dropped() uint64 {
+	n := e.dropped
+	for _, s := range e.shards {
+		n += s.crash.CrashDrops
+	}
+	return n
+}
 
-// Delivered returns the number of delivered messages.
-func (e *VEngine) Delivered() uint64 { return e.delivered }
+// Delivered returns the number of delivered messages, summed across
+// shards.
+func (e *VEngine) Delivered() uint64 {
+	var n uint64
+	for _, s := range e.shards {
+		n += s.delivered
+	}
+	return n
+}
 
+// The engine is itself a context — shard 0 with no current node — so code
+// outside any handler (pre-run injection, tests) can send, set timers and
+// use the freelist.
 var (
 	_ Context   = (*VEngine)(nil)
 	_ Clock     = (*VEngine)(nil)
 	_ Scheduler = (*VEngine)(nil)
 )
 
-// VNow implements Clock.
-func (e *VEngine) VNow() int64 { return e.now }
+func (e *VEngine) VNow() int64                      { return e.now }
+func (e *VEngine) Send(m msg.Message)               { e.shards[0].Send(m) }
+func (e *VEngine) After(delay int64, m msg.Message) { e.shards[0].After(delay, m) }
+func (e *VEngine) Freelist() *msg.Freelist          { return e.shards[0].Freelist() }
 
-// Send implements Context: the message arrives after the modelled link
-// latency; the hop is counted exactly as in the other engines.
-func (e *VEngine) Send(m msg.Message) {
-	CountHop(m)
-	delay, lane := e.latency.cost(e.current, m.Dest())
-	if e.busy != nil {
-		// Queued service: the transfer pays only the link here; the
-		// Service component is charged at delivery, serialized per
-		// receiver.
-		delay -= e.latency.Service
+// shardIdx maps a node to its owning shard.
+func (e *VEngine) shardIdx(id ids.NodeID) int {
+	if len(e.shards) == 1 {
+		return 0
 	}
-	e.admit(e.now+delay, m, lane)
+	return e.part.ShardOf(id)
 }
 
-// After implements Scheduler.
-func (e *VEngine) After(delay int64, m msg.Message) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.admit(e.now+delay, m, laneHeap)
-}
-
-// Freelist implements Context.
-func (e *VEngine) Freelist() *msg.Freelist { return &e.fl }
-
-// admit is the one place an emission of the current node enters the queue,
-// in Send order. A network transfer — an emission on a link lane — is
-// screened first (see screen); whatever survives takes the next sequence
-// number.
-func (e *VEngine) admit(at int64, m msg.Message, lane int) {
+// admit is the one place an emission enters a queue, in Send order. A
+// network transfer — an emission on a link lane — is screened
+// first (see screen); whatever survives takes the next sequence number.
+func (e *VEngine) admit(from ids.NodeID, at int64, m msg.Message, lane, dest int) {
 	net := lane != laneHeap
 	if net && (e.drop != nil || e.faults != nil) {
 		var ok bool
-		if at, ok = e.screen(at, m); !ok {
+		if at, ok = e.screen(from, at, m); !ok {
 			return
 		}
 	}
 	e.seq++
-	e.pq.push(event{at: at, seq: e.seq, m: m, net: net}, lane)
+	e.shards[dest].pq.push(event{at: at, seq: e.seq, m: m, net: net}, lane)
 }
 
 // screen passes one Send through the drop filter and then the fault plan,
 // returning its (possibly jittered) delivery time and whether it survives.
 // Because admit calls it in Send order, the filter's view and the plan's
-// draws are a pure function of the Send sequence.
-func (e *VEngine) screen(at int64, m msg.Message) (int64, bool) {
+// draws are a pure function of the Send sequence at every shard count.
+func (e *VEngine) screen(from ids.NodeID, at int64, m msg.Message) (int64, bool) {
 	if e.drop != nil && e.drop(m) {
 		e.dropped++
-		e.traceDrop(e.current, m, obs.DropFilter)
+		e.traceDrop(from, m, obs.DropFilter)
 		return 0, false
 	}
 	if e.faults != nil {
 		var ok bool
-		if at, ok = e.faults.transfer(e.current, m.Dest(), at); !ok {
+		if at, ok = e.faults.transfer(from, m.Dest(), at); !ok {
 			// Lost on the wire. Like drop-filter hits, lost messages are
 			// never recycled: the sender may still hold them.
 			e.dropped++
-			e.traceDrop(e.current, m, obs.DropLoss)
+			e.traceDrop(from, m, obs.DropLoss)
 			return 0, false
 		}
 	}
@@ -302,103 +316,41 @@ func (e *VEngine) traceDrop(sender ids.NodeID, m msg.Message, cause int64) {
 }
 
 // Run starts the Starter nodes in ascending NodeID order and then delivers
-// events in (at, seq) order until the queue drains, advancing virtual time
-// monotonically.
+// events in (at, seq) order across the shards until every queue drains,
+// advancing virtual time monotonically.
 func (e *VEngine) Run() error {
 	if e.faults != nil {
 		// Crash/restart transitions enter the queue before any starter
 		// event, so at equal timestamps a fault applies before the
 		// messages scheduled later — a deterministic tie-break.
 		for _, c := range e.faults.plan.Crashes {
-			e.admit(c.At, &faultCtl{node: c.Node}, laneHeap)
+			dest := e.shardIdx(c.Node)
+			e.admit(ids.None, c.At, &faultCtl{node: c.Node}, laneHeap, dest)
 			if c.RestartAt > 0 {
-				e.admit(c.RestartAt, &faultCtl{node: c.Node, restart: true, loseTables: c.LoseTables}, laneHeap)
+				e.admit(ids.None, c.RestartAt, &faultCtl{node: c.Node, restart: true, loseTables: c.LoseTables}, laneHeap, dest)
 			}
 		}
 	}
 	e.nodes.Ascending(func(id ids.NodeID, n Node) {
 		if st, ok := n.(Starter); ok {
-			e.current = id
-			st.Start(e)
-			e.current = ids.None
+			s := e.shards[e.shardIdx(id)]
+			s.current = id
+			st.Start(s)
+			s.current = ids.None
 		}
 	})
-	for e.pq.Len() > 0 {
-		ev := e.pq.pop()
-		e.now = ev.at
-		if err := e.deliver(ev); err != nil {
+	for {
+		var next *shard
+		for _, s := range e.shards {
+			if s.pq.Len() > 0 && (next == nil || s.pq.peek().before(next.pq.peek())) {
+				next = s
+			}
+		}
+		if next == nil {
+			return nil
+		}
+		if err := next.step(); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// deliver executes one popped event: a fault transition, a crash drop, a
-// re-queue for queued service, or the destination's Handle.
-func (e *VEngine) deliver(ev event) error {
-	if f := e.faults; f != nil {
-		if ctl, ok := ev.m.(*faultCtl); ok {
-			e.applyFaultCtl(ctl)
-			return nil
-		}
-		if f.down[ev.m.Dest()] {
-			// Fail-stop: a crashed node receives nothing. The message
-			// dies at delivery (it left the sender long ago) and is
-			// never recycled.
-			f.stats.CrashDrops++
-			e.dropped++
-			e.traceDrop(ids.None, ev.m, obs.DropCrash)
-			return nil
-		}
-	}
-	if e.busy != nil && ev.net && !ev.served {
-		// Queued service: the message starts service when the receiver
-		// frees up, completes Service later, and is handled at
-		// completion. Re-queuing keeps the original sequence number, so
-		// per-node FIFO order is preserved.
-		start := ev.at
-		if b := e.busy[ev.m.Dest()]; b > start {
-			start = b
-		}
-		done := start + e.latency.Service
-		e.busy[ev.m.Dest()] = done
-		if done > ev.at {
-			ev.at = done
-			ev.served = true
-			e.pq.push(ev, laneHeap)
-			return nil
-		}
-	}
-	dest := ev.m.Dest()
-	n, ok := e.nodes.Get(dest)
-	if !ok {
-		return fmt.Errorf("sim: message for unregistered node %v", dest)
-	}
-	e.delivered++
-	e.current = dest // nodes are registered under their own ID
-	n.Handle(e, ev.m)
-	e.current = ids.None
-	return nil
-}
-
-// applyFaultCtl executes one crash or restart transition.
-func (e *VEngine) applyFaultCtl(ctl *faultCtl) {
-	f := e.faults
-	if !ctl.restart {
-		if !f.down[ctl.node] {
-			f.down[ctl.node] = true
-			f.stats.Crashes++
-		}
-		return
-	}
-	if !f.down[ctl.node] {
-		return // restart without a preceding crash: ignore
-	}
-	delete(f.down, ctl.node)
-	f.stats.Restarts++
-	if n, ok := e.nodes.Get(ctl.node); ok {
-		if r, isR := n.(Restartable); isR {
-			r.Restart(ctl.loseTables)
 		}
 	}
 }

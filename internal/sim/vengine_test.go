@@ -130,17 +130,6 @@ func TestVEngineUnroutable(t *testing.T) {
 	}
 }
 
-// TestVEngineDuplicateRegister mirrors the FIFO engine's contract.
-func TestVEngineDuplicateRegister(t *testing.T) {
-	eng := NewVEngine(DefaultLatencyModel())
-	if err := eng.Register(NewOrigin()); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Register(NewOrigin()); err == nil {
-		t.Fatal("expected duplicate-node error, got nil")
-	}
-}
-
 func TestClosedLoopClientRecordsResponseTime(t *testing.T) {
 	l := LatencyModel{ClientProxy: 100, ProxyProxy: 10, ProxyOrigin: 1000}
 	eng := NewVEngine(l)
