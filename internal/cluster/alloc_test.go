@@ -14,8 +14,11 @@ import (
 // makes per request, in the closed loop and with 64 Poisson clients. It
 // takes the difference between a 200 000- and a 400 000-request run, so
 // construction cancels and what is left is the per-request path: engine,
-// clients, proxies and tables. It counts process-wide mallocs, so it must
-// not run beside parallel tests.
+// clients, proxies and tables. Run hands each run's tables to the next, so
+// a warm-up run of the long shape goes first: both measured runs then build
+// on released storage, as every run after the first in a sweep does, and
+// neither pays the first run's slab allocations alone. It counts
+// process-wide mallocs, so it must not run beside parallel tests.
 func TestMarginalAllocsPerRequest(t *testing.T) {
 	const (
 		short, long = 200_000, 400_000
@@ -74,6 +77,7 @@ func TestMarginalAllocsPerRequest(t *testing.T) {
 			}
 			return after.Mallocs - before.Mallocs
 		}
+		mallocs(long) // warm-up
 		perReq := float64(int64(mallocs(long))-int64(mallocs(short))) / (long - short)
 		t.Logf("%s: %.4f allocations per request", shape.name, perReq)
 		if perReq > maxPerReq {

@@ -847,11 +847,22 @@ func peakWindowLoad(buckets []metrics.Bucket) (share float64, peak uint64) {
 	return share, peak
 }
 
-// Run builds and runs a cluster in one call.
+// Run builds and runs a cluster in one call. The Result holds counters
+// only, so once it is built nothing reads the proxies' mapping tables
+// again: Run releases them (core.Tables.Release) for the next run's tables
+// to reuse, which keeps a process that runs one experiment after another
+// at one run's table memory. (*Cluster).Run releases nothing, since its
+// caller may still inspect the tables.
 func Run(cfg Config, src workload.Source) (*Result, error) {
 	c, err := New(cfg, src)
 	if err != nil {
 		return nil, err
 	}
-	return c.Run()
+	res, err := c.Run()
+	for _, p := range c.proxies {
+		if a, ok := p.Policy().(*protocol.Agent); ok {
+			a.Tables().Release()
+		}
+	}
+	return res, err
 }

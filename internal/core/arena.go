@@ -1,6 +1,10 @@
 package core
 
-import "github.com/adc-sim/adc/internal/ids"
+import (
+	"sync"
+
+	"github.com/adc-sim/adc/internal/ids"
+)
 
 // entryArena slab-allocates mapping-table entries and recycles the ones the
 // system forgets (Outcome.Dropped), mirroring internal/msg.Freelist: one
@@ -11,13 +15,22 @@ import "github.com/adc-sim/adc/internal/ids"
 //
 // Entries are handed out from contiguous slabs, so a proxy's live entries
 // cluster in memory instead of being scattered one garbage-collected
-// allocation at a time.
+// allocation at a time. An entry is named by its entryRef, its position
+// across the slabs, which is what the directory stores instead of a
+// pointer.
 type entryArena struct {
-	// slab is the tail of the current slab still to be handed out.
+	// slabs hold every entry handed out so far: entry i is
+	// slabs[i/arenaSlab][i%arenaSlab].
+	slabs []*[arenaSlab]Entry
+	// slab is the tail of the last slab still to be handed out.
 	slab []Entry
 	// free holds recycled entries.
-	free []*Entry
+	free []entryRef
 }
+
+// entryRef names an arena entry: its index plus one, so the zero value
+// names none.
+type entryRef uint32
 
 // arenaSlab is the slab size in entries. 1024 × 64 B = 64 KB per slab, small
 // against the reference 50k-entry table budget but large enough to make slab
@@ -26,28 +39,57 @@ type entryArena struct {
 // exactly one cache line.
 const arenaSlab = 1024
 
-// get returns a fresh first-sighting entry (paper Fig. 8 Part 4: AVG 0,
-// HITS 1, LAST = now), recycling a dropped entry when one is available.
-func (a *entryArena) get(obj ids.ObjectID, loc ids.NodeID, now int64) *Entry {
+// slabPool holds the zeroed slabs of released arenas for the next Tables.
+var slabPool sync.Pool // of *[arenaSlab]Entry
+
+// take returns a fresh first-sighting entry (paper Fig. 8 Part 4: AVG 0,
+// HITS 1, LAST = now) and its ref, recycling a dropped entry when one is
+// available.
+func (a *entryArena) take(obj ids.ObjectID, loc ids.NodeID, now int64) (entryRef, *Entry) {
+	var r entryRef
 	if n := len(a.free); n > 0 {
-		e := a.free[n-1]
-		a.free[n-1] = nil
+		r = a.free[n-1]
 		a.free = a.free[:n-1]
-		e.Object, e.Location, e.Last, e.Avg, e.Hits = obj, loc, now, 0, 1
-		return e
+	} else {
+		if len(a.slab) == 0 {
+			s, _ := slabPool.Get().(*[arenaSlab]Entry)
+			if s == nil {
+				s = new([arenaSlab]Entry)
+			}
+			a.slabs = append(a.slabs, s)
+			a.slab = s[:]
+		}
+		r = entryRef(len(a.slabs)*arenaSlab - len(a.slab) + 1)
+		a.slab = a.slab[1:]
 	}
-	if len(a.slab) == 0 {
-		a.slab = make([]Entry, arenaSlab)
-	}
-	e := &a.slab[0]
-	a.slab = a.slab[1:]
+	e := a.at(r)
 	e.Object, e.Location, e.Last, e.Avg, e.Hits = obj, loc, now, 0, 1
-	return e
+	return r, e
 }
 
-// put recycles e. The caller must not touch the entry afterwards; it is
-// zeroed immediately so dangling reads fail loudly in tests.
-func (a *entryArena) put(e *Entry) {
-	*e = Entry{}
-	a.free = append(a.free, e)
+// at returns the entry r names; r must not be zero.
+func (a *entryArena) at(r entryRef) *Entry {
+	i := r - 1
+	return &a.slabs[i/arenaSlab][i%arenaSlab]
+}
+
+// put recycles the entry r names; put(0) does nothing. The caller must not
+// touch the entry afterwards; it is zeroed immediately so dangling reads
+// fail loudly in tests.
+func (a *entryArena) put(r entryRef) {
+	if r == 0 {
+		return
+	}
+	*a.at(r) = Entry{}
+	a.free = append(a.free, r)
+}
+
+// release zeroes every slab and hands it to slabPool; the arena must not be
+// used afterwards.
+func (a *entryArena) release() {
+	for _, s := range a.slabs {
+		clear(s[:])
+		slabPool.Put(s)
+	}
+	*a = entryArena{}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/adc-sim/adc/internal/ids"
@@ -65,39 +66,36 @@ var benchSink *Entry
 func BenchmarkDirectory(b *testing.B) {
 	const population = benchSingle + benchMultiple + benchCaching
 	rng := rand.New(rand.NewSource(1))
-	entries := make([]Entry, population)
-	for i := range entries {
-		entries[i].Object = ids.ObjectID(i/2 + i%2<<40)
+	keys := make([]ids.ObjectID, population)
+	for i := range keys {
+		keys[i] = ids.ObjectID(i/2 + i%2<<40)
 	}
-	rng.Shuffle(population, func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+	rng.Shuffle(population, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 	absent := func(i int) ids.ObjectID { return ids.ObjectID(1<<41 + i) }
 
-	fill := func() (*directory, map[ids.ObjectID]*Entry) {
-		d := newDirectory(population+1, rng.Uint64())
+	// fill indexes one arena entry per key; refs[k] names keys[k]'s.
+	fill := func() (*directory, []entryRef, map[ids.ObjectID]*Entry) {
+		a := new(entryArena)
+		d := newDirectory(population+1, rng.Uint64(), a)
+		refs := make([]entryRef, population)
 		m := make(map[ids.ObjectID]*Entry, population)
-		for i := range entries {
-			d.set(entries[i].Object, &entries[i])
-			m[entries[i].Object] = &entries[i]
+		for k, obj := range keys {
+			r, e := a.take(obj, 0, 0)
+			d.set(obj, r)
+			refs[k] = r
+			m[obj] = e
 		}
-		return d, m
+		return d, refs, m
 	}
-	// churned is the key each entry is currently indexed under.
-	churned := func() []ids.ObjectID {
-		objs := make([]ids.ObjectID, population)
-		for i := range objs {
-			objs[i] = entries[i].Object
-		}
-		return objs
-	}
-	d, m := fill()
+	d, _, m := fill()
 	b.Run("flat/get-hit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			benchSink = d.get(entries[i%population].Object)
+			benchSink = d.get(keys[i%population])
 		}
 	})
 	b.Run("map/get-hit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			benchSink = m[entries[i%population].Object]
+			benchSink = m[keys[i%population]]
 		}
 	})
 	b.Run("flat/get-miss", func(b *testing.B) {
@@ -110,26 +108,28 @@ func BenchmarkDirectory(b *testing.B) {
 			benchSink = m[absent(i)]
 		}
 	})
+	// churn re-keys entry k: forget its object, index it under a new one.
 	b.Run("flat/churn", func(b *testing.B) {
-		d, _ := fill()
-		objs := churned()
+		d, refs, _ := fill()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			k := i % population
-			d.del(objs[k])
-			objs[k] = absent(i)
-			d.set(objs[k], &entries[k])
+			r := refs[i%population]
+			e := d.arena.at(r)
+			d.del(e.Object)
+			e.Object = absent(i)
+			d.set(e.Object, r)
 		}
 	})
 	b.Run("map/churn", func(b *testing.B) {
-		_, m := fill()
-		objs := churned()
+		_, _, m := fill()
+		objs := slices.Clone(keys)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := i % population
+			e := m[objs[k]]
 			delete(m, objs[k])
 			objs[k] = absent(i)
-			m[objs[k]] = &entries[k]
+			m[objs[k]] = e
 		}
 	})
 }

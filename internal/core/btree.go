@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/adc-sim/adc/internal/ids"
 )
@@ -22,6 +23,11 @@ import (
 // entry and must find that same cell, which is why an entry's key may not
 // change while it is stored (Tables removes before CalcAverage, always).
 //
+// A block that falls below a quarter full merges into a neighbour when the
+// two fit in one block, so removals that drain the middle of the order —
+// in-place updates re-insert near the front, demotions take from the back —
+// cannot leave the table spread over mostly empty blocks.
+//
 // The structure is purely comparison-based over the same total order as
 // every other backend, so promotion and demotion decisions — and with them
 // all experiment outputs — are identical to the paper's sorted slice
@@ -30,8 +36,9 @@ import (
 type btreeTable struct {
 	capacity int
 	// blocks hold the cells: each block is sorted ascending by
-	// (key, obj), non-empty, and every cell of block i orders before
-	// every cell of block i+1.
+	// (key, obj), non-empty, every cell of block i orders before every
+	// cell of block i+1, and no block below btreeMinBlock cells sits
+	// beside one it fits into.
 	blocks [][]btreeCell
 	size   int
 	// freeBlocks recycles split/merged block arrays so steady-state
@@ -54,8 +61,15 @@ func (c *btreeCell) before(key int64, obj ids.ObjectID) bool {
 
 // btreeMaxBlock caps a block's length; blocks split in half when they
 // exceed it. 128 cells = 3 KB, two cache-friendly memmove targets after a
-// split.
-const btreeMaxBlock = 128
+// split. A block below btreeMinBlock cells merges into a neighbour when
+// the two fit in one block.
+const (
+	btreeMaxBlock = 128
+	btreeMinBlock = btreeMaxBlock / 4
+)
+
+// blockPool holds the zeroed blocks of released tables for the next table.
+var blockPool sync.Pool // of *[btreeMaxBlock + 1]btreeCell
 
 var _ Ordered = (*btreeTable)(nil)
 
@@ -136,21 +150,61 @@ func (t *btreeTable) RemoveEntry(e *Entry) {
 	t.removeAt(bi, i)
 }
 
-// removeAt deletes cell i of block bi, dropping the block when it empties.
+// removeAt deletes cell i of block bi, dropping the block when it empties
+// and merging it into a neighbour when it falls below btreeMinBlock.
 func (t *btreeTable) removeAt(bi, i int) {
 	blk := t.blocks[bi]
 	copy(blk[i:], blk[i+1:])
 	blk[len(blk)-1] = btreeCell{}
-	blk = blk[:len(blk)-1]
-	if len(blk) == 0 {
-		t.freeBlocks = append(t.freeBlocks, blk[:0])
-		copy(t.blocks[bi:], t.blocks[bi+1:])
-		t.blocks[len(t.blocks)-1] = nil
-		t.blocks = t.blocks[:len(t.blocks)-1]
-	} else {
-		t.blocks[bi] = blk
-	}
+	t.blocks[bi] = blk[:len(blk)-1]
 	t.size--
+	if len(blk) == 1 {
+		t.dropBlock(bi)
+		t.mergeAt(bi - 1)
+		return
+	}
+	t.mergeAround(bi)
+}
+
+// dropBlock frees the now empty block bi.
+func (t *btreeTable) dropBlock(bi int) {
+	t.freeBlocks = append(t.freeBlocks, t.blocks[bi])
+	copy(t.blocks[bi:], t.blocks[bi+1:])
+	t.blocks[len(t.blocks)-1] = nil
+	t.blocks = t.blocks[:len(t.blocks)-1]
+}
+
+// mergeAround restores the merge rule after block bi changed length: first
+// with its left neighbour, then with its right.
+func (t *btreeTable) mergeAround(bi int) {
+	if t.mergeAt(bi - 1) {
+		bi--
+	}
+	t.mergeAt(bi)
+}
+
+// mergeable reports whether blocks bi and bi+1 break the merge rule: one of
+// them is below btreeMinBlock and both fit in one block.
+func (t *btreeTable) mergeable(bi int) bool {
+	if bi < 0 || bi+1 >= len(t.blocks) {
+		return false
+	}
+	l, r := len(t.blocks[bi]), len(t.blocks[bi+1])
+	return min(l, r) < btreeMinBlock && l+r <= btreeMaxBlock
+}
+
+// mergeAt appends block bi+1 to block bi when the pair is mergeable and
+// reports whether it did. The cells keep their order.
+func (t *btreeTable) mergeAt(bi int) bool {
+	if !t.mergeable(bi) {
+		return false
+	}
+	right := t.blocks[bi+1]
+	t.blocks[bi] = append(t.blocks[bi], right...)
+	clear(right)
+	t.blocks[bi+1] = right[:0]
+	t.dropBlock(bi + 1)
+	return true
 }
 
 // newBlock returns an empty block with btreeMaxBlock+1 capacity (one slot
@@ -162,7 +216,20 @@ func (t *btreeTable) newBlock() []btreeCell {
 		t.freeBlocks = t.freeBlocks[:n-1]
 		return blk
 	}
+	if b, _ := blockPool.Get().(*[btreeMaxBlock + 1]btreeCell); b != nil {
+		return b[:0]
+	}
 	return make([]btreeCell, 0, btreeMaxBlock+1)
+}
+
+// release zeroes every block and hands it to blockPool; the table must not
+// be used afterwards.
+func (t *btreeTable) release() {
+	for _, blk := range append(t.blocks, t.freeBlocks...) {
+		clear(blk)
+		blockPool.Put((*[btreeMaxBlock + 1]btreeCell)(blk[:btreeMaxBlock+1]))
+	}
+	*t = btreeTable{}
 }
 
 func (t *btreeTable) Insert(e *Entry) *Entry {
@@ -193,7 +260,9 @@ func (t *btreeTable) Insert(e *Entry) *Entry {
 	return t.evictOverflow()
 }
 
-// splitBlock halves block bi into two blocks.
+// splitBlock halves block bi into two blocks. Each half is below the
+// full block its neighbour did not fit beside, so a small neighbour may now
+// merge into it.
 func (t *btreeTable) splitBlock(bi int) {
 	blk := t.blocks[bi]
 	mid := len(blk) / 2
@@ -203,6 +272,8 @@ func (t *btreeTable) splitBlock(bi int) {
 	t.blocks = append(t.blocks, nil)
 	copy(t.blocks[bi+2:], t.blocks[bi+1:])
 	t.blocks[bi+1] = right
+	t.mergeAt(bi + 1)
+	t.mergeAt(bi - 1)
 }
 
 // evictOverflow enforces the capacity bound after an insert.
@@ -251,16 +322,21 @@ func (t *btreeTable) Entries() []*Entry {
 	return out
 }
 
-// check verifies the block structure and that every cell's inline key and
-// object still equal its entry's: a stored key that drifted from its entry
-// is the one failure inline keys make possible (Entry.Avg and Entry.Last are
-// exported), and it would make RemoveEntry miss.
+// check verifies the block structure — lengths, the merge rule — and that
+// every cell's inline key and object still equal its entry's: a stored key
+// that drifted from its entry is the one failure inline keys make possible
+// (Entry.Avg and Entry.Last are exported), and it would make RemoveEntry
+// miss.
 func (t *btreeTable) check() error {
 	n := 0
 	var prev *btreeCell
 	for bi, blk := range t.blocks {
 		if len(blk) == 0 || len(blk) > btreeMaxBlock {
 			return fmt.Errorf("btree block %d holds %d cells, want 1..%d", bi, len(blk), btreeMaxBlock)
+		}
+		if t.mergeable(bi) {
+			return fmt.Errorf("btree blocks %d and %d hold %d and %d cells: below %d beside a block it fits into",
+				bi, bi+1, len(blk), len(t.blocks[bi+1]), btreeMinBlock)
 		}
 		for i := range blk {
 			c := &blk[i]

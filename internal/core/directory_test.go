@@ -337,38 +337,61 @@ func TestOrderedOpEquivalence(t *testing.T) {
 	}
 }
 
-// dirModel pairs a directory with the builtin map it must behave like.
+// dirModel pairs a directory and its arena with the builtin map it must
+// behave like. Entries a set replaces or a del forgets go back to the
+// arena, as Tables recycles them, so a cell left pointing at one would
+// read another object's (or a zeroed) entry.
 type dirModel struct {
 	d     *directory
+	arena *entryArena
 	model map[ids.ObjectID]*Entry
 }
 
 func newDirModel(maxEntries int, seed uint64) *dirModel {
-	return &dirModel{d: newDirectory(maxEntries, seed), model: make(map[ids.ObjectID]*Entry)}
+	a := new(entryArena)
+	return &dirModel{d: newDirectory(maxEntries, seed, a), arena: a, model: make(map[ids.ObjectID]*Entry)}
 }
 
+// refOf returns the ref obj's cell holds, or 0.
+func (d *directory) refOf(obj ids.ObjectID) entryRef {
+	i, e := d.find(obj, d.tag(obj))
+	if e == nil {
+		return 0
+	}
+	return d.cells[i].ref
+}
+
+// set maps obj to a fresh entry, recycling the one it replaces.
 func (m *dirModel) set(obj ids.ObjectID) {
-	e := &Entry{Object: obj}
-	m.d.set(obj, e)
+	old := m.d.refOf(obj)
+	r, e := m.arena.take(obj, 0, 0)
+	m.d.set(obj, r)
+	m.arena.put(old)
 	m.model[obj] = e
 }
 
-func (m *dirModel) del(obj ids.ObjectID) {
-	m.d.del(obj)
+// del forgets obj and recycles its entry; the ref del returns must name the
+// model's entry.
+func (m *dirModel) del(obj ids.ObjectID) error {
+	r := m.d.del(obj)
+	if want := m.model[obj]; (r == 0) != (want == nil) || r != 0 && m.arena.at(r) != want {
+		return fmt.Errorf("del(%v) returned ref %d, model entry %p", obj, r, want)
+	}
+	m.arena.put(r)
 	delete(m.model, obj)
+	return nil
 }
 
 // agree compares the population, the directory's own structure and get of
-// every key below universe with the model.
-func (m *dirModel) agree(universe int) error {
+// every key of universe with the model.
+func (m *dirModel) agree(universe []ids.ObjectID) error {
 	if m.d.n != len(m.model) {
 		return fmt.Errorf("directory holds %d objects, model %d", m.d.n, len(m.model))
 	}
 	if err := m.d.check(); err != nil {
 		return err
 	}
-	for k := 0; k < universe; k++ {
-		obj := ids.ObjectID(k)
+	for _, obj := range universe {
 		if got, want := m.d.get(obj), m.model[obj]; got != want {
 			return fmt.Errorf("get(%v) = %p, model %p", obj, got, want)
 		}
@@ -380,6 +403,10 @@ func (m *dirModel) agree(universe int) error {
 // the population pushed to the sizing bound, churned there, and drained.
 func TestDirectoryModel(t *testing.T) {
 	const bound, universe = 1000, 3000
+	keys := make([]ids.ObjectID, universe)
+	for k := range keys {
+		keys[k] = ids.ObjectID(k)
+	}
 	m := newDirModel(bound, 0x5eed)
 	if len(m.d.cells) != 2048 {
 		t.Fatalf("%d cells for a bound of %d, want 2048", len(m.d.cells), bound)
@@ -405,19 +432,21 @@ func TestDirectoryModel(t *testing.T) {
 			case !present && !ph.drain && len(m.model) < bound:
 				m.set(obj)
 			default:
-				m.del(obj)
+				if err := m.del(obj); err != nil {
+					t.Fatalf("%s step %d: %v", ph.name, step, err)
+				}
 			}
 			if got, want := m.d.get(obj), m.model[obj]; got != want || m.d.n != len(m.model) {
 				t.Fatalf("%s step %d: get(%v) = %p (n %d), model %p (n %d)",
 					ph.name, step, obj, got, m.d.n, want, len(m.model))
 			}
 			if step%500 == 0 {
-				if err := m.agree(universe); err != nil {
+				if err := m.agree(keys); err != nil {
 					t.Fatalf("%s step %d: %v", ph.name, step, err)
 				}
 			}
 		}
-		if err := m.agree(universe); err != nil {
+		if err := m.agree(keys); err != nil {
 			t.Fatalf("after %s: %v", ph.name, err)
 		}
 		switch ph.name {
@@ -439,29 +468,70 @@ func TestDirectoryModel(t *testing.T) {
 
 // Fuzz geometry: a bound of 8 objects gives 16 cells, and the 256 one-byte
 // keys land 16 to a cell, so runs collide, grow, wrap and close constantly.
-// The seed is fixed so the committed corpus replays the same probe runs.
+// Keys below 128 are the object of that number; key 128+k is k's tag twin,
+// an object whose 32-bit tag equals k's, so a tag match must be confirmed
+// by the entry's object. The seed is fixed so the committed corpus replays
+// the same probe runs.
 const (
 	fuzzDirBound = 8
 	fuzzDirSeed  = 0xadc
 )
 
+// fuzzKeys maps a fuzz key byte to its object.
+var fuzzKeys = func() (keys [256]ids.ObjectID) {
+	for k := range 128 {
+		keys[k] = ids.ObjectID(k)
+		keys[128+k] = tagTwin(ids.ObjectID(k), fuzzDirSeed)
+	}
+	return keys
+}()
+
+// mix is the directory's full 64-bit hash before tag keeps its low half.
+func mix(h uint64) uint64 {
+	h = (h ^ h>>32) * hashMul
+	h = (h ^ h>>32) * hashMul
+	return h ^ h>>32
+}
+
+// unmix inverts mix: x ^= x>>32 is its own inverse, and an odd multiplier
+// has an inverse modulo 2^64 (Newton's iteration doubles the correct low
+// bits each step, from 3).
+func unmix(h uint64) uint64 {
+	inv := uint64(hashMul)
+	for range 5 {
+		inv *= 2 - hashMul*inv
+	}
+	h = (h ^ h>>32) * inv
+	h = (h ^ h>>32) * inv
+	return h ^ h>>32
+}
+
+// tagTwin returns the object whose hash under seed differs from obj's only
+// in the top bit, which the 32-bit tag drops.
+func tagTwin(obj ids.ObjectID, seed uint64) ids.ObjectID {
+	return ids.ObjectID(unmix(mix(uint64(obj)^seed)^1<<63) ^ seed)
+}
+
 // FuzzDirectory reads two bytes an op — op%3 (0 set, 1 del, 2 get) and a
-// one-byte key — and compares get of every key and the population with a
-// builtin map after each. A set that would exceed the bound is skipped: the
-// caller owns the bound (Tables sizes the directory for its capacities).
+// key byte (see fuzzKeys) — and compares get of every key and the
+// population with a builtin map after each. A set that would exceed the
+// bound is skipped: the caller owns the bound (Tables sizes the directory
+// for its capacities).
 func FuzzDirectory(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 1, 1, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := newDirModel(fuzzDirBound, fuzzDirSeed)
 		for i := 0; i+1 < len(data); i += 2 {
-			obj := ids.ObjectID(data[i+1])
+			obj := fuzzKeys[data[i+1]]
 			switch _, present := m.model[obj]; {
 			case data[i]%3 == 1:
-				m.del(obj)
+				if err := m.del(obj); err != nil {
+					t.Fatalf("op %d: %v", i/2, err)
+				}
 			case data[i]%3 == 0 && (present || len(m.model) < fuzzDirBound):
 				m.set(obj)
 			}
-			if err := m.agree(256); err != nil {
+			if err := m.agree(fuzzKeys[:]); err != nil {
 				t.Fatalf("op %d (%d on key %d): %v", i/2, data[i]%3, data[i+1], err)
 			}
 		}
@@ -472,14 +542,14 @@ func FuzzDirectory(f *testing.F) {
 // are named for: which keys share a home cell under the fuzz seed. If the
 // hash changes, this fails first and the corpus needs new keys.
 func TestFuzzCorpusShapes(t *testing.T) {
-	d := newDirectory(fuzzDirBound, fuzzDirSeed)
+	d := newDirectory(fuzzDirBound, fuzzDirSeed, new(entryArena))
 	if len(d.cells) != 16 {
 		t.Fatalf("fuzz directory has %d cells, want 16", len(d.cells))
 	}
 	for home, keys := range map[uint64][]ids.ObjectID{
-		5:  {15, 23, 40},                        // delete-head / -middle / -tail
+		5:  {15, 23, 40},                        // delete-head / -middle / -tail, tag-twin-*
 		6:  {7},                                 // delete-steps-over-cell-at-home
-		15: {4, 17, 22},                         // run-wraps-array-end
+		15: {4, 17, 22},                         // run-wraps-array-end, tag-twin-wraps
 		0:  {37},                                // … and the cell it pushes along
 		10: {8, 19, 25, 26, 28, 35, 42, 44, 81}, // fill-to-bound
 	} {
@@ -487,6 +557,15 @@ func TestFuzzCorpusShapes(t *testing.T) {
 			if got := d.home(k); got != home {
 				t.Errorf("home(%v) = %d, the corpus assumes %d", k, got, home)
 			}
+		}
+	}
+	// The tag-twin-* entries use keys 128+k, which must share k's tag (and
+	// so its home) without being k.
+	for k := range 128 {
+		obj, twin := fuzzKeys[k], fuzzKeys[128+k]
+		if twin == obj || d.tag(twin) != d.tag(obj) {
+			t.Fatalf("key %d is object %v, tag %#x; key %d is %v, tag %#x: want another object of the same tag",
+				k, obj, d.tag(obj), 128+k, twin, d.tag(twin))
 		}
 	}
 }
@@ -530,11 +609,8 @@ func TestDirectorySeedDoesNotReachResults(t *testing.T) {
 
 // probes is the number of cells get visits to find obj (which is present).
 func (d *directory) probes(obj ids.ObjectID) int {
-	n := 1
-	for i := d.home(obj); d.cells[i].obj != obj; i = (i + 1) & d.mask {
-		n++
-	}
-	return n
+	i, _ := d.find(obj, d.tag(obj))
+	return int((i-d.home(obj))&d.mask) + 1
 }
 
 // TestDirectoryCollidingKeys is the hostile client: with the seed known,
@@ -600,10 +676,12 @@ func TestDirectoryProbeLengthOnWorkloadIDs(t *testing.T) {
 	}
 	for name, id := range patterns {
 		for _, seed := range []uint64{0, 1, 0x9e3779b97f4a7c15} {
-			d := newDirectory(population+1, seed)
+			a := new(entryArena)
+			d := newDirectory(population+1, seed, a)
 			for i := uint64(0); i < population; i++ {
 				obj := ids.ObjectID(id(i))
-				d.set(obj, &Entry{Object: obj})
+				r, _ := a.take(obj, 0, 0)
+				d.set(obj, r)
 			}
 			total := 0
 			for i := uint64(0); i < population; i++ {
@@ -627,15 +705,31 @@ func TestCheckInvariantsCatches(t *testing.T) {
 		"inline key drifted from its entry": func(_ *Tables, cached, _ *Entry) { cached.Avg -= 1000 },
 		"kind disagrees with the table":     func(_ *Tables, cached, _ *Entry) { cached.kind = KindMultiple },
 		"object missing from the directory": func(tbl *Tables, _, known *Entry) { tbl.dir.del(known.Object) },
-		"directory maps a forgotten object": func(tbl *Tables, _, _ *Entry) { tbl.dir.set(9999, &Entry{Object: 9999}) },
+		"directory maps a forgotten object": func(tbl *Tables, _, _ *Entry) {
+			r, _ := tbl.arena.take(9999, 0, 0)
+			tbl.dir.set(9999, r)
+		},
 		"directory points at another entry": func(tbl *Tables, _, known *Entry) {
-			tbl.dir.set(known.Object, &Entry{Object: known.Object, kind: known.kind})
+			r, e := tbl.arena.take(known.Object, 0, 0)
+			e.kind = known.kind
+			tbl.dir.set(known.Object, r)
+		},
+		"directory tag disagrees with its entry": func(tbl *Tables, _, known *Entry) {
+			i, _ := tbl.dir.find(known.Object, tbl.dir.tag(known.Object))
+			tbl.dir.cells[i].tag ^= 1 << 31 // the home cell stays the same
 		},
 		"object in two tables": func(tbl *Tables, cached, _ *Entry) {
 			tbl.single.InsertTop(&Entry{Object: cached.Object, kind: KindSingle})
 		},
 		"free-list entry still in a table": func(tbl *Tables, _, known *Entry) {
-			tbl.arena.free = append(tbl.arena.free, known)
+			tbl.arena.free = append(tbl.arena.free, tbl.dir.refOf(known.Object))
+		},
+		// Two blocks of 1 and 7 cells fit in one: the merge rule says they
+		// should have merged.
+		"btree blocks left unmerged": func(tbl *Tables, _, _ *Entry) {
+			bt := tbl.multiple.(*btreeTable)
+			blk := bt.blocks[0]
+			bt.blocks = [][]btreeCell{blk[:1:1], blk[1:]}
 		},
 		"table above capacity": func(tbl *Tables, _, _ *Entry) { tbl.single.capacity = 1 },
 		// Every entry's location is Proxy[1]. SetReplicas keeps unsorted
@@ -653,9 +747,9 @@ func TestCheckInvariantsCatches(t *testing.T) {
 			known.Replicas()[0] = ids.Origin
 		},
 		"free-list entry keeps a replica set": func(tbl *Tables, _, _ *Entry) {
-			e := &Entry{}
+			r, e := tbl.arena.take(0, 0, 0)
 			e.setReplicas([]ids.NodeID{2})
-			tbl.arena.free = append(tbl.arena.free, e)
+			tbl.arena.free = append(tbl.arena.free, r)
 		},
 	}
 	for name, breakIt := range breaks {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -272,5 +273,71 @@ func TestOrderedPropertySortedAndBounded(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// TestBTreeMergeRule drives one btree table through the churn that spreads
+// it thin — entries re-inserted at the front, removals from the middle and
+// the back — and checks its structure after every operation: no block
+// below a quarter full beside one it fits into, after removals and after
+// splits alike, with the cells always in order.
+func TestBTreeMergeRule(t *testing.T) {
+	const capacity = 3000
+	bt := newBTreeTable(capacity)
+	var held []*Entry
+	rng := rand.New(rand.NewSource(9))
+	front := int64(0)
+	for step := 0; step < 60_000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 6 || len(held) == 0:
+			// A fresh entry ahead of everything, as an in-place update
+			// leaves it, or anywhere.
+			e := &Entry{Object: ids.ObjectID(step), Avg: int64(rng.Intn(1 << 20))}
+			if op < 3 {
+				front--
+				e.Avg = front
+			}
+			held = append(held, e)
+			if evicted := bt.Insert(e); evicted != nil {
+				held = slices.DeleteFunc(held, func(h *Entry) bool { return h == evicted })
+			}
+		case op < 9:
+			i := rng.Intn(len(held))
+			bt.RemoveEntry(held[i])
+			held[i] = held[len(held)-1]
+			held = held[:len(held)-1]
+		default:
+			worst := bt.RemoveWorst()
+			held = slices.DeleteFunc(held, func(h *Entry) bool { return h == worst })
+		}
+		if err := bt.check(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if bt.Len() != len(held) {
+			t.Fatalf("step %d: table holds %d entries, %d were inserted and not removed", step, bt.Len(), len(held))
+		}
+	}
+	t.Logf("%d entries in %d blocks", bt.Len(), len(bt.blocks))
+
+	// Random churn rarely grows the neighbour of a small block to a
+	// split, so that case is built by hand: a 20-cell block beside a full
+	// one may stay, but not beside either half of it once it splits.
+	bt = newBTreeTable(capacity)
+	block := func(from, to int) []btreeCell {
+		blk := make([]btreeCell, 0, btreeMaxBlock+1)
+		for k := from; k < to; k++ {
+			e := &Entry{Object: ids.ObjectID(k), Avg: int64(2 * k)}
+			blk = append(blk, btreeCell{key: e.Key(), obj: e.Object, e: e})
+		}
+		return blk
+	}
+	bt.blocks = [][]btreeCell{block(0, 20), block(20, 20+btreeMaxBlock)}
+	bt.size = 20 + btreeMaxBlock
+	if err := bt.check(); err != nil {
+		t.Fatalf("before the split: %v", err)
+	}
+	bt.Insert(&Entry{Object: 1000, Avg: 2*100 + 1})
+	if err := bt.check(); err != nil {
+		t.Fatalf("after the split: %v", err)
 	}
 }

@@ -201,8 +201,7 @@ func (t *Tables) ForceCache(obj ids.ObjectID, loc ids.NodeID, now, avgHint int64
 			t.single.InsertTop(e)
 		default:
 			out.To = KindSingle
-			out.Dropped = t.single.InsertTop(e)
-			t.forget(out.Dropped)
+			t.pushTop(&out, e)
 		}
 		e.kind = out.To
 		return out, false
@@ -211,8 +210,7 @@ func (t *Tables) ForceCache(obj ids.ObjectID, loc ids.NodeID, now, avgHint int64
 	// knowledge on the single-table top, as in the LRU ablation.
 	out.CacheEvicted = evicted
 	evicted.kind = KindSingle
-	out.Dropped = t.single.InsertTop(evicted)
-	t.forget(out.Dropped)
+	t.pushTop(&out, evicted)
 	return out, true
 }
 
@@ -233,7 +231,6 @@ func (t *Tables) DropCached(obj ids.ObjectID, fallback ids.NodeID) (out Outcome,
 	e.replicas = nil
 	out = Outcome{From: KindCaching, To: KindSingle, CacheEvicted: e}
 	e.kind = KindSingle
-	out.Dropped = t.single.InsertTop(e)
-	t.forget(out.Dropped)
+	t.pushTop(&out, e)
 	return out, true
 }

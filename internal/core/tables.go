@@ -44,6 +44,9 @@ func (c Config) Validate() error {
 	if c.CachingSize <= 0 {
 		return fmt.Errorf("core: caching-table size must be positive, got %d", c.CachingSize)
 	}
+	if total := int64(c.SingleSize) + int64(c.MultipleSize) + int64(c.CachingSize); total >= maxEntries {
+		return fmt.Errorf("core: table sizes sum to %d, want below %d", total, maxEntries)
+	}
 	switch c.Backend {
 	case BackendBTree, BackendSlice, BackendList:
 	default:
@@ -51,6 +54,10 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// maxEntries bounds the three capacities' sum: the directory's cells, twice
+// that many, must stay addressable by a 32-bit tag.
+const maxEntries = 1 << 30
 
 // Tables is one proxy's complete mapping-table state: the single-, multiple-
 // and caching tables plus the Update_Entry logic that moves entries between
@@ -73,12 +80,14 @@ type Tables struct {
 	multiple Ordered
 	caching  Ordered
 
-	// dir maps every known object to its entry: fixed capacity, sized by
-	// NewTables for the three table capacities, with a hash seed of its
-	// own that no result depends on. nil on BackendList.
+	// dir maps every known object to its arena entry: fixed capacity,
+	// sized by NewTables for the three table capacities, with a hash seed
+	// of its own that no result depends on. nil on BackendList.
 	dir *directory
-	// arena slab-allocates entries and recycles the ones the system
-	// forgets (Outcome.Dropped, via Recycle).
+	// arena slab-allocates the entries the directory indexes and
+	// recycles the ones the system forgets (Outcome.Dropped, via
+	// Recycle). Unused on BackendList, whose entries are plain heap
+	// allocations: without a directory nothing names them by ref.
 	arena entryArena
 
 	admitAll bool
@@ -110,7 +119,7 @@ func newTables(cfg Config, dirSeed uint64) (*Tables, error) {
 	if cfg.Backend != BackendList {
 		// +1: a first sighting is indexed before the entry it pushes off
 		// the single-table bottom is forgotten (Fig. 8 Part 4).
-		t.dir = newDirectory(cfg.SingleSize+cfg.MultipleSize+cfg.CachingSize+1, dirSeed)
+		t.dir = newDirectory(cfg.SingleSize+cfg.MultipleSize+cfg.CachingSize+1, dirSeed, &t.arena)
 	}
 	return t, nil
 }
@@ -147,15 +156,24 @@ func (t *Tables) locate(obj ids.ObjectID) (*Entry, Kind) {
 }
 
 // forget takes e — an entry that just left the last table that would hold
-// it, or nil — out of the directory; in probe mode there is none.
-func (t *Tables) forget(e *Entry) {
+// it, or nil — out of the directory and returns its arena ref for
+// arena.put; in probe mode there is none, and the ref is 0.
+func (t *Tables) forget(e *Entry) entryRef {
 	if e == nil {
-		return
+		return 0
 	}
 	e.kind = KindNone
-	if t.dir != nil {
-		t.dir.del(e.Object)
+	if t.dir == nil {
+		return 0
 	}
+	return t.dir.del(e.Object)
+}
+
+// pushTop puts e on top of the single-table and forgets the entry that
+// falls off its bottom, if any, recording it in out for Recycle.
+func (t *Tables) pushTop(out *Outcome, e *Entry) {
+	out.Dropped = t.single.InsertTop(e)
+	out.dropped = t.forget(out.Dropped)
 }
 
 // IsCached reports whether obj is in the local cache, i.e. has a caching-
@@ -193,6 +211,9 @@ type Outcome struct {
 	// Recycle once the caller is done reading it so the entry returns
 	// to the arena.
 	Dropped *Entry
+	// dropped is Dropped's arena ref, which Recycle returns to the
+	// arena (0 on BackendList).
+	dropped entryRef
 }
 
 // Update is the paper's Update_Entry(Object, Location) (Fig. 8), executed
@@ -271,16 +292,17 @@ func (t *Tables) Update(obj ids.ObjectID, loc ids.NodeID, now int64) Outcome {
 			}
 			return out
 		}
-		dropped := t.single.InsertTop(e)
-		return Outcome{From: KindSingle, To: KindSingle, Dropped: dropped}
+		// The single-table has room: e just left it.
+		t.single.InsertTop(e)
+		return Outcome{From: KindSingle, To: KindSingle}
 	}
 
 	// Part 4: unknown object — new entry on top of the single-table.
 	e = t.alloc(obj, loc, now)
 	e.kind = KindSingle
-	dropped := t.single.InsertTop(e)
-	t.forget(dropped)
-	return Outcome{From: KindNone, To: KindSingle, Dropped: dropped}
+	out := Outcome{From: KindNone, To: KindSingle}
+	t.pushTop(&out, e)
+	return out
 }
 
 // updateLRU is the CacheAdmitAll ablation: every passing object is cached
@@ -310,37 +332,58 @@ func (t *Tables) updateLRU(obj ids.ObjectID, loc ids.NodeID, now int64) Outcome 
 		if evicted == e {
 			// Zero-capacity cache bounced the entry itself; the
 			// system forgets it (unreachable after Validate).
-			t.forget(e)
+			t.arena.put(t.forget(e))
 			return out
 		}
 		out.CacheEvicted = evicted
 		evicted.kind = KindSingle
-		out.Dropped = t.single.InsertTop(evicted)
-		t.forget(out.Dropped)
+		t.pushTop(&out, evicted)
 	}
 	return out
 }
 
 // alloc hands out a fresh entry from the arena, configured for this
 // proxy's aging mode and indexed in the directory — the directory's only
-// insert: from here until forget, the entry's cell never changes. The
-// caller puts the entry in a table and sets its kind.
+// insert: from here until forget, the entry's ref stays in the directory.
+// On BackendList it is a plain heap entry. The caller puts the entry in a
+// table and sets its kind.
 func (t *Tables) alloc(obj ids.ObjectID, loc ids.NodeID, now int64) *Entry {
-	e := t.arena.get(obj, loc, now)
-	e.noAge = t.agingOff
-	if t.dir != nil {
-		t.dir.set(obj, e)
+	if t.dir == nil {
+		e := NewEntry(obj, loc, now)
+		e.noAge = t.agingOff
+		return e
 	}
+	r, e := t.arena.take(obj, loc, now)
+	e.noAge = t.agingOff
+	t.dir.set(obj, r)
 	return e
 }
 
 // Recycle returns the entries an Update expelled from the system to the
 // arena for reuse. Call it after the last read of the outcome: the dropped
-// entry is zeroed and may back a future allocation immediately.
+// entry is zeroed and may back a future allocation immediately (on
+// BackendList, which has no arena, the collector takes it back instead).
 func (t *Tables) Recycle(out Outcome) {
-	if out.Dropped != nil {
-		t.arena.put(out.Dropped)
+	t.arena.put(out.dropped)
+}
+
+// Release zeroes the tables' storage — directory cells, entry slabs and
+// B-tree blocks — and hands it to shared pools, from which later NewTables
+// calls of any goroutine draw, and clears t so that any later use panics
+// instead of reading another run's state. Call it only when nothing will
+// read these tables or their entries again; Release of a released Tables
+// does nothing.
+func (t *Tables) Release() {
+	if t.dir != nil {
+		t.dir.release()
 	}
+	t.arena.release()
+	for _, o := range []Ordered{t.caching, t.multiple} {
+		if bt, ok := o.(*btreeTable); ok {
+			bt.release()
+		}
+	}
+	*t = Tables{}
 }
 
 // admits reports whether ordered table dst accepts candidate e: a table
@@ -378,8 +421,7 @@ func (t *Tables) Invalidate(obj ids.ObjectID) bool {
 	default:
 		return false
 	}
-	t.forget(e)
-	t.arena.put(e)
+	t.arena.put(t.forget(e))
 	return true
 }
 
@@ -442,8 +484,8 @@ func (t *Tables) CheckInvariants() error {
 			return fmt.Errorf("directory holds %d objects, the tables %d", t.dir.n, len(seen))
 		}
 	}
-	for _, f := range t.arena.free {
-		if seen[f.Object] == f || f.kind != KindNone || f.prev != nil || f.next != nil || f.replicas != nil {
+	for _, r := range t.arena.free {
+		if f := t.arena.at(r); seen[f.Object] == f || f.kind != KindNone || f.prev != nil || f.next != nil || f.replicas != nil {
 			return fmt.Errorf("arena free list holds a live entry (object %v, %v table, replicas %v)", f.Object, f.kind, f.Replicas())
 		}
 	}

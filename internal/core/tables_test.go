@@ -473,3 +473,93 @@ func TestDumpRendersPaperColumns(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedTablesPanic: Release clears the Tables, so a later Update
+// panics instead of reading storage another Tables now owns; a second
+// Release does nothing.
+func TestReleasedTablesPanic(t *testing.T) {
+	tbl := newTestTables(t, 8, 8, 4)
+	for now := int64(1); now <= 100; now++ {
+		tbl.Recycle(tbl.Update(ids.ObjectID(now%30), 1, now))
+	}
+	tbl.Release()
+	tbl.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Update on released tables did not panic")
+		}
+	}()
+	tbl.Update(1, 1, 101)
+}
+
+// TestTablesFromPooledStorage: tables built on the storage Release handed
+// back start empty and behave as fresh ones. A churned Tables with replica
+// sets is released; the next one of its sizes takes its directory cells,
+// passes CheckInvariants while empty, and replays a stream with the
+// outcomes, replica sets and dump of a Tables built before the release.
+func TestTablesFromPooledStorage(t *testing.T) {
+	cfg := Config{SingleSize: 300, MultipleSize: 200, CachingSize: 100}
+	used, err := NewTables(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewTables(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for now := int64(1); now <= 50_000; now++ {
+		op := randomChurnOp(rng, 1500)
+		op.apply(used, now)
+		if op.kind == 0 {
+			used.SetReplicas(op.obj, []ids.NodeID{2, 3}, ids.None, 4)
+		}
+	}
+	cells := &used.dir.cells[0]
+	used.Release()
+	pooled, err := NewTables(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !raceEnabled && &pooled.dir.cells[0] != cells {
+		// The race detector makes sync.Pool drop a share of what it
+		// is given; otherwise a Put followed by a Get returns it.
+		t.Fatal("the tables after a Release did not take the released directory cells")
+	}
+	if err := pooled.CheckInvariants(); err != nil {
+		t.Fatalf("empty tables on pooled storage: %v", err)
+	}
+	// The dump shows no replica sets; a stale one would ride on a reused
+	// entry until the entry is first recycled.
+	holders := func(tbl *Tables) (n int) {
+		for _, each := range []func(func(*Entry) bool){tbl.Caching().Each, tbl.Multiple().Each, tbl.Single().Each} {
+			each(func(e *Entry) bool { n += len(e.Replicas()); return true })
+		}
+		return n
+	}
+	for now := int64(1); now <= 50_000; now++ {
+		op := randomChurnOp(rng, 1500)
+		if rp, rr := op.apply(pooled, now), op.apply(ref, now); rp != rr {
+			t.Fatalf("step %d (%+v): pooled %+v, fresh %+v", now, op, rp, rr)
+		}
+		if now%500 != 0 {
+			continue
+		}
+		if err := pooled.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", now, err)
+		}
+		if hp, hr := holders(pooled), holders(ref); hp != hr {
+			t.Fatalf("step %d: tables on pooled storage hold %d replica holders, fresh ones %d", now, hp, hr)
+		}
+	}
+	var dp, dr bytes.Buffer
+	if err := pooled.Dump(&dp, 50_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Dump(&dr, 50_000); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dp.Bytes(), dr.Bytes()) {
+		t.Fatal("tables on pooled storage dump differently from fresh ones")
+	}
+}
