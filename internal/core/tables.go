@@ -443,8 +443,9 @@ func (t *Tables) Len() int {
 
 // CheckInvariants verifies what must hold between operations (DESIGN.md
 // §10, items 1–3) and reports the first violation: every table within its
-// capacity; the ordered tables ascending by (Key, Object), and every key a
-// btree block stores inline still equal to its entry's; every object in
+// capacity; the ordered tables ascending by (Key, Object), every key a
+// btree block stores inline still equal to its entry's, and no btree block
+// below a quarter full beside one it fits into; every object in
 // exactly one table, with the entry's kind naming it; every replica set
 // proxies only, ascending and without repeats; the directory holding
 // exactly the entries the tables hold, each reachable from its home cell;
