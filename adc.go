@@ -107,11 +107,8 @@ const (
 	// BackendBTree is a bounded block B-tree keyed by (Key, Object):
 	// O(log n) search with block-local memmoves. Default — it is the
 	// "more adapted data structure" the paper calls for in §V.3.3 and
-	// produces byte-identical results to the others.
+	// produces byte-identical results to the list.
 	BackendBTree TableBackend = "btree"
-	// BackendSlice is a sorted slice with binary search (the paper's
-	// own structure).
-	BackendSlice TableBackend = "slice"
 	// BackendList is the fully paper-faithful O(n) linked list, for
 	// the Fig. 15 timing reproduction only.
 	BackendList TableBackend = "list"

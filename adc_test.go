@@ -271,12 +271,14 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(smallConfig(), nil); err == nil {
 		t.Error("nil source must fail")
 	}
-	// The retired TCP and agents runtimes and the skip-list backend fail
-	// like any unknown name, and the error lists what is accepted.
+	// The retired TCP and agents runtimes and the skip-list and
+	// sorted-slice backends fail like any unknown name, and the error
+	// lists what is accepted.
 	for want, cfg := range map[string]Config{
-		`unknown runtime "tcp" (want sequential or vtime)`:       {Runtime: "tcp"},
-		`unknown runtime "agents" (want sequential or vtime)`:    {Runtime: "agents"},
-		`unknown backend "skiplist" (want btree, slice or list)`: {Backend: "skiplist"},
+		`unknown runtime "tcp" (want sequential or vtime)`:    {Runtime: "tcp"},
+		`unknown runtime "agents" (want sequential or vtime)`: {Runtime: "agents"},
+		`unknown backend "skiplist" (want btree or list)`:     {Backend: "skiplist"},
+		`unknown backend "slice" (want btree or list)`:        {Backend: "slice"},
 	} {
 		if _, err := Run(cfg, smallWorkload(t)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Run(%+v) = %v, want an error containing %q", cfg, err, want)
@@ -464,7 +466,7 @@ func TestBackendComparisonSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 3 {
+	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
 	for _, pt := range pts[1:] {

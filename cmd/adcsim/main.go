@@ -67,7 +67,7 @@ func run(args []string) error {
 		maxHops      = fs.Int("maxhops", def.MaxHops, "forwarding bound (0 = unbounded)")
 		seed         = fs.Int64("seed", def.Seed, "random seed")
 		runtime      = fs.String("runtime", "sequential", "runtime: sequential or vtime")
-		backend      = fs.String("backend", "", "ordered-table backend: btree (default), slice or list")
+		backend      = fs.String("backend", "", "ordered-table backend: btree (default) or list")
 		entry        = fs.String("entry", "random", "entry policy: random, round-robin or fixed")
 		requests     = fs.Int("requests", def.Workload.Requests, "synthetic workload length")
 		population   = fs.Int("population", def.Workload.Population, "hot object population of the request phases (0 = 20% of the fill phase's objects)")

@@ -135,10 +135,10 @@ func TestRefusesFlagsTheStudyDoesNotRead(t *testing.T) {
 	for _, args := range [][]string{
 		{"-metric", "hits", "-losses", "0.5"},
 		{"-metric", "hops", "-recovery", "timeout=1"},
-		{"-metric", "time", "-backend", "slice"},
+		{"-metric", "time", "-backend", "list"},
 		{"-metric", "backends", "-backend", "list"},
 		{"-metric", "ablations", "-out", t.TempDir()},
-		{"-metric", "figures", "-backend", "slice"},
+		{"-metric", "figures", "-backend", "list"},
 		{"-metric", "figures", "-losses", "0.5"},
 	} {
 		flag := args[len(args)-2]

@@ -271,7 +271,7 @@ func ResponseTime(p Profile, openLoopInterval int64) (*ResponseResult, error) {
 // BackendPoint is one run of the data-structure study (§V.3.3's proposed
 // speed-up, quantified).
 type BackendPoint struct {
-	// Backend is "list" (paper-faithful), "slice" or "btree".
+	// Backend is "list" (paper-faithful) or "btree".
 	Backend string
 	// Elapsed is the wall-clock runtime of the identical simulation.
 	Elapsed time.Duration

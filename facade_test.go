@@ -118,7 +118,7 @@ func TestPublicNamesMatchTheParsers(t *testing.T) {
 		{"entry policy", func(s string) (fmt.Stringer, error) { return sim.ParseEntryPolicy(s) },
 			[]string{string(EntryRandom), string(EntryRoundRobin), string(EntryFixed)}},
 		{"backend", func(s string) (fmt.Stringer, error) { return core.ParseBackend(s) },
-			[]string{string(BackendBTree), string(BackendSlice), string(BackendList)}},
+			[]string{string(BackendBTree), string(BackendList)}},
 	} {
 		for _, name := range tc.public {
 			got, err := tc.parse(name)
@@ -154,7 +154,7 @@ func TestPublicNamesMatchTheParsers(t *testing.T) {
 func TestProfileRejectsUnknownNames(t *testing.T) {
 	for want, p := range map[string]Profile{
 		`unknown entry policy "sideways" (want random, round-robin or fixed)`: {Scale: 0.01, Entry: "sideways"},
-		`unknown backend "rope" (want btree, slice or list)`:                  {Scale: 0.01, Backend: "rope"},
+		`unknown backend "rope" (want btree or list)`:                         {Scale: 0.01, Backend: "rope"},
 	} {
 		if _, err := PreLearned(p); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("PreLearned(%+v) = %v, want an error containing %q", p, err, want)

@@ -83,7 +83,7 @@ func TestParseAlgorithm(t *testing.T) {
 // TestParseRuntimeAndBackend covers the two name tables every entry point
 // (adc.Config, config files, CLI flags) goes through: each accepted spelling
 // parses to a value whose String parses back to it, and the retired names
-// ("tcp", "agents", "skiplist") and near-misses are rejected.
+// ("tcp", "agents", "skiplist", "slice") and near-misses are rejected.
 func TestParseRuntimeAndBackend(t *testing.T) {
 	tables := []struct {
 		kind     string
@@ -95,7 +95,7 @@ func TestParseRuntimeAndBackend(t *testing.T) {
 			"vtime": RuntimeVirtualTime, "virtual": RuntimeVirtualTime,
 		}},
 		{"backend", func(s string) (fmt.Stringer, error) { return core.ParseBackend(s) }, map[string]fmt.Stringer{
-			"": core.BackendBTree, "btree": core.BackendBTree, "slice": core.BackendSlice, "list": core.BackendList,
+			"": core.BackendBTree, "btree": core.BackendBTree, "list": core.BackendList,
 		}},
 	}
 	for _, tb := range tables {
@@ -109,7 +109,7 @@ func TestParseRuntimeAndBackend(t *testing.T) {
 				t.Errorf("%s %q: String %q does not parse back", tb.kind, name, got)
 			}
 		}
-		for _, name := range []string{"tcp", "agents", "skiplist", " vtime", "BTREE", "list "} {
+		for _, name := range []string{"tcp", "agents", "skiplist", "slice", " vtime", "BTREE", "list "} {
 			if got, err := tb.parse(name); err == nil {
 				t.Errorf("%s %q must be rejected, parsed to %v", tb.kind, name, got)
 			} else if !strings.Contains(err.Error(), "(want ") {

@@ -98,35 +98,6 @@ func TestParallelOpenLoopDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelAllAlgorithms runs every caching scheme sharded against
-// its sequential run: the engine contract is
-// scheme-agnostic, so CARP, consistent hashing, the hierarchy and the
-// coordinator (whose extra node sits outside the proxy ID block) must all
-// agree, not just ADC.
-func TestParallelAllAlgorithms(t *testing.T) {
-	for _, alg := range []Algorithm{CARP, CHash, Hierarchical, Coordinator} {
-		t.Run(alg.String(), func(t *testing.T) {
-			build := func(shards int) Config {
-				cfg := goldenConfig(RuntimeVirtualTime)
-				cfg.Algorithm = alg
-				cfg.Shards = shards
-				return cfg
-			}
-			oracle, err := Run(build(0), trace.NewSliceSource(goldenTrace()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, shards := range []int{1, 3, 4} {
-				res, err := Run(build(shards), trace.NewSliceSource(goldenTrace()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameRunResult(t, alg.String(), oracle, res)
-			}
-		})
-	}
-}
-
 // TestParallelValidation pins what validation says about a sharded run:
 // every feature the virtual-time engine has is accepted at Shards > 1 (the
 // cases below were rejections while a second engine existed; what they

@@ -33,7 +33,7 @@ type File struct {
 	Entry string `json:"entry,omitempty"`
 	// Runtime: "sequential" (default) or "vtime".
 	Runtime string `json:"runtime,omitempty"`
-	// Backend: "btree" (default), "slice" or "list".
+	// Backend: "btree" (default) or "list".
 	Backend string `json:"backend,omitempty"`
 
 	// Workload describes the synthetic request stream; ignored when a

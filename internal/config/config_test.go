@@ -32,7 +32,7 @@ func TestParseOverrides(t *testing.T) {
 		"cachingTable": 500,
 		"runtime": "vtime",
 		"entry": "fixed",
-		"backend": "slice",
+		"backend": "list",
 		"workload": {"requests": 1000, "population": 50}
 	}`))
 	if err != nil {
@@ -48,7 +48,7 @@ func TestParseOverrides(t *testing.T) {
 	if ccfg.Runtime != cluster.RuntimeVirtualTime {
 		t.Errorf("runtime = %v", ccfg.Runtime)
 	}
-	if ccfg.Tables.Backend != core.BackendSlice {
+	if ccfg.Tables.Backend != core.BackendList {
 		t.Errorf("backend = %v", ccfg.Tables.Backend)
 	}
 	if wcfg.TotalRequests != 1000 || wcfg.PopulationSize != 50 {
@@ -71,12 +71,14 @@ func TestParseRejectsBadValues(t *testing.T) {
 			t.Errorf("Parse(%s) must fail", in)
 		}
 	}
-	// The retired TCP and agents runtimes and the skip-list backend fail
-	// like any unknown name, and the error lists what is accepted.
+	// The retired TCP and agents runtimes and the skip-list and
+	// sorted-slice backends fail like any unknown name, and the error
+	// lists what is accepted.
 	for in, want := range map[string]string{
 		`{"runtime": "tcp"}`:      `unknown runtime "tcp" (want sequential or vtime)`,
 		`{"runtime": "agents"}`:   `unknown runtime "agents" (want sequential or vtime)`,
-		`{"backend": "skiplist"}`: `unknown backend "skiplist" (want btree, slice or list)`,
+		`{"backend": "skiplist"}`: `unknown backend "skiplist" (want btree or list)`,
+		`{"backend": "slice"}`:    `unknown backend "slice" (want btree or list)`,
 	} {
 		if _, err := Parse([]byte(in)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Parse(%s) = %v, want an error containing %q", in, err, want)

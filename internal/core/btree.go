@@ -12,8 +12,8 @@ import (
 // block is a binary search over the block maxima, finding the position
 // inside a block a second binary search; inserts and deletes memmove at
 // most one block (≤ btreeMaxBlock cells) instead of the whole table, so
-// the reference 20k-entry tables (§V.2) never pay the sorted slice's O(n)
-// shifting cost. This is the "more adapted data structure [that] should
+// the reference 20k-entry tables (§V.2) never pay a flat sorted array's
+// O(n) shifting cost. This is the "more adapted data structure [that] should
 // provide speed-ups" the paper calls for in §V.3.3.
 //
 // The sort key is stored inline: a block is an array of (key, object,
@@ -29,8 +29,8 @@ import (
 // cannot leave the table spread over mostly empty blocks.
 //
 // The structure is purely comparison-based over the same total order as
-// every other backend, so promotion and demotion decisions — and with them
-// all experiment outputs — are identical to the paper's sorted slice
+// the list backend, so promotion and demotion decisions — and with them
+// all experiment outputs — are identical to the paper's linked list
 // (asserted by the cross-backend equivalence tests and the cluster
 // determinism test).
 type btreeTable struct {

@@ -195,7 +195,7 @@ func TestParseBackend(t *testing.T) {
 	}{
 		{"", BackendBTree, true},
 		{"btree", BackendBTree, true},
-		{"slice", BackendSlice, true},
+		{"slice", 0, false}, // retired with the sorted-slice backend
 		{"list", BackendList, true},
 		{"rope", 0, false},
 		{"skiplist", 0, false}, // retired with the skip-list backend
@@ -208,7 +208,7 @@ func TestParseBackend(t *testing.T) {
 				tc.in, got, err, tc.want, tc.ok)
 		}
 	}
-	for _, b := range []Backend{BackendBTree, BackendSlice, BackendList} {
+	for _, b := range []Backend{BackendBTree, BackendList} {
 		back, err := ParseBackend(b.String())
 		if err != nil || back != b {
 			t.Errorf("round-trip failed for %v", b)
@@ -220,13 +220,13 @@ func TestParseBackend(t *testing.T) {
 // unsigned, so the max value serves as the sentinel).
 const noObj = ^ids.ObjectID(0)
 
-// TestOrderedOpEquivalence drives all three backends through an identical
+// TestOrderedOpEquivalence drives both backends through an identical
 // randomized Insert/Remove/RemoveEntry/RemoveWorst sequence and demands
 // identical observable behaviour at every step. Entries are duplicated per
 // table (an entry lives in at most one container), so equality is by
 // object.
 func TestOrderedOpEquivalence(t *testing.T) {
-	backends := []Backend{BackendBTree, BackendSlice, BackendList}
+	backends := []Backend{BackendBTree, BackendList}
 	tables := make([]Ordered, len(backends))
 	held := make([]map[ids.ObjectID]*Entry, len(backends))
 	for i, b := range backends {

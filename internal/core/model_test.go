@@ -169,7 +169,7 @@ func TestTablesMatchExecutableModel(t *testing.T) {
 		{2, 1, 1},
 		{16, 8, 2},
 	}
-	for _, backend := range []Backend{BackendBTree, BackendSlice, BackendList} {
+	for _, backend := range []Backend{BackendBTree, BackendList} {
 		for _, shape := range shapes {
 			tbl, err := NewTables(Config{
 				SingleSize: shape.s, MultipleSize: shape.m, CachingSize: shape.c,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/adc-sim/adc/internal/ids"
 )
@@ -73,11 +72,6 @@ const (
 	// data structure [that] should provide speed-ups" the paper calls
 	// for in §V.3.3.
 	BackendBTree Backend = iota
-	// BackendSlice is a sorted slice with binary search — the paper's
-	// own structure ("insertion and deletion at the ordered
-	// multiple-table is mostly operated by binary search algorithms",
-	// §V.3.3). O(log n) search, O(n) insert/delete due to shifting.
-	BackendSlice
 	// BackendList is the fully paper-faithful sorted linked list with
 	// element-wise search, used by the Fig. 15 timing reproduction.
 	// O(n) everything; do not use outside that experiment.
@@ -89,8 +83,6 @@ func (b Backend) String() string {
 	switch b {
 	case BackendBTree:
 		return "btree"
-	case BackendSlice:
-		return "slice"
 	case BackendList:
 		return "list"
 	default:
@@ -98,18 +90,16 @@ func (b Backend) String() string {
 	}
 }
 
-// ParseBackend converts a backend name ("btree", "slice", "list") to its
+// ParseBackend converts a backend name ("btree", "list") to its
 // Backend; the empty string selects the default.
 func ParseBackend(name string) (Backend, error) {
 	switch name {
 	case "", "btree":
 		return BackendBTree, nil
-	case "slice":
-		return BackendSlice, nil
 	case "list":
 		return BackendList, nil
 	default:
-		return 0, fmt.Errorf("core: unknown backend %q (want btree, slice or list)", name)
+		return 0, fmt.Errorf("core: unknown backend %q (want btree or list)", name)
 	}
 }
 
@@ -117,126 +107,8 @@ func ParseBackend(name string) (Backend, error) {
 // the selected backend. Capacity must be non-negative (a zero-capacity
 // table rejects every insert).
 func NewOrdered(capacity int, backend Backend) Ordered {
-	switch backend {
-	case BackendSlice:
-		return newSliceTable(capacity)
-	case BackendList:
+	if backend == BackendList {
 		return newListTable(capacity)
-	default:
-		return newBTreeTable(capacity)
 	}
-}
-
-// sliceTable is the sorted-slice backend.
-type sliceTable struct {
-	capacity int
-	entries  []*Entry // ascending by (Key, Object)
-}
-
-var _ Ordered = (*sliceTable)(nil)
-
-func newSliceTable(capacity int) *sliceTable {
-	return &sliceTable{
-		capacity: capacity,
-		entries:  make([]*Entry, 0, capacity),
-	}
-}
-
-func (t *sliceTable) Len() int { return len(t.entries) }
-func (t *sliceTable) Cap() int { return t.capacity }
-
-// scan finds the slice index of obj's entry, or -1. The key is unknown, so
-// this is a linear walk — legacy/test path only (see the Ordered comment).
-func (t *sliceTable) scan(obj ids.ObjectID) int {
-	for i, e := range t.entries {
-		if e.Object == obj {
-			return i
-		}
-	}
-	return -1
-}
-
-func (t *sliceTable) Contains(obj ids.ObjectID) bool { return t.scan(obj) >= 0 }
-
-func (t *sliceTable) Get(obj ids.ObjectID) *Entry {
-	if i := t.scan(obj); i >= 0 {
-		return t.entries[i]
-	}
-	return nil
-}
-
-// position finds the index of e in the slice via one binary search on
-// (Key, Object). e must be present.
-func (t *sliceTable) position(e *Entry) int {
-	i := sort.Search(len(t.entries), func(i int) bool {
-		return !less(t.entries[i], e)
-	})
-	// i now points at the first entry not less than e, which is e itself
-	// because (Key, Object) is unique per table.
-	return i
-}
-
-func (t *sliceTable) Remove(obj ids.ObjectID) *Entry {
-	i := t.scan(obj)
-	if i < 0 {
-		return nil
-	}
-	e := t.entries[i]
-	t.removeAt(i)
-	return e
-}
-
-func (t *sliceTable) RemoveEntry(e *Entry) { t.removeAt(t.position(e)) }
-
-func (t *sliceTable) removeAt(i int) {
-	copy(t.entries[i:], t.entries[i+1:])
-	t.entries[len(t.entries)-1] = nil
-	t.entries = t.entries[:len(t.entries)-1]
-}
-
-func (t *sliceTable) Insert(e *Entry) *Entry {
-	if t.capacity == 0 {
-		return e
-	}
-	i := sort.Search(len(t.entries), func(i int) bool {
-		return !less(t.entries[i], e)
-	})
-	t.entries = append(t.entries, nil)
-	copy(t.entries[i+1:], t.entries[i:])
-	t.entries[i] = e
-	if len(t.entries) > t.capacity {
-		return t.RemoveWorst()
-	}
-	return nil
-}
-
-func (t *sliceTable) RemoveWorst() *Entry {
-	if len(t.entries) == 0 {
-		return nil
-	}
-	e := t.entries[len(t.entries)-1]
-	t.entries[len(t.entries)-1] = nil
-	t.entries = t.entries[:len(t.entries)-1]
-	return e
-}
-
-func (t *sliceTable) WorstKey() (int64, bool) {
-	if len(t.entries) == 0 {
-		return 0, false
-	}
-	return t.entries[len(t.entries)-1].Key(), true
-}
-
-func (t *sliceTable) Each(fn func(*Entry) bool) {
-	for _, e := range t.entries {
-		if !fn(e) {
-			return
-		}
-	}
-}
-
-func (t *sliceTable) Entries() []*Entry {
-	out := make([]*Entry, len(t.entries))
-	copy(out, t.entries)
-	return out
+	return newBTreeTable(capacity)
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // Every Ordered test runs against every backend: the default btree and the
-// paper's own sorted slice and linked list.
+// paper's own linked list.
 func forEachBackend(t *testing.T, capacity int, fn func(t *testing.T, tbl Ordered)) {
 	t.Helper()
-	for _, b := range []Backend{BackendBTree, BackendSlice, BackendList} {
+	for _, b := range []Backend{BackendBTree, BackendList} {
 		t.Run(b.String(), func(t *testing.T) {
 			fn(t, NewOrdered(capacity, b))
 		})
@@ -176,11 +176,11 @@ func TestOrderedGet(t *testing.T) {
 
 // TestBackendsAgree drives every backend with an identical random workload
 // and demands identical externally visible behaviour, with the paper's
-// sorted slice as the reference.
+// linked list as the reference.
 func TestBackendsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	ref := NewOrdered(16, BackendSlice)
-	others := []Ordered{NewOrdered(16, BackendBTree), NewOrdered(16, BackendList)}
+	ref := NewOrdered(16, BackendList)
+	others := []Ordered{NewOrdered(16, BackendBTree)}
 	for i := 0; i < 5000; i++ {
 		obj := ids.ObjectID(rng.Intn(64))
 		switch rng.Intn(3) {
@@ -248,7 +248,7 @@ func TestBackendsAgree(t *testing.T) {
 // TestOrderedPropertySortedAndBounded is invariant 1+2 of DESIGN.md §10 as a
 // quick.Check property over every backend.
 func TestOrderedPropertySortedAndBounded(t *testing.T) {
-	for _, backend := range []Backend{BackendBTree, BackendSlice, BackendList} {
+	for _, backend := range []Backend{BackendBTree, BackendList} {
 		backend := backend
 		t.Run(backend.String(), func(t *testing.T) {
 			prop := func(keys []int16, capSeed uint8) bool {

@@ -381,7 +381,6 @@ func (op churnOp) apply(tbl *Tables, now int64) churnResult {
 func TestReplicaChurnKeepsInvariants(t *testing.T) {
 	cases := map[string]Config{
 		"btree":     {Backend: BackendBTree},
-		"slice":     {Backend: BackendSlice},
 		"list":      {Backend: BackendList},
 		"admit-all": {CacheAdmitAll: true},
 		// single-scan: the paper-faithful element-wise probe path

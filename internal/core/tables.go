@@ -48,7 +48,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: table sizes sum to %d, want below %d", total, maxEntries)
 	}
 	switch c.Backend {
-	case BackendBTree, BackendSlice, BackendList:
+	case BackendBTree, BackendList:
 	default:
 		return fmt.Errorf("core: unknown ordered-table backend %d", int(c.Backend))
 	}

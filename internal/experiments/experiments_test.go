@@ -275,8 +275,8 @@ func TestBackendComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 3 {
-		t.Fatalf("points = %d, want 3", len(pts))
+	if len(pts) != 2 {
+		t.Fatalf("points = %d, want 2", len(pts))
 	}
 	// All backends must be behaviourally identical.
 	for _, pt := range pts[1:] {

@@ -144,7 +144,6 @@ func BackendComparison(p Profile, requests int) ([]BackendPoint, error) {
 	}
 	variants := []core.Backend{
 		core.BackendList,  // the paper's implementation
-		core.BackendSlice, // binary search + unified directory
 		core.BackendBTree, // the default block B-tree
 	}
 	wcfg := p.WorkloadConfig()

@@ -217,10 +217,9 @@ func (r Recovery) Validate() error {
 }
 
 // faultCtl is the engine-internal control event that applies a scheduled
-// crash or restart. It travels through the event queue of the shard that
-// owns the node, so fault transitions are totally ordered against that
-// node's deliveries, but it is intercepted at delivery and never reaches a
-// node's Handle.
+// crash or restart. It travels through the event queue that holds the
+// node's deliveries, so fault transitions are totally ordered against them,
+// but it is intercepted at delivery and never reaches a node's Handle.
 type faultCtl struct {
 	node       ids.NodeID
 	restart    bool
@@ -233,9 +232,9 @@ func (c *faultCtl) Dest() ids.NodeID { return c.node }
 // linkKey indexes per-link loss rates.
 type linkKey struct{ from, to ids.NodeID }
 
-// faultState is the engine's live view of an installed FaultPlan's loss and
-// jitter: the one random stream and what it dropped. Fail-stop state is
-// keyed by node and lives on the shards.
+// faultState is the engine's live view of an installed FaultPlan: the one
+// random stream for loss and jitter, and every counter. The fail-stop down
+// set is keyed by node and lives on the engine.
 type faultState struct {
 	plan  *FaultPlan
 	rng   *rand.Rand

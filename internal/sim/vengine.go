@@ -80,34 +80,48 @@ type Scheduler interface {
 // VEngine is the virtual-time discrete-event engine: messages are delivered
 // in (timestamp, enqueue sequence) order, each transfer delayed by the
 // latency model. It is fully deterministic, and its results — every byte,
-// with every feature on — do not depend on how many shards it runs on.
-// DESIGN.md §7 has the full argument; in short:
+// with every feature on — do not depend on how many queues it partitions
+// its events over. DESIGN.md §7 has the full argument; in short:
 //
-// Every node is owned by one shard (ids.ShardMap), each with a private
-// event queue (one FIFO lane per link class plus a 4-ary heap for timers,
-// see eventQueue) and message freelist. Run executes one event at a time,
-// on the calling goroutine: the smallest (at, seq) head across the shards,
-// a classic sequential event loop over a partitioned queue. A Send takes
-// the next sequence number and goes straight into the destination's queue,
-// so whatever depends on Send order happens in one function, admit: the
-// drop filter is consulted, the fault plan's single random stream draws
-// loss → link loss → jitter, and survivors take consecutive sequence
-// numbers. Identical (at, seq) pairs on every event mean identical delivery
-// order, whatever the partition.
+// Events are partitioned over queues by destination (ids.ShardMap), each
+// queue with one FIFO lane per link class plus a 4-ary heap for timers
+// (see eventQueue). Run executes one event at a time, on the calling
+// goroutine: the smallest (at, seq) head across the queues, a classic
+// sequential event loop over a partitioned queue. A Send takes the next
+// sequence number and goes straight into the destination's queue, so
+// whatever depends on Send order happens in one function, admit: the drop
+// filter is consulted, the fault plan's single random stream draws loss →
+// link loss → jitter, and survivors take consecutive sequence numbers.
+// Identical (at, seq) pairs on every event mean identical delivery order,
+// whatever the partition.
 //
-// What a delivery reads or writes is keyed by destination and lives on the
-// destination's shard: the fail-stop down set, the crash counters, the
-// QueueService busy horizon.
+// The engine is the context every handler runs against (Context, Clock,
+// Scheduler); what a delivery reads or writes — the fail-stop down set, the
+// QueueService busy horizon — is keyed by destination.
 type VEngine struct {
 	latency LatencyModel
 	part    ids.ShardMap
 	nodes   ids.Table[Node]
-	shards  []*shard
+	queues  []eventQueue
+	fl      msg.Freelist
 
 	// now is the timestamp of the event being delivered and seq the
 	// global enqueue counter.
 	now int64
 	seq uint64
+
+	// current is the node whose Handle is executing, so Send can price the
+	// link correctly (the sender is implicit in sim.Context); ids.None
+	// outside any handler.
+	current ids.NodeID
+
+	// busy is the per-node service-completion horizon of the QueueService
+	// model (nil when the model is off, which keeps the delivery path on
+	// one nil check for the latency-only configuration).
+	busy map[ids.NodeID]int64
+
+	// down is the fail-stop set (nil without a fault plan).
+	down map[ids.NodeID]bool
 
 	// drop, when set, discards matching Sends — fault injection for
 	// probing the paper's §III.1 assumption that "we don't expect the loss
@@ -116,13 +130,15 @@ type VEngine struct {
 	// still reference them (see Context).
 	drop func(m msg.Message) bool
 
-	// faults, when set, is the installed FaultPlan's loss/jitter stream.
-	// nil keeps every code path byte-identical to a plan-free engine.
+	// faults, when set, is the installed FaultPlan's loss/jitter stream
+	// and counters. nil keeps every code path byte-identical to a
+	// plan-free engine.
 	faults *faultState
 
-	// dropped counts Sends that died at admission (filter, loss); crash
-	// drops are counted per shard.
-	dropped uint64
+	// dropped counts discarded messages: Sends that died at admission
+	// (filter, loss) and deliveries to crashed nodes.
+	dropped   uint64
+	delivered uint64
 
 	// tracer records drop events (the engine is the only layer that sees
 	// a message die); ts feeds the drop counter of the time-series
@@ -132,30 +148,25 @@ type VEngine struct {
 	ts     *metrics.TimeSeries
 }
 
-// NewVEngine returns an empty one-shard engine: the sequential run.
+// NewVEngine returns an empty one-queue engine: the sequential run.
 func NewVEngine(latency LatencyModel) *VEngine {
 	part, _ := ids.NewShardMap(1, 1) // cannot fail
 	return NewShardedVEngine(latency, part)
 }
 
-// NewShardedVEngine returns an empty engine whose nodes are spread over the
-// partition's shards. Results are identical at every shard count.
+// NewShardedVEngine returns an empty engine whose nodes' events are spread
+// over the partition's queues. Results are identical at every shard count.
 func NewShardedVEngine(latency LatencyModel, part ids.ShardMap) *VEngine {
-	e := &VEngine{latency: latency, part: part}
-	e.shards = make([]*shard, part.Shards())
-	for i := range e.shards {
-		s := &shard{eng: e, current: ids.None}
-		if latency.QueueService {
-			s.busy = make(map[ids.NodeID]int64)
-		}
-		e.shards[i] = s
+	e := &VEngine{latency: latency, part: part, current: ids.None}
+	e.queues = make([]eventQueue, part.Shards())
+	if latency.QueueService {
+		e.busy = make(map[ids.NodeID]int64)
 	}
 	return e
 }
 
-// Register adds a node. The owning shard is derived from the partition. A
-// handler may register nodes during a run: the cluster's churn hook adds a
-// proxy from inside the client's handler.
+// Register adds a node. A handler may register nodes during a run: the
+// cluster's churn hook adds a proxy from inside the client's handler.
 func (e *VEngine) Register(n Node) error {
 	if !e.nodes.Put(n.ID(), n) {
 		return fmt.Errorf("sim: duplicate node %v", n.ID())
@@ -188,9 +199,7 @@ func (e *VEngine) SetFaultPlan(p *FaultPlan) error {
 		return err
 	}
 	e.faults = newFaultState(p)
-	for _, s := range e.shards {
-		s.down = make(map[ids.NodeID]bool)
-	}
+	e.down = make(map[ids.NodeID]bool)
 	return nil
 }
 
@@ -199,54 +208,57 @@ func (e *VEngine) FaultStats() FaultStats {
 	if e.faults == nil {
 		return FaultStats{}
 	}
-	st := e.faults.stats
-	for _, s := range e.shards {
-		st.CrashDrops += s.crash.CrashDrops
-		st.Crashes += s.crash.Crashes
-		st.Restarts += s.crash.Restarts
-	}
-	return st
+	return e.faults.stats
 }
 
 // Dropped returns the number of discarded messages — drop-filter hits,
 // fault-plan losses, and deliveries addressed to crashed nodes. In a run
 // without retransmission every dropped transfer is an undelivered in-flight
 // message whose request chain is stranded.
-func (e *VEngine) Dropped() uint64 {
-	n := e.dropped
-	for _, s := range e.shards {
-		n += s.crash.CrashDrops
-	}
-	return n
-}
+func (e *VEngine) Dropped() uint64 { return e.dropped }
 
-// Delivered returns the number of delivered messages, summed across
-// shards.
-func (e *VEngine) Delivered() uint64 {
-	var n uint64
-	for _, s := range e.shards {
-		n += s.delivered
-	}
-	return n
-}
+// Delivered returns the number of delivered messages.
+func (e *VEngine) Delivered() uint64 { return e.delivered }
 
-// The engine is itself a context — shard 0 with no current node — so code
-// outside any handler (pre-run injection, tests) can send, set timers and
-// use the freelist.
+// The engine is the context handlers run against; outside any handler
+// (pre-run injection, tests) it is a context with no current node.
 var (
 	_ Context   = (*VEngine)(nil)
 	_ Clock     = (*VEngine)(nil)
 	_ Scheduler = (*VEngine)(nil)
 )
 
-func (e *VEngine) VNow() int64                      { return e.now }
-func (e *VEngine) Send(m msg.Message)               { e.shards[0].Send(m) }
-func (e *VEngine) After(delay int64, m msg.Message) { e.shards[0].After(delay, m) }
-func (e *VEngine) Freelist() *msg.Freelist          { return e.shards[0].Freelist() }
+// VNow implements Clock.
+func (e *VEngine) VNow() int64 { return e.now }
 
-// shardIdx maps a node to its owning shard.
+// Send implements Context: the message arrives after the modelled link
+// latency; the hop is counted exactly as in the other engines.
+func (e *VEngine) Send(m msg.Message) {
+	CountHop(m)
+	delay, lane := e.latency.cost(e.current, m.Dest())
+	if e.busy != nil {
+		// Queued service: the transfer pays only the link here; the
+		// Service component is charged at delivery, serialized per
+		// receiver.
+		delay -= e.latency.Service
+	}
+	e.admit(e.current, e.now+delay, m, lane)
+}
+
+// After implements Scheduler.
+func (e *VEngine) After(delay int64, m msg.Message) {
+	if delay < 0 {
+		delay = 0
+	}
+	e.admit(e.current, e.now+delay, m, laneHeap)
+}
+
+// Freelist implements Context.
+func (e *VEngine) Freelist() *msg.Freelist { return &e.fl }
+
+// shardIdx maps a node to the queue its events go to.
 func (e *VEngine) shardIdx(id ids.NodeID) int {
-	if len(e.shards) == 1 {
+	if len(e.queues) == 1 {
 		return 0
 	}
 	return e.part.ShardOf(id)
@@ -255,7 +267,7 @@ func (e *VEngine) shardIdx(id ids.NodeID) int {
 // admit is the one place an emission enters a queue, in Send order. A
 // network transfer — an emission on a link lane — is screened
 // first (see screen); whatever survives takes the next sequence number.
-func (e *VEngine) admit(from ids.NodeID, at int64, m msg.Message, lane, dest int) {
+func (e *VEngine) admit(from ids.NodeID, at int64, m msg.Message, lane int) {
 	net := lane != laneHeap
 	if net && (e.drop != nil || e.faults != nil) {
 		var ok bool
@@ -264,7 +276,7 @@ func (e *VEngine) admit(from ids.NodeID, at int64, m msg.Message, lane, dest int
 		}
 	}
 	e.seq++
-	e.shards[dest].pq.push(event{at: at, seq: e.seq, m: m, net: net}, lane)
+	e.queues[e.shardIdx(m.Dest())].push(event{at: at, seq: e.seq, m: m, net: net}, lane)
 }
 
 // screen passes one Send through the drop filter and then the fault plan,
@@ -316,7 +328,7 @@ func (e *VEngine) traceDrop(sender ids.NodeID, m msg.Message, cause int64) {
 }
 
 // Run starts the Starter nodes in ascending NodeID order and then delivers
-// events in (at, seq) order across the shards until every queue drains,
+// events in (at, seq) order across the queues until every queue drains,
 // advancing virtual time monotonically.
 func (e *VEngine) Run() error {
 	if e.faults != nil {
@@ -324,33 +336,102 @@ func (e *VEngine) Run() error {
 		// event, so at equal timestamps a fault applies before the
 		// messages scheduled later — a deterministic tie-break.
 		for _, c := range e.faults.plan.Crashes {
-			dest := e.shardIdx(c.Node)
-			e.admit(ids.None, c.At, &faultCtl{node: c.Node}, laneHeap, dest)
+			e.admit(ids.None, c.At, &faultCtl{node: c.Node}, laneHeap)
 			if c.RestartAt > 0 {
-				e.admit(ids.None, c.RestartAt, &faultCtl{node: c.Node, restart: true, loseTables: c.LoseTables}, laneHeap, dest)
+				e.admit(ids.None, c.RestartAt, &faultCtl{node: c.Node, restart: true, loseTables: c.LoseTables}, laneHeap)
 			}
 		}
 	}
 	e.nodes.Ascending(func(id ids.NodeID, n Node) {
 		if st, ok := n.(Starter); ok {
-			s := e.shards[e.shardIdx(id)]
-			s.current = id
-			st.Start(s)
-			s.current = ids.None
+			e.current = id
+			st.Start(e)
+			e.current = ids.None
 		}
 	})
 	for {
-		var next *shard
-		for _, s := range e.shards {
-			if s.pq.Len() > 0 && (next == nil || s.pq.peek().before(next.pq.peek())) {
-				next = s
+		var next *eventQueue
+		for i := range e.queues {
+			q := &e.queues[i]
+			if q.Len() > 0 && (next == nil || q.peek().before(next.peek())) {
+				next = q
 			}
 		}
 		if next == nil {
 			return nil
 		}
-		if err := next.step(); err != nil {
+		if err := e.step(next); err != nil {
 			return err
+		}
+	}
+}
+
+// step pops and executes q's next event at virtual time ev.at.
+func (e *VEngine) step(q *eventQueue) error {
+	ev := q.pop()
+	e.now = ev.at
+	if e.down != nil {
+		if ctl, ok := ev.m.(*faultCtl); ok {
+			e.applyFaultCtl(ctl)
+			return nil
+		}
+		if e.down[ev.m.Dest()] {
+			// Fail-stop: a crashed node receives nothing. The message
+			// dies at delivery (it left the sender long ago) and is
+			// never recycled.
+			e.faults.stats.CrashDrops++
+			e.dropped++
+			e.traceDrop(ids.None, ev.m, obs.DropCrash)
+			return nil
+		}
+	}
+	if e.busy != nil && ev.net && !ev.served {
+		// Queued service: the message starts service when the receiver
+		// frees up, completes Service later, and is handled at
+		// completion. Re-queuing keeps the original sequence number, so
+		// per-node FIFO order is preserved.
+		start := ev.at
+		if b := e.busy[ev.m.Dest()]; b > start {
+			start = b
+		}
+		done := start + e.latency.Service
+		e.busy[ev.m.Dest()] = done
+		if done > ev.at {
+			ev.at = done
+			ev.served = true
+			q.push(ev, laneHeap)
+			return nil
+		}
+	}
+	dest := ev.m.Dest()
+	n, ok := e.nodes.Get(dest)
+	if !ok {
+		return fmt.Errorf("sim: message for unregistered node %v", dest)
+	}
+	e.delivered++
+	e.current = dest // nodes are registered under their own ID
+	n.Handle(e, ev.m)
+	e.current = ids.None
+	return nil
+}
+
+// applyFaultCtl executes one crash or restart transition.
+func (e *VEngine) applyFaultCtl(ctl *faultCtl) {
+	if !ctl.restart {
+		if !e.down[ctl.node] {
+			e.down[ctl.node] = true
+			e.faults.stats.Crashes++
+		}
+		return
+	}
+	if !e.down[ctl.node] {
+		return // restart without a preceding crash: ignore
+	}
+	delete(e.down, ctl.node)
+	e.faults.stats.Restarts++
+	if n, ok := e.nodes.Get(ctl.node); ok {
+		if r, isR := n.(Restartable); isR {
+			r.Restart(ctl.loseTables)
 		}
 	}
 }
