@@ -31,9 +31,12 @@ var (
 	// -write-trace and adcload -serve, the breaker's names for a fetch
 	// refused to a peer held down, since called a peer-down refusal, the
 	// text trace format, the virtual-time engine's shard workers with
-	// their merge threshold, serial switch and command-line flag, and the
-	// sorted-slice table backend with its -backend value.
-	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)|\b(?:New)?OpenLoop(?:Client|Config)\b|breakerGroup|Breaker(?:Var|Threshold|Cooldown)|RecoveryThreshold|RetryBackoff|adc_breaker_state|\b(?:BuildTrees|TreeFor|FormatTree|WriteChrome)\b|\bHashRequestID\b|\bUseWallClock\b|HTTPFarm\)?\.SetTracer|RuntimeAgents|runConcurrent|examples/distributed|\bRecycler\b|\bReplyTo\(|\bSetOnDone\b|adcfigures|examples/tablesweep|\badc(?:gen|farm)\b|BreakerDenied|breaker_denied|adc_breaker_denied_total|WriteText|ReadText|[pP]arallelMergeMin|\bSerialize\(\)|(?:^|[^\w-])-shards(?:[^\w-]|$)|\bBackendSlice\b|\bsliceTable\b|-backend slice`)
+	// their merge threshold, serial switch and command-line flag, the
+	// sorted-slice table backend with its -backend value, and the event
+	// queue's partition: its map, constructor, index and config field (the
+	// word boundaries keep TestShardedUnregisteredNode and
+	// TestShardedDuplicateRegister legal).
+	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)|\b(?:New)?OpenLoop(?:Client|Config)\b|breakerGroup|Breaker(?:Var|Threshold|Cooldown)|RecoveryThreshold|RetryBackoff|adc_breaker_state|\b(?:BuildTrees|TreeFor|FormatTree|WriteChrome)\b|\bHashRequestID\b|\bUseWallClock\b|HTTPFarm\)?\.SetTracer|RuntimeAgents|runConcurrent|examples/distributed|\bRecycler\b|\bReplyTo\(|\bSetOnDone\b|adcfigures|examples/tablesweep|\badc(?:gen|farm)\b|BreakerDenied|breaker_denied|adc_breaker_denied_total|WriteText|ReadText|[pP]arallelMergeMin|\bSerialize\(\)|(?:^|[^\w-])-shards(?:[^\w-]|$)|\bBackendSlice\b|\bsliceTable\b|-backend slice|\b(?:New)?ShardMap\b|\bNewShardedVEngine\b|\bshardIdx\b|Config\.Shards\b`)
 	// EXPERIMENTS.md sections that record one PR's runs say so in their
 	// heading; they are history and may name what existed then.
 	datedHeading = regexp.MustCompile(`\((?:PR|issue) \d+`)
@@ -365,11 +368,11 @@ func docsNameDeclaredMakeTargets(t *testing.T) {
 // retiredName: the retired recordings, fault-schedule spellings, client
 // type, circuit-breaker names, event-trace tree API, farm event tracer,
 // goroutine-agents runtime, figure command, trace generator, farm daemon,
-// text trace format, shard workers and sorted-slice backend. Exempt:
-// CHANGES.md, ROADMAP.md and the task plan (the record and the plan of what
-// was removed), EXPERIMENTS.md's dated sections, bench/ (frozen by
-// BENCHMARK.json's `paths`; its README already calls the files superseded)
-// and this file.
+// text trace format, shard workers, sorted-slice backend and queue
+// partition. Exempt: CHANGES.md, ROADMAP.md and the task plan (the record
+// and the plan of what was removed), EXPERIMENTS.md's dated sections,
+// bench/ (frozen by BENCHMARK.json's `paths`; its README already calls the
+// files superseded) and this file.
 func docsDoNotNameRetiredRecordings(t *testing.T) {
 	exemptFile := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true, "docs_test.go": true}
 	skipDir := map[string]bool{".git": true, ".bench_build": true, "bench": true}

@@ -3,7 +3,6 @@ package sim_test
 import (
 	"fmt"
 	"hash/fnv"
-	"reflect"
 	"testing"
 
 	"github.com/adc-sim/adc/internal/core"
@@ -16,14 +15,9 @@ import (
 	"github.com/adc-sim/adc/internal/trace"
 )
 
-// shardCounts are the partition widths every determinism test runs
-// at: the degenerate single shard, even splits, an uneven split (3 shards
-// over 5 proxies), and more shards than proxies.
-var shardCounts = []int{1, 2, 3, 4, 8}
-
 // rigResult captures everything observable from a run: per-client metric
 // summaries and series, per-proxy protocol stats, and the engine's delivery
-// count. Every shard count must agree on all of it.
+// count.
 type rigResult struct {
 	summaries []metrics.Summary
 	series    [][]metrics.Point
@@ -31,8 +25,8 @@ type rigResult struct {
 	delivered uint64
 }
 
-// shardRig parameterizes one engine-comparison workload.
-type shardRig struct {
+// rig parameterizes one engine workload whose observable result is pinned.
+type rig struct {
 	latency  sim.LatencyModel
 	proxies  int
 	clients  int
@@ -49,7 +43,7 @@ type shardRig struct {
 }
 
 // run wires the rig onto eng, runs it, and snapshots the observable state.
-func (r shardRig) run(t *testing.T, eng *sim.VEngine) rigResult {
+func (r rig) run(t *testing.T, eng *sim.VEngine) rigResult {
 	t.Helper()
 	proxies := make([]*proxy.ADC, r.proxies)
 	proxyIDs := make([]ids.NodeID, r.proxies)
@@ -124,7 +118,7 @@ func (r shardRig) run(t *testing.T, eng *sim.VEngine) rigResult {
 	return res
 }
 
-func (r shardRig) wrapped(n sim.Node) sim.Node {
+func (r rig) wrapped(n sim.Node) sim.Node {
 	if r.wrap == nil {
 		return n
 	}
@@ -143,89 +137,50 @@ func (r rigResult) digest() uint64 {
 	return h.Sum64()
 }
 
-// compare runs the rig on the one-shard engine and at every other shard
-// count, requiring identical observable results, and pins the one-shard run
-// to the delivery count and digest the sequential VEngine produced at
-// cbc3d04, the last commit that had one.
-func (r shardRig) compare(t *testing.T, wantDelivered, wantDigest uint64) {
+// pin runs the rig and requires its delivery count and digest to equal
+// recorded ones.
+func (r rig) pin(t *testing.T, wantDelivered, wantDigest uint64) {
 	t.Helper()
-	want := r.run(t, sim.NewVEngine(r.latency))
-	if want.delivered != wantDelivered || want.digest() != wantDigest {
-		t.Errorf("one-shard run drifted from the recorded VEngine run: delivered %d digest %#x, want %d %#x",
-			want.delivered, want.digest(), wantDelivered, wantDigest)
-	}
-	for _, shards := range shardCounts[1:] {
-		part, err := ids.NewShardMap(shards, r.proxies)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := r.run(t, sim.NewShardedVEngine(r.latency, part))
-		label := fmt.Sprintf("shards=%d", shards)
-		if want.delivered != got.delivered {
-			t.Errorf("%s: delivered %d, one shard delivered %d", label, got.delivered, want.delivered)
-		}
-		if !reflect.DeepEqual(want.summaries, got.summaries) {
-			t.Errorf("%s: client summaries diverge\n got %+v\nwant %+v", label, got.summaries, want.summaries)
-		}
-		if !reflect.DeepEqual(want.series, got.series) {
-			t.Errorf("%s: client time series diverge", label)
-		}
-		if !reflect.DeepEqual(want.proxies, got.proxies) {
-			t.Errorf("%s: proxy stats diverge\n got %+v\nwant %+v", label, got.proxies, want.proxies)
-		}
+	got := r.run(t, sim.NewVEngine(r.latency))
+	if got.delivered != wantDelivered || got.digest() != wantDigest {
+		t.Errorf("drifted from the recorded VEngine run: delivered %d digest %#x, want %d %#x",
+			got.delivered, got.digest(), wantDelivered, wantDigest)
 	}
 }
 
-// TestShardedMatchesOneShardClosedLoop pins the tentpole guarantee at the
-// engine level: the engine's observable output is identical at every shard
-// count, including shard counts that do not divide the proxy span, and
-// identical to what the sequential VEngine recorded.
-func TestShardedMatchesOneShardClosedLoop(t *testing.T) {
-	shardRig{
-		latency:  sim.DefaultLatencyModel(),
-		proxies:  5,
-		clients:  6,
-		requests: 400,
-	}.compare(t, 14250, 0x9a2f1a52d9ea1889)
-}
-
-// TestShardedMatchesOneShardOpenLoop drives wide same-tick runs: open-loop
-// clients with identical fixed intervals inject at the same virtual
-// instants, so events at one timestamp sit on several shards and only the
-// cross-shard (at, seq) pick orders them. The poisson variant staggers
-// arrivals so which shards share a tick shifts every window.
-func TestShardedMatchesOneShardOpenLoop(t *testing.T) {
-	for _, poisson := range []bool{false, true} {
-		name := "fixed"
-		delivered, digest := uint64(15844), uint64(0x10a34bb2b04755a)
-		if poisson {
-			name = "poisson"
-			delivered, digest = 15990, 0x9b757138cc88e296
-		}
-		t.Run(name, func(t *testing.T) {
-			shardRig{
-				latency:  sim.DefaultLatencyModel(),
-				proxies:  5,
-				clients:  8,
-				requests: 200,
-				openLoop: true,
-				poisson:  poisson,
-			}.compare(t, delivered, digest)
+// TestVEngineDigests pins the engine's observable output on four workloads
+// to what the sequential VEngine produced at cbc3d04, the last commit that
+// had one. closed-loop is the paper's one-request-per-client shape. The
+// open-loop runs drive wide same-tick runs: clients with identical fixed
+// intervals inject at the same virtual instants and only sequence numbers
+// order them (poisson staggers the arrivals). degenerate-latency collapses
+// the latency model to a single tick so nearly every event in the run
+// shares a timestamp — the regime where a sequence-numbering bug would
+// surface immediately.
+func TestVEngineDigests(t *testing.T) {
+	openLoop := rig{latency: sim.DefaultLatencyModel(), proxies: 5, clients: 8, requests: 200, openLoop: true}
+	poisson := openLoop
+	poisson.poisson = true
+	for _, tc := range []struct {
+		name              string
+		rig               rig
+		delivered, digest uint64
+	}{
+		{"closed-loop", rig{latency: sim.DefaultLatencyModel(), proxies: 5, clients: 6, requests: 400}, 14250, 0x9a2f1a52d9ea1889},
+		{"open-loop/fixed", openLoop, 15844, 0x10a34bb2b04755a},
+		{"open-loop/poisson", poisson, 15990, 0x9b757138cc88e296},
+		{"degenerate-latency", rig{
+			latency:  sim.LatencyModel{ClientProxy: 1, ProxyProxy: 1, ProxyOrigin: 1, Service: 0},
+			proxies:  5,
+			clients:  8,
+			requests: 300,
+			openLoop: true,
+		}, 18176, 0x8054cf7196ed8df},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.rig.pin(t, tc.delivered, tc.digest)
 		})
 	}
-}
-
-// TestShardedMatchesOneShardDegenerateLatency collapses the latency model to
-// a single tick so nearly every event in the run shares a timestamp — the
-// regime where a sequence-numbering bug would surface immediately.
-func TestShardedMatchesOneShardDegenerateLatency(t *testing.T) {
-	shardRig{
-		latency:  sim.LatencyModel{ClientProxy: 1, ProxyProxy: 1, ProxyOrigin: 1, Service: 0},
-		proxies:  5,
-		clients:  8,
-		requests: 300,
-		openLoop: true,
-	}.compare(t, 18176, 0x8054cf7196ed8df)
 }
 
 // heapWatch is a node decorator that samples the engine's heap before every
@@ -249,11 +204,11 @@ func (w heapWatch) Handle(ctx sim.Context, m msg.Message) {
 // each proxy and origin delivery, the heap never holds a transfer and never
 // more events than there are armed client timers. With jitter the lanes'
 // order guard must refuse some transfers — they fall through to the heap —
-// and nothing may reorder: the run still matches, at every shard count, the
-// one-shard digest recorded from the heap-only engine at b5667d5.
+// and nothing may reorder: the run still matches the digest recorded from
+// the heap-only engine at b5667d5.
 func TestLanesCarryEveryTransfer(t *testing.T) {
 	const clients = 64
-	rig := shardRig{
+	r := rig{
 		latency:  sim.DefaultLatencyModel(),
 		proxies:  5,
 		clients:  clients,
@@ -263,38 +218,35 @@ func TestLanesCarryEveryTransfer(t *testing.T) {
 	}
 	watch := func(eng *sim.VEngine) (maxEvents, maxTransfers *int) {
 		maxEvents, maxTransfers = new(int), new(int)
-		rig.wrap = func(n sim.Node) sim.Node {
+		r.wrap = func(n sim.Node) sim.Node {
 			return heapWatch{Node: n, eng: eng, maxEvents: maxEvents, maxTransfers: maxTransfers}
 		}
 		return maxEvents, maxTransfers
 	}
 
-	eng := sim.NewVEngine(rig.latency)
+	eng := sim.NewVEngine(r.latency)
 	maxEvents, maxTransfers := watch(eng)
-	rig.run(t, eng)
+	r.run(t, eng)
 	if *maxTransfers != 0 || *maxEvents > clients || *maxEvents == 0 {
 		t.Errorf("lossless run: heap held up to %d events, %d of them transfers; want only the ≤ %d client timers",
 			*maxEvents, *maxTransfers, clients)
 	}
 
-	rig.faults = &sim.FaultPlan{Seed: 9, Jitter: 20_000}
-	eng = sim.NewVEngine(rig.latency)
+	r.faults = &sim.FaultPlan{Seed: 9, Jitter: 20_000}
+	eng = sim.NewVEngine(r.latency)
 	_, maxTransfers = watch(eng)
-	rig.run(t, eng)
+	r.run(t, eng)
 	if *maxTransfers == 0 {
 		t.Error("jittered run: no transfer ever reached the heap, so the lanes' order guard was not exercised")
 	}
-	rig.wrap = nil
-	rig.compare(t, 38538, 0xe426437a6bf478f5)
+	r.wrap = nil
+	r.pin(t, 38538, 0xe426437a6bf478f5)
 }
 
-// TestShardedUnregisteredNode checks the error path survives sharding.
+// TestShardedUnregisteredNode checks that a message for a node nobody
+// registered fails the run. (The name is kept from the partitioned engine.)
 func TestShardedUnregisteredNode(t *testing.T) {
-	part, err := ids.NewShardMap(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.NewShardedVEngine(sim.DefaultLatencyModel(), part)
+	eng := sim.NewVEngine(sim.DefaultLatencyModel())
 	buildADCArray(t, eng, 2)
 	// A client that addresses a proxy outside the rig.
 	bogus, err := sim.NewClient(sim.ClientConfig{
@@ -313,13 +265,10 @@ func TestShardedUnregisteredNode(t *testing.T) {
 	}
 }
 
-// TestShardedDuplicateRegister mirrors the FIFO engine's contract.
+// TestShardedDuplicateRegister mirrors the FIFO engine's contract. (The
+// name is kept from the partitioned engine.)
 func TestShardedDuplicateRegister(t *testing.T) {
-	part, err := ids.NewShardMap(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.NewShardedVEngine(sim.DefaultLatencyModel(), part)
+	eng := sim.NewVEngine(sim.DefaultLatencyModel())
 	if err := eng.Register(sim.NewOrigin()); err != nil {
 		t.Fatal(err)
 	}

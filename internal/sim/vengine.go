@@ -79,30 +79,24 @@ type Scheduler interface {
 
 // VEngine is the virtual-time discrete-event engine: messages are delivered
 // in (timestamp, enqueue sequence) order, each transfer delayed by the
-// latency model. It is fully deterministic, and its results — every byte,
-// with every feature on — do not depend on how many queues it partitions
-// its events over. DESIGN.md §7 has the full argument; in short:
+// latency model. It is fully deterministic.
 //
-// Events are partitioned over queues by destination (ids.ShardMap), each
-// queue with one FIFO lane per link class plus a 4-ary heap for timers
-// (see eventQueue). Run executes one event at a time, on the calling
-// goroutine: the smallest (at, seq) head across the queues, a classic
-// sequential event loop over a partitioned queue. A Send takes the next
-// sequence number and goes straight into the destination's queue, so
-// whatever depends on Send order happens in one function, admit: the drop
-// filter is consulted, the fault plan's single random stream draws loss →
-// link loss → jitter, and survivors take consecutive sequence numbers.
-// Identical (at, seq) pairs on every event mean identical delivery order,
-// whatever the partition.
+// Every event sits in one eventQueue: one FIFO lane per link class plus a
+// 4-ary heap for timers. Run executes one event at a time, on the calling
+// goroutine, a classic sequential event loop. A Send takes the next
+// sequence number and goes straight into the queue, so whatever depends on
+// Send order happens in one function, admit: the drop filter is consulted,
+// the fault plan's single random stream draws loss → link loss → jitter,
+// and survivors take consecutive sequence numbers. DESIGN.md §7 has the
+// full argument.
 //
 // The engine is the context every handler runs against (Context, Clock,
 // Scheduler); what a delivery reads or writes — the fail-stop down set, the
 // QueueService busy horizon — is keyed by destination.
 type VEngine struct {
 	latency LatencyModel
-	part    ids.ShardMap
 	nodes   ids.Table[Node]
-	queues  []eventQueue
+	q       eventQueue
 	fl      msg.Freelist
 
 	// now is the timestamp of the event being delivered and seq the
@@ -148,17 +142,9 @@ type VEngine struct {
 	ts     *metrics.TimeSeries
 }
 
-// NewVEngine returns an empty one-queue engine: the sequential run.
+// NewVEngine returns an empty engine.
 func NewVEngine(latency LatencyModel) *VEngine {
-	part, _ := ids.NewShardMap(1, 1) // cannot fail
-	return NewShardedVEngine(latency, part)
-}
-
-// NewShardedVEngine returns an empty engine whose nodes' events are spread
-// over the partition's queues. Results are identical at every shard count.
-func NewShardedVEngine(latency LatencyModel, part ids.ShardMap) *VEngine {
-	e := &VEngine{latency: latency, part: part, current: ids.None}
-	e.queues = make([]eventQueue, part.Shards())
+	e := &VEngine{latency: latency, current: ids.None}
 	if latency.QueueService {
 		e.busy = make(map[ids.NodeID]int64)
 	}
@@ -256,15 +242,7 @@ func (e *VEngine) After(delay int64, m msg.Message) {
 // Freelist implements Context.
 func (e *VEngine) Freelist() *msg.Freelist { return &e.fl }
 
-// shardIdx maps a node to the queue its events go to.
-func (e *VEngine) shardIdx(id ids.NodeID) int {
-	if len(e.queues) == 1 {
-		return 0
-	}
-	return e.part.ShardOf(id)
-}
-
-// admit is the one place an emission enters a queue, in Send order. A
+// admit is the one place an emission enters the queue, in Send order. A
 // network transfer — an emission on a link lane — is screened
 // first (see screen); whatever survives takes the next sequence number.
 func (e *VEngine) admit(from ids.NodeID, at int64, m msg.Message, lane int) {
@@ -276,13 +254,13 @@ func (e *VEngine) admit(from ids.NodeID, at int64, m msg.Message, lane int) {
 		}
 	}
 	e.seq++
-	e.queues[e.shardIdx(m.Dest())].push(event{at: at, seq: e.seq, m: m, net: net}, lane)
+	e.q.push(event{at: at, seq: e.seq, m: m, net: net}, lane)
 }
 
 // screen passes one Send through the drop filter and then the fault plan,
 // returning its (possibly jittered) delivery time and whether it survives.
 // Because admit calls it in Send order, the filter's view and the plan's
-// draws are a pure function of the Send sequence at every shard count.
+// draws are a pure function of the Send sequence.
 func (e *VEngine) screen(from ids.NodeID, at int64, m msg.Message) (int64, bool) {
 	if e.drop != nil && e.drop(m) {
 		e.dropped++
@@ -328,8 +306,8 @@ func (e *VEngine) traceDrop(sender ids.NodeID, m msg.Message, cause int64) {
 }
 
 // Run starts the Starter nodes in ascending NodeID order and then delivers
-// events in (at, seq) order across the queues until every queue drains,
-// advancing virtual time monotonically.
+// events in (at, seq) order until the queue drains, advancing virtual time
+// monotonically.
 func (e *VEngine) Run() error {
 	if e.faults != nil {
 		// Crash/restart transitions enter the queue before any starter
@@ -349,26 +327,17 @@ func (e *VEngine) Run() error {
 			e.current = ids.None
 		}
 	})
-	for {
-		var next *eventQueue
-		for i := range e.queues {
-			q := &e.queues[i]
-			if q.Len() > 0 && (next == nil || q.peek().before(next.peek())) {
-				next = q
-			}
-		}
-		if next == nil {
-			return nil
-		}
-		if err := e.step(next); err != nil {
+	for e.q.Len() > 0 {
+		if err := e.step(); err != nil {
 			return err
 		}
 	}
+	return nil
 }
 
-// step pops and executes q's next event at virtual time ev.at.
-func (e *VEngine) step(q *eventQueue) error {
-	ev := q.pop()
+// step pops and executes the next event at virtual time ev.at.
+func (e *VEngine) step() error {
+	ev := e.q.pop()
 	e.now = ev.at
 	if e.down != nil {
 		if ctl, ok := ev.m.(*faultCtl); ok {
@@ -399,7 +368,7 @@ func (e *VEngine) step(q *eventQueue) error {
 		if done > ev.at {
 			ev.at = done
 			ev.served = true
-			q.push(ev, laneHeap)
+			e.q.push(ev, laneHeap)
 			return nil
 		}
 	}
