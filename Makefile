@@ -264,12 +264,14 @@ bench-sweep:
 # shape (core-cpu.out, core-mem.out), of the request stream's generator
 # and Zipf draw (workload-cpu.out, workload-mem.out) and of the farm hop,
 # a local hit and a forwarded miss over loopback (httpproxy-cpu.out,
-# httpproxy-mem.out), one pair per layer, for pprof:
+# httpproxy-mem.out), one pair per layer, and the heap profile of repeated
+# sim_shift_open-shaped cluster runs (cluster-mem.out), for pprof:
 #   go tool pprof -top cpu.out
 #   go tool pprof -top -sample_index=alloc_objects mem.out
 #   go tool pprof -top core-cpu.out
 #   go tool pprof -top workload-cpu.out
 #   go tool pprof -top -sample_index=alloc_space httpproxy-mem.out
+#   go tool pprof -top -sample_index=alloc_space cluster-mem.out
 bench-profile:
 	$(GO) test -bench 'BenchmarkVEngineEcho|BenchmarkVEngineOpenLoop' -run '^$$' \
 		-cpuprofile cpu.out -memprofile mem.out ./internal/sim/
@@ -279,7 +281,9 @@ bench-profile:
 		-cpuprofile workload-cpu.out -memprofile workload-mem.out ./internal/workload/
 	$(GO) test -bench 'BenchmarkHandleHit|BenchmarkForwardedMiss' -run '^$$' \
 		-cpuprofile httpproxy-cpu.out -memprofile httpproxy-mem.out ./internal/httpproxy/
-	@echo "wrote cpu.out, mem.out, core-cpu.out, core-mem.out, workload-cpu.out, workload-mem.out, httpproxy-cpu.out and httpproxy-mem.out"
+	$(GO) test -bench 'BenchmarkRunShiftOpen' -benchtime 3x -run '^$$' \
+		-memprofile cluster-mem.out ./internal/cluster/
+	@echo "wrote cpu.out, mem.out, core-cpu.out, core-mem.out, workload-cpu.out, workload-mem.out, httpproxy-cpu.out, httpproxy-mem.out and cluster-mem.out"
 
 # Observability smoke: a small lossless traced run on the virtual-time
 # engine, the JSONL validated against the event schema and rebuilt into
@@ -320,4 +324,4 @@ figures:
 
 clean:
 	$(GO) clean ./...
-	rm -rf figures/*.csv cpu.out mem.out core-cpu.out core-mem.out workload-cpu.out workload-mem.out httpproxy-cpu.out httpproxy-mem.out sim.test core.test workload.test httpproxy.test trace-smoke.jsonl trace-smoke.bin trace-smoke.*.txt telemetry-smoke.spans.json
+	rm -rf figures/*.csv cpu.out mem.out core-cpu.out core-mem.out workload-cpu.out workload-mem.out httpproxy-cpu.out httpproxy-mem.out cluster-mem.out sim.test core.test workload.test httpproxy.test cluster.test trace-smoke.jsonl trace-smoke.bin trace-smoke.*.txt telemetry-smoke.spans.json

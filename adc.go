@@ -150,8 +150,9 @@ type Config struct {
 	// (§V.2.1).
 	Window int
 
-	// SampleEvery records one time-series point per n completed
-	// requests; 0 disables series collection.
+	// SampleEvery records one time-series point per n requests the
+	// first client completes (only that client samples); 0 disables
+	// series collection.
 	SampleEvery int
 
 	// Runtime selects sequential (default) or vtime.
@@ -433,7 +434,8 @@ type Result struct {
 	// pull these numbers down.
 	MaxMeanShare float64
 	GiniShare    float64
-	// Series holds time-series samples when SampleEvery > 0.
+	// Series holds the first client's time-series samples when
+	// SampleEvery > 0.
 	Series []Point
 	// ProxyStats has one entry per proxy, indexed by proxy ID.
 	ProxyStats []ProxyStats

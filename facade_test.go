@@ -11,6 +11,7 @@ import (
 	"github.com/adc-sim/adc/internal/cluster"
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/experiments"
+	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/sim"
 	"github.com/adc-sim/adc/internal/workload"
@@ -162,5 +163,56 @@ func TestProfileRejectsUnknownNames(t *testing.T) {
 		if _, err := Run(Config{Entry: p.Entry, Backend: p.Backend}, smallWorkload(t)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Run with %+v = %v, want an error containing %q", p, err, want)
 		}
+	}
+}
+
+// TestSourceAdapterLendsSliceSource: handed to the cluster, a *SliceSource
+// lends its unread requests in place — the same values, at the same
+// address, the source left exhausted — and any other Source lends nothing
+// and is left untouched.
+func TestSourceAdapterLendsSliceSource(t *testing.T) {
+	objs := []uint64{5, 7, 11, 13, 1 << 63}
+	src := NewSliceSource(objs)
+	src.Next()
+	var a workload.SliceBacked = sourceAdapter{src}
+	rest, ok := a.Rest()
+	if !ok || len(rest) != len(objs)-1 {
+		t.Fatalf("Rest = %v, %v; want the %d unread requests", rest, ok, len(objs)-1)
+	}
+	for i, obj := range rest {
+		if uint64(obj) != objs[i+1] {
+			t.Errorf("rest[%d] = %d, want %d", i, obj, objs[i+1])
+		}
+	}
+	if &rest[0] != (*ids.ObjectID)(&objs[1]) {
+		t.Error("Rest copied the slice")
+	}
+	if _, more := src.Next(); more {
+		t.Error("the lent source still yields requests")
+	}
+	if rest, ok := (sourceAdapter{src}).Rest(); !ok || len(rest) != 0 {
+		t.Errorf("exhausted source: Rest = %v, %v; want empty and ok", rest, ok)
+	}
+
+	gen, err := NewWorkload(WorkloadConfig{Requests: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rest, ok := (sourceAdapter{gen}).Rest(); ok || rest != nil {
+		t.Errorf("generated source: Rest = %v, %v; want nothing", rest, ok)
+	}
+	if n := len(drainPublic(gen)); n != 10 {
+		t.Errorf("generated source yields %d requests after Rest, want all 10", n)
+	}
+}
+
+func drainPublic(src Source) []uint64 {
+	var out []uint64
+	for {
+		obj, ok := src.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, obj)
 	}
 }

@@ -150,11 +150,13 @@ type Config struct {
 	// OpenLoopInterval is set.
 	Clients int
 
-	// Window is the moving-average window (default 5000, §V.2.1).
+	// Window is the moving-average window (default 5000, §V.2.1) of
+	// client 0's series.
 	Window int
 
-	// SampleEvery records one time-series point per n requests
-	// (0 disables series collection; summaries are always available).
+	// SampleEvery records one time-series point per n requests of
+	// client 0, the only client that samples (0 disables series
+	// collection; summaries are always available).
 	SampleEvery uint64
 
 	// Runtime selects sequential or virtual-time execution.
@@ -408,10 +410,15 @@ func New(cfg Config, src workload.Source) (*Cluster, error) {
 		return nil, err
 	}
 	for i, s := range sources {
-		copts := []metrics.Option{
-			metrics.WithWindow(cfg.Window),
-			metrics.WithSampleEvery(cfg.SampleEvery),
-			metrics.WithExpectedRequests(uint64(s.Total())),
+		// Result.Series is client 0's, so only client 0 samples and
+		// pays for the moving-average windows.
+		copts := []metrics.Option{metrics.WithSampleEvery(0)}
+		if i == 0 {
+			copts = []metrics.Option{
+				metrics.WithWindow(cfg.Window),
+				metrics.WithSampleEvery(cfg.SampleEvery),
+				metrics.WithExpectedRequests(uint64(s.Total())),
+			}
 		}
 		if cfg.ResponseBuckets > 0 {
 			width := cfg.ResponseBucketTicks
@@ -551,13 +558,22 @@ func (c *Cluster) snapshotOccupancy(b *metrics.Bucket) {
 }
 
 // splitSource partitions src round-robin into n streams. n == 1 passes the
-// source through untouched (streaming); larger n drains it into memory once
-// and hands stream k a strided view of it: requests k, k+n, k+2n, ….
+// source through untouched (streaming); larger n hands stream k a strided
+// view of the whole stream: requests k, k+n, k+2n, …. A slice-backed source
+// (workload.SliceBacked) lends its slice; any other is drained into memory
+// once.
 func splitSource(src workload.Source, n int) ([]workload.Source, error) {
 	if n == 1 {
 		return []workload.Source{src}, nil
 	}
-	all := trace.Drain(src)
+	var all []ids.ObjectID
+	lent := false
+	if sb, ok := src.(workload.SliceBacked); ok {
+		all, lent = sb.Rest()
+	}
+	if !lent {
+		all = trace.Drain(src)
+	}
 	out := make([]workload.Source, n)
 	for k := range out {
 		out[k] = &stridedSource{objs: all, pos: k, step: n, total: (len(all) - k + n - 1) / n}

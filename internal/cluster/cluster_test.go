@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -470,5 +471,74 @@ func TestSplitSourceRoundRobin(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// plainSource hides a source's slice, so splitSource must drain it.
+type plainSource struct{ workload.Source }
+
+// TestSplitSourceLendsSlice: a slice-backed source yields the same
+// per-client streams as the same requests behind a plain workload.Source,
+// from the position Next reached, and leaves the source exhausted as
+// draining does. Splitting it allocates the same whatever the stream's
+// length: the views share the source's slice.
+func TestSplitSourceLendsSlice(t *testing.T) {
+	const n = 64
+	objs := make([]ids.ObjectID, 10_000)
+	for i := range objs {
+		objs[i] = ids.ObjectID(7*i + 3)
+	}
+	for _, skip := range []int{0, 1, 99} {
+		lent, plain := trace.NewSliceSource(objs), plainSource{trace.NewSliceSource(objs)}
+		for i := 0; i < skip; i++ {
+			lent.Next()
+			plain.Next()
+		}
+		a, err := splitSource(lent, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := splitSource(plain, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := lent.Next(); ok {
+			t.Errorf("skip=%d: the lent source still yields requests", skip)
+		}
+		for k := range a {
+			if a[k].Total() != b[k].Total() {
+				t.Errorf("skip=%d client %d: Total %d, plain %d", skip, k, a[k].Total(), b[k].Total())
+			}
+			if got, want := trace.Drain(a[k]), trace.Drain(b[k]); !slices.Equal(got, want) {
+				t.Errorf("skip=%d client %d: %v, plain %v", skip, k, got, want)
+			}
+		}
+	}
+
+	split := func(length int) (allocs, bytes float64) {
+		src := trace.NewSliceSource(objs[:length])
+		run := func() {
+			src.Reset()
+			if _, err := splitSource(src, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(20, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 20; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 20
+	}
+	shortAllocs, shortBytes := split(100)
+	longAllocs, longBytes := split(len(objs))
+	if longAllocs > shortAllocs {
+		t.Errorf("splitting allocates %v times for %d requests, %v for 100", longAllocs, len(objs), shortAllocs)
+	}
+	// A copy of the longer stream would be 79 200 bytes more.
+	if extra := longBytes - shortBytes; extra > 8*float64(len(objs)-100)/4 {
+		t.Errorf("splitting %d requests allocates %.0f bytes more than 100 do", len(objs), extra)
 	}
 }

@@ -29,14 +29,16 @@ type Point struct {
 // Collector accumulates per-request outcomes. It is not safe for concurrent
 // use; only its client driver records into it, so no locking is needed.
 type Collector struct {
+	// window and hopsWindow are the moving averages the series samples;
+	// nil unless the collector samples a series (sampleEvery > 0).
 	window     *stats.MovingAverage
 	hopsWindow *stats.MovingAverage
+	windowSize int
 
 	requests uint64
 	hits     uint64
 	hopsSum  uint64
-	hopsHist *stats.Histogram
-	pathLens *stats.Online
+	pathLens stats.Online
 
 	sampleEvery uint64
 	expected    uint64
@@ -64,12 +66,10 @@ type Collector struct {
 // Option configures a Collector.
 type Option func(*Collector)
 
-// WithWindow overrides the moving-average window size (default 5000).
+// WithWindow overrides the moving-average window size (default 5000). The
+// windows exist only on a collector that samples a series.
 func WithWindow(size int) Option {
-	return func(c *Collector) {
-		c.window = stats.NewMovingAverage(size)
-		c.hopsWindow = stats.NewMovingAverage(size)
-	}
+	return func(c *Collector) { c.windowSize = size }
 }
 
 // WithSampleEvery records one series Point per n completed requests.
@@ -87,32 +87,27 @@ func WithExpectedRequests(n uint64) Option {
 
 // WithResponseHistogram buckets virtual-time response samples into buckets
 // bins of the given tick width, enabling tail quantiles (Summary.
-// P99Response). Off by default: per-client histograms are not free at a
-// million clients.
+// P99Response). Off by default. The histogram stores counts only up to the
+// highest bucket a response reached, so unreached buckets cost nothing.
 func WithResponseHistogram(buckets, width int) Option {
 	return func(c *Collector) { c.respHist = stats.NewHistogram(buckets, width) }
 }
 
-// NewCollector returns a ready Collector. Options apply before the default
-// windows are allocated, so a WithWindow override pays for exactly one pair
-// of rings — with a million per-client collectors in one run, eagerly
-// allocating the 5000-slot defaults first would burn ~80 KB of garbage per
-// client before the option even ran.
+// NewCollector returns a ready Collector. The moving-average windows (two
+// rings of the window size, 80 KB at the default 5000) and the series are
+// built only when the collector samples: a collector built with
+// WithSampleEvery(0) keeps running totals and nothing per request.
 func NewCollector(opts ...Option) *Collector {
-	c := &Collector{
-		hopsHist:    stats.NewHistogram(32, 1),
-		pathLens:    &stats.Online{},
-		sampleEvery: DefaultWindow,
-	}
+	c := &Collector{sampleEvery: DefaultWindow, windowSize: DefaultWindow}
 	for _, opt := range opts {
 		opt(c)
 	}
-	if c.window == nil {
-		c.window = stats.NewMovingAverage(DefaultWindow)
-		c.hopsWindow = stats.NewMovingAverage(DefaultWindow)
-	}
-	if c.expected > 0 && c.sampleEvery > 0 {
-		c.series = make([]Point, 0, c.expected/c.sampleEvery)
+	if c.sampleEvery > 0 {
+		c.window = stats.NewMovingAverage(c.windowSize)
+		c.hopsWindow = stats.NewMovingAverage(c.windowSize)
+		if c.expected > 0 {
+			c.series = make([]Point, 0, c.expected/c.sampleEvery)
+		}
 	}
 	return c
 }
@@ -133,13 +128,14 @@ func (c *Collector) Record(hit bool, hops, pathLen int) {
 		c.hits++
 		h = 1.0
 	}
+	c.hopsSum += uint64(hops)
+	c.pathLens.Add(float64(pathLen))
+	if c.sampleEvery == 0 {
+		return
+	}
 	c.window.Add(h)
 	c.hopsWindow.Add(float64(hops))
-	c.hopsSum += uint64(hops)
-	c.hopsHist.Add(hops)
-	c.pathLens.Add(float64(pathLen))
-
-	if c.sampleEvery > 0 && c.requests%c.sampleEvery == 0 {
+	if c.requests%c.sampleEvery == 0 {
 		c.series = append(c.series, Point{
 			Requests:   c.requests,
 			HitRate:    c.window.Value(),
@@ -216,21 +212,12 @@ func (c *Collector) CumHops() float64 {
 	return float64(c.hopsSum) / float64(c.requests)
 }
 
-// WindowHitRate returns the current moving-average hit rate.
-func (c *Collector) WindowHitRate() float64 { return c.window.Value() }
-
-// WindowHops returns the current moving-average hops per request.
-func (c *Collector) WindowHops() float64 { return c.hopsWindow.Value() }
-
 // Elapsed returns the wall-clock duration between Start and Stop.
 func (c *Collector) Elapsed() time.Duration { return c.elapsed }
 
 // Series returns the collected time-series samples. The returned slice is
 // owned by the collector and must not be mutated.
 func (c *Collector) Series() []Point { return c.series }
-
-// HopsHistogram returns the distribution of per-request hop counts.
-func (c *Collector) HopsHistogram() *stats.Histogram { return c.hopsHist }
 
 // MeanPathLen returns the mean number of proxies on the forwarding path.
 func (c *Collector) MeanPathLen() float64 { return c.pathLens.Mean() }

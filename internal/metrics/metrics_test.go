@@ -30,13 +30,22 @@ func metricsTestOpts() []Option {
 }
 
 func TestCollectorWindow(t *testing.T) {
-	c := NewCollector(WithWindow(2), WithSampleEvery(0))
+	c := NewCollector(WithWindow(2), WithSampleEvery(3))
 	c.Record(true, 1, 0)
 	c.Record(true, 1, 0)
-	c.Record(false, 1, 0)
-	// Window of 2 now holds {hit, miss}.
-	if got := c.WindowHitRate(); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("WindowHitRate = %v, want 0.5", got)
+	c.Record(false, 4, 0)
+	// Window of 2 now holds {hit, miss} and hops {1, 4}; the running
+	// totals still cover all three requests.
+	series := c.Series()
+	if len(series) != 1 {
+		t.Fatalf("series length = %d, want 1", len(series))
+	}
+	p := series[0]
+	if math.Abs(p.HitRate-0.5) > 1e-12 || math.Abs(p.Hops-2.5) > 1e-12 {
+		t.Errorf("window hit rate/hops = %v/%v, want 0.5/2.5", p.HitRate, p.Hops)
+	}
+	if math.Abs(p.CumHitRate-2.0/3.0) > 1e-12 || math.Abs(p.CumHops-2) > 1e-12 {
+		t.Errorf("cumulative hit rate/hops = %v/%v, want 2/3 and 2", p.CumHitRate, p.CumHops)
 	}
 }
 
@@ -60,12 +69,18 @@ func TestCollectorSeries(t *testing.T) {
 }
 
 func TestCollectorSeriesDisabled(t *testing.T) {
-	c := NewCollector(WithSampleEvery(0))
+	c := NewCollector(WithWindow(10), WithSampleEvery(0), WithExpectedRequests(100))
 	for i := 0; i < 100; i++ {
 		c.Record(true, 1, 1)
 	}
 	if len(c.Series()) != 0 {
 		t.Error("series must be empty when sampling is disabled")
+	}
+	if c.window != nil || c.hopsWindow != nil || c.series != nil {
+		t.Error("a collector that does not sample must not build its windows or series")
+	}
+	if c.Requests() != 100 || c.CumHitRate() != 1 || c.CumHops() != 1 {
+		t.Errorf("running totals = %d/%v/%v", c.Requests(), c.CumHitRate(), c.CumHops())
 	}
 }
 
@@ -89,17 +104,6 @@ func TestSummarySnapshot(t *testing.T) {
 	}
 	if math.Abs(s.HitRate-0.5) > 1e-12 || math.Abs(s.Hops-6) > 1e-12 || math.Abs(s.PathLen-3) > 1e-12 {
 		t.Errorf("summary rates = %+v", s)
-	}
-}
-
-func TestHopsHistogram(t *testing.T) {
-	c := NewCollector(WithSampleEvery(0))
-	c.Record(true, 2, 1)
-	c.Record(true, 2, 1)
-	c.Record(false, 5, 2)
-	h := c.HopsHistogram()
-	if h.Total() != 3 || h.Count(2) != 2 || h.Count(5) != 1 {
-		t.Errorf("histogram = %v", h.Buckets())
 	}
 }
 

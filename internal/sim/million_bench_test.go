@@ -26,15 +26,14 @@ import (
 // wander revisits a proxy (the loop-detection exit) only after ~√P ≈ 100
 // hops, which would measure the wander, not the engine.
 const (
-	scaleProxies        = 10_000
-	scaleClients        = 1_000_000
-	scaleReqsPerClient  = 3
-	scalePoolPerProxy   = 25
-	scaleObjectSpacing  = 1_000
-	scaleInterval       = 100_000 // ticks between a client's injections
-	scaleMaxHops        = 4
-	scaleCollectorRings = 256
-	scaleCollectors     = 8
+	scaleProxies       = 10_000
+	scaleClients       = 1_000_000
+	scaleReqsPerClient = 3
+	scalePoolPerProxy  = 25
+	scaleObjectSpacing = 1_000
+	scaleInterval      = 100_000 // ticks between a client's injections
+	scaleMaxHops       = 4
+	scaleCollectors    = 8
 )
 
 // poolSource is a zero-allocation workload source: a private LCG drawing
@@ -66,10 +65,7 @@ func buildScalingRig(b *testing.B, eng *sim.VEngine) {
 	// per-client state small enough for a million clients.
 	collectors := make([]*metrics.Collector, scaleCollectors)
 	for i := range collectors {
-		collectors[i] = metrics.NewCollector(
-			metrics.WithWindow(scaleCollectorRings),
-			metrics.WithSampleEvery(0),
-		)
+		collectors[i] = metrics.NewCollector(metrics.WithSampleEvery(0))
 	}
 	proxyIDs := make([]ids.NodeID, scaleProxies)
 	for i := range proxyIDs {

@@ -6,10 +6,17 @@ import (
 )
 
 // Histogram counts observations into fixed-width integer buckets; the last
-// bucket is an overflow bucket. It is used by the harness to summarise hop
-// and path-length distributions.
+// bucket is an overflow bucket. It summarises response times: each
+// simulated client's, and adcload's request latencies.
+//
+// The layout (size buckets of the given width) is fixed at construction,
+// but the counts are stored only up to the highest bucket observed so far:
+// a histogram declared with thousands of buckets whose samples stay in the
+// first few hundred pays for those few hundred. Every reader pads the
+// unstored buckets with zeros.
 type Histogram struct {
 	width   int
+	size    int // declared buckets, the overflow bucket included
 	buckets []uint64
 	total   uint64
 }
@@ -20,7 +27,7 @@ func NewHistogram(n, width int) *Histogram {
 	if n <= 0 || width <= 0 {
 		panic("stats: histogram dimensions must be positive")
 	}
-	return &Histogram{width: width, buckets: make([]uint64, n+1)}
+	return &Histogram{width: width, size: n + 1}
 }
 
 // Add counts one observation. Negative values land in bucket 0.
@@ -29,8 +36,11 @@ func (h *Histogram) Add(v int) {
 	if v > 0 {
 		idx = v / h.width
 	}
+	if idx >= h.size {
+		idx = h.size - 1
+	}
 	if idx >= len(h.buckets) {
-		idx = len(h.buckets) - 1
+		h.buckets = append(h.buckets, make([]uint64, idx+1-len(h.buckets))...)
 	}
 	h.buckets[idx]++
 	h.total++
@@ -40,8 +50,11 @@ func (h *Histogram) Add(v int) {
 // bucket layout; concurrent load-generator workers each fill a private
 // histogram and merge at the end, so the hot path never shares a lock.
 func (h *Histogram) Merge(other *Histogram) {
-	if h.width != other.width || len(h.buckets) != len(other.buckets) {
+	if h.width != other.width || h.size != other.size {
 		panic("stats: merging histograms with different layouts")
+	}
+	if n := len(other.buckets) - len(h.buckets); n > 0 {
+		h.buckets = append(h.buckets, make([]uint64, n)...)
 	}
 	for i, c := range other.buckets {
 		h.buckets[i] += c
@@ -53,11 +66,19 @@ func (h *Histogram) Merge(other *Histogram) {
 func (h *Histogram) Total() uint64 { return h.total }
 
 // Count returns the number of observations in bucket i.
-func (h *Histogram) Count(i int) uint64 { return h.buckets[i] }
+func (h *Histogram) Count(i int) uint64 {
+	if i >= len(h.buckets) {
+		if i >= h.size {
+			panic(fmt.Sprintf("stats: histogram bucket %d out of range [0, %d)", i, h.size))
+		}
+		return 0
+	}
+	return h.buckets[i]
+}
 
 // Buckets returns a copy of the bucket counts (last entry is overflow).
 func (h *Histogram) Buckets() []uint64 {
-	out := make([]uint64, len(h.buckets))
+	out := make([]uint64, h.size)
 	copy(out, h.buckets)
 	return out
 }
@@ -77,7 +98,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 		next := cum + float64(c)
 		if next >= target {
-			if i == len(h.buckets)-1 {
+			if i == h.size-1 {
 				return float64(i * h.width) // overflow: lower bound
 			}
 			frac := 0.0
@@ -88,7 +109,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 		cum = next
 	}
-	return float64((len(h.buckets) - 1) * h.width)
+	return float64((h.size - 1) * h.width)
 }
 
 // String renders the histogram as a compact multi-line bar chart.
@@ -108,7 +129,7 @@ func (h *Histogram) String() string {
 			continue
 		}
 		var label string
-		if i == len(h.buckets)-1 {
+		if i == h.size-1 {
 			label = fmt.Sprintf(">=%d", i*h.width)
 		} else {
 			label = fmt.Sprintf("[%d,%d)", i*h.width, (i+1)*h.width)

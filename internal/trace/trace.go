@@ -118,7 +118,7 @@ type SliceSource struct {
 	pos  int
 }
 
-var _ workload.Source = (*SliceSource)(nil)
+var _ workload.SliceBacked = (*SliceSource)(nil)
 
 // NewSliceSource wraps objs; the slice is not copied.
 func NewSliceSource(objs []ids.ObjectID) *SliceSource {
@@ -137,6 +137,13 @@ func (s *SliceSource) Next() (ids.ObjectID, bool) {
 
 // Total implements workload.Source.
 func (s *SliceSource) Total() int { return len(s.objs) }
+
+// Rest implements workload.SliceBacked: the unread requests, not a copy.
+func (s *SliceSource) Rest() ([]ids.ObjectID, bool) {
+	rest := s.objs[s.pos:]
+	s.pos = len(s.objs)
+	return rest, true
+}
 
 // Reset rewinds the source for another replay.
 func (s *SliceSource) Reset() { s.pos = 0 }

@@ -18,6 +18,19 @@ type Source interface {
 	Total() int
 }
 
+// SliceBacked is a Source whose requests already sit in memory. A consumer
+// that wants the whole stream at once takes the slice instead of copying it
+// out request by request.
+type SliceBacked interface {
+	Source
+	// Rest hands over the requests Next has not yet returned, without
+	// copying, and leaves the source exhausted. The caller must not
+	// modify them. ok is false, and the source untouched, when this
+	// particular source holds no such slice (an adapter that wraps
+	// sources of several kinds).
+	Rest() (objs []ids.ObjectID, ok bool)
+}
+
 // Phase identifies the three workload phases of the paper's trace (§V.1.6).
 type Phase int
 

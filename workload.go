@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"unsafe"
 
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/trace"
@@ -26,6 +27,19 @@ func (a sourceAdapter) Next() (ids.ObjectID, bool) {
 	return ids.ObjectID(obj), ok
 }
 func (a sourceAdapter) Total() int { return a.s.Total() }
+
+// Rest implements workload.SliceBacked when the wrapped source is a
+// *SliceSource: its unread requests, viewed in place as ids.ObjectID
+// (whose underlying type is uint64) rather than copied.
+func (a sourceAdapter) Rest() ([]ids.ObjectID, bool) {
+	s, ok := a.s.(*SliceSource)
+	if !ok {
+		return nil, false
+	}
+	rest := s.objs[s.pos:]
+	s.pos = len(s.objs)
+	return unsafe.Slice((*ids.ObjectID)(unsafe.SliceData(rest)), len(rest)), true
+}
 
 // internalSource bridges the other way (for generated workloads).
 type internalSource struct{ s workload.Source }
