@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check faults fuzz bench-check benchmark benchmark-aa benchmark-pairs pairs-summary pairs-check benchmark-exact bench-sweep bench-profile loadtest chaos trace-smoke telemetry-smoke figures clean
+.PHONY: all build test race vet fmt-check cover faults fuzz bench-check benchmark benchmark-aa benchmark-pairs pairs-summary pairs-check benchmark-exact bench-sweep bench-profile loadtest chaos trace-smoke telemetry-smoke figures clean
 
 all: build test
 
@@ -22,6 +22,23 @@ vet:
 # Fails, listing the files, if any Go file is not gofmt-clean.
 fmt-check:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
+
+# Coverage gate: every test once, each package's statements counted from
+# every test binary (-coverpkg=./...). Prints the total and every function
+# outside examples/ that no test reaches, keyed file:function. Fails on such
+# a function that testdata/cover-allowlist.txt does not list, and on a
+# listed one that a test now reaches: the list may only shrink.
+cover:
+	$(GO) test -count=1 -coverpkg=./... -coverprofile=cover.out ./...
+	@$(GO) tool cover -func=cover.out | awk -v mod="$$($(GO) list -m)/" -v allow=testdata/cover-allowlist.txt ' \
+	  BEGIN { while ((getline line < allow) > 0) if (line !~ /^(#|[ \t]*$$)/) { split(line, f, /[ \t]+/); listed[f[1]] = 1 } } \
+	  $$1 == "total:" { total = $$NF; next } \
+	  $$NF == "0.0%" { file = substr($$1, length(mod) + 1); sub(/:[0-9]+:$$/, "", file); \
+	    if (file ~ /^examples\//) next; key = file ":" $$2; \
+	    if (key in listed) { reached[key] = 0; print "0%  " key " (allowlisted)" } \
+	    else { print "0%  " key "  <- not in " allow; bad = 1 } } \
+	  END { for (k in listed) if (!(k in reached)) { print "reached now, drop it from " allow ": " k; bad = 1 } \
+	    print "statement coverage " total; exit bad }'
 
 # Short native-fuzz pass over the parsers that read bytes from outside — the
 # farm's HTTP head codec against net/http as the oracle (requests and
@@ -324,4 +341,4 @@ figures:
 
 clean:
 	$(GO) clean ./...
-	rm -rf figures/*.csv cpu.out mem.out core-cpu.out core-mem.out workload-cpu.out workload-mem.out httpproxy-cpu.out httpproxy-mem.out cluster-mem.out sim.test core.test workload.test httpproxy.test cluster.test trace-smoke.jsonl trace-smoke.bin trace-smoke.*.txt telemetry-smoke.spans.json
+	rm -rf figures/*.csv cover.out cpu.out mem.out core-cpu.out core-mem.out workload-cpu.out workload-mem.out httpproxy-cpu.out httpproxy-mem.out cluster-mem.out sim.test core.test workload.test httpproxy.test cluster.test trace-smoke.jsonl trace-smoke.bin trace-smoke.*.txt telemetry-smoke.spans.json

@@ -2,6 +2,7 @@ package adc
 
 import (
 	"bytes"
+	"net/http"
 	"os"
 	"strings"
 	"testing"
@@ -231,6 +232,23 @@ func TestHTTPFarmPublicAPI(t *testing.T) {
 
 	if _, err := farm.ProxyURL(99); err == nil {
 		t.Error("out-of-range proxy index must fail")
+	}
+	if _, err := farm.DebugURL(99); err == nil {
+		t.Error("out-of-range debug index must fail")
+	}
+	debug, err := farm.DebugURL(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []string{debug + "/vars", farm.OriginURL() + "/obj/7"} {
+		resp, err := http.Get(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close() //nolint:errcheck // read side
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: status %d", u, resp.StatusCode)
+		}
 	}
 	if _, err := farm.Get(99, 1, "x"); err == nil {
 		t.Error("out-of-range Get must fail")

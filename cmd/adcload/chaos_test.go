@@ -2,6 +2,7 @@ package main
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -72,6 +73,16 @@ func TestChaosKillRestartRecovers(t *testing.T) {
 	// run with zero errors would mean the kill never bit.
 	if rep.Errors == 0 && rep.Farm.FailoverOrigin == 0 && rep.Farm.RetriedFetches == 0 {
 		t.Error("chaos run shows no errors and no failover activity; the kill had no effect")
+	}
+	var text strings.Builder
+	printText(&text, rep)
+	for _, want := range []string{"chaos     " + cfg.Faults, "  kill      p1 @ 0.50s", "  restart   p1 @ 1.50s", "  proxy 1: detect ", "availability  min "} {
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("text report lacks %q:\n%s", want, text.String())
+		}
+	}
+	if got := secOrNever(-1); got != "never" {
+		t.Errorf("secOrNever(-1) = %q, want never", got)
 	}
 
 	// Goroutine-leak check, as in TestRunSmoke: monitors, the chaos

@@ -2,15 +2,18 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/adc-sim/adc/internal/httpproxy"
+	"github.com/adc-sim/adc/internal/obs"
 )
 
 // smokeConfig is a short, low-rate run sized for CI: enough traffic to
@@ -34,11 +37,15 @@ func smokeConfig() config {
 
 // TestRunSmoke is the farm-smoke gate: a short open-loop run must complete
 // every scheduled request without errors, serve a nonzero hit rate from a
-// warmed farm, and tear down without leaking goroutines.
+// warmed farm, scrape every proxy's span ring into the dump file and the
+// text report, and tear down without leaking goroutines.
 func TestRunSmoke(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	rep, err := run(smokeConfig())
+	cfg := smokeConfig()
+	cfg.Tracing.SampleEvery = 4
+	cfg.TraceDump = filepath.Join(t.TempDir(), "spans.json")
+	rep, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +74,20 @@ func TestRunSmoke(t *testing.T) {
 	}
 	if perProxy < rep.Completed {
 		t.Errorf("proxies saw %d requests, fewer than the %d completed", perProxy, rep.Completed)
+	}
+	if tr := rep.Trace; tr == nil || tr.Proxies != 2 || tr.Skipped != 0 || tr.Trees == 0 {
+		t.Errorf("trace census = %+v, want trees from both proxies", tr)
+	}
+	var dumps []obs.SpanDump
+	if b, err := os.ReadFile(cfg.TraceDump); err != nil || json.Unmarshal(b, &dumps) != nil || len(dumps) != 2 {
+		t.Errorf("-trace-dump file: %v, %d dumps; want one per proxy", err, len(dumps))
+	}
+	var text strings.Builder
+	printText(&text, rep)
+	for _, want := range []string{"achieved ", "hits ", "latency   p50 ", "trace ", "per proxy (", "  proxy  1 "} {
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("text report lacks %q:\n%s", want, text.String())
+		}
 	}
 
 	// Goroutine-leak check: everything run() started (farm servers,

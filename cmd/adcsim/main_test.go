@@ -139,15 +139,25 @@ func TestConfigRefusesFlagsTheFileDescribes(t *testing.T) {
 }
 
 // TestConfigRunTakesRunFlagsAndReportsFaults: the run flags apply to a
-// -config run as to a flag run, and a file with faults and recovery prints
-// the completion, fault and recovery lines a flag run prints.
+// -config run as to a flag run — the trace, the time series and -v's
+// per-proxy table — and a file with faults and recovery prints the
+// completion, fault and recovery lines a flag run prints.
 func TestConfigRunTakesRunFlagsAndReportsFaults(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "t.jsonl")
-	out, err := runCaptured(t, "-config", faultyExperiment(t), "-trace", "-trace-out", tracePath)
+	csvPath := filepath.Join(t.TempDir(), "series.csv")
+	out, err := runCaptured(t, "-config", faultyExperiment(t), "-trace", "-trace-out", tracePath,
+		"-metrics-every", "1000000", "-metrics-out", csvPath, "-v")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"completion ", "faults ", "dropped=", "leaked-pending="} {
+	csv, err := os.ReadFile(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := strings.Split(strings.TrimSpace(string(csv)), "\n"); len(rows) < 2 || !strings.HasPrefix(rows[0], "start,end,injected,") {
+		t.Errorf("-metrics-out wrote %d lines, want a header and buckets:\n%s", len(rows), csv)
+	}
+	for _, want := range []string{"completion ", "faults ", "dropped=", "leaked-pending=", "proxy  requests  local hits"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report lacks %q:\n%s", want, out)
 		}

@@ -143,8 +143,9 @@ func TestValidateRejectsOrphanedTree(t *testing.T) {
 	}
 }
 
-// TestFarmCensusGate: adctrace farm reads a span dump file, and
-// -min-complete fails a dump holding an orphaned tree.
+// TestFarmCensusGate: adctrace farm reads a span dump file, writes its
+// spans as a Chrome trace with -chrome, and -min-complete fails a dump
+// holding an orphaned tree.
 func TestFarmCensusGate(t *testing.T) {
 	complete := []obs.Span{
 		{Trace: 1<<48 | 1, ID: 1<<48 | 1, Node: 0, Stage: "server", Start: 0, End: 100},
@@ -163,9 +164,16 @@ func TestFarmCensusGate(t *testing.T) {
 		return path
 	}
 
-	out, err := runCaptured(t, "farm", "-min-complete", "0.99", dumpFile(complete...))
+	chromePath := filepath.Join(t.TempDir(), "chrome.json")
+	out, err := runCaptured(t, "farm", "-min-complete", "0.99", "-chrome", chromePath, dumpFile(complete...))
 	if err != nil || !strings.Contains(out, "1 complete, 0 truncated, 0 orphaned") {
 		t.Errorf("farm on a complete dump: err %v, output:\n%s", err, out)
+	}
+	var chrome struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if b, err := os.ReadFile(chromePath); err != nil || json.Unmarshal(b, &chrome) != nil || len(chrome.TraceEvents) < len(complete) {
+		t.Errorf("-chrome: %v, %d events; want one per span at least", err, len(chrome.TraceEvents))
 	}
 	out, err = runCaptured(t, "farm", "-min-complete", "0.99", dumpFile(append(complete, orphan)...))
 	if err == nil || !strings.Contains(out, "1 orphaned") {

@@ -193,6 +193,10 @@ func TestSourceAdapterLendsSliceSource(t *testing.T) {
 	if rest, ok := (sourceAdapter{src}).Rest(); !ok || len(rest) != 0 {
 		t.Errorf("exhausted source: Rest = %v, %v; want empty and ok", rest, ok)
 	}
+	src.Reset()
+	if got := drainPublic(src); !slices.Equal(got, objs) {
+		t.Errorf("after Reset the source yields %v, want %v", got, objs)
+	}
 
 	gen, err := NewWorkload(WorkloadConfig{Requests: 10})
 	if err != nil {
@@ -203,6 +207,44 @@ func TestSourceAdapterLendsSliceSource(t *testing.T) {
 	}
 	if n := len(drainPublic(gen)); n != 10 {
 		t.Errorf("generated source yields %d requests after Rest, want all 10", n)
+	}
+}
+
+// TestCrashRecoveryThroughTheFacade: the facade runs the fail-stop study
+// (internal/experiments' TestCrashRecovery holds its results) and hands
+// back the internal result unchanged.
+func TestCrashRecoveryThroughTheFacade(t *testing.T) {
+	r, err := CrashRecovery(Profile{Scale: 0.01}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Crashes != 1 || r.Restarts != 1 || r.Completion != 1 || len(r.Series) == 0 {
+		t.Errorf("crashes/restarts %d/%d, completion %v, %d samples; want 1/1, 1 and a series",
+			r.Crashes, r.Restarts, r.Completion, len(r.Series))
+	}
+}
+
+// TestTraceWritersThroughTheFacade: a traced run exports as JSON Lines,
+// one event per line, and as a Chrome trace.
+func TestTraceWritersThroughTheFacade(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Tracer = NewTracer()
+	src := NewSliceSource([]uint64{1, 2, 1, 3, 1, 2})
+	if _, err := Run(cfg, src); err != nil {
+		t.Fatal(err)
+	}
+	var jsonl, chrome strings.Builder
+	if err := WriteTrace(&jsonl, cfg.Tracer); err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(jsonl.String(), "\n"); lines != cfg.Tracer.Len() || lines == 0 {
+		t.Errorf("WriteTrace wrote %d lines for %d events", lines, cfg.Tracer.Len())
+	}
+	if err := WriteChromeTrace(&chrome, cfg.Tracer); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(chrome.String(), `"traceEvents"`) {
+		t.Errorf("WriteChromeTrace wrote no trace_event document:\n%.200s", chrome.String())
 	}
 }
 

@@ -49,9 +49,6 @@ func NewHasher(members []ids.NodeID) *Hasher {
 	return &Hasher{members: ms, memberHash: mh}
 }
 
-// Members returns the membership (shared slice: treat as read-only).
-func (h *Hasher) Members() []ids.NodeID { return h.members }
-
 // Assign returns the proxy responsible for obj.
 func (h *Hasher) Assign(obj ids.ObjectID) ids.NodeID {
 	oh := objectHash(uint64(obj))

@@ -352,6 +352,58 @@ func TestCARPCrashRestart(t *testing.T) {
 	}
 }
 
+// TestCoordinatorCrashRestart: under the coordinator, worker 0 of three
+// fail-stops between two identical rounds of twelve requests and restarts.
+// The dispatcher's rotation does not look at content or at the crash, so
+// round two sends each object to the worker that cached it in round one:
+// a warm restart hits all twelve again, a cold one misses exactly the
+// objects worker 0 had cached. The dispatcher itself is not a proxy, and a
+// plan that crashes it is refused.
+func TestCoordinatorCrashRestart(t *testing.T) {
+	const second = 1_000_000
+	var objs []ids.ObjectID
+	for range 2 {
+		for obj := ids.ObjectID(1); obj <= 12; obj++ {
+			objs = append(objs, obj)
+		}
+	}
+	cfg := func(node ids.NodeID, cold bool) Config {
+		return Config{
+			Algorithm:        Coordinator,
+			NumProxies:       3,
+			Tables:           core.Config{CachingSize: 100},
+			Seed:             1,
+			Runtime:          RuntimeVirtualTime,
+			OpenLoopInterval: second,
+			Faults: &sim.FaultPlan{Crashes: []sim.Crash{
+				{Node: node, At: 11*second + second/2, RestartAt: 11*second + 3*second/4, LoseTables: cold},
+			}},
+		}
+	}
+	if err := cfg(3, true).Validate(); err == nil {
+		t.Error("a plan crashing the dispatcher (node 3) validated")
+	}
+	for _, cold := range []bool{false, true} {
+		res, err := Run(cfg(0, cold), trace.NewSliceSource(objs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Faults.Crashes != 1 || res.Faults.Restarts != 1 || res.Dropped != 0 {
+			t.Fatalf("cold=%v: crashes/restarts/dropped = %d/%d/%d, want 1/1/0 (the crash must fall between the rounds)",
+				cold, res.Faults.Crashes, res.Faults.Restarts, res.Dropped)
+		}
+		// Twelve requests over three workers in turn: worker 0 caches
+		// four of them in round one.
+		want := uint64(12)
+		if cold {
+			want -= 4
+		}
+		if res.Summary.Requests != 24 || res.Summary.Hits != want {
+			t.Errorf("cold=%v: requests/hits = %d/%d, want 24/%d", cold, res.Summary.Requests, res.Summary.Hits, want)
+		}
+	}
+}
+
 // TestValidateFaults covers the configuration constraints.
 func TestValidateFaults(t *testing.T) {
 	base := goldenConfig(RuntimeVirtualTime)

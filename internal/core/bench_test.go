@@ -23,7 +23,7 @@ func benchmarkOrderedUpdate(b *testing.B, backend Backend, size int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		obj := ids.ObjectID(rng.Intn(size))
-		if e := tbl.Remove(obj); e != nil {
+		if e := removeObj(tbl, obj); e != nil {
 			e.Avg = int64(rng.Intn(1_000_000))
 			tbl.Insert(e)
 		} else {
@@ -294,7 +294,7 @@ func BenchmarkSingleTable(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		obj := ids.ObjectID(rng.Intn(4000))
-		if e := tbl.Remove(obj); e != nil {
+		if e := removeObj(tbl, obj); e != nil {
 			tbl.InsertTop(e)
 		} else {
 			tbl.InsertTop(NewEntry(obj, 0, int64(i)))

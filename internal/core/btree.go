@@ -126,19 +126,6 @@ func (t *btreeTable) Get(obj ids.ObjectID) *Entry {
 	return nil
 }
 
-func (t *btreeTable) Remove(obj ids.ObjectID) *Entry {
-	for bi, blk := range t.blocks {
-		for i := range blk {
-			if blk[i].obj == obj {
-				e := blk[i].e
-				t.removeAt(bi, i)
-				return e
-			}
-		}
-	}
-	return nil
-}
-
 func (t *btreeTable) RemoveEntry(e *Entry) {
 	key := e.Key()
 	bi := t.findBlock(key, e.Object)
@@ -279,12 +266,14 @@ func (t *btreeTable) splitBlock(bi int) {
 // evictOverflow enforces the capacity bound after an insert.
 func (t *btreeTable) evictOverflow() *Entry {
 	if t.size > t.capacity {
-		return t.RemoveWorst()
+		return t.removeWorst()
 	}
 	return nil
 }
 
-func (t *btreeTable) RemoveWorst() *Entry {
+// removeWorst evicts and returns the entry with the largest key (the
+// paper's RemoveLastEntry), or nil when empty.
+func (t *btreeTable) removeWorst() *Entry {
 	if t.size == 0 {
 		return nil
 	}

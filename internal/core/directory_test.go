@@ -262,7 +262,7 @@ func TestOrderedOpEquivalence(t *testing.T) {
 			probe := ids.ObjectID(rng.Int63n(int64(nextObj) + 1))
 			want := noObj
 			for i, tbl := range tables {
-				out := tbl.Remove(probe)
+				out := removeObj(tbl, probe)
 				got := noObj
 				if out != nil {
 					got = out.Object
@@ -297,7 +297,7 @@ func TestOrderedOpEquivalence(t *testing.T) {
 		default: // RemoveWorst
 			want := noObj
 			for i, tbl := range tables {
-				out := tbl.RemoveWorst()
+				out := removeWorst(tbl)
 				got := noObj
 				if out != nil {
 					got = out.Object

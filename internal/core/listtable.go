@@ -42,15 +42,6 @@ func (t *listTable) Contains(obj ids.ObjectID) bool { return t.find(obj) != nil 
 
 func (t *listTable) Get(obj ids.ObjectID) *Entry { return t.find(obj) }
 
-func (t *listTable) Remove(obj ids.ObjectID) *Entry {
-	e := t.find(obj)
-	if e == nil {
-		return nil
-	}
-	t.unlink(e)
-	return e
-}
-
 // RemoveEntry unlinks a known-present entry in O(1) via its intrusive
 // links; only the paper-faithful by-object search is element-wise.
 func (t *listTable) RemoveEntry(e *Entry) { t.unlink(e) }
@@ -70,12 +61,14 @@ func (t *listTable) Insert(e *Entry) *Entry {
 	at.prev = e
 	t.size++
 	if t.size > t.capacity {
-		return t.RemoveWorst()
+		return t.removeWorst()
 	}
 	return nil
 }
 
-func (t *listTable) RemoveWorst() *Entry {
+// removeWorst evicts and returns the entry with the largest key (the
+// paper's RemoveLastEntry), or nil when empty.
+func (t *listTable) removeWorst() *Entry {
 	if t.size == 0 {
 		return nil
 	}

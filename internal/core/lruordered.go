@@ -43,15 +43,6 @@ func (t *lruOrdered) Contains(obj ids.ObjectID) bool { return t.find(obj) != nil
 
 func (t *lruOrdered) Get(obj ids.ObjectID) *Entry { return t.find(obj) }
 
-func (t *lruOrdered) Remove(obj ids.ObjectID) *Entry {
-	e := t.find(obj)
-	if e == nil {
-		return nil
-	}
-	t.unlink(e)
-	return e
-}
-
 // RemoveEntry unlinks a known-present entry in O(1).
 func (t *lruOrdered) RemoveEntry(e *Entry) { t.unlink(e) }
 
@@ -61,7 +52,7 @@ func (t *lruOrdered) Insert(e *Entry) *Entry {
 	}
 	var evicted *Entry
 	if t.size >= t.capacity {
-		evicted = t.RemoveWorst()
+		evicted = t.removeWorst()
 	}
 	e.prev = &t.head
 	e.next = t.head.next
@@ -71,7 +62,9 @@ func (t *lruOrdered) Insert(e *Entry) *Entry {
 	return evicted
 }
 
-func (t *lruOrdered) RemoveWorst() *Entry {
+// removeWorst evicts and returns the least recently inserted entry, or nil
+// when empty.
+func (t *lruOrdered) removeWorst() *Entry {
 	if t.size == 0 {
 		return nil
 	}

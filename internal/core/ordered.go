@@ -18,9 +18,9 @@ import (
 // Backends keep no object index of their own: on the hot path the owning
 // Tables resolves membership through its unified directory (one probe for
 // all three tables) and removes via RemoveEntry. The by-object methods
-// (Contains, Get, Remove) search the backend's own structure — O(log n) is
-// not possible without a key, so they are linear walks — and exist for the
-// paper-faithful ablation path and for direct unit-testing of backends.
+// (Contains, Get) search the backend's own structure — O(log n) is not
+// possible without a key, so they are linear walks — and exist for the
+// paper-faithful probe modes, which have no directory.
 type Ordered interface {
 	// Len returns the number of stored entries.
 	Len() int
@@ -30,23 +30,18 @@ type Ordered interface {
 	Contains(obj ids.ObjectID) bool
 	// Get returns the entry for obj without removing it, or nil.
 	Get(obj ids.ObjectID) *Entry
-	// Remove takes the entry for obj out of the table; nil if absent.
-	Remove(obj ids.ObjectID) *Entry
 	// RemoveEntry takes a known-present entry out of the table without a
 	// by-object search: the backend locates it by its (Key, Object)
 	// position. The entry must currently be stored and its key unchanged
 	// since Insert — the default backend keeps the key Insert saw beside
 	// the pointer and panics if (e.Key(), e.Object) no longer leads to
-	// e's own cell. Remove first, then CalcAverage, then Insert.
+	// e's own cell. RemoveEntry first, then CalcAverage, then Insert.
 	RemoveEntry(e *Entry)
 	// Insert places e at its ordered position (the paper's
 	// InsertOrdered). If the table is full, the worst entry — the one
 	// with the largest key, possibly e itself — is evicted and
 	// returned; otherwise the return is nil.
 	Insert(e *Entry) (evicted *Entry)
-	// RemoveWorst evicts and returns the entry with the largest key
-	// (the paper's RemoveLastEntry), or nil when empty.
-	RemoveWorst() *Entry
 	// WorstKey returns the largest key in the table; ok is false when
 	// the table is empty.
 	WorstKey() (key int64, ok bool)

@@ -25,6 +25,24 @@ func mkEntry(obj ids.ObjectID, key int64) *Entry {
 	return &Entry{Object: obj, Avg: key, Last: 0, Hits: 2}
 }
 
+// removeObj takes obj's entry out of tbl the way the probe modes do, by
+// the by-object Get and then RemoveEntry; nil if absent.
+func removeObj(tbl interface {
+	Get(ids.ObjectID) *Entry
+	RemoveEntry(*Entry)
+}, obj ids.ObjectID) *Entry {
+	e := tbl.Get(obj)
+	if e != nil {
+		tbl.RemoveEntry(e)
+	}
+	return e
+}
+
+// removeWorst evicts tbl's worst entry as a full table's Insert does.
+func removeWorst(tbl Ordered) *Entry {
+	return tbl.(interface{ removeWorst() *Entry }).removeWorst()
+}
+
 func assertAscending(t *testing.T, tbl Ordered) {
 	t.Helper()
 	es := tbl.Entries()
@@ -89,17 +107,17 @@ func TestOrderedRemove(t *testing.T) {
 		for i := 1; i <= 5; i++ {
 			tbl.Insert(mkEntry(ids.ObjectID(i), int64(i*10)))
 		}
-		e := tbl.Remove(3)
+		e := removeObj(tbl, 3)
 		if e == nil || e.Object != 3 {
 			t.Fatalf("Remove(3) = %v", e)
 		}
 		if tbl.Contains(3) || tbl.Len() != 4 {
 			t.Error("remove left stale state")
 		}
-		if tbl.Remove(3) != nil {
+		if removeObj(tbl, 3) != nil {
 			t.Error("double remove must return nil")
 		}
-		if tbl.Remove(42) != nil {
+		if removeObj(tbl, 42) != nil {
 			t.Error("removing absent object must return nil")
 		}
 		assertAscending(t, tbl)
@@ -108,20 +126,20 @@ func TestOrderedRemove(t *testing.T) {
 
 func TestOrderedRemoveWorst(t *testing.T) {
 	forEachBackend(t, 5, func(t *testing.T, tbl Ordered) {
-		if tbl.RemoveWorst() != nil {
-			t.Error("RemoveWorst on empty table must return nil")
+		if removeWorst(tbl) != nil {
+			t.Error("removeWorst on empty table must return nil")
 		}
 		tbl.Insert(mkEntry(1, 10))
 		tbl.Insert(mkEntry(2, 30))
 		tbl.Insert(mkEntry(3, 20))
-		if e := tbl.RemoveWorst(); e == nil || e.Object != 2 {
-			t.Fatalf("RemoveWorst = %v, want object 2 (key 30)", e)
+		if e := removeWorst(tbl); e == nil || e.Object != 2 {
+			t.Fatalf("removeWorst = %v, want object 2 (key 30)", e)
 		}
-		if e := tbl.RemoveWorst(); e == nil || e.Object != 3 {
-			t.Fatalf("RemoveWorst = %v, want object 3 (key 20)", e)
+		if e := removeWorst(tbl); e == nil || e.Object != 3 {
+			t.Fatalf("removeWorst = %v, want object 3 (key 20)", e)
 		}
-		if e := tbl.RemoveWorst(); e == nil || e.Object != 1 {
-			t.Fatalf("RemoveWorst = %v, want object 1", e)
+		if e := removeWorst(tbl); e == nil || e.Object != 1 {
+			t.Fatalf("removeWorst = %v, want object 1", e)
 		}
 		if tbl.Len() != 0 {
 			t.Errorf("Len = %d, want 0", tbl.Len())
@@ -137,7 +155,7 @@ func TestOrderedDuplicateKeys(t *testing.T) {
 		tbl.Insert(mkEntry(3, 10))
 		tbl.Insert(mkEntry(5, 10))
 		assertAscending(t, tbl)
-		e := tbl.Remove(3)
+		e := removeObj(tbl, 3)
 		if e == nil || e.Object != 3 {
 			t.Fatalf("Remove(3) with duplicate keys = %v", e)
 		}
@@ -200,17 +218,17 @@ func TestBackendsAgree(t *testing.T) {
 				}
 			}
 		case 1: // remove
-			e1 := ref.Remove(obj)
+			e1 := removeObj(ref, obj)
 			for _, o := range others {
-				e2 := o.Remove(obj)
+				e2 := removeObj(o, obj)
 				if (e1 == nil) != (e2 == nil) {
 					t.Fatalf("step %d: remove mismatch for %v", i, obj)
 				}
 			}
 		case 2: // remove worst
-			e1 := ref.RemoveWorst()
+			e1 := removeWorst(ref)
 			for _, o := range others {
-				e2 := o.RemoveWorst()
+				e2 := removeWorst(o)
 				if (e1 == nil) != (e2 == nil) {
 					t.Fatalf("step %d: removeWorst mismatch", i)
 				}
@@ -307,7 +325,7 @@ func TestBTreeMergeRule(t *testing.T) {
 			held[i] = held[len(held)-1]
 			held = held[:len(held)-1]
 		default:
-			worst := bt.RemoveWorst()
+			worst := bt.removeWorst()
 			held = slices.DeleteFunc(held, func(h *Entry) bool { return h == worst })
 		}
 		if err := bt.check(); err != nil {
@@ -339,5 +357,49 @@ func TestBTreeMergeRule(t *testing.T) {
 	bt.Insert(&Entry{Object: 1000, Avg: 2*100 + 1})
 	if err := bt.check(); err != nil {
 		t.Fatalf("after the split: %v", err)
+	}
+}
+
+// TestLRUOrderedOrdersByRecency covers the admit-all ablation's caching
+// table, which orders by insertion recency, not by key: Entries and Each
+// walk from the newest entry, WorstKey reports the oldest entry's key
+// whatever the keys are, and a full table evicts the oldest.
+func TestLRUOrderedOrdersByRecency(t *testing.T) {
+	var tbl Ordered = newLRUOrdered(3)
+	if _, ok := tbl.WorstKey(); ok {
+		t.Error("WorstKey on an empty table must report !ok")
+	}
+	for _, e := range []*Entry{mkEntry(1, 30), mkEntry(2, 10), mkEntry(3, 20)} {
+		if evicted := tbl.Insert(e); evicted != nil {
+			t.Fatalf("Insert(%v) into a table with room evicted %v", e.Object, evicted.Object)
+		}
+	}
+	order := func() []ids.ObjectID {
+		var objs []ids.ObjectID
+		for _, e := range tbl.Entries() {
+			objs = append(objs, e.Object)
+		}
+		return objs
+	}
+	if got := order(); !slices.Equal(got, []ids.ObjectID{3, 2, 1}) {
+		t.Errorf("Entries = %v, want newest first [3 2 1]", got)
+	}
+	if k, ok := tbl.WorstKey(); !ok || k != 30 {
+		t.Errorf("WorstKey = %d, %v; want the oldest entry's key 30", k, ok)
+	}
+	if evicted := tbl.Insert(mkEntry(4, 5)); evicted == nil || evicted.Object != 1 {
+		t.Errorf("Insert into a full table evicted %v, want the oldest, object 1", evicted)
+	}
+	if e := removeObj(tbl, 2); e == nil || e.Object != 2 || tbl.Contains(2) {
+		t.Errorf("removing object 2 returned %v", e)
+	}
+	if got := order(); !slices.Equal(got, []ids.ObjectID{4, 3}) || tbl.Len() != 2 || tbl.Cap() != 3 {
+		t.Errorf("Entries = %v, Len %d, Cap %d; want [4 3], 2, 3", got, tbl.Len(), tbl.Cap())
+	}
+	if e := removeWorst(tbl); e == nil || e.Object != 3 {
+		t.Errorf("removeWorst = %v, want object 3", e)
+	}
+	if evicted := newLRUOrdered(0).Insert(mkEntry(5, 1)); evicted == nil || evicted.Object != 5 {
+		t.Errorf("a zero-capacity table kept its insert (evicted %v)", evicted)
 	}
 }

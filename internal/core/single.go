@@ -49,16 +49,6 @@ func (t *SingleTable) Get(obj ids.ObjectID) *Entry {
 	return t.find(obj)
 }
 
-// Remove takes the entry for obj out of the table, returning nil if absent.
-func (t *SingleTable) Remove(obj ids.ObjectID) *Entry {
-	e := t.find(obj)
-	if e == nil {
-		return nil
-	}
-	t.unlink(e)
-	return e
-}
-
 // RemoveEntry unlinks a known-present entry in O(1).
 func (t *SingleTable) RemoveEntry(e *Entry) { t.unlink(e) }
 

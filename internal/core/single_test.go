@@ -68,17 +68,17 @@ func TestSingleTableRemove(t *testing.T) {
 	withSingleTable(t, 3, func(t *testing.T, tbl *SingleTable) {
 		tbl.InsertTop(NewEntry(1, 0, 1))
 		tbl.InsertTop(NewEntry(2, 0, 2))
-		e := tbl.Remove(1)
+		e := removeObj(tbl, 1)
 		if e == nil || e.Object != 1 {
 			t.Fatalf("Remove(1) = %v", e)
 		}
 		if tbl.Len() != 1 || tbl.Contains(1) {
 			t.Error("entry not fully removed")
 		}
-		if tbl.Remove(1) != nil {
+		if removeObj(tbl, 1) != nil {
 			t.Error("second Remove(1) should return nil")
 		}
-		if tbl.Remove(99) != nil {
+		if removeObj(tbl, 99) != nil {
 			t.Error("Remove of absent object should return nil")
 		}
 	})
@@ -119,7 +119,7 @@ func TestSingleTableNeverExceedsCapacity(t *testing.T) {
 		for i, o := range objs {
 			obj := ids.ObjectID(o)
 			if tbl.Contains(obj) {
-				tbl.Remove(obj)
+				removeObj(tbl, obj)
 			}
 			tbl.InsertTop(NewEntry(obj, 0, int64(i)))
 			if tbl.Len() > capacity {

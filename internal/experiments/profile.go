@@ -137,11 +137,6 @@ func (p Profile) WorkloadConfig() workload.Config {
 	return cfg
 }
 
-// NewWorkload builds the profile's workload generator.
-func (p Profile) NewWorkload() (*workload.Generator, error) {
-	return workload.New(p.WorkloadConfig())
-}
-
 // traceCache shares materialized request streams across all experiments in
 // the process: a figure campaign runs dozens of simulations over a handful
 // of distinct workload configs, so each stream is generated once and
@@ -149,10 +144,6 @@ func (p Profile) NewWorkload() (*workload.Generator, error) {
 // reference trace plus the shorter timing/backend traces) while bounding
 // memory at full paper scale (~32 MB per 3.99 M-request trace).
 var traceCache = workload.NewTraceCache(4)
-
-// PurgeTraceCache drops every materialized trace, releasing memory between
-// campaigns.
-func PurgeTraceCache() { traceCache.Purge() }
 
 // trace returns the profile's materialized reference workload.
 func (p Profile) trace() (*workload.Trace, error) {

@@ -37,7 +37,7 @@ func BenchmarkHandleHit(b *testing.B) {
 
 	req := httptest.NewRequest(http.MethodGet, ObjectURL(p.URL(), obj), nil)
 	req.Header.Set(HeaderRequestID, "bench")
-	h := p.Handler()
+	h := p.handler
 	w := &discardWriter{hdr: make(http.Header)}
 	b.ReportAllocs()
 	b.ResetTimer()

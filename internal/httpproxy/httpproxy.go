@@ -409,10 +409,6 @@ func NewProxy(cfg Config) (*Proxy, error) {
 	return p, nil
 }
 
-// Handler exposes the proxy's full mux (object path plus debug endpoints)
-// for in-process serving, e.g. under httptest.
-func (p *Proxy) Handler() http.Handler { return p.handler }
-
 // URL returns the proxy's base URL, stable across Kill/Restart.
 func (p *Proxy) URL() string { return p.url }
 
@@ -544,13 +540,6 @@ func (p *Proxy) Restart() error {
 		m.resume()
 	}
 	return nil
-}
-
-// Killed reports whether the proxy is inside a Kill..Restart window.
-func (p *Proxy) Killed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.killed
 }
 
 // blockPeer cuts this proxy's outbound traffic (fetches and probes) to

@@ -283,9 +283,10 @@ func TestServerReplyFraming(t *testing.T) {
 	}
 }
 
-// TestServerDrainsRequestBody: a request body the handler leaves unread
-// is drained so the connection carries the next request, unless it is
-// over maxDrainBytes; then the connection closes.
+// TestServerDrainsRequestBody: a request body the handler leaves unread,
+// or closes unread, is drained so the connection carries the next request,
+// unless it is over maxDrainBytes; then the connection closes. A read
+// after Close fails as it does under net/http.
 func TestServerDrainsRequestBody(t *testing.T) {
 	_, addr, _ := startServer(t, echoPath, nil)
 	post := func(n int) string {
@@ -297,6 +298,23 @@ func TestServerDrainsRequestBody(t *testing.T) {
 	c.send(get("/next"))
 	if _, body := c.reply(http.MethodGet); body != "/next" {
 		t.Errorf("after a drained body: reply %q, want /next", body)
+	}
+
+	_, closeAddr, _ := startServer(t, func(w http.ResponseWriter, r *http.Request) {
+		_ = r.Body.Close()
+		if _, err := r.Body.Read(make([]byte, 1)); err != http.ErrBodyReadAfterClose {
+			w.WriteHeader(http.StatusInternalServerError)
+		}
+		echoPath(w, r)
+	}, nil)
+	c = dialRaw(t, closeAddr)
+	c.send(post(64))
+	if resp, body := c.reply(http.MethodPost); resp.StatusCode != http.StatusOK || body != "/p" {
+		t.Errorf("reading a closed body: status %d, reply %q; want 200 and /p", resp.StatusCode, body)
+	}
+	c.send(get("/next"))
+	if _, body := c.reply(http.MethodGet); body != "/next" {
+		t.Errorf("after a closed body: reply %q, want /next", body)
 	}
 
 	c = dialRaw(t, addr)

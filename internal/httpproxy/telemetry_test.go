@@ -96,6 +96,15 @@ func TestMetricsParsesAndLints(t *testing.T) {
 		if v, ok := d.Value("adc_trace_spans"); !ok || v == 0 {
 			t.Errorf("%v adc_trace_spans = %v, %v; want > 0 with tracing on", p.ID(), v, ok)
 		}
+		// The span ring over /debug/trace, as adcload and adctrace scrape it.
+		dump, err := ScrapeTraceDump(http.DefaultClient, p.URL()+"/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dump.Proxy != p.ID().String() || len(dump.Spans) == 0 || dump.ScrapedUs == 0 {
+			t.Errorf("%v scraped dump: proxy %q, %d spans, scraped at %d; want its own name, spans and a stamp",
+				p.ID(), dump.Proxy, len(dump.Spans), dump.ScrapedUs)
+		}
 	}
 }
 

@@ -100,8 +100,10 @@ func (r *RoundRobin) Learn(_ ids.ObjectID, resolver ids.NodeID, cached bool, _ i
 // Distrust implements Policy: there is no mapping to drop.
 func (r *RoundRobin) Distrust(ids.ObjectID, ids.NodeID) bool { return false }
 
-// Restart implements Policy: the dispatcher holds nothing to lose.
-func (r *RoundRobin) Restart(bool) {}
+// Restart implements Policy: the rotation position is the dispatcher's only
+// state, and it dies with the process, so the next request goes to the
+// first worker. Nothing is cached, so a warm restart loses the same.
+func (r *RoundRobin) Restart(bool) { r.next = 0 }
 
 // Occupancy implements Policy.
 func (r *RoundRobin) Occupancy() (held, cached int) { return 0, 0 }

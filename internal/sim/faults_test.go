@@ -272,6 +272,16 @@ func TestCrashWindowDropsAndRecoveryRetransmits(t *testing.T) {
 	}
 }
 
+// TestFaultCtlIsAddressedToItsNode: a crash or restart travels the event
+// queue as a message addressed to the node it applies to, though step
+// intercepts it before any delivery reads the address.
+func TestFaultCtlIsAddressedToItsNode(t *testing.T) {
+	var m msg.Message = &faultCtl{node: 3, restart: true}
+	if got := m.Dest(); got != 3 {
+		t.Errorf("Dest = %v, want node 3", got)
+	}
+}
+
 func TestFaultTransferStreamDeterministic(t *testing.T) {
 	// The per-transfer draw sequence (loss → link → jitter) is a pure
 	// function of the plan seed and the transfer sequence.

@@ -176,6 +176,3 @@ func (q *messageQueue) pop() (msg.Message, bool) {
 	}
 	return m, true
 }
-
-// Len returns the number of queued messages (test support).
-func (q *messageQueue) Len() int { return len(q.buf) - q.head }

@@ -8,8 +8,8 @@ import "sort"
 // hot-object replication controller must improve.
 
 // MaxMeanRatio returns max(xs)/mean(xs) — how much hotter the hottest
-// shard runs than the average shard. 1.0 is a perfectly even spread; the
-// number of shards is the worst case (all load on one shard). Returns
+// proxy runs than the average proxy. 1.0 is a perfectly even spread; the
+// number of proxies is the worst case (all load on one proxy). Returns
 // ErrEmpty for an empty set and 0 when the mean is zero.
 func MaxMeanRatio(xs []float64) (float64, error) {
 	if len(xs) == 0 {

@@ -64,9 +64,6 @@ func (o *Online) Variance() float64 {
 	return o.m2 / float64(o.n-1)
 }
 
-// StdDev returns the sample standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
 // Merge folds another accumulator into o (parallel Welford merge), allowing
 // per-proxy accumulators to be combined into cluster totals.
 func (o *Online) Merge(other *Online) {
@@ -100,20 +97,6 @@ func Mean(xs []float64) (float64, error) {
 		sum += x
 	}
 	return sum / float64(len(xs)), nil
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	mean, _ := Mean(xs)
-	var m2 float64
-	for _, x := range xs {
-		d := x - mean
-		m2 += d * d
-	}
-	return math.Sqrt(m2 / float64(len(xs)-1)), nil
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear

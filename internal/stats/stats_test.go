@@ -73,20 +73,13 @@ func TestOnlineMergeMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestMeanAndStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	if _, err := Mean(nil); !errors.Is(err, ErrEmpty) {
 		t.Error("Mean(nil) must return ErrEmpty")
 	}
 	m, err := Mean([]float64{1, 2, 3})
 	if err != nil || !almost(m, 2) {
 		t.Errorf("Mean = %v, %v", m, err)
-	}
-	if _, err := StdDev([]float64{1}); err == nil {
-		t.Error("StdDev of one sample must fail")
-	}
-	sd, err := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil || !almost(sd, math.Sqrt(32.0/7.0)) {
-		t.Errorf("StdDev = %v, %v", sd, err)
 	}
 }
 

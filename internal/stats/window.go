@@ -55,9 +55,6 @@ func (m *MovingAverage) Value() float64 {
 	return m.sum / float64(n)
 }
 
-// Size returns the configured window width.
-func (m *MovingAverage) Size() int { return len(m.buf) }
-
 // Reset empties the window without reallocating.
 func (m *MovingAverage) Reset() {
 	for i := range m.buf {

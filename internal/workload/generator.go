@@ -261,9 +261,6 @@ func (g *Generator) Reset() {
 // Total implements Source.
 func (g *Generator) Total() int { return g.cfg.TotalRequests }
 
-// Emitted returns how many requests have been produced so far.
-func (g *Generator) Emitted() int { return g.pos }
-
 // Boundaries returns the stream indexes at which phases 2 and 3 begin.
 func (g *Generator) Boundaries() (fillEnd, phase2End int) {
 	return g.fillEnd, g.phase2End
@@ -283,9 +280,6 @@ func (g *Generator) PhaseAt(i int) Phase {
 
 // Population returns the hot-set size of phases 2–3.
 func (g *Generator) Population() int { return len(g.perm) }
-
-// HeadMass exposes the underlying Zipf head mass for tuning notes.
-func (g *Generator) HeadMass(k int) float64 { return g.zipf.HeadMass(k) }
 
 // Next implements Source.
 func (g *Generator) Next() (ids.ObjectID, bool) {

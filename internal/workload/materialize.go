@@ -42,15 +42,6 @@ func Materialize(cfg Config) (*Trace, error) {
 	return &Trace{objs: objs, fillEnd: fillEnd, phase2End: phase2End}, nil
 }
 
-// NewTrace wraps an already-generated request list (not copied) with its
-// phase boundaries. The caller must not mutate objs afterwards.
-func NewTrace(objs []ids.ObjectID, fillEnd, phase2End int) *Trace {
-	return &Trace{objs: objs, fillEnd: fillEnd, phase2End: phase2End}
-}
-
-// Len returns the number of requests in the trace.
-func (t *Trace) Len() int { return len(t.objs) }
-
 // Boundaries returns the stream indexes at which phases 2 and 3 begin.
 func (t *Trace) Boundaries() (fillEnd, phase2End int) {
 	return t.fillEnd, t.phase2End
@@ -86,11 +77,6 @@ func (c *Cursor) Next() (ids.ObjectID, bool) {
 
 // Total implements Source.
 func (c *Cursor) Total() int { return len(c.trace.objs) }
-
-// Boundaries returns the underlying trace's phase boundaries.
-func (c *Cursor) Boundaries() (fillEnd, phase2End int) {
-	return c.trace.Boundaries()
-}
 
 // Reset rewinds the cursor for another replay.
 func (c *Cursor) Reset() { c.pos = 0 }
@@ -155,19 +141,4 @@ func (c *TraceCache) touch(cfg Config) {
 			return
 		}
 	}
-}
-
-// Len returns the number of cached (or in-flight) traces.
-func (c *TraceCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Purge drops every cached trace, releasing their memory to the GC.
-func (c *TraceCache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[Config]*traceEntry)
-	c.order = nil
 }

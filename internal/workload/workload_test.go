@@ -64,28 +64,9 @@ func TestZipfSkew(t *testing.T) {
 		head += counts[i]
 	}
 	got := float64(head) / draws
-	want := z.HeadMass(n / 10)
+	want := z.cdf[n/10-1]
 	if math.Abs(got-want) > 0.02 {
 		t.Errorf("top-10%% mass = %.3f, analytic %.3f", got, want)
-	}
-}
-
-func TestZipfHeadMass(t *testing.T) {
-	z, err := NewZipf(100, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := z.HeadMass(0); got != 0 {
-		t.Errorf("HeadMass(0) = %v, want 0", got)
-	}
-	if got := z.HeadMass(100); got != 1 {
-		t.Errorf("HeadMass(100) = %v, want 1", got)
-	}
-	if got := z.HeadMass(500); got != 1 {
-		t.Errorf("HeadMass(500) = %v, want 1", got)
-	}
-	if m1, m2 := z.HeadMass(10), z.HeadMass(50); m1 >= m2 {
-		t.Errorf("HeadMass must be increasing: %v >= %v", m1, m2)
 	}
 }
 

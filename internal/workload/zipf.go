@@ -35,7 +35,6 @@ type Zipf struct {
 	// int(u·K), whose answer is at or after guide[int(u·K)] and, on
 	// average, less than half a rank past it.
 	guide []int32
-	alpha float64
 }
 
 // NewZipf builds a sampler over ranks 1..n with a finite exponent alpha > 0.
@@ -61,7 +60,7 @@ func NewZipf(n int, alpha float64) (*Zipf, error) {
 		cdf[i] *= inv
 	}
 	cdf[n-1] = 1
-	return &Zipf{cdf: cdf, guide: guideTable(cdf), alpha: alpha}, nil
+	return &Zipf{cdf: cdf, guide: guideTable(cdf)}, nil
 }
 
 // validAlpha accepts a finite Zipf exponent above 0, and not NaN: over a
@@ -94,12 +93,6 @@ func guideTable(cdf []float64) []int32 {
 	return guide
 }
 
-// N returns the population size.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Alpha returns the configured exponent.
-func (z *Zipf) Alpha() float64 { return z.alpha }
-
 // Rank draws a rank in [0, N) — rank 0 is the most popular.
 func (z *Zipf) Rank(rng *rand.Rand) int {
 	return z.rank(rng.Float64())
@@ -113,18 +106,4 @@ func (z *Zipf) rank(u float64) int {
 		i++
 	}
 	return i
-}
-
-// HeadMass returns the probability mass of the k most popular ranks — the
-// best possible hit rate of a cache holding exactly those k objects. The
-// experiment tuning notes in EXPERIMENTS.md use this to sanity-check
-// measured hit rates.
-func (z *Zipf) HeadMass(k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	if k >= len(z.cdf) {
-		return 1
-	}
-	return z.cdf[k-1]
 }
