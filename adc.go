@@ -13,8 +13,9 @@
 //     server and a closed-loop client replaying a workload — and returns
 //     hit-rate, hop and timing measurements. Algorithms: ADC, the CARP
 //     hashing baseline the paper compares against, and a consistent-hashing
-//     extension baseline. Runtimes: a deterministic sequential engine or a
-//     discrete-event virtual-time engine.
+//     extension baseline. One deterministic discrete-event engine runs
+//     every simulation, at zero link cost (sequential) or under a latency
+//     model (vtime).
 //
 //   - NewWorkload generates the paper's three-phase synthetic request
 //     stream (fill, request-I, request-II = replay of request-I) with
@@ -77,18 +78,20 @@ const (
 	EntryFixed EntryPolicy = "fixed"
 )
 
-// Runtime selects the execution substrate.
+// Runtime selects the latency preset the one discrete-event engine runs
+// under.
 type Runtime string
 
 // Supported runtimes. Both produce identical hits and hops under the
 // default single-client closed loop.
 const (
-	// RuntimeSequential is the deterministic single-threaded engine.
+	// RuntimeSequential prices every transfer at zero, so messages are
+	// delivered in the order they were sent and Config.Latency is
+	// ignored.
 	RuntimeSequential Runtime = "sequential"
-	// RuntimeVirtualTime is the discrete-event engine: every transfer
-	// is delayed by a latency model (Config.Latency), producing
-	// response-time metrics; required for open-loop injection, faults,
-	// recovery and tick-bucketed metrics.
+	// RuntimeVirtualTime delays every transfer by a latency model
+	// (Config.Latency), producing response-time metrics; required for
+	// open-loop injection, faults, recovery and tick-bucketed metrics.
 	RuntimeVirtualTime Runtime = "vtime"
 )
 
@@ -155,7 +158,8 @@ type Config struct {
 	// series collection.
 	SampleEvery int
 
-	// Runtime selects sequential (default) or vtime.
+	// Runtime selects the zero-cost sequential preset (default) or
+	// vtime.
 	Runtime Runtime
 
 	// Backend selects the ordered-table implementation. Default btree.

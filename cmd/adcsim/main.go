@@ -66,7 +66,7 @@ func run(args []string) error {
 		caching      = fs.Int("caching", def.CachingTable, "caching-table / LRU cache size (entries)")
 		maxHops      = fs.Int("maxhops", def.MaxHops, "forwarding bound (0 = unbounded)")
 		seed         = fs.Int64("seed", def.Seed, "random seed")
-		runtime      = fs.String("runtime", "sequential", "runtime: sequential or vtime")
+		runtime      = fs.String("runtime", "sequential", "latency preset of the one engine: sequential (zero-cost links, FIFO delivery) or vtime (WAN latencies, response times)")
 		backend      = fs.String("backend", "", "ordered-table backend: btree (default) or list")
 		entry        = fs.String("entry", "random", "entry policy: random, round-robin or fixed")
 		requests     = fs.Int("requests", def.Workload.Requests, "synthetic workload length")
@@ -395,7 +395,7 @@ var syntheticFlags = []string{"alpha", "onetimers", "population", "requests"}
 var writeReads = []string{"write-trace", "from-squid", "config", "seed", "alpha", "onetimers", "population", "requests"}
 
 // dumpRefuses names the flags a -dump run cannot honour: it runs the
-// sequential engine over a generated workload, untraced and lossless, as
+// sequential runtime over a generated workload, untraced and lossless, as
 // the flags (not a file) describe it.
 var dumpRefuses = []string{"config", "faults", "from-squid", "metrics-every", "recovery", "replay", "runtime", "trace"}
 

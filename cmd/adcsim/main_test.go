@@ -48,7 +48,7 @@ func checkRefuses(t *testing.T, base []string, flags ...string) {
 	}
 }
 
-// TestDumpRefusesFlagsItCannotHonour: -dump runs the sequential engine over
+// TestDumpRefusesFlagsItCannotHonour: -dump runs the sequential runtime over
 // a generated workload, so a flag that asks for anything else is refused.
 func TestDumpRefusesFlagsItCannotHonour(t *testing.T) {
 	checkRefuses(t, dumpArgs,

@@ -68,7 +68,7 @@ var studies = []study{
 		csv: []string{"figure13_hits_by_size.csv"}, ignores: lossFlags, run: hitsBySize.run},
 	{name: "hops", title: "Figure 14: hops by table size", figure: true,
 		csv: []string{"figure14_hops_by_size.csv"}, ignores: lossFlags, run: hopsBySize.run},
-	// Fig. 15 times the sequential engine on the paper's O(n) list tables;
+	// Fig. 15 times sequential (zero-cost) runs on the paper's O(n) list tables;
 	// another backend would time a different machine.
 	{name: "time", title: "Figure 15: processing time by table size (paper-faithful O(n) tables)", figure: true,
 		csv: []string{"figure15_time_by_size.csv"}, ignores: append([]string{"backend"}, lossFlags...), run: timeBySize.run},

@@ -67,10 +67,10 @@ func TestHasherMinimalDisruption(t *testing.T) {
 
 // carpRig builds an array of CARP proxies — LRU policies over one Hasher —
 // plus origin on an engine.
-func carpRig(t *testing.T, n, cacheSize int) (*sim.Engine, []*proxy.ADC, *carp.Hasher) {
+func carpRig(t *testing.T, n, cacheSize int) (*sim.VEngine, []*proxy.ADC, *carp.Hasher) {
 	t.Helper()
 	h := carp.NewHasher(members(n))
-	eng := sim.NewEngine()
+	eng := sim.NewVEngine(sim.LatencyModel{})
 	proxies := make([]*proxy.ADC, n)
 	for i := range proxies {
 		id := ids.NodeID(i)
@@ -120,7 +120,7 @@ func (s *sink) Handle(_ sim.Context, m msg.Message) {
 	}
 }
 
-func send(t *testing.T, eng *sim.Engine, s *sink, to ids.NodeID, obj ids.ObjectID, counter uint64) *msg.Reply {
+func send(t *testing.T, eng *sim.VEngine, s *sink, to ids.NodeID, obj ids.ObjectID, counter uint64) *msg.Reply {
 	t.Helper()
 	before := len(s.replies)
 	eng.Send(&msg.Request{

@@ -1,9 +1,9 @@
 // Package chash implements a consistent-hashing ring (Karger et al., the
 // paper's ref [13]) as an extension baseline next to CARP. The paper cites
 // consistent hashing as the other canonical "hashing based" allocation; the
-// ring lets the benchmark harness compare ADC against both, and its
-// join/leave support powers the infrastructure-change experiments the paper
-// lists as future work (§V.1).
+// ring lets the benchmark harness compare ADC against both, and its join
+// support powers the infrastructure-change experiments the paper lists as
+// future work (§V.1).
 package chash
 
 import (
@@ -67,23 +67,6 @@ func (r *Ring) Add(n ids.NodeID) error {
 		}
 		return r.points[i].node < r.points[j].node
 	})
-	return nil
-}
-
-// Remove takes a proxy out of the ring; its objects redistribute to the
-// clockwise successors.
-func (r *Ring) Remove(n ids.NodeID) error {
-	if !r.members[n] {
-		return fmt.Errorf("chash: %v not in ring", n)
-	}
-	delete(r.members, n)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != n {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
 	return nil
 }
 

@@ -64,9 +64,6 @@ func (l *Logger) Enabled(lvl Level) bool { return lvl <= l.lvl }
 // Infof logs a formatted line at the default level.
 func (l *Logger) Infof(format string, args ...any) { l.logf(LevelInfo, format, args...) }
 
-// Debugf logs a formatted line visible only with -v.
-func (l *Logger) Debugf(format string, args ...any) { l.logf(LevelDebug, format, args...) }
-
 func (l *Logger) logf(lvl Level, format string, args ...any) {
 	if !l.Enabled(lvl) {
 		return

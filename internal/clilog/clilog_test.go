@@ -10,7 +10,7 @@ func TestLevels(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(&buf, LevelInfo)
 	l.Infof("notice %d", 1)
-	l.Debugf("detail %d", 2)
+	l.logf(LevelDebug, "detail %d", 2)
 	out := buf.String()
 	if !strings.Contains(out, "notice 1") {
 		t.Errorf("info line missing: %q", out)
@@ -30,7 +30,7 @@ func TestLevels(t *testing.T) {
 
 	buf.Reset()
 	d := New(&buf, LevelDebug)
-	d.Debugf("detail")
+	d.logf(LevelDebug, "detail")
 	if !strings.Contains(buf.String(), "detail") {
 		t.Errorf("debug line missing at debug level: %q", buf.String())
 	}

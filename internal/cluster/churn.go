@@ -18,8 +18,8 @@ import (
 // random forwarding and backwarding.
 //
 // Churn is applied between client requests (the only quiescent points of
-// a closed-loop run), so it is available on both engines — sequential and
-// virtual-time — with a single closed-loop client.
+// a closed-loop run), so it is available under both runtimes — sequential
+// and virtual-time — with a single closed-loop client.
 
 // validateChurn checks the churn-specific configuration constraints.
 func (c Config) validateChurn() error {

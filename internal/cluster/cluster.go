@@ -1,7 +1,8 @@
 // Package cluster wires complete proxy systems — N proxy agents, an origin
 // server and closed- or open-loop client drivers — and runs a workload
-// against them on one of two deterministic runtimes (FIFO engine,
-// virtual-time engine). It is the programmatic equivalent
+// against them on the deterministic engine sim.VEngine, with zero link
+// costs (RuntimeSequential) or a latency model (RuntimeVirtualTime). It is
+// the programmatic equivalent
 // of the paper's experimental testbed (§V.1) and the layer the public API
 // and the benchmark harness sit on.
 package cluster
@@ -80,18 +81,19 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	}
 }
 
-// Runtime selects the execution substrate.
+// Runtime selects the latency preset the one engine (sim.VEngine) runs
+// under.
 type Runtime int
 
 // Supported runtimes.
 const (
-	// RuntimeSequential is the deterministic single-threaded engine.
+	// RuntimeSequential runs under the zero LatencyModel: every event is
+	// due at time 0, so messages are delivered in the order they were
+	// sent (FIFO) and Config.Latency is ignored.
 	RuntimeSequential Runtime = iota
-	// RuntimeVirtualTime is the discrete-event engine (sim.VEngine):
-	// deterministic like RuntimeSequential, but every transfer is delayed
-	// by a latency model, yielding response-time metrics and supporting
-	// open-loop (fixed request rate) injection, fault injection, recovery,
-	// tracing and windowed time series.
+	// RuntimeVirtualTime delays every transfer by Config.Latency, yielding
+	// response-time metrics and supporting open-loop (fixed request rate)
+	// injection, fault injection, recovery and windowed time series.
 	RuntimeVirtualTime
 )
 
@@ -159,11 +161,12 @@ type Config struct {
 	// collection; summaries are always available).
 	SampleEvery uint64
 
-	// Runtime selects sequential or virtual-time execution.
+	// Runtime selects the zero-cost (sequential) or the virtual-time
+	// latency preset.
 	Runtime Runtime
 
 	// Latency is the virtual-time latency model; the zero value selects
-	// sim.DefaultLatencyModel(). Used by RuntimeVirtualTime.
+	// sim.DefaultLatencyModel(). Used by RuntimeVirtualTime only.
 	Latency sim.LatencyModel
 
 	// OpenLoopInterval switches clients to open-loop injection with
@@ -235,6 +238,9 @@ func (c Config) Validate() error {
 	if c.MaxHops < 0 {
 		return fmt.Errorf("cluster: MaxHops must be non-negative, got %d", c.MaxHops)
 	}
+	if c.Runtime != RuntimeSequential && c.Runtime != RuntimeVirtualTime {
+		return fmt.Errorf("cluster: unknown runtime %d", int(c.Runtime))
+	}
 	if c.Algorithm == ADC {
 		if err := c.Tables.Validate(); err != nil {
 			return err
@@ -273,6 +279,18 @@ func (c Config) Validate() error {
 		return err
 	}
 	return c.validateFaults()
+}
+
+// latency is the model the run's engine prices transfers with: the zero
+// model under RuntimeSequential, Latency or its default otherwise.
+func (c Config) latency() sim.LatencyModel {
+	switch {
+	case c.Runtime == RuntimeSequential:
+		return sim.LatencyModel{}
+	case c.Latency == (sim.LatencyModel{}):
+		return sim.DefaultLatencyModel()
+	}
+	return c.Latency
 }
 
 // Result is the outcome of one run.
@@ -616,61 +634,27 @@ func (c *Cluster) Clients() []*sim.Client { return c.clients }
 // A cluster is single-shot: build a fresh one per run.
 func (c *Cluster) Run() (*Result, error) {
 	start := time.Now()
-	var (
-		delivered  uint64
-		dropped    uint64
-		faultStats sim.FaultStats
-	)
-	switch c.cfg.Runtime {
-	case RuntimeSequential:
-		eng := sim.NewEngine()
-		for _, n := range c.nodes {
-			if err := eng.Register(n); err != nil {
-				return nil, err
-			}
-		}
-		if c.churn != nil {
-			c.churn.onJoin = func() error { return c.addProxy(eng.Register) }
-		}
-		if err := eng.Run(); err != nil {
+	eng := sim.NewVEngine(c.cfg.latency())
+	for _, n := range c.nodes {
+		if err := eng.Register(n); err != nil {
 			return nil, err
 		}
-		if c.churn != nil && c.churn.err != nil {
-			return nil, c.churn.err
-		}
-		delivered = eng.Delivered()
-	case RuntimeVirtualTime:
-		latency := c.cfg.Latency
-		if latency == (sim.LatencyModel{}) {
-			latency = sim.DefaultLatencyModel()
-		}
-		eng := sim.NewVEngine(latency)
-		for _, n := range c.nodes {
-			if err := eng.Register(n); err != nil {
-				return nil, err
-			}
-		}
-		if c.churn != nil {
-			c.churn.onJoin = func() error { return c.addProxy(eng.Register) }
-		}
-		if err := eng.SetFaultPlan(c.cfg.faultPlan()); err != nil {
-			return nil, err
-		}
-		eng.SetTracer(c.cfg.Tracer)
-		eng.SetTimeSeries(c.ts)
-		if err := eng.Run(); err != nil {
-			return nil, err
-		}
-		if c.churn != nil && c.churn.err != nil {
-			return nil, c.churn.err
-		}
-		c.ts.Finish(eng.VNow())
-		delivered = eng.Delivered()
-		dropped = eng.Dropped()
-		faultStats = eng.FaultStats()
-	default:
-		return nil, fmt.Errorf("cluster: unknown runtime %d", int(c.cfg.Runtime))
 	}
+	if c.churn != nil {
+		c.churn.onJoin = func() error { return c.addProxy(eng.Register) }
+	}
+	if err := eng.SetFaultPlan(c.cfg.faultPlan()); err != nil {
+		return nil, err
+	}
+	eng.SetTracer(c.cfg.Tracer)
+	eng.SetTimeSeries(c.ts)
+	if err := eng.Run(); err != nil {
+		return nil, err
+	}
+	if c.churn != nil && c.churn.err != nil {
+		return nil, c.churn.err
+	}
+	c.ts.Finish(eng.VNow())
 	elapsed := time.Since(start)
 
 	for _, cl := range c.clients {
@@ -685,9 +669,9 @@ func (c *Cluster) Run() (*Result, error) {
 		}
 	}
 	res := c.collect(elapsed)
-	res.Delivered = delivered
-	res.Dropped = dropped
-	res.Faults = faultStats
+	res.Delivered = eng.Delivered()
+	res.Dropped = eng.Dropped()
+	res.Faults = eng.FaultStats()
 	return res, nil
 }
 

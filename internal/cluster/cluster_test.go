@@ -47,6 +47,7 @@ func TestConfigValidate(t *testing.T) {
 		{"zero proxies", func(c *Config) { c.NumProxies = 0 }, true},
 		{"negative clients", func(c *Config) { c.Clients = -1 }, true},
 		{"negative maxhops", func(c *Config) { c.MaxHops = -1 }, true},
+		{"unknown runtime", func(c *Config) { c.Runtime = RuntimeVirtualTime + 1 }, true},
 		{"bad tables", func(c *Config) { c.Tables.SingleSize = 0 }, true},
 	}
 	for _, tc := range cases {
@@ -249,7 +250,7 @@ func TestVirtualTimeRuntime(t *testing.T) {
 		t.Errorf("max response %v below mean %v",
 			res.Summary.MaxResponse, res.Summary.MeanResponse)
 	}
-	// Behaviour must match the sequential engine exactly.
+	// Behaviour must match the sequential runtime exactly.
 	seq, err := Run(testConfig(ADC), testWorkload(t, 2000))
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,8 @@ type File struct {
 	Seed int64 `json:"seed"`
 	// Entry: "random", "round-robin" or "fixed".
 	Entry string `json:"entry,omitempty"`
-	// Runtime: "sequential" (default) or "vtime".
+	// Runtime is the engine's latency preset: "sequential" (default,
+	// zero-cost links) or "vtime" (the latency model).
 	Runtime string `json:"runtime,omitempty"`
 	// Backend: "btree" (default) or "list".
 	Backend string `json:"backend,omitempty"`

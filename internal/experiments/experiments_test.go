@@ -18,9 +18,6 @@ func TestProfileValidate(t *testing.T) {
 	if err := DefaultProfile().Validate(); err != nil {
 		t.Errorf("default profile invalid: %v", err)
 	}
-	if err := PaperProfile().Validate(); err != nil {
-		t.Errorf("paper profile invalid: %v", err)
-	}
 	bad := DefaultProfile()
 	bad.Scale = 0
 	if err := bad.Validate(); err == nil {
@@ -46,7 +43,8 @@ func TestProfileScaling(t *testing.T) {
 	if w.PopulationSize != 1000 {
 		t.Errorf("population = %d, want 1000", w.PopulationSize)
 	}
-	full := PaperProfile()
+	full := DefaultProfile()
+	full.Scale = 1
 	if full.Requests() != paperRequests {
 		t.Errorf("paper requests = %d", full.Requests())
 	}

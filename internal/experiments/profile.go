@@ -86,13 +86,6 @@ func DefaultProfile() Profile {
 	return Profile{Scale: 0.1, Proxies: paperProxies, Seed: 1, Window: 5000}
 }
 
-// PaperProfile returns the full-scale campaign matching the paper.
-func PaperProfile() Profile {
-	p := DefaultProfile()
-	p.Scale = 1.0
-	return p
-}
-
 // Validate reports the first profile error.
 func (p Profile) Validate() error {
 	if p.Scale <= 0 || p.Scale > 4 {

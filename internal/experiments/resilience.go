@@ -123,6 +123,9 @@ type CrashRecoveryResult struct {
 	Series []metrics.Point
 	// BeforeHit, DownHit and AfterHit are windowed hit rates over the
 	// three phases of the series (pre-crash, down, post-restart).
+	// BeforeHit starts at the first point whose moving window lies wholly
+	// after the workload's fill phase, so it measures the converged
+	// cluster rather than the cold start.
 	BeforeHit, DownHit, AfterHit float64
 	// Completion, Dropped and LeakedPending as in LossPoint.
 	Completion    float64
@@ -176,9 +179,11 @@ func CrashRecovery(p Profile, rec sim.Recovery) (*CrashRecoveryResult, error) {
 	}
 	// Phase boundaries in request indexes: injection is one request per
 	// interval, so request k is injected near virtual time k·interval.
+	fillEnd, _ := tr.Boundaries()
+	warm := uint64(fillEnd + cfg.Window)
 	crashReq := uint64(crashAt / openLoopInterval)
 	restartReq := uint64(restartAt / openLoopInterval)
-	out.BeforeHit = phaseHit(res.Series, 0, crashReq)
+	out.BeforeHit = phaseHit(res.Series, warm, crashReq)
 	out.DownHit = phaseHit(res.Series, crashReq, restartReq)
 	out.AfterHit = phaseHit(res.Series, restartReq, ^uint64(0))
 	return out, nil

@@ -9,7 +9,7 @@ import "sort"
 // back to the sparse map.
 const denseLimit = 1 << 20
 
-// Table is a NodeID-keyed lookup optimised for the engines' dispatch hot
+// Table is a NodeID-keyed lookup optimised for the engine's dispatch hot
 // path. The ID space is exploited directly: proxies (0,1,2,…) and clients
 // (Client(0), Client(1), …) index flat slices, the origin has a dedicated
 // slot, and only out-of-range stragglers pay for a map. Get is a bounds

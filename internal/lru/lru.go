@@ -47,8 +47,7 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 	return c
 }
 
-// OnEvict registers a callback invoked for every entry displaced by Put or
-// removed by RemoveOldest (but not by explicit Remove).
+// OnEvict registers a callback invoked for every entry Put displaces.
 func (c *Cache[K, V]) OnEvict(fn func(K, V)) { c.onEvict = fn }
 
 // Get returns the value for key and marks it most recently used.
@@ -95,47 +94,11 @@ func (c *Cache[K, V]) Put(key K, value V) bool {
 	return evicted
 }
 
-// Remove deletes key, reporting whether it was present.
-func (c *Cache[K, V]) Remove(key K) bool {
-	n, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	c.unlink(n)
-	delete(c.items, key)
-	return true
-}
-
-// RemoveOldest evicts and returns the least recently used entry.
-func (c *Cache[K, V]) RemoveOldest() (K, V, bool) {
-	if len(c.items) == 0 {
-		var zk K
-		var zv V
-		return zk, zv, false
-	}
-	n := c.tail.prev
-	c.unlink(n)
-	delete(c.items, n.key)
-	if c.onEvict != nil {
-		c.onEvict(n.key, n.value)
-	}
-	return n.key, n.value, true
-}
-
 // Len returns the number of cached entries.
 func (c *Cache[K, V]) Len() int { return len(c.items) }
 
 // Cap returns the configured capacity.
 func (c *Cache[K, V]) Cap() int { return c.capacity }
-
-// Keys returns all keys from most to least recently used.
-func (c *Cache[K, V]) Keys() []K {
-	out := make([]K, 0, len(c.items))
-	for n := c.head.next; n != c.tail; n = n.next {
-		out = append(out, n.key)
-	}
-	return out
-}
 
 func (c *Cache[K, V]) evictOldest() {
 	n := c.tail.prev

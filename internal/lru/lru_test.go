@@ -61,58 +61,15 @@ func TestPeekDoesNotPromote(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	c := New[int, int](2)
-	c.Put(1, 1)
-	if !c.Remove(1) {
-		t.Error("Remove existing = false")
-	}
-	if c.Remove(1) {
-		t.Error("Remove absent = true")
-	}
-	if c.Len() != 0 {
-		t.Errorf("Len = %d, want 0", c.Len())
-	}
-}
-
-func TestRemoveOldest(t *testing.T) {
-	c := New[int, int](3)
-	if _, _, ok := c.RemoveOldest(); ok {
-		t.Error("RemoveOldest on empty cache must report !ok")
-	}
-	c.Put(1, 10)
-	c.Put(2, 20)
-	c.Get(1)
-	k, v, ok := c.RemoveOldest()
-	if !ok || k != 2 || v != 20 {
-		t.Errorf("RemoveOldest = %d,%d,%v, want 2,20,true", k, v, ok)
-	}
-}
-
 func TestOnEvict(t *testing.T) {
 	var evicted []int
 	c := New[int, int](1)
 	c.OnEvict(func(k, _ int) { evicted = append(evicted, k) })
 	c.Put(1, 1)
 	c.Put(2, 2)
-	c.RemoveOldest()
+	c.Put(3, 3)
 	if len(evicted) != 2 || evicted[0] != 1 || evicted[1] != 2 {
 		t.Errorf("evicted = %v, want [1 2]", evicted)
-	}
-}
-
-func TestKeysMostRecentFirst(t *testing.T) {
-	c := New[int, int](3)
-	c.Put(1, 1)
-	c.Put(2, 2)
-	c.Put(3, 3)
-	c.Get(1)
-	keys := c.Keys()
-	want := []int{1, 3, 2}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("Keys() = %v, want %v", keys, want)
-		}
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 
 // rig registers one proxy node per policy (node i with ID i) and the origin
 // on a fresh engine.
-func rig(t *testing.T, policies ...protocol.Policy) (*sim.Engine, []*proxy.ADC) {
+func rig(t *testing.T, policies ...protocol.Policy) (*sim.VEngine, []*proxy.ADC) {
 	t.Helper()
-	eng := sim.NewEngine()
+	eng := sim.NewVEngine(sim.LatencyModel{})
 	nodes := make([]*proxy.ADC, len(policies))
 	for i, pol := range policies {
 		p, err := proxy.New(proxy.Config{ID: ids.NodeID(i), Policy: pol})
@@ -44,7 +44,7 @@ func newPolicy(t *testing.T, id ids.NodeID, size int, next ids.NodeID) *lru.Poli
 }
 
 // treeRig is the two-level caching hierarchy: leaves 0..n-1 under root n.
-func treeRig(t *testing.T, leaves, size int) (*sim.Engine, []*proxy.ADC, *proxy.ADC) {
+func treeRig(t *testing.T, leaves, size int) (*sim.VEngine, []*proxy.ADC, *proxy.ADC) {
 	t.Helper()
 	root := ids.NodeID(leaves)
 	var policies []protocol.Policy
@@ -57,7 +57,7 @@ func treeRig(t *testing.T, leaves, size int) (*sim.Engine, []*proxy.ADC, *proxy.
 }
 
 // coordRig is the central coordinator: workers 0..n-1 behind dispatcher n.
-func coordRig(t *testing.T, workers, size int) (*sim.Engine, *proxy.ADC, []*proxy.ADC) {
+func coordRig(t *testing.T, workers, size int) (*sim.VEngine, *proxy.ADC, []*proxy.ADC) {
 	t.Helper()
 	var policies []protocol.Policy
 	var ws []ids.NodeID
@@ -86,7 +86,7 @@ func (s *sink) Handle(_ sim.Context, m msg.Message) {
 	}
 }
 
-func newSink(t *testing.T, eng *sim.Engine) *sink {
+func newSink(t *testing.T, eng *sim.VEngine) *sink {
 	t.Helper()
 	s := &sink{id: ids.Client(0)}
 	if err := eng.Register(s); err != nil {
@@ -95,7 +95,7 @@ func newSink(t *testing.T, eng *sim.Engine) *sink {
 	return s
 }
 
-func send(t *testing.T, eng *sim.Engine, s *sink, to ids.NodeID, obj ids.ObjectID, counter uint64) *msg.Reply {
+func send(t *testing.T, eng *sim.VEngine, s *sink, to ids.NodeID, obj ids.ObjectID, counter uint64) *msg.Reply {
 	t.Helper()
 	eng.Send(&msg.Request{
 		To: to, ID: ids.NewRequestID(0, counter), Object: obj,

@@ -45,7 +45,7 @@ type Collector struct {
 	series      []Point
 
 	// response accumulates per-request response times in virtual ticks
-	// when the run executes on the virtual-time engine.
+	// (all 0 under the zero-cost sequential runtime).
 	response stats.Online
 
 	// respHist optionally buckets response times so tail quantiles (p99)
@@ -147,7 +147,7 @@ func (c *Collector) Record(hit bool, hops, pathLen int) {
 }
 
 // RecordResponse accounts one request's virtual response time (the
-// virtual-time engine's clock delta between injection and reply).
+// engine's clock delta between injection and reply).
 func (c *Collector) RecordResponse(vticks int64) {
 	c.response.Add(float64(vticks))
 	if c.respHist != nil {
@@ -156,7 +156,7 @@ func (c *Collector) RecordResponse(vticks int64) {
 }
 
 // Response exposes the response-time accumulator (mean/min/max in virtual
-// ticks; empty unless the run used the virtual-time engine).
+// ticks; all zero unless the run priced its links, as vtime does).
 func (c *Collector) Response() *stats.Online { return &c.response }
 
 // ResponseHistogram returns the bucketed response-time distribution, or nil
@@ -231,7 +231,7 @@ type Summary struct {
 	PathLen  float64
 	Elapsed  time.Duration
 	// MeanResponse/MaxResponse are virtual-time response times in
-	// ticks; zero unless the run used the virtual-time engine.
+	// ticks; zero unless the run priced its links, as vtime does.
 	MeanResponse float64
 	MaxResponse  float64
 	// P99Response is the 99th-percentile response time in ticks; zero

@@ -114,11 +114,4 @@ func TestProxyStatsAddAndRate(t *testing.T) {
 	if a.Requests != 40 || a.LocalHits != 10 || a.ForwardRandom != 3 || a.LoopsDetected != 2 {
 		t.Errorf("merged = %+v", a)
 	}
-	if got := a.LocalHitRate(); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("LocalHitRate = %v", got)
-	}
-	var zero ProxyStats
-	if zero.LocalHitRate() != 0 {
-		t.Error("zero stats hit rate must be 0")
-	}
 }

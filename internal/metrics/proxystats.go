@@ -180,11 +180,3 @@ func (s *ProxyStats) WriteProm(pw *promtext.Writer) { writeRows(pw, pw.Counter, 
 // ReadProm is WriteProm's inverse: the counters a parsed /metrics page
 // holds, with a missing sample read as 0.
 func ReadProm(d *promtext.Document) ProxyStats { return readRows(d, counters[:]) }
-
-// LocalHitRate returns LocalHits/Requests for this proxy.
-func (s *ProxyStats) LocalHitRate() float64 {
-	if s.Requests == 0 {
-		return 0
-	}
-	return float64(s.LocalHits) / float64(s.Requests)
-}

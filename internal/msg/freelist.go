@@ -3,7 +3,7 @@ package msg
 import "github.com/adc-sim/adc/internal/ids"
 
 // Freelist recycles Request and Reply structs and their Path backing
-// arrays. The engines in internal/sim own one freelist each and are
+// arrays. The engine in internal/sim owns one freelist and is
 // single-threaded, so no locking is needed — which is exactly why this is
 // not a sync.Pool. In the steady state of a closed-loop run every message
 // of a request chain comes from and returns to the freelist, making the

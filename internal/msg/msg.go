@@ -3,7 +3,7 @@
 // during backwarding (§III.1–2 of the paper) — plus helpers to manage the
 // recorded path.
 //
-// Messages are plain data; the engines in internal/sim move them between
+// Messages are plain data; the engine in internal/sim moves them between
 // nodes. They pass messages by pointer within a process, so handlers must
 // treat a received message as owned (mutate-and-forward is the norm,
 // mirroring how a real proxy rewrites a packet before relaying it).
@@ -11,7 +11,7 @@ package msg
 
 import "github.com/adc-sim/adc/internal/ids"
 
-// Message is implemented by every message kind the engines can deliver.
+// Message is implemented by every message kind the engine can deliver.
 type Message interface {
 	// Dest returns the node the message is addressed to.
 	Dest() ids.NodeID

@@ -246,9 +246,9 @@ func OutcomeString(arg int64) string {
 }
 
 // Event is one traced protocol step. Seq is the tracer-assigned emission
-// order — the authoritative ordering on the single-threaded engines, where
-// it equals delivery order. At is virtual time in ticks on the
-// virtual-time engine, 0 otherwise.
+// order — the authoritative ordering on the single-threaded engine, where
+// it equals delivery order. At is virtual time in ticks, always 0 under the
+// zero-cost sequential runtime.
 type Event struct {
 	Seq  uint64
 	At   int64
@@ -362,7 +362,7 @@ func (t *Tracer) Reset() {
 }
 
 // Time returns the ordering value tools should use for an event: At when
-// the runtime had a clock, else Seq (sequential engine traces).
+// it is set, else Seq (sequential runs, where every event is at time 0).
 func (e Event) Time() int64 {
 	if e.At != 0 {
 		return e.At

@@ -29,9 +29,8 @@ type Config struct {
 	// Policy makes the proxy's placement decisions; the node owns it.
 	Policy protocol.Policy
 	// Recovery enables pending-entry TTL expiry and stale-location
-	// invalidation (virtual-time engine only; the zero value keeps the
-	// paper-faithful protocol, where pending entries only retire via
-	// backwarding replies).
+	// invalidation (the zero value keeps the paper-faithful protocol,
+	// where pending entries only retire via backwarding replies).
 	Recovery sim.Recovery
 }
 
@@ -181,7 +180,7 @@ func (p *ADC) receiveRequest(ctx sim.Context, req *msg.Request) {
 		// Local hit: start backwarding immediately.
 		if p.tracer.Enabled(obs.KindHit) {
 			e := obs.Ev(obs.KindHit, p.id)
-			e.At = sim.TraceNow(ctx)
+			e.At = ctx.VNow()
 			e.Req = req.ID
 			e.Obj = req.Object
 			e.Loc = p.id
@@ -223,16 +222,14 @@ func (p *ADC) receiveRequest(ctx sim.Context, req *msg.Request) {
 			if reason == obs.ReasonLearned {
 				pass.learned = to
 			}
-			if clk, ok := ctx.(sim.Clock); ok {
-				pass.expireAt = clk.VNow() + p.recovery.PendingTTL
-				p.pushExpiry(ctx, req.ID, pass.expireAt)
-			}
+			pass.expireAt = ctx.VNow() + p.recovery.PendingTTL
+			p.pushExpiry(ctx, req.ID, pass.expireAt)
 		}
 	}
 
 	if p.tracer.Enabled(obs.KindForward) {
 		e := obs.Ev(obs.KindForward, p.id)
-		e.At = sim.TraceNow(ctx)
+		e.At = ctx.VNow()
 		e.Req = req.ID
 		e.Obj = req.Object
 		e.To = to
@@ -276,7 +273,7 @@ func (p *ADC) receiveReply(ctx sim.Context, rep *msg.Reply) {
 	rep.To = next
 	if p.tracer.Enabled(obs.KindBackward) {
 		e := obs.Ev(obs.KindBackward, p.id)
-		e.At = sim.TraceNow(ctx)
+		e.At = ctx.VNow()
 		e.Req = rep.ID
 		e.Obj = rep.Object
 		e.To = next
@@ -294,10 +291,8 @@ func (p *ADC) receiveReply(ctx sim.Context, rep *msg.Reply) {
 func (p *ADC) pushExpiry(ctx sim.Context, id ids.RequestID, at int64) {
 	p.expiryQ = append(p.expiryQ, expiryRec{id: id, at: at})
 	if !p.sweepArmed {
-		if sched, ok := ctx.(sim.Scheduler); ok {
-			sched.After(p.recovery.PendingTTL, p.sweep)
-			p.sweepArmed = true
-		}
+		ctx.After(p.recovery.PendingTTL, p.sweep)
+		p.sweepArmed = true
 	}
 }
 
@@ -306,21 +301,18 @@ func (p *ADC) pushExpiry(ctx sim.Context, id ids.RequestID, at int64) {
 // engine's event queue alive until all pending state has drained.
 func (p *ADC) handleSweep(ctx sim.Context) {
 	p.sweepArmed = false
-	clk, ok := ctx.(sim.Clock)
-	if !ok || !p.recovery.Enabled {
+	if !p.recovery.Enabled {
 		return
 	}
-	now := clk.VNow()
+	now := ctx.VNow()
 	p.expirePending(now)
 	if p.expiryHead < len(p.expiryQ) {
-		if sched, isSched := ctx.(sim.Scheduler); isSched {
-			d := p.expiryQ[p.expiryHead].at - now
-			if d < 1 {
-				d = 1
-			}
-			sched.After(d, p.sweep)
-			p.sweepArmed = true
+		d := p.expiryQ[p.expiryHead].at - now
+		if d < 1 {
+			d = 1
 		}
+		ctx.After(d, p.sweep)
+		p.sweepArmed = true
 	}
 }
 

@@ -16,13 +16,13 @@ func testTables() core.Config {
 }
 
 // rig assembles n ADC proxies plus an origin on a fresh engine.
-func rig(t *testing.T, n int) (*sim.Engine, []*ADC) {
+func rig(t *testing.T, n int) (*sim.VEngine, []*ADC) {
 	t.Helper()
 	peerIDs := make([]ids.NodeID, n)
 	for i := range peerIDs {
 		peerIDs[i] = ids.NodeID(i)
 	}
-	eng := sim.NewEngine()
+	eng := sim.NewVEngine(sim.LatencyModel{})
 	proxies := make([]*ADC, n)
 	for i := range proxies {
 		p := newAgentNode(t, protocol.Config{ID: ids.NodeID(i), Peers: peerIDs, Tables: testTables(), Seed: 42})
@@ -50,7 +50,7 @@ func (s *sink) Handle(_ sim.Context, m msg.Message) {
 	}
 }
 
-func send(t *testing.T, eng *sim.Engine, s *sink, to ids.NodeID, obj ids.ObjectID, counter uint64) *msg.Reply {
+func send(t *testing.T, eng *sim.VEngine, s *sink, to ids.NodeID, obj ids.ObjectID, counter uint64) *msg.Reply {
 	t.Helper()
 	before := len(s.replies)
 	eng.Send(&msg.Request{
@@ -279,7 +279,7 @@ func TestHotObjectServedFromCacheEventually(t *testing.T) {
 
 func TestMaxHopsBoundsPath(t *testing.T) {
 	peerIDs := []ids.NodeID{0, 1, 2, 3, 4, 5, 6, 7}
-	eng := sim.NewEngine()
+	eng := sim.NewVEngine(sim.LatencyModel{})
 	for _, id := range peerIDs {
 		p := newAgentNode(t, protocol.Config{ID: id, Peers: peerIDs, Tables: testTables(), Seed: 1})
 		if err := eng.Register(p); err != nil {
@@ -374,7 +374,7 @@ func TestThisEntryForwardsToOrigin(t *testing.T) {
 	p := newAgentNode(t, protocol.Config{ID: 0, Peers: peerIDs, Tables: testTables(), Seed: 1})
 	agent(p).Tables().Update(123, 0, 1) // creates single-table entry with loc=THIS
 
-	eng := sim.NewEngine()
+	eng := sim.NewVEngine(sim.LatencyModel{})
 	if err := eng.Register(p); err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ type ProxyTotals struct {
 func TestWorksWithClientDriver(t *testing.T) {
 	// End-to-end smoke with the real closed-loop client.
 	peerIDs := []ids.NodeID{0, 1, 2}
-	eng := sim.NewEngine()
+	eng := sim.NewVEngine(sim.LatencyModel{})
 	for _, id := range peerIDs {
 		p := newAgentNode(t, protocol.Config{ID: id, Peers: peerIDs, Tables: testTables(), Seed: 7})
 		if err := eng.Register(p); err != nil {

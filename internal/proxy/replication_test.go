@@ -13,13 +13,13 @@ func testReplication() protocol.Replication {
 }
 
 // replicatedRig is rig() with the replication controller on.
-func replicatedRig(t *testing.T, n int, rep protocol.Replication) (*sim.Engine, []*ADC) {
+func replicatedRig(t *testing.T, n int, rep protocol.Replication) (*sim.VEngine, []*ADC) {
 	t.Helper()
 	peerIDs := make([]ids.NodeID, n)
 	for i := range peerIDs {
 		peerIDs[i] = ids.NodeID(i)
 	}
-	eng := sim.NewEngine()
+	eng := sim.NewVEngine(sim.LatencyModel{})
 	proxies := make([]*ADC, n)
 	for i := range proxies {
 		p := newAgentNode(t, protocol.Config{ID: ids.NodeID(i), Peers: peerIDs, Tables: testTables(), Seed: 42, Replication: rep})

@@ -11,10 +11,13 @@ import (
 	"github.com/adc-sim/adc/internal/sim"
 )
 
-// collectCtx records everything a proxy sends, without delivering it.
+// collectCtx records everything a proxy sends, without delivering it. Its
+// clock stands at 0 and the proxies it drives run without recovery, so no
+// timer is ever armed.
 type collectCtx struct {
 	sent []msg.Message
 	fl   msg.Freelist
+	t    *testing.T
 }
 
 func (c *collectCtx) Send(m msg.Message) {
@@ -23,6 +26,12 @@ func (c *collectCtx) Send(m msg.Message) {
 }
 
 func (c *collectCtx) Freelist() *msg.Freelist { return &c.fl }
+
+func (c *collectCtx) VNow() int64 { return 0 }
+
+func (c *collectCtx) After(delay int64, m msg.Message) {
+	c.t.Errorf("proxy without recovery armed a timer: After(%d, %T)", delay, m)
+}
 
 // TestProxySurvivesArbitraryMessageStorm feeds a proxy a fuzz stream of
 // structurally odd (but type-correct) messages: replies it never forwarded,
@@ -40,7 +49,7 @@ func TestProxySurvivesArbitraryMessageStorm(t *testing.T) {
 		Seed: 1,
 	})
 	rng := rand.New(rand.NewSource(31))
-	ctx := &collectCtx{}
+	ctx := &collectCtx{t: t}
 	for i := 0; i < 20000; i++ {
 		before := len(ctx.sent)
 		if rng.Intn(2) == 0 {
@@ -98,7 +107,7 @@ func TestProxyIgnoresForeignMessageTypes(t *testing.T) {
 		ID: 0, Peers: []ids.NodeID{0},
 		Tables: core.Config{SingleSize: 4, MultipleSize: 4, CachingSize: 4},
 	})
-	ctx := &collectCtx{}
+	ctx := &collectCtx{t: t}
 	p.Handle(ctx, bogusMessage{})
 	if len(ctx.sent) != 0 {
 		t.Error("foreign message must be ignored")

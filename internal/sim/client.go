@@ -60,7 +60,7 @@ func ParseEntryPolicy(name string) (EntryPolicy, error) {
 // request ID of the attempt it guards, so a timer that fires after the
 // reply arrived (or after a newer retransmission superseded the attempt)
 // identifies itself as stale and is ignored. Timers travel through
-// Scheduler.After and are never subject to fault-plan loss.
+// Context.After and are never subject to fault-plan loss.
 type retryTimer struct {
 	to ids.NodeID
 	id ids.RequestID
@@ -89,12 +89,12 @@ func (t *tick) Dest() ids.NodeID { return t.to }
 //     timer at a fixed or Poisson rate regardless of outstanding replies —
 //     the way Web Polygraph drives a proxy farm ("TheBench.peak_req_rate =
 //     100/sec", paper Fig. 10) — so many are in flight at once. The timer
-//     is the Scheduler interface: this mode needs the virtual-time engine.
+//     is Context.After.
 //
 // Everything else is one path: inject → send → complete or handleTimeout →
 // retire. Response time is measured from the reply's SentAt, so the
 // lossless protocol counts requests in flight and keeps no per-request
-// state. With Recovery enabled (virtual-time engine only) every attempt
+// state. With Recovery enabled every attempt
 // arms a timeout; a timed-out request is retransmitted under a fresh
 // request ID with exponential backoff and abandoned after MaxRetries, so
 // the closed loop keeps moving even when a chain is permanently stranded.
@@ -166,8 +166,8 @@ type ClientConfig struct {
 	Collector *metrics.Collector
 	// MaxHops is copied onto every request (0 = unbounded).
 	MaxHops int
-	// Recovery enables timeouts and retransmission (virtual-time engine
-	// only; the zero value keeps the paper-faithful lossless protocol).
+	// Recovery enables timeouts and retransmission (the zero value keeps
+	// the paper-faithful lossless protocol).
 	Recovery Recovery
 	// IntervalTicks is the open loop's mean inter-arrival time in virtual
 	// ticks; 0 selects the closed loop.
@@ -216,7 +216,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 func (c *Client) ID() ids.NodeID { return c.id }
 
 // AddProxy adds a newly joined proxy to the entry-point set (infrastructure
-// growth). Safe only between requests on the sequential engine.
+// growth). Safe only between requests of a single closed-loop client.
 func (c *Client) AddProxy(id ids.NodeID) {
 	for _, p := range c.proxies {
 		if p == id {
@@ -233,7 +233,7 @@ func (c *Client) Collector() *metrics.Collector { return c.collector }
 func (c *Client) SetTracer(t *obs.Tracer) { c.tracer = t }
 
 // SetTimeSeries installs the shared time-series recorder (before the run
-// starts; virtual-time engine only).
+// starts).
 func (c *Client) SetTimeSeries(ts *metrics.TimeSeries) { c.ts = ts }
 
 // Done reports whether the trace is exhausted and every request answered
@@ -249,18 +249,13 @@ func (c *Client) Outstanding() int { return c.inFlight }
 func (c *Client) Injected() uint64 { return c.injected }
 
 // Start implements Starter: the closed loop injects its first request, the
-// open loop arms its arrival timer, which needs a virtual-time engine (the
-// cluster layer only pairs the open loop with one).
+// open loop arms its arrival timer.
 func (c *Client) Start(ctx Context) {
 	if c.interval == 0 {
 		c.inject(ctx)
 		return
 	}
-	sched, ok := ctx.(Scheduler)
-	if !ok {
-		panic("sim: an open-loop Client requires a virtual-time engine (Scheduler)")
-	}
-	sched.After(0, c.timer)
+	ctx.After(0, c.timer)
 }
 
 // Handle implements Node: replies complete, ticks inject, retry timers
@@ -284,7 +279,7 @@ func (c *Client) inject(ctx Context) {
 		c.exhausted = true
 		return
 	}
-	now := traceNow(ctx) // the send time; 0 on engines without a clock
+	now := ctx.VNow() // the send time
 	c.injected++
 	c.inFlight++
 	if c.ts != nil {
@@ -292,7 +287,7 @@ func (c *Client) inject(ctx Context) {
 	}
 	c.send(ctx, attempt{sentAt: now, obj: obj, timeout: c.recovery.Timeout}, 0)
 	if c.interval > 0 {
-		ctx.(Scheduler).After(c.nextGap(), c.timer)
+		ctx.After(c.nextGap(), c.timer)
 	}
 }
 
@@ -322,7 +317,7 @@ func (c *Client) send(ctx Context, a attempt, prev ids.RequestID) {
 		}
 		if c.tracer.Enabled(kind) {
 			e := obs.Ev(kind, c.id)
-			e.At = traceNow(ctx)
+			e.At = ctx.VNow()
 			e.Req = id
 			e.Obj = a.obj
 			e.To = req.To
@@ -333,9 +328,7 @@ func (c *Client) send(ctx Context, a attempt, prev ids.RequestID) {
 	}
 	ctx.Send(req)
 	if c.recovery.Enabled {
-		if sched, ok := ctx.(Scheduler); ok {
-			sched.After(a.timeout, &retryTimer{to: c.id, id: id})
-		}
+		ctx.After(a.timeout, &retryTimer{to: c.id, id: id})
 	}
 }
 
@@ -348,7 +341,7 @@ func (c *Client) complete(ctx Context, rep *msg.Reply) {
 		if c.attempts.Find(rep.ID) == nil {
 			if c.tracer.Enabled(obs.KindStaleReply) {
 				e := obs.Ev(obs.KindStaleReply, c.id)
-				e.At = traceNow(ctx)
+				e.At = ctx.VNow()
 				e.Req = rep.ID
 				e.Obj = rep.Object
 				c.tracer.Emit(e)
@@ -360,12 +353,10 @@ func (c *Client) complete(ctx Context, rep *msg.Reply) {
 		c.attempts.Delete(rep.ID)
 	}
 	c.collector.Record(!rep.FromOrigin, rep.Hops, rep.PathLen)
-	if clk, ok := ctx.(Clock); ok {
-		c.collector.RecordResponse(clk.VNow() - rep.SentAt)
-	}
+	c.collector.RecordResponse(ctx.VNow() - rep.SentAt)
 	if c.tracer.Enabled(obs.KindDeliver) {
 		e := obs.Ev(obs.KindDeliver, c.id)
-		e.At = traceNow(ctx)
+		e.At = ctx.VNow()
 		e.Req = rep.ID
 		e.Obj = rep.Object
 		e.Loc = rep.Resolver
@@ -376,7 +367,7 @@ func (c *Client) complete(ctx Context, rep *msg.Reply) {
 		c.tracer.Emit(e)
 	}
 	if c.ts != nil {
-		c.ts.Complete(traceNow(ctx), !rep.FromOrigin, int32(rep.Hops))
+		c.ts.Complete(ctx.VNow(), !rep.FromOrigin, int32(rep.Hops))
 	}
 	ctx.Freelist().PutReply(rep) // terminal delivery: the reply recycles
 	c.retire(ctx)
@@ -400,29 +391,29 @@ func (c *Client) handleTimeout(ctx Context, t *retryTimer) {
 	c.collector.RecordTimeout()
 	if c.tracer.Enabled(obs.KindTimeout) {
 		e := obs.Ev(obs.KindTimeout, c.id)
-		e.At = traceNow(ctx)
+		e.At = ctx.VNow()
 		e.Req = t.id
 		e.Obj = a.obj
 		c.tracer.Emit(e)
 	}
-	c.ts.Timeout(traceNow(ctx))
+	c.ts.Timeout(ctx.VNow())
 	if a.retries >= c.recovery.MaxRetries {
 		// Permanently stranded: give up.
 		c.collector.RecordAbandoned()
 		if c.tracer.Enabled(obs.KindAbandon) {
 			e := obs.Ev(obs.KindAbandon, c.id)
-			e.At = traceNow(ctx)
+			e.At = ctx.VNow()
 			e.Req = t.id
 			e.Obj = a.obj
 			e.Arg = int64(a.retries)
 			c.tracer.Emit(e)
 		}
-		c.ts.Abandon(traceNow(ctx))
+		c.ts.Abandon(ctx.VNow())
 		c.retire(ctx)
 		return
 	}
 	c.collector.RecordRetry()
-	c.ts.Retry(traceNow(ctx))
+	c.ts.Retry(ctx.VNow())
 	a.retries++
 	a.timeout = int64(float64(a.timeout) * c.recovery.Backoff)
 	c.send(ctx, a, t.id)

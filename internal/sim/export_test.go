@@ -6,7 +6,7 @@ package sim
 func (e *VEngine) HeapLoad() (events, transfers int) {
 	for _, ev := range e.q.src[laneHeap].ev {
 		events++
-		if ev.net {
+		if ev.seq&evNet != 0 {
 			transfers++
 		}
 	}

@@ -2,17 +2,24 @@ package sim
 
 import "github.com/adc-sim/adc/internal/msg"
 
-// event is one scheduled delivery of the virtual-time engine.
+// event is one scheduled delivery of the virtual-time engine, 32 bytes.
 type event struct {
-	at  int64
+	at int64
+	// seq is the enqueue sequence number shifted left by two, with the
+	// event's flags in the low bits: evNet marks a network transfer (Send),
+	// the only events the QueueService model serializes; evServed marks a
+	// transfer that has already been assigned its service-completion slot.
+	// Sequence numbers are unique, so the flags never decide an order.
 	seq uint64
 	m   msg.Message
-	// net marks a network transfer (Send), the only events the
-	// QueueService model serializes; served marks a transfer that has
-	// already been assigned its service-completion slot.
-	net    bool
-	served bool
 }
+
+// Event flags, in the low bits of event.seq.
+const (
+	evNet uint64 = 1 << iota
+	evServed
+	evFlagBits = iota
+)
 
 // before is the total order events are delivered in: timestamp, then
 // enqueue sequence. (at, seq) pairs are unique, so the queue's internal
@@ -71,6 +78,36 @@ func (q *eventQueue) Len() int { return q.n }
 func (q *eventQueue) peek() *event {
 	l := &q.src[q.min]
 	return &l.ev[l.head]
+}
+
+// pushFirst is push into an empty queue, small enough to inline: a closed
+// loop holds one event at a time, so most of its pushes land here. It
+// reports false, leaving the queue untouched, when the queue is not empty
+// or the lane has no storage yet; the caller then pushes. (An empty queue
+// has every source rewound to the start of its slice.)
+func (q *eventQueue) pushFirst(e event, to int) bool {
+	l := &q.src[to]
+	if q.n != 0 || cap(l.ev) == 0 {
+		return false
+	}
+	q.n, q.min = 1, to
+	l.ev = l.ev[:1]
+	l.ev[0] = e
+	return true
+}
+
+// popOnly is pop from a queue of one event, small enough to inline; ok is
+// false, and the queue untouched, unless the queue holds exactly one.
+func (q *eventQueue) popOnly() (ev event, ok bool) {
+	if q.n != 1 {
+		return ev, false
+	}
+	l := &q.src[q.min]
+	ev = l.ev[l.head]
+	l.ev[l.head].m = nil // release the message reference
+	l.ev, l.head = l.ev[:0], 0
+	q.n = 0
+	return ev, true
 }
 
 // push queues e on the given lane, or on the heap if the lane's tail is not

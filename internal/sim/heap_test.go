@@ -4,7 +4,22 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
+
+// TestEventLayout pins the event at 32 bytes, with its flags in the low
+// bits of seq: a flagged event keeps its place in the (at, seq) order.
+func TestEventLayout(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 32 {
+		t.Errorf("event is %d bytes, want 32", got)
+	}
+	plain := event{at: 5, seq: 7 << evFlagBits}
+	flagged := event{at: 5, seq: 7<<evFlagBits | evNet | evServed}
+	next := event{at: 5, seq: 8 << evFlagBits}
+	if !plain.before(&next) || !flagged.before(&next) || next.before(&flagged) {
+		t.Error("flags moved an event across the next sequence number")
+	}
+}
 
 // TestEventQueueTieBreakProperty is the invariant the engine's delivery
 // order relies on: among equal-timestamp events, the heap pops
@@ -42,7 +57,7 @@ func TestEventQueueTieBreakProperty(t *testing.T) {
 
 		// Reference order: stable sort by timestamp only. Stability keeps
 		// equal timestamps in insertion order, which must equal ascending
-		// seq — the engines assign seq in insertion order.
+		// seq — the engine assigns seq in insertion order.
 		sort.SliceStable(ref, func(i, j int) bool { return ref[i].at < ref[j].at })
 
 		if len(popped) != len(ref) {
@@ -99,8 +114,11 @@ func TestEventQueueDrainOrder(t *testing.T) {
 // decreasing and equal timestamps as well as ascending ones; b2 leads the
 // sequence number, so sequence order is arbitrary too (as a queued-service
 // re-queue makes it) while the push index below it keeps (at, seq) unique.
+// Every other operation first tries the engine's inlined fast paths,
+// pushFirst and popOnly, as Send and Run do.
 func checkQueueOps(t *testing.T, data []byte) {
 	t.Helper()
+	fast := func(op int) bool { return op/3%2 == 0 }
 	var q eventQueue
 	var pending []event
 	popMin := func(op int) {
@@ -116,14 +134,26 @@ func checkQueueOps(t *testing.T, data []byte) {
 		if head := *q.peek(); head.at != want.at || head.seq != want.seq {
 			t.Fatalf("op %d: peek (at=%d seq=%#x), want (at=%d seq=%#x)", op, head.at, head.seq, want.at, want.seq)
 		}
-		if got := q.pop(); got.at != want.at || got.seq != want.seq {
+		got, ok := event{}, false
+		if fast(op) {
+			got, ok = q.popOnly()
+			if ok != (len(pending) == 0) {
+				t.Fatalf("op %d: popOnly ok=%v with %d events left", op, ok, len(pending))
+			}
+		}
+		if !ok {
+			got = q.pop()
+		}
+		if got.at != want.at || got.seq != want.seq {
 			t.Fatalf("op %d: pop (at=%d seq=%#x), want (at=%d seq=%#x)", op, got.at, got.seq, want.at, want.seq)
 		}
 	}
 	for op := 0; op+2 < len(data); op += 3 {
 		if to := int(data[op] % 5); to < numLanes {
 			e := event{at: int64(data[op+1] % 16), seq: uint64(data[op+2])<<32 | uint64(op)}
-			q.push(e, to)
+			if !fast(op) || !q.pushFirst(e, to) {
+				q.push(e, to)
+			}
 			pending = append(pending, e)
 		} else if len(pending) > 0 {
 			popMin(op)
@@ -141,13 +171,29 @@ func checkQueueOps(t *testing.T, data []byte) {
 }
 
 // TestEventQueueModel runs checkQueueOps over random operation strings:
-// long ones that grow lanes past their compaction point, and pop-heavy ones
-// that keep draining them.
+// long ones that grow lanes past their compaction point, pop-heavy ones
+// that keep draining them, and shallow ones whose queue holds at most
+// three events, so the one-event fast paths run often.
 func TestEventQueueModel(t *testing.T) {
+	// popOnly takes a lane's last event from mid-slice (a pop left its
+	// head at 1), and the lane is pushed to again.
+	checkQueueOps(t, []byte{4, 0, 0, 0, 1, 0, 0, 2, 0, 4, 0, 0, 4, 0, 0, 0, 3, 0, 4, 0, 0})
 	rng := rand.New(rand.NewSource(0x1A9E5))
 	for trial := 0; trial < 300; trial++ {
 		data := make([]byte, 3*(1+rng.Intn(2000)))
 		rng.Read(data)
+		if trial%3 == 1 {
+			depth := 0
+			for op := 0; op < len(data); op += 3 {
+				if depth == 3 || (depth > 0 && rng.Intn(2) == 0) {
+					data[op] = 4
+					depth--
+				} else {
+					data[op] = byte(rng.Intn(numLanes))
+					depth++
+				}
+			}
+		}
 		if trial%3 == 0 {
 			// In-order lane traffic: a build-up, then a pop for every push —
 			// the engine's steady state, where each lane holds a long

@@ -43,7 +43,7 @@ func (o *Origin) Handle(ctx Context, m msg.Message) {
 	o.resolved++
 	if o.tracer.Enabled(obs.KindOriginResolve) {
 		e := obs.Ev(obs.KindOriginResolve, ids.Origin)
-		e.At = traceNow(ctx)
+		e.At = ctx.VNow()
 		e.Req = req.ID
 		e.Obj = req.Object
 		e.Hops = int32(req.Hops)

@@ -265,8 +265,9 @@ func TestShardedUnregisteredNode(t *testing.T) {
 	}
 }
 
-// TestShardedDuplicateRegister mirrors the FIFO engine's contract. (The
-// name is kept from the partitioned engine.)
+// TestShardedDuplicateRegister holds Register to its contract: a second
+// node under a used ID is refused. (The name is kept from the partitioned
+// engine.)
 func TestShardedDuplicateRegister(t *testing.T) {
 	eng := sim.NewVEngine(sim.DefaultLatencyModel())
 	if err := eng.Register(sim.NewOrigin()); err != nil {

@@ -32,7 +32,7 @@ func (n *echoNode) Handle(ctx Context, m msg.Message) {
 }
 
 func TestEngineDuplicateRegistration(t *testing.T) {
-	e := NewEngine()
+	e := NewVEngine(LatencyModel{})
 	if err := e.Register(&echoNode{id: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestEngineDuplicateRegistration(t *testing.T) {
 }
 
 func TestEngineUnroutableMessage(t *testing.T) {
-	e := NewEngine()
+	e := NewVEngine(LatencyModel{})
 	e.Send(&msg.Request{To: 42})
 	if err := e.Run(); err == nil {
 		t.Error("message to unregistered node must error")
@@ -51,7 +51,7 @@ func TestEngineUnroutableMessage(t *testing.T) {
 
 func TestEngineCountsHops(t *testing.T) {
 	req := &msg.Request{To: 1}
-	e := NewEngine()
+	e := NewVEngine(LatencyModel{})
 	e.Send(req)
 	if req.Hops != 1 {
 		t.Errorf("Hops after one Send = %d, want 1", req.Hops)
@@ -66,7 +66,7 @@ func TestEngineCountsHops(t *testing.T) {
 func TestEngineFIFO(t *testing.T) {
 	node := &echoNode{id: 0}
 	sink := &echoNode{id: 1}
-	e := NewEngine()
+	e := NewVEngine(LatencyModel{})
 	if err := e.Register(node); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestOriginResolvesAndBackwards(t *testing.T) {
 	if o.ID() != ids.Origin {
 		t.Fatalf("origin ID = %v", o.ID())
 	}
-	e := NewEngine()
+	e := NewVEngine(LatencyModel{})
 	var got *msg.Reply
 	catcher := &replyCatcher{id: 3, out: &got}
 	if err := e.Register(o); err != nil {
@@ -144,7 +144,7 @@ func (c *replyCatcher) Handle(_ Context, m msg.Message) {
 
 func TestOriginIgnoresReplies(t *testing.T) {
 	o := NewOrigin()
-	e := NewEngine()
+	e := NewVEngine(LatencyModel{})
 	if err := e.Register(o); err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestClientClosedLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := &echoNode{id: 0}
-	e := NewEngine()
+	e := NewVEngine(LatencyModel{})
 	for _, n := range []Node{cl, node} {
 		if err := e.Register(n); err != nil {
 			t.Fatal(err)
@@ -208,7 +208,7 @@ func TestClientDoneAfterLastReply(t *testing.T) {
 	if cl.Done() {
 		t.Error("Done() before the run")
 	}
-	e := NewEngine()
+	e := NewVEngine(LatencyModel{})
 	node := &echoNode{id: 0}
 	for _, n := range []Node{cl, node} {
 		if err := e.Register(n); err != nil {
@@ -239,7 +239,7 @@ func TestClientEntryPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := NewEngine()
+		e := NewVEngine(LatencyModel{})
 		if err := e.Register(cl); err != nil {
 			t.Fatal(err)
 		}

@@ -62,37 +62,24 @@ func (l LatencyModel) cost(a, b ids.NodeID) (delay int64, lane int) {
 	}
 }
 
-// Clock is implemented by contexts that carry virtual time; nodes that
-// measure latency (the clients) type-assert for it.
-type Clock interface {
-	// VNow returns the current virtual time in ticks.
-	VNow() int64
-}
-
-// Scheduler is implemented by contexts that can deliver a message to the
-// calling node after a virtual delay; open-loop traffic sources use it as
-// their timer.
-type Scheduler interface {
-	// After delivers m at VNow()+delay.
-	After(delay int64, m msg.Message)
-}
-
-// VEngine is the virtual-time discrete-event engine: messages are delivered
-// in (timestamp, enqueue sequence) order, each transfer delayed by the
-// latency model. It is fully deterministic.
+// VEngine is the simulator's one engine, a discrete-event engine: messages
+// are delivered in (timestamp, enqueue sequence) order, each transfer
+// delayed by the latency model. It is fully deterministic. Under the zero
+// LatencyModel a transfer is due the moment it is sent, so a run that arms
+// no timer delivers in Send order.
 //
 // Every event sits in one eventQueue: one FIFO lane per link class plus a
 // 4-ary heap for timers. Run executes one event at a time, on the calling
 // goroutine, a classic sequential event loop. A Send takes the next
 // sequence number and goes straight into the queue, so whatever depends on
-// Send order happens in one function, admit: the drop filter is consulted,
-// the fault plan's single random stream draws loss → link loss → jitter,
-// and survivors take consecutive sequence numbers. DESIGN.md §7 has the
-// full argument.
+// Send order happens in Send itself: the drop filter is consulted, the
+// fault plan's single random stream draws loss → link loss → jitter, and
+// survivors take consecutive sequence numbers. DESIGN.md §7 has the full
+// argument.
 //
-// The engine is the context every handler runs against (Context, Clock,
-// Scheduler); what a delivery reads or writes — the fail-stop down set, the
-// QueueService busy horizon — is keyed by destination.
+// The engine is the Context every handler runs against; what a delivery
+// reads or writes — the fail-stop down set, the QueueService busy horizon —
+// is keyed by destination.
 type VEngine struct {
 	latency LatencyModel
 	nodes   ids.Table[Node]
@@ -208,17 +195,14 @@ func (e *VEngine) Delivered() uint64 { return e.delivered }
 
 // The engine is the context handlers run against; outside any handler
 // (pre-run injection, tests) it is a context with no current node.
-var (
-	_ Context   = (*VEngine)(nil)
-	_ Clock     = (*VEngine)(nil)
-	_ Scheduler = (*VEngine)(nil)
-)
+var _ Context = (*VEngine)(nil)
 
-// VNow implements Clock.
+// VNow implements Context.
 func (e *VEngine) VNow() int64 { return e.now }
 
-// Send implements Context: the message arrives after the modelled link
-// latency; the hop is counted exactly as in the other engines.
+// Send implements Context: the hop is counted, the transfer is screened
+// (see screen) and, if it survives, takes the next sequence number and
+// arrives after the modelled link latency.
 func (e *VEngine) Send(m msg.Message) {
 	CountHop(m)
 	delay, lane := e.latency.cost(e.current, m.Dest())
@@ -228,38 +212,37 @@ func (e *VEngine) Send(m msg.Message) {
 		// receiver.
 		delay -= e.latency.Service
 	}
-	e.admit(e.current, e.now+delay, m, lane)
+	at := e.now + delay
+	if e.drop != nil || e.faults != nil {
+		var ok bool
+		if at, ok = e.screen(e.current, at, m); !ok {
+			return
+		}
+	}
+	e.seq++
+	if ev := (event{at: at, seq: e.seq<<evFlagBits | evNet, m: m}); !e.q.pushFirst(ev, lane) {
+		e.q.push(ev, lane)
+	}
 }
 
-// After implements Scheduler.
+// After implements Context.
 func (e *VEngine) After(delay int64, m msg.Message) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.admit(e.current, e.now+delay, m, laneHeap)
+	e.timer(e.now+max(delay, 0), m)
+}
+
+// timer queues m for delivery at time at. Timers are never screened: only
+// network transfers are lost, jittered or serialized.
+func (e *VEngine) timer(at int64, m msg.Message) {
+	e.seq++
+	e.q.push(event{at: at, seq: e.seq << evFlagBits, m: m}, laneHeap)
 }
 
 // Freelist implements Context.
 func (e *VEngine) Freelist() *msg.Freelist { return &e.fl }
 
-// admit is the one place an emission enters the queue, in Send order. A
-// network transfer — an emission on a link lane — is screened
-// first (see screen); whatever survives takes the next sequence number.
-func (e *VEngine) admit(from ids.NodeID, at int64, m msg.Message, lane int) {
-	net := lane != laneHeap
-	if net && (e.drop != nil || e.faults != nil) {
-		var ok bool
-		if at, ok = e.screen(from, at, m); !ok {
-			return
-		}
-	}
-	e.seq++
-	e.q.push(event{at: at, seq: e.seq, m: m, net: net}, lane)
-}
-
 // screen passes one Send through the drop filter and then the fault plan,
 // returning its (possibly jittered) delivery time and whether it survives.
-// Because admit calls it in Send order, the filter's view and the plan's
+// Because Send calls it in Send order, the filter's view and the plan's
 // draws are a pure function of the Send sequence.
 func (e *VEngine) screen(from ids.NodeID, at int64, m msg.Message) (int64, bool) {
 	if e.drop != nil && e.drop(m) {
@@ -314,9 +297,9 @@ func (e *VEngine) Run() error {
 		// event, so at equal timestamps a fault applies before the
 		// messages scheduled later — a deterministic tie-break.
 		for _, c := range e.faults.plan.Crashes {
-			e.admit(ids.None, c.At, &faultCtl{node: c.Node}, laneHeap)
+			e.timer(c.At, &faultCtl{node: c.Node})
 			if c.RestartAt > 0 {
-				e.admit(ids.None, c.RestartAt, &faultCtl{node: c.Node, restart: true, loseTables: c.LoseTables}, laneHeap)
+				e.timer(c.RestartAt, &faultCtl{node: c.Node, restart: true, loseTables: c.LoseTables})
 			}
 		}
 	}
@@ -328,21 +311,36 @@ func (e *VEngine) Run() error {
 		}
 	})
 	for e.q.Len() > 0 {
-		if err := e.step(); err != nil {
-			return err
+		ev, ok := e.q.popOnly()
+		if !ok {
+			ev = e.q.pop()
 		}
+		e.now = ev.at
+		if (e.down != nil || e.busy != nil) && e.intercept(ev) {
+			continue
+		}
+		dest := ev.m.Dest()
+		n, ok := e.nodes.Get(dest)
+		if !ok {
+			return fmt.Errorf("sim: message for unregistered node %v", dest)
+		}
+		e.delivered++
+		e.current = dest // nodes are registered under their own ID
+		n.Handle(e, ev.m)
 	}
+	e.current = ids.None
 	return nil
 }
 
-// step pops and executes the next event at virtual time ev.at.
-func (e *VEngine) step() error {
-	ev := e.q.pop()
-	e.now = ev.at
+// intercept handles what a fault plan or queued service does to an event
+// due now instead of delivering it, and reports whether it did: a crash or
+// restart transition, a message for a crashed node, or a transfer that must
+// first wait for its receiver's service slot.
+func (e *VEngine) intercept(ev event) bool {
 	if e.down != nil {
 		if ctl, ok := ev.m.(*faultCtl); ok {
 			e.applyFaultCtl(ctl)
-			return nil
+			return true
 		}
 		if e.down[ev.m.Dest()] {
 			// Fail-stop: a crashed node receives nothing. The message
@@ -351,10 +349,10 @@ func (e *VEngine) step() error {
 			e.faults.stats.CrashDrops++
 			e.dropped++
 			e.traceDrop(ids.None, ev.m, obs.DropCrash)
-			return nil
+			return true
 		}
 	}
-	if e.busy != nil && ev.net && !ev.served {
+	if e.busy != nil && ev.seq&(evNet|evServed) == evNet {
 		// Queued service: the message starts service when the receiver
 		// frees up, completes Service later, and is handled at
 		// completion. Re-queuing keeps the original sequence number, so
@@ -367,21 +365,12 @@ func (e *VEngine) step() error {
 		e.busy[ev.m.Dest()] = done
 		if done > ev.at {
 			ev.at = done
-			ev.served = true
+			ev.seq |= evServed
 			e.q.push(ev, laneHeap)
-			return nil
+			return true
 		}
 	}
-	dest := ev.m.Dest()
-	n, ok := e.nodes.Get(dest)
-	if !ok {
-		return fmt.Errorf("sim: message for unregistered node %v", dest)
-	}
-	e.delivered++
-	e.current = dest // nodes are registered under their own ID
-	n.Handle(e, ev.m)
-	e.current = ids.None
-	return nil
+	return false
 }
 
 // applyFaultCtl executes one crash or restart transition.

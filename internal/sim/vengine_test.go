@@ -18,12 +18,11 @@ type delayProbe struct {
 
 func (p *delayProbe) ID() ids.NodeID { return p.id }
 func (p *delayProbe) Handle(ctx Context, m msg.Message) {
-	clk := ctx.(Clock)
 	req, ok := m.(*msg.Request)
 	if !ok {
 		return
 	}
-	p.arrived = append(p.arrived, clk.VNow())
+	p.arrived = append(p.arrived, ctx.VNow())
 	if p.reply {
 		rep := Resolve(ctx, req)
 		rep.Resolver = p.id
@@ -268,21 +267,4 @@ func TestOpenLoopClientPoissonDeterministic(t *testing.T) {
 	if !varied {
 		t.Error("poisson gaps look fixed")
 	}
-}
-
-func TestOpenLoopClientPanicsWithoutScheduler(t *testing.T) {
-	cl, err := NewClient(ClientConfig{
-		Source:        trace.NewSliceSource([]ids.ObjectID{1}),
-		Proxies:       []ids.NodeID{0},
-		IntervalTicks: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Start on a non-virtual-time engine must panic")
-		}
-	}()
-	cl.Start(NewEngine()) // plain engine: no Scheduler
 }

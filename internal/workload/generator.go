@@ -266,18 +266,6 @@ func (g *Generator) Boundaries() (fillEnd, phase2End int) {
 	return g.fillEnd, g.phase2End
 }
 
-// PhaseAt returns the phase of the request at stream index i.
-func (g *Generator) PhaseAt(i int) Phase {
-	switch {
-	case i < g.fillEnd:
-		return PhaseFill
-	case i < g.phase2End:
-		return PhaseRequestI
-	default:
-		return PhaseRequestII
-	}
-}
-
 // Population returns the hot-set size of phases 2–3.
 func (g *Generator) Population() int { return len(g.perm) }
 

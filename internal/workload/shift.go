@@ -113,9 +113,6 @@ func (g *ShiftGenerator) Epochs() int {
 	return (g.cfg.TotalRequests + g.cfg.Period - 1) / g.cfg.Period
 }
 
-// EpochAt returns the epoch index of stream position i.
-func (g *ShiftGenerator) EpochAt(i int) int { return i / g.cfg.Period }
-
 // Next implements Source.
 func (g *ShiftGenerator) Next() (ids.ObjectID, bool) {
 	if g.pos >= g.cfg.TotalRequests {

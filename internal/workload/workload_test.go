@@ -168,15 +168,6 @@ func TestGeneratorPhaseBoundaries(t *testing.T) {
 	if phase2End != 2500 {
 		t.Errorf("phase2End = %d, want 2500", phase2End)
 	}
-	if g.PhaseAt(0) != PhaseFill || g.PhaseAt(999) != PhaseFill {
-		t.Error("fill phase misclassified")
-	}
-	if g.PhaseAt(1000) != PhaseRequestI || g.PhaseAt(2499) != PhaseRequestI {
-		t.Error("phase 2 misclassified")
-	}
-	if g.PhaseAt(2500) != PhaseRequestII || g.PhaseAt(3999) != PhaseRequestII {
-		t.Error("phase 3 misclassified")
-	}
 }
 
 func TestGeneratorFillPhaseMostlyUnique(t *testing.T) {
