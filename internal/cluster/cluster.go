@@ -631,10 +631,12 @@ func (c *Cluster) Origin() *sim.Origin { return c.origin }
 func (c *Cluster) Clients() []*sim.Client { return c.clients }
 
 // Run executes the workload to completion and returns the merged result.
-// A cluster is single-shot: build a fresh one per run.
+// A cluster is single-shot: build a fresh one per run. Nothing reads the
+// engine once Run returns, so Run releases it.
 func (c *Cluster) Run() (*Result, error) {
 	start := time.Now()
 	eng := sim.NewVEngine(c.cfg.latency())
+	defer eng.Release()
 	for _, n := range c.nodes {
 		if err := eng.Register(n); err != nil {
 			return nil, err
@@ -830,11 +832,11 @@ func peakWindowLoad(buckets []metrics.Bucket) (share float64, peak uint64) {
 }
 
 // Run builds and runs a cluster in one call. The Result holds counters
-// only, so once it is built nothing reads the proxies' mapping tables
-// again: Run releases them (core.Tables.Release) for the next run's tables
-// to reuse, which keeps a process that runs one experiment after another
-// at one run's table memory. (*Cluster).Run releases nothing, since its
-// caller may still inspect the tables.
+// only, so once it is built nothing reads the proxies again: Run releases
+// them (proxy.ADC.Release) for the next run to reuse, which keeps a process
+// that runs one experiment after another at one run's memory.
+// (*Cluster).Run releases only the engine, since its caller may still
+// inspect the tables.
 func Run(cfg Config, src workload.Source) (*Result, error) {
 	c, err := New(cfg, src)
 	if err != nil {
@@ -842,9 +844,7 @@ func Run(cfg Config, src workload.Source) (*Result, error) {
 	}
 	res, err := c.Run()
 	for _, p := range c.proxies {
-		if a, ok := p.Policy().(*protocol.Agent); ok {
-			a.Tables().Release()
-		}
+		p.Release()
 	}
 	return res, err
 }

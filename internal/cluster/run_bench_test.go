@@ -11,8 +11,9 @@ import (
 
 // BenchmarkRunShiftOpen is one sim_shift_open run (shiftOpenConfig) at a
 // fifth of the benchmark's 500 000 requests, replayed from memory as the
-// benchmark does: its allocations are one run's per-client state, event
-// queue and pending-request tables on top of the pooled mapping tables.
+// benchmark does. Each run takes the mapping tables, pending-pass cells,
+// event lanes and message freelist the previous one released, so after the
+// first its allocations are its 64 clients' state, about 1 MB.
 // `make bench-profile` writes its memory profile to cluster-mem.out.
 func BenchmarkRunShiftOpen(b *testing.B) {
 	const requests = 100_000

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"github.com/adc-sim/adc/internal/ids"
-)
+import "github.com/adc-sim/adc/internal/ids"
 
 // entryArena slab-allocates mapping-table entries and recycles the ones the
 // system forgets (Outcome.Dropped), mirroring internal/msg.Freelist: one
@@ -40,7 +36,7 @@ type entryRef uint32
 const arenaSlab = 1024
 
 // slabPool holds the zeroed slabs of released arenas for the next Tables.
-var slabPool sync.Pool // of *[arenaSlab]Entry
+var slabPool ids.Pool[*[arenaSlab]Entry]
 
 // take returns a fresh first-sighting entry (paper Fig. 8 Part 4: AVG 0,
 // HITS 1, LAST = now) and its ref, recycling a dropped entry when one is
@@ -52,8 +48,8 @@ func (a *entryArena) take(obj ids.ObjectID, loc ids.NodeID, now int64) (entryRef
 		a.free = a.free[:n-1]
 	} else {
 		if len(a.slab) == 0 {
-			s, _ := slabPool.Get().(*[arenaSlab]Entry)
-			if s == nil {
+			s, ok := slabPool.Get(nil)
+			if !ok {
 				s = new([arenaSlab]Entry)
 			}
 			a.slabs = append(a.slabs, s)
@@ -89,7 +85,7 @@ func (a *entryArena) put(r entryRef) {
 func (a *entryArena) release() {
 	for _, s := range a.slabs {
 		clear(s[:])
-		slabPool.Put(s)
+		slabPool.Put(nil, s)
 	}
 	*a = entryArena{}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/adc-sim/adc/internal/ids"
 )
@@ -69,7 +68,7 @@ const (
 )
 
 // blockPool holds the zeroed blocks of released tables for the next table.
-var blockPool sync.Pool // of *[btreeMaxBlock + 1]btreeCell
+var blockPool ids.Pool[*[btreeMaxBlock + 1]btreeCell]
 
 var _ Ordered = (*btreeTable)(nil)
 
@@ -203,7 +202,7 @@ func (t *btreeTable) newBlock() []btreeCell {
 		t.freeBlocks = t.freeBlocks[:n-1]
 		return blk
 	}
-	if b, _ := blockPool.Get().(*[btreeMaxBlock + 1]btreeCell); b != nil {
+	if b, ok := blockPool.Get(nil); ok {
 		return b[:0]
 	}
 	return make([]btreeCell, 0, btreeMaxBlock+1)
@@ -214,7 +213,7 @@ func (t *btreeTable) newBlock() []btreeCell {
 func (t *btreeTable) release() {
 	for _, blk := range append(t.blocks, t.freeBlocks...) {
 		clear(blk)
-		blockPool.Put((*[btreeMaxBlock + 1]btreeCell)(blk[:btreeMaxBlock+1]))
+		blockPool.Put(nil, (*[btreeMaxBlock + 1]btreeCell)(blk[:btreeMaxBlock+1]))
 	}
 	*t = btreeTable{}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"github.com/adc-sim/adc/internal/ids"
 )
@@ -43,26 +42,17 @@ type dirCell struct {
 	ref entryRef
 }
 
-// dirPools holds released cell arrays for reuse, one sync.Pool per array
-// length (a power of two), so a Tables only ever takes cells of its own
-// size.
-var dirPools sync.Map // int → *sync.Pool of *[]dirCell
-
-func dirPool(size int) *sync.Pool {
-	if p, ok := dirPools.Load(size); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := dirPools.LoadOrStore(size, new(sync.Pool))
-	return p.(*sync.Pool)
-}
+// dirPool holds released cell arrays keyed by their length (a power of
+// two), so a Tables only ever takes cells of its own size.
+var dirPool ids.Pool[[]dirCell]
 
 // newDirectory returns a directory that can hold up to maxEntries objects
 // of arena a.
 func newDirectory(maxEntries int, seed uint64, a *entryArena) *directory {
 	size := 1 << bits.Len(uint(2*maxEntries-1)) // smallest power of two ≥ 2·maxEntries
 	d := &directory{mask: uint64(size - 1), seed: seed, arena: a}
-	if c, _ := dirPool(size).Get().(*[]dirCell); c != nil {
-		d.cells = *c
+	if c, ok := dirPool.Get(size); ok {
+		d.cells = c
 	} else {
 		d.cells = make([]dirCell, size)
 	}
@@ -73,8 +63,7 @@ func newDirectory(maxEntries int, seed uint64, a *entryArena) *directory {
 // not be used afterwards.
 func (d *directory) release() {
 	clear(d.cells)
-	c := d.cells
-	dirPool(len(c)).Put(&c)
+	dirPool.Put(len(d.cells), d.cells)
 	d.cells = nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -34,10 +35,10 @@ func (a *entryArena) get(obj ids.ObjectID, loc ids.NodeID, now int64) *Entry {
 
 // TestTablesBytesPerSlot bounds the live heap of one reference-size Tables
 // (20k/20k/10k, §V.2) filled by seeded churn: entries, arena slabs, the
-// ordered tables' blocks and the directory, per table slot. It reads
-// HeapAlloc after two full collections — the second empties the pools of
-// released storage, which would otherwise count before and not after — so
-// it must not run beside parallel tests.
+// ordered tables' blocks and the directory, per table slot. It first empties
+// the pools the Tables would draw from, so all its storage is new, and reads
+// HeapAlloc after two full collections, so it must not run beside parallel
+// tests.
 func TestTablesBytesPerSlot(t *testing.T) {
 	const (
 		single, multiple, caching = 20_000, 20_000, 10_000
@@ -51,6 +52,13 @@ func TestTablesBytesPerSlot(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
+	}
+	for _, ok := slabPool.Get(nil); ok; _, ok = slabPool.Get(nil) {
+	}
+	for _, ok := blockPool.Get(nil); ok; _, ok = blockPool.Get(nil) {
+	}
+	dirSize := 1 << bits.Len(uint(2*(slots+1)-1)) // newDirectory of slots+1 entries
+	for _, ok := dirPool.Get(dirSize); ok; _, ok = dirPool.Get(dirSize) {
 	}
 	before := heap()
 	tbl := newTestTables(t, single, multiple, caching)

@@ -519,9 +519,7 @@ func TestTablesFromPooledStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !raceEnabled && &pooled.dir.cells[0] != cells {
-		// The race detector makes sync.Pool drop a share of what it
-		// is given; otherwise a Put followed by a Get returns it.
+	if &pooled.dir.cells[0] != cells {
 		t.Fatal("the tables after a Release did not take the released directory cells")
 	}
 	if err := pooled.CheckInvariants(); err != nil {

@@ -114,17 +114,34 @@ func (t *ReqTable[V]) Delete(id RequestID) {
 	t.n--
 }
 
-// grow doubles the cell array (or allocates the first one) and reinserts
-// every stored request.
+// reqCells holds released cell arrays of any size, keyed by cell type.
+var reqCells Pool[any]
+
+// Release empties the table and hands its cells to the first Upsert of a
+// later table of its type, on any goroutine.
+func (t *ReqTable[V]) Release() {
+	if t.cells != nil {
+		clear(t.cells)
+		reqCells.Put((*reqCell[V])(nil), t.cells)
+	}
+	*t = ReqTable[V]{}
+}
+
+// grow doubles the cell array, or installs released cells or a first array
+// when there is none, and reinserts every stored request.
 func (t *ReqTable[V]) grow() {
 	old := t.cells
-	size := 2 * len(old)
-	if size == 0 {
-		size = reqTableMinCells
+	var released any
+	if old == nil {
+		released, _ = reqCells.Get((*reqCell[V])(nil))
 	}
-	t.cells = make([]reqCell[V], size)
-	t.mask = uint64(size - 1)
-	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	cells, ok := released.([]reqCell[V])
+	if !ok {
+		cells = make([]reqCell[V], max(2*len(old), reqTableMinCells))
+	}
+	t.cells = cells
+	t.mask = uint64(len(cells) - 1)
+	t.shift = uint(64 - bits.TrailingZeros(uint(len(cells))))
 	for i := range old {
 		if old[i].id != 0 {
 			*t.free(old[i].id) = old[i]

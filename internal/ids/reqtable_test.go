@@ -105,6 +105,7 @@ func aimedKeys(n int) []RequestID {
 // first array, and key 5 (index 4) sits at home in cell 1, inside the run
 // they wrap into. If the hash changes, this fails first.
 func TestFuzzReqCorpusShapes(t *testing.T) {
+	drainReleasedCells()
 	var tb ReqTable[int]
 	tb.Upsert(1) // allocates the first cell array
 	if len(tb.cells) != reqTableMinCells || tb.shift != 60 {
@@ -194,26 +195,65 @@ func TestReqTableZeroKey(t *testing.T) {
 // table grows in the middle of a run.
 var fuzzReqKeys = append([]RequestID{1, 2, 3, 4, 5, 6, 7}, aimedKeys(25)...)
 
-// FuzzReqTable reads two bytes an op — op%3 (0 upsert, 1 delete, 2 find)
-// and a key index — and compares Len, the structure and Find of every key
-// with a builtin map after each.
+// fuzzReqWideKeys is the alphabet of FuzzReqTable's second pass: the first
+// one and 96 client-shaped IDs, four times as many keys, so the table can
+// outgrow the cells it took back.
+var fuzzReqWideKeys = func() []RequestID {
+	keys := append([]RequestID(nil), fuzzReqKeys...)
+	for c := 0; c < 3; c++ {
+		for k := uint64(1); k <= 32; k++ {
+			keys = append(keys, NewRequestID(c, k))
+		}
+	}
+	return keys
+}()
+
+// drainReleasedCells empties the pool of released ReqTable[int] cells, so
+// the next table's first Upsert allocates its first array.
+func drainReleasedCells() {
+	for {
+		if _, ok := reqCells.Get((*reqCell[int])(nil)); !ok {
+			return
+		}
+	}
+}
+
+// replay reads two bytes an op — op%3 (0 upsert, 1 delete, 2 find) and an
+// index into keys — and compares Len, the structure and Find of every key
+// with the model after each.
+func (m *reqModel) replay(t *testing.T, data []byte, keys []RequestID) {
+	t.Helper()
+	for i := 0; i+1 < len(data); i += 2 {
+		id := keys[int(data[i+1])%len(keys)]
+		switch data[i] % 3 {
+		case 0:
+			if err := m.upsert(id, i); err != nil {
+				t.Fatalf("op %d: %v", i/2, err)
+			}
+		case 1:
+			m.del(id)
+		}
+		if err := m.agree(keys); err != nil {
+			t.Fatalf("op %d (%d on %v): %v", i/2, data[i]%3, id, err)
+		}
+	}
+}
+
+// FuzzReqTable replays the input's ops on a new table against a builtin
+// map, releases the table, checks it reads empty, and replays the ops again
+// on the same table, which takes its released cells back, over a wider key
+// alphabet.
 func FuzzReqTable(f *testing.F) {
 	f.Add([]byte{0, 7, 0, 8, 0, 9, 1, 7, 2, 8, 2, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		drainReleasedCells()
 		m := newReqModel()
-		for i := 0; i+1 < len(data); i += 2 {
-			id := fuzzReqKeys[int(data[i+1])%len(fuzzReqKeys)]
-			switch data[i] % 3 {
-			case 0:
-				if err := m.upsert(id, i); err != nil {
-					t.Fatalf("op %d: %v", i/2, err)
-				}
-			case 1:
-				m.del(id)
-			}
-			if err := m.agree(fuzzReqKeys); err != nil {
-				t.Fatalf("op %d (%d on %v): %v", i/2, data[i]%3, id, err)
-			}
+		m.replay(t, data, fuzzReqKeys)
+		m.t.Release()
+		clear(m.model)
+		if err := m.agree(fuzzReqWideKeys); err != nil {
+			t.Fatalf("after Release: %v", err)
 		}
+		m.replay(t, data, fuzzReqWideKeys)
 	})
 }

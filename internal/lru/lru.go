@@ -19,9 +19,6 @@ type Cache[K comparable, V any] struct {
 	// head/tail of the recency list: head.next is most recent,
 	// tail.prev is least recent. Sentinel nodes avoid nil checks.
 	head, tail *node[K, V]
-
-	// onEvict, when set, observes each evicted entry.
-	onEvict func(K, V)
 }
 
 type node[K comparable, V any] struct {
@@ -46,9 +43,6 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 	c.tail.prev = c.head
 	return c
 }
-
-// OnEvict registers a callback invoked for every entry Put displaces.
-func (c *Cache[K, V]) OnEvict(fn func(K, V)) { c.onEvict = fn }
 
 // Get returns the value for key and marks it most recently used.
 func (c *Cache[K, V]) Get(key K) (V, bool) {
@@ -104,9 +98,6 @@ func (c *Cache[K, V]) evictOldest() {
 	n := c.tail.prev
 	c.unlink(n)
 	delete(c.items, n.key)
-	if c.onEvict != nil {
-		c.onEvict(n.key, n.value)
-	}
 }
 
 func (c *Cache[K, V]) insertFront(n *node[K, V]) {

@@ -61,18 +61,6 @@ func TestPeekDoesNotPromote(t *testing.T) {
 	}
 }
 
-func TestOnEvict(t *testing.T) {
-	var evicted []int
-	c := New[int, int](1)
-	c.OnEvict(func(k, _ int) { evicted = append(evicted, k) })
-	c.Put(1, 1)
-	c.Put(2, 2)
-	c.Put(3, 3)
-	if len(evicted) != 2 || evicted[0] != 1 || evicted[1] != 2 {
-		t.Errorf("evicted = %v, want [1 2]", evicted)
-	}
-}
-
 func TestNeverExceedsCapacity(t *testing.T) {
 	prop := func(keys []uint8, capSeed uint8) bool {
 		capacity := int(capSeed%7) + 1

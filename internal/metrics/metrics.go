@@ -58,9 +58,6 @@ type Collector struct {
 	timeouts     uint64
 	abandoned    uint64
 	staleReplies uint64
-
-	started time.Time
-	elapsed time.Duration
 }
 
 // Option configures a Collector.
@@ -112,12 +109,6 @@ func NewCollector(opts ...Option) *Collector {
 	return c
 }
 
-// Start marks the beginning of the measured run.
-func (c *Collector) Start() { c.started = time.Now() }
-
-// Stop records the total elapsed wall-clock time.
-func (c *Collector) Stop() { c.elapsed = time.Since(c.started) }
-
 // Record accounts one completed request: whether a proxy cache served it,
 // how many message transfers it took, and how many proxies the forwarding
 // path visited.
@@ -155,10 +146,6 @@ func (c *Collector) RecordResponse(vticks int64) {
 	}
 }
 
-// Response exposes the response-time accumulator (mean/min/max in virtual
-// ticks; all zero unless the run priced its links, as vtime does).
-func (c *Collector) Response() *stats.Online { return &c.response }
-
 // ResponseHistogram returns the bucketed response-time distribution, or nil
 // when WithResponseHistogram was not given.
 func (c *Collector) ResponseHistogram() *stats.Histogram { return c.respHist }
@@ -177,18 +164,6 @@ func (c *Collector) RecordAbandoned() { c.abandoned++ }
 // RecordStaleReply accounts a reply that arrived for a request the client
 // no longer has outstanding (a duplicate from a retransmitted chain).
 func (c *Collector) RecordStaleReply() { c.staleReplies++ }
-
-// Timeouts returns the number of request-attempt timeouts.
-func (c *Collector) Timeouts() uint64 { return c.timeouts }
-
-// Retries returns the number of retransmissions.
-func (c *Collector) Retries() uint64 { return c.retries }
-
-// Abandoned returns the number of requests given up on.
-func (c *Collector) Abandoned() uint64 { return c.abandoned }
-
-// StaleReplies returns the number of duplicate/late replies discarded.
-func (c *Collector) StaleReplies() uint64 { return c.staleReplies }
 
 // Requests returns the number of completed requests.
 func (c *Collector) Requests() uint64 { return c.requests }
@@ -211,9 +186,6 @@ func (c *Collector) CumHops() float64 {
 	}
 	return float64(c.hopsSum) / float64(c.requests)
 }
-
-// Elapsed returns the wall-clock duration between Start and Stop.
-func (c *Collector) Elapsed() time.Duration { return c.elapsed }
 
 // Series returns the collected time-series samples. The returned slice is
 // owned by the collector and must not be mutated.
@@ -257,7 +229,6 @@ func (c *Collector) Summary() Summary {
 		HitRate:      c.CumHitRate(),
 		Hops:         c.CumHops(),
 		PathLen:      c.MeanPathLen(),
-		Elapsed:      c.elapsed,
 		MeanResponse: c.response.Mean(),
 		MaxResponse:  c.response.Max(),
 		Timeouts:     c.timeouts,

@@ -136,11 +136,20 @@ func (p *ADC) PendingLen() int { return p.pending.Len() }
 // replies) and whatever the policy counts as volatile; a cold restart
 // additionally loses its tables or cache.
 func (p *ADC) Restart(loseTables bool) {
-	p.pending = ids.ReqTable[pendingPass]{}
+	p.pending.Release()
 	p.expiryQ = nil
 	p.expiryHead = 0
 	p.sweepArmed = false
 	p.policy.Restart(loseTables)
+}
+
+// Release hands the pending-pass cells and an ADC agent's tables to later
+// runs; call it once nothing reads the tables or PendingLen again.
+func (p *ADC) Release() {
+	p.pending.Release()
+	if a, ok := p.policy.(*protocol.Agent); ok {
+		a.Tables().Release()
+	}
 }
 
 // Handle implements sim.Node.

@@ -267,7 +267,7 @@ func TestCrashWindowDropsAndRecoveryRetransmits(t *testing.T) {
 	if got := cl.Collector().Requests(); got != 30 {
 		t.Errorf("completed %d requests, want 30", got)
 	}
-	if cl.Collector().Retries() == 0 {
+	if cl.Collector().Summary().Retries == 0 {
 		t.Error("recovery never retransmitted")
 	}
 }

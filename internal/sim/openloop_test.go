@@ -20,9 +20,9 @@ type ledgerClient struct {
 func (l *ledgerClient) Handle(ctx Context, m msg.Message) {
 	l.Client.Handle(ctx, m)
 	col := l.Collector()
-	if want := int(l.Injected() - col.Requests() - col.Abandoned()); l.Outstanding() != want {
+	if want := int(l.Injected() - col.Requests() - col.Summary().Abandoned); l.Outstanding() != want {
 		l.t.Fatalf("after %T #%d: Outstanding = %d, injected %d − completed %d − abandoned %d = %d",
-			m, l.checks, l.Outstanding(), l.Injected(), col.Requests(), col.Abandoned(), want)
+			m, l.checks, l.Outstanding(), l.Injected(), col.Requests(), col.Summary().Abandoned, want)
 	}
 	l.checks++
 }
@@ -61,9 +61,9 @@ func TestOpenLoopOutstandingLedger(t *testing.T) {
 		if l.checks < 300 || col.Requests() == 0 {
 			t.Fatalf("recovery=%v: %d checks, %d completions", recovery, l.checks, col.Requests())
 		}
-		if recovery && (col.Retries() == 0 || col.Abandoned() == 0 || col.StaleReplies() == 0) {
+		if s := col.Summary(); recovery && (s.Retries == 0 || s.Abandoned == 0 || s.StaleReplies == 0) {
 			t.Errorf("recovery=true: retries %d, abandoned %d, stale replies %d; want each above 0",
-				col.Retries(), col.Abandoned(), col.StaleReplies())
+				s.Retries, s.Abandoned, s.StaleReplies)
 		}
 		if !recovery && cl.Outstanding() == 0 {
 			t.Error("recovery=false: no request was stranded; the run exercises no loss")
@@ -103,11 +103,12 @@ func TestOpenLoopRetransmissionMeasuredFromFirstSend(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if col.Requests() != 2 || col.Timeouts() != 1 || col.Retries() != 1 || cl.Outstanding() != 0 {
+	if s := col.Summary(); s.Requests != 2 || s.Timeouts != 1 || s.Retries != 1 || cl.Outstanding() != 0 {
 		t.Fatalf("completed %d, timeouts %d, retries %d, in flight %d; want 2, 1, 1, 0",
-			col.Requests(), col.Timeouts(), col.Retries(), cl.Outstanding())
+			s.Requests, s.Timeouts, s.Retries, cl.Outstanding())
 	}
-	if r := col.Response(); r.Min() != 20 || r.Max() != 120 {
-		t.Errorf("response times span [%v, %v], want [20, 120]", r.Min(), r.Max())
+	// Two samples with mean 70 and maximum 120 are exactly 20 and 120.
+	if s := col.Summary(); s.MeanResponse != 70 || s.MaxResponse != 120 {
+		t.Errorf("mean/max response %v/%v, want 70/120 (samples 20 and 120)", s.MeanResponse, s.MaxResponse)
 	}
 }

@@ -83,8 +83,7 @@ func (l LatencyModel) cost(a, b ids.NodeID) (delay int64, lane int) {
 type VEngine struct {
 	latency LatencyModel
 	nodes   ids.Table[Node]
-	q       eventQueue
-	fl      msg.Freelist
+	storage
 
 	// now is the timestamp of the event being delivered and seq the
 	// global enqueue counter.
@@ -129,13 +128,34 @@ type VEngine struct {
 	ts     *metrics.TimeSeries
 }
 
-// NewVEngine returns an empty engine.
+// storage is what Release hands a later NewVEngine: the event lanes and the
+// message freelist with its requests, replies and path arrays.
+type storage struct {
+	q  eventQueue
+	fl msg.Freelist
+}
+
+var released ids.Pool[storage]
+
+// NewVEngine returns an empty engine, on a released engine's storage when
+// there is one.
 func NewVEngine(latency LatencyModel) *VEngine {
 	e := &VEngine{latency: latency, current: ids.None}
+	e.storage, _ = released.Get(nil)
 	if latency.QueueService {
 		e.busy = make(map[ids.NodeID]int64)
 	}
 	return e
+}
+
+// Release hands the engine's storage to a later NewVEngine, on any
+// goroutine, once nothing reads a message it delivered; the counters stay
+// readable. Only a drained queue's lanes are handed on: they hold no message.
+func (e *VEngine) Release() {
+	if e.q.Len() == 0 {
+		released.Put(nil, e.storage)
+	}
+	e.storage = storage{}
 }
 
 // Register adds a node. A handler may register nodes during a run: the

@@ -152,11 +152,8 @@ func TestClosedLoopClientRecordsResponseTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Round trip = client→proxy (100) + proxy→client (100) = 200.
-	if got := col.Response().Mean(); got != 200 {
-		t.Errorf("mean response = %v, want 200", got)
-	}
-	if col.Response().N() != 3 {
-		t.Errorf("response samples = %d, want 3", col.Response().N())
+	if s := col.Summary(); s.MeanResponse != 200 || s.MaxResponse != 200 || s.Requests != 3 {
+		t.Errorf("mean/max response %v/%v over %d requests, want 200/200 over 3", s.MeanResponse, s.MaxResponse, s.Requests)
 	}
 }
 
@@ -220,7 +217,7 @@ func TestOpenLoopClientInjectsAtRate(t *testing.T) {
 		}
 	}
 	// Response time = 2×500 regardless of concurrency.
-	if got := col.Response().Mean(); got != 1000 {
+	if got := col.Summary().MeanResponse; got != 1000 {
 		t.Errorf("mean response = %v, want 1000", got)
 	}
 }
@@ -266,5 +263,58 @@ func TestOpenLoopClientPoissonDeterministic(t *testing.T) {
 	}
 	if !varied {
 		t.Error("poisson gaps look fixed")
+	}
+}
+
+// TestReleaseHandsOnOnlyDrainedLanes: Release hands a drained engine's
+// event lanes to the next NewVEngine, and no slot of them, up to capacity,
+// still holds a message, so pooled lanes keep no delivered message alive.
+// An engine whose queue still holds events hands nothing on.
+func TestReleaseHandsOnOnlyDrainedLanes(t *testing.T) {
+	for {
+		if _, ok := released.Get(nil); !ok {
+			break
+		}
+	}
+	eng := NewVEngine(LatencyModel{ClientProxy: 500, ProxyProxy: 1, ProxyOrigin: 1})
+	if err := eng.Register(&delayProbe{id: 0, reply: true}); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewClient(ClientConfig{
+		Source:        trace.NewSliceSource(make([]ids.ObjectID, 50)),
+		Proxies:       []ids.NodeID{0},
+		Collector:     metrics.NewCollector(metrics.WithSampleEvery(0)),
+		IntervalTicks: 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Register(cl); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range eng.q.src {
+		if len(l.ev) != 0 || l.head != 0 {
+			t.Errorf("lane %d of a drained queue: len %d, head %d", i, len(l.ev), l.head)
+		}
+		for j, ev := range l.ev[:cap(l.ev)] {
+			if ev.m != nil {
+				t.Fatalf("lane %d slot %d of a drained queue still holds %T", i, j, ev.m)
+			}
+		}
+	}
+	client := eng.q.src[laneClient].ev[:1]
+	eng.Release()
+	next := NewVEngine(LatencyModel{})
+	if got := next.q.src[laneClient].ev; cap(got) == 0 || &got[:1][0] != &client[0] {
+		t.Fatal("the engine after a Release did not take the released lanes")
+	}
+
+	next.Send(&msg.Request{To: 0})
+	next.Release()
+	if s, ok := released.Get(nil); ok {
+		t.Fatalf("an engine with %d queued events handed its storage on", s.q.Len())
 	}
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -13,30 +12,21 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestOnlineBasics(t *testing.T) {
 	var o Online
-	if o.N() != 0 || o.Mean() != 0 {
+	if o.Mean() != 0 || o.Max() != 0 {
 		t.Error("zero-value Online must report zeros")
 	}
+	for _, x := range []float64{-3, -5, -1, -4} {
+		o.Add(x)
+	}
+	if !almost(o.Mean(), -3.25) || o.Max() != -1 {
+		t.Errorf("Mean/Max = %v/%v, want -3.25/-1 (the first observation sets the maximum)", o.Mean(), o.Max())
+	}
+	o = Online{}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		o.Add(x)
 	}
-	if o.N() != 8 {
-		t.Errorf("N = %d", o.N())
-	}
-	if !almost(o.Mean(), 5) {
-		t.Errorf("Mean = %v, want 5", o.Mean())
-	}
-	if o.Min() != 2 || o.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", o.Min(), o.Max())
-	}
-}
-
-func TestMean(t *testing.T) {
-	if _, err := Mean(nil); !errors.Is(err, ErrEmpty) {
-		t.Error("Mean(nil) must return ErrEmpty")
-	}
-	m, err := Mean([]float64{1, 2, 3})
-	if err != nil || !almost(m, 2) {
-		t.Errorf("Mean = %v, %v", m, err)
+	if !almost(o.Mean(), 5) || o.Max() != 9 {
+		t.Errorf("Mean/Max = %v/%v, want 5/9", o.Mean(), o.Max())
 	}
 }
 

@@ -31,39 +31,11 @@ type SliceBacked interface {
 	Rest() (objs []ids.ObjectID, ok bool)
 }
 
-// Phase identifies the three workload phases of the paper's trace (§V.1.6).
-type Phase int
-
-// Workload phases in stream order.
-const (
-	// PhaseFill is phase 1: population of the object space with almost
-	// no repetitions.
-	PhaseFill Phase = 1
-	// PhaseRequestI is phase 2: Zipf-skewed repeat requests.
-	PhaseRequestI Phase = 2
-	// PhaseRequestII is phase 3: an exact replay of phase 2's stream.
-	PhaseRequestII Phase = 3
-)
-
-// String implements fmt.Stringer.
-func (p Phase) String() string {
-	switch p {
-	case PhaseFill:
-		return "fill"
-	case PhaseRequestI:
-		return "request-I"
-	case PhaseRequestII:
-		return "request-II"
-	default:
-		return fmt.Sprintf("Phase(%d)", int(p))
-	}
-}
-
 // Config parameterises the synthetic PolyMix-like workload.
 type Config struct {
 	// TotalRequests is the length of the stream. The paper's trace has
-	// 3,990,000 requests; PaperConfig uses that, tests and default
-	// benches use scaled-down totals.
+	// 3,990,000 requests; tests and default benches use scaled-down
+	// totals.
 	TotalRequests int
 
 	// FillFraction is the share of requests in the fill phase.
@@ -165,12 +137,6 @@ func (c Config) Validate() error {
 // DefaultConfig returns the standard scaled workload of the given length.
 func DefaultConfig(total int) Config {
 	return Config{TotalRequests: total}.withDefaults()
-}
-
-// PaperConfig returns the full-scale configuration matching the paper's
-// 3.99 M request trace.
-func PaperConfig() Config {
-	return Config{TotalRequests: 3_990_000}.withDefaults()
 }
 
 // Generator produces the three-phase stream. It is deterministic: two

@@ -77,7 +77,7 @@ func TestConfigValidate(t *testing.T) {
 		wantErr bool
 	}{
 		{"defaults ok", Config{TotalRequests: 1000}, false},
-		{"paper", PaperConfig(), false},
+		{"paper", Config{TotalRequests: 3_990_000}, false},
 		{"zero total", Config{}, true},
 		{"bad fill fraction", Config{TotalRequests: 100, FillFraction: 1.5}, true},
 		{"bad alpha", Config{TotalRequests: 100, Alpha: -2}, true},
@@ -326,15 +326,5 @@ func TestGeneratorReset(t *testing.T) {
 		if obj != first[i] {
 			t.Fatalf("reset replay diverged at %d", i)
 		}
-	}
-}
-
-func TestPhaseString(t *testing.T) {
-	if PhaseFill.String() != "fill" || PhaseRequestI.String() != "request-I" ||
-		PhaseRequestII.String() != "request-II" {
-		t.Error("phase names wrong")
-	}
-	if Phase(9).String() != "Phase(9)" {
-		t.Error("unknown phase name wrong")
 	}
 }
