@@ -50,8 +50,9 @@ cover:
 # (what adcsim -config reads) —
 # and over the engine's event queue, whose pop order every golden constant
 # rests on, the two open-addressed tables every proxy message probes (the
-# mapping tables' directory and the request-ID table of pending passes), and
-# the Zipf sampler's guide-table draw, held to a binary search over its CDF.
+# mapping tables' directory and the request-ID table of pending passes), the
+# ordered tables' heap, held to the paper's sorted list, and the Zipf
+# sampler's guide-table draw, held to a binary search over its CDF.
 # The committed seed corpora under testdata/fuzz also run as ordinary test
 # cases in `make test`.
 fuzz:
@@ -66,6 +67,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPromtextParse -fuzztime 10s ./internal/promtext/
 	$(GO) test -run '^$$' -fuzz FuzzEventQueueOrder -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzDirectory -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzOrdered -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzReqTable -fuzztime 10s ./internal/ids/
 	$(GO) test -run '^$$' -fuzz FuzzTraceReaders -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzConfigParse -fuzztime 10s ./internal/config/

@@ -107,10 +107,12 @@ type TableBackend string
 
 // Supported backends.
 const (
-	// BackendBTree is a bounded block B-tree keyed by (Key, Object):
-	// O(log n) search with block-local memmoves. Default — it is the
-	// "more adapted data structure" the paper calls for in §V.3.3 and
-	// produces byte-identical results to the list.
+	// BackendBTree is a binary max-heap keyed by (Key, Object): the
+	// worst entry, all any decision reads, at the root, and O(log n)
+	// inserts and removals. Default — it is the "more adapted data
+	// structure" the paper calls for in §V.3.3 and produces
+	// byte-identical results to the list. The name dates from the block
+	// B-tree it replaced.
 	BackendBTree TableBackend = "btree"
 	// BackendList is the fully paper-faithful O(n) linked list, for
 	// the Fig. 15 timing reproduction only.
@@ -162,7 +164,8 @@ type Config struct {
 	// vtime.
 	Runtime Runtime
 
-	// Backend selects the ordered-table implementation. Default btree.
+	// Backend selects the ordered-table implementation. Default btree,
+	// the binary max-heap.
 	Backend TableBackend
 
 	// CacheLRU replaces selective caching with cache-all-passing LRU

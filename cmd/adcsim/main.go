@@ -67,7 +67,7 @@ func run(args []string) error {
 		maxHops      = fs.Int("maxhops", def.MaxHops, "forwarding bound (0 = unbounded)")
 		seed         = fs.Int64("seed", def.Seed, "random seed")
 		runtime      = fs.String("runtime", "sequential", "latency preset of the one engine: sequential (zero-cost links, FIFO delivery) or vtime (WAN latencies, response times)")
-		backend      = fs.String("backend", "", "ordered-table backend: btree (default) or list")
+		backend      = fs.String("backend", "", "ordered-table backend: btree (default, a binary max-heap) or list")
 		entry        = fs.String("entry", "random", "entry policy: random, round-robin or fixed")
 		requests     = fs.Int("requests", def.Workload.Requests, "synthetic workload length")
 		population   = fs.Int("population", def.Workload.Population, "hot object population of the request phases (0 = 20% of the fill phase's objects)")

@@ -115,7 +115,7 @@ func run(args []string) error {
 		metric     = fs.String("metric", "hits", "study: "+metricNames())
 		losses     = fs.String("losses", "", "resilience loss rates, comma-separated (default 0,0.005,0.01,0.02,0.05)")
 		recovery   = fs.String("recovery", "", "resilience recovery parameters, e.g. 'timeout=400000,retries=8' (empty = defaults)")
-		backend    = fs.String("backend", "", "ordered-table backend: btree (default) or list")
+		backend    = fs.String("backend", "", "ordered-table backend: btree (default, a binary max-heap) or list")
 		out        = fs.String("out", "", "write each study's CSVs into this directory, under fixed names")
 		parallel   = fs.Int("parallel", runtime.NumCPU(), "concurrent simulations (1 = sequential; use 1 for -metric time)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")

@@ -21,7 +21,8 @@ type Profile struct {
 	Seed int64
 	// Entry selects the client entry policy (default random).
 	Entry EntryPolicy
-	// Backend selects the ordered-table implementation (default btree).
+	// Backend selects the ordered-table implementation (default btree,
+	// the binary max-heap).
 	// Experiments that sweep backends themselves (TimingSweep,
 	// BackendComparison) ignore it.
 	Backend TableBackend
@@ -271,7 +272,8 @@ func ResponseTime(p Profile, openLoopInterval int64) (*ResponseResult, error) {
 // BackendPoint is one run of the data-structure study (§V.3.3's proposed
 // speed-up, quantified).
 type BackendPoint struct {
-	// Backend is "list" (paper-faithful) or "btree".
+	// Backend is "list" (paper-faithful) or "btree" (the binary
+	// max-heap).
 	Backend string
 	// Elapsed is the wall-clock runtime of the identical simulation.
 	Elapsed time.Duration

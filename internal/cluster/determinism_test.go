@@ -58,7 +58,7 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 // TestBackendDeterminism asserts that the ordered-table backend is
-// unobservable in simulation results: the default btree (with the unified
+// unobservable in simulation results: the default heap (with the unified
 // directory) and the paper's linked list must produce byte-identical
 // summaries, time series and per-proxy statistics. This is the guard that
 // lets the backend change default without perturbing any

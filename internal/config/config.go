@@ -34,7 +34,7 @@ type File struct {
 	// Runtime is the engine's latency preset: "sequential" (default,
 	// zero-cost links) or "vtime" (the latency model).
 	Runtime string `json:"runtime,omitempty"`
-	// Backend: "btree" (default) or "list".
+	// Backend: "btree" (default, the binary max-heap) or "list".
 	Backend string `json:"backend,omitempty"`
 
 	// Workload describes the synthetic request stream; ignored when a

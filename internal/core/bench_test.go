@@ -10,7 +10,7 @@ import (
 )
 
 // Micro-benchmarks for the ordered-table backends: the paper's Fig. 15
-// bottleneck (list) and the default block B-tree. Run with
+// bottleneck (list) and the default binary max-heap. Run with
 // `go test -bench=Ordered ./internal/core`.
 
 func benchmarkOrderedUpdate(b *testing.B, backend Backend, size int) {

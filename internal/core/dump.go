@@ -11,7 +11,9 @@ import (
 // argument lets the dump show aged averages next to the stored ones.
 func DumpTable(w io.Writer, title string, entries []*Entry, now int64) error {
 	var b strings.Builder
-	dumpHeader(&b, title, len(entries))
+	fmt.Fprintf(&b, "%s (%d entries)\n", title, len(entries))
+	fmt.Fprintf(&b, "%-14s %-10s %6s %6s %6s %6s\n",
+		"OBJ-ID", "PROXY", "LAST", "AVG", "HITS", "AGED")
 	for _, e := range entries {
 		fmt.Fprintf(&b, "%s %6d\n", e, e.AgedAverage(now))
 	}
@@ -19,31 +21,14 @@ func DumpTable(w io.Writer, title string, entries []*Entry, now int64) error {
 	return err
 }
 
-func dumpHeader(b *strings.Builder, title string, n int) {
-	fmt.Fprintf(b, "%s (%d entries)\n", title, n)
-	fmt.Fprintf(b, "%-14s %-10s %6s %6s %6s %6s\n",
-		"OBJ-ID", "PROXY", "LAST", "AVG", "HITS", "AGED")
-}
-
-// dumpEach writes a table via its Each iterator, with no entry-slice copy.
-func dumpEach(w io.Writer, title string, n int, each func(func(*Entry) bool), now int64) error {
-	var b strings.Builder
-	dumpHeader(&b, title, n)
-	each(func(e *Entry) bool {
-		fmt.Fprintf(&b, "%s %6d\n", e, e.AgedAverage(now))
-		return true
-	})
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// Dump writes all three tables of t in paper order.
+// Dump writes all three tables of t in paper order, each ordered table in
+// ascending key order.
 func (t *Tables) Dump(w io.Writer, now int64) error {
-	if err := dumpEach(w, "Caching Table", t.caching.Len(), t.caching.Each, now); err != nil {
+	if err := DumpTable(w, "Caching Table", t.caching.Entries(), now); err != nil {
 		return err
 	}
-	if err := dumpEach(w, "Multiple-Table", t.multiple.Len(), t.multiple.Each, now); err != nil {
+	if err := DumpTable(w, "Multiple-Table", t.multiple.Entries(), now); err != nil {
 		return err
 	}
-	return dumpEach(w, "Single-Table", t.single.Len(), t.single.Each, now)
+	return DumpTable(w, "Single-Table", t.single.Entries(), now)
 }

@@ -30,6 +30,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/adc-sim/adc/internal/ids"
 )
@@ -40,9 +41,10 @@ import (
 // Avg and Last (through Key) decide where an ordered table stores the
 // entry, and the default backend keeps a copy of the key beside its
 // pointer: never assign either while the entry sits in an ordered table.
-// 64 bytes, one cache line: Location, noAge and kind share one word, and
-// the replica set, which only the replication extension fills, sits behind
-// one pointer. The unexported fields are the owning Tables' bookkeeping.
+// 64 bytes, one cache line: Location, noAge and kind share one word, Hits
+// and the heap index another, and the replica set, which only the
+// replication extension fills, sits behind one pointer. The unexported
+// fields are the owning Tables' bookkeeping.
 type Entry struct {
 	// Object is the mapped object ID (the paper's URL column).
 	Object ids.ObjectID
@@ -71,8 +73,14 @@ type Entry struct {
 	// two requests (the AVG column). 0 until the second request.
 	Avg int64
 
-	// Hits counts how many times the object has been requested here.
-	Hits int64
+	// Hits counts how many times the object has been requested here,
+	// saturating at math.MaxInt32; decisions read only whether it is at
+	// most 1 or 2.
+	Hits int32
+
+	// heap is the entry's cell in the heap backend's array while that
+	// table holds it.
+	heap int32
 
 	// replicas holds the replica set (see Replicas); nil while the set
 	// is empty, which in stock ADC is always.
@@ -133,7 +141,9 @@ func (e *Entry) CalcAverage(now int64) {
 	} else {
 		e.Avg = (e.Avg + gap) / 2
 	}
-	e.Hits++
+	if e.Hits < math.MaxInt32 {
+		e.Hits++
+	}
 	e.Last = now
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -54,6 +55,21 @@ func TestCalcAverageMovingAverage(t *testing.T) {
 	}
 	if e.Hits != 4 {
 		t.Errorf("Hits = %d, want 4", e.Hits)
+	}
+}
+
+// TestCalcAverageSaturatesHits: Hits stops at math.MaxInt32 instead of
+// wrapping negative, where it would read as a first sighting (Hits ≤ 1)
+// and reseed the average with the raw gap.
+func TestCalcAverageSaturatesHits(t *testing.T) {
+	e := NewEntry(1, 0, 100)
+	e.Avg, e.Hits = 40, math.MaxInt32
+	e.CalcAverage(120) // avg = (40 + 20) / 2 = 30
+	if e.Hits != math.MaxInt32 {
+		t.Errorf("Hits = %d, want it held at %d", e.Hits, math.MaxInt32)
+	}
+	if e.Avg != 30 || e.Last != 120 {
+		t.Errorf("Avg, Last = %d, %d; want the moving average 30, 120", e.Avg, e.Last)
 	}
 }
 

@@ -35,16 +35,16 @@ func (a *entryArena) get(obj ids.ObjectID, loc ids.NodeID, now int64) *Entry {
 
 // TestTablesBytesPerSlot bounds the live heap of one reference-size Tables
 // (20k/20k/10k, §V.2) filled by seeded churn: entries, arena slabs, the
-// ordered tables' blocks and the directory, per table slot. It first empties
-// the pools the Tables would draw from, so all its storage is new, and reads
-// HeapAlloc after two full collections, so it must not run beside parallel
-// tests.
+// ordered tables' heap arrays and the directory, per table slot. It first
+// empties the pools the Tables would draw from, so all its storage is new,
+// and reads HeapAlloc after two full collections, so it must not run beside
+// parallel tests.
 func TestTablesBytesPerSlot(t *testing.T) {
 	const (
 		single, multiple, caching = 20_000, 20_000, 10_000
 		slots                     = single + multiple + caching
 		objects, updates          = 60_000, 400_000
-		maxBytesPerSlot           = 120
+		maxBytesPerSlot           = 105
 	)
 	heap := func() uint64 {
 		var ms runtime.MemStats
@@ -55,7 +55,9 @@ func TestTablesBytesPerSlot(t *testing.T) {
 	}
 	for _, ok := slabPool.Get(nil); ok; _, ok = slabPool.Get(nil) {
 	}
-	for _, ok := blockPool.Get(nil); ok; _, ok = blockPool.Get(nil) {
+	for _, capacity := range []int{multiple, caching} {
+		for _, ok := heapPool.Get(capacity); ok; _, ok = heapPool.Get(capacity) {
+		}
 	}
 	dirSize := 1 << bits.Len(uint(2*(slots+1)-1)) // newDirectory of slots+1 entries
 	for _, ok := dirPool.Get(dirSize); ok; _, ok = dirPool.Get(dirSize) {

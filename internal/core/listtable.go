@@ -1,6 +1,10 @@
 package core
 
-import "github.com/adc-sim/adc/internal/ids"
+import (
+	"fmt"
+
+	"github.com/adc-sim/adc/internal/ids"
+)
 
 // listTable is the paper-faithful ordered-table backend: a sorted doubly
 // linked list searched element-wise, the structure whose cost the paper
@@ -105,4 +109,14 @@ func (t *listTable) unlink(e *Entry) {
 	e.next.prev = e.prev
 	e.prev, e.next = nil, nil
 	t.size--
+}
+
+// check verifies that the list ascends by (Key, Object).
+func (t *listTable) check() error {
+	for e := t.head.next; e != &t.tail && e.next != &t.tail; e = e.next {
+		if !less(e, e.next) {
+			return fmt.Errorf("list table out of order at object %v", e.next.Object)
+		}
+	}
+	return nil
 }

@@ -145,7 +145,7 @@ func compareState(t *testing.T, step int, tbl *Tables, ref *refTables) {
 		for i := range got {
 			g, w := got[i], want[i]
 			if g.Object != w.obj || g.Location != w.loc || g.Last != w.last ||
-				g.Avg != w.avg || g.Hits != w.hits {
+				g.Avg != w.avg || int64(g.Hits) != w.hits {
 				t.Fatalf("step %d: %s[%d] = {%v %v %d %d %d}, model {%v %v %d %d %d}",
 					step, name, i,
 					g.Object, g.Location, g.Last, g.Avg, g.Hits,

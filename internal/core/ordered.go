@@ -31,11 +31,11 @@ type Ordered interface {
 	// Get returns the entry for obj without removing it, or nil.
 	Get(obj ids.ObjectID) *Entry
 	// RemoveEntry takes a known-present entry out of the table without a
-	// by-object search: the backend locates it by its (Key, Object)
-	// position. The entry must currently be stored and its key unchanged
-	// since Insert — the default backend keeps the key Insert saw beside
-	// the pointer and panics if (e.Key(), e.Object) no longer leads to
-	// e's own cell. RemoveEntry first, then CalcAverage, then Insert.
+	// by-object search. The entry must currently be stored and its key
+	// unchanged since Insert — the default backend finds e's cell through
+	// the index e records, keeps the key Insert saw beside the pointer,
+	// and panics if that cell no longer holds e under e.Key().
+	// RemoveEntry first, then CalcAverage, then Insert.
 	RemoveEntry(e *Entry)
 	// Insert places e at its ordered position (the paper's
 	// InsertOrdered). If the table is full, the worst entry — the one
@@ -45,9 +45,11 @@ type Ordered interface {
 	// WorstKey returns the largest key in the table; ok is false when
 	// the table is empty.
 	WorstKey() (key int64, ok bool)
-	// Each calls fn for every entry in ascending key order until fn
-	// returns false. It allocates nothing; the entries must not be
-	// mutated or reinserted during the walk.
+	// Each calls fn for every entry until fn returns false, in the
+	// order the backend stores them: ascending key on the list, heap
+	// order on the default backend, recency on the admit-all cache. It
+	// allocates nothing; the entries must not be mutated or reinserted
+	// during the walk.
 	Each(fn func(*Entry) bool)
 	// Entries returns the entries in ascending key order. The slice is
 	// freshly allocated; the entries are shared. Prefer Each on any
@@ -60,12 +62,12 @@ type Backend int
 
 // Supported ordered-table backends.
 const (
-	// BackendBTree is the default: a bounded B-tree-like structure of
-	// small sorted blocks keyed by (Key, Object). O(log n) search with
-	// block-local memmoves, so reference-size tables (20k entries, §V.2)
-	// never shift their whole backing array. It is the "more adapted
+	// BackendBTree is the default: a binary max-heap over (Key, Object)
+	// whose entries record their cell, so WorstKey reads the root and
+	// Insert and RemoveEntry sift in O(log n). It is the "more adapted
 	// data structure [that] should provide speed-ups" the paper calls
-	// for in §V.3.3.
+	// for in §V.3.3. The name, and its flag value "btree", date from
+	// the block B-tree it replaced; configs and the benchmark pass them.
 	BackendBTree Backend = iota
 	// BackendList is the fully paper-faithful sorted linked list with
 	// element-wise search, used by the Fig. 15 timing reproduction.
@@ -105,5 +107,5 @@ func NewOrdered(capacity int, backend Backend) Ordered {
 	if backend == BackendList {
 		return newListTable(capacity)
 	}
-	return newBTreeTable(capacity)
+	return newHeapTable(capacity)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,7 +10,7 @@ import (
 	"github.com/adc-sim/adc/internal/ids"
 )
 
-// Every Ordered test runs against every backend: the default btree and the
+// Every Ordered test runs against every backend: the default heap and the
 // paper's own linked list.
 func forEachBackend(t *testing.T, capacity int, fn func(t *testing.T, tbl Ordered)) {
 	t.Helper()
@@ -38,8 +39,17 @@ func removeObj(tbl interface {
 	return e
 }
 
-// removeWorst evicts tbl's worst entry as a full table's Insert does.
+// removeWorst evicts tbl's worst entry as a full table's Insert does, or
+// returns nil when tbl is empty.
 func removeWorst(tbl Ordered) *Entry {
+	if h, ok := tbl.(*heapTable); ok {
+		if h.Len() == 0 {
+			return nil
+		}
+		e := h.cells[0].e
+		h.RemoveEntry(e)
+		return e
+	}
 	return tbl.(interface{ removeWorst() *Entry }).removeWorst()
 }
 
@@ -294,72 +304,6 @@ func TestOrderedPropertySortedAndBounded(t *testing.T) {
 	}
 }
 
-// TestBTreeMergeRule drives one btree table through the churn that spreads
-// it thin — entries re-inserted at the front, removals from the middle and
-// the back — and checks its structure after every operation: no block
-// below a quarter full beside one it fits into, after removals and after
-// splits alike, with the cells always in order.
-func TestBTreeMergeRule(t *testing.T) {
-	const capacity = 3000
-	bt := newBTreeTable(capacity)
-	var held []*Entry
-	rng := rand.New(rand.NewSource(9))
-	front := int64(0)
-	for step := 0; step < 60_000; step++ {
-		switch op := rng.Intn(10); {
-		case op < 6 || len(held) == 0:
-			// A fresh entry ahead of everything, as an in-place update
-			// leaves it, or anywhere.
-			e := &Entry{Object: ids.ObjectID(step), Avg: int64(rng.Intn(1 << 20))}
-			if op < 3 {
-				front--
-				e.Avg = front
-			}
-			held = append(held, e)
-			if evicted := bt.Insert(e); evicted != nil {
-				held = slices.DeleteFunc(held, func(h *Entry) bool { return h == evicted })
-			}
-		case op < 9:
-			i := rng.Intn(len(held))
-			bt.RemoveEntry(held[i])
-			held[i] = held[len(held)-1]
-			held = held[:len(held)-1]
-		default:
-			worst := bt.removeWorst()
-			held = slices.DeleteFunc(held, func(h *Entry) bool { return h == worst })
-		}
-		if err := bt.check(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if bt.Len() != len(held) {
-			t.Fatalf("step %d: table holds %d entries, %d were inserted and not removed", step, bt.Len(), len(held))
-		}
-	}
-	t.Logf("%d entries in %d blocks", bt.Len(), len(bt.blocks))
-
-	// Random churn rarely grows the neighbour of a small block to a
-	// split, so that case is built by hand: a 20-cell block beside a full
-	// one may stay, but not beside either half of it once it splits.
-	bt = newBTreeTable(capacity)
-	block := func(from, to int) []btreeCell {
-		blk := make([]btreeCell, 0, btreeMaxBlock+1)
-		for k := from; k < to; k++ {
-			e := &Entry{Object: ids.ObjectID(k), Avg: int64(2 * k)}
-			blk = append(blk, btreeCell{key: e.Key(), obj: e.Object, e: e})
-		}
-		return blk
-	}
-	bt.blocks = [][]btreeCell{block(0, 20), block(20, 20+btreeMaxBlock)}
-	bt.size = 20 + btreeMaxBlock
-	if err := bt.check(); err != nil {
-		t.Fatalf("before the split: %v", err)
-	}
-	bt.Insert(&Entry{Object: 1000, Avg: 2*100 + 1})
-	if err := bt.check(); err != nil {
-		t.Fatalf("after the split: %v", err)
-	}
-}
-
 // TestLRUOrderedOrdersByRecency covers the admit-all ablation's caching
 // table, which orders by insertion recency, not by key: Entries and Each
 // walk from the newest entry, WorstKey reports the oldest entry's key
@@ -402,4 +346,97 @@ func TestLRUOrderedOrdersByRecency(t *testing.T) {
 	if evicted := newLRUOrdered(0).Insert(mkEntry(5, 1)); evicted == nil || evicted.Object != 5 {
 		t.Errorf("a zero-capacity table kept its insert (evicted %v)", evicted)
 	}
+}
+
+// FuzzOrdered drives the heap and the list backend in lockstep, the list
+// as the reference. The first byte sets the capacity (0–7); then two bytes
+// an op: op%3 and an argument. 0 inserts a fresh object with key arg%8, so
+// keys repeat; 1 removes the resident at rank arg (RemoveEntry); 2 takes
+// that resident out, folds an access arg%4 ticks later into it
+// (CalcAverage) and reinserts it. After every op both must have evicted
+// the same object, and agree on WorstKey, Len and Entries, with both
+// structures checking clean.
+func FuzzOrdered(f *testing.F) {
+	f.Add([]byte{4, 0, 3, 0, 3, 0, 1, 0, 5, 0, 0, 1, 1, 2, 0})
+	f.Add([]byte{3, 0, 7, 0, 6, 0, 5, 0, 4, 0, 3, 2, 2, 2, 0, 1, 1})
+	f.Add([]byte{0, 0, 1, 2, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		capacity := int(data[0] % 8)
+		tables := []Ordered{newHeapTable(capacity), newListTable(capacity)}
+		held := []map[ids.ObjectID]*Entry{{}, {}}
+		next, now := ids.ObjectID(0), int64(0)
+		// rank returns the resident at position arg in ascending order.
+		rank := func(arg byte) ids.ObjectID {
+			es := tables[1].Entries()
+			return es[int(arg)%len(es)].Object
+		}
+		for i := 1; i+1 < len(data); i += 2 {
+			op, arg := data[i]%3, data[i+1]
+			evicted := [2]ids.ObjectID{noObj, noObj}
+			switch {
+			case op == 0:
+				next++
+				for b, tbl := range tables {
+					e := mkEntry(next, int64(arg%8))
+					held[b][next] = e
+					if out := tbl.Insert(e); out != nil {
+						evicted[b] = out.Object
+						delete(held[b], out.Object)
+					}
+				}
+			case tables[1].Len() == 0:
+			case op == 1:
+				obj := rank(arg)
+				for b, tbl := range tables {
+					tbl.RemoveEntry(held[b][obj])
+					delete(held[b], obj)
+				}
+			default:
+				obj := rank(arg)
+				now += int64(arg % 4)
+				for b, tbl := range tables {
+					e := held[b][obj]
+					tbl.RemoveEntry(e)
+					e.CalcAverage(now)
+					if out := tbl.Insert(e); out != nil {
+						evicted[b] = out.Object
+						delete(held[b], out.Object)
+					}
+				}
+			}
+			if evicted[0] != evicted[1] {
+				t.Fatalf("op %d: heap evicted %v, list %v", i/2, evicted[0], evicted[1])
+			}
+			if err := agreeOrdered(tables[0], tables[1]); err != nil {
+				t.Fatalf("op %d (%d, %d): %v", i/2, op, arg, err)
+			}
+		}
+	})
+}
+
+// agreeOrdered reports the first difference between tbl and the reference
+// ref in Len, WorstKey or Entries, or a failed check of either.
+func agreeOrdered(tbl, ref Ordered) error {
+	for _, o := range []Ordered{tbl, ref} {
+		if err := o.(interface{ check() error }).check(); err != nil {
+			return err
+		}
+	}
+	if tbl.Len() != ref.Len() {
+		return fmt.Errorf("Len %d, reference %d", tbl.Len(), ref.Len())
+	}
+	k, ok := tbl.WorstKey()
+	if rk, rok := ref.WorstKey(); k != rk || ok != rok {
+		return fmt.Errorf("WorstKey %d, %v; reference %d, %v", k, ok, rk, rok)
+	}
+	got, want := tbl.Entries(), ref.Entries()
+	for i := range got {
+		if got[i].Object != want[i].Object {
+			return fmt.Errorf("Entries[%d] is object %v, reference %v", i, got[i].Object, want[i].Object)
+		}
+	}
+	return nil
 }

@@ -17,7 +17,7 @@ type Config struct {
 	// CachingSize is the caching-table capacity — the local cache size.
 	CachingSize int
 	// Backend selects the ordered-table implementation (default: btree,
-	// the bounded block B-tree).
+	// the binary max-heap).
 	Backend Backend
 	// CacheAdmitAll replaces selective caching with the behaviour the
 	// paper ascribes to hierarchical and hashing systems: "every proxy
@@ -368,7 +368,7 @@ func (t *Tables) Recycle(out Outcome) {
 }
 
 // Release zeroes the tables' storage — directory cells, entry slabs and
-// B-tree blocks — and hands it to shared pools, from which later NewTables
+// heap arrays — and hands it to shared pools, from which later NewTables
 // calls of any goroutine draw, and clears t so that any later use panics
 // instead of reading another run's state. Call it only when nothing will
 // read these tables or their entries again; Release of a released Tables
@@ -379,8 +379,8 @@ func (t *Tables) Release() {
 	}
 	t.arena.release()
 	for _, o := range []Ordered{t.caching, t.multiple} {
-		if bt, ok := o.(*btreeTable); ok {
-			bt.release()
+		if h, ok := o.(*heapTable); ok {
+			h.release()
 		}
 	}
 	*t = Tables{}
@@ -443,34 +443,35 @@ func (t *Tables) Len() int {
 
 // CheckInvariants verifies what must hold between operations (DESIGN.md
 // §10, items 1–3) and reports the first violation: every table within its
-// capacity; the ordered tables ascending by (Key, Object), every key a
-// btree block stores inline still equal to its entry's, and no btree block
-// below a quarter full beside one it fits into; every object in
-// exactly one table, with the entry's kind naming it; every replica set
-// proxies only, ascending and without repeats; the directory holding
-// exactly the entries the tables hold, each reachable from its home cell;
-// and no entry on the arena's free list still in a table or still
-// carrying a replica set. It walks all state — tests and debugging, not
-// the request path.
+// capacity; the ordered tables in (Key, Object) order — a list ascending,
+// a heap with no cell before a child of its, every key a heap cell stores
+// inline still equal to its entry's and every entry recording its own
+// cell; every object in exactly one table, with the entry's kind naming
+// it; every replica set proxies only, ascending and without repeats; the
+// directory holding exactly the entries the tables hold, each reachable
+// from its home cell; and no entry on the arena's free list still in a
+// table or still carrying a replica set. It walks all state — tests and
+// debugging, not the request path.
 func (t *Tables) CheckInvariants() error {
 	seen := make(map[ids.ObjectID]*Entry, t.Len())
 	for _, tb := range []struct {
 		kind             Kind
 		length, capacity int
-		sorted           bool // the admit-all cache orders by recency, not by key
 		each             func(func(*Entry) bool)
 	}{
-		{KindCaching, t.caching.Len(), t.caching.Cap(), !t.admitAll, t.caching.Each},
-		{KindMultiple, t.multiple.Len(), t.multiple.Cap(), true, t.multiple.Each},
-		{KindSingle, t.single.Len(), t.single.Cap(), false, t.single.Each},
+		{KindCaching, t.caching.Len(), t.caching.Cap(), t.caching.Each},
+		{KindMultiple, t.multiple.Len(), t.multiple.Cap(), t.multiple.Each},
+		{KindSingle, t.single.Len(), t.single.Cap(), t.single.Each},
 	} {
-		if err := t.checkTable(seen, tb.kind, tb.length, tb.capacity, tb.sorted, tb.each); err != nil {
+		if err := t.checkTable(seen, tb.kind, tb.length, tb.capacity, tb.each); err != nil {
 			return err
 		}
 	}
+	// The list and the heap check their own order; the admit-all cache
+	// orders by recency and has no check.
 	for _, o := range []Ordered{t.caching, t.multiple} {
-		if bt, ok := o.(*btreeTable); ok {
-			if err := bt.check(); err != nil {
+		if c, ok := o.(interface{ check() error }); ok {
+			if err := c.check(); err != nil {
 				return err
 			}
 		}
@@ -495,12 +496,11 @@ func (t *Tables) CheckInvariants() error {
 
 // checkTable is CheckInvariants for one table, given as its kind, length,
 // capacity and iterator; seen collects the entries of the tables so far.
-func (t *Tables) checkTable(seen map[ids.ObjectID]*Entry, kind Kind, length, capacity int, sorted bool, each func(func(*Entry) bool)) error {
+func (t *Tables) checkTable(seen map[ids.ObjectID]*Entry, kind Kind, length, capacity int, each func(func(*Entry) bool)) error {
 	if length > capacity {
 		return fmt.Errorf("%v table holds %d entries, capacity %d", kind, length, capacity)
 	}
 	var err error
-	var prev *Entry
 	n := 0
 	each(func(e *Entry) bool {
 		switch {
@@ -508,14 +508,12 @@ func (t *Tables) checkTable(seen map[ids.ObjectID]*Entry, kind Kind, length, cap
 			err = fmt.Errorf("object %v is in the %v and the %v table", e.Object, seen[e.Object].kind, kind)
 		case e.kind != kind:
 			err = fmt.Errorf("object %v is in the %v table, its entry says %v", e.Object, kind, e.kind)
-		case sorted && prev != nil && !less(prev, e):
-			err = fmt.Errorf("%v table out of order at object %v", kind, e.Object)
 		case t.dir != nil && t.dir.get(e.Object) != e:
 			err = fmt.Errorf("directory does not map object %v to its %v-table entry", e.Object, kind)
 		case !replicasValid(e):
 			err = fmt.Errorf("object %v has replica set %v: want proxies, ascending, without repeats", e.Object, e.Replicas())
 		}
-		seen[e.Object], prev = e, e
+		seen[e.Object] = e
 		n++
 		return err == nil
 	})

@@ -144,7 +144,7 @@ func BackendComparison(p Profile, requests int) ([]BackendPoint, error) {
 	}
 	variants := []core.Backend{
 		core.BackendList,  // the paper's implementation
-		core.BackendBTree, // the default block B-tree
+		core.BackendBTree, // the default binary max-heap
 	}
 	wcfg := p.WorkloadConfig()
 	if requests > 0 {

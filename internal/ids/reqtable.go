@@ -1,21 +1,24 @@
 package ids
 
-import "math/bits"
+import (
+	"math/bits"
+	"unsafe"
+)
 
 // ReqTable holds per-request state keyed by RequestID: a flat open-addressed
 // hash table, probed linearly, with a multiplicative hash. Deletion shifts
 // the rest of the probe run back over the hole, so there are no tombstones
-// and a miss stops at the first empty cell; the table doubles when an insert
-// would take it above load ½.
+// and a miss stops at the first empty cell; the table at least doubles when
+// an insert would take it above load ½.
 //
 // Key 0 marks an empty cell and is not a valid key. NewRequestID never mints
 // it — every client counts its requests from 1 — and Upsert panics on it.
 // The table is never iterated, so its layout reaches no result, only probe
 // lengths.
 //
-// The zero value is an empty table that allocates on its first Upsert. A
-// pointer returned by Find or Upsert stays valid until the next Upsert or
-// Delete, either of which may move cells.
+// The zero value is an empty table that takes released cells or allocates
+// on its first Upsert. A pointer returned by Find or Upsert stays valid
+// until the next Upsert or Delete, either of which may move cells.
 type ReqTable[V any] struct {
 	cells []reqCell[V]
 	mask  uint64
@@ -114,38 +117,55 @@ func (t *ReqTable[V]) Delete(id RequestID) {
 	t.n--
 }
 
-// reqCells holds released cell arrays of any size, keyed by cell type.
+// reqCells holds released cell arrays, each as a pointer to its first cell,
+// under reqCellsKey. Neither converts to an interface with an allocation.
 var reqCells Pool[any]
 
-// Release empties the table and hands its cells to the first Upsert of a
-// later table of its type, on any goroutine.
+// reqCellsKey names released arrays of 2^log2 cells of type reqCell[V].
+type reqCellsKey[V any] struct{ log2 int }
+
+// takeCells returns the shortest released array of at least n cells of type
+// reqCell[V], or a new one of n cells; n is a power of two. Its cells are
+// empty.
+func takeCells[V any](n int) []reqCell[V] {
+	for log2 := bits.Len(uint(n)) - 1; log2 < bits.UintSize-1; log2++ {
+		if first, ok := reqCells.Get(reqCellsKey[V]{log2}); ok {
+			return unsafe.Slice(first.(*reqCell[V]), 1<<log2)
+		}
+	}
+	return make([]reqCell[V], n)
+}
+
+// putCells empties cells and releases them to takeCells, on any goroutine.
+func putCells[V any](cells []reqCell[V]) {
+	clear(cells)
+	reqCells.Put(reqCellsKey[V]{bits.Len(uint(len(cells))) - 1}, &cells[0])
+}
+
+// Release empties the table and hands its cells to a later table of its
+// type.
 func (t *ReqTable[V]) Release() {
 	if t.cells != nil {
-		clear(t.cells)
-		reqCells.Put((*reqCell[V])(nil), t.cells)
+		putCells(t.cells)
 	}
 	*t = ReqTable[V]{}
 }
 
-// grow doubles the cell array, or installs released cells or a first array
-// when there is none, and reinserts every stored request.
+// grow moves the stored requests to an array of at least twice the cells,
+// or installs a first array when there is none, and releases the array it
+// outgrew.
 func (t *ReqTable[V]) grow() {
 	old := t.cells
-	var released any
-	if old == nil {
-		released, _ = reqCells.Get((*reqCell[V])(nil))
-	}
-	cells, ok := released.([]reqCell[V])
-	if !ok {
-		cells = make([]reqCell[V], max(2*len(old), reqTableMinCells))
-	}
-	t.cells = cells
-	t.mask = uint64(len(cells) - 1)
-	t.shift = uint(64 - bits.TrailingZeros(uint(len(cells))))
+	t.cells = takeCells[V](max(2*len(old), reqTableMinCells))
+	t.mask = uint64(len(t.cells) - 1)
+	t.shift = uint(64 - bits.TrailingZeros(uint(len(t.cells))))
 	for i := range old {
 		if old[i].id != 0 {
 			*t.free(old[i].id) = old[i]
 		}
+	}
+	if old != nil {
+		putCells(old)
 	}
 }
 

@@ -2,7 +2,10 @@ package ids
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -211,9 +214,57 @@ var fuzzReqWideKeys = func() []RequestID {
 // drainReleasedCells empties the pool of released ReqTable[int] cells, so
 // the next table's first Upsert allocates its first array.
 func drainReleasedCells() {
-	for {
-		if _, ok := reqCells.Get((*reqCell[int])(nil)); !ok {
-			return
+	for log2 := range bits.UintSize {
+		for {
+			if _, ok := reqCells.Get(reqCellsKey[int]{log2}); !ok {
+				break
+			}
+		}
+	}
+}
+
+// TestReqTableTakesReleasedCellsOfItsSize: a growing table draws the
+// shortest released array that holds what it needs and releases the one it
+// outgrew. With one 4096-cell array released and then eight of 16 cells, a
+// table filled to 2000 requests starts on a 16-cell array, moves to the
+// 4096-cell one and allocates nothing. The collector stays off meanwhile:
+// a collection ages the pool and its next Put allocates.
+func TestReqTableTakesReleasedCellsOfItsSize(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	drainReleasedCells()
+	fill := func(tbl *ReqTable[int], n int) {
+		for k := 1; k <= n; k++ {
+			*tbl.Upsert(NewRequestID(0, uint64(k))) = k
+		}
+	}
+	var large ReqTable[int]
+	small := make([]ReqTable[int], 8)
+	fill(&large, 2000)
+	for i := range small {
+		fill(&small[i], 4)
+	}
+	if len(large.cells) != 4096 || len(small[0].cells) != 16 {
+		t.Fatalf("tables of 2000 and 4 requests hold %d and %d cells, want 4096 and 16", len(large.cells), len(small[0].cells))
+	}
+	largeCells := &large.cells[0]
+	large.Release()
+	for i := range small {
+		small[i].Release()
+	}
+	var tbl ReqTable[int]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fill(&tbl, 2000)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("filling a table to 2000 requests on released cells allocated %d times, want 0", n)
+	}
+	if &tbl.cells[0] != largeCells {
+		t.Errorf("the table holds %d cells, not the released 4096-cell array", len(tbl.cells))
+	}
+	for k := 1; k <= 2000; k++ {
+		if v := tbl.Find(NewRequestID(0, uint64(k))); v == nil || *v != k {
+			t.Fatalf("request %d reads %v after the move", k, v)
 		}
 	}
 }

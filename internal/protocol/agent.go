@@ -201,14 +201,16 @@ func (a *Agent) OnEvict(fn func(ids.ObjectID)) { a.onEvict = fn }
 // Restart models a fail-stop restart: the replication controller's state is
 // volatile (hit counts, load estimates and replica tracking died with the
 // process) and a cold restart additionally rebuilds the mapping tables
-// empty. Counters, the logical clock and the random stream survive: they
-// belong to the experiment, not the process.
+// empty, on the storage of the ones it releases. Counters, the logical
+// clock and the random stream survive: they belong to the experiment, not
+// the process.
 func (a *Agent) Restart(loseTables bool) {
 	if a.replica != nil {
 		a.replica = newReplicator(a.replica.cfg)
 		a.replica.sizeLoad(a.peers)
 	}
 	if loseTables {
+		a.tables.Release()
 		// The config was validated at construction, so this cannot fail.
 		if t, err := core.NewTables(a.tablesCfg); err == nil {
 			a.tables = t

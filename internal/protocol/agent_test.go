@@ -1,11 +1,14 @@
 package protocol
 
 import (
+	"math/rand"
 	"os/exec"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/obs"
 )
@@ -206,5 +209,47 @@ func TestEvictHookTracksCachingTable(t *testing.T) {
 		if !a.tables.IsCached(obj) {
 			t.Errorf("store kept %v, which the caching table dropped", obj)
 		}
+	}
+}
+
+// TestColdRestartReleasesTables: a cold restart releases the old tables
+// before it builds the new ones, so the new tables are built on their
+// storage — a first sighting after the restart lands in an entry slot the
+// old tables used — and the restart allocates a small fraction of the
+// ≈ 7 MB a reference-size proxy's tables (20k/20k/10k, §V.2) take. It reads
+// the process-wide allocation counter, so it must not run beside parallel
+// tests.
+func TestColdRestartReleasesTables(t *testing.T) {
+	const maxBytes = 1 << 20
+	a, err := New(Config{ID: 0, Peers: []ids.NodeID{0, 1}, Seed: 1,
+		Tables: core.Config{SingleSize: 20_000, MultipleSize: 20_000, CachingSize: 10_000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for now := int64(1); now <= 200_000; now++ {
+		a.tables.Recycle(a.tables.Update(ids.ObjectID(rng.Intn(60_000)), 1, now))
+	}
+	old := make(map[*core.Entry]bool, a.tables.Len())
+	for _, each := range []func(func(*core.Entry) bool){a.tables.Caching().Each, a.tables.Multiple().Each, a.tables.Single().Each} {
+		each(func(e *core.Entry) bool { old[e] = true; return true })
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a.Restart(true)
+	runtime.ReadMemStats(&after)
+	if n := a.tables.Len(); n != 0 {
+		t.Fatalf("a cold restart left %d entries", n)
+	}
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatalf("tables after a cold restart: %v", err)
+	}
+	const fresh = ids.ObjectID(1 << 40)
+	a.tables.Update(fresh, 1, 1)
+	if e, _ := a.tables.Lookup(fresh); !old[e] {
+		t.Error("the tables after a cold restart did not take the released entry slabs")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= maxBytes {
+		t.Errorf("a cold restart allocated %.2f MB, want < 1 MB", float64(alloc)/(1<<20))
 	}
 }
