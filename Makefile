@@ -305,16 +305,16 @@ bench-profile:
 	@echo "wrote cpu.out, mem.out, core-cpu.out, core-mem.out, workload-cpu.out, workload-mem.out, httpproxy-cpu.out, httpproxy-mem.out and cluster-mem.out"
 
 # Observability smoke: a small lossless traced run on the virtual-time
-# engine, the JSONL validated against the event schema and rebuilt into
-# request trees (any orphaned tree fails), then summarized. The same
+# engine, its events checked against the event schema as adcsim writes
+# them as a span dump, then rebuilt into request trees and summarized by
+# adctrace, which fails on any orphaned tree (-min-complete 1). The same
 # 20 000-request workload is then written with -write-trace and replayed:
 # the replay's requests, hit-rate and hops lines must equal the generated
-# run's. CI uploads trace-smoke.jsonl as a workflow artifact.
+# run's. CI uploads trace-smoke.spans.json as a workflow artifact.
 trace-smoke:
 	$(GO) run ./cmd/adcsim -runtime vtime -requests 20000 -quiet \
-		-trace -trace-out trace-smoke.jsonl
-	$(GO) run ./cmd/adctrace validate trace-smoke.jsonl
-	$(GO) run ./cmd/adctrace summary trace-smoke.jsonl
+		-trace trace-smoke.spans.json
+	$(GO) run ./cmd/adctrace -min-complete 1 trace-smoke.spans.json
 	$(GO) run ./cmd/adcsim -requests 20000 -write-trace trace-smoke.bin
 	$(GO) run ./cmd/adcsim -requests 20000 > trace-smoke.generated.txt
 	$(GO) run ./cmd/adcsim -replay trace-smoke.bin > trace-smoke.replayed.txt
@@ -326,14 +326,14 @@ trace-smoke:
 
 # Farm-telemetry smoke (DESIGN.md §17): a traced chaos run — every request
 # spanned across proxies, every proxy's /metrics scraped and linted against
-# the strict exposition parser — then adctrace farm reconstructs the
+# the strict exposition parser — then adctrace reconstructs the
 # cross-proxy trees from the scraped span dumps and gates on ≥99% of
 # sampled requests forming complete (or explicitly truncated) trees.
 telemetry-smoke:
 	$(GO) run ./cmd/adcload -proxies 8 -rate 1500 -duration 8s -warm 2000 \
 	  -faults 'kill=p2@2s,restart=p2@5s' -probe-interval 50ms -quiet \
 	  -trace-sample 1 -trace-dump telemetry-smoke.spans.json -lint-metrics
-	$(GO) run ./cmd/adctrace farm -min-complete 0.99 telemetry-smoke.spans.json
+	$(GO) run ./cmd/adctrace -min-complete 0.99 telemetry-smoke.spans.json
 
 # Every figure and extension study at 1/10 scale, seed 1: ASCII charts on
 # stdout, the committed figures/*.csv rewritten (Fig. 15's values are wall
@@ -343,4 +343,4 @@ figures:
 
 clean:
 	$(GO) clean ./...
-	rm -rf figures/*.csv cover.out cpu.out mem.out core-cpu.out core-mem.out workload-cpu.out workload-mem.out httpproxy-cpu.out httpproxy-mem.out cluster-mem.out sim.test core.test workload.test httpproxy.test cluster.test trace-smoke.jsonl trace-smoke.bin trace-smoke.*.txt telemetry-smoke.spans.json
+	rm -rf figures/*.csv cover.out cpu.out mem.out core-cpu.out core-mem.out workload-cpu.out workload-mem.out httpproxy-cpu.out httpproxy-mem.out cluster-mem.out sim.test core.test workload.test httpproxy.test cluster.test trace-smoke.spans.json trace-smoke.bin trace-smoke.*.txt telemetry-smoke.spans.json

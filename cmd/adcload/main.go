@@ -16,7 +16,7 @@
 //
 // With -serve it measures nothing: it builds and warms the same farm, prints
 // the proxy URLs, and serves until interrupted, so curl, adctop and
-// adctrace farm can be pointed at it. Every proxy serves /debug/vars,
+// adctrace can be pointed at it. Every proxy serves /debug/vars,
 // /debug/tables, /metrics, /debug/pprof/ and, with -trace-sample N, the
 // /debug/trace span ring.
 //
@@ -155,7 +155,7 @@ type report struct {
 }
 
 // traceReport summarises the run's distributed traces: every proxy's span
-// ring scraped over HTTP (the same surface adctrace farm uses), merged and
+// ring scraped over HTTP (the same surface adctrace uses), merged and
 // reconstructed into per-request trees.
 type traceReport struct {
 	Proxies int `json:"proxies"`
@@ -497,7 +497,7 @@ func serve(cfg config, w io.Writer, stop <-chan os.Signal) error {
 	fmt.Fprintf(w, "\nfetch objects with:\n  curl -H '%s: r1' %s\n", httpproxy.HeaderRequestID, httpproxy.ObjectURL(urls[0], 42))
 	fmt.Fprintf(w, "\nwatch the farm live with:\n  go run ./cmd/adctop %s\n", strings.Join(urls, " "))
 	if cfg.Tracing.SampleEvery > 0 {
-		fmt.Fprintf(w, "\nrebuild the traced requests' trees with:\n  go run ./cmd/adctrace farm %s\n", strings.Join(urls, " "))
+		fmt.Fprintf(w, "\nrebuild the traced requests' trees with:\n  go run ./cmd/adctrace %s\n", strings.Join(urls, " "))
 	}
 	fmt.Fprintln(w, "\nserving; Ctrl-C to stop")
 	<-stop
@@ -506,7 +506,7 @@ func serve(cfg config, w io.Writer, stop <-chan os.Signal) error {
 }
 
 // scrapeTrace collects every proxy's span dump over HTTP, optionally writes
-// the raw dumps (the adctrace farm input format), and builds the tree
+// the raw dumps (the file adctrace reads), and builds the tree
 // census. Unreachable proxies are skipped, not fatal: after a -faults run a
 // victim may legitimately be down, and the census accounts for the hole.
 func scrapeTrace(client *http.Client, f *httpproxy.Farm, dumpPath string) (*traceReport, error) {
@@ -522,11 +522,7 @@ func scrapeTrace(client *http.Client, f *httpproxy.Farm, dumpPath string) (*trac
 		tr.Dropped += d.Dropped
 	}
 	if dumpPath != "" {
-		b, err := json.MarshalIndent(dumps, "", " ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(dumpPath, append(b, '\n'), 0o644); err != nil {
+		if err := writeDumpFile(dumpPath, dumps); err != nil {
 			return nil, fmt.Errorf("adcload: write trace dump: %w", err)
 		}
 	}
@@ -538,6 +534,19 @@ func scrapeTrace(client *http.Client, f *httpproxy.Farm, dumpPath string) (*trac
 	tr.Orphaned = c.Orphaned
 	tr.CompleteFraction = c.CompleteFraction()
 	return tr, nil
+}
+
+// writeDumpFile writes span dumps to path in the file format adctrace reads.
+func writeDumpFile(path string, dumps []obs.SpanDump) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := obs.WriteSpanDumps(f, dumps); err != nil {
+		f.Close() //nolint:errcheck,gosec // write error takes precedence
+		return err
+	}
+	return f.Close()
 }
 
 // lintProxyMetrics scrapes one proxy's /metrics and runs the strict
@@ -693,7 +702,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (cfg config, serve bool, err er
 	fs.DurationVar(&cfg.RetryAfterMax, "retry-after-max", 0, "honor 429 Retry-After up to this backoff (0 = record the shed immediately)")
 	fs.IntVar(&cfg.Tracing.SampleEvery, "trace-sample", 0, "trace 1-in-N entry requests with cross-proxy spans (0 = off, 1 = all)")
 	fs.IntVar(&cfg.Tracing.RingSize, "trace-ring", 0, "per-proxy span ring capacity (0 = default; with -trace-sample or -trace-dump)")
-	fs.StringVar(&cfg.TraceDump, "trace-dump", "", "write scraped span dumps as JSON to this file for adctrace farm (implies -trace-sample 1)")
+	fs.StringVar(&cfg.TraceDump, "trace-dump", "", "write scraped span dumps as JSON to this file for adctrace (implies -trace-sample 1)")
 	fs.BoolVar(&cfg.LintMetrics, "lint-metrics", false, "scrape and lint every proxy's /metrics after the run")
 	fs.BoolVar(&cfg.JSONOut, "json", false, "emit the report as JSON on stdout")
 	fs.BoolVar(&cfg.Quiet, "quiet", false, "suppress the latency histogram")

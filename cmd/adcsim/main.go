@@ -13,7 +13,7 @@
 //	adcsim -replay trace.bin            # replay it: the same run as a flagless adcsim
 //	adcsim -from-squid access.log       # simulate the requests of a Squid log
 //	adcsim -from-squid access.log -write-trace real.bin  # convert the log to a trace
-//	adcsim -trace -trace-out t.jsonl    # record a request-path trace
+//	adcsim -trace t.spans.json          # record a request-path trace for adctrace
 //	adcsim -config experiment.json      # run a JSON-described experiment
 //	adcsim -write-config exp.json       # write the default experiment file
 //
@@ -76,10 +76,9 @@ func run(args []string) error {
 		replayPath   = fs.String("replay", "", "replay a binary workload trace instead of generating")
 		squidPath    = fs.String("from-squid", "", "take the requests of a Squid access.log instead of generating")
 		writePath    = fs.String("write-trace", "", "write the request stream as a binary trace, print its statistics and exit")
-		traceOn      = fs.Bool("trace", false, "record a request-path trace")
-		traceOut     = fs.String("trace-out", "trace.jsonl", "request-path trace output file (JSON Lines; with -trace)")
+		tracePath    = fs.String("trace", "", "record a request-path trace and write it to this file as a span dump (adctrace reads it)")
 		metricsEvery = fs.Int64("metrics-every", 0, "collect windowed time-series metrics every this many virtual ticks (-runtime vtime)")
-		metricsOut   = fs.String("metrics-out", "", "write the time series as CSV here (default: stdout)")
+		metricsOut   = fs.String("metrics-out", "", "write the time series as CSV here (default: stdout; with -metrics-every)")
 		verbose      = fs.Bool("v", false, "verbose: per-proxy statistics and debug logging")
 		quiet        = fs.Bool("quiet", false, "suppress the run summary and notices (machine outputs only)")
 		configPath   = fs.String("config", "", "run a JSON experiment file instead of the experiment flags")
@@ -124,6 +123,11 @@ func run(args []string) error {
 	if err := refuseUnread(fs, *writePath != "", *replayPath != "", *squidPath != "", *dump >= 0); err != nil {
 		return err
 	}
+	if *metricsEvery <= 0 {
+		if err := clilog.Refuse(fs, "needs -metrics-every", "metrics-out"); err != nil {
+			return err
+		}
+	}
 	if *configPath != "" {
 		if err := clilog.Refuse(fs, "is not read with -config", fileFlags...); err != nil {
 			return err
@@ -153,7 +157,7 @@ func run(args []string) error {
 	}
 	ccfg.MetricsEvery = *metricsEvery
 	var tracer *obs.Tracer
-	if *traceOn {
+	if *tracePath != "" {
 		tracer = obs.New()
 		ccfg.Tracer = tracer
 	}
@@ -181,10 +185,10 @@ func run(args []string) error {
 		return dumpTables(cl, res, *dump)
 	}
 	if tracer != nil {
-		if err := writeTraceFile(*traceOut, tracer); err != nil {
+		if err := writeTraceFile(*tracePath, tracer); err != nil {
 			return err
 		}
-		log.Infof("wrote %d trace events to %s", tracer.Len(), *traceOut)
+		log.Infof("wrote %d trace events as spans to %s", tracer.Len(), *tracePath)
 	}
 	if *metricsEvery > 0 {
 		if err := writeBuckets(*metricsOut, res.Buckets, log); err != nil {
@@ -312,13 +316,14 @@ func (r replaySource) Next() (ids.ObjectID, bool) {
 	return ids.ObjectID(obj), ok
 }
 
-// writeTraceFile exports a recorded trace as JSON Lines.
+// writeTraceFile checks a recorded trace against the event schema and
+// writes it as a span dump (adc.WriteTrace).
 func writeTraceFile(path string, t *obs.Tracer) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := obs.WriteJSONL(f, t.Events()); err != nil {
+	if err := adc.WriteTrace(f, t); err != nil {
 		f.Close() //nolint:errcheck,gosec // write error takes precedence
 		return err
 	}
@@ -397,7 +402,7 @@ var writeReads = []string{"write-trace", "from-squid", "config", "seed", "alpha"
 // dumpRefuses names the flags a -dump run cannot honour: it runs the
 // sequential runtime over a generated workload, untraced and lossless, as
 // the flags (not a file) describe it.
-var dumpRefuses = []string{"config", "faults", "from-squid", "metrics-every", "recovery", "replay", "runtime", "trace"}
+var dumpRefuses = []string{"config", "faults", "from-squid", "metrics-every", "metrics-out", "recovery", "replay", "runtime", "trace"}
 
 // refuseUnread fails, naming the flag, if a flag was set that the selected
 // mode (-write-trace, -dump) or recorded source (-replay, -from-squid) does

@@ -2,14 +2,18 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/adc-sim/adc"
 	"github.com/adc-sim/adc/internal/config"
+	"github.com/adc-sim/adc/internal/obs"
 	"github.com/adc-sim/adc/internal/trace"
 )
 
@@ -52,8 +56,27 @@ func checkRefuses(t *testing.T, base []string, flags ...string) {
 // a generated workload, so a flag that asks for anything else is refused.
 func TestDumpRefusesFlagsItCannotHonour(t *testing.T) {
 	checkRefuses(t, dumpArgs,
-		"-runtime=vtime", "-replay=trace.bin", "-trace",
-		"-metrics-every=1000", "-faults=loss=0.01", "-recovery=", "-config=exp.json")
+		"-runtime=vtime", "-replay=trace.bin", "-trace=t.spans.json",
+		"-metrics-every=1000", "-metrics-out=series.csv", "-faults=loss=0.01", "-recovery=", "-config=exp.json")
+}
+
+// TestMetricsOutNeedsMetricsEvery: without -metrics-every no time series is
+// collected, so -metrics-out would write nothing; it is refused by name,
+// as it is with -dump (TestDumpRefusesFlagsItCannotHonour).
+func TestMetricsOutNeedsMetricsEvery(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "series.csv")
+	for _, args := range [][]string{
+		{"-requests", "1000", "-metrics-out", path},
+		{"-config", faultyExperiment(t), "-metrics-out", path},
+	} {
+		_, err := runCaptured(t, args...)
+		if err == nil || err.Error() != "-metrics-out needs -metrics-every" {
+			t.Errorf("%v: err = %v, want -metrics-out refused", args, err)
+		}
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("a refused run left %s: %v", path, err)
+	}
 }
 
 // TestDumpAppliesEntry: -entry reaches the -dump run. Pinning every request
@@ -143,9 +166,9 @@ func TestConfigRefusesFlagsTheFileDescribes(t *testing.T) {
 // per-proxy table — and a file with faults and recovery prints the
 // completion, fault and recovery lines a flag run prints.
 func TestConfigRunTakesRunFlagsAndReportsFaults(t *testing.T) {
-	tracePath := filepath.Join(t.TempDir(), "t.jsonl")
+	tracePath := filepath.Join(t.TempDir(), "t.spans.json")
 	csvPath := filepath.Join(t.TempDir(), "series.csv")
-	out, err := runCaptured(t, "-config", faultyExperiment(t), "-trace", "-trace-out", tracePath,
+	out, err := runCaptured(t, "-config", faultyExperiment(t), "-trace", tracePath,
 		"-metrics-every", "1000000", "-metrics-out", csvPath, "-v")
 	if err != nil {
 		t.Fatal(err)
@@ -162,8 +185,72 @@ func TestConfigRunTakesRunFlagsAndReportsFaults(t *testing.T) {
 			t.Errorf("report lacks %q:\n%s", want, out)
 		}
 	}
-	if st, err := os.Stat(tracePath); err != nil || st.Size() == 0 {
-		t.Errorf("-trace with -config wrote no trace: %v", err)
+	if dumps := readDumps(t, tracePath); len(dumps) != 1 || len(dumps[0].Spans) == 0 {
+		t.Errorf("-trace with -config wrote %d dumps, want one holding spans", len(dumps))
+	}
+}
+
+func readDumps(t *testing.T, path string) []obs.SpanDump {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dumps []obs.SpanDump
+	if err := json.Unmarshal(b, &dumps); err != nil {
+		t.Fatal(err)
+	}
+	return dumps
+}
+
+// TestTraceWritesEventSpans: -trace writes one dump holding exactly the
+// spans obs.EventSpans makes of the run's events. The run is replayed from
+// a binary trace so the facade can run it too: 600 requests at 5% loss
+// with recovery, where requests retransmit.
+func TestTraceWritesEventSpans(t *testing.T) {
+	objs := make([]uint64, 600)
+	for i := range objs {
+		objs[i] = uint64(i%97 + 1)
+	}
+	dir := t.TempDir()
+	replay, tracePath := filepath.Join(dir, "objs.bin"), filepath.Join(dir, "t.spans.json")
+	if err := adc.SaveTraceFile(replay, adc.NewSliceSource(objs)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runCaptured(t, "-replay", replay, "-trace", tracePath, "-quiet", "-proxies", "4", "-seed", "3",
+		"-runtime", "vtime", "-faults", "loss=0.05", "-recovery="); err != nil {
+		t.Fatal(err)
+	}
+
+	faults, err := adc.ParseFaultSpec("loss=0.05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovery, err := adc.ParseRecoverySpec("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := config.Default()
+	tracer := adc.NewTracer()
+	cfg := adc.Config{
+		Proxies: 4, SingleTable: def.SingleTable, MultipleTable: def.MultipleTable, CachingTable: def.CachingTable,
+		Runtime: adc.RuntimeVirtualTime, Seed: 3, Faults: faults, Recovery: recovery, Tracer: tracer,
+	}
+	if _, err := adc.Run(cfg, adc.NewSliceSource(objs)); err != nil {
+		t.Fatal(err)
+	}
+	events := tracer.Events()
+	want := obs.EventSpans(events)
+	dumps := readDumps(t, tracePath)
+	if len(dumps) != 1 || dumps[0].Proxy != "sim" || !reflect.DeepEqual(dumps[0].Spans, want) {
+		t.Fatalf("-trace wrote %d dumps; want one named sim holding EventSpans' %d spans", len(dumps), len(want))
+	}
+	retried := false
+	for _, e := range events {
+		retried = retried || e.Kind == obs.KindRetry
+	}
+	if !retried {
+		t.Error("no retry at 5% loss; the test exercises no retransmission")
 	}
 }
 
@@ -226,7 +313,7 @@ not a squid line
 func TestTraceModesRefuseFlagsTheyDoNotRead(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "t.bin")
 	checkRefuses(t, []string{"-write-trace", out},
-		"-proxies=3", "-algo=carp", "-runtime=vtime", "-trace", "-dump=0", "-replay=t.bin", "-v", "-quiet", "-faults=loss=0.1")
+		"-proxies=3", "-algo=carp", "-runtime=vtime", "-trace=t.spans.json", "-dump=0", "-replay=t.bin", "-v", "-quiet", "-faults=loss=0.1")
 	checkRefuses(t, []string{"-write-trace", out, "-from-squid", "access.log"},
 		"-seed=2", "-config=exp.json", "-requests=10", "-alpha=0.9")
 	checkRefuses(t, []string{"-replay", "t.bin"},

@@ -1,37 +1,37 @@
-// Command adctrace inspects request-path traces recorded by adcsim -trace
-// (JSON Lines, one event per line).
+// Command adctrace reads request-path traces, span dumps (obs.SpanDump),
+// and reports on the request trees they hold. A dump file comes from
+// adcsim -trace (one dump of the simulator's events as spans) or adcload
+// -trace-dump (one dump per proxy, whose server and forward spans carry
+// each hop's table outcome and route reason); proxy URLs are scraped live.
+// It merges the dumps with clock-skew alignment, rebuilds one tree per
+// request and prints the tree census, the spans per stage and the worst
+// trees.
 //
-//	adctrace summary trace.jsonl             # event counts, tree census, convergence
-//	adctrace request 0:17 trace.jsonl        # one request's tree, every attempt and hop
-//	adctrace converge trace.jsonl            # per-object convergence times
-//	adctrace converge www.xy42 trace.jsonl   # one object's convergence
-//	adctrace validate trace.jsonl            # event schema, then no orphaned tree
-//	adctrace chrome trace.jsonl > t.json     # one process per request, one row per node
-//
-// Event traces rebuild as spans (obs.EventSpans), so their trees, census,
-// listing and Chrome export are those of the farm subcommand, which reads
-// cross-proxy span dumps (the HTTP farm's distributed traces, whose server
-// and forward spans carry each hop's table outcome and route reason),
-// merges them with clock-skew alignment and reports the request-tree
-// census:
-//
-//	adctrace farm run.spans.json             # file from adcload -trace-dump
-//	adctrace farm http://host:7001 ...       # scrape the /debug/trace rings of adcload -serve -trace-sample 1
-//	adctrace farm -min-complete 0.99 ...     # CI gate: fail on orphaned trees
-//	adctrace farm -chrome t.json ...         # flame chart per request
+//	adctrace t.spans.json                  # file from adcsim -trace or adcload -trace-dump
+//	adctrace http://host:7001 ...          # scrape the /debug/trace rings of adcload -serve -trace-sample 1
+//	adctrace -request 0:17 t.spans.json    # one request's tree, every attempt and hop
+//	adctrace -min-complete 1 t.spans.json  # gate: fail on any orphaned tree
+//	adctrace -chrome t.json t.spans.json   # flame chart per request
+//	adctrace -json t.spans.json            # the census as JSON
 //
 // Request IDs are accepted as client:counter (the req(c:n) display form)
-// or as a raw 64-bit value; objects as www.xyN or a raw value.
+// or as a raw 64-bit trace or span ID.
 package main
 
 import (
+	"encoding/json"
+	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 	"text/tabwriter"
+	"time"
 
+	"github.com/adc-sim/adc/internal/clilog"
+	"github.com/adc-sim/adc/internal/httpproxy"
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/obs"
 )
@@ -43,194 +43,205 @@ func main() {
 	}
 }
 
-func usage() error {
-	return fmt.Errorf("usage: adctrace <summary|request|converge|validate|chrome> [arguments] <trace.jsonl from adcsim -trace>\n" +
-		"       adctrace farm [flags] <dumps.json from adcload -trace-dump | proxy-url... of adcload -serve -trace-sample N>")
+// census is the -json schema.
+type census struct {
+	Dumps            int            `json:"dumps"`
+	Spans            int            `json:"spans"`
+	Dropped          uint64         `json:"dropped"`
+	Trees            int            `json:"trees"`
+	Complete         int            `json:"complete"`
+	Truncated        int            `json:"truncated"`
+	Orphaned         int            `json:"orphaned"`
+	CompleteFraction float64        `json:"complete_fraction"`
+	Stages           map[string]int `json:"stages"`
 }
 
 func run(args []string) error {
-	if len(args) >= 1 && args[0] == "farm" {
-		return farm(args[1:])
-	}
-	if len(args) < 2 {
-		return usage()
-	}
-	cmd := args[0]
-	file := args[len(args)-1]
-	rest := args[1 : len(args)-1]
-
-	events, err := loadTrace(file)
-	if err != nil {
+	fs := flag.NewFlagSet("adctrace", flag.ContinueOnError)
+	request := fs.String("request", "", "print this request's tree (client:counter, or a raw trace or span ID) instead of the worst trees")
+	minComplete := fs.Float64("min-complete", 0,
+		"exit nonzero when the complete+truncated tree fraction falls below this (1: no orphaned tree)")
+	worst := fs.Int("worst", 3, "show up to this many non-complete trees")
+	chromeOut := fs.String("chrome", "", "also write a Chrome trace_event export to this file")
+	jsonOut := fs.Bool("json", false, "emit the census as JSON on stdout")
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	switch cmd {
-	case "summary":
-		if len(rest) != 0 {
-			return usage()
+	targets := fs.Args()
+	if len(targets) == 0 {
+		return fmt.Errorf("usage: adctrace [-request id] [-chrome out.json] [-json] [-worst n] [-min-complete f] <dumps.json | proxy-url...>")
+	}
+	if *jsonOut {
+		if err := clilog.Refuse(fs, "is not read with -json", "request", "worst"); err != nil {
+			return err
 		}
-		return summary(events)
-	case "request":
-		if len(rest) != 1 {
-			return fmt.Errorf("usage: adctrace request <id> <trace.jsonl>")
-		}
-		id, err := parseRequestID(rest[0])
+	}
+	var id uint64
+	if *request != "" {
+		parsed, err := parseRequestID(*request)
 		if err != nil {
 			return err
 		}
-		return request(events, id)
-	case "converge":
-		if len(rest) > 1 {
-			return fmt.Errorf("usage: adctrace converge [object] <trace.jsonl>")
-		}
-		var obj *ids.ObjectID
-		if len(rest) == 1 {
-			o, err := parseObjectID(rest[0])
-			if err != nil {
-				return err
-			}
-			obj = &o
-		}
-		return converge(events, obj)
-	case "validate":
-		if len(rest) != 0 {
-			return usage()
-		}
-		if err := obs.Validate(events); err != nil {
+		id = uint64(parsed)
+	}
+
+	dumps, err := loadDumps(targets)
+	if err != nil {
+		return err
+	}
+	spans := obs.MergeDumps(dumps)
+	trees := obs.BuildSpanTrees(spans)
+	c := obs.CensusSpanTrees(trees)
+	var dropped uint64
+	for _, d := range dumps {
+		dropped += d.Dropped
+	}
+	stages := map[string]int{}
+	for _, s := range spans {
+		stages[s.Stage]++
+	}
+
+	if *jsonOut {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(census{
+			Dumps: len(dumps), Spans: c.Spans, Dropped: dropped,
+			Trees: c.Trees, Complete: c.Complete, Truncated: c.Truncated,
+			Orphaned: c.Orphaned, CompleteFraction: c.CompleteFraction(), Stages: stages,
+		}); err != nil {
 			return err
 		}
-		trees := obs.BuildSpanTrees(obs.EventSpans(events))
-		for _, t := range trees {
-			if t.State() == obs.TreeOrphaned {
-				return fmt.Errorf("request %v: orphaned tree (its first attempt or a retry's predecessor is not in the trace)",
-					ids.RequestID(t.Trace))
+	} else {
+		fmt.Printf("dumps     %d, %d spans (%d dropped from rings)\n", len(dumps), c.Spans, dropped)
+		fmt.Printf("trees     %d: %d complete, %d truncated, %d orphaned\n",
+			c.Trees, c.Complete, c.Truncated, c.Orphaned)
+		fmt.Printf("complete  %.4f  (complete+truncated over trees)\n\n", c.CompleteFraction())
+		if err := printStages(stages); err != nil {
+			return err
+		}
+		switch {
+		case *request != "":
+			t := findTree(trees, spans, id)
+			if t == nil {
+				return fmt.Errorf("request %s not in trace", *request)
 			}
+			fmt.Println()
+			obs.FormatSpanTree(os.Stdout, t)
+		case *worst > 0:
+			printWorstTrees(trees, *worst)
 		}
-		fmt.Printf("%s: %d events, well-formed, %d request trees, none orphaned\n", file, len(events), len(trees))
-		return nil
-	case "chrome":
-		if len(rest) != 0 {
-			return usage()
-		}
-		return obs.WriteChromeSpans(os.Stdout, obs.EventSpans(events))
-	default:
-		return usage()
 	}
+	if *chromeOut != "" {
+		if err := writeChromeFile(*chromeOut, spans); err != nil {
+			return err
+		}
+	}
+	if *minComplete > 0 && c.CompleteFraction() < *minComplete {
+		return fmt.Errorf("complete fraction %.4f below -min-complete %.4f (census %+v)",
+			c.CompleteFraction(), *minComplete, c)
+	}
+	return nil
 }
 
-func loadTrace(path string) ([]obs.Event, error) {
-	f, err := os.Open(path)
+// loadDumps reads span dumps from the targets: a list of http(s) proxy base
+// URLs to scrape live, or a single JSON file holding []obs.SpanDump (what
+// adcsim -trace and adcload -trace-dump write) or one bare obs.SpanDump (a
+// saved /debug/trace response).
+func loadDumps(targets []string) ([]obs.SpanDump, error) {
+	if strings.HasPrefix(targets[0], "http://") || strings.HasPrefix(targets[0], "https://") {
+		client := &http.Client{Timeout: 5 * time.Second}
+		dumps := make([]obs.SpanDump, 0, len(targets))
+		for _, t := range targets {
+			// Accept either the proxy base URL or its /debug/trace directly.
+			d, err := httpproxy.ScrapeTraceDump(client, strings.TrimSuffix(t, "/debug/trace"))
+			if err != nil {
+				return nil, err
+			}
+			dumps = append(dumps, d)
+		}
+		return dumps, nil
+	}
+	if len(targets) != 1 {
+		return nil, fmt.Errorf("want one dump file or a list of proxy URLs, got %d files", len(targets))
+	}
+	b, err := os.ReadFile(targets[0])
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close() //nolint:errcheck // read side
-	return obs.ReadJSONL(f)
+	var dumps []obs.SpanDump
+	if err := json.Unmarshal(b, &dumps); err != nil {
+		var one obs.SpanDump
+		if err2 := json.Unmarshal(b, &one); err2 != nil {
+			return nil, fmt.Errorf("%s: %w", targets[0], err)
+		}
+		dumps = []obs.SpanDump{one}
+	}
+	return dumps, nil
 }
 
-// summary prints event-kind counts, the request-tree census and the
-// convergence overview.
-func summary(events []obs.Event) error {
-	if len(events) == 0 {
-		fmt.Println("empty trace")
-		return nil
+// printStages lists how many spans each stage recorded: the farm's
+// metrics.Stage names, or an event trace's attempts and event kinds.
+func printStages(stages map[string]int) error {
+	names := make([]string, 0, len(stages))
+	for name := range stages {
+		names = append(names, name)
 	}
-	var counts [64]int
-	for _, e := range events {
-		if int(e.Kind) < len(counts) {
-			counts[e.Kind]++
-		}
-	}
+	sort.Strings(names)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "kind\tevents")
-	for k, n := range counts {
-		if n > 0 {
-			fmt.Fprintf(w, "%s\t%d\n", obs.Kind(k), n)
-		}
+	fmt.Fprintln(w, "stage\tspans")
+	for _, name := range names {
+		fmt.Fprintf(w, "%s\t%d\n", name, stages[name])
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-
-	c := obs.CensusSpanTrees(obs.BuildSpanTrees(obs.EventSpans(events)))
-	fmt.Printf("\nrequests       %d trees: %d complete, %d truncated (retried or undelivered), %d orphaned\n",
-		c.Trees, c.Complete, c.Truncated, c.Orphaned)
-
-	sum := obs.SummarizeConvergence(obs.ConvergenceTimes(events))
-	if sum.Objects > 0 {
-		fmt.Printf("convergence    %d/%d objects agreed (mean %.0f, max %d ticks to agree)\n",
-			sum.Converged, sum.Objects, sum.MeanTime, sum.MaxTime)
-	}
-	return nil
+	return w.Flush()
 }
 
-// request prints the tree of the request id is an attempt of.
-func request(events []obs.Event, id ids.RequestID) error {
-	spans := obs.EventSpans(events)
+// findTree returns the tree of the first span whose trace, ID or parent is
+// id: an attempt of an event trace, or a step of an attempt whose inject is
+// missing. Nil when no span has it.
+func findTree(trees []*obs.SpanTree, spans []obs.Span, id uint64) *obs.SpanTree {
 	for _, s := range spans {
-		// The attempt span, or a step of an attempt whose inject is missing.
-		if s.ID != uint64(id) && s.Parent != uint64(id) {
+		if s.Trace != id && s.ID != id && s.Parent != id {
 			continue
 		}
-		var tree []obs.Span
-		for _, o := range spans {
-			if o.Trace == s.Trace {
-				tree = append(tree, o)
+		for _, t := range trees {
+			if t.Trace == s.Trace {
+				return t
 			}
 		}
-		obs.FormatSpanTree(os.Stdout, obs.BuildSpanTrees(tree)[0])
-		return nil
 	}
-	return fmt.Errorf("request %v not in trace", id)
-}
-
-// converge prints per-object convergence times, or one object's.
-func converge(events []obs.Event, only *ids.ObjectID) error {
-	m := obs.ConvergenceTimes(events)
-	if only != nil {
-		c, ok := m[*only]
-		if !ok {
-			return fmt.Errorf("object %v not in trace", *only)
-		}
-		printConvergence(os.Stdout, c)
-		return nil
-	}
-
-	objs := make([]ids.ObjectID, 0, len(m))
-	for obj := range m {
-		objs = append(objs, obj)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "object\tfirst seen\tconverged\tstable from\ttime to agree\tlocation\tbelievers")
-	for _, obj := range objs {
-		c := m[obj]
-		if c.Converged {
-			fmt.Fprintf(w, "%v\t%d\tyes\t%d\t%d\t%v\t%d\n",
-				c.Obj, c.FirstSeen, c.StableFrom, c.Time(), c.FinalLoc, c.Believers)
-		} else {
-			fmt.Fprintf(w, "%v\t%d\tno\t-\t-\t-\t%d\n", c.Obj, c.FirstSeen, c.Believers)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	sum := obs.SummarizeConvergence(m)
-	fmt.Printf("\n%d/%d objects agreed (mean %.0f, max %d ticks to agree)\n",
-		sum.Converged, sum.Objects, sum.MeanTime, sum.MaxTime)
 	return nil
 }
 
-func printConvergence(w *os.File, c *obs.Convergence) {
-	fmt.Fprintf(w, "object      %v\n", c.Obj)
-	fmt.Fprintf(w, "first seen  %d\n", c.FirstSeen)
-	if c.Converged {
-		fmt.Fprintf(w, "converged   yes, stable from %d (%d ticks after first sight)\n",
-			c.StableFrom, c.Time())
-		fmt.Fprintf(w, "location    %v (%d believers)\n", c.FinalLoc, c.Believers)
-	} else {
-		fmt.Fprintf(w, "converged   no (%d believers at trace end)\n", c.Believers)
+// printWorstTrees shows the worst reconstruction failures, orphaned before
+// truncated — the first thing to look at when the census is off.
+func printWorstTrees(trees []*obs.SpanTree, n int) {
+	var bad []*obs.SpanTree
+	for _, t := range trees {
+		if t.State() != obs.TreeComplete {
+			bad = append(bad, t)
+		}
 	}
+	if len(bad) == 0 {
+		return
+	}
+	sort.SliceStable(bad, func(i, j int) bool { return bad[i].State() > bad[j].State() })
+	n = min(n, len(bad))
+	fmt.Printf("\nworst %d of %d non-complete trees:\n", n, len(bad))
+	for _, t := range bad[:n] {
+		obs.FormatSpanTree(os.Stdout, t)
+	}
+}
+
+func writeChromeFile(path string, spans []obs.Span) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := obs.WriteChromeSpans(f, spans); err != nil {
+		f.Close() //nolint:errcheck // already on the error path
+		return err
+	}
+	return f.Close()
 }
 
 // parseRequestID accepts "client:counter" or a raw 64-bit value.
@@ -251,14 +262,4 @@ func parseRequestID(s string) (ids.RequestID, error) {
 		return 0, fmt.Errorf("bad request id %q (want client:counter or a raw value)", s)
 	}
 	return ids.RequestID(v), nil
-}
-
-// parseObjectID accepts the www.xyN display form or a raw value.
-func parseObjectID(s string) (ids.ObjectID, error) {
-	s = strings.TrimPrefix(s, "www.xy")
-	v, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad object id %q (want www.xyN or a raw value)", s)
-	}
-	return ids.ObjectID(v), nil
 }

@@ -1,6 +1,8 @@
 package adc
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"regexp"
@@ -13,6 +15,7 @@ import (
 	"github.com/adc-sim/adc/internal/experiments"
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
+	"github.com/adc-sim/adc/internal/obs"
 	"github.com/adc-sim/adc/internal/sim"
 	"github.com/adc-sim/adc/internal/workload"
 )
@@ -224,8 +227,8 @@ func TestCrashRecoveryThroughTheFacade(t *testing.T) {
 	}
 }
 
-// TestTraceWritersThroughTheFacade: a traced run exports as JSON Lines,
-// one event per line, and as a Chrome trace.
+// TestTraceWritersThroughTheFacade: a traced run exports as one span dump
+// holding exactly the spans obs.EventSpans makes of its events.
 func TestTraceWritersThroughTheFacade(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Tracer = NewTracer()
@@ -233,18 +236,17 @@ func TestTraceWritersThroughTheFacade(t *testing.T) {
 	if _, err := Run(cfg, src); err != nil {
 		t.Fatal(err)
 	}
-	var jsonl, chrome strings.Builder
-	if err := WriteTrace(&jsonl, cfg.Tracer); err != nil {
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, cfg.Tracer); err != nil {
 		t.Fatal(err)
 	}
-	if lines := strings.Count(jsonl.String(), "\n"); lines != cfg.Tracer.Len() || lines == 0 {
-		t.Errorf("WriteTrace wrote %d lines for %d events", lines, cfg.Tracer.Len())
-	}
-	if err := WriteChromeTrace(&chrome, cfg.Tracer); err != nil {
+	var dumps []obs.SpanDump
+	if err := json.Unmarshal(buf.Bytes(), &dumps); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(chrome.String(), `"traceEvents"`) {
-		t.Errorf("WriteChromeTrace wrote no trace_event document:\n%.200s", chrome.String())
+	want := obs.EventSpans(cfg.Tracer.Events())
+	if len(want) == 0 || len(dumps) != 1 || !reflect.DeepEqual(dumps[0].Spans, want) {
+		t.Errorf("WriteTrace wrote %d dumps; want one holding EventSpans' %d spans:\n%.300s", len(dumps), len(want), buf.String())
 	}
 }
 

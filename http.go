@@ -57,7 +57,7 @@ type HTTPFarmConfig struct {
 	HedgeDelay time.Duration
 	// TraceSample, when positive, enables cross-proxy distributed tracing
 	// on every proxy, sampling 1-in-TraceSample entry requests (1 = all).
-	// Spans are served at each proxy's /debug/trace for adctrace farm.
+	// Spans are served at each proxy's /debug/trace for adctrace.
 	TraceSample int
 	// TraceRing caps each proxy's in-memory span ring (0 = default).
 	TraceRing int

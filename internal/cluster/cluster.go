@@ -758,36 +758,12 @@ func (c *Cluster) collect(elapsed time.Duration) *Result {
 // a max is an extreme-value statistic and noisy run-to-run, while the mean
 // is stable enough for benchmark regression gates.
 func MeanWindowLoad(buckets []metrics.Bucket, skipWindows int) (share, peak float64) {
-	var prev []uint64
-	var n int
-	for i, b := range buckets {
-		cur := b.ProxyRequests
-		if len(cur) == 0 {
-			continue
-		}
-		if i >= skipWindows {
-			deltas := make([]float64, len(cur))
-			var total, mx float64
-			for j, c := range cur {
-				d := c
-				if j < len(prev) {
-					d -= prev[j]
-				}
-				deltas[j] = float64(d)
-				total += deltas[j]
-				if deltas[j] > mx {
-					mx = deltas[j]
-				}
-			}
-			if total > 0 {
-				mm, _ := stats.MaxMeanRatio(deltas)
-				share += mm
-				peak += mx
-				n++
-			}
-		}
-		prev = cur
-	}
+	n := 0
+	windowLoads(buckets, skipWindows, func(mm float64, mx uint64) {
+		share += mm
+		peak += float64(mx)
+		n++
+	})
 	if n > 0 {
 		share /= float64(n)
 		peak /= float64(n)
@@ -799,36 +775,49 @@ func MeanWindowLoad(buckets []metrics.Bucket, skipWindows int) (share, peak floa
 // per-proxy cumulative request snapshots in the time-series buckets: the
 // worst single-window max/mean ratio and the hottest proxy's reception
 // count in its worst window. Without buckets (MetricsEvery off) both are
-// zero. Proxies that join mid-run only
-// lengthen the snapshot vector, so indexes stay aligned across buckets.
+// zero.
 func peakWindowLoad(buckets []metrics.Bucket) (share float64, peak uint64) {
+	windowLoads(buckets, 0, func(mm float64, mx uint64) {
+		share = max(share, mm)
+		peak = max(peak, mx)
+	})
+	return share, peak
+}
+
+// windowLoads calls f for each window from bucket skip on in which the
+// proxies received requests, with the window's max/mean reception ratio and
+// the hottest proxy's reception count. A window's receptions are the
+// differences of consecutive buckets' cumulative per-proxy snapshots; a
+// bucket without a snapshot is passed over. Proxies that join mid-run only
+// lengthen the snapshot vector, so indexes stay aligned across buckets.
+func windowLoads(buckets []metrics.Bucket, skip int, f func(share float64, peak uint64)) {
 	var prev []uint64
-	for _, b := range buckets {
+	var deltas []float64
+	for i, b := range buckets {
 		cur := b.ProxyRequests
 		if len(cur) == 0 {
 			continue
 		}
-		deltas := make([]float64, len(cur))
-		var total float64
-		for i, c := range cur {
-			d := c
-			if i < len(prev) {
-				d -= prev[i]
+		if i >= skip {
+			deltas = deltas[:0]
+			var total float64
+			var mx uint64
+			for j, c := range cur {
+				d := c
+				if j < len(prev) {
+					d -= prev[j]
+				}
+				deltas = append(deltas, float64(d))
+				total += float64(d)
+				mx = max(mx, d)
 			}
-			if d > peak {
-				peak = d
-			}
-			deltas[i] = float64(d)
-			total += deltas[i]
-		}
-		if total > 0 {
-			if mm, err := stats.MaxMeanRatio(deltas); err == nil && mm > share {
-				share = mm
+			if total > 0 {
+				mm, _ := stats.MaxMeanRatio(deltas) // errs only on no proxies
+				f(mm, mx)
 			}
 		}
 		prev = cur
 	}
-	return share, peak
 }
 
 // Run builds and runs a cluster in one call. The Result holds counters

@@ -9,9 +9,10 @@
 //
 // The paper's central claims are path properties — convergence to one
 // resolver per object via backwarding (§IV.2), bounded forwarding chains
-// (§III.1) — so the tracer exists to make paths first-class data: JSONL for
-// tools, Chrome trace_event for chrome://tracing, and derived metrics such
-// as per-object convergence time.
+// (§III.1) — so the tracer exists to make paths first-class data: span
+// dumps (WriteSpanDumps) for cmd/adctrace, Chrome trace_event for
+// chrome://tracing, and derived metrics such as per-object convergence
+// time.
 //
 // Cost discipline: a nil *Tracer is the disabled state. Every emit site
 // guards with a nil check plus Enabled(kind), so a disabled tracer adds one
@@ -92,16 +93,6 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// ParseKind reverses Kind.String.
-func ParseKind(s string) (Kind, bool) {
-	for k, name := range kindNames {
-		if name == s {
-			return Kind(k), true
-		}
-	}
-	return 0, false
 }
 
 // Forward reasons (Event.Arg on KindForward events).
@@ -338,7 +329,8 @@ func (t *Tracer) Len() int {
 	return len(t.ev)
 }
 
-// Events returns a snapshot copy of the recorded events in emission order.
+// Events returns a snapshot copy of the recorded events in emission order,
+// which is strictly increasing Seq.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
@@ -348,17 +340,6 @@ func (t *Tracer) Events() []Event {
 	out := make([]Event, len(t.ev))
 	copy(out, t.ev)
 	return out
-}
-
-// Reset drops all recorded events (the sequence counter keeps running, so
-// Seq values stay unique across resets).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.ev = nil
-	t.mu.Unlock()
 }
 
 // Time returns the ordering value tools should use for an event: At when

@@ -16,7 +16,6 @@ func TestNilTracerIsDisabled(t *testing.T) {
 	}
 	// None of these may panic.
 	tr.Emit(Ev(KindHit, 0))
-	tr.Reset()
 	if tr.Len() != 0 {
 		t.Errorf("nil tracer Len() = %d", tr.Len())
 	}
@@ -40,30 +39,16 @@ func TestTracerKindMask(t *testing.T) {
 	if len(ev) != 2 || ev[0].Kind != KindHit || ev[1].Kind != KindBackward {
 		t.Fatalf("masked tracer recorded %v", ev)
 	}
+	// A masked-out event takes no sequence number.
+	if ev[0].Seq != 1 || ev[1].Seq != 2 {
+		t.Errorf("seq = %d,%d, want 1,2", ev[0].Seq, ev[1].Seq)
+	}
 
 	all := New()
 	for k := Kind(0); k < numKinds; k++ {
 		if !all.Enabled(k) {
 			t.Errorf("default tracer Enabled(%v) = false", k)
 		}
-	}
-}
-
-func TestTracerSeqAcrossReset(t *testing.T) {
-	tr := New()
-	tr.Emit(Ev(KindInject, ids.Client(0)))
-	tr.Emit(Ev(KindDeliver, ids.Client(0)))
-	ev := tr.Events()
-	if ev[0].Seq != 1 || ev[1].Seq != 2 {
-		t.Fatalf("seq = %d,%d, want 1,2", ev[0].Seq, ev[1].Seq)
-	}
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", tr.Len())
-	}
-	tr.Emit(Ev(KindInject, ids.Client(0)))
-	if got := tr.Events()[0].Seq; got != 3 {
-		t.Errorf("seq after reset = %d, want 3 (counter keeps running)", got)
 	}
 }
 
@@ -83,19 +68,19 @@ func TestEventTime(t *testing.T) {
 	}
 }
 
+// TestKindStringRoundTrip: every kind has a name of its own, so an event
+// span's Stage (EventSpans) names its kind.
 func TestKindStringRoundTrip(t *testing.T) {
+	byName := map[string]Kind{}
 	for k := Kind(0); k < numKinds; k++ {
 		s := k.String()
 		if strings.HasPrefix(s, "Kind(") {
 			t.Fatalf("kind %d has no name", int(k))
 		}
-		got, ok := ParseKind(s)
-		if !ok || got != k {
-			t.Errorf("ParseKind(%q) = %v,%v, want %v,true", s, got, ok, k)
+		if prev, dup := byName[s]; dup {
+			t.Errorf("kinds %d and %d are both named %q", int(prev), int(k), s)
 		}
-	}
-	if _, ok := ParseKind("bogus"); ok {
-		t.Error("ParseKind accepted an unknown name")
+		byName[s] = k
 	}
 	if s := Kind(200).String(); s != "Kind(200)" {
 		t.Errorf("out-of-range kind String = %q", s)

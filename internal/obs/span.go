@@ -1,6 +1,11 @@
 package obs
 
-import "sync"
+import (
+	"bufio"
+	"encoding/json"
+	"io"
+	"sync"
+)
 
 // Span is one timed operation inside a traced request on the HTTP farm.
 // Spans form cross-proxy trees: the entry proxy mints a Trace ID and a root
@@ -146,4 +151,38 @@ type SpanDump struct {
 	Dropped uint64 `json:"dropped"`
 	// Spans is the ring's contents, oldest-first.
 	Spans []Span `json:"spans"`
+}
+
+// WriteSpanDumps writes dumps as one JSON array, the trace file cmd/adctrace
+// reads, from adcload -trace-dump (one dump per proxy) and from adcsim
+// -trace (one dump of EventSpans). Each dump's header is encoded whole and
+// its spans one per line, so writing holds one span's encoding at a time
+// instead of the whole document's.
+func WriteSpanDumps(w io.Writer, dumps []SpanDump) error {
+	bw := bufio.NewWriter(w) // its write error sticks; Flush returns it
+	enc := json.NewEncoder(bw)
+	bw.WriteByte('[')
+	for i, d := range dumps {
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		spans := d.Spans
+		d.Spans = []Span{}
+		head, err := json.Marshal(d)
+		if err != nil {
+			return err
+		}
+		bw.Write(head[:len(head)-len("]}")]) // Spans is the last field: up to its '['
+		for j := range spans {
+			if j > 0 {
+				bw.WriteByte(',')
+			}
+			if err := enc.Encode(&spans[j]); err != nil {
+				return err
+			}
+		}
+		bw.WriteString("]}")
+	}
+	bw.WriteString("]\n")
+	return bw.Flush()
 }

@@ -153,7 +153,7 @@ func TestBuildSpanTreesDoubleRoot(t *testing.T) {
 	}
 }
 
-// TestBuildSpanTreesDuplicateSpans: a dump merged twice (adctrace farm URL
+// TestBuildSpanTreesDuplicateSpans: a dump merged twice (adctrace URL
 // URL, a re-scraped ring) rebuilds the same trees as the dump once — each
 // span ID is linked and counted at its first occurrence only.
 func TestBuildSpanTreesDuplicateSpans(t *testing.T) {
@@ -229,7 +229,7 @@ func TestWriteChromeSpans(t *testing.T) {
 }
 
 // TestSpanDumpRoundTrip: the /debug/trace JSON schema survives a marshal
-// cycle with field names intact (adctrace farm depends on them).
+// cycle with field names intact (adctrace depends on them).
 func TestSpanDumpRoundTrip(t *testing.T) {
 	d := SpanDump{
 		Proxy: "Proxy[3]", Node: 3, NowUs: 123456, Dropped: 7,
@@ -250,5 +250,32 @@ func TestSpanDumpRoundTrip(t *testing.T) {
 	}
 	if fmt.Sprintf("%+v", back) != fmt.Sprintf("%+v", d) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", back, d)
+	}
+}
+
+// TestWriteSpanDumpsRoundTrip: the streamed file decodes as the dumps it
+// was given, header fields and spans alike, with an empty dump and an
+// empty list of dumps among them.
+func TestWriteSpanDumpsRoundTrip(t *testing.T) {
+	spans := []Span{
+		{Trace: 1, ID: 2, Parent: 3, Node: 3, Stage: "server", Obj: 42, Start: 10, End: 20, Detail: "→ <a&b>", Err: "e"},
+		{Trace: 1, ID: 3, Node: -10, Stage: SpanAttempt, Start: 5, End: 30},
+	}
+	for _, dumps := range [][]SpanDump{
+		{},
+		{{Proxy: "sim", Node: -1, Spans: spans}},
+		{{Proxy: "Proxy[0]", NowUs: 99, ScrapedUs: 101, Dropped: 4, Spans: spans[:1]}, {Proxy: "Proxy[1]", Node: 1, Spans: []Span{}}},
+	} {
+		var buf bytes.Buffer
+		if err := WriteSpanDumps(&buf, dumps); err != nil {
+			t.Fatal(err)
+		}
+		var back []SpanDump
+		if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+			t.Fatalf("%d dumps: %v\n%s", len(dumps), err, buf.Bytes())
+		}
+		if fmt.Sprintf("%+v", back) != fmt.Sprintf("%+v", dumps) {
+			t.Errorf("round trip mismatch:\n got %+v\nwant %+v", back, dumps)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/adc-sim/adc/internal/ids"
 )
@@ -15,9 +14,10 @@ const SpanAttempt = "attempt"
 // from attempt span IDs (request IDs).
 const stepBit = 1 << 63
 
-// EventSpans rebuilds an event trace as spans, so simulator and farm-event
-// traces reconstruct, print and export through BuildSpanTrees,
-// FormatSpanTree and WriteChromeSpans like the farm's own spans.
+// EventSpans rebuilds an event trace as spans, so simulator traces are
+// written (WriteSpanDumps), reconstructed, printed and exported through
+// BuildSpanTrees, FormatSpanTree and WriteChromeSpans like the farm's own
+// spans.
 //
 // Each inject or retry becomes one SpanAttempt span: Trace is the first
 // attempt's request ID, ID the attempt's request ID, Parent the attempt a
@@ -30,20 +30,27 @@ const stepBit = 1 << 63
 // Under BuildSpanTrees a delivered request is complete, a retried or
 // undelivered one truncated, and one whose first attempt or a retry's
 // predecessor never surfaced orphaned.
+//
+// events must be in strictly increasing Seq order, as Tracer.Events returns
+// them and Validate checks: a retry finds its predecessor's attempt only if
+// that came first, and steps are listed in the order given.
 func EventSpans(events []Event) []Span {
-	sorted := make([]Event, 0, len(events))
+	n, attempts := 0, 0
 	for _, e := range events {
-		if e.Req != 0 {
-			sorted = append(sorted, e)
+		if e.Req == 0 {
+			continue
+		}
+		n++
+		if e.Kind == KindInject || e.Kind == KindRetry {
+			attempts++
 		}
 	}
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Seq < sorted[j].Seq })
+	spans := make([]Span, 0, n+attempts)
 
-	// Attempts first, in Seq order, so a retry finds its predecessor's trace.
-	attempt := make(map[ids.RequestID]int) // request ID → index in spans
-	var spans []Span
-	for _, e := range sorted {
-		if e.Kind != KindInject && e.Kind != KindRetry {
+	// Attempts first, so a retry finds its predecessor's trace.
+	attempt := make(map[ids.RequestID]int, attempts) // request ID → index in spans
+	for _, e := range events {
+		if e.Req == 0 || e.Kind != KindInject && e.Kind != KindRetry {
 			continue
 		}
 		if _, dup := attempt[e.Req]; dup {
@@ -65,7 +72,10 @@ func EventSpans(events []Event) []Span {
 		spans = append(spans, a)
 	}
 
-	for _, e := range sorted {
+	for _, e := range events {
+		if e.Req == 0 {
+			continue
+		}
 		s := Span{
 			Trace: uint64(e.Req), ID: e.Seq | stepBit, Parent: uint64(e.Req), Node: int32(e.Node),
 			Stage: e.Kind.String(), Obj: uint64(e.Obj), Start: e.Time(), End: e.Time(),

@@ -1,68 +1,11 @@
 package obs
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
 	"github.com/adc-sim/adc/internal/ids"
 )
-
-func TestJSONLRoundTrip(t *testing.T) {
-	in := []Event{
-		{Seq: 1, Kind: KindInject, Node: ids.Client(0), Req: ids.NewRequestID(0, 1), Obj: 42, To: 0, Loc: ids.None},
-		{Seq: 2, At: 17, Kind: KindForward, Node: 0, Req: ids.NewRequestID(0, 1), Obj: 42, To: 3, Loc: ids.None, Hops: 1, Arg: ReasonRandom},
-		{Seq: 3, Kind: KindBackward, Node: 3, Req: ids.NewRequestID(0, 1), Obj: 42, To: 0, Loc: 3, Arg: EncodeOutcome(0, 1, true, false, false)},
-		{Seq: 4, Kind: KindRetry, Node: ids.Client(0), Req: ids.NewRequestID(0, 2), Prev: ids.NewRequestID(0, 1), Obj: 42, To: 0, Loc: ids.None, Arg: 1},
-		{Seq: 5, Kind: KindDeliver, Node: ids.Client(0), Req: ids.NewRequestID(0, 2), Obj: 42, To: ids.None, Loc: ids.Origin, Hops: 2, Arg: 1},
-	}
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("read back %d events, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i] != in[i] {
-			t.Errorf("event %d: got %+v, want %+v", i, out[i], in[i])
-		}
-	}
-}
-
-func TestReadJSONLSkipsBlankLines(t *testing.T) {
-	src := `{"seq":1,"at":0,"kind":"inject","node":-10,"req":1,"obj":1,"to":0,"loc":-1,"prev":0,"hops":0,"arg":0}
-
-{"seq":2,"at":0,"kind":"deliver","node":-10,"req":1,"obj":1,"to":-1,"loc":0,"prev":0,"hops":1,"arg":0}
-`
-	out, err := ReadJSONL(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("read %d events, want 2", len(out))
-	}
-}
-
-func TestReadJSONLRejectsMalformedLines(t *testing.T) {
-	cases := []struct {
-		name, src, wantErr string
-	}{
-		{"bad json", "{not json}\n", "trace line 1"},
-		{"unknown kind", `{"seq":1,"kind":"teleport"}` + "\n", `unknown event kind "teleport"`},
-		{"names line", "{\"seq\":1,\"kind\":\"inject\"}\n{broken\n", "trace line 2"},
-	}
-	for _, c := range cases {
-		_, err := ReadJSONL(strings.NewReader(c.src))
-		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("%s: err = %v, want containing %q", c.name, err, c.wantErr)
-		}
-	}
-}
 
 func TestValidate(t *testing.T) {
 	client := ids.Client(0)

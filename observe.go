@@ -3,6 +3,7 @@ package adc
 import (
 	"io"
 
+	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/obs"
 )
@@ -10,8 +11,9 @@ import (
 // Tracer records per-hop request-path events — inject, forward, cache hit,
 // origin resolve, backward, deliver, drop, timeout, retry — during a
 // simulation. Construct one with NewTracer, pass it in Config.Tracer, run,
-// then export with WriteTrace or WriteChromeTrace (one process per
-// request, one row per node). A nil Tracer disables tracing at zero cost:
+// then export with WriteTrace: cmd/adctrace reads the file, and its -chrome
+// flag turns it into a Chrome trace (one process per request, one row per
+// node). A nil Tracer disables tracing at zero cost:
 // the hot paths check a nil pointer and skip all event assembly. An
 // HTTPFarm records spans instead, at each proxy's /debug/trace
 // (HTTPFarmConfig.TraceSample).
@@ -20,19 +22,17 @@ type Tracer = obs.Tracer
 // NewTracer returns a tracer recording every event kind.
 func NewTracer() *Tracer { return obs.New() }
 
-// WriteTrace writes t's recorded events as JSON Lines, one event per line,
-// the format the adctrace tool consumes.
+// WriteTrace checks t's recorded events against the event schema and
+// writes them as a span dump, the file the adctrace tool reads: one dump
+// named "sim" holding a span per attempt (inject or retry to its delivery
+// or timeout) and a zero-duration span per hop, one tree per request.
+// Events without a request ID are left out.
 func WriteTrace(w io.Writer, t *Tracer) error {
-	return obs.WriteJSONL(w, t.Events())
-}
-
-// WriteChromeTrace writes t's recorded events in Chrome trace_event JSON,
-// loadable in chrome://tracing or Perfetto: one process per request and one
-// row per node within it, holding a span per attempt (inject or retry to
-// its delivery or timeout) and a zero-duration span per hop. Events without
-// a request ID are left out.
-func WriteChromeTrace(w io.Writer, t *Tracer) error {
-	return obs.WriteChromeSpans(w, obs.EventSpans(t.Events()))
+	events := t.Events()
+	if err := obs.Validate(events); err != nil {
+		return err
+	}
+	return obs.WriteSpanDumps(w, []obs.SpanDump{{Proxy: "sim", Node: int32(ids.None), Spans: obs.EventSpans(events)}})
 }
 
 // TimeBucket is one fixed-width virtual-time window of run metrics,
