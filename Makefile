@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check cover faults fuzz bench-check benchmark benchmark-aa benchmark-pairs pairs-summary pairs-check benchmark-exact bench-sweep bench-profile loadtest chaos trace-smoke telemetry-smoke figures clean
+.PHONY: all build test race vet fmt-check cover cover-integration faults fuzz bench-check benchmark benchmark-aa benchmark-pairs pairs-summary pairs-check benchmark-exact bench-sweep bench-profile loadtest chaos trace-smoke telemetry-smoke figures clean
 
 all: build test
 
@@ -39,6 +39,39 @@ cover:
 	    else { print "0%  " key "  <- not in " allow; bad = 1 } } \
 	  END { for (k in listed) if (!(k in reached)) { print "reached now, drop it from " allow ": " k; bad = 1 } \
 	    print "statement coverage " total; exit bad }'
+
+# Integration coverage, print-only: which code anything a user or CI runs
+# reaches, as opposed to `make cover`'s tests. Builds the five commands and
+# the four examples with -cover -coverpkg=./..., runs ci.yml's farm-smoke,
+# chaos-smoke, trace-smoke, telemetry-smoke and replication-smoke commands
+# and the examples under one GOCOVERDIR (~1 min), then prints the union's
+# total and every function outside examples/ that none of them reaches.
+# Binaries, counters and the runs' files stay in .cover-integration/.
+cover-integration:
+	@set -e; dir=.cover-integration; rm -rf "$$dir"; mkdir -p "$$dir/bin" "$$dir/data"; \
+	$(GO) build -cover -coverpkg=./... -o "$$dir/bin/" ./cmd/... ./examples/...; \
+	export GOCOVERDIR="$$dir/data"; b="$$dir/bin"; \
+	run() { echo "cover-integration: $$*" >&2; "$$@" > /dev/null; }; \
+	run "$$b/adcload" -proxies 4 -rate 1000 -duration 3s -conns 32 -warm 2000 -quiet; \
+	run "$$b/adcload" -proxies 2 -rate 4000 -duration 2s -conns 64 -warm 500 -max-active 8 -max-queue 8 -quiet; \
+	run "$$b/adcload" -proxies 4 -rate 800 -duration 8s -faults 'kill=p1@2s,restart=p1@5s' -probe-interval 50ms -quiet; \
+	run "$$b/adcsim" -runtime vtime -requests 20000 -recovery '' -faults 'kill=p1@2s,restart=p1@5s'; \
+	run "$$b/adcsim" -runtime vtime -requests 20000 -quiet -trace "$$dir/trace-smoke.spans.json"; \
+	run "$$b/adctrace" -min-complete 1 "$$dir/trace-smoke.spans.json"; \
+	run "$$b/adcsim" -requests 20000 -write-trace "$$dir/trace-smoke.bin"; \
+	run "$$b/adcsim" -requests 20000; \
+	run "$$b/adcsim" -replay "$$dir/trace-smoke.bin"; \
+	run "$$b/adcload" -proxies 8 -rate 1500 -duration 8s -warm 2000 \
+	  -faults 'kill=p2@2s,restart=p2@5s' -probe-interval 50ms -quiet \
+	  -trace-sample 1 -trace-dump "$$dir/telemetry-smoke.spans.json" -lint-metrics; \
+	run "$$b/adctrace" -min-complete 0.99 "$$dir/telemetry-smoke.spans.json"; \
+	run "$$b/adcsweep" -metric loadspread -proxies 8 -seed 7 -quiet; \
+	for ex in quickstart adaptivity elasticity httpfarm; do run "$$b/$$ex"; done; \
+	$(GO) tool covdata func -i="$$GOCOVERDIR" | awk -v mod="$$($(GO) list -m)/" ' \
+	  $$1 == "total" { total = $$NF; next } \
+	  $$NF == "0.0%" { file = substr($$1, length(mod) + 1); sub(/:[0-9]+:$$/, "", file); \
+	    if (file ~ /^examples\//) next; print "0%  " file ":" $$2; n++ } \
+	  END { print n + 0 " functions outside examples/ unreached; integration statement coverage " total }'
 
 # Short native-fuzz pass over the parsers that read bytes from outside — the
 # farm's HTTP head codec against net/http as the oracle (requests and
@@ -343,4 +376,4 @@ figures:
 
 clean:
 	$(GO) clean ./...
-	rm -rf figures/*.csv cover.out cpu.out mem.out core-cpu.out core-mem.out workload-cpu.out workload-mem.out httpproxy-cpu.out httpproxy-mem.out cluster-mem.out sim.test core.test workload.test httpproxy.test cluster.test trace-smoke.spans.json trace-smoke.bin trace-smoke.*.txt telemetry-smoke.spans.json
+	rm -rf figures/*.csv cover.out .cover-integration cpu.out mem.out core-cpu.out core-mem.out workload-cpu.out workload-mem.out httpproxy-cpu.out httpproxy-mem.out cluster-mem.out sim.test core.test workload.test httpproxy.test cluster.test trace-smoke.spans.json trace-smoke.bin trace-smoke.*.txt telemetry-smoke.spans.json

@@ -20,8 +20,8 @@ func TestChaosKillRestartRecovers(t *testing.T) {
 	cfg.Duration = 3 * time.Second
 	cfg.Rate = 400
 	cfg.Faults = "kill=p1@500ms,restart=p1@1500ms"
-	cfg.FaultTolerance.Health.ProbeInterval = 25 * time.Millisecond
-	cfg.FaultTolerance.Health.FailureThreshold = 2
+	cfg.Farm.FaultTolerance.Health.ProbeInterval = 25 * time.Millisecond
+	cfg.Farm.FaultTolerance.Health.FailureThreshold = 2
 	cfg.AvailWindow = 250 * time.Millisecond
 
 	rep, err := run(cfg)
@@ -109,8 +109,8 @@ func TestChaosKillRestartRecovers(t *testing.T) {
 // backoff must record retries and no client may error either way.
 func TestRetryAfterHonored(t *testing.T) {
 	cfg := smokeConfig()
-	cfg.MaxActive = 1
-	cfg.MaxQueue = -1
+	cfg.Farm.MaxActive = 1
+	cfg.Farm.MaxQueue = -1
 	cfg.Warm = 0
 	cfg.Rate = 2000
 	cfg.Duration = time.Second

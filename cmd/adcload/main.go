@@ -47,13 +47,11 @@ import (
 	"time"
 
 	"github.com/adc-sim/adc/internal/clilog"
-	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/httpproxy"
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/obs"
 	"github.com/adc-sim/adc/internal/promtext"
-	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/sim"
 	"github.com/adc-sim/adc/internal/stats"
 	"github.com/adc-sim/adc/internal/workload"
@@ -69,12 +67,11 @@ const (
 
 // config collects every knob of one load run.
 type config struct {
-	Proxies  int
-	Single   int
-	Multiple int
-	Caching  int
-	MaxHops  int
-	Seed     int64
+	Proxies int
+	// Farm is every proxy's configuration: the table, -maxhops, -seed,
+	// admission, replication, health and tracing flags write it, and
+	// NewFarm sets each proxy's ID and origin.
+	Farm httpproxy.Config
 
 	Rate     float64       // offered arrival rate, req/s
 	Duration time.Duration // measurement window
@@ -85,21 +82,13 @@ type config struct {
 	Alpha      float64
 	Warm       int // requests issued closed-loop before measuring
 
-	MaxActive  int
-	MaxQueue   int
-	NoCoalesce bool
-
-	Replication protocol.Replication // -replicate and the -rep-* flags
-
-	Faults         string                   // fault schedule spec ("" = none); implies health
-	FaultTolerance httpproxy.FaultTolerance // -health and the flags tuning it
-	AvailWindow    time.Duration            // availability window (chaos/health runs)
+	Faults      string        // fault schedule spec ("" = none); implies health
+	AvailWindow time.Duration // availability window (chaos/health runs)
 
 	RetryAfterMax time.Duration // cap on honored Retry-After backoff (0 = don't back off)
 
-	Tracing     httpproxy.Tracing // -trace-sample and -trace-ring
-	TraceDump   string            // write every proxy's span dump as JSON here after the run
-	LintMetrics bool              // scrape and lint every proxy's /metrics after the run
+	TraceDump   string // write every proxy's span dump as JSON here after the run
+	LintMetrics bool   // scrape and lint every proxy's /metrics after the run
 
 	JSONOut bool
 	Quiet   bool
@@ -183,14 +172,14 @@ func (r *report) HitRate() float64 {
 // objectStream pre-generates the request stream for the measurement window
 // plus warm-up, so the hot loop never touches a generator lock.
 func objectStream(cfg config, n int) ([]ids.ObjectID, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(cfg.Farm.Seed))
 	switch cfg.Profile {
 	case "paper":
 		tr, err := workload.Materialize(workload.Config{
 			TotalRequests:  n,
 			PopulationSize: cfg.Population,
 			Alpha:          cfg.Alpha,
-			Seed:           cfg.Seed,
+			Seed:           cfg.Farm.Seed,
 		})
 		if err != nil {
 			return nil, err
@@ -247,16 +236,16 @@ func run(cfg config) (*report, error) {
 		if err := httpproxy.CheckChaos(plan, cfg.Proxies); err != nil {
 			return nil, err
 		}
-		cfg.FaultTolerance.Health.Enabled = true
+		cfg.Farm.FaultTolerance.Health.Enabled = true
 	}
 
 	// Writing a span dump only makes sense with tracing on; asking for the
 	// dump without choosing a sample rate means "trace everything".
-	if cfg.TraceDump != "" && cfg.Tracing.SampleEvery <= 0 {
-		cfg.Tracing.SampleEvery = 1
+	if cfg.TraceDump != "" && cfg.Farm.Tracing.SampleEvery <= 0 {
+		cfg.Farm.Tracing.SampleEvery = 1
 	}
 
-	f, err := newFarm(cfg)
+	f, err := httpproxy.NewFarm(cfg.Proxies, cfg.Farm)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +271,7 @@ func run(cfg config) (*report, error) {
 	// Availability accounting only exists for chaos/health runs — a plain
 	// throughput run should not pay even the window arithmetic.
 	var avail *availCounters
-	if cfg.FaultTolerance.Health.Enabled {
+	if cfg.Farm.FaultTolerance.Health.Enabled {
 		window := cfg.AvailWindow
 		if window <= 0 {
 			window = 500 * time.Millisecond
@@ -387,7 +376,7 @@ func run(cfg config) (*report, error) {
 	// Telemetry epilogue, while the farm is still up: scrape the span rings
 	// and lint every proxy's /metrics over the same HTTP surface an external
 	// scraper would use.
-	if cfg.Tracing.SampleEvery > 0 {
+	if cfg.Farm.Tracing.SampleEvery > 0 {
 		// A handler's server span lands a hair after the client reads the
 		// body; let the last handlers (and hedge losers) finish writing.
 		time.Sleep(100 * time.Millisecond)
@@ -405,26 +394,6 @@ func run(cfg config) (*report, error) {
 		rep.MetricsLinted = len(f.Proxies)
 	}
 	return rep, nil
-}
-
-// newFarm builds the farm the flags describe.
-func newFarm(cfg config) (*httpproxy.Farm, error) {
-	return httpproxy.NewFarm(httpproxy.FarmConfig{
-		Proxies: cfg.Proxies,
-		Tables: core.Config{
-			SingleSize:   cfg.Single,
-			MultipleSize: cfg.Multiple,
-			CachingSize:  cfg.Caching,
-		},
-		MaxHops:        cfg.MaxHops,
-		Seed:           cfg.Seed,
-		MaxActive:      cfg.MaxActive,
-		MaxQueue:       cfg.MaxQueue,
-		NoCoalesce:     cfg.NoCoalesce,
-		Replication:    cfg.Replication,
-		FaultTolerance: cfg.FaultTolerance,
-		Tracing:        cfg.Tracing,
-	})
 }
 
 // warm issues objs closed-loop over cfg.Conns workers, converging the
@@ -471,7 +440,7 @@ func warm(client *http.Client, f *httpproxy.Farm, cfg config, objs []ids.ObjectI
 // until stop delivers — the paper's future-work "real proxy system" (§VI)
 // as a daemon any HTTP client can fetch objects through.
 func serve(cfg config, w io.Writer, stop <-chan os.Signal) error {
-	f, err := newFarm(cfg)
+	f, err := httpproxy.NewFarm(cfg.Proxies, cfg.Farm)
 	if err != nil {
 		return err
 	}
@@ -496,7 +465,7 @@ func serve(cfg config, w io.Writer, stop <-chan os.Signal) error {
 	}
 	fmt.Fprintf(w, "\nfetch objects with:\n  curl -H '%s: r1' %s\n", httpproxy.HeaderRequestID, httpproxy.ObjectURL(urls[0], 42))
 	fmt.Fprintf(w, "\nwatch the farm live with:\n  go run ./cmd/adctop %s\n", strings.Join(urls, " "))
-	if cfg.Tracing.SampleEvery > 0 {
+	if cfg.Farm.Tracing.SampleEvery > 0 {
 		fmt.Fprintf(w, "\nrebuild the traced requests' trees with:\n  go run ./cmd/adctrace %s\n", strings.Join(urls, " "))
 	}
 	fmt.Fprintln(w, "\nserving; Ctrl-C to stop")
@@ -672,11 +641,12 @@ func us(v float64) time.Duration {
 func parseFlags(fs *flag.FlagSet, args []string) (cfg config, serve bool, err error) {
 	fs.BoolVar(&serve, "serve", false, "build and warm the farm, print its URLs, and serve until interrupted instead of measuring")
 	fs.IntVar(&cfg.Proxies, "proxies", 8, "number of proxies in the farm")
-	fs.IntVar(&cfg.Single, "single", 4096, "single-location table size per proxy")
-	fs.IntVar(&cfg.Multiple, "multiple", 4096, "multiple-location table size per proxy")
-	fs.IntVar(&cfg.Caching, "caching", 2048, "caching table size per proxy")
-	fs.IntVar(&cfg.MaxHops, "maxhops", 0, "forwarding hop bound (0 = unbounded)")
-	fs.Int64Var(&cfg.Seed, "seed", 1, "workload and peer-selection seed")
+	fc := &cfg.Farm
+	fs.IntVar(&fc.Tables.SingleSize, "single", 4096, "single-location table size per proxy")
+	fs.IntVar(&fc.Tables.MultipleSize, "multiple", 4096, "multiple-location table size per proxy")
+	fs.IntVar(&fc.Tables.CachingSize, "caching", 2048, "caching table size per proxy")
+	fs.IntVar(&fc.MaxHops, "maxhops", 0, "forwarding hop bound (0 = unbounded)")
+	fs.Int64Var(&fc.Seed, "seed", 1, "workload and peer-selection seed")
 	fs.Float64Var(&cfg.Rate, "rate", 2000, "offered arrival rate, req/s")
 	fs.DurationVar(&cfg.Duration, "duration", 5*time.Second, "measurement window")
 	fs.IntVar(&cfg.Conns, "conns", 64, "concurrent client connections")
@@ -684,15 +654,15 @@ func parseFlags(fs *flag.FlagSet, args []string) (cfg config, serve bool, err er
 	fs.IntVar(&cfg.Population, "population", 2048, "hot object population")
 	fs.Float64Var(&cfg.Alpha, "alpha", 0.8, "Zipf exponent (zipf and paper profiles)")
 	fs.IntVar(&cfg.Warm, "warm", 4096, "closed-loop warm-up requests before measuring")
-	fs.IntVar(&cfg.MaxActive, "max-active", 0, "per-proxy active-request bound (0 = default, <0 = unlimited)")
-	fs.IntVar(&cfg.MaxQueue, "max-queue", 0, "per-proxy admission queue bound (0 = default, <0 = none)")
-	fs.BoolVar(&cfg.NoCoalesce, "nocoalesce", false, "disable miss coalescing (ablation)")
-	fs.BoolVar(&cfg.Replication.Enabled, "replicate", false, "enable hot-object replication with load-aware routing")
-	fs.IntVar(&cfg.Replication.HotThreshold, "rep-threshold", 0, "replication: window hits before pushing (0 = default; with -replicate)")
-	fs.IntVar(&cfg.Replication.MaxReplicas, "rep-max", 0, "replication: max replicas beyond the primary (0 = default; with -replicate)")
-	fs.Int64Var(&cfg.Replication.Window, "rep-window", 0, "replication: decay window in requests (0 = default; with -replicate)")
+	fs.IntVar(&fc.MaxActive, "max-active", 0, "per-proxy active-request bound (0 = default, <0 = unlimited)")
+	fs.IntVar(&fc.MaxQueue, "max-queue", 0, "per-proxy admission queue bound (0 = default, <0 = none)")
+	fs.BoolVar(&fc.NoCoalesce, "nocoalesce", false, "disable miss coalescing (ablation)")
+	fs.BoolVar(&fc.Replication.Enabled, "replicate", false, "enable hot-object replication with load-aware routing")
+	fs.IntVar(&fc.Replication.HotThreshold, "rep-threshold", 0, "replication: window hits before pushing (0 = default; with -replicate)")
+	fs.IntVar(&fc.Replication.MaxReplicas, "rep-max", 0, "replication: max replicas beyond the primary (0 = default; with -replicate)")
+	fs.Int64Var(&fc.Replication.Window, "rep-window", 0, "replication: decay window in requests (0 = default; with -replicate)")
 	fs.StringVar(&cfg.Faults, "faults", "", `fault schedule in adcsim's -faults grammar; the farm plays kill, restart and partition, e.g. "kill=p3@5s,restart=p3@15s,partition=p1:p2@8s+4s" (implies -health)`)
-	ft := &cfg.FaultTolerance
+	ft := &fc.FaultTolerance
 	fs.BoolVar(&ft.Health.Enabled, "health", false, "enable peer health probing, failover routing, retries and hedging")
 	fs.DurationVar(&ft.Health.ProbeInterval, "probe-interval", 0, "health probe interval (0 = default 250ms; with -health)")
 	fs.IntVar(&ft.Health.FailureThreshold, "fail-threshold", 0, "consecutive failures marking a peer down (0 = default 3; with -health)")
@@ -700,8 +670,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (cfg config, serve bool, err er
 	fs.DurationVar(&ft.HedgeDelay, "hedge", 0, "hedged origin fetch after this delay (0 = off; with -health)")
 	fs.DurationVar(&cfg.AvailWindow, "avail-window", 0, "availability window for chaos/health runs (0 = default 500ms)")
 	fs.DurationVar(&cfg.RetryAfterMax, "retry-after-max", 0, "honor 429 Retry-After up to this backoff (0 = record the shed immediately)")
-	fs.IntVar(&cfg.Tracing.SampleEvery, "trace-sample", 0, "trace 1-in-N entry requests with cross-proxy spans (0 = off, 1 = all)")
-	fs.IntVar(&cfg.Tracing.RingSize, "trace-ring", 0, "per-proxy span ring capacity (0 = default; with -trace-sample or -trace-dump)")
+	fs.IntVar(&fc.Tracing.SampleEvery, "trace-sample", 0, "trace 1-in-N entry requests with cross-proxy spans (0 = off, 1 = all)")
+	fs.IntVar(&fc.Tracing.RingSize, "trace-ring", 0, "per-proxy span ring capacity (0 = default; with -trace-sample or -trace-dump)")
 	fs.StringVar(&cfg.TraceDump, "trace-dump", "", "write scraped span dumps as JSON to this file for adctrace (implies -trace-sample 1)")
 	fs.BoolVar(&cfg.LintMetrics, "lint-metrics", false, "scrape and lint every proxy's /metrics after the run")
 	fs.BoolVar(&cfg.JSONOut, "json", false, "emit the report as JSON on stdout")
@@ -717,8 +687,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (cfg config, serve bool, err er
 		// A measured run's window, chaos schedule and epilogue.
 		{serve, "is not read with -serve", []string{"rate", "duration", "faults", "avail-window", "trace-dump", "lint-metrics", "json", "quiet"}},
 		{!ft.Health.Enabled && cfg.Faults == "", "needs -health", []string{"probe-interval", "fail-threshold", "retries", "hedge"}},
-		{!cfg.Replication.Enabled, "needs -replicate", []string{"rep-threshold", "rep-max", "rep-window"}},
-		{cfg.Tracing.SampleEvery <= 0 && cfg.TraceDump == "", "needs -trace-sample", []string{"trace-ring"}},
+		{!fc.Replication.Enabled, "needs -replicate", []string{"rep-threshold", "rep-max", "rep-window"}},
+		{fc.Tracing.SampleEvery <= 0 && cfg.TraceDump == "", "needs -trace-sample", []string{"trace-ring"}},
 	} {
 		if c.off {
 			if err := clilog.Refuse(fs, c.why, c.names...); err != nil {

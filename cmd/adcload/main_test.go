@@ -7,11 +7,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/httpproxy"
 	"github.com/adc-sim/adc/internal/obs"
 )
@@ -20,11 +22,11 @@ import (
 // produce hits but well under a second of wall time per phase.
 func smokeConfig() config {
 	return config{
-		Proxies:    2,
-		Single:     256,
-		Multiple:   256,
-		Caching:    128,
-		Seed:       1,
+		Proxies: 2,
+		Farm: httpproxy.Config{
+			Tables: core.Config{SingleSize: 256, MultipleSize: 256, CachingSize: 128},
+			Seed:   1,
+		},
 		Rate:       500,
 		Duration:   time.Second,
 		Conns:      8,
@@ -43,7 +45,7 @@ func TestRunSmoke(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	cfg := smokeConfig()
-	cfg.Tracing.SampleEvery = 4
+	cfg.Farm.Tracing.SampleEvery = 4
 	cfg.TraceDump = filepath.Join(t.TempDir(), "spans.json")
 	rep, err := run(cfg)
 	if err != nil {
@@ -174,9 +176,53 @@ func TestFlagsRefuseModifiersOfFeaturesLeftOff(t *testing.T) {
 			t.Errorf("adcload %v: %v", args, err)
 		}
 	}
-	// The forwarding bound has adcsim's spelling and the config key's.
-	if cfg, _, err := parseFlags(flag.NewFlagSet("adcload", flag.ContinueOnError), []string{"-maxhops", "3"}); err != nil || cfg.MaxHops != 3 {
-		t.Errorf("adcload -maxhops 3: MaxHops = %d, err = %v", cfg.MaxHops, err)
+	// Every flag that configures a proxy writes the one field of cfg.Farm
+	// that NewFarm copies into each proxy, and no other. (The forwarding
+	// bound has adcsim's spelling and the config key's: -maxhops.)
+	farmOf := func(args ...string) httpproxy.Config {
+		t.Helper()
+		cfg, _, err := parseFlags(flag.NewFlagSet("adcload", flag.ContinueOnError), args)
+		if err != nil {
+			t.Fatalf("adcload %v: %v", args, err)
+		}
+		return cfg.Farm
+	}
+	defaults := farmOf()
+	for _, c := range []struct {
+		args []string
+		set  func(*httpproxy.Config)
+	}{
+		{[]string{"-single", "7"}, func(c *httpproxy.Config) { c.Tables.SingleSize = 7 }},
+		{[]string{"-multiple", "8"}, func(c *httpproxy.Config) { c.Tables.MultipleSize = 8 }},
+		{[]string{"-caching", "9"}, func(c *httpproxy.Config) { c.Tables.CachingSize = 9 }},
+		{[]string{"-maxhops", "3"}, func(c *httpproxy.Config) { c.MaxHops = 3 }},
+		{[]string{"-seed", "42"}, func(c *httpproxy.Config) { c.Seed = 42 }},
+		{[]string{"-max-active", "5"}, func(c *httpproxy.Config) { c.MaxActive = 5 }},
+		{[]string{"-max-queue", "-1"}, func(c *httpproxy.Config) { c.MaxQueue = -1 }},
+		{[]string{"-nocoalesce"}, func(c *httpproxy.Config) { c.NoCoalesce = true }},
+		{[]string{"-replicate"}, func(c *httpproxy.Config) { c.Replication.Enabled = true }},
+		{[]string{"-replicate", "-rep-threshold", "3"}, func(c *httpproxy.Config) { c.Replication.Enabled, c.Replication.HotThreshold = true, 3 }},
+		{[]string{"-replicate", "-rep-max", "2"}, func(c *httpproxy.Config) { c.Replication.Enabled, c.Replication.MaxReplicas = true, 2 }},
+		{[]string{"-replicate", "-rep-window", "64"}, func(c *httpproxy.Config) { c.Replication.Enabled, c.Replication.Window = true, 64 }},
+		{[]string{"-health"}, func(c *httpproxy.Config) { c.FaultTolerance.Health.Enabled = true }},
+		{[]string{"-health", "-probe-interval", "50ms"}, func(c *httpproxy.Config) {
+			c.FaultTolerance.Health.Enabled, c.FaultTolerance.Health.ProbeInterval = true, 50*time.Millisecond
+		}},
+		{[]string{"-health", "-fail-threshold", "2"}, func(c *httpproxy.Config) {
+			c.FaultTolerance.Health.Enabled, c.FaultTolerance.Health.FailureThreshold = true, 2
+		}},
+		{[]string{"-health", "-retries", "5"}, func(c *httpproxy.Config) { c.FaultTolerance.Health.Enabled, c.FaultTolerance.MaxRetries = true, 5 }},
+		{[]string{"-health", "-hedge", "5ms"}, func(c *httpproxy.Config) {
+			c.FaultTolerance.Health.Enabled, c.FaultTolerance.HedgeDelay = true, 5*time.Millisecond
+		}},
+		{[]string{"-trace-sample", "4"}, func(c *httpproxy.Config) { c.Tracing.SampleEvery = 4 }},
+		{[]string{"-trace-sample", "4", "-trace-ring", "10"}, func(c *httpproxy.Config) { c.Tracing.SampleEvery, c.Tracing.RingSize = 4, 10 }},
+	} {
+		want := defaults
+		c.set(&want)
+		if got := farmOf(c.args...); !reflect.DeepEqual(got, want) {
+			t.Errorf("adcload %v: Farm = %+v, want %+v", c.args, got, want)
+		}
 	}
 }
 

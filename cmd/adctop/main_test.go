@@ -19,10 +19,9 @@ import (
 // identity, counters, gauges and stage histograms, and the rendered frame
 // must show every proxy and a server-stage latency row.
 func TestScrapeAndRenderAgainstFarm(t *testing.T) {
-	f, err := httpproxy.NewFarm(httpproxy.FarmConfig{
-		Proxies: 2,
-		Tables:  core.Config{SingleSize: 128, MultipleSize: 128, CachingSize: 32},
-		Seed:    11,
+	f, err := httpproxy.NewFarm(2, httpproxy.Config{
+		Tables: core.Config{SingleSize: 128, MultipleSize: 128, CachingSize: 32},
+		Seed:   11,
 		// Traced and health-probed (without probe ticks), so the page holds
 		// every family scrape reads.
 		Tracing:        httpproxy.Tracing{SampleEvery: 1},

@@ -2,7 +2,6 @@ package adc
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/httpproxy"
@@ -26,41 +25,8 @@ type HTTPFarmConfig struct {
 	SingleTable   int
 	MultipleTable int
 	CachingTable  int
-	// MaxHops bounds forwarding (0 = unbounded).
-	MaxHops int
 	// Seed drives random peer selection.
 	Seed int64
-	// MaxActive and MaxQueue bound each proxy's admission gate: at most
-	// MaxActive entry requests run while MaxQueue more wait; beyond that
-	// the proxy sheds with 429. Zero selects the built-in defaults,
-	// negative disables the bound (MaxActive) or the queue (MaxQueue).
-	MaxActive int
-	MaxQueue  int
-	// NoCoalesce disables miss coalescing (one upstream fetch shared by
-	// concurrent misses on the same cold object).
-	NoCoalesce bool
-	// Health enables the fault-tolerance layer on every proxy: periodic
-	// peer /healthz probes driving an up/suspect/down/recovering state
-	// machine, failover routing around down peers, and entry-only retries
-	// with an origin fallback.
-	Health bool
-	// ProbeInterval spaces health probes (0 = default 250ms).
-	ProbeInterval time.Duration
-	// FailureThreshold is the consecutive-failure count that marks a peer
-	// down (0 = default 3).
-	FailureThreshold int
-	// MaxRetries bounds entry-chain failover retries (0 = default 2,
-	// negative = none).
-	MaxRetries int
-	// HedgeDelay, when positive, starts a parallel direct-origin fetch
-	// for entry chains still unresolved after this long (0 = off).
-	HedgeDelay time.Duration
-	// TraceSample, when positive, enables cross-proxy distributed tracing
-	// on every proxy, sampling 1-in-TraceSample entry requests (1 = all).
-	// Spans are served at each proxy's /debug/trace for adctrace.
-	TraceSample int
-	// TraceRing caps each proxy's in-memory span ring (0 = default).
-	TraceRing int
 }
 
 // NewHTTPFarm starts the origin server and all proxies. Close the farm
@@ -81,31 +47,13 @@ func NewHTTPFarm(cfg HTTPFarmConfig) (*HTTPFarm, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	farm, err := httpproxy.NewFarm(httpproxy.FarmConfig{
-		Proxies: cfg.Proxies,
+	farm, err := httpproxy.NewFarm(cfg.Proxies, httpproxy.Config{
 		Tables: core.Config{
 			SingleSize:   cfg.SingleTable,
 			MultipleSize: cfg.MultipleTable,
 			CachingSize:  cfg.CachingTable,
 		},
-		MaxHops:    cfg.MaxHops,
-		Seed:       cfg.Seed,
-		MaxActive:  cfg.MaxActive,
-		MaxQueue:   cfg.MaxQueue,
-		NoCoalesce: cfg.NoCoalesce,
-		FaultTolerance: httpproxy.FaultTolerance{
-			Health: httpproxy.HealthConfig{
-				Enabled:          cfg.Health,
-				ProbeInterval:    cfg.ProbeInterval,
-				FailureThreshold: cfg.FailureThreshold,
-			},
-			MaxRetries: cfg.MaxRetries,
-			HedgeDelay: cfg.HedgeDelay,
-		},
-		Tracing: httpproxy.Tracing{
-			SampleEvery: cfg.TraceSample,
-			RingSize:    cfg.TraceRing,
-		},
+		Seed: cfg.Seed,
 	})
 	if err != nil {
 		return nil, err

@@ -131,8 +131,7 @@ func TestDebugTablesCheck(t *testing.T) {
 // the violation: a holder that is no known proxy, more holders than
 // MaxReplicas, and a set out of order or repeating a holder.
 func TestCheckInvariantsCatchesReplicaSets(t *testing.T) {
-	f, err := NewFarm(FarmConfig{
-		Proxies:     4,
+	f, err := NewFarm(4, Config{
 		Tables:      core.Config{SingleSize: 64, MultipleSize: 64, CachingSize: 16},
 		Seed:        1,
 		Replication: protocol.Replication{Enabled: true, MaxReplicas: 1},
@@ -207,8 +206,8 @@ func TestTraceCarriesProtocolDecisions(t *testing.T) {
 		t.Helper()
 		var got obs.Span
 		waitFor(t, 5*time.Second, what, func() bool {
-			for _, d := range f.TraceDumps() {
-				for _, s := range d.Spans {
+			for _, p := range f.Proxies {
+				for _, s := range p.TraceDump().Spans {
 					if want(s) {
 						got = s
 						return true

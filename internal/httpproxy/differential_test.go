@@ -88,8 +88,7 @@ func TestSimAndFarmRunTheSameProtocol(t *testing.T) {
 			}
 
 			// The farm side: the same (object, entry proxy) sequence.
-			f, err := NewFarm(FarmConfig{
-				Proxies:     proxies,
+			f, err := NewFarm(proxies, Config{
 				Tables:      tables,
 				MaxHops:     maxHops,
 				Seed:        seed,

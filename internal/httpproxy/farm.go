@@ -8,11 +8,8 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
-	"github.com/adc-sim/adc/internal/obs"
-	"github.com/adc-sim/adc/internal/protocol"
 	"github.com/adc-sim/adc/internal/workload"
 )
 
@@ -27,65 +24,30 @@ type Farm struct {
 	client *http.Client
 }
 
-// FarmConfig assembles a farm.
-type FarmConfig struct {
-	// Proxies is the array size.
-	Proxies int
-	// Tables sizes each proxy's mapping tables.
-	Tables core.Config
-	// MaxHops bounds forwarding (0 = unbounded).
-	MaxHops int
-	// Seed drives the proxies' random peer selection.
-	Seed int64
-	// MaxActive/MaxQueue bound each proxy's admission gate
-	// (see Config; 0 = defaults, negative = unlimited / no queue).
-	MaxActive int
-	MaxQueue  int
-	// NoCoalesce disables per-proxy miss coalescing.
-	NoCoalesce bool
-	// Replication configures hot-object replication on every proxy
-	// (zero value = stock ADC).
-	Replication protocol.Replication
-	// FaultTolerance configures health probing, failover routing, retries
-	// and hedging on every proxy (zero value = all off).
-	FaultTolerance FaultTolerance
-	// Tracing configures cross-proxy span tracing on every proxy
-	// (zero value = off).
-	Tracing Tracing
-}
-
-// NewFarm starts the origin and all proxies and wires the peer address
-// book. Close the farm when done.
-func NewFarm(cfg FarmConfig) (*Farm, error) {
-	if cfg.Proxies <= 0 {
-		return nil, fmt.Errorf("httpproxy: farm needs at least one proxy, got %d", cfg.Proxies)
+// NewFarm starts the origin and the given number of proxies, each built
+// from a copy of cfg whose ID is the proxy's index and whose OriginURL is
+// the farm's origin, and wires the peer address book. Close the farm when
+// done.
+func NewFarm(proxies int, cfg Config) (*Farm, error) {
+	if proxies <= 0 {
+		return nil, fmt.Errorf("httpproxy: farm needs at least one proxy, got %d", proxies)
 	}
 	origin, err := NewOrigin()
 	if err != nil {
 		return nil, err
 	}
 	f := &Farm{Origin: origin, client: sharedClient}
-	for i := 0; i < cfg.Proxies; i++ {
-		p, err := NewProxy(Config{
-			ID:             ids.NodeID(i),
-			Tables:         cfg.Tables,
-			OriginURL:      origin.URL(),
-			MaxHops:        cfg.MaxHops,
-			Seed:           cfg.Seed,
-			MaxActive:      cfg.MaxActive,
-			MaxQueue:       cfg.MaxQueue,
-			NoCoalesce:     cfg.NoCoalesce,
-			Replication:    cfg.Replication,
-			FaultTolerance: cfg.FaultTolerance,
-			Tracing:        cfg.Tracing,
-		})
+	cfg.OriginURL = origin.URL()
+	for i := 0; i < proxies; i++ {
+		cfg.ID = ids.NodeID(i)
+		p, err := NewProxy(cfg)
 		if err != nil {
 			f.Close() //nolint:errcheck // already on the error path
 			return nil, err
 		}
 		f.Proxies = append(f.Proxies, p)
 	}
-	book := make(map[ids.NodeID]string, cfg.Proxies)
+	book := make(map[ids.NodeID]string, proxies)
 	for _, p := range f.Proxies {
 		book[p.ID()] = p.URL()
 	}
@@ -126,17 +88,6 @@ func (f *Farm) HealthTransitions() []HealthTransition {
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].At.Before(all[j].At) })
 	return all
-}
-
-// TraceDumps snapshots every proxy's span ring in-process — the
-// local-farm counterpart of scraping each proxy's /debug/trace. All
-// proxies share this process's clock, so no ScrapedUs alignment is set.
-func (f *Farm) TraceDumps() []obs.SpanDump {
-	out := make([]obs.SpanDump, 0, len(f.Proxies))
-	for _, p := range f.Proxies {
-		out = append(out, p.TraceDump())
-	}
-	return out
 }
 
 // TotalStats aggregates every proxy's counters.

@@ -19,10 +19,9 @@ import (
 // fast tests: 20ms probes, 2 failures to down.
 func ftFarm(t *testing.T, proxies int) *Farm {
 	t.Helper()
-	f, err := NewFarm(FarmConfig{
-		Proxies: proxies,
-		Tables:  core.Config{SingleSize: 128, MultipleSize: 128, CachingSize: 64},
-		Seed:    1,
+	f, err := NewFarm(proxies, Config{
+		Tables: core.Config{SingleSize: 128, MultipleSize: 128, CachingSize: 64},
+		Seed:   1,
 		FaultTolerance: FaultTolerance{
 			Health: HealthConfig{
 				Enabled:          true,
@@ -135,7 +134,7 @@ func TestHealthProbeDetectsKillAndRecover(t *testing.T) {
 	killedAt := time.Now()
 	waitFor(t, 5*time.Second, "peers to mark the killed proxy down", func() bool {
 		for _, p := range observers {
-			if p.HealthState(victim.ID()) != PeerDown {
+			if p.health.Load().state(victim.ID()) != PeerDown {
 				return false
 			}
 		}
@@ -153,7 +152,7 @@ func TestHealthProbeDetectsKillAndRecover(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, "peers to readmit the restarted proxy", func() bool {
 		for _, p := range observers {
-			if p.HealthState(victim.ID()) != PeerUp {
+			if p.health.Load().state(victim.ID()) != PeerUp {
 				return false
 			}
 		}
@@ -211,7 +210,7 @@ func TestFailoverOriginWhenOwnerDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "entry proxy to mark the owner down", func() bool {
-		return entry.HealthState(owner.ID()) == PeerDown
+		return entry.health.Load().state(owner.ID()) == PeerDown
 	})
 
 	if code := stormGet(t, entry, obj, "fo-1"); code != http.StatusOK {
@@ -241,7 +240,7 @@ func TestFetchRefusesDownPeer(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		entry.health.Load().reportFailure(peer.ID())
 	}
-	if got := entry.HealthState(peer.ID()); got != PeerDown {
+	if got := entry.health.Load().state(peer.ID()); got != PeerDown {
 		t.Fatalf("peer state = %v, want down", got)
 	}
 
@@ -363,8 +362,7 @@ func TestFlightLeaderPeerDiesMidFetch(t *testing.T) {
 // the gate must drain through failure and recovery, never wedge.
 func TestGateDrainsAfterRecovery(t *testing.T) {
 	const clients = 12
-	f, err := NewFarm(FarmConfig{
-		Proxies:   2,
+	f, err := NewFarm(2, Config{
 		Tables:    core.Config{SingleSize: 128, MultipleSize: 128, CachingSize: 64},
 		Seed:      1,
 		MaxActive: 1,
@@ -435,7 +433,7 @@ func TestDebugVarsHealthSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "proxy 0 to mark proxy 1 down", func() bool {
-		return f.Proxies[0].HealthState(f.Proxies[1].ID()) == PeerDown
+		return f.Proxies[0].health.Load().state(f.Proxies[1].ID()) == PeerDown
 	})
 
 	resp, err := http.Get(f.Proxies[0].URL() + "/debug/vars")

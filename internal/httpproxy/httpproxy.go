@@ -579,15 +579,6 @@ func (p *Proxy) isBlocked(peer ids.NodeID) bool {
 	return ok
 }
 
-// HealthState reports this proxy's belief about peer (PeerUp when health
-// probing is off).
-func (p *Proxy) HealthState(peer ids.NodeID) PeerState {
-	if m := p.health.Load(); m != nil {
-		return m.state(peer)
-	}
-	return PeerUp
-}
-
 // HealthTransitions returns the monitor's timestamped transition log (nil
 // when health probing is off) — the chaos harness's time-to-detect and
 // time-to-recover source.

@@ -22,10 +22,9 @@ import (
 
 func testFarm(t *testing.T, proxies int) *Farm {
 	t.Helper()
-	f, err := NewFarm(FarmConfig{
-		Proxies: proxies,
-		Tables:  core.Config{SingleSize: 256, MultipleSize: 128, CachingSize: 64},
-		Seed:    1,
+	f, err := NewFarm(proxies, Config{
+		Tables: core.Config{SingleSize: 256, MultipleSize: 128, CachingSize: 64},
+		Seed:   1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,10 +253,10 @@ func TestRunWorkloadHitRate(t *testing.T) {
 }
 
 func TestFarmConfigValidation(t *testing.T) {
-	if _, err := NewFarm(FarmConfig{Proxies: 0}); err == nil {
+	if _, err := NewFarm(0, Config{}); err == nil {
 		t.Error("zero proxies must fail")
 	}
-	if _, err := NewFarm(FarmConfig{Proxies: 1}); err == nil {
+	if _, err := NewFarm(1, Config{}); err == nil {
 		t.Error("invalid tables must fail")
 	}
 }

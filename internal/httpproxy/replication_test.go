@@ -20,10 +20,9 @@ import (
 // brief test stream engages every controller path.
 func replicatedFarm(t *testing.T, proxies int, on bool) *Farm {
 	t.Helper()
-	cfg := FarmConfig{
-		Proxies: proxies,
-		Tables:  core.Config{SingleSize: 256, MultipleSize: 128, CachingSize: 32},
-		Seed:    1,
+	cfg := Config{
+		Tables: core.Config{SingleSize: 256, MultipleSize: 128, CachingSize: 32},
+		Seed:   1,
 	}
 	if on {
 		cfg.Replication = protocol.Replication{
@@ -33,7 +32,7 @@ func replicatedFarm(t *testing.T, proxies int, on bool) *Farm {
 			Window:       256,
 		}
 	}
-	f, err := NewFarm(cfg)
+	f, err := NewFarm(proxies, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

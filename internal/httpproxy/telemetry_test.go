@@ -24,8 +24,7 @@ import (
 // fault tolerance.
 func tracedFarm(t *testing.T, proxies int, ft FaultTolerance) *Farm {
 	t.Helper()
-	f, err := NewFarm(FarmConfig{
-		Proxies:        proxies,
+	f, err := NewFarm(proxies, Config{
 		Tables:         core.Config{SingleSize: 256, MultipleSize: 256, CachingSize: 64},
 		Seed:           7,
 		MaxHops:        8,
@@ -37,6 +36,16 @@ func tracedFarm(t *testing.T, proxies int, ft FaultTolerance) *Farm {
 	}
 	t.Cleanup(func() { _ = f.Close() })
 	return f
+}
+
+// traceDumps snapshots every proxy's span ring in-process: the dumps each
+// proxy's /debug/trace serves.
+func traceDumps(f *Farm) []obs.SpanDump {
+	dumps := make([]obs.SpanDump, len(f.Proxies))
+	for i, p := range f.Proxies {
+		dumps[i] = p.TraceDump()
+	}
+	return dumps
 }
 
 // TestMetricsParsesAndLints drives traffic through a farm and checks every
@@ -115,8 +124,7 @@ func TestMetricsParsesAndLints(t *testing.T) {
 // exactly the stats /debug/vars serves; metrics.ReadGauges gives the
 // /debug/vars scalar fields, and the peer states its health peers.
 func TestMetricsRoundTripsProxyStats(t *testing.T) {
-	f, err := NewFarm(FarmConfig{
-		Proxies:        3,
+	f, err := NewFarm(3, Config{
 		Tables:         core.Config{SingleSize: 256, MultipleSize: 128, CachingSize: 32},
 		Seed:           1,
 		Replication:    protocol.Replication{Enabled: true, HotThreshold: 2, MaxReplicas: 3, Window: 256},
@@ -208,8 +216,7 @@ func stageCounts(t *testing.T, p *Proxy) [metrics.NumStages]uint64 {
 // forward is not among them; and flight waits only when shared, which no
 // request here is.
 func TestStagePopulations(t *testing.T) {
-	f, err := NewFarm(FarmConfig{
-		Proxies:   2,
+	f, err := NewFarm(2, Config{
 		Tables:    core.Config{SingleSize: 16, MultipleSize: 16, CachingSize: 8},
 		Seed:      1,
 		MaxActive: 1,
@@ -354,7 +361,7 @@ func TestTraceReconstructionCleanFarm(t *testing.T) {
 	// response body; let the last handlers finish.
 	time.Sleep(50 * time.Millisecond)
 
-	trees := obs.BuildSpanTrees(obs.MergeDumps(f.TraceDumps()))
+	trees := obs.BuildSpanTrees(obs.MergeDumps(traceDumps(f)))
 	c := obs.CensusSpanTrees(trees)
 	if c.Trees != n {
 		t.Fatalf("reconstructed %d trees, want %d (one per request)", c.Trees, n)
@@ -393,8 +400,7 @@ func TestTraceReconstructionCleanFarm(t *testing.T) {
 // TestTraceSampling: 1-in-N sampling traces ~requests/N entry requests and
 // leaves the rest without spans.
 func TestTraceSampling(t *testing.T) {
-	f, err := NewFarm(FarmConfig{
-		Proxies: 2,
+	f, err := NewFarm(2, Config{
 		Tables:  core.Config{SingleSize: 64, MultipleSize: 64, CachingSize: 16},
 		Seed:    3,
 		Tracing: Tracing{SampleEvery: 5},
@@ -410,7 +416,7 @@ func TestTraceSampling(t *testing.T) {
 		}
 	}
 	time.Sleep(50 * time.Millisecond)
-	c := obs.CensusSpanTrees(obs.BuildSpanTrees(obs.MergeDumps(f.TraceDumps())))
+	c := obs.CensusSpanTrees(obs.BuildSpanTrees(obs.MergeDumps(traceDumps(f))))
 	// Each proxy samples its own entry stream 1-in-5; 50 entries each.
 	if want := n / 5; c.Trees != want {
 		t.Errorf("sampled %d trees, want %d", c.Trees, want)
@@ -462,7 +468,7 @@ func TestChaosTraceNoOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "victim recovery", func() bool {
-		return f.Proxies[0].HealthState(victim.ID()) == PeerUp
+		return f.Proxies[0].health.Load().state(victim.ID()) == PeerUp
 	})
 	time.Sleep(100 * time.Millisecond)
 	close(stop)
@@ -470,7 +476,7 @@ func TestChaosTraceNoOrphans(t *testing.T) {
 	// Late losers of hedges/retries may still be writing spans.
 	time.Sleep(100 * time.Millisecond)
 
-	c := obs.CensusSpanTrees(obs.BuildSpanTrees(obs.MergeDumps(f.TraceDumps())))
+	c := obs.CensusSpanTrees(obs.BuildSpanTrees(obs.MergeDumps(traceDumps(f))))
 	if c.Trees == 0 {
 		t.Fatal("no trees reconstructed")
 	}

@@ -43,24 +43,15 @@ type Config struct {
 	FillFraction float64
 
 	// PopulationSize is the hot object population of phases 2–3, in
-	// objects. When zero, the population is PopulationFraction of the
+	// objects. When zero, the population is populationFraction of the
 	// distinct objects introduced during fill. Experiments set it
 	// explicitly so the workload's working set scales with the proxy
 	// table sizes rather than with the trace length.
 	PopulationSize int
 
-	// PopulationFraction sizes the hot population as a fraction of the
-	// fill-phase objects when PopulationSize is zero. Default 0.2.
-	PopulationFraction float64
-
 	// Alpha is the Zipf popularity exponent for phases 2–3.
 	// Default 0.8, the upper end of the measured web range (ref [2]).
 	Alpha float64
-
-	// FillRepeatProb is the probability that a fill-phase request
-	// repeats an already-introduced object ("almost no request
-	// repetitions", §V.1.6). Default 0.03.
-	FillRepeatProb float64
 
 	// OneTimerProb is the probability that a request-phase (2–3)
 	// request targets a fresh, never-repeated object instead of the hot
@@ -75,25 +66,26 @@ type Config struct {
 	Seed int64
 }
 
+const (
+	// populationFraction sizes the hot population as a fraction of the
+	// fill-phase objects when PopulationSize is zero.
+	populationFraction = 0.2
+	// fillRepeatProb is the probability that a fill-phase request
+	// repeats an already-introduced object ("almost no request
+	// repetitions", §V.1.6).
+	fillRepeatProb = 0.03
+)
+
 // withDefaults fills unset fields with the documented defaults.
 func (c Config) withDefaults() Config {
 	if c.FillFraction == 0 {
 		c.FillFraction = 0.25
 	}
-	if c.PopulationFraction == 0 {
-		c.PopulationFraction = 0.2
-	}
 	if c.Alpha == 0 {
 		c.Alpha = 0.8
 	}
-	// For the probability knobs, zero means "default"; pass a negative
-	// value to select exactly zero.
-	switch {
-	case c.FillRepeatProb == 0:
-		c.FillRepeatProb = 0.03
-	case c.FillRepeatProb < 0:
-		c.FillRepeatProb = 0
-	}
+	// For OneTimerProb, zero means "default"; pass a negative value to
+	// select exactly zero.
 	switch {
 	case c.OneTimerProb == 0:
 		c.OneTimerProb = 0.3
@@ -116,17 +108,11 @@ func (c Config) Validate() error {
 	if !(c.FillFraction > 0 && c.FillFraction < 1) {
 		return fmt.Errorf("workload: FillFraction must be in (0,1), got %v", c.FillFraction)
 	}
-	if !(c.PopulationFraction > 0 && c.PopulationFraction <= 1) {
-		return fmt.Errorf("workload: PopulationFraction must be in (0,1], got %v", c.PopulationFraction)
-	}
 	if c.PopulationSize < 0 {
 		return fmt.Errorf("workload: PopulationSize must be non-negative, got %d", c.PopulationSize)
 	}
 	if err := validAlpha(c.Alpha); err != nil {
 		return err
-	}
-	if !(c.FillRepeatProb < 1) {
-		return fmt.Errorf("workload: FillRepeatProb must be below 1, got %v", c.FillRepeatProb)
 	}
 	if !(c.OneTimerProb < 1) {
 		return fmt.Errorf("workload: OneTimerProb must be below 1, got %v", c.OneTimerProb)
@@ -184,7 +170,7 @@ func New(cfg Config) (*Generator, error) {
 
 	population := cfg.PopulationSize
 	if population == 0 {
-		population = int(float64(fillEnd) * cfg.PopulationFraction)
+		population = int(float64(fillEnd) * populationFraction)
 	}
 	if population < 1 {
 		population = 1
@@ -246,7 +232,7 @@ func (g *Generator) Next() (ids.ObjectID, bool) {
 	if i < g.fillEnd {
 		// Fill phase: new object IDs in sequence, with a small
 		// repeat probability over the already-introduced prefix.
-		if i > 0 && g.fillRng.Float64() < g.cfg.FillRepeatProb {
+		if i > 0 && g.fillRng.Float64() < fillRepeatProb {
 			return ids.ObjectID(g.fillRng.Intn(i) + 1), true
 		}
 		return ids.ObjectID(i + 1), true

@@ -14,9 +14,9 @@ import (
 // then export with WriteTrace: cmd/adctrace reads the file, and its -chrome
 // flag turns it into a Chrome trace (one process per request, one row per
 // node). A nil Tracer disables tracing at zero cost:
-// the hot paths check a nil pointer and skip all event assembly. An
-// HTTPFarm records spans instead, at each proxy's /debug/trace
-// (HTTPFarmConfig.TraceSample).
+// the hot paths check a nil pointer and skip all event assembly. The
+// HTTP farm records spans instead, at each proxy's /debug/trace
+// (adcload -trace-sample).
 type Tracer = obs.Tracer
 
 // NewTracer returns a tracer recording every event kind.
