@@ -56,6 +56,7 @@ cover-integration:
 	run "$$b/adcload" -proxies 2 -rate 4000 -duration 2s -conns 64 -warm 500 -max-active 8 -max-queue 8 -quiet; \
 	run "$$b/adcload" -proxies 4 -rate 800 -duration 8s -faults 'kill=p1@2s,restart=p1@5s' -probe-interval 50ms -quiet; \
 	run "$$b/adcsim" -runtime vtime -requests 20000 -recovery '' -faults 'kill=p1@2s,restart=p1@5s'; \
+	run "$$b/adcload" -proxies 4 -rate 800 -duration 6s -faults 'partition=p1:p2@2s+3s' -probe-interval 50ms -quiet; \
 	run "$$b/adcsim" -runtime vtime -requests 20000 -quiet -trace "$$dir/trace-smoke.spans.json"; \
 	run "$$b/adctrace" -min-complete 1 "$$dir/trace-smoke.spans.json"; \
 	run "$$b/adcsim" -requests 20000 -write-trace "$$dir/trace-smoke.bin"; \
@@ -66,6 +67,7 @@ cover-integration:
 	  -trace-sample 1 -trace-dump "$$dir/telemetry-smoke.spans.json" -lint-metrics; \
 	run "$$b/adctrace" -min-complete 0.99 "$$dir/telemetry-smoke.spans.json"; \
 	run "$$b/adcsweep" -metric loadspread -proxies 8 -seed 7 -quiet; \
+	run "$$b/adcload" -proxies 4 -rate 1000 -duration 3s -warm 2000 -replicate -quiet; \
 	for ex in quickstart adaptivity elasticity httpfarm; do run "$$b/$$ex"; done; \
 	$(GO) tool covdata func -i="$$GOCOVERDIR" | awk -v mod="$$($(GO) list -m)/" ' \
 	  $$1 == "total" { total = $$NF; next } \

@@ -89,13 +89,16 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	spans := obs.MergeDumps(dumps)
-	trees := obs.BuildSpanTrees(spans)
-	c := obs.CensusSpanTrees(trees)
 	var dropped uint64
 	for _, d := range dumps {
 		dropped += d.Dropped
 	}
+	// Nothing reads dumps after the merge, which lets the collector take
+	// back the per-dump spans that MergeDumps copied out of several dumps.
+	nDumps := len(dumps)
+	spans := obs.MergeDumps(dumps)
+	trees := obs.BuildSpanTrees(spans)
+	c := obs.CensusSpanTrees(trees)
 	stages := map[string]int{}
 	for _, s := range spans {
 		stages[s.Stage]++
@@ -105,14 +108,14 @@ func run(args []string) error {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(census{
-			Dumps: len(dumps), Spans: c.Spans, Dropped: dropped,
+			Dumps: nDumps, Spans: c.Spans, Dropped: dropped,
 			Trees: c.Trees, Complete: c.Complete, Truncated: c.Truncated,
 			Orphaned: c.Orphaned, CompleteFraction: c.CompleteFraction(), Stages: stages,
 		}); err != nil {
 			return err
 		}
 	} else {
-		fmt.Printf("dumps     %d, %d spans (%d dropped from rings)\n", len(dumps), c.Spans, dropped)
+		fmt.Printf("dumps     %d, %d spans (%d dropped from rings)\n", nDumps, c.Spans, dropped)
 		fmt.Printf("trees     %d: %d complete, %d truncated, %d orphaned\n",
 			c.Trees, c.Complete, c.Truncated, c.Orphaned)
 		fmt.Printf("complete  %.4f  (complete+truncated over trees)\n\n", c.CompleteFraction())
@@ -164,17 +167,14 @@ func loadDumps(targets []string) ([]obs.SpanDump, error) {
 	if len(targets) != 1 {
 		return nil, fmt.Errorf("want one dump file or a list of proxy URLs, got %d files", len(targets))
 	}
-	b, err := os.ReadFile(targets[0])
+	f, err := os.Open(targets[0])
 	if err != nil {
 		return nil, err
 	}
-	var dumps []obs.SpanDump
-	if err := json.Unmarshal(b, &dumps); err != nil {
-		var one obs.SpanDump
-		if err2 := json.Unmarshal(b, &one); err2 != nil {
-			return nil, fmt.Errorf("%s: %w", targets[0], err)
-		}
-		dumps = []obs.SpanDump{one}
+	defer f.Close()
+	dumps, err := obs.ReadSpanDumps(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", targets[0], err)
 	}
 	return dumps, nil
 }

@@ -42,7 +42,7 @@ var (
 	// Lines event trace: its reader, writer, wire type and kind parser, the
 	// facade's Chrome writer, adcsim's -trace-out, adctrace's subcommands
 	// and the tracer's reset.
-	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)|\b(?:New)?OpenLoop(?:Client|Config)\b|breakerGroup|Breaker(?:Var|Threshold|Cooldown)|RecoveryThreshold|RetryBackoff|adc_breaker_state|\b(?:BuildTrees|TreeFor|FormatTree|WriteChrome)\b|\bHashRequestID\b|\bUseWallClock\b|HTTPFarm\)?\.SetTracer|RuntimeAgents|runConcurrent|examples/distributed|\bRecycler\b|\bReplyTo\(|\bSetOnDone\b|adcfigures|examples/tablesweep|\badc(?:gen|farm)\b|BreakerDenied|breaker_denied|adc_breaker_denied_total|WriteText|ReadText|[pP]arallelMergeMin|\bSerialize\(\)|(?:^|[^\w-])-shards(?:[^\w-]|$)|\bBackendSlice\b|\bsliceTable\b|-backend slice|\b(?:New)?ShardMap\b|\bNewShardedVEngine\b|\bshardIdx\b|Config\.Shards\b|PurgeTraceCache|\bHeadMass\b|\bNewTrace\b|\bStdDev\b|\bProxy\.(?:Handler|Killed)\(\)|\bsim\.NewEngine\b|\bmessageQueue\b|\bsim\.(?:Clock|Scheduler)\b|\bTraceNow\b|\bbtree(?:Table|Cell|MaxBlock)\b|\b(?:WriteJSONL|ReadJSONL|ParseKind|WriteChromeTrace|wireEvent)\b|-trace-out\b|adctrace (?:summary|request|converge|validate|chrome|farm)\b|\bTracer\.Reset\b|\bFarmConfig\b|HTTPFarmConfig\.(?:MaxHops|MaxActive|MaxQueue|NoCoalesce|Health|ProbeInterval|FailureThreshold|MaxRetries|HedgeDelay|TraceSample|TraceRing)\b|\b(?:Farm\.TraceDumps|Proxy\.HealthState|PopulationFraction|FillRepeatProb)\b`)
+	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)|\b(?:New)?OpenLoop(?:Client|Config)\b|breakerGroup|Breaker(?:Var|Threshold|Cooldown)|RecoveryThreshold|RetryBackoff|adc_breaker_state|\b(?:BuildTrees|TreeFor|FormatTree|WriteChrome)\b|\bHashRequestID\b|\bUseWallClock\b|HTTPFarm\)?\.SetTracer|RuntimeAgents|runConcurrent|examples/distributed|\bRecycler\b|\bReplyTo\(|\bSetOnDone\b|adcfigures|examples/tablesweep|\badc(?:gen|farm)\b|BreakerDenied|breaker_denied|adc_breaker_denied_total|WriteText|ReadText|[pP]arallelMergeMin|\bSerialize\(\)|(?:^|[^\w-])-shards(?:[^\w-]|$)|\bBackendSlice\b|\bsliceTable\b|-backend slice|\b(?:New)?ShardMap\b|\bNewShardedVEngine\b|\bshardIdx\b|Config\.Shards\b|PurgeTraceCache|\bHeadMass\b|\bNewTrace\b|\bStdDev\b|\bProxy\.(?:Handler|Killed)\(\)|\bsim\.NewEngine\b|\bmessageQueue\b|\bsim\.(?:Clock|Scheduler)\b|\bTraceNow\b|\bbtree(?:Table|Cell|MaxBlock)\b|\b(?:WriteJSONL|ReadJSONL|ParseKind|WriteChromeTrace|wireEvent)\b|-trace-out\b|adctrace (?:summary|request|converge|validate|chrome|farm)\b|\bTracer\.Reset\b|\bFarmConfig\b|HTTPFarmConfig\.(?:MaxHops|MaxActive|MaxQueue|NoCoalesce|Health|ProbeInterval|FailureThreshold|MaxRetries|HedgeDelay|TraceSample|TraceRing)\b|\b(?:Farm\.TraceDumps|Proxy\.HealthState|PopulationFraction|FillRepeatProb)\b|\b(?:lruOrdered|newLRUOrdered)\b`)
 	// EXPERIMENTS.md sections that record one PR's runs say so in their
 	// heading; they are history and may name what existed then.
 	datedHeading = regexp.MustCompile(`\((?:PR|issue) \d+`)
@@ -378,14 +378,16 @@ func docsNameDeclaredMakeTargets(t *testing.T) {
 // test-only functions, the FIFO engine with its clock and scheduler
 // interfaces, the block B-tree backend, the JSON Lines event trace, the
 // farm configurations that copied httpproxy.Config, the test-only farm
-// accessors and the workload knobs that became constants. Exempt:
+// accessors, the workload knobs that became constants and the admit-all
+// cache's own list type, which the single-table replaced. Exempt:
 // CHANGES.md, ROADMAP.md and the task plan (the record
 // and the plan of what was removed), EXPERIMENTS.md's dated sections,
 // bench/ (frozen by BENCHMARK.json's `paths`; its README already calls the
-// files superseded) and this file.
+// files superseded), this file, and the build outputs of the benchmark and
+// of make cover-integration (tens of MB of span dumps, not documents).
 func docsDoNotNameRetiredRecordings(t *testing.T) {
 	exemptFile := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true, "docs_test.go": true}
-	skipDir := map[string]bool{".git": true, ".bench_build": true, "bench": true}
+	skipDir := map[string]bool{".git": true, ".bench_build": true, "bench": true, ".cover-integration": true}
 	textExt := map[string]bool{".md": true, ".go": true, ".yml": true, ".sh": true, ".txt": true, ".json": true}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {

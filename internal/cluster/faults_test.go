@@ -291,7 +291,8 @@ func TestOpenLoopDrainsEverywhere(t *testing.T) {
 			}
 		}
 		for i, d := range cl.Clients() {
-			if n := d.Outstanding(); n != 0 {
+			col := d.Collector()
+			if n := d.Injected() - col.Requests() - col.Summary().Abandoned; n != 0 {
 				t.Errorf("recovery=%v: client %d has %d requests in flight at run end", recovery, i, n)
 			}
 		}

@@ -728,13 +728,13 @@ func TestCheckInvariantsCatches(t *testing.T) {
 		// The root and its first child trade places, entries, indices
 		// and inline keys all consistent: only the order is broken.
 		"heap order broken": func(tbl *Tables, _, _ *Entry) {
-			h := tbl.multiple.(*heapTable)
+			h := tbl.Multiple().(*heapTable)
 			root, child := h.cells[0], h.cells[1]
 			h.set(0, child)
 			h.set(1, root)
 		},
 		"heap index stale": func(tbl *Tables, cached, _ *Entry) {
-			cached.heap = int32(tbl.caching.Len())
+			cached.heap = int32(tbl.Caching().Len())
 		},
 		"table above capacity": func(tbl *Tables, _, _ *Entry) { tbl.single.capacity = 1 },
 		// Every entry's location is Proxy[1]. SetReplicas keeps unsorted

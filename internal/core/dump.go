@@ -24,10 +24,10 @@ func DumpTable(w io.Writer, title string, entries []*Entry, now int64) error {
 // Dump writes all three tables of t in paper order, each ordered table in
 // ascending key order.
 func (t *Tables) Dump(w io.Writer, now int64) error {
-	if err := DumpTable(w, "Caching Table", t.caching.Entries(), now); err != nil {
+	if err := DumpTable(w, "Caching Table", t.Caching().Entries(), now); err != nil {
 		return err
 	}
-	if err := DumpTable(w, "Multiple-Table", t.multiple.Entries(), now); err != nil {
+	if err := DumpTable(w, "Multiple-Table", t.Multiple().Entries(), now); err != nil {
 		return err
 	}
 	return DumpTable(w, "Single-Table", t.single.Entries(), now)

@@ -2,8 +2,19 @@
 // Distributed Caching: the mapping-table entry with its two-request moving
 // average (paper Fig. 9), the aging rule (Fig. 4), the LRU single-table
 // (§III.3.1), the ordered multiple- and caching tables (§III.3.2–3.3), and
-// the Update_Entry promotion/demotion procedure that ties them together
-// (Fig. 8).
+// the Update_Entry procedure that ties them together (Fig. 8).
+//
+// # Three tables, one rule
+//
+// All three tables are Ordered: a bounded table that names its worst entry
+// and evicts it when an insert overfills it. The single-table orders by
+// recency, the multiple- and caching tables by aged average, on a binary
+// max-heap or on the paper's sorted list. Both list-shaped tables, the
+// single-table and the sorted list, are one intrusive list with the insert
+// position as their only difference. Tables holds the three by Kind, and
+// Update applies one promotion rule at both boundaries: an entry found in a
+// table moves up when it beats the next table's worst, and that worst drops
+// back into the table the entry left.
 //
 // # Time
 //
@@ -87,8 +98,9 @@ type Entry struct {
 	replicas *[]ids.NodeID
 
 	// prev/next are intrusive list links used by whichever list-shaped
-	// table currently holds the entry (the LRU single-table, the
-	// paper-faithful sorted list backend, or the LRU ablation table).
+	// table currently holds the entry (a single-table, which is also the
+	// admit-all ablation's caching table, or the paper-faithful sorted
+	// list backend).
 	// An entry lives in at most one table at a time, so one pair of
 	// links suffices and no per-table node allocation is ever needed.
 	// Unlinking always nils them.

@@ -6,10 +6,13 @@ import (
 	"github.com/adc-sim/adc/internal/ids"
 )
 
-// Ordered is a bounded table kept in ascending order of Entry.Key — the
-// shared shape of the multiple-table (§III.3.2) and the caching table
-// (§III.3.3). "This order allows the simple identification of the object
-// with the worst average time and quick insertions/deletions" (§III.3.2).
+// Ordered is a bounded table that knows its worst entry — the shape of all
+// three mapping tables. The multiple-table (§III.3.2) and the caching table
+// (§III.3.3) order by Entry.Key, smallest first: "This order allows the
+// simple identification of the object with the worst average time and quick
+// insertions/deletions" (§III.3.2). The single-table (§III.3.1) orders by
+// recency, newest first, and is the caching table of the admit-all
+// ablation; for it "worst" is the least recently inserted entry.
 //
 // An entry's Key must stay constant while it is stored; callers remove an
 // entry, mutate it (CalcAverage, Location), and re-insert it, exactly as
@@ -38,20 +41,23 @@ type Ordered interface {
 	// RemoveEntry first, then CalcAverage, then Insert.
 	RemoveEntry(e *Entry)
 	// Insert places e at its ordered position (the paper's
-	// InsertOrdered). If the table is full, the worst entry — the one
-	// with the largest key, possibly e itself — is evicted and
-	// returned; otherwise the return is nil.
+	// InsertOrdered; InsertOnTop on the single-table). If the table is
+	// full, the worst entry — the one with the largest key, possibly e
+	// itself, or the single-table's bottom — is evicted and returned;
+	// otherwise the return is nil. A zero-capacity table returns e.
 	Insert(e *Entry) (evicted *Entry)
-	// WorstKey returns the largest key in the table; ok is false when
-	// the table is empty.
+	// WorstKey returns the worst entry's key — the largest key, or the
+	// single-table bottom's; ok is false when the table is empty.
 	WorstKey() (key int64, ok bool)
 	// Each calls fn for every entry until fn returns false, in the
-	// order the backend stores them: ascending key on the list, heap
-	// order on the default backend, recency on the admit-all cache. It
-	// allocates nothing; the entries must not be mutated or reinserted
-	// during the walk.
+	// order the table stores them: top to bottom on the one list type,
+	// which is ascending key on the sorted list and newest first on the
+	// single-table, and heap order on the default backend. It allocates
+	// nothing; the entries must not be mutated or reinserted during the
+	// walk.
 	Each(fn func(*Entry) bool)
-	// Entries returns the entries in ascending key order. The slice is
+	// Entries returns the entries best first: in ascending key order,
+	// newest first on the single-table. The slice is
 	// freshly allocated; the entries are shared. Prefer Each on any
 	// path that runs repeatedly.
 	Entries() []*Entry

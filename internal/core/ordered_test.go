@@ -21,6 +21,15 @@ func forEachBackend(t *testing.T, capacity int, fn func(t *testing.T, tbl Ordere
 	}
 }
 
+// forEachTable is forEachBackend plus the single-table, the Ordered table
+// whose order is recency: for the tests whose expectations hold for every
+// order.
+func forEachTable(t *testing.T, capacity int, fn func(t *testing.T, tbl Ordered)) {
+	t.Helper()
+	forEachBackend(t, capacity, fn)
+	t.Run("single", func(t *testing.T) { fn(t, NewSingleTable(capacity)) })
+}
+
 // mkEntry builds an entry whose Key() equals key exactly (Avg=key, Last=0).
 func mkEntry(obj ids.ObjectID, key int64) *Entry {
 	return &Entry{Object: obj, Avg: key, Last: 0, Hits: 2}
@@ -113,8 +122,9 @@ func TestOrderedInsertEvictsWorstWhenFull(t *testing.T) {
 }
 
 func TestOrderedRemove(t *testing.T) {
-	forEachBackend(t, 5, func(t *testing.T, tbl Ordered) {
-		for i := 1; i <= 5; i++ {
+	forEachTable(t, 5, func(t *testing.T, tbl Ordered) {
+		// Worst key first, so that recency order ascends by key too.
+		for i := 5; i >= 1; i-- {
 			tbl.Insert(mkEntry(ids.ObjectID(i), int64(i*10)))
 		}
 		e := removeObj(tbl, 3)
@@ -176,7 +186,7 @@ func TestOrderedDuplicateKeys(t *testing.T) {
 }
 
 func TestOrderedZeroCapacityRejectsAll(t *testing.T) {
-	forEachBackend(t, 0, func(t *testing.T, tbl Ordered) {
+	forEachTable(t, 0, func(t *testing.T, tbl Ordered) {
 		e := mkEntry(1, 10)
 		if evicted := tbl.Insert(e); evicted != e {
 			t.Errorf("zero-capacity Insert must bounce the candidate, got %v", evicted)
@@ -191,7 +201,7 @@ func TestOrderedZeroCapacityRejectsAll(t *testing.T) {
 }
 
 func TestOrderedGet(t *testing.T) {
-	forEachBackend(t, 4, func(t *testing.T, tbl Ordered) {
+	forEachTable(t, 4, func(t *testing.T, tbl Ordered) {
 		tbl.Insert(mkEntry(9, 42))
 		if e := tbl.Get(9); e == nil || e.Key() != 42 {
 			t.Errorf("Get(9) = %v", e)
@@ -304,12 +314,13 @@ func TestOrderedPropertySortedAndBounded(t *testing.T) {
 	}
 }
 
-// TestLRUOrderedOrdersByRecency covers the admit-all ablation's caching
-// table, which orders by insertion recency, not by key: Entries and Each
-// walk from the newest entry, WorstKey reports the oldest entry's key
-// whatever the keys are, and a full table evicts the oldest.
-func TestLRUOrderedOrdersByRecency(t *testing.T) {
-	var tbl Ordered = newLRUOrdered(3)
+// TestSingleTableOrdersByRecency covers the single-table as an Ordered
+// table, the admit-all ablation's caching table, which orders by insertion
+// recency, not by key: Entries and Each walk from the newest entry,
+// WorstKey reports the oldest entry's key whatever the keys are, and a full
+// table evicts the oldest.
+func TestSingleTableOrdersByRecency(t *testing.T) {
+	var tbl Ordered = NewSingleTable(3)
 	if _, ok := tbl.WorstKey(); ok {
 		t.Error("WorstKey on an empty table must report !ok")
 	}
@@ -342,9 +353,6 @@ func TestLRUOrderedOrdersByRecency(t *testing.T) {
 	}
 	if e := removeWorst(tbl); e == nil || e.Object != 3 {
 		t.Errorf("removeWorst = %v, want object 3", e)
-	}
-	if evicted := newLRUOrdered(0).Insert(mkEntry(5, 1)); evicted == nil || evicted.Object != 5 {
-		t.Errorf("a zero-capacity table kept its insert (evicted %v)", evicted)
 	}
 }
 

@@ -149,31 +149,7 @@ func (t *Tables) ClearReplicas(obj ids.ObjectID) {
 // CacheEvicted / Dropped, exactly as the LRU ablation handles it).
 func (t *Tables) ForceCache(obj ids.ObjectID, loc ids.NodeID, now, avgHint int64) (out Outcome, adopted bool) {
 	e, kind := t.locate(obj)
-	applyHint := func() {
-		if avgHint > 0 && (e.Hits <= 2 || e.Avg == 0 || avgHint < e.Avg) {
-			e.Avg = avgHint
-		}
-	}
-	switch kind {
-	case KindCaching:
-		// Already cached: refresh in place (Fig. 8 Part 1).
-		t.caching.RemoveEntry(e)
-		e.CalcAverage(now)
-		e.Location = loc
-		applyHint()
-		t.caching.Insert(e)
-		return Outcome{From: KindCaching, To: KindCaching}, true
-	case KindMultiple:
-		t.multiple.RemoveEntry(e)
-		e.CalcAverage(now)
-		e.Location = loc
-		applyHint()
-	case KindSingle:
-		t.single.RemoveEntry(e)
-		e.CalcAverage(now)
-		e.Location = loc
-		applyHint()
-	default:
+	if kind == KindNone {
 		e = t.alloc(obj, loc, now)
 		if avgHint > 0 {
 			// Seed as if the holder's history happened here: two
@@ -181,10 +157,19 @@ func (t *Tables) ForceCache(obj ids.ObjectID, loc ids.NodeID, now, avgHint int64
 			e.Avg = avgHint
 			e.Hits = 2
 		}
+	} else {
+		// A known entry leaves its table first, so a cached one is
+		// refreshed in place (Fig. 8 Part 1): its table has room.
+		t.tables[kind].RemoveEntry(e)
+		e.CalcAverage(now)
+		e.Location = loc
+		if avgHint > 0 && (e.Hits <= 2 || e.Avg == 0 || avgHint < e.Avg) {
+			e.Avg = avgHint
+		}
 	}
 	out = Outcome{From: kind, To: KindCaching}
 	e.kind = KindCaching
-	evicted := t.caching.Insert(e)
+	evicted := t.tables[KindCaching].Insert(e)
 	if evicted == nil {
 		return out, true
 	}
@@ -193,15 +178,12 @@ func (t *Tables) ForceCache(obj ids.ObjectID, loc ids.NodeID, now, avgHint int64
 		// newcomer itself; undo the adoption. The source table has room:
 		// the entry just left it (or, for a fresh entry, the single-table
 		// top absorbs it like any first sighting).
-		out.To = kind
-		switch kind {
-		case KindMultiple:
-			t.multiple.Insert(e)
-		case KindSingle:
-			t.single.InsertTop(e)
-		default:
+		if kind == KindNone {
 			out.To = KindSingle
 			t.pushTop(&out, e)
+		} else {
+			out.To = kind
+			t.tables[kind].Insert(e)
 		}
 		e.kind = out.To
 		return out, false
@@ -224,7 +206,7 @@ func (t *Tables) DropCached(obj ids.ObjectID, fallback ids.NodeID) (out Outcome,
 	if kind != KindCaching {
 		return Outcome{}, false
 	}
-	t.caching.RemoveEntry(e)
+	t.tables[KindCaching].RemoveEntry(e)
 	if fallback.IsProxy() {
 		e.Location = fallback
 	}

@@ -61,9 +61,12 @@ const maxEntries = 1 << 30
 
 // Tables is one proxy's complete mapping-table state: the single-, multiple-
 // and caching tables plus the Update_Entry logic that moves entries between
-// them (paper Fig. 8). The caching table doubles as the cache itself — its
-// entries "represent actually stored objects" (§III.3.3); since the testbed
-// does not move payloads (§V.1), membership is storage.
+// them (paper Fig. 8). Each table is an Ordered, held at the index of its
+// Kind, and Fig. 8 is one rule over that array: an entry found in table k
+// moves up to table k−1 when it beats that table's worst entry. The caching
+// table doubles as the cache itself — its entries "represent actually
+// stored objects" (§III.3.3); since the testbed does not move payloads
+// (§V.1), membership is storage.
 //
 // A unified directory (one flat hash table over all three tables) resolves
 // every membership question — Lookup, IsCached, ForwardLocation and the
@@ -76,9 +79,11 @@ const maxEntries = 1 << 30
 // paper did. CheckInvariants states what must hold between the
 // tables, the directory and the arena.
 type Tables struct {
-	single   *SingleTable
-	multiple Ordered
-	caching  Ordered
+	// tables holds the caching, multiple- and single-table at the index
+	// of their Kind; tables[KindNone] is nil.
+	tables [KindSingle + 1]Ordered
+	// single is tables[KindSingle], typed for Part 4's direct InsertTop.
+	single *SingleTable
 
 	// dir maps every known object to its arena entry: fixed capacity,
 	// sized by NewTables for the three table capacities, with a hash seed
@@ -105,16 +110,18 @@ func newTables(cfg Config, dirSeed uint64) (*Tables, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	caching := NewOrdered(cfg.CachingSize, cfg.Backend)
-	if cfg.CacheAdmitAll {
-		caching = newLRUOrdered(cfg.CachingSize)
-	}
 	t := &Tables{
 		single:   NewSingleTable(cfg.SingleSize),
-		multiple: NewOrdered(cfg.MultipleSize, cfg.Backend),
-		caching:  caching,
 		admitAll: cfg.CacheAdmitAll,
 		agingOff: cfg.AgingOff,
+	}
+	t.tables = [...]Ordered{
+		KindCaching:  NewOrdered(cfg.CachingSize, cfg.Backend),
+		KindMultiple: NewOrdered(cfg.MultipleSize, cfg.Backend),
+		KindSingle:   t.single,
+	}
+	if cfg.CacheAdmitAll {
+		t.tables[KindCaching] = NewSingleTable(cfg.CachingSize)
 	}
 	if cfg.Backend != BackendList {
 		// +1: a first sighting is indexed before the entry it pushes off
@@ -128,10 +135,10 @@ func newTables(cfg Config, dirSeed uint64) (*Tables, error) {
 func (t *Tables) Single() *SingleTable { return t.single }
 
 // Multiple exposes the multiple-table.
-func (t *Tables) Multiple() Ordered { return t.multiple }
+func (t *Tables) Multiple() Ordered { return t.tables[KindMultiple] }
 
 // Caching exposes the caching table.
-func (t *Tables) Caching() Ordered { return t.caching }
+func (t *Tables) Caching() Ordered { return t.tables[KindCaching] }
 
 // locate finds the entry for obj and the table holding it: one directory
 // probe, or — in the paper-faithful modes — sequential probes "in the order
@@ -143,14 +150,10 @@ func (t *Tables) locate(obj ids.ObjectID) (*Entry, Kind) {
 		}
 		return nil, KindNone
 	}
-	if e := t.caching.Get(obj); e != nil {
-		return e, KindCaching
-	}
-	if e := t.multiple.Get(obj); e != nil {
-		return e, KindMultiple
-	}
-	if e := t.single.Get(obj); e != nil {
-		return e, KindSingle
+	for k := KindCaching; k <= KindSingle; k++ {
+		if e := t.tables[k].Get(obj); e != nil {
+			return e, k
+		}
 	}
 	return nil, KindNone
 }
@@ -183,7 +186,7 @@ func (t *Tables) IsCached(obj ids.ObjectID) bool {
 		e := t.dir.get(obj)
 		return e != nil && e.kind == KindCaching
 	}
-	return t.caching.Contains(obj)
+	return t.tables[KindCaching].Contains(obj)
 }
 
 // Lookup finds the entry for obj, searching "in the order caching table,
@@ -218,17 +221,15 @@ type Outcome struct {
 
 // Update is the paper's Update_Entry(Object, Location) (Fig. 8), executed
 // at proxy-local logical time now. It finds the entry (one directory probe,
-// or table-order probes in the paper-faithful modes), folds in the new
-// access via CalcAverage, rewrites the location, and applies the promotion
-// rules:
-//
-//   - caching-table entries are updated in place (re-inserted in order);
-//   - multiple-table entries move into the caching table when their aged
-//     average beats the cache's worst case, demoting that worst case into
-//     the multiple-table;
-//   - single-table entries move into the multiple-table under the same
-//     rule, demoting the multiple-table's worst onto the single-table top;
-//   - unknown objects get a fresh entry on top of the single-table.
+// or table-order probes in the paper-faithful modes) and applies one
+// promotion rule to whichever table k holds it (Parts 1–3): remove the
+// entry from table k, fold in the new access via CalcAverage, rewrite the
+// location; then, when table k−1 admits the entry, move it there, and the
+// worst entry that makes room drops back into table k — a cached worst into
+// the multiple-table, the multiple-table's worst onto the single-table top;
+// otherwise put it back into table k. The caching table has no table above
+// it, so its entries are updated in place. An unknown object gets a fresh
+// entry on top of the single-table (Part 4).
 //
 // A table that is not yet full accepts any candidate; a full table demands
 // the candidate beat its current worst entry, matching "newly arriving
@@ -243,98 +244,61 @@ func (t *Tables) Update(obj ids.ObjectID, loc ids.NodeID, now int64) Outcome {
 		return t.updateLRU(obj, loc, now)
 	}
 
-	e, kind := t.locate(obj)
-	switch kind {
-	case KindCaching:
-		// Part 1: caching table — update in place.
-		t.caching.RemoveEntry(e)
-		e.CalcAverage(now)
-		e.Location = loc
-		t.caching.Insert(e) // room is guaranteed: we just removed e
-		return Outcome{From: KindCaching, To: KindCaching}
-
-	case KindMultiple:
-		// Part 2: multiple-table.
-		t.multiple.RemoveEntry(e)
-		e.CalcAverage(now)
-		e.Location = loc
-		if t.admits(t.caching, e) {
-			out := Outcome{From: KindMultiple, To: KindCaching}
-			e.kind = KindCaching
-			if evicted := t.caching.Insert(e); evicted != nil {
-				// The demoted worst returns to the
-				// multiple-table, which has room because e
-				// just left it.
-				t.multiple.Insert(evicted)
-				evicted.kind = KindMultiple
-				out.CacheEvicted = evicted
-			}
-			return out
-		}
-		t.multiple.Insert(e)
-		return Outcome{From: KindMultiple, To: KindMultiple}
-
-	case KindSingle:
-		// Part 3: single-table.
-		t.single.RemoveEntry(e)
-		e.CalcAverage(now)
-		e.Location = loc
-		if t.admits(t.multiple, e) {
-			out := Outcome{From: KindSingle, To: KindMultiple}
-			e.kind = KindMultiple
-			if evicted := t.multiple.Insert(e); evicted != nil {
-				// The multiple-table's worst goes on top of
-				// the single-table (Fig. 8 Part 3); the
-				// single-table has room because e just left.
-				t.single.InsertTop(evicted)
-				evicted.kind = KindSingle
-				out.MultipleEvicted = evicted
-			}
-			return out
-		}
-		// The single-table has room: e just left it.
-		t.single.InsertTop(e)
-		return Outcome{From: KindSingle, To: KindSingle}
+	e, k := t.locate(obj)
+	if k == KindNone {
+		// Part 4: unknown object — new entry on top of the single-table.
+		e = t.alloc(obj, loc, now)
+		e.kind = KindSingle
+		out := Outcome{From: KindNone, To: KindSingle}
+		t.pushTop(&out, e)
+		return out
 	}
 
-	// Part 4: unknown object — new entry on top of the single-table.
-	e = t.alloc(obj, loc, now)
-	e.kind = KindSingle
-	out := Outcome{From: KindNone, To: KindSingle}
-	t.pushTop(&out, e)
+	// Parts 1–3. Table k has room for whatever goes back into it: e
+	// just left it.
+	from := t.tables[k]
+	from.RemoveEntry(e)
+	e.CalcAverage(now)
+	e.Location = loc
+	out := Outcome{From: k, To: k}
+	if up := k - 1; up != KindNone && t.admits(t.tables[up], e) {
+		out.To = up
+		e.kind = up
+		if evicted := t.tables[up].Insert(e); evicted != nil {
+			from.Insert(evicted)
+			evicted.kind = k
+			if up == KindCaching {
+				out.CacheEvicted = evicted
+			} else {
+				out.MultipleEvicted = evicted
+			}
+		}
+		return out
+	}
+	from.Insert(e)
 	return out
 }
 
 // updateLRU is the CacheAdmitAll ablation: every passing object is cached
-// immediately with plain LRU replacement, no selectivity. The entry is
-// pulled from whichever table currently holds it so the usual bookkeeping
-// (average, location, single-occupancy invariant) still applies; evictions
-// land on top of the single-table so the proxy keeps routing knowledge.
+// immediately with plain LRU replacement, no selectivity (the caching
+// table is then a SingleTable). The entry is pulled from whichever table
+// currently holds it so the usual bookkeeping (average, location,
+// single-occupancy invariant) still applies; evictions land on top of the
+// single-table so the proxy keeps routing knowledge.
 func (t *Tables) updateLRU(obj ids.ObjectID, loc ids.NodeID, now int64) Outcome {
 	e, from := t.locate(obj)
-	switch from {
-	case KindCaching:
-		t.caching.RemoveEntry(e)
-	case KindMultiple:
-		t.multiple.RemoveEntry(e)
-	case KindSingle:
-		t.single.RemoveEntry(e)
-	default:
+	if from == KindNone {
 		e = t.alloc(obj, loc, now)
-	}
-	if from != KindNone {
+	} else {
+		t.tables[from].RemoveEntry(e)
 		e.CalcAverage(now)
 		e.Location = loc
 	}
 	out := Outcome{From: from, To: KindCaching}
 	e.kind = KindCaching
-	if evicted := t.caching.Insert(e); evicted != nil {
-		if evicted == e {
-			// Zero-capacity cache bounced the entry itself; the
-			// system forgets it (unreachable after Validate).
-			t.arena.put(t.forget(e))
-			return out
-		}
+	// A full LRU cache drops its bottom entry, never the newcomer: its
+	// capacity is positive after Validate.
+	if evicted := t.tables[KindCaching].Insert(e); evicted != nil {
 		out.CacheEvicted = evicted
 		evicted.kind = KindSingle
 		t.pushTop(&out, evicted)
@@ -378,7 +342,7 @@ func (t *Tables) Release() {
 		t.dir.release()
 	}
 	t.arena.release()
-	for _, o := range []Ordered{t.caching, t.multiple} {
+	for _, o := range t.tables {
 		if h, ok := o.(*heapTable); ok {
 			h.release()
 		}
@@ -388,19 +352,14 @@ func (t *Tables) Release() {
 
 // admits reports whether ordered table dst accepts candidate e: a table
 // with free space accepts anything; a full table demands the candidate beat
-// the worst resident (strictly smaller aged average, i.e. Key).
+// the worst resident (strictly smaller aged average, i.e. Key). A
+// zero-capacity table, full and empty at once, accepts nothing.
 func (t *Tables) admits(dst Ordered, e *Entry) bool {
-	if dst.Cap() == 0 {
-		return false
-	}
 	if dst.Len() < dst.Cap() {
 		return true
 	}
 	worst, ok := dst.WorstKey()
-	if !ok {
-		return true
-	}
-	return e.Key() < worst
+	return ok && e.Key() < worst
 }
 
 // Invalidate forgets obj's mapping entry when it lives in the single- or
@@ -413,14 +372,10 @@ func (t *Tables) admits(dst Ordered, e *Entry) bool {
 // what happened to a remote peer.
 func (t *Tables) Invalidate(obj ids.ObjectID) bool {
 	e, kind := t.locate(obj)
-	switch kind {
-	case KindSingle:
-		t.single.RemoveEntry(e)
-	case KindMultiple:
-		t.multiple.RemoveEntry(e)
-	default:
+	if kind != KindMultiple && kind != KindSingle {
 		return false
 	}
+	t.tables[kind].RemoveEntry(e)
 	t.arena.put(t.forget(e))
 	return true
 }
@@ -438,7 +393,11 @@ func (t *Tables) ForwardLocation(obj ids.ObjectID) (ids.NodeID, bool) {
 
 // Len returns the total number of entries across the three tables.
 func (t *Tables) Len() int {
-	return t.single.Len() + t.multiple.Len() + t.caching.Len()
+	n := 0
+	for _, o := range t.tables[KindCaching:] {
+		n += o.Len()
+	}
+	return n
 }
 
 // CheckInvariants verifies what must hold between operations (DESIGN.md
@@ -454,26 +413,9 @@ func (t *Tables) Len() int {
 // debugging, not the request path.
 func (t *Tables) CheckInvariants() error {
 	seen := make(map[ids.ObjectID]*Entry, t.Len())
-	for _, tb := range []struct {
-		kind             Kind
-		length, capacity int
-		each             func(func(*Entry) bool)
-	}{
-		{KindCaching, t.caching.Len(), t.caching.Cap(), t.caching.Each},
-		{KindMultiple, t.multiple.Len(), t.multiple.Cap(), t.multiple.Each},
-		{KindSingle, t.single.Len(), t.single.Cap(), t.single.Each},
-	} {
-		if err := t.checkTable(seen, tb.kind, tb.length, tb.capacity, tb.each); err != nil {
+	for k := KindCaching; k <= KindSingle; k++ {
+		if err := t.checkTable(seen, k); err != nil {
 			return err
-		}
-	}
-	// The list and the heap check their own order; the admit-all cache
-	// orders by recency and has no check.
-	for _, o := range []Ordered{t.caching, t.multiple} {
-		if c, ok := o.(interface{ check() error }); ok {
-			if err := c.check(); err != nil {
-				return err
-			}
 		}
 	}
 	if t.dir != nil {
@@ -494,15 +436,17 @@ func (t *Tables) CheckInvariants() error {
 	return nil
 }
 
-// checkTable is CheckInvariants for one table, given as its kind, length,
-// capacity and iterator; seen collects the entries of the tables so far.
-func (t *Tables) checkTable(seen map[ids.ObjectID]*Entry, kind Kind, length, capacity int, each func(func(*Entry) bool)) error {
-	if length > capacity {
+// checkTable is CheckInvariants for the table of one kind; seen collects
+// the entries of the tables so far. The list and the heap also check their
+// own order; the single-table orders by recency and has no order to check.
+func (t *Tables) checkTable(seen map[ids.ObjectID]*Entry, kind Kind) error {
+	tbl := t.tables[kind]
+	if length, capacity := tbl.Len(), tbl.Cap(); length > capacity {
 		return fmt.Errorf("%v table holds %d entries, capacity %d", kind, length, capacity)
 	}
 	var err error
 	n := 0
-	each(func(e *Entry) bool {
+	tbl.Each(func(e *Entry) bool {
 		switch {
 		case seen[e.Object] != nil:
 			err = fmt.Errorf("object %v is in the %v and the %v table", e.Object, seen[e.Object].kind, kind)
@@ -517,8 +461,11 @@ func (t *Tables) checkTable(seen map[ids.ObjectID]*Entry, kind Kind, length, cap
 		n++
 		return err == nil
 	})
-	if err == nil && n != length {
-		err = fmt.Errorf("%v table counts %d entries, holds %d", kind, length, n)
+	if err == nil && n != tbl.Len() {
+		err = fmt.Errorf("%v table counts %d entries, holds %d", kind, tbl.Len(), n)
+	}
+	if c, ok := tbl.(interface{ check() error }); ok && err == nil {
+		err = c.check()
 	}
 	return err
 }

@@ -3,7 +3,9 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -186,3 +188,105 @@ func WriteSpanDumps(w io.Writer, dumps []SpanDump) error {
 	bw.WriteString("]\n")
 	return bw.Flush()
 }
+
+// ReadSpanDumps reads what WriteSpanDumps writes, a JSON array of dumps, or
+// one bare dump (a saved /debug/trace response). It decodes one span at a
+// time, so reading holds the decoded dumps and one span's encoding, never
+// the whole document.
+func ReadSpanDumps(r io.Reader) ([]SpanDump, error) {
+	dec := json.NewDecoder(r)
+	tok, err := dec.Token()
+	if err != nil {
+		return nil, err
+	}
+	if tok == json.Delim('{') {
+		var d SpanDump
+		if err := readSpanDump(dec, &d); err != nil {
+			return nil, err
+		}
+		return []SpanDump{d}, nil
+	}
+	if tok != json.Delim('[') {
+		return nil, fmt.Errorf("obs: span dumps: want an array or an object, got %v", tok)
+	}
+	var dumps []SpanDump
+	for dec.More() {
+		var d SpanDump
+		if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+			return nil, fmt.Errorf("obs: span dumps: want a dump object, got %v (%v)", tok, err)
+		}
+		if err := readSpanDump(dec, &d); err != nil {
+			return nil, err
+		}
+		dumps = append(dumps, d)
+	}
+	_, err = dec.Token() // the array's ']'
+	return dumps, err
+}
+
+// readSpanDump reads the members of one dump object, its '{' already
+// consumed, into d: the spans one by one, every other member through
+// SpanDump's own JSON decoding.
+func readSpanDump(dec *json.Decoder, d *SpanDump) error {
+	// A few stage names and details recur across every span: keep one
+	// copy of each, not one per span.
+	strs := map[string]string{}
+	intern := func(s string) string {
+		if c, ok := strs[s]; ok {
+			return c
+		}
+		strs[s] = s
+		return s
+	}
+	head := []byte{'{'}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		key, _ := tok.(string)
+		if key != "spans" {
+			var v json.RawMessage
+			if err := dec.Decode(&v); err != nil {
+				return err
+			}
+			if len(head) > 1 {
+				head = append(head, ',')
+			}
+			name, _ := json.Marshal(key)
+			head = append(append(append(head, name...), ':'), v...)
+			continue
+		}
+		if tok, err := dec.Token(); err != nil || tok != json.Delim('[') {
+			return fmt.Errorf("obs: span dump: want a spans array, got %v (%v)", tok, err)
+		}
+		// The spans are read into fixed-size chunks and joined once: one
+		// appended slice would copy itself into fresh memory at every
+		// growth, and its outgrown arrays add up to several times the
+		// last one.
+		var chunks [][]Span
+		for dec.More() {
+			if len(chunks) == 0 || len(chunks[len(chunks)-1]) == spanChunk {
+				chunks = append(chunks, make([]Span, 0, spanChunk))
+			}
+			c := &chunks[len(chunks)-1]
+			*c = append(*c, Span{})
+			s := &(*c)[len(*c)-1]
+			if err := dec.Decode(s); err != nil {
+				return err
+			}
+			s.Stage, s.Detail = intern(s.Stage), intern(s.Detail)
+		}
+		d.Spans = slices.Concat(chunks...)
+		if _, err := dec.Token(); err != nil { // the spans' ']'
+			return err
+		}
+	}
+	if _, err := dec.Token(); err != nil { // the dump's '}'
+		return err
+	}
+	return json.Unmarshal(append(head, '}'), d)
+}
+
+// spanChunk is how many spans ReadSpanDumps decodes into one array.
+const spanChunk = 4096

@@ -279,3 +279,48 @@ func TestWriteSpanDumpsRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestReadSpanDumps: the streaming reader decodes what WriteSpanDumps
+// writes exactly as encoding/json decodes it whole — dumps of no span, of
+// one, and of more spans than one chunk holds — and one bare dump with its
+// members in any order; it refuses what is not a dump list.
+func TestReadSpanDumps(t *testing.T) {
+	many := make([]Span, spanChunk+3)
+	for i := range many {
+		many[i] = Span{Trace: uint64(i / 7), ID: uint64(i + 1), Stage: "forward", Start: int64(i), Detail: fmt.Sprintf("hops=%d", i%5)}
+	}
+	for _, dumps := range [][]SpanDump{
+		{},
+		{{Proxy: "sim", Node: -1, Spans: many}},
+		{{Proxy: "Proxy[0]", NowUs: 99, ScrapedUs: 101, Dropped: 4, Spans: many[:2]}, {Proxy: "Proxy[1]", Node: 1, Spans: []Span{}}},
+	} {
+		var buf bytes.Buffer
+		if err := WriteSpanDumps(&buf, dumps); err != nil {
+			t.Fatal(err)
+		}
+		var want []SpanDump
+		if err := json.Unmarshal(buf.Bytes(), &want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadSpanDumps(&buf)
+		if err != nil {
+			t.Fatalf("%d dumps: %v", len(dumps), err)
+		}
+		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+			t.Errorf("%d dumps read as\n%+v\nwant\n%+v", len(dumps), got, want)
+		}
+	}
+
+	bare := `{"spans":[{"trace":1,"id":2,"stage":"server","start_us":5}],"proxy":"Proxy[2]","extra":{"a":[1]},"node":2,"dropped":3}`
+	got, err := ReadSpanDumps(strings.NewReader(bare))
+	want := []SpanDump{{Proxy: "Proxy[2]", Node: 2, Dropped: 3, Spans: []Span{{Trace: 1, ID: 2, Stage: "server", Start: 5}}}}
+	if err != nil || fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+		t.Errorf("bare dump read as %+v, %v; want %+v", got, err, want)
+	}
+
+	for _, bad := range []string{``, `3`, `[1]`, `[{"spans":{}}]`, `[{"spans":[{"trace":"x"}]}]`, `[{"node":"x","spans":[]}]`, `[{"spans":[]}`, `{"proxy":"p"`} {
+		if dumps, err := ReadSpanDumps(strings.NewReader(bad)); err == nil {
+			t.Errorf("ReadSpanDumps(%q) = %+v, want an error", bad, dumps)
+		}
+	}
+}

@@ -1,9 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"github.com/adc-sim/adc/internal/ids"
 )
@@ -13,26 +14,39 @@ import (
 // is shifted by (ScrapedUs - NowUs), putting every span on the scraper's
 // clock to within one scrape round-trip. Dumps without ScrapedUs pass
 // through unshifted. The result is sorted by (aligned) start time.
+//
+// The dumps' spans are shifted in place, and a single dump's spans are
+// sorted in place and returned, not copied: the dumps are the merge's to
+// change.
 func MergeDumps(dumps []SpanDump) []Span {
-	var out []Span
+	n := 0
 	for _, d := range dumps {
-		var offset int64
 		if d.ScrapedUs != 0 {
-			offset = d.ScrapedUs - d.NowUs
+			offset := d.ScrapedUs - d.NowUs
+			for i := range d.Spans {
+				d.Spans[i].Start += offset
+				d.Spans[i].End += offset
+			}
 		}
-		for _, s := range d.Spans {
-			s.Start += offset
-			s.End += offset
-			out = append(out, s)
+		n += len(d.Spans)
+	}
+	var out []Span
+	if len(dumps) == 1 {
+		out = dumps[0].Spans
+	} else {
+		out = make([]Span, 0, n)
+		for _, d := range dumps {
+			out = append(out, d.Spans...)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	slices.SortStableFunc(out, func(a, b Span) int { return cmp.Compare(a.Start, b.Start) })
 	return out
 }
 
-// SpanNode is one span with its children, sorted by start time.
+// SpanNode is one span with its children, sorted by start time. The span
+// is the one in the slice BuildSpanTrees was given, not a copy.
 type SpanNode struct {
-	Span
+	*Span
 	Children []*SpanNode
 }
 
@@ -110,31 +124,51 @@ func (t *SpanTree) Start() int64 {
 // surfaced is collected under Orphans; a trace with several Parent==0 spans
 // keeps the earliest as root and treats the rest as orphans (two proxies
 // both claiming to be the entry point is a propagation bug worth seeing).
+// The trees' nodes point into spans, which must outlive them unchanged.
 func BuildSpanTrees(spans []Span) []*SpanTree {
-	byTrace := make(map[uint64][]*SpanNode)
-	var order []uint64
-	for _, s := range spans {
-		if _, ok := byTrace[s.Trace]; !ok {
-			order = append(order, s.Trace)
+	// Group the spans by trace, the traces in order of first appearance
+	// and each trace's spans in input order: count each trace's spans,
+	// turn the counts into group ends, then fill the groups from the back.
+	rank := make(map[uint64]int)
+	var pos []int
+	for i := range spans {
+		r, ok := rank[spans[i].Trace]
+		if !ok {
+			r = len(pos)
+			rank[spans[i].Trace] = r
+			pos = append(pos, 0)
 		}
-		byTrace[s.Trace] = append(byTrace[s.Trace], &SpanNode{Span: s})
+		pos[r]++
 	}
+	for r := 1; r < len(pos); r++ {
+		pos[r] += pos[r-1]
+	}
+	nodes := make([]SpanNode, len(spans))
+	grouped := make([]*SpanNode, len(spans))
+	for i := len(spans) - 1; i >= 0; i-- {
+		r := rank[spans[i].Trace]
+		pos[r]--
+		nodes[i].Span = &spans[i]
+		grouped[pos[r]] = &nodes[i]
+	}
+	pos = append(pos, len(spans)) // trace r's group is grouped[pos[r]:pos[r+1]]
 
-	trees := make([]*SpanTree, 0, len(order))
-	for _, trace := range order {
-		nodes := byTrace[trace]
-		sort.SliceStable(nodes, func(i, j int) bool { return nodes[i].Start < nodes[j].Start })
+	trees := make([]*SpanTree, 0, len(pos)-1)
+	byID := make(map[uint64]*SpanNode)
+	for r := 0; r+1 < len(pos); r++ {
+		group := grouped[pos[r]:pos[r+1]]
+		slices.SortStableFunc(group, func(a, b *SpanNode) int { return cmp.Compare(a.Start, b.Start) })
 		// Duplicate IDs (a re-scraped ring, a dump merged twice) keep the
 		// first occurrence; only it is linked and counted.
-		byID := make(map[uint64]*SpanNode, len(nodes))
-		uniq := nodes[:0]
-		for _, n := range nodes {
+		clear(byID)
+		uniq := group[:0]
+		for _, n := range group {
 			if _, dup := byID[n.ID]; !dup {
 				byID[n.ID] = n
 				uniq = append(uniq, n)
 			}
 		}
-		t := &SpanTree{Trace: trace, Spans: len(uniq)}
+		t := &SpanTree{Trace: group[0].Trace, Spans: len(uniq)}
 		for _, n := range uniq {
 			if n.Err != "" {
 				t.Errs++
@@ -155,7 +189,7 @@ func BuildSpanTrees(spans []Span) []*SpanTree {
 		}
 		trees = append(trees, t)
 	}
-	sort.SliceStable(trees, func(i, j int) bool { return trees[i].Start() < trees[j].Start() })
+	slices.SortStableFunc(trees, func(a, b *SpanTree) int { return cmp.Compare(a.Start(), b.Start()) })
 	return trees
 }
 

@@ -240,10 +240,6 @@ func (c *Client) SetTimeSeries(ts *metrics.TimeSeries) { c.ts = ts }
 // or abandoned.
 func (c *Client) Done() bool { return c.exhausted && c.inFlight == 0 }
 
-// Outstanding returns the number of requests in flight: injected, neither
-// answered nor abandoned.
-func (c *Client) Outstanding() int { return c.inFlight }
-
 // Injected returns the number of logical requests injected so far;
 // retransmissions of a timed-out request count once.
 func (c *Client) Injected() uint64 { return c.injected }

@@ -88,16 +88,16 @@ func TestLossStrandsOpenLoopPartially(t *testing.T) {
 	if cl.Done() {
 		t.Error("open-loop client reported done despite stranded requests")
 	}
-	if cl.Outstanding() == 0 {
+	if cl.inFlight == 0 {
 		t.Error("expected stranded outstanding requests after losses")
 	}
 	completed := cl.Collector().Requests()
 	if completed == 0 || completed >= 20 {
 		t.Errorf("completed = %d, want partial completion", completed)
 	}
-	if completed+uint64(cl.Outstanding()) != 20 {
+	if completed+uint64(cl.inFlight) != 20 {
 		t.Errorf("completed %d + outstanding %d != injected 20",
-			completed, cl.Outstanding())
+			completed, cl.inFlight)
 	}
 }
 

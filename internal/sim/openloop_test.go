@@ -20,9 +20,9 @@ type ledgerClient struct {
 func (l *ledgerClient) Handle(ctx Context, m msg.Message) {
 	l.Client.Handle(ctx, m)
 	col := l.Collector()
-	if want := int(l.Injected() - col.Requests() - col.Summary().Abandoned); l.Outstanding() != want {
-		l.t.Fatalf("after %T #%d: Outstanding = %d, injected %d − completed %d − abandoned %d = %d",
-			m, l.checks, l.Outstanding(), l.Injected(), col.Requests(), col.Summary().Abandoned, want)
+	if want := int(l.Injected() - col.Requests() - col.Summary().Abandoned); l.inFlight != want {
+		l.t.Fatalf("after %T #%d: in flight %d, injected %d − completed %d − abandoned %d = %d",
+			m, l.checks, l.inFlight, l.Injected(), col.Requests(), col.Summary().Abandoned, want)
 	}
 	l.checks++
 }
@@ -65,7 +65,7 @@ func TestOpenLoopOutstandingLedger(t *testing.T) {
 			t.Errorf("recovery=true: retries %d, abandoned %d, stale replies %d; want each above 0",
 				s.Retries, s.Abandoned, s.StaleReplies)
 		}
-		if !recovery && cl.Outstanding() == 0 {
+		if !recovery && cl.inFlight == 0 {
 			t.Error("recovery=false: no request was stranded; the run exercises no loss")
 		}
 	}
@@ -103,9 +103,9 @@ func TestOpenLoopRetransmissionMeasuredFromFirstSend(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s := col.Summary(); s.Requests != 2 || s.Timeouts != 1 || s.Retries != 1 || cl.Outstanding() != 0 {
+	if s := col.Summary(); s.Requests != 2 || s.Timeouts != 1 || s.Retries != 1 || cl.inFlight != 0 {
 		t.Fatalf("completed %d, timeouts %d, retries %d, in flight %d; want 2, 1, 1, 0",
-			s.Requests, s.Timeouts, s.Retries, cl.Outstanding())
+			s.Requests, s.Timeouts, s.Retries, cl.inFlight)
 	}
 	// Two samples with mean 70 and maximum 120 are exactly 20 and 120.
 	if s := col.Summary(); s.MeanResponse != 70 || s.MaxResponse != 120 {

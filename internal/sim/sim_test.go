@@ -218,8 +218,8 @@ func TestClientDoneAfterLastReply(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !cl.Done() || cl.Outstanding() != 0 {
-		t.Errorf("after the run: Done() = %v with %d outstanding, want true with 0", cl.Done(), cl.Outstanding())
+	if !cl.Done() || cl.inFlight != 0 {
+		t.Errorf("after the run: Done() = %v with %d outstanding, want true with 0", cl.Done(), cl.inFlight)
 	}
 }
 

@@ -206,8 +206,8 @@ func TestOpenLoopClientInjectsAtRate(t *testing.T) {
 	if col.Requests() != 50 {
 		t.Errorf("completed %d requests, want 50", col.Requests())
 	}
-	if cl.Outstanding() != 0 {
-		t.Errorf("outstanding = %d after completion", cl.Outstanding())
+	if cl.inFlight != 0 {
+		t.Errorf("outstanding = %d after completion", cl.inFlight)
 	}
 	// Fixed spacing: arrivals at the proxy must be exactly 100 apart.
 	for i := 1; i < len(echo.arrived); i++ {

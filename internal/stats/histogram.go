@@ -65,17 +65,6 @@ func (h *Histogram) Merge(other *Histogram) {
 // Total returns the number of observations.
 func (h *Histogram) Total() uint64 { return h.total }
 
-// Count returns the number of observations in bucket i.
-func (h *Histogram) Count(i int) uint64 {
-	if i >= len(h.buckets) {
-		if i >= h.size {
-			panic(fmt.Sprintf("stats: histogram bucket %d out of range [0, %d)", i, h.size))
-		}
-		return 0
-	}
-	return h.buckets[i]
-}
-
 // Buckets returns a copy of the bucket counts (last entry is overflow).
 func (h *Histogram) Buckets() []uint64 {
 	out := make([]uint64, h.size)

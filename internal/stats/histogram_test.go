@@ -93,11 +93,6 @@ func sameAsEager(t *testing.T, what string, h *Histogram, ref *eagerHistogram) {
 	if h.Total() != ref.total {
 		t.Fatalf("%s: Total = %d, want %d", what, h.Total(), ref.total)
 	}
-	for i, want := range ref.buckets {
-		if got := h.Count(i); got != want {
-			t.Fatalf("%s: Count(%d) = %d, want %d", what, i, got, want)
-		}
-	}
 	for _, q := range []float64{-0.5, 0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1, 1.5} {
 		if got, want := h.Quantile(q), ref.quantile(q); got != want {
 			t.Fatalf("%s: Quantile(%v) = %v, want %v", what, q, got, want)
@@ -163,24 +158,13 @@ func TestHistogramMatchesEagerReference(t *testing.T) {
 	}
 }
 
-// TestHistogramCountBounds: Count answers 0 for a declared bucket never
-// reached and panics outside the declared layout, as an eagerly allocated
-// histogram's index would.
-func TestHistogramCountBounds(t *testing.T) {
+// TestHistogramBucketsSpanTheLayout: Buckets reads every declared bucket,
+// 0 for one never reached, though only the reached ones are stored.
+func TestHistogramBucketsSpanTheLayout(t *testing.T) {
 	h := NewHistogram(4, 10)
 	h.Add(5)
-	if h.Count(4) != 0 {
-		t.Errorf("Count(4) = %d on an unreached overflow bucket", h.Count(4))
-	}
-	for _, i := range []int{-1, 5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Count(%d) on a 5-bucket layout must panic", i)
-				}
-			}()
-			h.Count(i)
-		}()
+	if got := h.Buckets(); !reflect.DeepEqual(got, []uint64{1, 0, 0, 0, 0}) || len(h.buckets) != 1 {
+		t.Errorf("Buckets = %v over %d stored buckets, want [1 0 0 0 0] over 1", got, len(h.buckets))
 	}
 }
 

@@ -137,14 +137,9 @@ func TestHistogram(t *testing.T) {
 	if h.Total() != 7 {
 		t.Errorf("Total = %d", h.Total())
 	}
-	if h.Count(0) != 3 { // 0, 1, -3
-		t.Errorf("bucket 0 = %d, want 3", h.Count(0))
-	}
-	if h.Count(1) != 1 || h.Count(2) != 1 || h.Count(3) != 1 {
-		t.Errorf("buckets = %v", h.Buckets())
-	}
-	if h.Count(4) != 1 { // overflow
-		t.Errorf("overflow = %d, want 1", h.Count(4))
+	// Bucket 0 holds 0, 1 and -3; the overflow bucket 100.
+	if b := h.Buckets(); !reflect.DeepEqual(b, []uint64{3, 1, 1, 1, 1}) {
+		t.Errorf("buckets = %v, want [3 1 1 1 1]", b)
 	}
 	s := h.String()
 	if !strings.Contains(s, ">=8") {
@@ -184,13 +179,13 @@ func TestHistogramMergeEdgeCases(t *testing.T) {
 	one.Add(39)
 	sum := NewHistogram(4, 10)
 	sum.Merge(one)
-	if sum.Total() != 1 || sum.Count(3) != 1 {
+	if sum.Total() != 1 || sum.Buckets()[3] != 1 {
 		t.Errorf("single-sample merge: %v total %d", sum.Buckets(), sum.Total())
 	}
 	over := NewHistogram(4, 10)
 	over.Add(1 << 20)
 	sum.Merge(over)
-	if sum.Count(4) != 1 {
+	if sum.Buckets()[4] != 1 {
 		t.Errorf("overflow sample lost in merge: %v", sum.Buckets())
 	}
 
