@@ -16,8 +16,13 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The cache-prefetch hint in internal/core is assembly on amd64 and arm64
+# and a Go stub elsewhere: vetting the package for arm64 and for 386 as
+# well holds both the arm64 assembly and the stub to the declaration.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/core
+	GOARCH=386 $(GO) vet ./internal/core
 
 # Fails, listing the files, if any Go file is not gofmt-clean.
 fmt-check:
@@ -86,8 +91,9 @@ cover-integration:
 # and over the engine's event queue, whose pop order every golden constant
 # rests on, the two open-addressed tables every proxy message probes (the
 # mapping tables' directory and the request-ID table of pending passes), the
-# ordered tables' heap, held to the paper's sorted list, and the Zipf
-# sampler's guide-table draw, held to a binary search over its CDF.
+# ordered tables' heap, held to the paper's sorted list, the Zipf
+# sampler's guide-table draw, held to a binary search over its CDF, and the
+# span appender that writes trace files, held to encoding/json.
 # The committed seed corpora under testdata/fuzz also run as ordinary test
 # cases in `make test`.
 fuzz:
@@ -107,6 +113,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTraceReaders -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzConfigParse -fuzztime 10s ./internal/config/
 	$(GO) test -run '^$$' -fuzz FuzzZipfRank -fuzztime 10s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz FuzzAppendSpan -fuzztime 10s ./internal/obs/
 
 # bench/ is a module of its own (BENCHMARK.json's driver), so `go build
 # ./...` and `go test ./...` at the root never compile it. It imports

@@ -418,14 +418,15 @@ func New(cfg Config, src workload.Source) (*Cluster, error) {
 	c.origin = sim.NewOrigin()
 	c.nodes = append(c.nodes, c.origin)
 
-	if len(cfg.JoinProxyAt) > 0 {
-		c.churn = &churnSource{inner: src, atReqs: cfg.JoinProxyAt}
-		src = c.churn
-	}
-
-	sources, err := splitSource(src, cfg.Clients)
+	sources, err := splitSource(src, cfg.Clients, c.prefetch)
 	if err != nil {
 		return nil, err
+	}
+	if len(cfg.JoinProxyAt) > 0 {
+		// Churn runs have one client (validateChurn). The join counter
+		// wraps the split stream, so a lookahead peek never counts.
+		c.churn = &churnSource{inner: sources[0], atReqs: cfg.JoinProxyAt}
+		sources[0] = c.churn
 	}
 	for i, s := range sources {
 		// Result.Series is client 0's, so only client 0 samples and
@@ -575,26 +576,27 @@ func (c *Cluster) snapshotOccupancy(b *metrics.Bucket) {
 	}
 }
 
-// splitSource partitions src round-robin into n streams. n == 1 passes the
-// source through untouched (streaming); larger n hands stream k a strided
-// view of the whole stream: requests k, k+n, k+2n, …. A slice-backed source
+// splitSource partitions src round-robin into n streams: stream k replays
+// requests k, k+n, k+2n, … of the whole stream. A slice-backed source
 // (workload.SliceBacked) lends its slice; any other is drained into memory
-// once.
-func splitSource(src workload.Source, n int) ([]workload.Source, error) {
-	if n == 1 {
-		return []workload.Source{src}, nil
-	}
+// once, except that with n == 1 it is passed through untouched
+// (streaming). Each in-memory stream hands the request after the one it
+// returns to hint (see stridedSource.Next).
+func splitSource(src workload.Source, n int, hint func(ids.ObjectID)) ([]workload.Source, error) {
 	var all []ids.ObjectID
 	lent := false
 	if sb, ok := src.(workload.SliceBacked); ok {
 		all, lent = sb.Rest()
 	}
 	if !lent {
+		if n == 1 {
+			return []workload.Source{src}, nil
+		}
 		all = trace.Drain(src)
 	}
 	out := make([]workload.Source, n)
 	for k := range out {
-		out[k] = &stridedSource{objs: all, pos: k, step: n, total: (len(all) - k + n - 1) / n}
+		out[k] = &stridedSource{objs: all, pos: k, step: n, total: (len(all) - k + n - 1) / n, hint: hint}
 	}
 	return out, nil
 }
@@ -604,20 +606,36 @@ func splitSource(src workload.Source, n int) ([]workload.Source, error) {
 type stridedSource struct {
 	objs             []ids.ObjectID
 	pos, step, total int
+	// hint receives the stream's next request early.
+	hint func(ids.ObjectID)
 }
 
-// Next implements workload.Source.
+// Next implements workload.Source. It also peeks at the request after the
+// one it returns, without consuming it, and hands that to hint: by the
+// time the client asks for it, the tables' lines for it may already be
+// loaded.
 func (s *stridedSource) Next() (ids.ObjectID, bool) {
 	if s.pos >= len(s.objs) {
 		return 0, false
 	}
 	obj := s.objs[s.pos]
 	s.pos += s.step
+	if s.pos < len(s.objs) {
+		s.hint(s.objs[s.pos])
+	}
 	return obj, true
 }
 
 // Total implements workload.Source.
 func (s *stridedSource) Total() int { return s.total }
+
+// prefetch hands obj to every proxy's Prefetch, proxies joined by churn
+// included: a request for obj is about to enter the cluster.
+func (c *Cluster) prefetch(obj ids.ObjectID) {
+	for _, p := range c.proxies {
+		p.Prefetch(obj)
+	}
+}
 
 // ADCProxies exposes every proxy node, in Result.ProxyStats order: the array
 // members (joined proxies after them), then the hierarchy's root or the

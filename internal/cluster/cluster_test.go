@@ -453,7 +453,7 @@ func TestSplitSourceRoundRobin(t *testing.T) {
 			for i := range objs {
 				objs[i] = ids.ObjectID(1000 + i)
 			}
-			parts, err := splitSource(trace.NewSliceSource(objs), n)
+			parts, err := splitSource(trace.NewSliceSource(objs), n, noHint)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -475,6 +475,9 @@ func TestSplitSourceRoundRobin(t *testing.T) {
 	}
 }
 
+// noHint is the hint of a split stream nothing prefetches for.
+func noHint(ids.ObjectID) {}
+
 // plainSource hides a source's slice, so splitSource must drain it.
 type plainSource struct{ workload.Source }
 
@@ -495,11 +498,11 @@ func TestSplitSourceLendsSlice(t *testing.T) {
 			lent.Next()
 			plain.Next()
 		}
-		a, err := splitSource(lent, n)
+		a, err := splitSource(lent, n, noHint)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := splitSource(plain, n)
+		b, err := splitSource(plain, n, noHint)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -520,7 +523,7 @@ func TestSplitSourceLendsSlice(t *testing.T) {
 		src := trace.NewSliceSource(objs[:length])
 		run := func() {
 			src.Reset()
-			if _, err := splitSource(src, n); err != nil {
+			if _, err := splitSource(src, n, noHint); err != nil {
 				t.Fatal(err)
 			}
 		}

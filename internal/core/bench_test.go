@@ -67,10 +67,10 @@ func BenchmarkDirectory(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	keys := make([]ids.ObjectID, population)
 	for i := range keys {
-		keys[i] = ids.ObjectID(i/2 + i%2<<40)
+		keys[i] = ids.ObjectID(i/2) + ids.ObjectID(i%2)<<40
 	}
 	rng.Shuffle(population, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	absent := func(i int) ids.ObjectID { return ids.ObjectID(1<<41 + i) }
+	absent := func(i int) ids.ObjectID { return 1<<41 + ids.ObjectID(i) }
 
 	// fill indexes one arena entry per key; refs[k] names keys[k]'s.
 	fill := func() (*directory, []entryRef, map[ids.ObjectID]*Entry) {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"github.com/adc-sim/adc/internal/ids"
 )
@@ -81,6 +82,11 @@ const hashMul = 0xd6e8feb86659fd93
 
 // home is the cell obj's probe run starts at.
 func (d *directory) home(obj ids.ObjectID) uint64 { return uint64(d.tag(obj)) & d.mask }
+
+// prefetch starts loading obj's home cell (see the package's prefetch).
+func (d *directory) prefetch(obj ids.ObjectID) {
+	prefetch(unsafe.Pointer(&d.cells[d.home(obj)]))
+}
 
 // find returns the cell holding obj and its entry, or the empty cell that
 // ends obj's probe run and nil.

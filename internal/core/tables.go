@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand/v2"
+	"unsafe"
 
 	"github.com/adc-sim/adc/internal/ids"
 )
@@ -174,9 +175,35 @@ func (t *Tables) forget(e *Entry) entryRef {
 
 // pushTop puts e on top of the single-table and forgets the entry that
 // falls off its bottom, if any, recording it in out for Recycle.
+//
+// A full single-table drops its bottom entry on every first sighting, so
+// the next victim is known one eviction ahead: the new bottom. Its own line
+// was just written, but the two its eviction will miss on are not, so
+// pushTop starts loading them now (prefetch, a pure hint): the bottom's
+// predecessor, which the unlink rewrites, and the bottom's directory home
+// cell, where forget's deletion starts.
 func (t *Tables) pushTop(out *Outcome, e *Entry) {
 	out.Dropped = t.single.InsertTop(e)
 	out.dropped = t.forget(out.Dropped)
+	if out.Dropped != nil && t.dir != nil {
+		// A drop leaves the table full, and its capacity is positive
+		// after Validate, so the bottom is an entry, not the sentinel.
+		b := t.single.tail.prev
+		prefetch(unsafe.Pointer(b.prev))
+		t.dir.prefetch(b.Object)
+	}
+}
+
+// Prefetch starts loading obj's directory home cell, the line the first
+// probe of a Lookup, IsCached, ForwardLocation or Update of obj misses on,
+// so that a caller that knows the next object early can overlap the miss
+// with other work. It is a hint: it reads and changes nothing, so no
+// result depends on it. It does nothing on BackendList, which has no
+// directory, on released tables and on empty ones.
+func (t *Tables) Prefetch(obj ids.ObjectID) {
+	if t.dir != nil && t.dir.n > 0 {
+		t.dir.prefetch(obj)
+	}
 }
 
 // IsCached reports whether obj is in the local cache, i.e. has a caching-

@@ -559,3 +559,51 @@ func TestTablesFromPooledStorage(t *testing.T) {
 		t.Fatal("tables on pooled storage dump differently from fresh ones")
 	}
 }
+
+// TestPrefetchIsAHint: Prefetch does nothing where there is no directory
+// line to load — the BackendList tables, a zero Tables, empty tables and
+// released ones — and where there is one it changes nothing: tables
+// prefetched before every update, including first sightings that evict
+// from a full single-table, end exactly as tables that never were.
+func TestPrefetchIsAHint(t *testing.T) {
+	list, err := NewTables(Config{SingleSize: 8, MultipleSize: 8, CachingSize: 4, Backend: BackendList})
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := newTestTables(t, 8, 8, 4)
+	released.Update(1, 1, 1)
+	released.Release()
+	for name, tbl := range map[string]*Tables{
+		"list": list, "zero": new(Tables), "empty": newTestTables(t, 8, 8, 4), "released": released,
+	} {
+		for obj := ids.ObjectID(0); obj < 64; obj++ {
+			tbl.Prefetch(obj)
+		}
+		if (name == "list" || name == "empty") && tbl.Len() != 0 {
+			t.Errorf("%s: Prefetch left %d entries", name, tbl.Len())
+		}
+	}
+
+	hinted, plain := newTestTables(t, 30, 20, 10), newTestTables(t, 30, 20, 10)
+	rng := rand.New(rand.NewSource(4))
+	for now := int64(1); now <= 5000; now++ {
+		obj := ids.ObjectID(rng.Intn(200))
+		hinted.Prefetch(obj)
+		hinted.Prefetch(obj + 1000) // never requested
+		hinted.Recycle(hinted.Update(obj, ids.NodeID(now%3), now))
+		plain.Recycle(plain.Update(obj, ids.NodeID(now%3), now))
+	}
+	if err := hinted.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if err := hinted.Dump(&a, 5000); err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.Dump(&b, 5000); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Errorf("prefetched tables differ from plain ones:\n%s\nwant\n%s", a.String(), b.String())
+	}
+}

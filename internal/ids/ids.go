@@ -19,7 +19,13 @@ type ObjectID uint64
 // String renders the object ID in the paper's "www.xyNNN" style, which keeps
 // table dumps readable and comparable with the paper's sample figures.
 func (o ObjectID) String() string {
-	return "www.xy" + strconv.FormatUint(uint64(o), 10)
+	var buf [32]byte
+	return string(o.Append(buf[:0]))
+}
+
+// Append appends String's rendering to b.
+func (o ObjectID) Append(b []byte) []byte {
+	return strconv.AppendUint(append(b, "www.xy"...), uint64(o), 10)
 }
 
 // NodeID identifies a participant of the simulated system. Proxies are
@@ -61,16 +67,29 @@ func (n NodeID) ClientIndex() int {
 
 // String implements fmt.Stringer using the paper's "Proxy[i]" notation.
 func (n NodeID) String() string {
+	switch n {
+	case None:
+		return "None"
+	case Origin:
+		return "Origin"
+	}
+	var buf [24]byte
+	return string(n.Append(buf[:0]))
+}
+
+// Append appends String's rendering to b.
+func (n NodeID) Append(b []byte) []byte {
 	switch {
 	case n == None:
-		return "None"
+		return append(b, "None"...)
 	case n == Origin:
-		return "Origin"
+		return append(b, "Origin"...)
 	case n.IsClient():
-		return "Client[" + strconv.Itoa(n.ClientIndex()) + "]"
+		b = strconv.AppendInt(append(b, "Client["...), int64(n.ClientIndex()), 10)
 	default:
-		return "Proxy[" + strconv.Itoa(int(n)) + "]"
+		b = strconv.AppendInt(append(b, "Proxy["...), int64(n), 10)
 	}
+	return append(b, ']')
 }
 
 // RequestID is the globally unique request identifier used for loop
@@ -92,5 +111,13 @@ func (r RequestID) Counter() uint64 { return uint64(r) & (1<<48 - 1) }
 
 // String implements fmt.Stringer.
 func (r RequestID) String() string {
-	return fmt.Sprintf("req(%d:%d)", r.ClientIndex(), r.Counter())
+	var buf [32]byte
+	return string(r.Append(buf[:0]))
+}
+
+// Append appends String's rendering, "req(client:counter)", to b.
+func (r RequestID) Append(b []byte) []byte {
+	b = strconv.AppendInt(append(b, "req("...), int64(r.ClientIndex()), 10)
+	b = strconv.AppendUint(append(b, ':'), r.Counter(), 10)
+	return append(b, ')')
 }

@@ -1,29 +1,12 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
+	"bufio"
 	"io"
+	"strconv"
 
 	"github.com/adc-sim/adc/internal/ids"
 )
-
-// chromeEvent is one entry of the Chrome trace_event "traceEvents" array
-// (the JSON format chrome://tracing and Perfetto load directly).
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type chromeFile struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
 
 // chromeTid maps node IDs onto stable, positive thread IDs: origin 1,
 // proxies from 100, clients from 1000.
@@ -40,55 +23,92 @@ func chromeTid(n ids.NodeID) int {
 	}
 }
 
-// WriteChromeSpans exports spans in Chrome trace_event format: one duration
-// event per span, one process per trace and one row per node within it, so
-// a request — across proxies, or through a simulated request's attempts and
+// WriteChromeSpans exports spans in Chrome trace_event format (the JSON
+// object chrome://tracing and Perfetto load directly): one duration event
+// per span, one process per trace and one row per node within it, so a
+// request — across proxies, or through a simulated request's attempts and
 // hops — renders as one aligned flame chart. Processes are numbered in
 // order of first appearance: trace IDs carry their proxy or client in the
 // top bits, which any truncation to a pid would drop.
+//
+// The events are written one at a time, so the export holds one event's
+// encoding beside the spans, not the document. The bytes are those
+// encoding/json wrote for the document as one value: each event's fields
+// in the order name, ph, ts, dur (left out when 0), pid, tid, args, and
+// the args in key order.
 func WriteChromeSpans(w io.Writer, spans []Span) error {
-	f := chromeFile{DisplayTimeUnit: "ms"}
-	var base int64
-	for i, s := range spans {
-		if i == 0 || s.Start < base {
-			base = s.Start
-		}
+	bw := bufio.NewWriter(w) // its write error sticks; Flush returns it
+	if len(spans) == 0 {
+		bw.WriteString(`{"traceEvents":null,"displayTimeUnit":"ms"}` + "\n")
+		return bw.Flush()
+	}
+	base := spans[0].Start
+	for _, s := range spans {
+		base = min(base, s.Start)
 	}
 	pids := map[uint64]int{}
 	named := map[[2]int]bool{} // (pid, tid) rows already labelled
-	for _, s := range spans {
+	var b []byte
+	bw.WriteString(`{"traceEvents":[`)
+	for i, s := range spans {
+		b = b[:0]
+		if i > 0 {
+			b = append(b, ',')
+		}
 		pid, ok := pids[s.Trace]
 		if !ok {
 			pid = len(pids) + 1
 			pids[s.Trace] = pid
-			f.TraceEvents = append(f.TraceEvents, chromeEvent{
-				Name: "process_name", Ph: "M", Pid: pid,
-				Args: map[string]any{"name": fmt.Sprintf("trace %016x", s.Trace)},
-			})
+			b = appendChromeHead(b, "process_name", "M", 0, 0, pid, 0)
+			b = appendHex16(append(b, `"name":"trace `...), s.Trace)
+			b = append(b, `"}},`...)
 		}
 		node := ids.NodeID(s.Node)
 		tid := chromeTid(node)
 		if !named[[2]int{pid, tid}] {
 			named[[2]int{pid, tid}] = true
-			f.TraceEvents = append(f.TraceEvents, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-				Args: map[string]any{"name": node.String()},
-			})
+			b = appendChromeHead(b, "thread_name", "M", 0, 0, pid, tid)
+			b = appendJSONString(append(b, `"name":`...), node.String())
+			b = append(b, `}},`...)
 		}
-		args := map[string]any{"trace": fmt.Sprintf("%016x", s.Trace), "span": s.ID}
-		if s.Obj != 0 {
-			args["obj"] = s.Obj
-		}
+		b = appendChromeHead(b, s.Stage, "X", s.Start-base, max(s.End-s.Start, 1), pid, tid)
 		if s.Detail != "" {
-			args["detail"] = s.Detail
+			b = append(appendJSONString(append(b, `"detail":`...), s.Detail), ',')
 		}
 		if s.Err != "" {
-			args["err"] = s.Err
+			b = append(appendJSONString(append(b, `"err":`...), s.Err), ',')
 		}
-		f.TraceEvents = append(f.TraceEvents, chromeEvent{
-			Name: s.Stage, Ph: "X", Ts: s.Start - base, Dur: max(s.End-s.Start, 1),
-			Pid: pid, Tid: tid, Args: args,
-		})
+		if s.Obj != 0 {
+			b = append(strconv.AppendUint(append(b, `"obj":`...), s.Obj, 10), ',')
+		}
+		b = strconv.AppendUint(append(b, `"span":`...), s.ID, 10)
+		b = appendHex16(append(b, `,"trace":"`...), s.Trace)
+		b = append(b, `"}}`...)
+		bw.Write(b)
 	}
-	return json.NewEncoder(w).Encode(f)
+	bw.WriteString(`],"displayTimeUnit":"ms"}` + "\n")
+	return bw.Flush()
+}
+
+// appendChromeHead appends one trace_event's fields up to the opening of
+// its args object.
+func appendChromeHead(b []byte, name, ph string, ts, dur int64, pid, tid int) []byte {
+	b = appendJSONString(append(b, `{"name":`...), name)
+	b = append(append(append(b, `,"ph":"`...), ph...), '"')
+	b = strconv.AppendInt(append(b, `,"ts":`...), ts, 10)
+	if dur != 0 {
+		b = strconv.AppendInt(append(b, `,"dur":`...), dur, 10)
+	}
+	b = strconv.AppendInt(append(b, `,"pid":`...), int64(pid), 10)
+	b = strconv.AppendInt(append(b, `,"tid":`...), int64(tid), 10)
+	return append(b, `,"args":{`...)
+}
+
+// appendHex16 appends v as 16 lower-case hex digits, zero-padded.
+func appendHex16(b []byte, v uint64) []byte {
+	const hex = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, hex[v>>shift&0xF])
+	}
+	return b
 }

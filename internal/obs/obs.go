@@ -217,23 +217,26 @@ func TableKindString(k int) string {
 
 // OutcomeString renders a packed outcome compactly, e.g. "single→caching"
 // or "multiple→multiple (cache-evict)".
-func OutcomeString(arg int64) string {
+func OutcomeString(arg int64) string { return string(appendOutcome(nil, arg)) }
+
+// appendOutcome appends OutcomeString's rendering of arg to b.
+func appendOutcome(b []byte, arg int64) []byte {
 	from, to, ce, me, dr := DecodeOutcome(arg)
-	s := TableKindString(from) + "→" + TableKindString(to)
-	var flags string
-	if ce {
-		flags += " cache-evict"
+	b = append(append(append(b, TableKindString(from)...), "→"...), TableKindString(to)...)
+	sep := " ("
+	for _, f := range [...]struct {
+		set  bool
+		name string
+	}{{ce, "cache-evict"}, {me, "multiple-evict"}, {dr, "dropped"}} {
+		if f.set {
+			b = append(append(b, sep...), f.name...)
+			sep = " "
+		}
 	}
-	if me {
-		flags += " multiple-evict"
+	if sep == " " {
+		b = append(b, ')')
 	}
-	if dr {
-		flags += " dropped"
-	}
-	if flags != "" {
-		s += " (" + flags[1:] + ")"
-	}
-	return s
+	return b
 }
 
 // Event is one traced protocol step. Seq is the tracer-assigned emission

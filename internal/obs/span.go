@@ -158,11 +158,12 @@ type SpanDump struct {
 // WriteSpanDumps writes dumps as one JSON array, the trace file cmd/adctrace
 // reads, from adcload -trace-dump (one dump per proxy) and from adcsim
 // -trace (one dump of EventSpans). Each dump's header is encoded whole and
-// its spans one per line, so writing holds one span's encoding at a time
-// instead of the whole document's.
+// its spans one per line (appendSpan, byte for byte a json.Encoder's line),
+// so writing holds one span's encoding at a time instead of the whole
+// document's.
 func WriteSpanDumps(w io.Writer, dumps []SpanDump) error {
 	bw := bufio.NewWriter(w) // its write error sticks; Flush returns it
-	enc := json.NewEncoder(bw)
+	var line []byte
 	bw.WriteByte('[')
 	for i, d := range dumps {
 		if i > 0 {
@@ -179,9 +180,8 @@ func WriteSpanDumps(w io.Writer, dumps []SpanDump) error {
 			if j > 0 {
 				bw.WriteByte(',')
 			}
-			if err := enc.Encode(&spans[j]); err != nil {
-				return err
-			}
+			line = append(appendSpan(line[:0], &spans[j]), '\n')
+			bw.Write(line)
 		}
 		bw.WriteString("]}")
 	}

@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"fmt"
+	"strconv"
 
 	"github.com/adc-sim/adc/internal/ids"
 )
@@ -101,37 +101,51 @@ func EventSpans(events []Event) []Span {
 
 // eventDetail renders what an event adds beyond its kind, node and time.
 func eventDetail(e Event) string {
+	var buf [96]byte
+	b := buf[:0]
 	switch e.Kind {
 	case KindInject:
-		return fmt.Sprintf("→ %v  %v", e.To, e.Obj)
+		b = e.To.Append(append(b, "→ "...))
+		b = e.Obj.Append(append(b, "  "...))
 	case KindRetry:
-		return fmt.Sprintf("→ %v  %v  retry #%d of %v", e.To, e.Obj, e.Arg, e.Prev)
+		b = e.To.Append(append(b, "→ "...))
+		b = e.Obj.Append(append(b, "  "...))
+		b = strconv.AppendInt(append(b, "  retry #"...), e.Arg, 10)
+		b = e.Prev.Append(append(b, " of "...))
 	case KindForward:
-		return fmt.Sprintf("→ %v  (%s, hops=%d)", e.To, ForwardReasonString(e.Arg), e.Hops)
+		b = e.To.Append(append(b, "→ "...))
+		b = append(append(b, "  ("...), ForwardReasonString(e.Arg)...)
+		b = append(strconv.AppendInt(append(b, ", hops="...), int64(e.Hops), 10), ')')
 	case KindHit:
-		return fmt.Sprintf("cached at %v", e.Loc)
+		b = e.Loc.Append(append(b, "cached at "...))
 	case KindOriginResolve:
 		return "resolved at origin"
 	case KindBackward:
-		return fmt.Sprintf("→ %v  learned %v  %s", e.To, e.Loc, OutcomeString(e.Arg))
+		b = e.To.Append(append(b, "→ "...))
+		b = e.Loc.Append(append(b, "  learned "...))
+		b = appendOutcome(append(b, "  "...), e.Arg)
 	case KindDeliver:
-		origin := ""
+		b = e.Loc.Append(append(b, "resolver "...))
+		b = strconv.AppendInt(append(b, " (hops="...), int64(e.Hops), 10)
 		if e.Arg&1 != 0 {
-			origin = ", from origin"
+			b = append(b, ", from origin"...)
 		}
-		return fmt.Sprintf("resolver %v (hops=%d%s)", e.Loc, e.Hops, origin)
+		b = append(b, ')')
 	case KindDrop:
-		return fmt.Sprintf("→ %v  dropped (%s)", e.To, DropCauseString(e.Arg))
+		b = e.To.Append(append(b, "→ "...))
+		b = append(append(append(b, "  dropped ("...), DropCauseString(e.Arg)...), ')')
 	case KindTimeout:
 		return "timed out"
 	case KindAbandon:
-		return fmt.Sprintf("abandoned after %d retries", e.Arg)
+		b = append(strconv.AppendInt(append(b, "abandoned after "...), e.Arg, 10), " retries"...)
 	case KindExpire:
-		return fmt.Sprintf("pending entry expired (passes=%d)", e.Arg)
+		b = append(strconv.AppendInt(append(b, "pending entry expired (passes="...), e.Arg, 10), ')')
 	case KindInvalidate:
-		return fmt.Sprintf("invalidated %v", e.Obj)
+		b = e.Obj.Append(append(b, "invalidated "...))
 	case KindStaleReply:
 		return "stale reply discarded"
+	default:
+		return ""
 	}
-	return ""
+	return string(b)
 }

@@ -244,6 +244,7 @@ func TestColdRestartReleasesTables(t *testing.T) {
 	if err := a.CheckInvariants(); err != nil {
 		t.Fatalf("tables after a cold restart: %v", err)
 	}
+	a.tables.Prefetch(1) // a hint on the rebuilt, empty tables: no panic, no entry
 	const fresh = ids.ObjectID(1 << 40)
 	a.tables.Update(fresh, 1, 1)
 	if e, _ := a.tables.Lookup(fresh); !old[e] {

@@ -152,6 +152,15 @@ func (p *ADC) Release() {
 	}
 }
 
+// Prefetch hints that obj is about to be requested: an ADC agent starts
+// loading its tables' line for obj (core.Tables.Prefetch). No state or
+// result changes; other policies ignore it.
+func (p *ADC) Prefetch(obj ids.ObjectID) {
+	if a, ok := p.policy.(*protocol.Agent); ok {
+		a.Tables().Prefetch(obj)
+	}
+}
+
 // Handle implements sim.Node.
 func (p *ADC) Handle(ctx sim.Context, m msg.Message) {
 	switch t := m.(type) {

@@ -63,7 +63,7 @@ type Cursor struct {
 	pos   int
 }
 
-var _ Source = (*Cursor)(nil)
+var _ SliceBacked = (*Cursor)(nil)
 
 // Next implements Source.
 func (c *Cursor) Next() (ids.ObjectID, bool) {
@@ -77,6 +77,14 @@ func (c *Cursor) Next() (ids.ObjectID, bool) {
 
 // Total implements Source.
 func (c *Cursor) Total() int { return len(c.trace.objs) }
+
+// Rest implements SliceBacked: the unread suffix of the trace, shared, not
+// copied.
+func (c *Cursor) Rest() ([]ids.ObjectID, bool) {
+	rest := c.trace.objs[c.pos:]
+	c.pos = len(c.trace.objs)
+	return rest, true
+}
 
 // Reset rewinds the cursor for another replay.
 func (c *Cursor) Reset() { c.pos = 0 }
