@@ -48,9 +48,10 @@ cover:
 # Integration coverage, print-only: which code anything a user or CI runs
 # reaches, as opposed to `make cover`'s tests. Builds the five commands and
 # the four examples with -cover -coverpkg=./..., runs ci.yml's farm-smoke,
-# chaos-smoke, trace-smoke, telemetry-smoke and replication-smoke commands
-# and the examples under one GOCOVERDIR (~1 min), then prints the union's
-# total and every function outside examples/ that none of them reaches.
+# chaos-smoke, trace-smoke, telemetry-smoke and replication-smoke commands,
+# its experiment-study runs and the examples under one GOCOVERDIR (~1 min),
+# then prints the union's total and every function outside examples/ that
+# none of them reaches.
 # Binaries, counters and the runs' files stay in .cover-integration/.
 cover-integration:
 	@set -e; dir=.cover-integration; rm -rf "$$dir"; mkdir -p "$$dir/bin" "$$dir/data"; \
@@ -72,6 +73,9 @@ cover-integration:
 	  -trace-sample 1 -trace-dump "$$dir/telemetry-smoke.spans.json" -lint-metrics; \
 	run "$$b/adctrace" -min-complete 0.99 "$$dir/telemetry-smoke.spans.json"; \
 	run "$$b/adcsweep" -metric loadspread -proxies 8 -seed 7 -quiet; \
+	run "$$b/adcsweep" -metric figures -scale 0.02 -quiet -out "$$dir/figures"; \
+	run "$$b/adcsweep" -metric resilience -scale 0.02 -quiet; \
+	run "$$b/adcsweep" -metric convergence -scale 0.02 -quiet; \
 	run "$$b/adcload" -proxies 4 -rate 1000 -duration 3s -warm 2000 -replicate -quiet; \
 	for ex in quickstart adaptivity elasticity httpfarm; do run "$$b/$$ex"; done; \
 	$(GO) tool covdata func -i="$$GOCOVERDIR" | awk -v mod="$$($(GO) list -m)/" ' \

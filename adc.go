@@ -7,7 +7,7 @@
 // tables (single, multiple, caching), and caches selectively by aged
 // average request frequency.
 //
-// The package offers three levels of entry:
+// The package offers two levels of entry:
 //
 //   - Run executes one complete simulation — N proxy agents, an origin
 //     server and a closed-loop client replaying a workload — and returns
@@ -22,13 +22,13 @@
 //     Zipf-skewed popularity and one-timer pollution; SaveTrace/LoadTrace
 //     persist streams for exact repetition.
 //
-//   - The Experiment functions (Compare, Sweep, MaxHopsSweep, the
-//     Ablations) regenerate every figure of the paper's evaluation; see
-//     EXPERIMENTS.md for the measured-vs-paper record.
+// The paper's evaluation (§V) is not part of the package: cmd/adcsweep
+// regenerates every figure and extension study (adcsweep -metric figures);
+// EXPERIMENTS.md holds the measured-vs-paper record.
 //
 // Everything is deterministic given a seed, uses only the standard
 // library, and runs the paper's full 3.99 M-request setup in about a
-// minute (Scale 1.0) or a 1/10-scale replica in seconds.
+// minute (adcsweep -scale 1) or a 1/10-scale replica in seconds.
 package adc
 
 import (

@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"github.com/adc-sim/adc/internal/experiments"
 )
 
 func smallWorkload(t *testing.T) *Workload {
@@ -15,6 +17,13 @@ func smallWorkload(t *testing.T) *Workload {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// scaledProfile is the reference experiment profile at scale.
+func scaledProfile(scale float64) experiments.Profile {
+	p := experiments.DefaultProfile()
+	p.Scale = scale
+	return p
 }
 
 func smallConfig() Config {
@@ -127,7 +136,7 @@ func TestOpenLoopRequiresVirtualTime(t *testing.T) {
 }
 
 func TestResponseTimeExperiment(t *testing.T) {
-	r, err := ResponseTime(Profile{Scale: 0.01}, 0)
+	r, err := experiments.ResponseTime(scaledProfile(0.01), experiments.ResponseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +147,7 @@ func TestResponseTimeExperiment(t *testing.T) {
 }
 
 func TestPreLearnedExperiment(t *testing.T) {
-	r, err := PreLearned(Profile{Scale: 0.01})
+	r, err := experiments.PreLearned(scaledProfile(0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +157,7 @@ func TestPreLearnedExperiment(t *testing.T) {
 }
 
 func TestProxyCountSweepExperiment(t *testing.T) {
-	pts, err := ProxyCountSweep(Profile{Scale: 0.01}, []int{2, 5})
+	pts, err := experiments.ProxyCountSweep(scaledProfile(0.01), []int{2, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,31 +429,31 @@ func TestLoadTraceFileForgedCount(t *testing.T) {
 }
 
 func TestCompareSmall(t *testing.T) {
-	cmp, err := Compare(Profile{Scale: 0.01}, false)
+	cmp, err := experiments.Compare(scaledProfile(0.01), experiments.CompareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cmp.ADC) == 0 || len(cmp.Hashing) == 0 {
 		t.Fatal("missing series")
 	}
-	if cmp.ADCHops <= cmp.HashingHops {
-		t.Errorf("ADC hops %.2f must exceed hashing %.2f", cmp.ADCHops, cmp.HashingHops)
+	if cmp.ADCSummary.Hops <= cmp.HashingSummary.Hops {
+		t.Errorf("ADC hops %.2f must exceed hashing %.2f", cmp.ADCSummary.Hops, cmp.HashingSummary.Hops)
 	}
 }
 
 func TestSweepSmall(t *testing.T) {
-	pts, err := Sweep(Profile{Scale: 0.01})
+	pts, err := experiments.Sweep(scaledProfile(0.01), experiments.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) != 18 { // 3 tables × 6 sizes
 		t.Errorf("points = %d, want 18", len(pts))
 	}
-	seen := map[string]bool{}
+	seen := map[experiments.TableName]bool{}
 	for _, pt := range pts {
 		seen[pt.Table] = true
 	}
-	for _, tbl := range []string{"single", "multiple", "caching"} {
+	for _, tbl := range experiments.AllTables() {
 		if !seen[tbl] {
 			t.Errorf("table %s missing from sweep", tbl)
 		}
@@ -452,15 +461,15 @@ func TestSweepSmall(t *testing.T) {
 }
 
 func TestAblationsSmall(t *testing.T) {
-	p := Profile{Scale: 0.02}
-	sel, err := SelectiveCachingAblation(p)
+	p := scaledProfile(0.02)
+	sel, err := experiments.SelectiveCachingAblation(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sel.Full <= sel.Ablated {
 		t.Errorf("selective %.3f must beat LRU %.3f", sel.Full, sel.Ablated)
 	}
-	ag, err := AgingAblation(p)
+	ag, err := experiments.AgingAblation(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +479,7 @@ func TestAblationsSmall(t *testing.T) {
 }
 
 func TestMaxHopsSweepSmall(t *testing.T) {
-	pts, err := MaxHopsSweep(Profile{Scale: 0.01}, []int{1, 4, 0})
+	pts, err := experiments.MaxHopsSweep(scaledProfile(0.01), []int{1, 4, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +489,7 @@ func TestMaxHopsSweepSmall(t *testing.T) {
 }
 
 func TestBackendComparisonSmall(t *testing.T) {
-	pts, err := BackendComparison(Profile{Scale: 0.01})
+	pts, err := experiments.BackendComparison(scaledProfile(0.01), 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,23 +12,27 @@ import (
 	"testing"
 
 	"github.com/adc-sim/adc"
+	"github.com/adc-sim/adc/internal/core"
+	"github.com/adc-sim/adc/internal/experiments"
 )
 
 // benchProfile is the scaled experiment profile used by every benchmark.
-func benchProfile() adc.Profile {
-	return adc.Profile{Scale: 0.02, Seed: 1}
+func benchProfile() experiments.Profile {
+	p := experiments.DefaultProfile()
+	p.Scale = 0.02
+	return p
 }
 
 // BenchmarkFigure11HitRate runs the ADC-vs-hashing comparison and reports
 // the cumulative hit rates behind Fig. 11.
 func BenchmarkFigure11HitRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cmp, err := adc.Compare(benchProfile(), false)
+		cmp, err := experiments.Compare(benchProfile(), experiments.CompareOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(cmp.ADCHitRate, "adc-hit")
-		b.ReportMetric(cmp.HashingHitRate, "hash-hit")
+		b.ReportMetric(cmp.ADCSummary.HitRate, "adc-hit")
+		b.ReportMetric(cmp.HashingSummary.HitRate, "hash-hit")
 	}
 }
 
@@ -36,13 +40,14 @@ func BenchmarkFigure11HitRate(b *testing.B) {
 // the paper's claim is a ≈2-hop ADC premium.
 func BenchmarkFigure12Hops(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cmp, err := adc.Compare(benchProfile(), false)
+		cmp, err := experiments.Compare(benchProfile(), experiments.CompareOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(cmp.ADCHops, "adc-hops")
-		b.ReportMetric(cmp.HashingHops, "hash-hops")
-		b.ReportMetric(cmp.ADCHops-cmp.HashingHops, "gap")
+		adcHops, hashHops := cmp.ADCSummary.Hops, cmp.HashingSummary.Hops
+		b.ReportMetric(adcHops, "adc-hops")
+		b.ReportMetric(hashHops, "hash-hops")
+		b.ReportMetric(adcHops-hashHops, "gap")
 	}
 }
 
@@ -50,7 +55,7 @@ func BenchmarkFigure12Hops(b *testing.B) {
 // Fig. 13 and reports the caching-table extremes (the dominant parameter).
 func BenchmarkFigure13HitsByTableSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := adc.Sweep(benchProfile())
+		pts, err := experiments.Sweep(benchProfile(), experiments.SweepOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,11 +65,11 @@ func BenchmarkFigure13HitsByTableSize(b *testing.B) {
 	}
 }
 
-func cachingExtremes(pts []adc.SweepPoint) (lo, hi float64) {
+func cachingExtremes(pts []experiments.SweepPoint) (lo, hi float64) {
 	first := true
 	var minSize, maxSize int
 	for _, pt := range pts {
-		if pt.Table != "caching" {
+		if pt.Table != experiments.TableCaching {
 			continue
 		}
 		if first || pt.Size < minSize {
@@ -82,7 +87,7 @@ func cachingExtremes(pts []adc.SweepPoint) (lo, hi float64) {
 // sweep; the paper claims the variation stays within ≈¼ hop.
 func BenchmarkFigure14HopsByTableSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := adc.Sweep(benchProfile())
+		pts, err := experiments.Sweep(benchProfile(), experiments.SweepOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -103,7 +108,7 @@ func BenchmarkFigure14HopsByTableSize(b *testing.B) {
 // the wall-clock growth with single-table size is Fig. 15's shape.
 func BenchmarkFigure15TimeByTableSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := adc.TimingSweep(benchProfile())
+		pts, err := experiments.Sweep(benchProfile(), experiments.SweepOptions{PaperFaithfulTiming: true, Requests: 1_000_000})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +116,7 @@ func BenchmarkFigure15TimeByTableSize(b *testing.B) {
 		var minSize, maxSize int
 		first := true
 		for _, pt := range pts {
-			if pt.Table != "single" {
+			if pt.Table != experiments.TableSingle {
 				continue
 			}
 			if first || pt.Size < minSize {
@@ -130,7 +135,7 @@ func BenchmarkFigure15TimeByTableSize(b *testing.B) {
 // claim.
 func BenchmarkAblationSelectiveVsLRU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := adc.SelectiveCachingAblation(benchProfile())
+		r, err := experiments.SelectiveCachingAblation(benchProfile())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +146,7 @@ func BenchmarkAblationSelectiveVsLRU(b *testing.B) {
 // BenchmarkAblationAging quantifies the Fig. 4 aging rule.
 func BenchmarkAblationAging(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := adc.AgingAblation(benchProfile())
+		r, err := experiments.AgingAblation(benchProfile())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +158,7 @@ func BenchmarkAblationAging(b *testing.B) {
 // unused.
 func BenchmarkAblationMaxHops(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := adc.MaxHopsSweep(benchProfile(), []int{2, 0})
+		pts, err := experiments.MaxHopsSweep(benchProfile(), []int{2, 0})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -165,16 +170,16 @@ func BenchmarkAblationMaxHops(b *testing.B) {
 // ordered-table backends (§V.3.3's proposed speed-up).
 func BenchmarkBackends(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := adc.BackendComparison(benchProfile())
+		pts, err := experiments.BackendComparison(benchProfile(), 1_000_000)
 		if err != nil {
 			b.Fatal(err)
 		}
 		var list, btree float64
 		for _, pt := range pts {
 			switch pt.Backend {
-			case "list":
+			case core.BackendList:
 				list = pt.Elapsed.Seconds()
-			case "btree":
+			case core.BackendBTree:
 				btree = pt.Elapsed.Seconds()
 			}
 		}
@@ -188,12 +193,12 @@ func BenchmarkBackends(b *testing.B) {
 // their post-fill hit rates — the §II/§III design-space comparison.
 func BenchmarkBaselines(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := adc.Baselines(benchProfile())
+		pts, err := experiments.Baselines(benchProfile())
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, pt := range pts {
-			b.ReportMetric(pt.HitRate, pt.Algorithm+"-hit")
+			b.ReportMetric(pt.HitRate, pt.Algorithm.String()+"-hit")
 		}
 	}
 }
@@ -202,7 +207,7 @@ func BenchmarkBaselines(b *testing.B) {
 // virtual-time engine (WAN latency model).
 func BenchmarkResponseTime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := adc.ResponseTime(benchProfile(), 0)
+		r, err := experiments.ResponseTime(benchProfile(), experiments.ResponseOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -238,9 +243,9 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 func BenchmarkSweepSequential(b *testing.B) {
 	b.ReportAllocs()
 	p := benchProfile()
-	p.Parallel = 1
+	p.Parallelism = 1
 	for i := 0; i < b.N; i++ {
-		if _, err := adc.Sweep(p); err != nil {
+		if _, err := experiments.Sweep(p, experiments.SweepOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -252,9 +257,9 @@ func BenchmarkSweepSequential(b *testing.B) {
 func BenchmarkSweepParallel(b *testing.B) {
 	b.ReportAllocs()
 	p := benchProfile()
-	p.Parallel = 0 // GOMAXPROCS
+	p.Parallelism = 0 // GOMAXPROCS
 	for i := 0; i < b.N; i++ {
-		if _, err := adc.Sweep(p); err != nil {
+		if _, err := experiments.Sweep(p, experiments.SweepOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

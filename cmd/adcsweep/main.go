@@ -34,10 +34,13 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"github.com/adc-sim/adc"
 	"github.com/adc-sim/adc/internal/clilog"
+	"github.com/adc-sim/adc/internal/core"
+	"github.com/adc-sim/adc/internal/experiments"
+	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/plot"
 	"github.com/adc-sim/adc/internal/profiling"
+	"github.com/adc-sim/adc/internal/sim"
 )
 
 func main() {
@@ -98,12 +101,12 @@ var studies = []study{
 // resilience flags, the logger, and the table-size sweep once one study
 // has run it (Figs. 13 and 14 share it).
 type app struct {
-	profile  adc.Profile
+	profile  experiments.Profile
 	out      string
 	losses   string
 	recovery string
 	log      *clilog.Logger
-	sweep    []adc.SweepPoint
+	sweep    []experiments.SweepPoint
 }
 
 func run(args []string) error {
@@ -138,18 +141,22 @@ func run(args []string) error {
 	if err := clilog.Refuse(fs, "is not read by -metric "+*metric, ignored(selected)...); err != nil {
 		return err
 	}
+	log := clilog.FromFlags(*verbose, *quiet)
+	p := experiments.DefaultProfile()
+	p.Scale, p.Seed, p.Proxies, p.Parallelism = *scale, *seed, *proxies, *parallel
+	p.Progress = progressLine(log)
+	var err error
+	if p.Backend, err = core.ParseBackend(*backend); err != nil {
+		return err
+	}
+	if err := p.Validate(); err != nil {
+		return err
+	}
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		return err
 	}
-	log := clilog.FromFlags(*verbose, *quiet)
-	a := &app{
-		profile: adc.Profile{
-			Scale: *scale, Seed: *seed, Proxies: *proxies, Parallel: *parallel,
-			Backend: adc.TableBackend(*backend), Progress: progressLine(log),
-		},
-		out: *out, losses: *losses, recovery: *recovery, log: log,
-	}
+	a := &app{profile: p, out: *out, losses: *losses, recovery: *recovery, log: log}
 	for _, s := range selected {
 		fmt.Printf("=== %s ===\n", s.title)
 		err := s.run(a, s.csv)
@@ -190,9 +197,9 @@ func ignored(selected []study) []string {
 // carriage-returned status line per fan-out with run counts, the resolved
 // pool width and engine throughput. The logger suppresses it under -quiet
 // and keeps it off stdout always.
-func progressLine(log *clilog.Logger) func(adc.Progress) {
+func progressLine(log *clilog.Logger) func(experiments.ProgressInfo) {
 	start := time.Now()
-	return func(p adc.Progress) {
+	return func(p experiments.ProgressInfo) {
 		elapsed := time.Since(start).Seconds()
 		line := fmt.Sprintf("run %d/%d  %d workers  %.1f runs/s",
 			p.Done, p.Total, p.Workers, float64(p.Done)/elapsed)
@@ -242,16 +249,16 @@ func chart(title string, height int, series ...plot.Series) {
 }
 
 func (a *app) compare(csv []string) error {
-	cmp, err := adc.Compare(a.profile, false)
+	cmp, err := experiments.Compare(a.profile, experiments.CompareOptions{})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("phases: fill ends at %d requests, phase II starts at %d\n",
 		cmp.FillEnd, cmp.Phase2End)
 	fmt.Printf("cumulative: ADC hit %.3f / hops %.2f — hashing hit %.3f / hops %.2f\n\n",
-		cmp.ADCHitRate, cmp.ADCHops, cmp.HashingHitRate, cmp.HashingHops)
+		cmp.ADCSummary.HitRate, cmp.ADCSummary.Hops, cmp.HashingSummary.HitRate, cmp.HashingSummary.Hops)
 
-	series := func(name string, pts []adc.Point, y func(adc.Point) float64) plot.Series {
+	series := func(name string, pts []metrics.Point, y func(metrics.Point) float64) plot.Series {
 		s := plot.Series{Name: name}
 		for _, p := range pts {
 			s.X = append(s.X, float64(p.Requests))
@@ -259,8 +266,8 @@ func (a *app) compare(csv []string) error {
 		}
 		return s
 	}
-	hit := func(p adc.Point) float64 { return p.HitRate }
-	hops := func(p adc.Point) float64 { return p.Hops }
+	hit := func(p metrics.Point) float64 { return p.HitRate }
+	hops := func(p metrics.Point) float64 { return p.Hops }
 
 	adcHit, hashHit := series("ADC", cmp.ADC, hit), series("Hashing", cmp.Hashing, hit)
 	chart("Figure 11: hit rate (moving average) vs requests", 16, adcHit, hashHit)
@@ -275,10 +282,10 @@ func (a *app) compare(csv []string) error {
 // bySize is one of Figs. 13–15: one value of a table-size sweep, printed
 // as a table and a chart and written with one column per table.
 type bySize struct {
-	points func(*app) ([]adc.SweepPoint, error)
+	points func(*app) ([]experiments.SweepPoint, error)
 	column string // the table's value heading
-	cell   func(adc.SweepPoint) string
-	y      func(adc.SweepPoint) float64
+	cell   func(experiments.SweepPoint) string
+	y      func(experiments.SweepPoint) float64
 	chart  string
 }
 
@@ -286,33 +293,33 @@ var (
 	hitsBySize = bySize{
 		points: (*app).sizeSweep,
 		column: "hit rate (post-fill)",
-		cell:   func(p adc.SweepPoint) string { return fmt.Sprintf("%.4f", p.HitRate) },
-		y:      func(p adc.SweepPoint) float64 { return p.HitRate },
+		cell:   func(p experiments.SweepPoint) string { return fmt.Sprintf("%.4f", p.HitRate) },
+		y:      func(p experiments.SweepPoint) float64 { return p.HitRate },
 		chart:  "Figure 13: hit rate by table size",
 	}
 	hopsBySize = bySize{
 		points: (*app).sizeSweep,
 		column: "hops/request (post-fill)",
-		cell:   func(p adc.SweepPoint) string { return fmt.Sprintf("%.3f", p.Hops) },
-		y:      func(p adc.SweepPoint) float64 { return p.Hops },
+		cell:   func(p experiments.SweepPoint) string { return fmt.Sprintf("%.3f", p.Hops) },
+		y:      func(p experiments.SweepPoint) float64 { return p.Hops },
 		chart:  "Figure 14: hops by table size",
 	}
 	timeBySize = bySize{
-		points: func(a *app) ([]adc.SweepPoint, error) {
+		points: func(a *app) ([]experiments.SweepPoint, error) {
 			a.log.Infof("running Fig. 15 timing sweep on paper-faithful O(n) tables; this is deliberately slow…")
-			return adc.TimingSweep(a.profile)
+			return experiments.Sweep(a.profile, experiments.SweepOptions{PaperFaithfulTiming: true, Requests: 1_000_000})
 		},
 		column: "processing time",
-		cell:   func(p adc.SweepPoint) string { return p.Elapsed.Round(time.Millisecond).String() },
-		y:      func(p adc.SweepPoint) float64 { return p.Elapsed.Seconds() },
+		cell:   func(p experiments.SweepPoint) string { return p.Elapsed.Round(time.Millisecond).String() },
+		y:      func(p experiments.SweepPoint) float64 { return p.Elapsed.Seconds() },
 		chart:  "Figure 15: processing time (s) by table size",
 	}
 )
 
 // sizeSweep runs the table-size sweep once for Figs. 13 and 14.
-func (a *app) sizeSweep() ([]adc.SweepPoint, error) {
+func (a *app) sizeSweep() ([]experiments.SweepPoint, error) {
 	if a.sweep == nil {
-		pts, err := adc.Sweep(a.profile)
+		pts, err := experiments.Sweep(a.profile, experiments.SweepOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -335,8 +342,8 @@ func (f bySize) run(a *app, csv []string) error {
 		return err
 	}
 	var series []plot.Series
-	for _, table := range []string{"caching", "multiple", "single"} {
-		s := plot.Series{Name: table}
+	for _, table := range experiments.AllTables() {
+		s := plot.Series{Name: string(table)}
 		for _, pt := range pts {
 			if pt.Table == table {
 				s.X = append(s.X, float64(pt.Size))
@@ -353,7 +360,7 @@ func (f bySize) run(a *app, csv []string) error {
 }
 
 func (a *app) maxHops(csv []string) error {
-	mh, err := adc.MaxHopsSweep(a.profile, nil)
+	mh, err := experiments.MaxHopsSweep(a.profile, nil)
 	if err != nil {
 		return err
 	}
@@ -372,13 +379,13 @@ func (a *app) maxHops(csv []string) error {
 }
 
 func (a *app) ablations([]string) error {
-	sel, err := adc.SelectiveCachingAblation(a.profile)
+	sel, err := experiments.SelectiveCachingAblation(a.profile)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("selective caching vs cache-all LRU: %.4f vs %.4f (Δ %+.4f)\n",
 		sel.Full, sel.Ablated, sel.Full-sel.Ablated)
-	ag, err := adc.AgingAblation(a.profile)
+	ag, err := experiments.AgingAblation(a.profile)
 	if err != nil {
 		return err
 	}
@@ -388,7 +395,7 @@ func (a *app) ablations([]string) error {
 }
 
 func (a *app) backends([]string) error {
-	be, err := adc.BackendComparison(a.profile)
+	be, err := experiments.BackendComparison(a.profile, 1_000_000)
 	if err != nil {
 		return err
 	}
@@ -400,7 +407,7 @@ func (a *app) backends([]string) error {
 }
 
 func (a *app) response([]string) error {
-	rt, err := adc.ResponseTime(a.profile, 0)
+	rt, err := experiments.ResponseTime(a.profile, experiments.ResponseOptions{})
 	if err != nil {
 		return err
 	}
@@ -410,7 +417,7 @@ func (a *app) response([]string) error {
 }
 
 func (a *app) preLearned([]string) error {
-	pl, err := adc.PreLearned(a.profile)
+	pl, err := experiments.PreLearned(a.profile)
 	if err != nil {
 		return err
 	}
@@ -420,7 +427,7 @@ func (a *app) preLearned([]string) error {
 }
 
 func (a *app) proxyCount([]string) error {
-	pc, err := adc.ProxyCountSweep(a.profile, nil)
+	pc, err := experiments.ProxyCountSweep(a.profile, nil)
 	if err != nil {
 		return err
 	}
@@ -432,7 +439,7 @@ func (a *app) proxyCount([]string) error {
 }
 
 func (a *app) baselines([]string) error {
-	base, err := adc.Baselines(a.profile)
+	base, err := experiments.Baselines(a.profile)
 	if err != nil {
 		return err
 	}
@@ -457,14 +464,15 @@ func (a *app) resilience(csv []string) error {
 			rates = append(rates, r)
 		}
 	}
-	rec, err := adc.ParseRecoverySpec(a.recovery)
+	rec, err := sim.ParseRecoverySpec(a.recovery)
 	if err != nil {
 		return err
 	}
-	pts, err := adc.LossSweep(a.profile, rates, rec)
+	sweep, err := experiments.LossSweep(a.profile, rates, rec)
 	if err != nil {
 		return err
 	}
+	pts := sweep.Points
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "loss\trecovery\thit rate\tcompletion\tdropped\tretries\tabandoned\tleaked pending")
@@ -490,7 +498,7 @@ func (a *app) resilience(csv []string) error {
 // convergence runs the location-convergence study: how fast proxies reach
 // lasting agreement on object locations, vs caching-table size.
 func (a *app) convergence(csv []string) error {
-	pts, err := adc.ConvergenceSweep(a.profile, nil)
+	pts, err := experiments.ConvergenceSweep(a.profile, experiments.ConvergenceOptions{})
 	if err != nil {
 		return err
 	}
@@ -521,14 +529,14 @@ func (a *app) convergence(csv []string) error {
 // per window (warmup skipped) — the statistics where the transient
 // post-shift hotspot is visible; max/mean and gini are run totals.
 func (a *app) loadSpread(csv []string) error {
-	pts, err := adc.ReplicationSweep(a.profile, adc.ReplicationOptions{})
+	pts, err := experiments.ReplicationSweep(a.profile, experiments.ReplicationOptions{})
 	if err != nil {
 		return err
 	}
 
-	label := func(pt adc.ReplicationPoint) string {
+	label := func(pt experiments.ReplicationPoint) string {
 		if !pt.Replicated {
-			return pt.Algorithm
+			return pt.Algorithm.String()
 		}
 		return fmt.Sprintf("%s t=%d r=%d", pt.Algorithm, pt.HotThreshold, pt.MaxReplicas)
 	}

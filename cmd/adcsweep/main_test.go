@@ -130,7 +130,8 @@ func TestFiguresWritesTheCommittedNames(t *testing.T) {
 
 // TestRefusesFlagsTheStudyDoesNotRead: a flag the selected study would
 // ignore fails, naming the flag, before anything runs; for -metric figures
-// that is any flag one of its studies ignores.
+// that is any flag one of its studies ignores. An unknown -backend or
+// -metric fails before anything runs too.
 func TestRefusesFlagsTheStudyDoesNotRead(t *testing.T) {
 	for _, args := range [][]string{
 		{"-metric", "hits", "-losses", "0.5"},
@@ -146,7 +147,11 @@ func TestRefusesFlagsTheStudyDoesNotRead(t *testing.T) {
 			t.Errorf("adcsweep %v: err = %v, want one naming %s", args, err, flag)
 		}
 	}
-	_, err := runCaptured(t, "-metric", "fig16")
+	out, err := runCaptured(t, "-metric", "prelearned", "-backend", "rope")
+	if err == nil || !strings.Contains(err.Error(), `unknown backend "rope" (want btree or list)`) || out != "" {
+		t.Errorf("-backend rope: err = %v after printing %q, want an unknown-backend error before any study", err, out)
+	}
+	_, err = runCaptured(t, "-metric", "fig16")
 	if err == nil || !strings.Contains(err.Error(), `unknown metric "fig16"`) ||
 		!strings.Contains(err.Error(), "loadspread") || !strings.Contains(err.Error(), "figures") {
 		t.Errorf("-metric fig16: err = %v, want one listing the metrics", err)

@@ -42,7 +42,7 @@ var (
 	// Lines event trace: its reader, writer, wire type and kind parser, the
 	// facade's Chrome writer, adcsim's -trace-out, adctrace's subcommands
 	// and the tracer's reset.
-	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)|\b(?:New)?OpenLoop(?:Client|Config)\b|breakerGroup|Breaker(?:Var|Threshold|Cooldown)|RecoveryThreshold|RetryBackoff|adc_breaker_state|\b(?:BuildTrees|TreeFor|FormatTree|WriteChrome)\b|\bHashRequestID\b|\bUseWallClock\b|HTTPFarm\)?\.SetTracer|RuntimeAgents|runConcurrent|examples/distributed|\bRecycler\b|\bReplyTo\(|\bSetOnDone\b|adcfigures|examples/tablesweep|\badc(?:gen|farm)\b|BreakerDenied|breaker_denied|adc_breaker_denied_total|WriteText|ReadText|[pP]arallelMergeMin|\bSerialize\(\)|(?:^|[^\w-])-shards(?:[^\w-]|$)|\bBackendSlice\b|\bsliceTable\b|-backend slice|\b(?:New)?ShardMap\b|\bNewShardedVEngine\b|\bshardIdx\b|Config\.Shards\b|PurgeTraceCache|\bHeadMass\b|\bNewTrace\b|\bStdDev\b|\bProxy\.(?:Handler|Killed)\(\)|\bsim\.NewEngine\b|\bmessageQueue\b|\bsim\.(?:Clock|Scheduler)\b|\bTraceNow\b|\bbtree(?:Table|Cell|MaxBlock)\b|\b(?:WriteJSONL|ReadJSONL|ParseKind|WriteChromeTrace|wireEvent)\b|-trace-out\b|adctrace (?:summary|request|converge|validate|chrome|farm)\b|\bTracer\.Reset\b|\bFarmConfig\b|HTTPFarmConfig\.(?:MaxHops|MaxActive|MaxQueue|NoCoalesce|Health|ProbeInterval|FailureThreshold|MaxRetries|HedgeDelay|TraceSample|TraceRing)\b|\b(?:Farm\.TraceDumps|Proxy\.HealthState|PopulationFraction|FillRepeatProb)\b|\b(?:lruOrdered|newLRUOrdered)\b`)
+	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)|\b(?:New)?OpenLoop(?:Client|Config)\b|breakerGroup|Breaker(?:Var|Threshold|Cooldown)|RecoveryThreshold|RetryBackoff|adc_breaker_state|\b(?:BuildTrees|TreeFor|FormatTree|WriteChrome)\b|\bHashRequestID\b|\bUseWallClock\b|HTTPFarm\)?\.SetTracer|RuntimeAgents|runConcurrent|examples/distributed|\bRecycler\b|\bReplyTo\(|\bSetOnDone\b|adcfigures|examples/tablesweep|\badc(?:gen|farm)\b|BreakerDenied|breaker_denied|adc_breaker_denied_total|WriteText|ReadText|[pP]arallelMergeMin|\bSerialize\(\)|(?:^|[^\w-])-shards(?:[^\w-]|$)|\bBackendSlice\b|\bsliceTable\b|-backend slice|\b(?:New)?ShardMap\b|\bNewShardedVEngine\b|\bshardIdx\b|Config\.Shards\b|PurgeTraceCache|\bHeadMass\b|\bNewTrace\b|\bStdDev\b|\bProxy\.(?:Handler|Killed)\(\)|\bsim\.NewEngine\b|\bmessageQueue\b|\bsim\.(?:Clock|Scheduler)\b|\bTraceNow\b|\bbtree(?:Table|Cell|MaxBlock)\b|\b(?:WriteJSONL|ReadJSONL|ParseKind|WriteChromeTrace|wireEvent)\b|-trace-out\b|adctrace (?:summary|request|converge|validate|chrome|farm)\b|\bTracer\.Reset\b|\bFarmConfig\b|HTTPFarmConfig\.(?:MaxHops|MaxActive|MaxQueue|NoCoalesce|Health|ProbeInterval|FailureThreshold|MaxRetries|HedgeDelay|TraceSample|TraceRing)\b|\b(?:Farm\.TraceDumps|Proxy\.HealthState|PopulationFraction|FillRepeatProb)\b|\b(?:lruOrdered|newLRUOrdered)\b|\badc\.(?:Profile|Progress|Compare|Sweep|TimingSweep|MaxHopsSweep|SelectiveCachingAblation|AgingAblation|PreLearned|ProxyCountSweep|Baselines|ResponseTime|LossSweep|CrashRecovery|BackendComparison|ConvergenceSweep|ReplicationSweep|MaxHopsPoint|Ablation|PreLearnedResult|ProxyCountPoint|ResponseResult|LossPoint|CrashRecoveryResult|ConvergencePoint|ReplicationOptions|Comparison|SweepPoint|BaselinePoint|BackendPoint|ReplicationPoint)\b|\b(?:workload|Trace)\.Cursor\b|\bMovingAverage\.Reset\b|\bRing\.Len\b|\bCache\.Peek\b|\bExampleCompare\b`)
 	// EXPERIMENTS.md sections that record one PR's runs say so in their
 	// heading; they are history and may name what existed then.
 	datedHeading = regexp.MustCompile(`\((?:PR|issue) \d+`)
@@ -379,7 +379,9 @@ func docsNameDeclaredMakeTargets(t *testing.T) {
 // interfaces, the block B-tree backend, the JSON Lines event trace, the
 // farm configurations that copied httpproxy.Config, the test-only farm
 // accessors, the workload knobs that became constants and the admit-all
-// cache's own list type, which the single-table replaced. Exempt:
+// cache's own list type, which the single-table replaced, the facade's
+// experiment layer (adc.Profile, its study functions and result types),
+// the trace cursor and the accessors only tests read. Exempt:
 // CHANGES.md, ROADMAP.md and the task plan (the record
 // and the plan of what was removed), EXPERIMENTS.md's dated sections,
 // bench/ (frozen by BENCHMARK.json's `paths`; its README already calls the

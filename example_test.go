@@ -51,14 +51,3 @@ func ExampleSaveTraceFile() {
 	fmt.Printf("trace holds %d requests\n", replay.Total())
 	// Output: trace holds 10000 requests
 }
-
-// The experiment runners regenerate the paper's figures; Compare is
-// Figs. 11–12 (ADC versus the CARP hashing baseline).
-func ExampleCompare() {
-	cmp, err := adc.Compare(adc.Profile{Scale: 0.01, Seed: 1}, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("ADC pays more hops than hashing: %v\n", cmp.ADCHops > cmp.HashingHops)
-	// Output: ADC pays more hops than hashing: true
-}

@@ -12,7 +12,6 @@ import (
 
 	"github.com/adc-sim/adc/internal/cluster"
 	"github.com/adc-sim/adc/internal/core"
-	"github.com/adc-sim/adc/internal/experiments"
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/obs"
@@ -29,8 +28,7 @@ func TestFacadeKeepsEveryField(t *testing.T) {
 	types := map[string]reflect.Type{
 		"int": reflect.TypeFor[int](), "int64": reflect.TypeFor[int64](),
 		"uint64": reflect.TypeFor[uint64](), "float64": reflect.TypeFor[float64](),
-		"bool": reflect.TypeFor[bool](), "string": reflect.TypeFor[string](),
-		"[]int": reflect.TypeFor[[]int](), "[]Point": reflect.TypeFor[[]Point](),
+		"bool": reflect.TypeFor[bool](),
 	}
 	for _, tc := range []struct {
 		name             string
@@ -51,28 +49,6 @@ func TestFacadeKeepsEveryField(t *testing.T) {
 			"ClientProxy ProxyProxy ProxyOrigin Service int64; QueueService bool", nil},
 		{"TraceStats", reflect.TypeFor[TraceStats](), reflect.TypeFor[workload.TraceStats](),
 			"Requests Distinct OneTimers int; RecurringShare Top1Share Top10Share float64; MaxObjectRequests int", nil},
-		{"Progress", reflect.TypeFor[Progress](), reflect.TypeFor[experiments.ProgressInfo](),
-			"Done Total Workers int; Events uint64", nil},
-		{"MaxHopsPoint", reflect.TypeFor[MaxHopsPoint](), reflect.TypeFor[experiments.MaxHopsPoint](),
-			"MaxHops int; HitRate Hops float64", nil},
-		{"ProxyCountPoint", reflect.TypeFor[ProxyCountPoint](), reflect.TypeFor[experiments.ProxyCountPoint](),
-			"Proxies int; HitRate Hops float64", nil},
-		{"LossPoint", reflect.TypeFor[LossPoint](), reflect.TypeFor[experiments.LossPoint](),
-			"Loss float64; Recovery bool; HitRate MeanResponse Completion float64; " +
-				"Dropped Timeouts Retries Abandoned uint64; LeakedPending int", nil},
-		{"ConvergencePoint", reflect.TypeFor[ConvergencePoint](), reflect.TypeFor[experiments.ConvergencePoint](),
-			"Size Objects Converged int; MeanTime float64; MaxTime int64; HitRate float64", nil},
-		{"PreLearnedResult", reflect.TypeFor[PreLearnedResult](), reflect.TypeFor[experiments.PreLearnedResult](),
-			"FirstPass SecondPass FirstHops SecondHops float64", []string{"Series", "PassBoundary"}},
-		{"ResponseResult", reflect.TypeFor[ResponseResult](), reflect.TypeFor[experiments.ResponseResult](),
-			"ADCMean HashingMean ADCHit HashingHit float64", []string{"OpenLoop"}},
-		{"CrashRecoveryResult", reflect.TypeFor[CrashRecoveryResult](), reflect.TypeFor[experiments.CrashRecoveryResult](),
-			"CrashAt RestartAt int64; Series []Point; BeforeHit DownHit AfterHit Completion float64; " +
-				"Dropped uint64; LeakedPending int", []string{"Crashes", "Restarts"}},
-		{"ReplicationOptions", reflect.TypeFor[ReplicationOptions](), reflect.TypeFor[experiments.ReplicationOptions](),
-			"Thresholds MaxReplicas []int; Requests Period Population int; Alpha float64; WorkloadSeed int64", nil},
-		{"Ablation", reflect.TypeFor[Ablation](), reflect.TypeFor[experiments.AblationResult](),
-			"Name string; Full Ablated FullHops AblatedHops float64", nil},
 	} {
 		if tc.public != tc.internal {
 			t.Errorf("%s is %v, not an alias of %v", tc.name, tc.public, tc.internal)
@@ -152,23 +128,6 @@ func TestPublicNamesMatchTheParsers(t *testing.T) {
 	}
 }
 
-// TestProfileRejectsUnknownNames: a Profile names its entry policy and
-// backend in the same words as a Config, and an unknown one fails the same
-// way before any simulation runs.
-func TestProfileRejectsUnknownNames(t *testing.T) {
-	for want, p := range map[string]Profile{
-		`unknown entry policy "sideways" (want random, round-robin or fixed)`: {Scale: 0.01, Entry: "sideways"},
-		`unknown backend "rope" (want btree or list)`:                         {Scale: 0.01, Backend: "rope"},
-	} {
-		if _, err := PreLearned(p); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("PreLearned(%+v) = %v, want an error containing %q", p, err, want)
-		}
-		if _, err := Run(Config{Entry: p.Entry, Backend: p.Backend}, smallWorkload(t)); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("Run with %+v = %v, want an error containing %q", p, err, want)
-		}
-	}
-}
-
 // TestSourceAdapterLendsSliceSource: handed to the cluster, a *SliceSource
 // lends its unread requests in place — the same values, at the same
 // address, the source left exhausted — and any other Source lends nothing
@@ -210,20 +169,6 @@ func TestSourceAdapterLendsSliceSource(t *testing.T) {
 	}
 	if n := len(drainPublic(gen)); n != 10 {
 		t.Errorf("generated source yields %d requests after Rest, want all 10", n)
-	}
-}
-
-// TestCrashRecoveryThroughTheFacade: the facade runs the fail-stop study
-// (internal/experiments' TestCrashRecovery holds its results) and hands
-// back the internal result unchanged.
-func TestCrashRecoveryThroughTheFacade(t *testing.T) {
-	r, err := CrashRecovery(Profile{Scale: 0.01}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Crashes != 1 || r.Restarts != 1 || r.Completion != 1 || len(r.Series) == 0 {
-		t.Errorf("crashes/restarts %d/%d, completion %v, %d samples; want 1/1, 1 and a series",
-			r.Crashes, r.Restarts, r.Completion, len(r.Series))
 	}
 }
 

@@ -70,9 +70,6 @@ func (r *Ring) Add(n ids.NodeID) error {
 	return nil
 }
 
-// Len returns the number of member proxies.
-func (r *Ring) Len() int { return len(r.members) }
-
 // Assign implements carp.Assigner.
 func (r *Ring) Assign(obj ids.ObjectID) ids.NodeID {
 	if len(r.points) == 0 {

@@ -22,8 +22,8 @@ func TestRingValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 3 {
-		t.Errorf("Len = %d, want 3", r.Len())
+	if len(r.members) != 3 {
+		t.Errorf("%d members, want 3", len(r.members))
 	}
 	if err := r.Add(0); err == nil {
 		t.Error("duplicate Add must fail")

@@ -120,9 +120,9 @@ func TestLookaheadIsInvisible(t *testing.T) {
 }
 
 // TestCursorRunMatchesGenerator: experiments replay a materialized Trace
-// through Trace.Cursor, which lends its slice (workload.SliceBacked); a run
-// over it must equal a run over the live generator the trace was drawn
-// from, with one client and with several.
+// through a trace.SliceSource over its Objects, which lends its slice
+// (workload.SliceBacked); a run over it must equal a run over the live
+// generator the trace was drawn from, with one client and with several.
 func TestCursorRunMatchesGenerator(t *testing.T) {
 	wcfg := workload.Config{TotalRequests: 12_000, PopulationSize: 1500, Alpha: 0.8, Seed: 9}
 	tr, err := workload.Materialize(wcfg)
@@ -144,7 +144,7 @@ func TestCursorRunMatchesGenerator(t *testing.T) {
 			t.Fatal(err)
 		}
 		live, liveDump := runAndDump(t, cfg, gen)
-		cur, curDump := runAndDump(t, cfg, tr.Cursor())
+		cur, curDump := runAndDump(t, cfg, trace.NewSliceSource(tr.Objects()))
 		if !reflect.DeepEqual(cur, live) || curDump != liveDump {
 			t.Errorf("clients=%d: the cursor run differs from the generator run:\ncursor    %+v\ngenerator %+v", clients, cur.Summary, live.Summary)
 		}

@@ -45,7 +45,7 @@ func Baselines(p Profile) ([]BaselinePoint, error) {
 	out := make([]BaselinePoint, len(algos))
 	err = p.forEach("baselines", len(algos), func(_ context.Context, i int) (uint64, error) {
 		algo := algos[i]
-		res, err := cluster.Run(p.ClusterConfig(algo, p.Tables(), uint64(fillEnd)), tr.Cursor())
+		res, err := run(p.ClusterConfig(algo, p.Tables(), uint64(fillEnd)), tr)
 		if err != nil {
 			return 0, fmt.Errorf("experiments: baseline %v: %w", algo, err)
 		}

@@ -94,7 +94,7 @@ func (p Profile) convergenceOne(paperSize, paperReqs int) (ConvergencePoint, uin
 	ccfg.Runtime = cluster.RuntimeVirtualTime
 	ccfg.Tracer = tracer
 
-	res, err := cluster.Run(ccfg, tr.Cursor())
+	res, err := run(ccfg, tr)
 	if err != nil {
 		return ConvergencePoint{}, 0, fmt.Errorf("experiments: convergence caching=%d: %w", size, err)
 	}

@@ -47,7 +47,7 @@ func MaxHopsSweep(p Profile, bounds []int) ([]MaxHopsPoint, error) {
 		b := bounds[i]
 		cfg := p.ClusterConfig(cluster.ADC, p.Tables(), uint64(fillEnd))
 		cfg.MaxHops = b
-		res, err := cluster.Run(cfg, tr.Cursor())
+		res, err := run(cfg, tr)
 		if err != nil {
 			return 0, fmt.Errorf("experiments: maxhops %d: %w", b, err)
 		}
@@ -108,7 +108,7 @@ func (p Profile) ablate(name string, disable func(*core.Config)) (*AblationResul
 		if arms[i] != nil {
 			arms[i](&tables)
 		}
-		res, err := cluster.Run(p.ClusterConfig(cluster.ADC, tables, uint64(fillEnd)), tr.Cursor())
+		res, err := run(p.ClusterConfig(cluster.ADC, tables, uint64(fillEnd)), tr)
 		if err != nil {
 			return 0, fmt.Errorf("experiments: %s %s run: %w", name, labels[i], err)
 		}
@@ -158,7 +158,7 @@ func BackendComparison(p Profile, requests int) ([]BackendPoint, error) {
 	err = p.forEach("backends", len(variants), func(_ context.Context, i int) (uint64, error) {
 		tables := p.Tables()
 		tables.Backend = variants[i]
-		res, err := cluster.Run(p.ClusterConfig(cluster.ADC, tables, 0), tr.Cursor())
+		res, err := run(p.ClusterConfig(cluster.ADC, tables, 0), tr)
 		if err != nil {
 			return 0, fmt.Errorf("experiments: backend %v: %w", variants[i], err)
 		}

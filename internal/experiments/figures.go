@@ -74,7 +74,7 @@ func Compare(p Profile, opts CompareOptions) (*Comparison, error) {
 	}
 	results := make([]*cluster.Result, len(algos))
 	err = p.forEach("compare", len(algos), func(_ context.Context, i int) (uint64, error) {
-		res, err := p.run(p.ClusterConfig(algos[i], p.Tables(), sampleEvery))
+		res, err := run(p.ClusterConfig(algos[i], p.Tables(), sampleEvery), tr)
 		if err != nil {
 			return 0, fmt.Errorf("experiments: %v run: %w", algos[i], err)
 		}
@@ -226,7 +226,7 @@ func (p Profile) sweepOne(tbl TableName, paperSize int, opts SweepOptions) (Swee
 	// Sample exactly at the fill boundary so post-fill rates are exact.
 	sampleEvery := uint64(fillEnd)
 	ccfg := p.ClusterConfig(cluster.ADC, tables, sampleEvery)
-	res, err := cluster.Run(ccfg, tr.Cursor())
+	res, err := run(ccfg, tr)
 	if err != nil {
 		return SweepPoint{}, 0, fmt.Errorf("experiments: sweep %s=%d: %w", tbl, size, err)
 	}

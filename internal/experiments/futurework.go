@@ -114,7 +114,7 @@ func ProxyCountSweep(p Profile, counts []int) ([]ProxyCountPoint, error) {
 		tables.CachingSize = maxInt(1, refTotal.c/n)
 		cfg := p.ClusterConfig(cluster.ADC, tables, uint64(fillEnd))
 		cfg.NumProxies = n
-		res, err := cluster.Run(cfg, tr.Cursor())
+		res, err := run(cfg, tr)
 		if err != nil {
 			return 0, fmt.Errorf("experiments: %d proxies: %w", n, err)
 		}

@@ -13,9 +13,9 @@ import (
 // so the runner fans them out over a bounded worker pool and slots each
 // result by job index — never by arrival order — keeping outputs
 // bit-identical to the sequential path. The workload half is the
-// materialized-trace cache (trace.go in internal/workload): every job
-// replays a shared immutable trace through its own cheap cursor instead of
-// re-running the generator.
+// materialized-trace cache (materialize.go in internal/workload): every job
+// replays a shared immutable trace through its own trace.SliceSource
+// instead of re-running the generator.
 
 // forEach runs jobs 0..n-1 on the profile's worker pool. job must write
 // its result into a caller-owned, index-addressed slot and return the

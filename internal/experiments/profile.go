@@ -18,7 +18,7 @@ import (
 
 	"github.com/adc-sim/adc/internal/cluster"
 	"github.com/adc-sim/adc/internal/core"
-	"github.com/adc-sim/adc/internal/sim"
+	"github.com/adc-sim/adc/internal/trace"
 	"github.com/adc-sim/adc/internal/workload"
 )
 
@@ -48,8 +48,6 @@ type Profile struct {
 	Seed int64
 	// Window is the hit-rate moving-average window (paper: 5000).
 	Window int
-	// EntryPolicy selects how clients pick their entry proxy.
-	EntryPolicy sim.EntryPolicy
 	// Backend selects the ordered-table backend for non-timing
 	// experiments (timing experiments force the paper-faithful ones).
 	Backend core.Backend
@@ -133,7 +131,7 @@ func (p Profile) WorkloadConfig() workload.Config {
 // traceCache shares materialized request streams across all experiments in
 // the process: a figure campaign runs dozens of simulations over a handful
 // of distinct workload configs, so each stream is generated once and
-// replayed through cursors. Four entries cover the default campaign (the
+// replayed from memory. Four entries cover the default campaign (the
 // reference trace plus the shorter timing/backend traces) while bounding
 // memory at full paper scale (~32 MB per 3.99 M-request trace).
 var traceCache = workload.NewTraceCache(4)
@@ -156,18 +154,13 @@ func (p Profile) ClusterConfig(algo cluster.Algorithm, tables core.Config, sampl
 		NumProxies:  p.Proxies,
 		Tables:      tables,
 		Seed:        p.Seed,
-		EntryPolicy: p.EntryPolicy,
 		Window:      p.Window,
 		SampleEvery: sampleEvery,
 	}
 }
 
-// run executes one simulation with a cursor over the profile's shared
-// materialized workload.
-func (p Profile) run(cfg cluster.Config) (*cluster.Result, error) {
-	tr, err := p.trace()
-	if err != nil {
-		return nil, err
-	}
-	return cluster.Run(cfg, tr.Cursor())
+// run executes one simulation replaying tr; every run shares tr's
+// materialized requests and gets its own position in them.
+func run(cfg cluster.Config, tr *workload.Trace) (*cluster.Result, error) {
+	return cluster.Run(cfg, trace.NewSliceSource(tr.Objects()))
 }

@@ -199,7 +199,7 @@ func ReplicationSweep(p Profile, opts ReplicationOptions) ([]ReplicationPoint, e
 		return nil, fmt.Errorf("experiments: replication workload: %w", err)
 	}
 	// Materialize once; every run replays the identical stream through
-	// its own cursor (SliceSource never mutates the shared slice).
+	// its own SliceSource, which never mutates the shared slice.
 	stream := trace.Drain(gen)
 
 	out := replicationGrid(opts)

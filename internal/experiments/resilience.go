@@ -83,7 +83,7 @@ func LossSweep(p Profile, rates []float64, rec sim.Recovery) (*LossSweepResult, 
 		if withRecovery {
 			cfg.Recovery = rec
 		}
-		res, err := cluster.Run(cfg, tr.Cursor())
+		res, err := run(cfg, tr)
 		if err != nil {
 			return 0, fmt.Errorf("experiments: loss sweep rate %v: %w", rate, err)
 		}
@@ -151,7 +151,7 @@ func CrashRecovery(p Profile, rec sim.Recovery) (*CrashRecoveryResult, error) {
 	}
 	// The open-loop clock makes run length predictable: N requests at one
 	// injection per interval. Crash at 40%, restart at 70%.
-	total := int64(tr.Cursor().Total())
+	total := int64(len(tr.Objects()))
 	duration := total * openLoopInterval
 	crashAt := duration * 2 / 5
 	restartAt := duration * 7 / 10
@@ -163,7 +163,7 @@ func CrashRecovery(p Profile, rec sim.Recovery) (*CrashRecoveryResult, error) {
 	cfg.Recovery = rec
 	cfg.Faults = &sim.FaultPlan{Seed: cfg.Seed, Crashes: []sim.Crash{{Node: 0, At: crashAt, RestartAt: restartAt, LoseTables: true}}}
 
-	res, err := cluster.Run(cfg, tr.Cursor())
+	res, err := run(cfg, tr)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: crash recovery: %w", err)
 	}

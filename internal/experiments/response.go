@@ -55,7 +55,7 @@ func ResponseTime(p Profile, opts ResponseOptions) (*ResponseResult, error) {
 		cfg.Latency = opts.Latency
 		cfg.OpenLoopInterval = opts.OpenLoopInterval
 		cfg.Poisson = opts.Poisson
-		res, err := cluster.Run(cfg, tr.Cursor())
+		res, err := run(cfg, tr)
 		if err != nil {
 			return 0, fmt.Errorf("experiments: response %v: %w", algos[i], err)
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"testing"
 )
 
@@ -223,49 +224,86 @@ func drainReleasedCells() {
 	}
 }
 
+// settleReleasedCells empties the pool of released cells and returns once
+// none of its aging finalizers is armed or queued, so none runs inside a
+// measured region: one that runs re-arms itself and makes the next Put
+// build a new map, and Mallocs counts both. Turning the collector off is
+// not enough, since a collection that ended before may still have one
+// queued; an emptied pool's finalizer does not re-arm. Finalizers run on
+// one goroutine a batch at a time, in any order within a batch, and a
+// batch is whatever was queued since the last one was taken. So one queued
+// before a collection returns runs no later than the batch of the next
+// collection's sentinel, and has run once the sentinel after that has.
+// Call it with the collector off.
+func settleReleasedCells() {
+	reqCells.mu.Lock()
+	reqCells.fresh, reqCells.old = nil, nil
+	reqCells.mu.Unlock()
+	for range 3 {
+		done := make(chan struct{})
+		runtime.SetFinalizer(new(*byte), func(**byte) { close(done) })
+		runtime.GC()
+		<-done
+	}
+}
+
 // TestReqTableTakesReleasedCellsOfItsSize: a growing table draws the
 // shortest released array that holds what it needs and releases the one it
 // outgrew. With one 4096-cell array released and then eight of 16 cells, a
 // table filled to 2000 requests starts on a 16-cell array, moves to the
-// 4096-cell one and allocates nothing. The collector stays off meanwhile:
-// a collection ages the pool and its next Put allocates.
+// 4096-cell one and allocates nothing. The collector stays off meanwhile,
+// with no aging finalizer of the pool left to run (settleReleasedCells): a
+// collection ages the pool and its next Put allocates.
 func TestReqTableTakesReleasedCellsOfItsSize(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	drainReleasedCells()
+	gcPercent := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(gcPercent) })
 	fill := func(tbl *ReqTable[int], n int) {
 		for k := 1; k <= n; k++ {
 			*tbl.Upsert(NewRequestID(0, uint64(k))) = k
 		}
 	}
-	var large ReqTable[int]
-	small := make([]ReqTable[int], 8)
-	fill(&large, 2000)
-	for i := range small {
-		fill(&small[i], 4)
-	}
-	if len(large.cells) != 4096 || len(small[0].cells) != 16 {
-		t.Fatalf("tables of 2000 and 4 requests hold %d and %d cells, want 4096 and 16", len(large.cells), len(small[0].cells))
-	}
-	largeCells := &large.cells[0]
-	large.Release()
-	for i := range small {
-		small[i].Release()
-	}
-	var tbl ReqTable[int]
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fill(&tbl, 2000)
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Errorf("filling a table to 2000 requests on released cells allocated %d times, want 0", n)
-	}
-	if &tbl.cells[0] != largeCells {
-		t.Errorf("the table holds %d cells, not the released 4096-cell array", len(tbl.cells))
-	}
-	for k := 1; k <= 2000; k++ {
-		if v := tbl.Find(NewRequestID(0, uint64(k))); v == nil || *v != k {
-			t.Fatalf("request %d reads %v after the move", k, v)
+	threads := pprof.Lookup("threadcreate")
+	for attempt := 1; ; attempt++ {
+		settleReleasedCells()
+		var large ReqTable[int]
+		small := make([]ReqTable[int], 8)
+		fill(&large, 2000)
+		for i := range small {
+			fill(&small[i], 4)
 		}
+		if len(large.cells) != 4096 || len(small[0].cells) != 16 {
+			t.Fatalf("tables of 2000 and 4 requests hold %d and %d cells, want 4096 and 16", len(large.cells), len(small[0].cells))
+		}
+		largeCells := &large.cells[0]
+		large.Release()
+		for i := range small {
+			small[i].Release()
+		}
+		var tbl ReqTable[int]
+		var before, after runtime.MemStats
+		started := threads.Count()
+		runtime.ReadMemStats(&before)
+		fill(&tbl, 2000)
+		runtime.ReadMemStats(&after)
+		// Mallocs counts the whole process, and the runtime allocates an
+		// OS thread's structures when it starts one, as it may to restart
+		// the world after ReadMemStats. A fill during which it did is
+		// measured again.
+		if threads.Count() != started && attempt < 5 {
+			continue
+		}
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("filling a table to 2000 requests on released cells allocated %d times, want 0", n)
+		}
+		if &tbl.cells[0] != largeCells {
+			t.Errorf("the table holds %d cells, not the released 4096-cell array", len(tbl.cells))
+		}
+		for k := 1; k <= 2000; k++ {
+			if v := tbl.Find(NewRequestID(0, uint64(k))); v == nil || *v != k {
+				t.Fatalf("request %d reads %v after the move", k, v)
+			}
+		}
+		return
 	}
 }
 

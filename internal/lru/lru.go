@@ -54,15 +54,6 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	return zero, false
 }
 
-// Peek returns the value for key without touching recency.
-func (c *Cache[K, V]) Peek(key K) (V, bool) {
-	if n, ok := c.items[key]; ok {
-		return n.value, true
-	}
-	var zero V
-	return zero, false
-}
-
 // Contains reports whether key is cached, without touching recency.
 func (c *Cache[K, V]) Contains(key K) bool {
 	_, ok := c.items[key]

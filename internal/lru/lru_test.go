@@ -50,14 +50,16 @@ func TestPutUpdatesExisting(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotPromote(t *testing.T) {
+func TestContainsDoesNotPromote(t *testing.T) {
 	c := New[int, int](2)
 	c.Put(1, 1)
 	c.Put(2, 2)
-	c.Peek(1)
+	if !c.Contains(1) {
+		t.Fatal("1 is cached")
+	}
 	c.Put(3, 3)
 	if c.Contains(1) {
-		t.Error("Peek must not refresh recency; 1 should be evicted")
+		t.Error("Contains must not refresh recency; 1 should be evicted")
 	}
 }
 

@@ -48,10 +48,6 @@ func TestMovingAverageExact(t *testing.T) {
 	if !almost(m.Value(), 9) || m.N() != 3 {
 		t.Errorf("Value after slide = %v", m.Value())
 	}
-	m.Reset()
-	if m.Value() != 0 || m.N() != 0 {
-		t.Error("Reset must empty the window")
-	}
 }
 
 func TestMovingAverageMatchesNaive(t *testing.T) {

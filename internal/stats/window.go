@@ -54,11 +54,3 @@ func (m *MovingAverage) Value() float64 {
 	}
 	return m.sum / float64(n)
 }
-
-// Reset empties the window without reallocating.
-func (m *MovingAverage) Reset() {
-	for i := range m.buf {
-		m.buf[i] = 0
-	}
-	m.sum, m.next, m.full = 0, 0, false
-}

@@ -8,7 +8,7 @@ import (
 
 // Trace is an immutable, fully materialized request stream: the complete
 // output of one Generator run held in memory, plus the phase boundaries the
-// experiments need. Materializing once and replaying through cheap cursors
+// experiments need. Materializing once and replaying the one request slice
 // is what lets the parallel experiment runner hand the same workload to
 // many concurrent simulations without re-running the generator per sweep
 // point.
@@ -23,8 +23,8 @@ type Trace struct {
 
 // Materialize drains a fresh generator for cfg into an immutable Trace.
 // The stream is bit-identical to what New(cfg) would emit request by
-// request, so simulations driven by a Cursor produce exactly the results
-// they would with the live generator.
+// request, so simulations replaying it produce exactly the results they
+// would with the live generator.
 func Materialize(cfg Config) (*Trace, error) {
 	gen, err := New(cfg)
 	if err != nil {
@@ -48,46 +48,8 @@ func (t *Trace) Boundaries() (fillEnd, phase2End int) {
 }
 
 // Objects exposes the materialized request list. The slice is shared with
-// every cursor: treat it as read-only.
+// every replay: treat it as read-only.
 func (t *Trace) Objects() []ids.ObjectID { return t.objs }
-
-// Cursor returns a fresh, independent replay cursor positioned at the
-// start of the trace. Cursors are cheap (one allocation) and each is
-// single-goroutine like any Source; distinct cursors over one Trace may be
-// consumed concurrently.
-func (t *Trace) Cursor() *Cursor { return &Cursor{trace: t} }
-
-// Cursor replays a Trace as a workload.Source.
-type Cursor struct {
-	trace *Trace
-	pos   int
-}
-
-var _ SliceBacked = (*Cursor)(nil)
-
-// Next implements Source.
-func (c *Cursor) Next() (ids.ObjectID, bool) {
-	if c.pos >= len(c.trace.objs) {
-		return 0, false
-	}
-	obj := c.trace.objs[c.pos]
-	c.pos++
-	return obj, true
-}
-
-// Total implements Source.
-func (c *Cursor) Total() int { return len(c.trace.objs) }
-
-// Rest implements SliceBacked: the unread suffix of the trace, shared, not
-// copied.
-func (c *Cursor) Rest() ([]ids.ObjectID, bool) {
-	rest := c.trace.objs[c.pos:]
-	c.pos = len(c.trace.objs)
-	return rest, true
-}
-
-// Reset rewinds the cursor for another replay.
-func (c *Cursor) Reset() { c.pos = 0 }
 
 // TraceCache materializes each distinct Config's stream exactly once and
 // shares the immutable Trace between all callers — the workload half of the

@@ -19,45 +19,26 @@ func TestMaterializeMatchesGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := tr.Cursor()
-	if cur.Total() != gen.Total() {
-		t.Fatalf("cursor total %d, generator total %d", cur.Total(), gen.Total())
+	objs := tr.Objects()
+	if len(objs) != gen.Total() {
+		t.Fatalf("trace holds %d requests, generator total %d", len(objs), gen.Total())
 	}
-	for i := 0; ; i++ {
-		want, wantOK := gen.Next()
-		got, gotOK := cur.Next()
-		if gotOK != wantOK {
-			t.Fatalf("request %d: cursor ok=%v, generator ok=%v", i, gotOK, wantOK)
-		}
-		if !wantOK {
-			break
+	for i, got := range objs {
+		want, ok := gen.Next()
+		if !ok {
+			t.Fatalf("generator ended at request %d of the trace's %d", i, len(objs))
 		}
 		if got != want {
-			t.Fatalf("request %d: cursor %v, generator %v", i, got, want)
+			t.Fatalf("request %d: trace %v, generator %v", i, got, want)
 		}
+	}
+	if obj, ok := gen.Next(); ok {
+		t.Fatalf("generator yields %v past the trace's end", obj)
 	}
 	gFill, gPhase2 := gen.Boundaries()
 	tFill, tPhase2 := tr.Boundaries()
 	if tFill != gFill || tPhase2 != gPhase2 {
 		t.Errorf("boundaries (%d,%d), want (%d,%d)", tFill, tPhase2, gFill, gPhase2)
-	}
-}
-
-func TestCursorResetAndIndependence(t *testing.T) {
-	tr, err := Materialize(materializeConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := tr.Cursor(), tr.Cursor()
-	first, _ := a.Next()
-	a.Next()
-	// b is untouched by a's progress.
-	if got, _ := b.Next(); got != first {
-		t.Errorf("second cursor started at %v, want %v", got, first)
-	}
-	a.Reset()
-	if got, _ := a.Next(); got != first {
-		t.Errorf("after Reset got %v, want %v", got, first)
 	}
 }
 
