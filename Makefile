@@ -16,13 +16,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The cache-prefetch hint in internal/core is assembly on amd64 and arm64
-# and a Go stub elsewhere: vetting the package for arm64 and for 386 as
-# well holds both the arm64 assembly and the stub to the declaration.
+# The cache-prefetch hint in internal/prefetch is assembly on amd64 and
+# arm64 and a Go stub elsewhere: vetting the package for arm64 and for 386
+# as well holds both the arm64 assembly and the stub to the declaration.
 vet:
 	$(GO) vet ./...
-	GOARCH=arm64 $(GO) vet ./internal/core
-	GOARCH=386 $(GO) vet ./internal/core
+	GOARCH=arm64 $(GO) vet ./internal/prefetch ./internal/core ./internal/sim
+	GOARCH=386 $(GO) vet ./internal/prefetch ./internal/core ./internal/sim
 
 # Fails, listing the files, if any Go file is not gofmt-clean.
 fmt-check:

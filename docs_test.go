@@ -34,8 +34,8 @@ var (
 	// their merge threshold, serial switch and command-line flag, the
 	// sorted-slice table backend with its -backend value, and the event
 	// queue's partition: its map, constructor, index and config field (the
-	// word boundaries keep TestShardedUnregisteredNode and
-	// TestShardedDuplicateRegister legal), and the functions only tests
+	// word boundaries keep names that merely contain them legal), and the
+	// functions only tests
 	// called: the trace-cache purge, the Zipf head mass, the trace
 	// constructor, the standard deviations and the proxy's handler and
 	// kill-state accessors; the block B-tree backend's types; and the JSON

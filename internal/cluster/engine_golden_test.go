@@ -139,22 +139,109 @@ func expiredPending(res *Result) uint64 {
 // compare faultDigest and pin LeakedPending and the summed ExpiredPending
 // beside it.
 func TestEngineGoldens(t *testing.T) {
-	type golden struct {
-		delivered, dropped, requests, hits uint64
-		faults                             sim.FaultStats
-		buckets                            int
-		p99                                float64
-		result                             uint64
-		events                             int
-		trace                              uint64
-		leaked                             int
-		expired                            uint64
+	for _, cell := range engineGoldenCells() {
+		// The "/shards=1" suffix is a name kept from when every cell also
+		// ran on a partitioned queue: the engine has one queue now, and the
+		// suffix stays so that no cell's test name changes.
+		t.Run(cell.name+"/shards=1", cell.check)
 	}
-	cells := []struct {
-		name   string
-		mutate func(*Config)
-		want   golden
-	}{
+	// The baselines' lossless closed loop under RuntimeSequential; the
+	// digests were recorded by the clockless FIFO engine that ran it before
+	// the zero-cost VEngine did, hence the cells' fifo/ prefix.
+	for alg, want := range map[Algorithm]uint64{
+		CARP:         0xda6c041cda492568,
+		CHash:        0xcefda5d84b302093,
+		Hierarchical: 0x1f7f377814c6b982,
+		Coordinator:  0x28bbdb155f32d83d,
+	} {
+		t.Run("fifo/"+alg.String(), func(t *testing.T) {
+			cfg := goldenConfig(RuntimeSequential)
+			cfg.Algorithm = alg
+			res, err := Run(cfg, trace.NewSliceSource(goldenTrace()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resultDigest(res); got != want {
+				t.Errorf("drifted from the recorded FIFO run: digest %#x, want %#x", got, want)
+			}
+		})
+	}
+}
+
+// TestEngineGoldensInWindows runs every TestEngineGoldens cell the engine
+// may deliver in lookahead windows — no fault plan, queued service,
+// tracer, time series or churn — with every window forced onto two
+// goroutines, however small, even on one processor, and holds it to the
+// same recorded constants as the one-event-at-a-time run.
+func TestEngineGoldensInWindows(t *testing.T) {
+	defer sim.ForceWindows()()
+	ran := 0
+	for _, cell := range engineGoldenCells() {
+		cfg := goldenConfig(RuntimeVirtualTime)
+		cell.mutate(&cfg)
+		if cfg.Faults != nil || cfg.Latency.QueueService || cfg.Tracer != nil || cfg.MetricsEvery > 0 || len(cfg.JoinProxyAt) > 0 {
+			continue
+		}
+		ran++
+		t.Run(cell.name, cell.check)
+	}
+	if ran != 8 {
+		t.Errorf("%d window-safe cells, want the 8 baseline cells (closed and lockstep loops of carp, chash, hier, coord)", ran)
+	}
+}
+
+// engineGolden is what a TestEngineGoldens cell pins.
+type engineGolden struct {
+	delivered, dropped, requests, hits uint64
+	faults                             sim.FaultStats
+	buckets                            int
+	p99                                float64
+	result                             uint64
+	events                             int
+	trace                              uint64
+	leaked                             int
+	expired                            uint64
+}
+
+// engineGoldenCell is one TestEngineGoldens cell: the golden run with
+// mutate applied, and what it must produce.
+type engineGoldenCell struct {
+	name   string
+	mutate func(*Config)
+	want   engineGolden
+}
+
+// check runs the cell and compares it with the recorded constants.
+func (cell engineGoldenCell) check(t *testing.T) {
+	cfg := goldenConfig(RuntimeVirtualTime)
+	cell.mutate(&cfg)
+	res, err := Run(cfg, trace.NewSliceSource(goldenTrace()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := engineGolden{
+		delivered: res.Delivered, dropped: res.Dropped,
+		requests: res.Summary.Requests, hits: res.Summary.Hits,
+		faults: res.Faults, buckets: len(res.Buckets),
+		p99: res.Summary.P99Response, result: resultDigest(res),
+	}
+	if cfg.Algorithm != ADC && cfg.Faults != nil {
+		got.result = faultDigest(res)
+		got.leaked, got.expired = res.LeakedPending, expiredPending(res)
+	}
+	if cfg.Tracer != nil {
+		got.events, got.trace = cfg.Tracer.Len(), traceDigest(cfg.Tracer)
+	}
+	if got != cell.want {
+		t.Errorf("drifted from the recorded VEngine run:\n got %+v\nwant %+v", got, cell.want)
+	}
+}
+
+// engineGoldenCells are the TestEngineGoldens cells; each call builds fresh
+// mutations (a tracer is state).
+func engineGoldenCells() []engineGoldenCell {
+	type golden = engineGolden
+	return []engineGoldenCell{
 		{"faults", func(c *Config) { c.Faults = goldenFaultPlan() },
 			golden{delivered: 64, dropped: 3, requests: 6, hits: 0, faults: sim.FaultStats{LossDrops: 1, LinkDrops: 0, CrashDrops: 2, Crashes: 1, Restarts: 1}, result: 0xf7d5dcdcea4dff2}},
 		{"faults+recovery", func(c *Config) {
@@ -266,56 +353,6 @@ func TestEngineGoldens(t *testing.T) {
 			golden{delivered: 25688, dropped: 443, requests: 3557, hits: 366, faults: sim.FaultStats{LossDrops: 443}, result: 0x3ac79d16ad19d9ea, leaked: 416, expired: 0}},
 		{"coord/faults+recovery", algorithm(Coordinator, lossy, recovery),
 			golden{delivered: 37082, dropped: 505, requests: 4000, hits: 472, faults: sim.FaultStats{LossDrops: 505}, result: 0x7e280edc045e7d17, leaked: 0, expired: 458}},
-	}
-	for _, cell := range cells {
-		// The "/shards=1" suffix is a name kept from when every cell also
-		// ran on a partitioned queue: the engine has one queue now, and the
-		// suffix stays so that no cell's test name changes.
-		t.Run(cell.name+"/shards=1", func(t *testing.T) {
-			cfg := goldenConfig(RuntimeVirtualTime)
-			cell.mutate(&cfg)
-			res, err := Run(cfg, trace.NewSliceSource(goldenTrace()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := golden{
-				delivered: res.Delivered, dropped: res.Dropped,
-				requests: res.Summary.Requests, hits: res.Summary.Hits,
-				faults: res.Faults, buckets: len(res.Buckets),
-				p99: res.Summary.P99Response, result: resultDigest(res),
-			}
-			if cfg.Algorithm != ADC && cfg.Faults != nil {
-				got.result = faultDigest(res)
-				got.leaked, got.expired = res.LeakedPending, expiredPending(res)
-			}
-			if cfg.Tracer != nil {
-				got.events, got.trace = cfg.Tracer.Len(), traceDigest(cfg.Tracer)
-			}
-			if got != cell.want {
-				t.Errorf("drifted from the recorded VEngine run:\n got %+v\nwant %+v", got, cell.want)
-			}
-		})
-	}
-	// The baselines' lossless closed loop under RuntimeSequential; the
-	// digests were recorded by the clockless FIFO engine that ran it before
-	// the zero-cost VEngine did, hence the cells' fifo/ prefix.
-	for alg, want := range map[Algorithm]uint64{
-		CARP:         0xda6c041cda492568,
-		CHash:        0xcefda5d84b302093,
-		Hierarchical: 0x1f7f377814c6b982,
-		Coordinator:  0x28bbdb155f32d83d,
-	} {
-		t.Run("fifo/"+alg.String(), func(t *testing.T) {
-			cfg := goldenConfig(RuntimeSequential)
-			cfg.Algorithm = alg
-			res, err := Run(cfg, trace.NewSliceSource(goldenTrace()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := resultDigest(res); got != want {
-				t.Errorf("drifted from the recorded FIFO run: digest %#x, want %#x", got, want)
-			}
-		})
 	}
 }
 

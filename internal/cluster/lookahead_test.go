@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/adc-sim/adc/internal/core"
@@ -148,5 +149,33 @@ func TestCursorRunMatchesGenerator(t *testing.T) {
 		if !reflect.DeepEqual(cur, live) || curDump != liveDump {
 			t.Errorf("clients=%d: the cursor run differs from the generator run:\ncursor    %+v\ngenerator %+v", clients, cur.Summary, live.Summary)
 		}
+	}
+}
+
+// TestOpenLoopRecoveryInWindows: an open-loop run with recovery arms a
+// retry timer per attempt at the clients and pending sweeps at the
+// proxies; a sweep re-arms for the next pass due, often inside the
+// lookahead window that armed it, as are the lockstep clients' 900-tick
+// arrival ticks. Delivered with every window forced onto two goroutines,
+// the run must end exactly as the one-event-at-a-time run (one processor,
+// no windows): the same Result and the same tables, entry for entry.
+func TestOpenLoopRecoveryInWindows(t *testing.T) {
+	cfg := goldenConfig(RuntimeVirtualTime)
+	lockstep(&cfg)
+	cfg.Recovery = sim.DefaultRecovery()
+	cfg.Recovery.PendingTTL = 200_000 // some passes outlive it and expire
+	prev := runtime.GOMAXPROCS(1)
+	want, wantTables := runAndDump(t, cfg, trace.NewSliceSource(goldenTrace()))
+	runtime.GOMAXPROCS(prev)
+	defer sim.ForceWindows()()
+	got, gotTables := runAndDump(t, cfg, trace.NewSliceSource(goldenTrace()))
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("windowed run differs:\n got %+v\nwant %+v", got, want)
+	}
+	if gotTables != wantTables {
+		t.Error("windowed run left different tables")
+	}
+	if got.Summary.Requests != 4000 || expiredPending(got) == 0 {
+		t.Errorf("%d requests answered, %d pending passes expired; want 4000 and some", got.Summary.Requests, expiredPending(got))
 	}
 }

@@ -44,7 +44,16 @@ func shiftOpenStream(n int) (workload.Source, error) {
 // Series is client 0's series, pinned to the digest recorded when every
 // client still built moving-average windows and sampled; the other clients
 // sample nothing.
-func TestMultiClientSeries(t *testing.T) {
+func TestMultiClientSeries(t *testing.T) { multiClientSeries(t) }
+
+// TestMultiClientSeriesInWindows is TestMultiClientSeries with every
+// lookahead window forced onto two goroutines, held to the same digest.
+func TestMultiClientSeriesInWindows(t *testing.T) {
+	defer sim.ForceWindows()()
+	multiClientSeries(t)
+}
+
+func multiClientSeries(t *testing.T) {
 	const (
 		requests = 64 * 2000
 		want     = 0x9a72d61de5dc34ac

@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"github.com/adc-sim/adc/internal/ids"
+	"github.com/adc-sim/adc/internal/prefetch"
 )
 
 // directory is the unified object index of one Tables: a flat open-addressed
@@ -83,9 +84,9 @@ const hashMul = 0xd6e8feb86659fd93
 // home is the cell obj's probe run starts at.
 func (d *directory) home(obj ids.ObjectID) uint64 { return uint64(d.tag(obj)) & d.mask }
 
-// prefetch starts loading obj's home cell (see the package's prefetch).
+// prefetch starts loading obj's home cell (see internal/prefetch).
 func (d *directory) prefetch(obj ids.ObjectID) {
-	prefetch(unsafe.Pointer(&d.cells[d.home(obj)]))
+	prefetch.Line(unsafe.Pointer(&d.cells[d.home(obj)]))
 }
 
 // find returns the cell holding obj and its entry, or the empty cell that

@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"github.com/adc-sim/adc/internal/ids"
+	"github.com/adc-sim/adc/internal/prefetch"
 )
 
 // Config sizes and shapes one proxy's mapping tables. The paper's reference
@@ -179,7 +180,7 @@ func (t *Tables) forget(e *Entry) entryRef {
 // A full single-table drops its bottom entry on every first sighting, so
 // the next victim is known one eviction ahead: the new bottom. Its own line
 // was just written, but the two its eviction will miss on are not, so
-// pushTop starts loading them now (prefetch, a pure hint): the bottom's
+// pushTop starts loading them now (prefetch.Line, a pure hint): the bottom's
 // predecessor, which the unlink rewrites, and the bottom's directory home
 // cell, where forget's deletion starts.
 func (t *Tables) pushTop(out *Outcome, e *Entry) {
@@ -189,7 +190,7 @@ func (t *Tables) pushTop(out *Outcome, e *Entry) {
 		// A drop leaves the table full, and its capacity is positive
 		// after Validate, so the bottom is an entry, not the sentinel.
 		b := t.single.tail.prev
-		prefetch(unsafe.Pointer(b.prev))
+		prefetch.Line(unsafe.Pointer(b.prev))
 		t.dir.prefetch(b.Object)
 	}
 }
@@ -197,11 +198,13 @@ func (t *Tables) pushTop(out *Outcome, e *Entry) {
 // Prefetch starts loading obj's directory home cell, the line the first
 // probe of a Lookup, IsCached, ForwardLocation or Update of obj misses on,
 // so that a caller that knows the next object early can overlap the miss
-// with other work. It is a hint: it reads and changes nothing, so no
-// result depends on it. It does nothing on BackendList, which has no
-// directory, on released tables and on empty ones.
+// with other work. It is a hint: it changes nothing, so no result depends
+// on it, and it reads only what is fixed for the tables' life (the
+// directory's cells, mask and seed, never its population), so it may run
+// while another goroutine updates the tables. It does nothing on
+// BackendList, which has no directory, and on released tables.
 func (t *Tables) Prefetch(obj ids.ObjectID) {
-	if t.dir != nil && t.dir.n > 0 {
+	if t.dir != nil {
 		t.dir.prefetch(obj)
 	}
 }

@@ -561,8 +561,9 @@ func TestTablesFromPooledStorage(t *testing.T) {
 }
 
 // TestPrefetchIsAHint: Prefetch does nothing where there is no directory
-// line to load — the BackendList tables, a zero Tables, empty tables and
-// released ones — and where there is one it changes nothing: tables
+// line to load — the BackendList tables, a zero Tables and released ones —
+// and adds nothing to empty tables; where there is a line it changes
+// nothing: tables
 // prefetched before every update, including first sightings that evict
 // from a full single-table, end exactly as tables that never were.
 func TestPrefetchIsAHint(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"strings"
 	"testing"
 )
 
@@ -247,6 +248,21 @@ func settleReleasedCells() {
 	}
 }
 
+// bySizeDelta names the size classes whose malloc count moved between two
+// MemStats readings, so a stray allocation says how large it was.
+func bySizeDelta(before, after *runtime.MemStats) string {
+	var b strings.Builder
+	for i := range after.BySize {
+		if d := after.BySize[i].Mallocs - before.BySize[i].Mallocs; d != 0 {
+			fmt.Fprintf(&b, " %d B ×%d", after.BySize[i].Size, d)
+		}
+	}
+	if b.Len() == 0 {
+		return " none (larger than the largest size class)"
+	}
+	return b.String()
+}
+
 // TestReqTableTakesReleasedCellsOfItsSize: a growing table draws the
 // shortest released array that holds what it needs and releases the one it
 // outgrew. With one 4096-cell array released and then eight of 16 cells, a
@@ -293,7 +309,7 @@ func TestReqTableTakesReleasedCellsOfItsSize(t *testing.T) {
 			continue
 		}
 		if n := after.Mallocs - before.Mallocs; n != 0 {
-			t.Errorf("filling a table to 2000 requests on released cells allocated %d times, want 0", n)
+			t.Errorf("filling a table to 2000 requests on released cells allocated %d times, want 0; by size class: %s", n, bySizeDelta(&before, &after))
 		}
 		if &tbl.cells[0] != largeCells {
 			t.Errorf("the table holds %d cells, not the released 4096-cell array", len(tbl.cells))

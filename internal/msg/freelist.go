@@ -3,9 +3,10 @@ package msg
 import "github.com/adc-sim/adc/internal/ids"
 
 // Freelist recycles Request and Reply structs and their Path backing
-// arrays. The engine in internal/sim owns one freelist and is
-// single-threaded, so no locking is needed — which is exactly why this is
-// not a sync.Pool. In the steady state of a closed-loop run every message
+// arrays. Each goroutine of the engine in internal/sim owns one freelist
+// (one while it delivers one event at a time, two inside a lookahead
+// window), so no locking is needed — which is exactly why this is not a
+// sync.Pool. In the steady state of a closed-loop run every message
 // of a request chain comes from and returns to the freelist, making the
 // simulation hot path allocation-free.
 //
@@ -82,4 +83,30 @@ func (f *Freelist) putPath(p []ids.NodeID) {
 		return
 	}
 	f.paths = append(f.paths, p[:0])
+}
+
+// Len returns how many recycled requests and replies f holds.
+func (f *Freelist) Len() int { return len(f.requests) + len(f.replies) }
+
+// Balance evens out what f and g hold, moving recycled requests, replies
+// and paths from whichever holds more to the other. Messages sent by one
+// goroutine are recycled by whichever delivers their last hop, so the
+// engine balances its goroutines' freelists between lookahead windows and
+// neither drains while the other grows.
+func (f *Freelist) Balance(g *Freelist) {
+	balance(&f.requests, &g.requests)
+	balance(&f.replies, &g.replies)
+	balance(&f.paths, &g.paths)
+}
+
+// balance moves half the difference between a and b from the longer to the
+// shorter.
+func balance[T any](a, b *[]T) {
+	if len(*a) < len(*b) {
+		a, b = b, a
+	}
+	keep := len(*a) - (len(*a)-len(*b))/2
+	*b = append(*b, (*a)[keep:]...)
+	clear((*a)[keep:])
+	*a = (*a)[:keep]
 }

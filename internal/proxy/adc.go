@@ -90,7 +90,7 @@ type ADC struct {
 }
 
 var (
-	_ sim.Node        = (*ADC)(nil)
+	_ sim.Isolated    = (*ADC)(nil)
 	_ sim.Restartable = (*ADC)(nil)
 )
 
@@ -116,6 +116,15 @@ func New(cfg Config) (*ADC, error) {
 
 // ID implements sim.Node.
 func (p *ADC) ID() ids.NodeID { return p.id }
+
+// Isolated implements sim.Isolated. A handler reads and writes the node's
+// pending passes, recovery queue and policy — an ADC agent's tables, random
+// source and counters, or a baseline's cache and counters — and nothing
+// else: peers are reached by message only, and what policies share is
+// fixed for the run (CARP's hasher, the consistent-hashing ring, the peer
+// lists they copied). Another node reads the node only through Prefetch,
+// which reads only what is fixed for the run.
+func (p *ADC) Isolated() {}
 
 // Policy returns the placement policy the node drives.
 func (p *ADC) Policy() protocol.Policy { return p.policy }
@@ -154,7 +163,8 @@ func (p *ADC) Release() {
 
 // Prefetch hints that obj is about to be requested: an ADC agent starts
 // loading its tables' line for obj (core.Tables.Prefetch). No state or
-// result changes; other policies ignore it.
+// result changes; other policies ignore it. It reads only what is fixed for
+// the run, so any node's handler may call it while this one's runs.
 func (p *ADC) Prefetch(obj ids.ObjectID) {
 	if a, ok := p.policy.(*protocol.Agent); ok {
 		a.Tables().Prefetch(obj)

@@ -146,8 +146,8 @@ type attempt struct {
 }
 
 var (
-	_ Node    = (*Client)(nil)
-	_ Starter = (*Client)(nil)
+	_ Isolated = (*Client)(nil)
+	_ Starter  = (*Client)(nil)
 )
 
 // ClientConfig assembles a Client.
@@ -214,6 +214,13 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 
 // ID implements Node.
 func (c *Client) ID() ids.NodeID { return c.id }
+
+// Isolated implements Isolated: a handler touches the client's own
+// counters, random source, attempts and collector, and its workload
+// source, which is the client's alone; an in-memory split stream shares
+// only the read-only request slice, and its lookahead hint reaches the
+// proxies only through Prefetch, which reads what is fixed for the run.
+func (c *Client) Isolated() {}
 
 // AddProxy adds a newly joined proxy to the entry-point set (infrastructure
 // growth). Safe only between requests of a single closed-loop client.

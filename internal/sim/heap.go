@@ -1,15 +1,21 @@
 package sim
 
-import "github.com/adc-sim/adc/internal/msg"
+import (
+	"slices"
 
-// event is one scheduled delivery of the virtual-time engine, 32 bytes.
+	"github.com/adc-sim/adc/internal/msg"
+)
+
+// event is one scheduled delivery of the virtual-time engine, 32 bytes:
+// small enough for the compiler to keep one in registers.
 type event struct {
 	at int64
-	// seq is the enqueue sequence number shifted left by two, with the
-	// event's flags in the low bits: evNet marks a network transfer (Send),
-	// the only events the QueueService model serializes; evServed marks a
-	// transfer that has already been assigned its service-completion slot.
-	// Sequence numbers are unique, so the flags never decide an order.
+	// seq packs, from the high bits down, the enqueue sequence number, the
+	// registration slot of the destination node (see slot), and the
+	// event's flags: evNet marks a network transfer (Send), the only events
+	// the QueueService model serializes; evServed marks a transfer that has
+	// already been assigned its service-completion slot. Sequence numbers
+	// are unique, so neither the slot nor the flags ever decide an order.
 	seq uint64
 	m   msg.Message
 }
@@ -20,6 +26,20 @@ const (
 	evServed
 	evFlagBits = iota
 )
+
+// The destination's slot sits above the flags in event.seq, so that
+// dispatching an event, or splitting a lookahead window by node, reads no
+// message. noSlot marks a destination that had no slot below it when the
+// event was queued; its node is looked up by m.Dest() at delivery. The
+// sequence number keeps the top 64 − seqShift = 40 bits: 10¹² events.
+const (
+	slotBits = 22
+	noSlot   = 1<<slotBits - 1
+	seqShift = evFlagBits + slotBits
+)
+
+// slot returns the registration slot of the event's destination, or noSlot.
+func (ev event) slot() int32 { return int32(ev.seq >> evFlagBits & noSlot) }
 
 // before is the total order events are delivered in: timestamp, then
 // enqueue sequence. (at, seq) pairs are unique, so the queue's internal
@@ -151,6 +171,102 @@ func (q *eventQueue) push(e event, to int) {
 		ev[i], ev[p] = ev[p], ev[i]
 		i = p
 	}
+}
+
+// countBefore returns how many queued events are due before end, counting
+// no further than limit: each FIFO lane is scanned from its head, and the
+// heap is walked only below events due before end (an event's children are
+// never due sooner).
+func (q *eventQueue) countBefore(end int64, limit int) int {
+	n := 0
+	for i := range q.src[:laneHeap] {
+		l := &q.src[i]
+		for j := l.head; j < len(l.ev) && l.ev[j].at < end && n < limit; j++ {
+			n++
+		}
+	}
+	return n + q.src[laneHeap].countHeap(0, end, limit-n)
+}
+
+// popBefore removes every queued event due before end and appends them to
+// dst in (at, seq) order: each FIFO lane gives up a prefix and the heap its
+// smallest events, and the four sorted runs are merged two by two, through
+// the scratch arrays.
+func (q *eventQueue) popBefore(end int64, dst []event, scratch *[3][]event) []event {
+	var runs [numLanes][]event
+	n := 0
+	for i := range q.src[:laneHeap] {
+		l := &q.src[i]
+		cut := l.head
+		for cut < len(l.ev) && l.ev[cut].at < end {
+			cut++
+		}
+		runs[i] = l.ev[l.head:cut]
+		n += cut - l.head
+	}
+	h, heap, a, b := &q.src[laneHeap], &scratch[0], &scratch[1], &scratch[2]
+	for len(h.ev) > 0 && h.ev[0].at < end {
+		*heap = append(*heap, h.popRoot())
+	}
+	n += len(*heap)
+	*a = mergeRuns(*a, runs[laneClient], runs[laneProxy])
+	*b = mergeRuns(*b, runs[laneOrigin], *heap)
+	dst = mergeRuns(dst, *a, *b)
+	for i := range q.src[:laneHeap] {
+		l := &q.src[i]
+		clear(runs[i]) // release the message references
+		if l.head += len(runs[i]); l.head == len(l.ev) {
+			l.ev, l.head = l.ev[:0], 0
+		}
+	}
+	for i := range scratch {
+		clear(scratch[i])
+		scratch[i] = scratch[i][:0]
+	}
+	q.n -= n
+	if q.n > 0 {
+		var best *event
+		for i := range q.src {
+			if s := &q.src[i]; s.head < len(s.ev) {
+				if h := &s.ev[s.head]; best == nil || h.before(best) {
+					best, q.min = h, i
+				}
+			}
+		}
+	}
+	return dst
+}
+
+// mergeRuns appends the (at, seq) merge of the sorted runs x and y to dst.
+func mergeRuns(dst, x, y []event) []event {
+	n := len(dst)
+	dst = slices.Grow(dst, len(x)+len(y))[:n+len(x)+len(y)]
+	out := dst[n:]
+	i, j, k := 0, 0, 0
+	for ; i < len(x) && j < len(y); k++ {
+		if x[i].before(&y[j]) {
+			out[k] = x[i]
+			i++
+		} else {
+			out[k] = y[j]
+			j++
+		}
+	}
+	copy(out[k+copy(out[k:], x[i:]):], y[j:])
+	return dst
+}
+
+// countHeap counts the events due before end in the subtree of heap slot i,
+// no further than limit.
+func (l *lane) countHeap(i int, end int64, limit int) int {
+	if limit <= 0 || i >= len(l.ev) || l.ev[i].at >= end {
+		return 0
+	}
+	n := 1
+	for c := i<<2 + 1; c <= i<<2+4 && n < limit; c++ {
+		n += l.countHeap(c, end, limit-n)
+	}
+	return n
 }
 
 // pop removes and returns the smallest event; the queue must not be empty.

@@ -7,15 +7,19 @@ import (
 	"unsafe"
 )
 
-// TestEventLayout pins the event at 32 bytes, with its flags in the low
-// bits of seq: a flagged event keeps its place in the (at, seq) order.
+// TestEventLayout pins the event at 32 bytes, with its destination's slot
+// and its flags in the low bits of seq: a flagged event for any slot keeps
+// its place in the (at, seq) order.
 func TestEventLayout(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got != 32 {
 		t.Errorf("event is %d bytes, want 32", got)
 	}
-	plain := event{at: 5, seq: 7 << evFlagBits}
-	flagged := event{at: 5, seq: 7<<evFlagBits | evNet | evServed}
-	next := event{at: 5, seq: 8 << evFlagBits}
+	plain := event{at: 5, seq: 7 << seqShift}
+	flagged := event{at: 5, seq: 7<<seqShift | noSlot<<evFlagBits | evNet | evServed}
+	next := event{at: 5, seq: 8 << seqShift}
+	if s := flagged.slot(); s != noSlot {
+		t.Errorf("slot %d, want noSlot", s)
+	}
 	if !plain.before(&next) || !flagged.before(&next) || next.before(&flagged) {
 		t.Error("flags moved an event across the next sequence number")
 	}

@@ -19,13 +19,16 @@ type Origin struct {
 	tracer *obs.Tracer
 }
 
-var _ Node = (*Origin)(nil)
+var _ Isolated = (*Origin)(nil)
 
 // NewOrigin returns the origin server node.
 func NewOrigin() *Origin { return &Origin{} }
 
 // ID implements Node.
 func (o *Origin) ID() ids.NodeID { return ids.Origin }
+
+// Isolated implements Isolated: a handler touches only the resolved count.
+func (o *Origin) Isolated() {}
 
 // Resolved returns how many requests the origin answered.
 func (o *Origin) Resolved() uint64 { return o.resolved }

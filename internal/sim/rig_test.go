@@ -243,9 +243,9 @@ func TestLanesCarryEveryTransfer(t *testing.T) {
 	r.pin(t, 38538, 0xe426437a6bf478f5)
 }
 
-// TestShardedUnregisteredNode checks that a message for a node nobody
-// registered fails the run. (The name is kept from the partitioned engine.)
-func TestShardedUnregisteredNode(t *testing.T) {
+// TestRunFailsOnUnregisteredNode checks that a message for a node nobody
+// registered fails the run.
+func TestRunFailsOnUnregisteredNode(t *testing.T) {
 	eng := sim.NewVEngine(sim.DefaultLatencyModel())
 	buildADCArray(t, eng, 2)
 	// A client that addresses a proxy outside the rig.
@@ -265,10 +265,9 @@ func TestShardedUnregisteredNode(t *testing.T) {
 	}
 }
 
-// TestShardedDuplicateRegister holds Register to its contract: a second
-// node under a used ID is refused. (The name is kept from the partitioned
-// engine.)
-func TestShardedDuplicateRegister(t *testing.T) {
+// TestRegisterRefusesUsedID holds Register to its contract: a second node
+// under a used ID is refused.
+func TestRegisterRefusesUsedID(t *testing.T) {
 	eng := sim.NewVEngine(sim.DefaultLatencyModel())
 	if err := eng.Register(sim.NewOrigin()); err != nil {
 		t.Fatal(err)

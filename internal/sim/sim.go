@@ -1,12 +1,21 @@
 // Package sim provides the deterministic message-passing substrate the
 // proxy system runs on: a Node interface implemented by proxies, clients
 // and the origin server, and VEngine, the one engine that runs them.
-// VEngine is a discrete-event engine on one event queue: it delivers one
-// event at a time in (timestamp, sequence) order under a latency model,
-// with open-loop timers, fault plans, queued service, tracing and time
-// series (DESIGN.md §7). Under the zero LatencyModel a run that arms no
-// timer has every event at timestamp 0, so delivery degenerates to
-// enqueue order — the FIFO schedule of the sequential runtime.
+// VEngine is a discrete-event engine on one event queue: it delivers
+// events in (timestamp, sequence) order under a latency model, with
+// open-loop timers, fault plans, queued service, tracing and time series
+// (DESIGN.md §7). Under the zero LatencyModel a run that arms no timer has
+// every event at timestamp 0, so delivery degenerates to enqueue order —
+// the FIFO schedule of the sequential runtime.
+//
+// Events are delivered one at a time, except in a window-safe run on two
+// or more processors with many events in flight: there, every event due
+// within the latency model's cheapest transfer of the queue's head — a
+// lookahead window, inside which no node can reach another — is delivered
+// on two goroutines, the nodes split between them, and the sends and
+// timers the window's handlers make are then numbered exactly as one
+// event at a time would have numbered them (window.go). The result is
+// byte-identical either way.
 //
 // The paper ran its agents on the Carolina multi-agent platform across
 // eight hosts, and reports that "a simulation running on a powerful ...
@@ -28,8 +37,8 @@ import (
 // proxy-proxy and proxy-server" (§V.2.2) — and increments the message's
 // hop counter.
 //
-// The engine is single-threaded, so the context owns a message freelist
-// and the steady-state loop does not allocate. Ownership follows
+// Each goroutine of the engine has its own context with its own message
+// freelist, so the steady-state loop neither locks nor allocates. Ownership follows
 // internal/msg: a handler owns the message it received, and putting it
 // back on the freelist ends that ownership. The engine does NOT recycle
 // messages dropped by the fault filter at Send time: the sender may still
@@ -46,7 +55,8 @@ type Context interface {
 	// zero LatencyModel).
 	VNow() int64
 	// After delivers m to m.Dest() at VNow()+delay: the timer of
-	// open-loop sources, retransmission and pending-state expiry.
+	// open-loop sources, retransmission and pending-state expiry. A
+	// handler arms timers for its own node only.
 	After(delay int64, m msg.Message)
 }
 
@@ -70,7 +80,11 @@ type Node interface {
 	// ID returns the node's stable address.
 	ID() ids.NodeID
 	// Handle processes one delivered message, possibly sending others.
-	// The engine never invokes Handle concurrently.
+	// The engine never invokes Handle concurrently for one node. Handlers
+	// of different nodes may run at the same time, on different contexts,
+	// when every registered node is Isolated: a handler then touches only
+	// its own node's state, reaches other nodes by message only, and arms
+	// timers (After) only for its own node.
 	Handle(ctx Context, m msg.Message)
 }
 

@@ -2,6 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"sync/atomic"
 
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
@@ -82,8 +85,16 @@ func (l LatencyModel) cost(a, b ids.NodeID) (delay int64, lane int) {
 // is keyed by destination.
 type VEngine struct {
 	latency LatencyModel
-	nodes   ids.Table[Node]
 	storage
+
+	// nodes holds the registered nodes in registration order, slots each
+	// node's index there (its slot), and shared counts the nodes that are
+	// not Isolated: a lookahead window opens only while shared is 0.
+	nodes  []registered
+	slots  ids.Table[int32]
+	shared int
+	// inWindow is true while a lookahead window's handlers run.
+	inWindow bool
 
 	// now is the timestamp of the event being delivered and seq the
 	// global enqueue counter.
@@ -128,20 +139,44 @@ type VEngine struct {
 	ts     *metrics.TimeSeries
 }
 
-// storage is what Release hands a later NewVEngine: the event lanes and the
-// message freelist with its requests, replies and path arrays.
+// storage is what Release hands a later NewVEngine: the event lanes, the
+// message freelist with its requests, replies and path arrays, and — once
+// a run has opened a lookahead window — the helper goroutine's freelist and
+// both goroutines' window logs.
 type storage struct {
-	q  eventQueue
-	fl msg.Freelist
+	q   eventQueue
+	fl  msg.Freelist
+	par *parStorage
 }
 
-var released ids.Pool[storage]
+// class is the size class released storage is kept under: the bit length
+// of how many recycled messages its freelists hold.
+func (s *storage) class() int {
+	n := s.fl.Len()
+	if s.par != nil {
+		n += s.par.fl.Len()
+	}
+	return bits.Len(uint(n))
+}
 
-// NewVEngine returns an empty engine, on a released engine's storage when
-// there is one.
+var (
+	released ids.Pool[storage]
+	// topClass is the largest class ever released, where NewVEngine's
+	// search starts.
+	topClass atomic.Int32
+)
+
+// NewVEngine returns an empty engine, on the largest released engine's
+// storage when there is one: a run of many requests in flight takes the
+// freelist such a run filled, whatever ran in between.
 func NewVEngine(latency LatencyModel) *VEngine {
 	e := &VEngine{latency: latency, current: ids.None}
-	e.storage, _ = released.Get(nil)
+	for c := int(topClass.Load()); c >= 0; c-- {
+		if s, ok := released.Get(c); ok {
+			e.storage = s
+			break
+		}
+	}
 	if latency.QueueService {
 		e.busy = make(map[ids.NodeID]int64)
 	}
@@ -153,16 +188,32 @@ func NewVEngine(latency LatencyModel) *VEngine {
 // readable. Only a drained queue's lanes are handed on: they hold no message.
 func (e *VEngine) Release() {
 	if e.q.Len() == 0 {
-		released.Put(nil, e.storage)
+		c := int32(e.class())
+		for {
+			top := topClass.Load()
+			if c <= top || topClass.CompareAndSwap(top, c) {
+				break
+			}
+		}
+		released.Put(int(c), e.storage)
 	}
 	e.storage = storage{}
 }
 
-// Register adds a node. A handler may register nodes during a run: the
-// cluster's churn hook adds a proxy from inside the client's handler.
+// Register adds a node. A handler may register nodes during a run, outside
+// a lookahead window: the cluster's churn hook adds a proxy from inside the
+// client's handler, in a run of one closed-loop client, which never opens
+// one.
 func (e *VEngine) Register(n Node) error {
-	if !e.nodes.Put(n.ID(), n) {
+	if e.inWindow {
+		panic(fmt.Sprintf("sim: node %v registered inside a lookahead window", n.ID()))
+	}
+	if !e.slots.Put(n.ID(), int32(len(e.nodes))) {
 		return fmt.Errorf("sim: duplicate node %v", n.ID())
+	}
+	e.nodes = append(e.nodes, registered{n, n.ID()})
+	if _, ok := n.(Isolated); !ok {
+		e.shared++
 	}
 	return nil
 }
@@ -225,7 +276,8 @@ func (e *VEngine) VNow() int64 { return e.now }
 // arrives after the modelled link latency.
 func (e *VEngine) Send(m msg.Message) {
 	CountHop(m)
-	delay, lane := e.latency.cost(e.current, m.Dest())
+	dest := m.Dest()
+	delay, lane := e.latency.cost(e.current, dest)
 	if e.busy != nil {
 		// Queued service: the transfer pays only the link here; the
 		// Service component is charged at delivery, serialized per
@@ -240,7 +292,11 @@ func (e *VEngine) Send(m msg.Message) {
 		}
 	}
 	e.seq++
-	if ev := (event{at: at, seq: e.seq<<evFlagBits | evNet, m: m}); !e.q.pushFirst(ev, lane) {
+	s, ok := e.slots.Get(dest)
+	if !ok || s > noSlot {
+		s = noSlot
+	}
+	if ev := (event{at: at, seq: e.seq<<seqShift | uint64(s)<<evFlagBits | evNet, m: m}); !e.q.pushFirst(ev, lane) {
 		e.q.push(ev, lane)
 	}
 }
@@ -254,7 +310,31 @@ func (e *VEngine) After(delay int64, m msg.Message) {
 // network transfers are lost, jittered or serialized.
 func (e *VEngine) timer(at int64, m msg.Message) {
 	e.seq++
-	e.q.push(event{at: at, seq: e.seq << evFlagBits, m: m}, laneHeap)
+	e.q.push(event{at: at, seq: e.seq<<seqShift | uint64(e.slotOf(m.Dest()))<<evFlagBits, m: m}, laneHeap)
+}
+
+// registered is a node and its ID.
+type registered struct {
+	Node
+	id ids.NodeID
+}
+
+// slotOf returns the registration slot of node id, or noSlot when it has
+// none below noSlot.
+func (e *VEngine) slotOf(id ids.NodeID) int32 {
+	if s, ok := e.slots.Get(id); ok && s < noSlot {
+		return s
+	}
+	return noSlot
+}
+
+// node returns the slot of ev's destination, looked up by m.Dest() when
+// the event carries none, and whether that node is registered.
+func (e *VEngine) node(ev event) (int32, bool) {
+	if s := ev.slot(); s != noSlot {
+		return s, true
+	}
+	return e.slots.Get(ev.m.Dest())
 }
 
 // Freelist implements Context.
@@ -310,7 +390,9 @@ func (e *VEngine) traceDrop(sender ids.NodeID, m msg.Message, cause int64) {
 
 // Run starts the Starter nodes in ascending NodeID order and then delivers
 // events in (at, seq) order until the queue drains, advancing virtual time
-// monotonically.
+// monotonically. A window-safe run with enough events in flight delivers
+// them a lookahead window at a time on two goroutines (window.go), with
+// the same result.
 func (e *VEngine) Run() error {
 	if e.faults != nil {
 		// Crash/restart transitions enter the queue before any starter
@@ -323,14 +405,28 @@ func (e *VEngine) Run() error {
 			}
 		}
 	}
-	e.nodes.Ascending(func(id ids.NodeID, n Node) {
-		if st, ok := n.(Starter); ok {
+	e.slots.Ascending(func(id ids.NodeID, s int32) {
+		if st, ok := e.nodes[s].Node.(Starter); ok {
 			e.current = id
 			st.Start(e)
 			e.current = ids.None
 		}
 	})
+	// A window-safe run delivers a lookahead window on two goroutines
+	// whenever one holds at least fewest events.
+	fewest := math.MaxInt
+	if e.windowSafe() {
+		fewest = minWindow
+		if forced.Load() {
+			fewest = 1
+		}
+	}
+	var la windowState
+	defer la.stop()
 	for e.q.Len() > 0 {
+		if e.q.Len() >= fewest && e.tryWindow(&la, fewest) {
+			continue
+		}
 		ev, ok := e.q.popOnly()
 		if !ok {
 			ev = e.q.pop()
@@ -339,13 +435,16 @@ func (e *VEngine) Run() error {
 		if (e.down != nil || e.busy != nil) && e.intercept(ev) {
 			continue
 		}
-		dest := ev.m.Dest()
-		n, ok := e.nodes.Get(dest)
-		if !ok {
-			return fmt.Errorf("sim: message for unregistered node %v", dest)
+		s := ev.slot()
+		if s == noSlot {
+			var ok bool
+			if s, ok = e.slots.Get(ev.m.Dest()); !ok {
+				return fmt.Errorf("sim: message for unregistered node %v", ev.m.Dest())
+			}
 		}
+		n := &e.nodes[s]
 		e.delivered++
-		e.current = dest // nodes are registered under their own ID
+		e.current = n.id
 		n.Handle(e, ev.m)
 	}
 	e.current = ids.None
@@ -378,11 +477,12 @@ func (e *VEngine) intercept(ev event) bool {
 		// completion. Re-queuing keeps the original sequence number, so
 		// per-node FIFO order is preserved.
 		start := ev.at
-		if b := e.busy[ev.m.Dest()]; b > start {
+		dest := ev.m.Dest()
+		if b := e.busy[dest]; b > start {
 			start = b
 		}
 		done := start + e.latency.Service
-		e.busy[ev.m.Dest()] = done
+		e.busy[dest] = done
 		if done > ev.at {
 			ev.at = done
 			ev.seq |= evServed
@@ -407,8 +507,8 @@ func (e *VEngine) applyFaultCtl(ctl *faultCtl) {
 	}
 	delete(e.down, ctl.node)
 	e.faults.stats.Restarts++
-	if n, ok := e.nodes.Get(ctl.node); ok {
-		if r, isR := n.(Restartable); isR {
+	if s, ok := e.slots.Get(ctl.node); ok {
+		if r, isR := e.nodes[s].Node.(Restartable); isR {
 			r.Restart(ctl.loseTables)
 		}
 	}
