@@ -292,7 +292,7 @@ func (e *VEngine) Send(m msg.Message) {
 		}
 	}
 	e.seq++
-	s, ok := e.slots.Get(dest)
+	s, ok := e.slots.Get(dest) // slotOf, spelled out: it does not inline
 	if !ok || s > noSlot {
 		s = noSlot
 	}
@@ -477,12 +477,11 @@ func (e *VEngine) intercept(ev event) bool {
 		// completion. Re-queuing keeps the original sequence number, so
 		// per-node FIFO order is preserved.
 		start := ev.at
-		dest := ev.m.Dest()
-		if b := e.busy[dest]; b > start {
+		if b := e.busy[ev.m.Dest()]; b > start {
 			start = b
 		}
 		done := start + e.latency.Service
-		e.busy[dest] = done
+		e.busy[ev.m.Dest()] = done
 		if done > ev.at {
 			ev.at = done
 			ev.seq |= evServed

@@ -26,9 +26,9 @@ import (
 // window cannot affect each other, because a handler touches only its own
 // node's state (Isolated). Run therefore pops the whole window and splits
 // its nodes into parts; its own goroutine and one helper claim parts and
-// deliver each part's events in window order,
-// a node's own timers that fall inside the window at their place among
-// them. Each part logs what its handlers send and arm. Then a
+// deliver each part's events in window order, a node's own timers that
+// fall inside the window at their place among them. Each part logs what
+// its handlers send and arm. Then a
 // single-threaded merge walks the parts' logs in the (at, seq) order the
 // one-event-at-a-time loop would have delivered them and numbers their
 // emissions as that loop would have, so every later event carries the
