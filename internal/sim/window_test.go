@@ -165,3 +165,33 @@ func firstDiff(got, want []string) string {
 	}
 	return fmt.Sprintf("one is a prefix of the other (%d vs %d)", len(got), len(want))
 }
+
+// TestWindowWithUnregisteredNodeFailsRun: a window holding an event for a
+// node nobody registered is put back and delivered one event at a time, so
+// the run fails at that event as it does without windows.
+func TestWindowWithUnregisteredNodeFailsRun(t *testing.T) {
+	defer sim.ForceWindows()()
+	eng := sim.NewVEngine(sim.DefaultLatencyModel())
+	buildADCArray(t, eng, 2)
+	for i := 0; i < 3; i++ {
+		cl, err := sim.NewClient(sim.ClientConfig{
+			Index:         i,
+			Source:        trace.NewSliceSource(benchObjects(5, 10)),
+			Proxies:       []ids.NodeID{0, 7}, // proxy 7 is not in the rig
+			Seed:          1,
+			IntervalTicks: 100,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Register(cl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !eng.Windows() {
+		t.Fatal("the rig is not window-safe")
+	}
+	if err := eng.Run(); err == nil {
+		t.Fatal("expected unregistered-node error, got nil")
+	}
+}
