@@ -370,12 +370,6 @@ type Cluster struct {
 
 	// ts is the shared time-series recorder (nil unless MetricsEvery > 0).
 	ts *metrics.TimeSeries
-
-	// unhinted turns prefetch off: in a run delivered in lookahead
-	// windows a client and the proxy it hints mostly run on different
-	// cores, and the hint would pull the proxy's directory line into the
-	// client's core and its tables' header lines out of the proxy's.
-	unhinted bool
 }
 
 // New builds the cluster for cfg, with src as the request stream.
@@ -638,9 +632,6 @@ func (s *stridedSource) Total() int { return s.total }
 // prefetch hands obj to every proxy's Prefetch, proxies joined by churn
 // included: a request for obj is about to enter the cluster.
 func (c *Cluster) prefetch(obj ids.ObjectID) {
-	if c.unhinted {
-		return
-	}
 	for _, p := range c.proxies {
 		p.Prefetch(obj)
 	}
@@ -677,9 +668,6 @@ func (c *Cluster) Run() (*Result, error) {
 	}
 	eng.SetTracer(c.cfg.Tracer)
 	eng.SetTimeSeries(c.ts)
-	// An open loop keeps enough requests in flight to fill lookahead
-	// windows; a closed loop keeps its hint.
-	c.unhinted = c.cfg.OpenLoopInterval > 0 && eng.Windows()
 	if err := eng.Run(); err != nil {
 		return nil, err
 	}

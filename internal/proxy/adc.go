@@ -124,7 +124,7 @@ func (p *ADC) ID() ids.NodeID { return p.id }
 // fixed for the run (CARP's hasher, the consistent-hashing ring, the peer
 // lists they copied). Another node reads the node only through Prefetch,
 // which reads only what is fixed for the run.
-func (p *ADC) Isolated() {}
+func (p *ADC) Isolated() bool { return true }
 
 // Policy returns the placement policy the node drives.
 func (p *ADC) Policy() protocol.Policy { return p.policy }

@@ -220,7 +220,7 @@ func (c *Client) ID() ids.NodeID { return c.id }
 // source, which is the client's alone; an in-memory split stream shares
 // only the read-only request slice, and its lookahead hint reaches the
 // proxies only through Prefetch, which reads what is fixed for the run.
-func (c *Client) Isolated() {}
+func (c *Client) Isolated() bool { return true }
 
 // AddProxy adds a newly joined proxy to the entry-point set (infrastructure
 // growth). Safe only between requests of a single closed-loop client.

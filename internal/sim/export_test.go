@@ -12,3 +12,11 @@ func (e *VEngine) HeapLoad() (events, transfers int) {
 	}
 	return events, transfers
 }
+
+// ReleaseKeeping releases the engine's storage and returns a value that
+// holds it as the engine that takes it next would.
+func (e *VEngine) ReleaseKeeping() any {
+	s := e.storage
+	e.Release()
+	return s
+}

@@ -173,19 +173,18 @@ func (q *eventQueue) push(e event, to int) {
 	}
 }
 
-// countBefore returns how many queued events are due before end, counting
-// no further than limit: each FIFO lane is scanned from its head, and the
-// heap is walked only below events due before end (an event's children are
-// never due sooner).
-func (q *eventQueue) countBefore(end int64, limit int) int {
+// countBefore returns how many queued events are due before end: each FIFO
+// lane is scanned from its head, and the heap is walked only below events
+// due before end (an event's children are never due sooner).
+func (q *eventQueue) countBefore(end int64) int {
 	n := 0
 	for i := range q.src[:laneHeap] {
 		l := &q.src[i]
-		for j := l.head; j < len(l.ev) && l.ev[j].at < end && n < limit; j++ {
+		for j := l.head; j < len(l.ev) && l.ev[j].at < end; j++ {
 			n++
 		}
 	}
-	return n + q.src[laneHeap].countHeap(0, end, limit-n)
+	return n + q.src[laneHeap].countHeap(0, end)
 }
 
 // popBefore removes every queued event due before end and appends them to
@@ -256,15 +255,14 @@ func mergeRuns(dst, x, y []event) []event {
 	return dst
 }
 
-// countHeap counts the events due before end in the subtree of heap slot i,
-// no further than limit.
-func (l *lane) countHeap(i int, end int64, limit int) int {
-	if limit <= 0 || i >= len(l.ev) || l.ev[i].at >= end {
+// countHeap counts the events due before end in the subtree of heap slot i.
+func (l *lane) countHeap(i int, end int64) int {
+	if i >= len(l.ev) || l.ev[i].at >= end {
 		return 0
 	}
 	n := 1
-	for c := i<<2 + 1; c <= i<<2+4 && n < limit; c++ {
-		n += l.countHeap(c, end, limit-n)
+	for c := i<<2 + 1; c <= i<<2+4; c++ {
+		n += l.countHeap(c, end)
 	}
 	return n
 }

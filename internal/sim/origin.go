@@ -28,7 +28,7 @@ func NewOrigin() *Origin { return &Origin{} }
 func (o *Origin) ID() ids.NodeID { return ids.Origin }
 
 // Isolated implements Isolated: a handler touches only the resolved count.
-func (o *Origin) Isolated() {}
+func (o *Origin) Isolated() bool { return true }
 
 // Resolved returns how many requests the origin answered.
 func (o *Origin) Resolved() uint64 { return o.resolved }

@@ -212,7 +212,7 @@ func (e *VEngine) Register(n Node) error {
 		return fmt.Errorf("sim: duplicate node %v", n.ID())
 	}
 	e.nodes = append(e.nodes, registered{n, n.ID()})
-	if _, ok := n.(Isolated); !ok {
+	if iso, ok := n.(Isolated); !ok || !iso.Isolated() {
 		e.shared++
 	}
 	return nil
@@ -412,8 +412,8 @@ func (e *VEngine) Run() error {
 			e.current = ids.None
 		}
 	})
-	// A window-safe run delivers a lookahead window on two goroutines
-	// whenever one holds at least fewest events.
+	// A window-safe run delivers its lookahead windows on two goroutines
+	// while they hold at least fewest events on average.
 	fewest := math.MaxInt
 	if e.windowSafe() {
 		fewest = minWindow

@@ -43,16 +43,20 @@ import (
 // run delivers one event at a time.
 type Isolated interface {
 	Node
-	// Isolated marks the type; the engine never calls it.
-	Isolated()
+	// Isolated reports whether the node keeps to its own state (every
+	// implementation here says true); Register reads it once.
+	Isolated() bool
 }
 
-// minWindow is the fewest events a lookahead window must hold to be
-// delivered on two goroutines, a few dozen so that the hand-over and the
-// merge stay small beside the handlers (a choice, not a tuned optimum).
-// Smaller windows, and every event of a run that is not window-safe, are
-// delivered one at a time.
-const minWindow = 48
+// minWindow is the fewest events a run's lookahead windows must hold on
+// average (windowState.mean) to be delivered on two goroutines. Below it
+// the hand-over, the merge and the state moving between the cores cost
+// more than the second core gives back: on sim_shift_open's configuration
+// with fewer clients, windows of about 60, 160 and 330 events ran at 0.70,
+// 0.85 and 0.96 × the speed of one goroutine, and windows of about 490 and
+// 670 at 1.11 and 1.12 × (DESIGN.md §7). Smaller windows, and every event
+// of a run that is not window-safe, are delivered one at a time.
+const minWindow = 400
 
 // forced is ForceWindows' switch.
 var forced atomic.Bool
@@ -239,11 +243,18 @@ type worker struct {
 
 // windowState is Run's state of a window-safe run: the windows once the
 // first opens, and checkAt, before which the queue's head is inside a
-// window found too small, whose events are delivered one at a time
+// window that was not opened, whose events are delivered one at a time
 // without counting again.
 type windowState struct {
 	w       *windows
 	checkAt int64
+	// mean is the run's events per window, an average over the windows
+	// counted so far in which each new one weighs 1/8. Windows open while
+	// it is large enough, so a run whose windows are about minWindow does
+	// not switch between the two ways of delivery window by window: with
+	// a threshold on each window alone, a run whose windows straddled it
+	// ran at 0.85 × one goroutine's speed.
+	mean int
 }
 
 // stop ends the run's helper goroutine, if it has one.
@@ -253,16 +264,22 @@ func (la *windowState) stop() {
 	}
 }
 
-// tryWindow delivers the lookahead window at the queue's head on two
-// goroutines when it holds at least fewest events, starting the helper
-// with the first such window, and reports whether it did.
+// tryWindow counts the lookahead window at the queue's head into the run's
+// mean and delivers it on two goroutines when the mean is at least fewest,
+// starting the helper with the first window it delivers, and reports
+// whether it did.
 func (e *VEngine) tryWindow(la *windowState, fewest int) bool {
 	at := e.q.peek().at
 	if e.shared != 0 || at < la.checkAt {
 		return false
 	}
 	end := at + e.latency.lookahead()
-	if e.q.countBefore(end, fewest) >= fewest {
+	if n := e.q.countBefore(end); la.mean == 0 {
+		la.mean = n
+	} else {
+		la.mean += (n - la.mean) / 8
+	}
+	if la.mean >= fewest {
 		if la.w == nil {
 			la.w = e.startWindows()
 		}
@@ -330,8 +347,10 @@ func (w *windows) open() bool {
 	return ^w.claimed.Load()&(1<<w.n.Load()-1) != 0
 }
 
-// stop ends the helper goroutine and waits for it to leave the storage,
-// which Release may hand to another engine.
+// stop ends the helper goroutine, waits for it to leave the storage, which
+// Release may hand to another engine, and drops the workers' hold on the
+// run's nodes and on the engine (the caller's freelist is the engine's), so
+// that the engine taking the storage does not keep them.
 func (w *windows) stop() {
 	w.stopped.Store(true)
 	select {
@@ -339,6 +358,10 @@ func (w *windows) stop() {
 	default:
 	}
 	<-w.done
+	for i := range w.workers {
+		wk := &w.workers[i]
+		wk.nodes, wk.slots, wk.pt, wk.fl = nil, ids.Table[int32]{}, nil, nil
+	}
 }
 
 // window delivers every queued event due before end, and the timers their

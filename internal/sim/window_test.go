@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/msg"
@@ -33,7 +35,7 @@ func (t *relayTimer) Dest() ids.NodeID { return t.to }
 
 func (r *relay) ID() ids.NodeID { return r.id }
 
-func (r *relay) Isolated() {}
+func (r *relay) Isolated() bool { return true }
 
 func (r *relay) Handle(ctx sim.Context, m msg.Message) {
 	switch t := m.(type) {
@@ -66,7 +68,7 @@ type recordingClient struct {
 	log []string
 }
 
-func (c *recordingClient) Isolated() {}
+func (c *recordingClient) Isolated() bool { return true }
 
 func (c *recordingClient) Handle(ctx sim.Context, m msg.Message) {
 	c.log = append(c.log, fmt.Sprintf("%d %T", ctx.VNow(), m))
@@ -194,4 +196,59 @@ func TestWindowWithUnregisteredNodeFailsRun(t *testing.T) {
 	if err := eng.Run(); err == nil {
 		t.Fatal("expected unregistered-node error, got nil")
 	}
+}
+
+// TestReleasedStorageHoldsNoNode: the storage a windowed run releases keeps
+// none of the run's nodes reachable, so the engine that takes it next does
+// not hold the last run's node graph.
+func TestReleasedStorageHoldsNoNode(t *testing.T) {
+	defer sim.ForceWindows()()
+	var finalized atomic.Int32
+	held := releasedWindowedRun(t, &finalized)
+	for i := 0; i < 20 && finalized.Load() == 0; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	runtime.KeepAlive(held)
+	if finalized.Load() == 0 {
+		t.Fatal("the storage a windowed run released still reaches its nodes")
+	}
+}
+
+// releasedWindowedRun runs 4 fixed-interval clients against 2 relays, each
+// relay with a finalizer that counts into finalized, in lookahead windows,
+// and returns what holds the storage the engine released.
+func releasedWindowedRun(t *testing.T, finalized *atomic.Int32) any {
+	t.Helper()
+	eng := sim.NewVEngine(sim.DefaultLatencyModel())
+	proxies := []ids.NodeID{0, 1}
+	for _, id := range proxies {
+		r := &relay{id: id, next: 1 - id}
+		runtime.SetFinalizer(r, func(*relay) { finalized.Add(1) })
+		if err := eng.Register(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		cl, err := sim.NewClient(sim.ClientConfig{
+			Index:         i,
+			Source:        trace.NewSliceSource(benchObjects(20, 30)),
+			Proxies:       proxies,
+			Seed:          int64(i),
+			IntervalTicks: 1000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Register(cl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !eng.Windows() {
+		t.Fatal("the rig is not window-safe")
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return eng.ReleaseKeeping()
 }
