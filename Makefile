@@ -35,27 +35,24 @@ fmt-check:
 # listed one that a test now reaches: the list may only shrink.
 cover:
 	$(GO) test -count=1 -coverpkg=./... -coverprofile=cover.out ./...
-	@$(GO) tool cover -func=cover.out | awk -v mod="$$($(GO) list -m)/" -v allow=testdata/cover-allowlist.txt ' \
-	  BEGIN { while ((getline line < allow) > 0) if (line !~ /^(#|[ \t]*$$)/) { split(line, f, /[ \t]+/); listed[f[1]] = 1 } } \
-	  $$1 == "total:" { total = $$NF; next } \
-	  $$NF == "0.0%" { file = substr($$1, length(mod) + 1); sub(/:[0-9]+:$$/, "", file); \
-	    if (file ~ /^examples\//) next; key = file ":" $$2; \
-	    if (key in listed) { reached[key] = 0; print "0%  " key " (allowlisted)" } \
-	    else { print "0%  " key "  <- not in " allow; bad = 1 } } \
-	  END { for (k in listed) if (!(k in reached)) { print "reached now, drop it from " allow ": " k; bad = 1 } \
-	    print "statement coverage " total; exit bad }'
+	@$(GO) tool cover -func=cover.out | awk -v mod="$$($(GO) list -m)/" -v allow=testdata/cover-allowlist.txt "$$ALLOWLIST_AWK"
 
-# Integration coverage, print-only: which code anything a user or CI runs
-# reaches, as opposed to `make cover`'s tests. Builds the five commands and
-# the four examples with -cover -coverpkg=./..., runs ci.yml's farm-smoke,
-# chaos-smoke, trace-smoke, telemetry-smoke and replication-smoke commands,
-# its experiment-study runs and the examples under one GOCOVERDIR (~1 min),
-# then prints the union's total and every function outside examples/ that
-# none of them reaches.
+# Integration coverage gate: which code anything a user, CI or the
+# benchmark runs reaches, as opposed to `make cover`'s tests. Builds the
+# five commands, the four examples and bench/ with -cover, counting every
+# package of the module, runs ci.yml's farm-smoke, chaos-smoke, trace-smoke,
+# telemetry-smoke and replication-smoke commands, its experiment-study runs,
+# the examples and each bench workload at -seconds 1 -scale 0.1, untraced
+# and traced, under one GOCOVERDIR (~70 s on two cores), then prints the union's total
+# and every function outside examples/ that none of them reaches. Fails,
+# as `make cover` does, on such a function that
+# testdata/integration-allowlist.txt does not list, and on a listed one
+# that is now reached.
 # Binaries, counters and the runs' files stay in .cover-integration/.
 cover-integration:
 	@set -e; dir=.cover-integration; rm -rf "$$dir"; mkdir -p "$$dir/bin" "$$dir/data"; \
 	$(GO) build -cover -coverpkg=./... -o "$$dir/bin/" ./cmd/... ./examples/...; \
+	$(GO) -C bench build -cover -coverpkg="$$($(GO) list -m)/..." -o "$(CURDIR)/$$dir/bin/adcbench" .; \
 	export GOCOVERDIR="$$dir/data"; b="$$dir/bin"; \
 	run() { echo "cover-integration: $$*" >&2; "$$@" > /dev/null; }; \
 	run "$$b/adcload" -proxies 4 -rate 1000 -duration 3s -conns 32 -warm 2000 -quiet; \
@@ -78,11 +75,40 @@ cover-integration:
 	run "$$b/adcsweep" -metric convergence -scale 0.02 -quiet; \
 	run "$$b/adcload" -proxies 4 -rate 1000 -duration 3s -warm 2000 -replicate -quiet; \
 	for ex in quickstart adaptivity elasticity httpfarm; do run "$$b/$$ex"; done; \
-	$(GO) tool covdata func -i="$$GOCOVERDIR" | awk -v mod="$$($(GO) list -m)/" ' \
-	  $$1 == "total" { total = $$NF; next } \
-	  $$NF == "0.0%" { file = substr($$1, length(mod) + 1); sub(/:[0-9]+:$$/, "", file); \
-	    if (file ~ /^examples\//) next; print "0%  " file ":" $$2; n++ } \
-	  END { print n + 0 " functions outside examples/ unreached; integration statement coverage " total }'
+	for w in sim_paper sim_shift_open farm_hot farm_churn; do for tr in 0 1; do \
+	  run "$$b/adcbench" -out "$$dir/bench" -workload "$$w" -seconds 1 -scale 0.1 -trace "$$tr"; \
+	done; done; \
+	$(GO) tool covdata func -i="$$GOCOVERDIR" | awk -v mod="$$($(GO) list -m)/" -v allow=testdata/integration-allowlist.txt "$$ALLOWLIST_AWK"
+
+# The allowlist check of `cover` and `cover-integration`, over `go tool
+# cover -func` or `go tool covdata func` output: allow names the list, one
+# file:function and its reason a line, mod the module path cut off every
+# file. Prints every unreached function outside examples/ and the total;
+# fails on an unreached function the list does not name, on a listed one
+# now reached, and on a line without a reason.
+define ALLOWLIST_AWK
+BEGIN {
+	while ((getline line < allow) > 0) {
+		if (line ~ /^(#|[ \t]*$$)/) continue
+		if (line !~ /^[^ \t]+[ \t]+[^ \t]/) { print "no reason given in " allow ": " line; bad = 1 }
+		split(line, f, /[ \t]+/); listed[f[1]] = 1
+	}
+}
+$$1 ~ /^total:?$$/ { total = $$NF; next }
+$$NF == "0.0%" {
+	file = substr($$1, length(mod) + 1); sub(/:[0-9]+:$$/, "", file)
+	if (file ~ /^examples\//) next
+	key = file ":" $$2; n++
+	if (key in listed) { unreached[key] = 1; print "0%  " key " (allowlisted)" }
+	else { print "0%  " key "  <- not in " allow; bad = 1 }
+}
+END {
+	for (k in listed) if (!(k in unreached)) { print "reached now, drop it from " allow ": " k; bad = 1 }
+	print n + 0 " functions outside examples/ unreached; statement coverage " total
+	exit bad
+}
+endef
+export ALLOWLIST_AWK
 
 # Short native-fuzz pass over the parsers that read bytes from outside — the
 # farm's HTTP head codec against net/http as the oracle (requests and

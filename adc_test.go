@@ -2,7 +2,6 @@ package adc
 
 import (
 	"bytes"
-	"net/http"
 	"os"
 	"strings"
 	"testing"
@@ -187,19 +186,6 @@ func TestJoinProxyPublicAPI(t *testing.T) {
 	}
 }
 
-func TestAnalyzeWorkloadPublicAPI(t *testing.T) {
-	st := AnalyzeWorkload(NewSliceSource([]uint64{1, 1, 2, 3, 3, 3}))
-	if st.Requests != 6 || st.Distinct != 3 || st.OneTimers != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-	if st.MaxObjectRequests != 3 {
-		t.Errorf("hottest = %d, want 3", st.MaxObjectRequests)
-	}
-	if st.RecurringShare <= 0.8 || st.RecurringShare >= 0.9 {
-		t.Errorf("recurring share = %v, want 5/6", st.RecurringShare)
-	}
-}
-
 func TestShiftWorkloadPublicAPI(t *testing.T) {
 	w, err := NewShiftWorkload(ShiftWorkloadConfig{
 		Requests: 10_000, Period: 2_500, Population: 100, Seed: 4,
@@ -216,10 +202,6 @@ func TestShiftWorkloadPublicAPI(t *testing.T) {
 	}
 	if res.Requests != 10_000 {
 		t.Errorf("requests = %d", res.Requests)
-	}
-	w.Reset()
-	if n, _ := w.Next(); n == 0 {
-		t.Error("reset shift workload must emit again")
 	}
 	if _, err := NewShiftWorkload(ShiftWorkloadConfig{}); err == nil {
 		t.Error("empty shift config must fail")
@@ -241,33 +223,6 @@ func TestHTTPFarmPublicAPI(t *testing.T) {
 
 	if _, err := farm.ProxyURL(99); err == nil {
 		t.Error("out-of-range proxy index must fail")
-	}
-	if _, err := farm.DebugURL(99); err == nil {
-		t.Error("out-of-range debug index must fail")
-	}
-	debug, err := farm.DebugURL(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range []string{debug + "/vars", farm.OriginURL() + "/obj/7"} {
-		resp, err := http.Get(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close() //nolint:errcheck // read side
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", u, resp.StatusCode)
-		}
-	}
-	if _, err := farm.Get(99, 1, "x"); err == nil {
-		t.Error("out-of-range Get must fail")
-	}
-	hit, err := farm.Get(0, 7, "t1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Error("first fetch cannot hit")
 	}
 	src := NewSliceSource([]uint64{7, 7, 7, 7, 7, 7, 7, 7})
 	requests, hits, err := farm.Run(src, 2)
@@ -340,20 +295,6 @@ func TestWorkloadDeterminism(t *testing.T) {
 		if x != y {
 			t.Fatal("same-seed workloads diverged")
 		}
-	}
-}
-
-func TestWorkloadReset(t *testing.T) {
-	w := smallWorkload(t)
-	first, _ := w.Next()
-	w.Reset()
-	again, _ := w.Next()
-	if first != again {
-		t.Error("Reset must replay the stream")
-	}
-	fillEnd, phase2End := w.Boundaries()
-	if fillEnd <= 0 || phase2End <= fillEnd || w.Population() <= 0 {
-		t.Errorf("boundaries/population wrong: %d %d %d", fillEnd, phase2End, w.Population())
 	}
 }
 

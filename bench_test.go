@@ -219,14 +219,13 @@ func BenchmarkResponseTime(b *testing.B) {
 // BenchmarkSimulationThroughput measures raw simulator speed: requests per
 // second through a five-proxy ADC system (the engine hot path).
 func BenchmarkSimulationThroughput(b *testing.B) {
-	w, err := adc.NewWorkload(adc.WorkloadConfig{Requests: 100_000, Population: 1000})
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		w.Reset()
+		w, err := adc.NewWorkload(adc.WorkloadConfig{Requests: 100_000, Population: 1000})
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.StartTimer()
 		res, err := adc.Run(adc.Config{
 			Proxies: 5, SingleTable: 2000, MultipleTable: 2000, CachingTable: 1000,

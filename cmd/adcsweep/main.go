@@ -12,7 +12,7 @@
 //	adcsweep -metric time                   # Fig. 15 on the paper-faithful O(n) tables
 //	adcsweep -scale 1 -metric hits          # full paper scale
 //	adcsweep -metric hops -out results      # Fig. 14 as a chart and a CSV
-//	adcsweep -metric resilience             # hit rate & completion vs message loss
+//	adcsweep -metric resilience             # hit rate & completion vs message loss, then a crash/restart
 //	adcsweep -metric convergence            # location-convergence time vs cache size
 //	adcsweep -metric loadspread             # load imbalance ± hot-object replication
 //
@@ -484,6 +484,9 @@ func (a *app) resilience(csv []string) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
+	if err := crashRecovery(a.profile, rec); err != nil {
+		return err
+	}
 	return a.writeCSV(csv[0], func(f io.Writer) error {
 		fmt.Fprintln(f, "loss,recovery,hit_rate,completion,mean_response,dropped,timeouts,retries,abandoned,leaked_pending")
 		for _, pt := range pts {
@@ -493,6 +496,23 @@ func (a *app) resilience(csv []string) error {
 		}
 		return nil
 	})
+}
+
+// crashRecovery runs the fail-stop study with the resilience study's
+// recovery parameters and prints client 0's windowed hit rate before the
+// crash, while proxy 0 is down, at the first sample after its cold
+// restart and over the rest of the run.
+func crashRecovery(p experiments.Profile, rec sim.Recovery) error {
+	r, err := experiments.CrashRecovery(p, rec)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("\ncrash/restart (proxy 0 down at t=%d, cold restart at t=%d; recovery on):\n", r.CrashAt, r.RestartAt)
+	fmt.Printf("  hit rate before / down / first after restart / after: %.4f / %.4f / %.4f / %.4f\n",
+		r.BeforeHit, r.DownHit, r.RestartHit, r.AfterHit)
+	fmt.Printf("  completion %.5f, dropped %d, leaked pending %d, crashes %d, restarts %d\n",
+		r.Completion, r.Dropped, r.LeakedPending, r.Crashes, r.Restarts)
+	return nil
 }
 
 // convergence runs the location-convergence study: how fast proxies reach

@@ -91,6 +91,9 @@ func TestEveryMetricWritesItsCSVs(t *testing.T) {
 		if !strings.Contains(out, "=== "+s.title+" ===") {
 			t.Errorf("-metric %s printed no %q header:\n%s", s.name, s.title, out)
 		}
+		if s.name == "resilience" && !strings.Contains(out, "crash/restart") {
+			t.Errorf("-metric resilience printed no crash/restart study:\n%s", out)
+		}
 		if got := written(t, dir); !slices.Equal(got, names) {
 			t.Errorf("-metric %s wrote %v, want %v", s.name, got, names)
 		}

@@ -41,8 +41,9 @@ var (
 	// kill-state accessors; the block B-tree backend's types; and the JSON
 	// Lines event trace: its reader, writer, wire type and kind parser, the
 	// facade's Chrome writer, adcsim's -trace-out, adctrace's subcommands
-	// and the tracer's reset.
-	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)|\b(?:New)?OpenLoop(?:Client|Config)\b|breakerGroup|Breaker(?:Var|Threshold|Cooldown)|RecoveryThreshold|RetryBackoff|adc_breaker_state|\b(?:BuildTrees|TreeFor|FormatTree|WriteChrome)\b|\bHashRequestID\b|\bUseWallClock\b|HTTPFarm\)?\.SetTracer|RuntimeAgents|runConcurrent|examples/distributed|\bRecycler\b|\bReplyTo\(|\bSetOnDone\b|adcfigures|examples/tablesweep|\badc(?:gen|farm)\b|BreakerDenied|breaker_denied|adc_breaker_denied_total|WriteText|ReadText|[pP]arallelMergeMin|\bSerialize\(\)|(?:^|[^\w-])-shards(?:[^\w-]|$)|\bBackendSlice\b|\bsliceTable\b|-backend slice|\b(?:New)?ShardMap\b|\bNewShardedVEngine\b|\bshardIdx\b|Config\.Shards\b|PurgeTraceCache|\bHeadMass\b|\bNewTrace\b|\bStdDev\b|\bProxy\.(?:Handler|Killed)\(\)|\bsim\.NewEngine\b|\bmessageQueue\b|\bsim\.(?:Clock|Scheduler)\b|\bTraceNow\b|\bbtree(?:Table|Cell|MaxBlock)\b|\b(?:WriteJSONL|ReadJSONL|ParseKind|WriteChromeTrace|wireEvent)\b|-trace-out\b|adctrace (?:summary|request|converge|validate|chrome|farm)\b|\bTracer\.Reset\b|\bFarmConfig\b|HTTPFarmConfig\.(?:MaxHops|MaxActive|MaxQueue|NoCoalesce|Health|ProbeInterval|FailureThreshold|MaxRetries|HedgeDelay|TraceSample|TraceRing)\b|\b(?:Farm\.TraceDumps|Proxy\.HealthState|PopulationFraction|FillRepeatProb)\b|\b(?:lruOrdered|newLRUOrdered)\b|\badc\.(?:Profile|Progress|Compare|Sweep|TimingSweep|MaxHopsSweep|SelectiveCachingAblation|AgingAblation|PreLearned|ProxyCountSweep|Baselines|ResponseTime|LossSweep|CrashRecovery|BackendComparison|ConvergenceSweep|ReplicationSweep|MaxHopsPoint|Ablation|PreLearnedResult|ProxyCountPoint|ResponseResult|LossPoint|CrashRecoveryResult|ConvergencePoint|ReplicationOptions|Comparison|SweepPoint|BaselinePoint|BackendPoint|ReplicationPoint)\b|\b(?:workload|Trace)\.Cursor\b|\bMovingAverage\.Reset\b|\bRing\.Len\b|\bCache\.Peek\b|\bExampleCompare\b`)
+	// and the tracer's reset; the facade's workload analysis and farm URL
+	// accessors, and the health and replication sections of /debug/vars.
+	retiredName = regexp.MustCompile(`benchjson|BENCH_[A-Za-z_*]|ParseChaosSpec|ChaosPlan|CrashProxyAt|(?:^|[^\w-])-chaos(?:[^\w-]|$)|\b(?:New)?OpenLoop(?:Client|Config)\b|breakerGroup|Breaker(?:Var|Threshold|Cooldown)|RecoveryThreshold|RetryBackoff|adc_breaker_state|\b(?:BuildTrees|TreeFor|FormatTree|WriteChrome)\b|\bHashRequestID\b|\bUseWallClock\b|HTTPFarm\)?\.SetTracer|RuntimeAgents|runConcurrent|examples/distributed|\bRecycler\b|\bReplyTo\(|\bSetOnDone\b|adcfigures|examples/tablesweep|\badc(?:gen|farm)\b|BreakerDenied|breaker_denied|adc_breaker_denied_total|WriteText|ReadText|[pP]arallelMergeMin|\bSerialize\(\)|(?:^|[^\w-])-shards(?:[^\w-]|$)|\bBackendSlice\b|\bsliceTable\b|-backend slice|\b(?:New)?ShardMap\b|\bNewShardedVEngine\b|\bshardIdx\b|Config\.Shards\b|PurgeTraceCache|\bHeadMass\b|\bNewTrace\b|\bStdDev\b|\bProxy\.(?:Handler|Killed)\(\)|\bsim\.NewEngine\b|\bmessageQueue\b|\bsim\.(?:Clock|Scheduler)\b|\bTraceNow\b|\bbtree(?:Table|Cell|MaxBlock)\b|\b(?:WriteJSONL|ReadJSONL|ParseKind|WriteChromeTrace|wireEvent)\b|-trace-out\b|adctrace (?:summary|request|converge|validate|chrome|farm)\b|\bTracer\.Reset\b|\bFarmConfig\b|HTTPFarmConfig\.(?:MaxHops|MaxActive|MaxQueue|NoCoalesce|Health|ProbeInterval|FailureThreshold|MaxRetries|HedgeDelay|TraceSample|TraceRing)\b|\b(?:Farm\.TraceDumps|Proxy\.HealthState|PopulationFraction|FillRepeatProb)\b|\b(?:lruOrdered|newLRUOrdered)\b|\badc\.(?:Profile|Progress|Compare|Sweep|TimingSweep|MaxHopsSweep|SelectiveCachingAblation|AgingAblation|PreLearned|ProxyCountSweep|Baselines|ResponseTime|LossSweep|CrashRecovery|BackendComparison|ConvergenceSweep|ReplicationSweep|MaxHopsPoint|Ablation|PreLearnedResult|ProxyCountPoint|ResponseResult|LossPoint|CrashRecoveryResult|ConvergencePoint|ReplicationOptions|Comparison|SweepPoint|BaselinePoint|BackendPoint|ReplicationPoint)\b|\b(?:workload|Trace)\.Cursor\b|\bMovingAverage\.Reset\b|\bRing\.Len\b|\bCache\.Peek\b|\bExampleCompare\b|\bAnalyzeWorkload\b|HTTPFarm\)?\.(?:OriginURL|DebugURL)\b|\b(?:HealthVars|PeerHealthVar|replicationVars)\b`)
 	// EXPERIMENTS.md sections that record one PR's runs say so in their
 	// heading; they are history and may name what existed then.
 	datedHeading = regexp.MustCompile(`\((?:PR|issue) \d+`)

@@ -5,7 +5,6 @@ import (
 
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/httpproxy"
-	"github.com/adc-sim/adc/internal/ids"
 )
 
 // HTTPFarm is a running ADC proxy system speaking real HTTP on loopback
@@ -70,19 +69,6 @@ func (f *HTTPFarm) ProxyURL(i int) (string, error) {
 	return f.farm.Proxies[i].URL(), nil
 }
 
-// OriginURL returns the origin server's base URL.
-func (f *HTTPFarm) OriginURL() string { return f.farm.Origin.URL() }
-
-// Get fetches one object through the given proxy with payload
-// verification; hit reports whether a proxy cache served it. reqID must be
-// globally unique per logical request (it drives loop detection).
-func (f *HTTPFarm) Get(proxy int, object uint64, reqID string) (hit bool, err error) {
-	if proxy < 0 || proxy >= len(f.farm.Proxies) {
-		return false, fmt.Errorf("adc: proxy index %d out of range", proxy)
-	}
-	return f.farm.Get(proxy, ids.ObjectID(object), reqID)
-}
-
 // Run drives the farm with a workload from a single client, returning the
 // observed hit statistics.
 func (f *HTTPFarm) Run(src Source, seed int64) (requests, hits uint64, err error) {
@@ -91,17 +77,6 @@ func (f *HTTPFarm) Run(src Source, seed int64) (requests, hits uint64, err error
 		return 0, 0, err
 	}
 	return col.Requests(), col.Hits(), nil
-}
-
-// DebugURL returns the live-introspection base of the i-th proxy; append
-// /debug/vars (JSON counters and table occupancy), /debug/tables (mapping
-// table dump) or /debug/pprof/ (Go profiler).
-func (f *HTTPFarm) DebugURL(i int) (string, error) {
-	u, err := f.ProxyURL(i)
-	if err != nil {
-		return "", err
-	}
-	return u + "/debug", nil
 }
 
 // OriginResolved counts requests the origin server answered.

@@ -127,6 +127,11 @@ type CrashRecoveryResult struct {
 	// after the workload's fill phase, so it measures the converged
 	// cluster rather than the cold start.
 	BeforeHit, DownHit, AfterHit float64
+	// RestartHit is the windowed hit rate of the series' first point at
+	// or after the restart. It shows the cold restart's dip only when
+	// Profile.Window is short against the sampling interval: a longer
+	// window there still holds the requests before the restart.
+	RestartHit float64
 	// Completion, Dropped and LeakedPending as in LossPoint.
 	Completion    float64
 	Dropped       uint64
@@ -186,6 +191,12 @@ func CrashRecovery(p Profile, rec sim.Recovery) (*CrashRecoveryResult, error) {
 	out.BeforeHit = phaseHit(res.Series, warm, crashReq)
 	out.DownHit = phaseHit(res.Series, crashReq, restartReq)
 	out.AfterHit = phaseHit(res.Series, restartReq, ^uint64(0))
+	for _, pt := range res.Series {
+		if pt.Requests >= restartReq {
+			out.RestartHit = pt.HitRate
+			break
+		}
+	}
 	return out, nil
 }
 

@@ -80,16 +80,10 @@ func TestCrashRecovery(t *testing.T) {
 	}
 	// The first sample taken after the restart, against both earlier
 	// phases and the rest of the run.
-	restartReq := uint64(r.RestartAt / openLoopInterval)
-	for _, pt := range r.Series {
-		if pt.Requests >= restartReq {
-			if pt.HitRate >= r.BeforeHit || pt.HitRate >= r.DownHit {
-				t.Errorf("first sample after the cold restart hit %.4f, not below BeforeHit %.4f and DownHit %.4f", pt.HitRate, r.BeforeHit, r.DownHit)
-			}
-			if r.AfterHit <= pt.HitRate {
-				t.Errorf("AfterHit %.4f does not recover from the restart's %.4f", r.AfterHit, pt.HitRate)
-			}
-			break
-		}
+	if r.RestartHit >= r.BeforeHit || r.RestartHit >= r.DownHit {
+		t.Errorf("first sample after the cold restart hit %.4f, not below BeforeHit %.4f and DownHit %.4f", r.RestartHit, r.BeforeHit, r.DownHit)
+	}
+	if r.AfterHit <= r.RestartHit {
+		t.Errorf("AfterHit %.4f does not recover from the restart's %.4f", r.AfterHit, r.RestartHit)
 	}
 }

@@ -22,26 +22,14 @@ import (
 // while the farm is serving traffic.
 
 // debugVars is the /debug/vars document. Its scalar fields are the
-// gauges /metrics exposes, under metrics.Gauges' JSON keys.
+// gauges /metrics exposes, under metrics.Gauges' JSON keys, and its stats
+// are the counters /metrics exposes; bench/ sums every proxy's stats from
+// it. Replication set sizes, probe totals and peer states are on /metrics
+// only.
 type debugVars struct {
 	ID string `json:"id"`
 	metrics.Gauges
 	Stats metrics.ProxyStats `json:"stats"`
-
-	// Replication is present when the hot-object replication controller
-	// is enabled: its live tracked and held set sizes (the replica
-	// counters are in Stats).
-	Replication *replicationVars `json:"replication,omitempty"`
-
-	// Health is present when the fault-tolerance layer is enabled: probe
-	// counters, detection/recovery totals and every peer's current state.
-	Health *HealthVars `json:"health,omitempty"`
-}
-
-// replicationVars is the replication section of /debug/vars.
-type replicationVars struct {
-	Tracked int `json:"tracked"`
-	Held    int `json:"held"`
 }
 
 // registerDebug wires the introspection handlers into a proxy's mux.
@@ -60,15 +48,6 @@ func registerDebug(mux *http.ServeMux, p *Proxy) {
 func (p *Proxy) handleVars(w http.ResponseWriter, r *http.Request) {
 	// Stats() folds in the off-lock shed/coalescing counters.
 	v := debugVars{ID: p.id.String(), Stats: p.Stats(), Gauges: p.gauges()}
-	p.mu.Lock()
-	if on, tracked, held := p.adc.Replicating(); on {
-		v.Replication = &replicationVars{Tracked: tracked, Held: held}
-	}
-	p.mu.Unlock()
-	// Outside p.mu: the monitor carries its own lock.
-	if m := p.health.Load(); m != nil {
-		v.Health = m.vars()
-	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -405,45 +405,3 @@ func (m *healthMonitor) probe(id ids.NodeID, url string) bool {
 // healthzDrainBytes bounds how much of a /healthz body a probe reads; the
 // JSON body is about 150 bytes.
 const healthzDrainBytes = 4 << 10
-
-// PeerHealthVar is one peer's row in /debug/vars' health section.
-type PeerHealthVar struct {
-	Peer  string `json:"peer"`
-	State string `json:"state"`
-}
-
-// HealthVars is the health section of /debug/vars.
-type HealthVars struct {
-	Probes      uint64          `json:"probes"`
-	ProbeFails  uint64          `json:"probe_fails"`
-	Detections  uint64          `json:"detections"`
-	Recoveries  uint64          `json:"recoveries"`
-	Transitions int             `json:"transitions"`
-	Peers       []PeerHealthVar `json:"peers"`
-}
-
-// vars snapshots the monitor for /debug/vars, peers sorted by ID.
-func (m *healthMonitor) vars() *HealthVars {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v := &HealthVars{
-		Probes:      m.probes,
-		ProbeFails:  m.probeFails,
-		Detections:  m.detections,
-		Recoveries:  m.recoveries,
-		Transitions: len(m.transitions),
-	}
-	idsSorted := make([]ids.NodeID, 0, len(m.peers))
-	for id := range m.peers {
-		idsSorted = append(idsSorted, id)
-	}
-	for i := 1; i < len(idsSorted); i++ {
-		for j := i; j > 0 && idsSorted[j] < idsSorted[j-1]; j-- {
-			idsSorted[j], idsSorted[j-1] = idsSorted[j-1], idsSorted[j]
-		}
-	}
-	for _, id := range idsSorted {
-		v.Peers = append(v.Peers, PeerHealthVar{Peer: id.String(), State: m.peers[id].state.String()})
-	}
-	return v
-}

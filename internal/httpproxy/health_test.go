@@ -13,6 +13,7 @@ import (
 	"github.com/adc-sim/adc/internal/core"
 	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/obs"
+	"github.com/adc-sim/adc/internal/promtext"
 )
 
 // ftFarm builds a small farm with the fault-tolerance layer on, tuned for
@@ -425,9 +426,9 @@ func TestGateDrainsAfterRecovery(t *testing.T) {
 	checkFarmInvariants(t, f)
 }
 
-// TestDebugVarsHealthSection checks /debug/vars gains a health section
-// with the layer on, naming the killed peer down.
-func TestDebugVarsHealthSection(t *testing.T) {
+// TestMetricsHealthTotals checks /metrics carries the health monitor's
+// totals with the layer on, and names the killed peer down.
+func TestMetricsHealthTotals(t *testing.T) {
 	f := ftFarm(t, 2)
 	if err := f.Proxies[1].Kill(); err != nil {
 		t.Fatal(err)
@@ -436,31 +437,17 @@ func TestDebugVarsHealthSection(t *testing.T) {
 		return f.Proxies[0].health.Load().state(f.Proxies[1].ID()) == PeerDown
 	})
 
-	resp, err := http.Get(f.Proxies[0].URL() + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close() //nolint:errcheck // read side
-	var v struct {
-		Health *HealthVars `json:"health"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		t.Fatal(err)
-	}
-	if v.Health == nil {
-		t.Fatal("/debug/vars has no health section with the layer enabled")
-	}
-	if v.Health.Probes == 0 || v.Health.Detections == 0 {
-		t.Errorf("health section = %+v, want nonzero probes and detections", v.Health)
-	}
-	found := false
-	for _, ph := range v.Health.Peers {
-		if ph.Peer == f.Proxies[1].ID().String() && ph.State == "down" {
-			found = true
+	page := metricsPage(t, f.Proxies[0])
+	for _, name := range []string{"adc_health_probes_total", "adc_health_probe_failures_total", "adc_health_detections_total"} {
+		if v, ok := page.Value(name); !ok || v == 0 {
+			t.Errorf("%s = %v (found %v), want nonzero", name, v, ok)
 		}
 	}
-	if !found {
-		t.Errorf("health peers = %+v, want proxy 1 down", v.Health.Peers)
+	if _, ok := page.Value("adc_health_recoveries_total"); !ok {
+		t.Error("no adc_health_recoveries_total with the layer enabled")
+	}
+	if v, ok := page.Value(PeerStateFamily, promtext.L("peer", f.Proxies[1].ID().String())); !ok || PeerState(v) != PeerDown {
+		t.Errorf("peer state of proxy 1 = %v (found %v), want down", v, ok)
 	}
 }
 

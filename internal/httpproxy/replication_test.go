@@ -151,15 +151,22 @@ func TestFarmReplyPathClaimerAdvertises(t *testing.T) {
 	}
 }
 
-// TestFarmReplicationDebugVars checks that /debug/vars grows a replication
-// section with the live set sizes when the controller is on, and stays
-// without one when it is off; the replica counters are in its stats.
-func TestFarmReplicationDebugVars(t *testing.T) {
+// TestFarmReplicationMetrics checks that /metrics carries the replication
+// controller's live set sizes when it is on, and no such family when it is
+// off; the replica counters are in /debug/vars' stats.
+func TestFarmReplicationMetrics(t *testing.T) {
 	f := replicatedFarm(t, 3, true)
 	driveHotStream(t, f, 600, 2)
 
-	var sawPushes bool
+	var sawPushes, sawTracked bool
 	for _, p := range f.Proxies {
+		page := metricsPage(t, p)
+		tracked, okTracked := page.Value("adc_replication_tracked")
+		_, okHeld := page.Value("adc_replication_held")
+		if !okTracked || !okHeld {
+			t.Fatalf("proxy %v: replication on but /metrics has no replication set sizes", p.ID())
+		}
+		sawTracked = sawTracked || tracked > 0
 		status, body := getBody(t, p.URL()+"/debug/vars")
 		if status != http.StatusOK {
 			t.Fatalf("/debug/vars status %d", status)
@@ -168,9 +175,6 @@ func TestFarmReplicationDebugVars(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &v); err != nil {
 			t.Fatalf("/debug/vars is not JSON: %v\n%s", err, body)
 		}
-		if v.Replication == nil {
-			t.Fatalf("proxy %v: replication on but /debug/vars has no replication section", p.ID())
-		}
 		if v.Stats.ReplicaPushes > 0 {
 			sawPushes = true
 		}
@@ -178,15 +182,13 @@ func TestFarmReplicationDebugVars(t *testing.T) {
 	if !sawPushes {
 		t.Error("no proxy reported replica pushes in /debug/vars")
 	}
+	if !sawTracked {
+		t.Error("no proxy tracks a replicated object on /metrics")
+	}
 
 	stock := replicatedFarm(t, 1, false)
-	_, body := getBody(t, stock.Proxies[0].URL()+"/debug/vars")
-	var v debugVars
-	if err := json.Unmarshal([]byte(body), &v); err != nil {
-		t.Fatal(err)
-	}
-	if v.Replication != nil {
-		t.Error("stock farm /debug/vars has a replication section")
+	if _, ok := metricsPage(t, stock.Proxies[0]).Value("adc_replication_tracked"); ok {
+		t.Error("stock farm /metrics has replication set sizes")
 	}
 }
 

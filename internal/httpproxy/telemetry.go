@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/adc-sim/adc/internal/ids"
 	"github.com/adc-sim/adc/internal/metrics"
 	"github.com/adc-sim/adc/internal/obs"
 	"github.com/adc-sim/adc/internal/promtext"
@@ -24,9 +25,10 @@ import (
 //	/healthz       liveness probe, JSON with identity and build info
 //
 // /metrics snapshots the same counters and gauges as /debug/vars, both
-// defined once in internal/metrics, plus the per-stage latency histograms;
-// cmd/adctop renders it live, the telemetry-smoke CI job lints it on every
-// proxy.
+// defined once in internal/metrics, plus what /debug/vars does not carry:
+// the replication controller's set sizes, the health monitor's probe
+// totals and peer states, and the per-stage latency histograms; cmd/adctop
+// renders it live, the telemetry-smoke CI job lints it on every proxy.
 
 const (
 	metricsPath = "/metrics"
@@ -48,6 +50,7 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauges := p.gauges()
 	p.mu.Lock()
 	peers := slices.Clone(p.adc.Peers())
+	replicating, tracked, held := p.adc.Replicating()
 	p.mu.Unlock()
 
 	pw := promtext.NewWriter(w)
@@ -59,14 +62,14 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	)
 	stats.WriteProm(pw)
 	gauges.WriteProm(pw)
+	if replicating {
+		pw.Gauge("adc_replication_tracked", "Cached objects with replication involvement here, examined at each window roll.")
+		pw.Sample(float64(tracked))
+		pw.Gauge("adc_replication_held", "Objects this proxy holds as a pushed replica.")
+		pw.Sample(float64(held))
+	}
 	if m := p.health.Load(); m != nil {
-		pw.Gauge(PeerStateFamily, "Peer health: 0 up, 1 suspect, 2 down, 3 recovering.")
-		for _, peer := range peers {
-			if peer == p.id {
-				continue
-			}
-			pw.Sample(float64(m.state(peer)), promtext.L("peer", peer.String()))
-		}
+		m.writeProm(pw, peers)
 	}
 	if p.spans != nil {
 		pw.Counter("adc_trace_spans_dropped_total", "Spans evicted from the bounded trace ring.")
@@ -74,6 +77,32 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	p.stages.WriteProm(pw)
 	_ = pw.Flush()
+}
+
+// writeProm writes the monitor's probe and detection totals, and the state
+// it holds for each of peers but itself, to a /metrics page.
+func (m *healthMonitor) writeProm(pw *promtext.Writer, peers []ids.NodeID) {
+	m.mu.Lock()
+	totals := [...]struct {
+		name, help string
+		n          uint64
+	}{
+		{"adc_health_probes_total", "Health probes sent to peers.", m.probes},
+		{"adc_health_probe_failures_total", "Health probes that failed.", m.probeFails},
+		{"adc_health_detections_total", "Peers marked down.", m.detections},
+		{"adc_health_recoveries_total", "Down peers readmitted as up.", m.recoveries},
+	}
+	m.mu.Unlock()
+	for _, t := range totals {
+		pw.Counter(t.name, t.help)
+		pw.Sample(float64(t.n))
+	}
+	pw.Gauge(PeerStateFamily, "Peer health: 0 up, 1 suspect, 2 down, 3 recovering.")
+	for _, peer := range peers {
+		if peer != m.self {
+			pw.Sample(float64(m.state(peer)), promtext.L("peer", peer.String()))
+		}
+	}
 }
 
 // gauges snapshots the proxy's levels for /metrics and /debug/vars; the

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -118,11 +117,11 @@ func TestMetricsParsesAndLints(t *testing.T) {
 }
 
 // TestMetricsRoundTripsProxyStats holds /metrics and /debug/vars to one
-// definition of the counters, gauges and peer states: on a farm with
-// replication, health and tracing on, reading every proxy's parsed page
-// back through metrics.ReadProm gives exactly the proxy's Stats(), which is
-// exactly the stats /debug/vars serves; metrics.ReadGauges gives the
-// /debug/vars scalar fields, and the peer states its health peers.
+// definition of the counters and gauges: on a farm with replication, health
+// and tracing on, reading every proxy's parsed page back through
+// metrics.ReadProm gives exactly the proxy's Stats(), which is exactly the
+// stats /debug/vars serves (bench/ sums them); metrics.ReadGauges gives the
+// /debug/vars scalar fields, and the peer states are the health monitor's.
 func TestMetricsRoundTripsProxyStats(t *testing.T) {
 	f, err := NewFarm(3, Config{
 		Tables:         core.Config{SingleSize: 256, MultipleSize: 128, CachingSize: 32},
@@ -176,14 +175,23 @@ func TestMetricsRoundTripsProxyStats(t *testing.T) {
 		if v.TableLen == 0 || v.StoreLen != v.CachingLen || v.TraceSpans == 0 {
 			t.Errorf("%v: /debug/vars gauges %+v: want tables, a store the caching table's size and spans", p.ID(), v.Gauges)
 		}
-		// One encoding of peer state: PeerState's number on /metrics, its
-		// name on /debug/vars.
-		var states []PeerHealthVar
-		for _, smp := range page.Families[PeerStateFamily].Samples {
-			states = append(states, PeerHealthVar{Peer: smp.Label("peer"), State: PeerState(smp.Value).String()})
+		// One sample per other proxy, valued the monitor's PeerState.
+		var states int
+		for _, q := range f.Proxies {
+			got, ok := page.Value(PeerStateFamily, promtext.L("peer", q.ID().String()))
+			if q == p {
+				if ok {
+					t.Errorf("%v: /metrics holds a peer state for itself", p.ID())
+				}
+				continue
+			}
+			if want := p.health.Load().state(q.ID()); !ok || PeerState(got) != want {
+				t.Errorf("%v: /metrics peer state of %v = %v (found %v), want %v", p.ID(), q.ID(), got, ok, want)
+			}
+			states++
 		}
-		if v.Health == nil || len(states) != len(f.Proxies)-1 || !slices.Equal(states, v.Health.Peers) {
-			t.Errorf("%v: /metrics peer states %+v, /debug/vars %+v", p.ID(), states, v.Health)
+		if n := len(page.Families[PeerStateFamily].Samples); n != states {
+			t.Errorf("%v: %d peer-state samples, want %d", p.ID(), n, states)
 		}
 		total.Add(stats)
 	}
@@ -192,9 +200,8 @@ func TestMetricsRoundTripsProxyStats(t *testing.T) {
 	}
 }
 
-// stageCounts is how many intervals each of p's stage histograms holds, as
-// its /metrics page (served in-process: p may be killed) reports them.
-func stageCounts(t *testing.T, p *Proxy) [metrics.NumStages]uint64 {
+// metricsPage is p's /metrics page, served in-process and parsed.
+func metricsPage(t *testing.T, p *Proxy) *promtext.Document {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	p.handleMetrics(rec, nil)
@@ -202,8 +209,15 @@ func stageCounts(t *testing.T, p *Proxy) [metrics.NumStages]uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return page
+}
+
+// stageCounts is how many intervals each of p's stage histograms holds, as
+// its /metrics page (served in-process: p may be killed) reports them.
+func stageCounts(t *testing.T, p *Proxy) [metrics.NumStages]uint64 {
+	t.Helper()
 	var out [metrics.NumStages]uint64
-	for st, b := range metrics.ReadStages(page) {
+	for st, b := range metrics.ReadStages(metricsPage(t, p)) {
 		out[st] = b[len(b)-1].Cum
 	}
 	return out

@@ -20,3 +20,8 @@ func (e *VEngine) ReleaseKeeping() any {
 	e.Release()
 	return s
 }
+
+// Windows reports whether Run may deliver lookahead windows on two
+// goroutines: whether the run is window-safe and, so far, every node
+// registered is Isolated. Call it once the engine is configured.
+func (e *VEngine) Windows() bool { return e.windowSafe() && e.shared == 0 }

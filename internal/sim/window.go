@@ -76,11 +76,6 @@ func (l LatencyModel) lookahead() int64 {
 	return min(l.ClientProxy, l.ProxyProxy, l.ProxyOrigin) + l.Service
 }
 
-// Windows reports whether Run may deliver lookahead windows on two
-// goroutines: whether the run is window-safe and, so far, every node
-// registered is Isolated. Call it once the engine is configured.
-func (e *VEngine) Windows() bool { return e.windowSafe() && e.shared == 0 }
-
 // windowSafe reports whether Run may open lookahead windows at all. A fault
 // plan's and a drop filter's random stream and crash set, QueueService's
 // busy horizons, the tracer's event stream and the time-series recorder are

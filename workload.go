@@ -106,26 +106,6 @@ func (w *Workload) Next() (uint64, bool) {
 // Total implements Source.
 func (w *Workload) Total() int { return w.gen.Total() }
 
-// Reset rewinds the stream for another replay.
-func (w *Workload) Reset() { w.gen.Reset() }
-
-// Boundaries returns the request indexes at which phases 2 and 3 begin.
-func (w *Workload) Boundaries() (fillEnd, phase2End int) { return w.gen.Boundaries() }
-
-// Population returns the hot-set size of phases 2–3.
-func (w *Workload) Population() int { return w.gen.Population() }
-
-// TraceStats summarises a request stream: length, distinct objects,
-// one-timers, the recurring-request share (the warm-cache hit ceiling) and
-// popularity concentration.
-type TraceStats = workload.TraceStats
-
-// AnalyzeWorkload drains src and computes its statistics; generators can
-// be Reset afterwards for reuse.
-func AnalyzeWorkload(src Source) TraceStats {
-	return workload.Analyze(sourceAdapter{src})
-}
-
 // ShiftWorkloadConfig describes a non-stationary workload whose hot set is
 // replaced by a disjoint one every Period requests — the stress case for
 // self-organization: the proxies must expire stale mappings and converge
@@ -178,9 +158,6 @@ func (w *ShiftWorkload) Next() (uint64, bool) {
 // Total implements Source.
 func (w *ShiftWorkload) Total() int { return w.gen.Total() }
 
-// Reset rewinds the stream for another replay.
-func (w *ShiftWorkload) Reset() { w.gen.Reset() }
-
 // Epochs returns the number of hot-set epochs.
 func (w *ShiftWorkload) Epochs() int { return w.gen.Epochs() }
 
@@ -207,9 +184,6 @@ func (s *SliceSource) Next() (uint64, bool) {
 
 // Total implements Source.
 func (s *SliceSource) Total() int { return len(s.objs) }
-
-// Reset rewinds the source.
-func (s *SliceSource) Reset() { s.pos = 0 }
 
 // SaveTrace writes src to w in the binary trace format, so an experiment
 // can be repeated on the exact same stream.
